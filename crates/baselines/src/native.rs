@@ -17,7 +17,7 @@
 use crate::Baseline;
 use alpha_cpu::{MeasuredReport, TimingHarness};
 use alpha_matrix::{CsrMatrix, Scalar};
-use alpha_parallel::Executor;
+use alpha_parallel::Pool;
 
 /// The baselines with a native CPU implementation.
 pub fn native_set() -> Vec<Baseline> {
@@ -129,37 +129,6 @@ impl NativeBaselineKernel {
 
     /// Runs `y = A·x` into a caller-provided buffer (zeroed here first).
     pub fn run_into(&self, x: &[Scalar], y: &mut [Scalar], threads: usize) -> Result<(), String> {
-        // The same automatic work-size scaling as the generated kernels, so
-        // baseline timings face identical threading overheads.
-        let workers = alpha_cpu::effective_workers_pooled(threads, self.matrix.nnz());
-        self.exec(
-            x,
-            y,
-            workers,
-            &Executor::Pooled(alpha_parallel::Pool::shared()),
-        )
-    }
-
-    /// Runs `y = A·x` with the legacy **spawn-per-call** threading — the
-    /// comparison half of pooled-vs-spawn bench rows, mirroring
-    /// `NativeKernel::run_spawning`.
-    pub fn run_into_spawning(
-        &self,
-        x: &[Scalar],
-        y: &mut [Scalar],
-        threads: usize,
-    ) -> Result<(), String> {
-        let workers = alpha_cpu::effective_workers(threads, self.matrix.nnz());
-        self.exec(x, y, workers, &Executor::Spawn { threads: workers })
-    }
-
-    fn exec(
-        &self,
-        x: &[Scalar],
-        y: &mut [Scalar],
-        workers: usize,
-        exec: &Executor<'_>,
-    ) -> Result<(), String> {
         if x.len() != self.matrix.cols() {
             return Err(format!(
                 "input vector has length {}, matrix has {} columns",
@@ -174,26 +143,31 @@ impl NativeBaselineKernel {
                 self.matrix.rows()
             ));
         }
+        // The same automatic work-size scaling as the (scalar) generated
+        // kernels on the same shared pool, so baseline timings face
+        // identical threading overheads.
+        let workers = self.workers_for(threads);
+        let pool = Pool::shared();
         y.fill(0.0);
         match &self.imp {
-            Imp::Csr => self.run_csr(x, y, workers, exec),
+            Imp::Csr => self.run_csr(x, y, workers, pool),
             Imp::Ell {
                 width,
                 cols,
                 values,
-            } => run_ell(*width, cols, values, x, y, workers, exec),
+            } => run_ell(*width, cols, values, x, y, workers, pool),
             Imp::Hyb {
                 width,
                 ell_cols,
                 ell_values,
                 coo,
             } => {
-                run_ell(*width, ell_cols, ell_values, x, y, workers, exec);
+                run_ell(*width, ell_cols, ell_values, x, y, workers, pool);
                 for &(row, col, value) in coo {
                     y[row as usize] += value * x[col as usize];
                 }
             }
-            Imp::Merge => self.run_merge(x, y, workers, exec),
+            Imp::Merge => self.run_merge(x, y, workers, pool),
         }
         Ok(())
     }
@@ -209,33 +183,23 @@ impl NativeBaselineKernel {
     ) -> Result<MeasuredReport, String> {
         let mut y = vec![0.0; self.matrix.rows()];
         self.run_into(x, &mut y, threads)?;
-        let threads = alpha_cpu::effective_workers_pooled(threads, self.matrix.nnz());
-        Ok(harness.measure(self.useful_flops(), threads, || {
-            self.run_into(x, &mut y, threads)
-                .expect("dimensions validated above");
-        }))
+        Ok(
+            harness.measure(self.useful_flops(), self.workers_for(threads), || {
+                self.run_into(x, &mut y, threads)
+                    .expect("dimensions validated above");
+            }),
+        )
     }
 
-    /// [`NativeBaselineKernel::measure`] on the legacy spawn-per-call path —
-    /// the other half of a pooled-vs-spawn comparison row.
-    pub fn measure_spawning(
-        &self,
-        harness: TimingHarness,
-        x: &[Scalar],
-        threads: usize,
-    ) -> Result<MeasuredReport, String> {
-        let mut y = vec![0.0; self.matrix.rows()];
-        self.run_into_spawning(x, &mut y, threads)?;
-        let threads = alpha_cpu::effective_workers(threads, self.matrix.nnz());
-        Ok(harness.measure(self.useful_flops(), threads, || {
-            self.run_into_spawning(x, &mut y, threads)
-                .expect("dimensions validated above");
-        }))
+    /// The worker count a run with this `threads` request uses (baselines
+    /// are scalar: `lanes = 1`).
+    fn workers_for(&self, threads: usize) -> usize {
+        alpha_cpu::effective_workers(threads, self.matrix.nnz(), 1)
     }
 
-    fn run_csr(&self, x: &[Scalar], y: &mut [Scalar], threads: usize, exec: &Executor<'_>) {
+    fn run_csr(&self, x: &[Scalar], y: &mut [Scalar], threads: usize, pool: &Pool) {
         let m = &self.matrix;
-        for_row_chunks(m.rows(), threads, y, exec, |first, last, out| {
+        for_row_chunks(m.rows(), threads, y, pool, |first, last, out| {
             let offsets = m.row_offsets();
             let cols = m.col_indices();
             let values = m.values();
@@ -249,7 +213,7 @@ impl NativeBaselineKernel {
         });
     }
 
-    fn run_merge(&self, x: &[Scalar], y: &mut [Scalar], threads: usize, exec: &Executor<'_>) {
+    fn run_merge(&self, x: &[Scalar], y: &mut [Scalar], threads: usize, pool: &Pool) {
         let m = &self.matrix;
         let nnz = m.nnz();
         if nnz == 0 {
@@ -271,7 +235,7 @@ impl NativeBaselineKernel {
         let cols = m.col_indices();
         let values = m.values();
         let last_row = m.rows().saturating_sub(1);
-        let partials: Vec<(usize, Vec<Scalar>)> = exec.map(&spans, |&(start, end)| {
+        let partials: Vec<(usize, Vec<Scalar>)> = pool.parallel_map(&spans, |&(start, end)| {
             let mut row = match offsets.binary_search(&(start as u32)) {
                 Ok(r) => r.min(last_row),
                 Err(r) => r - 1,
@@ -334,13 +298,13 @@ fn for_row_chunks(
     rows: usize,
     threads: usize,
     y: &mut [Scalar],
-    exec: &Executor<'_>,
+    pool: &Pool,
     body: impl Fn(usize, usize, &mut [Scalar]) + Sync,
 ) {
     if rows == 0 {
         return;
     }
-    exec.over_chunks(
+    pool.run_over_chunks(
         alpha_parallel::split_mut(&mut y[..rows], threads),
         |first, out| body(first, first + out.len(), out),
     );
@@ -353,10 +317,10 @@ fn run_ell(
     x: &[Scalar],
     y: &mut [Scalar],
     threads: usize,
-    exec: &Executor<'_>,
+    pool: &Pool,
 ) {
     let rows = cols.len() / width.max(1);
-    for_row_chunks(rows, threads, y, exec, |first, last, out| {
+    for_row_chunks(rows, threads, y, pool, |first, last, out| {
         for (row, slot) in (first..last).zip(out.iter_mut()) {
             let base = row * width;
             let mut acc = 0.0;

@@ -223,7 +223,7 @@ fn main() {
         match native_mode(config) {
             Ok(results) => {
                 println!(
-                    "  {:<18} {:>9} {:>9} {:>9} {:>9} {:>11} {:>9} {:>10} {:>10} {:>9} {:>9} {:>7} {:>9}",
+                    "  {:<18} {:>9} {:>9} {:>9} {:>9} {:>11} {:>9} {:>10} {:>9} {:>9} {:>7}",
                     "matrix",
                     "CSR",
                     "ELL",
@@ -232,11 +232,9 @@ fn main() {
                     "generated",
                     "speedup",
                     "pool µs",
-                    "spawn Δµs",
                     "scal 1T",
                     "simd 1T",
-                    "simd×",
-                    "interp Δ%"
+                    "simd×"
                 );
                 for r in &results {
                     let g = |name: &str| {
@@ -246,18 +244,12 @@ fn main() {
                             .map(|b| b.gflops)
                             .unwrap_or(0.0)
                     };
-                    // Pooled-vs-spawn comparison columns: the generated
-                    // kernel's pooled median next to the extra per-call
-                    // cost the legacy spawn path pays for the same kernel.
-                    // The next three columns are the SIMD differential:
+                    // `pool µs` is the generated kernel's pooled median.
+                    // The last three columns are the SIMD differential:
                     // the same winning design forced scalar vs as-lowered,
-                    // both on one thread.  The last column is the
-                    // specialization differential: the force-interpreted
-                    // twin's extra single-thread cost over the
-                    // monomorphized-library loop (positive = the
-                    // specialized kernel wins).
+                    // both on one thread.
                     println!(
-                        "  {:<18} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>11.2} {:>8.2}x {:>10.1} {:>+10.1} {:>9.2} {:>9.2} {:>6.2}x {:>+8.1}%",
+                        "  {:<18} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>11.2} {:>8.2}x {:>10.1} {:>9.2} {:>9.2} {:>6.2}x",
                         r.name,
                         g("CSR-scalar"),
                         g("ELL"),
@@ -266,25 +258,18 @@ fn main() {
                         r.generated.gflops,
                         r.speedup_over_best_baseline(),
                         r.generated.measured_median_us.unwrap_or(0.0),
-                        r.generated.dispatch_overhead_us.unwrap_or(0.0),
                         r.scalar.gflops,
                         r.simd_single_thread_gflops,
-                        r.simd_speedup(),
-                        r.generated.interp_overhead_pct.unwrap_or(0.0)
+                        r.simd_speedup()
                     );
                 }
                 println!("  winning kernels (resolved vectorization, library shape):");
                 for r in &results {
                     println!(
-                        "    {:<18} {:<18} {}{}",
+                        "    {:<18} {:<18} {}",
                         r.name,
                         r.generated.simd.as_deref().unwrap_or("scalar"),
-                        r.generated.kernel_shape.as_deref().unwrap_or("none"),
-                        if r.generated.specialized == Some(true) {
-                            ""
-                        } else {
-                            "  [interpreted fallback]"
-                        }
+                        r.generated.kernel_shape.as_deref().unwrap_or("none")
                     );
                 }
                 let speedups: Vec<f64> = results
@@ -308,17 +293,6 @@ fn main() {
                         simd_speedups.iter().fold(0.0f64, |a, &b| a.max(b))
                     );
                 }
-                let overheads: Vec<f64> = results
-                    .iter()
-                    .filter_map(|r| r.generated.dispatch_overhead_us)
-                    .collect();
-                if !overheads.is_empty() {
-                    println!(
-                        "  spawn Δµs = spawn-per-call min − pooled min per run \
-                         (mean {:+.1} µs; positive = pool wins)",
-                        overheads.iter().sum::<f64>() / overheads.len() as f64
-                    );
-                }
                 let telemetry: Vec<f64> = results
                     .iter()
                     .filter_map(|r| r.generated.telemetry_overhead_pct)
@@ -330,25 +304,6 @@ fn main() {
                         telemetry.iter().sum::<f64>() / telemetry.len() as f64
                     );
                 }
-                let interp: Vec<f64> = results
-                    .iter()
-                    .filter_map(|r| r.generated.interp_overhead_pct)
-                    .collect();
-                if !interp.is_empty() {
-                    println!(
-                        "  interp Δ% = force-interpreted twin vs monomorphized \
-                         library, single thread (mean {:+.1}%; positive = \
-                         specialization wins)",
-                        interp.iter().sum::<f64>() / interp.len() as f64
-                    );
-                }
-                // Greppable library-coverage invariant: every winner the
-                // fleet produced must have resolved to a specialized loop.
-                // CI fails the native smoke when this count is nonzero.
-                println!(
-                    "  cpu_kernel_fallback_total: {}",
-                    alpha_cpu::kernel_fallback_total()
-                );
                 println!(
                     "  (wall-clock numbers carry allocator-placement and scheduler noise;\n\
                      \x20  treat deltas under ~30% as ties)\n"

@@ -495,16 +495,10 @@ pub struct BenchRecord {
     /// Standard deviation of the native timing harness's trials in
     /// microseconds; `None` for simulated records.
     pub measured_stddev_us: Option<f64>,
-    /// True when the measured hot path ran on a persistent worker pool
-    /// (the steady-state default); false for simulated records and legacy
-    /// spawn-per-call measurements.
+    /// True when the record was measured on the native hot path (which
+    /// always runs on a persistent worker pool); false for simulated
+    /// records.
     pub pool: bool,
-    /// Per-call pooled-vs-spawn delta in microseconds: the spawn-per-call
-    /// minimum time minus the pooled minimum time for the same kernel.
-    /// Positive = the pool wins (it absorbs both the thread-spawn cost and
-    /// the parallelism the lower pooled `effective_workers` threshold
-    /// unlocks).  `None` when no comparison was measured.
-    pub dispatch_overhead_us: Option<f64>,
     /// Cost of the always-on telemetry instrumentation on the native SpMV
     /// hot path, in percent: the instrumented kernel's single-thread
     /// min-of-N time against a [`without_telemetry`]
@@ -519,16 +513,10 @@ pub struct BenchRecord {
     /// (see `alpha_cpu::KernelShape::label`); `None` for records that never
     /// lowered to a native kernel.
     pub kernel_shape: Option<String>,
-    /// True when every partition of the measured kernel ran through a
-    /// specialized (branch-free, monomorphized) loop; false when any
-    /// partition fell back to the interpreted executor.  `None` for
-    /// simulated records.
+    /// `Some(true)` for every record that lowered to a native kernel — the
+    /// monomorphized library is the only executor, so a kernel that exists
+    /// ran specialized.  `None` for simulated records.
     pub specialized: Option<bool>,
-    /// Cost of the interpreted (pre-specialization) executor relative to
-    /// the monomorphized library for the same design, in percent: the
-    /// force-interpreted twin's single-thread min-of-N time against the
-    /// specialized kernel's.  `None` when the comparison was not measured.
-    pub interp_overhead_pct: Option<f64>,
     /// Latency percentiles + throughput, for serve-bench records only.
     pub latency: Option<LatencySummary>,
     /// Concurrent closed-loop connections that produced this record;
@@ -607,11 +595,9 @@ impl BenchRecord {
             measured_median_us: None,
             measured_stddev_us: None,
             pool: false,
-            dispatch_overhead_us: None,
             telemetry_overhead_pct: None,
             kernel_shape: None,
             specialized: None,
-            interp_overhead_pct: None,
             latency: None,
             clients: None,
         }
@@ -635,11 +621,9 @@ impl BenchRecord {
             measured_median_us: None,
             measured_stddev_us: None,
             pool: false,
-            dispatch_overhead_us: None,
             telemetry_overhead_pct: None,
             kernel_shape: None,
             specialized: None,
-            interp_overhead_pct: None,
             latency: None,
             clients: None,
         }
@@ -671,21 +655,12 @@ impl BenchRecord {
             measured_median_us: Some(report.median_us),
             measured_stddev_us: Some(report.stddev_us),
             pool: true,
-            dispatch_overhead_us: None,
             telemetry_overhead_pct: None,
             kernel_shape: None,
             specialized: None,
-            interp_overhead_pct: None,
             latency: None,
             clients: None,
         }
-    }
-
-    /// Attaches the pooled-vs-spawn comparison delta (see
-    /// [`BenchRecord::dispatch_overhead_us`]).
-    pub fn with_dispatch_overhead(mut self, spawn_min_us: f64, pooled_min_us: f64) -> Self {
-        self.dispatch_overhead_us = Some(spawn_min_us - pooled_min_us);
-        self
     }
 
     /// Attaches the measured telemetry-instrumentation cost (see
@@ -704,19 +679,11 @@ impl BenchRecord {
         self
     }
 
-    /// Attaches the measured kernel's monomorphized-library shape key and
-    /// whether it actually ran specialized (see [`BenchRecord::kernel_shape`]
-    /// and [`BenchRecord::specialized`]).
-    pub fn with_kernel_shape(mut self, shape: impl Into<String>, specialized: bool) -> Self {
+    /// Attaches the measured kernel's monomorphized-library shape key (see
+    /// [`BenchRecord::kernel_shape`] and [`BenchRecord::specialized`]).
+    pub fn with_kernel_shape(mut self, shape: impl Into<String>) -> Self {
         self.kernel_shape = Some(shape.into());
-        self.specialized = Some(specialized);
-        self
-    }
-
-    /// Attaches the interpreted-vs-specialized comparison (see
-    /// [`BenchRecord::interp_overhead_pct`]).
-    pub fn with_interp_overhead(mut self, pct: f64) -> Self {
-        self.interp_overhead_pct = Some(pct);
+        self.specialized = Some(true);
         self
     }
 }
@@ -766,9 +733,8 @@ pub fn results_to_json(records: &[BenchRecord]) -> String {
              \"search_iterations\": {}, \"cache_hit_rate\": {}, \
              \"wall_secs\": {}, \"threads\": {}, \"measured_median_us\": {}, \
              \"measured_stddev_us\": {}, \"pool\": {}, \
-             \"dispatch_overhead_us\": {}, \"telemetry_overhead_pct\": {}, \
+             \"telemetry_overhead_pct\": {}, \
              \"kernel_shape\": {}, \"specialized\": {}, \
-             \"interp_overhead_pct\": {}, \
              \"clients\": {}, \"p50_us\": {}, \
              \"p95_us\": {}, \"p99_us\": {}, \"requests_per_sec\": {}}}{}\n",
             json_escape(&r.device),
@@ -786,13 +752,11 @@ pub fn results_to_json(records: &[BenchRecord]) -> String {
             json_opt_f64(r.measured_median_us),
             json_opt_f64(r.measured_stddev_us),
             r.pool,
-            json_opt_f64(r.dispatch_overhead_us),
             json_opt_f64(r.telemetry_overhead_pct),
             json_opt_str(r.kernel_shape.as_deref()),
             r.specialized
                 .map(|s| s.to_string())
                 .unwrap_or_else(|| "null".to_string()),
-            json_opt_f64(r.interp_overhead_pct),
             r.clients
                 .map(|c| c.to_string())
                 .unwrap_or_else(|| "null".to_string()),
@@ -1111,10 +1075,7 @@ impl NativeMatrixResult {
 /// carries `measured_gflops`, so `BENCH_results.json` gains real throughput
 /// next to the simulated trajectory.
 ///
-/// Each kernel is measured twice: on the persistent pool (the steady-state
-/// default; this is the row's primary number, `pool: true`) and with the
-/// legacy spawn-per-call threading — the per-call delta lands in
-/// `dispatch_overhead_us`, so the trajectory file tracks the pool's win.
+/// Every kernel is measured on the persistent pool (`pool: true`).
 /// Before anything is timed, the pooled kernel's output is checked against
 /// the reference SpMV within [`alpha_matrix::max_scaled_error`] tolerance;
 /// a divergence fails the run (this is what lets CI assert pool correctness
@@ -1126,16 +1087,12 @@ impl NativeMatrixResult {
 /// from what thread scaling buys.  A third single-thread twin with the
 /// telemetry sink detached ([`alpha_cpu::NativeKernel::without_telemetry`])
 /// prices the always-on instrumentation itself; the difference is recorded
-/// per matrix as [`BenchRecord::telemetry_overhead_pct`].  A fourth twin
-/// bypasses the monomorphized kernel library
-/// ([`alpha_cpu::SpecializeMode::ForceInterpreted`]) so the interpreted
-/// executor's cost relative to the specialized loops lands in
-/// [`BenchRecord::interp_overhead_pct`], and every generated row records
-/// its [`BenchRecord::kernel_shape`] and [`BenchRecord::specialized`] flag.
+/// per matrix as [`BenchRecord::telemetry_overhead_pct`].  Every generated
+/// row records its [`BenchRecord::kernel_shape`].
 pub fn native_mode(config: NativeModeConfig) -> Result<Vec<NativeMatrixResult>, String> {
     use alphasparse::AlphaSparse;
 
-    /// Same tolerance as the differential suite.
+    /// Same max-scaled-error gate as `tests/native_differential.rs`.
     const TOL: f32 = 1e-3;
 
     let mut results = Vec::new();
@@ -1171,11 +1128,6 @@ pub fn native_mode(config: NativeModeConfig) -> Result<Vec<NativeMatrixResult>, 
         }
 
         let measured = tuned.measure(config.harness, config.kernel_threads)?;
-        let spawned = config.harness.measure_kernel_spawning(
-            tuned.native_kernel(),
-            x.as_slice(),
-            config.kernel_threads,
-        )?;
         let generated = BenchRecord::measured(
             &name,
             &tuned.operator_graph(),
@@ -1184,9 +1136,8 @@ pub fn native_mode(config: NativeModeConfig) -> Result<Vec<NativeMatrixResult>, 
             tuned.search_stats().cache_hit_rate(),
             wall_secs,
         )
-        .with_dispatch_overhead(spawned.min_us, measured.min_us)
         .with_simd(tuned.native_kernel().simd_label())
-        .with_kernel_shape(tuned.kernel_shape(), tuned.is_specialized());
+        .with_kernel_shape(tuned.kernel_shape());
 
         // SIMD differential: re-lower the same winning design with
         // vectorization forced off and time both sides single-threaded, so
@@ -1213,36 +1164,7 @@ pub fn native_mode(config: NativeModeConfig) -> Result<Vec<NativeMatrixResult>, 
             .measure_kernel(&scalar_kernel, x.as_slice(), 1)?;
         let scalar = BenchRecord::measured(&name, &tuned.operator_graph(), &scalar_1t, 0, 0.0, 0.0)
             .with_simd(scalar_kernel.simd_label())
-            .with_kernel_shape(scalar_kernel.shape_label(), scalar_kernel.is_specialized());
-
-        // Specialization differential: the same winning design re-lowered
-        // with the monomorphized library bypassed, so every partition runs
-        // the interpreted (per-element `IndexFn` dispatch) executor.  Both
-        // twins are timed single-threaded; the delta is what compile-time
-        // specialization buys at steady state.
-        let interp_kernel = alpha_cpu::NativeKernel::with_modes(
-            tuned.kernel().metadata(),
-            tuned.format(),
-            alpha_cpu::SimdMode::Auto,
-            alpha_cpu::SpecializeMode::ForceInterpreted,
-        );
-        let y_interp = interp_kernel.run(x.as_slice(), 1)?;
-        let interp_error = alpha_matrix::max_scaled_error(&y_interp, &reference);
-        if interp_error > TOL {
-            return Err(format!(
-                "{name}: force-interpreted twin diverged from the reference SpMV \
-                 (max scaled error {interp_error:.2e} > {TOL:.0e})"
-            ));
-        }
-        let interp_1t = config
-            .harness
-            .measure_kernel(&interp_kernel, x.as_slice(), 1)?;
-        let interp_overhead_pct = if simd_1t.min_us > 0.0 {
-            (interp_1t.min_us - simd_1t.min_us) / simd_1t.min_us * 100.0
-        } else {
-            0.0
-        };
-        let generated = generated.with_interp_overhead(interp_overhead_pct);
+            .with_kernel_shape(scalar_kernel.shape_label());
 
         // Telemetry-overhead gate: the same winning design re-lowered with
         // its run histogram detached, timed single-threaded against the
@@ -1271,12 +1193,14 @@ pub fn native_mode(config: NativeModeConfig) -> Result<Vec<NativeMatrixResult>, 
         for baseline in alpha_baselines::native_set() {
             let kernel = alpha_baselines::NativeBaselineKernel::new(baseline, &matrix)?;
             let report = kernel.measure(config.harness, x.as_slice(), config.kernel_threads)?;
-            let spawn_report =
-                kernel.measure_spawning(config.harness, x.as_slice(), config.kernel_threads)?;
-            baselines.push(
-                BenchRecord::measured(&name, baseline.name(), &report, 0, 0.0, 0.0)
-                    .with_dispatch_overhead(spawn_report.min_us, report.min_us),
-            );
+            baselines.push(BenchRecord::measured(
+                &name,
+                baseline.name(),
+                &report,
+                0,
+                0.0,
+                0.0,
+            ));
         }
         results.push(NativeMatrixResult {
             name,
@@ -1471,11 +1395,9 @@ mod tests {
                 measured_median_us: None,
                 measured_stddev_us: None,
                 pool: false,
-                dispatch_overhead_us: None,
                 telemetry_overhead_pct: None,
                 kernel_shape: None,
                 specialized: None,
-                interp_overhead_pct: None,
                 latency: None,
                 clients: None,
             },
@@ -1495,11 +1417,9 @@ mod tests {
                 measured_median_us: Some(70.5),
                 measured_stddev_us: Some(3.25),
                 pool: true,
-                dispatch_overhead_us: Some(41.25),
                 telemetry_overhead_pct: Some(0.75),
                 kernel_shape: Some("rows[off:table,org:id,col:table]:avx2-nnz-x8+pf".into()),
                 specialized: Some(true),
-                interp_overhead_pct: Some(12.5),
                 latency: Some(LatencySummary {
                     p50_us: 10.0,
                     p95_us: 20.0,
@@ -1517,7 +1437,6 @@ mod tests {
         assert!(json.contains("\\n"));
         assert!(json.contains("\"pool\": false"));
         assert!(json.contains("\"pool\": true"));
-        assert!(json.contains("\"dispatch_overhead_us\": 41.25"));
         assert!(json.contains("\"telemetry_overhead_pct\": 0.75"));
         assert!(json.contains("\"telemetry_overhead_pct\": null"));
         assert!(json.contains("\"simd\": null"));
@@ -1529,8 +1448,6 @@ mod tests {
         );
         assert!(json.contains("\"specialized\": null"));
         assert!(json.contains("\"specialized\": true"));
-        assert!(json.contains("\"interp_overhead_pct\": 12.5"));
-        assert!(json.contains("\"interp_overhead_pct\": null"));
         assert_eq!(json.matches("\"device\"").count(), 2);
         // Round-trip through a file.
         let dir = std::env::temp_dir().join("alpha_bench_json_test");
@@ -1561,11 +1478,9 @@ mod tests {
             measured_median_us: Some(1.0),
             measured_stddev_us: Some(0.1),
             pool: true,
-            dispatch_overhead_us: None,
             telemetry_overhead_pct: None,
             kernel_shape: None,
             specialized: None,
-            interp_overhead_pct: None,
             latency: None,
             clients: None,
         };
@@ -1612,11 +1527,9 @@ mod tests {
             measured_median_us: None,
             measured_stddev_us: None,
             pool: false,
-            dispatch_overhead_us: None,
             telemetry_overhead_pct: None,
             kernel_shape: None,
             specialized: None,
-            interp_overhead_pct: None,
             latency: None,
             clients: None,
         }];

@@ -262,11 +262,9 @@ impl ServeLoadReport {
             measured_median_us: None,
             measured_stddev_us: None,
             pool: true,
-            dispatch_overhead_us: None,
             telemetry_overhead_pct: None,
             kernel_shape: None,
             specialized: None,
-            interp_overhead_pct: None,
             latency: Some(latency),
             clients: Some(self.config.clients),
         };

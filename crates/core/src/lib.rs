@@ -395,11 +395,12 @@ impl TunedSpmv {
         self.native_kernel().shape_label()
     }
 
-    /// Whether every partition of the native kernel executes through a
-    /// specialized (branch-free, monomorphized) loop rather than the
-    /// interpreted fallback.
+    /// Always `true`: the monomorphized kernel library is the only native
+    /// executor (a shape outside it fails the kernel build), so a design
+    /// that runs natively runs specialized.  Kept because the flag travels
+    /// on the wire as `JobSummary.specialized`.
     pub fn is_specialized(&self) -> bool {
-        self.native_kernel().is_specialized()
+        true
     }
 
     /// The winning operator graph, formatted for display.

@@ -17,14 +17,6 @@ use std::sync::OnceLock;
 /// non-empty value other than `0` (e.g. `ALPHA_CPU_NO_SIMD=1`).
 pub const NO_SIMD_ENV: &str = "ALPHA_CPU_NO_SIMD";
 
-/// Environment variable that force-disables the monomorphized kernel library
-/// when set to a non-empty value other than `0`
-/// (e.g. `ALPHA_CPU_NO_SPECIALIZE=1`): every kernel build falls back to the
-/// interpreted executor (counted as
-/// `cpu_kernel_fallback_total{reason="forced"}`).  CI uses this to keep the
-/// interpreted path exercised end to end.
-pub const NO_SPECIALIZE_ENV: &str = "ALPHA_CPU_NO_SPECIALIZE";
-
 /// Which vector extension the host offers to the microkernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdSupport {
@@ -77,16 +69,6 @@ pub fn detect_hardware() -> SimdSupport {
 /// call (kernel builds are cold), so tests and harnesses can toggle it.
 pub fn force_scalar() -> bool {
     match std::env::var(NO_SIMD_ENV) {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
-}
-
-/// True when [`NO_SPECIALIZE_ENV`] requests interpreted-only execution.
-/// Read on every call (kernel builds are cold), so tests and harnesses can
-/// toggle it.
-pub fn no_specialize() -> bool {
-    match std::env::var(NO_SPECIALIZE_ENV) {
         Ok(v) => !v.is_empty() && v != "0",
         Err(_) => false,
     }

@@ -88,8 +88,9 @@ impl Evaluator for NativeEvaluator {
     fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
         self.executions.fetch_add(1, Ordering::Relaxed);
         let generated = generate(graph, ctx.matrix, ctx.options).ok()?;
-        // A design that fails kernel-shape validation (out-of-range affine
-        // index endpoints) is infeasible, like a verification mismatch.
+        // A design that fails kernel-build validation (out-of-range affine
+        // index endpoints, a shape outside the kernel library) is
+        // infeasible, like a verification mismatch.
         let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format).ok()?;
         // Verify before timing: a design that computes the wrong y is
         // infeasible, not merely slow.  The verification run also validates
@@ -106,7 +107,7 @@ impl Evaluator for NativeEvaluator {
         if alpha_matrix::max_scaled_error(&y, &ctx.reference) > ctx.tolerance {
             return None;
         }
-        let threads = crate::kernel::effective_workers_pooled(self.kernel_threads, kernel.nnz());
+        let threads = kernel.workers_for(self.kernel_threads);
         let measured = self.harness.measure(kernel.useful_flops(), threads, || {
             kernel
                 .run_into_with_pool(ctx.x.as_slice(), &mut y, self.kernel_threads, &self.pool)

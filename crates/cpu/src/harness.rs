@@ -135,31 +135,13 @@ impl TimingHarness {
     ) -> Result<MeasuredReport, String> {
         let mut y = vec![0.0; kernel.rows()];
         kernel.run_into_with_pool(x, &mut y, threads, pool)?;
-        let resolved = crate::kernel::effective_workers_pooled(threads, kernel.nnz());
-        Ok(self.measure(kernel.useful_flops(), resolved, || {
-            kernel
-                .run_into_with_pool(x, &mut y, threads, pool)
-                .expect("dimensions validated above");
-        }))
-    }
-
-    /// Times a kernel with the legacy **spawn-per-call** threading — the
-    /// comparison half of every pooled-vs-spawn bench row.  Hot paths and
-    /// evaluators should use [`TimingHarness::measure_kernel`].
-    pub fn measure_kernel_spawning(
-        self,
-        kernel: &NativeKernel,
-        x: &[Scalar],
-        threads: usize,
-    ) -> Result<MeasuredReport, String> {
-        let mut y = vec![0.0; kernel.rows()];
-        kernel.run_into_spawning(x, &mut y, threads)?;
-        let resolved = crate::kernel::effective_workers(threads, kernel.nnz());
-        Ok(self.measure(kernel.useful_flops(), resolved, || {
-            kernel
-                .run_into_spawning(x, &mut y, threads)
-                .expect("dimensions validated above");
-        }))
+        Ok(
+            self.measure(kernel.useful_flops(), kernel.workers_for(threads), || {
+                kernel
+                    .run_into_with_pool(x, &mut y, threads, pool)
+                    .expect("dimensions validated above");
+            }),
+        )
     }
 }
 
@@ -310,6 +292,47 @@ mod tests {
         assert_eq!(perf.device, NATIVE_DEVICE_LABEL);
         assert_eq!(perf.time_us, report.min_us);
         assert!((perf.gflops - report.gflops).abs() < 1e-9);
+    }
+
+    #[test]
+    fn automatic_thread_reports_name_the_workers_the_kernel_ran_with() {
+        // ~130k nnz: worth 8 scalar workers, but only one 8-lane worker.
+        // The report must echo the lane-aware count the run path resolves,
+        // not the scalar threshold's.
+        let matrix = gen::uniform_random(4_096, 4_096, 32, 9);
+        let mut graph = presets::csr_scalar();
+        for branch in &mut graph.branches {
+            // SIMD operators are mapping-stage: insert before the first
+            // implementing-stage operator to keep the branch stage-ordered.
+            let at = branch
+                .iter()
+                .position(|op| op.stage() == alpha_graph::Stage::Implementing)
+                .unwrap_or(branch.len());
+            branch.insert(at, alpha_graph::Operator::SimdNnzLanes { lanes: 8 });
+        }
+        let generated = generate(&graph, &matrix, GeneratorOptions::default()).unwrap();
+        let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+        if !crate::cpu_features::force_scalar() {
+            assert_eq!(kernel.max_lanes(), 8);
+        }
+        let x = vec![1.0; matrix.cols()];
+        let report = TimingHarness::quick()
+            .measure_kernel(&kernel, &x, 0)
+            .unwrap();
+        assert_eq!(report.threads, kernel.workers_for(0));
+        assert_eq!(
+            report.threads,
+            crate::kernel::effective_workers(0, kernel.nnz(), kernel.max_lanes())
+        );
+        assert!(
+            report.threads <= crate::kernel::effective_workers(0, kernel.nnz(), 1),
+            "a vectorized kernel never wakes more workers than a scalar one"
+        );
+        // Explicit requests are echoed verbatim.
+        let report = TimingHarness::quick()
+            .measure_kernel(&kernel, &x, 3)
+            .unwrap();
+        assert_eq!(report.threads, 3);
     }
 
     #[test]

@@ -2,92 +2,64 @@
 //!
 //! A [`NativeKernel`] is built from the same inputs as the simulator kernel —
 //! the Designer's [`MatrixMetadataSet`] and the extracted [`MachineFormat`] —
-//! but instead of charging modelled costs it runs the SpMV:
+//! but instead of charging modelled costs it runs the SpMV.  There is exactly
+//! **one execution path**: every partition's [`KernelShape`] is resolved at
+//! build time against the monomorphized library in [`crate::specialized`],
+//! and runs dispatch the resulting straight-line loops on a persistent
+//! [`Pool`].  A shape outside the library is a build error
+//! ([`KernelBuildError::UnsupportedShape`]), never a slower fallback.
 //!
 //! * **row-partition loops** for `BMT_ROW_BLOCK` / `BMT_COL_BLOCK` designs:
-//!   contiguous local-row ranges are split across workers, each worker
-//!   accumulates one dot product per row;
+//!   contiguous local-row ranges are split across workers at **nnz-balanced**
+//!   boundaries cached at build time (so skewed, power-law matrices keep
+//!   their workers evenly loaded); each worker accumulates one dot product
+//!   per row;
 //! * **nnz-partition loops** for `BMT_NNZ_BLOCK` designs: the design's
 //!   fixed-size non-zero chunks are grouped across workers, each worker walks
 //!   its span emitting one partial per row segment (the merge/CSR5 layout);
 //!   boundary rows are merged by accumulation during the scatter phase;
 //! * **closed-form index functions**: an index array that Model-Driven Format
-//!   Compression replaced with a fitted model is *computed*, not loaded —
-//!   [`IndexFn`] dispatches identity / affine forms without touching the
-//!   original array at all.
+//!   Compression replaced with an identity/affine model is *computed*, not
+//!   loaded; any other fitted model is materialised into a lookup table once,
+//!   at lowering ([`IndexFn::from_array`]), so the hot loops only ever see
+//!   "affine arithmetic" or "table".
 //!
 //! Workers communicate only through their return values (per-range partial
 //! sums); the serial scatter applies the `origin_rows` permutation and merges
 //! rows shared between workers or `COL_DIV` sibling partitions by `+=`.
-//!
-//! Execution is **pooled by default**: [`NativeKernel::run`] and
-//! [`NativeKernel::run_into`] dispatch onto the process-wide persistent
-//! [`Pool`] (or an explicit pool via the `_with_pool` variants), so
-//! repeated runs never pay a thread spawn.  Row-partition work
-//! is split at **nnz-balanced** row boundaries cached at build time, so
-//! skewed (power-law) matrices keep their workers evenly loaded.  The legacy
-//! spawn-per-call path survives as [`NativeKernel::run_spawning`] for
-//! pool-vs-spawn comparisons.
+//! [`NativeKernel::run`] / [`NativeKernel::run_into`] use the process-wide
+//! shared pool, the `_with_pool` variants an explicit one; no run ever spawns
+//! a thread.
 
-use crate::simd::{self, ResolvedSimd, SimdMode};
+use crate::simd::{ResolvedSimd, SimdMode};
 use crate::specialized::{
-    IndexKind, KernelShape, PartitionArgs, PartitionKind, PrefetchClass, ScatterArgs, SimdClass,
-    SpecExec, SpecializeMode, SpecializedPartition,
+    self, ChunkFn, IndexArgs, IndexKind, KernelShape, PartitionArgs, PartitionKind, PrefetchClass,
+    ScatterFn, SimdClass, SpanFn,
 };
 use alpha_codegen::compress::CompressedArray;
 use alpha_codegen::{CompressionModel, FormatArray, MachineFormat};
-use alpha_graph::{Mapping, MatrixMetadataSet, SimdLaneMapping};
+use alpha_graph::{Mapping, MatrixMetadataSet};
 use alpha_matrix::{CsrMatrix, Scalar};
-use alpha_parallel::{Executor, Pool};
+use alpha_parallel::Pool;
 use alpha_telemetry::Histogram;
 use std::time::Instant;
 
-/// Non-zeros one worker should own, at minimum, before another worker is
-/// worth **spawning**.  The spawn-per-call path creates fresh threads every
-/// run, and a thread spawn costs tens of microseconds — more than an entire
-/// sub-100µs kernel.  Automatic thread selection (`threads == 0`) therefore
-/// scales the worker count with the matrix instead of always using every
-/// core; explicit counts are honoured verbatim.
-pub const MIN_NNZ_PER_WORKER: usize = 262_144;
-
-/// Non-zeros one worker should own, at minimum, before another **pooled**
+/// Non-zeros one scalar worker should own, at minimum, before another pooled
 /// worker is worth waking.  A persistent [`Pool`] dispatches a job in a
-/// mutex/condvar round-trip (single-digit microseconds) instead of a thread
-/// spawn, so parallelism pays off more than an order of magnitude earlier
-/// than on the spawn path — this is what un-serialises the small/medium
-/// matrices `MIN_NNZ_PER_WORKER` used to force onto one core.
-pub const MIN_NNZ_PER_WORKER_POOLED: usize = 16_384;
+/// mutex/condvar round-trip (single-digit microseconds), so parallelism pays
+/// off from small/medium matrices on — but not below this.
+pub const MIN_NNZ_PER_WORKER: usize = 16_384;
 
-/// Resolves a requested thread count for the **spawn-per-call** path: `0`
-/// means "automatic" — one worker per available core, but never more than
-/// [`MIN_NNZ_PER_WORKER`] would justify for `nnz` non-zeros.  Explicit
+/// Resolves a requested thread count: `0` means "automatic" — one worker per
+/// available core, but never more than [`MIN_NNZ_PER_WORKER`] would justify
+/// for `nnz` non-zeros.  A vectorized kernel retires `lanes` non-zeros per
+/// step, so it finishes a fixed chunk of work roughly `lanes` times sooner
+/// and the break-even point for waking another worker shifts out by the same
+/// factor (scalar kernels and the baselines pass `lanes = 1`).  Explicit
 /// counts are honoured verbatim.
-pub fn effective_workers(threads: usize, nnz: usize) -> usize {
+pub fn effective_workers(threads: usize, nnz: usize, lanes: usize) -> usize {
     if threads == 0 {
-        alpha_parallel::default_threads()
-            .min(nnz.div_ceil(MIN_NNZ_PER_WORKER))
-            .max(1)
-    } else {
-        threads
-    }
-}
-
-/// Resolves a requested thread count for **pooled** execution: `0` means
-/// one worker per available core, but never more than
-/// [`MIN_NNZ_PER_WORKER_POOLED`] would justify for `nnz` non-zeros.
-/// Explicit counts are honoured verbatim.
-pub fn effective_workers_pooled(threads: usize, nnz: usize) -> usize {
-    effective_workers_pooled_for(threads, nnz, 1)
-}
-
-/// Kernel-aware variant of [`effective_workers_pooled`]: a vectorized kernel
-/// retires `lanes` non-zeros per step, so it finishes a fixed chunk of work
-/// roughly `lanes` times sooner and the break-even point for waking another
-/// pooled worker shifts out by the same factor.  The threshold therefore
-/// scales with the kernel's lane width instead of staying a global constant.
-pub fn effective_workers_pooled_for(threads: usize, nnz: usize, lanes: usize) -> usize {
-    if threads == 0 {
-        let per_worker = MIN_NNZ_PER_WORKER_POOLED.saturating_mul(lanes.max(1));
+        let per_worker = MIN_NNZ_PER_WORKER.saturating_mul(lanes.max(1));
         alpha_parallel::default_threads()
             .min(nnz.div_ceil(per_worker))
             .max(1)
@@ -96,9 +68,8 @@ pub fn effective_workers_pooled_for(threads: usize, nnz: usize, lanes: usize) ->
     }
 }
 
-/// A format index array as the native kernel reads it: either a real array
-/// lookup or the closed-form function Model-Driven Format Compression fitted
-/// (in which case no array exists in memory at all).
+/// A format index array as the native kernel reads it: a closed-form
+/// function Model-Driven Format Compression fitted, or a lookup table.
 #[derive(Debug, Clone)]
 pub enum IndexFn {
     /// `f(i) = i` — the compressed identity permutation.
@@ -111,23 +82,42 @@ pub enum IndexFn {
         slope: i64,
     },
     /// Any other fitted model (step, periodic, or one with patched
-    /// exceptions); still computed, not loaded.
-    Model(CompressedArray),
+    /// exceptions), evaluated over its whole domain into a lookup table at
+    /// lowering.  The *format* still stores no array — the table is a
+    /// build-time cache that keeps per-element model dispatch out of the hot
+    /// loop — so the design's compression accounting is unchanged.
+    Model(Vec<u32>),
     /// The raw array — compression did not apply, the loads are real.
     Table(Vec<u32>),
+}
+
+/// Evaluates a fitted model over `[0, len)`: the bare model first, then the
+/// exception patches on top (first patch of an index wins, as in
+/// [`CompressedArray::evaluate`]) — linear in `len`, not `len × exceptions`.
+fn materialise(compressed: &CompressedArray, len: usize) -> Vec<u32> {
+    let bare = CompressedArray {
+        model: compressed.model.clone(),
+        exceptions: Vec::new(),
+    };
+    let mut table: Vec<u32> = (0..len).map(|i| bare.evaluate(i)).collect();
+    for &(i, v) in compressed.exceptions.iter().rev() {
+        if let Some(slot) = table.get_mut(i) {
+            *slot = v;
+        }
+    }
+    table
 }
 
 impl IndexFn {
     /// Lowers a format array into its access function.
     pub fn from_array(array: &FormatArray) -> IndexFn {
-        match &array.compressed {
-            Some(c) if c.exceptions.is_empty() => match c.model {
-                CompressionModel::Linear { base: 0, slope: 1 } => IndexFn::Identity,
-                CompressionModel::Linear { base, slope } => IndexFn::Affine { base, slope },
-                _ => IndexFn::Model(c.clone()),
-            },
-            Some(c) => IndexFn::Model(c.clone()),
-            None => IndexFn::Table(array.data.clone()),
+        let Some(c) = &array.compressed else {
+            return IndexFn::Table(array.data.clone());
+        };
+        match (&c.model, c.exceptions.is_empty()) {
+            (CompressionModel::Linear { base: 0, slope: 1 }, true) => IndexFn::Identity,
+            (&CompressionModel::Linear { base, slope }, true) => IndexFn::Affine { base, slope },
+            _ => IndexFn::Model(materialise(c, array.data.len())),
         }
     }
 
@@ -150,15 +140,31 @@ impl IndexFn {
                 );
                 v as u32
             }
-            IndexFn::Model(c) => c.evaluate(i),
-            IndexFn::Table(data) => data[i],
+            IndexFn::Model(table) | IndexFn::Table(table) => table[i],
+        }
+    }
+
+    /// The map as a monomorphized loop reads it (see [`IndexArgs`]).
+    pub(crate) fn args(&self) -> IndexArgs<'_> {
+        match self {
+            IndexFn::Model(table) | IndexFn::Table(table) => IndexArgs {
+                table,
+                base: 0,
+                slope: 0,
+            },
+            IndexFn::Identity => IndexArgs::IDENTITY,
+            IndexFn::Affine { base, slope } => IndexArgs {
+                table: &[],
+                base: *base,
+                slope: *slope,
+            },
         }
     }
 
     /// Validates that an affine map stays non-negative over `[0, domain)` —
     /// the build-time guard behind the debug assertion in [`IndexFn::get`].
-    /// Non-affine kinds are vacuously valid (models reproduce the original
-    /// `u32` array; tables and identity cannot go negative).
+    /// Non-affine kinds are vacuously valid (tables hold `u32`s; identity
+    /// cannot go negative).
     fn validate_domain(
         &self,
         domain: usize,
@@ -188,7 +194,8 @@ impl IndexFn {
         Ok(())
     }
 
-    /// True when the array was eliminated — reads are computed, not loaded.
+    /// True when the design eliminated the array — the format stores a model,
+    /// not the data (a [`IndexFn::Model`]'s table is a build-time cache).
     pub fn is_closed_form(&self) -> bool {
         !matches!(self, IndexFn::Table(_))
     }
@@ -206,9 +213,9 @@ impl IndexFn {
 }
 
 /// A design that cannot be lowered into a valid native kernel.  These are
-/// build-time rejections of *corrupt* inputs — a well-formed design from the
-/// generator never triggers them — surfaced as typed errors so the evaluator
-/// can mark the candidate infeasible instead of executing garbage.
+/// build-time rejections — a well-formed design from the generator never
+/// triggers them — surfaced as typed errors so the evaluator can mark the
+/// candidate infeasible instead of executing garbage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelBuildError {
     /// Metadata and format describe different partition counts.
@@ -230,6 +237,9 @@ pub enum KernelBuildError {
         /// The negative value the map computes there.
         value: i64,
     },
+    /// The partition's shape has no entry in the monomorphized kernel
+    /// library, and there is no other executor to fall back to.
+    UnsupportedShape(KernelShape),
 }
 
 impl std::fmt::Display for KernelBuildError {
@@ -249,25 +259,16 @@ impl std::fmt::Display for KernelBuildError {
                 "partition {partition}: affine {array} map computes negative index \
                  f({index}) = {value} — corrupt design"
             ),
+            KernelBuildError::UnsupportedShape(shape) => write!(
+                f,
+                "kernel shape {} is not in the monomorphized library",
+                shape.label()
+            ),
         }
     }
 }
 
 impl std::error::Error for KernelBuildError {}
-
-/// How one partition's work is split over threads.
-#[derive(Debug, Clone)]
-enum ExecPath {
-    /// Row-partition loop (`BMT_ROW_BLOCK` / `BMT_COL_BLOCK` designs).
-    Rows,
-    /// Nnz-partition loop (`BMT_NNZ_BLOCK` designs).
-    Nnz {
-        /// Non-zeros per design chunk (workers own groups of whole chunks).
-        nnz_per_thread: usize,
-        /// First row of each chunk (`bmt_row_starts`, possibly closed-form).
-        row_starts: IndexFn,
-    },
-}
 
 /// Row boundaries (length `workers + 1`, first entry 0, last entry `rows`)
 /// splitting the rows of a partition so every piece owns ≈
@@ -305,12 +306,12 @@ fn balanced_row_cuts(offsets: &[u32], workers: usize) -> Vec<usize> {
 /// count, computed **once** from the partition's prefix-sum row offsets at
 /// kernel build time.
 ///
-/// Equal-*row* splitting (the old `split_mut` scheme) serialises skewed
-/// matrices — a power-law partition puts most of its non-zeros in a few
-/// rows, so one worker owns almost all the work while the rest finish
-/// instantly and wait.  Splitting at equal-*nnz* boundaries keeps per-worker
-/// work even regardless of the row-length distribution; caching the
-/// boundaries keeps the binary searches off the per-run hot path.
+/// Equal-*row* splitting serialises skewed matrices — a power-law partition
+/// puts most of its non-zeros in a few rows, so one worker owns almost all
+/// the work while the rest finish instantly and wait.  Splitting at
+/// equal-*nnz* boundaries keeps per-worker work even regardless of the
+/// row-length distribution; caching the boundaries keeps the binary searches
+/// off the per-run hot path.
 #[derive(Debug, Clone)]
 struct BalancedRowCuts {
     /// `per_count[w - 1]` holds the boundaries for `w` workers.
@@ -338,6 +339,32 @@ impl BalancedRowCuts {
     }
 }
 
+/// How one partition executes: the loop its [`KernelShape`] resolved to in
+/// the monomorphized library — a plain function pointer, called once per
+/// worker chunk/span, never per row or per non-zero — plus the state that
+/// loop's work split needs.
+#[derive(Debug, Clone)]
+enum PartitionExec {
+    /// Row-partition loop (`BMT_ROW_BLOCK` / `BMT_COL_BLOCK` designs).
+    Rows {
+        chunk: ChunkFn,
+        /// Row addressing (the `row_offsets` array, closed-form for regular
+        /// matrices whose rows all have the same length).
+        row_offsets: IndexFn,
+        /// Build-time nnz-balanced worker boundaries.
+        cuts: BalancedRowCuts,
+    },
+    /// Nnz-partition loop (`BMT_NNZ_BLOCK` designs).
+    Nnz {
+        span: SpanFn,
+        /// Non-zeros per design chunk (workers own groups of whole chunks).
+        nnz_per_thread: usize,
+        /// First row of each chunk (`bmt_row_starts`).  Resolved once per
+        /// worker span, never per element.
+        row_starts: IndexFn,
+    },
+}
+
 #[derive(Debug, Clone)]
 struct NativePartition {
     /// The partition's permuted sub-matrix (value and column-index streams).
@@ -346,84 +373,42 @@ struct NativePartition {
     col_offset: usize,
     /// Local row → original row (the `origin_rows` array, often closed-form).
     origin: IndexFn,
-    /// Row addressing (the `row_offsets` array, closed-form for regular
-    /// matrices whose rows all have the same length).
-    row_offsets: IndexFn,
-    path: ExecPath,
-    /// Build-time nnz-balanced row boundaries (row-partition loops only).
-    row_cuts: Option<BalancedRowCuts>,
-    /// Model row bounds materialised into a table for the specialized path
-    /// (rows + 1 entries); `None` unless the partition specializes with
-    /// [`IndexFn::Model`] bounds.  The interpreted path keeps evaluating the
-    /// closed-form model.
-    spec_bounds: Option<Vec<u32>>,
-    /// Model origin map materialised for the specialized scatter; same
-    /// policy as `spec_bounds`.
-    spec_origin: Option<Vec<u32>>,
+    exec: PartitionExec,
+    /// The output merge through `origin` (unused when the origin is a pure
+    /// offset: that case accumulates in place and never scatters).
+    scatter: ScatterFn,
     /// Vectorization decision resolved from the design's `SimdPlan`, the
     /// build [`SimdMode`] and the host's feature probe.
     simd: ResolvedSimd,
-    /// This partition's coordinates in the shape lattice (computed even when
-    /// the partition executes interpreted — it names the shape that missed).
+    /// This partition's coordinates in the shape lattice.
     shape: KernelShape,
-    /// Pre-resolved monomorphized library entry; `None` runs the interpreted
-    /// executor (library miss, env override, or a forced interpreted twin).
-    spec: Option<SpecializedPartition>,
 }
 
 impl NativePartition {
-    /// The runtime arguments of this partition's specialized loops,
-    /// borrowing the streams for one execution.
-    fn args<'a>(&'a self, x: &'a [Scalar]) -> PartitionArgs<'a> {
-        let (bounds_table, bounds_base, bounds_slope): (&[u32], i64, i64) = match &self.row_offsets
-        {
-            IndexFn::Table(table) => (table, 0, 0),
-            IndexFn::Identity => (&[], 0, 1),
-            IndexFn::Affine { base, slope } => (&[], *base, *slope),
-            // Model bounds run the table instantiation over the build-time
-            // materialisation (empty only on never-specialized partitions,
-            // where these fields are unread).
-            IndexFn::Model(_) => (self.spec_bounds.as_deref().unwrap_or(&[]), 0, 0),
-        };
+    /// The runtime arguments of this partition's loops, borrowing the
+    /// streams for one execution.
+    fn args<'a>(&'a self, x: &'a [Scalar], bounds: IndexArgs<'a>) -> PartitionArgs<'a> {
         PartitionArgs {
             values: self.matrix.values(),
             col_indices: self.matrix.col_indices(),
             x,
             col_offset: self.col_offset,
-            bounds_table,
-            bounds_base,
-            bounds_slope,
+            bounds,
             prefetch: self.simd.prefetch,
         }
     }
+}
 
-    /// The runtime arguments of this partition's specialized scatter.
-    fn scatter_args(&self) -> ScatterArgs<'_> {
-        match &self.origin {
-            IndexFn::Table(table) => ScatterArgs {
-                table,
-                base: 0,
-                slope: 0,
-            },
-            IndexFn::Identity => ScatterArgs {
-                table: &[],
-                base: 0,
-                slope: 1,
-            },
-            IndexFn::Affine { base, slope } => ScatterArgs {
-                table: &[],
-                base: *base,
-                slope: *slope,
-            },
-            // Model origins scatter through the build-time materialisation
-            // (empty only on never-specialized partitions, where the
-            // scatter is unread).
-            IndexFn::Model(_) => ScatterArgs {
-                table: self.spec_origin.as_deref().unwrap_or(&[]),
-                base: 0,
-                slope: 0,
-            },
-        }
+/// Deduplicates adjacent per-partition labels and joins them with `|`
+/// (branched designs whose partitions differ); `empty` names a kernel with
+/// no partitions.
+fn joined_labels(labels: impl Iterator<Item = String>, empty: &str) -> String {
+    let mut labels: Vec<String> = labels.collect();
+    labels.dedup();
+    if labels.is_empty() {
+        empty.to_string()
+    } else {
+        labels.join("|")
     }
 }
 
@@ -436,8 +421,11 @@ pub struct NativeKernel {
     format_bytes: usize,
     name: String,
     /// Widest lane count across partitions (1 = fully scalar); feeds the
-    /// lane-aware pooled worker threshold.
+    /// lane-aware worker threshold.
     max_lanes: usize,
+    /// Index arrays the design replaced with fitted models.
+    closed_form_arrays: usize,
+    simd_label: String,
     /// `cpu_kernel_run_us{simd=..., path=...}` — the run-latency histogram,
     /// resolved **once** at build so the hot path pays two clock reads and a
     /// few relaxed atomics.  `None` on a [`NativeKernel::without_telemetry`]
@@ -453,16 +441,17 @@ impl NativeKernel {
     /// scalar execution.  Panics on corrupt inputs — use
     /// [`NativeKernel::try_new`] where a typed rejection is wanted.
     pub fn new(metadata: &MatrixMetadataSet, format: &MachineFormat) -> Self {
-        Self::with_modes(metadata, format, SimdMode::Auto, SpecializeMode::Auto)
+        Self::with_simd_mode(metadata, format, SimdMode::Auto)
     }
 
-    /// [`NativeKernel::new`], rejecting corrupt designs with a typed
-    /// [`KernelBuildError`] instead of panicking.
+    /// [`NativeKernel::new`], rejecting corrupt designs and shapes outside
+    /// the kernel library with a typed [`KernelBuildError`] instead of
+    /// panicking.
     pub fn try_new(
         metadata: &MatrixMetadataSet,
         format: &MachineFormat,
     ) -> Result<Self, KernelBuildError> {
-        Self::try_with_modes(metadata, format, SimdMode::Auto, SpecializeMode::Auto)
+        Self::lower(metadata, format, SimdMode::Auto)
     }
 
     /// [`NativeKernel::new`] with an explicit [`SimdMode`] — benches build a
@@ -473,33 +462,17 @@ impl NativeKernel {
         format: &MachineFormat,
         mode: SimdMode,
     ) -> Self {
-        Self::with_modes(metadata, format, mode, SpecializeMode::Auto)
-    }
-
-    /// [`NativeKernel::new`] with explicit [`SimdMode`] and
-    /// [`SpecializeMode`] — benches build a
-    /// [`SpecializeMode::ForceInterpreted`] twin of a specialized kernel
-    /// this way to measure the interpreter overhead the library removes.
-    pub fn with_modes(
-        metadata: &MatrixMetadataSet,
-        format: &MachineFormat,
-        simd_mode: SimdMode,
-        spec_mode: SpecializeMode,
-    ) -> Self {
-        Self::try_with_modes(metadata, format, simd_mode, spec_mode)
+        Self::lower(metadata, format, mode)
             .expect("designs from the generator lower to valid kernels")
     }
 
     /// The complete lowering: resolves vectorization, validates every index
-    /// map's domain, computes each partition's [`KernelShape`] and matches
-    /// it against the monomorphized library (library misses and env-forced
-    /// builds fall back to the interpreted executor, counted as
-    /// `cpu_kernel_fallback_total`).
-    pub fn try_with_modes(
+    /// map's domain, computes each partition's [`KernelShape`] and resolves
+    /// it to its monomorphized loops.
+    fn lower(
         metadata: &MatrixMetadataSet,
         format: &MachineFormat,
         simd_mode: SimdMode,
-        spec_mode: SpecializeMode,
     ) -> Result<Self, KernelBuildError> {
         if metadata.partitions.len() != format.partitions.len() {
             return Err(KernelBuildError::PartitionMismatch {
@@ -508,127 +481,81 @@ impl NativeKernel {
             });
         }
         let mut partitions = Vec::with_capacity(metadata.partitions.len());
+        let mut closed_form_arrays = 0;
         for (index, (plan, pf)) in metadata
             .partitions
             .iter()
             .zip(&format.partitions)
             .enumerate()
         {
-            let lookup = |name: &str| {
-                pf.array(name)
-                    .map(IndexFn::from_array)
-                    .unwrap_or(IndexFn::Identity)
-            };
-            let rows = plan.matrix.rows();
-            let origin = lookup("origin_rows");
-            let row_offsets = lookup("row_offsets");
             // Corrupt affine maps (negative computed indices) are rejected
-            // here, once, so the hot loops can drop the silent clamp.
-            origin.validate_domain(rows, index, "origin_rows")?;
-            row_offsets.validate_domain(rows + 1, index, "row_offsets")?;
-            let path = match plan.mapping {
-                Mapping::RowPerThread { .. } | Mapping::VectorPerRow { .. } => ExecPath::Rows,
+            // here, once, so the hot loops need no clamp.
+            let mut lookup =
+                |name: &'static str, domain: usize| -> Result<IndexFn, KernelBuildError> {
+                    let f = pf
+                        .array(name)
+                        .map(IndexFn::from_array)
+                        .unwrap_or(IndexFn::Identity);
+                    f.validate_domain(domain, index, name)?;
+                    closed_form_arrays += f.is_closed_form() as usize;
+                    Ok(f)
+                };
+            let rows = plan.matrix.rows();
+            let origin = lookup("origin_rows", rows)?;
+            let row_offsets = lookup("row_offsets", rows + 1)?;
+            let simd = ResolvedSimd::resolve(&plan.simd, simd_mode);
+            // The partition's coordinates in the shape lattice...
+            let shape_with = |partition, bounds: &IndexFn| {
+                let simd_class = SimdClass::classify(&simd, partition == PartitionKind::Rows);
+                KernelShape {
+                    partition,
+                    bounds: IndexKind::of(bounds),
+                    origin: IndexKind::of(&origin),
+                    col_index: IndexKind::Table,
+                    simd: simd_class,
+                    prefetch: if simd_class != SimdClass::Scalar && simd.prefetch > 0 {
+                        PrefetchClass::Stream
+                    } else {
+                        PrefetchClass::None
+                    },
+                }
+            };
+            // ...and the library lookup, which pre-resolves every inner-loop
+            // decision into monomorphized function pointers.
+            let (shape, exec) = match plan.mapping {
+                Mapping::RowPerThread { .. } | Mapping::VectorPerRow { .. } => {
+                    let shape = shape_with(PartitionKind::Rows, &row_offsets);
+                    let exec = PartitionExec::Rows {
+                        chunk: specialized::rows_loop(&shape)?,
+                        row_offsets,
+                        cuts: BalancedRowCuts::build(plan.matrix.row_offsets()),
+                    };
+                    (shape, exec)
+                }
                 Mapping::NnzSplit { nnz_per_thread } => {
                     let nnz_per_thread = nnz_per_thread.max(1);
-                    let row_starts = lookup("bmt_row_starts");
                     let chunks = plan.matrix.nnz().div_ceil(nnz_per_thread).max(1);
-                    row_starts.validate_domain(chunks, index, "bmt_row_starts")?;
-                    ExecPath::Nnz {
+                    let row_starts = lookup("bmt_row_starts", chunks)?;
+                    let shape = shape_with(PartitionKind::Nnz, &row_starts);
+                    let exec = PartitionExec::Nnz {
+                        span: specialized::nnz_loop(&shape)?,
                         nnz_per_thread,
                         row_starts,
-                    }
+                    };
+                    (shape, exec)
                 }
-            };
-            // Row-partition loops split work at nnz-balanced row
-            // boundaries; the boundaries come from the sub-matrix's
-            // prefix sums and are cached here, once, at build time.
-            let row_cuts = match path {
-                ExecPath::Rows => Some(BalancedRowCuts::build(plan.matrix.row_offsets())),
-                ExecPath::Nnz { .. } => None,
-            };
-            let simd = ResolvedSimd::resolve(&plan.simd, simd_mode);
-            // The partition's coordinates in the shape lattice, then the
-            // library lookup: a hit pre-resolves every inner-loop decision
-            // into monomorphized function pointers; a miss (or a forced
-            // interpreted build) keeps the interpreted executor.
-            let rows_path = matches!(path, ExecPath::Rows);
-            let bounds = match &path {
-                ExecPath::Rows => IndexKind::of(&row_offsets),
-                ExecPath::Nnz { row_starts, .. } => IndexKind::of(row_starts),
-            };
-            let simd_class = SimdClass::classify(&simd, rows_path);
-            let shape = KernelShape {
-                partition: if rows_path {
-                    PartitionKind::Rows
-                } else {
-                    PartitionKind::Nnz
-                },
-                bounds,
-                origin: IndexKind::of(&origin),
-                col_index: IndexKind::Table,
-                simd: simd_class,
-                prefetch: if simd_class != SimdClass::Scalar && simd.prefetch > 0 {
-                    PrefetchClass::Stream
-                } else {
-                    PrefetchClass::None
-                },
-            };
-            let spec = match spec_mode {
-                SpecializeMode::ForceInterpreted => None,
-                SpecializeMode::Auto => {
-                    if crate::cpu_features::no_specialize() {
-                        crate::specialized::count_kernel_fallback("forced");
-                        None
-                    } else {
-                        let matched = crate::specialized::specialize(&shape);
-                        if matched.is_none() {
-                            crate::specialized::count_kernel_fallback("shape");
-                        }
-                        matched
-                    }
-                }
-            };
-            // Materialise Model index functions into lookup tables for the
-            // specialized path: the closed-form model is evaluated once per
-            // domain point here, at build time, so the hot loop reads a
-            // plain table instead of dispatching on the model per element.
-            // Interpreted builds (forced twins, env override) skip the cost
-            // and keep evaluating the model — the pre-specialization
-            // behaviour, which is what they exist to price.
-            let (spec_bounds, spec_origin) = if spec.is_some() {
-                let bounds_table = match (&path, &row_offsets) {
-                    (ExecPath::Rows, bounds @ IndexFn::Model(_)) => {
-                        Some((0..=rows).map(|i| bounds.get(i)).collect())
-                    }
-                    _ => None,
-                };
-                let origin_table = match &origin {
-                    model @ IndexFn::Model(_) => Some((0..rows).map(|i| model.get(i)).collect()),
-                    _ => None,
-                };
-                (bounds_table, origin_table)
-            } else {
-                (None, None)
             };
             partitions.push(NativePartition {
                 matrix: plan.matrix.clone(),
                 col_offset: plan.col_offset,
+                scatter: specialized::scatter_loop(shape.origin),
                 origin,
-                row_offsets,
-                path,
-                row_cuts,
-                spec_bounds,
-                spec_origin,
+                exec,
                 simd,
                 shape,
-                spec,
             });
         }
-        let max_lanes = partitions
-            .iter()
-            .map(|p: &NativePartition| p.simd.lanes)
-            .max()
-            .unwrap_or(1);
+        let max_lanes = partitions.iter().map(|p| p.simd.lanes).max().unwrap_or(1);
         let name = format!(
             "alpha-cpu[{}]",
             metadata
@@ -640,25 +567,12 @@ impl NativeKernel {
         // Resolve the run-latency histogram handle now, not per run: the
         // labels (resolved SIMD backend + partition strategy) are fixed for
         // the kernel's lifetime, so runs touch only atomics.
-        let simd_label = {
-            let mut labels: Vec<String> = partitions.iter().map(|p| p.simd.label()).collect();
-            labels.dedup();
-            if labels.is_empty() {
-                "scalar".to_string()
-            } else {
-                labels.join("|")
-            }
-        };
-        let path_label = {
-            let any_rows = partitions.iter().any(|p| matches!(p.path, ExecPath::Rows));
-            let any_nnz = partitions
-                .iter()
-                .any(|p| matches!(p.path, ExecPath::Nnz { .. }));
-            match (any_rows, any_nnz) {
-                (true, true) => "mixed",
-                (false, true) => "nnz",
-                _ => "rows",
-            }
+        let simd_label = joined_labels(partitions.iter().map(|p| p.simd.label()), "scalar");
+        let has = |kind| partitions.iter().any(|p| p.shape.partition == kind);
+        let path_label = match (has(PartitionKind::Rows), has(PartitionKind::Nnz)) {
+            (true, true) => "mixed",
+            (false, true) => "nnz",
+            _ => "rows",
         };
         let run_hist = Some(alpha_telemetry::global().histogram(
             "cpu_kernel_run_us",
@@ -672,6 +586,8 @@ impl NativeKernel {
             format_bytes: format.bytes(),
             name,
             max_lanes,
+            closed_form_arrays,
+            simd_label,
             run_hist,
         })
     }
@@ -699,34 +615,15 @@ impl NativeKernel {
     /// `scalar`; branched designs with differing decisions join them with
     /// `|`.  Recorded in bench results next to the host's CPU feature
     /// summary.
-    pub fn simd_label(&self) -> String {
-        let mut labels: Vec<String> = self.partitions.iter().map(|p| p.simd.label()).collect();
-        labels.dedup();
-        if labels.is_empty() {
-            "scalar".to_string()
-        } else {
-            labels.join("|")
-        }
-    }
-
-    /// True when every partition was matched against the monomorphized
-    /// kernel library — steady-state runs execute branch-free straight-line
-    /// loops with no interpreted `IndexFn`/backend dispatch.
-    pub fn is_specialized(&self) -> bool {
-        self.partitions.iter().all(|p| p.spec.is_some())
+    pub fn simd_label(&self) -> &str {
+        &self.simd_label
     }
 
     /// Label of each partition's [`KernelShape`] (deduped, joined with `|`),
     /// e.g. `rows[off:affine,org:id,col:table]:avx2-nnz-x8+pf`.  Persisted
     /// with design-store winners and recorded in bench results.
     pub fn shape_label(&self) -> String {
-        let mut labels: Vec<String> = self.partitions.iter().map(|p| p.shape.label()).collect();
-        labels.dedup();
-        if labels.is_empty() {
-            "none".to_string()
-        } else {
-            labels.join("|")
-        }
+        joined_labels(self.partitions.iter().map(|p| p.shape.label()), "none")
     }
 
     /// Output dimension (`y.len()`).
@@ -760,34 +657,28 @@ impl NativeKernel {
         &self.name
     }
 
-    /// Number of index arrays across partitions that execute as closed-form
-    /// functions instead of loads.
+    /// Number of index arrays across partitions that the design replaced
+    /// with closed-form functions instead of stored data.
     pub fn closed_form_arrays(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| {
-                let path_fns = match &p.path {
-                    ExecPath::Nnz { row_starts, .. } => row_starts.is_closed_form() as usize,
-                    ExecPath::Rows => 0,
-                };
-                p.origin.is_closed_form() as usize
-                    + p.row_offsets.is_closed_form() as usize
-                    + path_fns
-            })
-            .sum()
+        self.closed_form_arrays
+    }
+
+    /// The worker count a run with this `threads` request actually uses:
+    /// `0` scales with this kernel's non-zeros and lane width (see
+    /// [`effective_workers`]), explicit counts are honoured verbatim.  The
+    /// run path and every report that echoes a thread count share this.
+    pub fn workers_for(&self, threads: usize) -> usize {
+        effective_workers(threads, self.nnz, self.max_lanes)
     }
 
     /// Runs `y = A·x`, allocating the output.  `threads == 0` means one
-    /// worker per available CPU core, `1` runs serially.
+    /// worker per available CPU core (scaled down for small matrices), `1`
+    /// runs serially.
     ///
     /// Executes on the process-wide shared [`Pool`] — repeated runs reuse
-    /// the same parked workers and **never spawn threads**.  Use
-    /// [`NativeKernel::run_spawning`] for the legacy spawn-per-call
-    /// behaviour (comparison benches only).
+    /// the same parked workers and **never spawn threads**.
     pub fn run(&self, x: &[Scalar], threads: usize) -> Result<Vec<Scalar>, String> {
-        let mut y = vec![0.0; self.rows];
-        self.run_into(x, &mut y, threads)?;
-        Ok(y)
+        self.run_with_pool(x, threads, Pool::shared())
     }
 
     /// Runs `y = A·x` into a caller-provided buffer (zeroed here first) —
@@ -810,48 +701,15 @@ impl NativeKernel {
         Ok(y)
     }
 
-    /// [`NativeKernel::run_into`] on an explicit persistent [`Pool`].
+    /// [`NativeKernel::run_into`] on an explicit persistent [`Pool`]:
+    /// validates dimensions and executes every partition with
+    /// [`NativeKernel::workers_for`]-way partitioning.
     pub fn run_into_with_pool(
         &self,
         x: &[Scalar],
         y: &mut [Scalar],
         threads: usize,
         pool: &Pool,
-    ) -> Result<(), String> {
-        let workers = effective_workers_pooled_for(threads, self.nnz, self.max_lanes);
-        self.exec(x, y, workers, &Executor::Pooled(pool))
-    }
-
-    /// Runs `y = A·x` with the legacy **spawn-per-call** threading: scoped
-    /// threads are created and joined on every call.  Kept so benches can
-    /// measure the pool's dispatch win; hot paths should use
-    /// [`NativeKernel::run`].
-    pub fn run_spawning(&self, x: &[Scalar], threads: usize) -> Result<Vec<Scalar>, String> {
-        let mut y = vec![0.0; self.rows];
-        self.run_into_spawning(x, &mut y, threads)?;
-        Ok(y)
-    }
-
-    /// [`NativeKernel::run_spawning`], writing into a caller-provided
-    /// buffer.
-    pub fn run_into_spawning(
-        &self,
-        x: &[Scalar],
-        y: &mut [Scalar],
-        threads: usize,
-    ) -> Result<(), String> {
-        let workers = effective_workers(threads, self.nnz);
-        self.exec(x, y, workers, &Executor::Spawn { threads: workers })
-    }
-
-    /// Validates dimensions and executes every partition on `exec` with
-    /// `workers`-way partitioning.
-    fn exec(
-        &self,
-        x: &[Scalar],
-        y: &mut [Scalar],
-        workers: usize,
-        exec: &Executor<'_>,
     ) -> Result<(), String> {
         if x.len() != self.cols {
             return Err(format!(
@@ -867,39 +725,23 @@ impl NativeKernel {
                 self.rows
             ));
         }
+        let workers = self.workers_for(threads);
         y.fill(0.0);
         let started = self.run_hist.as_ref().map(|_| Instant::now());
         // Partitions run one after another (their outputs may overlap under
         // COL_DIV); the parallelism lives inside each partition.
-        for partition in &self.partitions {
-            match (&partition.path, partition.spec.as_ref()) {
-                (ExecPath::Rows, Some(spec)) => {
-                    exec_rows_specialized(partition, spec, x, y, workers, exec)
-                }
-                (ExecPath::Rows, None) => exec_rows(partition, x, y, workers, exec),
-                (
-                    ExecPath::Nnz {
-                        nnz_per_thread,
-                        row_starts,
-                    },
-                    Some(spec),
-                ) => exec_nnz_specialized(
-                    partition,
-                    spec,
-                    *nnz_per_thread,
+        for p in &self.partitions {
+            match &p.exec {
+                PartitionExec::Rows {
+                    chunk,
+                    row_offsets,
+                    cuts,
+                } => run_rows(p, *chunk, row_offsets, cuts, x, y, workers, pool),
+                PartitionExec::Nnz {
+                    span,
+                    nnz_per_thread,
                     row_starts,
-                    x,
-                    y,
-                    workers,
-                    exec,
-                ),
-                (
-                    ExecPath::Nnz {
-                        nnz_per_thread,
-                        row_starts,
-                    },
-                    None,
-                ) => exec_nnz(partition, *nnz_per_thread, row_starts, x, y, workers, exec),
+                } => run_nnz(p, *span, *nnz_per_thread, row_starts, x, y, workers, pool),
             }
         }
         if let (Some(hist), Some(started)) = (self.run_hist.as_ref(), started) {
@@ -917,264 +759,15 @@ impl std::fmt::Debug for NativeKernel {
             .field("cols", &self.cols)
             .field("nnz", &self.nnz)
             .field("partitions", &self.partitions.len())
-            .field("closed_form_arrays", &self.closed_form_arrays())
+            .field("closed_form_arrays", &self.closed_form_arrays)
             .finish()
     }
 }
 
-/// One row's dot product over `[start, end)` of the partition's streams.
-#[inline]
-fn row_dot(
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    start: usize,
-    end: usize,
-) -> Scalar {
-    let mut acc = 0.0;
-    for idx in start..end {
-        acc += values[idx] * x[col_indices[idx] as usize + col_offset];
-    }
-    acc
-}
-
-/// One row-segment dot over `[start, end)`, routed through the partition's
-/// nnz-lane microkernel when one is active — nnz-partition designs and
-/// row-partition designs share this dispatch.
-#[inline]
-fn seg_dot(
-    rs: &ResolvedSimd,
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    start: usize,
-    end: usize,
-) -> Scalar {
-    if rs.is_vectorized() && rs.mapping == SimdLaneMapping::Nnz {
-        simd::row_dot_nnz(rs, values, col_indices, x, col_offset, start, end)
-    } else {
-        row_dot(values, col_indices, x, col_offset, start, end)
-    }
-}
-
-/// Accumulates (`+=`) rows `[first, first + out.len())` of a row-partition
-/// into `out`, dispatching once per worker chunk between the scalar loop,
-/// the nnz-lane microkernel (lanes across one row's non-zeros) and the
-/// row-lane microkernel (lanes across adjacent rows).
-#[allow(clippy::too_many_arguments)]
-fn dot_rows_into(
-    rs: &ResolvedSimd,
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    first: usize,
-    out: &mut [Scalar],
-    row_range: &(impl Fn(usize) -> (usize, usize) + Sync),
-) {
-    if !rs.is_vectorized() {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let (start, end) = row_range(first + i);
-            *slot += row_dot(values, col_indices, x, col_offset, start, end);
-        }
-        return;
-    }
-    match rs.mapping {
-        SimdLaneMapping::Nnz => {
-            for (i, slot) in out.iter_mut().enumerate() {
-                let (start, end) = row_range(first + i);
-                *slot += simd::row_dot_nnz(rs, values, col_indices, x, col_offset, start, end);
-            }
-        }
-        SimdLaneMapping::Rows => match rs.lanes {
-            2 => row_lane_rows::<2>(
-                rs,
-                values,
-                col_indices,
-                x,
-                col_offset,
-                first,
-                out,
-                row_range,
-            ),
-            4 => row_lane_rows::<4>(
-                rs,
-                values,
-                col_indices,
-                x,
-                col_offset,
-                first,
-                out,
-                row_range,
-            ),
-            _ => row_lane_rows::<8>(
-                rs,
-                values,
-                col_indices,
-                x,
-                col_offset,
-                first,
-                out,
-                row_range,
-            ),
-        },
-    }
-}
-
-/// Row-lane groups: `L` adjacent rows advance together, one accumulator per
-/// lane; leftover rows (fewer than `L`) take the scalar loop.  Each lane
-/// still sums its own row serially, so results are bitwise scalar.
-#[allow(clippy::too_many_arguments)]
-fn row_lane_rows<const L: usize>(
-    rs: &ResolvedSimd,
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    first: usize,
-    out: &mut [Scalar],
-    row_range: &(impl Fn(usize) -> (usize, usize) + Sync),
-) {
-    let mut i = 0;
-    while i + L <= out.len() {
-        let mut ranges = [(0usize, 0usize); L];
-        for (l, range) in ranges.iter_mut().enumerate() {
-            *range = row_range(first + i + l);
-        }
-        let mut acc = [0.0 as Scalar; L];
-        simd::rows_dot_row_lanes::<L>(
-            values,
-            col_indices,
-            x,
-            col_offset,
-            &ranges,
-            &mut acc,
-            rs.prefetch,
-        );
-        for (l, &v) in acc.iter().enumerate() {
-            out[i + l] += v;
-        }
-        i += L;
-    }
-    for (j, slot) in out.iter_mut().enumerate().skip(i) {
-        let (start, end) = row_range(first + j);
-        *slot += row_dot(values, col_indices, x, col_offset, start, end);
-    }
-}
-
-/// Row-partition loop through the **monomorphized kernel library**: the
-/// worker-chunk body is a pre-resolved function pointer whose bounds
-/// arithmetic, SIMD backend and prefetch class were compiled into
-/// straight-line code at build time — the only indirection left is one
-/// indirect call per worker chunk.  Partitioning semantics (nnz-balanced
-/// cuts, contiguous in-place vs staged scatter) are identical to the
-/// interpreted [`exec_rows`].
-fn exec_rows_specialized(
-    p: &NativePartition,
-    spec: &SpecializedPartition,
-    x: &[Scalar],
-    y: &mut [Scalar],
-    workers: usize,
-    exec: &Executor<'_>,
-) {
-    let rows = p.matrix.rows();
-    if rows == 0 {
-        return;
-    }
-    let SpecExec::Rows(chunk) = spec.exec else {
-        unreachable!("row partitions specialize to chunk loops")
-    };
-    let args = p.args(x);
-    let workers = workers.clamp(1, rows);
-    let computed;
-    let cuts: &[usize] = match p.row_cuts.as_ref().and_then(|cache| cache.get(workers)) {
-        Some(cached) => cached,
-        None => {
-            computed = balanced_row_cuts(p.matrix.row_offsets(), workers);
-            &computed
-        }
-    };
-
-    if let Some(base) = p.origin.contiguous_base() {
-        let target = &mut y[base..base + rows];
-        exec.over_chunks(alpha_parallel::split_mut_at(target, cuts), |first, out| {
-            chunk(&args, first, out)
-        });
-        return;
-    }
-
-    let ranges: Vec<(usize, usize)> = cuts
-        .windows(2)
-        .map(|w| (w[0], w[1]))
-        .filter(|&(first, last)| first < last)
-        .collect();
-    let sums: Vec<Vec<Scalar>> = exec.map(&ranges, |&(first, last)| {
-        let mut out = vec![0.0; last - first];
-        chunk(&args, first, &mut out);
-        out
-    });
-    let scatter_args = p.scatter_args();
-    for (&(first, _), partial) in ranges.iter().zip(&sums) {
-        (spec.scatter)(&scatter_args, first, partial, y);
-    }
-}
-
-/// Nnz-partition loop through the monomorphized library: the per-span
-/// segment walk and the scatter are pre-resolved function pointers.  The
-/// chunk descriptor (`bmt_row_starts`) may be *any* index map — even a
-/// fitted model — because it resolves once per worker span, never per
-/// element.
-#[allow(clippy::too_many_arguments)]
-fn exec_nnz_specialized(
-    p: &NativePartition,
-    spec: &SpecializedPartition,
-    nnz_per_thread: usize,
-    row_starts: &IndexFn,
-    x: &[Scalar],
-    y: &mut [Scalar],
-    threads: usize,
-    exec: &Executor<'_>,
-) {
-    let nnz = p.matrix.nnz();
-    if nnz == 0 {
-        return;
-    }
-    let SpecExec::Nnz(span) = spec.exec else {
-        unreachable!("nnz partitions specialize to span loops")
-    };
-    let total_chunks = nnz.div_ceil(nnz_per_thread).max(1);
-    let workers = threads.min(total_chunks).max(1);
-    let chunks_per_worker = total_chunks.div_ceil(workers);
-    let spans: Vec<(usize, usize, usize)> = (0..workers)
-        .map(|w| {
-            let first_chunk = w * chunks_per_worker;
-            let start = (first_chunk * nnz_per_thread).min(nnz);
-            let end = ((first_chunk + chunks_per_worker) * nnz_per_thread).min(nnz);
-            (first_chunk, start, end)
-        })
-        .filter(|&(_, start, end)| start < end)
-        .collect();
-
-    let args = p.args(x);
-    let offsets = p.matrix.row_offsets();
-    let last_row = p.matrix.rows().saturating_sub(1);
-    let partials: Vec<(usize, Vec<Scalar>)> = exec.map(&spans, |&(first_chunk, start, end)| {
-        let mut row = (row_starts.get(first_chunk) as usize).min(last_row);
-        while row < last_row && offsets[row + 1] as usize <= start {
-            row += 1;
-        }
-        (row, span(&args, offsets, row, start, end))
-    });
-    let scatter_args = p.scatter_args();
-    for (base_row, sums) in &partials {
-        (spec.scatter)(&scatter_args, *base_row, sums, y);
-    }
-}
-
 /// Row-partition loop: contiguous local-row ranges across workers, one dot
-/// product per row.  Worker boundaries are **nnz-balanced** (see
+/// product per row, the worker-chunk body a pre-resolved function pointer
+/// whose bounds arithmetic, SIMD backend and prefetch class were compiled
+/// into straight-line code.  Worker boundaries are **nnz-balanced** (see
 /// [`BalancedRowCuts`]): each worker owns roughly the same number of
 /// non-zeros, not the same number of rows, so skewed matrices stop
 /// serialising behind their heaviest worker.
@@ -1185,60 +778,27 @@ fn exec_nnz_specialized(
 /// no staging buffers, no scatter pass, no per-run allocation.  Reordered
 /// designs (SORT/BIN) stage per-worker partials and pay a permuted scatter —
 /// a real cost of that format, not an artifact of the harness.
-fn exec_rows(
+#[allow(clippy::too_many_arguments)]
+fn run_rows(
     p: &NativePartition,
+    chunk: ChunkFn,
+    row_offsets: &IndexFn,
+    cuts: &BalancedRowCuts,
     x: &[Scalar],
     y: &mut [Scalar],
     workers: usize,
-    exec: &Executor<'_>,
+    pool: &Pool,
 ) {
     let rows = p.matrix.rows();
     if rows == 0 {
         return;
     }
-    // Monomorphise the row-bounds accessor OUTSIDE the hot loop: stored
-    // offsets compile to two adjacent loads, affine offsets to pure
-    // arithmetic on pre-resolved locals (the ELL-like fixed-row-length
-    // case) — only fitted models still dispatch per row.
-    match &p.row_offsets {
-        IndexFn::Table(offsets) => {
-            let offsets: &[u32] = offsets;
-            exec_rows_with(p, x, y, workers, exec, |row| {
-                (offsets[row] as usize, offsets[row + 1] as usize)
-            })
-        }
-        IndexFn::Identity => exec_rows_with(p, x, y, workers, exec, |row| (row, row + 1)),
-        IndexFn::Affine { base, slope } => {
-            let (base, slope) = (*base, *slope);
-            exec_rows_with(p, x, y, workers, exec, move |row| {
-                let start = base + slope * row as i64;
-                (start as usize, (start + slope) as usize)
-            })
-        }
-        bounds @ IndexFn::Model(_) => exec_rows_with(p, x, y, workers, exec, |row| {
-            (bounds.get(row) as usize, bounds.get(row + 1) as usize)
-        }),
-    }
-}
-
-fn exec_rows_with(
-    p: &NativePartition,
-    x: &[Scalar],
-    y: &mut [Scalar],
-    workers: usize,
-    exec: &Executor<'_>,
-    row_range: impl Fn(usize) -> (usize, usize) + Sync,
-) {
-    let rows = p.matrix.rows();
-    let values = p.matrix.values();
-    let col_indices = p.matrix.col_indices();
-    let col_offset = p.col_offset;
-
+    let args = p.args(x, row_offsets.args());
     // Nnz-balanced worker boundaries: from the build-time cache when the
     // count is within the host's core range, recomputed otherwise.
     let workers = workers.clamp(1, rows);
     let computed;
-    let cuts: &[usize] = match p.row_cuts.as_ref().and_then(|cache| cache.get(workers)) {
+    let cuts: &[usize] = match cuts.get(workers) {
         Some(cached) => cached,
         None => {
             computed = balanced_row_cuts(p.matrix.row_offsets(), workers);
@@ -1248,17 +808,8 @@ fn exec_rows_with(
 
     if let Some(base) = p.origin.contiguous_base() {
         let target = &mut y[base..base + rows];
-        exec.over_chunks(alpha_parallel::split_mut_at(target, cuts), |first, out| {
-            dot_rows_into(
-                &p.simd,
-                values,
-                col_indices,
-                x,
-                col_offset,
-                first,
-                out,
-                &row_range,
-            );
+        pool.run_over_chunks(alpha_parallel::split_mut_at(target, cuts), |first, out| {
+            chunk(&args, first, out)
         });
         return;
     }
@@ -1268,43 +819,37 @@ fn exec_rows_with(
         .map(|w| (w[0], w[1]))
         .filter(|&(first, last)| first < last)
         .collect();
-    let sums: Vec<Vec<Scalar>> = exec.map(&ranges, |&(first, last)| {
+    let sums: Vec<Vec<Scalar>> = pool.parallel_map(&ranges, |&(first, last)| {
         let mut out = vec![0.0; last - first];
-        dot_rows_into(
-            &p.simd,
-            values,
-            col_indices,
-            x,
-            col_offset,
-            first,
-            &mut out,
-            &row_range,
-        );
+        chunk(&args, first, &mut out);
         out
     });
-    for (&(first, _), chunk) in ranges.iter().zip(&sums) {
-        scatter(&p.origin, first, chunk, y);
+    let origin = p.origin.args();
+    for (&(first, _), partial) in ranges.iter().zip(&sums) {
+        (p.scatter)(&origin, first, partial, y);
     }
 }
 
-/// Nnz-partition loop: workers own groups of whole design chunks, walk their
-/// non-zero span emitting one partial per row segment; boundary rows merge by
-/// accumulation in the scatter.
-fn exec_nnz(
+/// Nnz-partition loop: workers own groups of whole design chunks and walk
+/// their non-zero span emitting one partial per row segment (a pre-resolved
+/// function pointer); boundary rows merge by accumulation in the scatter.
+#[allow(clippy::too_many_arguments)]
+fn run_nnz(
     p: &NativePartition,
+    span: SpanFn,
     nnz_per_thread: usize,
     row_starts: &IndexFn,
     x: &[Scalar],
     y: &mut [Scalar],
-    threads: usize,
-    exec: &Executor<'_>,
+    workers: usize,
+    pool: &Pool,
 ) {
     let nnz = p.matrix.nnz();
     if nnz == 0 {
         return;
     }
     let total_chunks = nnz.div_ceil(nnz_per_thread).max(1);
-    let workers = threads.min(total_chunks).max(1);
+    let workers = workers.min(total_chunks).max(1);
     let chunks_per_worker = total_chunks.div_ceil(workers);
     // (first design chunk, nnz start, nnz end) per worker span.
     let spans: Vec<(usize, usize, usize)> = (0..workers)
@@ -1317,72 +862,23 @@ fn exec_nnz(
         .filter(|&(_, start, end)| start < end)
         .collect();
 
-    let values = p.matrix.values();
-    let col_indices = p.matrix.col_indices();
+    // Spans walk the sub-matrix's real CSR offsets, not a bounds map.
+    let args = p.args(x, IndexArgs::IDENTITY);
     let offsets = p.matrix.row_offsets();
     let last_row = p.matrix.rows().saturating_sub(1);
-    let partials: Vec<(usize, Vec<Scalar>)> = exec.map(&spans, |&(first_chunk, start, end)| {
-        // The chunk descriptor gives the first row (closed-form when the
-        // row structure is regular); skip any empty rows before `start`.
-        let mut row = (row_starts.get(first_chunk) as usize).min(last_row);
-        while row < last_row && offsets[row + 1] as usize <= start {
-            row += 1;
-        }
-        let base_row = row;
-        let mut sums = Vec::new();
-        let mut cursor = start;
-        loop {
-            let seg_end = (offsets[row + 1] as usize).min(end);
-            sums.push(seg_dot(
-                &p.simd,
-                values,
-                col_indices,
-                x,
-                p.col_offset,
-                cursor,
-                seg_end,
-            ));
-            cursor = seg_end;
-            if cursor >= end {
-                break;
+    let partials: Vec<(usize, Vec<Scalar>)> =
+        pool.parallel_map(&spans, |&(first_chunk, start, end)| {
+            // The chunk descriptor gives the first row (closed-form when the
+            // row structure is regular); skip any empty rows before `start`.
+            let mut row = (row_starts.get(first_chunk) as usize).min(last_row);
+            while row < last_row && offsets[row + 1] as usize <= start {
+                row += 1;
             }
-            row += 1;
-        }
-        (base_row, sums)
-    });
-
+            (row, span(&args, offsets, row, start, end))
+        });
+    let origin = p.origin.args();
     for (base_row, sums) in &partials {
-        scatter(&p.origin, *base_row, sums, y);
-    }
-}
-
-/// Applies the origin-row permutation while merging partial sums into `y`.
-/// `+=` (rather than `=`) is what makes worker-boundary rows and `COL_DIV`
-/// sibling partitions correct.
-#[inline]
-fn scatter(origin: &IndexFn, base_row: usize, sums: &[Scalar], y: &mut [Scalar]) {
-    match origin {
-        IndexFn::Identity => {
-            for (j, &v) in sums.iter().enumerate() {
-                y[base_row + j] += v;
-            }
-        }
-        IndexFn::Affine { base, slope } => {
-            let (base, slope) = (*base, *slope);
-            for (j, &v) in sums.iter().enumerate() {
-                y[(base + slope * (base_row + j) as i64) as usize] += v;
-            }
-        }
-        IndexFn::Table(table) => {
-            for (j, &v) in sums.iter().enumerate() {
-                y[table[base_row + j] as usize] += v;
-            }
-        }
-        origin @ IndexFn::Model(_) => {
-            for (j, &v) in sums.iter().enumerate() {
-                y[origin.get(base_row + j) as usize] += v;
-            }
-        }
+        (p.scatter)(&origin, *base_row, sums, y);
     }
 }
 
@@ -1588,9 +1084,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_spawning_paths_agree_on_every_family() {
-        // The nnz-balanced pooled path vs the (also nnz-balanced) spawn path
-        // vs serial: identical partitioning semantics, different executors.
+    fn pooled_and_serial_runs_agree_on_every_family() {
+        // Same partitioning semantics at every worker count: a 4-way run on
+        // an explicit pool against the serial run of the same kernel.
         let pool = alpha_parallel::Pool::new(4);
         for family in gen::PatternFamily::ALL {
             let matrix = family.generate(192, 6, 21);
@@ -1599,15 +1095,9 @@ mod tests {
                 let kernel = native_for(&graph, &matrix, true);
                 let serial = kernel.run(x.as_slice(), 1).unwrap();
                 let pooled = kernel.run_with_pool(x.as_slice(), 4, &pool).unwrap();
-                let spawned = kernel.run_spawning(x.as_slice(), 4).unwrap();
                 assert!(
-                    DenseVector::from_vec(pooled.clone()).approx_eq(&serial, 1e-4),
+                    DenseVector::from_vec(pooled).approx_eq(&serial, 1e-4),
                     "{name} on {}: pooled diverged from serial",
-                    family.name()
-                );
-                assert!(
-                    DenseVector::from_vec(spawned).approx_eq(&pooled, 1e-4),
-                    "{name} on {}: spawn diverged from pooled",
                     family.name()
                 );
             }
@@ -1615,20 +1105,41 @@ mod tests {
     }
 
     #[test]
-    fn pooled_thresholds_unlock_parallelism_an_order_of_magnitude_earlier() {
-        const { assert!(MIN_NNZ_PER_WORKER / MIN_NNZ_PER_WORKER_POOLED >= 10) };
-        // A 100k-nnz matrix: forced serial on the spawn path, parallel on
-        // the pooled path (given enough cores).
+    fn automatic_worker_count_scales_with_nnz_and_lane_width() {
+        let cores = alpha_parallel::default_threads();
+        // A 100k-nnz matrix is worth several scalar workers (given the
+        // cores), fewer 8-lane workers, and anything tiny stays serial.
         let nnz = 100_000;
-        assert_eq!(effective_workers(0, nnz), 1);
-        let pooled = effective_workers_pooled(0, nnz);
         assert_eq!(
-            pooled,
-            alpha_parallel::default_threads().min(nnz.div_ceil(MIN_NNZ_PER_WORKER_POOLED))
+            effective_workers(0, nnz, 1),
+            cores.min(nnz.div_ceil(MIN_NNZ_PER_WORKER))
         );
-        // Explicit counts are honoured verbatim on both paths.
-        assert_eq!(effective_workers(3, nnz), 3);
-        assert_eq!(effective_workers_pooled(3, nnz), 3);
+        assert_eq!(effective_workers(0, nnz, 8), 1);
+        assert_eq!(effective_workers(0, 100, 1), 1);
+        assert_eq!(effective_workers(0, 0, 1), 1);
+        // Explicit counts are honoured verbatim.
+        assert_eq!(effective_workers(3, nnz, 1), 3);
+        assert_eq!(effective_workers(3, nnz, 8), 3);
+    }
+
+    #[test]
+    fn materialised_models_reproduce_the_array_and_keep_the_compression_label() {
+        // A step model with one patched exception: lowered to a table that
+        // reproduces the data exactly, still reported as closed-form.
+        let mut data: Vec<u32> = (0..200).map(|i| 16 * (i / 8)).collect();
+        data[77] = 5;
+        let array = FormatArray {
+            name: "row_offsets".into(),
+            compressed: alpha_codegen::compress_array(&data),
+            data: data.clone(),
+        };
+        let compressed = array.compressed.as_ref().expect("step model fits");
+        assert!(!compressed.exceptions.is_empty());
+        let f = IndexFn::from_array(&array);
+        assert!(matches!(&f, IndexFn::Model(table) if *table == data));
+        assert!(f.is_closed_form());
+        assert_eq!(IndexKind::of(&f), IndexKind::Model);
+        assert_eq!(f.args().table, &data[..]);
     }
 
     #[test]

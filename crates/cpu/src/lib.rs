@@ -7,9 +7,9 @@
 //! `y = A·x` for real**: a [`GeneratedSpmv`](alpha_codegen::GeneratedSpmv)
 //! (machine format + compression models + reduction fragments) is lowered
 //! into a [`NativeKernel`] — specialized row/nnz-partition loops over the
-//! extracted index and value arrays, with compressed arrays evaluated as
-//! closed-form functions instead of loads, parallelized across
-//! `alpha-parallel` workers with per-partition work splitting.
+//! extracted index and value arrays, with affine-compressed arrays computed
+//! instead of loaded, parallelized across a persistent `alpha-parallel`
+//! worker pool with per-partition work splitting.
 //!
 //! On top of execution it provides:
 //!
@@ -26,12 +26,14 @@
 //!   prefetch distance taken from the design's
 //!   [`SimdPlan`](alpha_graph::SimdPlan) so vectorization is a **search
 //!   dimension**, not a compile-time constant;
-//! * [`specialized`] — the **monomorphized kernel library**: every
-//!   designer-reachable [`KernelShape`] (partition strategy × index-fn kinds
-//!   × SIMD variant × prefetch class) compiles to a branch-free straight-line
-//!   loop at build time; `NativeKernel::new` matches each partition's shape
-//!   against the library and falls back to the interpreted executor only for
-//!   unmatched shapes (counted as `cpu_kernel_fallback_total`).
+//! * [`specialized`] — the **monomorphized kernel library**, the only SpMV
+//!   executor: every designer-reachable [`KernelShape`] (partition strategy
+//!   × index-fn kinds × SIMD variant × prefetch class) compiles to a
+//!   branch-free straight-line loop at build time; `NativeKernel::new`
+//!   resolves each partition's shape against the library once, runs call the
+//!   resulting function pointers on a persistent
+//!   [`Pool`](alpha_parallel::Pool), and a shape outside the library is the
+//!   typed [`KernelBuildError::UnsupportedShape`].
 
 #![warn(missing_docs)]
 
@@ -42,15 +44,9 @@ pub mod kernel;
 pub mod simd;
 pub mod specialized;
 
-pub use cpu_features::{SimdSupport, NO_SIMD_ENV, NO_SPECIALIZE_ENV};
+pub use cpu_features::{SimdSupport, NO_SIMD_ENV};
 pub use eval::{NativeEvaluator, NATIVE_DEVICE_LABEL};
 pub use harness::{MeasuredReport, TimingHarness};
-pub use kernel::{
-    effective_workers, effective_workers_pooled, effective_workers_pooled_for, IndexFn,
-    KernelBuildError, NativeKernel, MIN_NNZ_PER_WORKER, MIN_NNZ_PER_WORKER_POOLED,
-};
+pub use kernel::{effective_workers, IndexFn, KernelBuildError, NativeKernel, MIN_NNZ_PER_WORKER};
 pub use simd::{ResolvedSimd, SimdMode};
-pub use specialized::{
-    kernel_fallback_total, IndexKind, KernelShape, PartitionKind, PrefetchClass, SimdClass,
-    SpecializeMode,
-};
+pub use specialized::{IndexKind, KernelShape, PartitionKind, PrefetchClass, SimdClass};

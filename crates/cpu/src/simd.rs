@@ -24,6 +24,11 @@
 //!
 //! All multiply-accumulate steps use separate multiply and add (no FMA), so
 //! every backend computing the same lane schedule produces identical bits.
+//!
+//! Nothing here dispatches at run time: [`ResolvedSimd::resolve`] decides the
+//! backend once per kernel build, and [`crate::specialized`] turns that
+//! decision into a monomorphized loop that calls one of these kernels
+//! directly.
 
 use crate::cpu_features::{self, SimdSupport};
 use alpha_graph::{SimdLaneMapping, SimdPlan};
@@ -468,111 +473,6 @@ pub(crate) mod neon {
     }
 }
 
-/// One row's nnz-lane dot, dispatched on the resolved backend.  The match is
-/// a predictable per-row jump; the expensive decision (feature detection)
-/// already happened at kernel build time.
-#[inline]
-pub fn row_dot_nnz(
-    simd: &ResolvedSimd,
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    start: usize,
-    end: usize,
-) -> Scalar {
-    match (simd.backend, simd.lanes) {
-        #[cfg(target_arch = "x86_64")]
-        (Backend::Avx2, 8) => unsafe {
-            // SAFETY: Backend::Avx2 is only resolved after a positive
-            // runtime AVX2 probe.
-            avx2::row_dot_nnz8(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                start,
-                end,
-                simd.prefetch,
-            )
-        },
-        #[cfg(target_arch = "x86_64")]
-        (Backend::Avx2, 4) => unsafe {
-            // SAFETY: as above.
-            avx2::row_dot_nnz4(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                start,
-                end,
-                simd.prefetch,
-            )
-        },
-        #[cfg(target_arch = "aarch64")]
-        (Backend::Neon, 8) => unsafe {
-            // SAFETY: Backend::Neon is only resolved after a positive
-            // runtime NEON probe.
-            neon::row_dot_nnz8(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                start,
-                end,
-                simd.prefetch,
-            )
-        },
-        #[cfg(target_arch = "aarch64")]
-        (Backend::Neon, 4) => unsafe {
-            // SAFETY: as above.
-            neon::row_dot_nnz4(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                start,
-                end,
-                simd.prefetch,
-            )
-        },
-        (_, 8) => row_dot_nnz_portable::<8>(
-            values,
-            col_indices,
-            x,
-            col_offset,
-            start,
-            end,
-            simd.prefetch,
-        ),
-        (_, 4) => row_dot_nnz_portable::<4>(
-            values,
-            col_indices,
-            x,
-            col_offset,
-            start,
-            end,
-            simd.prefetch,
-        ),
-        (_, 2) => row_dot_nnz_portable::<2>(
-            values,
-            col_indices,
-            x,
-            col_offset,
-            start,
-            end,
-            simd.prefetch,
-        ),
-        _ => {
-            let mut acc = 0.0 as Scalar;
-            for idx in start..end {
-                acc += values[idx] * x[col_indices[idx] as usize + col_offset];
-            }
-            acc
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,19 +533,31 @@ mod tests {
     #[test]
     fn hardware_and_portable_nnz_lanes_are_bit_identical() {
         let (values, cols, x) = streams(1027, 211, 7);
-        for lanes in [4usize, 8] {
-            let hw = ResolvedSimd {
-                lanes,
-                mapping: SimdLaneMapping::Nnz,
-                prefetch: 8,
-                backend: match cpu_features::detect_hardware() {
-                    SimdSupport::Avx2 => Backend::Avx2,
-                    SimdSupport::Neon => Backend::Neon,
-                    SimdSupport::None => return, // nothing to compare on this host
-                },
-            };
-            for end in [3, 7, 8, 9, 64, 1000, 1027] {
-                let hw_dot = row_dot_nnz(&hw, &values, &cols, &x, 0, 0, end);
+        for end in [3, 7, 8, 9, 64, 1000, 1027] {
+            // (lanes, hardware dot) pairs this host can execute; empty when
+            // it has no vector extension (nothing to compare).
+            let mut hardware: Vec<(usize, Scalar)> = Vec::new();
+            #[cfg(target_arch = "x86_64")]
+            if cpu_features::detect_hardware() == SimdSupport::Avx2 {
+                // SAFETY: AVX2 support was just probed.
+                hardware = unsafe {
+                    vec![
+                        (4, avx2::row_dot_nnz4(&values, &cols, &x, 0, 0, end, 8)),
+                        (8, avx2::row_dot_nnz8(&values, &cols, &x, 0, 0, end, 8)),
+                    ]
+                };
+            }
+            #[cfg(target_arch = "aarch64")]
+            if cpu_features::detect_hardware() == SimdSupport::Neon {
+                // SAFETY: NEON support was just probed.
+                hardware = unsafe {
+                    vec![
+                        (4, neon::row_dot_nnz4(&values, &cols, &x, 0, 0, end, 8)),
+                        (8, neon::row_dot_nnz8(&values, &cols, &x, 0, 0, end, 8)),
+                    ]
+                };
+            }
+            for (lanes, hw_dot) in hardware {
                 let portable = match lanes {
                     4 => row_dot_nnz_portable::<4>(&values, &cols, &x, 0, 0, end, 0),
                     _ => row_dot_nnz_portable::<8>(&values, &cols, &x, 0, 0, end, 0),

@@ -1,15 +1,10 @@
-//! The monomorphized kernel library: branch-free specialized SpMV loops.
+//! The monomorphized kernel library: branch-free specialized SpMV loops —
+//! the **only** code that executes a [`NativeKernel`](crate::NativeKernel).
 //!
-//! The interpreted executor in [`crate::kernel`] re-decides things inside its
-//! hot loops that were already decided at build time: row bounds go through a
-//! per-row [`IndexFn`](crate::IndexFn) enum match unless they are a stored
-//! table, and the nnz-lane dot dispatches on the resolved SIMD backend once
-//! per row (or per row segment).  A machine-designed format deserves better —
-//! `emit_rust` already prints the exact straight-line loop for the chosen
-//! design; this module is where an equivalent loop actually *runs*.
-//!
-//! The library is generated at build time by the compiler's monomorphizer:
-//! every reachable combination of
+//! `emit_rust` prints the exact straight-line loop for a chosen design; this
+//! module is where an equivalent loop actually *runs*.  The library is
+//! generated at build time by the compiler's monomorphizer: every reachable
+//! combination of
 //!
 //! * partition strategy ([`PartitionKind::Rows`] / [`PartitionKind::Nnz`]),
 //! * row-bounds index-fn kind (stored table vs affine/identity arithmetic),
@@ -20,46 +15,31 @@
 //! is instantiated as one dedicated function (`chunk_nnz::<TB, D>`,
 //! `chunk_row_lanes::<TB, L>`, `span_nnz::<D>`, `scatter_to::<TB>`) in which
 //! the index arithmetic is inlined as constants/affine expressions and every
-//! enum match is hoisted entirely out of the loop.  `specialize` is the
-//! runtime shape-matcher: it maps a [`KernelShape`] computed at kernel build
-//! to the library entry's function pointers, or reports a miss so the caller
-//! falls back to the interpreted path (counted as
-//! `cpu_kernel_fallback_total{reason=...}` on the global telemetry registry).
+//! enum match is hoisted entirely out of the loop.  `rows_loop`,
+//! `nnz_loop` and `scatter_loop` are the shape-matchers: they map the
+//! [`KernelShape`] computed at kernel build to the library entry's function
+//! pointers.  This is also the one place a SIMD backend is selected — through
+//! the `Dot` impls — so no run-time backend dispatch exists anywhere.  A shape
+//! outside the library is a typed build rejection
+//! ([`KernelBuildError::UnsupportedShape`]); there is no second executor to
+//! fall back to.  None is designer-reachable: the only misses are lane/backend
+//! combinations the resolve step cannot produce.
 //!
 //! Non-affine compressions ([`IndexKind::Model`] — step/periodic models or
-//! models with patched exceptions) are covered by *materialisation*: the
-//! kernel builder evaluates the closed-form model over its whole domain into
-//! a lookup table once at build time and the shape takes the table
-//! instantiation, trading memory for a branch-free hot loop.  The only
-//! interpreted builds are those disabled through
-//! [`SpecializeMode::ForceInterpreted`] or the
-//! [`crate::cpu_features::NO_SPECIALIZE_ENV`] override, plus genuine
-//! lane/backend combinations the resolve step can no longer produce.
+//! models with patched exceptions) take the table instantiations: lowering
+//! ([`IndexFn::from_array`](crate::IndexFn::from_array)) evaluates the fitted
+//! model over its whole domain into a lookup table once, trading build-time
+//! memory for a branch-free hot loop.
 //!
-//! Every specialized loop performs the same floating-point operations in the
-//! same order as its interpreted twin, so scalar shapes match bitwise and
-//! vectorized shapes match to the lane-reduction tolerance the SIMD
-//! differential suite already enforces.
+//! Scalar and row-lane loops accumulate each row in stream order, so they are
+//! bitwise-equal to one another; nnz-lane loops reorder the reduction through
+//! the fixed `hsum_tree` and are held to the per-row bound the differential
+//! suite (`tests/kernel_differential.rs`) states.
 
+use crate::kernel::KernelBuildError;
 use crate::simd::{self, Backend, ResolvedSimd};
 use alpha_graph::SimdLaneMapping;
 use alpha_matrix::Scalar;
-
-/// Environment variable handling lives in [`crate::cpu_features`]; this
-/// module only consumes the decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpecializeMode {
-    /// Use a specialized library kernel when the shape matches, fall back to
-    /// the interpreted executor otherwise (honouring the
-    /// [`crate::cpu_features::NO_SPECIALIZE_ENV`] override).
-    #[default]
-    Auto,
-    /// Always run the interpreted executor — benches build an interpreted
-    /// twin of a specialized kernel this way to price the interpreter
-    /// overhead without mutating the process environment.  Unlike a library
-    /// miss, a forced twin is **not** counted as a fallback.
-    ForceInterpreted,
-}
 
 /// The lowered kind of one format index array — the dimension of the shape
 /// lattice that decides how the specialized loop addresses it.
@@ -71,8 +51,9 @@ pub enum IndexKind {
     Affine,
     /// A stored array; loads are real.
     Table,
-    /// Any other fitted model (step/periodic or patched exceptions) — not in
-    /// the library, executes interpreted.
+    /// Any other fitted model (step/periodic or patched exceptions),
+    /// materialised into its lookup table at lowering — runs the table
+    /// instantiations.
     Model,
 }
 
@@ -108,9 +89,9 @@ pub enum PartitionKind {
 
 /// The SIMD variant dimension: which inner-loop dot kernel the shape runs.
 /// This is the *executed* variant, post-resolution — a row-lane plan on an
-/// nnz partition runs its segments scalar (exactly as the interpreted
-/// `seg_dot` does), so it classifies as [`SimdClass::Scalar`] here even
-/// though the kernel's SIMD label still names the plan.
+/// nnz partition runs its segments scalar (row lanes need whole rows), so it
+/// classifies as [`SimdClass::Scalar`] here even though the kernel's SIMD
+/// label still names the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdClass {
     /// Plain scalar accumulation.
@@ -148,7 +129,7 @@ impl SimdClass {
         let lanes = rs.lanes as u8;
         match rs.mapping {
             SimdLaneMapping::Rows if rows_path => SimdClass::RowLanes { lanes },
-            // Nnz partitions execute row-lane plans scalar (seg_dot).
+            // Nnz partitions execute row-lane plans scalar.
             SimdLaneMapping::Rows => SimdClass::Scalar,
             SimdLaneMapping::Nnz => match rs.backend {
                 Backend::Avx2 => SimdClass::NnzAvx2 { lanes },
@@ -230,33 +211,31 @@ impl KernelShape {
     }
 }
 
-/// Counts a kernel build missing the specialized library on the process-wide
-/// registry (`cpu_kernel_fallback_total{reason=...}`): `"shape"` for a shape
-/// outside the library (none are designer-reachable today), `"forced"` for
-/// the [`crate::cpu_features::NO_SPECIALIZE_ENV`] override.  A programmatic
-/// [`SpecializeMode::ForceInterpreted`] twin is deliberate and not counted.
-pub(crate) fn count_kernel_fallback(reason: &'static str) {
-    alpha_telemetry::global()
-        .counter("cpu_kernel_fallback_total", &[("reason", reason)])
-        .inc();
-}
-
-/// Total `cpu_kernel_fallback_total` count across all reasons on the global
-/// registry — the invariant `reproduce -- native` prints (and CI asserts to
-/// be zero for the bench fleet).
-pub fn kernel_fallback_total() -> u64 {
-    alpha_telemetry::global()
-        .snapshot()
-        .counters
-        .iter()
-        .filter(|c| c.name == "cpu_kernel_fallback_total")
-        .map(|c| c.value)
-        .sum()
-}
-
 // ---------------------------------------------------------------------------
 // Runtime arguments of a specialized loop
 // ---------------------------------------------------------------------------
+
+/// One index map as a monomorphized loop reads it: the stored table *or* the
+/// affine form — which of the two is read is baked into the instantiation
+/// (`TB`), never decided at run time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IndexArgs<'a> {
+    /// Stored map (empty unless the kind is `Table`/`Model`).
+    pub table: &'a [u32],
+    /// Affine base (identity is `base 0, slope 1`).
+    pub base: i64,
+    /// Affine slope.
+    pub slope: i64,
+}
+
+impl IndexArgs<'static> {
+    /// `f(i) = i`: no table, `base 0, slope 1`.
+    pub const IDENTITY: Self = IndexArgs {
+        table: &[],
+        base: 0,
+        slope: 1,
+    };
+}
 
 /// The runtime parameters of one partition's specialized loops.  Everything
 /// *structural* (which fields are read, how bounds are computed, which dot
@@ -272,25 +251,11 @@ pub(crate) struct PartitionArgs<'a> {
     pub x: &'a [Scalar],
     /// Column offset of a `COL_DIV` branch.
     pub col_offset: usize,
-    /// Stored row bounds (empty unless the shape's bounds kind is `Table`).
-    pub bounds_table: &'a [u32],
-    /// Affine bounds base (identity is `base 0, slope 1`).
-    pub bounds_base: i64,
-    /// Affine bounds slope.
-    pub bounds_slope: i64,
+    /// Row bounds of a row partition (`row_offsets`).  Unread by nnz spans,
+    /// which walk the sub-matrix's real CSR offsets instead.
+    pub bounds: IndexArgs<'a>,
     /// Prefetch distance in non-zeros (0 under [`PrefetchClass::None`]).
     pub prefetch: usize,
-}
-
-/// Runtime parameters of a specialized scatter.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScatterArgs<'a> {
-    /// Stored origin map (empty unless the origin kind is `Table`).
-    pub table: &'a [u32],
-    /// Affine origin base.
-    pub base: i64,
-    /// Affine origin slope.
-    pub slope: i64,
 }
 
 /// One worker chunk of a row partition: accumulate rows
@@ -301,29 +266,9 @@ pub(crate) type ChunkFn = fn(&PartitionArgs<'_>, usize, &mut [Scalar]);
 /// `[start, end)`, starting at `row0` (the span's pre-resolved first row).
 pub(crate) type SpanFn = fn(&PartitionArgs<'_>, &[u32], usize, usize, usize) -> Vec<Scalar>;
 
-/// Merge partial sums into `y` through the origin map (`+=` semantics).
-pub(crate) type ScatterFn = fn(&ScatterArgs<'_>, usize, &[Scalar], &mut [Scalar]);
-
-/// The library entry a matched shape resolves to.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SpecExec {
-    /// Row-partition chunk loop.
-    Rows(ChunkFn),
-    /// Nnz-partition span loop.
-    Nnz(SpanFn),
-}
-
-/// A partition's pre-resolved specialized functions: computed once at kernel
-/// build, called through plain function pointers at run time (one indirect
-/// call per worker chunk/span — never per row or per non-zero).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SpecializedPartition {
-    /// The inner-loop kernel.
-    pub exec: SpecExec,
-    /// The output merge (used when the origin map is not contiguous; the
-    /// contiguous case accumulates in place and never scatters).
-    pub scatter: ScatterFn,
-}
+/// Merge partial sums into `y` through the origin map (`+=` semantics, which
+/// is what makes worker-boundary rows and `COL_DIV` siblings correct).
+pub(crate) type ScatterFn = fn(&IndexArgs<'_>, usize, &[Scalar], &mut [Scalar]);
 
 // ---------------------------------------------------------------------------
 // The monomorphized loop bodies
@@ -334,28 +279,26 @@ pub(crate) struct SpecializedPartition {
 /// (identity is `base 0, slope 1`) — pure arithmetic, no enum in sight.
 #[inline(always)]
 fn row_range<const TB: bool>(a: &PartitionArgs<'_>, row: usize) -> (usize, usize) {
+    let b = &a.bounds;
     if TB {
-        (
-            a.bounds_table[row] as usize,
-            a.bounds_table[row + 1] as usize,
-        )
+        (b.table[row] as usize, b.table[row + 1] as usize)
     } else {
-        let start = a.bounds_base + a.bounds_slope * row as i64;
-        (start as usize, (start + a.bounds_slope) as usize)
+        let start = b.base + b.slope * row as i64;
+        (start as usize, (start + b.slope) as usize)
     }
 }
 
 /// The inner dot product of one row (or row segment), monomorphized on the
-/// SIMD variant.  Implementations call straight into the backend kernel —
-/// the per-row backend match of the interpreted `row_dot_nnz` dispatch does
-/// not exist here.
+/// SIMD variant.  Implementations call straight into the backend kernel;
+/// picking an impl in [`rows_loop`]/[`nnz_loop`] is the only SIMD selection
+/// there is.
 trait Dot {
     /// Dot of stream positions `[start, end)` against `x`.
     fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar;
 }
 
-/// Scalar accumulation (identical operation order to the interpreted
-/// `row_dot`, hence bitwise-equal results).
+/// Scalar accumulation in stream order — the order the row-lane loops keep
+/// per lane, hence bitwise-equal to them.
 struct DotScalar;
 
 impl Dot for DotScalar {
@@ -499,9 +442,9 @@ fn chunk_nnz<const TB: bool, D: Dot>(a: &PartitionArgs<'_>, first: usize, out: &
     }
 }
 
-/// Row-lane chunk loop: `L` adjacent rows advance together (one accumulator
-/// chain per lane, exactly the interpreted `row_lane_rows` schedule, so
-/// results are bitwise identical); leftover rows take the scalar loop.
+/// Row-lane chunk loop: `L` adjacent rows advance together, one accumulator
+/// chain per lane.  Each lane still sums its own row serially, so results
+/// are bitwise scalar; leftover rows (fewer than `L`) take the scalar loop.
 fn chunk_row_lanes<const TB: bool, const L: usize>(
     a: &PartitionArgs<'_>,
     first: usize,
@@ -564,7 +507,7 @@ fn span_nnz<D: Dot>(
 /// (`TB = true`) or affine arithmetic (`TB = false`; identity is
 /// `base 0, slope 1`).
 fn scatter_to<const TB: bool>(
-    a: &ScatterArgs<'_>,
+    a: &IndexArgs<'_>,
     base_row: usize,
     sums: &[Scalar],
     y: &mut [Scalar],
@@ -584,98 +527,80 @@ fn scatter_to<const TB: bool>(
 // The shape matcher
 // ---------------------------------------------------------------------------
 
-/// Picks the chunk instantiation for a bounds kind (`$tb`) and dot type.
+/// Picks the `$f::<TB, ..>` instantiation for a bounds kind.
 macro_rules! chunk_for {
-    ($tb:expr, $d:ty) => {
+    ($tb:expr, $f:ident, $($g:tt)+) => {
         if $tb {
-            chunk_nnz::<true, $d> as ChunkFn
+            $f::<true, $($g)+> as ChunkFn
         } else {
-            chunk_nnz::<false, $d> as ChunkFn
+            $f::<false, $($g)+> as ChunkFn
         }
     };
 }
 
-/// Resolves a shape against the library.  `None` is a genuine library miss
-/// (the caller falls back to the interpreted executor and counts it); the
-/// only misses today are lane/backend combinations the resolve step can no
-/// longer produce.  [`IndexKind::Model`] bounds and origins take the table
-/// instantiations: the kernel builder materialises the closed-form model
-/// into a lookup table once at build time, so the hot loop stays
-/// branch-free (memory traded for the per-element model dispatch).
-pub(crate) fn specialize(shape: &KernelShape) -> Option<SpecializedPartition> {
-    // Output placement: contiguous origins compute, everything else —
-    // including materialised models — reads the table (the contiguous case
-    // bypasses the scatter entirely at run time).
-    let scatter: ScatterFn = match shape.origin {
-        IndexKind::Table | IndexKind::Model => scatter_to::<true>,
-        IndexKind::Identity | IndexKind::Affine => scatter_to::<false>,
-    };
-    let exec = match shape.partition {
-        PartitionKind::Rows => {
-            let tb = match shape.bounds {
-                IndexKind::Table | IndexKind::Model => true,
-                IndexKind::Identity | IndexKind::Affine => false,
-            };
-            let chunk: ChunkFn = match shape.simd {
-                SimdClass::Scalar => chunk_for!(tb, DotScalar),
-                SimdClass::NnzPortable { lanes: 2 } => chunk_for!(tb, DotNnzPortable<2>),
-                SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, DotNnzPortable<4>),
-                SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, DotNnzPortable<8>),
-                #[cfg(target_arch = "x86_64")]
-                SimdClass::NnzAvx2 { lanes: 4 } => chunk_for!(tb, hw::DotAvx2x4),
-                #[cfg(target_arch = "x86_64")]
-                SimdClass::NnzAvx2 { lanes: 8 } => chunk_for!(tb, hw::DotAvx2x8),
-                #[cfg(target_arch = "aarch64")]
-                SimdClass::NnzNeon { lanes: 4 } => chunk_for!(tb, hw::DotNeon4),
-                #[cfg(target_arch = "aarch64")]
-                SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, hw::DotNeon8),
-                SimdClass::RowLanes { lanes: 2 } => {
-                    if tb {
-                        chunk_row_lanes::<true, 2> as ChunkFn
-                    } else {
-                        chunk_row_lanes::<false, 2> as ChunkFn
-                    }
-                }
-                SimdClass::RowLanes { lanes: 4 } => {
-                    if tb {
-                        chunk_row_lanes::<true, 4> as ChunkFn
-                    } else {
-                        chunk_row_lanes::<false, 4> as ChunkFn
-                    }
-                }
-                SimdClass::RowLanes { lanes: 8 } => {
-                    if tb {
-                        chunk_row_lanes::<true, 8> as ChunkFn
-                    } else {
-                        chunk_row_lanes::<false, 8> as ChunkFn
-                    }
-                }
-                _ => return None,
-            };
-            SpecExec::Rows(chunk)
-        }
-        PartitionKind::Nnz => {
-            // Nnz spans resolve `bmt_row_starts` once per span outside the
-            // hot loop, so its kind never disqualifies the shape.
-            let span: SpanFn = match shape.simd {
-                SimdClass::Scalar => span_nnz::<DotScalar>,
-                SimdClass::NnzPortable { lanes: 2 } => span_nnz::<DotNnzPortable<2>>,
-                SimdClass::NnzPortable { lanes: 4 } => span_nnz::<DotNnzPortable<4>>,
-                SimdClass::NnzPortable { lanes: 8 } => span_nnz::<DotNnzPortable<8>>,
-                #[cfg(target_arch = "x86_64")]
-                SimdClass::NnzAvx2 { lanes: 4 } => span_nnz::<hw::DotAvx2x4>,
-                #[cfg(target_arch = "x86_64")]
-                SimdClass::NnzAvx2 { lanes: 8 } => span_nnz::<hw::DotAvx2x8>,
-                #[cfg(target_arch = "aarch64")]
-                SimdClass::NnzNeon { lanes: 4 } => span_nnz::<hw::DotNeon4>,
-                #[cfg(target_arch = "aarch64")]
-                SimdClass::NnzNeon { lanes: 8 } => span_nnz::<hw::DotNeon8>,
-                _ => return None,
-            };
-            SpecExec::Nnz(span)
-        }
-    };
-    Some(SpecializedPartition { exec, scatter })
+/// True when an index kind reads a stored table (a materialised
+/// [`IndexKind::Model`] is one); false when it computes the affine form.
+fn reads_table(kind: IndexKind) -> bool {
+    matches!(kind, IndexKind::Table | IndexKind::Model)
+}
+
+/// Resolves a row-partition shape to its chunk loop.  A miss is the typed
+/// [`KernelBuildError::UnsupportedShape`]; the only misses are lane/backend
+/// combinations the resolve step cannot produce.
+pub(crate) fn rows_loop(shape: &KernelShape) -> Result<ChunkFn, KernelBuildError> {
+    debug_assert_eq!(shape.partition, PartitionKind::Rows);
+    let tb = reads_table(shape.bounds);
+    Ok(match shape.simd {
+        SimdClass::Scalar => chunk_for!(tb, chunk_nnz, DotScalar),
+        SimdClass::NnzPortable { lanes: 2 } => chunk_for!(tb, chunk_nnz, DotNnzPortable<2>),
+        SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, chunk_nnz, DotNnzPortable<4>),
+        SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, chunk_nnz, DotNnzPortable<8>),
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::NnzAvx2 { lanes: 4 } => chunk_for!(tb, chunk_nnz, hw::DotAvx2x4),
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::NnzAvx2 { lanes: 8 } => chunk_for!(tb, chunk_nnz, hw::DotAvx2x8),
+        #[cfg(target_arch = "aarch64")]
+        SimdClass::NnzNeon { lanes: 4 } => chunk_for!(tb, chunk_nnz, hw::DotNeon4),
+        #[cfg(target_arch = "aarch64")]
+        SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, chunk_nnz, hw::DotNeon8),
+        SimdClass::RowLanes { lanes: 2 } => chunk_for!(tb, chunk_row_lanes, 2),
+        SimdClass::RowLanes { lanes: 4 } => chunk_for!(tb, chunk_row_lanes, 4),
+        SimdClass::RowLanes { lanes: 8 } => chunk_for!(tb, chunk_row_lanes, 8),
+        _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
+    })
+}
+
+/// Resolves an nnz-partition shape to its span loop.  The chunk descriptor
+/// (`bmt_row_starts`) resolves once per worker span outside the hot loop, so
+/// its kind never disqualifies the shape.
+pub(crate) fn nnz_loop(shape: &KernelShape) -> Result<SpanFn, KernelBuildError> {
+    debug_assert_eq!(shape.partition, PartitionKind::Nnz);
+    Ok(match shape.simd {
+        SimdClass::Scalar => span_nnz::<DotScalar>,
+        SimdClass::NnzPortable { lanes: 2 } => span_nnz::<DotNnzPortable<2>>,
+        SimdClass::NnzPortable { lanes: 4 } => span_nnz::<DotNnzPortable<4>>,
+        SimdClass::NnzPortable { lanes: 8 } => span_nnz::<DotNnzPortable<8>>,
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::NnzAvx2 { lanes: 4 } => span_nnz::<hw::DotAvx2x4>,
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::NnzAvx2 { lanes: 8 } => span_nnz::<hw::DotAvx2x8>,
+        #[cfg(target_arch = "aarch64")]
+        SimdClass::NnzNeon { lanes: 4 } => span_nnz::<hw::DotNeon4>,
+        #[cfg(target_arch = "aarch64")]
+        SimdClass::NnzNeon { lanes: 8 } => span_nnz::<hw::DotNeon8>,
+        _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
+    })
+}
+
+/// Output placement for an origin kind: contiguous origins compute,
+/// everything else reads the table.  (Origins that are a pure offset bypass
+/// the scatter entirely at run time and accumulate in place.)
+pub(crate) fn scatter_loop(origin: IndexKind) -> ScatterFn {
+    if reads_table(origin) {
+        scatter_to::<true>
+    } else {
+        scatter_to::<false>
+    }
 }
 
 #[cfg(test)]
@@ -690,6 +615,13 @@ mod tests {
             col_index: IndexKind::Table,
             simd,
             prefetch: PrefetchClass::None,
+        }
+    }
+
+    fn in_library(shape: &KernelShape) -> bool {
+        match shape.partition {
+            PartitionKind::Rows => rows_loop(shape).is_ok(),
+            PartitionKind::Nnz => nnz_loop(shape).is_ok(),
         }
     }
 
@@ -722,22 +654,21 @@ mod tests {
         ] {
             for &sc in &simd_classes {
                 assert!(
-                    specialize(&shape(PartitionKind::Rows, bounds, sc)).is_some(),
+                    in_library(&shape(PartitionKind::Rows, bounds, sc)),
                     "rows/{bounds:?}/{sc:?} must be in the library"
                 );
                 assert!(
-                    specialize(&shape(PartitionKind::Nnz, bounds, sc)).is_some(),
+                    in_library(&shape(PartitionKind::Nnz, bounds, sc)),
                     "nnz/{bounds:?}/{sc:?} must be in the library"
                 );
             }
             for lanes in [2u8, 4, 8] {
                 assert!(
-                    specialize(&shape(
+                    in_library(&shape(
                         PartitionKind::Rows,
                         bounds,
                         SimdClass::RowLanes { lanes }
-                    ))
-                    .is_some(),
+                    )),
                     "rows/{bounds:?}/row-x{lanes} must be in the library"
                 );
             }
@@ -747,26 +678,44 @@ mod tests {
     #[test]
     fn model_shapes_hit_the_library_via_materialised_tables() {
         // Model bounds and origins resolve to the table instantiations —
-        // the kernel builder materialises the closed-form model into a
-        // lookup table at build time, so no designer-reachable shape ever
-        // falls back to the interpreter.
-        assert!(specialize(&shape(
+        // lowering materialises the fitted model into a lookup table, so no
+        // designer-reachable shape is ever rejected.
+        assert!(in_library(&shape(
             PartitionKind::Rows,
             IndexKind::Model,
             SimdClass::Scalar
-        ))
-        .is_some());
-        let mut s = shape(PartitionKind::Rows, IndexKind::Table, SimdClass::Scalar);
-        s.origin = IndexKind::Model;
-        assert!(specialize(&s).is_some());
+        )));
+        assert!(reads_table(IndexKind::Model));
         // An nnz partition's bounds (row_starts) may be a model — resolved
         // once per span, it never disqualifies the shape.
-        assert!(specialize(&shape(
+        assert!(in_library(&shape(
             PartitionKind::Nnz,
             IndexKind::Model,
             SimdClass::Scalar
-        ))
-        .is_some());
+        )));
+    }
+
+    #[test]
+    fn out_of_library_shapes_are_a_typed_rejection() {
+        // Lane widths the resolve step cannot produce: no silent fallback,
+        // the error names the shape that missed.
+        let odd = SimdClass::NnzPortable { lanes: 3 };
+        let rows = shape(PartitionKind::Rows, IndexKind::Table, odd);
+        assert_eq!(
+            rows_loop(&rows).unwrap_err(),
+            KernelBuildError::UnsupportedShape(rows)
+        );
+        let nnz = shape(PartitionKind::Nnz, IndexKind::Table, odd);
+        let err = nnz_loop(&nnz).unwrap_err();
+        assert_eq!(err, KernelBuildError::UnsupportedShape(nnz));
+        assert!(err.to_string().contains("portable-nnz-x3"), "{err}");
+        // Row lanes only exist on row partitions.
+        let lanes_on_nnz = shape(
+            PartitionKind::Nnz,
+            IndexKind::Table,
+            SimdClass::RowLanes { lanes: 4 },
+        );
+        assert!(nnz_loop(&lanes_on_nnz).is_err());
     }
 
     #[test]
@@ -799,9 +748,11 @@ mod tests {
             col_indices: &[],
             x: &[],
             col_offset: 0,
-            bounds_table: &offsets,
-            bounds_base: 0,
-            bounds_slope: 3,
+            bounds: IndexArgs {
+                table: &offsets,
+                base: 0,
+                slope: 3,
+            },
             prefetch: 0,
         };
         for row in 0..64 {

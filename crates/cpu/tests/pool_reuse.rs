@@ -1,5 +1,5 @@
-//! Acceptance property of the pooled execution rework: the steady-state
-//! SpMV path performs **zero** thread spawns — repeated `NativeKernel` runs
+//! Acceptance property of pooled execution: the steady-state SpMV path
+//! performs **zero** thread spawns — repeated `NativeKernel` runs
 //! and harness measurements reuse a persistent pool whose worker count never
 //! grows past its initial size.
 //!
@@ -20,8 +20,8 @@ fn thread_spawns() -> u64 {
 
 #[test]
 fn steady_state_spmv_never_spawns() {
-    // Large enough that the pooled `effective_workers` wants real
-    // parallelism (nnz ≈ 96k, well above MIN_NNZ_PER_WORKER_POOLED).
+    // Large enough that `effective_workers` wants real parallelism
+    // (nnz ≈ 96k, well above MIN_NNZ_PER_WORKER).
     let matrix = gen::powerlaw(8_192, 8_192, 12, 2.0, 5);
     let generated = alpha_codegen::generate(
         &alpha_graph::presets::csr_scalar(),
@@ -76,19 +76,5 @@ fn steady_state_spmv_never_spawns() {
         thread_spawns(),
         baseline,
         "default run/measure paths must reuse the shared pool"
-    );
-
-    // At this size the spawn path's threshold refuses parallelism entirely
-    // (nnz < MIN_NNZ_PER_WORKER) — exactly the "forced serial" regime the
-    // pooled threshold unlocks.
-    assert_eq!(alpha_cpu::effective_workers(0, kernel.nnz()), 1);
-    assert!(alpha_cpu::effective_workers_pooled(0, kernel.nnz()) >= 1);
-
-    // The legacy spawn path with an explicit count, by contrast, pays
-    // threads per call — the cost this rework moved off the hot path.
-    kernel.run_spawning(x.as_slice(), 4).unwrap();
-    assert!(
-        thread_spawns() > baseline,
-        "run_spawning is expected to spawn (comparison baseline)"
     );
 }

@@ -505,7 +505,9 @@ pub struct JobSummary {
     /// that will serve [`Request::Spmv`] for this job.
     pub kernel_shape: String,
     /// True when every partition of the resident kernel executes through a
-    /// specialized (branch-free) loop rather than the interpreted fallback.
+    /// specialized (branch-free) loop.  Always `true` from a current daemon
+    /// — the monomorphized library is its only executor; the field stays on
+    /// the wire for protocol v5 compatibility.
     pub specialized: bool,
 }
 

@@ -46,9 +46,4 @@ fn pool_spawns_exactly_once_then_reuses_workers_forever() {
         steady_state,
         "steady-state pool jobs must not spawn threads"
     );
-
-    // The spawn-per-call flavour, by contrast, pays threads every call —
-    // the cost the pool exists to remove.
-    alpha_parallel::parallel_map(&items, 4, |&x| x);
-    assert_eq!(thread_spawns(), steady_state + 4);
 }
