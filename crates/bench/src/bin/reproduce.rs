@@ -304,6 +304,18 @@ fn main() {
                         telemetry.iter().sum::<f64>() / telemetry.len() as f64
                     );
                 }
+                // How the pool resolved every worker slot of every job of
+                // this run: the hit rate of its spin window.
+                let [hot, woken, retracted] = ["hot", "woken", "retracted"].map(|path| {
+                    alpha_telemetry::global()
+                        .counter("parallel_dispatch_total", &[("path", path)])
+                        .get()
+                });
+                println!(
+                    "  pool dispatch: {hot} hot, {woken} woken, {retracted} retracted \
+                     ({:.1}% of worker slots found their worker polling)",
+                    100.0 * hot as f64 / (hot + woken + retracted).max(1) as f64
+                );
                 println!(
                     "  (wall-clock numbers carry allocator-placement and scheduler noise;\n\
                      \x20  treat deltas under ~30% as ties)\n"

@@ -184,6 +184,21 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_that_emits_nan_is_infeasible() {
+        // The reference was computed from a finite probe vector; poisoning
+        // the probe afterwards makes every kernel emit NaN in the rows that
+        // read column 0.  That is a wrong `y`, not a verified one.
+        let matrix = gen::banded(256, 2, 3);
+        let mut ctx = context_fixture(&matrix);
+        let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
+        assert!(evaluator.evaluate(&ctx, &presets::csr_scalar()).is_some());
+        ctx.x[0] = alpha_matrix::Scalar::NAN;
+        assert!(ctx.reference.iter().all(|v| v.is_finite()));
+        assert!(evaluator.evaluate(&ctx, &presets::csr_scalar()).is_none());
+        assert_eq!(evaluator.executions(), 2);
+    }
+
+    #[test]
     fn caching_layer_composes_and_skips_re_measurement() {
         let matrix = gen::powerlaw(256, 256, 8, 2.0, 3);
         let ctx = context_fixture(&matrix);

@@ -111,9 +111,12 @@ impl TimingHarness {
 
     /// Times a lowered kernel end to end on the process-wide persistent
     /// pool: the output buffer is preallocated and reused across every
-    /// warmup and timed rep, and no rep spawns a thread — the measurement
-    /// is allocation-free *and* dispatch-amortised.  The first execution
-    /// also validates the input dimensions.
+    /// warmup and timed rep, and no rep spawns a thread.  Reps run back to
+    /// back, so from the second one on the pool's workers are still polling
+    /// and a rep pays the hot fork-join (about 1 µs), not a wake-up — the
+    /// measurement is allocation-free and what it times is the steady state
+    /// of a caller that loops.  The first execution also validates the input
+    /// dimensions.
     pub fn measure_kernel(
         self,
         kernel: &NativeKernel,

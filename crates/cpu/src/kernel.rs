@@ -45,9 +45,28 @@ use alpha_telemetry::Histogram;
 use std::time::Instant;
 
 /// Non-zeros one scalar worker should own, at minimum, before another pooled
-/// worker is worth waking.  A persistent [`Pool`] dispatches a job in a
-/// mutex/condvar round-trip (single-digit microseconds), so parallelism pays
-/// off from small/medium matrices on — but not below this.
+/// worker is worth engaging.
+///
+/// The arithmetic, from the repo benchmark on its reference host (2 vCPUs;
+/// `parallel.dispatch_us` owns the dispatch figures, `cpu.small_1t_us` and
+/// `cpu.large_1t_ns_per_nnz` the loop rate):
+///
+/// * One thread retires a non-zero in 0.8 ns (L2-resident) to 1.1 ns
+///   (streaming), so a 16 384-nnz share is 13-18 µs of work.
+/// * **Hot** (the kernel is called in a loop and the worker is still polling
+///   from the previous call): a fork-join costs 0.9 µs, 5-7 % of that share.
+///   Break-even is near 1 100 nnz per worker; the constant is 15x above it.
+/// * **Parked** (calls more than 60 µs apart): the submitter pays one `futex`
+///   wake, about 6 µs, and the woken worker needs about 35 µs to get on a
+///   core.  A job that is over by then is finished by the caller at serial
+///   speed (its worker slot is retracted, never waited for), so the smallest
+///   two-worker job (2 x 16 384 nnz, 26 µs serial) loses at most 6 µs (23 %)
+///   and jobs above roughly 44 000 nnz start to gain.
+///
+/// A lower constant would let the parked overhead approach the job itself
+/// (4 096: 6 µs on a 6.5 µs job); a higher one would run the 32k-90k nnz
+/// jobs serially and forfeit their hot gain (the benchmark's small class,
+/// 65 536 nnz, runs 52 µs on one thread and 43 µs on two).  So 16 384 stays.
 pub const MIN_NNZ_PER_WORKER: usize = 16_384;
 
 /// Resolves a requested thread count: `0` means "automatic" — one worker per

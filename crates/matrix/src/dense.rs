@@ -107,11 +107,25 @@ impl DenseVector {
 /// simulator interpreter and the baseline implementations all reduce in
 /// different orders, so they are compared with `max_scaled_error(..) <= tol`
 /// rather than bitwise.  Panics on length mismatch (always a harness bug).
+///
+/// A NaN or infinity on one side only is an **infinite** error, so no
+/// tolerance admits it (a `max` fold alone would drop the NaN and report the
+/// vectors equal).  The same non-finite value on both sides at one index —
+/// both NaN, or equal infinities — counts as 0: the result reproduces the
+/// reference.
 pub fn max_scaled_error(a: &[Scalar], b: &[Scalar]) -> Scalar {
     assert_eq!(a.len(), b.len(), "comparing vectors of different lengths");
     a.iter()
         .zip(b)
-        .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1.0))
+        .map(|(&x, &y)| {
+            if x.is_finite() && y.is_finite() {
+                (x - y).abs() / x.abs().max(y.abs()).max(1.0)
+            } else if x == y || (x.is_nan() && y.is_nan()) {
+                0.0
+            } else {
+                Scalar::INFINITY
+            }
+        })
         .fold(0.0, Scalar::max)
 }
 
@@ -161,6 +175,32 @@ mod tests {
     fn max_abs_diff() {
         let a = DenseVector::from_vec(vec![1.0, 2.0, 3.0]);
         assert_eq!(a.max_abs_diff(&[1.0, 2.5, 3.0]), 0.5);
+    }
+
+    #[test]
+    fn max_scaled_error_is_relative_above_one_and_absolute_below() {
+        assert_eq!(max_scaled_error(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
+        assert_eq!(max_scaled_error(&[0.0], &[0.5]), 0.5);
+        assert!((max_scaled_error(&[1000.0], &[1001.0]) - 1.0 / 1001.0).abs() < 1e-9);
+        assert_eq!(max_scaled_error(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn max_scaled_error_never_admits_a_one_sided_non_finite() {
+        let (nan, inf) = (Scalar::NAN, Scalar::INFINITY);
+        // NaN in the result only, in the reference only, and not in the
+        // first or last position (a `max` fold drops NaN wherever it sits).
+        assert_eq!(max_scaled_error(&[nan, 1.0], &[1.0, 1.0]), inf);
+        assert_eq!(max_scaled_error(&[1.0, 1.0], &[1.0, nan]), inf);
+        assert_eq!(max_scaled_error(&[1.0, nan, 1.0], &[1.0, 1.0, 1.0]), inf);
+        assert_eq!(max_scaled_error(&[inf], &[1.0]), inf);
+        assert_eq!(max_scaled_error(&[inf], &[-inf]), inf);
+        assert_eq!(max_scaled_error(&[nan], &[inf]), inf);
+        // The same non-finite value on both sides reproduces the reference.
+        assert_eq!(max_scaled_error(&[nan, 2.0], &[nan, 2.0]), 0.0);
+        assert_eq!(max_scaled_error(&[inf, -inf], &[inf, -inf]), 0.0);
+        // ... and does not hide a finite mismatch next to it.
+        assert_eq!(max_scaled_error(&[nan, 0.0], &[nan, 0.5]), 0.5);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `alpha-parallel` — std-only data-parallel primitives: scoped helpers built
-//! on `std::thread::scope` plus a persistent worker [`Pool`].
+//! `alpha-parallel` — std-only data-parallel primitives: a persistent worker
+//! [`Pool`] and the bounded task queues a service puts in front of one.
 //!
 //! The evaluation layer of the search engine fans candidate batches out
 //! across threads (ISSUE: "via rayon"); this container has no network access
@@ -10,34 +10,34 @@
 //! interleaves — and a disjoint-chunk in-place runner
 //! ([`Pool::run_over_chunks`]).
 //!
-//! Two ways to run a map:
+//! There is one way to run either: **the persistent [`Pool`]**.  Workers are
+//! spawned once; a job is published to them, they drain an atomic work
+//! counter, and the submitting thread (which participates in its own job)
+//! collects the results.  Every native kernel, baseline, candidate batch and
+//! request batch runs here; nothing spawns a thread per call.
 //!
-//! * the **spawn-per-call** free function [`parallel_map`]: scoped threads
-//!   are created and joined per call.  Fine for coarse work (a batch of
-//!   millisecond-scale simulations), ruinous for a sub-100 µs SpMV where the
-//!   spawn alone costs tens of microseconds — so nothing on the SpMV path
-//!   uses it.
-//! * **the persistent [`Pool`]**: workers are spawned once and parked on a
-//!   condvar; a job wakes them, they drain an atomic work counter, and the
-//!   submitting thread (which participates in its own job) collects the
-//!   results.  Per-call dispatch cost is a mutex/condvar round-trip —
-//!   microseconds, not thread spawns — which is what lets the native SpMV
-//!   backend parallelise small matrices profitably.  Every native kernel
-//!   and baseline runs here.
+//! What a fork-join costs is owned by the repo benchmark's
+//! `parallel.dispatch_us` (the median no-op `T`-chunk job on the shared pool;
+//! reference host, 2 vCPUs).  **Hot**, 0.8-0.9 µs: jobs arrive back to back,
+//! the worker is still polling from the previous one and neither side makes
+//! a syscall — against 35-39 µs for the mutex + condvar + futex round trip
+//! this replaced.  **Parked**, about 6 µs (12 µs before): the submitter pays
+//! one `futex` wake and never waits for the sleeper to get on a core.  See
+//! "Fork-join protocol" on [`Pool`].
 //!
-//! Work distribution is a simple atomic work-stealing counter in both
-//! flavours: each worker repeatedly claims the next unprocessed index.  That
-//! keeps long-running items (e.g. a slow kernel simulation) from serialising
-//! behind a static chunking.
+//! Work distribution is a simple atomic work-stealing counter: each executor
+//! repeatedly claims the next unprocessed index.  That keeps long-running
+//! items (e.g. a slow kernel simulation) from serialising behind a static
+//! chunking.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use alpha_telemetry::{Counter, Gauge, Histogram};
 
@@ -147,57 +147,6 @@ impl<R: Send> MapSlots<R> {
     }
 }
 
-/// Maps `f` over `items` on `threads` **freshly spawned** worker threads,
-/// preserving order: `result[i] == f(&items[i])`.
-///
-/// This is the spawn-per-call flavour — each call creates and joins scoped
-/// threads, so it suits coarse work only; hot paths should go through a
-/// [`Pool`].  `threads == 0` means [`default_threads`]; `threads == 1` (or a
-/// singleton / empty input) runs inline on the caller's thread with no
-/// spawning overhead.  Panics in `f` propagate to the caller (results
-/// produced before the panic are dropped, not leaked).
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = resolve_threads(threads).min(items.len()).max(1);
-    if threads == 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots = MapSlots::new(items.len());
-    let worker = || loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        if index >= items.len() {
-            break;
-        }
-        let result = f(&items[index]);
-        // SAFETY: `index` came from the shared counter, so it is claimed
-        // exactly once and in bounds.
-        unsafe { slots.write(index, result) };
-    };
-    // Panics are caught per worker (first payload wins) rather than letting
-    // the scope re-raise, so the slots can drop the partial results first.
-    let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            count_spawn();
-            scope.spawn(|| {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(&worker)) {
-                    let mut slot = panic_slot.lock().expect("panic slot poisoned");
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-            });
-        }
-    });
-    slots.finish(panic_slot.into_inner().expect("panic slot poisoned"))
-}
-
 /// Splits `slice` into up to `parts` contiguous chunks of near-equal length,
 /// tagged with their start offsets — the input shape
 /// [`Pool::run_over_chunks`] consumes.
@@ -282,9 +231,10 @@ impl Drop for ExecutingGuard {
 #[derive(Clone, Copy)]
 struct WorkPtr(*const (dyn Fn() + Sync + 'static));
 
-// SAFETY: the pointer is only dereferenced while the submitting stack frame —
-// which owns the closure — blocks in `Pool::execute` waiting for every worker
-// to finish with it.
+// SAFETY: the pointer is only dereferenced by a worker that claimed the job
+// under the pool's state lock, and the submitting stack frame — which owns
+// the closure — stays in `Pool::execute` until every claimer has finished
+// and no further claim is possible (the retraction rule, see `execute`).
 unsafe impl Send for WorkPtr {}
 
 impl WorkPtr {
@@ -293,7 +243,10 @@ impl WorkPtr {
     ///
     /// SAFETY contract (upheld by [`Pool::execute`]): the returned pointer
     /// must not be dereferenced after `execute` returns, and `execute` must
-    /// not return before every worker has finished running the closure.
+    /// not return before every worker that claimed the job has finished
+    /// running the closure.  Claims happen under the state lock and so does
+    /// the retraction of unclaimed slots, so "no claim after `execute`
+    /// returns" is decided under one lock.
     fn erase<'a>(work: &'a (dyn Fn() + Sync + 'a)) -> WorkPtr {
         let raw = work as *const (dyn Fn() + Sync + 'a);
         #[allow(clippy::missing_transmute_annotations)]
@@ -315,14 +268,22 @@ struct PoolState {
     epoch: u64,
     /// Pool workers the current job wants (dispatch cost scales with the
     /// job's parallelism, not the host's core count: a 2-chunk SpMV on a
-    /// 64-core pool wakes 1 worker, not 63).
+    /// 64-core pool engages 1 worker, not 63).  Lowered to `claimed` when
+    /// the submitter retracts the slots nobody picked up.
     target: usize,
     /// Pool workers that have picked the current job up so far (never
     /// exceeds `target`; late or spuriously woken workers beyond it go
     /// straight back to sleep without touching `remaining`).
     claimed: usize,
-    /// Claiming workers that have not yet finished the current job.
+    /// Worker slots of the current job that are neither finished nor
+    /// retracted; `execute` returns when it reaches 0.
     remaining: usize,
+    /// Workers blocked in `work_ready.wait` — the only ones a submitter has
+    /// to pay a `futex` wake for.
+    sleepers: usize,
+    /// The submitter is blocked in `work_done.wait`, so the worker that
+    /// finishes the job has to notify it.
+    submitter_parked: bool,
     /// First panic payload raised inside the current job, if any.
     panic: Option<Box<dyn Any + Send>>,
     /// Set by `Drop`; workers exit when they observe it.
@@ -336,22 +297,94 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Wakes parked workers when a job is published (or shutdown begins).
     work_ready: Condvar,
-    /// Wakes the submitter when the last worker finishes the job.
+    /// Wakes a parked submitter when the last worker finishes the job.
     work_done: Condvar,
     /// Serialises submissions: one job runs at a time, concurrent submitters
     /// queue here (the admission order is the OS's lock wake order).
     submit: Mutex<()>,
-    /// `parallel_dispatch_latency_us`: publish-to-first-worker-pickup, the
-    /// condvar round-trip cost the pool exists to keep small.
+    /// Lock-free mirror of `state.epoch`, stored after the job is published:
+    /// what a worker polls between jobs.  A hint only — every decision it
+    /// prompts is re-made under `state`.
+    published_epoch: AtomicU64,
+    /// Epoch of the last job whose final worker has finished: what the
+    /// submitter polls before it parks.  A hint only, like `published_epoch`.
+    finished_epoch: AtomicU64,
+    /// `parallel_dispatch_latency_us`: publish-to-first-worker-pickup.
     dispatch: Histogram,
+    /// `parallel_dispatch_total{path}`: how each worker slot of each job was
+    /// resolved.  `hot / (hot + woken + retracted)` is the hit rate of the
+    /// spin window.
+    paths: DispatchPaths,
+}
+
+/// The `parallel_dispatch_total` family, one counter per way a job's worker
+/// slot can end.  Every slot ends exactly one way, so the three sum to the
+/// worker slots requested.
+struct DispatchPaths {
+    /// Claimed by a worker that had not parked since its previous job (or
+    /// since it started): no wake-up was paid for it.
+    hot: Counter,
+    /// Claimed by a worker that was blocked in `work_ready.wait`.
+    woken: Counter,
+    /// Still unclaimed when the submitter finished its own share, so taken
+    /// back instead of waited for.
+    retracted: Counter,
+}
+
+impl DispatchPaths {
+    fn registered() -> DispatchPaths {
+        let path =
+            |path| alpha_telemetry::global().counter("parallel_dispatch_total", &[("path", path)]);
+        DispatchPaths {
+            hot: path("hot"),
+            woken: path("woken"),
+            retracted: path("retracted"),
+        }
+    }
+}
+
+/// How long an executor polls before it blocks in the kernel: a worker for
+/// the next job after finishing one, the submitter for its last worker.  Also
+/// the yardstick for "the caller is looping": a woken worker polls only if
+/// jobs arrived less than this far apart while it slept.
+///
+/// Derived from the cost it avoids.  Parking a worker and waking it again is
+/// a `futex` wait, a `futex` wake and a trip through the scheduler: 35 µs on
+/// the reference host (`parallel.dispatch_us` of the repo benchmark, before
+/// this window existed).  Spin-then-park is within 2x of the best possible
+/// policy when the spin lasts as long as the park it replaces costs, and
+/// callers that loop over one kernel — a solver's SpMV, `TimingHarness`
+/// reps, the search's timed candidates — come back after their own share of
+/// the previous job plus a few µs of bookkeeping, i.e. within one more
+/// small-class chunk (about 25 µs).  35 + 25 = 60 µs covers both; a caller
+/// that stays away longer pays the wake-up it would have paid anyway, and an
+/// idle pool burns at most this much CPU per worker per burst.
+const SPIN_WINDOW: Duration = Duration::from_micros(60);
+
+/// Spins until `ready()` (returning true) or `deadline` (returning false).
+/// The clock is read once per 32 `spin_loop` hints (about 1 µs), so the exit
+/// is late by at most that.  Callers re-check their condition under the
+/// state lock either way.
+fn poll_until(deadline: Instant, ready: impl Fn() -> bool) -> bool {
+    loop {
+        for _ in 0..32 {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+    }
 }
 
 static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(1);
 
-/// A persistent worker pool: threads are spawned **once** and parked on a
-/// condvar between jobs, removing the per-call `std::thread` spawn cost (tens
-/// of microseconds — more than an entire sub-100 µs SpMV) from steady-state
-/// hot paths.
+/// A persistent worker pool: threads are spawned **once** and reused for
+/// every job, removing the per-call `std::thread` spawn cost (tens of
+/// microseconds — more than an entire sub-100 µs SpMV) from steady-state hot
+/// paths.
 ///
 /// Jobs are **scoped**: [`Pool::parallel_map`] and [`Pool::run_over_chunks`]
 /// borrow their inputs and outputs from the caller's stack and do not return
@@ -359,9 +392,35 @@ static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(1);
 /// exactly as they do with `std::thread::scope`.  The submitting thread
 /// participates in its own job, so a pool built with [`Pool::new`]`(n)`
 /// executes with the same parallelism as `n` spawned threads while keeping
-/// only `n - 1` OS threads parked.
+/// only `n - 1` OS threads of its own.
 ///
-/// Concurrency and failure semantics:
+/// # Fork-join protocol
+///
+/// One mutex-protected state, two condvars, and three rules that keep the
+/// kernel out of a steady-state fork-join:
+///
+/// 1. **Workers poll before they park, while the caller is looping.**  After
+///    a job a worker polls a lock-free mirror of the job epoch for a bounded
+///    window (60 µs) and only then blocks on the condvar; it always
+///    re-checks for a job under the lock first, so a wake-up cannot be lost.
+///    A worker that had to be woken polls only if jobs arrived within a
+///    window of each other while it slept — a one-off request sends it
+///    straight back to sleep.
+/// 2. **Only sleepers are woken, and only as many as are needed.**  The
+///    state counts blocked workers; a job that wants `k` workers and finds
+///    `a` awake notifies `k - a` sleepers.  The submitter polls for its last
+///    worker in the same bounded way, and workers notify it only if it
+///    actually parked.  Back-to-back jobs therefore make no syscall.
+/// 3. **The submitter never waits on a thread that has not started.**  Every
+///    job drains one shared index counter, so when the submitter returns
+///    from its own share nothing is left for a worker that has not claimed
+///    yet: its slot is retracted under the lock instead of waited for.  A
+///    cold call costs the serial time plus one uncontended lock.
+///
+/// `parallel_dispatch_total{path="hot"|"woken"|"retracted"}` counts how each
+/// worker slot was resolved.
+///
+/// # Concurrency and failure semantics
 ///
 /// * One job runs at a time; concurrent submitters (e.g. several daemon
 ///   connection threads sharing one execution pool) queue on an internal
@@ -371,7 +430,9 @@ static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(1);
 ///   itself stays usable for the next job.
 /// * Submitting from inside a job of the same pool (nesting) runs the nested
 ///   job inline on the current thread instead of deadlocking.
-/// * `Drop` parks no new work, wakes the workers and joins them.
+/// * An idle pool is parked: polling happens only right after a job, for
+///   one bounded window, and only for callers that come back within one.
+/// * `Drop` publishes no new work, wakes the workers and joins them.
 pub struct Pool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -380,7 +441,7 @@ pub struct Pool {
 
 impl Pool {
     /// A pool executing with `threads`-way parallelism (`0` means one per
-    /// available CPU core).  `threads - 1` workers are spawned and parked;
+    /// available CPU core).  `threads - 1` workers are spawned and park;
     /// the submitting thread is the final executor.  `Pool::new(1)` spawns
     /// nothing — every job runs inline.
     pub fn new(threads: usize) -> Pool {
@@ -393,6 +454,8 @@ impl Pool {
                 target: 0,
                 claimed: 0,
                 remaining: 0,
+                sleepers: 0,
+                submitter_parked: false,
                 panic: None,
                 shutdown: false,
                 published: None,
@@ -400,7 +463,10 @@ impl Pool {
             work_ready: Condvar::new(),
             work_done: Condvar::new(),
             submit: Mutex::new(()),
+            published_epoch: AtomicU64::new(0),
+            finished_epoch: AtomicU64::new(0),
             dispatch: alpha_telemetry::global().histogram("parallel_dispatch_latency_us", &[]),
+            paths: DispatchPaths::registered(),
         });
         let handles = (0..threads - 1)
             .map(|worker| {
@@ -429,13 +495,13 @@ impl Pool {
         SHARED.get_or_init(|| Pool::new(0))
     }
 
-    /// The pool's parallelism: parked workers plus the submitting thread.
+    /// The pool's parallelism: its workers plus the submitting thread.
     pub fn threads(&self) -> usize {
         self.handles.len() + 1
     }
 
-    /// OS threads this pool keeps parked (its spawn count for the whole
-    /// lifetime of the pool — reused, never re-spawned).
+    /// OS threads this pool owns (its spawn count for the whole lifetime of
+    /// the pool — reused, never re-spawned).
     pub fn workers(&self) -> usize {
         self.handles.len()
     }
@@ -447,21 +513,26 @@ impl Pool {
     }
 
     /// Publishes `work` to at most `worker_hint` pool workers, runs it on
-    /// the calling thread too, waits for every engaged worker to finish,
-    /// and returns the first panic payload (worker or caller), if any.
+    /// the calling thread too, waits for every worker that picked it up to
+    /// finish, and returns the first panic payload (worker or caller), if
+    /// any.
     ///
     /// `worker_hint` is the job's parallelism minus the caller: only that
-    /// many workers are woken and waited on, so small jobs pay dispatch
-    /// proportional to their own size, not to the pool's.
+    /// many workers are engaged, so small jobs pay dispatch proportional to
+    /// their own size, not to the pool's.
+    ///
+    /// `work` must be a *drain*: every invocation claims items from one
+    /// shared counter until none are left, so once one invocation has
+    /// returned normally, another one has nothing to do.  That is what lets
+    /// the submitter retract unclaimed worker slots instead of waiting for
+    /// them (both callers, `parallel_map_capped` and `run_over_chunks`, are
+    /// drains; after a panic the leftovers are abandoned with the job).
     fn execute(&self, work: &(dyn Fn() + Sync), worker_hint: usize) -> Option<Box<dyn Any + Send>> {
+        let shared = &*self.shared;
         let target = worker_hint.min(self.handles.len());
-        let _admission = self
-            .shared
-            .submit
-            .lock()
-            .expect("pool submit lock poisoned");
-        {
-            let mut state = self.shared.state.lock().expect("pool state poisoned");
+        let _admission = shared.submit.lock().expect("pool submit lock poisoned");
+        let (epoch, sleepers) = {
+            let mut state = shared.state.lock().expect("pool state poisoned");
             state.job = Some(WorkPtr::erase(work));
             state.epoch = state.epoch.wrapping_add(1);
             state.target = target;
@@ -473,15 +544,24 @@ impl Pool {
             } else {
                 None
             };
-        }
-        // Waking is lost-wakeup-safe without notify_all: a worker that is
-        // between jobs (not yet waiting) re-checks the claim predicate under
-        // the lock before it ever sleeps.
-        if target == self.handles.len() {
-            self.shared.work_ready.notify_all();
+            (state.epoch, state.sleepers)
+        };
+        // Stored after the lock is released, so a polling worker that sees
+        // it does not run into a lock the submitter still holds.  Pairs with
+        // the `Acquire` load in `worker_loop`; the job itself is published
+        // by the mutex.
+        shared.published_epoch.store(epoch, Ordering::Release);
+        // Wake only sleepers, and only those the awake workers cannot cover.
+        // Lost-wakeup-safe: every worker counted as awake re-checks the
+        // claim predicate under the lock before it ever sleeps, and the
+        // sleepers were counted under the same lock that published the job.
+        let awake = self.handles.len() - sleepers;
+        let wake = target.saturating_sub(awake);
+        if wake > 0 && wake == sleepers {
+            shared.work_ready.notify_all();
         } else {
-            for _ in 0..target {
-                self.shared.work_ready.notify_one();
+            for _ in 0..wake {
+                shared.work_ready.notify_one();
             }
         }
 
@@ -492,13 +572,36 @@ impl Pool {
             catch_unwind(AssertUnwindSafe(work))
         };
 
-        let mut state = self.shared.state.lock().expect("pool state poisoned");
-        while state.remaining > 0 {
-            state = self
-                .shared
-                .work_done
-                .wait(state)
-                .expect("pool state poisoned");
+        let mut state = shared.state.lock().expect("pool state poisoned");
+        // Retraction: the caller's drain has returned, so a slot no worker
+        // has claimed yet has no work left to find.  Take it back rather
+        // than wait for a wake-up whose only effect would be to decrement
+        // `remaining`.
+        //
+        // SAFETY (of every `WorkPtr::get`): claims and this retraction both
+        // happen under `state`.  From here on `claimed == target`, so the
+        // claim predicate is false for every worker until the next job is
+        // published, and `remaining` counts exactly the workers that did
+        // claim and have not finished.  `execute` returns only once that is
+        // 0: no worker can claim — and therefore dereference — after it.
+        let unclaimed = state.target - state.claimed;
+        if unclaimed > 0 {
+            state.target = state.claimed;
+            state.remaining -= unclaimed;
+            shared.paths.retracted.add(unclaimed as u64);
+        }
+        if state.remaining > 0 {
+            drop(state);
+            // Pairs with the `Release` store of the finishing worker.
+            poll_until(Instant::now() + SPIN_WINDOW, || {
+                shared.finished_epoch.load(Ordering::Acquire) == epoch
+            });
+            state = shared.state.lock().expect("pool state poisoned");
+            while state.remaining > 0 {
+                state.submitter_parked = true;
+                state = shared.work_done.wait(state).expect("pool state poisoned");
+            }
+            state.submitter_parked = false;
         }
         // Only now may the borrow behind the erased pointer end.
         state.job = None;
@@ -639,47 +742,115 @@ fn worker_loop(shared: &PoolShared, pool_id: usize) {
     // Workers belong to exactly one pool; mark the thread permanently so a
     // nested submission from inside job code runs inline.
     EXECUTING_POOL.with(|cell| cell.set(pool_id));
+    // The last job this worker has looked at (claimed or not).
     let mut seen_epoch = 0u64;
+    // End of the current poll window, and whether it passed without a new
+    // job showing up.  A fresh worker has no window: it parks.
+    let mut hot_until = Instant::now();
+    let mut window_over = true;
     loop {
-        let work = {
-            let mut state = shared.state.lock().expect("pool state poisoned");
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                // A job this worker has not run yet, with a claim slot
-                // left?  (The job is cleared only after `remaining` hits 0,
-                // which needs every claimer's decrement — so no claimable
-                // job can slip past a slow waker; workers beyond `target`
-                // simply keep sleeping.)
-                if state.epoch != seen_epoch && state.claimed < state.target {
-                    if let Some(job) = state.job {
-                        seen_epoch = state.epoch;
-                        state.claimed += 1;
-                        if let Some(published) = state.published.take() {
-                            shared.dispatch.observe_duration(published.elapsed());
-                        }
-                        break job;
+        let mut state = shared.state.lock().expect("pool state poisoned");
+        let mut slept = false;
+        let mut caller_loops = false;
+        if window_over && state.epoch == seen_epoch && !state.shutdown {
+            // A whole window without a job: block.  This check and the
+            // submitter's count of sleepers share the lock, so a job is
+            // either visible here or its submitter sees this sleeper.
+            let parked_at = Instant::now();
+            state.sleepers += 1;
+            state = shared.work_ready.wait(state).expect("pool state poisoned");
+            state.sleepers -= 1;
+            slept = true;
+            // Is the caller coming back faster than a window?  Jobs published
+            // during the sleep against its length say so: a solver loop wakes
+            // this worker tens of microseconds after it parked (or with
+            // several jobs already gone by); a request a millisecond after
+            // the last one does not, and polling for its successor would
+            // only burn a core some other thread could use.
+            let arrivals = u32::try_from(state.epoch.wrapping_sub(seen_epoch)).unwrap_or(u32::MAX);
+            caller_loops = parked_at.elapsed() < SPIN_WINDOW * arrivals;
+        }
+        if state.shutdown {
+            return;
+        }
+        // A job this worker has not looked at yet, with a claim slot left?
+        // (Within one job `claimed` only grows and `target` only shrinks,
+        // so a job that is not claimable now never becomes so: looking once
+        // is enough.  Slots are retracted and the job cleared only by the
+        // submitter, under this lock.)
+        let mut work = None;
+        if state.epoch != seen_epoch {
+            seen_epoch = state.epoch;
+            if state.claimed < state.target {
+                if let Some(job) = state.job {
+                    work = Some(job);
+                    state.claimed += 1;
+                    if let Some(published) = state.published.take() {
+                        shared.dispatch.observe_duration(published.elapsed());
+                    }
+                    if slept {
+                        shared.paths.woken.inc();
+                    } else {
+                        shared.paths.hot.inc();
                     }
                 }
-                state = shared.work_ready.wait(state).expect("pool state poisoned");
-            }
-        };
-        // SAFETY: the submitter blocks until this worker decrements
-        // `remaining` below, so the closure behind the pointer is alive.
-        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { work.get() }()));
-        let mut state = shared.state.lock().expect("pool state poisoned");
-        if let Err(payload) = outcome {
-            if state.panic.is_none() {
-                state.panic = Some(payload);
             }
         }
-        state.remaining -= 1;
-        let finished = state.remaining == 0;
         drop(state);
-        if finished {
-            shared.work_done.notify_all();
+        if let Some(work) = work {
+            // SAFETY: this worker claimed the job under the state lock, so
+            // the submitter counts it in `remaining` and stays inside
+            // `execute` — keeping the closure behind the pointer alive —
+            // until the decrement below (the retraction rule only removes
+            // slots nobody claimed).
+            let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { work.get() }()));
+            let mut state = shared.state.lock().expect("pool state poisoned");
+            if let Err(payload) = outcome {
+                if state.panic.is_none() {
+                    state.panic = Some(payload);
+                }
+            }
+            state.remaining -= 1;
+            let finished = state.remaining == 0;
+            let wake_submitter = finished && state.submitter_parked;
+            drop(state);
+            if finished {
+                // Pairs with the submitter's `Acquire` poll; stored after
+                // the unlock so the submitter it releases finds the lock
+                // free.
+                shared.finished_epoch.store(seen_epoch, Ordering::Release);
+            }
+            if wake_submitter {
+                shared.work_done.notify_one();
+            }
         }
+        if slept && !caller_loops {
+            // Woken for a one-off: back to sleep, unless the next job is
+            // already there.
+            window_over = true;
+            continue;
+        }
+        if slept {
+            // The kernel may have put this thread on its waker's core (Linux
+            // does when the other cores look unavailable, e.g. halted vCPUs),
+            // where polling would stall the very thread that publishes the
+            // next job.  Hand the core back once; the window below starts
+            // when this thread next runs, on a core of its own or after the
+            // submitter has left this one.  Cold path only: a hot worker
+            // never gets here.
+            std::thread::yield_now();
+        }
+        // Poll before parking while the caller is in a loop: after a job
+        // claimed without sleeping, or a wake-up that shows jobs arriving
+        // within a window of each other (even one that came too late to
+        // claim anything).  Merely seeing jobs go by does not extend the
+        // window, so a worker that small jobs never need parks after one.
+        if work.is_some() || slept {
+            hot_until = Instant::now() + SPIN_WINDOW;
+        }
+        window_over = !poll_until(hot_until, || {
+            shared.published_epoch.load(Ordering::Acquire) != seen_epoch
+        });
     }
 }
 
@@ -973,30 +1144,38 @@ mod tests {
 
     #[test]
     fn preserves_order_and_covers_every_item() {
+        // Every cap — serial, below, at and above the pool's size (a thread
+        // count above the pool is capped at it) — gives the same answer.
+        let pool = Pool::new(4);
         let items: Vec<usize> = (0..257).collect();
-        for threads in [0, 1, 2, 7] {
-            let doubled = parallel_map(&items, threads, |&x| 2 * x);
+        for cap in [0, 1, 2, 4, 7, usize::MAX] {
+            let doubled = pool.parallel_map_capped(&items, cap, |&x| 2 * x);
             assert_eq!(doubled, items.iter().map(|x| 2 * x).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn runs_on_multiple_threads_when_asked() {
+        // Asking for more executors than the pool has engages all of them
+        // and no more.
+        let pool = Pool::new(3);
         let concurrent = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let items: Vec<usize> = (0..64).collect();
-        parallel_map(&items, 4, |_| {
+        pool.parallel_map_capped(&items, 8, |_| {
             let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(2));
             concurrent.fetch_sub(1, Ordering::SeqCst);
         });
-        assert!(peak.load(Ordering::SeqCst) > 1, "work never overlapped");
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak > 1, "work never overlapped");
+        assert!(peak <= 3, "a 3-way pool ran {peak} executors");
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u8> = parallel_map::<u8, u8, _>(&[], 8, |&x| x);
+        let out: Vec<u8> = Pool::new(2).parallel_map::<u8, u8, _>(&[], |&x| x);
         assert!(out.is_empty());
     }
 
@@ -1387,18 +1566,160 @@ mod tests {
         assert!(Pool::shared().threads() >= 1);
     }
 
-    #[test]
-    fn spawn_path_parallel_map_still_propagates_panics() {
-        // The rewritten lock-free slots must keep the old contract.
-        let items: Vec<usize> = (0..16).collect();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map(&items, 4, |&x| {
-                if x == 3 {
-                    panic!("boom");
+    /// The states the spin-then-park protocol adds: workers hot, mid-poll
+    /// and parked; slots retracted; the submitter polling or parked.
+    mod pool_states {
+        use super::*;
+        use std::time::{Duration, Instant};
+
+        /// Blocks until every worker of `pool` is parked in `work_ready`.
+        fn wait_until_parked(pool: &Pool) {
+            while pool.shared.state.lock().unwrap().sleepers < pool.workers() {
+                std::thread::yield_now();
+            }
+        }
+
+        fn dispatch_count(path: &str) -> u64 {
+            alpha_telemetry::global()
+                .counter("parallel_dispatch_total", &[("path", path)])
+                .get()
+        }
+
+        #[test]
+        fn schedule_stress_runs_every_chunk_once_and_never_outlives_the_job() {
+            const POISON: u32 = 0xDEAD_BEEF;
+            let pool = Pool::new(4);
+            std::thread::scope(|scope| {
+                for submitter in 0..4u64 {
+                    let pool = &pool;
+                    scope.spawn(move || {
+                        let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (submitter + 1);
+                        let mut next = |bound: u64| {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            rng % bound
+                        };
+                        // One stack array for every job of this submitter:
+                        // poisoned between jobs, so a worker that touched a
+                        // job after `execute` returned would leave a mark
+                        // the next check finds.
+                        let mut cells = [POISON; 8];
+                        for job in 0..2_000 {
+                            assert!(
+                                cells.iter().all(|&c| c == POISON),
+                                "job {job}: a chunk was written after its job returned: {cells:x?}"
+                            );
+                            let chunks = 1 + next(8) as usize;
+                            cells[..chunks].fill(0);
+                            pool.run_over_chunks(
+                                split_mut(&mut cells[..chunks], chunks),
+                                |_, chunk| {
+                                    chunk[0] += 1;
+                                },
+                            );
+                            assert!(
+                                cells[..chunks].iter().all(|&c| c == 1),
+                                "job {job}: every chunk must run exactly once: {cells:x?}"
+                            );
+                            cells.fill(POISON);
+                            // Gaps on both sides of the spin window catch the
+                            // workers hot, mid-poll and parked.
+                            let gap = Duration::from_micros(next(200));
+                            if gap < Duration::from_micros(40) {
+                                let start = Instant::now();
+                                while start.elapsed() < gap {
+                                    std::hint::spin_loop();
+                                }
+                            } else {
+                                std::thread::sleep(gap);
+                            }
+                        }
+                    });
                 }
-                vec![x]
-            })
-        }));
-        assert!(result.is_err());
+            });
+        }
+
+        #[test]
+        fn retraction_returns_without_waking_anyone() {
+            // A no-op job on parked workers: the caller drains both chunks
+            // long before a woken worker could get on a core, so the worker
+            // slot is retracted and the call costs the serial time plus a
+            // lock — not a futex round trip.
+            let pool = Pool::new(2);
+            let rounds = 50;
+            let retracted_before = dispatch_count("retracted");
+            let mut retracted = 0;
+            let mut micros = Vec::with_capacity(rounds);
+            let mut cells = [0u8; 2];
+            for _ in 0..rounds {
+                wait_until_parked(&pool);
+                let start = Instant::now();
+                pool.run_over_chunks(split_mut(&mut cells, 2), |_, chunk| chunk[0] += 1);
+                micros.push(start.elapsed().as_micros());
+                // After a job `target` is what was claimed: 0 of the 1 slot.
+                retracted += usize::from(pool.shared.state.lock().unwrap().target == 0);
+            }
+            assert_eq!(cells, [rounds as u8; 2]);
+            assert!(
+                retracted * 2 > rounds,
+                "only {retracted} of {rounds} cold no-op jobs were retracted"
+            );
+            assert!(dispatch_count("retracted") - retracted_before >= retracted as u64);
+            // The parked path at the parent commit waited for the worker
+            // (about 35 µs per call, every call); the median retracted call is
+            // a notify and two locks.
+            micros.sort_unstable();
+            assert!(
+                micros[rounds / 2] < 30,
+                "median cold dispatch took {} µs",
+                micros[rounds / 2]
+            );
+        }
+
+        #[test]
+        fn panic_on_a_worker_while_others_poll_reaches_the_submitter() {
+            let pool = Pool::new(4);
+            // Get every worker out of its initial park and into a poll.
+            let items: Vec<usize> = (0..64).collect();
+            pool.parallel_map(&items, |&x| x);
+            let submitter = std::thread::current().id();
+            let worker_arrived = AtomicBool::new(false);
+            let mut cells = [0u8; 2];
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_over_chunks(split_mut(&mut cells, 2), |_, _| {
+                    if std::thread::current().id() == submitter {
+                        // Hold the caller's chunk until a worker has taken
+                        // the other one, so the panic is the worker's.
+                        while !worker_arrived.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        worker_arrived.store(true, Ordering::SeqCst);
+                        panic!("worker chunk exploded");
+                    }
+                })
+            }));
+            let payload = result.expect_err("the worker's panic must reach the submitter");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"worker chunk exploded")
+            );
+            assert_eq!(pool.parallel_map(&items, |&x| x + 1)[63], 64);
+        }
+
+        #[test]
+        fn drop_while_workers_are_polling_joins_promptly() {
+            let pool = Pool::new(4);
+            let items: Vec<usize> = (0..64).collect();
+            pool.parallel_map(&items, |&x| x);
+            let start = Instant::now();
+            drop(pool);
+            assert!(
+                start.elapsed() < Duration::from_millis(250),
+                "joining polling workers took {:?}",
+                start.elapsed()
+            );
+        }
     }
 }

@@ -725,11 +725,12 @@ impl<E: Evaluator> Evaluator for CachingEvaluator<E> {
 
 /// Fans `evaluate_batch` out across worker threads of the process-wide
 /// persistent [`alpha_parallel::Pool`], capped at `threads` concurrent
-/// executors.  Results come back in input order, so batched evaluation is
-/// observationally identical to serial evaluation — the engine's selection
-/// stays deterministic regardless of thread count.  Batches reuse the pool's
-/// parked workers instead of spawning scoped threads per batch, so the
-/// search's fan-out cost is a condvar wake, not thread creation.
+/// executors (and at the pool's size: one per core).  Results come back in
+/// input order, so batched evaluation is observationally identical to serial
+/// evaluation — the engine's selection stays deterministic regardless of
+/// thread count.  Batches reuse the pool's workers instead of spawning scoped
+/// threads per batch, so the search's fan-out cost is at most a condvar
+/// wake, not thread creation.
 pub struct BatchEvaluator<E> {
     inner: E,
     threads: usize,
@@ -768,19 +769,9 @@ impl<E: Evaluator> Evaluator for BatchEvaluator<E> {
         ctx: &EvalContext<'_>,
         batch: &[OperatorGraph],
     ) -> Vec<Option<Evaluation>> {
-        let pool = alpha_parallel::Pool::shared();
-        if self.threads <= pool.threads() {
-            pool.parallel_map_capped(batch, self.threads, |graph| self.inner.evaluate(ctx, graph))
-        } else {
-            // A thread count above the pool size is a deliberate
-            // oversubscription request — evaluators standing in for the
-            // paper's real cost (nvcc + device timing) are latency-bound,
-            // not CPU-bound, so extra in-flight candidates still overlap.
-            // Only this coarse path keeps per-call spawns.
-            alpha_parallel::parallel_map(batch, self.threads, |graph| {
-                self.inner.evaluate(ctx, graph)
-            })
-        }
+        // A thread count above the pool's size is capped at it.
+        alpha_parallel::Pool::shared()
+            .parallel_map_capped(batch, self.threads, |graph| self.inner.evaluate(ctx, graph))
     }
 }
 

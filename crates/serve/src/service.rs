@@ -249,17 +249,13 @@ impl TuningService {
             0
         };
         // Fan out on the service's persistent pool (capped at the configured
-        // batch parallelism; 0 = one per core).  A request tuned on a pool
-        // worker runs its search single-threaded, so the nested candidate
-        // fan-out never re-enters this pool.  Serial or single-request
-        // batches run inline without ever building the pool (the daemon
-        // shape — its workers submit one request at a time); an explicit
-        // batch-thread count above the core count is an oversubscription
-        // request and keeps the scoped spawn path (request fan-out is
-        // coarse; spawn cost is noise there).
-        let pool_threads = alpha_parallel::default_threads();
+        // batch parallelism and at the pool's size; 0 = one per core).  A
+        // request tuned on a pool worker runs its search single-threaded, so
+        // the nested candidate fan-out never re-enters this pool.  Serial or
+        // single-request batches run inline without ever building the pool
+        // (the daemon shape — its workers submit one request at a time).
         let cap = if batch_threads == 0 {
-            pool_threads
+            alpha_parallel::default_threads()
         } else {
             batch_threads
         };
@@ -273,12 +269,10 @@ impl TuningService {
         let mut unique_results: HashMap<u64, Result<(), String>> = HashMap::new();
         let served: Vec<(u64, Result<ServedTune, String>)> = if cap <= 1 || unique.len() <= 1 {
             unique.iter().map(serve_one).collect()
-        } else if cap <= pool_threads {
+        } else {
             self.pool
                 .get_or_init(|| alpha_parallel::Pool::new(0))
                 .parallel_map_capped(&unique, cap, serve_one)
-        } else {
-            alpha_parallel::parallel_map(&unique, cap, serve_one)
         };
         for (key, result) in &served {
             unique_results.insert(*key, result.as_ref().map(|_| ()).map_err(|e| e.clone()));
