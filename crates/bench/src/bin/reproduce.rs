@@ -494,6 +494,11 @@ fn main() {
                         report.store_served_jobs,
                         report.tune_latencies_us.len()
                     );
+                    let [stored, replayed, searched] = report.tune_paths;
+                    println!(
+                        "  tunes answered: {stored} from stored winners, {replayed} by replayed \
+                         search, {searched} by fresh search"
+                    );
                     println!("  wall-clock: {:.2} s\n", report.wall_secs);
                     records.extend(report.records());
                 }

@@ -134,6 +134,11 @@ pub struct ServeLoadReport {
     pub shed_spmv: u64,
     /// Jobs served with zero fresh evaluations (warm-store hits).
     pub store_served_jobs: usize,
+    /// The daemon's `serve_tune_total` counters as `[stored, replayed,
+    /// searched]`: tunes answered from a stored winner, by a search replayed
+    /// entirely from cached evaluations (0 in a healthy daemon), and by a
+    /// search that cost fresh evaluations.
+    pub tune_paths: [u64; 3],
     /// The daemon's own view of the tune admission-queue wait, digested
     /// from its private telemetry registry (`net_tune_queue_wait_us`).
     pub server_tune_queue: Option<ServerClassSummary>,
@@ -567,6 +572,11 @@ fn serve_load_at(
         backpressure_hits: 0,
         shed_spmv: 0,
         store_served_jobs: 0,
+        tune_paths: ["stored", "replayed", "searched"].map(|path| {
+            snapshot
+                .counter("serve_tune_total", &[("path", path)])
+                .unwrap_or(0)
+        }),
         server_tune_queue: ServerClassSummary::from_snapshot(
             &snapshot,
             "net_tune_queue_wait_us",
@@ -893,6 +903,14 @@ mod tests {
         assert!(
             reports[1].store_served_jobs > 0,
             "later sweep points must hit the warm store"
+        );
+        // ...and the daemon says how: stored winners, never a replayed search.
+        let [stored, replayed, searched] = reports[1].tune_paths;
+        assert_eq!(stored as usize, reports[1].store_served_jobs);
+        assert_eq!(replayed, 0);
+        assert_eq!(
+            (stored + searched) as usize,
+            reports[1].tune_latencies_us.len()
         );
     }
 

@@ -276,15 +276,21 @@ impl AlphaSparse {
                 self.cache.mark_clean();
             }
         }
-        let options = GeneratorOptions {
-            model_compression: self.config.enable_model_compression,
-        };
-        let generated =
-            generate(&outcome.best_graph, matrix, options).map_err(|e| e.to_string())?;
+        self.rebuild(matrix, outcome)
+    }
+
+    /// Builds the ready-to-run program for a search outcome that is already
+    /// known — the tail of [`AlphaSparse::auto_tune`] without the search.
+    /// A serving layer that holds the stored winner of `matrix`'s context
+    /// (and that winner's evaluation) answers a repeat request with this: a
+    /// format build instead of a replayed search.  `outcome` must have been
+    /// produced for this matrix under this tuner's configuration.
+    pub fn rebuild(&self, matrix: &CsrMatrix, outcome: SearchOutcome) -> Result<TunedSpmv, String> {
+        let generated = self.generate_for_graph(matrix, &outcome.best_graph)?;
         Ok(TunedSpmv {
             device: self.config.device.clone(),
             evaluator: self.config.evaluator.id(),
-            matrix: matrix.clone(),
+            matrix_stats: MatrixStats::from_csr(matrix),
             generated,
             native: std::sync::OnceLock::new(),
             outcome,
@@ -311,7 +317,10 @@ impl AlphaSparse {
 pub struct TunedSpmv {
     device: DeviceProfile,
     evaluator: EvaluatorId,
-    matrix: CsrMatrix,
+    /// Statistics of the tuned matrix — all a finished design still needs of
+    /// it (the generated format holds the data), so the handle does not keep
+    /// a second copy of the matrix alive.
+    matrix_stats: MatrixStats,
     generated: GeneratedSpmv,
     /// Lazily lowered on first native use: the lowering clones the partition
     /// matrices and index arrays, which purely-simulated callers (the common
@@ -370,7 +379,7 @@ impl TunedSpmv {
         harness: TimingHarness,
         threads: usize,
     ) -> Result<MeasuredReport, String> {
-        let x = alpha_matrix::DenseVector::ones(self.matrix.cols());
+        let x = alpha_matrix::DenseVector::ones(self.matrix_stats.cols);
         harness.measure_kernel(self.native_kernel(), x.as_slice(), threads)
     }
 
@@ -446,7 +455,7 @@ impl TunedSpmv {
 
     /// Statistics of the tuned matrix.
     pub fn matrix_stats(&self) -> MatrixStats {
-        MatrixStats::from_csr(&self.matrix)
+        self.matrix_stats.clone()
     }
 }
 

@@ -4,17 +4,46 @@
 
 use crate::coo::CooMatrix;
 use crate::{MatrixError, Result, Scalar};
+use std::sync::OnceLock;
 
 /// A sparse matrix in CSR form: `row_offsets` (length `rows + 1`),
 /// `col_indices` and `values` (length `nnz`), with entries of each row stored
 /// contiguously and sorted by column.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Immutable after construction (there is no `&mut` accessor), which is what
+/// lets [`CsrMatrix::fingerprint`] be computed once and remembered.
+#[derive(Clone)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
     row_offsets: Vec<u32>,
     col_indices: Vec<u32>,
     values: Vec<Scalar>,
+    /// Memo of [`CsrMatrix::fingerprint`]: a cache of the answer, never part
+    /// of the matrix's identity (`==` ignores it, `clone` carries it).
+    fingerprint: OnceLock<u64>,
+}
+
+impl std::fmt::Debug for CsrMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CsrMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("row_offsets", &self.row_offsets)
+            .field("col_indices", &self.col_indices)
+            .field("values", &self.values)
+            .finish()
+    }
+}
+
+impl PartialEq for CsrMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_offsets == other.row_offsets
+            && self.col_indices == other.col_indices
+            && self.values == other.values
+    }
 }
 
 impl CsrMatrix {
@@ -66,6 +95,7 @@ impl CsrMatrix {
             row_offsets,
             col_indices,
             values,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -87,6 +117,7 @@ impl CsrMatrix {
             row_offsets,
             col_indices: normalised.col_indices().to_vec(),
             values: normalised.values().to_vec(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -196,6 +227,7 @@ impl CsrMatrix {
             row_offsets,
             col_indices,
             values,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -208,9 +240,15 @@ impl CsrMatrix {
     /// A 64-bit FNV-1a fingerprint of the full matrix content — dimensions,
     /// row offsets, column indices and value bits.  Two matrices with equal
     /// fingerprints are (up to hash collision) identical, so the fingerprint
-    /// identifies the matrix in the search engine's evaluation cache.  O(nnz);
-    /// callers that need it repeatedly should compute it once.
+    /// identifies the matrix in the search engine's evaluation cache — and,
+    /// through the context keys built on it, in durable design stores, so
+    /// its value must never change.  O(nnz) on the first call; the result is
+    /// memoised in the matrix (and travels with its clones).
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         fn eat(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -306,6 +344,35 @@ mod tests {
         let csr = CsrMatrix::from_coo(&coo);
         assert_eq!(csr.nnz(), 1);
         assert_eq!(csr.values(), &[5.0]);
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_by_a_golden_value() {
+        // The fingerprint is the root of every durable store key: a change
+        // to its value orphans every stored design.  The constant was
+        // computed independently (FNV-1a over the documented byte order).
+        let csr = CsrMatrix::from_coo(&sample_coo());
+        assert_eq!(csr.fingerprint(), 0x40d6_96aa_9fe7_68aa);
+        assert_eq!(csr.fingerprint(), csr.compute_fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_memo_survives_clone_and_is_invisible_to_equality() {
+        let hashed = CsrMatrix::from_coo(&sample_coo());
+        let fresh = hashed.clone();
+        assert!(fresh.fingerprint.get().is_none());
+        let fp = hashed.fingerprint();
+        assert_eq!(hashed.fingerprint.get(), Some(&fp));
+        // A memoised matrix equals an unmemoised one with the same content.
+        assert_eq!(hashed, fresh);
+        // Clones carry the memo and agree with a from-scratch hash.
+        let carried = hashed.clone();
+        assert_eq!(carried.fingerprint.get(), Some(&fp));
+        assert_eq!(fresh.fingerprint(), fp);
+        // Different content still hashes (and compares) differently.
+        let other = hashed.select_rows(&[0, 1]);
+        assert_ne!(other, hashed);
+        assert_ne!(other.fingerprint(), fp);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! request/response calls, typed errors.
 
 use crate::proto::{
-    decode_response, encode_request_traced, read_frame, write_frame, ErrorKind, JobState,
+    decode_response, read_frame, request_frame, spmv_frame, submit_frame, ErrorKind, JobState,
     JobSummary, ProtoError, Request, Response, ServerStats, TenantStats,
 };
 use alpha_matrix::{CsrMatrix, Scalar};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -116,8 +117,8 @@ impl From<NetError> for String {
 /// A blocking client for one `alpha-net` daemon.
 ///
 /// Each client owns one TCP connection and issues one request at a time;
-/// spin up several clients for concurrency (the daemon serves every
-/// connection on its own thread).
+/// spin up several clients for concurrency (the daemon multiplexes every
+/// connection on one event loop and runs the work on its worker pools).
 pub struct Client {
     stream: TcpStream,
     /// xorshift64 state for minting per-request trace ids; seeded from
@@ -174,14 +175,29 @@ impl Client {
     }
 
     fn roundtrip(&mut self, request: &Request) -> Result<Response, NetError> {
+        self.exchange(client_span_name(request), |trace_id| {
+            request_frame(trace_id, request)
+        })
+    }
+
+    /// One request/response exchange.  `frame` builds the complete request
+    /// frame for the trace id it is handed; the frame goes out in a single
+    /// write.
+    fn exchange(
+        &mut self,
+        span: &'static str,
+        frame: impl FnOnce(u64) -> Result<Vec<u8>, ProtoError>,
+    ) -> Result<Response, NetError> {
         // Every request is traced: mint an id, scope this thread's spans to
         // it, and carry it in the frame so the server's spans and flight
         // events tag themselves with the same id.
         let trace_id = self.mint_trace_id();
         let prev_trace = alpha_telemetry::set_current_trace_id(trace_id);
         let result = (|| -> Result<Response, NetError> {
-            let _span = alpha_telemetry::span!(client_span_name(request));
-            write_frame(&mut self.stream, &encode_request_traced(trace_id, request))?;
+            let _span = alpha_telemetry::span!(span);
+            self.stream
+                .write_all(&frame(trace_id)?)
+                .map_err(ProtoError::from)?;
             let payload = read_frame(&mut self.stream)?;
             Ok(decode_response(&payload)?)
         })();
@@ -195,9 +211,8 @@ impl Client {
     /// Submits `matrix` for tuning on the named device, returning the job
     /// id.  A full queue is [`NetError::Busy`] — nothing was enqueued.
     pub fn submit_tune(&mut self, matrix: &CsrMatrix, device: &str) -> Result<u64, NetError> {
-        match self.roundtrip(&Request::SubmitTune {
-            matrix: matrix.clone(),
-            device: device.to_string(),
+        match self.exchange("client.submit", |trace_id| {
+            submit_frame(trace_id, matrix, device)
         })? {
             Response::Submitted { job_id } => Ok(job_id),
             Response::Busy {
@@ -316,10 +331,7 @@ impl Client {
     /// [`NetError::Busy`] (its execution lane is saturated) — nothing ran;
     /// retry after the hinted delay.
     pub fn spmv(&mut self, job_id: u64, x: &[Scalar]) -> Result<Vec<Scalar>, NetError> {
-        match self.roundtrip(&Request::Spmv {
-            job_id,
-            x: x.to_vec(),
-        })? {
+        match self.exchange("client.spmv", |trace_id| spmv_frame(trace_id, job_id, x))? {
             Response::SpmvResult { y } => Ok(y),
             Response::Busy {
                 queue_capacity,

@@ -63,6 +63,6 @@ mod server;
 pub use client::{Client, NetError, TraceFetch};
 pub use proto::{
     ErrorKind, JobState, JobSummary, ProtoError, Request, Response, ServerStats, TenantStats,
-    MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, NET_MAGIC, PROTOCOL_VERSION,
+    MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{device_by_name, NetServer, ServerConfig};

@@ -23,13 +23,17 @@
 //! * **Counts are bounded before allocation.**  A corrupt element count can
 //!   never drive an allocation larger than the (already length-capped)
 //!   frame that carried it.
-//! * **Versioning is explicit.**  A frame from outside the supported
-//!   version window ([`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`]) is
-//!   rejected with [`ProtoError::VersionMismatch`] — never misread.  Within
-//!   the window the frame's own version selects its payload layout: v5
-//!   request payloads carry a leading 8-byte `trace_id`
-//!   ([`encode_request_traced`]/[`decode_request_versioned`]); v4 payloads
-//!   are the bare tagged message and decode with `trace_id = 0`.
+//! * **Versioning is explicit.**  A frame stamped with any version but
+//!   [`PROTOCOL_VERSION`] is rejected with [`ProtoError::VersionMismatch`] —
+//!   never misread.  Request payloads lead with an 8-byte `trace_id`
+//!   ([`encode_request_traced`]/[`decode_request_versioned`]); response
+//!   payloads are the bare tagged message.
+//!
+//! Arrays (`x`, `y`, the three CSR arrays) cross the codec in bulk
+//! ([`ByteWriter::f32s`]/[`ByteReader::f32s`]), and a frame a peer is about
+//! to send is built — header, trace id, message — in one buffer sized from
+//! the message ([`request_frame`], [`response_frame`]), so every byte is
+//! copied once and reaches the socket in one write.
 
 use alpha_matrix::{CsrMatrix, Scalar};
 use alpha_search::persist::PersistError;
@@ -39,10 +43,9 @@ use std::io::{Read, Write};
 /// Frame magic: every `alpha-net` frame starts with these four bytes.
 pub const NET_MAGIC: [u8; 4] = *b"ANET";
 
-/// Wire-protocol version this build speaks.  Bump on any frame- or
-/// payload-layout change; peers outside the
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] window are rejected
-/// with [`ProtoError::VersionMismatch`] instead of being misread.
+/// Wire-protocol version this build speaks — the only one it accepts.  Bump
+/// on any frame- or payload-layout change; a peer stamping anything else is
+/// rejected with [`ProtoError::VersionMismatch`] instead of being misread.
 /// (v2: [`JobSummary`] gained `queue_wait_secs`.  v3: multi-tenant QoS —
 /// [`Request::Hello`]/[`Response::Welcome`] carry a `ClientId`,
 /// [`Response::Busy`] reports `retry_after_ms`, [`Request::TenantStats`]
@@ -54,12 +57,6 @@ pub const NET_MAGIC: [u8; 4] = *b"ANET";
 /// 8-byte `trace_id`, and [`Request::Trace`]/[`Response::TraceSpans`] fetch
 /// the daemon's buffered spans for cross-process stitching.)
 pub const PROTOCOL_VERSION: u32 = 5;
-
-/// Oldest wire-protocol version this build still accepts.  v4 clients have
-/// no trace ids; the server decodes their requests with `trace_id = 0` and
-/// stamps its replies with the client's own version, so they interoperate
-/// unchanged.
-pub const MIN_PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on one frame's payload length.  Large enough for a
 /// multi-million-nonzero matrix submission, small enough that a corrupt or
@@ -121,8 +118,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::BadMagic => write!(f, "not an alpha-net frame (bad magic)"),
             ProtoError::VersionMismatch { found, expected } => write!(
                 f,
-                "peer speaks wire-protocol version {found}, this build speaks \
-                 {MIN_PROTOCOL_VERSION}..={expected}"
+                "peer speaks wire-protocol version {found}, this build speaks {expected}"
             ),
             ProtoError::FrameTooLarge { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
@@ -168,35 +164,117 @@ impl From<PersistError> for ProtoError {
 // Frame transport
 // ---------------------------------------------------------------------------
 
-/// Writes one frame (header + payload) to `w`, stamped with
-/// [`PROTOCOL_VERSION`].
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), ProtoError> {
-    write_frame_versioned(w, PROTOCOL_VERSION, payload)
-}
+/// Bytes of the frame header: magic, version, payload length.
+const HEADER_LEN: usize = 16;
 
-/// Writes one frame stamped with an explicit protocol version.  The server
-/// uses this to answer a v4 client with v4-stamped frames — a strict v4
-/// `read_frame` would reject a v5 stamp even though the response payload
-/// layout is identical.
-pub fn write_frame_versioned<W: Write>(
-    w: &mut W,
-    version: u32,
-    payload: &[u8],
-) -> Result<(), ProtoError> {
-    if payload.len() as u64 > MAX_FRAME_LEN {
+/// The header of a frame carrying `payload_len` bytes, or
+/// [`ProtoError::FrameTooLarge`] beyond [`MAX_FRAME_LEN`].
+fn frame_header(payload_len: usize) -> Result<[u8; HEADER_LEN], ProtoError> {
+    if payload_len as u64 > MAX_FRAME_LEN {
         return Err(ProtoError::FrameTooLarge {
-            len: payload.len() as u64,
+            len: payload_len as u64,
             max: MAX_FRAME_LEN,
         });
     }
-    let mut header = [0u8; 16];
+    let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&NET_MAGIC);
-    header[4..8].copy_from_slice(&version.to_le_bytes());
-    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    header[4..8].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    header[8..].copy_from_slice(&(payload_len as u64).to_le_bytes());
+    Ok(header)
+}
+
+/// Validates a received header (magic, version, length cap — in that order,
+/// before one payload byte is trusted) and returns the payload length.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<usize, ProtoError> {
+    if header[..4] != NET_MAGIC {
+        return Err(ProtoError::BadMagic);
+    }
+    let found = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    if found != PROTOCOL_VERSION {
+        return Err(ProtoError::VersionMismatch {
+            found,
+            expected: PROTOCOL_VERSION,
+        });
+    }
+    let len = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
+    if len > MAX_FRAME_LEN {
+        return Err(ProtoError::FrameTooLarge {
+            len,
+            max: MAX_FRAME_LEN,
+        });
+    }
+    Ok(len as usize)
+}
+
+/// Builds one complete frame in a single buffer: the header, then whatever
+/// `body` writes.  `body_hint` pre-sizes the buffer (exact for the
+/// array-carrying messages), so a multi-megabyte submission is allocated
+/// once and each of its bytes is written once.
+fn build_frame(
+    body_hint: usize,
+    body: impl FnOnce(&mut ByteWriter),
+) -> Result<Vec<u8>, ProtoError> {
+    let mut w = ByteWriter::with_capacity(HEADER_LEN + body_hint);
+    w.raw(&[0u8; HEADER_LEN]);
+    body(&mut w);
+    let mut frame = w.into_bytes();
+    let header = frame_header(frame.len() - HEADER_LEN)?;
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    Ok(frame)
+}
+
+/// Writes one frame (header + payload) to `w` as a single write — on a
+/// `TCP_NODELAY` socket a separate 16-byte header write is its own segment
+/// and its own wake-up of the peer.  For payloads that already exist as
+/// bytes; a peer encoding a message builds the whole frame in place with
+/// [`request_frame`]/[`response_frame`] instead.
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), ProtoError> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&frame_header(payload.len())?);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
+}
+
+/// Most a receive buffer is ever reserved ahead of the bytes that have
+/// actually arrived, whatever length the frame header announced.
+const MAX_RESERVE_AHEAD: usize = 1 << 20;
+
+/// Allocation follows receipt: makes room in `payload` for at least
+/// `incoming` more bytes of a `total`-byte frame (`incoming` must fit the
+/// frame), reserving at most [`MAX_RESERVE_AHEAD`] — or, once more than that
+/// has arrived, as much again as has arrived — beyond what is needed, and
+/// never beyond the frame's end.  A header *claiming* [`MAX_FRAME_LEN`]
+/// therefore costs 1 MiB until the peer really sends more.
+fn reserve_ahead(payload: &mut Vec<u8>, total: usize, incoming: usize) {
+    let spare = payload.capacity() - payload.len();
+    if spare < incoming.max(1) {
+        let remaining = total - payload.len();
+        let ahead = payload.len().max(MAX_RESERVE_AHEAD).max(incoming);
+        payload.reserve_exact(ahead.min(remaining));
+    }
+}
+
+/// One receive straight into `payload`'s spare capacity: reads at most
+/// `want` bytes from `r` and returns how many arrived, with no intermediate
+/// buffer and no zero-fill (`read_to_end` appends into uninitialised
+/// capacity; the `take` bound stops it at `want`, which the caller keeps
+/// within the capacity it reserved).  `Ok(0)` is end-of-stream.  An error
+/// that struck after some bytes arrived is dropped in favour of the count —
+/// the bytes are in `payload`, and a persistent error repeats on the next
+/// call.
+fn read_into_spare<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+    want: usize,
+) -> std::io::Result<usize> {
+    let before = payload.len();
+    let result = r.by_ref().take(want as u64).read_to_end(payload);
+    match payload.len() - before {
+        0 => result,
+        got => Ok(got),
+    }
 }
 
 /// Wall-clock budget for receiving one complete frame, measured from its
@@ -205,10 +283,11 @@ pub fn write_frame_versioned<W: Write>(
 /// bound and tears the frame with [`ProtoError::Truncated`], so a hostile
 /// client can pin a connection thread (and stall `NetServer::join`) for at
 /// most this long.  The clock is only *observed* when a `read` call
-/// returns, so it needs the stream's read timeout (the daemon polls at
-/// 100 ms) to be enforceable; a blocking reader without a timeout — the
-/// trusting client side — never spuriously trips it while parked in a
-/// single `read`.
+/// returns, so a blocking reader needs a read timeout on its stream for the
+/// bound to be enforceable (without one — the trusting client side — it
+/// never spuriously trips while parked in a single `read`).  The daemon does
+/// not depend on that: its event loop never blocks in a read, and sweeps
+/// every connection's [`FrameAssembler::overdue`] on each tick.
 pub const MAX_FRAME_SECS: u64 = 60;
 
 /// Reads one frame from `r`, validating magic, version and the length cap
@@ -236,7 +315,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, ProtoError> {
         started.map(|at| at.elapsed() > budget).unwrap_or(false)
     };
 
-    let mut header = [0u8; 16];
+    let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
     while filled < header.len() {
         match r.read(&mut header[filled..]) {
@@ -258,38 +337,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, ProtoError> {
             return Err(ProtoError::Truncated);
         }
     }
-    if header[..4] != NET_MAGIC {
-        return Err(ProtoError::BadMagic);
-    }
-    let found = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&found) {
-        return Err(ProtoError::VersionMismatch {
-            found,
-            expected: PROTOCOL_VERSION,
-        });
-    }
-    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::FrameTooLarge {
-            len,
-            max: MAX_FRAME_LEN,
-        });
-    }
+    let len = parse_header(&header)?;
 
-    // Chunked receive: the buffer holds only what has arrived, so the
-    // attacker-controlled length field cannot pre-allocate 256 MiB.
-    let len = len as usize;
-    let mut payload: Vec<u8> = Vec::with_capacity(len.min(1 << 20));
-    let mut chunk = [0u8; 64 * 1024];
+    // The payload is received straight into its own buffer, which grows
+    // with what has arrived: the attacker-controlled length field cannot
+    // pre-allocate 256 MiB.
+    let mut payload: Vec<u8> = Vec::new();
     while payload.len() < len {
-        let want = chunk.len().min(len - payload.len());
-        match r.read(&mut chunk[..want]) {
+        reserve_ahead(&mut payload, len, 1);
+        let want = (payload.capacity() - payload.len()).min(len - payload.len());
+        match read_into_spare(r, &mut payload, want) {
             Ok(0) => return Err(ProtoError::Truncated),
-            Ok(n) => {
-                payload.extend_from_slice(&chunk[..n]);
-                started.get_or_insert_with(std::time::Instant::now);
-            }
-            Err(e) if e.kind() == Interrupted => {}
+            Ok(_) => {}
             // Mid-payload timeouts wait for the slow peer (the header
             // promised these bytes) — within the frame's time budget.
             Err(e) if e.kind() == WouldBlock || e.kind() == TimedOut => {}
@@ -314,8 +373,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, ProtoError> {
 ///   is buffered.  A bad header is a framing-lost error: the caller cannot
 ///   resynchronise mid-stream and must close the connection.
 /// * **Allocation follows receipt.**  The payload buffer reserves at most
-///   1 MiB up front regardless of the announced length; it grows with the
-///   bytes that actually arrive.
+///   1 MiB ahead of the bytes that have arrived, regardless of the announced
+///   length (see `reserve_ahead`).
 /// * **Slow-loris deadline.**  A frame measures its age from its first
 ///   byte; a partial frame older than the budget makes
 ///   [`FrameAssembler::overdue`] true, and the server's sweep closes the
@@ -325,11 +384,8 @@ pub struct FrameAssembler {
     budget: std::time::Duration,
     /// First byte of the in-progress frame (None between frames).
     started: Option<std::time::Instant>,
-    header: [u8; 16],
+    header: [u8; HEADER_LEN],
     header_filled: usize,
-    /// Protocol version of the in-progress frame, known once the header
-    /// completes and validates.
-    version: u32,
     /// Announced payload length, known once the header completes.
     payload_len: usize,
     payload: Vec<u8>,
@@ -343,24 +399,17 @@ impl FrameAssembler {
         FrameAssembler {
             budget,
             started: None,
-            header: [0u8; 16],
+            header: [0u8; HEADER_LEN],
             header_filled: 0,
-            version: 0,
             payload_len: 0,
             payload: Vec::new(),
         }
     }
 
-    /// Folds freshly received bytes in, appending every completed frame to
-    /// `out` as a `(version, payload)` pair — the version tells the caller
-    /// which payload layout the peer used and which stamp its replies need.
-    /// An error means framing is lost (bad magic, unsupported version,
-    /// oversized length): close the connection.
-    pub fn push(
-        &mut self,
-        mut bytes: &[u8],
-        out: &mut Vec<(u32, Vec<u8>)>,
-    ) -> Result<(), ProtoError> {
+    /// Folds freshly received bytes in, appending the payload of every
+    /// completed frame to `out`.  An error means framing is lost (bad magic,
+    /// foreign version, oversized length): close the connection.
+    pub fn push(&mut self, mut bytes: &[u8], out: &mut Vec<Vec<u8>>) -> Result<(), ProtoError> {
         while !bytes.is_empty() {
             if self.started.is_none() {
                 self.started = Some(std::time::Instant::now());
@@ -376,39 +425,55 @@ impl FrameAssembler {
                 }
                 // Frame-before-trust: the header is judged in full before
                 // one payload byte is accepted.
-                if self.header[..4] != NET_MAGIC {
-                    return Err(ProtoError::BadMagic);
-                }
-                let found = u32::from_le_bytes(self.header[4..8].try_into().expect("4 bytes"));
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&found) {
-                    return Err(ProtoError::VersionMismatch {
-                        found,
-                        expected: PROTOCOL_VERSION,
-                    });
-                }
-                let len = u64::from_le_bytes(self.header[8..16].try_into().expect("8 bytes"));
-                if len > MAX_FRAME_LEN {
-                    return Err(ProtoError::FrameTooLarge {
-                        len,
-                        max: MAX_FRAME_LEN,
-                    });
-                }
-                let len = len as usize;
-                self.version = found;
-                self.payload_len = len;
-                self.payload = Vec::with_capacity(len.min(1 << 20));
+                self.payload_len = parse_header(&self.header)?;
             }
             let take = bytes.len().min(self.payload_len - self.payload.len());
+            reserve_ahead(&mut self.payload, self.payload_len, take);
             self.payload.extend_from_slice(&bytes[..take]);
             bytes = &bytes[take..];
-            if self.payload.len() == self.payload_len {
-                out.push((self.version, std::mem::take(&mut self.payload)));
-                self.header_filled = 0;
-                self.payload_len = 0;
-                self.started = None;
-            }
+            self.finish_if_complete(out);
         }
         Ok(())
+    }
+
+    /// One receive from `r`, at most `limit` (nonzero) bytes: the
+    /// reactor-side counterpart of [`FrameAssembler::push`] that owns the
+    /// read.  In the
+    /// middle of a large payload the bytes land straight in the frame's own
+    /// buffer; headers, small frames and tails — where one read may carry
+    /// several frames — go through the caller's reusable `scratch`.  Returns
+    /// the bytes received (`0` = end of stream); an I/O error comes back as
+    /// [`ProtoError::Io`] (`WouldBlock` included), anything else means
+    /// framing is lost.
+    pub fn read_from<R: Read>(
+        &mut self,
+        r: &mut R,
+        scratch: &mut [u8],
+        limit: usize,
+        out: &mut Vec<Vec<u8>>,
+    ) -> Result<usize, ProtoError> {
+        let remaining = self.payload_len - self.payload.len();
+        if self.header_filled == self.header.len() && remaining >= scratch.len() {
+            reserve_ahead(&mut self.payload, self.payload_len, 1);
+            let spare = self.payload.capacity() - self.payload.len();
+            let got = read_into_spare(r, &mut self.payload, spare.min(remaining).min(limit))?;
+            self.finish_if_complete(out);
+            return Ok(got);
+        }
+        let cap = scratch.len().min(limit);
+        let got = r.read(&mut scratch[..cap])?;
+        self.push(&scratch[..got], out)?;
+        Ok(got)
+    }
+
+    /// Hands a fully received payload to `out` and resets for the next frame.
+    fn finish_if_complete(&mut self, out: &mut Vec<Vec<u8>>) {
+        if self.header_filled == self.header.len() && self.payload.len() == self.payload_len {
+            out.push(std::mem::take(&mut self.payload));
+            self.header_filled = 0;
+            self.payload_len = 0;
+            self.started = None;
+        }
     }
 
     /// True while a frame has started but not finished.
@@ -715,21 +780,22 @@ pub enum Response {
 // Payload codec
 // ---------------------------------------------------------------------------
 
+/// Bytes of a length-prefixed array of `len` 4-byte elements on the wire.
+fn array_len(len: usize) -> usize {
+    8 + 4 * len
+}
+
+/// Bytes [`write_matrix`] produces for `matrix`.
+fn matrix_len(matrix: &CsrMatrix) -> usize {
+    16 + array_len(matrix.row_offsets().len()) + 2 * array_len(matrix.nnz())
+}
+
 fn write_matrix(w: &mut ByteWriter, matrix: &CsrMatrix) {
     w.u64(matrix.rows() as u64);
     w.u64(matrix.cols() as u64);
-    w.u64(matrix.row_offsets().len() as u64);
-    for &offset in matrix.row_offsets() {
-        w.u32(offset);
-    }
-    w.u64(matrix.col_indices().len() as u64);
-    for &col in matrix.col_indices() {
-        w.u32(col);
-    }
-    w.u64(matrix.values().len() as u64);
-    for &value in matrix.values() {
-        w.f32(value);
-    }
+    w.u32s(matrix.row_offsets());
+    w.u32s(matrix.col_indices());
+    w.f32s(matrix.values());
 }
 
 fn read_matrix(r: &mut ByteReader<'_>) -> Result<CsrMatrix, ProtoError> {
@@ -749,39 +815,11 @@ fn read_matrix(r: &mut ByteReader<'_>) -> Result<CsrMatrix, ProtoError> {
             )));
         }
     }
-    let offsets_len = r.count_of("row-offset", 4)?;
-    let mut row_offsets = Vec::with_capacity(offsets_len);
-    for _ in 0..offsets_len {
-        row_offsets.push(r.u32()?);
-    }
-    let cols_len = r.count_of("column-index", 4)?;
-    let mut col_indices = Vec::with_capacity(cols_len);
-    for _ in 0..cols_len {
-        col_indices.push(r.u32()?);
-    }
-    let values_len = r.count_of("value", 4)?;
-    let mut values = Vec::with_capacity(values_len);
-    for _ in 0..values_len {
-        values.push(r.f32()?);
-    }
+    let row_offsets = r.u32s("row-offset")?;
+    let col_indices = r.u32s("column-index")?;
+    let values = r.f32s("value")?;
     CsrMatrix::from_raw(rows, cols, row_offsets, col_indices, values)
         .map_err(|e| ProtoError::Corrupt(format!("matrix fails CSR validation: {e}")))
-}
-
-fn write_vec(w: &mut ByteWriter, xs: &[Scalar]) {
-    w.u64(xs.len() as u64);
-    for &x in xs {
-        w.f32(x);
-    }
-}
-
-fn read_vec(r: &mut ByteReader<'_>) -> Result<Vec<Scalar>, ProtoError> {
-    let len = r.count_of("vector element", 4)?;
-    let mut xs = Vec::with_capacity(len);
-    for _ in 0..len {
-        xs.push(r.f32()?);
-    }
-    Ok(xs)
 }
 
 fn write_summary(w: &mut ByteWriter, summary: &JobSummary) {
@@ -923,24 +961,29 @@ fn read_span(r: &mut ByteReader<'_>) -> Result<alpha_telemetry::OwnedSpan, Proto
     })
 }
 
-/// Encodes a request into a frame payload.
-pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut w = ByteWriter::default();
+/// Body of a [`Request::SubmitTune`], from borrowed parts (the client
+/// submits a matrix it does not own).
+fn write_submit(w: &mut ByteWriter, matrix: &CsrMatrix, device: &str) {
+    w.u8(0);
+    write_matrix(w, matrix);
+    w.str(device);
+}
+
+/// Body of a [`Request::Spmv`], from borrowed parts.
+fn write_spmv(w: &mut ByteWriter, job_id: u64, x: &[Scalar]) {
+    w.u8(2);
+    w.u64(job_id);
+    w.f32s(x);
+}
+
+fn write_request(w: &mut ByteWriter, request: &Request) {
     match request {
-        Request::SubmitTune { matrix, device } => {
-            w.u8(0);
-            write_matrix(&mut w, matrix);
-            w.str(device);
-        }
+        Request::SubmitTune { matrix, device } => write_submit(w, matrix, device),
         Request::PollJob { job_id } => {
             w.u8(1);
             w.u64(*job_id);
         }
-        Request::Spmv { job_id, x } => {
-            w.u8(2);
-            w.u64(*job_id);
-            write_vec(&mut w, x);
-        }
+        Request::Spmv { job_id, x } => write_spmv(w, *job_id, x),
         Request::StoreStats => w.u8(3),
         Request::Shutdown => w.u8(4),
         Request::Hello { client_id } => {
@@ -951,29 +994,87 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
         Request::Metrics => w.u8(7),
         Request::Trace => w.u8(8),
     }
+}
+
+/// Bytes [`write_submit`] produces.
+fn submit_len(matrix: &CsrMatrix, device: &str) -> usize {
+    1 + matrix_len(matrix) + 8 + device.len()
+}
+
+/// Bytes [`write_spmv`] produces.
+fn spmv_len(x: &[Scalar]) -> usize {
+    9 + array_len(x.len())
+}
+
+/// Encoded size of a request's message: exact for the two that carry
+/// arrays, an upper bound for the fixed-size rest.
+fn request_len(request: &Request) -> usize {
+    match request {
+        Request::SubmitTune { matrix, device } => submit_len(matrix, device),
+        Request::Spmv { x, .. } => spmv_len(x),
+        _ => 16,
+    }
+}
+
+/// Encodes a request into a bare message (no trace id).
+pub fn encode_request(request: &Request) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(request_len(request));
+    write_request(&mut w, request);
     w.into_bytes()
 }
 
-/// Encodes a request as a v5 ([`PROTOCOL_VERSION`]) frame payload: the
-/// request's `trace_id` (8 bytes LE, `0` = untraced) followed by the tagged
-/// message.
+/// Encodes a request as a frame payload: the request's `trace_id` (8 bytes
+/// LE, `0` = untraced) followed by the tagged message.
 pub fn encode_request_traced(trace_id: u64, request: &Request) -> Vec<u8> {
-    let body = encode_request(request);
-    let mut payload = Vec::with_capacity(8 + body.len());
-    payload.extend_from_slice(&trace_id.to_le_bytes());
-    payload.extend_from_slice(&body);
-    payload
+    let mut w = ByteWriter::with_capacity(8 + request_len(request));
+    w.u64(trace_id);
+    write_request(&mut w, request);
+    w.into_bytes()
 }
 
-/// Decodes a request frame payload according to the frame's protocol
-/// version: v4 payloads are the bare message (`trace_id = 0`), v5 payloads
-/// lead with the 8-byte trace id.
+/// A complete request frame — header, trace id, message — in one buffer,
+/// ready for a single write.
+pub fn request_frame(trace_id: u64, request: &Request) -> Result<Vec<u8>, ProtoError> {
+    build_frame(8 + request_len(request), |w| {
+        w.u64(trace_id);
+        write_request(w, request);
+    })
+}
+
+/// [`request_frame`] for a [`Request::SubmitTune`] whose matrix the caller
+/// only borrows: the same bytes, without cloning the matrix into a
+/// `Request` first.
+pub fn submit_frame(
+    trace_id: u64,
+    matrix: &CsrMatrix,
+    device: &str,
+) -> Result<Vec<u8>, ProtoError> {
+    build_frame(8 + submit_len(matrix, device), |w| {
+        w.u64(trace_id);
+        write_submit(w, matrix, device);
+    })
+}
+
+/// [`request_frame`] for a [`Request::Spmv`] over a borrowed `x`.
+pub fn spmv_frame(trace_id: u64, job_id: u64, x: &[Scalar]) -> Result<Vec<u8>, ProtoError> {
+    build_frame(8 + spmv_len(x), |w| {
+        w.u64(trace_id);
+        write_spmv(w, job_id, x);
+    })
+}
+
+/// Decodes a request frame payload: the 8-byte trace id, then the message.
+/// `version` is the stamp of the frame that carried the payload; anything
+/// but [`PROTOCOL_VERSION`] is a [`ProtoError::VersionMismatch`].
 pub fn decode_request_versioned(
     version: u32,
     payload: &[u8],
 ) -> Result<(u64, Request), ProtoError> {
-    if version <= 4 {
-        return Ok((0, decode_request(payload)?));
+    if version != PROTOCOL_VERSION {
+        return Err(ProtoError::VersionMismatch {
+            found: version,
+            expected: PROTOCOL_VERSION,
+        });
     }
     if payload.len() < 8 {
         return Err(ProtoError::Truncated);
@@ -994,7 +1095,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         1 => Request::PollJob { job_id: r.u64()? },
         2 => Request::Spmv {
             job_id: r.u64()?,
-            x: read_vec(&mut r)?,
+            x: r.f32s("vector element")?,
         },
         3 => Request::StoreStats,
         4 => Request::Shutdown,
@@ -1019,7 +1120,28 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
 
 /// Encodes a response into a frame payload.
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut w = ByteWriter::default();
+    let mut w = ByteWriter::with_capacity(response_len(response));
+    write_response(&mut w, response);
+    w.into_bytes()
+}
+
+/// A complete response frame — header and message — in one buffer, ready
+/// for an outbox.
+pub fn response_frame(response: &Response) -> Result<Vec<u8>, ProtoError> {
+    build_frame(response_len(response), |w| write_response(w, response))
+}
+
+/// Encoded size of a response: exact for an SpMV result, a lower bound
+/// that covers the bulk for the string-carrying rest.
+fn response_len(response: &Response) -> usize {
+    match response {
+        Response::SpmvResult { y } => 1 + array_len(y.len()),
+        Response::MetricsText { text } => 9 + text.len(),
+        _ => 64,
+    }
+}
+
+fn write_response(w: &mut ByteWriter, response: &Response) {
     match response {
         Response::Submitted { job_id } => {
             w.u8(0);
@@ -1041,7 +1163,7 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
                 JobState::Running => w.u8(1),
                 JobState::Done(summary) => {
                     w.u8(2);
-                    write_summary(&mut w, summary);
+                    write_summary(w, summary);
                 }
                 JobState::Failed { error } => {
                     w.u8(3);
@@ -1052,11 +1174,11 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
         }
         Response::SpmvResult { y } => {
             w.u8(3);
-            write_vec(&mut w, y);
+            w.f32s(y);
         }
         Response::Stats(stats) => {
             w.u8(4);
-            write_stats(&mut w, stats);
+            write_stats(w, stats);
         }
         Response::ShuttingDown => w.u8(5),
         Response::Error { kind, message } => {
@@ -1073,7 +1195,7 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             w.u8(8);
             w.u64(tenants.len() as u64);
             for tenant in tenants {
-                write_tenant(&mut w, tenant);
+                write_tenant(w, tenant);
             }
         }
         Response::MetricsText { text } => {
@@ -1088,11 +1210,10 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             w.u64(*server_now_us);
             w.u64(spans.len() as u64);
             for span in spans {
-                write_span(&mut w, span);
+                write_span(w, span);
             }
         }
     }
-    w.into_bytes()
 }
 
 /// Decodes a frame payload into a response.  Trailing bytes after the
@@ -1122,7 +1243,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
             Response::Status { job_id, state }
         }
         3 => Response::SpmvResult {
-            y: read_vec(&mut r)?,
+            y: r.f32s("vector element")?,
         },
         4 => Response::Stats(read_stats(&mut r)?),
         5 => Response::ShuttingDown,
@@ -1493,53 +1614,362 @@ mod tests {
             for chunk in wire.chunks(chunk_size) {
                 assembler.push(chunk, &mut out).unwrap();
             }
-            let expected: Vec<(u32, Vec<u8>)> = payloads
-                .iter()
-                .map(|p| (PROTOCOL_VERSION, p.clone()))
-                .collect();
-            assert_eq!(out, expected, "chunk size {chunk_size} diverged");
+            assert_eq!(out, payloads, "chunk size {chunk_size} diverged");
             assert!(!assembler.mid_frame(), "no partial frame may remain");
         }
     }
 
-    #[test]
-    fn compat_window_accepts_v4_frames_and_reports_their_version() {
-        let payload = encode_request(&Request::StoreStats);
+    /// `payload` framed under an arbitrary version stamp.
+    fn frame_stamped(version: u32, payload: &[u8]) -> Vec<u8> {
         let mut wire = Vec::new();
-        write_frame_versioned(&mut wire, MIN_PROTOCOL_VERSION, &payload).unwrap();
-        // The blocking reader accepts the old stamp...
-        assert_eq!(read_frame(&mut &wire[..]).unwrap(), payload);
-        // ...and the assembler surfaces which version the frame used.
-        let mut assembler = FrameAssembler::with_deadline(std::time::Duration::from_secs(60));
-        let mut out = Vec::new();
-        assembler.push(&wire, &mut out).unwrap();
-        assert_eq!(out, vec![(MIN_PROTOCOL_VERSION, payload)]);
-        // Below the window is rejected like above it.
-        let mut ancient = Vec::new();
-        write_frame_versioned(&mut ancient, MIN_PROTOCOL_VERSION - 1, b"x").unwrap();
-        assert!(matches!(
-            read_frame(&mut &ancient[..]),
-            Err(ProtoError::VersionMismatch { .. })
-        ));
+        write_frame(&mut wire, payload).unwrap();
+        wire[4..8].copy_from_slice(&version.to_le_bytes());
+        wire
     }
 
     #[test]
-    fn traced_envelope_round_trips_and_v4_decodes_untraced() {
+    fn v4_frames_get_a_typed_version_mismatch() {
+        // One wire version: the retired v4 stamp (and anything older or
+        // newer) is rejected by both readers before a payload byte is
+        // trusted — never decoded under the wrong layout.
+        let payload = encode_request(&Request::StoreStats);
+        for foreign in [0, 3, 4, PROTOCOL_VERSION + 1] {
+            let wire = frame_stamped(foreign, &payload);
+            match read_frame(&mut &wire[..]) {
+                Err(ProtoError::VersionMismatch { found, expected }) => {
+                    assert_eq!((found, expected), (foreign, PROTOCOL_VERSION));
+                }
+                other => panic!("version {foreign}: expected VersionMismatch, got {other:?}"),
+            }
+            let mut assembler = FrameAssembler::with_deadline(std::time::Duration::from_secs(60));
+            let mut out = Vec::new();
+            assert!(matches!(
+                assembler.push(&wire, &mut out),
+                Err(ProtoError::VersionMismatch { .. })
+            ));
+            assert!(out.is_empty());
+        }
+        let message = ProtoError::VersionMismatch {
+            found: 4,
+            expected: PROTOCOL_VERSION,
+        }
+        .to_string();
+        assert!(message.contains("version 4") && message.contains("speaks 5"));
+    }
+
+    #[test]
+    fn traced_envelope_round_trips_and_foreign_versions_are_rejected() {
         for request in sample_requests() {
             let traced = encode_request_traced(0x1122_3344_5566_7788, &request);
             let (trace_id, decoded) = decode_request_versioned(PROTOCOL_VERSION, &traced).unwrap();
             assert_eq!(trace_id, 0x1122_3344_5566_7788);
             assert_eq!(decoded, request);
-            // The same body as a v4 payload decodes with trace id 0.
-            let bare = encode_request(&request);
-            let (trace_id, decoded) =
-                decode_request_versioned(MIN_PROTOCOL_VERSION, &bare).unwrap();
-            assert_eq!(trace_id, 0);
-            assert_eq!(decoded, request);
+            // The envelope is the trace id followed by the bare message.
+            assert_eq!(&traced[..8], &0x1122_3344_5566_7788u64.to_le_bytes());
+            assert_eq!(&traced[8..], &encode_request(&request)[..]);
+            // The bare v4 layout is never guessed at.
+            assert!(matches!(
+                decode_request_versioned(4, &encode_request(&request)),
+                Err(ProtoError::VersionMismatch { found: 4, .. })
+            ));
         }
-        // A v5 payload too short for its trace id is truncation, not a panic.
+        // A payload too short for its trace id is truncation, not a panic.
         assert!(matches!(
             decode_request_versioned(PROTOCOL_VERSION, &[1, 2, 3]),
+            Err(ProtoError::Truncated)
+        ));
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn golden_frames_match_the_element_wise_encoding() {
+        // Frames dumped from the pre-bulk, element-at-a-time encoder (header
+        // and payload written separately): the one-buffer builders and the
+        // slice codec must put the same bytes on the wire, or this is a
+        // protocol bump.
+        let matrix = CsrMatrix::from_raw(
+            2,
+            3,
+            vec![0, 2, 3],
+            vec![0, 2, 1],
+            vec![1.0, -2.5, f32::from_bits(0x7fc0_1234)],
+        )
+        .unwrap();
+        let submit = unhex(
+            "414e455405000000610000000000000008070605040302010002000000000000000300000000000000\
+             0300000000000000000000000200000003000000030000000000000000000000020000000100000003\
+             000000000000000000803f000020c03412c07f040000000000000041313030",
+        );
+        assert_eq!(
+            submit_frame(0x0102_0304_0506_0708, &matrix, "A100").unwrap(),
+            submit
+        );
+        let request = Request::SubmitTune {
+            matrix,
+            device: "A100".to_string(),
+        };
+        assert_eq!(
+            request_frame(0x0102_0304_0506_0708, &request).unwrap(),
+            submit
+        );
+        let mut written = Vec::new();
+        write_frame(
+            &mut written,
+            &encode_request_traced(0x0102_0304_0506_0708, &request),
+        )
+        .unwrap();
+        assert_eq!(written, submit);
+        // (The matrix carries a NaN, so compare the decoded request by
+        // re-encoding it rather than with `==`.)
+        let (trace_id, decoded) =
+            decode_request_versioned(PROTOCOL_VERSION, &submit[HEADER_LEN..]).unwrap();
+        assert_eq!(request_frame(trace_id, &decoded).unwrap(), submit);
+
+        let x = [1.0, -0.0, f32::MIN_POSITIVE / 2.0];
+        let spmv = unhex(
+            "414e45540500000025000000000000001100ffeeddccbbaa020700000000000000030000000000\
+             00000000803f0000008000004000",
+        );
+        assert_eq!(spmv_frame(0xAABB_CCDD_EEFF_0011, 7, &x).unwrap(), spmv);
+        assert_eq!(
+            request_frame(
+                0xAABB_CCDD_EEFF_0011,
+                &Request::Spmv {
+                    job_id: 7,
+                    x: x.to_vec()
+                }
+            )
+            .unwrap(),
+            spmv
+        );
+
+        let result = unhex("414e45540500000011000000000000000302000000000000000000003f000080ff");
+        assert_eq!(
+            response_frame(&Response::SpmvResult {
+                y: vec![0.5, f32::NEG_INFINITY]
+            })
+            .unwrap(),
+            result
+        );
+    }
+
+    #[test]
+    fn size_hints_are_exact_for_array_messages() {
+        // The builders allocate once: the hint of an array-carrying message
+        // is its encoded length to the byte.
+        let requests = [
+            Request::SubmitTune {
+                matrix: sample_matrix(),
+                device: "RTX2080".to_string(),
+            },
+            Request::Spmv {
+                job_id: 1,
+                x: vec![0.25; 1000],
+            },
+        ];
+        for request in &requests {
+            assert_eq!(encode_request(request).len(), request_len(request));
+            let frame = request_frame(9, request).unwrap();
+            assert_eq!(frame.len(), HEADER_LEN + 8 + request_len(request));
+            assert_eq!(frame.capacity(), frame.len(), "no regrowth, no slack");
+        }
+        let response = Response::SpmvResult { y: vec![1.5; 333] };
+        assert_eq!(encode_response(&response).len(), response_len(&response));
+        for request in sample_requests() {
+            assert!(encode_request(&request).len() <= request_len(&request));
+        }
+    }
+
+    #[test]
+    fn array_payloads_round_trip_bit_exactly() {
+        let odd = [
+            f32::NAN,
+            f32::from_bits(0x7fc0_1234), // quiet NaN with a payload
+            f32::from_bits(0xff80_0001), // signalling NaN, sign set
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE / 4.0, // denormal
+            f32::from_bits(1),       // smallest denormal
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+        ];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        match decode_request(&encode_request(&Request::Spmv {
+            job_id: 3,
+            x: odd.to_vec(),
+        }))
+        .unwrap()
+        {
+            Request::Spmv { x, .. } => assert_eq!(bits(&x), bits(&odd)),
+            other => panic!("expected Spmv, got {other:?}"),
+        }
+        match decode_response(&encode_response(&Response::SpmvResult { y: odd.to_vec() })).unwrap()
+        {
+            Response::SpmvResult { y } => assert_eq!(bits(&y), bits(&odd)),
+            other => panic!("expected SpmvResult, got {other:?}"),
+        }
+        let matrix = CsrMatrix::from_raw(1, 10, vec![0, 10], (0..10).collect(), odd.to_vec())
+            .expect("NaN values are valid CSR");
+        match decode_request(&encode_request(&Request::SubmitTune {
+            matrix,
+            device: "A100".to_string(),
+        }))
+        .unwrap()
+        {
+            Request::SubmitTune { matrix, .. } => assert_eq!(bits(matrix.values()), bits(&odd)),
+            other => panic!("expected SubmitTune, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bulk_readers_reject_hostile_counts_before_allocating() {
+        // Every array of both array-carrying requests, with its count
+        // tampered: more elements than bytes remain, the largest count a
+        // u64 holds, and a payload cut in the middle of the array.  All are
+        // refused by the count bound — a typed error, no allocation.
+        let spmv = encode_request(&Request::Spmv {
+            job_id: 1,
+            x: vec![1.0; 8],
+        });
+        let submit = encode_request(&Request::SubmitTune {
+            matrix: sample_matrix(),
+            device: "A100".to_string(),
+        });
+        let matrix = sample_matrix();
+        let offsets_at = 1 + 16;
+        let cols_at = offsets_at + array_len(matrix.row_offsets().len());
+        let values_at = cols_at + array_len(matrix.nnz());
+        for (payload, count_at, len) in [
+            (&spmv, 9, 8),
+            (&submit, offsets_at, matrix.row_offsets().len()),
+            (&submit, cols_at, matrix.nnz()),
+            (&submit, values_at, matrix.nnz()),
+        ] {
+            let claimed = u64::from_le_bytes(payload[count_at..count_at + 8].try_into().unwrap());
+            assert_eq!(claimed, len as u64, "test offsets track the layout");
+            let remaining = (payload.len() - count_at - 8) as u64;
+            for hostile in [remaining / 4 + 1, u64::MAX, u64::MAX / 4 + 1] {
+                let mut mutated = payload.clone();
+                mutated[count_at..count_at + 8].copy_from_slice(&hostile.to_le_bytes());
+                match decode_request(&mutated) {
+                    Err(ProtoError::Corrupt(msg)) => assert!(msg.contains("exceeds"), "got: {msg}"),
+                    other => panic!("count {hostile}: expected Corrupt, got {other:?}"),
+                }
+            }
+            // Cut mid-array: the count now promises more than remains.
+            for cut in [count_at + 8 + 1, count_at + 8 + 4 * len - 1] {
+                match decode_request(&payload[..cut]) {
+                    Err(ProtoError::Corrupt(msg)) => assert!(msg.contains("exceeds"), "got: {msg}"),
+                    other => panic!("cut at {cut}: expected Corrupt, got {other:?}"),
+                }
+            }
+            // Cut inside the count itself: plain truncation.
+            assert!(matches!(
+                decode_request(&payload[..count_at + 3]),
+                Err(ProtoError::Truncated)
+            ));
+        }
+    }
+
+    /// A reader that hands out at most `step` bytes per call and reports
+    /// `WouldBlock` every other call — a nonblocking socket in miniature.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+        starve: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.starve = !self.starve;
+            if self.starve && !self.data.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_from_assembles_what_push_assembles() {
+        // Small frames around one large enough to take the direct path
+        // (payload >= the scratch size), at several socket granularities and
+        // read limits: the owned-read entry point must produce exactly the
+        // payloads `push` does, reserve no more than 1 MiB ahead, and report
+        // end-of-stream as 0.
+        let big = Request::Spmv {
+            job_id: 9,
+            x: (0..700_000).map(|i| i as f32).collect(),
+        };
+        let mut requests = sample_requests();
+        requests.insert(2, big);
+        let payloads: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|r| encode_request_traced(5, r))
+            .collect();
+        let mut wire = Vec::new();
+        for payload in &payloads {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        for (step, limit) in [(1 << 30, 1 << 30), (100_000, 256 * 1024), (4_097, 10_000)] {
+            let mut socket = Trickle {
+                data: &wire,
+                step,
+                starve: false,
+            };
+            let mut assembler = FrameAssembler::with_deadline(std::time::Duration::from_secs(60));
+            let mut scratch = vec![0u8; 4096];
+            let mut out = Vec::new();
+            loop {
+                match assembler.read_from(&mut socket, &mut scratch, limit, &mut out) {
+                    Ok(0) => break,
+                    Ok(n) => {
+                        assert!(n <= limit);
+                        assert!(
+                            assembler.payload.capacity()
+                                <= assembler.payload.len().max(MAX_RESERVE_AHEAD) * 2,
+                            "reserved too far ahead of receipt"
+                        );
+                    }
+                    Err(ProtoError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                    Err(e) => panic!("step {step}: {e}"),
+                }
+            }
+            assert_eq!(out, payloads, "step {step} limit {limit} diverged");
+            assert!(!assembler.mid_frame());
+        }
+        // A bad header surfaces through the owned read as it does through push.
+        let mut bad = wire.clone();
+        bad[0] = b'X';
+        let mut assembler = FrameAssembler::with_deadline(std::time::Duration::from_secs(60));
+        assert!(matches!(
+            assembler.read_from(&mut &bad[..], &mut [0u8; 64], 1 << 20, &mut Vec::new()),
+            Err(ProtoError::BadMagic)
+        ));
+    }
+
+    #[test]
+    fn a_claimed_huge_frame_costs_only_what_arrives() {
+        // Header claims the cap; 10 bytes follow.  Neither reader may size
+        // its buffer from the claim.
+        let mut wire = frame_header(MAX_FRAME_LEN as usize).unwrap().to_vec();
+        wire.extend_from_slice(&[7u8; 10]);
+        let mut assembler = FrameAssembler::with_deadline(std::time::Duration::from_secs(60));
+        let mut out = Vec::new();
+        assembler.push(&wire, &mut out).unwrap();
+        assert!(out.is_empty() && assembler.mid_frame());
+        assert!(assembler.payload.capacity() <= MAX_RESERVE_AHEAD);
+        assert!(matches!(
+            read_frame(&mut &wire[..]),
             Err(ProtoError::Truncated)
         ));
     }

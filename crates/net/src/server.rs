@@ -46,12 +46,11 @@
 //! reordered.
 
 use crate::proto::{
-    decode_request_versioned, encode_response, write_frame_versioned, ErrorKind, FrameAssembler,
-    JobState, JobSummary, Request, Response, ServerStats, TenantStats, MAX_FRAME_SECS,
-    PROTOCOL_VERSION,
+    decode_request_versioned, response_frame, ErrorKind, FrameAssembler, JobState, JobSummary,
+    Request, Response, ServerStats, TenantStats, MAX_FRAME_SECS, PROTOCOL_VERSION,
 };
 use crate::reactor::{Event, Interest, Reactor, Waker};
-use crate::NetError;
+use crate::{NetError, ProtoError};
 use alpha_gpu::DeviceProfile;
 use alpha_matrix::Scalar;
 use alpha_parallel::{PushError, ShardedTaskQueue, TaskQueue};
@@ -147,8 +146,8 @@ enum Job {
         enqueued: Instant,
         /// Submitting tenant, for fairness accounting at completion.
         tenant: u64,
-        /// The submitting request's trace id (0 = untraced v4 client); the
-        /// worker threads it into its spans and flight events.
+        /// The submitting request's trace id (0 = untraced); the worker
+        /// threads it into its spans and flight events.
         trace_id: u64,
     },
     Running,
@@ -198,9 +197,6 @@ struct ExecTask {
     /// `net_spmv_latency_us` window, so the histogram covers exec-queue
     /// wait plus kernel time, the latency the client actually eats.
     received: Instant,
-    /// The requesting frame's protocol version — the completion frame must
-    /// carry the same stamp.
-    version: u32,
     /// The request's trace id (0 = untraced).
     trace_id: u64,
     /// The connection's tenant, for flight-recorder attribution.
@@ -861,19 +857,15 @@ fn exec_loop(shared: &Shared) {
             .completions
             .lock()
             .expect("completions poisoned")
-            .push((task.token, frame_bytes(task.version, &response)));
+            .push((task.token, frame_bytes(&response)));
         shared.waker.wake();
     }
 }
 
-/// Encodes a response into raw frame bytes (header + payload) ready for an
-/// outbox, stamped with the requesting connection's protocol version so a
-/// v4 client reads v4 replies.
-fn frame_bytes(version: u32, response: &Response) -> Vec<u8> {
-    let payload = encode_response(response);
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    write_frame_versioned(&mut bytes, version, &payload).expect("responses fit the frame cap");
-    bytes
+/// Encodes a response into raw frame bytes (header + payload, one buffer)
+/// ready for an outbox.
+fn frame_bytes(response: &Response) -> Vec<u8> {
+    response_frame(response).expect("responses fit the frame cap")
 }
 
 /// Reactor token of the listening socket; connection tokens count up from
@@ -898,6 +890,14 @@ const HTTP_DEADLINE: Duration = Duration::from_secs(10);
 /// until the backlog drains — per-connection backpressure, not memory
 /// growth.
 const MAX_DEFERRED: usize = 64;
+
+/// Most bytes one connection is read for per readiness event, so one
+/// firehose connection cannot starve the rest of a tick.
+const READ_BUDGET: usize = 256 * 1024;
+
+/// Size of the event loop's reusable receive buffer (see
+/// [`FrameAssembler::read_from`]).
+const READ_SCRATCH: usize = 64 * 1024;
 
 /// Grace period for flushing outboxes after a shutdown is requested.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
@@ -945,9 +945,9 @@ struct HttpConn {
 struct Conn {
     stream: TcpStream,
     assembler: FrameAssembler,
-    /// Decoded `(frame version, request payload)` pairs waiting behind an
-    /// in-flight SpMV — responses stay in request order.
-    deferred: VecDeque<(u32, Vec<u8>)>,
+    /// Received request payloads waiting behind an in-flight SpMV —
+    /// responses stay in request order.
+    deferred: VecDeque<Vec<u8>>,
     /// Encoded response frames awaiting socket capacity.
     outbox: VecDeque<Vec<u8>>,
     /// Bytes of `outbox.front()` already written (partial-write cursor).
@@ -966,10 +966,6 @@ struct Conn {
     dead: bool,
     /// Interest currently registered with the reactor.
     registered: Interest,
-    /// Protocol version of the last frame this peer sent (defaults to
-    /// [`PROTOCOL_VERSION`] until one arrives) — replies are stamped with
-    /// it so a v4 client keeps reading v4 frames.
-    proto_version: u32,
     /// Cached per-tenant counters, re-resolved when `Hello` rebinds the
     /// tenant.
     metrics: ConnMetrics,
@@ -1006,6 +1002,10 @@ struct EventLoop {
     http_conns: HashMap<usize, HttpConn>,
     next_token: usize,
     shutdown_at: Option<Instant>,
+    /// Receive buffer shared by every connection's reads (the loop is one
+    /// thread, and a read's bytes are folded into the connection's
+    /// assembler before the next read starts).
+    read_scratch: Box<[u8]>,
 }
 
 impl EventLoop {
@@ -1024,6 +1024,7 @@ impl EventLoop {
             http_conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             shutdown_at: None,
+            read_scratch: vec![0u8; READ_SCRATCH].into_boxed_slice(),
         }
     }
 
@@ -1167,7 +1168,6 @@ impl EventLoop {
                             eof: false,
                             dead: false,
                             registered: Interest::READABLE,
-                            proto_version: PROTOCOL_VERSION,
                             metrics: ConnMetrics::for_tenant(&self.shared.registry, 0),
                         },
                     );
@@ -1326,48 +1326,49 @@ impl EventLoop {
     /// connection cannot starve the rest), feeds the assembler, and
     /// processes completed frames in order.
     fn read_ready(&mut self, token: usize) {
-        let mut chunk = [0u8; 64 * 1024];
-        let mut frames: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut frames: Vec<Vec<u8>> = Vec::new();
         {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            for _ in 0..4 {
-                match conn.stream.read(&mut chunk) {
+            let mut budget = READ_BUDGET;
+            while budget > 0 {
+                match conn.assembler.read_from(
+                    &mut conn.stream,
+                    &mut self.read_scratch,
+                    budget,
+                    &mut frames,
+                ) {
                     Ok(0) => {
                         // Peer EOF: answer what already arrived (the peer
                         // may have half-closed), then close.
                         conn.eof = true;
                         break;
                     }
-                    Ok(n) => {
-                        if let Err(e) = conn.assembler.push(&chunk[..n], &mut frames) {
-                            // Framing lost (bad magic/version/length): one
-                            // best-effort typed error, then the connection
-                            // cannot continue.
-                            conn.outbox.push_back(frame_bytes(
-                                conn.proto_version,
-                                &Response::Error {
-                                    kind: ErrorKind::BadFrame,
-                                    message: e.to_string(),
-                                },
-                            ));
-                            conn.close_after_flush = true;
+                    Ok(n) => budget = budget.saturating_sub(n),
+                    Err(ProtoError::Io(e)) => match e.kind() {
+                        std::io::ErrorKind::WouldBlock => break,
+                        std::io::ErrorKind::Interrupted => continue,
+                        _ => {
+                            conn.dead = true;
                             break;
                         }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
+                    },
+                    Err(e) => {
+                        // Framing lost (bad magic/version/length): one
+                        // best-effort typed error, then the connection
+                        // cannot continue.
+                        conn.outbox.push_back(frame_bytes(&Response::Error {
+                            kind: ErrorKind::BadFrame,
+                            message: e.to_string(),
+                        }));
+                        conn.close_after_flush = true;
                         break;
                     }
                 }
             }
             self.shared.deferred_depth.add(frames.len() as i64);
-            for frame in frames {
-                conn.deferred.push_back(frame);
-            }
+            conn.deferred.extend(frames);
         }
         self.process_deferred(token);
         self.pump(token);
@@ -1377,7 +1378,7 @@ impl EventLoop {
     /// first SpMV offload (responses must stay FIFO per connection).
     fn process_deferred(&mut self, token: usize) {
         loop {
-            let (version, payload) = {
+            let payload = {
                 let Some(conn) = self.conns.get_mut(&token) else {
                     return;
                 };
@@ -1390,21 +1391,19 @@ impl EventLoop {
                 }
             };
             self.shared.deferred_depth.sub(1);
-            self.handle_payload(token, version, &payload);
+            self.handle_payload(token, &payload);
         }
     }
 
-    /// Decodes and dispatches one request payload for `token`.  `version`
-    /// is the frame's wire version: it selects the payload envelope (v5
-    /// carries a trace-id prefix, v4 is bare) and stamps every reply.
-    fn handle_payload(&mut self, token: usize, version: u32, payload: &[u8]) {
+    /// Decodes and dispatches one request payload for `token`.
+    fn handle_payload(&mut self, token: usize, payload: &[u8]) {
         if let Some(conn) = self.conns.get_mut(&token) {
             // Every arriving frame counts against its tenant, decodable or
             // not — the scrape-side view of per-tenant demand.
             conn.metrics.requests.inc();
-            conn.proto_version = version;
         }
-        let (trace_id, request) = match decode_request_versioned(version, payload) {
+        // The assembler only completes frames stamped `PROTOCOL_VERSION`.
+        let (trace_id, request) = match decode_request_versioned(PROTOCOL_VERSION, payload) {
             Ok(decoded) => decoded,
             Err(e) => {
                 // The frame boundary held, so the session survives a bad
@@ -1477,11 +1476,6 @@ impl EventLoop {
             }
             Request::Spmv { job_id, x } => {
                 let tenant = self.conns.get(&token).map(|c| c.tenant).unwrap_or(0);
-                let version = self
-                    .conns
-                    .get(&token)
-                    .map(|c| c.proto_version)
-                    .unwrap_or(PROTOCOL_VERSION);
                 let tuned = {
                     let table = shared.job_shard(job_id).lock().expect("job table poisoned");
                     match table.get(&job_id) {
@@ -1514,7 +1508,6 @@ impl EventLoop {
                             tuned,
                             x,
                             received: Instant::now(),
-                            version,
                             trace_id,
                             tenant,
                             job_id,
@@ -1606,8 +1599,7 @@ impl EventLoop {
             // The reply-flush span inherits the dispatching request's trace
             // id from the thread-local set in `handle_payload`.
             let _span = alpha_telemetry::span!("net.reply", tenant = conn.tenant);
-            conn.outbox
-                .push_back(frame_bytes(conn.proto_version, response));
+            conn.outbox.push_back(frame_bytes(response));
         }
     }
 

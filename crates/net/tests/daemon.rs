@@ -7,7 +7,7 @@ use alpha_net::proto::{
     decode_response, encode_request_traced, read_frame, write_frame, Request, Response,
     MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
-use alpha_net::{Client, ErrorKind, JobState, NetError, NetServer, ServerConfig};
+use alpha_net::{Client, ErrorKind, JobState, NetError, NetServer, ProtoError, ServerConfig};
 use alpha_serve::{DesignStore, TuningService};
 use alphasparse::SearchConfig;
 use std::io::Write;
@@ -359,26 +359,65 @@ fn failed_jobs_report_their_error_and_do_not_serve_spmv() {
 #[test]
 fn warm_store_serves_a_second_connection_for_free() {
     let dir = temp_dir("warm");
-    let server = quick_daemon(&dir, ServerConfig::default());
+    // A registry of its own, so the path counters below count this daemon
+    // only (tests in this binary share the process-wide default).
+    let service = TuningService::new(
+        DesignStore::open_with_registry(&dir, alpha_telemetry::Registry::new())
+            .expect("store opens"),
+        SearchConfig {
+            max_iterations: 6,
+            mutations_per_seed: 2,
+            ..SearchConfig::default()
+        },
+    );
+    let server =
+        NetServer::spawn("127.0.0.1:0", service, ServerConfig::default()).expect("daemon binds");
+    // A sibling tuned first, so `matrix`'s own search is warm-started and
+    // the flag has something to be preserved against.
+    let sibling = gen::powerlaw(192, 192, 5, 2.0, 76);
     let matrix = gen::powerlaw(192, 192, 5, 2.0, 77);
 
     let first = {
         let mut client = Client::connect(server.local_addr()).unwrap();
+        let job = client.submit_tune(&sibling, "A100").unwrap();
+        client.wait_job(job, POLL, DEADLINE).unwrap();
         let job = client.submit_tune(&matrix, "A100").unwrap();
         client.wait_job(job, POLL, DEADLINE).unwrap()
     };
     assert!(first.fresh_evaluations > 0);
+    assert!(first.warm_started, "the sibling's winner seeds the search");
 
     // A brand-new connection re-submitting the same matrix is answered from
-    // the warm store: zero fresh evaluations, identical winner.
-    let second = {
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let job = client.submit_tune(&matrix, "A100").unwrap();
-        client.wait_job(job, POLL, DEADLINE).unwrap()
-    };
-    assert_eq!(second.fresh_evaluations, 0, "replay must be store-served");
+    // the stored winner: zero fresh evaluations, the identical design, and a
+    // new job whose kernel computes y = A·x.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let job = client.submit_tune(&matrix, "A100").unwrap();
+    let second = client.wait_job(job, POLL, DEADLINE).unwrap();
+    assert_eq!(
+        second.fresh_evaluations, 0,
+        "resubmission must be store-served"
+    );
+    assert_eq!(second.warm_started, first.warm_started);
     assert_eq!(second.operator_graph, first.operator_graph);
     assert_eq!(second.gflops, first.gflops);
+    assert_eq!(second.kernel_shape, first.kernel_shape);
+    assert_eq!(second.specialized, first.specialized);
+    let x: Vec<f32> = (0..192).map(|i| (i % 11) as f32 * 0.5 - 2.0).collect();
+    let y = client.spmv(job, &x).expect("the new job serves SpMV");
+    let expected = matrix.spmv(&x).expect("reference SpMV");
+    assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
+
+    // The scrape says which path answered: two searches, one lookup, and
+    // never a replayed search.
+    let metrics = client.metrics().expect("metrics frame");
+    for line in [
+        "serve_tune_total{path=\"searched\"} 2",
+        "serve_tune_total{path=\"stored\"} 1",
+        "serve_tune_total{path=\"replayed\"} 0",
+    ] {
+        assert!(metrics.contains(line), "missing {line:?} in:\n{metrics}");
+    }
+    drop(client);
     stop(server, &dir);
 }
 
@@ -563,40 +602,44 @@ fn metrics_surface_covers_the_whole_pipeline() {
 }
 
 #[test]
-fn v4_clients_without_trace_envelopes_are_still_served() {
+fn v4_clients_get_a_typed_version_mismatch() {
     let dir = temp_dir("v4compat");
     let server = quick_daemon(&dir, ServerConfig::default());
 
-    // A v4 peer frames its payload bare — no trace-id prefix — and stamps
-    // version 4.  The daemon must decode it as an untraced request and
-    // stamp its reply with the peer's own version.
+    // There is one wire version.  A v4 peer (bare payload, version stamp 4)
+    // is not misread as v5: it gets one typed error naming both versions —
+    // in a frame a current reader decodes — and the connection closes.
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let payload = alpha_net::proto::encode_request(&Request::StoreStats);
-    raw.write_all(&NET_MAGIC).unwrap();
-    raw.write_all(&4u32.to_le_bytes()).unwrap();
-    raw.write_all(&(payload.len() as u64).to_le_bytes())
-        .unwrap();
-    raw.write_all(&payload).unwrap();
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&NET_MAGIC);
+    frame.extend_from_slice(&4u32.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    raw.write_all(&frame).unwrap();
 
-    let mut header = [0u8; 16];
-    {
-        use std::io::Read;
-        raw.read_exact(&mut header).expect("reply header");
+    let reply = read_frame(&mut raw).expect("error frame comes back");
+    match decode_response(&reply).expect("decodes") {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, ErrorKind::BadFrame);
+            assert!(
+                message.contains("version 4") && message.contains(&PROTOCOL_VERSION.to_string()),
+                "got: {message}"
+            );
+        }
+        other => panic!("expected a version-mismatch error, got {other:?}"),
     }
-    assert_eq!(&header[..4], &NET_MAGIC, "reply magic");
-    let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    assert_eq!(version, 4, "the reply must carry the v4 peer's version");
-    let len = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
-    let mut reply = vec![0u8; len];
-    {
-        use std::io::Read;
-        raw.read_exact(&mut reply).expect("reply payload");
-    }
-    assert!(matches!(
-        decode_response(&reply).expect("decodes"),
-        Response::Stats(_)
-    ));
-    drop(raw);
+    assert!(
+        matches!(
+            read_frame(&mut raw),
+            Err(ProtoError::Closed) | Err(ProtoError::Io(_))
+        ),
+        "framing is lost after a foreign version: the daemon closes"
+    );
+    // Current-version clients are unaffected.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.store_stats().expect("v5 client still served");
+    drop(client);
     stop(server, &dir);
 }

@@ -460,23 +460,32 @@ impl DesignCache {
         ctx: &EvalContext<'_>,
         graph: &OperatorGraph,
     ) -> Option<Option<Evaluation>> {
-        let key = (ctx.context_key, graph.canonical_signature());
+        let found = self.entry(ctx.context_key, graph);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// The memoised outcome of `graph` under `context_key`, read by key
+    /// alone: no [`EvalContext`] (whose construction hashes the matrix and
+    /// runs a reference SpMV) and no effect on the hit/miss counters.
+    /// Serving layers pair it with [`DesignCache::winner`] to rebuild a
+    /// finished search's outcome without searching.
+    pub fn entry(&self, context_key: u64, graph: &OperatorGraph) -> Option<Option<Evaluation>> {
+        let key = (context_key, graph.canonical_signature());
         let entries = self.entries.lock().expect("design cache poisoned");
-        match entries.get(&key) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.as_ref().map(|(report, source, shape)| Evaluation {
-                    report: report.clone(),
-                    source: source.clone(),
-                    cached: true,
-                    kernel_shape: shape.clone(),
-                }))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        entries.get(&key).map(|entry| {
+            entry.as_ref().map(|(report, source, shape)| Evaluation {
+                report: report.clone(),
+                source: source.clone(),
+                cached: true,
+                kernel_shape: shape.clone(),
+            })
+        })
     }
 
     /// Records an evaluation outcome (feasible or not).
@@ -838,6 +847,34 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn entry_reads_by_key_without_a_context_or_counter_effects() {
+        let matrix = gen::powerlaw(256, 256, 8, 2.0, 3);
+        let ctx = context_fixture(&matrix);
+        let cache = Arc::new(DesignCache::new());
+        let evaluator =
+            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100(), 1), cache.clone());
+        let graph = presets::sell_like();
+        assert!(cache.entry(ctx.context_key(), &graph).is_none());
+        let fresh = evaluator.evaluate(&ctx, &graph).expect("feasible");
+        let counters = cache.stats();
+
+        let stored = cache
+            .entry(ctx.context_key(), &graph)
+            .expect("memoised")
+            .expect("feasible");
+        assert!(stored.cached);
+        assert_eq!(stored.report, fresh.report);
+        assert_eq!(stored.source, fresh.source);
+        assert_eq!(stored.kernel_shape, fresh.kernel_shape);
+        // Another context key, or another design, is simply absent.
+        assert!(cache.entry(ctx.context_key() ^ 1, &graph).is_none());
+        assert!(cache
+            .entry(ctx.context_key(), &presets::csr_scalar())
+            .is_none());
+        assert_eq!(cache.stats(), counters, "entry() is not a lookup");
     }
 
     #[test]

@@ -139,6 +139,14 @@ pub struct ByteWriter {
 }
 
 impl ByteWriter {
+    /// An empty writer whose buffer is sized for `capacity` bytes up front —
+    /// for callers that know (about) how long the message will be, so a
+    /// multi-megabyte payload is allocated once instead of doubled into.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -163,6 +171,22 @@ impl ByteWriter {
     pub fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    /// Appends a `u32` array: `u64` element count, then every element
+    /// little-endian — byte for byte what a count and one [`ByteWriter::u32`]
+    /// per element write, in one reserved pass.
+    pub fn u32s(&mut self, vs: &[u32]) {
+        self.le_words(vs.len(), vs.iter().copied());
+    }
+    /// Appends an `f32` array as IEEE-754 bit patterns (see
+    /// [`ByteWriter::u32s`]); NaN payloads, `-0.0` and denormals round-trip.
+    pub fn f32s(&mut self, vs: &[f32]) {
+        self.le_words(vs.len(), vs.iter().map(|v| v.to_bits()));
+    }
+    fn le_words(&mut self, count: usize, words: impl Iterator<Item = u32>) {
+        self.u64(count as u64);
+        self.buf.reserve(count * 4);
+        self.buf.extend(words.flat_map(u32::to_le_bytes));
     }
     /// Appends raw bytes verbatim (headers, magic numbers).
     pub fn raw(&mut self, bytes: &[u8]) {
@@ -264,6 +288,28 @@ impl<'a> ByteReader<'a> {
             )));
         }
         Ok(count as usize)
+    }
+
+    /// Reads a `u32` array written by [`ByteWriter::u32s`].  The count is
+    /// bounded by [`ByteReader::count_of`] (`count x 4` must fit the
+    /// remaining bytes) before anything is allocated; the elements then come
+    /// out of one bounds-checked slice.
+    pub fn u32s(&mut self, what: &str) -> Result<Vec<u32>, PersistError> {
+        Ok(self.le_words(what)?.collect())
+    }
+
+    /// Reads an `f32` array written by [`ByteWriter::f32s`], bit-exactly
+    /// (see [`ByteReader::u32s`] for the bounds rule).
+    pub fn f32s(&mut self, what: &str) -> Result<Vec<f32>, PersistError> {
+        Ok(self.le_words(what)?.map(f32::from_bits).collect())
+    }
+
+    fn le_words(&mut self, what: &str) -> Result<impl Iterator<Item = u32> + 'a, PersistError> {
+        let count = self.count_of(what, 4)?;
+        Ok(self
+            .take(count * 4)?
+            .chunks_exact(4)
+            .map(|word| u32::from_le_bytes(word.try_into().expect("4-byte chunk"))))
     }
 
     /// Bytes not yet consumed.
@@ -766,6 +812,55 @@ mod tests {
             vec![presets::csr_scalar(), presets::sell_like()],
         );
         cache
+    }
+
+    #[test]
+    fn bulk_arrays_are_the_element_wise_bytes_and_bound_their_counts() {
+        let ints = [0u32, 1, u32::MAX, 0x0102_0304];
+        let floats = [
+            1.5f32,
+            -0.0,
+            f32::from_bits(0x7fc0_0001),
+            f32::MIN_POSITIVE / 2.0,
+        ];
+        let mut bulk = ByteWriter::default();
+        bulk.u32s(&ints);
+        bulk.f32s(&floats);
+        let mut scalar = ByteWriter::default();
+        scalar.u64(ints.len() as u64);
+        ints.iter().for_each(|&v| scalar.u32(v));
+        scalar.u64(floats.len() as u64);
+        floats.iter().for_each(|&v| scalar.f32(v));
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, scalar.into_bytes());
+
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.u32s("int").unwrap(), ints);
+        let back = r.f32s("float").unwrap();
+        assert!(r.finished());
+        assert!(back
+            .iter()
+            .zip(&floats)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+
+        // count x 4 must fit what remains — checked before any allocation,
+        // for a count one too large, an absurd one, and a cut array.
+        for count in [5u64, u64::MAX] {
+            let mut hostile = bytes.clone();
+            hostile[..8].copy_from_slice(&count.to_le_bytes());
+            assert!(matches!(
+                ByteReader::new(&hostile[..24]).u32s("int"),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+        assert!(matches!(
+            ByteReader::new(&bytes[..8 + 15]).u32s("int"),
+            Err(PersistError::Corrupt(_))
+        ));
+        assert!(matches!(
+            ByteReader::new(&bytes[..5]).f32s("float"),
+            Err(PersistError::Truncated)
+        ));
     }
 
     #[test]

@@ -6,7 +6,9 @@ use alpha_gpu::DeviceProfile;
 use alpha_graph::OperatorGraph;
 use alpha_matrix::{CsrMatrix, MatrixStats};
 use alpha_search::features::{matrix_distance, matrix_feature_vector};
-use alpha_search::{context_key_for, SearchConfig, StoredDesign};
+use alpha_search::{
+    context_key_for, DesignCache, SearchConfig, SearchOutcome, SearchStats, StoredDesign,
+};
 use alphasparse::{AlphaSparse, TunedSpmv};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -29,7 +31,9 @@ impl TuneRequest {
 
 /// The result of serving one tuning request.
 pub struct ServedTune {
-    /// The ready-to-run machine-designed SpMV program.
+    /// The ready-to-run machine-designed SpMV program.  When the request was
+    /// answered from the context's stored winner no search ran, so its
+    /// `search_stats()` are all zero.
     pub tuned: TunedSpmv,
     /// Fingerprint of the request's matrix (the deduplication identity,
     /// together with the device).
@@ -42,8 +46,9 @@ pub struct ServedTune {
     /// similar matrices (always true on replays of a warm-started context —
     /// the pinned seeds are reused).
     pub warm_started: bool,
-    /// Fresh simulator evaluations this request cost.  `0` means the store
-    /// answered the whole search from cached evaluations.
+    /// Fresh evaluations this request cost.  `0` means the store answered it:
+    /// from the context's stored winner, or (the fallback) by replaying the
+    /// search over cached evaluations.
     pub fresh_evaluations: usize,
     /// Host wall-clock seconds spent serving the request.
     pub wall_secs: f64,
@@ -71,9 +76,53 @@ pub struct TuningService {
     /// spawns threads.
     pool: std::sync::OnceLock<alpha_parallel::Pool>,
     /// `serve_tune_latency_us` on the store's registry — wall-clock of each
-    /// served request (cache-replay and fresh searches alike), resolved once
-    /// here so `tune_one` only touches atomics.
+    /// served request (lookups and searches alike), resolved once here so
+    /// `tune_one` only touches atomics.
     tune_latency: alpha_telemetry::Histogram,
+    /// `serve_tune_total{path=…}` on the store's registry: which path
+    /// answered each request (see [`TunePath`]).
+    tune_paths: [alpha_telemetry::Counter; 3],
+}
+
+/// How one request was answered — the `path` label of `serve_tune_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TunePath {
+    /// From the context's stored winner and its evaluation entry; no search.
+    Stored,
+    /// By a search that every evaluation of was already cached for (the
+    /// fallback when a resident context has no complete stored answer).  A
+    /// steady-state daemon reads 0 here.
+    Replayed,
+    /// By a search that cost fresh evaluations.
+    Searched,
+}
+
+impl TunePath {
+    const ALL: [TunePath; 3] = [TunePath::Stored, TunePath::Replayed, TunePath::Searched];
+
+    fn label(self) -> &'static str {
+        match self {
+            TunePath::Stored => "stored",
+            TunePath::Replayed => "replayed",
+            TunePath::Searched => "searched",
+        }
+    }
+}
+
+/// The outcome a finished search of `eval_key` recorded in `cache`: its
+/// stored winner joined with that winner's evaluation entry.  `None` when
+/// either half is missing (never searched, an interrupted first search, a
+/// foreign cache file) — the caller searches instead.
+fn stored_outcome(cache: &DesignCache, eval_key: u64) -> Option<SearchOutcome> {
+    let winner = cache.winner(eval_key)?;
+    let evaluation = cache.entry(eval_key, &winner.graph)??;
+    Some(SearchOutcome {
+        best_graph: winner.graph,
+        best_report: evaluation.report,
+        best_source: evaluation.source,
+        best_kernel_shape: evaluation.kernel_shape,
+        stats: SearchStats::default(),
+    })
 }
 
 impl TuningService {
@@ -91,6 +140,11 @@ impl TuningService {
     /// it cannot change any outcome.
     pub fn new(store: DesignStore, config: SearchConfig) -> Self {
         let tune_latency = store.registry().histogram("serve_tune_latency_us", &[]);
+        let tune_paths = TunePath::ALL.map(|path| {
+            store
+                .registry()
+                .counter("serve_tune_total", &[("path", path.label())])
+        });
         TuningService {
             store,
             config,
@@ -98,6 +152,7 @@ impl TuningService {
             batch_threads: 0,
             pool: std::sync::OnceLock::new(),
             tune_latency,
+            tune_paths,
         }
     }
 
@@ -302,9 +357,11 @@ impl TuningService {
             .collect()
     }
 
-    /// Serves one request against the store: loads (or creates) the
-    /// context's cache, resolves the warm-start seeds, runs the search and
-    /// persists the result.
+    /// Serves one request against the store.  A context that has been
+    /// searched before is answered from its stored winner (a lookup plus a
+    /// format build); anything else — a new context, or one whose stored
+    /// answer is incomplete — resolves its warm-start seeds, runs the search
+    /// and persists the result.
     fn tune_one(
         &self,
         request: &TuneRequest,
@@ -315,8 +372,8 @@ impl TuningService {
     ) -> Result<ServedTune, String> {
         let start = Instant::now();
         // Traced requests see the serving layer as one span between the
-        // daemon's queue-pop and reply spans; the search engine's own
-        // `search.l*` spans nest under it.
+        // daemon's queue-pop and reply spans; `serve.rebuild` or the search
+        // engine's own `search.l*` spans nest under it.
         let _span = alpha_telemetry::span!("serve.tune", context = store_key);
         let cache = self.store.cache_for(store_key).map_err(String::from)?;
 
@@ -324,14 +381,19 @@ impl TuningService {
         // verbatim on every later one.  Replaying matters — the seeds change
         // which candidates the search enumerates, so only an identical seed
         // list keeps the repeat search answerable entirely from the cache.
-        let seeds = match cache.pinned_seed_designs(store_key) {
-            Some(pinned) => pinned,
-            None => {
-                let fresh = self.similar_winners(&request.matrix, eval_key, winners);
-                cache.pin_seed_designs(store_key, fresh.clone());
-                fresh
-            }
-        };
+        let pinned = cache.pinned_seed_designs(store_key);
+        // The cache is this store context's alone, and the store key folds in
+        // the whole search schedule, so a winner recorded here under pinned
+        // seeds is exactly the design a replay of that search would select
+        // (ARCHITECTURE.md, Determinism and Replayability): answer from it.
+        let stored = pinned
+            .as_ref()
+            .and_then(|_| stored_outcome(&cache, eval_key));
+        let seeds = pinned.unwrap_or_else(|| {
+            let fresh = self.similar_winners(&request.matrix, eval_key, winners);
+            cache.pin_seed_designs(store_key, fresh.clone());
+            fresh
+        });
         let warm_started = !seeds.is_empty();
 
         let mut config = self.config.clone();
@@ -339,14 +401,29 @@ impl TuningService {
         config.threads = search_threads;
         config.seed_designs = seeds;
         let tuner = AlphaSparse::with_config(config).with_shared_cache(cache.clone());
-        let tuned = tuner.auto_tune(&request.matrix)?;
+        let (tuned, path) = match stored {
+            Some(outcome) => {
+                let _span = alpha_telemetry::span!("serve.rebuild", context = store_key);
+                (tuner.rebuild(&request.matrix, outcome)?, TunePath::Stored)
+            }
+            None => {
+                let tuned = tuner.auto_tune(&request.matrix)?;
+                let path = match tuned.search_stats().cache_misses {
+                    0 => TunePath::Replayed,
+                    _ => TunePath::Searched,
+                };
+                (tuned, path)
+            }
+        };
         // Persist the cache we actually hold: even if the LRU tier evicted
         // this context mid-search, the final state (not the eviction-time
-        // snapshot) reaches disk.
+        // snapshot) reaches disk.  A lookup leaves the cache clean, which
+        // makes this a no-op.
         self.store
             .persist_cache(store_key, &cache)
             .map_err(String::from)?;
 
+        self.tune_paths[path as usize].inc();
         self.tune_latency.observe_duration(start.elapsed());
         Ok(ServedTune {
             fingerprint: request.matrix.fingerprint(),
@@ -706,6 +783,218 @@ mod tests {
             assert!(alpha_matrix::DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A service with a private metrics registry, so `serve_tune_total`
+    /// counts only this test's requests.
+    fn counted_service(dir: &PathBuf, config: SearchConfig, capacity: usize) -> TuningService {
+        let store = DesignStore::open_with_registry(dir, alpha_telemetry::Registry::new())
+            .unwrap()
+            .with_memory_capacity(capacity);
+        TuningService::new(store, config)
+    }
+
+    /// `serve_tune_total` as (stored, replayed, searched).
+    fn path_counts(service: &TuningService) -> (u64, u64, u64) {
+        let snapshot = service.registry().snapshot();
+        let count = |path: &str| {
+            snapshot
+                .counter("serve_tune_total", &[("path", path)])
+                .unwrap_or(0)
+        };
+        (count("stored"), count("replayed"), count("searched"))
+    }
+
+    /// The oracle: re-runs the search of `request`'s context on the context's
+    /// own cache with its pinned seeds — what `tune_one` did before it
+    /// answered from the stored winner, and what it still falls back to.
+    fn forced_replay(service: &TuningService, request: &TuneRequest, store_key: u64) -> TunedSpmv {
+        let cache = service.store().cache_for(store_key).unwrap();
+        let mut config = service.config().clone();
+        config.device = request.device.clone();
+        config.threads = 1;
+        config.seed_designs = cache
+            .pinned_seed_designs(store_key)
+            .expect("a tuned context has pinned seeds");
+        let replayed = AlphaSparse::with_config(config)
+            .with_shared_cache(cache)
+            .auto_tune(&request.matrix)
+            .unwrap();
+        assert_eq!(replayed.search_stats().cache_misses, 0, "replays are free");
+        replayed
+    }
+
+    fn assert_same_design(a: &TunedSpmv, b: &TunedSpmv, matrix: &CsrMatrix, what: &str) {
+        assert_eq!(a.operator_graph(), b.operator_graph(), "{what}: graph");
+        assert_eq!(a.gflops().to_bits(), b.gflops().to_bits(), "{what}: gflops");
+        assert_eq!(a.report(), b.report(), "{what}: report");
+        assert_eq!(a.source(), b.source(), "{what}: source");
+        assert_eq!(a.kernel_shape(), b.kernel_shape(), "{what}: kernel shape");
+        assert_eq!(a.evaluator(), b.evaluator(), "{what}: evaluator");
+        let x = alpha_matrix::DenseVector::random(matrix.cols(), 77);
+        let (ya, yb) = (a.run(x.as_slice()).unwrap(), b.run(x.as_slice()).unwrap());
+        let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&ya), bits(&yb), "{what}: y must be bit-identical");
+        let expected = matrix.spmv(x.as_slice()).unwrap();
+        assert!(alpha_matrix::DenseVector::from_vec(ya).approx_eq(&expected, 1e-3));
+    }
+
+    #[test]
+    fn stored_winner_is_what_a_replay_selects() {
+        // The differential behind the lookup path: for every pattern family
+        // under both evaluators, the design a resident context is answered
+        // with from its stored winner is the design a replay of its search
+        // selects — from the memory tier, after an LRU eviction and disk
+        // reload, and after the store is reopened.
+        let sim = SearchConfig {
+            max_iterations: 10,
+            mutations_per_seed: 2,
+            ..SearchConfig::default()
+        };
+        let native = SearchConfig {
+            evaluator: alphasparse::NativeEvaluator::choice(alphasparse::TimingHarness::quick(), 1),
+            threads: 1,
+            ..sim.clone()
+        };
+        for (label, config) in [("simulated", sim), ("native", native)] {
+            let dir = temp_dir(&format!("differential_{label}"));
+            let requests: Vec<TuneRequest> = alpha_matrix::gen::PatternFamily::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, family)| {
+                    TuneRequest::new(
+                        family.generate(256, 6, 500 + i as u64),
+                        DeviceProfile::a100(),
+                    )
+                })
+                .collect();
+            // Capacity 1: every context but the last tuned is evicted, so the
+            // second pass below reloads each from disk before answering.
+            let service = counted_service(&dir, config.clone(), 1);
+            // One request per batch, so the later ones are warm-started from
+            // the earlier winners and carry pinned seeds into their replays.
+            let cold: Vec<ServedTune> = requests
+                .iter()
+                .map(|request| {
+                    let mut served = service.tune_batch(std::slice::from_ref(request));
+                    served.pop().unwrap().expect("cold tune succeeds")
+                })
+                .collect();
+            assert!(cold.iter().all(|t| t.fresh_evaluations > 0));
+            assert!(cold.iter().any(|t| t.warm_started));
+            assert_eq!(path_counts(&service), (0, 0, requests.len() as u64));
+
+            let check_pass = |service: &TuningService, pass: &str| {
+                for (request, first) in requests.iter().zip(&cold) {
+                    let what = format!("{label}, {pass}, context {:#x}", first.context_key);
+                    let looked_up = service
+                        .tune_batch(std::slice::from_ref(request))
+                        .pop()
+                        .unwrap()
+                        .expect("warm tune succeeds");
+                    assert_eq!(looked_up.fresh_evaluations, 0, "{what}");
+                    assert_eq!(looked_up.context_key, first.context_key, "{what}");
+                    assert_eq!(looked_up.warm_started, first.warm_started, "{what}");
+                    assert_eq!(looked_up.tuned.search_stats().iterations, 0, "{what}");
+                    let replayed = forced_replay(service, request, first.context_key);
+                    assert_same_design(&looked_up.tuned, &replayed, &request.matrix, &what);
+                    assert_same_design(&looked_up.tuned, &first.tuned, &request.matrix, &what);
+                }
+            };
+            let disk_loads = service.store_stats().disk_loads;
+            check_pass(&service, "evicted and reloaded");
+            assert!(service.store_stats().disk_loads > disk_loads);
+            check_pass(&service, "resident");
+            let n = requests.len() as u64;
+            assert_eq!(path_counts(&service), (2 * n, 0, n), "{label}");
+            service.store().flush().unwrap();
+            drop(service);
+
+            let reopened = counted_service(&dir, config, 8);
+            check_pass(&reopened, "reopened store");
+            assert_eq!(path_counts(&reopened), (n, 0, 0), "{label}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn lookup_falls_back_to_search_when_the_winner_entry_is_missing() {
+        let config = SearchConfig {
+            max_iterations: 10,
+            mutations_per_seed: 2,
+            ..SearchConfig::default()
+        };
+        let request = TuneRequest::new(gen::powerlaw(256, 256, 6, 2.0, 61), DeviceProfile::a100());
+        let batch = std::slice::from_ref(&request);
+
+        // The reference: an ordinary cold tune, then a stored answer.
+        let origin_dir = temp_dir("fallback_origin");
+        let origin = counted_service(&origin_dir, config.clone(), 8);
+        let cold = origin.tune_batch(batch).pop().unwrap().unwrap();
+        let store_key = cold.context_key;
+        let eval_key = context_key_for(
+            &request.matrix,
+            &request.device,
+            GeneratorOptions {
+                model_compression: config.enable_model_compression,
+            },
+            config.seed,
+            config.evaluator.id(),
+        );
+        assert_eq!(origin.store_key(eval_key), store_key);
+        let origin_cache = origin.store().cache_for(store_key).unwrap();
+        let winner = origin_cache
+            .winner(eval_key)
+            .expect("cold tune stored a winner");
+        let pins = origin_cache.pinned_seed_designs(store_key).unwrap();
+
+        // (1) A context that holds the winner and the pins but not the
+        // winner's evaluation entry (an interrupted write, a foreign file):
+        // there is no complete stored answer, so the request is searched —
+        // and lands on the same design.
+        let bare_dir = temp_dir("fallback_bare");
+        let bare = counted_service(&bare_dir, config.clone(), 8);
+        let bare_cache = bare.store().cache_for(store_key).unwrap();
+        bare_cache.pin_seed_designs(store_key, pins);
+        bare_cache.record_winner(eval_key, winner);
+        assert!(stored_outcome(&bare_cache, eval_key).is_none());
+        let searched = bare.tune_batch(batch).pop().unwrap().unwrap();
+        assert!(searched.fresh_evaluations > 0);
+        assert_eq!(path_counts(&bare), (0, 0, 1));
+        assert_same_design(&searched.tuned, &cold.tuned, &request.matrix, "searched");
+        // The search completed the context: the next request is a lookup.
+        let again = bare.tune_batch(batch).pop().unwrap().unwrap();
+        assert_eq!(again.fresh_evaluations, 0);
+        assert_eq!(path_counts(&bare), (1, 0, 1));
+        assert_same_design(&again.tuned, &cold.tuned, &request.matrix, "completed");
+
+        // (2) A context that holds every evaluation and the winner but was
+        // never pinned by a service (searched directly on the cache): the
+        // seeds the winner was found under are unknown, so it is not
+        // trusted — the request pins, replays (free), and only then counts
+        // as resident.
+        let unpinned_dir = temp_dir("fallback_unpinned");
+        let unpinned = counted_service(&unpinned_dir, config.clone(), 8);
+        let unpinned_cache = unpinned.store().cache_for(store_key).unwrap();
+        let mut direct = config.clone();
+        direct.device = request.device.clone();
+        AlphaSparse::with_config(direct)
+            .with_shared_cache(unpinned_cache.clone())
+            .auto_tune(&request.matrix)
+            .unwrap();
+        assert!(stored_outcome(&unpinned_cache, eval_key).is_some());
+        assert!(unpinned_cache.pinned_seed_designs(store_key).is_none());
+        let replayed = unpinned.tune_batch(batch).pop().unwrap().unwrap();
+        assert_eq!(replayed.fresh_evaluations, 0);
+        assert!(replayed.tuned.search_stats().iterations > 0, "a search ran");
+        assert_eq!(path_counts(&unpinned), (0, 1, 0));
+        assert_same_design(&replayed.tuned, &cold.tuned, &request.matrix, "replayed");
+        unpinned.tune_batch(batch).pop().unwrap().unwrap();
+        assert_eq!(path_counts(&unpinned), (1, 1, 0));
+
+        for dir in [origin_dir, bare_dir, unpinned_dir] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

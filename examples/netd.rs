@@ -4,8 +4,10 @@
 //! serving day against it: **two concurrent clients** tune a 20-matrix
 //! fleet (submitting over the wire, polling, running remote SpMV), and a
 //! second wave re-submits the same fleet across *fresh connections* — every
-//! one answered from the daemon's warm `DesignStore` with zero fresh kernel
-//! evaluations.  Ends with a clean client-initiated shutdown.
+//! one answered from its stored winner in the daemon's warm `DesignStore`,
+//! with zero fresh kernel evaluations and no search (checked against the
+//! daemon's `serve_tune_total` counters).  Ends with a clean
+//! client-initiated shutdown.
 //!
 //! ```text
 //! cargo run --release --example netd
@@ -176,6 +178,30 @@ fn main() {
     println!(
         "store tier: {} memory hits, {} disk loads, {} cold starts",
         stats.store_memory_hits, stats.store_disk_loads, stats.store_cold_starts
+    );
+
+    // Which path answered each tune, from the daemon's own registry: the
+    // whole second wave must have been lookups of stored winners — a
+    // replayed search is a resident context that lost its stored answer.
+    let scrape = client.metrics().expect("metrics frame");
+    let answered = |path: &str| -> u64 {
+        let prefix = format!("serve_tune_total{{path=\"{path}\"}} ");
+        scrape
+            .lines()
+            .find_map(|line| line.strip_prefix(prefix.as_str()))
+            .and_then(|value| value.trim().parse().ok())
+            .unwrap_or_else(|| panic!("scrape has no serve_tune_total{{path=\"{path}\"}}"))
+    };
+    let stored = answered("stored");
+    assert!(
+        stored >= matrices.len() as u64,
+        "second wave of {} tunes, but only {stored} answered from stored winners",
+        matrices.len()
+    );
+    assert_eq!(answered("replayed"), 0, "no tune may replay its search");
+    println!(
+        "{stored} tunes answered from stored winners ({} searched, 0 replayed)",
+        answered("searched")
     );
 
     if let Some(metrics) = server.metrics_addr() {
