@@ -271,6 +271,7 @@ fn main() {
                         r.generated.simd.as_deref().unwrap_or("scalar"),
                         r.generated.kernel_shape.as_deref().unwrap_or("none")
                     );
+                    println!("    {:<18} loop: {}", "", r.loop_summary);
                 }
                 let speedups: Vec<f64> = results
                     .iter()

@@ -1040,6 +1040,11 @@ pub struct NativeMatrixResult {
     pub simd_single_thread_gflops: f64,
     /// Records of the native baselines (CSR, ELL, HYB, Merge).
     pub baselines: Vec<BenchRecord>,
+    /// Which inner loop the winner runs and why
+    /// ([`alphasparse::TunedSpmv::loop_summary`]): designed by the measured
+    /// search here, where the quickstart path would list the candidates it
+    /// timed.
+    pub loop_summary: String,
 }
 
 impl NativeMatrixResult {
@@ -1208,6 +1213,7 @@ pub fn native_mode(config: NativeModeConfig) -> Result<Vec<NativeMatrixResult>, 
             scalar,
             simd_single_thread_gflops: simd_1t.gflops,
             baselines,
+            loop_summary: tuned.loop_summary(),
         });
     }
     Ok(results)

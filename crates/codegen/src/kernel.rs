@@ -12,7 +12,7 @@ use crate::format::MachineFormat;
 use crate::layout::{BlockDirectory, PartitionLayout};
 use alpha_gpu::memory::Access;
 use alpha_gpu::{BlockContext, DeviceProfile, LaunchConfig, SpmvKernel, WARP_SIZE};
-use alpha_graph::{Mapping, MatrixMetadataSet, PartitionPlan};
+use alpha_graph::{Mapping, MatrixMetadataSet, PartitionPlan, SimdPlan};
 use alpha_matrix::Scalar;
 
 /// Per-partition execution state derived from the extracted format.
@@ -104,6 +104,19 @@ impl GeneratedKernel {
     /// The designed metadata this kernel was built from.
     pub fn metadata(&self) -> &MatrixMetadataSet {
         &self.metadata
+    }
+
+    /// Overwrites each partition's vectorization directive; see
+    /// [`GeneratedSpmv::set_simd_plans`](crate::GeneratedSpmv::set_simd_plans).
+    pub(crate) fn set_simd_plans(&mut self, plans: &[SimdPlan]) {
+        assert_eq!(
+            plans.len(),
+            self.metadata.partitions.len(),
+            "one SIMD plan per partition"
+        );
+        for (partition, plan) in self.metadata.partitions.iter_mut().zip(plans) {
+            partition.simd = *plan;
+        }
     }
 
     /// Padding overhead: stored slots divided by real non-zeros.

@@ -27,7 +27,7 @@ pub use compress::{compress_array, CompressionModel};
 pub use format::{FormatArray, MachineFormat, PartitionFormat};
 pub use kernel::GeneratedKernel;
 
-use alpha_graph::{design, DesignError, MatrixMetadataSet, OperatorGraph};
+use alpha_graph::{design, DesignError, MatrixMetadataSet, OperatorGraph, SimdPlan};
 use alpha_matrix::CsrMatrix;
 
 /// Options controlling the generator.
@@ -59,6 +59,22 @@ pub struct GeneratedSpmv {
     /// Rust source of the specialized loops the native CPU backend
     /// (`alpha-cpu`) executes for this design.
     pub rust_source: String,
+}
+
+impl GeneratedSpmv {
+    /// Resolves the implementing stage's inner loops after generation: a
+    /// design without a SIMD operator leaves every partition's
+    /// [`SimdPlan`] scalar, and the host that will run it may pick the loop
+    /// (`alpha-cpu`'s `NativeKernel::select`).  Writing the picks here —
+    /// one plan per partition — keeps the single rule that lowering and
+    /// emission follow the plan: the kernel's metadata carries them and
+    /// [`GeneratedSpmv::rust_source`] is re-emitted from it.  The format,
+    /// the simulated kernel and the CUDA-like source do not depend on the
+    /// plans and stay as they are.
+    pub fn set_simd_plans(&mut self, plans: &[SimdPlan]) {
+        self.kernel.set_simd_plans(plans);
+        self.rust_source = emit::emit_rust(self.kernel.metadata(), &self.format);
+    }
 }
 
 /// Runs the Designer and the Format & Kernel Generator end to end.

@@ -266,8 +266,10 @@ impl AlphaSparse {
     /// same matrix is answered from the cache.
     pub fn auto_tune(&self, matrix: &CsrMatrix) -> Result<TunedSpmv, String> {
         let outcome = alpha_search::search_with_cache(matrix, &self.config, &self.cache)?;
-        // Save only when the search actually learned something: a fully
-        // cache-served replay leaves the cache clean and costs no write.
+        let tuned = self.rebuild(matrix, outcome)?;
+        // Save only when the tune actually learned something: a fully
+        // cache-served replay of a context whose loop is already recorded
+        // leaves the cache clean and costs no write.
         if let Some(path) = &self.store_path {
             if self.cache.is_dirty() {
                 self.cache
@@ -276,7 +278,7 @@ impl AlphaSparse {
                 self.cache.mark_clean();
             }
         }
-        self.rebuild(matrix, outcome)
+        Ok(tuned)
     }
 
     /// Builds the ready-to-run program for a search outcome that is already
@@ -285,16 +287,77 @@ impl AlphaSparse {
     /// (and that winner's evaluation) answers a repeat request with this: a
     /// format build instead of a replayed search.  `outcome` must have been
     /// produced for this matrix under this tuner's configuration.
-    pub fn rebuild(&self, matrix: &CsrMatrix, outcome: SearchOutcome) -> Result<TunedSpmv, String> {
-        let generated = self.generate_for_graph(matrix, &outcome.best_graph)?;
+    ///
+    /// A design that carries no SIMD operator leaves its inner loop to the
+    /// host (the cost model cannot rank lane widths).  When `outcome` names
+    /// the loop ([`SearchOutcome::best_kernel_shape`], recorded by an
+    /// earlier rebuild or a measured evaluation) and this host can run it,
+    /// the design is lowered with that loop; otherwise the admissible loops
+    /// are measured once ([`NativeKernel::select`]) and the winner is
+    /// recorded on the design's entry in the tuner's cache — which is
+    /// thereby dirty; `auto_tune` saves it, other callers persist it as they
+    /// persist search results.  Either way the choice lands in the returned
+    /// program's own metadata, so [`TunedSpmv::rust_source`],
+    /// [`TunedSpmv::kernel_shape`] and a `NativeKernel::new` twin built from
+    /// [`TunedSpmv::kernel`] and [`TunedSpmv::format`] all describe the loop
+    /// that runs.
+    pub fn rebuild(
+        &self,
+        matrix: &CsrMatrix,
+        mut outcome: SearchOutcome,
+    ) -> Result<TunedSpmv, String> {
+        let mut generated = self.generate_for_graph(matrix, &outcome.best_graph)?;
+        let mut native = std::sync::OnceLock::new();
+        let mut loops = Vec::new();
+        let metadata = generated.kernel.metadata();
+        if metadata.partitions.iter().all(|p| !p.simd.is_vectorized()) {
+            let recorded = outcome
+                .best_kernel_shape
+                .as_deref()
+                .and_then(|label| alpha_cpu::plans_from_label(metadata, label));
+            let plans = match recorded {
+                Some(plans) => plans,
+                None => {
+                    let (kernel, choices) = NativeKernel::select(metadata, &generated.format)
+                        .map_err(|e| e.to_string())?;
+                    let shape = kernel.partition_shapes();
+                    self.cache.set_winner_kernel_shape(
+                        self.context_key(matrix),
+                        &outcome.best_graph,
+                        &shape,
+                    );
+                    outcome.best_kernel_shape = Some(shape);
+                    native = kernel.into();
+                    loops = choices;
+                    loops.iter().map(|choice| choice.plan).collect()
+                }
+            };
+            if plans.iter().any(|plan| plan.is_vectorized()) {
+                generated.set_simd_plans(&plans);
+            }
+        }
         Ok(TunedSpmv {
             device: self.config.device.clone(),
             evaluator: self.config.evaluator.id(),
             matrix_stats: MatrixStats::from_csr(matrix),
             generated,
-            native: std::sync::OnceLock::new(),
+            native,
+            loops,
             outcome,
         })
+    }
+
+    /// The key this tuner's searches of `matrix` cache under.
+    fn context_key(&self, matrix: &CsrMatrix) -> u64 {
+        alpha_search::context_key_for(
+            matrix,
+            &self.config.device,
+            GeneratorOptions {
+                model_compression: self.config.enable_model_compression,
+            },
+            self.config.seed,
+            self.config.evaluator.id(),
+        )
     }
 
     /// Generates the SpMV program for an explicit operator graph, without any
@@ -322,10 +385,14 @@ pub struct TunedSpmv {
     /// a second copy of the matrix alive.
     matrix_stats: MatrixStats,
     generated: GeneratedSpmv,
-    /// Lazily lowered on first native use: the lowering clones the partition
-    /// matrices and index arrays, which purely-simulated callers (the common
-    /// pre-existing path) should not pay for.
+    /// Lowered on first native use (the lowering clones the partition
+    /// matrices and index arrays, which a lookup should not pay for) —
+    /// except by the rebuild that selected the inner loops, which had to
+    /// lower the design to measure it and keeps that kernel.
     native: std::sync::OnceLock<NativeKernel>,
+    /// One entry per partition when this handle's rebuild measured the inner
+    /// loops; empty when the design or a recorded label decided them.
+    loops: Vec<alpha_cpu::LoopChoice>,
     outcome: SearchOutcome,
 }
 
@@ -402,6 +469,37 @@ impl TunedSpmv {
     /// not run natively yet.
     pub fn kernel_shape(&self) -> String {
         self.native_kernel().shape_label()
+    }
+
+    /// How this handle's inner loops were chosen, one [`LoopChoice`] per
+    /// partition with every candidate's measured ns/nnz — or empty when
+    /// nothing was measured for it: the design carries a SIMD operator, or
+    /// the loop was lowered from the label a previous tune recorded.
+    ///
+    /// [`LoopChoice`]: alpha_cpu::LoopChoice
+    pub fn loop_selection(&self) -> &[alpha_cpu::LoopChoice] {
+        &self.loops
+    }
+
+    /// One line saying which inner loop runs and why, e.g.
+    /// `avx2-nnz-x8 (scalar 0.51, avx2-nnz-x4 0.40, avx2-nnz-x8 0.37 ns/nnz)`
+    /// after a measurement, `avx2-nnz-x8 (recorded)` for a loop lowered from
+    /// its stored label, `avx2-nnz-x8+pf16 (designed)` when the operator graph
+    /// itself names the lanes.
+    pub fn loop_summary(&self) -> String {
+        if !self.loops.is_empty() {
+            let choices: Vec<String> = self.loops.iter().map(|c| c.to_string()).collect();
+            return choices.join(" | ");
+        }
+        let designed = self.outcome.best_graph.branches.iter().flatten().any(|op| {
+            matches!(
+                op,
+                alpha_graph::Operator::SimdNnzLanes { .. }
+                    | alpha_graph::Operator::SimdRowLanes { .. }
+            )
+        });
+        let why = if designed { "designed" } else { "recorded" };
+        format!("{} ({why})", self.native_kernel().simd_label())
     }
 
     /// Always `true`: the monomorphized kernel library is the only native
@@ -582,6 +680,187 @@ mod tests {
         assert!(tuned.rust_source().contains("alphasparse_spmv"));
     }
 
+    /// Long uniform rows: whichever format the cost model picks, a vector
+    /// loop beats the scalar one on them by a wide margin.
+    fn long_row_matrix() -> CsrMatrix {
+        gen::uniform_random(2_048, 2_048, 64, 23)
+    }
+
+    /// A kernel built from the handle's own metadata and format — the
+    /// benchmark's telemetry probe builds exactly this — must be a twin.
+    fn assert_twin(tuned: &TunedSpmv, matrix: &CsrMatrix) {
+        let twin = NativeKernel::new(tuned.kernel().metadata(), tuned.format()).without_telemetry();
+        assert_eq!(twin.shape_label(), tuned.kernel_shape());
+        assert_eq!(twin.shape_label(), tuned.native_kernel().shape_label());
+        let x = DenseVector::random(matrix.cols(), 4);
+        let bits = |y: Vec<Scalar>| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(
+            bits(twin.run(x.as_slice(), 1).unwrap()),
+            bits(tuned.run_with_threads(x.as_slice(), 1).unwrap())
+        );
+        let expected = matrix.spmv(x.as_slice()).unwrap();
+        let y = tuned.run(x.as_slice()).unwrap();
+        assert!(DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
+    }
+
+    #[test]
+    fn a_simulated_tune_prints_and_twins_the_loop_it_runs() {
+        let matrix = long_row_matrix();
+        let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(12);
+        let tuned = tuner.auto_tune(&matrix).unwrap();
+        assert_eq!(tuned.evaluator(), EvaluatorId::Simulated);
+        assert!(
+            !tuned.operator_graph().contains("SIMD"),
+            "the design stays the cost model's: {}",
+            tuned.operator_graph()
+        );
+        // The loop was measured, one choice per partition, and the handle
+        // says so in one line.  (Which loop wins is the host's business: an
+        // unoptimised build's vector loops lose to its scalar one.)
+        let choices = tuned.loop_selection();
+        assert_eq!(choices.len(), tuned.format().partitions.len());
+        assert!(tuned.loop_summary().starts_with(&choices[0].label));
+        assert!(tuned
+            .kernel_shape()
+            .ends_with(&choices.last().unwrap().label));
+        assert_twin(&tuned, &matrix);
+
+        // Whatever this build measured, a context whose recorded loop names
+        // nnz lanes is lowered, printed and twinned with those lanes.
+        let lanes = alpha_cpu::ResolvedSimd::resolve(
+            &alpha_graph::SimdPlan {
+                lanes: 8,
+                lane_mapping: alpha_graph::SimdLaneMapping::Nnz,
+                prefetch_distance: 0,
+            },
+            alpha_cpu::SimdMode::Auto,
+        );
+        let (key, winner) = tuner.cache().winners().pop().expect("one context");
+        tuner.cache().set_winner_kernel_shape(
+            key,
+            &winner.graph,
+            &format!("any:{}", lanes.label()),
+        );
+        let vectorized = tuner.auto_tune(&matrix).unwrap();
+        assert!(
+            vectorized.loop_selection().is_empty(),
+            "lowered from the label"
+        );
+        let shape = vectorized.kernel_shape();
+        if alpha_cpu::cpu_features::force_scalar() {
+            assert!(shape.ends_with(":scalar"), "{shape}");
+        } else {
+            assert!(shape.ends_with("nnz-x8"), "{shape}");
+            assert!(vectorized.native_kernel().is_vectorized());
+            let source = vectorized.rust_source();
+            assert!(source.contains("8-lane gather kernel"), "{source}");
+            assert!(source.contains("hsum_tree"), "{source}");
+        }
+        assert_eq!(vectorized.operator_graph(), tuned.operator_graph());
+        assert_eq!(vectorized.source(), tuned.source());
+        assert_twin(&vectorized, &matrix);
+    }
+
+    #[test]
+    fn a_recorded_loop_is_lowered_unmeasured_and_a_hostile_one_is_reselected() {
+        let matrix = long_row_matrix();
+        let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(12);
+        let first = tuner.auto_tune(&matrix).unwrap();
+        assert!(
+            !first.loop_selection().is_empty(),
+            "a fresh context measures"
+        );
+        let (key, winner) = tuner.cache().winners().pop().expect("one context");
+        let recorded = winner.kernel_shape.clone().expect("the choice is recorded");
+        assert!(recorded.ends_with(&first.loop_selection().last().unwrap().label));
+        tuner.cache().mark_clean();
+
+        // The replay reads the loop off the winner's entry: nothing is
+        // measured, nothing is written.
+        let second = tuner.auto_tune(&matrix).unwrap();
+        assert_eq!(second.search_stats().cache_misses, 0);
+        assert!(second.loop_selection().is_empty());
+        assert!(
+            second.loop_summary().ends_with("(recorded)"),
+            "{}",
+            second.loop_summary()
+        );
+        assert_eq!(second.kernel_shape(), first.kernel_shape());
+        assert_eq!(second.rust_source(), first.rust_source());
+        assert!(!tuner.cache().is_dirty());
+
+        // A label this host would not have chosen is selected again and
+        // overwritten — never an error, never a panic, never trusted.
+        let foreign = match alpha_cpu::cpu_features::detect_hardware() {
+            alpha_cpu::SimdSupport::Avx2 => "rows[off:table,org:id,col:table]:neon-nnz-x8",
+            _ => "rows[off:table,org:id,col:table]:avx2-nnz-x8",
+        };
+        for hostile in [
+            "",
+            "not a shape",
+            "rows[off:table,org:id,col:table]:row-x16",
+            foreign,
+        ] {
+            tuner
+                .cache()
+                .set_winner_kernel_shape(key, &winner.graph, hostile);
+            let again = tuner.auto_tune(&matrix).unwrap();
+            assert_eq!(again.search_stats().cache_misses, 0, "{hostile:?}");
+            assert!(
+                !again.loop_selection().is_empty(),
+                "{hostile:?} must be re-selected"
+            );
+            let healed = tuner.cache().winner(key).unwrap().kernel_shape.unwrap();
+            assert!(
+                alpha_cpu::plans_from_label(again.kernel().metadata(), &healed).is_some(),
+                "{hostile:?} was overwritten with {healed:?}"
+            );
+            assert_eq!(again.operator_graph(), first.operator_graph());
+            let x = DenseVector::random(matrix.cols(), 6);
+            let expected = matrix.spmv(x.as_slice()).unwrap();
+            let y = again.run(x.as_slice()).unwrap();
+            assert!(DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
+        }
+    }
+
+    #[test]
+    fn a_store_written_before_loops_were_recorded_is_upgraded_in_place() {
+        let dir = std::env::temp_dir().join(format!("alphasparse_upgrade_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("designs.acds");
+        let matrix = long_row_matrix();
+        let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(12);
+
+        // What the previous release wrote: the search's cache, every
+        // simulated entry and the winner without a kernel shape.
+        let old = Arc::new(DesignCache::new());
+        alpha_search::search_with_cache(&matrix, tuner.config(), &old).unwrap();
+        assert!(old.winners().iter().all(|(_, w)| w.kernel_shape.is_none()));
+        old.save_to_file(&path).unwrap();
+
+        let upgraded = tuner.clone().with_store(&path).unwrap();
+        let tuned = upgraded.auto_tune(&matrix).unwrap();
+        assert_eq!(
+            tuned.search_stats().cache_misses,
+            0,
+            "the old entries answer"
+        );
+        assert!(
+            !tuned.loop_selection().is_empty(),
+            "first use selects the loop"
+        );
+        let reloaded = DesignCache::load_from_file(&path).unwrap();
+        let (_, winner) = reloaded.winners().pop().unwrap();
+        assert!(winner.kernel_shape.is_some(), "and writes it back");
+
+        let reopened = tuner.with_store(&path).unwrap();
+        let again = reopened.auto_tune(&matrix).unwrap();
+        assert!(again.loop_selection().is_empty(), "later uses read it");
+        assert_eq!(again.kernel_shape(), tuned.kernel_shape());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn native_execution_tunes_on_measured_time() {
         let matrix = gen::powerlaw(384, 384, 8, 2.0, 13);
@@ -603,6 +882,14 @@ mod tests {
 
         let measured = tuned.measure(TimingHarness::quick(), 1).unwrap();
         assert!(measured.gflops > 0.0);
+
+        // A measured search has already timed the loop it designed; nothing
+        // is selected after it.
+        assert!(tuned.loop_selection().is_empty());
+        assert_eq!(
+            tuner.cache().winners().pop().unwrap().1.kernel_shape,
+            Some(tuned.kernel_shape())
+        );
     }
 
     #[test]

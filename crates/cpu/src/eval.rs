@@ -169,6 +169,38 @@ mod tests {
     }
 
     #[test]
+    fn a_scalar_seed_is_measured_and_recorded_scalar() {
+        // Lanes stay a search dimension under measured evaluation: a design
+        // without a SIMD operator is lowered exactly as designed (no host
+        // loop selection inside the search), so it competes as the scalar
+        // kernel it is against its vectorized twins.
+        let matrix = gen::uniform_random(512, 512, 16, 3);
+        let ctx = context_fixture(&matrix);
+        let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
+        let scalar = evaluator
+            .evaluate(&ctx, &presets::csr_scalar())
+            .expect("feasible");
+        let shape = scalar
+            .kernel_shape
+            .expect("native evaluations carry a shape");
+        assert!(shape.ends_with(":scalar"), "{shape}");
+
+        let mut twin = presets::csr_scalar();
+        for branch in &mut twin.branches {
+            branch.push(alpha_graph::Operator::SimdNnzLanes { lanes: 8 });
+            // Stable stage sort, as the search's seeding does.
+            branch.sort_by_key(|op| op.stage() as u8);
+        }
+        let vectorized = evaluator.evaluate(&ctx, &twin).expect("feasible");
+        let shape = vectorized.kernel_shape.expect("shape");
+        assert_eq!(
+            shape.ends_with(":scalar"),
+            crate::cpu_features::force_scalar(),
+            "{shape}"
+        );
+    }
+
+    #[test]
     fn infeasible_designs_are_rejected() {
         // A 2-way ROW_DIV cannot be applied to a 1-row matrix.
         let mut coo = alpha_matrix::CooMatrix::new(1, 8);

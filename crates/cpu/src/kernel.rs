@@ -33,16 +33,20 @@
 
 use crate::simd::{ResolvedSimd, SimdMode};
 use crate::specialized::{
-    self, ChunkFn, IndexArgs, IndexKind, KernelShape, PartitionArgs, PartitionKind, PrefetchClass,
-    ScatterFn, SimdClass, SpanFn,
+    self, ChunkFn, IndexArgs, IndexKind, KernelShape, PartitionArgs, PartitionKind, ScatterFn,
+    SpanFn,
 };
 use alpha_codegen::compress::CompressedArray;
-use alpha_codegen::{CompressionModel, FormatArray, MachineFormat};
-use alpha_graph::{Mapping, MatrixMetadataSet};
+use alpha_codegen::{CompressionModel, FormatArray, MachineFormat, PartitionFormat};
+use alpha_graph::{Mapping, MatrixMetadataSet, PartitionPlan};
 use alpha_matrix::{CsrMatrix, Scalar};
 use alpha_parallel::Pool;
 use alpha_telemetry::Histogram;
 use std::time::Instant;
+
+mod select;
+
+pub use select::{plans_from_label, LoopChoice};
 
 /// Non-zeros one scalar worker should own, at minimum, before another pooled
 /// worker is worth engaging.
@@ -71,14 +75,17 @@ pub const MIN_NNZ_PER_WORKER: usize = 16_384;
 
 /// Resolves a requested thread count: `0` means "automatic" — one worker per
 /// available core, but never more than [`MIN_NNZ_PER_WORKER`] would justify
-/// for `nnz` non-zeros.  A vectorized kernel retires `lanes` non-zeros per
-/// step, so it finishes a fixed chunk of work roughly `lanes` times sooner
-/// and the break-even point for waking another worker shifts out by the same
-/// factor (scalar kernels and the baselines pass `lanes = 1`).  Explicit
-/// counts are honoured verbatim.
+/// for `nnz` non-zeros.  A kernel whose loop advances `lanes > 1` non-zeros
+/// per step doubles that minimum: every loop selection measures the
+/// vector-to-scalar ratio, and it reads 1.2-1.8x on gather-bound SpMV, never
+/// `lanes`x — so the point where another worker pays shifts out by at most 2
+/// (the count has to follow from the kernel's shape alone, not from a
+/// measurement, or a design lowered from its recorded label would split its
+/// work differently from the one that was measured).  Scalar kernels and the
+/// baselines pass `lanes = 1`.  Explicit counts are honoured verbatim.
 pub fn effective_workers(threads: usize, nnz: usize, lanes: usize) -> usize {
     if threads == 0 {
-        let per_worker = MIN_NNZ_PER_WORKER.saturating_mul(lanes.max(1));
+        let per_worker = MIN_NNZ_PER_WORKER * if lanes > 1 { 2 } else { 1 };
         alpha_parallel::default_threads()
             .min(nnz.div_ceil(per_worker))
             .max(1)
@@ -401,9 +408,110 @@ struct NativePartition {
     simd: ResolvedSimd,
     /// This partition's coordinates in the shape lattice.
     shape: KernelShape,
+    /// Index arrays of this partition the design replaced with fitted models.
+    closed_form_arrays: usize,
+}
+
+/// One partition's coordinates in the shape lattice under a vectorization
+/// decision: everything but `simd` is fixed by the format.
+fn shape_for(
+    partition: PartitionKind,
+    bounds: &IndexFn,
+    origin: &IndexFn,
+    simd: &ResolvedSimd,
+) -> KernelShape {
+    let (simd, prefetch) = specialized::executed_loop(simd, partition == PartitionKind::Rows);
+    KernelShape {
+        partition,
+        bounds: IndexKind::of(bounds),
+        origin: IndexKind::of(origin),
+        col_index: IndexKind::Table,
+        simd,
+        prefetch,
+    }
 }
 
 impl NativePartition {
+    /// Lowers everything of one partition that the format fixes — streams,
+    /// index maps (validated over their domains, so the hot loops need no
+    /// clamp), work split — with the scalar loop bound;
+    /// [`NativePartition::bind`] picks the loop that runs.
+    fn new(
+        index: usize,
+        plan: &PartitionPlan,
+        pf: &PartitionFormat,
+    ) -> Result<Self, KernelBuildError> {
+        let mut closed_form_arrays = 0;
+        let mut lookup = |name: &'static str, domain: usize| -> Result<IndexFn, KernelBuildError> {
+            let f = pf
+                .array(name)
+                .map(IndexFn::from_array)
+                .unwrap_or(IndexFn::Identity);
+            f.validate_domain(domain, index, name)?;
+            closed_form_arrays += f.is_closed_form() as usize;
+            Ok(f)
+        };
+        let rows = plan.matrix.rows();
+        let origin = lookup("origin_rows", rows)?;
+        let row_offsets = lookup("row_offsets", rows + 1)?;
+        let simd = ResolvedSimd::scalar();
+        let (shape, exec) = match plan.mapping {
+            Mapping::RowPerThread { .. } | Mapping::VectorPerRow { .. } => {
+                let shape = shape_for(PartitionKind::Rows, &row_offsets, &origin, &simd);
+                let exec = PartitionExec::Rows {
+                    chunk: specialized::rows_loop(&shape)?,
+                    row_offsets,
+                    cuts: BalancedRowCuts::build(plan.matrix.row_offsets()),
+                };
+                (shape, exec)
+            }
+            Mapping::NnzSplit { nnz_per_thread } => {
+                let nnz_per_thread = nnz_per_thread.max(1);
+                let chunks = plan.matrix.nnz().div_ceil(nnz_per_thread).max(1);
+                let row_starts = lookup("bmt_row_starts", chunks)?;
+                let shape = shape_for(PartitionKind::Nnz, &row_starts, &origin, &simd);
+                let exec = PartitionExec::Nnz {
+                    span: specialized::nnz_loop(&shape)?,
+                    nnz_per_thread,
+                    row_starts,
+                };
+                (shape, exec)
+            }
+        };
+        Ok(NativePartition {
+            matrix: plan.matrix.clone(),
+            col_offset: plan.col_offset,
+            scatter: specialized::scatter_loop(shape.origin),
+            origin,
+            exec,
+            simd,
+            shape,
+            closed_form_arrays,
+        })
+    }
+
+    /// Binds the partition's inner loop: computes its [`KernelShape`] under
+    /// `simd` and resolves it against the library, which pre-resolves every
+    /// inner-loop decision into a monomorphized function pointer.
+    fn bind(&mut self, simd: ResolvedSimd) -> Result<(), KernelBuildError> {
+        match &mut self.exec {
+            PartitionExec::Rows {
+                chunk, row_offsets, ..
+            } => {
+                self.shape = shape_for(PartitionKind::Rows, row_offsets, &self.origin, &simd);
+                *chunk = specialized::rows_loop(&self.shape)?;
+            }
+            PartitionExec::Nnz {
+                span, row_starts, ..
+            } => {
+                self.shape = shape_for(PartitionKind::Nnz, row_starts, &self.origin, &simd);
+                *span = specialized::nnz_loop(&self.shape)?;
+            }
+        }
+        self.simd = simd;
+        Ok(())
+    }
+
     /// The runtime arguments of this partition's loops, borrowing the
     /// streams for one execution.
     fn args<'a>(&'a self, x: &'a [Scalar], bounds: IndexArgs<'a>) -> PartitionArgs<'a> {
@@ -415,6 +523,51 @@ impl NativePartition {
             bounds,
             prefetch: self.simd.prefetch,
         }
+    }
+
+    /// Accumulates this partition's share of `y += A·x`, split `workers`
+    /// ways.  `only` narrows the run to one worker's share of that split,
+    /// executed inline (loop selection times shares one by one); returns how
+    /// many shares the split has.
+    fn run(
+        &self,
+        x: &[Scalar],
+        y: &mut [Scalar],
+        workers: usize,
+        pool: &Pool,
+        only: Option<usize>,
+    ) -> usize {
+        match &self.exec {
+            PartitionExec::Rows {
+                chunk,
+                row_offsets,
+                cuts,
+            } => run_rows(self, *chunk, row_offsets, cuts, x, y, workers, pool, only),
+            PartitionExec::Nnz {
+                span,
+                nnz_per_thread,
+                row_starts,
+            } => run_nnz(
+                self,
+                *span,
+                *nnz_per_thread,
+                row_starts,
+                x,
+                y,
+                workers,
+                pool,
+                only,
+            ),
+        }
+    }
+}
+
+/// All worker shares of a split, or just share `only` of it (which the pool
+/// then runs inline: a one-element job is never dispatched).
+fn narrow<T>(shares: Vec<T>, only: Option<usize>) -> Vec<T> {
+    match only {
+        None => shares,
+        Some(share) => shares.into_iter().skip(share).take(1).collect(),
     }
 }
 
@@ -485,13 +638,27 @@ impl NativeKernel {
             .expect("designs from the generator lower to valid kernels")
     }
 
-    /// The complete lowering: resolves vectorization, validates every index
-    /// map's domain, computes each partition's [`KernelShape`] and resolves
-    /// it to its monomorphized loops.
+    /// The complete lowering as designed: every partition's loop follows
+    /// its plan's [`SimdPlan`](alpha_graph::SimdPlan), the build
+    /// [`SimdMode`] and the host probe.
     fn lower(
         metadata: &MatrixMetadataSet,
         format: &MachineFormat,
         simd_mode: SimdMode,
+    ) -> Result<Self, KernelBuildError> {
+        Self::lower_with(metadata, format, |plan, partition| {
+            partition.bind(ResolvedSimd::resolve(&plan.simd, simd_mode))
+        })
+    }
+
+    /// The one lowering path: validates every index map's domain, lowers
+    /// each partition's streams and work split, lets `bind` pick its inner
+    /// loop (a [`NativePartition::bind`] call — the loop always comes out of
+    /// the monomorphized library), and assembles the kernel.
+    fn lower_with(
+        metadata: &MatrixMetadataSet,
+        format: &MachineFormat,
+        mut bind: impl FnMut(&PartitionPlan, &mut NativePartition) -> Result<(), KernelBuildError>,
     ) -> Result<Self, KernelBuildError> {
         if metadata.partitions.len() != format.partitions.len() {
             return Err(KernelBuildError::PartitionMismatch {
@@ -500,81 +667,32 @@ impl NativeKernel {
             });
         }
         let mut partitions = Vec::with_capacity(metadata.partitions.len());
-        let mut closed_form_arrays = 0;
         for (index, (plan, pf)) in metadata
             .partitions
             .iter()
             .zip(&format.partitions)
             .enumerate()
         {
-            // Corrupt affine maps (negative computed indices) are rejected
-            // here, once, so the hot loops need no clamp.
-            let mut lookup =
-                |name: &'static str, domain: usize| -> Result<IndexFn, KernelBuildError> {
-                    let f = pf
-                        .array(name)
-                        .map(IndexFn::from_array)
-                        .unwrap_or(IndexFn::Identity);
-                    f.validate_domain(domain, index, name)?;
-                    closed_form_arrays += f.is_closed_form() as usize;
-                    Ok(f)
-                };
-            let rows = plan.matrix.rows();
-            let origin = lookup("origin_rows", rows)?;
-            let row_offsets = lookup("row_offsets", rows + 1)?;
-            let simd = ResolvedSimd::resolve(&plan.simd, simd_mode);
-            // The partition's coordinates in the shape lattice...
-            let shape_with = |partition, bounds: &IndexFn| {
-                let simd_class = SimdClass::classify(&simd, partition == PartitionKind::Rows);
-                KernelShape {
-                    partition,
-                    bounds: IndexKind::of(bounds),
-                    origin: IndexKind::of(&origin),
-                    col_index: IndexKind::Table,
-                    simd: simd_class,
-                    prefetch: if simd_class != SimdClass::Scalar && simd.prefetch > 0 {
-                        PrefetchClass::Stream
-                    } else {
-                        PrefetchClass::None
-                    },
-                }
-            };
-            // ...and the library lookup, which pre-resolves every inner-loop
-            // decision into monomorphized function pointers.
-            let (shape, exec) = match plan.mapping {
-                Mapping::RowPerThread { .. } | Mapping::VectorPerRow { .. } => {
-                    let shape = shape_with(PartitionKind::Rows, &row_offsets);
-                    let exec = PartitionExec::Rows {
-                        chunk: specialized::rows_loop(&shape)?,
-                        row_offsets,
-                        cuts: BalancedRowCuts::build(plan.matrix.row_offsets()),
-                    };
-                    (shape, exec)
-                }
-                Mapping::NnzSplit { nnz_per_thread } => {
-                    let nnz_per_thread = nnz_per_thread.max(1);
-                    let chunks = plan.matrix.nnz().div_ceil(nnz_per_thread).max(1);
-                    let row_starts = lookup("bmt_row_starts", chunks)?;
-                    let shape = shape_with(PartitionKind::Nnz, &row_starts);
-                    let exec = PartitionExec::Nnz {
-                        span: specialized::nnz_loop(&shape)?,
-                        nnz_per_thread,
-                        row_starts,
-                    };
-                    (shape, exec)
-                }
-            };
-            partitions.push(NativePartition {
-                matrix: plan.matrix.clone(),
-                col_offset: plan.col_offset,
-                scatter: specialized::scatter_loop(shape.origin),
-                origin,
-                exec,
-                simd,
-                shape,
-            });
+            let mut partition = NativePartition::new(index, plan, pf)?;
+            bind(plan, &mut partition)?;
+            partitions.push(partition);
         }
-        let max_lanes = partitions.iter().map(|p| p.simd.lanes).max().unwrap_or(1);
+        Ok(Self::assemble(partitions, metadata, format))
+    }
+
+    /// Wraps bound partitions into a kernel: the figures and labels every
+    /// run and report reads are derived here, once, from the loops that
+    /// were actually bound.
+    fn assemble(
+        partitions: Vec<NativePartition>,
+        metadata: &MatrixMetadataSet,
+        format: &MachineFormat,
+    ) -> Self {
+        let max_lanes = partitions
+            .iter()
+            .map(|p| p.shape.simd.lanes())
+            .max()
+            .unwrap_or(1);
         let name = format!(
             "alpha-cpu[{}]",
             metadata
@@ -597,7 +715,8 @@ impl NativeKernel {
             "cpu_kernel_run_us",
             &[("simd", &simd_label), ("path", path_label)],
         ));
-        Ok(NativeKernel {
+        NativeKernel {
+            closed_form_arrays: partitions.iter().map(|p| p.closed_form_arrays).sum(),
             partitions,
             rows: metadata.original_rows,
             cols: metadata.original_cols,
@@ -605,10 +724,9 @@ impl NativeKernel {
             format_bytes: format.bytes(),
             name,
             max_lanes,
-            closed_form_arrays,
             simd_label,
             run_hist,
-        })
+        }
     }
 
     /// Returns this kernel with run-latency telemetry detached: runs skip
@@ -750,18 +868,7 @@ impl NativeKernel {
         // Partitions run one after another (their outputs may overlap under
         // COL_DIV); the parallelism lives inside each partition.
         for p in &self.partitions {
-            match &p.exec {
-                PartitionExec::Rows {
-                    chunk,
-                    row_offsets,
-                    cuts,
-                } => run_rows(p, *chunk, row_offsets, cuts, x, y, workers, pool),
-                PartitionExec::Nnz {
-                    span,
-                    nnz_per_thread,
-                    row_starts,
-                } => run_nnz(p, *span, *nnz_per_thread, row_starts, x, y, workers, pool),
-            }
+            p.run(x, y, workers, pool, None);
         }
         if let (Some(hist), Some(started)) = (self.run_hist.as_ref(), started) {
             hist.observe_duration(started.elapsed());
@@ -807,10 +914,11 @@ fn run_rows(
     y: &mut [Scalar],
     workers: usize,
     pool: &Pool,
-) {
+    only: Option<usize>,
+) -> usize {
     let rows = p.matrix.rows();
     if rows == 0 {
-        return;
+        return 0;
     }
     let args = p.args(x, row_offsets.args());
     // Nnz-balanced worker boundaries: from the build-time cache when the
@@ -826,11 +934,10 @@ fn run_rows(
     };
 
     if let Some(base) = p.origin.contiguous_base() {
-        let target = &mut y[base..base + rows];
-        pool.run_over_chunks(alpha_parallel::split_mut_at(target, cuts), |first, out| {
-            chunk(&args, first, out)
-        });
-        return;
+        let chunks = alpha_parallel::split_mut_at(&mut y[base..base + rows], cuts);
+        let shares = chunks.len();
+        pool.run_over_chunks(narrow(chunks, only), |first, out| chunk(&args, first, out));
+        return shares;
     }
 
     let ranges: Vec<(usize, usize)> = cuts
@@ -838,6 +945,8 @@ fn run_rows(
         .map(|w| (w[0], w[1]))
         .filter(|&(first, last)| first < last)
         .collect();
+    let shares = ranges.len();
+    let ranges = narrow(ranges, only);
     let sums: Vec<Vec<Scalar>> = pool.parallel_map(&ranges, |&(first, last)| {
         let mut out = vec![0.0; last - first];
         chunk(&args, first, &mut out);
@@ -847,6 +956,7 @@ fn run_rows(
     for (&(first, _), partial) in ranges.iter().zip(&sums) {
         (p.scatter)(&origin, first, partial, y);
     }
+    shares
 }
 
 /// Nnz-partition loop: workers own groups of whole design chunks and walk
@@ -862,10 +972,11 @@ fn run_nnz(
     y: &mut [Scalar],
     workers: usize,
     pool: &Pool,
-) {
+    only: Option<usize>,
+) -> usize {
     let nnz = p.matrix.nnz();
     if nnz == 0 {
-        return;
+        return 0;
     }
     let total_chunks = nnz.div_ceil(nnz_per_thread).max(1);
     let workers = workers.min(total_chunks).max(1);
@@ -880,6 +991,8 @@ fn run_nnz(
         })
         .filter(|&(_, start, end)| start < end)
         .collect();
+    let shares = spans.len();
+    let spans = narrow(spans, only);
 
     // Spans walk the sub-matrix's real CSR offsets, not a bounds map.
     let args = p.args(x, IndexArgs::IDENTITY);
@@ -899,6 +1012,7 @@ fn run_nnz(
     for (base_row, sums) in &partials {
         (p.scatter)(&origin, *base_row, sums, y);
     }
+    shares
 }
 
 #[cfg(test)]
@@ -1127,18 +1241,63 @@ mod tests {
     fn automatic_worker_count_scales_with_nnz_and_lane_width() {
         let cores = alpha_parallel::default_threads();
         // A 100k-nnz matrix is worth several scalar workers (given the
-        // cores), fewer 8-lane workers, and anything tiny stays serial.
+        // cores), half as many vector workers whatever the lane count, and
+        // anything tiny stays serial.
         let nnz = 100_000;
         assert_eq!(
             effective_workers(0, nnz, 1),
             cores.min(nnz.div_ceil(MIN_NNZ_PER_WORKER))
         );
-        assert_eq!(effective_workers(0, nnz, 8), 1);
+        for lanes in [2, 4, 8] {
+            assert_eq!(
+                effective_workers(0, nnz, lanes),
+                cores.min(nnz.div_ceil(2 * MIN_NNZ_PER_WORKER))
+            );
+        }
+        assert_eq!(effective_workers(0, 20_000, 8), 1);
         assert_eq!(effective_workers(0, 100, 1), 1);
         assert_eq!(effective_workers(0, 0, 1), 1);
         // Explicit counts are honoured verbatim.
         assert_eq!(effective_workers(3, nnz, 1), 3);
         assert_eq!(effective_workers(3, nnz, 8), 3);
+    }
+
+    #[test]
+    fn worker_count_follows_the_executed_loop_not_the_planned_lanes() {
+        // A row-lane plan on an nnz partition: row lanes need whole rows, so
+        // the partition runs its segments scalar.  The plan still names the
+        // lanes; the worker threshold must not.
+        let matrix = gen::uniform_random(4_096, 4_096, 16, 5);
+        let generated = generate(
+            &presets::csr5_like(64),
+            &matrix,
+            GeneratorOptions::default(),
+        )
+        .expect("generation succeeds");
+        let mut metadata = generated.kernel.metadata().clone();
+        for partition in &mut metadata.partitions {
+            partition.simd = alpha_graph::SimdPlan {
+                lanes: 4,
+                lane_mapping: alpha_graph::SimdLaneMapping::Rows,
+                prefetch_distance: 0,
+            };
+        }
+        let kernel = NativeKernel::new(&metadata, &generated.format);
+        assert!(
+            kernel.shape_label().ends_with(":scalar"),
+            "{}",
+            kernel.shape_label()
+        );
+        assert_eq!(kernel.max_lanes(), 1);
+        assert!(!kernel.is_vectorized());
+        assert_eq!(kernel.workers_for(0), effective_workers(0, matrix.nnz(), 1));
+        if !crate::cpu_features::force_scalar() {
+            assert_eq!(
+                kernel.simd_label(),
+                "portable-row-x4",
+                "the label names the plan"
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,459 @@
+//! Choosing a partition's inner loop by running it.
+//!
+//! A design without a SIMD operator says nothing about its implementing
+//! stage's inner loop: the simulator that ranked it cannot tell lane widths
+//! apart, so the Designer leaves every `PartitionPlan.simd` scalar.  Which
+//! library loop is fastest is a fact about *this host and this partition's
+//! rows* (rows shorter than a vector lose to the scalar loop; long rows gain
+//! up to 1.8×), so it is settled the way the paper's search settles
+//! everything else — by measurement: every admissible loop ([`candidates`])
+//! is bound to the partition's own streams, checked against the scalar
+//! loop's `y` under twice the differential suite's per-row bound, and timed
+//! (warmup + min-of-[`ROUNDS`], candidates interleaved) the way `run(x, 0)`
+//! would split it.
+//!
+//! The winner is reported as a [`SimdPlan`], so the caller writes it into the
+//! design's metadata and every later lowering — `NativeKernel::new`,
+//! `emit_rust` — follows the plan as it always did.  The choice travels as
+//! the kernel-shape label ([`NativeKernel::partition_shapes`]);
+//! [`plans_from_label`] turns a recorded label back into plans without
+//! measuring, and refuses labels this host cannot run.
+
+use super::{effective_workers, KernelBuildError, NativeKernel, NativePartition};
+use crate::cpu_features;
+use crate::simd::{ResolvedSimd, SimdMode};
+use crate::specialized;
+use alpha_codegen::MachineFormat;
+use alpha_graph::{Mapping, MatrixMetadataSet, SimdLaneMapping, SimdPlan};
+use alpha_matrix::{DenseVector, Scalar};
+use alpha_parallel::Pool;
+use std::time::Instant;
+
+/// Timed executions of each candidate loop (its verification run is the
+/// warmup; the minimum counts): 24 executions per partition in all.
+const ROUNDS: usize = 7;
+
+/// How one partition's inner loop was chosen.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoopChoice {
+    /// The winning loop as a plan — what the caller writes into the
+    /// partition's `PartitionPlan.simd`.
+    pub plan: SimdPlan,
+    /// The winning loop's label, e.g. `avx2-nnz-x8` or `scalar` (the part of
+    /// [`KernelShape::label`](crate::KernelShape::label) after the `:`).
+    pub label: String,
+    /// `(loop label, ns per non-zero)` of every candidate that was timed, in
+    /// candidate order.  A candidate that failed verification is absent.
+    pub measured: Vec<(String, f64)>,
+}
+
+impl std::fmt::Display for LoopChoice {
+    /// `avx2-nnz-x8 (scalar 0.51, avx2-nnz-x4 0.40, avx2-nnz-x8 0.37 ns/nnz)`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.label)?;
+        if self.measured.is_empty() {
+            return Ok(());
+        }
+        let timings: Vec<String> = self
+            .measured
+            .iter()
+            .map(|(label, ns)| format!("{label} {ns:.2}"))
+            .collect();
+        write!(f, " ({} ns/nnz)", timings.join(", "))
+    }
+}
+
+/// The loops a partition may run on this host, scalar first: the host
+/// backend's nnz lanes ×4 and ×8 (AVX2 gathers, NEON, or the portable lane
+/// code).  The [`cpu_features::NO_SIMD_ENV`] override leaves only the scalar
+/// loop.
+///
+/// The two other shapes the native search seeds — `nnz-x8+pf16` and `row-x4`
+/// — are not candidates: over the repo benchmark's large, small and serving
+/// classes the prefetching twin never beat plain ×8 by more than the timing
+/// noise, and row lanes never beat the scalar loop at all.  They stay
+/// reachable as operators, under measured evaluation.
+fn candidates() -> Vec<SimdPlan> {
+    let mut plans = vec![SimdPlan::scalar()];
+    if !cpu_features::force_scalar() {
+        plans.extend([4, 8].map(|lanes| SimdPlan {
+            lanes,
+            lane_mapping: SimdLaneMapping::Nnz,
+            prefetch_distance: 0,
+        }));
+    }
+    plans
+}
+
+/// The loop label `plan` lowers to on a partition mapped as `mapping`.
+fn loop_label(mapping: &Mapping, plan: &SimdPlan) -> String {
+    let rows_path = !matches!(mapping, Mapping::NnzSplit { .. });
+    let resolved = ResolvedSimd::resolve(plan, SimdMode::Auto);
+    let (simd, prefetch) = specialized::executed_loop(&resolved, rows_path);
+    specialized::loop_label(simd, prefetch)
+}
+
+/// The per-partition plans a recorded kernel-shape label names for this
+/// design, or `None` when the label does not describe loops this host would
+/// itself choose between: unparsable text, a partition count that does not
+/// match, a foreign backend (`neon-*` on x86), a loop outside the candidate
+/// set, anything vectorized under [`cpu_features::NO_SIMD_ENV`].  The
+/// caller then selects afresh — a stale label is never an error.
+pub fn plans_from_label(metadata: &MatrixMetadataSet, label: &str) -> Option<Vec<SimdPlan>> {
+    // Only the loop half of each segment is trusted; the rest restates the
+    // format.
+    let loops: Vec<&str> = label
+        .split('|')
+        .map(|segment| segment.rsplit_once(':').map(|(_, recorded)| recorded))
+        .collect::<Option<_>>()?;
+    // One segment per partition ([`NativeKernel::partition_shapes`]), or —
+    // `shape_label` dedups equal neighbours — segments that all name one
+    // loop, which every partition then runs.
+    let partitions = &metadata.partitions;
+    if loops.len() != partitions.len() && loops.iter().any(|l| *l != loops[0]) {
+        return None;
+    }
+    let candidates = candidates();
+    partitions
+        .iter()
+        .enumerate()
+        .map(|(index, partition)| {
+            let recorded = loops[index.min(loops.len() - 1)];
+            candidates
+                .iter()
+                .find(|plan| loop_label(&partition.mapping, plan) == recorded)
+                .copied()
+        })
+        .collect()
+}
+
+/// `2 · len · ε · Σ|a·x|` per output row of `partition`: a candidate and the
+/// scalar loop are each within the differential suite's per-row bound of the
+/// exact dot product, hence within twice it of each other.
+fn agreement_bounds(partition: &NativePartition, x: &[Scalar], rows: usize) -> Vec<f64> {
+    let matrix = &partition.matrix;
+    let mut bounds = vec![0.0f64; rows];
+    for row in 0..matrix.rows() {
+        let range = matrix.row_range(row);
+        let magnitude: f64 = range
+            .clone()
+            .map(|i| {
+                let column = matrix.col_indices()[i] as usize + partition.col_offset;
+                (matrix.values()[i] as f64 * x[column] as f64).abs()
+            })
+            .sum();
+        bounds[partition.origin.get(row) as usize] +=
+            2.0 * range.len() as f64 * f32::EPSILON as f64 * magnitude;
+    }
+    bounds
+}
+
+/// True when every row of `candidate` is within its bound of `scalar` (or
+/// the very same bits: infinities, and NaNs poisoning the same rows).
+fn agrees(candidate: &[Scalar], scalar: &[Scalar], bounds: &[f64]) -> bool {
+    candidate
+        .iter()
+        .zip(scalar)
+        .zip(bounds)
+        .all(|((&c, &s), &bound)| {
+            (c as f64 - s as f64).abs() <= bound
+                || c.to_bits() == s.to_bits()
+                || (c.is_nan() && s.is_nan())
+        })
+}
+
+/// One candidate loop that passed verification, and what it has cost so far.
+struct Timed {
+    plan: SimdPlan,
+    resolved: ResolvedSimd,
+    label: String,
+    /// Worker count `run(x, 0)` gives a kernel with this loop.
+    workers: usize,
+    /// Fastest time of each worker share, in seconds.
+    share_secs: Vec<f64>,
+}
+
+/// Measures `partition`'s candidate loops and leaves the fastest verified
+/// one bound.  `kernel_nnz` is what the finished kernel sizes its automatic
+/// worker count by; `y` and `scalar_y` are scratch of its output length.
+fn choose(
+    partition: &mut NativePartition,
+    kernel_nnz: usize,
+    x: &[Scalar],
+    y: &mut [Scalar],
+    scalar_y: &mut [Scalar],
+) -> Result<LoopChoice, KernelBuildError> {
+    let plans = candidates();
+    let mut measured = Vec::new();
+    let mut winner = SimdPlan::scalar();
+    // A lone candidate (the scalar loop `partition` is already bound to)
+    // wins unmeasured.
+    if plans.len() > 1 {
+        // Shares run inline, one at a time; the pool is never dispatched to.
+        let pool = Pool::shared();
+        let bounds = agreement_bounds(partition, x, y.len());
+        // The verification run of each candidate doubles as its warmup.
+        let mut timed = Vec::with_capacity(plans.len());
+        for plan in plans {
+            let resolved = ResolvedSimd::resolve(&plan, SimdMode::Auto);
+            partition.bind(resolved)?;
+            let workers = effective_workers(0, kernel_nnz, partition.shape.simd.lanes());
+            y.fill(0.0);
+            let shares = partition.run(x, y, workers, pool, None);
+            if !plan.is_vectorized() {
+                scalar_y.copy_from_slice(y);
+            } else if !agrees(y, scalar_y, &bounds) {
+                continue;
+            }
+            timed.push(Timed {
+                plan,
+                resolved,
+                label: partition.shape.loop_label(),
+                workers,
+                share_secs: vec![f64::INFINITY; shares],
+            });
+        }
+        // Rounds interleave the candidates, so a disturbance of the host
+        // (this is wall-clock time on a shared machine) spoils one round of
+        // everyone rather than every run of one candidate.
+        for _ in 0..ROUNDS {
+            for candidate in &mut timed {
+                partition.bind(candidate.resolved)?;
+                for (share, fastest) in candidate.share_secs.iter_mut().enumerate() {
+                    let started = Instant::now();
+                    partition.run(x, y, candidate.workers, pool, Some(share));
+                    *fastest = fastest.min(started.elapsed().as_secs_f64());
+                }
+            }
+        }
+        // A candidate costs what its slowest worker share costs under the
+        // split `run(x, 0)` would use — not the sum of its shares: on a
+        // length-sorted partition one worker owns the short rows, a vector
+        // loop slows exactly that worker down, and it is the straggler.
+        let nnz = partition.matrix.nnz().max(1) as f64;
+        let mut fastest = &timed[0];
+        let mut fastest_ns = f64::INFINITY;
+        for candidate in &timed {
+            let slowest_share = candidate.share_secs.iter().copied().fold(0.0, f64::max);
+            let ns_per_nnz = slowest_share * 1e9 / nnz;
+            measured.push((candidate.label.clone(), ns_per_nnz));
+            if ns_per_nnz < fastest_ns {
+                (fastest_ns, fastest) = (ns_per_nnz, candidate);
+            }
+        }
+        partition.bind(fastest.resolved)?;
+        winner = fastest.plan;
+    }
+    let label = partition.shape.loop_label();
+    alpha_telemetry::global()
+        .counter("cpu_loop_select_total", &[("simd", &label)])
+        .inc();
+    Ok(LoopChoice {
+        plan: winner,
+        label,
+        measured,
+    })
+}
+
+impl NativeKernel {
+    /// Lowers a design whose plans leave the inner loop open (no SIMD
+    /// operator — the cost model cannot rank lane widths) and resolves each
+    /// partition's loop on this host by measurement: the scalar loop and the
+    /// host backend's nnz lanes ×4 and ×8 are bound in turn to the
+    /// partition's own streams, a vector loop is checked against the scalar
+    /// loop's `y` under twice the differential suite's per-row bound before
+    /// it may win, and each is timed (24 executions per partition in all)
+    /// under the worker split `run(x, 0)` would use, a candidate costing
+    /// what its slowest worker share costs.  With
+    /// [`NO_SIMD_ENV`](crate::NO_SIMD_ENV) set the scalar loop is the only
+    /// candidate and nothing is timed.
+    ///
+    /// Returns the kernel, bound to the winners, and one [`LoopChoice`] per
+    /// partition; writing each `choice.plan` into the partition's
+    /// `PartitionPlan.simd` makes [`NativeKernel::new`] on that metadata
+    /// lower this same kernel.  Counts `cpu_loop_select_total{simd=…}` per
+    /// partition and observes `cpu_loop_select_us` on the global registry,
+    /// inside a `cpu.select` span.
+    pub fn select(
+        metadata: &MatrixMetadataSet,
+        format: &MachineFormat,
+    ) -> Result<(NativeKernel, Vec<LoopChoice>), KernelBuildError> {
+        let _span = alpha_telemetry::span!("cpu.select", nnz = metadata.original_nnz);
+        let started = Instant::now();
+        let x = DenseVector::random(metadata.original_cols, 0x5E1EC7);
+        let mut y = vec![0.0; metadata.original_rows];
+        let mut scalar_y = y.clone();
+        let mut choices = Vec::with_capacity(metadata.partitions.len());
+        let kernel = Self::lower_with(metadata, format, |_, partition| {
+            choices.push(choose(
+                partition,
+                metadata.original_nnz,
+                x.as_slice(),
+                &mut y,
+                &mut scalar_y,
+            )?);
+            Ok(())
+        })?;
+        alpha_telemetry::global()
+            .histogram("cpu_loop_select_us", &[])
+            .observe_duration(started.elapsed());
+        Ok((kernel, choices))
+    }
+
+    /// Every partition's [`KernelShape`](crate::KernelShape) label joined
+    /// with `|`, one segment per partition — [`NativeKernel::shape_label`]
+    /// without the dedup, so [`plans_from_label`] can map it back.
+    pub fn partition_shapes(&self) -> String {
+        let labels: Vec<String> = self.partitions.iter().map(|p| p.shape.label()).collect();
+        labels.join("|")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alpha_codegen::{generate, GeneratedSpmv, GeneratorOptions};
+    use alpha_graph::presets;
+    use alpha_matrix::gen;
+
+    fn generated(
+        graph: &alpha_graph::OperatorGraph,
+        matrix: &alpha_matrix::CsrMatrix,
+    ) -> GeneratedSpmv {
+        generate(graph, matrix, GeneratorOptions::default()).expect("generation succeeds")
+    }
+
+    #[test]
+    fn selection_binds_a_measured_verified_loop_and_the_plan_lowers_to_it() {
+        let matrix = gen::uniform_random(2_048, 2_048, 24, 5);
+        let x = DenseVector::random(matrix.cols(), 9);
+        let expected = matrix.spmv(x.as_slice()).unwrap();
+        for graph in [
+            presets::csr_scalar(),
+            presets::csr5_like(64),
+            presets::row_split_hybrid(2),
+        ] {
+            let mut generated = generated(&graph, &matrix);
+            let (kernel, choices) =
+                NativeKernel::select(generated.kernel.metadata(), &generated.format).unwrap();
+            assert_eq!(choices.len(), generated.format.partitions.len());
+            for choice in &choices {
+                if cpu_features::force_scalar() {
+                    assert!(choice.measured.is_empty() && choice.label == "scalar");
+                    continue;
+                }
+                assert_eq!(choice.measured[0].0, "scalar", "scalar is timed first");
+                assert!(choice.measured.len() <= 3);
+                let fastest = choice
+                    .measured
+                    .iter()
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .unwrap();
+                assert_eq!(fastest.0, choice.label, "{choice}");
+                assert!(choice.to_string().ends_with("ns/nnz)"), "{choice}");
+            }
+            let y = kernel.run(x.as_slice(), 2).unwrap();
+            assert!(DenseVector::from_vec(y.clone()).approx_eq(&expected, 1e-3));
+
+            // Written into the plans, the choice is what plain lowering
+            // follows — and what the recorded label maps back to.
+            let plans: Vec<SimdPlan> = choices.iter().map(|c| c.plan).collect();
+            assert_eq!(
+                plans_from_label(generated.kernel.metadata(), &kernel.partition_shapes()),
+                Some(plans.clone())
+            );
+            generated.set_simd_plans(&plans);
+            let twin = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+            assert_eq!(twin.partition_shapes(), kernel.partition_shapes());
+            assert_eq!(twin.simd_label(), kernel.simd_label());
+            assert_eq!(twin.max_lanes(), kernel.max_lanes());
+            let bits = |y: &[Scalar]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&twin.run(x.as_slice(), 2).unwrap()), bits(&y));
+        }
+    }
+
+    #[test]
+    fn labels_this_host_would_not_choose_are_refused_not_trusted() {
+        let matrix = gen::uniform_random(256, 256, 8, 3);
+        let one = generated(&presets::csr_scalar(), &matrix);
+        let one = one.kernel.metadata();
+        let two = generated(&presets::row_split_hybrid(2), &matrix);
+        let two = two.kernel.metadata();
+        assert_eq!((one.partitions.len(), two.partitions.len()), (1, 2));
+
+        let scalar = Some(vec![SimdPlan::scalar()]);
+        assert_eq!(
+            plans_from_label(one, "rows[off:table,org:id,col:table]:scalar"),
+            scalar
+        );
+        // Only the loop half is read; deduped scalar segments cover any
+        // number of partitions.
+        assert_eq!(plans_from_label(one, "anything:scalar"), scalar);
+        assert_eq!(
+            plans_from_label(two, "rows[a]:scalar|nnz[b]:scalar|rows[c]:scalar"),
+            Some(vec![SimdPlan::scalar(); 2])
+        );
+        let foreign = match cpu_features::detect_hardware() {
+            crate::SimdSupport::Avx2 => "neon-nnz-x8",
+            _ => "avx2-nnz-x8",
+        };
+        for hostile in [
+            "",
+            "garbage",
+            "rows[off:table,org:id,col:table]",
+            "rows[off:table,org:id,col:table]:",
+            "rows[off:table,org:id,col:table]:avx512-nnz-x16",
+            // In the library, but not a loop selection chooses between.
+            "rows[off:table,org:id,col:table]:portable-nnz-x2",
+            "rows[off:table,org:id,col:table]:row-x4",
+            "rows[off:table,org:id,col:table]:avx2-nnz-x8+pf",
+            &format!("rows[off:table,org:id,col:table]:{foreign}"),
+        ] {
+            assert_eq!(plans_from_label(one, hostile), None, "{hostile:?}");
+        }
+        if !cpu_features::force_scalar() {
+            let vector = loop_label(&one.partitions[0].mapping, &candidates()[2]);
+            let label = format!("rows[x]:{vector}");
+            assert_eq!(plans_from_label(one, &label).unwrap()[0].lanes, 8);
+            // Differing segments must map one to one.
+            let mixed = format!("rows[x]:scalar|rows[y]:{vector}");
+            assert_eq!(plans_from_label(one, &mixed), None);
+            let lanes: Vec<usize> = plans_from_label(two, &mixed)
+                .unwrap()
+                .iter()
+                .map(|p| p.lanes)
+                .collect();
+            assert_eq!(lanes, [1, 8]);
+            let three = format!("{mixed}|rows[z]:scalar");
+            assert_eq!(plans_from_label(two, &three), None);
+        }
+    }
+
+    #[test]
+    fn a_candidate_that_disagrees_with_the_scalar_loop_cannot_win() {
+        let scalar = [1.0, -2.0, 0.0, Scalar::NAN, Scalar::INFINITY];
+        let bounds = [1e-6, 1e-6, 0.0, 0.0, 0.0];
+        assert!(agrees(&scalar, &scalar, &bounds));
+        assert!(agrees(
+            &[1.0 + 5e-7, -2.0, 0.0, Scalar::NAN, Scalar::INFINITY],
+            &scalar,
+            &bounds
+        ));
+        // Outside the bound, a dropped NaN, a finite value for an infinity.
+        assert!(!agrees(
+            &[1.0 + 1e-5, -2.0, 0.0, Scalar::NAN, Scalar::INFINITY],
+            &scalar,
+            &bounds
+        ));
+        assert!(!agrees(
+            &[1.0, -2.0, 0.0, 0.0, Scalar::INFINITY],
+            &scalar,
+            &bounds
+        ));
+        assert!(!agrees(
+            &[1.0, -2.0, 0.0, Scalar::NAN, 3.0e38],
+            &scalar,
+            &bounds
+        ));
+    }
+}

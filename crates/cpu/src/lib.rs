@@ -24,8 +24,15 @@
 //! * [`simd`] — AVX2/NEON SpMV microkernels behind the runtime
 //!   [`cpu_features`] probe, with lane width, row-vs-nnz lane mapping and
 //!   prefetch distance taken from the design's
-//!   [`SimdPlan`](alpha_graph::SimdPlan) so vectorization is a **search
-//!   dimension**, not a compile-time constant;
+//!   [`SimdPlan`](alpha_graph::SimdPlan).  Under *measured* evaluation that
+//!   makes vectorization a **search dimension**: [`NativeEvaluator`] lowers
+//!   every candidate exactly as designed.  A cost-model winner carries no
+//!   SIMD operator (the simulator cannot rank lane widths), so its plans are
+//!   scalar and its inner loop is a fact about the host instead:
+//!   [`NativeKernel::select`] measures the admissible library loops on the
+//!   partition's own streams once, the caller writes the winners into the
+//!   plans, and [`plans_from_label`] maps a recorded choice back without
+//!   measuring;
 //! * [`specialized`] — the **monomorphized kernel library**, the only SpMV
 //!   executor: every designer-reachable [`KernelShape`] (partition strategy
 //!   × index-fn kinds × SIMD variant × prefetch class) compiles to a
@@ -47,6 +54,9 @@ pub mod specialized;
 pub use cpu_features::{SimdSupport, NO_SIMD_ENV};
 pub use eval::{NativeEvaluator, NATIVE_DEVICE_LABEL};
 pub use harness::{MeasuredReport, TimingHarness};
-pub use kernel::{effective_workers, IndexFn, KernelBuildError, NativeKernel, MIN_NNZ_PER_WORKER};
+pub use kernel::{
+    effective_workers, plans_from_label, IndexFn, KernelBuildError, LoopChoice, NativeKernel,
+    MIN_NNZ_PER_WORKER,
+};
 pub use simd::{ResolvedSimd, SimdMode};
 pub use specialized::{IndexKind, KernelShape, PartitionKind, PrefetchClass, SimdClass};

@@ -139,6 +139,18 @@ impl SimdClass {
         }
     }
 
+    /// Non-zeros (or rows) the executed loop advances per step: 1 for the
+    /// scalar loop.
+    pub fn lanes(self) -> usize {
+        match self {
+            SimdClass::Scalar => 1,
+            SimdClass::NnzPortable { lanes }
+            | SimdClass::NnzAvx2 { lanes }
+            | SimdClass::NnzNeon { lanes }
+            | SimdClass::RowLanes { lanes } => lanes as usize,
+        }
+    }
+
     fn label(self) -> String {
         match self {
             SimdClass::Scalar => "scalar".to_string(),
@@ -197,18 +209,43 @@ impl KernelShape {
             PartitionKind::Rows => "rows",
             PartitionKind::Nnz => "nnz",
         };
-        let pf = match self.prefetch {
-            PrefetchClass::None => "",
-            PrefetchClass::Stream => "+pf",
-        };
         format!(
-            "{partition}[off:{},org:{},col:{}]:{}{pf}",
+            "{partition}[off:{},org:{},col:{}]:{}",
             self.bounds.label(),
             self.origin.label(),
             self.col_index.label(),
-            self.simd.label()
+            self.loop_label()
         )
     }
+
+    /// The inner-loop half of [`KernelShape::label`] (after the `:`), e.g.
+    /// `avx2-nnz-x8+pf` or `scalar`: the part a host chooses when the design
+    /// leaves it open, and the only part a recorded label is trusted for.
+    pub fn loop_label(&self) -> String {
+        loop_label(self.simd, self.prefetch)
+    }
+}
+
+/// `avx2-nnz-x8+pf`, `row-x4`, `scalar`: see [`KernelShape::loop_label`].
+pub(crate) fn loop_label(simd: SimdClass, prefetch: PrefetchClass) -> String {
+    let pf = match prefetch {
+        PrefetchClass::None => "",
+        PrefetchClass::Stream => "+pf",
+    };
+    format!("{}{pf}", simd.label())
+}
+
+/// The loop a resolved vectorization decision executes as: its SIMD variant
+/// and whether the loop contains prefetch instructions at all (a scalar loop
+/// never does).
+pub(crate) fn executed_loop(rs: &ResolvedSimd, rows_path: bool) -> (SimdClass, PrefetchClass) {
+    let simd = SimdClass::classify(rs, rows_path);
+    let prefetch = if simd != SimdClass::Scalar && rs.prefetch > 0 {
+        PrefetchClass::Stream
+    } else {
+        PrefetchClass::None
+    };
+    (simd, prefetch)
 }
 
 // ---------------------------------------------------------------------------

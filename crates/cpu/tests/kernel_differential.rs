@@ -18,7 +18,11 @@
 //!   error; there is no other executor);
 //! * degenerate matrices (one row holding everything, `1×n`, `n×1`,
 //!   duplicate coordinates, all rows empty but one) are correct, and empty
-//!   ones are a typed generator error, never a panic.
+//!   ones are a typed generator error, never a panic;
+//! * the kernel a host **selects** for a design without a SIMD operator
+//!   ([`NativeKernel::select`]: the loop is measured, not designed) is held
+//!   to the same bound on every preset × family and on the degenerate fleet,
+//!   and is the kernel plain lowering builds from the selected plans.
 
 use alpha_cpu::{NativeKernel, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph};
@@ -212,6 +216,53 @@ fn every_preset_family_and_simd_variant_is_within_the_stated_bound() {
             vectorized_runs > 0,
             "no vectorized kernel ran — the differential tested nothing"
         );
+    }
+}
+
+/// Lowers `graph` for `matrix` with every partition's inner loop selected by
+/// measurement, checks that writing the picks into the plans makes plain
+/// lowering build the same kernel, and returns it.
+fn lower_selected(generated: &mut alpha_codegen::GeneratedSpmv, context: &str) -> NativeKernel {
+    let (selected, choices) = NativeKernel::select(generated.kernel.metadata(), &generated.format)
+        .unwrap_or_else(|e| panic!("{context}: selection rejected: {e}"));
+    let plans: Vec<_> = choices.iter().map(|choice| choice.plan).collect();
+    generated.set_simd_plans(&plans);
+    let lowered = NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
+        .unwrap_or_else(|e| panic!("{context}: selected plans do not lower: {e}"));
+    assert_eq!(
+        lowered.partition_shapes(),
+        selected.partition_shapes(),
+        "{context}: lowering must follow the selected plans"
+    );
+    selected
+}
+
+#[test]
+fn selected_kernels_are_within_the_stated_bound() {
+    for (preset_name, graph) in presets::all_presets() {
+        for (fi, family) in PatternFamily::ALL.iter().enumerate() {
+            let matrix = family.generate(384, 6, 900 + fi as u64);
+            let x = DenseVector::random(matrix.cols(), 7);
+            let reference = reference_rows(&matrix, x.as_slice());
+            let context = format!("{preset_name}/selected/{}", family.name());
+            let mut generated = alpha_codegen::generate(
+                &graph,
+                &matrix,
+                alpha_codegen::GeneratorOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+            let kernel = lower_selected(&mut generated, &context);
+            for threads in [1, 4] {
+                let context = format!(
+                    "{context} [{}] at {threads} thread(s)",
+                    kernel.shape_label()
+                );
+                let y = kernel
+                    .run(x.as_slice(), threads)
+                    .unwrap_or_else(|e| panic!("{context}: run failed: {e}"));
+                assert_within_bound(&y, &reference, &context);
+            }
+        }
     }
 }
 
@@ -444,21 +495,29 @@ fn degenerate_matrices_are_correct_under_every_applicable_preset() {
         for (preset, graph) in presets::all_presets() {
             // A design that cannot apply to this matrix (e.g. a 2-way
             // ROW_DIV of a single row) is a typed generator error.
-            let Ok(generated) = alpha_codegen::generate(
+            let Ok(mut generated) = alpha_codegen::generate(
                 &graph,
                 &matrix,
                 alpha_codegen::GeneratorOptions::default(),
             ) else {
                 continue;
             };
-            let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
+            let designed = NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
                 .unwrap_or_else(|e| panic!("{name}/{preset}: kernel build rejected: {e}"));
-            for threads in [1, 4] {
-                let context = format!("{name}/{preset} at {threads} thread(s)");
-                let y = kernel
-                    .run(x.as_slice(), threads)
-                    .unwrap_or_else(|e| panic!("{context}: run failed: {e}"));
-                assert_within_bound(&y, &reference, &context);
+            // Here the only sane pick is often the scalar loop (one row, or
+            // rows shorter than a vector); whatever is picked must be right.
+            let selected = lower_selected(&mut generated, &format!("{name}/{preset}"));
+            for (how, kernel) in [("designed", &designed), ("selected", &selected)] {
+                for threads in [1, 4] {
+                    let context = format!(
+                        "{name}/{preset} {how} [{}] at {threads} thread(s)",
+                        kernel.shape_label()
+                    );
+                    let y = kernel
+                        .run(x.as_slice(), threads)
+                        .unwrap_or_else(|e| panic!("{context}: run failed: {e}"));
+                    assert_within_bound(&y, &reference, &context);
+                }
             }
             lowered.push(preset);
         }

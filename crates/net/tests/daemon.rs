@@ -391,6 +391,17 @@ fn warm_store_serves_a_second_connection_for_free() {
     // the stored winner: zero fresh evaluations, the identical design, and a
     // new job whose kernel computes y = A·x.
     let mut client = Client::connect(server.local_addr()).unwrap();
+    // Tunes whose inner loops were measured on this host so far (the two
+    // searches, unless a winner designed its own lanes).
+    let loop_selections = |client: &mut Client| -> u64 {
+        let metrics = client.metrics().expect("metrics frame");
+        let line = metrics
+            .lines()
+            .find(|line| line.starts_with("serve_loop_select_total "))
+            .unwrap_or_else(|| panic!("no serve_loop_select_total in:\n{metrics}"));
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let selections_before = loop_selections(&mut client);
     let job = client.submit_tune(&matrix, "A100").unwrap();
     let second = client.wait_job(job, POLL, DEADLINE).unwrap();
     assert_eq!(
@@ -402,6 +413,11 @@ fn warm_store_serves_a_second_connection_for_free() {
     assert_eq!(second.gflops, first.gflops);
     assert_eq!(second.kernel_shape, first.kernel_shape);
     assert_eq!(second.specialized, first.specialized);
+    assert_eq!(
+        loop_selections(&mut client),
+        selections_before,
+        "the stored answer lowers the recorded loop; it measures nothing"
+    );
     let x: Vec<f32> = (0..192).map(|i| (i % 11) as f32 * 0.5 - 2.0).collect();
     let y = client.spmv(job, &x).expect("the new job serves SpMV");
     let expected = matrix.spmv(&x).expect("reference SpMV");

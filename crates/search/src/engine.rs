@@ -141,9 +141,10 @@ pub struct SearchOutcome {
     pub best_report: PerfReport,
     /// The emitted CUDA-like source of the winning kernel.
     pub best_source: String,
-    /// Shape label of the native kernel the winner lowered to (`None` for
-    /// simulated searches) — the `alpha-cpu` monomorphized-library key,
-    /// recorded with the stored winner.
+    /// Shape label of the native kernel the winner lowered to — the
+    /// `alpha-cpu` monomorphized-library key, recorded with the stored
+    /// winner.  `None` out of a simulated search whose winner has never
+    /// been built (see [`StoredDesign::kernel_shape`]).
     pub best_kernel_shape: Option<String>,
     /// Search statistics.
     pub stats: SearchStats,

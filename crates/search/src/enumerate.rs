@@ -42,7 +42,12 @@ pub fn seed_structures(matrix: &CsrMatrix, rules: &PruneRules) -> Vec<OperatorGr
 /// every seed.  Twins are only worth seeding under a **measured** evaluator
 /// (`alpha-cpu`'s native backend): the simulator's cost model has no notion
 /// of lane width, so under it a twin scores identically to its scalar base
-/// and merely pads the candidate list.
+/// and merely pads the candidate list.  That does not condemn a cost-model
+/// winner to the scalar loop: a design without a SIMD operator leaves its
+/// inner loop unresolved, and the host that builds it picks one by
+/// measurement, once, after the search (`AlphaSparse::rebuild`,
+/// `alpha_cpu::NativeKernel::select`) — without touching the graph, the
+/// winner or any cache key.
 pub fn seed_structures_with(
     matrix: &CsrMatrix,
     rules: &PruneRules,

@@ -273,10 +273,13 @@ pub struct Evaluation {
     /// simulation.
     pub cached: bool,
     /// Shape label of the native kernel the candidate lowered to (the
-    /// `alpha-cpu` monomorphized-library key) — `None` for simulated
-    /// evaluations, which never build a native kernel.  Travels with the
-    /// winning design into the store so serving layers hand out a
-    /// pre-resolved specialized kernel without re-matching.
+    /// `alpha-cpu` monomorphized-library key).  A measured evaluation
+    /// records the kernel it timed; a simulated one builds no native kernel
+    /// and reports `None` — the winner's entry gets its label afterwards,
+    /// when the host that builds it selects its inner loop
+    /// ([`DesignCache::set_winner_kernel_shape`]).  Travels with the winning
+    /// design into the store so serving layers hand out the same kernel
+    /// without re-matching or re-measuring.
     pub kernel_shape: Option<String>,
 }
 
@@ -540,6 +543,43 @@ impl DesignCache {
                 drop(winners);
                 self.mark_dirty();
             }
+        }
+    }
+
+    /// Records `shape` as the native kernel shape of `graph` under
+    /// `context_key`, on the design's evaluation entry and — when `graph` is
+    /// the context's stored winner — on the winner record, so a lookup, a
+    /// replayed search and a reopened store all report it.  This is how a
+    /// loop chosen on the host *after* a cost-model search (whose
+    /// evaluations carry no shape) travels with the winner; an entry that
+    /// already says `shape` is left alone and the cache stays clean.
+    pub fn set_winner_kernel_shape(&self, context_key: u64, graph: &OperatorGraph, shape: &str) {
+        let mut changed = false;
+        let key = (context_key, graph.canonical_signature());
+        if let Some(Some((_, _, recorded))) = self
+            .entries
+            .lock()
+            .expect("design cache poisoned")
+            .get_mut(&key)
+        {
+            if recorded.as_deref() != Some(shape) {
+                *recorded = Some(shape.to_string());
+                changed = true;
+            }
+        }
+        if let Some(winner) = self
+            .winners
+            .lock()
+            .expect("design cache poisoned")
+            .get_mut(&context_key)
+        {
+            if winner.graph == *graph && winner.kernel_shape.as_deref() != Some(shape) {
+                winner.kernel_shape = Some(shape.to_string());
+                changed = true;
+            }
+        }
+        if changed {
+            self.mark_dirty();
         }
     }
 

@@ -119,8 +119,12 @@ pub struct StoredDesign {
     pub evaluator: EvaluatorId,
     /// Shape label of the native kernel the winner lowered to — the
     /// `alpha-cpu` monomorphized-library key, persisted so serving layers
-    /// hand out a pre-resolved specialized kernel with zero re-matching.
-    /// `None` for simulated winners (no native kernel was built).
+    /// hand out the same kernel with zero re-matching.  A measured winner
+    /// carries the shape it was timed as; a simulated winner is recorded
+    /// with `None` by the search and gets the loop the building host
+    /// selected for it on first use (see
+    /// [`DesignCache::set_winner_kernel_shape`]).  A host fact, not part of
+    /// the design's identity: a reader it does not fit re-derives it.
     pub kernel_shape: Option<String>,
 }
 

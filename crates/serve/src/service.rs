@@ -82,6 +82,11 @@ pub struct TuningService {
     /// `serve_tune_total{path=…}` on the store's registry: which path
     /// answered each request (see [`TunePath`]).
     tune_paths: [alpha_telemetry::Counter; 3],
+    /// `serve_loop_select_total` on the store's registry: requests whose
+    /// answer had its inner loops measured on this host
+    /// ([`TunedSpmv::loop_selection`]) rather than designed or lowered from
+    /// the recorded label — once per context in steady state.
+    loop_selections: alpha_telemetry::Counter,
 }
 
 /// How one request was answered — the `path` label of `serve_tune_total`.
@@ -145,6 +150,7 @@ impl TuningService {
                 .registry()
                 .counter("serve_tune_total", &[("path", path.label())])
         });
+        let loop_selections = store.registry().counter("serve_loop_select_total", &[]);
         TuningService {
             store,
             config,
@@ -153,6 +159,7 @@ impl TuningService {
             pool: std::sync::OnceLock::new(),
             tune_latency,
             tune_paths,
+            loop_selections,
         }
     }
 
@@ -417,13 +424,18 @@ impl TuningService {
         };
         // Persist the cache we actually hold: even if the LRU tier evicted
         // this context mid-search, the final state (not the eviction-time
-        // snapshot) reaches disk.  A lookup leaves the cache clean, which
-        // makes this a no-op.
+        // snapshot) reaches disk.  A lookup whose winner names a loop this
+        // host runs leaves the cache clean, which makes this a no-op; one
+        // that had to select the loop (an entry written before loops were
+        // recorded, or on another host) upgrades the entry here.
         self.store
             .persist_cache(store_key, &cache)
             .map_err(String::from)?;
 
         self.tune_paths[path as usize].inc();
+        if !tuned.loop_selection().is_empty() {
+            self.loop_selections.inc();
+        }
         self.tune_latency.observe_duration(start.elapsed());
         Ok(ServedTune {
             fingerprint: request.matrix.fingerprint(),
@@ -805,6 +817,14 @@ mod tests {
         (count("stored"), count("replayed"), count("searched"))
     }
 
+    /// `serve_loop_select_total`: requests whose inner loops were measured.
+    fn loop_selections(service: &TuningService) -> u64 {
+        let snapshot = service.registry().snapshot();
+        snapshot
+            .counter("serve_loop_select_total", &[])
+            .unwrap_or(0)
+    }
+
     /// The oracle: re-runs the search of `request`'s context on the context's
     /// own cache with its pinned seeds — what `tune_one` did before it
     /// answered from the stored winner, and what it still falls back to.
@@ -824,19 +844,30 @@ mod tests {
         replayed
     }
 
-    fn assert_same_design(a: &TunedSpmv, b: &TunedSpmv, matrix: &CsrMatrix, what: &str) {
+    /// The machine-independent half of a design: what the search decided.
+    fn assert_same_graph(a: &TunedSpmv, b: &TunedSpmv, matrix: &CsrMatrix, what: &str) {
         assert_eq!(a.operator_graph(), b.operator_graph(), "{what}: graph");
         assert_eq!(a.gflops().to_bits(), b.gflops().to_bits(), "{what}: gflops");
         assert_eq!(a.report(), b.report(), "{what}: report");
         assert_eq!(a.source(), b.source(), "{what}: source");
-        assert_eq!(a.kernel_shape(), b.kernel_shape(), "{what}: kernel shape");
         assert_eq!(a.evaluator(), b.evaluator(), "{what}: evaluator");
+        let x = alpha_matrix::DenseVector::random(matrix.cols(), 77);
+        let expected = matrix.spmv(x.as_slice()).unwrap();
+        for tuned in [a, b] {
+            let y = tuned.run(x.as_slice()).unwrap();
+            assert!(alpha_matrix::DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
+        }
+    }
+
+    /// The same design *and* the same inner loop — what every answer out of
+    /// one store must be: identical shape, bit-identical `y`.
+    fn assert_same_design(a: &TunedSpmv, b: &TunedSpmv, matrix: &CsrMatrix, what: &str) {
+        assert_same_graph(a, b, matrix, what);
+        assert_eq!(a.kernel_shape(), b.kernel_shape(), "{what}: kernel shape");
         let x = alpha_matrix::DenseVector::random(matrix.cols(), 77);
         let (ya, yb) = (a.run(x.as_slice()).unwrap(), b.run(x.as_slice()).unwrap());
         let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         assert_eq!(bits(&ya), bits(&yb), "{what}: y must be bit-identical");
-        let expected = matrix.spmv(x.as_slice()).unwrap();
-        assert!(alpha_matrix::DenseVector::from_vec(ya).approx_eq(&expected, 1e-3));
     }
 
     #[test]
@@ -883,6 +914,18 @@ mod tests {
             assert!(cold.iter().all(|t| t.fresh_evaluations > 0));
             assert!(cold.iter().any(|t| t.warm_started));
             assert_eq!(path_counts(&service), (0, 0, requests.len() as u64));
+            // A cost-model winner without a SIMD operator had its loop
+            // measured, once, by the cold tune; a measured search designs
+            // its loops and never has them selected.
+            let selected = cold
+                .iter()
+                .filter(|t| !t.tuned.loop_selection().is_empty())
+                .count() as u64;
+            assert_eq!(loop_selections(&service), selected, "{label}");
+            match label {
+                "native" => assert_eq!(selected, 0),
+                _ => assert!(selected > 0, "no simulated winner left its loop open"),
+            }
 
             let check_pass = |service: &TuningService, pass: &str| {
                 for (request, first) in requests.iter().zip(&cold) {
@@ -899,6 +942,10 @@ mod tests {
                     let replayed = forced_replay(service, request, first.context_key);
                     assert_same_design(&looked_up.tuned, &replayed, &request.matrix, &what);
                     assert_same_design(&looked_up.tuned, &first.tuned, &request.matrix, &what);
+                    // Lookup and replay lower the loop the cold tune
+                    // recorded: neither measures anything.
+                    assert!(looked_up.tuned.loop_selection().is_empty(), "{what}");
+                    assert!(replayed.loop_selection().is_empty(), "{what}");
                 }
             };
             let disk_loads = service.store_stats().disk_loads;
@@ -907,12 +954,14 @@ mod tests {
             check_pass(&service, "resident");
             let n = requests.len() as u64;
             assert_eq!(path_counts(&service), (2 * n, 0, n), "{label}");
+            assert_eq!(loop_selections(&service), selected, "{label}: warm passes");
             service.store().flush().unwrap();
             drop(service);
 
             let reopened = counted_service(&dir, config, 8);
             check_pass(&reopened, "reopened store");
             assert_eq!(path_counts(&reopened), (n, 0, 0), "{label}");
+            assert_eq!(loop_selections(&reopened), 0, "{label}: reopened store");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -961,12 +1010,14 @@ mod tests {
         let searched = bare.tune_batch(batch).pop().unwrap().unwrap();
         assert!(searched.fresh_evaluations > 0);
         assert_eq!(path_counts(&bare), (0, 0, 1));
-        assert_same_design(&searched.tuned, &cold.tuned, &request.matrix, "searched");
+        // Another store is another measurement of the inner loop: the graph
+        // is the search's and must match, the loop is this store's own.
+        assert_same_graph(&searched.tuned, &cold.tuned, &request.matrix, "searched");
         // The search completed the context: the next request is a lookup.
         let again = bare.tune_batch(batch).pop().unwrap().unwrap();
         assert_eq!(again.fresh_evaluations, 0);
         assert_eq!(path_counts(&bare), (1, 0, 1));
-        assert_same_design(&again.tuned, &cold.tuned, &request.matrix, "completed");
+        assert_same_design(&again.tuned, &searched.tuned, &request.matrix, "completed");
 
         // (2) A context that holds every evaluation and the winner but was
         // never pinned by a service (searched directly on the cache): the
@@ -988,9 +1039,15 @@ mod tests {
         assert_eq!(replayed.fresh_evaluations, 0);
         assert!(replayed.tuned.search_stats().iterations > 0, "a search ran");
         assert_eq!(path_counts(&unpinned), (0, 1, 0));
-        assert_same_design(&replayed.tuned, &cold.tuned, &request.matrix, "replayed");
-        unpinned.tune_batch(batch).pop().unwrap().unwrap();
+        assert_same_graph(&replayed.tuned, &cold.tuned, &request.matrix, "replayed");
+        let resident = unpinned.tune_batch(batch).pop().unwrap().unwrap();
         assert_eq!(path_counts(&unpinned), (1, 1, 0));
+        assert_same_design(
+            &resident.tuned,
+            &replayed.tuned,
+            &request.matrix,
+            "resident",
+        );
 
         for dir in [origin_dir, bare_dir, unpinned_dir] {
             let _ = std::fs::remove_dir_all(&dir);

@@ -37,10 +37,21 @@ fn main() {
         tuned.search_stats().search_hours
     );
 
-    // Run the generated SpMV and sanity-check it against the reference.
+    // The cost model picked the format; the inner loop was picked on this
+    // host, by timing the library's loops on the format's own streams.
+    println!("loop: {}", tuned.loop_summary());
+
+    // Run the generated SpMV — natively on this CPU and on the simulated
+    // device — and sanity-check both against the reference.
     let x = DenseVector::random(matrix.cols(), 7);
-    let y = tuned.spmv(x.as_slice()).expect("SpMV succeeds");
     let reference = matrix.spmv(x.as_slice()).expect("reference SpMV");
+    let y_native = tuned.run(x.as_slice()).expect("native SpMV succeeds");
+    let native_err = DenseVector::from_vec(y_native).max_abs_diff(&reference);
+    println!(
+        "native ({}): max |y - y_ref| = {native_err:.3e}",
+        tuned.kernel_shape()
+    );
+    let y = tuned.spmv(x.as_slice()).expect("SpMV succeeds");
     let max_err = DenseVector::from_vec(y).max_abs_diff(&reference);
     println!("max |y - y_ref| = {max_err:.3e}");
 
