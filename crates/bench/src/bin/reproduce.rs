@@ -317,6 +317,20 @@ fn main() {
                      ({:.1}% of worker slots found their worker polling)",
                     100.0 * hot as f64 / (hot + woken + retracted).max(1) as f64
                 );
+                // What the tunes above paid for: every candidate is lowered
+                // and verified, but a kernel is timed once however many
+                // graphs lower to it.
+                let [timed, reused, infeasible] =
+                    ["timed", "reused", "infeasible"].map(|outcome| {
+                        alpha_telemetry::global()
+                            .counter("cpu_eval_total", &[("outcome", outcome)])
+                            .get()
+                    });
+                println!(
+                    "  native evaluations: {} candidates, {timed} kernels timed, \
+                     {reused} answered from an identical kernel",
+                    timed + reused + infeasible
+                );
                 println!(
                     "  (wall-clock numbers carry allocator-placement and scheduler noise;\n\
                      \x20  treat deltas under ~30% as ties)\n"

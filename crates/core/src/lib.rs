@@ -892,6 +892,105 @@ mod tests {
         );
     }
 
+    /// One measured search, as its evaluator saw it.
+    struct RecordedSearch {
+        evaluator: NativeEvaluator,
+        /// Every feasible candidate in evaluation order: its graph, the
+        /// identity of the kernel it lowers to, the GFLOP/s it was given.
+        feasible: std::sync::Mutex<Vec<(OperatorGraph, alpha_cpu::KernelIdentity, f64)>>,
+    }
+
+    struct Recording(Arc<RecordedSearch>);
+
+    impl Evaluator for Recording {
+        fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
+            let evaluation = self.0.evaluator.evaluate(ctx, graph)?;
+            let generated = generate(graph, ctx.matrix, ctx.options).expect("it was feasible");
+            let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+            self.0.feasible.lock().unwrap().push((
+                graph.clone(),
+                kernel.identity(),
+                evaluation.report.gflops,
+            ));
+            Some(evaluation)
+        }
+    }
+
+    #[test]
+    fn a_measured_search_keeps_its_schedule_and_times_each_kernel_once() {
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 13);
+        let harness = TimingHarness::quick();
+        let searches: Arc<std::sync::Mutex<Vec<Arc<RecordedSearch>>>> = Arc::default();
+        let choice = {
+            let searches = searches.clone();
+            EvaluatorChoice::custom(harness.evaluator_id(), move || {
+                let search = Arc::new(RecordedSearch {
+                    evaluator: NativeEvaluator::new(harness, 1),
+                    feasible: Default::default(),
+                });
+                searches.lock().unwrap().push(search.clone());
+                Box::new(Recording(search))
+            })
+        };
+        // Cold tunes with one seed, each on its own cache.
+        let tune = |enable_ml_refinement| {
+            let tuner = AlphaSparse::with_config(SearchConfig {
+                max_iterations: 30,
+                enable_ml_refinement,
+                ..SearchConfig::default()
+            })
+            .with_native_execution_harness(harness, 1)
+            .with_evaluator(choice.clone());
+            let tuned = tuner.auto_tune(&matrix).unwrap();
+            let (_, winner) = tuner.cache().winners().pop().expect("a winner is stored");
+            (tuned.search_stats().clone(), winner)
+        };
+        let (stats, winner) = tune(true);
+        // Level 3 picks its few candidates from a model of the readings;
+        // levels 1 and 2 — the schedule — do not follow from what the
+        // stopwatch read: the same candidates, each evaluated and cached on
+        // its own, whatever they measured.
+        let (first, _) = tune(false);
+        let (second, _) = tune(false);
+        let schedule =
+            |s: &SearchStats| (s.iterations, s.structures_enumerated, s.structures_pruned);
+        assert_eq!(schedule(&first), schedule(&second));
+        assert_eq!(schedule(&first), schedule(&stats));
+        assert_eq!(first.cache_misses, second.cache_misses);
+        assert!(stats.iterations >= 30, "the budget was the stop condition");
+        let searches = searches.lock().unwrap();
+        assert_eq!(searches.len(), 3, "one evaluator per search");
+
+        let search = &searches[0];
+        let feasible = search.feasible.lock().unwrap();
+        assert_eq!(search.evaluator.executions(), stats.cache_misses);
+        // One timing per distinct kernel, and far fewer kernels than graphs.
+        let mut first_seen: Vec<&(OperatorGraph, alpha_cpu::KernelIdentity, f64)> = Vec::new();
+        for candidate in feasible.iter() {
+            match first_seen.iter().find(|first| first.1 == candidate.1) {
+                // Every graph of one kernel carries the kernel's one reading.
+                Some(first) => assert_eq!(first.2.to_bits(), candidate.2.to_bits()),
+                None => first_seen.push(candidate),
+            }
+        }
+        assert_eq!(search.evaluator.measurements(), first_seen.len());
+        assert!(
+            2 * first_seen.len() <= feasible.len(),
+            "{} kernels for {} graphs",
+            first_seen.len(),
+            feasible.len()
+        );
+        // Ties keep the incumbent, so the winner is the first graph that
+        // reached its kernel.
+        let of_winner = feasible
+            .iter()
+            .find(|candidate| candidate.0 == winner.graph)
+            .expect("the winner was evaluated");
+        let first = first_seen.iter().find(|first| first.1 == of_winner.1);
+        assert_eq!(first.unwrap().0, winner.graph);
+        assert_eq!(first.unwrap().2.to_bits(), winner.gflops.to_bits());
+    }
+
     #[test]
     fn auto_tune_mtx_reads_matrix_market_files() {
         let dir = std::env::temp_dir().join("alphasparse_core_test");

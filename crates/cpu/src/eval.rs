@@ -10,10 +10,19 @@
 //! (wrong results are infeasible, exactly like the simulator path) and then
 //! timed with the configured [`TimingHarness`].
 //!
-//! Two practical notes:
+//! Three practical notes:
 //!
+//! * A measurement belongs to the kernel, not to the graph.  The operator
+//!   graph varies thread-block size, rows per block and reduction style —
+//!   coordinates lowering never reads — so most candidates of a search lower
+//!   to a kernel an earlier candidate already ran (an 80-iteration tune
+//!   explores 4-20 distinct kernels).  Every candidate is still generated,
+//!   lowered and verified; only the timed loop is skipped when a kernel with
+//!   the same [`KernelIdentity`] was timed before by this evaluator, and the
+//!   candidate then carries that kernel's report.
 //! * Measured times are nondeterministic; cached entries freeze the first
-//!   measurement of each design, which keeps a single search self-consistent.
+//!   measurement of each distinct kernel, which keeps a single search
+//!   self-consistent.
 //!   The harness parameters are part of the evaluation identity
 //!   ([`EvaluatorId::Native`]), so differently-configured measurements never
 //!   share cache entries with each other or with simulated results.
@@ -22,14 +31,16 @@
 //!   each other's cores and corrupt the timings.  The kernel itself still
 //!   uses all `kernel_threads` workers.
 
-use crate::harness::TimingHarness;
 pub use crate::harness::NATIVE_DEVICE_LABEL;
-use crate::kernel::NativeKernel;
+use crate::harness::{MeasuredReport, TimingHarness};
+use crate::kernel::{KernelIdentity, NativeKernel};
 use alpha_codegen::generate;
 use alpha_graph::OperatorGraph;
 use alpha_matrix::Scalar;
 use alpha_parallel::Pool;
 use alpha_search::{EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId};
+use alpha_telemetry::Counter;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -41,25 +52,47 @@ use std::sync::Mutex;
 /// run and every timed rep of every candidate in a search reuses the same
 /// parked workers and the same allocation, so a measurement is pure kernel
 /// time — no thread spawns, no allocator traffic, no interference from other
-/// pools' jobs.
+/// pools' jobs.  It also remembers every measurement it took, by what was
+/// measured: a candidate that lowers to a kernel already timed is verified
+/// and answered from that measurement.
 pub struct NativeEvaluator {
     harness: TimingHarness,
     kernel_threads: usize,
     executions: AtomicUsize,
     pool: Pool,
-    scratch: Mutex<Vec<Scalar>>,
+    measuring: Mutex<Measuring>,
+    /// `cpu_eval_total{outcome=...}`, resolved once.
+    timed: Counter,
+    reused: Counter,
+    infeasible: Counter,
+}
+
+/// What one measurement at a time owns: whoever holds the lock has the
+/// cores, the output buffer and the say on whether a kernel still needs
+/// timing.
+#[derive(Default)]
+struct Measuring {
+    y: Vec<Scalar>,
+    /// The report of every kernel timed so far, by what ran and on how many
+    /// workers.
+    timed: HashMap<(KernelIdentity, usize), MeasuredReport>,
 }
 
 impl NativeEvaluator {
     /// An evaluator timing kernels with `harness` on `kernel_threads` workers
     /// (0 = one per available core).
     pub fn new(harness: TimingHarness, kernel_threads: usize) -> Self {
+        let outcome =
+            |outcome| alpha_telemetry::global().counter("cpu_eval_total", &[("outcome", outcome)]);
         NativeEvaluator {
             harness,
             kernel_threads,
             executions: AtomicUsize::new(0),
             pool: Pool::new(kernel_threads),
-            scratch: Mutex::new(Vec::new()),
+            measuring: Mutex::new(Measuring::default()),
+            timed: outcome("timed"),
+            reused: outcome("reused"),
+            infeasible: outcome("infeasible"),
         }
     }
 
@@ -77,42 +110,64 @@ impl NativeEvaluator {
         self.harness.evaluator_id()
     }
 
-    /// Number of candidates executed natively so far — the probe cache tests
-    /// use to assert that hits skip execution.
+    /// Number of candidates evaluated so far (generated, lowered, verified) —
+    /// the probe cache tests use to assert that hits skip execution.
     pub fn executions(&self) -> usize {
         self.executions.load(Ordering::Relaxed)
     }
-}
 
-impl Evaluator for NativeEvaluator {
-    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
-        self.executions.fetch_add(1, Ordering::Relaxed);
+    /// Number of kernels actually timed so far: at most
+    /// [`executions`](Self::executions), and below it by every infeasible
+    /// candidate and every candidate that lowered to a kernel timed before.
+    pub fn measurements(&self) -> usize {
+        let measuring = self.measuring.lock().expect("evaluator scratch poisoned");
+        measuring.timed.len()
+    }
+
+    /// Generates, lowers and verifies `graph`, and times its kernel unless
+    /// an identical one was timed before.  `None` is an infeasible design.
+    fn measure(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
         let generated = generate(graph, ctx.matrix, ctx.options).ok()?;
         // A design that fails kernel-build validation (out-of-range affine
         // index endpoints, a shape outside the kernel library) is
         // infeasible, like a verification mismatch.
         let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format).ok()?;
+        let workers = kernel.workers_for(self.kernel_threads);
+        let key = (kernel.identity(), workers);
         // Verify before timing: a design that computes the wrong y is
         // infeasible, not merely slow.  The verification run also validates
         // the dimensions and warms the kernel's data, so the timed loop
         // below reuses the scratch buffer and runs nothing extra.  The lock
         // also serialises concurrent measurements, which would otherwise
-        // steal each other's cores.
-        let mut y = self.scratch.lock().expect("evaluator scratch poisoned");
+        // steal each other's cores — and the look-up for an earlier timing
+        // happens under it, so of two identical kernels evaluated
+        // concurrently exactly one is timed.
+        let mut guard = self.measuring.lock().expect("evaluator scratch poisoned");
+        let Measuring { y, timed } = &mut *guard;
         y.clear();
         y.resize(kernel.rows(), 0.0);
         kernel
-            .run_into_with_pool(ctx.x.as_slice(), &mut y, self.kernel_threads, &self.pool)
+            .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
             .ok()?;
-        if alpha_matrix::max_scaled_error(&y, &ctx.reference) > ctx.tolerance {
+        if alpha_matrix::max_scaled_error(y, &ctx.reference) > ctx.tolerance {
             return None;
         }
-        let threads = kernel.workers_for(self.kernel_threads);
-        let measured = self.harness.measure(kernel.useful_flops(), threads, || {
-            kernel
-                .run_into_with_pool(ctx.x.as_slice(), &mut y, self.kernel_threads, &self.pool)
-                .expect("dimensions validated by the verification run");
-        });
+        let measured = match timed.get(&key) {
+            Some(measured) => {
+                self.reused.inc();
+                measured.clone()
+            }
+            None => {
+                let measured = self.harness.measure(kernel.useful_flops(), workers, || {
+                    kernel
+                        .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
+                        .expect("dimensions validated by the verification run");
+                });
+                self.timed.inc();
+                timed.insert(key, measured.clone());
+                measured
+            }
+        };
         Some(Evaluation {
             report: measured.to_perf_report(kernel.format_bytes()),
             // The native path's artifact is the Rust loop it actually ran.
@@ -125,6 +180,17 @@ impl Evaluator for NativeEvaluator {
     }
 }
 
+impl Evaluator for NativeEvaluator {
+    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
+        self.executions.fetch_add(1, Ordering::Relaxed);
+        let evaluation = self.measure(ctx, graph);
+        if evaluation.is_none() {
+            self.infeasible.inc();
+        }
+        evaluation
+    }
+}
+
 // Evaluators cross thread boundaries under BatchEvaluator; pin that.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -132,7 +198,7 @@ const _: () = {
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use alpha_codegen::GeneratorOptions;
     use alpha_gpu::DeviceProfile;
@@ -198,6 +264,110 @@ mod tests {
             crate::cpu_features::force_scalar(),
             "{shape}"
         );
+    }
+
+    /// `presets::csr_scalar()` with coordinates only a GPU reads changed:
+    /// thread-block size, rows per thread block, reduction style.
+    pub(crate) fn gpu_only_variants() -> Vec<OperatorGraph> {
+        use alpha_graph::Operator;
+        let mut variants = vec![presets::csr_scalar()];
+        for threads_per_block in [64, 256, 512] {
+            let mut graph = presets::csr_scalar();
+            graph.branches[0][1] = Operator::SetResources { threads_per_block };
+            variants.push(graph);
+        }
+        for rows in [32, 128] {
+            let mut graph = presets::csr_scalar();
+            graph.branches[0].insert(0, Operator::BmtbRowBlock { rows });
+            variants.push(graph);
+        }
+        let mut graph = presets::csr_scalar();
+        graph.branches[0].push(Operator::GmemAtomRed);
+        variants.push(graph);
+        for graph in &variants {
+            graph.validate().expect("variant is a valid design");
+        }
+        variants
+    }
+
+    #[test]
+    fn a_kernel_is_timed_once_however_many_graphs_lower_to_it() {
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
+        let ctx = context_fixture(&matrix);
+        let evaluator = NativeEvaluator::new(TimingHarness::default(), 1);
+        let outcome = |outcome| {
+            alpha_telemetry::global()
+                .counter("cpu_eval_total", &[("outcome", outcome)])
+                .get()
+        };
+        let (timed, reused) = (outcome("timed"), outcome("reused"));
+        let variants = gpu_only_variants();
+        let reports: Vec<_> = variants
+            .iter()
+            .map(|graph| evaluator.evaluate(&ctx, graph).expect("feasible").report)
+            .collect();
+        assert_eq!(evaluator.executions(), variants.len());
+        assert_eq!(evaluator.measurements(), 1);
+        for report in &reports[1..] {
+            assert_eq!(report.time_us.to_bits(), reports[0].time_us.to_bits());
+            assert_eq!(report.gflops.to_bits(), reports[0].gflops.to_bits());
+        }
+        // Other tests of this process count on the same registry.
+        assert!(outcome("timed") > timed);
+        assert!(outcome("reused") >= reused + variants.len() as u64 - 1);
+
+        // The vector twin runs another loop: a second timing.  (Under the
+        // env override it resolves scalar, and is the kernel above.)
+        let mut twin = presets::csr_scalar();
+        twin.branches[0].push(alpha_graph::Operator::SimdNnzLanes { lanes: 8 });
+        twin.branches[0].sort_by_key(|op| op.stage() as u8);
+        evaluator.evaluate(&ctx, &twin).expect("feasible");
+        let distinct = 2 - crate::cpu_features::force_scalar() as usize;
+        assert_eq!(evaluator.measurements(), distinct);
+        // So does another format, once.
+        for _ in 0..2 {
+            evaluator
+                .evaluate(&ctx, &presets::csr5_like(16))
+                .expect("feasible");
+        }
+        assert_eq!(evaluator.measurements(), distinct + 1);
+        assert_eq!(evaluator.executions(), variants.len() + 3);
+    }
+
+    #[test]
+    fn concurrent_duplicates_of_one_batch_are_timed_once() {
+        // The look-up for an earlier timing happens under the lock that
+        // serialises measurements: whichever duplicate gets there second
+        // finds the first one's report.
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
+        let ctx = context_fixture(&matrix);
+        let evaluator =
+            alpha_search::BatchEvaluator::new(NativeEvaluator::new(TimingHarness::default(), 1), 4);
+        let batch = gpu_only_variants();
+        let results = evaluator.evaluate_batch(&ctx, &batch);
+        assert_eq!(evaluator.inner().executions(), batch.len());
+        assert_eq!(evaluator.inner().measurements(), 1);
+        let times: Vec<u64> = results
+            .iter()
+            .map(|r| r.as_ref().expect("feasible").report.time_us.to_bits())
+            .collect();
+        assert!(times.iter().all(|&t| t == times[0]), "{times:?}");
+    }
+
+    #[test]
+    fn an_infeasible_design_is_never_remembered() {
+        // Poisoned probe first: the kernel fails verification and must not
+        // leave a report behind for its feasible self to pick up.
+        let matrix = gen::banded(256, 2, 3);
+        let mut ctx = context_fixture(&matrix);
+        let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
+        let finite = ctx.x[0];
+        ctx.x[0] = alpha_matrix::Scalar::NAN;
+        assert!(evaluator.evaluate(&ctx, &presets::csr_scalar()).is_none());
+        assert_eq!(evaluator.measurements(), 0);
+        ctx.x[0] = finite;
+        assert!(evaluator.evaluate(&ctx, &presets::csr_scalar()).is_some());
+        assert_eq!((evaluator.executions(), evaluator.measurements()), (2, 1));
     }
 
     #[test]

@@ -251,15 +251,17 @@ mod tests {
 
     #[test]
     fn spread_statistics_describe_the_samples() {
-        // Deterministic, distinguishable "executions": sleep i*100 us on the
-        // i-th run so min/median/max/stddev have known ordering.
+        // Deterministic, distinguishable "executions": sleep 0.1 + 2*i ms on
+        // the i-th run so min/median/max/stddev have known ordering.
         let run = std::sync::atomic::AtomicU64::new(0);
         let report = TimingHarness { warmup: 0, runs: 3 }.measure(10, 1, || {
             let i = run.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(std::time::Duration::from_micros(100 + 400 * i));
+            std::thread::sleep(std::time::Duration::from_micros(100 + 2_000 * i));
         });
-        // Samples ≈ {100, 500, 900} us (plus scheduler noise, all upward).
-        assert!(report.min_us >= 100.0 && report.min_us < 450.0);
+        // Samples ≈ {100, 2100, 4100} us plus scheduler noise, all upward:
+        // a busy 2-vCPU host overshoots a sleep by several hundred
+        // microseconds, so the gaps are wider than that.
+        assert!(report.min_us >= 100.0 && report.min_us < 2_000.0);
         assert!(report.median_us > report.min_us);
         assert!(report.max_us > report.median_us);
         assert!(report.stddev_us > 0.0, "distinct samples must show spread");

@@ -44,8 +44,10 @@ use alpha_parallel::Pool;
 use alpha_telemetry::Histogram;
 use std::time::Instant;
 
+mod identity;
 mod select;
 
+pub use identity::KernelIdentity;
 pub use select::{plans_from_label, LoopChoice};
 
 /// Non-zeros one scalar worker should own, at minimum, before another pooled

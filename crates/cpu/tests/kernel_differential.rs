@@ -22,7 +22,10 @@
 //! * the kernel a host **selects** for a design without a SIMD operator
 //!   ([`NativeKernel::select`]: the loop is measured, not designed) is held
 //!   to the same bound on every preset × family and on the degenerate fleet,
-//!   and is the kernel plain lowering builds from the selected plans.
+//!   and is the kernel plain lowering builds from the selected plans;
+//! * kernels with equal [`NativeKernel::identity`] — the key one timing is
+//!   shared under — are one kernel: the same streams and shapes, and
+//!   **bitwise**-equal `y` at 1 and 4 threads.
 
 use alpha_cpu::{NativeKernel, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph};
@@ -264,6 +267,126 @@ fn selected_kernels_are_within_the_stated_bound() {
             }
         }
     }
+}
+
+/// What a kernel reads, spelled out from the inputs it was lowered from: the
+/// per-partition shapes, then every partition's streams, offsets and maps.
+/// The slow, exact counterpart of [`NativeKernel::identity`].
+fn spelled_out(generated: &alpha_codegen::GeneratedSpmv, kernel: &NativeKernel) -> String {
+    use std::fmt::Write;
+    let mut out = kernel.partition_shapes();
+    let metadata = generated.kernel.metadata();
+    for (plan, format) in metadata.partitions.iter().zip(&generated.format.partitions) {
+        let matrix = &plan.matrix;
+        let split = match plan.mapping {
+            alpha_graph::Mapping::NnzSplit { nnz_per_thread } => nnz_per_thread,
+            _ => 0,
+        };
+        write!(
+            out,
+            "\n{}x{} +{} /{split} {:?} {:?} {:?}",
+            matrix.rows(),
+            matrix.cols(),
+            plan.col_offset,
+            matrix.row_offsets(),
+            matrix.col_indices(),
+            bits(matrix.values()),
+        )
+        .unwrap();
+        for name in ["origin_rows", "row_offsets", "bmt_row_starts"] {
+            write!(out, " {:?}", format.array(name).map(|a| &a.data)).unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn kernels_with_equal_identity_are_one_kernel() {
+    use std::collections::HashMap;
+    let mut shared = 0usize;
+    for (fi, family) in PatternFamily::ALL.iter().enumerate() {
+        let matrix = family.generate(384, 6, 900 + fi as u64);
+        let x = DenseVector::random(matrix.cols(), 7);
+        // identity -> (what the kernel reads, y at 1 thread, y at 4, whose).
+        let mut seen: HashMap<_, (String, Vec<u32>, Vec<u32>, String)> = HashMap::new();
+        let mut identity_of: HashMap<String, _> = HashMap::new();
+        let mut check = |generated: &alpha_codegen::GeneratedSpmv, kernel: NativeKernel, who| {
+            let reads = spelled_out(generated, &kernel);
+            let [y1, y4] = [1, 4].map(|threads| bits(&kernel.run(x.as_slice(), threads).unwrap()));
+            let identity = kernel.identity();
+            // One reading, one identity...
+            let first = *identity_of.entry(reads.clone()).or_insert(identity);
+            assert_eq!(
+                first, identity,
+                "{who}: same streams and shapes, two identities"
+            );
+            // ...and one identity, one reading and one result.
+            match seen.get(&identity) {
+                None => {
+                    seen.insert(identity, (reads, y1, y4, who));
+                }
+                Some((first_reads, first_y1, first_y4, first_who)) => {
+                    shared += 1;
+                    let context = format!("{who} and {first_who} on {}", family.name());
+                    assert!(
+                        *first_reads == reads,
+                        "{context}: different kernels, one identity"
+                    );
+                    assert_eq!(*first_y1, y1, "{context}: y differs at 1 thread");
+                    assert_eq!(*first_y4, y4, "{context}: y differs at 4 threads");
+                }
+            }
+        };
+        for (preset_name, base) in presets::all_presets() {
+            for (variant, graph) in with_simd_variants(&base) {
+                let who = format!("{preset_name}/{variant}");
+                let mut generated = alpha_codegen::generate(
+                    &graph,
+                    &matrix,
+                    alpha_codegen::GeneratorOptions::default(),
+                )
+                .unwrap_or_else(|e| panic!("{who}: generation failed: {e}"));
+                let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+                check(&generated, kernel, who.clone());
+                if variant == "base" {
+                    let selected = lower_selected(&mut generated, &who);
+                    check(&generated, selected, format!("{preset_name}/selected"));
+                }
+            }
+        }
+
+        // The three CSR-flavoured presets on an irregular family: the vector
+        // preset differs from the scalar one in what a *GPU* thread does,
+        // the length-sorted one in the order of its streams.
+        if family.name() == "powerlaw" {
+            let [scalar, vector, sorted] = [
+                presets::csr_scalar(),
+                presets::csr_vector(),
+                presets::sell_like(),
+            ]
+            .map(|graph| {
+                let generated = alpha_codegen::generate(
+                    &graph,
+                    &matrix,
+                    alpha_codegen::GeneratorOptions::default(),
+                )
+                .unwrap();
+                let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+                (spelled_out(&generated, &kernel), kernel.identity())
+            });
+            assert!(
+                sorted.0 != scalar.0,
+                "sorting powerlaw rows must reorder the streams"
+            );
+            for (a, b) in [(&scalar, &vector), (&scalar, &sorted), (&vector, &sorted)] {
+                assert_eq!(a.0 == b.0, a.1 == b.1);
+            }
+        }
+    }
+    assert!(
+        shared > 0,
+        "no two designs shared a kernel — the suite compared nothing"
+    );
 }
 
 /// Every CSR row's dot product through the portable `L`-lane code.
