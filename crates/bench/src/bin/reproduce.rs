@@ -331,6 +331,41 @@ fn main() {
                      {reused} answered from an identical kernel",
                     timed + reused + infeasible
                 );
+                // How those candidates were designed: through one Designer
+                // per tune, which converts the matrix once per distinct
+                // converting chain.
+                let searched = |name, labels: &[(&'static str, &str)]| {
+                    alpha_telemetry::global().counter(name, labels).get()
+                };
+                println!(
+                    "  designer: {} designs, {} conversions built, {} reused",
+                    searched("search_designs_total", &[]),
+                    searched("search_design_conversions_total", &[("outcome", "built")]),
+                    searched("search_design_conversions_total", &[("outcome", "reused")]),
+                );
+                // Where a candidate's time went, stage by stage (means, so
+                // they add up), against what a candidate cost the tunes.
+                let snapshot = alpha_telemetry::global().snapshot();
+                let (mut means, mut p50s, mut evaluator_ms) = (Vec::new(), Vec::new(), 0.0);
+                for stage in alpha_cpu::eval::EVAL_STAGES {
+                    let Some(observed) =
+                        snapshot.histogram("cpu_eval_stage_us", &[("stage", stage)])
+                    else {
+                        continue;
+                    };
+                    let mean_ms = observed.sum as f64 / observed.count.max(1) as f64 / 1e3;
+                    evaluator_ms += mean_ms;
+                    means.push(format!("{stage} {mean_ms:.2}"));
+                    p50s.push(format!("{:.2}", observed.quantile(0.5) / 1e3));
+                }
+                let tune_wall_ms: f64 = results.iter().map(|r| r.generated.wall_secs * 1e3).sum();
+                println!(
+                    "  candidate budget: {} = {evaluator_ms:.2} ms of {:.2} ms tune wall per \
+                     candidate (stage means; p50 {})",
+                    means.join(" + "),
+                    tune_wall_ms / (timed + reused + infeasible).max(1) as f64,
+                    p50s.join(" / "),
+                );
                 println!(
                     "  (wall-clock numbers carry allocator-placement and scheduler noise;\n\
                      \x20  treat deltas under ~30% as ties)\n"

@@ -140,7 +140,7 @@ fn extract_partition(plan: &PartitionPlan, options: GeneratorOptions) -> Partiti
     // place, in which case compression removes it entirely).
     arrays.push(FormatArray::new(
         "origin_rows",
-        plan.origin_rows.clone(),
+        plan.origin_rows.to_vec(),
         compress,
     ));
 

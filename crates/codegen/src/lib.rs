@@ -27,7 +27,7 @@ pub use compress::{compress_array, CompressionModel};
 pub use format::{FormatArray, MachineFormat, PartitionFormat};
 pub use kernel::GeneratedKernel;
 
-use alpha_graph::{design, DesignError, MatrixMetadataSet, OperatorGraph, SimdPlan};
+use alpha_graph::{DesignError, Designer, MatrixMetadataSet, OperatorGraph, SimdPlan};
 use alpha_matrix::CsrMatrix;
 
 /// Options controlling the generator.
@@ -77,17 +77,31 @@ impl GeneratedSpmv {
     }
 }
 
-/// Runs the Designer and the Format & Kernel Generator end to end.
+/// Runs the Designer and the Format & Kernel Generator end to end, with a
+/// Designer that lives for this one call.
 pub fn generate(
     graph: &OperatorGraph,
     matrix: &CsrMatrix,
     options: GeneratorOptions,
 ) -> Result<GeneratedSpmv, DesignError> {
-    let metadata = design(graph, matrix)?;
+    generate_with(&Designer::new(matrix), graph, options)
+}
+
+/// [`generate`] through a Designer the caller keeps: a search generates all
+/// its candidates through one, so the matrix is converted once per distinct
+/// converting chain instead of once per candidate.
+pub fn generate_with(
+    designer: &Designer<'_>,
+    graph: &OperatorGraph,
+    options: GeneratorOptions,
+) -> Result<GeneratedSpmv, DesignError> {
+    let metadata = designer.design(graph)?;
     Ok(generate_from_metadata(&metadata, options))
 }
 
-/// Builds the format, kernel and source from an already-designed metadata set.
+/// Builds the format, kernel and source from an already-designed metadata
+/// set.  The kernel keeps a clone of the metadata, which shares the plans'
+/// streams with it.
 pub fn generate_from_metadata(
     metadata: &MatrixMetadataSet,
     options: GeneratorOptions,

@@ -5,10 +5,13 @@
 //! [`alpha_search::Evaluator`] trait, so it slots under the existing
 //! `CachingEvaluator` / `BatchEvaluator` layers and behind
 //! `SearchConfig::evaluator` — the three-level search then optimises what a
-//! stopwatch actually reads on this machine.  Each candidate is generated,
-//! lowered to a [`NativeKernel`], *verified* against the reference SpMV
-//! (wrong results are infeasible, exactly like the simulator path) and then
-//! timed with the configured [`TimingHarness`].
+//! stopwatch actually reads on this machine.  Each candidate is generated
+//! (through the search's [`Designer`](alpha_graph::Designer), so candidates
+//! on one converting chain share one converted matrix), lowered to a
+//! [`NativeKernel`], *verified* against the reference SpMV (wrong results are
+//! infeasible, exactly like the simulator path) and then timed with the
+//! configured [`TimingHarness`].  What each of those stages cost is observed
+//! per candidate as `cpu_eval_stage_us{stage=...}` on the global registry.
 //!
 //! Three practical notes:
 //!
@@ -34,15 +37,16 @@
 pub use crate::harness::NATIVE_DEVICE_LABEL;
 use crate::harness::{MeasuredReport, TimingHarness};
 use crate::kernel::{KernelIdentity, NativeKernel};
-use alpha_codegen::generate;
+use alpha_codegen::generate_with;
 use alpha_graph::OperatorGraph;
 use alpha_matrix::Scalar;
 use alpha_parallel::Pool;
 use alpha_search::{EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId};
-use alpha_telemetry::Counter;
+use alpha_telemetry::{Counter, Histogram};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Ground-truth evaluator that executes candidates natively and scores them
 /// by measured time.
@@ -65,6 +69,30 @@ pub struct NativeEvaluator {
     timed: Counter,
     reused: Counter,
     infeasible: Counter,
+    /// `cpu_eval_stage_us{stage=...}`, in [`EVAL_STAGES`] order.
+    stages: [Histogram; EVAL_STAGES.len()],
+}
+
+/// The stages of one candidate evaluation, in the order they run: the
+/// `stage` labels of `cpu_eval_stage_us`.  A candidate that turns out
+/// infeasible observes the stages it completed.
+pub const EVAL_STAGES: [&str; 5] = ["generate", "lower", "identity", "verify", "timing"];
+
+/// Observes consecutive stages of one evaluation: each [`lap`](Self::lap)
+/// is one clock read, charged to the next stage in [`EVAL_STAGES`] order.
+struct StageClock<'a> {
+    stages: std::slice::Iter<'a, Histogram>,
+    last: Instant,
+}
+
+impl StageClock<'_> {
+    fn lap(&mut self) {
+        let now = Instant::now();
+        if let Some(stage) = self.stages.next() {
+            stage.observe_duration(now - self.last);
+        }
+        self.last = now;
+    }
 }
 
 /// What one measurement at a time owns: whoever holds the lock has the
@@ -93,6 +121,9 @@ impl NativeEvaluator {
             timed: outcome("timed"),
             reused: outcome("reused"),
             infeasible: outcome("infeasible"),
+            stages: EVAL_STAGES.map(|stage| {
+                alpha_telemetry::global().histogram("cpu_eval_stage_us", &[("stage", stage)])
+            }),
         }
     }
 
@@ -127,13 +158,21 @@ impl NativeEvaluator {
     /// Generates, lowers and verifies `graph`, and times its kernel unless
     /// an identical one was timed before.  `None` is an infeasible design.
     fn measure(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
-        let generated = generate(graph, ctx.matrix, ctx.options).ok()?;
+        // Six clock reads per candidate: one to start, one after each stage.
+        let mut clock = StageClock {
+            stages: self.stages.iter(),
+            last: Instant::now(),
+        };
+        let generated = generate_with(ctx.designer(), graph, ctx.options).ok()?;
+        clock.lap();
         // A design that fails kernel-build validation (out-of-range affine
         // index endpoints, a shape outside the kernel library) is
         // infeasible, like a verification mismatch.
         let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format).ok()?;
+        clock.lap();
         let workers = kernel.workers_for(self.kernel_threads);
         let key = (kernel.identity(), workers);
+        clock.lap();
         // Verify before timing: a design that computes the wrong y is
         // infeasible, not merely slow.  The verification run also validates
         // the dimensions and warms the kernel's data, so the timed loop
@@ -152,6 +191,7 @@ impl NativeEvaluator {
         if alpha_matrix::max_scaled_error(y, &ctx.reference) > ctx.tolerance {
             return None;
         }
+        clock.lap();
         let measured = match timed.get(&key) {
             Some(measured) => {
                 self.reused.inc();
@@ -168,6 +208,7 @@ impl NativeEvaluator {
                 measured
             }
         };
+        clock.lap();
         Some(Evaluation {
             report: measured.to_perf_report(kernel.format_bytes()),
             // The native path's artifact is the Rust loop it actually ran.

@@ -42,6 +42,7 @@ use alpha_graph::{Mapping, MatrixMetadataSet, PartitionPlan};
 use alpha_matrix::{CsrMatrix, Scalar};
 use alpha_parallel::Pool;
 use alpha_telemetry::Histogram;
+use std::sync::Arc;
 use std::time::Instant;
 
 mod identity;
@@ -395,8 +396,9 @@ enum PartitionExec {
 
 #[derive(Debug, Clone)]
 struct NativePartition {
-    /// The partition's permuted sub-matrix (value and column-index streams).
-    matrix: CsrMatrix,
+    /// The partition's permuted sub-matrix (value and column-index streams):
+    /// the allocation the Designer built, shared with the plan it came from.
+    matrix: Arc<CsrMatrix>,
     /// Column offset of a `COL_DIV` branch in the original matrix.
     col_offset: usize,
     /// Local row → original row (the `origin_rows` array, often closed-form).

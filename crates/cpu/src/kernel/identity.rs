@@ -290,11 +290,12 @@ mod tests {
                 let p = &mut k.partitions[0];
                 p.matrix = edited(p, |_, values| {
                     values[at] = Scalar::from_bits(values[at].to_bits() ^ 1)
-                });
+                })
+                .into();
             });
             changed("a column index", &|k| {
                 let p = &mut k.partitions[0];
-                p.matrix = edited(p, |cols, _| cols[at] = (cols[at] + 1) % 700);
+                p.matrix = edited(p, |cols, _| cols[at] = (cols[at] + 1) % 700).into();
             });
         }
         // Two equal-length rows trading places leave every length and every
@@ -304,7 +305,8 @@ mod tests {
             p.matrix = edited(p, |cols, values| {
                 cols.swap(0, STRIPE);
                 values.swap(0, STRIPE);
-            });
+            })
+            .into();
             assert_ne!(p.matrix.col_indices()[0], p.matrix.col_indices()[STRIPE]);
         });
         changed("an origin entry", &|k| {

@@ -25,7 +25,9 @@
 //!   and is the kernel plain lowering builds from the selected plans;
 //! * kernels with equal [`NativeKernel::identity`] — the key one timing is
 //!   shared under — are one kernel: the same streams and shapes, and
-//!   **bitwise**-equal `y` at 1 and 4 threads.
+//!   **bitwise**-equal `y` at 1 and 4 threads;
+//! * a kernel lowered through a warm `Designer` (the search's path) has the
+//!   identity and the bitwise `y` of the one lowered from a fresh design.
 
 use alpha_cpu::{NativeKernel, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph};
@@ -387,6 +389,51 @@ fn kernels_with_equal_identity_are_one_kernel() {
         shared > 0,
         "no two designs shared a kernel — the suite compared nothing"
     );
+}
+
+#[test]
+fn a_kernel_lowered_through_a_warm_designer_is_the_freshly_designed_kernel() {
+    // A search designs all its candidates through one Designer; each kernel
+    // must be the one a fresh design of the same graph lowers to — the same
+    // identity (so one timing serves both) and the same bits of `y`.
+    let options = alpha_codegen::GeneratorOptions::default();
+    for (fi, family) in PatternFamily::ALL.iter().enumerate() {
+        let matrix = family.generate(384, 6, 900 + fi as u64);
+        let x = DenseVector::random(matrix.cols(), 7);
+        let designer = alpha_graph::Designer::new(&matrix);
+        // Two passes: the second finds every conversion already built.
+        for pass in ["cold", "warm"] {
+            for (preset, graph) in presets::all_presets() {
+                let context = format!("{preset}/{} ({pass} designer)", family.name());
+                let [through, fresh] = [
+                    alpha_codegen::generate_with(&designer, &graph, options),
+                    alpha_codegen::generate(&graph, &matrix, options),
+                ]
+                .map(|generated| {
+                    let generated =
+                        generated.unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+                    NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
+                        .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"))
+                });
+                assert_eq!(through.identity(), fresh.identity(), "{context}");
+                assert_eq!(through.shape_label(), fresh.shape_label(), "{context}");
+                for threads in [1, 4] {
+                    assert_eq!(
+                        bits(&through.run(x.as_slice(), threads).unwrap()),
+                        bits(&fresh.run(x.as_slice(), threads).unwrap()),
+                        "{context}: y differs at {threads} thread(s)"
+                    );
+                }
+            }
+        }
+        // The comparison only means something if conversions were reused.
+        let stats = designer.stats();
+        assert!(
+            stats.reused >= stats.designs / 2,
+            "{}: {stats:?}",
+            family.name()
+        );
+    }
 }
 
 /// Every CSR row's dot product through the portable `L`-lane code.

@@ -6,6 +6,33 @@
 //! [`MatrixMetadataSet`] holding one fully-resolved [`PartitionPlan`] per
 //! branch, from which `alpha-codegen` extracts the machine-designed format
 //! arrays and builds the kernel.
+//!
+//! The two halves cost very differently.  The **converting stage** — `SORT`,
+//! `BIN`, `ROW_DIV`, `COL_DIV` in the shared chain, `SORT_SUB`, `BIN` and
+//! `SORT_BMTB` in a branch — sorts row orders and copies every non-zero of
+//! the matrix.  Everything after it is a handful of scalars read off the
+//! branch.  A search designs ~85 graphs over one matrix and they differ
+//! almost only in the cheap half: one search asks for 5-17 distinct
+//! conversions.
+//!
+//! So a [`Designer`] lives as long as the search does.  It borrows the
+//! matrix, and [`Designer::design`] remembers the converting stage's output —
+//! the reordered / split sub-matrix, its `origin_rows`, its `BIN` boundaries —
+//! under exactly the operators that produced it (the conversion key, below).
+//! Mapping, padding, interleaving, reductions, resources and the SIMD plan
+//! are resolved per call on top of it: they are cheap, and they are what a
+//! search varies.  The free [`design`] is the same code with a Designer that
+//! lives for one call.
+//!
+//! **Who owns the streams.**  A conversion is built once, into an
+//! `Arc<CsrMatrix>` and an `Arc<[u32]>`.  Every [`PartitionPlan`] designed on
+//! top of it, the simulated kernel generated from that plan and the native
+//! partition lowered from it hold a reference to that one allocation; nothing
+//! downstream of the Designer copies a non-zero.
+//!
+//! The memo is keyed by operators only (never by matrix content: a Designer
+//! has one matrix), holds a bounded multiple of that matrix
+//! (`MEMO_MATRIX_MULTIPLE`), and is dropped with the Designer.
 
 use crate::graph::{OperatorGraph, ValidationError};
 use crate::metadata::{
@@ -13,9 +40,32 @@ use crate::metadata::{
 };
 use crate::operator::Operator;
 use alpha_matrix::{CooMatrix, CsrMatrix};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Warp size assumed by the designer's validation rules (CUDA fixes this at 32).
 pub const WARP_SIZE: usize = 32;
+
+/// How many times the input matrix's `format_bytes()` a [`Designer`]'s memo
+/// may hold.
+///
+/// Measured per 80-iteration search on the benchmark's cold fleet (262 k
+/// non-zeros): the distinct conversions of one search are 16-17 ≈ 13.5× the
+/// matrix on rmat and powerlaw and 5-8 ≈ 5-7.5× on banded, uniform and
+/// block.  Holding all of them would pin 13 GB to tune a 1 GB matrix.
+/// But candidates arrive grouped by structure — all parameter variants of one
+/// graph structure come back to back — and one structure needs its shared
+/// chain's output plus one reordering per branch: two whole-matrix
+/// conversions.  The bound is room for two structures (the one being swept
+/// and its neighbour in the schedule, which overlap when a batch runs on
+/// several threads), i.e. four whole-matrix conversions; a conversion is the
+/// matrix's streams plus an `origin_rows` array, ≈ 1.03× `format_bytes()` at
+/// 16 non-zeros per row, so four of them need 5×, not 4×.  With
+/// least-recently-used eviction at 5× those searches build 6 (regular) and
+/// 17-22 (rmat, powerlaw) conversions: 1-5 rebuilds of ≈ 0.4 ms in a ≈ 100 ms
+/// tune.
+const MEMO_MATRIX_MULTIPLE: usize = 5;
 
 /// Errors produced while executing an operator graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,107 +94,309 @@ impl From<ValidationError> for DesignError {
     }
 }
 
-/// Executes `graph` over `matrix`, producing the Matrix Metadata Set.
+/// Executes `graph` over `matrix`, producing the Matrix Metadata Set: a
+/// [`Designer`] that lives for this one call.
 pub fn design(graph: &OperatorGraph, matrix: &CsrMatrix) -> Result<MatrixMetadataSet, DesignError> {
-    graph.validate()?;
-    if matrix.rows() == 0 || matrix.nnz() == 0 {
-        return Err(DesignError::Unsupported(
-            "empty matrices are not supported".into(),
-        ));
-    }
+    Designer::new(matrix).design(graph)
+}
 
-    // ---- Shared converting chain -------------------------------------------
-    // Row order over the original matrix (original row ids).
-    let mut row_order: Vec<u32> = (0..matrix.rows() as u32).collect();
-    for op in &graph.converting {
-        match op {
-            Operator::Compress => {} // the CSR input is already compressed
-            Operator::Sort => sort_rows_by_length(matrix, &mut row_order),
-            Operator::Bin { bins } => {
-                bin_rows_by_length(matrix, &mut row_order, *bins);
-            }
-            Operator::RowDiv { .. } | Operator::ColDiv { .. } => {} // handled below
-            other => {
-                return Err(DesignError::Unsupported(format!(
-                    "{} is not executable in the shared chain",
-                    other.name()
-                )));
-            }
+/// What a [`Designer`] has done so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DesignerStats {
+    /// Calls of [`Designer::design`].
+    pub designs: u64,
+    /// Conversions (a shared chain, or one branch's reordering) executed
+    /// over the matrix.
+    pub built: u64,
+    /// Conversions answered from one built before.
+    pub reused: u64,
+}
+
+/// The Designer of one matrix: executes operator graphs over it, converting
+/// the matrix once per distinct converting chain (see the module docs).
+/// Shareable across threads; a search owns one for as long as it runs.
+pub struct Designer<'m> {
+    matrix: &'m CsrMatrix,
+    memo: Mutex<Memo>,
+    /// Bytes the memo may hold.
+    memo_limit: usize,
+    designs: AtomicU64,
+    built: AtomicU64,
+    reused: AtomicU64,
+}
+
+/// What identifies a conversion: the operators that reorder or split, and
+/// nothing else — two graphs with equal keys convert the matrix identically
+/// whatever their mapping and implementing stages say.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ConversionKey {
+    /// `SORT`, `BIN{bins}`, `ROW_DIV{parts}`, `COL_DIV{parts}` of the shared
+    /// chain, in order.
+    chain: Vec<Operator>,
+    /// `None` for the shared chain's own output (one piece per partition).
+    branch: Option<BranchKey>,
+}
+
+/// The reordering one branch applies to its piece of the shared chain.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct BranchKey {
+    /// Which piece of the shared chain's output the branch starts from.
+    index: usize,
+    /// `SORT_SUB` and `BIN{bins}` of the branch, in order.
+    reorders: Vec<Operator>,
+    /// Rows per thread block (`BMTB_ROW_BLOCK`) when `SORT_BMTB` sorts within
+    /// them.
+    sort_bmtb_rows: Option<usize>,
+}
+
+/// One partition as the converting stage leaves it.  Cloning shares the
+/// streams.
+#[derive(Clone)]
+struct Piece {
+    origin_rows: Arc<[u32]>,
+    matrix: Arc<CsrMatrix>,
+    col_offset: usize,
+    shares_rows: bool,
+    bin_boundaries: Option<Vec<usize>>,
+}
+
+impl Piece {
+    /// The rows `origin_rows` of `matrix`, in that order.
+    fn of_rows(matrix: &CsrMatrix, origin_rows: Vec<u32>) -> Piece {
+        let rows: Vec<usize> = origin_rows.iter().map(|&r| r as usize).collect();
+        Piece {
+            matrix: Arc::new(matrix.select_rows(&rows)),
+            origin_rows: origin_rows.into(),
+            col_offset: 0,
+            shares_rows: false,
+            bin_boundaries: None,
         }
     }
 
-    // Partitioning.
-    let pieces: Vec<PartitionPiece> = match graph
-        .converting
-        .iter()
-        .find(|op| matches!(op, Operator::RowDiv { .. } | Operator::ColDiv { .. }))
-    {
-        Some(Operator::RowDiv { parts }) => split_rows(matrix, &row_order, *parts)?,
-        Some(Operator::ColDiv { parts }) => split_cols(matrix, &row_order, *parts)?,
-        _ => vec![PartitionPiece {
-            origin_rows: row_order.clone(),
-            matrix: matrix.select_rows(&row_order.iter().map(|&r| r as usize).collect::<Vec<_>>()),
-            col_offset: 0,
-            shares_rows: false,
-        }],
-    };
-
-    // ---- Per-branch execution ----------------------------------------------
-    let mut partitions = Vec::with_capacity(pieces.len());
-    for (piece, branch) in pieces.into_iter().zip(&graph.branches) {
-        partitions.push(design_branch(piece, branch, &graph.converting)?);
+    /// Permutes the piece by a local row order (local indices).
+    fn reorder(&mut self, order: &[u32]) {
+        let rows: Vec<usize> = order.iter().map(|&r| r as usize).collect();
+        self.matrix = Arc::new(self.matrix.select_rows(&rows));
+        self.origin_rows = order
+            .iter()
+            .map(|&r| self.origin_rows[r as usize])
+            .collect();
     }
 
-    Ok(MatrixMetadataSet {
-        original_rows: matrix.rows(),
-        original_cols: matrix.cols(),
-        original_nnz: matrix.nnz(),
-        partitions,
+    fn bytes(&self) -> usize {
+        self.matrix.format_bytes() + self.origin_rows.len() * 4
+    }
+}
+
+/// The conversions a [`Designer`] holds, least recently used first out.
+#[derive(Default)]
+struct Memo {
+    entries: HashMap<ConversionKey, MemoEntry>,
+    /// Sum of the entries' `bytes`.
+    bytes: usize,
+    /// Ticks on every access; the entry with the lowest stamp goes first.
+    clock: u64,
+}
+
+struct MemoEntry {
+    pieces: Arc<[Piece]>,
+    bytes: usize,
+    used: u64,
+}
+
+impl Memo {
+    fn get(&mut self, key: &ConversionKey) -> Option<Arc<[Piece]>> {
+        self.clock += 1;
+        let entry = self.entries.get_mut(key)?;
+        entry.used = self.clock;
+        Some(entry.pieces.clone())
+    }
+
+    /// Keeps `pieces` unless they alone exceed `limit`, evicting the least
+    /// recently used entries until they fit.
+    fn insert(&mut self, key: ConversionKey, pieces: &Arc<[Piece]>, limit: usize) {
+        let bytes: usize = pieces.iter().map(Piece::bytes).sum();
+        // Two threads that missed the same key both built it, bit for bit
+        // the same: the first one in stays.
+        if bytes > limit || self.entries.contains_key(&key) {
+            return;
+        }
+        while self.bytes + bytes > limit {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.used)
+                .map(|(key, _)| key.clone())
+                .expect("a memo over its limit holds an entry");
+            let evicted = self.entries.remove(&oldest).expect("key just found");
+            self.bytes -= evicted.bytes;
+        }
+        self.clock += 1;
+        self.bytes += bytes;
+        self.entries.insert(
+            key,
+            MemoEntry {
+                pieces: pieces.clone(),
+                bytes,
+                used: self.clock,
+            },
+        );
+    }
+}
+
+impl<'m> Designer<'m> {
+    /// A Designer for `matrix`, with nothing converted yet.
+    pub fn new(matrix: &'m CsrMatrix) -> Self {
+        Self::with_memo_limit(matrix, MEMO_MATRIX_MULTIPLE * matrix.format_bytes())
+    }
+
+    fn with_memo_limit(matrix: &'m CsrMatrix, memo_limit: usize) -> Self {
+        Designer {
+            matrix,
+            memo: Mutex::new(Memo::default()),
+            memo_limit,
+            designs: AtomicU64::new(0),
+            built: AtomicU64::new(0),
+            reused: AtomicU64::new(0),
+        }
+    }
+
+    /// Designs, conversions built and conversions reused so far.
+    pub fn stats(&self) -> DesignerStats {
+        DesignerStats {
+            designs: self.designs.load(Ordering::Relaxed),
+            built: self.built.load(Ordering::Relaxed),
+            reused: self.reused.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Executes `graph` over the matrix, producing the Matrix Metadata Set.
+    /// Equal, field by field, to what a fresh Designer returns for the same
+    /// graph, errors included.
+    pub fn design(&self, graph: &OperatorGraph) -> Result<MatrixMetadataSet, DesignError> {
+        self.designs.fetch_add(1, Ordering::Relaxed);
+        graph.validate()?;
+        let matrix = self.matrix;
+        if matrix.rows() == 0 || matrix.nnz() == 0 {
+            return Err(DesignError::Unsupported(
+                "empty matrices are not supported".into(),
+            ));
+        }
+
+        // ---- Shared converting chain ---------------------------------------
+        let mut chain = Vec::new();
+        for op in &graph.converting {
+            match op {
+                Operator::Compress => {} // the CSR input is already compressed
+                Operator::Sort
+                | Operator::Bin { .. }
+                | Operator::RowDiv { .. }
+                | Operator::ColDiv { .. } => chain.push(op.clone()),
+                other => {
+                    return Err(DesignError::Unsupported(format!(
+                        "{} is not executable in the shared chain",
+                        other.name()
+                    )));
+                }
+            }
+        }
+        let shared = ConversionKey {
+            chain,
+            branch: None,
+        };
+        let pieces = self.converted(&shared, || convert_shared(matrix, &shared.chain))?;
+
+        // ---- Per-branch execution ------------------------------------------
+        let mut partitions = Vec::with_capacity(pieces.len());
+        for (index, (piece, branch)) in pieces.iter().zip(&graph.branches).enumerate() {
+            let piece = self.branch_piece(&shared.chain, index, piece, branch)?;
+            partitions.push(design_branch(piece, branch, &graph.converting));
+        }
+
+        Ok(MatrixMetadataSet {
+            original_rows: matrix.rows(),
+            original_cols: matrix.cols(),
+            original_nnz: matrix.nnz(),
+            partitions,
+        })
+    }
+
+    /// The conversion `key` names: from the memo, or built by `build` (and
+    /// then kept, within the bound).  The lock is never held while `build`
+    /// runs, so two threads that miss the same key may both build it.
+    fn converted(
+        &self,
+        key: &ConversionKey,
+        build: impl FnOnce() -> Result<Vec<Piece>, DesignError>,
+    ) -> Result<Arc<[Piece]>, DesignError> {
+        let held = self.memo.lock().expect("designer memo poisoned").get(key);
+        if let Some(pieces) = held {
+            self.reused.fetch_add(1, Ordering::Relaxed);
+            return Ok(pieces);
+        }
+        let pieces: Arc<[Piece]> = build()?.into();
+        self.built.fetch_add(1, Ordering::Relaxed);
+        self.memo.lock().expect("designer memo poisoned").insert(
+            key.clone(),
+            &pieces,
+            self.memo_limit,
+        );
+        Ok(pieces)
+    }
+
+    /// A branch's piece of the shared chain's output after the branch's own
+    /// converting operators: `SORT_SUB` / `BIN` in order, then `SORT_BMTB`
+    /// (rows by length within each thread-block group).  A branch that
+    /// reorders nothing shares the piece as it is.
+    fn branch_piece(
+        &self,
+        chain: &[Operator],
+        index: usize,
+        piece: &Piece,
+        branch: &[Operator],
+    ) -> Result<Piece, DesignError> {
+        let sort_bmtb = branch.iter().any(|op| matches!(op, Operator::SortBmtb));
+        let reordering = BranchKey {
+            index,
+            reorders: branch
+                .iter()
+                .filter(|op| matches!(op, Operator::SortSub | Operator::Bin { .. }))
+                .cloned()
+                .collect(),
+            sort_bmtb_rows: sort_bmtb
+                .then(|| rows_per_bmtb(branch).expect("validation guarantees BMTB_ROW_BLOCK")),
+        };
+        if reordering.reorders.is_empty() && reordering.sort_bmtb_rows.is_none() {
+            return Ok(piece.clone());
+        }
+        let key = ConversionKey {
+            chain: chain.to_vec(),
+            branch: Some(reordering),
+        };
+        let reordering = key.branch.as_ref().expect("set above");
+        let converted = self.converted(&key, || Ok(vec![convert_branch(piece, reordering)]))?;
+        Ok(converted[0].clone())
+    }
+}
+
+/// Rows per thread block, when the branch has a `BMTB_ROW_BLOCK`.
+fn rows_per_bmtb(branch: &[Operator]) -> Option<usize> {
+    branch.iter().find_map(|op| match op {
+        Operator::BmtbRowBlock { rows } => Some(*rows),
+        _ => None,
     })
 }
 
-/// An intermediate partition produced by the shared converting chain.
-struct PartitionPiece {
-    origin_rows: Vec<u32>,
-    matrix: CsrMatrix,
-    col_offset: usize,
-    shares_rows: bool,
-}
-
-fn design_branch(
-    mut piece: PartitionPiece,
-    branch: &[Operator],
-    shared: &[Operator],
-) -> Result<PartitionPlan, DesignError> {
-    let mut bin_boundaries = None;
-
-    // Per-branch converting operators first.
-    for op in branch {
-        match op {
-            Operator::SortSub => {
-                let mut order: Vec<u32> = (0..piece.matrix.rows() as u32).collect();
-                sort_rows_by_length(&piece.matrix, &mut order);
-                apply_local_order(&mut piece, &order);
-            }
-            Operator::Bin { bins } => {
-                let mut order: Vec<u32> = (0..piece.matrix.rows() as u32).collect();
-                let boundaries = bin_rows_by_length(&piece.matrix, &mut order, *bins);
-                apply_local_order(&mut piece, &order);
-                bin_boundaries = Some(boundaries);
-            }
-            _ => {}
-        }
-    }
-
+/// Resolves everything the mapping and implementing stages of one branch
+/// decide, on top of its converted piece.  Cheap, and what a search varies:
+/// done per call, never memoised.
+fn design_branch(piece: Piece, branch: &[Operator], shared: &[Operator]) -> PartitionPlan {
     let mapping =
         OperatorGraph::branch_mapping(branch).expect("validation guarantees a thread mapping");
     let reduction = OperatorGraph::branch_reduction(branch);
     let threads_per_block = OperatorGraph::branch_threads_per_block(branch);
 
-    let rows_per_bmtb = branch.iter().find_map(|op| match op {
-        Operator::BmtbRowBlock { rows } => Some(*rows),
-        _ => None,
-    });
+    let rows_per_bmtb = rows_per_bmtb(branch);
     let rows_per_bmw = branch.iter().find_map(|op| match op {
         Operator::BmwRowBlock { rows } => Some(*rows),
         _ => None,
@@ -191,21 +443,10 @@ fn design_branch(
         simd.prefetch_distance = distance;
     }
 
-    // SORT_BMTB: reorder rows by length within each thread-block group.
-    if sort_bmtb {
-        let group = rows_per_bmtb.expect("validation guarantees BMTB_ROW_BLOCK");
-        let mut order: Vec<u32> = (0..piece.matrix.rows() as u32).collect();
-        let lengths = piece.matrix.row_lengths();
-        for chunk in order.chunks_mut(group.max(1)) {
-            chunk.sort_by_key(|&r| std::cmp::Reverse(lengths[r as usize]));
-        }
-        apply_local_order(&mut piece, &order);
-    }
-
     let mut operators: Vec<Operator> = shared.to_vec();
     operators.extend(branch.iter().cloned());
 
-    Ok(PartitionPlan {
+    PartitionPlan {
         origin_rows: piece.origin_rows,
         matrix: piece.matrix,
         col_offset: piece.col_offset,
@@ -215,23 +456,61 @@ fn design_branch(
         padding,
         interleaved,
         sort_bmtb,
-        bin_boundaries,
+        bin_boundaries: piece.bin_boundaries,
         reduction,
         threads_per_block,
         simd,
         shares_rows_with_siblings: piece.shares_rows,
         operators,
-    })
+    }
 }
 
-/// Permutes a partition by a local row order (local indices).
-fn apply_local_order(piece: &mut PartitionPiece, order: &[u32]) {
-    let rows: Vec<usize> = order.iter().map(|&r| r as usize).collect();
-    piece.matrix = piece.matrix.select_rows(&rows);
-    piece.origin_rows = order
+/// Executes the shared chain's reordering and splitting operators over the
+/// matrix: one piece per partition.
+fn convert_shared(matrix: &CsrMatrix, chain: &[Operator]) -> Result<Vec<Piece>, DesignError> {
+    // Row order over the original matrix (original row ids).
+    let mut row_order: Vec<u32> = (0..matrix.rows() as u32).collect();
+    for op in chain {
+        match op {
+            Operator::Sort => sort_rows_by_length(matrix, &mut row_order),
+            Operator::Bin { bins } => {
+                bin_rows_by_length(matrix, &mut row_order, *bins);
+            }
+            _ => {} // the split, below
+        }
+    }
+    match chain
         .iter()
-        .map(|&r| piece.origin_rows[r as usize])
-        .collect();
+        .find(|op| matches!(op, Operator::RowDiv { .. } | Operator::ColDiv { .. }))
+    {
+        Some(Operator::RowDiv { parts }) => split_rows(matrix, &row_order, *parts),
+        Some(Operator::ColDiv { parts }) => split_cols(matrix, &row_order, *parts),
+        _ => Ok(vec![Piece::of_rows(matrix, row_order)]),
+    }
+}
+
+/// Applies one branch's reordering to its piece of the shared chain's output.
+fn convert_branch(piece: &Piece, reordering: &BranchKey) -> Piece {
+    let mut piece = piece.clone();
+    let local_order = |piece: &Piece| -> Vec<u32> { (0..piece.matrix.rows() as u32).collect() };
+    for op in &reordering.reorders {
+        let mut order = local_order(&piece);
+        if let Operator::Bin { bins } = op {
+            piece.bin_boundaries = Some(bin_rows_by_length(&piece.matrix, &mut order, *bins));
+        } else {
+            sort_rows_by_length(&piece.matrix, &mut order);
+        }
+        piece.reorder(&order);
+    }
+    if let Some(group) = reordering.sort_bmtb_rows {
+        let mut order = local_order(&piece);
+        let lengths = piece.matrix.row_lengths();
+        for chunk in order.chunks_mut(group.max(1)) {
+            chunk.sort_by_key(|&r| std::cmp::Reverse(lengths[r as usize]));
+        }
+        piece.reorder(&order);
+    }
+    piece
 }
 
 /// Sorts a row order by decreasing row length (stable, so ties keep their
@@ -285,7 +564,7 @@ fn split_rows(
     matrix: &CsrMatrix,
     row_order: &[u32],
     parts: usize,
-) -> Result<Vec<PartitionPiece>, DesignError> {
+) -> Result<Vec<Piece>, DesignError> {
     if parts > row_order.len() {
         return Err(DesignError::Unsupported(format!(
             "cannot split {} rows into {parts} partitions",
@@ -339,15 +618,7 @@ fn split_rows(
     }
     Ok(pieces
         .into_iter()
-        .map(|origin_rows| {
-            let rows: Vec<usize> = origin_rows.iter().map(|&r| r as usize).collect();
-            PartitionPiece {
-                matrix: matrix.select_rows(&rows),
-                origin_rows,
-                col_offset: 0,
-                shares_rows: false,
-            }
-        })
+        .map(|origin_rows| Piece::of_rows(matrix, origin_rows))
         .collect())
 }
 
@@ -357,7 +628,7 @@ fn split_cols(
     matrix: &CsrMatrix,
     row_order: &[u32],
     parts: usize,
-) -> Result<Vec<PartitionPiece>, DesignError> {
+) -> Result<Vec<Piece>, DesignError> {
     if parts > matrix.cols() {
         return Err(DesignError::Unsupported(format!(
             "cannot split {} columns into {parts} partitions",
@@ -365,6 +636,8 @@ fn split_cols(
         )));
     }
     let band = matrix.cols().div_ceil(parts);
+    // Every band keeps every row: one `origin_rows` allocation for all.
+    let origin_rows: Arc<[u32]> = row_order.into();
     let mut pieces = Vec::with_capacity(parts);
     for p in 0..parts {
         let col_start = p * band;
@@ -379,11 +652,12 @@ fn split_cols(
                 }
             }
         }
-        pieces.push(PartitionPiece {
-            origin_rows: row_order.to_vec(),
-            matrix: CsrMatrix::from_coo(&coo),
+        pieces.push(Piece {
+            origin_rows: origin_rows.clone(),
+            matrix: Arc::new(CsrMatrix::from_coo(&coo)),
             col_offset: col_start,
             shares_rows: true,
+            bin_boundaries: None,
         });
     }
     Ok(pieces)
@@ -405,7 +679,7 @@ mod tests {
         let meta = design(&presets::csr_scalar(), &m).unwrap();
         assert_eq!(meta.partitions.len(), 1);
         let plan = &meta.partitions[0];
-        assert_eq!(plan.origin_rows, (0..200u32).collect::<Vec<_>>());
+        assert_eq!(plan.origin_rows[..], (0..200u32).collect::<Vec<_>>()[..]);
         assert_eq!(plan.nnz(), m.nnz());
         assert!(!meta.is_branched());
     }
@@ -421,7 +695,7 @@ mod tests {
             "rows not sorted by length"
         );
         // Every original row appears exactly once.
-        let mut seen = plan.origin_rows.clone();
+        let mut seen = plan.origin_rows.to_vec();
         seen.sort_unstable();
         assert_eq!(seen, (0..200u32).collect::<Vec<_>>());
     }
@@ -510,6 +784,192 @@ mod tests {
             design(&graph, &tiny),
             Err(DesignError::Unsupported(_))
         ));
+    }
+
+    /// Every pattern family plus the degenerate shapes: one row, one column,
+    /// all rows empty but one.
+    fn fleet() -> Vec<(String, CsrMatrix)> {
+        let mut fleet: Vec<(String, CsrMatrix)> = gen::PatternFamily::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, family)| {
+                (
+                    family.name().to_string(),
+                    family.generate(192, 6, 40 + i as u64),
+                )
+            })
+            .collect();
+        let mut single_row = CooMatrix::new(1, 90);
+        let mut single_col = CooMatrix::new(90, 1);
+        let mut lone_row = CooMatrix::new(48, 48);
+        for k in (0..90).step_by(3) {
+            single_row.push(0, k, 1.0 + k as f32);
+            single_col.push(k, 0, 1.0 + k as f32);
+            lone_row.push(47, k % 48, 0.5 + k as f32);
+        }
+        for (name, coo) in [
+            ("1×n", single_row),
+            ("n×1", single_col),
+            ("empty rows", lone_row),
+        ] {
+            fleet.push((name.to_string(), CsrMatrix::from_coo(&coo)));
+        }
+        fleet
+    }
+
+    /// Fisher-Yates under a fixed xorshift stream.
+    fn shuffled<T>(mut items: Vec<T>, seed: u64) -> Vec<T> {
+        let mut state = seed | 1;
+        for i in (1..items.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            items.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        items
+    }
+
+    /// Every preset twice, so every conversion is asked for again after
+    /// others came in between.
+    fn presets_twice_shuffled(seed: u64) -> Vec<(&'static str, OperatorGraph)> {
+        let mut graphs = presets::all_presets();
+        graphs.extend(presets::all_presets());
+        shuffled(graphs, seed)
+    }
+
+    #[test]
+    fn one_designer_answers_like_a_fresh_one_for_every_preset() {
+        for (i, (name, matrix)) in fleet().into_iter().enumerate() {
+            let designer = Designer::new(&matrix);
+            let graphs = presets_twice_shuffled(7 + i as u64);
+            for (preset, graph) in &graphs {
+                // Field by field, streams included; errors too.
+                assert!(
+                    designer.design(graph) == design(graph, &matrix),
+                    "{name}/{preset}"
+                );
+            }
+            let stats = designer.stats();
+            assert_eq!(stats.designs, graphs.len() as u64);
+            assert!(stats.built > 0 && stats.reused > 0, "{name}: {stats:?}");
+            // On the families nothing is evicted at the default bound: every
+            // conversion is built once and the second visit of every preset
+            // reuses.  (A degenerate matrix's `origin_rows` outweigh its
+            // streams, so fewer of its conversions fit.)
+            if i < gen::PatternFamily::ALL.len() {
+                assert!(stats.reused >= stats.built, "{name}: {stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn designs_on_one_conversion_share_its_streams() {
+        let m = matrix();
+        let designer = Designer::new(&m);
+        let scalar = designer.design(&presets::csr_scalar()).unwrap();
+        let vector = designer.design(&presets::csr_vector()).unwrap();
+        let (a, b) = (&scalar.partitions[0], &vector.partitions[0]);
+        assert!(Arc::ptr_eq(&a.matrix, &b.matrix));
+        assert!(Arc::ptr_eq(&a.origin_rows, &b.origin_rows));
+        assert_ne!(a.mapping, b.mapping);
+        assert_eq!(
+            designer.stats(),
+            DesignerStats {
+                designs: 2,
+                built: 1,
+                reused: 1
+            }
+        );
+        // A clone of the metadata is a reference, not a copy.
+        assert!(Arc::ptr_eq(&scalar.clone().partitions[0].matrix, &a.matrix));
+    }
+
+    #[test]
+    fn a_memo_forced_small_rebuilds_and_stays_equal() {
+        let m = matrix();
+        let unbounded = Designer::with_memo_limit(&m, usize::MAX);
+        for (_, graph) in presets::all_presets() {
+            let _ = unbounded.design(&graph);
+        }
+        let distinct = unbounded.stats().built;
+        let whole = m.format_bytes() + m.rows() * 4;
+        assert!(unbounded.memo.lock().unwrap().bytes > 2 * whole);
+
+        // Nothing fits; exactly one whole-matrix conversion fits; two do.
+        for limit in [0, whole, 2 * whole] {
+            let designer = Designer::with_memo_limit(&m, limit);
+            for (preset, graph) in presets_twice_shuffled(limit as u64) {
+                assert!(
+                    designer.design(&graph) == design(&graph, &m),
+                    "{preset} at {limit}"
+                );
+                let memo = designer.memo.lock().unwrap();
+                assert!(memo.bytes <= limit, "{preset}: {} > {limit}", memo.bytes);
+                assert_eq!(
+                    memo.bytes,
+                    memo.entries.values().map(|e| e.bytes).sum::<usize>()
+                );
+            }
+            let stats = designer.stats();
+            assert!(stats.built > distinct, "{limit}: {stats:?} rebuilt nothing");
+            assert_eq!(stats.reused == 0, limit == 0, "{limit}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn a_conversion_above_the_bound_is_returned_but_not_kept() {
+        let m = matrix();
+        let designer = Designer::with_memo_limit(&m, m.format_bytes() / 2);
+        for _ in 0..2 {
+            assert!(designer.design(&presets::sell_like()) == design(&presets::sell_like(), &m));
+        }
+        assert_eq!(designer.stats().built, 2);
+        assert!(designer.memo.lock().unwrap().entries.is_empty());
+    }
+
+    #[test]
+    fn four_threads_share_one_designer() {
+        let m = matrix();
+        let graphs = presets::all_presets();
+        let expected: Vec<_> = graphs.iter().map(|(_, g)| design(g, &m)).collect();
+        let designer = Designer::new(&m);
+        // All four start on the same graph at once (they miss the same key
+        // together and may all build it), then walk the presets in
+        // different orders.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for stride in [1, 3, 5, 7] {
+                let (designer, graphs, expected, start) = (&designer, &graphs, &expected, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for step in 0..2 * graphs.len() {
+                        let i = step * stride % graphs.len();
+                        assert!(
+                            designer.design(&graphs[i].1) == expected[i],
+                            "{}",
+                            graphs[i].0
+                        );
+                    }
+                });
+            }
+        });
+        let stats = designer.stats();
+        assert_eq!(stats.designs, 8 * graphs.len() as u64);
+        assert!(stats.reused > stats.built, "{stats:?}");
+    }
+
+    #[test]
+    fn an_error_repeats_through_one_designer() {
+        let tiny = gen::uniform_random(3, 3, 1, 1);
+        let designer = Designer::new(&tiny);
+        let graph = presets::row_split_hybrid(8);
+        let first = designer.design(&graph);
+        assert!(matches!(first, Err(DesignError::Unsupported(_))));
+        assert!(designer.design(&graph) == first);
+        assert!(first == design(&graph, &tiny));
+        // A failed conversion leaves nothing behind.
+        assert_eq!(designer.stats().built, 0);
+        assert!(designer.design(&presets::csr_scalar()).is_ok());
     }
 
     #[test]

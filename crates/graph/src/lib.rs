@@ -11,7 +11,9 @@
 //! The [`designer`] executes an operator graph over a sparse matrix and
 //! produces a [`metadata::MatrixMetadataSet`]: the fully-resolved description
 //! of the machine-designed format from which the Format & Kernel Generator
-//! (`alpha-codegen`) extracts arrays and builds the kernel.
+//! (`alpha-codegen`) extracts arrays and builds the kernel.  A
+//! [`Designer`] kept alive across the graphs of one search converts the
+//! matrix once per distinct converting chain and shares the result.
 
 pub mod designer;
 pub mod graph;
@@ -20,7 +22,7 @@ pub mod operator;
 pub mod params;
 pub mod presets;
 
-pub use designer::{design, DesignError};
+pub use designer::{design, DesignError, Designer, DesignerStats};
 pub use graph::{OperatorGraph, ValidationError};
 pub use metadata::{
     BlockReduction, Mapping, MatrixMetadataSet, PadScope, Padding, PartitionPlan, Reduction,

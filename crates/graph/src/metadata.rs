@@ -7,9 +7,17 @@
 //! information).  Here the same information is held in typed form: one
 //! [`PartitionPlan`] per branch of the graph, inside a
 //! [`MatrixMetadataSet`].
+//!
+//! A plan does not own its streams: [`PartitionPlan::matrix`] and
+//! [`PartitionPlan::origin_rows`] are shared references to what the
+//! Designer's converting stage built (see [`crate::designer`]).  Cloning a
+//! plan or a metadata set, generating a simulated kernel from it and lowering
+//! a native partition from it all share that one allocation, which is
+//! immutable for as long as anyone holds it.
 
 use crate::operator::Operator;
 use alpha_matrix::CsrMatrix;
+use std::sync::Arc;
 
 /// How non-zeros are distributed over threads (the outcome of the mapping
 /// stage).
@@ -186,14 +194,19 @@ impl Reduction {
 }
 
 /// The resolved design of one partition (branch) of the operator graph.
-#[derive(Debug, Clone)]
+/// Equality is by value, field by field (the streams are compared, not their
+/// addresses).
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionPlan {
     /// Maps local row index (in the reordered sub-matrix) to the original row
-    /// id of the input matrix; the `origin_rows` array of Figure 5.
-    pub origin_rows: Vec<u32>,
+    /// id of the input matrix; the `origin_rows` array of Figure 5.  Shared
+    /// with every plan designed on the same conversion.
+    pub origin_rows: Arc<[u32]>,
     /// The partition's sub-matrix with rows already permuted into their final
-    /// order (and columns restricted when `COL_DIV` was applied).
-    pub matrix: CsrMatrix,
+    /// order (and columns restricted when `COL_DIV` was applied).  Shared
+    /// with every plan designed on the same conversion, and with the kernels
+    /// built from them.
+    pub matrix: Arc<CsrMatrix>,
     /// Column offset of this partition in the original matrix (non-zero only
     /// for `COL_DIV` branches, whose local column 0 is this original column).
     pub col_offset: usize,
@@ -250,7 +263,7 @@ impl PartitionPlan {
 
 /// The Designer's output: the original matrix dimensions plus one resolved
 /// plan per partition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixMetadataSet {
     /// Rows of the original matrix.
     pub original_rows: usize,
@@ -332,7 +345,7 @@ mod tests {
         let matrix = alpha_matrix::gen::uniform_random(8, 8, 2, 1);
         let plan = PartitionPlan {
             origin_rows: (0..8).collect(),
-            matrix,
+            matrix: Arc::new(matrix),
             col_offset: 0,
             mapping: Mapping::RowPerThread { rows_per_thread: 1 },
             rows_per_bmtb: None,

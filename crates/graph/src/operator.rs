@@ -21,7 +21,7 @@ pub enum Stage {
 ///
 /// The `BMTB` / `BMW` / `BMT` prefixes follow the paper: "a block mapped to a
 /// thread block / warp / thread".
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Operator {
     // ---- Converting stage --------------------------------------------------
     /// Divide the matrix into `parts` row bands, each designed separately

@@ -2,13 +2,24 @@
 //!
 //! Candidate evaluation — the dominant cost — is delegated to the
 //! [`Evaluator`] subsystem: candidates are evaluated
-//! in fixed-size batches fanned out across worker threads, with results
+//! in batches fanned out across worker threads, with results
 //! memoised in a [`DesignCache`].  Batches are *consumed in input order* and
 //! the budget / annealing stop conditions are applied during consumption, so
 //! a fixed [`SearchConfig::seed`] selects the same final design regardless of
-//! [`SearchConfig::threads`] (the only cost of parallelism is up to one
-//! batch of evaluations past the stopping point, which are discarded —
-//! and cached for later).
+//! [`SearchConfig::threads`].
+//!
+//! The budget is checked *before* a batch is evaluated and the batch is cut
+//! to the iterations that remain, so the search never pays for a candidate
+//! the budget would discard (an infeasible candidate does not count against
+//! the budget, so a short batch is simply followed by another).  Only the
+//! annealer can still stop inside a batch — it reacts to results, which do
+//! not exist before the batch ran — and then the rest of that one batch was
+//! evaluated for nothing (and cached for later).
+//!
+//! All candidates of one search are designed through one
+//! [`Designer`](alpha_graph::Designer), owned by the search's
+//! [`EvalContext`]: the matrix is converted once per distinct converting
+//! chain, not once per candidate.
 
 use crate::enumerate::{
     coarse_variants, fine_variants, mutate_structure, seed_structures_with, MutationRng,
@@ -287,10 +298,15 @@ pub fn search_with_cache(
     };
 
     let mut next = 0usize;
-    'level2: while next < candidates.len() {
-        let batch = &candidates[next..(next + batch_size).min(candidates.len())];
+    'level2: while next < candidates.len() && !budget_reached(&stats) {
+        // At most as many candidates as iterations remain: the consumed
+        // prefix is what it would be with full batches, the evaluations past
+        // it are simply never made.
+        let room = batch_size.min(config.max_iterations - stats.iterations);
+        let batch = &candidates[next..(next + room).min(candidates.len())];
         let results = evaluator.evaluate_batch(&ctx, batch);
         for (candidate, result) in batch.iter().zip(results) {
+            // Only the hour cap can still trip inside a batch.
             if budget_reached(&stats) {
                 break 'level2;
             }
@@ -396,6 +412,17 @@ pub fn search_with_cache(
     registry
         .counter("search_structures_pruned_total", &[])
         .add(stats.structures_pruned as u64);
+    // What the search's Designer did for those evaluations: how many graphs
+    // it designed and how many matrix conversions that took.
+    let designer = ctx.designer().stats();
+    registry
+        .counter("search_designs_total", &[])
+        .add(designer.designs);
+    for (outcome, conversions) in [("built", designer.built), ("reused", designer.reused)] {
+        registry
+            .counter("search_design_conversions_total", &[("outcome", outcome)])
+            .add(conversions);
+    }
 
     let (best_graph, best_report, best_source, best_kernel_shape) =
         best.ok_or_else(|| "no valid candidate could be evaluated".to_string())?;
@@ -513,6 +540,93 @@ mod tests {
         let matrix = gen::powerlaw(1_024, 1_024, 8, 2.0, 3);
         let outcome = search(&matrix, &quick_config(12)).unwrap();
         assert!(outcome.stats.iterations <= 12);
+    }
+
+    /// The simulator, counting its invocations and how many found the
+    /// candidate infeasible.
+    struct Counting {
+        inner: crate::eval::SimEvaluator,
+        calls: Arc<[std::sync::atomic::AtomicUsize; 2]>,
+    }
+
+    impl Evaluator for Counting {
+        fn evaluate(
+            &self,
+            ctx: &EvalContext<'_>,
+            graph: &OperatorGraph,
+        ) -> Option<crate::eval::Evaluation> {
+            use std::sync::atomic::Ordering::Relaxed;
+            let evaluation = self.inner.evaluate(ctx, graph);
+            self.calls[0].fetch_add(1, Relaxed);
+            self.calls[1].fetch_add(evaluation.is_none() as usize, Relaxed);
+            evaluation
+        }
+    }
+
+    #[test]
+    fn a_search_pays_for_its_budget_and_not_a_batch_more() {
+        use std::sync::atomic::Ordering::Relaxed;
+        // Three rows cannot be split four ways: on the second matrix the
+        // 4-part variants of the ROW_DIV seeds are infeasible, and a warm
+        // ROW_DIV seed puts one of them at the head of the schedule.
+        let mut warm = alpha_graph::presets::row_split_hybrid(2);
+        for branch in &mut warm.branches {
+            branch.retain(|op| !matches!(op, alpha_graph::Operator::SortSub));
+        }
+        let mut three_rows = alpha_matrix::CooMatrix::new(3, 96);
+        for (row, len) in [(0, 96), (1, 12), (2, 2)] {
+            for c in 0..len {
+                three_rows.push(row, c, 1.0 + c as f32);
+            }
+        }
+        let matrices = [
+            ("powerlaw", gen::powerlaw(1_024, 1_024, 10, 2.0, 13), false),
+            ("three rows", CsrMatrix::from_coo(&three_rows), true),
+        ];
+        for (name, matrix, expect_infeasible) in &matrices {
+            for budget in [30, 80] {
+                let mut outcomes = Vec::new();
+                for threads in [1, 4] {
+                    let calls: Arc<[std::sync::atomic::AtomicUsize; 2]> = Arc::default();
+                    let counted = calls.clone();
+                    let config = SearchConfig {
+                        threads,
+                        batch_size: 16,
+                        seed_designs: vec![warm.clone()],
+                        evaluator: EvaluatorChoice::custom(
+                            crate::eval::EvaluatorId::Simulated,
+                            move || {
+                                Box::new(Counting {
+                                    inner: crate::eval::SimEvaluator::new(DeviceProfile::a100(), 1),
+                                    calls: counted.clone(),
+                                })
+                            },
+                        ),
+                        ..quick_config(budget)
+                    };
+                    let outcome = search(matrix, &config).unwrap();
+                    let (invoked, infeasible) = (calls[0].load(Relaxed), calls[1].load(Relaxed));
+                    let what = format!("{name}, budget {budget}, {threads} thread(s)");
+                    // The budget binds (the annealer is still hot), so every
+                    // invocation is accounted for: a consumed feasible
+                    // candidate, an infeasible one, or a level-3 pick.
+                    assert_eq!(outcome.stats.iterations, budget, "{what}");
+                    assert_eq!(outcome.stats.cache_misses, invoked, "{what}");
+                    assert!(
+                        invoked <= budget + infeasible + 5,
+                        "{what}: {invoked} invocations, {infeasible} infeasible"
+                    );
+                    assert_eq!(infeasible > 0, *expect_infeasible, "{what}");
+                    outcomes.push((
+                        outcome.best_graph.signature(),
+                        outcome.best_report.gflops,
+                        outcome.stats.ml_evaluations,
+                        invoked,
+                    ));
+                }
+                assert_eq!(outcomes[0], outcomes[1], "{name}, budget {budget}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! * [`SimEvaluator`] — the ground truth: runs the Designer and Format &
 //!   Kernel Generator for the candidate and executes the generated kernel on
-//!   the [`GpuSim`], checking the result against the reference SpMV.
+//!   the [`GpuSim`], checking the result against the reference SpMV.  The
+//!   Designer is the search's own ([`EvalContext::designer`]): candidates on
+//!   one converting chain share one converted matrix.
 //! * [`CachingEvaluator`] — memoises outcomes in a shared [`DesignCache`]
 //!   keyed by (matrix fingerprint + device + generator options, canonical
 //!   graph signature), so repeated structures across mutation rounds — or
@@ -27,9 +29,9 @@
 //! and per-candidate simulator state lives on the evaluating thread's stack.
 
 use crate::persist::StoredDesign;
-use alpha_codegen::{generate, GeneratorOptions};
+use alpha_codegen::{generate_with, GeneratorOptions};
 use alpha_gpu::{DeviceProfile, GpuSim, PerfReport};
-use alpha_graph::OperatorGraph;
+use alpha_graph::{Designer, OperatorGraph};
 use alpha_matrix::{CsrMatrix, DenseVector, Scalar};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,12 +158,16 @@ impl std::fmt::Debug for EvaluatorChoice {
     }
 }
 
-/// Everything shared by all candidate evaluations of one search: the matrix,
-/// the probe input vector, the reference result, and the cache-identity of
-/// the (matrix, device, options) combination.
+/// Everything shared by all candidate evaluations of one search: the matrix
+/// and its [`Designer`], the probe input vector, the reference result, and
+/// the cache-identity of the (matrix, device, options) combination.
 pub struct EvalContext<'a> {
     /// The matrix being tuned.
     pub matrix: &'a CsrMatrix,
+    /// The search's Designer: every candidate is designed through it, so the
+    /// matrix is converted once per distinct converting chain and the
+    /// candidates share the result.  Dropped with the context.
+    designer: Designer<'a>,
     /// Probe input vector the candidates are executed with.
     pub x: DenseVector,
     /// Reference `y = A·x` every candidate must reproduce.
@@ -188,6 +194,7 @@ impl<'a> EvalContext<'a> {
         let reference = matrix.spmv(x.as_slice()).map_err(|e| e.to_string())?;
         Ok(EvalContext {
             matrix,
+            designer: Designer::new(matrix),
             x,
             reference,
             options,
@@ -199,6 +206,12 @@ impl<'a> EvalContext<'a> {
     /// The (matrix, device, options, seed) part of the cache key.
     pub fn context_key(&self) -> u64 {
         self.context_key
+    }
+
+    /// The Designer evaluators generate this search's candidates through
+    /// (`alpha_codegen::generate_with`).
+    pub fn designer(&self) -> &Designer<'a> {
+        &self.designer
     }
 
     /// Salts the context key with the evaluation backend's identity, so
@@ -348,7 +361,7 @@ impl SimEvaluator {
 impl Evaluator for SimEvaluator {
     fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
         self.simulations.fetch_add(1, Ordering::Relaxed);
-        let generated = generate(graph, ctx.matrix, ctx.options).ok()?;
+        let generated = generate_with(ctx.designer(), graph, ctx.options).ok()?;
         let result = self
             .sim
             .run_checked(
