@@ -40,6 +40,7 @@ use alpha_net::{Client, NetServer, ServerConfig};
 use alpha_search::SearchConfig;
 use alpha_serve::{DesignStore, TuningService};
 use alpha_telemetry::Registry;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of one `reproduce -- serve` run.
@@ -423,10 +424,14 @@ fn tune_phase(
 /// Runs the closed-loop load test end to end: spawn daemon, drive it with
 /// `config.clients` concurrent clients, shut it down cleanly, aggregate.
 pub fn serve_load(config: ServeLoadConfig) -> Result<ServeLoadReport, String> {
+    // One directory per call: two runs of one process (parallel tests) must
+    // not remove each other's store.
+    static RUN: AtomicUsize = AtomicUsize::new(0);
     let store_dir = std::env::temp_dir().join(format!(
-        "alphasparse_serve_load_{}_{}",
+        "alphasparse_serve_load_{}_{}_{}",
         std::process::id(),
-        config.fleet_size
+        config.fleet_size,
+        RUN.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&store_dir);
     let report = serve_load_at(config, &store_dir);

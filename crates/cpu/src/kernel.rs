@@ -56,32 +56,37 @@ pub use select::{plans_from_label, LoopChoice};
 ///
 /// The arithmetic, from the repo benchmark on its reference host (2 vCPUs;
 /// `parallel.dispatch_us` owns the dispatch figures, `cpu.small_1t_us` and
-/// `cpu.large_1t_ns_per_nnz` the loop rate):
+/// `cpu.large_1t_ns_per_nnz` the loop rate; re-measured after the dots were
+/// inlined into their row loops):
 ///
-/// * One thread retires a non-zero in 0.8 ns (L2-resident) to 1.1 ns
-///   (streaming), so a 16 384-nnz share is 13-18 µs of work.
+/// * One thread retires a non-zero in 0.5-0.75 ns (L2-resident) to 0.8 ns
+///   (streaming), so a 16 384-nnz share is 8-13 µs of work.
 /// * **Hot** (the kernel is called in a loop and the worker is still polling
-///   from the previous call): a fork-join costs 0.9 µs, 5-7 % of that share.
-///   Break-even is near 1 100 nnz per worker; the constant is 15x above it.
+///   from the previous call): a fork-join costs 0.9 µs, 7-11 % of that share.
+///   Break-even is near 1 400 nnz per worker; the constant is 12x above it.
 /// * **Parked** (calls more than 60 µs apart): the submitter pays one `futex`
 ///   wake, about 6 µs, and the woken worker needs about 35 µs to get on a
 ///   core.  A job that is over by then is finished by the caller at serial
 ///   speed (its worker slot is retracted, never waited for), so the smallest
-///   two-worker job (2 x 16 384 nnz, 26 µs serial) loses at most 6 µs (23 %)
-///   and jobs above roughly 44 000 nnz start to gain.
+///   two-worker job (2 x 16 384 nnz, 21 µs serial) loses at most 6 µs (28 %)
+///   and jobs above roughly 54 000 nnz start to gain.
 ///
-/// A lower constant would let the parked overhead approach the job itself
-/// (4 096: 6 µs on a 6.5 µs job); a higher one would run the 32k-90k nnz
+/// A lower constant would let the parked overhead exceed the job itself
+/// (4 096: 6 µs on a 5.3 µs job); a higher one would run the 32k-90k nnz
 /// jobs serially and forfeit their hot gain (the benchmark's small class,
-/// 65 536 nnz, runs 52 µs on one thread and 43 µs on two).  So 16 384 stays.
+/// 65 536 nnz, runs 43 µs on one thread and 36 µs on two).  The faster loops
+/// moved every figure by about a fifth and none across its threshold, so
+/// 16 384 stays.
 pub const MIN_NNZ_PER_WORKER: usize = 16_384;
 
 /// Resolves a requested thread count: `0` means "automatic" — one worker per
 /// available core, but never more than [`MIN_NNZ_PER_WORKER`] would justify
 /// for `nnz` non-zeros.  A kernel whose loop advances `lanes > 1` non-zeros
 /// per step doubles that minimum: every loop selection measures the
-/// vector-to-scalar ratio, and it reads 1.2-1.8x on gather-bound SpMV, never
-/// `lanes`x — so the point where another worker pays shifts out by at most 2
+/// vector-to-scalar ratio, and on gather-bound SpMV it reads 1.0-2.1x (median
+/// 1.26x over 90 single-thread readings; the three above 2.0 are L2-resident
+/// regular 16-nnz rows at 2.01-2.14x, inside the timing noise of the bound),
+/// never `lanes`x — so the point where another worker pays shifts out by at most 2
 /// (the count has to follow from the kernel's shape alone, not from a
 /// measurement, or a design lowered from its recorded label would split its
 /// work differently from the one that was measured).  Scalar kernels and the

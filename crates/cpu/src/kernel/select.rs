@@ -4,8 +4,11 @@
 //! stage's inner loop: the simulator that ranked it cannot tell lane widths
 //! apart, so the Designer leaves every `PartitionPlan.simd` scalar.  Which
 //! library loop is fastest is a fact about *this host and this partition's
-//! rows* (rows shorter than a vector lose to the scalar loop; long rows gain
-//! up to 1.8×), so it is settled the way the paper's search settles
+//! rows* (on the reference host the better vector loop is typically
+//! 1.3–1.7× the scalar one on regular 16-nnz rows — 1.0–2.1× over all
+//! readings — 1.1–1.7× on regular 8-nnz rows, and 1.0–1.5×, a tie as often
+//! as a win, where a few very long rows' `x`-gather misses are the time), so
+//! it is settled the way the paper's search settles
 //! everything else — by measurement: every admissible loop ([`candidates`])
 //! is bound to the partition's own streams, checked against the scalar
 //! loop's `y` under twice the differential suite's per-row bound, and timed
@@ -48,7 +51,7 @@ pub struct LoopChoice {
 }
 
 impl std::fmt::Display for LoopChoice {
-    /// `avx2-nnz-x8 (scalar 0.51, avx2-nnz-x4 0.40, avx2-nnz-x8 0.37 ns/nnz)`.
+    /// `avx2-nnz-x8 (scalar 1.67, avx2-nnz-x4 0.85, avx2-nnz-x8 0.80 ns/nnz)`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.label)?;
         if self.measured.is_empty() {
@@ -69,9 +72,19 @@ impl std::fmt::Display for LoopChoice {
 /// loop.
 ///
 /// The two other shapes the native search seeds — `nnz-x8+pf16` and `row-x4`
-/// — are not candidates: over the repo benchmark's large, small and serving
-/// classes the prefetching twin never beat plain ×8 by more than the timing
-/// noise, and row lanes never beat the scalar loop at all.  They stay
+/// — are not candidates.  Re-measured with the dots inlined into their loops
+/// (five families × the repo benchmark's large, serving and small classes ×
+/// an unsorted and a length-sorted design × 1 and 2 threads, three
+/// round-interleaved passes, 180 readings): the prefetching twins beat the
+/// better plain nnz loop by more than 3 % in 5 readings, repeatable in one
+/// place only (the large length-sorted powerlaw partition at 2 threads, two
+/// passes of three, 7–11 %), and cost 13–47 % on the small class's regular
+/// rows; `row-x4` lost to the best of {scalar, ×4, ×8} in 173 — on the
+/// cache-resident classes it is 1.0–1.6× the *scalar* loop wherever rows are
+/// regular or sorted by length, which is where the benchmark's winners live
+/// — and its 7 wins are all *unsorted* R-MAT rows, mostly at 2 threads
+/// (10–13 % at 8 192×8 in all three passes): worth a candidate slot only if
+/// a ledger row shows such partitions being served (ROADMAP).  Both stay
 /// reachable as operators, under measured evaluation.
 fn candidates() -> Vec<SimdPlan> {
     let mut plans = vec![SimdPlan::scalar()];

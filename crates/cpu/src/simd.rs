@@ -19,16 +19,29 @@
 //!
 //! Both families accept a software **prefetch distance** (in non-zeros): the
 //! value/index streams — and, for nnz-lanes, the gathered `x` target — are
-//! prefetched that far ahead.  On targets without a stable prefetch intrinsic
-//! (aarch64) the distance is accepted and ignored.
+//! prefetched that far ahead.  Whether a loop prefetches at all is a const
+//! parameter (`PF`) of the kernels the library instantiates, so a
+//! non-prefetching loop carries neither the instructions nor a test; the
+//! public entry points take the distance at run time (0 = none) and pick the
+//! instantiation.  On targets without a stable prefetch intrinsic (aarch64)
+//! the distance is accepted and ignored.
 //!
 //! All multiply-accumulate steps use separate multiply and add (no FMA), so
 //! every backend computing the same lane schedule produces identical bits.
+//! Serial parts — the scalar loop, every lane kernel's tail — walk zipped
+//! sub-slices of the row (`row_dot_serial`) rather than index three slices per
+//! element.
 //!
 //! Nothing here dispatches at run time: [`ResolvedSimd::resolve`] decides the
 //! backend once per kernel build, and [`crate::specialized`] turns that
-//! decision into a monomorphized loop that calls one of these kernels
-//! directly.
+//! decision into a monomorphized loop.  Every kernel here is
+//! `#[inline(always)]` and **none carries `#[target_feature]`**: a function
+//! with that attribute never inlines into a caller compiled without it, so a
+//! dot behind one is an opaque call per row (arguments through the stack, the
+//! `col_offset` broadcast redone, a `vzeroupper` on the way out).  The
+//! attribute sits on the loop entries in [`crate::specialized`] instead, the
+//! dots inline into the loop, and the hardware dots stay `unsafe fn` with the
+//! contract they always had: the caller probed the extension.
 
 use crate::cpu_features::{self, SimdSupport};
 use alpha_graph::{SimdLaneMapping, SimdPlan};
@@ -178,8 +191,11 @@ fn prefetch_read<T>(ptr: *const T) {
     }
 }
 
-/// Prefetches the value/index streams — and the gathered `x` target — at
-/// `idx + distance`, clamped to the stream end.
+/// Prefetches one row's value/index streams — and the gathered `x` target —
+/// `distance` non-zeros past position `idx` of the row, clamped to its last
+/// non-zero.  `values` / `col_indices` are the row's own (non-empty)
+/// sub-slices.  Whether a loop prefetches at all is its `PF` instantiation;
+/// nothing is tested here.
 #[inline(always)]
 fn prefetch_streams(
     values: &[Scalar],
@@ -187,17 +203,32 @@ fn prefetch_streams(
     x: &[Scalar],
     col_offset: usize,
     idx: usize,
-    end: usize,
     distance: usize,
 ) {
-    if distance == 0 {
-        return;
-    }
-    let ahead = (idx + distance).min(end.saturating_sub(1));
+    let ahead = (idx + distance).min(values.len() - 1);
     prefetch_read(&values[ahead]);
     prefetch_read(&col_indices[ahead]);
     // The x gather is the cache-miss magnet: prefetch its future target too.
     prefetch_read(&x[col_indices[ahead] as usize + col_offset]);
+}
+
+/// Continues the serial accumulation `acc` over two equal-length stream
+/// slices, in stream order: the scalar loop (from `0.0`), every lane kernel's
+/// tail, and a row lane's leftover.  Walking the zipped slices leaves one
+/// bounds check per non-zero (the `x` gather) where indexing three slices by
+/// position pays three.
+#[inline(always)]
+pub(crate) fn row_dot_serial(
+    mut acc: Scalar,
+    values: &[Scalar],
+    col_indices: &[u32],
+    x: &[Scalar],
+    col_offset: usize,
+) -> Scalar {
+    for (&v, &c) in values.iter().zip(col_indices) {
+        acc += v * x[c as usize + col_offset];
+    }
+    acc
 }
 
 /// The fixed horizontal-add tree every backend uses for `L` lane partials:
@@ -223,6 +254,8 @@ fn hsum_tree<const L: usize>(acc: &[Scalar; L]) -> Scalar {
 /// Portable nnz-lane dot over `[start, end)`: `L` independent accumulators
 /// stride the row, the tail accumulates serially, and `hsum_tree` folds the
 /// lanes.  Bit-compatible with the AVX2/NEON implementations of the same `L`.
+/// `prefetch` is a run-time distance here (0 = none); the kernel library
+/// calls the `row_dot_nnz_lanes` instantiation directly.
 pub fn row_dot_nnz_portable<const L: usize>(
     values: &[Scalar],
     col_indices: &[u32],
@@ -232,26 +265,48 @@ pub fn row_dot_nnz_portable<const L: usize>(
     end: usize,
     prefetch: usize,
 ) -> Scalar {
+    if prefetch > 0 {
+        row_dot_nnz_lanes::<L, true>(values, col_indices, x, col_offset, start, end, prefetch)
+    } else {
+        row_dot_nnz_lanes::<L, false>(values, col_indices, x, col_offset, start, end, prefetch)
+    }
+}
+
+/// [`row_dot_nnz_portable`] as the kernel library instantiates it: `PF` says
+/// whether the loop contains prefetch instructions at all (`prefetch` is only
+/// read when it does), and the body always inlines into the row loop around
+/// it.
+#[inline(always)]
+pub(crate) fn row_dot_nnz_lanes<const L: usize, const PF: bool>(
+    values: &[Scalar],
+    col_indices: &[u32],
+    x: &[Scalar],
+    col_offset: usize,
+    start: usize,
+    end: usize,
+    prefetch: usize,
+) -> Scalar {
+    let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
+    let body = values.len() - values.len() % L;
     let mut acc = [0.0 as Scalar; L];
-    let mut i = start;
-    while i + L <= end {
-        prefetch_streams(values, col_indices, x, col_offset, i, end, prefetch);
-        for l in 0..L {
-            acc[l] += values[i + l] * x[col_indices[i + l] as usize + col_offset];
+    for i in (0..body).step_by(L) {
+        if PF {
+            prefetch_streams(values, col_indices, x, col_offset, i, prefetch);
         }
-        i += L;
+        let (v, c) = (&values[i..i + L], &col_indices[i..i + L]);
+        for l in 0..L {
+            acc[l] += v[l] * x[c[l] as usize + col_offset];
+        }
     }
-    let mut tail = 0.0 as Scalar;
-    for j in i..end {
-        tail += values[j] * x[col_indices[j] as usize + col_offset];
-    }
+    let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
     hsum_tree(&acc) + tail
 }
 
 /// Portable row-lane dot: each of the `L` lanes accumulates one row of
 /// `ranges` serially (the exact order of the scalar kernel, so results are
 /// bitwise identical to it); interleaving the lanes gives `L` independent FP
-/// dependency chains.
+/// dependency chains.  `prefetch` is a run-time distance here (0 = none); the
+/// kernel library calls the `rows_dot_lanes` instantiation directly.
 pub fn rows_dot_row_lanes<const L: usize>(
     values: &[Scalar],
     col_indices: &[u32],
@@ -261,21 +316,33 @@ pub fn rows_dot_row_lanes<const L: usize>(
     out: &mut [Scalar; L],
     prefetch: usize,
 ) {
+    *out = if prefetch > 0 {
+        rows_dot_lanes::<L, true>(values, col_indices, x, col_offset, ranges, prefetch)
+    } else {
+        rows_dot_lanes::<L, false>(values, col_indices, x, col_offset, ranges, prefetch)
+    };
+}
+
+/// [`rows_dot_row_lanes`] as the kernel library instantiates it (`PF` as in
+/// [`row_dot_nnz_lanes`]): the `L` row sums, always inlined into the chunk
+/// loop around it.
+#[inline(always)]
+pub(crate) fn rows_dot_lanes<const L: usize, const PF: bool>(
+    values: &[Scalar],
+    col_indices: &[u32],
+    x: &[Scalar],
+    col_offset: usize,
+    ranges: &[(usize, usize); L],
+    prefetch: usize,
+) -> [Scalar; L] {
     let min_len = ranges.iter().map(|&(s, e)| e - s).min().unwrap_or(0);
     let mut acc = [0.0 as Scalar; L];
+    // One stream prefetch per step, on the lane furthest ahead.
+    let (s, e) = ranges[L - 1];
+    let (ahead_values, ahead_cols) = (&values[s..e], &col_indices[s..e]);
     for k in 0..min_len {
-        if prefetch > 0 {
-            // One stream prefetch per step, on the lane furthest ahead.
-            let i = ranges[L - 1].0 + k;
-            prefetch_streams(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                i,
-                ranges[L - 1].1,
-                prefetch,
-            );
+        if PF {
+            prefetch_streams(ahead_values, ahead_cols, x, col_offset, k, prefetch);
         }
         for l in 0..L {
             let i = ranges[l].0 + k;
@@ -283,24 +350,59 @@ pub fn rows_dot_row_lanes<const L: usize>(
         }
     }
     for l in 0..L {
-        for i in ranges[l].0 + min_len..ranges[l].1 {
-            acc[l] += values[i] * x[col_indices[i] as usize + col_offset];
-        }
-        out[l] = acc[l];
+        let rest = ranges[l].0 + min_len..ranges[l].1;
+        acc[l] = row_dot_serial(
+            acc[l],
+            &values[rest.clone()],
+            &col_indices[rest],
+            x,
+            col_offset,
+        );
     }
+    acc
+}
+
+/// Defines `$name`: the hardware dot `$dot` under the name and run-time
+/// `prefetch` signature (0 = none) the bit-identity test calls it by.
+#[cfg(all(test, any(target_arch = "x86_64", target_arch = "aarch64")))]
+macro_rules! runtime_prefetch_twin {
+    ($name:ident, $dot:ident) => {
+        /// # Safety
+        /// As the `PF` instantiations it forwards to.
+        pub unsafe fn $name(
+            values: &[Scalar],
+            col_indices: &[u32],
+            x: &[Scalar],
+            col_offset: usize,
+            start: usize,
+            end: usize,
+            prefetch: usize,
+        ) -> Scalar {
+            if prefetch > 0 {
+                $dot::<true>(values, col_indices, x, col_offset, start, end, prefetch)
+            } else {
+                $dot::<false>(values, col_indices, x, col_offset, start, end, prefetch)
+            }
+        }
+    };
 }
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
-    use super::{prefetch_streams, Scalar};
+    use super::{prefetch_streams, row_dot_serial, Scalar};
     use std::arch::x86_64::*;
 
-    /// 8-lane nnz dot via `_mm256_i32gather_ps`.
+    /// 8-lane nnz dot via `_mm256_i32gather_ps`.  No `#[target_feature]`
+    /// here (module docs): the loop entry in [`crate::specialized`] carries
+    /// it, so the `col_offset` broadcast and the stream pointers hoist out of
+    /// the row loop this inlines into.
     ///
     /// # Safety
-    /// The caller must have verified AVX2 support at resolve time.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn row_dot_nnz8(
+    /// The caller must have verified AVX2 support at resolve time, and every
+    /// column index of `[start, end)` plus `col_offset` must be in bounds of
+    /// `x` (the gather does not check; the stream range itself is checked).
+    #[inline(always)]
+    pub unsafe fn row_dot8<const PF: bool>(
         values: &[Scalar],
         col_indices: &[u32],
         x: &[Scalar],
@@ -309,11 +411,14 @@ pub(crate) mod avx2 {
         end: usize,
         prefetch: usize,
     ) -> Scalar {
+        let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
+        let body = values.len() - values.len() % 8;
         let mut acc = _mm256_setzero_ps();
         let offset = _mm256_set1_epi32(col_offset as i32);
-        let mut i = start;
-        while i + 8 <= end {
-            prefetch_streams(values, col_indices, x, col_offset, i, end, prefetch);
+        for i in (0..body).step_by(8) {
+            if PF {
+                prefetch_streams(values, col_indices, x, col_offset, i, prefetch);
+            }
             let v = _mm256_loadu_ps(values.as_ptr().add(i));
             let idx = _mm256_loadu_si256(col_indices.as_ptr().add(i) as *const __m256i);
             let idx = _mm256_add_epi32(idx, offset);
@@ -322,12 +427,8 @@ pub(crate) mod avx2 {
             let gathered = _mm256_i32gather_ps::<4>(x.as_ptr(), idx);
             // mul + add (not FMA) keeps bits identical to the portable path.
             acc = _mm256_add_ps(acc, _mm256_mul_ps(v, gathered));
-            i += 8;
         }
-        let mut tail = 0.0 as Scalar;
-        for j in i..end {
-            tail += values[j] * x[col_indices[j] as usize + col_offset];
-        }
+        let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
         // Horizontal add with the shared tree shape:
         // q = lo + hi; d = [q0+q2, q1+q3]; result = d0 + d1.
         let lo = _mm256_castps256_ps128(acc);
@@ -341,9 +442,9 @@ pub(crate) mod avx2 {
     /// 4-lane nnz dot via `_mm_i32gather_ps`.
     ///
     /// # Safety
-    /// The caller must have verified AVX2 support at resolve time.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn row_dot_nnz4(
+    /// As [`row_dot8`].
+    #[inline(always)]
+    pub unsafe fn row_dot4<const PF: bool>(
         values: &[Scalar],
         col_indices: &[u32],
         x: &[Scalar],
@@ -352,31 +453,35 @@ pub(crate) mod avx2 {
         end: usize,
         prefetch: usize,
     ) -> Scalar {
+        let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
+        let body = values.len() - values.len() % 4;
         let mut acc = _mm_setzero_ps();
         let offset = _mm_set1_epi32(col_offset as i32);
-        let mut i = start;
-        while i + 4 <= end {
-            prefetch_streams(values, col_indices, x, col_offset, i, end, prefetch);
+        for i in (0..body).step_by(4) {
+            if PF {
+                prefetch_streams(values, col_indices, x, col_offset, i, prefetch);
+            }
             let v = _mm_loadu_ps(values.as_ptr().add(i));
             let idx = _mm_loadu_si128(col_indices.as_ptr().add(i) as *const __m128i);
             let idx = _mm_add_epi32(idx, offset);
             let gathered = _mm_i32gather_ps::<4>(x.as_ptr(), idx);
             acc = _mm_add_ps(acc, _mm_mul_ps(v, gathered));
-            i += 4;
         }
-        let mut tail = 0.0 as Scalar;
-        for j in i..end {
-            tail += values[j] * x[col_indices[j] as usize + col_offset];
-        }
+        let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
         let d = _mm_add_ps(acc, _mm_movehl_ps(acc, acc));
         let r = _mm_add_ss(d, _mm_shuffle_ps::<0b01>(d, d));
         _mm_cvtss_f32(r) + tail
     }
+
+    #[cfg(test)]
+    runtime_prefetch_twin!(row_dot_nnz8, row_dot8);
+    #[cfg(test)]
+    runtime_prefetch_twin!(row_dot_nnz4, row_dot4);
 }
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon {
-    use super::Scalar;
+    use super::{row_dot_serial, Scalar};
     use std::arch::aarch64::*;
 
     /// Gathers 4 `x` entries through the column-index stream into one NEON
@@ -409,12 +514,15 @@ pub(crate) mod neon {
         vget_lane_f32::<0>(d) + vget_lane_f32::<1>(d)
     }
 
-    /// 4-lane nnz dot (NEON vectors, emulated gather).
+    /// 4-lane nnz dot (NEON vectors, emulated gather).  Like its AVX2 twins it
+    /// carries no `#[target_feature]` — the loop entry in
+    /// [`crate::specialized`] does — and inlines into the row loop.  `PF` is
+    /// accepted and ignored: aarch64 has no stable prefetch intrinsic.
     ///
     /// # Safety
     /// The caller must have verified NEON support at resolve time.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn row_dot_nnz4(
+    #[inline(always)]
+    pub unsafe fn row_dot4<const PF: bool>(
         values: &[Scalar],
         col_indices: &[u32],
         x: &[Scalar],
@@ -423,18 +531,15 @@ pub(crate) mod neon {
         end: usize,
         _prefetch: usize,
     ) -> Scalar {
+        let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
+        let body = values.len() - values.len() % 4;
         let mut acc = vdupq_n_f32(0.0);
-        let mut i = start;
-        while i + 4 <= end {
+        for i in (0..body).step_by(4) {
             let v = vld1q_f32(values.as_ptr().add(i));
             let g = gather4(x, col_indices, col_offset, i);
             acc = vaddq_f32(acc, vmulq_f32(v, g));
-            i += 4;
         }
-        let mut tail = 0.0 as Scalar;
-        for j in i..end {
-            tail += values[j] * x[col_indices[j] as usize + col_offset];
-        }
+        let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
         hsum4(acc) + tail
     }
 
@@ -442,9 +547,9 @@ pub(crate) mod neon {
     /// tree (`lo + hi` first, then the 4-wide tree).
     ///
     /// # Safety
-    /// The caller must have verified NEON support at resolve time.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn row_dot_nnz8(
+    /// As [`row_dot4`].
+    #[inline(always)]
+    pub unsafe fn row_dot8<const PF: bool>(
         values: &[Scalar],
         col_indices: &[u32],
         x: &[Scalar],
@@ -453,24 +558,26 @@ pub(crate) mod neon {
         end: usize,
         _prefetch: usize,
     ) -> Scalar {
+        let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
+        let body = values.len() - values.len() % 8;
         let mut acc_lo = vdupq_n_f32(0.0);
         let mut acc_hi = vdupq_n_f32(0.0);
-        let mut i = start;
-        while i + 8 <= end {
+        for i in (0..body).step_by(8) {
             let v_lo = vld1q_f32(values.as_ptr().add(i));
             let v_hi = vld1q_f32(values.as_ptr().add(i + 4));
             let g_lo = gather4(x, col_indices, col_offset, i);
             let g_hi = gather4(x, col_indices, col_offset, i + 4);
             acc_lo = vaddq_f32(acc_lo, vmulq_f32(v_lo, g_lo));
             acc_hi = vaddq_f32(acc_hi, vmulq_f32(v_hi, g_hi));
-            i += 8;
         }
-        let mut tail = 0.0 as Scalar;
-        for j in i..end {
-            tail += values[j] * x[col_indices[j] as usize + col_offset];
-        }
+        let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
         hsum4(vaddq_f32(acc_lo, acc_hi)) + tail
     }
+
+    #[cfg(test)]
+    runtime_prefetch_twin!(row_dot_nnz4, row_dot4);
+    #[cfg(test)]
+    runtime_prefetch_twin!(row_dot_nnz8, row_dot8);
 }
 
 #[cfg(test)]

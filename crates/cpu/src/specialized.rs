@@ -12,10 +12,10 @@
 //!   row lanes) and
 //! * prefetch class
 //!
-//! is instantiated as one dedicated function (`chunk_nnz::<TB, D>`,
-//! `chunk_row_lanes::<TB, L>`, `span_nnz::<D>`, `scatter_to::<TB>`) in which
-//! the index arithmetic is inlined as constants/affine expressions and every
-//! enum match is hoisted entirely out of the loop.  `rows_loop`,
+//! is instantiated as one dedicated function (`chunk_nnz::<TB, PF, D>`,
+//! `chunk_row_lanes::<TB, PF, L>`, `span_nnz::<PF, D>`, `scatter_to::<TB>`) in
+//! which the index arithmetic is inlined as constants/affine expressions and
+//! every enum match is hoisted entirely out of the loop.  `rows_loop`,
 //! `nnz_loop` and `scatter_loop` are the shape-matchers: they map the
 //! [`KernelShape`] computed at kernel build to the library entry's function
 //! pointers.  This is also the one place a SIMD backend is selected — through
@@ -24,6 +24,18 @@
 //! ([`KernelBuildError::UnsupportedShape`]); there is no second executor to
 //! fall back to.  None is designer-reachable: the only misses are lane/backend
 //! combinations the resolve step cannot produce.
+//!
+//! **The loop is the unit of compilation, not the row.**  The loop functions
+//! and every `Dot` are `#[inline(always)]` down to the intrinsics, so the
+//! function a pointer names holds the whole row / segment loop and a row
+//! costs its loads, its horizontal add and one store.  A `#[target_feature]`
+//! function never inlines into a caller compiled without the feature, so for
+//! the hardware shapes the attribute sits on a loop *entry*
+//! (`hw::chunk_entry` / `hw::span_entry`, which the generic loop inlines
+//! into) and on nothing inside it: a dot behind the attribute would be an
+//! opaque call per row.  The prefetch class is an instantiation too (`PF`):
+//! a [`PrefetchClass::None`] loop contains no prefetch instruction and no
+//! test for one.
 //!
 //! Non-affine compressions ([`IndexKind::Model`] — step/periodic models or
 //! models with patched exceptions) take the table instantiations: lowering
@@ -326,12 +338,13 @@ fn row_range<const TB: bool>(a: &PartitionArgs<'_>, row: usize) -> (usize, usize
 }
 
 /// The inner dot product of one row (or row segment), monomorphized on the
-/// SIMD variant.  Implementations call straight into the backend kernel;
-/// picking an impl in [`rows_loop`]/[`nnz_loop`] is the only SIMD selection
-/// there is.
+/// SIMD variant and on whether the loop prefetches (`PF`).  Every impl is
+/// `#[inline(always)]` down to the intrinsics, so the dot becomes part of
+/// the row loop that names it; picking an impl in [`rows_loop`]/[`nnz_loop`]
+/// is the only SIMD selection there is.
 trait Dot {
     /// Dot of stream positions `[start, end)` against `x`.
-    fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar;
+    fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar;
 }
 
 /// Scalar accumulation in stream order — the order the row-lane loops keep
@@ -340,12 +353,9 @@ struct DotScalar;
 
 impl Dot for DotScalar {
     #[inline(always)]
-    fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
-        let mut acc = 0.0;
-        for idx in start..end {
-            acc += a.values[idx] * a.x[a.col_indices[idx] as usize + a.col_offset];
-        }
-        acc
+    fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
+        let (values, col_indices) = (&a.values[start..end], &a.col_indices[start..end]);
+        simd::row_dot_serial(0.0, values, col_indices, a.x, a.col_offset)
     }
 }
 
@@ -354,8 +364,8 @@ struct DotNnzPortable<const L: usize>;
 
 impl<const L: usize> Dot for DotNnzPortable<L> {
     #[inline(always)]
-    fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
-        simd::row_dot_nnz_portable::<L>(
+    fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
+        simd::row_dot_nnz_lanes::<L, PF>(
             a.values,
             a.col_indices,
             a.x,
@@ -367,23 +377,38 @@ impl<const L: usize> Dot for DotNnzPortable<L> {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
+/// The hardware dots and the loop entries that carry their
+/// `#[target_feature]` (see the module docs for why the attribute encloses
+/// the loop, not the dot).
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 mod hw {
     use super::{Dot, PartitionArgs, Scalar};
     use crate::simd;
 
-    /// AVX2 8-lane gather dot.  Only reachable through shapes whose
-    /// [`super::SimdClass::NnzAvx2`] came from a resolve that verified AVX2
-    /// support at runtime.
-    pub(super) struct DotAvx2x8;
+    /// 8-lane dot of the host's vector extension (AVX2 gathers / NEON).
+    /// Only reachable through shapes whose [`super::SimdClass::NnzAvx2`] /
+    /// [`super::SimdClass::NnzNeon`] came from a resolve that verified the
+    /// extension at run time.
+    pub(super) struct Dot8;
 
-    impl Dot for DotAvx2x8 {
+    /// 4-lane dot (same reachability argument as [`Dot8`]).
+    pub(super) struct Dot4;
+
+    #[cfg(target_arch = "x86_64")]
+    use simd::avx2 as backend;
+    #[cfg(target_arch = "aarch64")]
+    use simd::neon as backend;
+
+    impl Dot for Dot8 {
         #[inline(always)]
-        fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
-            // SAFETY: shapes classify as NnzAvx2 only when ResolvedSimd
-            // carried Backend::Avx2, which requires a positive runtime probe.
+        fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
+            // SAFETY: shapes classify as NnzAvx2 / NnzNeon only when
+            // ResolvedSimd carried that backend, which requires a positive
+            // runtime probe (`cpu_features::detect_hardware`); the column
+            // indices are the partition's own, in bounds of `x` like the
+            // scalar loop's.
             unsafe {
-                simd::avx2::row_dot_nnz8(
+                backend::row_dot8::<PF>(
                     a.values,
                     a.col_indices,
                     a.x,
@@ -396,15 +421,12 @@ mod hw {
         }
     }
 
-    /// AVX2 4-lane gather dot (same safety argument as the 8-lane variant).
-    pub(super) struct DotAvx2x4;
-
-    impl Dot for DotAvx2x4 {
+    impl Dot for Dot4 {
         #[inline(always)]
-        fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
-            // SAFETY: as above.
+        fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
+            // SAFETY: as for `Dot8`.
             unsafe {
-                simd::avx2::row_dot_nnz4(
+                backend::row_dot4::<PF>(
                     a.values,
                     a.col_indices,
                     a.x,
@@ -415,110 +437,122 @@ mod hw {
                 )
             }
         }
+    }
+
+    /// [`super::chunk_nnz`] compiled with the vector extension enabled: the
+    /// row loop, the dot and its intrinsics are one function.
+    ///
+    /// # Safety
+    /// The host must support the extension.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
+    unsafe fn chunk_entry<const TB: bool, const PF: bool, D: Dot>(
+        a: &PartitionArgs<'_>,
+        first: usize,
+        out: &mut [Scalar],
+    ) {
+        super::chunk_nnz::<TB, PF, D>(a, first, out)
+    }
+
+    /// [`super::span_nnz`] compiled with the vector extension enabled.
+    ///
+    /// # Safety
+    /// The host must support the extension.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
+    unsafe fn span_entry<const PF: bool, D: Dot>(
+        a: &PartitionArgs<'_>,
+        offsets: &[u32],
+        row0: usize,
+        start: usize,
+        end: usize,
+    ) -> Vec<Scalar> {
+        super::span_nnz::<PF, D>(a, offsets, row0, start, end)
+    }
+
+    /// The [`super::ChunkFn`] of a hardware shape: one jump into
+    /// [`chunk_entry`] per worker chunk.
+    pub(super) fn chunk_nnz<const TB: bool, const PF: bool, D: Dot>(
+        a: &PartitionArgs<'_>,
+        first: usize,
+        out: &mut [Scalar],
+    ) {
+        // SAFETY: `rows_loop` hands this pointer out for NnzAvx2 / NnzNeon
+        // shapes only, and a shape classifies as one only after
+        // `cpu_features::detect_hardware` probed the extension on this host.
+        unsafe { chunk_entry::<TB, PF, D>(a, first, out) }
+    }
+
+    /// The [`super::SpanFn`] of a hardware shape: one jump into
+    /// [`span_entry`] per worker span.
+    pub(super) fn span_nnz<const PF: bool, D: Dot>(
+        a: &PartitionArgs<'_>,
+        offsets: &[u32],
+        row0: usize,
+        start: usize,
+        end: usize,
+    ) -> Vec<Scalar> {
+        // SAFETY: as for `chunk_nnz`, through `nnz_loop`.
+        unsafe { span_entry::<PF, D>(a, offsets, row0, start, end) }
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod hw {
-    use super::{Dot, PartitionArgs, Scalar};
-    use crate::simd;
-
-    /// NEON 8-lane dot.  Only reachable through shapes whose
-    /// [`super::SimdClass::NnzNeon`] came from a resolve that verified NEON
-    /// support at runtime.
-    pub(super) struct DotNeon8;
-
-    impl Dot for DotNeon8 {
-        #[inline(always)]
-        fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
-            // SAFETY: shapes classify as NnzNeon only when ResolvedSimd
-            // carried Backend::Neon, which requires a positive runtime probe.
-            unsafe {
-                simd::neon::row_dot_nnz8(
-                    a.values,
-                    a.col_indices,
-                    a.x,
-                    a.col_offset,
-                    start,
-                    end,
-                    a.prefetch,
-                )
-            }
-        }
-    }
-
-    /// NEON 4-lane dot (same safety argument as the 8-lane variant).
-    pub(super) struct DotNeon4;
-
-    impl Dot for DotNeon4 {
-        #[inline(always)]
-        fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
-            // SAFETY: as above.
-            unsafe {
-                simd::neon::row_dot_nnz4(
-                    a.values,
-                    a.col_indices,
-                    a.x,
-                    a.col_offset,
-                    start,
-                    end,
-                    a.prefetch,
-                )
-            }
-        }
-    }
-}
-
-/// Row-partition chunk loop, monomorphized over bounds storage and dot
-/// kernel: the whole inner loop is branch-free straight-line code after
-/// inlining.
-fn chunk_nnz<const TB: bool, D: Dot>(a: &PartitionArgs<'_>, first: usize, out: &mut [Scalar]) {
+/// Row-partition chunk loop, monomorphized over bounds storage, prefetch
+/// class and dot kernel: the whole inner loop is branch-free straight-line
+/// code after inlining.  The scalar and portable shapes' [`ChunkFn`] is an
+/// instantiation of this function itself; a hardware shape's is its [`hw`]
+/// entry, which this loop inlines into.
+#[inline(always)]
+fn chunk_nnz<const TB: bool, const PF: bool, D: Dot>(
+    a: &PartitionArgs<'_>,
+    first: usize,
+    out: &mut [Scalar],
+) {
     for (i, slot) in out.iter_mut().enumerate() {
         let (start, end) = row_range::<TB>(a, first + i);
-        *slot += D::dot(a, start, end);
+        *slot += D::dot::<PF>(a, start, end);
     }
 }
 
 /// Row-lane chunk loop: `L` adjacent rows advance together, one accumulator
 /// chain per lane.  Each lane still sums its own row serially, so results
 /// are bitwise scalar; leftover rows (fewer than `L`) take the scalar loop.
-fn chunk_row_lanes<const TB: bool, const L: usize>(
+fn chunk_row_lanes<const TB: bool, const PF: bool, const L: usize>(
     a: &PartitionArgs<'_>,
     first: usize,
     out: &mut [Scalar],
 ) {
-    let mut i = 0;
-    while i + L <= out.len() {
+    let mut groups = out.chunks_exact_mut(L);
+    let mut row = first;
+    for group in &mut groups {
         let mut ranges = [(0usize, 0usize); L];
         for (l, range) in ranges.iter_mut().enumerate() {
-            *range = row_range::<TB>(a, first + i + l);
+            *range = row_range::<TB>(a, row + l);
         }
-        let mut acc = [0.0 as Scalar; L];
-        simd::rows_dot_row_lanes::<L>(
+        let sums = simd::rows_dot_lanes::<L, PF>(
             a.values,
             a.col_indices,
             a.x,
             a.col_offset,
             &ranges,
-            &mut acc,
             a.prefetch,
         );
-        for (l, &v) in acc.iter().enumerate() {
-            out[i + l] += v;
+        for (slot, sum) in group.iter_mut().zip(sums) {
+            *slot += sum;
         }
-        i += L;
+        row += L;
     }
-    for (j, slot) in out.iter_mut().enumerate().skip(i) {
-        let (start, end) = row_range::<TB>(a, first + j);
-        *slot += DotScalar::dot(a, start, end);
-    }
+    chunk_nnz::<TB, false, DotScalar>(a, row, groups.into_remainder());
 }
 
 /// Nnz-partition span loop: walk `[start, end)` of the stream emitting one
 /// partial per row segment (row boundaries from the partition's real CSR
 /// offsets), the segment dot monomorphized.  `row0` is the span's first row,
-/// resolved by the caller from the chunk descriptor.
-fn span_nnz<D: Dot>(
+/// resolved by the caller from the chunk descriptor.  A [`SpanFn`] is an
+/// instantiation of this function or, for a hardware shape, the [`hw`] entry
+/// it inlines into.
+#[inline(always)]
+fn span_nnz<const PF: bool, D: Dot>(
     a: &PartitionArgs<'_>,
     offsets: &[u32],
     row0: usize,
@@ -530,7 +564,7 @@ fn span_nnz<D: Dot>(
     let mut cursor = start;
     loop {
         let seg_end = (offsets[row + 1] as usize).min(end);
-        sums.push(D::dot(a, cursor, seg_end));
+        sums.push(D::dot::<PF>(a, cursor, seg_end));
         cursor = seg_end;
         if cursor >= end {
             break;
@@ -564,13 +598,26 @@ fn scatter_to<const TB: bool>(
 // The shape matcher
 // ---------------------------------------------------------------------------
 
-/// Picks the `$f::<TB, ..>` instantiation for a bounds kind.
+/// Picks the `$f::<TB, PF, ..>` instantiation for a bounds kind and a
+/// prefetch class.
 macro_rules! chunk_for {
-    ($tb:expr, $f:ident, $($g:tt)+) => {
-        if $tb {
-            $f::<true, $($g)+> as ChunkFn
+    ($tb:expr, $pf:expr, $($f:ident)::+, $($g:tt)+) => {
+        match ($tb, $pf) {
+            (true, true) => $($f)::+::<true, true, $($g)+> as ChunkFn,
+            (true, false) => $($f)::+::<true, false, $($g)+>,
+            (false, true) => $($f)::+::<false, true, $($g)+>,
+            (false, false) => $($f)::+::<false, false, $($g)+>,
+        }
+    };
+}
+
+/// Picks the `$f::<PF, ..>` instantiation for a prefetch class.
+macro_rules! span_for {
+    ($pf:expr, $($f:ident)::+, $($g:tt)+) => {
+        if $pf {
+            $($f)::+::<true, $($g)+> as SpanFn
         } else {
-            $f::<false, $($g)+> as ChunkFn
+            $($f)::+::<false, $($g)+>
         }
     };
 }
@@ -587,22 +634,24 @@ fn reads_table(kind: IndexKind) -> bool {
 pub(crate) fn rows_loop(shape: &KernelShape) -> Result<ChunkFn, KernelBuildError> {
     debug_assert_eq!(shape.partition, PartitionKind::Rows);
     let tb = reads_table(shape.bounds);
+    let pf = shape.prefetch == PrefetchClass::Stream;
     Ok(match shape.simd {
-        SimdClass::Scalar => chunk_for!(tb, chunk_nnz, DotScalar),
-        SimdClass::NnzPortable { lanes: 2 } => chunk_for!(tb, chunk_nnz, DotNnzPortable<2>),
-        SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, chunk_nnz, DotNnzPortable<4>),
-        SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, chunk_nnz, DotNnzPortable<8>),
+        // The scalar loop has no prefetching twin.
+        SimdClass::Scalar => chunk_for!(tb, false, chunk_nnz, DotScalar),
+        SimdClass::NnzPortable { lanes: 2 } => chunk_for!(tb, pf, chunk_nnz, DotNnzPortable<2>),
+        SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, pf, chunk_nnz, DotNnzPortable<4>),
+        SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, pf, chunk_nnz, DotNnzPortable<8>),
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 4 } => chunk_for!(tb, chunk_nnz, hw::DotAvx2x4),
+        SimdClass::NnzAvx2 { lanes: 4 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot4),
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 8 } => chunk_for!(tb, chunk_nnz, hw::DotAvx2x8),
+        SimdClass::NnzAvx2 { lanes: 8 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot8),
         #[cfg(target_arch = "aarch64")]
-        SimdClass::NnzNeon { lanes: 4 } => chunk_for!(tb, chunk_nnz, hw::DotNeon4),
+        SimdClass::NnzNeon { lanes: 4 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot4),
         #[cfg(target_arch = "aarch64")]
-        SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, chunk_nnz, hw::DotNeon8),
-        SimdClass::RowLanes { lanes: 2 } => chunk_for!(tb, chunk_row_lanes, 2),
-        SimdClass::RowLanes { lanes: 4 } => chunk_for!(tb, chunk_row_lanes, 4),
-        SimdClass::RowLanes { lanes: 8 } => chunk_for!(tb, chunk_row_lanes, 8),
+        SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot8),
+        SimdClass::RowLanes { lanes: 2 } => chunk_for!(tb, pf, chunk_row_lanes, 2),
+        SimdClass::RowLanes { lanes: 4 } => chunk_for!(tb, pf, chunk_row_lanes, 4),
+        SimdClass::RowLanes { lanes: 8 } => chunk_for!(tb, pf, chunk_row_lanes, 8),
         _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
     })
 }
@@ -612,19 +661,20 @@ pub(crate) fn rows_loop(shape: &KernelShape) -> Result<ChunkFn, KernelBuildError
 /// its kind never disqualifies the shape.
 pub(crate) fn nnz_loop(shape: &KernelShape) -> Result<SpanFn, KernelBuildError> {
     debug_assert_eq!(shape.partition, PartitionKind::Nnz);
+    let pf = shape.prefetch == PrefetchClass::Stream;
     Ok(match shape.simd {
-        SimdClass::Scalar => span_nnz::<DotScalar>,
-        SimdClass::NnzPortable { lanes: 2 } => span_nnz::<DotNnzPortable<2>>,
-        SimdClass::NnzPortable { lanes: 4 } => span_nnz::<DotNnzPortable<4>>,
-        SimdClass::NnzPortable { lanes: 8 } => span_nnz::<DotNnzPortable<8>>,
+        SimdClass::Scalar => span_for!(false, span_nnz, DotScalar),
+        SimdClass::NnzPortable { lanes: 2 } => span_for!(pf, span_nnz, DotNnzPortable<2>),
+        SimdClass::NnzPortable { lanes: 4 } => span_for!(pf, span_nnz, DotNnzPortable<4>),
+        SimdClass::NnzPortable { lanes: 8 } => span_for!(pf, span_nnz, DotNnzPortable<8>),
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 4 } => span_nnz::<hw::DotAvx2x4>,
+        SimdClass::NnzAvx2 { lanes: 4 } => span_for!(pf, hw::span_nnz, hw::Dot4),
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 8 } => span_nnz::<hw::DotAvx2x8>,
+        SimdClass::NnzAvx2 { lanes: 8 } => span_for!(pf, hw::span_nnz, hw::Dot8),
         #[cfg(target_arch = "aarch64")]
-        SimdClass::NnzNeon { lanes: 4 } => span_nnz::<hw::DotNeon4>,
+        SimdClass::NnzNeon { lanes: 4 } => span_for!(pf, hw::span_nnz, hw::Dot4),
         #[cfg(target_arch = "aarch64")]
-        SimdClass::NnzNeon { lanes: 8 } => span_nnz::<hw::DotNeon8>,
+        SimdClass::NnzNeon { lanes: 8 } => span_for!(pf, hw::span_nnz, hw::Dot8),
         _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
     })
 }
@@ -643,6 +693,7 @@ pub(crate) fn scatter_loop(origin: IndexKind) -> ScatterFn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu_features;
 
     fn shape(partition: PartitionKind, bounds: IndexKind, simd: SimdClass) -> KernelShape {
         KernelShape {
@@ -652,6 +703,18 @@ mod tests {
             col_index: IndexKind::Table,
             simd,
             prefetch: PrefetchClass::None,
+        }
+    }
+
+    fn shape_with(
+        partition: PartitionKind,
+        bounds: IndexKind,
+        simd: SimdClass,
+        prefetch: PrefetchClass,
+    ) -> KernelShape {
+        KernelShape {
+            prefetch,
+            ..shape(partition, bounds, simd)
         }
     }
 
@@ -794,6 +857,299 @@ mod tests {
         };
         for row in 0..64 {
             assert_eq!(row_range::<true>(&a, row), row_range::<false>(&a, row));
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // Loop level: every instantiation, called through its function pointer
+    // -----------------------------------------------------------------------
+
+    /// Column count of the synthetic partitions; `x` has room for the largest
+    /// `col_offset` on top.
+    const COLS: usize = 61;
+    const MAX_COL_OFFSET: usize = 5;
+
+    /// Pseudo-random value / column-index streams of `nnz` positions and an
+    /// `x` to gather from.
+    struct Streams {
+        values: Vec<Scalar>,
+        col_indices: Vec<u32>,
+        x: Vec<Scalar>,
+    }
+
+    fn streams(nnz: usize) -> Streams {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        Streams {
+            values: (0..nnz)
+                .map(|_| (next() % 2000) as Scalar / 700.0 - 1.4)
+                .collect(),
+            col_indices: (0..nnz).map(|_| (next() % COLS as u64) as u32).collect(),
+            x: (0..COLS + MAX_COL_OFFSET)
+                .map(|_| (next() % 2000) as Scalar / 300.0 - 3.3)
+                .collect(),
+        }
+    }
+
+    /// Prefix sums of `lengths`: a `row_offsets` table.
+    fn offsets_of(lengths: &[usize]) -> Vec<u32> {
+        let mut offsets = vec![0u32];
+        for &len in lengths {
+            offsets.push(offsets.last().unwrap() + len as u32);
+        }
+        offsets
+    }
+
+    fn args<'a>(s: &'a Streams, col_offset: usize, bounds: IndexArgs<'a>) -> PartitionArgs<'a> {
+        PartitionArgs {
+            values: &s.values,
+            col_indices: &s.col_indices,
+            x: &s.x,
+            col_offset,
+            bounds,
+            // Read by the `Stream` instantiations only.
+            prefetch: 16,
+        }
+    }
+
+    /// The nnz-lane variants whose loops this host can *execute*: the
+    /// portable ones anywhere, the hardware ones after a positive probe.
+    fn runnable_nnz_classes() -> Vec<SimdClass> {
+        let mut classes: Vec<SimdClass> = [2, 4, 8]
+            .map(|lanes| SimdClass::NnzPortable { lanes })
+            .into();
+        match cpu_features::detect_hardware() {
+            #[cfg(target_arch = "x86_64")]
+            cpu_features::SimdSupport::Avx2 => {
+                classes.extend([4, 8].map(|lanes| SimdClass::NnzAvx2 { lanes }))
+            }
+            #[cfg(target_arch = "aarch64")]
+            cpu_features::SimdSupport::Neon => {
+                classes.extend([4, 8].map(|lanes| SimdClass::NnzNeon { lanes }))
+            }
+            _ => {}
+        }
+        classes
+    }
+
+    /// What stream positions `[start, end)` must sum to under `simd`, bit for
+    /// bit: the serial sum by position for the scalar and row-lane loops, the
+    /// portable lane code of the same width for every nnz-lane loop.
+    fn reference(
+        simd: SimdClass,
+        s: &Streams,
+        col_offset: usize,
+        start: usize,
+        end: usize,
+    ) -> Scalar {
+        let portable = |lanes| {
+            let dot = match lanes {
+                2 => simd::row_dot_nnz_portable::<2>,
+                4 => simd::row_dot_nnz_portable::<4>,
+                _ => simd::row_dot_nnz_portable::<8>,
+            };
+            dot(&s.values, &s.col_indices, &s.x, col_offset, start, end, 0)
+        };
+        match simd {
+            SimdClass::Scalar | SimdClass::RowLanes { .. } => {
+                let mut acc = 0.0;
+                for i in start..end {
+                    acc += s.values[i] * s.x[s.col_indices[i] as usize + col_offset];
+                }
+                acc
+            }
+            lanes => portable(lanes.lanes()),
+        }
+    }
+
+    fn bits(values: &[Scalar]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Calls the chunk loop `shape` resolves to on rows `[first, first +
+    /// rows)` of `a`, into an `out` that already holds non-zeros (the loops
+    /// are `+=`), and requires `prefill + reference` in every slot, bit for
+    /// bit.
+    fn check_chunk(
+        shape: &KernelShape,
+        a: &PartitionArgs<'_>,
+        s: &Streams,
+        first: usize,
+        rows: usize,
+    ) {
+        let prefill: Vec<Scalar> = (0..rows).map(|i| 0.25 + i as Scalar).collect();
+        let expected: Vec<Scalar> = (0..rows)
+            .map(|i| {
+                let (start, end) = if reads_table(shape.bounds) {
+                    row_range::<true>(a, first + i)
+                } else {
+                    row_range::<false>(a, first + i)
+                };
+                prefill[i] + reference(shape.simd, s, a.col_offset, start, end)
+            })
+            .collect();
+        let mut out = prefill;
+        rows_loop(shape).unwrap()(a, first, &mut out);
+        assert_eq!(
+            bits(&out),
+            bits(&expected),
+            "{} on rows {first}..{} (col_offset {})",
+            shape.label(),
+            first + rows,
+            a.col_offset
+        );
+    }
+
+    #[test]
+    fn every_chunk_loop_is_bitwise_its_per_row_reference() {
+        // Two leading rows, so the chunk under test does not start at row 0,
+        // then every length around the 4- and 8-lane boundaries.
+        let lengths = [4, 2, 0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100];
+        let table = offsets_of(&lengths);
+        let mut simd_classes = vec![SimdClass::Scalar];
+        simd_classes.extend(runnable_nnz_classes());
+        simd_classes.extend([2, 4, 8].map(|lanes| SimdClass::RowLanes { lanes }));
+        let s = streams(*table.last().unwrap() as usize);
+        let bounds = IndexArgs {
+            table: &table,
+            base: 0,
+            slope: 0,
+        };
+        for simd in simd_classes {
+            for prefetch in [PrefetchClass::None, PrefetchClass::Stream] {
+                for col_offset in [0, MAX_COL_OFFSET] {
+                    let shape = shape_with(PartitionKind::Rows, IndexKind::Table, simd, prefetch);
+                    let a = args(&s, col_offset, bounds);
+                    check_chunk(&shape, &a, &s, 2, lengths.len() - 2);
+                    check_chunk(&shape, &a, &s, 0, 2);
+                    check_chunk(&shape, &a, &s, 5, 0);
+
+                    // Affine bounds: uniform rows behind 3 stream positions no
+                    // row owns; 11 rows from row 2 leave every row-lane width
+                    // a remainder.
+                    for len in [0, 1, 8, 16, 17] {
+                        let s = streams(3 + 13 * len);
+                        let bounds = IndexArgs {
+                            table: &[],
+                            base: 3,
+                            slope: len as i64,
+                        };
+                        let shape =
+                            shape_with(PartitionKind::Rows, IndexKind::Affine, simd, prefetch);
+                        check_chunk(&shape, &args(&s, col_offset, bounds), &s, 2, 11);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_span_loop_is_bitwise_its_per_segment_reference() {
+        let lengths = [4, 2, 0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 0, 6];
+        let offsets = offsets_of(&lengths);
+        let nnz = *offsets.last().unwrap() as usize;
+        let s = streams(nnz);
+        let at = |row: usize| offsets[row] as usize;
+        // Whole stream; begins and ends mid-row; inside one row; begins at a
+        // row start and ends at one; across an empty row; the last non-zero
+        // of a row up to the end, over a trailing empty row.
+        let spans = [
+            (0, nnz),
+            (at(5) + 3, at(13) + 20),
+            (at(14) + 10, at(14) + 59),
+            (at(6), at(9)),
+            (at(1) + 1, at(3) + 1),
+            (at(14) + 99, nnz),
+        ];
+        let mut simd_classes = vec![SimdClass::Scalar];
+        simd_classes.extend(runnable_nnz_classes());
+        for simd in simd_classes {
+            for prefetch in [PrefetchClass::None, PrefetchClass::Stream] {
+                for col_offset in [0, MAX_COL_OFFSET] {
+                    let shape = shape_with(PartitionKind::Nnz, IndexKind::Table, simd, prefetch);
+                    let a = args(&s, col_offset, IndexArgs::IDENTITY);
+                    for (start, end) in spans {
+                        // The span's first row, as `run_nnz` resolves it.
+                        let row0 = offsets.partition_point(|&o| o as usize <= start) - 1;
+                        let mut expected = Vec::new();
+                        let (mut row, mut cursor) = (row0, start);
+                        loop {
+                            let seg_end = at(row + 1).min(end);
+                            expected.push(reference(simd, &s, col_offset, cursor, seg_end));
+                            cursor = seg_end;
+                            if cursor >= end {
+                                break;
+                            }
+                            row += 1;
+                        }
+                        let sums = nnz_loop(&shape).unwrap()(&a, &offsets, row0, start, end);
+                        assert_eq!(
+                            bits(&sums),
+                            bits(&expected),
+                            "{} on span {start}..{end} (col_offset {col_offset})",
+                            shape.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_resolvable_loop_has_a_prefetching_twin_with_the_same_bits() {
+        // Every (simd, prefetch) pair the resolve step can produce on this
+        // host — all plans, both partition strategies — is in the library,
+        // and `PF` changes instructions, never results.
+        let lengths = [5, 0, 1, 8, 9, 16, 23, 40, 64, 3, 3, 3];
+        let table = offsets_of(&lengths);
+        let s = streams(*table.last().unwrap() as usize);
+        let bounds = IndexArgs {
+            table: &table,
+            base: 0,
+            slope: 0,
+        };
+        let a = args(&s, 0, bounds);
+        for lanes in [1, 2, 3, 4, 8, 16] {
+            for lane_mapping in [SimdLaneMapping::Nnz, SimdLaneMapping::Rows] {
+                let resolve = |prefetch_distance| {
+                    let plan = alpha_graph::SimdPlan {
+                        lanes,
+                        lane_mapping,
+                        prefetch_distance,
+                    };
+                    ResolvedSimd::resolve(&plan, simd::SimdMode::Auto)
+                };
+                let run = |partition, rs: &ResolvedSimd| -> Vec<u32> {
+                    let (simd, prefetch) = executed_loop(rs, partition == PartitionKind::Rows);
+                    let shape = shape_with(partition, IndexKind::Table, simd, prefetch);
+                    match partition {
+                        PartitionKind::Rows => {
+                            let mut out = vec![1.5; lengths.len()];
+                            rows_loop(&shape).unwrap()(&a, 0, &mut out);
+                            bits(&out)
+                        }
+                        PartitionKind::Nnz => bits(&nnz_loop(&shape).unwrap()(
+                            &a,
+                            &table,
+                            0,
+                            2,
+                            s.values.len() - 1,
+                        )),
+                    }
+                };
+                for partition in [PartitionKind::Rows, PartitionKind::Nnz] {
+                    assert_eq!(
+                        run(partition, &resolve(0)),
+                        run(partition, &resolve(16)),
+                        "{partition:?} lanes {lanes} {lane_mapping:?}"
+                    );
+                }
+            }
         }
     }
 }
