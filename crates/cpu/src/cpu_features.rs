@@ -4,8 +4,8 @@
 //! build**, not per compile: the same binary runs the AVX2 gather path on a
 //! machine that has it and falls back to portable lane code everywhere else.
 //! This module is the single source of truth for that decision, and its
-//! [`summary`] string is recorded in `BENCH_results.json` so measurements
-//! from different hosts stay distinguishable.
+//! [`summary`] string is printed on the benchmark's `host:` line so
+//! measurements from different hosts stay distinguishable.
 //!
 //! Setting the environment variable [`NO_SIMD_ENV`] (to any non-empty value
 //! other than `0`) force-disables vectorization process-wide — CI uses this

@@ -740,8 +740,8 @@ impl NativeKernel {
 
     /// Returns this kernel with run-latency telemetry detached: runs skip
     /// the clock reads and histogram updates entirely.  This is the twin
-    /// `reproduce -- native` measures against to report
-    /// `telemetry_overhead_pct`.
+    /// the repo benchmark measures against to report
+    /// `telemetry.kernel_overhead_pct`.
     pub fn without_telemetry(mut self) -> Self {
         self.run_hist = None;
         self

@@ -499,6 +499,122 @@ fn concurrent_clients_tune_disjoint_fleets() {
 }
 
 #[test]
+fn many_connections_are_served_by_one_event_loop() {
+    const CLIENTS: usize = 128;
+    let dir = temp_dir("many");
+    let server = quick_daemon(&dir, ServerConfig::default());
+    let addr = server.local_addr();
+    let matrices: Vec<_> = (0..4u64)
+        .map(|i| gen::powerlaw(160, 160, 4, 2.0, 7_000 + i))
+        .collect();
+
+    // First wave: one connection tunes the four matrices, so the store
+    // answers every later submission and the daemon's pools exist.
+    {
+        let mut client = Client::connect(addr).unwrap();
+        for matrix in &matrices {
+            let job = client.submit_tune(matrix, "A100").expect("admitted");
+            client.wait_job(job, POLL, DEADLINE).expect("tunes");
+        }
+    }
+    let pool_spawns = || {
+        alpha_telemetry::global()
+            .counter("parallel_thread_spawns_total", &[])
+            .get()
+    };
+    let spawns_before = pool_spawns();
+
+    // One store-served tune and one checked SpMV.  A full admission queue or
+    // execution lane answers `Busy`: backpressure to retry, never a failure.
+    let round_trip = |client: &mut Client, matrix: &alpha_matrix::CsrMatrix| {
+        let job = client
+            .submit_tune_with_backoff(matrix, "A100", POLL, DEADLINE)
+            .map_err(|e| format!("submit failed: {e}"))?;
+        let summary = client
+            .wait_job(job, POLL, DEADLINE)
+            .map_err(|e| format!("tune job {job} failed: {e}"))?;
+        if summary.fresh_evaluations != 0 {
+            return Err(format!("job {job} searched instead of being store-served"));
+        }
+        let x: Vec<f32> = (0..matrix.cols()).map(|i| (i % 7) as f32 - 3.0).collect();
+        let y = loop {
+            match client.spmv(job, &x) {
+                Ok(y) => break y,
+                Err(NetError::Busy { retry_after_ms, .. }) => {
+                    std::thread::sleep(Duration::from_millis(retry_after_ms.clamp(1, 50)))
+                }
+                Err(e) => return Err(format!("spmv on job {job} failed: {e}")),
+            }
+        };
+        let expected = matrix.spmv(&x).map_err(|e| e.to_string())?;
+        if alpha_matrix::max_scaled_error(&y, expected.as_slice()) > 1e-5 {
+            return Err(format!("spmv on job {job} diverged from the reference"));
+        }
+        Ok(())
+    };
+
+    // Every client connects before any submits (nothing panics before the
+    // wait: a client missing from it would hang the rest) and hands its
+    // connection back still open, so the daemon holds all of them at once.
+    let barrier = std::sync::Barrier::new(CLIENTS);
+    let served: Vec<Result<Client, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (barrier, matrix) = (&barrier, &matrices[c % matrices.len()]);
+                scope.spawn(move || {
+                    let client = Client::connect(addr).map_err(|e| format!("connect: {e}"));
+                    barrier.wait();
+                    let mut client = client?;
+                    round_trip(&mut client, matrix)?;
+                    Ok(client)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let clients: Vec<Client> = served
+        .into_iter()
+        .map(|client| client.expect("zero failed requests"))
+        .collect();
+    let open_at_peak = server.stats().open_connections;
+    assert!(
+        open_at_peak >= CLIENTS as u64,
+        "{open_at_peak} connections open with {CLIENTS} clients connected"
+    );
+    drop(clients);
+
+    // Connections cost the daemon no threads: a pool per connection (or per
+    // request) would have spawned `CLIENTS` pools' worth of workers.  (The
+    // counter is process-wide; the other tests of this binary start a dozen
+    // daemons of two pools each meanwhile, hence a bound and not zero.)
+    let workers_per_pool = alpha_parallel::default_threads().saturating_sub(1).max(1);
+    let spawned = pool_spawns() - spawns_before;
+    assert!(
+        spawned < (CLIENTS * workers_per_pool) as u64,
+        "{spawned} pool workers spawned while serving {CLIENTS} connections"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.jobs_failed, 0);
+    assert_eq!(stats.jobs_completed, (matrices.len() + CLIENTS) as u64);
+
+    // The reaper runs on the loop's tick: give the dropped connections a
+    // bounded settle window.
+    let settle_deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.stats().open_connections > 1 && std::time::Instant::now() < settle_deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        server.stats().open_connections <= 1,
+        "dropped connections must be reaped, open_connections={}",
+        server.stats().open_connections
+    );
+    stop(server, &dir);
+}
+
+#[test]
 fn raw_disconnect_mid_submission_does_not_leak_jobs() {
     let dir = temp_dir("disconnect");
     let server = quick_daemon(&dir, ServerConfig::default());

@@ -67,7 +67,7 @@ impl EvaluatorId {
         matches!(self, EvaluatorId::Native { .. })
     }
 
-    /// Short label used in reports and `BENCH_results.json`.
+    /// Short label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             EvaluatorId::Simulated => "simulated",

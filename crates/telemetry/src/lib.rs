@@ -32,9 +32,9 @@
 //!   telemetry.
 //! * **Near-zero cost when no sink is installed.**  With tracing disabled
 //!   (the default) a `span!` is one relaxed atomic load and a branch; metric
-//!   updates are always just atomics.  The `reproduce -- native` bench
-//!   records the measured span+counter overhead on the SpMV hot path as
-//!   `telemetry_overhead_pct` in `BENCH_results.json`.
+//!   updates are always just atomics.  The repo benchmark's traced
+//!   `spmv_local` run reports the measured span+counter overhead on the
+//!   SpMV hot path as `telemetry.kernel_overhead_pct`.
 //!
 //! ```
 //! use alpha_telemetry::{Registry, span};
