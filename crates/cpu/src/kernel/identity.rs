@@ -11,7 +11,7 @@
 
 use super::{IndexFn, NativeKernel, NativePartition, PartitionExec};
 use crate::specialized::PrefetchClass;
-use alpha_matrix::Scalar;
+use alpha_matrix::ContentHasher;
 use std::hash::{Hash, Hasher};
 
 /// What a [`NativeKernel`] executes, as a comparable value: a 64-bit hash
@@ -20,153 +20,47 @@ use std::hash::{Hash, Hasher};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelIdentity(u64);
 
-/// Independent accumulators a stream is striped over.  A stripe adds to each
-/// of them without reading any other, so the pass vectorizes and runs at the
-/// speed the streams arrive from memory: about 0.15 ms for the 2 MB of a
-/// 262 k-non-zero kernel, where a byte-serial FNV takes 2-3 ms.
-const LANES: usize = 8;
-
-/// Stream elements one stripe consumes: two 32-bit elements per lane word.
-const STRIPE: usize = 2 * LANES;
-
-/// Stripes between two scrambles of the accumulators.
-const STRIPES_PER_BLOCK: usize = 16;
-
-/// One key per lane and stripe of a block (SplitMix64 outputs).  Keys make
-/// the products position-dependent inside a block; the scramble after each
-/// block makes the blocks' order matter.
-static KEYS: [[u64; LANES]; STRIPES_PER_BLOCK] = {
-    let mut keys = [[0; LANES]; STRIPES_PER_BLOCK];
-    let mut state: u64 = 0x243F_6A88_85A3_08D3;
-    let mut stripe = 0;
-    while stripe < STRIPES_PER_BLOCK {
-        let mut lane = 0;
-        while lane < LANES {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            keys[stripe][lane] = z ^ (z >> 31);
-            lane += 1;
-        }
-        stripe += 1;
-    }
-    keys
-};
-
-/// Folds `word` into `state`: a 64×64→128-bit multiply whose halves are
-/// xored, so every input bit reaches the low and the high bits of the next
-/// state (a plain wrapping multiply only carries differences upwards).
-#[inline(always)]
-fn fold(state: u64, word: u64) -> u64 {
-    let product = u128::from(state ^ word) * 0x9E37_79B9_7F4A_7C15_u128;
-    product as u64 ^ (product >> 64) as u64
-}
-
-/// The striped hash.  Scalars and small `Hash` values are folded into lane 0
-/// one word at a time (the [`Hasher`] impl); streams go through
-/// [`Striped::stream`].
-struct Striped {
-    lanes: [u64; LANES],
-}
-
-impl Striped {
-    fn new() -> Self {
-        Striped { lanes: KEYS[0] }
-    }
-
-    /// Absorbs a whole stream of 32-bit elements, length first (two streams
-    /// never run into each other).  Each lane word `d` of a stripe adds
-    /// `lo(d ^ key) * hi(d ^ key)` to its own lane and `d` itself to the
-    /// neighbouring one — the accumulate step of XXH3, whose 32×32→64-bit
-    /// products exist as vector instructions down to SSE2 — and every block
-    /// of stripes ends with a [`fold`] of each lane.
-    fn stream<T: Copy>(&mut self, data: &[T], bits: impl Fn(T) -> u32) {
-        self.write_usize(data.len());
-        for block in data.chunks(STRIPE * STRIPES_PER_BLOCK) {
-            let mut stripes = block.chunks_exact(STRIPE);
-            for (stripe, keys) in (&mut stripes).zip(&KEYS) {
-                let mut words = [0u64; LANES];
-                for (word, pair) in words.iter_mut().zip(stripe.chunks_exact(2)) {
-                    *word = u64::from(bits(pair[0])) | u64::from(bits(pair[1])) << 32;
-                }
-                for lane in 0..LANES {
-                    let keyed = words[lane] ^ keys[lane];
-                    self.lanes[lane] = self.lanes[lane]
-                        .wrapping_add((keyed & 0xFFFF_FFFF) * (keyed >> 32))
-                        .wrapping_add(words[lane ^ 1]);
-                }
-            }
-            // Fewer elements than a stripe: the tail of the last block.
-            for &element in stripes.remainder() {
-                self.write_u32(bits(element));
-            }
-            for lane in &mut self.lanes {
-                *lane = fold(*lane, 0);
-            }
-        }
-    }
-
-    fn index_fn(&mut self, f: &IndexFn) {
-        match f {
-            IndexFn::Identity => self.write_u8(0),
-            IndexFn::Affine { base, slope } => {
-                self.write_u8(1);
-                self.write_i64(*base);
-                self.write_i64(*slope);
-            }
-            // The loops read a materialised model exactly as they read a
-            // stored table; which of the two it is, the shape says.
-            IndexFn::Model(table) | IndexFn::Table(table) => {
-                self.write_u8(2);
-                self.stream(table, |v| v);
-            }
-        }
-    }
-
-    fn partition(&mut self, p: &NativePartition) {
-        let matrix = &p.matrix;
-        self.write_usize(matrix.rows());
-        self.write_usize(matrix.cols());
-        self.stream(matrix.row_offsets(), |v| v);
-        self.stream(matrix.col_indices(), |v| v);
-        self.stream(matrix.values(), Scalar::to_bits);
-        self.write_usize(p.col_offset);
-        p.shape.hash(self);
-        // A loop without prefetch instructions never reads the distance.
-        self.write_usize(match p.shape.prefetch {
-            PrefetchClass::Stream => p.simd.prefetch,
-            PrefetchClass::None => 0,
-        });
-        self.index_fn(&p.origin);
-        match &p.exec {
-            // The worker cuts follow from the sub-matrix row offsets above.
-            PartitionExec::Rows { row_offsets, .. } => self.index_fn(row_offsets),
-            PartitionExec::Nnz {
-                nnz_per_thread,
-                row_starts,
-                ..
-            } => {
-                self.write_usize(*nnz_per_thread);
-                self.index_fn(row_starts);
-            }
+/// What the identity hashes of one partition, and in which order.
+fn partition(hash: &mut ContentHasher, p: &NativePartition) {
+    // The sub-matrix by its memoised fingerprint: the conversions a tune's
+    // candidates share (one `Arc<CsrMatrix>` each) are streamed once.
+    hash.word(p.matrix.fingerprint());
+    hash.write_usize(p.col_offset);
+    p.shape.hash(hash);
+    // A loop without prefetch instructions never reads the distance.
+    hash.write_usize(match p.shape.prefetch {
+        PrefetchClass::Stream => p.simd.prefetch,
+        PrefetchClass::None => 0,
+    });
+    index_fn(hash, &p.origin);
+    match &p.exec {
+        // The worker cuts follow from the sub-matrix row offsets above.
+        PartitionExec::Rows { row_offsets, .. } => index_fn(hash, row_offsets),
+        PartitionExec::Nnz {
+            nnz_per_thread,
+            row_starts,
+            ..
+        } => {
+            hash.write_usize(*nnz_per_thread);
+            index_fn(hash, row_starts);
         }
     }
 }
 
-impl Hasher for Striped {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.lanes[0] = fold(self.lanes[0], u64::from_le_bytes(word));
+fn index_fn(hash: &mut ContentHasher, f: &IndexFn) {
+    match f {
+        IndexFn::Identity => hash.write_u8(0),
+        IndexFn::Affine { base, slope } => {
+            hash.write_u8(1);
+            hash.write_i64(*base);
+            hash.write_i64(*slope);
         }
-    }
-
-    fn finish(&self) -> u64 {
-        self.lanes
-            .iter()
-            .fold(LANES as u64, |acc, &lane| fold(acc, lane))
+        // The loops read a materialised model exactly as they read a
+        // stored table; which of the two it is, the shape says.
+        IndexFn::Model(table) | IndexFn::Table(table) => {
+            hash.write_u8(2);
+            hash.stream(table, |v| v);
+        }
     }
 }
 
@@ -179,16 +73,18 @@ impl NativeKernel {
     /// indices, value bits), the column offset, the bound
     /// [`KernelShape`](crate::KernelShape), the prefetch distance its loop
     /// uses, the `origin` map and the work-split state; labels, format
-    /// accounting and the telemetry handle are not part of it.  One pass
-    /// over the kernel's streams, at the speed they arrive from memory.
+    /// accounting and the telemetry handle are not part of it.  Each
+    /// sub-matrix enters by its memoised
+    /// [`fingerprint`](alpha_matrix::CsrMatrix::fingerprint) — one
+    /// memory-speed pass per distinct conversion, not per kernel.
     pub fn identity(&self) -> KernelIdentity {
-        let mut hash = Striped::new();
+        let mut hash = ContentHasher::new();
         hash.write_usize(self.rows);
         hash.write_usize(self.cols);
         hash.write_usize(self.nnz);
         hash.write_usize(self.partitions.len());
-        for partition in &self.partitions {
-            hash.partition(partition);
+        for p in &self.partitions {
+            partition(&mut hash, p);
         }
         KernelIdentity(hash.finish())
     }
@@ -200,7 +96,8 @@ mod tests {
     use crate::simd::{Backend, ResolvedSimd};
     use alpha_codegen::{generate, GeneratedSpmv, GeneratorOptions};
     use alpha_graph::{presets, OperatorGraph, SimdLaneMapping};
-    use alpha_matrix::{gen, CsrMatrix};
+    use alpha_matrix::hash::{STRIPE, STRIPES_PER_BLOCK};
+    use alpha_matrix::{gen, CsrMatrix, Scalar};
 
     fn generated(graph: &OperatorGraph, matrix: &CsrMatrix) -> GeneratedSpmv {
         generate(graph, matrix, GeneratorOptions::default()).expect("generation succeeds")

@@ -239,39 +239,28 @@ impl CsrMatrix {
         self.row_offsets.len() * 4 + self.col_indices.len() * 4 + self.values.len() * 4
     }
 
-    /// A 64-bit FNV-1a fingerprint of the full matrix content — dimensions,
-    /// row offsets, column indices and value bits.  Two matrices with equal
-    /// fingerprints are (up to hash collision) identical, so the fingerprint
-    /// identifies the matrix in the search engine's evaluation cache — and,
-    /// through the context keys built on it, in durable design stores, so
-    /// its value must never change.  O(nnz) on the first call; the result is
-    /// memoised in the matrix (and travels with its clones).
+    /// A 64-bit fingerprint of the full matrix content — dimensions, row
+    /// offsets, column indices and value bits, in that order, through the
+    /// workspace's [`ContentHasher`](crate::ContentHasher).  Two matrices
+    /// with equal fingerprints are (up to hash collision) identical, so the
+    /// fingerprint identifies the matrix in the search engine's evaluation
+    /// cache — and, through the context keys built on it, in durable design
+    /// stores, so its value changes only together with the store layout
+    /// version (`alpha_serve::STORE_LAYOUT_VERSION`).  The same on every
+    /// host and in every build.  One memory-speed pass on the first call;
+    /// the result is memoised in the matrix (and travels with its clones).
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| self.compute_fingerprint())
     }
 
     fn compute_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn eat(mut hash: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(PRIME);
-            }
-            hash
-        }
-        let mut hash = eat(OFFSET, &(self.rows as u64).to_le_bytes());
-        hash = eat(hash, &(self.cols as u64).to_le_bytes());
-        for &offset in &self.row_offsets {
-            hash = eat(hash, &offset.to_le_bytes());
-        }
-        for &col in &self.col_indices {
-            hash = eat(hash, &col.to_le_bytes());
-        }
-        for &value in &self.values {
-            hash = eat(hash, &value.to_bits().to_le_bytes());
-        }
-        hash
+        crate::hash::csr_fingerprint(
+            self.rows,
+            self.cols,
+            &self.row_offsets,
+            &self.col_indices,
+            &self.values,
+        )
     }
 }
 
@@ -373,10 +362,41 @@ mod tests {
     #[test]
     fn fingerprint_is_pinned_by_a_golden_value() {
         // The fingerprint is the root of every durable store key: a change
-        // to its value orphans every stored design.  The constant was
-        // computed independently (FNV-1a over the documented byte order).
+        // to its value orphans every stored design, so it travels with a
+        // `STORE_LAYOUT_VERSION` bump.  The constant was computed outside
+        // this crate; the arithmetic below spells the construction out for
+        // this matrix, whose streams are all shorter than a stripe: words
+        // fold into lane 0, and every stream ends by scrambling all lanes.
+        fn fold(state: u64, word: u64) -> u64 {
+            let product = ((state ^ word) as u128) * 0x9E3779B97F4A7C15;
+            product as u64 ^ (product >> 64) as u64
+        }
+        // The initial lanes: the first eight SplitMix64 outputs.
+        let mut lanes = [0u64; 8];
+        let mut state: u64 = 0x243F6A8885A308D3;
+        for lane in &mut lanes {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            *lane = z ^ (z >> 31);
+        }
+        let values = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0].map(|v| u64::from(v.to_bits()));
+        let streams: [&[u64]; 3] = [&[0, 2, 3, 3, 6], &[0, 4, 2, 0, 1, 4], &values];
+        for word in [4, 5] {
+            lanes[0] = fold(lanes[0], word); // rows, cols
+        }
+        for stream in streams {
+            lanes[0] = fold(lanes[0], stream.len() as u64);
+            for &element in stream {
+                lanes[0] = fold(lanes[0], element);
+            }
+            lanes = lanes.map(|lane| fold(lane, 0));
+        }
+        let spelled = lanes.iter().fold(8, |acc, &lane| fold(acc, lane));
+        assert_eq!(spelled, 0xf3a4_af38_59e1_51d6);
+
         let csr = CsrMatrix::from_coo(&sample_coo());
-        assert_eq!(csr.fingerprint(), 0x40d6_96aa_9fe7_68aa);
+        assert_eq!(csr.fingerprint(), 0xf3a4_af38_59e1_51d6);
         assert_eq!(csr.fingerprint(), csr.compute_fingerprint());
     }
 

@@ -9,6 +9,8 @@
 //! * matrix statistics used throughout the paper's evaluation — average row
 //!   length, row-length variance, the regular/irregular classification
 //!   ([`stats`]),
+//! * the workspace's one content hash ([`hash`]), behind
+//!   [`CsrMatrix::fingerprint`],
 //! * synthetic matrix generators that stand in for the SuiteSparse Matrix
 //!   Collection ([`gen`]) and the named corpus used by the evaluation
 //!   ([`suite`]).
@@ -23,6 +25,7 @@ pub mod dense;
 pub mod dia;
 pub mod ell;
 pub mod gen;
+pub mod hash;
 pub mod mm;
 pub mod stats;
 pub mod suite;
@@ -33,6 +36,7 @@ pub use csr::CsrMatrix;
 pub use dense::{max_scaled_error, DenseVector};
 pub use dia::DiaMatrix;
 pub use ell::EllMatrix;
+pub use hash::ContentHasher;
 pub use stats::MatrixStats;
 
 /// Scalar element type used across the workspace.  The paper evaluates in

@@ -554,13 +554,14 @@ pub struct JobSummary {
     pub gflops: f64,
     /// The winning operator graph, formatted for display.
     pub operator_graph: String,
-    /// Fresh evaluations the search cost — 0 when the daemon's warm store
-    /// answered the whole search.
+    /// Fresh evaluations the request cost — 0 when it was answered with a
+    /// program an earlier job still holds, or from the daemon's warm store.
     pub fresh_evaluations: u64,
     /// True when the search was seeded from stored winners of structurally
     /// similar matrices.
     pub warm_started: bool,
-    /// Server-side wall-clock seconds spent tuning.
+    /// Server-side wall-clock seconds a tuning worker spent on the job,
+    /// from hashing the submitted matrix to the finished answer.
     pub wall_secs: f64,
     /// Seconds the job sat in the daemon's admission queue before a tuning
     /// worker picked it up.  Reported separately from `wall_secs` so load

@@ -745,7 +745,9 @@ fn worker_loop(shared: &Shared) {
                     kernel_shape: tune.tuned.kernel_shape(),
                     specialized: tune.tuned.is_specialized(),
                 },
-                tuned: Arc::new(tune.tuned),
+                // The service's own handle: while this job is in the table,
+                // repeat tunes of its context get this program back.
+                tuned: tune.tuned,
             },
             Err(error) => {
                 shared.flightrec.record(

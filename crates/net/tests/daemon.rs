@@ -36,6 +36,19 @@ fn quick_daemon(dir: &PathBuf, config: ServerConfig) -> NetServer {
     NetServer::spawn("127.0.0.1:0", service, config).expect("daemon binds")
 }
 
+/// The value of one series — its name with its label set, as the exposition
+/// prints it — in the daemon's metrics scrape.
+fn scraped(client: &mut Client, series: &str) -> u64 {
+    let metrics = client.metrics().expect("metrics frame");
+    let value = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '));
+    value
+        .unwrap_or_else(|| panic!("no {series} in:\n{metrics}"))
+        .parse()
+        .expect("a counter value")
+}
+
 fn stop(server: NetServer, dir: &PathBuf) {
     let mut client = Client::connect(server.local_addr()).expect("connects for shutdown");
     client.shutdown().expect("daemon acknowledges shutdown");
@@ -387,21 +400,13 @@ fn warm_store_serves_a_second_connection_for_free() {
     assert!(first.fresh_evaluations > 0);
     assert!(first.warm_started, "the sibling's winner seeds the search");
 
-    // A brand-new connection re-submitting the same matrix is answered from
-    // the stored winner: zero fresh evaluations, the identical design, and a
-    // new job whose kernel computes y = A·x.
+    // A brand-new connection re-submitting the same matrix is answered with
+    // the program the first job still holds: zero fresh evaluations, the
+    // identical design, and a new job whose kernel computes y = A·x.
     let mut client = Client::connect(server.local_addr()).unwrap();
     // Tunes whose inner loops were measured on this host so far (the two
     // searches, unless a winner designed its own lanes).
-    let loop_selections = |client: &mut Client| -> u64 {
-        let metrics = client.metrics().expect("metrics frame");
-        let line = metrics
-            .lines()
-            .find(|line| line.starts_with("serve_loop_select_total "))
-            .unwrap_or_else(|| panic!("no serve_loop_select_total in:\n{metrics}"));
-        line.rsplit(' ').next().unwrap().parse().unwrap()
-    };
-    let selections_before = loop_selections(&mut client);
+    let selections_before = scraped(&mut client, "serve_loop_select_total");
     let job = client.submit_tune(&matrix, "A100").unwrap();
     let second = client.wait_job(job, POLL, DEADLINE).unwrap();
     assert_eq!(
@@ -414,26 +419,95 @@ fn warm_store_serves_a_second_connection_for_free() {
     assert_eq!(second.kernel_shape, first.kernel_shape);
     assert_eq!(second.specialized, first.specialized);
     assert_eq!(
-        loop_selections(&mut client),
+        scraped(&mut client, "serve_loop_select_total"),
         selections_before,
-        "the stored answer lowers the recorded loop; it measures nothing"
+        "a repeat answer measures nothing"
     );
     let x: Vec<f32> = (0..192).map(|i| (i % 11) as f32 * 0.5 - 2.0).collect();
     let y = client.spmv(job, &x).expect("the new job serves SpMV");
     let expected = matrix.spmv(&x).expect("reference SpMV");
     assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
 
-    // The scrape says which path answered: two searches, one lookup, and
-    // never a replayed search.
+    // The scrape says which path answered: two searches, one program
+    // handed back, and never a replayed search.
     let metrics = client.metrics().expect("metrics frame");
     for line in [
         "serve_tune_total{path=\"searched\"} 2",
-        "serve_tune_total{path=\"stored\"} 1",
+        "serve_tune_total{path=\"resident\"} 1",
+        "serve_tune_total{path=\"stored\"} 0",
         "serve_tune_total{path=\"replayed\"} 0",
     ] {
         assert!(metrics.contains(line), "missing {line:?} in:\n{metrics}");
     }
     drop(client);
+    stop(server, &dir);
+}
+
+#[test]
+fn repeat_tunes_share_one_program_for_as_long_as_a_job_holds_it() {
+    let dir = temp_dir("resident");
+    let service = TuningService::new(
+        DesignStore::open_with_registry(&dir, alpha_telemetry::Registry::new())
+            .expect("store opens"),
+        SearchConfig {
+            max_iterations: 6,
+            mutations_per_seed: 2,
+            ..SearchConfig::default()
+        },
+    );
+    // One terminal job is kept: each finished job drops its predecessor, and
+    // a job of another matrix drops the last holder of this one's program.
+    let config = ServerConfig {
+        max_terminal_jobs: 1,
+        ..ServerConfig::default()
+    };
+    let server = NetServer::spawn("127.0.0.1:0", service, config).expect("daemon binds");
+    let matrix = gen::powerlaw(192, 160, 5, 2.0, 91);
+    let x: Vec<f32> = (0..160).map(|i| (i % 13) as f32 * 0.25 - 1.0).collect();
+    let expected = matrix.spmv(&x).expect("reference SpMV");
+    let path_count = |client: &mut Client, path: &str| {
+        scraped(client, &format!("serve_tune_total{{path=\"{path}\"}}"))
+    };
+
+    let mut connections = [
+        Client::connect(server.local_addr()).unwrap(),
+        Client::connect(server.local_addr()).unwrap(),
+    ];
+    let job = connections[0].submit_tune(&matrix, "A100").unwrap();
+    let first = connections[0].wait_job(job, POLL, DEADLINE).unwrap();
+    assert!(first.fresh_evaluations > 0);
+    for i in 0..15 {
+        let client = &mut connections[i % 2];
+        let job = client.submit_tune(&matrix, "A100").unwrap();
+        let repeat = client.wait_job(job, POLL, DEADLINE).unwrap();
+        assert_eq!(repeat.fresh_evaluations, 0, "repeat {i}");
+        assert_eq!(repeat.kernel_shape, first.kernel_shape, "repeat {i}");
+        assert_eq!(repeat.operator_graph, first.operator_graph, "repeat {i}");
+        let y = client.spmv(job, &x).expect("the newest job serves SpMV");
+        assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
+    }
+    let [client, _] = &mut connections;
+    assert_eq!(path_count(client, "resident"), 15);
+    assert_eq!(path_count(client, "stored"), 0);
+    assert_eq!(client.store_stats().unwrap().jobs_gced, 15);
+
+    // Another matrix's job pushes the last of them out of the table: nobody
+    // holds the program any more, and the context is answered from its
+    // stored winner — with a program that is as right as the shared one was.
+    let other = gen::powerlaw(192, 160, 5, 2.0, 92);
+    let job = client.submit_tune(&other, "A100").unwrap();
+    client.wait_job(job, POLL, DEADLINE).unwrap();
+    let job = client.submit_tune(&matrix, "A100").unwrap();
+    let rebuilt = client.wait_job(job, POLL, DEADLINE).unwrap();
+    assert_eq!(rebuilt.fresh_evaluations, 0);
+    assert_eq!(rebuilt.kernel_shape, first.kernel_shape);
+    assert_eq!(rebuilt.operator_graph, first.operator_graph);
+    assert_eq!(path_count(client, "stored"), 1);
+    assert_eq!(path_count(client, "resident"), 15);
+    assert_eq!(path_count(client, "searched"), 2);
+    let y = client.spmv(job, &x).expect("the rebuilt job serves SpMV");
+    assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
+    drop(connections);
     stop(server, &dir);
 }
 

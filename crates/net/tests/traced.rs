@@ -54,12 +54,16 @@ fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
     let flightrec = server.flight_recorder().clone();
 
     let mut client = Client::connect(server.local_addr()).expect("client connects");
-    for (i, family) in PatternFamily::ALL.iter().take(3).enumerate() {
-        let matrix = family.generate(96, 4, 31_000 + i as u64);
+    let mut summaries = Vec::new();
+    // The last matrix is large enough that identifying it (a pass over its
+    // 32 k non-zeros) is a visible part of serving it.
+    for (i, rows) in [96, 96, 96, 4096].into_iter().enumerate() {
+        let family = PatternFamily::ALL[i % PatternFamily::ALL.len()];
+        let matrix = family.generate(rows, if rows == 96 { 4 } else { 8 }, 31_000 + i as u64);
         let job = client
             .submit_tune_with_backoff(&matrix, "A100", POLL, DEADLINE)
             .expect("admitted");
-        client.wait_job(job, POLL, DEADLINE).expect("tunes");
+        summaries.push((job, client.wait_job(job, POLL, DEADLINE).expect("tunes")));
         let x = vec![1.0f32; matrix.cols()];
         let y = client.spmv(job, &x).expect("remote SpMV runs");
         let expected = matrix.spmv(&x).expect("reference SpMV");
@@ -88,6 +92,26 @@ fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
     assert!(!client_spans.is_empty() && !server_spans.is_empty());
     assert_eq!(stitched.matches("\"pid\": 1,").count(), client_spans.len());
     assert_eq!(stitched.matches("\"pid\": 2,").count(), server_spans.len());
+
+    // What a job reports about itself is what its spans say: time in the
+    // queue, then everything the tuning worker did for it — identifying the
+    // matrix included.
+    for (job, summary) in &summaries {
+        let span_us = |name: &str| -> f64 {
+            let of_job = |s: &&alpha_telemetry::OwnedSpan| {
+                s.name == name && s.arg == Some(("job".to_string(), *job))
+            };
+            let span = server_spans.iter().find(of_job);
+            span.unwrap_or_else(|| panic!("job {job} has no {name} span"))
+                .dur_us as f64
+        };
+        let reported_us = (summary.queue_wait_secs + summary.wall_secs) * 1e6;
+        let spans_us = span_us("net.queue_wait") + span_us("net.tune_exec");
+        assert!(
+            (reported_us - spans_us).abs() <= 500.0,
+            "job {job} reports {reported_us:.0} us, its spans cover {spans_us:.0} us"
+        );
+    }
 
     // ...and at least one trace id names every stage of a tune request.
     let mut stages_by_trace: HashMap<u64, HashSet<&str>> = HashMap::new();

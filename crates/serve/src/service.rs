@@ -11,7 +11,8 @@ use alpha_search::{
 };
 use alphasparse::{AlphaSparse, TunedSpmv};
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, Weak};
+use std::time::{Duration, Instant};
 
 /// One tuning request: a matrix and the device it should be designed for.
 #[derive(Debug, Clone)]
@@ -31,10 +32,13 @@ impl TuneRequest {
 
 /// The result of serving one tuning request.
 pub struct ServedTune {
-    /// The ready-to-run machine-designed SpMV program.  When the request was
-    /// answered from the context's stored winner no search ran, so its
-    /// `search_stats()` are all zero.
-    pub tuned: TunedSpmv,
+    /// The ready-to-run machine-designed SpMV program — shared: while any
+    /// holder keeps it alive, repeat requests of its context are answered
+    /// with this very `Arc`.  Its `search_stats()` are those of the request
+    /// that built it (all zero when that one was answered from the context's
+    /// stored winner, where no search ran); what *this* request cost is
+    /// [`ServedTune::fresh_evaluations`].
+    pub tuned: Arc<TunedSpmv>,
     /// Fingerprint of the request's matrix (the deduplication identity,
     /// together with the device).
     pub fingerprint: u64,
@@ -46,11 +50,13 @@ pub struct ServedTune {
     /// similar matrices (always true on replays of a warm-started context —
     /// the pinned seeds are reused).
     pub warm_started: bool,
-    /// Fresh evaluations this request cost.  `0` means the store answered it:
-    /// from the context's stored winner, or (the fallback) by replaying the
-    /// search over cached evaluations.
+    /// Fresh evaluations this request cost.  `0` means no candidate was
+    /// evaluated for it: a holder's live program was handed back, or the
+    /// store answered — from the context's stored winner, or (the fallback)
+    /// by replaying the search over cached evaluations.
     pub fresh_evaluations: usize,
-    /// Host wall-clock seconds spent serving the request.
+    /// Host wall-clock seconds spent serving the request, from hashing its
+    /// matrix to the finished answer.
     pub wall_secs: f64,
 }
 
@@ -81,7 +87,11 @@ pub struct TuningService {
     tune_latency: alpha_telemetry::Histogram,
     /// `serve_tune_total{path=…}` on the store's registry: which path
     /// answered each request (see [`TunePath`]).
-    tune_paths: [alpha_telemetry::Counter; 3],
+    tune_paths: [alpha_telemetry::Counter; 4],
+    /// The programs handed out and still held by someone, by store key.  No
+    /// capacity and no eviction: an entry is useful exactly as long as its
+    /// program is alive, and dead ones are swept whenever one is added.
+    resident: Mutex<HashMap<u64, Arc<ResidentProgram>>>,
     /// `serve_loop_select_total` on the store's registry: requests whose
     /// answer had its inner loops measured on this host
     /// ([`TunedSpmv::loop_selection`]) rather than designed or lowered from
@@ -89,9 +99,24 @@ pub struct TuningService {
     loop_selections: alpha_telemetry::Counter,
 }
 
+/// A program some holder may still have, with what a request must match to
+/// be answered with it.
+struct ResidentProgram {
+    /// The content `program` computes `A·x` for.  A hit requires `==` on it:
+    /// two matrices colliding on one store key cost each other a rebuild,
+    /// never a wrong `y`.
+    matrix: CsrMatrix,
+    program: Weak<TunedSpmv>,
+    /// [`ServedTune::warm_started`] of the request that built the program.
+    warm_started: bool,
+}
+
 /// How one request was answered — the `path` label of `serve_tune_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TunePath {
+    /// With the program an earlier request of the context built and some
+    /// holder still has; nothing is designed, generated or lowered.
+    Resident,
     /// From the context's stored winner and its evaluation entry; no search.
     Stored,
     /// By a search that every evaluation of was already cached for (the
@@ -103,10 +128,16 @@ enum TunePath {
 }
 
 impl TunePath {
-    const ALL: [TunePath; 3] = [TunePath::Stored, TunePath::Replayed, TunePath::Searched];
+    const ALL: [TunePath; 4] = [
+        TunePath::Resident,
+        TunePath::Stored,
+        TunePath::Replayed,
+        TunePath::Searched,
+    ];
 
     fn label(self) -> &'static str {
         match self {
+            TunePath::Resident => "resident",
             TunePath::Stored => "stored",
             TunePath::Replayed => "replayed",
             TunePath::Searched => "searched",
@@ -159,6 +190,7 @@ impl TuningService {
             pool: std::sync::OnceLock::new(),
             tune_latency,
             tune_paths,
+            resident: Mutex::new(HashMap::new()),
             loop_selections,
         }
     }
@@ -268,18 +300,22 @@ impl TuningService {
         // The evaluation identity includes the backend (simulated vs native
         // measured time plus harness parameters), so a store never serves a
         // cost-model winner as a measured one — or the other way round.
-        let eval_keys: Vec<u64> = requests
+        // Hashing the matrix is where serving a request starts, and where
+        // its clock does.
+        let (eval_keys, mut spent): (Vec<u64>, Vec<Duration>) = requests
             .iter()
             .map(|r| {
-                context_key_for(
+                let start = Instant::now();
+                let key = context_key_for(
                     &r.matrix,
                     &r.device,
                     options,
                     self.config.seed,
                     self.config.evaluator.id(),
-                )
+                );
+                (key, start.elapsed())
             })
-            .collect();
+            .unzip();
         let keys: Vec<u64> = eval_keys.iter().map(|&k| self.store_key(k)).collect();
         let mut seen: HashSet<u64> = HashSet::new();
         let mut unique: Vec<usize> = Vec::new();
@@ -292,10 +328,14 @@ impl TuningService {
         // One winners snapshot serves the whole batch: requests tuned in
         // this batch warm-start from the fleet as it stood when the batch
         // arrived, which keeps the outcome independent of scheduling order.
+        let snapshot = Instant::now();
         let winners = match self.store.winners() {
             Ok(winners) => winners,
             Err(e) => return requests.iter().map(|_| Err(e.to_string())).collect(),
         };
+        // Every request of the batch waited for the snapshot.
+        let snapshot = snapshot.elapsed();
+        spent.iter_mut().for_each(|spent| *spent += snapshot);
 
         // Distinct requests fan out; each search then runs single-threaded
         // (unless the batch itself is serial).  Measured-time evaluation is
@@ -321,13 +361,17 @@ impl TuningService {
         } else {
             batch_threads
         };
-        let serve_one = |&i: &usize| {
-            let request = &requests[i];
-            (
+        let tune = |i: usize, winners: &[(u64, StoredDesign)]| {
+            self.tune_one(
+                &requests[i],
+                eval_keys[i],
                 keys[i],
-                self.tune_one(request, eval_keys[i], keys[i], &winners, search_threads),
+                winners,
+                search_threads,
+                spent[i],
             )
         };
+        let serve_one = |&i: &usize| (keys[i], tune(i, &winners));
         let mut unique_results: HashMap<u64, Result<(), String>> = HashMap::new();
         let served: Vec<(u64, Result<ServedTune, String>)> = if cap <= 1 || unique.len() <= 1 {
             unique.iter().map(serve_one).collect()
@@ -345,30 +389,26 @@ impl TuningService {
             .collect();
 
         // Assemble per-request results.  The first request of each identity
-        // takes the tuned handle; duplicates replay the (now fully cached)
-        // search, which costs no fresh evaluations.
-        requests
-            .iter()
-            .enumerate()
-            .map(|(i, request)| {
-                let key = keys[i];
-                match unique_results.get(&key) {
-                    Some(Err(e)) => Err(e.clone()),
-                    Some(Ok(())) => match by_key.remove(&key) {
-                        Some(tune) => Ok(tune),
-                        None => self.tune_one(request, eval_keys[i], key, &[], search_threads),
-                    },
-                    None => Err("request was not scheduled".to_string()),
-                }
+        // takes the tuned handle; duplicates are served again — with that
+        // same program, which the first result now holds alive.
+        (0..requests.len())
+            .map(|i| match unique_results.get(&keys[i]) {
+                Some(Err(e)) => Err(e.clone()),
+                Some(Ok(())) => match by_key.remove(&keys[i]) {
+                    Some(tune) => Ok(tune),
+                    None => tune(i, &[]),
+                },
+                None => Err("request was not scheduled".to_string()),
             })
             .collect()
     }
 
-    /// Serves one request against the store.  A context that has been
-    /// searched before is answered from its stored winner (a lookup plus a
-    /// format build); anything else — a new context, or one whose stored
-    /// answer is incomplete — resolves its warm-start seeds, runs the search
-    /// and persists the result.
+    /// Serves one request.  A context whose program some holder still has is
+    /// answered with that program; one that has been searched before, from
+    /// its stored winner (a lookup plus a format build); anything else — a
+    /// new context, or one whose stored answer is incomplete — resolves its
+    /// warm-start seeds, runs the search and persists the result.  `spent` is
+    /// what the request had cost when it got here.
     fn tune_one(
         &self,
         request: &TuneRequest,
@@ -376,12 +416,29 @@ impl TuningService {
         store_key: u64,
         winners: &[(u64, StoredDesign)],
         search_threads: usize,
+        spent: Duration,
     ) -> Result<ServedTune, String> {
         let start = Instant::now();
         // Traced requests see the serving layer as one span between the
         // daemon's queue-pop and reply spans; `serve.rebuild` or the search
         // engine's own `search.l*` spans nest under it.
         let _span = alpha_telemetry::span!("serve.tune", context = store_key);
+        let served = |tuned, path: TunePath, warm_started, fresh_evaluations| {
+            self.tune_paths[path as usize].inc();
+            let wall = spent + start.elapsed();
+            self.tune_latency.observe_duration(wall);
+            ServedTune {
+                tuned,
+                fingerprint: request.matrix.fingerprint(),
+                context_key: store_key,
+                warm_started,
+                fresh_evaluations,
+                wall_secs: wall.as_secs_f64(),
+            }
+        };
+        if let Some((tuned, warm_started)) = self.resident_program(store_key, &request.matrix) {
+            return Ok(served(tuned, TunePath::Resident, warm_started, 0));
+        }
         let cache = self.store.cache_for(store_key).map_err(String::from)?;
 
         // Warm-start seeds: pinned on the context's first search, replayed
@@ -432,19 +489,52 @@ impl TuningService {
             .persist_cache(store_key, &cache)
             .map_err(String::from)?;
 
-        self.tune_paths[path as usize].inc();
         if !tuned.loop_selection().is_empty() {
             self.loop_selections.inc();
         }
-        self.tune_latency.observe_duration(start.elapsed());
-        Ok(ServedTune {
-            fingerprint: request.matrix.fingerprint(),
-            context_key: store_key,
+        let fresh_evaluations = tuned.search_stats().cache_misses;
+        let tuned = Arc::new(tuned);
+        self.remember(store_key, &request.matrix, &tuned, warm_started);
+        Ok(served(tuned, path, warm_started, fresh_evaluations))
+    }
+
+    /// The live program filed under `store_key`, if it was built from exactly
+    /// `matrix` — with the `warm_started` flag of the request that built it.
+    fn resident_program(
+        &self,
+        store_key: u64,
+        matrix: &CsrMatrix,
+    ) -> Option<(Arc<TunedSpmv>, bool)> {
+        let entry = self
+            .resident
+            .lock()
+            .expect("resident programs poisoned")
+            .get(&store_key)
+            .cloned()?;
+        // Compared outside the lock: a pass over both matrices.
+        let tuned = entry.program.upgrade()?;
+        (entry.matrix == *matrix).then_some((tuned, entry.warm_started))
+    }
+
+    /// Files `tuned`, just built from `matrix`, under `store_key` for as long
+    /// as a holder keeps it alive, and sweeps the entries nobody holds any
+    /// more.  The entry owns its own copy of the matrix: the request's is
+    /// borrowed.
+    fn remember(
+        &self,
+        store_key: u64,
+        matrix: &CsrMatrix,
+        tuned: &Arc<TunedSpmv>,
+        warm_started: bool,
+    ) {
+        let entry = Arc::new(ResidentProgram {
+            matrix: matrix.clone(),
+            program: Arc::downgrade(tuned),
             warm_started,
-            fresh_evaluations: tuned.search_stats().cache_misses,
-            wall_secs: start.elapsed().as_secs_f64(),
-            tuned,
-        })
+        });
+        let mut resident = self.resident.lock().expect("resident programs poisoned");
+        resident.retain(|_, entry| entry.program.strong_count() > 0);
+        resident.insert(store_key, entry);
     }
 
     /// The stored winners most structurally similar to `matrix`, closest
@@ -806,15 +896,27 @@ mod tests {
         TuningService::new(store, config)
     }
 
+    /// One `path` of `serve_tune_total`.
+    fn path_count(service: &TuningService, path: &str) -> u64 {
+        let snapshot = service.registry().snapshot();
+        snapshot
+            .counter("serve_tune_total", &[("path", path)])
+            .unwrap_or(0)
+    }
+
     /// `serve_tune_total` as (stored, replayed, searched).
     fn path_counts(service: &TuningService) -> (u64, u64, u64) {
-        let snapshot = service.registry().snapshot();
-        let count = |path: &str| {
-            snapshot
-                .counter("serve_tune_total", &[("path", path)])
-                .unwrap_or(0)
-        };
+        let count = |path| path_count(service, path);
         (count("stored"), count("replayed"), count("searched"))
+    }
+
+    /// `served` with its program moved into an `Arc` the service has never
+    /// seen: the tests of the stored path keep their answers to compare, and
+    /// must not have later requests answered with them.
+    fn disowned(mut served: ServedTune) -> ServedTune {
+        let tuned = Arc::try_unwrap(served.tuned).unwrap_or_else(|_| panic!("a second holder"));
+        served.tuned = Arc::new(tuned);
+        served
     }
 
     /// `serve_loop_select_total`: requests whose inner loops were measured.
@@ -873,7 +975,7 @@ mod tests {
     #[test]
     fn stored_winner_is_what_a_replay_selects() {
         // The differential behind the lookup path: for every pattern family
-        // under both evaluators, the design a resident context is answered
+        // under both evaluators, the design a searched context is answered
         // with from its stored winner is the design a replay of its search
         // selects — from the memory tier, after an LRU eviction and disk
         // reload, and after the store is reopened.
@@ -908,7 +1010,7 @@ mod tests {
                 .iter()
                 .map(|request| {
                     let mut served = service.tune_batch(std::slice::from_ref(request));
-                    served.pop().unwrap().expect("cold tune succeeds")
+                    disowned(served.pop().unwrap().expect("cold tune succeeds"))
                 })
                 .collect();
             assert!(cold.iter().all(|t| t.fresh_evaluations > 0));
@@ -951,7 +1053,7 @@ mod tests {
             let disk_loads = service.store_stats().disk_loads;
             check_pass(&service, "evicted and reloaded");
             assert!(service.store_stats().disk_loads > disk_loads);
-            check_pass(&service, "resident");
+            check_pass(&service, "in memory");
             let n = requests.len() as u64;
             assert_eq!(path_counts(&service), (2 * n, 0, n), "{label}");
             assert_eq!(loop_selections(&service), selected, "{label}: warm passes");
@@ -1007,7 +1109,7 @@ mod tests {
         bare_cache.pin_seed_designs(store_key, pins);
         bare_cache.record_winner(eval_key, winner);
         assert!(stored_outcome(&bare_cache, eval_key).is_none());
-        let searched = bare.tune_batch(batch).pop().unwrap().unwrap();
+        let searched = disowned(bare.tune_batch(batch).pop().unwrap().unwrap());
         assert!(searched.fresh_evaluations > 0);
         assert_eq!(path_counts(&bare), (0, 0, 1));
         // Another store is another measurement of the inner loop: the graph
@@ -1022,8 +1124,8 @@ mod tests {
         // (2) A context that holds every evaluation and the winner but was
         // never pinned by a service (searched directly on the cache): the
         // seeds the winner was found under are unknown, so it is not
-        // trusted — the request pins, replays (free), and only then counts
-        // as resident.
+        // trusted — the request pins, replays (free), and only then is
+        // answered by lookup.
         let unpinned_dir = temp_dir("fallback_unpinned");
         let unpinned = counted_service(&unpinned_dir, config.clone(), 8);
         let unpinned_cache = unpinned.store().cache_for(store_key).unwrap();
@@ -1035,23 +1137,158 @@ mod tests {
             .unwrap();
         assert!(stored_outcome(&unpinned_cache, eval_key).is_some());
         assert!(unpinned_cache.pinned_seed_designs(store_key).is_none());
-        let replayed = unpinned.tune_batch(batch).pop().unwrap().unwrap();
+        let replayed = disowned(unpinned.tune_batch(batch).pop().unwrap().unwrap());
         assert_eq!(replayed.fresh_evaluations, 0);
         assert!(replayed.tuned.search_stats().iterations > 0, "a search ran");
         assert_eq!(path_counts(&unpinned), (0, 1, 0));
         assert_same_graph(&replayed.tuned, &cold.tuned, &request.matrix, "replayed");
-        let resident = unpinned.tune_batch(batch).pop().unwrap().unwrap();
+        let looked_up = unpinned.tune_batch(batch).pop().unwrap().unwrap();
         assert_eq!(path_counts(&unpinned), (1, 1, 0));
         assert_same_design(
-            &resident.tuned,
+            &looked_up.tuned,
             &replayed.tuned,
             &request.matrix,
-            "resident",
+            "looked up",
         );
 
         for dir in [origin_dir, bare_dir, unpinned_dir] {
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_repeat_request_gets_the_program_a_holder_still_has() {
+        let dir = temp_dir("resident");
+        let config = SearchConfig {
+            max_iterations: 10,
+            mutations_per_seed: 2,
+            ..SearchConfig::default()
+        };
+        let service = counted_service(&dir, config, 8);
+        let request = TuneRequest::new(gen::powerlaw(256, 256, 6, 2.0, 81), DeviceProfile::a100());
+        let tune = || {
+            let mut served = service.tune_batch(std::slice::from_ref(&request));
+            served.pop().unwrap().expect("tuning succeeds")
+        };
+        let live_entries = || {
+            let resident = service.resident.lock().unwrap();
+            assert!(resident.values().all(|e| e.program.strong_count() > 0));
+            resident.len()
+        };
+
+        let first = tune();
+        assert!(first.fresh_evaluations > 0);
+        assert!(
+            !first.tuned.loop_selection().is_empty(),
+            "a cold tune selects"
+        );
+        let repeat = tune();
+        assert!(Arc::ptr_eq(&repeat.tuned, &first.tuned));
+        assert_eq!(repeat.fresh_evaluations, 0);
+        assert_eq!(repeat.context_key, first.context_key);
+        assert_eq!(repeat.fingerprint, first.fingerprint);
+        assert_eq!(repeat.warm_started, first.warm_started);
+        assert_eq!(path_count(&service, "resident"), 1);
+        assert_eq!(path_counts(&service), (0, 0, 1));
+        assert_eq!(
+            loop_selections(&service),
+            1,
+            "handing a program back selects nothing"
+        );
+        // One holder is enough.
+        drop(first);
+        assert!(Arc::ptr_eq(&tune().tuned, &repeat.tuned));
+        assert_eq!(path_count(&service, "resident"), 2);
+
+        // A program lives exactly as long as someone holds it: with every
+        // holder gone the context is answered from its stored winner, and
+        // the dead entry made way for the new program's.
+        let x = alpha_matrix::DenseVector::random(request.matrix.cols(), 5);
+        let y = repeat.tuned.run(x.as_slice()).unwrap();
+        drop(repeat);
+        let rebuilt = tune();
+        assert_eq!(path_count(&service, "resident"), 2);
+        assert_eq!(path_counts(&service), (1, 0, 1));
+        assert_eq!(rebuilt.fresh_evaluations, 0);
+        assert_eq!(rebuilt.tuned.run(x.as_slice()).unwrap(), y);
+        assert_eq!(live_entries(), 1);
+        // Another context's request sweeps what this one left behind.
+        drop(rebuilt);
+        let other = TuneRequest::new(gen::powerlaw(256, 256, 6, 2.0, 82), DeviceProfile::a100());
+        let _other = service.tune_batch(&[other]).pop().unwrap().unwrap();
+        assert_eq!(live_entries(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_threads_missing_on_one_new_context_both_succeed() {
+        let dir = temp_dir("resident_race");
+        let service = quick_service(&dir, 8);
+        let request = TuneRequest::new(gen::powerlaw(192, 192, 5, 2.0, 83), DeviceProfile::a100());
+        let barrier = std::sync::Barrier::new(2);
+        let served: Vec<ServedTune> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let mut served = service.tune_batch(std::slice::from_ref(&request));
+                        served.pop().unwrap().expect("tuning succeeds")
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        // Whichever of them filed its program last, both hold a right one.
+        assert_same_design(
+            &served[0].tuned,
+            &served[1].tuned,
+            &request.matrix,
+            "racing builders",
+        );
+        let next = service.tune_batch(std::slice::from_ref(&request));
+        let next = next[0].as_ref().unwrap();
+        assert!(served.iter().any(|s| Arc::ptr_eq(&s.tuned, &next.tuned)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_program_filed_under_a_colliding_key_is_not_served() {
+        // Two matrices of one shape whose store keys collide — forged here:
+        // B's live program is filed under A's key.  A request for A must not
+        // be answered with it.
+        let dir = temp_dir("resident_collision");
+        let service = counted_service(
+            &dir,
+            SearchConfig {
+                max_iterations: 8,
+                mutations_per_seed: 2,
+                ..SearchConfig::default()
+            },
+            8,
+        );
+        let a = TuneRequest::new(gen::powerlaw(192, 192, 5, 2.0, 84), DeviceProfile::a100());
+        let b = TuneRequest::new(gen::powerlaw(192, 192, 5, 2.0, 85), DeviceProfile::a100());
+        let tune = |request: &TuneRequest| {
+            let mut served = service.tune_batch(std::slice::from_ref(request));
+            served.pop().unwrap().expect("tuning succeeds")
+        };
+        let key_a = tune(&a).context_key;
+        let held_b = tune(&b);
+        service.remember(key_a, &b.matrix, &held_b.tuned, held_b.warm_started);
+        // The forged entry is a hit only for the matrix it was built from.
+        assert!(service.resident_program(key_a, &b.matrix).is_some());
+        assert!(service.resident_program(key_a, &a.matrix).is_none());
+
+        let served_a = tune(&a);
+        assert!(!Arc::ptr_eq(&served_a.tuned, &held_b.tuned));
+        assert_eq!(path_count(&service, "resident"), 0);
+        let x = alpha_matrix::DenseVector::random(192, 9);
+        let y = served_a.tuned.run(x.as_slice()).unwrap();
+        let expected = a.matrix.spmv(x.as_slice()).unwrap();
+        assert!(alpha_matrix::DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
+        let wrong = held_b.tuned.run(x.as_slice()).unwrap();
+        assert!(!alpha_matrix::DenseVector::from_vec(wrong).approx_eq(&expected, 1e-3));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,8 +11,12 @@ use std::sync::{Arc, Mutex};
 
 /// Layout version string written to (and checked against) the store's
 /// `store.layout` marker file.  Bump when the directory layout — not the
-/// cache file format, which carries its own version — changes.
-pub const STORE_LAYOUT_VERSION: &str = "alphasparse-design-store v1";
+/// cache file format, which carries its own version — changes, or when the
+/// context keys the files are named by do: `v2` keys are rooted in the
+/// striped [`CsrMatrix::fingerprint`](alpha_matrix::CsrMatrix::fingerprint),
+/// `v1` keys in its FNV-1a predecessor, so a `v1` directory holds nothing a
+/// `v2` lookup could find and is refused instead of silently orphaned.
+pub const STORE_LAYOUT_VERSION: &str = "alphasparse-design-store v2";
 
 /// Default number of per-context caches kept in memory.
 const DEFAULT_CAPACITY: usize = 64;
@@ -212,13 +216,29 @@ impl StoreMetrics {
     }
 }
 
+/// Whether `marker` exists and names [`STORE_LAYOUT_VERSION`]; `Ok(false)`
+/// when there is no marker yet, [`StoreError::Layout`] when it names
+/// anything else.
+fn layout_is_current(marker: &Path) -> Result<bool, StoreError> {
+    match std::fs::read_to_string(marker) {
+        Ok(found) if found.trim() == STORE_LAYOUT_VERSION => Ok(true),
+        Ok(found) => Err(StoreError::Layout {
+            found: found.trim().to_string(),
+            expected: STORE_LAYOUT_VERSION.to_string(),
+        }),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e.into()),
+    }
+}
+
 impl DesignStore {
     /// Opens (or initialises) a design store rooted at `path`.
     ///
     /// A fresh directory is created with the current layout marker; an
     /// existing store is validated against [`STORE_LAYOUT_VERSION`] and
     /// rejected with [`StoreError::Layout`] when it was written by an
-    /// incompatible layout.
+    /// incompatible layout — before anything in it is created, locked or
+    /// written, so the refused directory is left byte for byte as it was.
     ///
     /// Opening also takes an exclusive **kernel file lock** on the
     /// directory's `store.lock`: a store already opened by a different
@@ -240,6 +260,9 @@ impl DesignStore {
         registry: Arc<Registry>,
     ) -> Result<Self, StoreError> {
         let root = path.as_ref().to_path_buf();
+        let marker = root.join("store.layout");
+        // Checked first: taking the lock below rewrites `store.lock`.
+        let initialised = layout_is_current(&marker)?;
         std::fs::create_dir_all(root.join("designs"))?;
         let lock = StoreLock::acquire(&root).map_err(|e| match StoreLock::foreign_holder(&e) {
             Some(held) => StoreError::Locked {
@@ -248,21 +271,10 @@ impl DesignStore {
             },
             None => StoreError::Io(e),
         })?;
-        let marker = root.join("store.layout");
-        match std::fs::read_to_string(&marker) {
-            Ok(found) => {
-                let found = found.trim().to_string();
-                if found != STORE_LAYOUT_VERSION {
-                    return Err(StoreError::Layout {
-                        found,
-                        expected: STORE_LAYOUT_VERSION.to_string(),
-                    });
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                std::fs::write(&marker, format!("{STORE_LAYOUT_VERSION}\n"))?;
-            }
-            Err(e) => return Err(e.into()),
+        // Under the lock nobody else initialises the directory: look again,
+        // then do it.
+        if !initialised && !layout_is_current(&marker)? {
+            std::fs::write(&marker, format!("{STORE_LAYOUT_VERSION}\n"))?;
         }
         Ok(DesignStore {
             root,
@@ -641,6 +653,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every file under `dir` with its bytes, in path order.
+    fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(dir) = pending.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    pending.push(path);
+                } else {
+                    files.push((path.clone(), std::fs::read(&path).unwrap()));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
     #[test]
     fn foreign_layout_is_rejected() {
         let dir = temp_store_dir("layout");
@@ -650,6 +680,26 @@ mod tests {
             DesignStore::open(&dir),
             Err(StoreError::Layout { .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The layout this one replaced: its context keys are rooted in the
+        // FNV-1a fingerprint, so nothing in it can be found.  Refused by
+        // name, and left exactly as it was — lock file included.
+        let dir = temp_store_dir("layout_v1");
+        std::fs::create_dir_all(dir.join("designs")).unwrap();
+        std::fs::write(dir.join("store.layout"), "alphasparse-design-store v1\n").unwrap();
+        std::fs::write(dir.join(crate::LOCK_FILE_NAME), "4242\n").unwrap();
+        std::fs::write(dir.join("designs/ctx_00000000000000aa.acds"), b"old").unwrap();
+        let before = snapshot(&dir);
+        match DesignStore::open(&dir) {
+            Err(StoreError::Layout { found, expected }) => {
+                assert_eq!(found, "alphasparse-design-store v1");
+                assert_eq!(expected, "alphasparse-design-store v2");
+                assert_eq!(expected, STORE_LAYOUT_VERSION);
+            }
+            other => panic!("expected StoreError::Layout, got {other:?}"),
+        }
+        assert_eq!(snapshot(&dir), before, "a refused directory is not touched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,9 +4,10 @@
 //! serving day against it: **two concurrent clients** tune a 20-matrix
 //! fleet (submitting over the wire, polling, running remote SpMV), and a
 //! second wave re-submits the same fleet across *fresh connections* — every
-//! one answered from its stored winner in the daemon's warm `DesignStore`,
-//! with zero fresh kernel evaluations and no search (checked against the
-//! daemon's `serve_tune_total` counters).  Ends with a clean
+//! one answered with the program its first-wave job still holds (or, had
+//! that job been collected, from its stored winner in the daemon's warm
+//! `DesignStore`), with zero fresh kernel evaluations and no search (checked
+//! against the daemon's `serve_tune_total` counters).  Ends with a clean
 //! client-initiated shutdown.
 //!
 //! ```text
@@ -181,8 +182,9 @@ fn main() {
     );
 
     // Which path answered each tune, from the daemon's own registry: the
-    // whole second wave must have been lookups of stored winners — a
-    // replayed search is a resident context that lost its stored answer.
+    // whole second wave must have been lookups — of the program a
+    // first-wave job still holds, or of the stored winner.  A replayed
+    // search is a searched context that lost its stored answer.
     let scrape = client.metrics().expect("metrics frame");
     let answered = |path: &str| -> u64 {
         let prefix = format!("serve_tune_total{{path=\"{path}\"}} ");
@@ -192,15 +194,17 @@ fn main() {
             .and_then(|value| value.trim().parse().ok())
             .unwrap_or_else(|| panic!("scrape has no serve_tune_total{{path=\"{path}\"}}"))
     };
-    let stored = answered("stored");
+    let (resident, stored) = (answered("resident"), answered("stored"));
     assert!(
-        stored >= matrices.len() as u64,
-        "second wave of {} tunes, but only {stored} answered from stored winners",
+        resident + stored >= matrices.len() as u64,
+        "second wave of {} tunes, but only {resident} + {stored} answered by lookup",
         matrices.len()
     );
     assert_eq!(answered("replayed"), 0, "no tune may replay its search");
     println!(
-        "{stored} tunes answered from stored winners ({} searched, 0 replayed)",
+        "{} tunes answered by lookup ({resident} resident programs, {stored} stored winners; \
+         {} searched, 0 replayed)",
+        resident + stored,
         answered("searched")
     );
 

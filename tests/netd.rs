@@ -126,3 +126,38 @@ fn remote_tuning_end_to_end() {
     server.join();
     let _ = std::fs::remove_dir_all(&store_dir);
 }
+
+#[test]
+fn a_v1_store_directory_stops_the_daemon_before_it_starts() {
+    // `netd` opens its store with `DesignStore::open(..).expect("store
+    // opens")`: a directory of the previous layout (context keys rooted in
+    // the FNV-1a fingerprint) must end that process with both versions in
+    // its message, and must not be touched.
+    let dir = std::env::temp_dir().join(format!("alpha_suite_netd_v1_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("designs")).unwrap();
+    let files = [
+        ("store.layout", &b"alphasparse-design-store v1\n"[..]),
+        ("store.lock", b"7\n"),
+        ("designs/ctx_0123456789abcdef.acds", b"v1 cache"),
+    ];
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+    let died = std::panic::catch_unwind(|| {
+        DesignStore::open(&dir).expect("store opens");
+    })
+    .expect_err("netd must not start on a v1 directory");
+    let message = died.downcast_ref::<String>().expect("an expect message");
+    assert!(message.starts_with("store opens"), "{message}");
+    assert!(
+        message.contains("alphasparse-design-store v1")
+            && message.contains("alphasparse-design-store v2"),
+        "{message}"
+    );
+    for (name, bytes) in files {
+        assert_eq!(std::fs::read(dir.join(name)).unwrap(), bytes, "{name}");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
