@@ -414,9 +414,8 @@ impl TunedSpmv {
     /// during a concurrent `auto_tune` uses the same pool (in bounded
     /// `batch_size` jobs), so a multi-threaded `run` issued *while another
     /// thread is tuning in the same process* can wait out a batch.  A
-    /// latency-sensitive server running SpMV next to tuning should give its
-    /// execution traffic a dedicated pool via
-    /// [`TunedSpmv::run_with_pool`] — `alpha-net` does exactly that.
+    /// latency-sensitive server running SpMV next to tuning should choose
+    /// the executor per request with [`TunedSpmv::run_with_pool`].
     pub fn run(&self, x: &[Scalar]) -> Result<Vec<Scalar>, String> {
         self.native_kernel().run(x, 0)
     }
@@ -428,9 +427,15 @@ impl TunedSpmv {
     }
 
     /// [`run`](TunedSpmv::run) on an explicit persistent pool — what a
-    /// long-lived server uses so its SpMV traffic has a dedicated executor
-    /// (e.g. `alpha-net` keeps one per daemon) instead of sharing the
-    /// process-wide pool with tuning work.
+    /// long-lived server uses so its SpMV traffic does not share the
+    /// process-wide pool with tuning work.  `alpha-net` passes its daemon's
+    /// execution pool for a request that is the daemon's only work, and a
+    /// one-thread `Pool::new(1)` (which spawns nothing) otherwise.
+    ///
+    /// The work is split into the kernel's `workers_for(0)` shares whatever
+    /// the pool, and the shares are combined in the same order, so the pool
+    /// decides only how many of them run at once: `y` is bitwise the same
+    /// on every pool.
     pub fn run_with_pool(
         &self,
         x: &[Scalar],

@@ -836,6 +836,9 @@ impl NativeKernel {
 
     /// [`NativeKernel::run`] on an explicit persistent [`Pool`] (e.g. a
     /// daemon's dedicated execution pool or an evaluator's private pool).
+    /// The pool decides how many of the [`NativeKernel::workers_for`] shares
+    /// run at once, never the shares themselves: `y` is bitwise the same on
+    /// every pool.
     pub fn run_with_pool(
         &self,
         x: &[Scalar],

@@ -27,11 +27,15 @@
 //!   shared under — are one kernel: the same streams and shapes, and
 //!   **bitwise**-equal `y` at 1 and 4 threads;
 //! * a kernel lowered through a warm `Designer` (the search's path) has the
-//!   identity and the bitwise `y` of the one lowered from a fresh design.
+//!   identity and the bitwise `y` of the one lowered from a fresh design;
+//! * the executing pool never changes `y`: `t` shares run one at a time on a
+//!   `Pool::new(1)` are **bitwise** the same `t` shares run on a
+//!   `Pool::new(t)` (what lets a daemon pick the pool by load).
 
 use alpha_cpu::{NativeKernel, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph};
 use alpha_matrix::{gen::PatternFamily, CooMatrix, CsrMatrix, DenseVector};
+use alpha_parallel::Pool;
 
 /// The constant `c` of the per-row bound
 ///
@@ -168,6 +172,10 @@ fn bits(y: &[f32]) -> Vec<u32> {
 #[test]
 fn every_preset_family_and_simd_variant_is_within_the_stated_bound() {
     let mut vectorized_runs = 0usize;
+    // Explicit share counts, so a one-core host still splits the work.
+    let one_at_a_time = Pool::new(1);
+    let fanned_out = [(2, Pool::new(2)), (4, Pool::new(4))];
+    let mut work_splits = std::collections::BTreeSet::new();
     for (preset_name, base) in presets::all_presets() {
         let graphs = with_simd_variants(&base);
         for (fi, family) in PatternFamily::ALL.iter().enumerate() {
@@ -193,6 +201,26 @@ fn every_preset_family_and_simd_variant_is_within_the_stated_bound() {
                         assert_within_bound(&y, &reference, &context);
                     }
                 }
+                for (shares, pool) in &fanned_out {
+                    let [serial, fanned] = [&one_at_a_time, pool].map(|pool| {
+                        bits(&auto.run_with_pool(x.as_slice(), *shares, pool).unwrap())
+                    });
+                    assert_eq!(
+                        serial,
+                        fanned,
+                        "{context} [{}]: {shares} shares on one thread and on {shares} differ",
+                        auto.shape_label()
+                    );
+                }
+                for partition in auto.shape_label().split('|') {
+                    work_splits.insert(if partition.starts_with("nnz[") {
+                        "nnz-split"
+                    } else if partition.contains("org:table") {
+                        "reordered rows"
+                    } else {
+                        "rows"
+                    });
+                }
                 if variant.starts_with("row-") {
                     // Row lanes interleave rows, not one row's terms: every
                     // row is still summed in stream order.
@@ -206,6 +234,11 @@ fn every_preset_family_and_simd_variant_is_within_the_stated_bound() {
             }
         }
     }
+    assert_eq!(
+        work_splits.into_iter().collect::<Vec<_>>(),
+        ["nnz-split", "reordered rows", "rows"],
+        "the pool comparison must cover every way a kernel splits its work"
+    );
     // The suite only proves something if the SIMD loops actually ran: every
     // preset admits at least the nnz-lane shape, so even a NEON/AVX2-less
     // host exercises the portable lane kernels here.  The one legitimate

@@ -238,6 +238,10 @@ mod sys {
 
     impl Selector {
         pub fn new() -> io::Result<Selector> {
+            // SAFETY: no pointer crosses the call, only an integer flag.  A
+            // failure returns -1 with errno set, which `cvt` turns into an
+            // `io::Error` before any fd is stored; a success hands back a
+            // fresh fd that only this `Selector` holds and `Drop` closes.
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             Ok(Selector {
                 epfd,
@@ -261,6 +265,13 @@ mod sys {
                 events: Self::mask(interest),
                 data: token,
             };
+            // SAFETY: `event` is a live `EpollEvent` with the kernel's
+            // layout (packed on x86, see the struct) on this stack frame for
+            // the whole call, and the kernel only reads it.  `self.epfd` is
+            // open: it is owned by `self` and closed only in `Drop`.  `fd` is
+            // the caller's; a stale or foreign one is refused by the kernel
+            // (EBADF / EEXIST / ENOENT), which `cvt` returns as an error —
+            // no memory is touched on that path.
             cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut event) }).map(|_| ())
         }
 
@@ -274,6 +285,10 @@ mod sys {
 
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
             let mut event = EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `ctl`.  `EPOLL_CTL_DEL` ignores the event, but
+            // kernels before 2.6.9 require a valid pointer, so a live one is
+            // passed; an fd that is not registered is an errno (ENOENT) that
+            // `cvt` returns.
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut event) }).map(|_| ())
         }
 
@@ -284,6 +299,12 @@ mod sys {
             };
             let mut buf = self.buf.lock().expect("selector poisoned");
             let n = loop {
+                // SAFETY: the guard gives this thread the only access to
+                // `buf`, whose `len()` initialised entries (256, well inside
+                // `i32`) are all writable; the kernel writes at most
+                // `maxevents = buf.len()` of them and returns how many.  Only
+                // the first `n` of a non-negative return are read below; -1
+                // is an errno `cvt` returns (EINTR retries) and reads none.
                 let ret = unsafe {
                     epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
                 };
@@ -308,6 +329,12 @@ mod sys {
 
     impl Drop for Selector {
         fn drop(&mut self) {
+            // SAFETY: `epfd` came from a successful `epoll_create1`, is
+            // owned by this `Selector` alone (never handed out or
+            // duplicated) and `Drop` runs once, so this closes that fd and
+            // no other.  The result is ignored: on Linux the fd is released
+            // even when `close` reports an error, so there is nothing to
+            // retry.
             unsafe {
                 close(self.epfd);
             }
@@ -425,6 +452,9 @@ mod sys {
 
     impl Selector {
         pub fn new() -> io::Result<Selector> {
+            // SAFETY: no arguments.  A failure is -1 with errno set, which
+            // `cvt` returns before any fd is stored; a success is a fresh fd
+            // that only this `Selector` holds and `Drop` closes.
             let kq = cvt(unsafe { kqueue() })?;
             Ok(Selector {
                 kq,
@@ -433,6 +463,13 @@ mod sys {
         }
 
         fn apply(&self, changes: &[KEvent]) -> io::Result<()> {
+            // SAFETY: `changes` is a borrowed slice of `KEvent`s laid out as
+            // the platform's `struct kevent` (per-OS definitions above),
+            // valid for the whole call; the kernel reads exactly
+            // `nchanges = changes.len()` of them (at most 2).  The event
+            // list is null with a count of 0, so nothing is written, and a
+            // null timeout is allowed.  `self.kq` is open until `Drop`.  A
+            // rejected change (EBADF, ENOENT) is an errno `cvt` returns.
             cvt(unsafe {
                 kevent(
                     self.kq,
@@ -495,6 +532,14 @@ mod sys {
             };
             let mut buf = self.buf.lock().expect("selector poisoned");
             let n = loop {
+                // SAFETY: no changes are passed (null, 0).  The guard gives
+                // this thread the only access to `buf`, whose `len()`
+                // initialised entries (256) are all writable; the kernel
+                // writes at most `nevents = buf.len()` and returns how many,
+                // and only the first `n` of a non-negative return are read
+                // below.  `ts_ptr` is null or points at `ts`, which lives to
+                // the end of this function.  -1 is an errno `cvt` returns
+                // (EINTR retries) and reads none.
                 let ret = unsafe {
                     kevent(
                         self.kq,
@@ -525,6 +570,10 @@ mod sys {
 
     impl Drop for Selector {
         fn drop(&mut self) {
+            // SAFETY: `kq` came from a successful `kqueue`, is owned by this
+            // `Selector` alone and `Drop` runs once, so this closes that fd
+            // and no other.  The result is ignored: there is nothing to
+            // retry on an fd that is going away.
             unsafe {
                 close(self.kq);
             }

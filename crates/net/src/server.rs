@@ -41,9 +41,11 @@
 //! Long-running work never blocks the loop: tuning runs on worker threads
 //! that drain the sharded queue, and remote SpMV is offloaded to exec
 //! workers that post completed response frames back through a completion
-//! list plus reactor wake.  While a connection has an SpMV in flight its
-//! subsequent requests are deferred (per-connection FIFO responses), not
-//! reordered.
+//! list plus reactor wake.  An SpMV that is the daemon's only work fans out
+//! over the exec pool; one with company runs on its exec worker's thread
+//! (see `exec_loop`), with bitwise the same `y`.  While a connection has
+//! an SpMV in flight its subsequent requests are deferred (per-connection
+//! FIFO responses), not reordered.
 
 use crate::proto::{
     decode_request_versioned, response_frame, ErrorKind, FrameAssembler, JobState, JobSummary,
@@ -226,6 +228,12 @@ struct Shared {
     /// Offloaded SpMVs not yet delivered into an outbox — drained to zero
     /// before a shutdown completes.
     exec_inflight: AtomicU64,
+    /// Tunes a worker is executing right now (raised around `tune_batch`).
+    /// With [`Shared::exec_inflight`] it tells an exec worker whether its
+    /// SpMV is the daemon's only work.  `Relaxed` suffices: it publishes no
+    /// data, and a stale read only picks the other path, whose `y` is the
+    /// same.
+    tunes_executing: AtomicU64,
     tenants: Mutex<BTreeMap<u64, TenantState>>,
     counters: Counters,
     shutdown: AtomicBool,
@@ -234,10 +242,16 @@ struct Shared {
     /// the basis of the `retry_after_ms` hint in `Busy` responses.
     tune_ewma_us: AtomicU64,
     worker_count: usize,
-    /// Long-lived execution pool for remote SpMV: exec workers run finished
-    /// kernels here, so a `Request::Spmv` never spawns a thread and never
-    /// queues behind the tuning workers' candidate batches.
+    /// Long-lived execution pool for remote SpMV, used by an SpMV that is
+    /// the daemon's only work: it never spawns a thread and never queues
+    /// behind the tuning workers' candidate batches.  An SpMV that has
+    /// company runs on its exec worker's own thread instead (see
+    /// [`exec_loop`]), because the pool runs one job at a time.
     exec_pool: alpha_parallel::Pool,
+    /// Remote SpMVs answered on [`Shared::exec_pool`] / on their exec
+    /// worker's own thread (`net_spmv_exec_total{path}`).
+    spmv_exec_pool: Counter,
+    spmv_exec_inline: Counter,
     waker: Waker,
     /// The service's telemetry registry.  The daemon layers its own wire-
     /// and loop-level families on top of the store/search/kernel metrics
@@ -499,6 +513,7 @@ impl NetServer {
             exec_queue: TaskQueue::bounded(1024),
             completions: Mutex::new(Vec::new()),
             exec_inflight: AtomicU64::new(0),
+            tunes_executing: AtomicU64::new(0),
             tenants: Mutex::new(BTreeMap::new()),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
@@ -511,6 +526,8 @@ impl NetServer {
             tune_queue_wait: registry.histogram("net_tune_queue_wait_us", &[]),
             tune_exec: registry.histogram("net_tune_exec_us", &[]),
             spmv_latency: registry.histogram("net_spmv_latency_us", &[]),
+            spmv_exec_pool: registry.counter("net_spmv_exec_total", &[("path", "pool")]),
+            spmv_exec_inline: registry.counter("net_spmv_exec_total", &[("path", "inline")]),
             tick_hist: registry.histogram("net_loop_tick_us", &[]),
             deferred_depth: registry.gauge("net_deferred_depth", &[]),
             http_scrapes: registry.counter("net_http_scrapes_total", &[]),
@@ -702,6 +719,7 @@ fn worker_loop(shared: &Shared) {
         // job, keeping the worker pool at full strength.
         let service = shared.service.clone();
         let work = std::panic::AssertUnwindSafe(move || service.tune_batch(&[*request]));
+        shared.tunes_executing.fetch_add(1, Ordering::Relaxed);
         let mut served = {
             let _span = alpha_telemetry::span!("net.tune_exec", job = job_id);
             match std::panic::catch_unwind(work) {
@@ -712,6 +730,7 @@ fn worker_loop(shared: &Shared) {
                 }
             }
         };
+        shared.tunes_executing.fetch_sub(1, Ordering::Relaxed);
         let exec_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         shared.tune_exec.observe(exec_us);
         shared.flightrec.record(
@@ -789,11 +808,32 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One exec worker: runs offloaded SpMVs on the shared execution pool and
-/// posts the encoded response frame back to the event loop.  As in the
-/// tuning lane, a panicking kernel costs its own request, not the worker.
+/// One exec worker: runs offloaded SpMVs and posts the encoded response
+/// frame back to the event loop.  As in the tuning lane, a panicking kernel
+/// costs its own request, not the worker.
+///
+/// Where an SpMV runs follows what the daemon is doing when the worker picks
+/// it up.  Alone — the only SpMV in flight and no tune executing — it fans
+/// out over [`Shared::exec_pool`].  Otherwise it runs on this thread through
+/// a private `Pool::new(1)`, which spawns nothing: the exec pool runs one job
+/// at a time, so a second request would wait out the first on its submit
+/// lock, and during a tune a fork-join waits for a worker that competes with
+/// the tuning threads for the cores.  Both paths split the work into the
+/// kernel's own `workers_for(0)` shares (a function of the kernel and the
+/// host, never of load) and run them in the same order, so `y` is bitwise
+/// the same either way.
 fn exec_loop(shared: &Shared) {
+    let inline = alpha_parallel::Pool::new(1);
     while let Some(task) = shared.exec_queue.pop() {
+        let alone = shared.exec_inflight.load(Ordering::Relaxed) == 1
+            && shared.tunes_executing.load(Ordering::Relaxed) == 0;
+        let pool = if alone {
+            shared.spmv_exec_pool.inc();
+            &shared.exec_pool
+        } else {
+            shared.spmv_exec_inline.inc();
+            &inline
+        };
         let tenant_label = task.tenant.to_string();
         let prev_trace = alpha_telemetry::set_current_trace_id(task.trace_id);
         shared.flightrec.record(
@@ -805,8 +845,7 @@ fn exec_loop(shared: &Shared) {
             "spmv",
         );
         let started = Instant::now();
-        let run =
-            std::panic::AssertUnwindSafe(|| task.tuned.run_with_pool(&task.x, &shared.exec_pool));
+        let run = std::panic::AssertUnwindSafe(|| task.tuned.run_with_pool(&task.x, pool));
         let outcome = {
             let _span = alpha_telemetry::span!("net.exec", job = task.job_id);
             std::panic::catch_unwind(run).unwrap_or_else(|payload| {

@@ -689,6 +689,98 @@ fn many_connections_are_served_by_one_event_loop() {
 }
 
 #[test]
+fn remote_spmv_is_bitwise_the_same_alone_and_beside_other_work() {
+    const CONNECTIONS: usize = 2;
+    const SPMVS: usize = 32;
+    let dir = temp_dir("exec_paths");
+    // A registry of its own, so the path counters count this daemon only.
+    let service = TuningService::new(
+        DesignStore::open_with_registry(&dir, alpha_telemetry::Registry::new())
+            .expect("store opens"),
+        SearchConfig {
+            max_iterations: 6,
+            mutations_per_seed: 2,
+            ..SearchConfig::default()
+        },
+    );
+    let server =
+        NetServer::spawn("127.0.0.1:0", service, ServerConfig::default()).expect("daemon binds");
+    let addr = server.local_addr();
+    // 65 536 non-zeros: enough that the kernel splits its work on a
+    // multi-core host, whichever design wins.
+    let matrix = gen::uniform_random(4_096, 4_096, 16, 61);
+    let x: Vec<f32> = (0..matrix.cols())
+        .map(|i| (i % 11) as f32 * 0.5 - 2.0)
+        .collect();
+    let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+
+    // Alone: the only SpMV in flight and no tune executing.
+    let mut client = Client::connect(addr).unwrap();
+    let job = client.submit_tune(&matrix, "A100").expect("admitted");
+    client.wait_job(job, POLL, DEADLINE).expect("tunes");
+    let solo = client.spmv(job, &x).expect("remote SpMV runs");
+    let expected = matrix.spmv(&x).expect("reference SpMV");
+    assert!(alpha_matrix::max_scaled_error(&solo, expected.as_slice()) <= 1e-5);
+    let solo = bits(&solo);
+
+    // Beside other work: two connections' SpMVs overlap each other while a
+    // third connection's cold tune of another matrix executes.  The readers
+    // start together, once a tuning worker has picked the tune up.
+    let cold = gen::powerlaw(1_024, 1_024, 8, 2.0, 62);
+    let start = std::sync::Barrier::new(CONNECTIONS + 1);
+    let answers: Vec<Vec<Vec<u32>>> = std::thread::scope(|scope| {
+        // Every thread reaches the barrier before it can panic, so one
+        // failure cannot hang the others.
+        let tuner = scope.spawn(|| {
+            let picked_up = Client::connect(addr).and_then(|mut client| {
+                let job = client.submit_tune(&cold, "A100")?;
+                while client.poll_job(job)? == JobState::Queued {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok((client, job))
+            });
+            start.wait();
+            let (mut client, job) = picked_up.expect("cold tune admitted");
+            client.wait_job(job, POLL, DEADLINE).expect("cold tune");
+        });
+        let readers: Vec<_> = (0..CONNECTIONS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let client = Client::connect(addr);
+                    start.wait();
+                    let mut client = client.expect("client connects");
+                    (0..SPMVS)
+                        .map(|_| bits(&client.spmv(job, &x).expect("remote SpMV runs")))
+                        .collect()
+                })
+            })
+            .collect();
+        tuner.join().expect("tuner thread");
+        readers
+            .into_iter()
+            .map(|h| h.join().expect("reader thread"))
+            .collect()
+    });
+    for (connection, ys) in answers.iter().enumerate() {
+        for (call, y) in ys.iter().enumerate() {
+            assert!(
+                *y == solo,
+                "connection {connection}, call {call}: y differs from the lone request's"
+            );
+        }
+    }
+
+    // Both paths answered: the lone request on the exec pool, and at least
+    // one of the overlapping ones on its exec worker's own thread.
+    let pool = scraped(&mut client, "net_spmv_exec_total{path=\"pool\"}");
+    let inline = scraped(&mut client, "net_spmv_exec_total{path=\"inline\"}");
+    assert!(pool >= 1, "the lone SpMV must fan out over the exec pool");
+    assert!(inline > 0, "no SpMV ran inline beside other work");
+    assert_eq!(pool + inline, (1 + CONNECTIONS * SPMVS) as u64);
+    stop(server, &dir);
+}
+
+#[test]
 fn raw_disconnect_mid_submission_does_not_leak_jobs() {
     let dir = temp_dir("disconnect");
     let server = quick_daemon(&dir, ServerConfig::default());
@@ -741,6 +833,8 @@ fn metrics_surface_covers_the_whole_pipeline() {
         "net_tune_exec_us_count",
         "net_tune_queue_wait_us_count",
         "net_spmv_latency_us_count",
+        "net_spmv_exec_total{path=\"pool\"}",
+        "net_spmv_exec_total{path=\"inline\"}",
         "net_loop_tick_us_count",
         "net_deferred_depth",
         "serve_tune_latency_us_count",

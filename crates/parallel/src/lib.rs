@@ -43,10 +43,15 @@ use alpha_telemetry::{Counter, Gauge, Histogram};
 
 /// Number of worker threads to use when the caller passes `0`: one per
 /// available CPU core.
+///
+/// Read once per process: `available_parallelism` re-reads the cgroup CPU
+/// quota from cgroupfs on every call (≈ 14 µs on a 2-vCPU host, more under
+/// load), and every `threads = 0` SpMV, kernel lowering and loop selection
+/// asks.  A quota change after the first call is therefore not seen — just
+/// as [`Pool::shared`] keeps the size it was built with.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 fn resolve_threads(threads: usize) -> usize {
@@ -1197,6 +1202,9 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+        // The cached count is the host's count.
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(default_threads(), host);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! one answered with the program its first-wave job still holds (or, had
 //! that job been collected, from its stored winner in the daemon's warm
 //! `DesignStore`), with zero fresh kernel evaluations and no search (checked
-//! against the daemon's `serve_tune_total` counters).  Ends with a clean
-//! client-initiated shutdown.
+//! against the daemon's `serve_tune_total` counters).  It then reports which
+//! executor answered each remote SpMV (`net_spmv_exec_total{path}`: the exec
+//! pool for a request that was the daemon's only work, the exec worker's own
+//! thread otherwise).  Ends with a clean client-initiated shutdown.
 //!
 //! ```text
 //! cargo run --release --example netd
@@ -186,14 +188,14 @@ fn main() {
     // first-wave job still holds, or of the stored winner.  A replayed
     // search is a searched context that lost its stored answer.
     let scrape = client.metrics().expect("metrics frame");
-    let answered = |path: &str| -> u64 {
-        let prefix = format!("serve_tune_total{{path=\"{path}\"}} ");
+    let counter = |series: &str| -> u64 {
         scrape
             .lines()
-            .find_map(|line| line.strip_prefix(prefix.as_str()))
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
             .and_then(|value| value.trim().parse().ok())
-            .unwrap_or_else(|| panic!("scrape has no serve_tune_total{{path=\"{path}\"}}"))
+            .unwrap_or_else(|| panic!("scrape has no {series}"))
     };
+    let answered = |path: &str| counter(&format!("serve_tune_total{{path=\"{path}\"}}"));
     let (resident, stored) = (answered("resident"), answered("stored"));
     assert!(
         resident + stored >= matrices.len() as u64,
@@ -207,6 +209,17 @@ fn main() {
         resident + stored,
         answered("searched")
     );
+    // Which executor answered each remote SpMV: the exec pool when it was
+    // the daemon's only work, its exec worker's own thread otherwise.  Each
+    // wave ran one SpMV per matrix.
+    let exec = |path: &str| counter(&format!("net_spmv_exec_total{{path=\"{path}\"}}"));
+    let (pooled, inline) = (exec("pool"), exec("inline"));
+    assert_eq!(
+        pooled + inline,
+        2 * matrices.len() as u64,
+        "every remote SpMV runs on exactly one path"
+    );
+    println!("remote SpMVs: {pooled} on the exec pool, {inline} inline beside other work");
 
     if let Some(metrics) = server.metrics_addr() {
         let body = http_get(metrics, "/metrics");
