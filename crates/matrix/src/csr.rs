@@ -11,7 +11,8 @@ use std::sync::OnceLock;
 /// contiguously and sorted by column.
 ///
 /// Immutable after construction (there is no `&mut` accessor), which is what
-/// lets [`CsrMatrix::fingerprint`] be computed once and remembered.
+/// lets [`CsrMatrix::fingerprint`] and [`CsrMatrix::digest`] be computed once
+/// and remembered.
 #[derive(Clone)]
 pub struct CsrMatrix {
     rows: usize,
@@ -22,6 +23,8 @@ pub struct CsrMatrix {
     /// Memo of [`CsrMatrix::fingerprint`]: a cache of the answer, never part
     /// of the matrix's identity (`==` ignores it, `clone` carries it).
     fingerprint: OnceLock<u64>,
+    /// Memo of [`CsrMatrix::digest`], on the same terms.
+    digest: OnceLock<[u8; 32]>,
 }
 
 impl std::fmt::Debug for CsrMatrix {
@@ -96,6 +99,7 @@ impl CsrMatrix {
             col_indices,
             values,
             fingerprint: OnceLock::new(),
+            digest: OnceLock::new(),
         })
     }
 
@@ -118,6 +122,7 @@ impl CsrMatrix {
             col_indices: normalised.col_indices().to_vec(),
             values: normalised.values().to_vec(),
             fingerprint: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -230,6 +235,7 @@ impl CsrMatrix {
             col_indices,
             values,
             fingerprint: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -261,6 +267,27 @@ impl CsrMatrix {
             &self.col_indices,
             &self.values,
         )
+    }
+
+    /// The BLAKE2b-256 digest of the full matrix content — dimensions, row
+    /// offsets, column indices and value bits.  Unlike the
+    /// [fingerprint](CsrMatrix::fingerprint), which only identifies content
+    /// where a collision costs time, the digest can stand in for the content
+    /// itself: finding two matrices with one digest is as hard as a
+    /// BLAKE2b-256 collision.  A client names a matrix to a daemon by it
+    /// instead of sending it.  The same on every host and in every build;
+    /// about 2 ms per megabyte on the first call, then memoised in the
+    /// matrix (and carried by its clones).
+    pub fn digest(&self) -> [u8; 32] {
+        *self.digest.get_or_init(|| {
+            crate::digest::csr_digest(
+                self.rows,
+                self.cols,
+                &self.row_offsets,
+                &self.col_indices,
+                &self.values,
+            )
+        })
     }
 }
 
@@ -417,6 +444,45 @@ mod tests {
         let other = hashed.select_rows(&[0, 1]);
         assert_ne!(other, hashed);
         assert_ne!(other.fingerprint(), fp);
+    }
+
+    #[test]
+    fn digest_is_pinned_by_a_golden_value() {
+        // BLAKE2b-256 of the encoding spelled out byte by byte, computed
+        // outside this crate: a client and a daemon built apart must agree.
+        let mut encoding = Vec::new();
+        for word in [4u64, 5, 5] {
+            encoding.extend_from_slice(&word.to_le_bytes()); // rows, cols, offsets
+        }
+        for offset in [0u32, 2, 3, 3, 6] {
+            encoding.extend_from_slice(&offset.to_le_bytes());
+        }
+        encoding.extend_from_slice(&6u64.to_le_bytes());
+        for column in [0u32, 4, 2, 0, 1, 4] {
+            encoding.extend_from_slice(&column.to_le_bytes());
+        }
+        encoding.extend_from_slice(&6u64.to_le_bytes());
+        for value in [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0] {
+            encoding.extend_from_slice(&value.to_bits().to_le_bytes());
+        }
+        assert_eq!(encoding.len(), 108);
+        let mut hash = crate::digest::Blake2b256::new();
+        hash.update(&encoding);
+        let spelled = hash.finish();
+
+        let golden: [u8; 32] = [
+            0xb7, 0xcc, 0x2c, 0xaa, 0x73, 0xc1, 0x3c, 0x44, 0x9b, 0x36, 0xb3, 0xeb, 0xb1, 0x0d,
+            0x02, 0x0c, 0x5d, 0xba, 0xfb, 0xf7, 0xba, 0x76, 0x04, 0xe9, 0x7b, 0xcd, 0xe3, 0x82,
+            0xa7, 0xb2, 0x6c, 0x7e,
+        ];
+        assert_eq!(spelled, golden);
+        let csr = CsrMatrix::from_coo(&sample_coo());
+        assert_eq!(csr.digest(), golden);
+        // Its own memo, carried by clones; equality ignores it.
+        assert_eq!(csr.digest.get(), Some(&golden));
+        assert!(csr.fingerprint.get().is_none());
+        assert_eq!(csr.clone().digest.get(), Some(&golden));
+        assert_eq!(csr, CsrMatrix::from_coo(&sample_coo()));
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! The workspace's one content hash: a 64-bit striped hash that runs at the
-//! speed its input arrives from memory.
+//! The workspace's fast content hash: a 64-bit striped hash that runs at the
+//! speed its input arrives from memory.  It spreads accidental differences,
+//! not chosen ones — a crafted pair of inputs collides cheaply — so where a
+//! hash must stand in for the content, the digest is BLAKE2b-256
+//! ([`CsrMatrix::digest`](crate::CsrMatrix::digest)).
 //!
 //! [`CsrMatrix::fingerprint`](crate::CsrMatrix::fingerprint) identifies a
 //! matrix with it — the root of every durable store key — and `alpha-cpu`

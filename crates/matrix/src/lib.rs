@@ -9,8 +9,9 @@
 //! * matrix statistics used throughout the paper's evaluation — average row
 //!   length, row-length variance, the regular/irregular classification
 //!   ([`stats`]),
-//! * the workspace's one content hash ([`hash`]), behind
-//!   [`CsrMatrix::fingerprint`],
+//! * the workspace's fast content hash ([`hash`]), behind
+//!   [`CsrMatrix::fingerprint`], and the BLAKE2b-256 behind
+//!   [`CsrMatrix::digest`], for where a digest stands in for the content,
 //! * synthetic matrix generators that stand in for the SuiteSparse Matrix
 //!   Collection ([`gen`]) and the named corpus used by the evaluation
 //!   ([`suite`]).
@@ -23,6 +24,7 @@ pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod dia;
+mod digest;
 pub mod ell;
 pub mod gen;
 pub mod hash;

@@ -210,10 +210,30 @@ impl Client {
 
     /// Submits `matrix` for tuning on the named device, returning the job
     /// id.  A full queue is [`NetError::Busy`] — nothing was enqueued.
+    ///
+    /// The matrix is first named by its BLAKE2b-256 [`CsrMatrix::digest`] (one
+    /// small frame, [`Request::SubmitTuneRef`]; the digest is computed on
+    /// the first submit of a matrix value and memoised in it, so a repeat
+    /// submit of the same value costs no hashing).  A
+    /// daemon still holding the program this tenant's upload of the same
+    /// content built answers with a job that is already `Done`; otherwise it
+    /// answers [`Response::NeedMatrix`] and the matrix is sent in full
+    /// ([`Request::SubmitTune`]).  Either way the caller gets a job id.
     pub fn submit_tune(&mut self, matrix: &CsrMatrix, device: &str) -> Result<u64, NetError> {
-        match self.exchange("client.submit", |trace_id| {
-            submit_frame(trace_id, matrix, device)
-        })? {
+        let by_reference = Request::SubmitTuneRef {
+            digest: matrix.digest(),
+            rows: matrix.rows() as u64,
+            cols: matrix.cols() as u64,
+            nnz: matrix.nnz() as u64,
+            device: device.to_string(),
+        };
+        let response = match self.roundtrip(&by_reference)? {
+            Response::NeedMatrix => self.exchange("client.submit", |trace_id| {
+                submit_frame(trace_id, matrix, device)
+            })?,
+            answered => answered,
+        };
+        match response {
             Response::Submitted { job_id } => Ok(job_id),
             Response::Busy {
                 queue_capacity,
@@ -296,9 +316,12 @@ impl Client {
     }
 
     /// Polls `job_id` every `poll_interval` until it is terminal, then
-    /// returns its summary.  A failed job is [`NetError::JobFailed`]; a job
-    /// the daemon no longer knows is an [`ErrorKind::UnknownJob`] server
-    /// error; exceeding `deadline` is [`NetError::Timeout`].
+    /// returns its summary.  The first poll goes out at once: a job answered
+    /// by reference (see [`Client::submit_tune`]) is already `Done`, so a
+    /// warm tune is two small round trips.  A failed job is
+    /// [`NetError::JobFailed`]; a job the daemon no longer knows is an
+    /// [`ErrorKind::UnknownJob`] server error; exceeding `deadline` is
+    /// [`NetError::Timeout`].
     pub fn wait_job(
         &mut self,
         job_id: u64,
@@ -413,6 +436,7 @@ fn client_span_name(request: &Request) -> &'static str {
     match request {
         Request::Hello { .. } => "client.hello",
         Request::SubmitTune { .. } => "client.submit",
+        Request::SubmitTuneRef { .. } => "client.submit_ref",
         Request::PollJob { .. } => "client.poll",
         Request::Spmv { .. } => "client.spmv",
         Request::StoreStats => "client.stats",

@@ -55,6 +55,7 @@
 
 #![warn(missing_docs)]
 
+mod by_digest;
 mod client;
 pub mod proto;
 pub mod reactor;

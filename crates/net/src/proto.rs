@@ -55,8 +55,11 @@ pub const NET_MAGIC: [u8; 4] = *b"ANET";
 /// is answered with [`Response::MetricsText`] carrying the Prometheus text
 /// exposition.  v5: distributed tracing — request payloads lead with an
 /// 8-byte `trace_id`, and [`Request::Trace`]/[`Response::TraceSpans`] fetch
-/// the daemon's buffered spans for cross-process stitching.)
-pub const PROTOCOL_VERSION: u32 = 5;
+/// the daemon's buffered spans for cross-process stitching.  v6: a tune may
+/// name its matrix by content digest ([`Request::SubmitTuneRef`], answered
+/// [`Response::NeedMatrix`] when the daemon holds no program for it), and
+/// [`JobSummary`] lost its always-`true` `specialized` flag.)
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Upper bound on one frame's payload length.  Large enough for a
 /// multi-million-nonzero matrix submission, small enough that a corrupt or
@@ -545,6 +548,25 @@ pub enum Request {
     /// stamp to align the two clock domains.  A daemon with tracing
     /// disabled answers with an empty span list.
     Trace,
+    /// Submit a tune of a matrix this connection's tenant uploaded before,
+    /// named by its [`CsrMatrix::digest`] instead of sent (v6+).  A daemon
+    /// that still holds the program an upload of that content built for the
+    /// same tenant and device answers [`Response::Submitted`] with a job
+    /// that is already `Done`; anything else — another tenant's upload, a
+    /// program no job holds any more, dimensions or `nnz` that disagree —
+    /// is [`Response::NeedMatrix`]: send [`Request::SubmitTune`] instead.
+    SubmitTuneRef {
+        /// [`CsrMatrix::digest`] of the matrix: its BLAKE2b-256.
+        digest: [u8; 32],
+        /// Its row count.
+        rows: u64,
+        /// Its column count.
+        cols: u64,
+        /// Its stored-entry count.
+        nnz: u64,
+        /// Device-profile name (see [`crate::device_by_name`]).
+        device: String,
+    },
 }
 
 /// A finished job's result, as carried on the wire.
@@ -561,7 +583,8 @@ pub struct JobSummary {
     /// similar matrices.
     pub warm_started: bool,
     /// Server-side wall-clock seconds a tuning worker spent on the job,
-    /// from hashing the submitted matrix to the finished answer.
+    /// from hashing the submitted matrix to the finished answer — or, for a
+    /// job answered by reference, the event loop's lookup.
     pub wall_secs: f64,
     /// Seconds the job sat in the daemon's admission queue before a tuning
     /// worker picked it up.  Reported separately from `wall_secs` so load
@@ -570,11 +593,6 @@ pub struct JobSummary {
     /// The monomorphized-library shape key of the resident native kernel
     /// that will serve [`Request::Spmv`] for this job.
     pub kernel_shape: String,
-    /// True when every partition of the resident kernel executes through a
-    /// specialized (branch-free) loop.  Always `true` from a current daemon
-    /// — the monomorphized library is its only executor; the field stays on
-    /// the wire for protocol v5 compatibility.
-    pub specialized: bool,
 }
 
 /// Where one job is in its lifecycle.
@@ -754,6 +772,9 @@ pub enum Response {
     /// Answer to [`Request::TenantStats`]: every tenant the daemon has
     /// seen, sorted by `client_id`.
     Tenants(Vec<TenantStats>),
+    /// Answer to [`Request::SubmitTuneRef`] when the daemon holds no program
+    /// for the named matrix: nothing was admitted, send the matrix itself.
+    NeedMatrix,
     /// Answer to [`Request::Metrics`]: the daemon's telemetry registry
     /// rendered in the Prometheus text exposition format.
     MetricsText {
@@ -831,7 +852,6 @@ fn write_summary(w: &mut ByteWriter, summary: &JobSummary) {
     w.f64(summary.wall_secs);
     w.f64(summary.queue_wait_secs);
     w.str(&summary.kernel_shape);
-    w.u8(summary.specialized as u8);
 }
 
 fn read_summary(r: &mut ByteReader<'_>) -> Result<JobSummary, ProtoError> {
@@ -851,15 +871,6 @@ fn read_summary(r: &mut ByteReader<'_>) -> Result<JobSummary, ProtoError> {
         wall_secs: r.f64()?,
         queue_wait_secs: r.f64()?,
         kernel_shape: r.str()?,
-        specialized: match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(ProtoError::Corrupt(format!(
-                    "specialized flag must be 0/1, found {other}"
-                )));
-            }
-        },
     })
 }
 
@@ -994,6 +1005,20 @@ fn write_request(w: &mut ByteWriter, request: &Request) {
         Request::TenantStats => w.u8(6),
         Request::Metrics => w.u8(7),
         Request::Trace => w.u8(8),
+        Request::SubmitTuneRef {
+            digest,
+            rows,
+            cols,
+            nnz,
+            device,
+        } => {
+            w.u8(9);
+            w.raw(digest);
+            for v in [rows, cols, nnz] {
+                w.u64(*v);
+            }
+            w.str(device);
+        }
     }
 }
 
@@ -1007,12 +1032,13 @@ fn spmv_len(x: &[Scalar]) -> usize {
     9 + array_len(x.len())
 }
 
-/// Encoded size of a request's message: exact for the two that carry
-/// arrays, an upper bound for the fixed-size rest.
+/// Encoded size of a request's message: exact for the ones that carry
+/// arrays or a device name, an upper bound for the fixed-size rest.
 fn request_len(request: &Request) -> usize {
     match request {
         Request::SubmitTune { matrix, device } => submit_len(matrix, device),
         Request::Spmv { x, .. } => spmv_len(x),
+        Request::SubmitTuneRef { device, .. } => 1 + 32 + 3 * 8 + 8 + device.len(),
         _ => 16,
     }
 }
@@ -1106,6 +1132,13 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         6 => Request::TenantStats,
         7 => Request::Metrics,
         8 => Request::Trace,
+        9 => Request::SubmitTuneRef {
+            digest: r.take(32)?.try_into().expect("32 bytes taken"),
+            rows: r.u64()?,
+            cols: r.u64()?,
+            nnz: r.u64()?,
+            device: r.str()?,
+        },
         other => {
             return Err(ProtoError::Corrupt(format!("unknown request tag {other}")));
         }
@@ -1214,6 +1247,7 @@ fn write_response(w: &mut ByteWriter, response: &Response) {
                 write_span(w, span);
             }
         }
+        Response::NeedMatrix => w.u8(11),
     }
 }
 
@@ -1279,6 +1313,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
                 spans,
             }
         }
+        11 => Response::NeedMatrix,
         other => {
             return Err(ProtoError::Corrupt(format!("unknown response tag {other}")));
         }
@@ -1320,6 +1355,13 @@ mod tests {
             Request::TenantStats,
             Request::Metrics,
             Request::Trace,
+            Request::SubmitTuneRef {
+                digest: sample_matrix().digest(),
+                rows: 32,
+                cols: 24,
+                nnz: sample_matrix().nnz() as u64,
+                device: "A100".to_string(),
+            },
         ]
     }
 
@@ -1348,7 +1390,6 @@ mod tests {
                     wall_secs: 0.25,
                     queue_wait_secs: 0.0625,
                     kernel_shape: "rows[off:table,org:id,col:table]:avx2-nnz-x8+pf".to_string(),
-                    specialized: true,
                 }),
             },
             Response::Status {
@@ -1407,6 +1448,7 @@ mod tests {
                 },
             ]),
             Response::Tenants(Vec::new()),
+            Response::NeedMatrix,
             Response::MetricsText {
                 text: "# TYPE net_requests_total counter\nnet_requests_total{tenant=\"0\"} 7\n"
                     .to_string(),
@@ -1531,22 +1573,26 @@ mod tests {
 
     #[test]
     fn payload_truncation_and_trailing_garbage_are_rejected() {
-        let payload = encode_request(&Request::Spmv {
+        let by_reference = sample_requests().pop().expect("ends with SubmitTuneRef");
+        assert!(matches!(by_reference, Request::SubmitTuneRef { .. }));
+        let spmv = Request::Spmv {
             job_id: 3,
             x: vec![1.0, 2.0, 3.0],
-        });
-        for len in 0..payload.len() {
-            match decode_request(&payload[..len]) {
-                Err(ProtoError::Truncated) | Err(ProtoError::Corrupt(_)) => {}
-                other => panic!("cut at {len}: expected an error, got {other:?}"),
+        };
+        for payload in [encode_request(&spmv), encode_request(&by_reference)] {
+            for len in 0..payload.len() {
+                match decode_request(&payload[..len]) {
+                    Err(ProtoError::Truncated) | Err(ProtoError::Corrupt(_)) => {}
+                    other => panic!("cut at {len}: expected an error, got {other:?}"),
+                }
             }
+            let mut padded = payload.clone();
+            padded.push(0);
+            assert!(matches!(
+                decode_request(&padded),
+                Err(ProtoError::Corrupt(_))
+            ));
         }
-        let mut padded = payload.clone();
-        padded.push(0);
-        assert!(matches!(
-            decode_request(&padded),
-            Err(ProtoError::Corrupt(_))
-        ));
     }
 
     #[test]
@@ -1630,11 +1676,11 @@ mod tests {
 
     #[test]
     fn v4_frames_get_a_typed_version_mismatch() {
-        // One wire version: the retired v4 stamp (and anything older or
-        // newer) is rejected by both readers before a payload byte is
+        // One wire version: the retired v4 and v5 stamps (and anything older
+        // or newer) are rejected by both readers before a payload byte is
         // trusted — never decoded under the wrong layout.
         let payload = encode_request(&Request::StoreStats);
-        for foreign in [0, 3, 4, PROTOCOL_VERSION + 1] {
+        for foreign in [0, 3, 4, 5, PROTOCOL_VERSION + 1] {
             let wire = frame_stamped(foreign, &payload);
             match read_frame(&mut &wire[..]) {
                 Err(ProtoError::VersionMismatch { found, expected }) => {
@@ -1651,11 +1697,11 @@ mod tests {
             assert!(out.is_empty());
         }
         let message = ProtoError::VersionMismatch {
-            found: 4,
+            found: 5,
             expected: PROTOCOL_VERSION,
         }
         .to_string();
-        assert!(message.contains("version 4") && message.contains("speaks 5"));
+        assert!(message.contains("version 5") && message.contains("speaks 6"));
     }
 
     #[test]
@@ -1668,10 +1714,14 @@ mod tests {
             // The envelope is the trace id followed by the bare message.
             assert_eq!(&traced[..8], &0x1122_3344_5566_7788u64.to_le_bytes());
             assert_eq!(&traced[8..], &encode_request(&request)[..]);
-            // The bare v4 layout is never guessed at.
+            // Neither the bare v4 layout nor a v5 stamp is guessed at.
             assert!(matches!(
                 decode_request_versioned(4, &encode_request(&request)),
                 Err(ProtoError::VersionMismatch { found: 4, .. })
+            ));
+            assert!(matches!(
+                decode_request_versioned(5, &traced),
+                Err(ProtoError::VersionMismatch { found: 5, .. })
             ));
         }
         // A payload too short for its trace id is truncation, not a panic.
@@ -1691,9 +1741,9 @@ mod tests {
     #[test]
     fn golden_frames_match_the_element_wise_encoding() {
         // Frames dumped from the pre-bulk, element-at-a-time encoder (header
-        // and payload written separately): the one-buffer builders and the
-        // slice codec must put the same bytes on the wire, or this is a
-        // protocol bump.
+        // and payload written separately; the version stamp moved to 6 with
+        // the v6 bump): the one-buffer builders and the slice codec must put
+        // the same bytes on the wire, or this is a protocol bump.
         let matrix = CsrMatrix::from_raw(
             2,
             3,
@@ -1703,7 +1753,7 @@ mod tests {
         )
         .unwrap();
         let submit = unhex(
-            "414e455405000000610000000000000008070605040302010002000000000000000300000000000000\
+            "414e455406000000610000000000000008070605040302010002000000000000000300000000000000\
              0300000000000000000000000200000003000000030000000000000000000000020000000100000003\
              000000000000000000803f000020c03412c07f040000000000000041313030",
         );
@@ -1734,7 +1784,7 @@ mod tests {
 
         let x = [1.0, -0.0, f32::MIN_POSITIVE / 2.0];
         let spmv = unhex(
-            "414e45540500000025000000000000001100ffeeddccbbaa020700000000000000030000000000\
+            "414e45540600000025000000000000001100ffeeddccbbaa020700000000000000030000000000\
              00000000803f0000008000004000",
         );
         assert_eq!(spmv_frame(0xAABB_CCDD_EEFF_0011, 7, &x).unwrap(), spmv);
@@ -1750,7 +1800,7 @@ mod tests {
             spmv
         );
 
-        let result = unhex("414e45540500000011000000000000000302000000000000000000003f000080ff");
+        let result = unhex("414e45540600000011000000000000000302000000000000000000003f000080ff");
         assert_eq!(
             response_frame(&Response::SpmvResult {
                 y: vec![0.5, f32::NEG_INFINITY]
@@ -1758,13 +1808,43 @@ mod tests {
             .unwrap(),
             result
         );
+
+        // The by-reference submit: the digest's 32 bytes as they are, then
+        // rows, cols, nnz and the device.
+        let by_reference = unhex(
+            "414e4554060000004d00000000000000080706050403020109000102030405060708090a0b0c0d0e\
+             0f101112131415161718191a1b1c1d1e1f02000000000000000300000000000000030000000000\
+             0000040000000000000041313030",
+        );
+        let request = Request::SubmitTuneRef {
+            digest: std::array::from_fn(|i| i as u8),
+            rows: 2,
+            cols: 3,
+            nnz: 3,
+            device: "A100".to_string(),
+        };
+        assert_eq!(
+            request_frame(0x0102_0304_0506_0708, &request).unwrap(),
+            by_reference
+        );
+        assert_eq!(
+            response_frame(&Response::NeedMatrix).unwrap(),
+            unhex("414e45540600000001000000000000000b")
+        );
     }
 
     #[test]
     fn size_hints_are_exact_for_array_messages() {
         // The builders allocate once: the hint of an array-carrying message
-        // is its encoded length to the byte.
+        // (or the by-reference submit) is its encoded length to the byte.
         let requests = [
+            Request::SubmitTuneRef {
+                digest: [0xFF; 32],
+                rows: 1,
+                cols: 2,
+                nnz: 3,
+                device: "TestGPU".to_string(),
+            },
             Request::SubmitTune {
                 matrix: sample_matrix(),
                 device: "RTX2080".to_string(),

@@ -9,9 +9,11 @@
 //!            SubmitTune      │try_push      │Busy(retry)   │completions + waker
 //!                            ▼              │              │
 //!            sharded job queue (hashed by tenant) ── tune workers
-//!                            │                              ▲
-//!            Spmv ──▶ exec queue ───── exec workers ────────┘
-//!                            │
+//!                            │                         │    ▲
+//!            Spmv ──▶ exec queue ───── exec workers ───┼────┘
+//!                            │                    files│
+//!            SubmitTuneRef ──┼──▶ by-digest table ◀────┘
+//!                            │        │hit: a Done job, no queue
 //!            PollJob ◀── sharded job table (global-FIFO terminal GC)
 //! ```
 //!
@@ -38,6 +40,13 @@
 //!   `retry_after_ms` estimate derived from the measured tuning EWMA and
 //!   current queue depth.
 //!
+//! A tune that names its matrix by digest ([`Request::SubmitTuneRef`]) is
+//! answered on the loop itself when the tenant's upload of that content
+//! left a program some job still holds: one map lookup answers with a job
+//! that is already `Done` — no queue, no worker, no hash, no compare (the
+//! digest is BLAKE2b-256; see the `by_digest` module).  Anything else is
+//! answered [`Response::NeedMatrix`] and the client uploads.
+//!
 //! Long-running work never blocks the loop: tuning runs on worker threads
 //! that drain the sharded queue, and remote SpMV is offloaded to exec
 //! workers that post completed response frames back through a completion
@@ -47,6 +56,7 @@
 //! an SpMV in flight its subsequent requests are deferred (per-connection
 //! FIFO responses), not reordered.
 
+use crate::by_digest::DigestTable;
 use crate::proto::{
     decode_request_versioned, response_frame, ErrorKind, FrameAssembler, JobState, JobSummary,
     Request, Response, ServerStats, TenantStats, MAX_FRAME_SECS, PROTOCOL_VERSION,
@@ -55,7 +65,7 @@ use crate::reactor::{Event, Interest, Reactor, Waker};
 use crate::{NetError, ProtoError};
 use alpha_gpu::DeviceProfile;
 use alpha_matrix::Scalar;
-use alpha_parallel::{PushError, ShardedTaskQueue, TaskQueue};
+use alpha_parallel::{PushError, ShardedTaskQueue};
 use alpha_serve::{TuneRequest, TuningService};
 use alpha_telemetry::{Counter, FlightKind, FlightRecorder, Gauge, Histogram, Registry};
 use alphasparse::TunedSpmv;
@@ -220,8 +230,16 @@ struct Shared {
     /// Admission queue, sharded by tenant hash: workers drain shards
     /// round-robin, so queued tenants share worker attention.
     queue: ShardedTaskQueue<u64>,
-    /// SpMV offload lane: the event loop pushes, exec workers pop.
-    exec_queue: TaskQueue<ExecTask>,
+    /// SpMV offload lane: the event loop pushes, exec workers pop.  One
+    /// shard: a global FIFO.
+    exec_queue: ShardedTaskQueue<ExecTask>,
+    /// Programs tenants' uploads built, by content digest: what answers a
+    /// [`Request::SubmitTuneRef`].
+    by_digest: DigestTable,
+    /// Tunes by reference answered with a resident program / with
+    /// [`Response::NeedMatrix`] (`net_tune_by_reference_total{outcome}`).
+    by_reference_hit: Counter,
+    by_reference_need_matrix: Counter,
     /// Finished SpMV response frames waiting for the loop to collect
     /// (token, encoded frame); posting wakes the reactor.
     completions: Mutex<Vec<(usize, Vec<u8>)>>,
@@ -510,7 +528,8 @@ impl NetServer {
             next_job_id: AtomicU64::new(0),
             terminal_order: Mutex::new(VecDeque::new()),
             queue: ShardedTaskQueue::bounded(config.queue_capacity, shards),
-            exec_queue: TaskQueue::bounded(1024),
+            exec_queue: ShardedTaskQueue::bounded(1024, 1),
+            by_digest: DigestTable::default(),
             completions: Mutex::new(Vec::new()),
             exec_inflight: AtomicU64::new(0),
             tunes_executing: AtomicU64::new(0),
@@ -528,6 +547,10 @@ impl NetServer {
             spmv_latency: registry.histogram("net_spmv_latency_us", &[]),
             spmv_exec_pool: registry.counter("net_spmv_exec_total", &[("path", "pool")]),
             spmv_exec_inline: registry.counter("net_spmv_exec_total", &[("path", "inline")]),
+            by_reference_hit: registry
+                .counter("net_tune_by_reference_total", &[("outcome", "hit")]),
+            by_reference_need_matrix: registry
+                .counter("net_tune_by_reference_total", &[("outcome", "need_matrix")]),
             tick_hist: registry.histogram("net_loop_tick_us", &[]),
             deferred_depth: registry.gauge("net_deferred_depth", &[]),
             http_scrapes: registry.counter("net_http_scrapes_total", &[]),
@@ -717,8 +740,9 @@ fn worker_loop(shared: &Shared) {
         // A hostile or degenerate matrix must cost its own job, never the
         // worker: a panicking search is caught and reported as a failed
         // job, keeping the worker pool at full strength.
-        let service = shared.service.clone();
-        let work = std::panic::AssertUnwindSafe(move || service.tune_batch(&[*request]));
+        let work = std::panic::AssertUnwindSafe(|| {
+            shared.service.tune_batch(std::slice::from_ref(&*request))
+        });
         shared.tunes_executing.fetch_add(1, Ordering::Relaxed);
         let mut served = {
             let _span = alpha_telemetry::span!("net.tune_exec", job = job_id);
@@ -751,8 +775,8 @@ fn worker_loop(shared: &Shared) {
         };
         shared.tune_ewma_us.store(next.max(1), Ordering::Relaxed);
         let outcome = match served.pop().expect("one request yields one result") {
-            Ok(tune) => Job::Done {
-                summary: JobSummary {
+            Ok(tune) => {
+                let summary = JobSummary {
                     gflops: tune.tuned.gflops(),
                     operator_graph: tune.tuned.operator_graph(),
                     fresh_evaluations: tune.fresh_evaluations as u64,
@@ -762,12 +786,25 @@ fn worker_loop(shared: &Shared) {
                     // Lowers the native kernel eagerly: Spmv requests for
                     // this job then hit a pre-resolved specialized loop.
                     kernel_shape: tune.tuned.kernel_shape(),
-                    specialized: tune.tuned.is_specialized(),
-                },
+                };
+                // Filed before the job turns `Done`, so a client that saw
+                // it finish finds the program by digest.  The worker hashes
+                // the uploaded bytes itself: the cold path pays for the
+                // digest, a hit never does.
+                shared.by_digest.file(
+                    tenant,
+                    &request.matrix,
+                    request.device.name,
+                    &tune.tuned,
+                    &summary,
+                );
                 // The service's own handle: while this job is in the table,
                 // repeat tunes of its context get this program back.
-                tuned: tune.tuned,
-            },
+                Job::Done {
+                    tuned: tune.tuned,
+                    summary,
+                }
+            }
             Err(error) => {
                 shared.flightrec.record(
                     FlightKind::Error,
@@ -1501,6 +1538,27 @@ impl EventLoop {
                 };
                 self.push_response(token, &response);
             }
+            Request::SubmitTuneRef {
+                digest,
+                rows,
+                cols,
+                nnz,
+                device,
+            } => {
+                let tenant = self.conns.get(&token).map(|c| c.tenant).unwrap_or(0);
+                let response = {
+                    let _span = alpha_telemetry::span!("net.admission", tenant = tenant);
+                    submit_tune_ref(
+                        &shared,
+                        tenant,
+                        trace_id,
+                        digest,
+                        [rows, cols, nnz],
+                        &device,
+                    )
+                };
+                self.push_response(token, &response);
+            }
             Request::PollJob { job_id } => {
                 let table = shared.job_shard(job_id).lock().expect("job table poisoned");
                 let state = match table.get(&job_id) {
@@ -1544,15 +1602,18 @@ impl EventLoop {
                         // connection defers its later requests until the
                         // response frame comes back through `completions`.
                         shared.exec_inflight.fetch_add(1, Ordering::Relaxed);
-                        match shared.exec_queue.try_push(ExecTask {
-                            token,
-                            tuned,
-                            x,
-                            received: Instant::now(),
-                            trace_id,
-                            tenant,
-                            job_id,
-                        }) {
+                        match shared.exec_queue.try_push(
+                            0,
+                            ExecTask {
+                                token,
+                                tuned,
+                                x,
+                                received: Instant::now(),
+                                trace_id,
+                                tenant,
+                                job_id,
+                            },
+                        ) {
                             Ok(()) => {
                                 shared.flightrec.record(
                                     FlightKind::Admitted,
@@ -1815,6 +1876,21 @@ fn http_response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
+/// The profile a tune submission's device names, or the typed error a
+/// daemon that is shutting down, or does not know the device, answers.
+fn submission_device(shared: &Shared, device: &str) -> Result<DeviceProfile, Response> {
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err(Response::Error {
+            kind: ErrorKind::ShuttingDown,
+            message: "daemon is shutting down; no new work accepted".to_string(),
+        });
+    }
+    device_by_name(device).ok_or_else(|| Response::Error {
+        kind: ErrorKind::UnknownDevice,
+        message: format!("unknown device {device:?} (try A100, RTX2080 or TestGPU)"),
+    })
+}
+
 /// Admission + job-table insert for one tune submission, shared by the
 /// event loop's dispatch.
 fn submit_tune(
@@ -1824,17 +1900,9 @@ fn submit_tune(
     matrix: alpha_matrix::CsrMatrix,
     device: String,
 ) -> Response {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Response::Error {
-            kind: ErrorKind::ShuttingDown,
-            message: "daemon is shutting down; no new work accepted".to_string(),
-        };
-    }
-    let Some(profile) = device_by_name(&device) else {
-        return Response::Error {
-            kind: ErrorKind::UnknownDevice,
-            message: format!("unknown device {device:?} (try A100, RTX2080 or TestGPU)"),
-        };
+    let profile = match submission_device(shared, &device) {
+        Ok(profile) => profile,
+        Err(refused) => return refused,
     };
     if let Err(busy) = shared.try_admit(tenant) {
         let retry_after_ms = match &busy {
@@ -1915,6 +1983,84 @@ fn submit_tune(
             }
         }
     }
+}
+
+/// Answers a tune that names its matrix by digest, on the event loop: a
+/// map lookup, then either [`Response::NeedMatrix`] or a job that is
+/// already `Done` with the program the tenant's upload built.  That job is
+/// the one an earlier hit on the same upload filed, while the job table
+/// still has it, else a new one: a burst of hits takes one terminal slot.
+/// Nothing is queued, so admission credit is not consulted.
+fn submit_tune_ref(
+    shared: &Shared,
+    tenant: u64,
+    trace_id: u64,
+    digest: [u8; 32],
+    shape: [u64; 3],
+    device: &str,
+) -> Response {
+    let started = Instant::now();
+    let profile = match submission_device(shared, device) {
+        Ok(profile) => profile,
+        Err(refused) => return refused,
+    };
+    let Some(hit) = shared.by_digest.lookup(tenant, digest, profile.name, shape) else {
+        shared.by_reference_need_matrix.inc();
+        return Response::NeedMatrix;
+    };
+    shared.by_reference_hit.inc();
+    let live = hit.job.filter(|job_id| {
+        shared
+            .job_shard(*job_id)
+            .lock()
+            .expect("job table poisoned")
+            .contains_key(job_id)
+    });
+    let job_id = match live {
+        Some(job_id) => job_id,
+        None => {
+            let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
+            shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            if let Some(t) = shared
+                .tenants
+                .lock()
+                .expect("tenant table poisoned")
+                .get_mut(&tenant)
+            {
+                t.submitted += 1;
+            }
+            let summary = JobSummary {
+                fresh_evaluations: 0,
+                wall_secs: started.elapsed().as_secs_f64(),
+                queue_wait_secs: 0.0,
+                ..hit.summary
+            };
+            let tuned = hit.program;
+            shared.finish_job(job_id, tenant, Job::Done { tuned, summary });
+            shared
+                .by_digest
+                .answered_by(tenant, digest, profile.name, job_id);
+            job_id
+        }
+    };
+    let tenant_label = tenant.to_string();
+    shared.flightrec.record(
+        FlightKind::Admitted,
+        &tenant_label,
+        trace_id,
+        job_id,
+        0,
+        "tune_ref",
+    );
+    shared.flightrec.record(
+        FlightKind::Reply,
+        &tenant_label,
+        trace_id,
+        job_id,
+        started.elapsed().as_micros() as u64,
+        "tune_ref",
+    );
+    Response::Submitted { job_id }
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 
 use alpha_matrix::gen;
 use alpha_net::proto::{
-    decode_response, encode_request_traced, read_frame, write_frame, Request, Response,
-    MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
+    decode_response, encode_request_traced, read_frame, request_frame, write_frame, Request,
+    Response, MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
 use alpha_net::{Client, ErrorKind, JobState, NetError, NetServer, ProtoError, ServerConfig};
 use alpha_serve::{DesignStore, TuningService};
@@ -34,6 +34,52 @@ fn quick_daemon(dir: &PathBuf, config: ServerConfig) -> NetServer {
         },
     );
     NetServer::spawn("127.0.0.1:0", service, config).expect("daemon binds")
+}
+
+/// [`quick_daemon`] with a metrics registry of its own, so counters scraped
+/// from it count this daemon only (tests in this binary share the
+/// process-wide default).
+fn isolated_daemon(dir: &PathBuf, config: ServerConfig) -> NetServer {
+    let service = TuningService::new(
+        DesignStore::open_with_registry(dir, alpha_telemetry::Registry::new())
+            .expect("store opens"),
+        SearchConfig {
+            max_iterations: 6,
+            mutations_per_seed: 2,
+            ..SearchConfig::default()
+        },
+    );
+    NetServer::spawn("127.0.0.1:0", service, config).expect("daemon binds")
+}
+
+/// One request on a raw connection, answered by one decoded response.
+fn exchange(stream: &mut TcpStream, request: &Request) -> Response {
+    stream
+        .write_all(&request_frame(0, request).expect("frame fits"))
+        .expect("request writes");
+    decode_response(&read_frame(stream).expect("a response frame")).expect("decodes")
+}
+
+/// The by-reference request naming `matrix`.
+fn by_reference(matrix: &alpha_matrix::CsrMatrix, device: &str) -> Request {
+    Request::SubmitTuneRef {
+        digest: matrix.digest(),
+        rows: matrix.rows() as u64,
+        cols: matrix.cols() as u64,
+        nnz: matrix.nnz() as u64,
+        device: device.to_string(),
+    }
+}
+
+/// `net_tune_by_reference_total{outcome}` as (hit, need_matrix).
+fn by_reference_outcomes(client: &mut Client) -> (u64, u64) {
+    let outcome = |client: &mut Client, outcome: &str| {
+        scraped(
+            client,
+            &format!("net_tune_by_reference_total{{outcome=\"{outcome}\"}}"),
+        )
+    };
+    (outcome(client, "hit"), outcome(client, "need_matrix"))
 }
 
 /// The value of one series — its name with its label set, as the exposition
@@ -71,11 +117,6 @@ fn tune_poll_spmv_round_trip() {
     assert!(
         !summary.kernel_shape.is_empty() && summary.kernel_shape != "none",
         "summary must name the resident kernel's library shape, got {:?}",
-        summary.kernel_shape
-    );
-    assert!(
-        summary.specialized,
-        "a winner serves through the monomorphized library (shape {:?})",
         summary.kernel_shape
     );
 
@@ -372,19 +413,7 @@ fn failed_jobs_report_their_error_and_do_not_serve_spmv() {
 #[test]
 fn warm_store_serves_a_second_connection_for_free() {
     let dir = temp_dir("warm");
-    // A registry of its own, so the path counters below count this daemon
-    // only (tests in this binary share the process-wide default).
-    let service = TuningService::new(
-        DesignStore::open_with_registry(&dir, alpha_telemetry::Registry::new())
-            .expect("store opens"),
-        SearchConfig {
-            max_iterations: 6,
-            mutations_per_seed: 2,
-            ..SearchConfig::default()
-        },
-    );
-    let server =
-        NetServer::spawn("127.0.0.1:0", service, ServerConfig::default()).expect("daemon binds");
+    let server = isolated_daemon(&dir, ServerConfig::default());
     // A sibling tuned first, so `matrix`'s own search is warm-started and
     // the flag has something to be preserved against.
     let sibling = gen::powerlaw(192, 192, 5, 2.0, 76);
@@ -400,9 +429,10 @@ fn warm_store_serves_a_second_connection_for_free() {
     assert!(first.fresh_evaluations > 0);
     assert!(first.warm_started, "the sibling's winner seeds the search");
 
-    // A brand-new connection re-submitting the same matrix is answered with
-    // the program the first job still holds: zero fresh evaluations, the
-    // identical design, and a new job whose kernel computes y = A·x.
+    // A brand-new connection (the same anonymous tenant) re-submitting the
+    // same matrix names it by digest and is answered with the program the
+    // first job still holds: zero fresh evaluations, the identical design,
+    // and a new job whose kernel computes y = A·x.
     let mut client = Client::connect(server.local_addr()).unwrap();
     // Tunes whose inner loops were measured on this host so far (the two
     // searches, unless a winner designed its own lanes).
@@ -417,7 +447,6 @@ fn warm_store_serves_a_second_connection_for_free() {
     assert_eq!(second.operator_graph, first.operator_graph);
     assert_eq!(second.gflops, first.gflops);
     assert_eq!(second.kernel_shape, first.kernel_shape);
-    assert_eq!(second.specialized, first.specialized);
     assert_eq!(
         scraped(&mut client, "serve_loop_select_total"),
         selections_before,
@@ -428,12 +457,14 @@ fn warm_store_serves_a_second_connection_for_free() {
     let expected = matrix.spmv(&x).expect("reference SpMV");
     assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
 
-    // The scrape says which path answered: two searches, one program
-    // handed back, and never a replayed search.
+    // The scrape says which path answered: two uploads that searched, and
+    // one program handed back by reference, before the tuning service.
     let metrics = client.metrics().expect("metrics frame");
     for line in [
+        "net_tune_by_reference_total{outcome=\"hit\"} 1",
+        "net_tune_by_reference_total{outcome=\"need_matrix\"} 2",
         "serve_tune_total{path=\"searched\"} 2",
-        "serve_tune_total{path=\"resident\"} 1",
+        "serve_tune_total{path=\"resident\"} 0",
         "serve_tune_total{path=\"stored\"} 0",
         "serve_tune_total{path=\"replayed\"} 0",
     ] {
@@ -446,22 +477,15 @@ fn warm_store_serves_a_second_connection_for_free() {
 #[test]
 fn repeat_tunes_share_one_program_for_as_long_as_a_job_holds_it() {
     let dir = temp_dir("resident");
-    let service = TuningService::new(
-        DesignStore::open_with_registry(&dir, alpha_telemetry::Registry::new())
-            .expect("store opens"),
-        SearchConfig {
-            max_iterations: 6,
-            mutations_per_seed: 2,
-            ..SearchConfig::default()
+    // One terminal job is kept: the first repeat's job drops the upload's,
+    // and a job of another matrix drops the last holder of the program.
+    let server = isolated_daemon(
+        &dir,
+        ServerConfig {
+            max_terminal_jobs: 1,
+            ..ServerConfig::default()
         },
     );
-    // One terminal job is kept: each finished job drops its predecessor, and
-    // a job of another matrix drops the last holder of this one's program.
-    let config = ServerConfig {
-        max_terminal_jobs: 1,
-        ..ServerConfig::default()
-    };
-    let server = NetServer::spawn("127.0.0.1:0", service, config).expect("daemon binds");
     let matrix = gen::powerlaw(192, 160, 5, 2.0, 91);
     let x: Vec<f32> = (0..160).map(|i| (i % 13) as f32 * 0.25 - 1.0).collect();
     let expected = matrix.spmv(&x).expect("reference SpMV");
@@ -476,9 +500,11 @@ fn repeat_tunes_share_one_program_for_as_long_as_a_job_holds_it() {
     let job = connections[0].submit_tune(&matrix, "A100").unwrap();
     let first = connections[0].wait_job(job, POLL, DEADLINE).unwrap();
     assert!(first.fresh_evaluations > 0);
+    let mut repeat_jobs = std::collections::BTreeSet::new();
     for i in 0..15 {
         let client = &mut connections[i % 2];
         let job = client.submit_tune(&matrix, "A100").unwrap();
+        repeat_jobs.insert(job);
         let repeat = client.wait_job(job, POLL, DEADLINE).unwrap();
         assert_eq!(repeat.fresh_evaluations, 0, "repeat {i}");
         assert_eq!(repeat.kernel_shape, first.kernel_shape, "repeat {i}");
@@ -486,14 +512,23 @@ fn repeat_tunes_share_one_program_for_as_long_as_a_job_holds_it() {
         let y = client.spmv(job, &x).expect("the newest job serves SpMV");
         assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
     }
+    // Every repeat was a by-reference hit on the daemon's event loop; none
+    // reached the tuning service.  The first hit filed a job, and every
+    // later one — on either connection — was answered with that same job,
+    // so the burst cost one terminal slot.
     let [client, _] = &mut connections;
-    assert_eq!(path_count(client, "resident"), 15);
+    assert_eq!(by_reference_outcomes(client), (15, 1));
+    assert_eq!(path_count(client, "resident"), 0);
     assert_eq!(path_count(client, "stored"), 0);
-    assert_eq!(client.store_stats().unwrap().jobs_gced, 15);
+    assert_eq!(repeat_jobs.len(), 1, "{repeat_jobs:?}");
+    assert!(!repeat_jobs.contains(&job));
+    assert_eq!(client.store_stats().unwrap().jobs_gced, 1);
 
     // Another matrix's job pushes the last of them out of the table: nobody
-    // holds the program any more, and the context is answered from its
-    // stored winner — with a program that is as right as the shared one was.
+    // holds the program any more, so the digest is answered `NeedMatrix`,
+    // the client uploads without being asked to, and the context is
+    // answered from its stored winner — with a program that is as right as
+    // the shared one was.
     let other = gen::powerlaw(192, 160, 5, 2.0, 92);
     let job = client.submit_tune(&other, "A100").unwrap();
     client.wait_job(job, POLL, DEADLINE).unwrap();
@@ -502,8 +537,9 @@ fn repeat_tunes_share_one_program_for_as_long_as_a_job_holds_it() {
     assert_eq!(rebuilt.fresh_evaluations, 0);
     assert_eq!(rebuilt.kernel_shape, first.kernel_shape);
     assert_eq!(rebuilt.operator_graph, first.operator_graph);
+    assert_eq!(by_reference_outcomes(client), (15, 3));
     assert_eq!(path_count(client, "stored"), 1);
-    assert_eq!(path_count(client, "resident"), 15);
+    assert_eq!(path_count(client, "resident"), 0);
     assert_eq!(path_count(client, "searched"), 2);
     let y = client.spmv(job, &x).expect("the rebuilt job serves SpMV");
     assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
@@ -672,7 +708,9 @@ fn many_connections_are_served_by_one_event_loop() {
     );
     let stats = server.stats();
     assert_eq!(stats.jobs_failed, 0);
-    assert_eq!(stats.jobs_completed, (matrices.len() + CLIENTS) as u64);
+    // The uploads, then one job per matrix: its first hit by reference
+    // filed it, and every later hit was answered with it.
+    assert_eq!(stats.jobs_completed, 2 * matrices.len() as u64);
 
     // The reaper runs on the loop's tick: give the dropped connections a
     // bounded settle window.
@@ -816,12 +854,7 @@ fn metrics_surface_covers_the_whole_pipeline() {
 
     let matrix = gen::powerlaw(128, 128, 4, 2.0, 21);
     let job = client.submit_tune(&matrix, "A100").expect("admitted");
-    let summary = client.wait_job(job, POLL, DEADLINE).expect("tunes");
-    assert!(
-        summary.specialized,
-        "the resident kernel runs monomorphized loops (shape {:?})",
-        summary.kernel_shape
-    );
+    client.wait_job(job, POLL, DEADLINE).expect("tunes");
     let x = vec![1.0f32; 128];
     client.spmv(job, &x).expect("remote SpMV runs");
 
@@ -835,6 +868,8 @@ fn metrics_surface_covers_the_whole_pipeline() {
         "net_spmv_latency_us_count",
         "net_spmv_exec_total{path=\"pool\"}",
         "net_spmv_exec_total{path=\"inline\"}",
+        "net_tune_by_reference_total{outcome=\"hit\"}",
+        "net_tune_by_reference_total{outcome=\"need_matrix\"}",
         "net_loop_tick_us_count",
         "net_deferred_depth",
         "serve_tune_latency_us_count",
@@ -907,39 +942,324 @@ fn v4_clients_get_a_typed_version_mismatch() {
     let server = quick_daemon(&dir, ServerConfig::default());
 
     // There is one wire version.  A v4 peer (bare payload, version stamp 4)
-    // is not misread as v5: it gets one typed error naming both versions —
-    // in a frame a current reader decodes — and the connection closes.
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let payload = alpha_net::proto::encode_request(&Request::StoreStats);
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&NET_MAGIC);
-    frame.extend_from_slice(&4u32.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    raw.write_all(&frame).unwrap();
+    // or a v5 one (trace id first, stamp 5) is not misread as v6: it gets
+    // one typed error naming both versions — in a frame a current reader
+    // decodes — and the connection closes.
+    for (version, payload) in [
+        (4u32, alpha_net::proto::encode_request(&Request::StoreStats)),
+        (5, encode_request_traced(0, &Request::StoreStats)),
+    ] {
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&NET_MAGIC);
+        frame.extend_from_slice(&version.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        raw.write_all(&frame).unwrap();
 
-    let reply = read_frame(&mut raw).expect("error frame comes back");
-    match decode_response(&reply).expect("decodes") {
-        Response::Error { kind, message } => {
-            assert_eq!(kind, ErrorKind::BadFrame);
-            assert!(
-                message.contains("version 4") && message.contains(&PROTOCOL_VERSION.to_string()),
-                "got: {message}"
-            );
+        let reply = read_frame(&mut raw).expect("error frame comes back");
+        match decode_response(&reply).expect("decodes") {
+            Response::Error { kind, message } => {
+                assert_eq!(kind, ErrorKind::BadFrame);
+                assert!(
+                    message.contains(&format!("version {version}"))
+                        && message.contains(&PROTOCOL_VERSION.to_string()),
+                    "got: {message}"
+                );
+            }
+            other => panic!("v{version}: expected a version-mismatch error, got {other:?}"),
         }
-        other => panic!("expected a version-mismatch error, got {other:?}"),
+        assert!(
+            matches!(
+                read_frame(&mut raw),
+                Err(ProtoError::Closed) | Err(ProtoError::Io(_))
+            ),
+            "framing is lost after a foreign version: the daemon closes"
+        );
     }
-    assert!(
-        matches!(
-            read_frame(&mut raw),
-            Err(ProtoError::Closed) | Err(ProtoError::Io(_))
-        ),
-        "framing is lost after a foreign version: the daemon closes"
-    );
     // Current-version clients are unaffected.
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client.store_stats().expect("v5 client still served");
+    client.store_stats().expect("v6 client still served");
     drop(client);
+    stop(server, &dir);
+}
+
+#[test]
+fn a_digest_reaches_only_its_own_tenants_uploads() {
+    let dir = temp_dir("digest_tenants");
+    let server = isolated_daemon(&dir, ServerConfig::default());
+    let addr = server.local_addr();
+    let matrix = gen::powerlaw(160, 128, 4, 2.0, 41);
+    let named = by_reference(&matrix, "A100");
+    let hello = |stream: &mut TcpStream, client_id: u64| {
+        let welcome = exchange(stream, &Request::Hello { client_id });
+        assert!(matches!(welcome, Response::Welcome { .. }), "{welcome:?}");
+    };
+
+    // Tenant 1 uploads: its first submit names the digest, is asked for the
+    // matrix, and sends it.
+    let (mut first, _) = Client::connect_as(addr, 1).unwrap();
+    let uploaded = first.submit_tune(&matrix, "A100").unwrap();
+    first.wait_job(uploaded, POLL, DEADLINE).unwrap();
+
+    // Tenant 2 names the same digest and is asked for the matrix: another
+    // tenant's upload is not its own.  So is an anonymous connection, which
+    // is tenant 0.
+    let mut second = TcpStream::connect(addr).unwrap();
+    hello(&mut second, 2);
+    assert_eq!(exchange(&mut second, &named), Response::NeedMatrix);
+    let mut anonymous = TcpStream::connect(addr).unwrap();
+    assert_eq!(exchange(&mut anonymous, &named), Response::NeedMatrix);
+    // Tenant 1 itself is answered by reference, on any of its connections.
+    let mut again = TcpStream::connect(addr).unwrap();
+    hello(&mut again, 1);
+    assert!(matches!(
+        exchange(&mut again, &named),
+        Response::Submitted { .. }
+    ));
+
+    // Tenant 2's own upload gets it a job of its own — the tuning service
+    // shares the program, since it compared the content — and from then on
+    // tenant 2 is answered by reference too.
+    let (mut client, _) = Client::connect_as(addr, 2).unwrap();
+    let own = client.submit_tune(&matrix, "A100").unwrap();
+    assert_ne!(own, uploaded);
+    let summary = client.wait_job(own, POLL, DEADLINE).unwrap();
+    assert_eq!(summary.fresh_evaluations, 0);
+    assert!(matches!(
+        exchange(&mut second, &named),
+        Response::Submitted { .. }
+    ));
+    // Hits: tenant 1 once, tenant 2 once.  Misses: both uploads' first
+    // attempts, tenant 2's and tenant 0's digest-only requests.
+    assert_eq!(by_reference_outcomes(&mut client), (2, 4));
+    drop((first, second, anonymous, again, client));
+    stop(server, &dir);
+}
+
+#[test]
+fn a_hit_needs_the_uploaded_shape_and_serves_the_uploaded_bits() {
+    let dir = temp_dir("digest_shape");
+    let server = isolated_daemon(&dir, ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let matrix = gen::uniform_random(256, 192, 6, 43);
+    let uploaded = client.submit_tune(&matrix, "A100").unwrap();
+    let first = client.wait_job(uploaded, POLL, DEADLINE).unwrap();
+    let x: Vec<f32> = (0..192).map(|i| (i % 9) as f32 * 0.75 - 3.0).collect();
+    let bits = |y: Vec<f32>| y.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+    let uploaded_y = bits(client.spmv(uploaded, &x).unwrap());
+
+    // The digest alone is not enough: rows, columns, nnz and the device must
+    // be the upload's too, or the daemon asks for the matrix.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let (digest, rows, cols, nnz) = (matrix.digest(), 256, 192, matrix.nnz() as u64);
+    let named = |digest, rows, cols, nnz, device: &str| Request::SubmitTuneRef {
+        digest,
+        rows,
+        cols,
+        nnz,
+        device: device.to_string(),
+    };
+    for wrong in [
+        named(digest, rows + 1, cols, nnz, "A100"),
+        named(digest, rows, cols - 1, nnz, "A100"),
+        named(digest, rows, cols, nnz + 1, "A100"),
+        named(digest, rows, cols, nnz, "RTX2080"),
+        named(
+            {
+                let mut other = digest;
+                other[31] ^= 0x80;
+                other
+            },
+            rows,
+            cols,
+            nnz,
+            "A100",
+        ),
+    ] {
+        assert_eq!(
+            exchange(&mut raw, &wrong),
+            Response::NeedMatrix,
+            "{wrong:?}"
+        );
+    }
+    match exchange(&mut raw, &named(digest, rows, cols, nnz, "H100")) {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::UnknownDevice),
+        other => panic!("expected UnknownDevice, got {other:?}"),
+    }
+
+    // The exact shape (device names are case-insensitive) is a hit: a job
+    // that is `Done` at its first poll, reporting the upload's design and
+    // serving bitwise the upload's `y`.
+    let Response::Submitted { job_id } =
+        exchange(&mut raw, &named(digest, rows, cols, nnz, "a100"))
+    else {
+        panic!("the exact shape must be a hit")
+    };
+    let hit = match client.poll_job(job_id).unwrap() {
+        JobState::Done(summary) => summary,
+        other => panic!("a hit is Done when it is submitted, got {other:?}"),
+    };
+    assert_eq!(hit.fresh_evaluations, 0);
+    assert_eq!(hit.queue_wait_secs, 0.0);
+    assert_eq!(
+        (&hit.operator_graph, &hit.kernel_shape, hit.gflops),
+        (&first.operator_graph, &first.kernel_shape, first.gflops)
+    );
+    assert_eq!(bits(client.spmv(job_id, &x).unwrap()), uploaded_y);
+    assert_eq!(by_reference_outcomes(&mut client), (1, 6));
+    let stats = client.store_stats().unwrap();
+    assert_eq!((stats.jobs_submitted, stats.jobs_completed), (2, 2));
+    drop((client, raw));
+    stop(server, &dir);
+}
+
+/// Two different matrices of one shape with one 64-bit fingerprint, and the
+/// index of an entry that differs between them.  The fingerprint's striped
+/// hash adds `lo(d ^ key) · hi(d ^ key)` per lane word `d` of a stripe, and
+/// `d` itself to the neighbouring lane: where the low element of `d` equals
+/// the low half of its key the product is 0 whatever the high element is,
+/// so raising that element by one in one stripe and lowering it by one in
+/// another stripe of the same block leaves every lane as it was.  The keys
+/// are the hash's SplitMix64 outputs, stripe-major (`alpha_matrix::hash`).
+fn fingerprint_colliding_pair() -> (alpha_matrix::CsrMatrix, alpha_matrix::CsrMatrix, usize) {
+    const LANES: usize = 8;
+    let mut state: u64 = 0x243F_6A88_85A3_08D3;
+    let keys: Vec<u64> = (0..16 * LANES)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+        .collect();
+    // A lane whose key's low half, read as a value, is a moderate finite
+    // number in two stripes of the first block.
+    let moderate = |key: u64| {
+        let value = f32::from_bits(key as u32);
+        value.is_normal() && (1e-20..1e20).contains(&value.abs())
+    };
+    let (lane, [up, down]) = (0..LANES)
+        .find_map(|lane| {
+            let mut stripes = (0..16).filter(|&s| moderate(keys[s * LANES + lane]));
+            Some((lane, [stripes.next()?, stripes.next()?]))
+        })
+        .expect("some lane has two usable keys");
+    // 64 × 64, eight entries per row: the 512 values are two blocks.
+    let (rows, per_row) = (64, 8);
+    let offsets: Vec<u32> = (0..=rows).map(|r| (r * per_row) as u32).collect();
+    let columns: Vec<u32> = (0..rows)
+        .flat_map(|r| (0..per_row).map(move |j| (j * 8 + r % 8) as u32))
+        .collect();
+    let mut values = vec![1.0f32; rows * per_row];
+    for stripe in [up, down] {
+        values[16 * stripe + 2 * lane] = f32::from_bits(keys[stripe * LANES + lane] as u32);
+    }
+    let mut shifted = values.clone();
+    let [raised, lowered] = [up, down].map(|stripe| 16 * stripe + 2 * lane + 1);
+    shifted[raised] = f32::from_bits(shifted[raised].to_bits() + 1);
+    shifted[lowered] = f32::from_bits(shifted[lowered].to_bits() - 1);
+    let build = |values| {
+        alpha_matrix::CsrMatrix::from_raw(rows, 64, offsets.clone(), columns.clone(), values)
+            .expect("valid CSR")
+    };
+    (build(values), build(shifted), raised)
+}
+
+#[test]
+fn a_fingerprint_collision_is_never_answered_by_reference() {
+    let (genuine, forged, entry) = fingerprint_colliding_pair();
+    assert_ne!(genuine, forged);
+    assert_eq!(
+        genuine.fingerprint(),
+        forged.fingerprint(),
+        "the pair collides on the fast hash"
+    );
+    assert_ne!(genuine.digest(), forged.digest());
+    // `x` picks the column of the entry that differs: every row of `y` is
+    // then one stored value, exact under any summation order, and the row
+    // of that entry tells the two matrices apart.
+    let (row, column) = (entry / 8, genuine.col_indices()[entry] as usize);
+    let mut x = vec![0.0f32; 64];
+    x[column] = 1.0;
+    let [genuine_y, forged_y] = [&genuine, &forged].map(|m| m.spmv(&x).expect("reference"));
+    assert_ne!(genuine_y[row].to_bits(), forged_y[row].to_bits());
+
+    let dir = temp_dir("digest_collision");
+    let server = isolated_daemon(&dir, ServerConfig::default());
+    let addr = server.local_addr();
+    // One anonymous client uploads the forged matrix.  A later anonymous
+    // client — the same tenant 0 — naming the genuine one is asked for it,
+    // and its job computes the genuine `y`.
+    let mut forger = Client::connect(addr).unwrap();
+    let forged_job = forger.submit_tune(&forged, "A100").unwrap();
+    forger.wait_job(forged_job, POLL, DEADLINE).unwrap();
+    let mut raw = TcpStream::connect(addr).unwrap();
+    assert_eq!(
+        exchange(&mut raw, &by_reference(&genuine, "A100")),
+        Response::NeedMatrix
+    );
+    let mut client = Client::connect(addr).unwrap();
+    let job = client.submit_tune(&genuine, "A100").unwrap();
+    client.wait_job(job, POLL, DEADLINE).unwrap();
+    assert_eq!(client.spmv(job, &x).unwrap(), genuine_y);
+
+    // From then on each is answered by reference, with its own program.
+    for (matrix, expected) in [(&genuine, &genuine_y), (&forged, &forged_y)] {
+        let Response::Submitted { job_id } = exchange(&mut raw, &by_reference(matrix, "A100"))
+        else {
+            panic!("an uploaded matrix is a hit")
+        };
+        let y = client.spmv(job_id, &x).unwrap();
+        assert_eq!(y[row].to_bits(), expected[row].to_bits());
+        assert_eq!(&y, expected);
+    }
+    // Misses: the forged upload's first attempt, the raw probe and the
+    // genuine upload's first attempt.
+    assert_eq!(by_reference_outcomes(&mut client), (2, 3));
+    drop((forger, raw, client));
+    stop(server, &dir);
+}
+
+#[test]
+fn a_burst_of_hits_does_not_evict_another_tenants_finished_job() {
+    let dir = temp_dir("digest_burst");
+    // Two terminal jobs are kept: without reuse, the second hit of a burst
+    // would push tenant 2's finished job out of the table.
+    let server = isolated_daemon(
+        &dir,
+        ServerConfig {
+            max_terminal_jobs: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+    let (mut first, _) = Client::connect_as(addr, 1).unwrap();
+    let (mut second, _) = Client::connect_as(addr, 2).unwrap();
+    let burst_matrix = gen::powerlaw(128, 128, 4, 2.0, 51);
+    let kept_matrix = gen::uniform_random(128, 96, 4, 52);
+    let uploaded = first.submit_tune(&burst_matrix, "A100").unwrap();
+    first.wait_job(uploaded, POLL, DEADLINE).unwrap();
+    let kept = second.submit_tune(&kept_matrix, "A100").unwrap();
+    let finished = second.wait_job(kept, POLL, DEADLINE).unwrap();
+
+    // Tenant 1 resubmits at event-loop speed: one job answers every hit.
+    let hits: std::collections::BTreeSet<u64> = (0..200)
+        .map(|_| first.submit_tune(&burst_matrix, "A100").unwrap())
+        .collect();
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!(by_reference_outcomes(&mut first), (200, 2));
+    // The hit job took the upload's slot; tenant 2's job is still there.
+    assert_eq!(first.store_stats().unwrap().jobs_gced, 1);
+    match second.poll_job(kept).unwrap() {
+        JobState::Done(summary) => assert_eq!(summary, finished),
+        other => panic!("tenant 2's finished job was evicted: {other:?}"),
+    }
+    let x = vec![1.0f32; 96];
+    let y = second.spmv(kept, &x).expect("tenant 2's job still serves");
+    let expected = kept_matrix.spmv(&x).expect("reference SpMV");
+    assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
+    drop((first, second));
     stop(server, &dir);
 }

@@ -9,8 +9,8 @@
 
 use alpha_matrix::gen;
 use alpha_net::proto::{
-    decode_request_versioned, decode_response, encode_request_traced, read_frame, write_frame,
-    Request, Response, MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
+    decode_request_versioned, decode_response, encode_request_traced, encode_response, read_frame,
+    write_frame, Request, Response, MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
 use alpha_net::{Client, NetServer, ServerConfig};
 use alpha_serve::{DesignStore, TuningService};
@@ -67,10 +67,26 @@ fn framed(payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
+/// A valid by-reference submission payload (no daemon holds its program).
+fn by_reference_payload() -> Vec<u8> {
+    let matrix = gen::uniform_random(24, 24, 3, 9);
+    encode_request_traced(
+        0,
+        &Request::SubmitTuneRef {
+            digest: matrix.digest(),
+            rows: 24,
+            cols: 24,
+            nnz: matrix.nnz() as u64,
+            device: "TestGPU".to_string(),
+        },
+    )
+}
+
 /// The seeded corpus: one valid payload per request family the fuzzer may
-/// mutate.  `Shutdown` is deliberately absent — it is a *valid* request,
-/// and a mutant that happens to decode as one would end the daemon under
-/// test rather than exercise its robustness.
+/// mutate, plus a `NeedMatrix` answer arriving where a request belongs.
+/// `Shutdown` is deliberately absent — it is a *valid* request, and a mutant
+/// that happens to decode as one would end the daemon under test rather
+/// than exercise its robustness.
 fn corpus() -> Vec<Vec<u8>> {
     vec![
         encode_request_traced(0, &Request::StoreStats),
@@ -91,6 +107,11 @@ fn corpus() -> Vec<Vec<u8>> {
                 device: "TestGPU".to_string(),
             },
         ),
+        by_reference_payload(),
+        [0u8; 8]
+            .into_iter()
+            .chain(encode_response(&Response::NeedMatrix))
+            .collect(),
     ]
 }
 
@@ -155,6 +176,7 @@ fn mutated_frames_yield_typed_errors_or_clean_closes_and_leak_nothing() {
                 | Response::Tenants(_)
                 | Response::Busy { .. }
                 | Response::MetricsText { .. }
+                | Response::NeedMatrix
                 | Response::SpmvResult { .. } => {}
                 Response::Submitted { .. } => observed_submissions += 1,
                 Response::TraceSpans { .. } => {}
@@ -190,7 +212,7 @@ fn truncation_at_every_byte_offset_leaks_nothing() {
     let dir = temp_dir("truncate");
     let server = spawn_daemon(&dir, ServerConfig::default());
     let addr = server.local_addr();
-    let frame = framed(&encode_request_traced(
+    let upload = framed(&encode_request_traced(
         0,
         &Request::SubmitTune {
             matrix: gen::uniform_random(8, 8, 2, 3),
@@ -198,13 +220,16 @@ fn truncation_at_every_byte_offset_leaks_nothing() {
         },
     ));
 
-    // Cut the valid submission frame at every byte boundary and vanish:
-    // 0 bytes (bare connect), mid-header, exactly-header, mid-payload,
-    // one-short-of-complete.  None of these may admit a job.
-    for offset in 0..frame.len() {
-        let mut raw = TcpStream::connect(addr).expect("daemon accepts");
-        raw.write_all(&frame[..offset]).expect("partial write");
-        drop(raw);
+    // Cut each valid submission frame — the upload and the by-reference one
+    // — at every byte boundary and vanish: 0 bytes (bare connect),
+    // mid-header, exactly-header, mid-payload, one-short-of-complete.  None
+    // of these may admit a job.
+    for frame in [upload, framed(&by_reference_payload())] {
+        for offset in 0..frame.len() {
+            let mut raw = TcpStream::connect(addr).expect("daemon accepts");
+            raw.write_all(&frame[..offset]).expect("partial write");
+            drop(raw);
+        }
     }
 
     let mut client = Client::connect(addr).expect("daemon alive after truncation storm");
@@ -212,45 +237,63 @@ fn truncation_at_every_byte_offset_leaks_nothing() {
     assert_eq!(stats.jobs_submitted, 0, "no truncated frame may admit work");
     assert_eq!(stats.jobs_resident, 0, "no job-table entries may leak");
     assert_eq!(stats.queue_depth, 0);
+    let matrix = gen::powerlaw(64, 64, 4, 2.0, 7);
+    let job = client.submit_tune(&matrix, "A100").expect("still admits");
+    client.wait_job(job, POLL, DEADLINE).expect("still tunes");
     stop(server, &dir);
 }
 
 #[test]
 fn length_field_tampering_gets_a_typed_error_or_clean_close() {
     let dir = temp_dir("lengths");
-    let server = spawn_daemon(&dir, ServerConfig::default());
+    // A short frame deadline: a length that promises more bytes than come
+    // is torn down by the slow-loris sweep instead of idling out the probe.
+    let server = spawn_daemon(
+        &dir,
+        ServerConfig {
+            frame_deadline: Duration::from_secs(1),
+            ..ServerConfig::default()
+        },
+    );
     let addr = server.local_addr();
-    let payload = encode_request_traced(0, &Request::PollJob { job_id: 1 });
 
-    // Claimed lengths the header can lie with: zero, short, long-but-legal,
-    // over the cap, and absurd.  (A *smaller* length makes the daemon parse
-    // the payload tail as a next header — framing lost, clean close; a
-    // larger one leaves it waiting for bytes that never come — the
-    // slow-loris deadline owns that case, so we just close.)
-    let lies: [u64; 5] = [
-        0,
-        payload.len() as u64 - 1,
-        payload.len() as u64 + 1,
-        MAX_FRAME_LEN + 1,
-        u64::MAX,
-    ];
-    for lie in lies {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&NET_MAGIC);
-        bytes.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&lie.to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        if let Some(response) = probe(addr, &bytes, false) {
-            assert!(
-                matches!(response, Response::Error { .. } | Response::Status { .. }),
-                "a length lie of {lie} must answer a typed frame, got {response:?}"
-            );
+    for payload in [
+        encode_request_traced(0, &Request::PollJob { job_id: 1 }),
+        by_reference_payload(),
+    ] {
+        // Claimed lengths the header can lie with: zero, short,
+        // long-but-legal, over the cap, and absurd.  (A *smaller* length
+        // makes the daemon parse the payload tail as a next header —
+        // framing lost, clean close; a larger one leaves it waiting for
+        // bytes that never come, which the slow-loris deadline owns.)
+        let lies: [u64; 5] = [
+            0,
+            payload.len() as u64 - 1,
+            payload.len() as u64 + 1,
+            MAX_FRAME_LEN + 1,
+            u64::MAX,
+        ];
+        for lie in lies {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&NET_MAGIC);
+            bytes.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&lie.to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            if let Some(response) = probe(addr, &bytes, false) {
+                assert!(
+                    matches!(response, Response::Error { .. } | Response::Status { .. }),
+                    "a length lie of {lie} must answer a typed frame, got {response:?}"
+                );
+            }
         }
     }
 
     let mut client = Client::connect(addr).expect("daemon alive after tampering");
     let stats = client.store_stats().expect("stats frame");
     assert_eq!(stats.jobs_submitted, 0);
+    let matrix = gen::powerlaw(64, 64, 4, 2.0, 6);
+    let job = client.submit_tune(&matrix, "A100").expect("still admits");
+    client.wait_job(job, POLL, DEADLINE).expect("still tunes");
     stop(server, &dir);
 }
 

@@ -21,6 +21,10 @@ const TUNE_TRACE_STAGES: [&str; 5] = [
     "net.reply",
 ];
 
+/// The spans a tune answered by reference must show: the daemon's event
+/// loop admits it and replies, and no queue or tuning worker is involved.
+const HIT_TRACE_STAGES: [&str; 3] = ["client.submit_ref", "net.admission", "net.reply"];
+
 const POLL: Duration = Duration::from_millis(2);
 const DEADLINE: Duration = Duration::from_secs(120);
 
@@ -57,11 +61,13 @@ fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
     let mut summaries = Vec::new();
     // The last matrix is large enough that identifying it (a pass over its
     // 32 k non-zeros) is a visible part of serving it.
+    let mut matrix = None;
     for (i, rows) in [96, 96, 96, 4096].into_iter().enumerate() {
         let family = PatternFamily::ALL[i % PatternFamily::ALL.len()];
-        let matrix = family.generate(rows, if rows == 96 { 4 } else { 8 }, 31_000 + i as u64);
+        let matrix =
+            matrix.insert(family.generate(rows, if rows == 96 { 4 } else { 8 }, 31_000 + i as u64));
         let job = client
-            .submit_tune_with_backoff(&matrix, "A100", POLL, DEADLINE)
+            .submit_tune_with_backoff(matrix, "A100", POLL, DEADLINE)
             .expect("admitted");
         summaries.push((job, client.wait_job(job, POLL, DEADLINE).expect("tunes")));
         let x = vec![1.0f32; matrix.cols()];
@@ -69,6 +75,14 @@ fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
         let expected = matrix.spmv(&x).expect("reference SpMV");
         assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
     }
+    // Submitted again, the last matrix is a by-reference hit.
+    let repeat = client
+        .submit_tune(matrix.as_ref().expect("four matrices tuned"), "A100")
+        .expect("admitted");
+    let hit = client
+        .wait_job(repeat, POLL, DEADLINE)
+        .expect("a hit is Done");
+    assert_eq!(hit.fresh_evaluations, 0);
 
     // One fetch drains the shared ring.  In-process, client- and server-side
     // spans land in the *same* ring, so the fetch returns both halves and
@@ -128,6 +142,25 @@ fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
     assert!(
         complete >= 1,
         "no trace id covers {TUNE_TRACE_STAGES:?}: {stages_by_trace:?}"
+    );
+    // The hit's trace id, from the flight event that admitted its job,
+    // covers admission and reply on the event loop and nothing else.
+    let hit_trace = flightrec
+        .snapshot()
+        .into_iter()
+        .find(|e| e.job_id == repeat && e.class == "tune_ref")
+        .expect("the hit's admission was recorded")
+        .trace_id;
+    let hit_stages = &stages_by_trace[&hit_trace];
+    assert!(
+        HIT_TRACE_STAGES
+            .iter()
+            .all(|stage| hit_stages.contains(stage)),
+        "the hit's trace misses a stage of {HIT_TRACE_STAGES:?}: {hit_stages:?}"
+    );
+    assert!(
+        !hit_stages.contains("net.queue_wait") && !hit_stages.contains("net.tune_exec"),
+        "a hit never queues or tunes: {hit_stages:?}"
     );
 
     client.shutdown().expect("daemon acknowledges shutdown");

@@ -859,7 +859,7 @@ fn worker_loop(shared: &PoolShared, pool_id: usize) {
     }
 }
 
-/// Why [`TaskQueue::try_push`] refused an item.  The item is handed back so
+/// Why [`ShardedTaskQueue::try_push`] refused an item.  The item is handed back so
 /// the caller can reply with backpressure (or retry) without cloning it.
 #[derive(Debug)]
 pub enum PushError<T> {
@@ -869,115 +869,18 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded multi-producer / multi-consumer FIFO built on
-/// `Mutex` + `Condvar` — the admission-control primitive a long-lived
-/// service puts between its accept loop and its worker pool.
+/// A bounded multi-producer / multi-consumer FIFO split into N shards with
+/// per-shard locks, behind one global admission bound — the admission
+/// primitive a long-lived service puts between its event loop and a worker
+/// lane.
 ///
-/// Producers use [`TaskQueue::try_push`], which **never blocks**: a full
-/// queue returns [`PushError::Full`] immediately so the caller can shed load
-/// (reply "busy") instead of stacking unbounded work.  Consumers use
-/// [`TaskQueue::pop`], which blocks until an item arrives or the queue is
-/// [closed](TaskQueue::close) and drained — the clean-shutdown signal for a
-/// worker pool.
-pub struct TaskQueue<T> {
-    state: Mutex<QueueState<T>>,
-    capacity: usize,
-    not_empty: Condvar,
-    /// Shared `parallel_queue_depth` gauge (additive across queues).
-    depth: Gauge,
-}
-
-impl<T> TaskQueue<T> {
-    /// A queue admitting at most `capacity` items at a time (minimum 1).
-    pub fn bounded(capacity: usize) -> Self {
-        TaskQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            capacity: capacity.max(1),
-            not_empty: Condvar::new(),
-            depth: queue_depth_gauge(),
-        }
-    }
-
-    /// Enqueues `item` unless the queue is full or closed; never blocks.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("task queue poisoned");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.depth.add(1);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty.  Returns
-    /// `None` once the queue is closed **and** drained — consuming workers
-    /// use that as their exit signal.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("task queue poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.depth.sub(1);
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("task queue poisoned");
-        }
-    }
-
-    /// Closes the queue: further pushes fail with [`PushError::Closed`], and
-    /// every blocked or future [`TaskQueue::pop`] returns `None` once the
-    /// remaining items are drained.
-    pub fn close(&self) {
-        let mut state = self.state.lock().expect("task queue poisoned");
-        state.closed = true;
-        drop(state);
-        self.not_empty.notify_all();
-    }
-
-    /// Items currently queued (racy by nature; for stats and tests).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("task queue poisoned").items.len()
-    }
-
-    /// True when nothing is queued right now.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The admission-control bound this queue was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl<T> Drop for TaskQueue<T> {
-    fn drop(&mut self) {
-        // Undrained items leave with the queue; keep the shared gauge honest.
-        let remaining = self.state.lock().expect("task queue poisoned").items.len();
-        if remaining > 0 {
-            self.depth.sub(remaining as i64);
-        }
-    }
-}
-
-/// A [`TaskQueue`] split into N shards with per-shard locks, behind one
-/// global admission bound — the event-loop daemon's job queue.
+/// Producers use [`ShardedTaskQueue::try_push`], which **never blocks**: a
+/// full queue returns [`PushError::Full`] immediately so the caller can shed
+/// load (reply "busy") instead of stacking unbounded work.  Consumers use
+/// [`ShardedTaskQueue::pop`], which blocks until an item arrives or the
+/// queue is [closed](ShardedTaskQueue::close) and drained — the
+/// clean-shutdown signal for a worker pool.  With one shard it is a plain
+/// global FIFO (the daemon's SpMV exec lane).
 ///
 /// The motivation is contention *shape*, not raw throughput: with one lock,
 /// every producer and every worker serialise on the same mutex, so a burst
@@ -1208,40 +1111,8 @@ mod tests {
     }
 
     #[test]
-    fn task_queue_is_fifo_and_bounded() {
-        let queue = TaskQueue::bounded(2);
-        assert_eq!(queue.capacity(), 2);
-        assert!(queue.is_empty());
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        match queue.try_push(3) {
-            Err(PushError::Full(3)) => {}
-            other => panic!("expected Full(3), got {other:?}"),
-        }
-        assert_eq!(queue.len(), 2);
-        assert_eq!(queue.pop(), Some(1));
-        queue.try_push(3).unwrap();
-        assert_eq!(queue.pop(), Some(2));
-        assert_eq!(queue.pop(), Some(3));
-    }
-
-    #[test]
-    fn closed_queue_drains_then_signals_workers_to_exit() {
-        let queue = TaskQueue::bounded(4);
-        queue.try_push(10).unwrap();
-        queue.close();
-        match queue.try_push(11) {
-            Err(PushError::Closed(11)) => {}
-            other => panic!("expected Closed(11), got {other:?}"),
-        }
-        assert_eq!(queue.pop(), Some(10), "closing must not drop queued work");
-        assert_eq!(queue.pop(), None);
-        assert_eq!(queue.pop(), None, "pop after close stays None");
-    }
-
-    #[test]
     fn pop_blocks_until_an_item_or_close_arrives() {
-        let queue = TaskQueue::bounded(1);
+        let queue = ShardedTaskQueue::bounded(1, 1);
         let consumed = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..3 {
@@ -1255,7 +1126,7 @@ mod tests {
                 // Capacity 1: spin until the workers make room.
                 let mut item = i;
                 loop {
-                    match queue.try_push(item) {
+                    match queue.try_push(0, item) {
                         Ok(()) => break,
                         Err(PushError::Full(back)) => {
                             item = back;
@@ -1322,15 +1193,23 @@ mod tests {
 
     #[test]
     fn sharded_queue_single_shard_degenerates_to_task_queue() {
-        let queue = ShardedTaskQueue::bounded(8, 1);
+        let queue = ShardedTaskQueue::bounded(3, 1);
         for (key, item) in [(3u64, 1), (99, 2), (12345, 3)] {
             assert_eq!(queue.shard_of(key), 0);
             queue.try_push(key, item).unwrap();
         }
-        // One shard → global FIFO regardless of key.
+        match queue.try_push(7, 4) {
+            Err(PushError::Full(4)) => {}
+            other => panic!("expected Full(4), got {other:?}"),
+        }
+        // One shard → global FIFO regardless of key, and a popped item frees
+        // its slot.
         assert_eq!(queue.pop(), Some(1));
+        queue.try_push(7, 4).unwrap();
         assert_eq!(queue.pop(), Some(2));
         assert_eq!(queue.pop(), Some(3));
+        assert_eq!(queue.pop(), Some(4));
+        assert!(queue.is_empty());
     }
 
     #[test]
@@ -1381,10 +1260,10 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let queue = TaskQueue::bounded(0);
-        assert_eq!(queue.capacity(), 1);
-        queue.try_push(1).unwrap();
-        assert!(matches!(queue.try_push(2), Err(PushError::Full(2))));
+        let queue = ShardedTaskQueue::bounded(0, 0);
+        assert_eq!((queue.capacity(), queue.shards()), (1, 1));
+        queue.try_push(0, 1).unwrap();
+        assert!(matches!(queue.try_push(0, 2), Err(PushError::Full(2))));
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! serving day against it: **two concurrent clients** tune a 20-matrix
 //! fleet (submitting over the wire, polling, running remote SpMV), and a
 //! second wave re-submits the same fleet across *fresh connections* — every
-//! one answered with the program its first-wave job still holds (or, had
-//! that job been collected, from its stored winner in the daemon's warm
-//! `DesignStore`), with zero fresh kernel evaluations and no search (checked
-//! against the daemon's `serve_tune_total` counters).  It then reports which
+//! one named by its content digest and answered on the daemon's event loop
+//! with the program its first-wave job still holds, without the matrix
+//! crossing the wire again (checked against the daemon's
+//! `net_tune_by_reference_total` counters; had those jobs been collected,
+//! the client would upload and the stored winners in the daemon's warm
+//! `DesignStore` would answer, with zero fresh kernel evaluations and no
+//! search either way, per `serve_tune_total`).  It then reports which
 //! executor answered each remote SpMV (`net_spmv_exec_total{path}`: the exec
 //! pool for a request that was the daemon's only work, the exec worker's own
 //! thread otherwise).  Ends with a clean client-initiated shutdown.
@@ -92,6 +95,27 @@ fn parse_args() -> (Option<std::net::SocketAddr>, usize) {
     (metrics_addr, fleet_size)
 }
 
+/// The value of one series — its name with its label set — in a scrape.
+fn series(scrape: &str, series: &str) -> u64 {
+    scrape
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|value| value.trim().parse().ok())
+        .unwrap_or_else(|| panic!("scrape has no {series}"))
+}
+
+/// `net_tune_by_reference_total{outcome}` as (hit, need_matrix).
+fn by_reference(client: &mut Client) -> (u64, u64) {
+    let scrape = client.metrics().expect("metrics frame");
+    let outcome = |outcome: &str| {
+        series(
+            &scrape,
+            &format!("net_tune_by_reference_total{{outcome=\"{outcome}\"}}"),
+        )
+    };
+    (outcome("hit"), outcome("need_matrix"))
+}
+
 /// One blocking HTTP/1.0 GET against the daemon's metrics lane, returning
 /// the response body.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
@@ -146,7 +170,9 @@ fn main() {
         PatternFamily::ALL.len()
     );
 
+    let mut client = Client::connect(addr).expect("observer client connects");
     for wave in 1..=2 {
+        let before = by_reference(&mut client);
         let start = Instant::now();
         let ((jobs_a, fresh_a, warm_a), (jobs_b, fresh_b, warm_b)) = std::thread::scope(|scope| {
             let a = scope.spawn(|| drive_client(addr, left));
@@ -161,18 +187,28 @@ fn main() {
         );
         println!("  fresh kernel evaluations: {fresh}");
         println!("  warm-started searches:    {}", warm_a + warm_b);
+        let after = by_reference(&mut client);
+        let (hits, uploads) = (after.0 - before.0, after.1 - before.1);
         if wave == 1 {
             assert!(fresh > 0, "the cold wave must actually search");
+            assert_eq!(uploads, matrices.len() as u64, "every cold tune uploads");
         } else {
             assert_eq!(
                 fresh, 0,
                 "the second wave must be served entirely from the warm store"
             );
             println!("  -> 100% of the wave served from the warm store, across fresh connections");
+            // Every first-wave job still holds its program: each
+            // resubmission is a digest, answered without an upload.
+            assert_eq!(
+                (hits, uploads),
+                (matrices.len() as u64, 0),
+                "every second-wave resubmission must be a hit by reference"
+            );
+            println!("second wave: {hits} tunes answered by reference, {uploads} uploads");
         }
     }
 
-    let mut client = Client::connect(addr).expect("stats client connects");
     let stats = client.store_stats().expect("stats frame");
     println!(
         "\ndaemon counters: {} submitted, {} completed, {} rejected (backpressure), {} GC'd",
@@ -184,29 +220,25 @@ fn main() {
     );
 
     // Which path answered each tune, from the daemon's own registry: the
-    // whole second wave must have been lookups — of the program a
-    // first-wave job still holds, or of the stored winner.  A replayed
-    // search is a searched context that lost its stored answer.
+    // whole second wave must have been lookups — by digest on the event
+    // loop, or in the tuning service of the program a first-wave job still
+    // holds or of the stored winner.  A replayed search is a searched
+    // context that lost its stored answer.
     let scrape = client.metrics().expect("metrics frame");
-    let counter = |series: &str| -> u64 {
-        scrape
-            .lines()
-            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
-            .and_then(|value| value.trim().parse().ok())
-            .unwrap_or_else(|| panic!("scrape has no {series}"))
-    };
+    let counter = |name: &str| series(&scrape, name);
     let answered = |path: &str| counter(&format!("serve_tune_total{{path=\"{path}\"}}"));
+    let hits = counter("net_tune_by_reference_total{outcome=\"hit\"}");
     let (resident, stored) = (answered("resident"), answered("stored"));
     assert!(
-        resident + stored >= matrices.len() as u64,
-        "second wave of {} tunes, but only {resident} + {stored} answered by lookup",
+        hits + resident + stored >= matrices.len() as u64,
+        "second wave of {} tunes, but only {hits} + {resident} + {stored} answered by lookup",
         matrices.len()
     );
     assert_eq!(answered("replayed"), 0, "no tune may replay its search");
     println!(
-        "{} tunes answered by lookup ({resident} resident programs, {stored} stored winners; \
-         {} searched, 0 replayed)",
-        resident + stored,
+        "{} tunes answered by lookup ({hits} by reference, {resident} resident programs, \
+         {stored} stored winners; {} searched, 0 replayed)",
+        hits + resident + stored,
         answered("searched")
     );
     // Which executor answered each remote SpMV: the exec pool when it was
