@@ -228,7 +228,8 @@ fn emit_host_launcher(metadata: &MatrixMetadataSet, format: &MachineFormat) -> S
 /// specialized row/nnz-partition loops `alpha-cpu`'s `NativeKernel` executes,
 /// with compressed index arrays appearing as inline closed-form expressions
 /// instead of loads.  Like [`emit_cuda`], this is the user-facing artifact —
-/// the native backend interprets the same structure directly.
+/// the text is not compiled: the monomorphized kernel library in
+/// `alpha-cpu`'s `specialized.rs` runs the loop this text spells out.
 pub fn emit_rust(metadata: &MatrixMetadataSet, format: &MachineFormat) -> String {
     let mut out = String::new();
     out.push_str(
@@ -519,7 +520,7 @@ mod tests {
         let matrix = gen::uniform_random(512, 512, 8, 3);
         generate(graph, &matrix, GeneratorOptions::default())
             .unwrap()
-            .source
+            .source()
     }
 
     #[test]
@@ -577,7 +578,7 @@ mod tests {
         ]);
         let rust = generate(&gathered, &matrix, GeneratorOptions::default())
             .unwrap()
-            .rust_source;
+            .rust_source();
         assert!(rust.contains("simd: 8 lanes across one row's non-zeros"));
         assert!(rust.contains("prefetch distance 16"));
         assert!(rust.contains("_mm256_i32gather_ps"));
@@ -592,14 +593,14 @@ mod tests {
         ]);
         let rust = generate(&row_lanes, &matrix, GeneratorOptions::default())
             .unwrap()
-            .rust_source;
+            .rust_source();
         assert!(rust.contains("simd: 4 lanes across adjacent rows"));
         assert!(rust.contains("4 adjacent rows per SIMD group"));
 
         // Scalar designs keep the scalar shape.
         let rust = generate(&presets::csr_scalar(), &matrix, GeneratorOptions::default())
             .unwrap()
-            .rust_source;
+            .rust_source();
         assert!(!rust.contains("simd:"));
         assert!(!rust.contains("hsum_tree"));
     }

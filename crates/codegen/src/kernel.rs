@@ -33,7 +33,6 @@ pub struct GeneratedKernel {
     block_dim: usize,
     shared_mem_bytes: usize,
     name: String,
-    source: Option<String>,
 }
 
 impl GeneratedKernel {
@@ -90,15 +89,8 @@ impl GeneratedKernel {
             block_dim,
             shared_mem_bytes,
             name,
-            source: None,
             metadata,
         }
-    }
-
-    /// Attaches the emitted source so [`SpmvKernel::emit_source`] can expose it.
-    pub fn with_source(mut self, source: String) -> Self {
-        self.source = Some(source);
-        self
     }
 
     /// The designed metadata this kernel was built from.
@@ -472,10 +464,6 @@ impl SpmvKernel for GeneratedKernel {
 
     fn input_cols(&self) -> usize {
         self.metadata.original_cols
-    }
-
-    fn emit_source(&self) -> Option<String> {
-        self.source.clone()
     }
 }
 

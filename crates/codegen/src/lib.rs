@@ -14,8 +14,9 @@
 //!   (interpreted by the `alpha-gpu` simulator) assembled from the kernel
 //!   skeleton and the reduction fragments the implementing stage selected
 //!   ([`kernel`], [`layout`]),
-//! * emits CUDA-like **source code** for the kernel, the user-facing artifact
-//!   of AlphaSparse ([`emit`]).
+//! * emits CUDA-like and Rust **source code** for the kernel, the
+//!   user-facing artifact of AlphaSparse ([`emit`]), on request only
+//!   ([`GeneratedSpmv::source`]): a search prints none of its candidates.
 
 pub mod compress;
 pub mod emit;
@@ -47,33 +48,37 @@ impl Default for GeneratorOptions {
 }
 
 /// The complete output of the Format & Kernel Generator for one operator
-/// graph and matrix: the executable kernel, the extracted format and the
-/// emitted source.
+/// graph and matrix: the executable kernel and the extracted format.  The
+/// source text is emitted from them on request.
 pub struct GeneratedSpmv {
     /// Kernel runnable on the `alpha-gpu` simulator.
     pub kernel: GeneratedKernel,
     /// The machine-designed format description.
     pub format: MachineFormat,
-    /// CUDA-like source code of the kernel.
-    pub source: String,
-    /// Rust source of the specialized loops the native CPU backend
-    /// (`alpha-cpu`) executes for this design.
-    pub rust_source: String,
 }
 
 impl GeneratedSpmv {
+    /// Emits the CUDA-like source of the kernel.
+    pub fn source(&self) -> String {
+        emit::emit_cuda(self.kernel.metadata(), &self.format)
+    }
+
+    /// Emits the Rust source of the specialized loops the native CPU backend
+    /// (`alpha-cpu`) executes for this design.
+    pub fn rust_source(&self) -> String {
+        emit::emit_rust(self.kernel.metadata(), &self.format)
+    }
+
     /// Resolves the implementing stage's inner loops after generation: a
     /// design without a SIMD operator leaves every partition's
     /// [`SimdPlan`] scalar, and the host that will run it may pick the loop
     /// (`alpha-cpu`'s `NativeKernel::select`).  Writing the picks here —
     /// one plan per partition — keeps the single rule that lowering and
-    /// emission follow the plan: the kernel's metadata carries them and
-    /// [`GeneratedSpmv::rust_source`] is re-emitted from it.  The format,
-    /// the simulated kernel and the CUDA-like source do not depend on the
-    /// plans and stay as they are.
+    /// emission follow the plan: the kernel's metadata carries them, so
+    /// [`GeneratedSpmv::rust_source`] prints them.  The format, the
+    /// simulated kernel and the CUDA-like source do not depend on the plans.
     pub fn set_simd_plans(&mut self, plans: &[SimdPlan]) {
         self.kernel.set_simd_plans(plans);
-        self.rust_source = emit::emit_rust(self.kernel.metadata(), &self.format);
     }
 }
 
@@ -99,24 +104,16 @@ pub fn generate_with(
     Ok(generate_from_metadata(&metadata, options))
 }
 
-/// Builds the format, kernel and source from an already-designed metadata
-/// set.  The kernel keeps a clone of the metadata, which shares the plans'
-/// streams with it.
+/// Builds the format and kernel from an already-designed metadata set.  The
+/// kernel keeps a clone of the metadata, which shares the plans' streams
+/// with it.
 pub fn generate_from_metadata(
     metadata: &MatrixMetadataSet,
     options: GeneratorOptions,
 ) -> GeneratedSpmv {
     let format = format::extract_format(metadata, options);
-    let source = emit::emit_cuda(metadata, &format);
-    let rust_source = emit::emit_rust(metadata, &format);
-    let kernel =
-        kernel::GeneratedKernel::new(metadata.clone(), &format).with_source(source.clone());
-    GeneratedSpmv {
-        kernel,
-        format,
-        source,
-        rust_source,
-    }
+    let kernel = kernel::GeneratedKernel::new(metadata.clone(), &format);
+    GeneratedSpmv { kernel, format }
 }
 
 #[cfg(test)]
@@ -142,7 +139,7 @@ mod tests {
                 DenseVector::from_vec(result.y.clone()).approx_eq(&expected, 1e-3),
                 "{name}: wrong SpMV result"
             );
-            assert!(!generated.source.is_empty());
+            assert!(!generated.source().is_empty());
             assert!(generated.kernel.format_bytes() > 0);
         }
     }

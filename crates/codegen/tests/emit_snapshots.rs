@@ -55,7 +55,7 @@ fn assert_snapshot(name: &str, actual: &str) {
 
 fn sources_for(graph: &alpha_graph::OperatorGraph) -> (String, String) {
     let generated = generate(graph, &fixture(), GeneratorOptions::default()).unwrap();
-    (generated.source, generated.rust_source)
+    (generated.source(), generated.rust_source())
 }
 
 #[test]

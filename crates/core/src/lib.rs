@@ -2,8 +2,8 @@
 //!
 //! AlphaSparse takes an arbitrary sparse matrix and a target device and
 //! returns a **machine-designed SpMV program**: a format tailored to the
-//! matrix's sparsity pattern, an executable kernel, and the emitted CUDA-like
-//! source code (paper Section III).
+//! matrix's sparsity pattern, an executable kernel, and — on request — its
+//! emitted CUDA-like source code (paper Section III).
 //!
 //! ```
 //! use alphasparse::{AlphaSparse, DeviceProfile};
@@ -35,7 +35,6 @@ pub use alpha_cpu as cpu;
 pub use alpha_gpu as gpu;
 pub use alpha_graph as graph;
 pub use alpha_matrix as matrix;
-pub use alpha_ml as ml;
 pub use alpha_search as search;
 
 pub use alpha_cpu::{MeasuredReport, NativeEvaluator, NativeKernel, TimingHarness};
@@ -375,8 +374,9 @@ impl AlphaSparse {
     }
 }
 
-/// The result of auto-tuning one matrix: the machine-designed format, kernel
-/// and source, plus the search outcome.
+/// The result of auto-tuning one matrix: the machine-designed format and
+/// kernel, plus the search outcome.  Source text is emitted from them on
+/// request ([`TunedSpmv::source`], [`TunedSpmv::rust_source`]).
 pub struct TunedSpmv {
     device: DeviceProfile,
     evaluator: EvaluatorId,
@@ -509,8 +509,8 @@ impl TunedSpmv {
 
     /// Always `true`: the monomorphized kernel library is the only native
     /// executor (a shape outside it fails the kernel build), so a design
-    /// that runs natively runs specialized.  Kept because the flag travels
-    /// on the wire as `JobSummary.specialized`.
+    /// that runs natively runs specialized.  Kept because the repo
+    /// benchmark reads it (`cpu.specialized_share`).
     pub fn is_specialized(&self) -> bool {
         true
     }
@@ -530,15 +530,16 @@ impl TunedSpmv {
         self.outcome.best_report.gflops
     }
 
-    /// The emitted CUDA-like source of the winning kernel.
-    pub fn source(&self) -> &str {
-        &self.generated.source
+    /// The CUDA-like source of the winning kernel, emitted from this
+    /// handle's metadata and format on every call.
+    pub fn source(&self) -> String {
+        self.generated.source()
     }
 
-    /// The emitted Rust source of the specialized loops the native backend
-    /// runs for this design (see [`TunedSpmv::run`]).
-    pub fn rust_source(&self) -> &str {
-        &self.generated.rust_source
+    /// The Rust source of the specialized loops the native backend runs for
+    /// this design (see [`TunedSpmv::run`]), emitted on every call.
+    pub fn rust_source(&self) -> String {
+        self.generated.rust_source()
     }
 
     /// The machine-designed format description.
@@ -601,7 +602,7 @@ mod tests {
         let generated = tuner
             .generate_for_graph(&matrix, &alpha_graph::presets::sell_like())
             .unwrap();
-        assert!(generated.source.contains("alphasparse_partition_0"));
+        assert!(generated.source().contains("alphasparse_partition_0"));
     }
 
     #[test]
@@ -793,6 +794,18 @@ mod tests {
         assert_eq!(second.kernel_shape(), first.kernel_shape());
         assert_eq!(second.rust_source(), first.rust_source());
         assert!(!tuner.cache().is_dirty());
+        // The stored path — the winner rebuilt from its record and its cache
+        // entry, no search — emits the same code on request.
+        let entry = tuner.cache().entry(key, &winner.graph).unwrap().unwrap();
+        let outcome = SearchOutcome {
+            best_graph: winner.graph.clone(),
+            best_report: entry.report,
+            best_kernel_shape: entry.kernel_shape,
+            stats: SearchStats::default(),
+        };
+        let stored = tuner.rebuild(&matrix, outcome).unwrap();
+        assert_eq!(stored.source(), first.source());
+        assert_eq!(stored.rust_source(), first.rust_source());
 
         // A label this host would not have chosen is selected again and
         // overwritten — never an error, never a panic, never trusted.
@@ -895,6 +908,14 @@ mod tests {
             tuner.cache().winners().pop().unwrap().1.kernel_shape,
             Some(tuned.kernel_shape())
         );
+
+        // Every candidate's evaluation is cached and encoded, but only the
+        // winner's code is ever emitted — by the handle, when asked.
+        let marker = b"// Machine-generated";
+        let bytes = tuner.cache().to_bytes();
+        assert!(tuner.cache().len() > 1);
+        assert!(!bytes.windows(marker.len()).any(|w| w == marker));
+        assert!(tuned.rust_source().as_bytes().starts_with(marker));
     }
 
     /// One measured search, as its evaluator saw it.

@@ -38,12 +38,6 @@ pub trait SpmvKernel: Send + Sync {
 
     /// Number of columns of the input vector.
     fn input_cols(&self) -> usize;
-
-    /// Generated source code for the kernel, when available (machine-designed
-    /// kernels emit CUDA-like C; baselines may return `None`).
-    fn emit_source(&self) -> Option<String> {
-        None
-    }
 }
 
 /// A straightforward CSR row-per-thread ("CSR-scalar") kernel.
@@ -190,6 +184,5 @@ mod tests {
         let nnz = matrix.nnz() as u64;
         let kernel = ReferenceCsrKernel::new(matrix);
         assert_eq!(kernel.useful_flops(), 2 * nnz);
-        assert!(kernel.emit_source().is_none());
     }
 }

@@ -28,14 +28,13 @@ use crate::eval::{
     BatchEvaluator, CachingEvaluator, DesignCache, EvalContext, Evaluator, EvaluatorChoice,
 };
 use crate::features::{featurise, matrix_feature_vector};
+use crate::ml::{Annealer, GbtConfig, GradientBoostedTrees, Sample};
 use crate::persist::StoredDesign;
 use crate::prune::PruneRules;
 use alpha_codegen::GeneratorOptions;
 use alpha_gpu::{DeviceProfile, PerfReport};
 use alpha_graph::OperatorGraph;
 use alpha_matrix::CsrMatrix;
-use alpha_ml::gbt::{GbtConfig, GradientBoostedTrees};
-use alpha_ml::{Annealer, Sample};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -150,8 +149,6 @@ pub struct SearchOutcome {
     pub best_graph: OperatorGraph,
     /// Its modelled performance.
     pub best_report: PerfReport,
-    /// The emitted CUDA-like source of the winning kernel.
-    pub best_source: String,
     /// Shape label of the native kernel the winner lowered to — the
     /// `alpha-cpu` monomorphized-library key, recorded with the stored
     /// winner.  `None` out of a simulated search whose winner has never
@@ -277,7 +274,7 @@ pub fn search_with_cache(
     };
     let mut annealer = Annealer::new(25.0, 0.97, 20);
     let mut samples: Vec<Sample> = Vec::new();
-    let mut best: Option<(OperatorGraph, PerfReport, String, Option<String>)> = None;
+    let mut best: Option<(OperatorGraph, PerfReport, Option<String>)> = None;
     let mut evaluated: BTreeSet<String> = BTreeSet::new();
     let budget_reached = |stats: &SearchStats| {
         stats.iterations >= config.max_iterations
@@ -319,15 +316,10 @@ pub fn search_with_cache(
             samples.push(Sample::new(featurise(candidate, &stats_of_matrix), gflops));
             if best
                 .as_ref()
-                .map(|(_, r, _, _)| gflops > r.gflops)
+                .map(|(_, r, _)| gflops > r.gflops)
                 .unwrap_or(true)
             {
-                best = Some((
-                    candidate.clone(),
-                    eval.report,
-                    eval.source,
-                    eval.kernel_shape,
-                ));
+                best = Some((candidate.clone(), eval.report, eval.kernel_shape));
             }
             annealer.observe(gflops);
             if annealer.should_stop() {
@@ -373,15 +365,10 @@ pub fn search_with_cache(
             ));
             if best
                 .as_ref()
-                .map(|(_, r, _, _)| eval.report.gflops > r.gflops)
+                .map(|(_, r, _)| eval.report.gflops > r.gflops)
                 .unwrap_or(true)
             {
-                best = Some((
-                    candidate.clone(),
-                    eval.report,
-                    eval.source,
-                    eval.kernel_shape,
-                ));
+                best = Some((candidate.clone(), eval.report, eval.kernel_shape));
             }
         }
     }
@@ -424,7 +411,7 @@ pub fn search_with_cache(
             .add(conversions);
     }
 
-    let (best_graph, best_report, best_source, best_kernel_shape) =
+    let (best_graph, best_report, best_kernel_shape) =
         best.ok_or_else(|| "no valid candidate could be evaluated".to_string())?;
     // Record the winner durably: serving layers read it back to answer
     // repeat requests without searching and to warm-start structurally
@@ -444,7 +431,6 @@ pub fn search_with_cache(
     Ok(SearchOutcome {
         best_graph,
         best_report,
-        best_source,
         best_kernel_shape,
         stats,
     })

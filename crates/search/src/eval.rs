@@ -280,8 +280,6 @@ pub fn context_key_for(
 pub struct Evaluation {
     /// Modelled performance of the candidate's generated kernel.
     pub report: PerfReport,
-    /// Emitted CUDA-like source of the kernel.
-    pub source: String,
     /// True when the result came out of a [`DesignCache`] instead of a
     /// simulation.
     pub cached: bool,
@@ -373,7 +371,6 @@ impl Evaluator for SimEvaluator {
             .ok()?;
         Some(Evaluation {
             report: result.report,
-            source: generated.source,
             cached: false,
             kernel_shape: None,
         })
@@ -434,11 +431,11 @@ pub struct DesignCache {
 /// (context key, canonical graph signature).
 type CacheKey = (u64, String);
 
-/// `None` = known-infeasible design; `Some` = (report, emitted source,
-/// native kernel-shape label).  The shape rides along so a fully
-/// cache-served replay still reports the same shape the original
-/// evaluation resolved.
-pub type CacheEntry = Option<(PerfReport, String, Option<String>)>;
+/// `None` = known-infeasible design; `Some` = (report, native kernel-shape
+/// label).  The shape rides along so a fully cache-served replay still
+/// reports the same shape the original evaluation resolved.  No source text:
+/// a design's code is emitted from its graph when a caller asks for it.
+pub type CacheEntry = Option<(PerfReport, Option<String>)>;
 
 impl DesignCache {
     /// An empty cache.
@@ -495,9 +492,8 @@ impl DesignCache {
         let key = (context_key, graph.canonical_signature());
         let entries = self.entries.lock().expect("design cache poisoned");
         entries.get(&key).map(|entry| {
-            entry.as_ref().map(|(report, source, shape)| Evaluation {
+            entry.as_ref().map(|(report, shape)| Evaluation {
                 report: report.clone(),
-                source: source.clone(),
                 cached: true,
                 kernel_shape: shape.clone(),
             })
@@ -514,7 +510,7 @@ impl DesignCache {
         let key = (ctx.context_key, graph.canonical_signature());
         let value = outcome
             .as_ref()
-            .map(|e| (e.report.clone(), e.source.clone(), e.kernel_shape.clone()));
+            .map(|e| (e.report.clone(), e.kernel_shape.clone()));
         self.entries
             .lock()
             .expect("design cache poisoned")
@@ -569,7 +565,7 @@ impl DesignCache {
     pub fn set_winner_kernel_shape(&self, context_key: u64, graph: &OperatorGraph, shape: &str) {
         let mut changed = false;
         let key = (context_key, graph.canonical_signature());
-        if let Some(Some((_, _, recorded))) = self
+        if let Some(Some((_, recorded))) = self
             .entries
             .lock()
             .expect("design cache poisoned")
@@ -874,7 +870,6 @@ mod tests {
             .evaluate(&ctx, &presets::csr_scalar())
             .expect("feasible");
         assert!(eval.report.gflops > 0.0);
-        assert!(!eval.source.is_empty());
         assert!(!eval.cached);
         assert_eq!(evaluator.simulations(), 1);
     }
@@ -920,7 +915,6 @@ mod tests {
             .expect("feasible");
         assert!(stored.cached);
         assert_eq!(stored.report, fresh.report);
-        assert_eq!(stored.source, fresh.source);
         assert_eq!(stored.kernel_shape, fresh.kernel_shape);
         // Another context key, or another design, is simply absent.
         assert!(cache.entry(ctx.context_key() ^ 1, &graph).is_none());

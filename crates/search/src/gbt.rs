@@ -2,8 +2,8 @@
 //! Engine's third level to interpolate measured performance onto the fine
 //! parameter grid (the paper's XGBoost substitute).
 
+use crate::ml::Sample;
 use crate::tree::RegressionTree;
-use crate::Sample;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,7 +88,7 @@ impl GradientBoostedTrees {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relative_mean_absolute_deviation;
+    use crate::ml::relative_mean_absolute_deviation;
 
     fn cost_surface(a: f64, b: f64) -> f64 {
         // A memory-bound-like cost surface: piecewise trends with an

@@ -1,16 +1,12 @@
-//! `alpha-ml` — the lightweight machine-learning components of the Search
-//! Engine: gradient-boosted regression trees (standing in for XGBoost, paper
-//! Section VI-A) used to interpolate coarse-grid measurements onto the fine
-//! parameter grid, and the simulated-annealing schedule used as the search
-//! termination condition.
+//! The lightweight machine-learning components of the Search Engine:
+//! gradient-boosted regression trees (standing in for XGBoost, paper Section
+//! VI-A) used to interpolate coarse-grid measurements onto the fine parameter
+//! grid, and the simulated-annealing schedule used as the search termination
+//! condition.  The engine ([`crate::engine`]) is their only user.
 
-pub mod anneal;
-pub mod gbt;
-pub mod tree;
-
-pub use anneal::Annealer;
-pub use gbt::GradientBoostedTrees;
-pub use tree::RegressionTree;
+pub use crate::anneal::Annealer;
+pub use crate::gbt::{GbtConfig, GradientBoostedTrees};
+pub use crate::tree::RegressionTree;
 
 /// A training / prediction sample: a feature vector (operator-graph and
 /// parameter features) and its target (measured GFLOPS).
@@ -52,29 +48,5 @@ pub fn relative_mean_absolute_deviation(predictions: &[f64], targets: &[f64]) ->
         mad
     } else {
         mad / scale
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rmad_is_zero_for_perfect_predictions() {
-        let targets = [10.0, 20.0, 30.0];
-        assert_eq!(relative_mean_absolute_deviation(&targets, &targets), 0.0);
-    }
-
-    #[test]
-    fn rmad_scales_with_error() {
-        let targets = [10.0, 10.0];
-        let preds = [11.0, 9.0];
-        assert!((relative_mean_absolute_deviation(&preds, &targets) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn rmad_rejects_mismatched_lengths() {
-        relative_mean_absolute_deviation(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -44,8 +44,10 @@ pub const CACHE_MAGIC: [u8; 4] = *b"ACDS";
 /// native kernel-shape label to evaluations and winners (the monomorphized
 /// kernel library's lookup key, see `alpha-cpu`): pre-specialization caches
 /// hold r3-era timings anyway (see `EvaluatorId::salt`), so they retire with
-/// the version.
-pub const CACHE_FORMAT_VERSION: u32 = 4;
+/// the version.  Version 5 dropped the emitted source string each evaluation
+/// carried (about 70 % of a context's bytes): source is emitted on request,
+/// for the winner, from its graph.
+pub const CACHE_FORMAT_VERSION: u32 = 5;
 
 /// Why loading or saving a durable cache failed.
 #[derive(Debug)]
@@ -597,10 +599,9 @@ impl DesignCache {
             w.str(signature);
             match &entries[key] {
                 None => w.u8(0),
-                Some((report, source, kernel_shape)) => {
+                Some((report, kernel_shape)) => {
                     w.u8(1);
                     write_report(&mut w, report);
-                    w.str(source);
                     write_opt_str(&mut w, kernel_shape);
                 }
             }
@@ -665,9 +666,8 @@ impl DesignCache {
                 0 => None,
                 1 => {
                     let report = read_report(&mut r)?;
-                    let source = r.str()?;
                     let kernel_shape = read_opt_str(&mut r)?;
-                    Some((report, source, kernel_shape))
+                    Some((report, kernel_shape))
                 }
                 other => {
                     return Err(PersistError::Corrupt(format!(
@@ -990,15 +990,18 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut bytes = populated_cache().to_bytes();
-        // Overwrite the version field (bytes 4..8) with a future version.
-        bytes[4..8].copy_from_slice(&(CACHE_FORMAT_VERSION + 1).to_le_bytes());
-        match DesignCache::from_bytes(&bytes) {
-            Err(PersistError::VersionMismatch { found, expected }) => {
-                assert_eq!(found, CACHE_FORMAT_VERSION + 1);
-                assert_eq!(expected, CACHE_FORMAT_VERSION);
+        // Overwrite the version field (bytes 4..8) with a future version and
+        // with the previous one (whose evaluations still carried a source).
+        for version in [CACHE_FORMAT_VERSION + 1, CACHE_FORMAT_VERSION - 1] {
+            let mut bytes = populated_cache().to_bytes();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            match DesignCache::from_bytes(&bytes) {
+                Err(PersistError::VersionMismatch { found, expected }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(expected, CACHE_FORMAT_VERSION);
+                }
+                other => panic!("expected VersionMismatch, got {other:?}"),
             }
-            other => panic!("expected VersionMismatch, got {other:?}"),
         }
     }
 

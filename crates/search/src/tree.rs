@@ -1,7 +1,7 @@
 //! A regression tree with exact greedy splits on squared error — the weak
 //! learner of the gradient-boosting ensemble.
 
-use crate::Sample;
+use crate::ml::Sample;
 
 /// A node of the regression tree (stored in a flat arena).
 #[derive(Debug, Clone)]

@@ -155,7 +155,6 @@ fn stored_outcome(cache: &DesignCache, eval_key: u64) -> Option<SearchOutcome> {
     Some(SearchOutcome {
         best_graph: winner.graph,
         best_report: evaluation.report,
-        best_source: evaluation.source,
         best_kernel_shape: evaluation.kernel_shape,
         stats: SearchStats::default(),
     })

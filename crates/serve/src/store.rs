@@ -637,7 +637,7 @@ mod tests {
             matrix_features: vec![1.0, 2.0],
             evaluator: alpha_search::EvaluatorId::Simulated,
             // A realistic monomorphized-library key: persisting it through the
-            // store round-trips the ACDS v4 optional-string field.
+            // store round-trips the ACDS optional-string field.
             kernel_shape: Some("rows[off:table,org:id,col:table]:scalar".to_string()),
         }
     }
@@ -1047,6 +1047,32 @@ mod tests {
             store.cache_for(0xff),
             Err(StoreError::Persist(PersistError::BadMagic))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v4_context_file_is_refused_not_halfloaded() {
+        let dir = temp_store_dir("acds_v4");
+        let store = DesignStore::open(&dir).unwrap();
+        let cache = DesignCache::new();
+        cache.record_winner(0xee, design(3.0));
+        // A v4 header: the layout whose evaluations carried their source.
+        let mut bytes = cache.to_bytes();
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        let file = store.root().join("designs/ctx_00000000000000ee.acds");
+        std::fs::write(&file, &bytes).unwrap();
+        // Refused every time: nothing is left resident in its place, and the
+        // file is not rewritten.
+        for _ in 0..2 {
+            let err = store.cache_for(0xee).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Persist(PersistError::VersionMismatch { found: 4, expected })
+                    if expected == alpha_search::CACHE_FORMAT_VERSION),
+                "{err:?}"
+            );
+        }
+        assert_eq!(store.resident_contexts(), 0);
+        assert_eq!(std::fs::read(&file).unwrap(), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

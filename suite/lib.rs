@@ -5,7 +5,7 @@
 //! The top-level API crate is the `alphasparse` package (`crates/core`); its
 //! lib name matches the package name, so `pub use alphasparse` re-exports it
 //! verbatim.  The remaining members are re-exported under the short module
-//! names used throughout the docs (`matrix`, `graph`, `codegen`, `gpu`, `ml`,
+//! names used throughout the docs (`matrix`, `graph`, `codegen`, `gpu`,
 //! `search`, `baselines`, `serve`).
 pub use alphasparse;
 
@@ -15,7 +15,6 @@ pub use alpha_cpu as cpu;
 pub use alpha_gpu as gpu;
 pub use alpha_graph as graph;
 pub use alpha_matrix as matrix;
-pub use alpha_ml as ml;
 pub use alpha_net as net;
 pub use alpha_search as search;
 pub use alpha_serve as serve;
@@ -31,7 +30,6 @@ mod tests {
         let _ = crate::graph::presets::csr_scalar();
         let _ = crate::codegen::GeneratorOptions::default();
         let _ = crate::cpu::TimingHarness::default();
-        let _ = crate::ml::Sample::new(vec![1.0], 2.0);
         let _ = crate::search::SearchConfig::default();
         let _ = crate::baselines::Baseline::figure9_set();
         let _ = crate::net::PROTOCOL_VERSION;
