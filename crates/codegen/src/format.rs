@@ -6,14 +6,22 @@
 //! offsets, row offsets, origin-row permutations, per-thread row starts.
 //! This module extracts those arrays from the Matrix Metadata Set and applies
 //! Model-Driven Format Compression to the index arrays.
+//!
+//! Two of the arrays depend on the conversion alone — `origin_rows` and the
+//! sub-matrix's `row_offsets` — while a search extracts ~85 formats from
+//! 5-22 conversions.  Through a [`Designer`], they are copied and fitted once
+//! per conversion the Designer holds ([`Designer::derived`]) and cloned into
+//! every format after that; the result is equal, array for array, to a fresh
+//! extraction.
 
 use crate::compress::{compress_array, CompressedArray};
 use crate::layout::PartitionLayout;
 use crate::GeneratorOptions;
-use alpha_graph::{Mapping, MatrixMetadataSet, PartitionPlan};
+use alpha_graph::{Designer, Mapping, MatrixMetadataSet, PartitionPlan};
+use std::sync::OnceLock;
 
 /// One named index array of a machine-designed format.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FormatArray {
     /// Array name (mirrors the naming of the paper's Figure 5:
     /// `origin_rows`, `bmt_nz_offsets`, …).
@@ -123,26 +131,75 @@ impl MachineFormat {
 
 /// Extracts the machine-designed format from a metadata set.
 pub fn extract_format(metadata: &MatrixMetadataSet, options: GeneratorOptions) -> MachineFormat {
+    extract(metadata, options, |plan| {
+        ConversionArrays::fit(plan, options.model_compression)
+    })
+}
+
+/// [`extract_format`] for a metadata set `designer` designed: the
+/// conversion's arrays come from its memo.
+pub(crate) fn extract_format_with(
+    designer: &Designer<'_>,
+    metadata: &MatrixMetadataSet,
+    options: GeneratorOptions,
+) -> MachineFormat {
+    let compress = options.model_compression;
+    extract(metadata, options, |plan| {
+        let fits = designer.derived(plan, <[OnceLock<ConversionArrays>; 2]>::default);
+        fits[compress as usize]
+            .get_or_init(|| ConversionArrays::fit(plan, compress))
+            .clone()
+    })
+}
+
+/// The arrays of a partition that depend on its conversion alone, fitted.
+#[derive(Clone)]
+struct ConversionArrays {
+    origin_rows: FormatArray,
+    row_offsets: FormatArray,
+}
+
+impl ConversionArrays {
+    fn fit(plan: &PartitionPlan, compress: bool) -> Self {
+        ConversionArrays {
+            // Origin-row permutation (identity when no sort/bin/div
+            // reordering took place, in which case compression removes it
+            // entirely).
+            origin_rows: FormatArray::new("origin_rows", plan.origin_rows.to_vec(), compress),
+            row_offsets: FormatArray::new(
+                "row_offsets",
+                plan.matrix.row_offsets().to_vec(),
+                compress,
+            ),
+        }
+    }
+}
+
+fn extract(
+    metadata: &MatrixMetadataSet,
+    options: GeneratorOptions,
+    mut conversion: impl FnMut(&PartitionPlan) -> ConversionArrays,
+) -> MachineFormat {
     let partitions = metadata
         .partitions
         .iter()
-        .map(|plan| extract_partition(plan, options))
+        .map(|plan| extract_partition(plan, options, conversion(plan)))
         .collect();
     MachineFormat { partitions }
 }
 
-fn extract_partition(plan: &PartitionPlan, options: GeneratorOptions) -> PartitionFormat {
+fn extract_partition(
+    plan: &PartitionPlan,
+    options: GeneratorOptions,
+    conversion: ConversionArrays,
+) -> PartitionFormat {
     let layout = PartitionLayout::new(plan);
     let compress = options.model_compression;
-    let mut arrays = Vec::new();
-
-    // Origin-row permutation (identity when no sort/bin/div reordering took
-    // place, in which case compression removes it entirely).
-    arrays.push(FormatArray::new(
-        "origin_rows",
-        plan.origin_rows.to_vec(),
-        compress,
-    ));
+    let ConversionArrays {
+        origin_rows,
+        row_offsets,
+    } = conversion;
+    let mut arrays = vec![origin_rows];
 
     match plan.mapping {
         Mapping::RowPerThread { .. } => {
@@ -165,25 +222,11 @@ fn extract_partition(plan: &PartitionPlan, options: GeneratorOptions) -> Partiti
             }
             // Row offsets are always part of the format: unpadded layouts use
             // them to address storage, padded ones to find row boundaries.
-            arrays.push(FormatArray::new(
-                "row_offsets",
-                plan.matrix.row_offsets().to_vec(),
-                compress,
-            ));
+            arrays.push(row_offsets);
         }
-        Mapping::VectorPerRow { .. } => {
-            arrays.push(FormatArray::new(
-                "row_offsets",
-                plan.matrix.row_offsets().to_vec(),
-                compress,
-            ));
-        }
+        Mapping::VectorPerRow { .. } => arrays.push(row_offsets),
         Mapping::NnzSplit { nnz_per_thread } => {
-            arrays.push(FormatArray::new(
-                "row_offsets",
-                plan.matrix.row_offsets().to_vec(),
-                compress,
-            ));
+            arrays.push(row_offsets);
             // First row of each thread's chunk, found by binary search over
             // the row offsets (precomputed exactly as CSR5's tile descriptors
             // precompute tile boundaries).
@@ -293,6 +336,33 @@ mod tests {
         assert!(inventory
             .iter()
             .any(|(p, name, _)| *p == 2 && name == "row_offsets"));
+    }
+
+    #[test]
+    fn the_memoised_extraction_equals_a_fresh_one() {
+        // Every preset twice, with and without compression, through one
+        // Designer: the second visit of each conversion reads the memo.
+        for matrix in [
+            gen::powerlaw(300, 300, 8, 2.0, 5),
+            gen::uniform_random(256, 256, 8, 3),
+        ] {
+            let designer = Designer::new(&matrix);
+            for compress in [true, false, true] {
+                let options = GeneratorOptions {
+                    model_compression: compress,
+                };
+                for (name, graph) in alpha_graph::presets::all_presets() {
+                    let metadata = designer.design(&graph).unwrap();
+                    let memoised = extract_format_with(&designer, &metadata, options);
+                    let fresh = extract_format(&metadata, options);
+                    assert_eq!(memoised.partitions.len(), fresh.partitions.len());
+                    for (m, f) in memoised.partitions.iter().zip(&fresh.partitions) {
+                        assert_eq!(m.arrays, f.arrays, "{name} compress={compress}");
+                        assert_eq!(m.padded_nnz, f.padded_nnz, "{name}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use compress::{compress_array, CompressionModel};
 pub use format::{FormatArray, MachineFormat, PartitionFormat};
 pub use kernel::GeneratedKernel;
 
-use alpha_graph::{DesignError, Designer, MatrixMetadataSet, OperatorGraph, SimdPlan};
+use alpha_graph::{design, DesignError, Designer, MatrixMetadataSet, OperatorGraph, SimdPlan};
 use alpha_matrix::CsrMatrix;
 
 /// Options controlling the generator.
@@ -83,25 +83,28 @@ impl GeneratedSpmv {
 }
 
 /// Runs the Designer and the Format & Kernel Generator end to end, with a
-/// Designer that lives for this one call.
+/// Designer that lives for this one call (so nothing is kept for reuse).
 pub fn generate(
     graph: &OperatorGraph,
     matrix: &CsrMatrix,
     options: GeneratorOptions,
 ) -> Result<GeneratedSpmv, DesignError> {
-    generate_with(&Designer::new(matrix), graph, options)
+    Ok(generate_from_metadata(&design(graph, matrix)?, options))
 }
 
 /// [`generate`] through a Designer the caller keeps: a search generates all
-/// its candidates through one, so the matrix is converted once per distinct
-/// converting chain instead of once per candidate.
+/// its candidates through one, so the matrix is converted — and the
+/// conversion's `origin_rows` / `row_offsets` arrays fitted — once per
+/// distinct converting chain instead of once per candidate.
 pub fn generate_with(
     designer: &Designer<'_>,
     graph: &OperatorGraph,
     options: GeneratorOptions,
 ) -> Result<GeneratedSpmv, DesignError> {
     let metadata = designer.design(graph)?;
-    Ok(generate_from_metadata(&metadata, options))
+    let format = format::extract_format_with(designer, &metadata, options);
+    let kernel = kernel::GeneratedKernel::new(metadata, &format);
+    Ok(GeneratedSpmv { kernel, format })
 }
 
 /// Builds the format and kernel from an already-designed metadata set.  The

@@ -19,10 +19,14 @@
 //!   graph varies thread-block size, rows per block and reduction style —
 //!   coordinates lowering never reads — so most candidates of a search lower
 //!   to a kernel an earlier candidate already ran (an 80-iteration tune
-//!   explores 4-20 distinct kernels).  Every candidate is still generated,
-//!   lowered and verified; only the timed loop is skipped when a kernel with
-//!   the same [`KernelIdentity`] was timed before by this evaluator, and the
-//!   candidate then carries that kernel's report.
+//!   explores 4-20 distinct kernels).  Every candidate is still generated
+//!   and lowered.  The timed loop is skipped when a kernel with the same
+//!   [`KernelIdentity`] was timed before by this evaluator, and the
+//!   candidate then carries that kernel's report.  The verification run is
+//!   skipped only when the candidate *is* a program that passed verification
+//!   on this very probe: the same sub-matrix allocations and, by value,
+//!   everything else a run reads (a `Program` record), under bitwise the
+//!   same `x`, reference and tolerance.  A hash match alone never skips it.
 //! * Measured times are nondeterministic; cached entries freeze the first
 //!   measurement of each distinct kernel, which keeps a single search
 //!   self-consistent.
@@ -36,7 +40,7 @@
 
 pub use crate::harness::NATIVE_DEVICE_LABEL;
 use crate::harness::{MeasuredReport, TimingHarness};
-use crate::kernel::{KernelIdentity, NativeKernel};
+use crate::kernel::{KernelIdentity, NativeKernel, Program};
 use alpha_codegen::generate_with;
 use alpha_graph::OperatorGraph;
 use alpha_matrix::Scalar;
@@ -57,18 +61,23 @@ use std::time::Instant;
 /// parked workers and the same allocation, so a measurement is pure kernel
 /// time — no thread spawns, no allocator traffic, no interference from other
 /// pools' jobs.  It also remembers every measurement it took, by what was
-/// measured: a candidate that lowers to a kernel already timed is verified
-/// and answered from that measurement.
+/// measured: a candidate that lowers to a kernel already timed is answered
+/// from that measurement, and verified unless it is exactly the program
+/// that last passed verification for that kernel on the same probe.
 pub struct NativeEvaluator {
     harness: TimingHarness,
     kernel_threads: usize,
     executions: AtomicUsize,
+    verifications: AtomicUsize,
     pool: Pool,
     measuring: Mutex<Measuring>,
     /// `cpu_eval_total{outcome=...}`, resolved once.
     timed: Counter,
     reused: Counter,
     infeasible: Counter,
+    /// `cpu_eval_verify_total{path=...}`, resolved once.
+    verify_ran: Counter,
+    verify_same_program: Counter,
     /// `cpu_eval_stage_us{stage=...}`, in [`EVAL_STAGES`] order.
     stages: [Histogram; EVAL_STAGES.len()],
 }
@@ -97,33 +106,72 @@ impl StageClock<'_> {
 
 /// What one measurement at a time owns: whoever holds the lock has the
 /// cores, the output buffer and the say on whether a kernel still needs
-/// timing.
+/// timing or verifying.
 #[derive(Default)]
 struct Measuring {
     y: Vec<Scalar>,
-    /// The report of every kernel timed so far, by what ran and on how many
-    /// workers.
-    timed: HashMap<(KernelIdentity, usize), MeasuredReport>,
+    /// Every kernel timed so far, by what ran and on how many workers.
+    timed: HashMap<(KernelIdentity, usize), Timed>,
+    /// The probe every [`Timed::verified`] program passed under.
+    probe: Probe,
+}
+
+struct Timed {
+    report: MeasuredReport,
+    /// The last program of this key that passed verification under
+    /// [`Measuring::probe`].
+    verified: Option<Program>,
+}
+
+/// What verification judges a kernel's `y` by: the input, the reference
+/// and the tolerance, compared bit for bit.
+#[derive(Default)]
+struct Probe {
+    x: Vec<Scalar>,
+    reference: Vec<Scalar>,
+    tolerance: Scalar,
+}
+
+impl Probe {
+    fn is(&self, ctx: &EvalContext<'_>) -> bool {
+        same_bits(&self.x, ctx.x.as_slice())
+            && same_bits(&self.reference, &ctx.reference)
+            && self.tolerance.to_bits() == ctx.tolerance.to_bits()
+    }
+}
+
+/// Bitwise equality, folded branch-free per block so it vectorizes.
+fn same_bits(a: &[Scalar], b: &[Scalar]) -> bool {
+    a.len() == b.len()
+        && a.chunks(256).zip(b.chunks(256)).all(|(a, b)| {
+            a.iter()
+                .zip(b)
+                .fold(0, |diff, (a, b)| diff | (a.to_bits() ^ b.to_bits()))
+                == 0
+        })
 }
 
 impl NativeEvaluator {
     /// An evaluator timing kernels with `harness` on `kernel_threads` workers
     /// (0 = one per available core).
     pub fn new(harness: TimingHarness, kernel_threads: usize) -> Self {
-        let outcome =
-            |outcome| alpha_telemetry::global().counter("cpu_eval_total", &[("outcome", outcome)]);
+        let registry = alpha_telemetry::global();
+        let outcome = |outcome| registry.counter("cpu_eval_total", &[("outcome", outcome)]);
+        let verify = |path| registry.counter("cpu_eval_verify_total", &[("path", path)]);
         NativeEvaluator {
             harness,
             kernel_threads,
             executions: AtomicUsize::new(0),
+            verifications: AtomicUsize::new(0),
             pool: Pool::new(kernel_threads),
             measuring: Mutex::new(Measuring::default()),
             timed: outcome("timed"),
             reused: outcome("reused"),
             infeasible: outcome("infeasible"),
-            stages: EVAL_STAGES.map(|stage| {
-                alpha_telemetry::global().histogram("cpu_eval_stage_us", &[("stage", stage)])
-            }),
+            verify_ran: verify("ran"),
+            verify_same_program: verify("same_program"),
+            stages: EVAL_STAGES
+                .map(|stage| registry.histogram("cpu_eval_stage_us", &[("stage", stage)])),
         }
     }
 
@@ -141,10 +189,19 @@ impl NativeEvaluator {
         self.harness.evaluator_id()
     }
 
-    /// Number of candidates evaluated so far (generated, lowered, verified) —
-    /// the probe cache tests use to assert that hits skip execution.
+    /// Number of candidates evaluated so far (generated, lowered, and
+    /// verified unless already verified as the same program) — the probe
+    /// cache tests use to assert that hits skip execution.
     pub fn executions(&self) -> usize {
         self.executions.load(Ordering::Relaxed)
+    }
+
+    /// Number of verification runs so far: at most
+    /// [`executions`](Self::executions), and below it by every candidate
+    /// that failed before verification and every candidate that was exactly
+    /// a program already verified on the same probe.
+    pub fn verifications(&self) -> usize {
+        self.verifications.load(Ordering::Relaxed)
     }
 
     /// Number of kernels actually timed so far: at most
@@ -155,8 +212,9 @@ impl NativeEvaluator {
         measuring.timed.len()
     }
 
-    /// Generates, lowers and verifies `graph`, and times its kernel unless
-    /// an identical one was timed before.  `None` is an infeasible design.
+    /// Generates and lowers `graph`, verifies its kernel unless it is a
+    /// program verified before on this probe, and times it unless an
+    /// identical kernel was timed before.  `None` is an infeasible design.
     fn measure(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
         // Six clock reads per candidate: one to start, one after each stage.
         let mut clock = StageClock {
@@ -178,24 +236,43 @@ impl NativeEvaluator {
         // the dimensions and warms the kernel's data, so the timed loop
         // below reuses the scratch buffer and runs nothing extra.  The lock
         // also serialises concurrent measurements, which would otherwise
-        // steal each other's cores — and the look-up for an earlier timing
-        // happens under it, so of two identical kernels evaluated
-        // concurrently exactly one is timed.
+        // steal each other's cores — and the look-ups for an earlier timing
+        // and an earlier verification happen under it, so of two identical
+        // kernels evaluated concurrently exactly one is timed.
         let mut guard = self.measuring.lock().expect("evaluator scratch poisoned");
-        let Measuring { y, timed } = &mut *guard;
-        y.clear();
-        y.resize(kernel.rows(), 0.0);
-        kernel
-            .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
-            .ok()?;
-        if alpha_matrix::max_scaled_error(y, &ctx.reference) > ctx.tolerance {
-            return None;
+        let Measuring { y, timed, probe } = &mut *guard;
+        if !probe.is(ctx) {
+            // A record verified under another probe proves nothing here.
+            *probe = Probe {
+                x: ctx.x.as_slice().to_vec(),
+                reference: ctx.reference.clone(),
+                tolerance: ctx.tolerance,
+            };
+            timed.values_mut().for_each(|t| t.verified = None);
+        }
+        let same_program = timed
+            .get(&key)
+            .and_then(|t| t.verified.as_ref())
+            .is_some_and(|verified| verified.is(&kernel, workers));
+        if same_program {
+            self.verify_same_program.inc();
+        } else {
+            self.verifications.fetch_add(1, Ordering::Relaxed);
+            self.verify_ran.inc();
+            y.clear();
+            y.resize(kernel.rows(), 0.0);
+            kernel
+                .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
+                .ok()?;
+            if alpha_matrix::max_scaled_error(y, &ctx.reference) > ctx.tolerance {
+                return None;
+            }
         }
         clock.lap();
         let measured = match timed.get(&key) {
-            Some(measured) => {
+            Some(t) => {
                 self.reused.inc();
-                measured.clone()
+                t.report.clone()
             }
             None => {
                 let measured = self.harness.measure(kernel.useful_flops(), workers, || {
@@ -204,10 +281,28 @@ impl NativeEvaluator {
                         .expect("dimensions validated by the verification run");
                 });
                 self.timed.inc();
-                timed.insert(key, measured.clone());
+                let report = measured.clone();
+                timed.insert(
+                    key,
+                    Timed {
+                        report,
+                        verified: None,
+                    },
+                );
                 measured
             }
         };
+        if !same_program {
+            // Records whose sub-matrices are gone can never match again;
+            // dropping them frees the index maps and allocations they pin.
+            for t in timed.values_mut() {
+                if t.verified.as_ref().is_some_and(|p| !p.is_live()) {
+                    t.verified = None;
+                }
+            }
+            timed.get_mut(&key).expect("timed above").verified =
+                Some(Program::of(&kernel, workers));
+        }
         clock.lap();
         Some(Evaluation {
             report: measured.to_perf_report(kernel.format_bytes()),
@@ -373,6 +468,89 @@ pub(crate) mod tests {
         }
         assert_eq!(evaluator.measurements(), distinct + 1);
         assert_eq!(evaluator.executions(), variants.len() + 3);
+    }
+
+    #[test]
+    fn gpu_only_variants_verify_once_then_count_as_same_program() {
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
+        let ctx = context_fixture(&matrix);
+        let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
+        let path = |path| {
+            alpha_telemetry::global()
+                .counter("cpu_eval_verify_total", &[("path", path)])
+                .get()
+        };
+        let (ran, same) = (path("ran"), path("same_program"));
+        let variants = gpu_only_variants();
+        for graph in &variants {
+            evaluator.evaluate(&ctx, graph).expect("feasible");
+        }
+        assert_eq!(evaluator.executions(), variants.len());
+        assert_eq!(evaluator.verifications(), 1);
+        // Other tests of this process count on the same registry.
+        assert!(path("ran") > ran);
+        assert!(path("same_program") >= same + variants.len() as u64 - 1);
+    }
+
+    #[test]
+    fn a_hash_match_on_another_allocation_is_not_the_same_program() {
+        // Equal matrices, two contexts: each Designer converts its own, so
+        // the kernels share an identity (and a timing) but not a program.
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
+        let twin = matrix.clone();
+        let (a, b) = (context_fixture(&matrix), context_fixture(&twin));
+        let graph = presets::csr_scalar();
+        let lowered = |ctx: &EvalContext<'_>| {
+            let generated = generate_with(ctx.designer(), &graph, ctx.options).unwrap();
+            let identity =
+                NativeKernel::new(generated.kernel.metadata(), &generated.format).identity();
+            (
+                generated.kernel.metadata().partitions[0].matrix.clone(),
+                identity,
+            )
+        };
+        let ((matrix_a, identity_a), (matrix_b, identity_b)) = (lowered(&a), lowered(&b));
+        assert_eq!(identity_a, identity_b);
+        assert!(!Arc::ptr_eq(&matrix_a, &matrix_b));
+
+        let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
+        let first = evaluator.evaluate(&a, &graph).expect("feasible");
+        let second = evaluator.evaluate(&b, &graph).expect("feasible");
+        assert_eq!(evaluator.verifications(), 2, "a hash match never skips");
+        assert_eq!(evaluator.measurements(), 1, "but it shares the timing");
+        assert_eq!(
+            first.report.time_us.to_bits(),
+            second.report.time_us.to_bits()
+        );
+        // The last program verified is the one recognised.
+        evaluator.evaluate(&b, &graph).expect("feasible");
+        assert_eq!(evaluator.verifications(), 2);
+        evaluator.evaluate(&a, &graph).expect("feasible");
+        assert_eq!(evaluator.verifications(), 3);
+    }
+
+    #[test]
+    fn a_changed_probe_is_not_the_same_program() {
+        let matrix = gen::banded(256, 2, 3);
+        let mut ctx = context_fixture(&matrix);
+        let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
+        let graph = presets::csr_scalar();
+        for _ in 0..2 {
+            evaluator.evaluate(&ctx, &graph).expect("feasible");
+        }
+        assert_eq!(evaluator.verifications(), 1);
+        // A new, consistent probe: verified again, then recognised again.
+        ctx.x[0] = 2.5;
+        ctx.reference = matrix.spmv(ctx.x.as_slice()).unwrap();
+        for _ in 0..2 {
+            evaluator.evaluate(&ctx, &graph).expect("feasible");
+        }
+        assert_eq!(evaluator.verifications(), 2);
+        // A tolerance is part of the probe.
+        ctx.tolerance *= 2.0;
+        evaluator.evaluate(&ctx, &graph).expect("feasible");
+        assert_eq!(evaluator.verifications(), 3);
+        assert_eq!((evaluator.executions(), evaluator.measurements()), (5, 1));
     }
 
     #[test]

@@ -49,6 +49,7 @@ mod identity;
 mod select;
 
 pub use identity::KernelIdentity;
+pub(crate) use identity::Program;
 pub use select::{plans_from_label, LoopChoice};
 
 /// Non-zeros one scalar worker should own, at minimum, before another pooled
@@ -79,6 +80,10 @@ pub use select::{plans_from_label, LoopChoice};
 /// 16 384 stays.
 pub const MIN_NNZ_PER_WORKER: usize = 16_384;
 
+/// Columns of `x` a vector loop can address: its gathers take signed 32-bit
+/// indices (`col + col_offset` computed in `i32`).
+const GATHER_EXTENT: usize = 1 << 31;
+
 /// Resolves a requested thread count: `0` means "automatic" — one worker per
 /// available core, but never more than [`MIN_NNZ_PER_WORKER`] would justify
 /// for `nnz` non-zeros.  A kernel whose loop advances `lanes > 1` non-zeros
@@ -104,7 +109,7 @@ pub fn effective_workers(threads: usize, nnz: usize, lanes: usize) -> usize {
 
 /// A format index array as the native kernel reads it: a closed-form
 /// function Model-Driven Format Compression fitted, or a lookup table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum IndexFn {
     /// `f(i) = i` — the compressed identity permutation.
     Identity,
@@ -274,6 +279,21 @@ pub enum KernelBuildError {
     /// The partition's shape has no entry in the monomorphized kernel
     /// library, and there is no other executor to fall back to.
     UnsupportedShape(KernelShape),
+    /// A partition with non-zeros reads columns
+    /// `col_offset..col_offset + cols` of `x`, which must lie inside the
+    /// matrix's `original_cols` — and inside the `i32` range the vector
+    /// loops' gathers index with.  The scalar loop would panic on such a
+    /// partition; a gather would read outside `x`.
+    ColumnsOutOfRange {
+        /// Partition that reads outside `x`.
+        partition: usize,
+        /// Its first column in the original matrix.
+        col_offset: usize,
+        /// Its sub-matrix's column count.
+        cols: usize,
+        /// Columns of the original matrix (the length of `x`).
+        original_cols: usize,
+    },
 }
 
 impl std::fmt::Display for KernelBuildError {
@@ -297,6 +317,17 @@ impl std::fmt::Display for KernelBuildError {
                 f,
                 "kernel shape {} is not in the monomorphized library",
                 shape.label()
+            ),
+            KernelBuildError::ColumnsOutOfRange {
+                partition,
+                col_offset,
+                cols,
+                original_cols,
+            } => write!(
+                f,
+                "partition {partition}: columns {col_offset}..{} lie outside the \
+                 matrix's {original_cols} columns — corrupt design",
+                col_offset.saturating_add(*cols)
             ),
         }
     }
@@ -443,13 +474,29 @@ fn shape_for(
 impl NativePartition {
     /// Lowers everything of one partition that the format fixes — streams,
     /// index maps (validated over their domains, so the hot loops need no
-    /// clamp), work split — with the scalar loop bound;
-    /// [`NativePartition::bind`] picks the loop that runs.
+    /// clamp), the columns of `x` it reads (inside `original_cols`, which
+    /// run validates `x` against, so no loop reads outside `x`), work split —
+    /// with the scalar loop bound; [`NativePartition::bind`] picks the loop
+    /// that runs.
     fn new(
         index: usize,
         plan: &PartitionPlan,
         pf: &PartitionFormat,
+        original_cols: usize,
     ) -> Result<Self, KernelBuildError> {
+        // Every column index is below the sub-matrix's `cols` (a `CsrMatrix`
+        // invariant); an empty partition reads no column at all.
+        let read_end = plan.col_offset.checked_add(plan.matrix.cols());
+        if plan.matrix.nnz() > 0
+            && !read_end.is_some_and(|end| end <= original_cols && end <= GATHER_EXTENT)
+        {
+            return Err(KernelBuildError::ColumnsOutOfRange {
+                partition: index,
+                col_offset: plan.col_offset,
+                cols: plan.matrix.cols(),
+                original_cols,
+            });
+        }
         let mut closed_form_arrays = 0;
         let mut lookup = |name: &'static str, domain: usize| -> Result<IndexFn, KernelBuildError> {
             let f = pf
@@ -682,7 +729,7 @@ impl NativeKernel {
             .zip(&format.partitions)
             .enumerate()
         {
-            let mut partition = NativePartition::new(index, plan, pf)?;
+            let mut partition = NativePartition::new(index, plan, pf, metadata.original_cols)?;
             bind(plan, &mut partition)?;
             partitions.push(partition);
         }
@@ -1140,6 +1187,38 @@ mod tests {
         for (_, graph) in presets::all_presets() {
             check(&graph, &matrix, 2);
         }
+    }
+
+    #[test]
+    fn a_partition_reading_past_x_is_a_typed_build_error() {
+        // `PartitionPlan`'s fields are public: a hand-built metadata set can
+        // shift a partition's columns past the end of `x`.
+        let matrix = gen::uniform_random(64, 32, 4, 1);
+        let generated = generate(&presets::csr_scalar(), &matrix, GeneratorOptions::default())
+            .expect("generation succeeds");
+        let mut metadata = generated.kernel.metadata().clone();
+        metadata.partitions[0].col_offset = 1;
+        let expected = KernelBuildError::ColumnsOutOfRange {
+            partition: 0,
+            col_offset: 1,
+            cols: 32,
+            original_cols: 32,
+        };
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
+            let built = NativeKernel::lower(&metadata, &generated.format, mode);
+            assert_eq!(built.err(), Some(expected.clone()));
+        }
+        metadata.partitions[0].col_offset = usize::MAX;
+        assert!(matches!(
+            NativeKernel::try_new(&metadata, &generated.format),
+            Err(KernelBuildError::ColumnsOutOfRange { .. })
+        ));
+        // A narrower `x` than the sub-matrix is the same error.
+        metadata.partitions[0].col_offset = 0;
+        metadata.original_cols = 31;
+        assert!(NativeKernel::try_new(&metadata, &generated.format).is_err());
+        metadata.original_cols = 32;
+        assert!(NativeKernel::try_new(&metadata, &generated.format).is_ok());
     }
 
     #[test]

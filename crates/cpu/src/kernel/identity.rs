@@ -8,11 +8,20 @@
 //! everything a run reads, and nothing it does not, so a design and its
 //! GPU-only variants compare equal and one timing serves them all (see
 //! [`NativeEvaluator`](crate::NativeEvaluator)).
+//!
+//! A hash is good enough to share a *timing*, never to skip a
+//! *verification*: two different programs may collide.  So the same list is
+//! also kept as a [`Program`] record — the sub-matrices by allocation,
+//! everything else by value — and a kernel that [`Program::is`] a verified
+//! one is exactly that program, compared, not hashed.  The Designer hands
+//! every candidate on one conversion the same allocation (content-equal
+//! conversions included), which is what makes that comparison hit.
 
 use super::{IndexFn, NativeKernel, NativePartition, PartitionExec};
-use crate::specialized::PrefetchClass;
-use alpha_matrix::ContentHasher;
+use crate::specialized::{KernelShape, PrefetchClass};
+use alpha_matrix::{ContentHasher, CsrMatrix};
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Weak};
 
 /// What a [`NativeKernel`] executes, as a comparable value: a 64-bit hash
 /// of everything a run reads (see [`NativeKernel::identity`]).  Valid within
@@ -27,11 +36,7 @@ fn partition(hash: &mut ContentHasher, p: &NativePartition) {
     hash.word(p.matrix.fingerprint());
     hash.write_usize(p.col_offset);
     p.shape.hash(hash);
-    // A loop without prefetch instructions never reads the distance.
-    hash.write_usize(match p.shape.prefetch {
-        PrefetchClass::Stream => p.simd.prefetch,
-        PrefetchClass::None => 0,
-    });
+    hash.write_usize(prefetch_read(p));
     index_fn(hash, &p.origin);
     match &p.exec {
         // The worker cuts follow from the sub-matrix row offsets above.
@@ -44,6 +49,15 @@ fn partition(hash: &mut ContentHasher, p: &NativePartition) {
             hash.write_usize(*nnz_per_thread);
             index_fn(hash, row_starts);
         }
+    }
+}
+
+/// The prefetch distance `p`'s loop reads: a loop without prefetch
+/// instructions never reads it.
+fn prefetch_read(p: &NativePartition) -> usize {
+    match p.shape.prefetch {
+        PrefetchClass::Stream => p.simd.prefetch,
+        PrefetchClass::None => 0,
     }
 }
 
@@ -71,7 +85,7 @@ impl NativeKernel {
     /// bitwise equal at every worker count and one timing serves both.
     /// Covers, per partition, the sub-matrix streams (row offsets, column
     /// indices, value bits), the column offset, the bound
-    /// [`KernelShape`](crate::KernelShape), the prefetch distance its loop
+    /// [`KernelShape`], the prefetch distance its loop
     /// uses, the `origin` map and the work-split state; labels, format
     /// accounting and the telemetry handle are not part of it.  Each
     /// sub-matrix enters by its memoised
@@ -90,6 +104,108 @@ impl NativeKernel {
     }
 }
 
+/// What a run of a kernel on some worker count reads, kept to recognise that
+/// very program again: the [`NativeKernel::identity`] list, compared instead
+/// of hashed.
+pub(crate) struct Program {
+    rows: usize,
+    cols: usize,
+    nnz: usize,
+    workers: usize,
+    partitions: Vec<ProgramPartition>,
+}
+
+struct ProgramPartition {
+    /// The sub-matrix by its allocation.  Weak, so the record holds no
+    /// stream; yet while it lives the address cannot be reused, and the
+    /// value behind it cannot change (an `Arc` with a weak reference is
+    /// never handed out mutably).
+    matrix: Weak<CsrMatrix>,
+    col_offset: usize,
+    shape: KernelShape,
+    prefetch: usize,
+    origin: IndexFn,
+    exec: PartitionExec,
+}
+
+/// True when two partitions' loops read the same work-split state — what
+/// [`partition`] hashes of it: the loop pointers follow from the shape, the
+/// worker cuts from the sub-matrix.
+fn same_split(a: &PartitionExec, b: &PartitionExec) -> bool {
+    match (a, b) {
+        (
+            PartitionExec::Rows { row_offsets, .. },
+            PartitionExec::Rows {
+                row_offsets: other, ..
+            },
+        ) => row_offsets == other,
+        (
+            PartitionExec::Nnz {
+                nnz_per_thread,
+                row_starts,
+                ..
+            },
+            PartitionExec::Nnz {
+                nnz_per_thread: other_nnz,
+                row_starts: other,
+                ..
+            },
+        ) => nnz_per_thread == other_nnz && row_starts == other,
+        _ => false,
+    }
+}
+
+impl Program {
+    /// The record of `kernel` running on `workers` workers.
+    pub(crate) fn of(kernel: &NativeKernel, workers: usize) -> Self {
+        Program {
+            rows: kernel.rows,
+            cols: kernel.cols,
+            nnz: kernel.nnz,
+            workers,
+            partitions: kernel
+                .partitions
+                .iter()
+                .map(|p| ProgramPartition {
+                    matrix: Arc::downgrade(&p.matrix),
+                    col_offset: p.col_offset,
+                    shape: p.shape,
+                    prefetch: prefetch_read(p),
+                    origin: p.origin.clone(),
+                    exec: p.exec.clone(),
+                })
+                .collect(),
+        }
+    }
+
+    /// False once a sub-matrix the program ran on is gone: no kernel can be
+    /// this program again, and the record only pins allocations.
+    pub(crate) fn is_live(&self) -> bool {
+        self.partitions.iter().all(|p| p.matrix.strong_count() > 0)
+    }
+
+    /// True when `kernel` on `workers` workers runs exactly this program:
+    /// the very sub-matrix allocations, and every other thing a run reads
+    /// equal by value — so its `y` is bitwise this program's on any input.
+    pub(crate) fn is(&self, kernel: &NativeKernel, workers: usize) -> bool {
+        (self.rows, self.cols, self.nnz, self.workers)
+            == (kernel.rows, kernel.cols, kernel.nnz, workers)
+            && self.partitions.len() == kernel.partitions.len()
+            && self
+                .partitions
+                .iter()
+                .zip(&kernel.partitions)
+                .all(|(r, p)| {
+                    std::ptr::eq(r.matrix.as_ptr(), Arc::as_ptr(&p.matrix))
+                        && r.col_offset == p.col_offset
+                        && r.shape == p.shape
+                        && r.prefetch == prefetch_read(p)
+                        && r.origin == p.origin
+                        && same_split(&r.exec, &p.exec)
+                })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +213,7 @@ mod tests {
     use alpha_codegen::{generate, GeneratedSpmv, GeneratorOptions};
     use alpha_graph::{presets, OperatorGraph, SimdLaneMapping};
     use alpha_matrix::hash::{STRIPE, STRIPES_PER_BLOCK};
-    use alpha_matrix::{gen, CsrMatrix, Scalar};
+    use alpha_matrix::{gen, Scalar};
 
     fn generated(graph: &OperatorGraph, matrix: &CsrMatrix) -> GeneratedSpmv {
         generate(graph, matrix, GeneratorOptions::default()).expect("generation succeeds")
@@ -240,6 +356,71 @@ mod tests {
         };
         *nnz_per_thread += 1;
         assert_ne!(twin.identity(), split(64));
+    }
+
+    #[test]
+    fn a_program_record_is_the_same_program_only_on_the_same_allocations() {
+        let matrix = gen::powerlaw(700, 700, 9, 2.0, 5);
+        // A sorted design: its origin map is a stored table.
+        let sorted = generated(&presets::sell_like(), &matrix);
+        let lower = || NativeKernel::new(sorted.kernel.metadata(), &sorted.format);
+        let record = Program::of(&lower(), 2);
+        // Another lowering of the same plans reads the same allocations.
+        assert!(record.is(&lower(), 2));
+        assert!(!record.is(&lower(), 1), "the worker count is part of it");
+
+        // Equal content on another allocation shares the identity only.
+        let fresh = lowered(&presets::sell_like(), &matrix);
+        assert_eq!(fresh.identity(), lower().identity());
+        assert!(!record.is(&fresh, 2));
+
+        // Everything the identity hashes, the record compares.
+        let differs = |what: &str, edit: &dyn Fn(&mut NativeKernel)| {
+            let mut twin = lower();
+            edit(&mut twin);
+            assert!(!record.is(&twin, 2), "{what} must not be the same program");
+        };
+        differs("a copied sub-matrix", &|k| {
+            let p = &mut k.partitions[0];
+            p.matrix = Arc::new((*p.matrix).clone());
+        });
+        differs("an origin entry", &|k| {
+            let IndexFn::Table(origin) = &mut k.partitions[0].origin else {
+                panic!("a sorted design stores its origin map");
+            };
+            origin.swap(0, 1);
+        });
+        differs("the column offset", &|k| k.partitions[0].col_offset += 1);
+        differs("the output length", &|k| k.rows += 1);
+        differs("the bound loop", &|k| {
+            k.partitions[0].bind(nnz_lanes(4, 0)).unwrap()
+        });
+        let mut vector = lower();
+        vector.partitions[0].bind(nnz_lanes(8, 16)).unwrap();
+        let record = Program::of(&vector, 2);
+        vector.partitions[0].bind(nnz_lanes(8, 64)).unwrap();
+        assert!(
+            !record.is(&vector, 2),
+            "the prefetch distance of a vector loop"
+        );
+
+        // The work split of an nnz partition.
+        let split = generated(&presets::csr5_like(64), &matrix);
+        let lower = || NativeKernel::new(split.kernel.metadata(), &split.format);
+        let record = Program::of(&lower(), 2);
+        let mut twin = lower();
+        let PartitionExec::Nnz { nnz_per_thread, .. } = &mut twin.partitions[0].exec else {
+            panic!("csr5_like lowers to an nnz partition");
+        };
+        *nnz_per_thread += 1;
+        assert!(!record.is(&twin, 2));
+        assert!(record.is(&lower(), 2));
+
+        // The record pins no stream: once the conversion is gone, so is the
+        // program.
+        assert!(record.is_live());
+        drop((twin, split));
+        assert!(!record.is_live());
     }
 
     #[test]

@@ -400,7 +400,12 @@ pub(crate) mod avx2 {
     /// # Safety
     /// The caller must have verified AVX2 support at resolve time, and every
     /// column index of `[start, end)` plus `col_offset` must be in bounds of
-    /// `x` (the gather does not check; the stream range itself is checked).
+    /// `x` and below 2³¹ (the gather does not check, and indexes in `i32`;
+    /// the stream range itself is checked).  For a `NativeKernel` partition
+    /// that is `NativePartition::new`'s `ColumnsOutOfRange` check
+    /// (`col_offset + cols` within `original_cols`, the length of every `x`
+    /// a partition runs on, and within 2³¹) over the sub-matrix's own
+    /// column indices, each below its `cols`.
     #[inline(always)]
     pub unsafe fn row_dot8<const PF: bool>(
         values: &[Scalar],
@@ -442,7 +447,10 @@ pub(crate) mod avx2 {
     /// 4-lane nnz dot via `_mm_i32gather_ps`.
     ///
     /// # Safety
-    /// As [`row_dot8`].
+    /// As [`row_dot8`]: AVX2 verified at resolve time, every column index
+    /// plus `col_offset` in bounds of `x` and below 2³¹ — for a
+    /// `NativeKernel` partition, `NativePartition::new`'s
+    /// `ColumnsOutOfRange` check.
     #[inline(always)]
     pub unsafe fn row_dot4<const PF: bool>(
         values: &[Scalar],

@@ -404,9 +404,14 @@ mod hw {
         fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
             // SAFETY: shapes classify as NnzAvx2 / NnzNeon only when
             // ResolvedSimd carried that backend, which requires a positive
-            // runtime probe (`cpu_features::detect_hardware`); the column
-            // indices are the partition's own, in bounds of `x` like the
-            // scalar loop's.
+            // runtime probe (`cpu_features::detect_hardware`).  The column
+            // indices are the partition's own, each below its sub-matrix's
+            // `cols`, and `NativePartition::new` rejected (with
+            // `KernelBuildError::ColumnsOutOfRange`) any partition whose
+            // `col_offset + cols` exceeds `original_cols` or 2^31, and every
+            // `x` a partition runs on is `original_cols` long (`run_into`
+            // checks it; loop selection builds its own).  So each gathered
+            // `x[col + col_offset]` is in bounds and fits the gather's `i32`.
             unsafe {
                 backend::row_dot8::<PF>(
                     a.values,
@@ -424,7 +429,9 @@ mod hw {
     impl Dot for Dot4 {
         #[inline(always)]
         fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
-            // SAFETY: as for `Dot8`.
+            // SAFETY: as for `Dot8`: the runtime probe, and
+            // `NativePartition::new`'s `ColumnsOutOfRange` check keeping
+            // every gathered column inside `x` and the `i32` range.
             unsafe {
                 backend::row_dot4::<PF>(
                     a.values,

@@ -28,7 +28,15 @@
 //! `Arc<CsrMatrix>` and an `Arc<[u32]>`.  Every [`PartitionPlan`] designed on
 //! top of it, the simulated kernel generated from that plan and the native
 //! partition lowered from it hold a reference to that one allocation; nothing
-//! downstream of the Designer copies a non-zero.
+//! downstream of the Designer copies a non-zero.  Content-equal conversions
+//! are one allocation too: two converting chains can reorder alike (`SORT`
+//! of a matrix whose rows are all one length leaves it as it was), and a
+//! newly built piece whose `origin_rows` and sub-matrix equal a held piece's
+//! takes the held `Arc`s (counted as `interned`), so a later stage that
+//! recognises a program by its allocation sees one program, not two.
+//! Beside each piece it holds, the Designer keeps one value a generator
+//! derived from it ([`Designer::derived`]: `alpha-codegen`'s fitted index
+//! arrays), dropped with the last memo entry holding the piece.
 //!
 //! The memo is keyed by operators only (never by matrix content: a Designer
 //! has one matrix), holds a bounded multiple of that matrix
@@ -40,9 +48,10 @@ use crate::metadata::{
 };
 use crate::operator::Operator;
 use alpha_matrix::{CooMatrix, CsrMatrix};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Warp size assumed by the designer's validation rules (CUDA fixes this at 32).
 pub const WARP_SIZE: usize = 32;
@@ -110,6 +119,9 @@ pub struct DesignerStats {
     pub built: u64,
     /// Conversions answered from one built before.
     pub reused: u64,
+    /// Pieces of built conversions that turned out equal to a held piece
+    /// and took its allocation instead of keeping their own.
+    pub interned: u64,
 }
 
 /// The Designer of one matrix: executes operator graphs over it, converting
@@ -123,6 +135,7 @@ pub struct Designer<'m> {
     designs: AtomicU64,
     built: AtomicU64,
     reused: AtomicU64,
+    interned: AtomicU64,
 }
 
 /// What identifies a conversion: the operators that reorder or split, and
@@ -149,6 +162,10 @@ struct BranchKey {
     sort_bmtb_rows: Option<usize>,
 }
 
+/// The value a generator derived from one piece's allocations (see
+/// [`Designer::derived`]); shared by every memo entry holding the piece.
+type DerivedCell = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
+
 /// One partition as the converting stage leaves it.  Cloning shares the
 /// streams.
 #[derive(Clone)]
@@ -158,19 +175,33 @@ struct Piece {
     col_offset: usize,
     shares_rows: bool,
     bin_boundaries: Option<Vec<usize>>,
+    /// Goes with `origin_rows` and `matrix`: a new allocation gets a new
+    /// cell, an interned piece its twin's.
+    derived: DerivedCell,
 }
 
 impl Piece {
+    /// A piece of freshly built allocations, not shared with any other.
+    fn new(
+        origin_rows: Arc<[u32]>,
+        matrix: CsrMatrix,
+        col_offset: usize,
+        shares_rows: bool,
+    ) -> Piece {
+        Piece {
+            origin_rows,
+            matrix: Arc::new(matrix),
+            col_offset,
+            shares_rows,
+            bin_boundaries: None,
+            derived: DerivedCell::default(),
+        }
+    }
+
     /// The rows `origin_rows` of `matrix`, in that order.
     fn of_rows(matrix: &CsrMatrix, origin_rows: Vec<u32>) -> Piece {
         let rows: Vec<usize> = origin_rows.iter().map(|&r| r as usize).collect();
-        Piece {
-            matrix: Arc::new(matrix.select_rows(&rows)),
-            origin_rows: origin_rows.into(),
-            col_offset: 0,
-            shares_rows: false,
-            bin_boundaries: None,
-        }
+        Piece::new(origin_rows.into(), matrix.select_rows(&rows), 0, false)
     }
 
     /// Permutes the piece by a local row order (local indices).
@@ -181,10 +212,26 @@ impl Piece {
             .iter()
             .map(|&r| self.origin_rows[r as usize])
             .collect();
+        self.derived = DerivedCell::default();
     }
 
     fn bytes(&self) -> usize {
         self.matrix.format_bytes() + self.origin_rows.len() * 4
+    }
+
+    /// True when `plan` was designed on this piece's allocations.
+    fn is_under(&self, plan: &PartitionPlan) -> bool {
+        Arc::ptr_eq(&self.matrix, &plan.matrix) && Arc::ptr_eq(&self.origin_rows, &plan.origin_rows)
+    }
+
+    /// True when `other` holds the same arrays, wherever they live: the
+    /// cheap checks first, the memoised fingerprints before the streams.
+    fn equals(&self, other: &Piece) -> bool {
+        let (a, b) = (&self.matrix, &other.matrix);
+        (a.rows(), a.cols(), a.nnz()) == (b.rows(), b.cols(), b.nnz())
+            && self.origin_rows == other.origin_rows
+            && a.fingerprint() == b.fingerprint()
+            && a == b
     }
 }
 
@@ -258,16 +305,57 @@ impl<'m> Designer<'m> {
             designs: AtomicU64::new(0),
             built: AtomicU64::new(0),
             reused: AtomicU64::new(0),
+            interned: AtomicU64::new(0),
         }
     }
 
-    /// Designs, conversions built and conversions reused so far.
+    /// Designs, conversions built, reused and pieces interned so far.
     pub fn stats(&self) -> DesignerStats {
         DesignerStats {
             designs: self.designs.load(Ordering::Relaxed),
             built: self.built.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
+            interned: self.interned.load(Ordering::Relaxed),
         }
+    }
+
+    /// What `derive` computes from the conversion `plan` was designed on:
+    /// computed once while this Designer holds that conversion, and shared
+    /// by every plan designed on it.  A generator keeps here what depends on
+    /// the conversion alone — `alpha-codegen` its fitted `origin_rows` /
+    /// `row_offsets` arrays — so the value lives exactly as long as the
+    /// memo keeps the conversion: never past an eviction, never past the
+    /// Designer.  A plan on a conversion the memo does not hold (one above
+    /// the bound, or a plan this Designer did not design), or a piece that
+    /// already keeps a value of another type, gets `derive`'s value
+    /// unkept.
+    pub fn derived<T: Any + Send + Sync>(
+        &self,
+        plan: &PartitionPlan,
+        derive: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let cell = {
+            let memo = self.memo.lock().expect("designer memo poisoned");
+            memo.entries
+                .values()
+                .flat_map(|entry| entry.pieces.iter())
+                .find(|piece| piece.is_under(plan))
+                .map(|piece| piece.derived.clone())
+        };
+        let Some(cell) = cell else {
+            return Arc::new(derive());
+        };
+        // Outside the memo lock: a second thread asking for the same piece
+        // waits for this one's value instead of deriving its own.
+        let mut derive = Some(derive);
+        let kept = cell.get_or_init(|| Arc::new(derive.take().expect("runs at most once")()));
+        if let Ok(value) = kept.clone().downcast::<T>() {
+            return value;
+        }
+        let derive = derive
+            .take()
+            .expect("a value of another type ran no derive");
+        Arc::new(derive())
     }
 
     /// Executes `graph` over the matrix, producing the Matrix Metadata Set.
@@ -321,9 +409,10 @@ impl<'m> Designer<'m> {
         })
     }
 
-    /// The conversion `key` names: from the memo, or built by `build` (and
-    /// then kept, within the bound).  The lock is never held while `build`
-    /// runs, so two threads that miss the same key may both build it.
+    /// The conversion `key` names: from the memo, or built by `build`,
+    /// interned, and then kept within the bound.  The lock is never held
+    /// while `build` runs or pieces are compared, so two threads that miss
+    /// the same key may both build it.
     fn converted(
         &self,
         key: &ConversionKey,
@@ -334,14 +423,37 @@ impl<'m> Designer<'m> {
             self.reused.fetch_add(1, Ordering::Relaxed);
             return Ok(pieces);
         }
-        let pieces: Arc<[Piece]> = build()?.into();
+        let mut pieces = build()?;
         self.built.fetch_add(1, Ordering::Relaxed);
+        self.intern(&mut pieces);
+        let pieces: Arc<[Piece]> = pieces.into();
         self.memo.lock().expect("designer memo poisoned").insert(
             key.clone(),
             &pieces,
             self.memo_limit,
         );
         Ok(pieces)
+    }
+
+    /// Gives every new piece equal to a held one the held piece's
+    /// allocations (and its derived value), dropping its own.
+    fn intern(&self, pieces: &mut [Piece]) {
+        let held: Vec<Piece> = {
+            let memo = self.memo.lock().expect("designer memo poisoned");
+            memo.entries
+                .values()
+                .flat_map(|entry| entry.pieces.iter())
+                .cloned()
+                .collect()
+        };
+        for piece in pieces {
+            if let Some(twin) = held.iter().find(|held| held.equals(piece)) {
+                piece.origin_rows = twin.origin_rows.clone();
+                piece.matrix = twin.matrix.clone();
+                piece.derived = twin.derived.clone();
+                self.interned.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// A branch's piece of the shared chain's output after the branch's own
@@ -652,13 +764,12 @@ fn split_cols(
                 }
             }
         }
-        pieces.push(Piece {
-            origin_rows: origin_rows.clone(),
-            matrix: Arc::new(CsrMatrix::from_coo(&coo)),
-            col_offset: col_start,
-            shares_rows: true,
-            bin_boundaries: None,
-        });
+        pieces.push(Piece::new(
+            origin_rows.clone(),
+            CsrMatrix::from_coo(&coo),
+            col_start,
+            true,
+        ));
     }
     Ok(pieces)
 }
@@ -877,11 +988,97 @@ mod tests {
             DesignerStats {
                 designs: 2,
                 built: 1,
-                reused: 1
+                reused: 1,
+                interned: 0,
             }
         );
         // A clone of the metadata is a reference, not a copy.
         assert!(Arc::ptr_eq(&scalar.clone().partitions[0].matrix, &a.matrix));
+    }
+
+    /// `csr_scalar` behind a global `SORT`: another conversion key.
+    fn sorted_csr_scalar() -> OperatorGraph {
+        let mut graph = presets::csr_scalar();
+        graph.converting.push(Operator::Sort);
+        graph
+            .validate()
+            .expect("a sorted csr_scalar is a valid design");
+        graph
+    }
+
+    #[test]
+    fn two_converting_chains_with_equal_output_share_one_allocation() {
+        // Every row has the same length, so the stable SORT leaves the order
+        // as it was: two keys, one conversion.
+        let m = gen::uniform_random(300, 300, 6, 4);
+        let designer = Designer::new(&m);
+        let plain = designer.design(&presets::csr_scalar()).unwrap();
+        let sorted = designer.design(&sorted_csr_scalar()).unwrap();
+        let (a, b) = (&plain.partitions[0], &sorted.partitions[0]);
+        assert!(Arc::ptr_eq(&a.matrix, &b.matrix));
+        assert!(Arc::ptr_eq(&a.origin_rows, &b.origin_rows));
+        assert!(sorted == design(&sorted_csr_scalar(), &m).unwrap());
+        assert_eq!(
+            designer.stats(),
+            DesignerStats {
+                designs: 2,
+                built: 2,
+                reused: 0,
+                interned: 1,
+            }
+        );
+
+        // Where the SORT does move rows, the conversions stay apart.
+        let skewed = matrix();
+        let designer = Designer::new(&skewed);
+        let plain = designer.design(&presets::csr_scalar()).unwrap();
+        let sorted = designer.design(&sorted_csr_scalar()).unwrap();
+        assert!(!Arc::ptr_eq(
+            &plain.partitions[0].matrix,
+            &sorted.partitions[0].matrix
+        ));
+        assert_eq!(designer.stats().interned, 0);
+    }
+
+    #[test]
+    fn a_derived_value_is_kept_per_held_conversion_and_dropped_with_it() {
+        let m = matrix();
+        let whole = m.format_bytes() + m.rows() * 4;
+        // Room for exactly one whole-matrix conversion.
+        let designer = Designer::with_memo_limit(&m, whole);
+        let derives = std::sync::atomic::AtomicUsize::new(0);
+        let derive = |plan: &PartitionPlan| {
+            designer.derived(plan, || {
+                derives.fetch_add(1, Ordering::Relaxed);
+                plan.matrix.nnz()
+            })
+        };
+        let scalar = designer.design(&presets::csr_scalar()).unwrap();
+        let first = derive(&scalar.partitions[0]);
+        // Another design on the same conversion shares the value.
+        let vector = designer.design(&presets::csr_vector()).unwrap();
+        assert!(Arc::ptr_eq(&first, &derive(&vector.partitions[0])));
+        assert_eq!(derives.load(Ordering::Relaxed), 1);
+        // A value of another type on the same piece is derived, not kept.
+        assert_eq!(
+            *designer.derived(&scalar.partitions[0], || "other"),
+            "other"
+        );
+
+        // The sorted conversion evicts the plain one, and its value with it:
+        // the plain conversion's plans still work, unkept.
+        let sorted = designer.design(&presets::sell_like()).unwrap();
+        derive(&sorted.partitions[0]);
+        assert_eq!(derives.load(Ordering::Relaxed), 2);
+        let weak = Arc::downgrade(&first);
+        drop(first);
+        assert!(
+            weak.upgrade().is_none(),
+            "an evicted conversion's value is dropped"
+        );
+        derive(&scalar.partitions[0]);
+        derive(&scalar.partitions[0]);
+        assert_eq!(derives.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -400,12 +400,17 @@ pub fn search_with_cache(
         .counter("search_structures_pruned_total", &[])
         .add(stats.structures_pruned as u64);
     // What the search's Designer did for those evaluations: how many graphs
-    // it designed and how many matrix conversions that took.
+    // it designed, how many matrix conversions that took, and how many
+    // built pieces turned out equal to one it held.
     let designer = ctx.designer().stats();
     registry
         .counter("search_designs_total", &[])
         .add(designer.designs);
-    for (outcome, conversions) in [("built", designer.built), ("reused", designer.reused)] {
+    for (outcome, conversions) in [
+        ("built", designer.built),
+        ("reused", designer.reused),
+        ("interned", designer.interned),
+    ] {
         registry
             .counter("search_design_conversions_total", &[("outcome", outcome)])
             .add(conversions);
