@@ -921,9 +921,11 @@ mod tests {
     /// One measured search, as its evaluator saw it.
     struct RecordedSearch {
         evaluator: NativeEvaluator,
-        /// Every feasible candidate in evaluation order: its graph, the
-        /// identity of the kernel it lowers to, the GFLOP/s it was given.
-        feasible: std::sync::Mutex<Vec<(OperatorGraph, alpha_cpu::KernelIdentity, f64)>>,
+        /// Every feasible candidate in evaluation order: its graph, which of
+        /// `programs` its kernel is, the GFLOP/s it was given.
+        feasible: std::sync::Mutex<Vec<(OperatorGraph, usize, f64)>>,
+        /// The distinct programs the candidates lowered to, first seen first.
+        programs: std::sync::Mutex<Vec<alpha_cpu::Program>>,
     }
 
     struct Recording(Arc<RecordedSearch>);
@@ -931,11 +933,23 @@ mod tests {
     impl Evaluator for Recording {
         fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
             let evaluation = self.0.evaluator.evaluate(ctx, graph)?;
-            let generated = generate(graph, ctx.matrix, ctx.options).expect("it was feasible");
+            // Through the search's Designer: the allocations the evaluator's
+            // kernel read.
+            let generated = alpha_codegen::generate_with(ctx.designer(), graph, ctx.options)
+                .expect("it was feasible");
             let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+            let workers = kernel.workers_for(1);
+            let mut programs = self.0.programs.lock().unwrap();
+            let program = match programs.iter().position(|p| p.is(&kernel, workers)) {
+                Some(program) => program,
+                None => {
+                    programs.push(alpha_cpu::Program::of(&kernel, workers));
+                    programs.len() - 1
+                }
+            };
             self.0.feasible.lock().unwrap().push((
                 graph.clone(),
-                kernel.identity(),
+                program,
                 evaluation.report.gflops,
             ));
             Some(evaluation)
@@ -953,6 +967,7 @@ mod tests {
                 let search = Arc::new(RecordedSearch {
                     evaluator: NativeEvaluator::new(harness, 1),
                     feasible: Default::default(),
+                    programs: Default::default(),
                 });
                 searches.lock().unwrap().push(search.clone());
                 Box::new(Recording(search))
@@ -990,8 +1005,8 @@ mod tests {
         let search = &searches[0];
         let feasible = search.feasible.lock().unwrap();
         assert_eq!(search.evaluator.executions(), stats.cache_misses);
-        // One timing per distinct kernel, and far fewer kernels than graphs.
-        let mut first_seen: Vec<&(OperatorGraph, alpha_cpu::KernelIdentity, f64)> = Vec::new();
+        // One timing per distinct program, and far fewer programs than graphs.
+        let mut first_seen: Vec<&(OperatorGraph, usize, f64)> = Vec::new();
         for candidate in feasible.iter() {
             match first_seen.iter().find(|first| first.1 == candidate.1) {
                 // Every graph of one kernel carries the kernel's one reading.

@@ -15,20 +15,18 @@
 //!
 //! Three practical notes:
 //!
-//! * A measurement belongs to the kernel, not to the graph.  The operator
+//! * A measurement belongs to the program, not to the graph.  The operator
 //!   graph varies thread-block size, rows per block and reduction style —
 //!   coordinates lowering never reads — so most candidates of a search lower
 //!   to a kernel an earlier candidate already ran (an 80-iteration tune
 //!   explores 4-20 distinct kernels).  Every candidate is still generated
-//!   and lowered.  The timed loop is skipped when a kernel with the same
-//!   [`KernelIdentity`] was timed before by this evaluator, and the
-//!   candidate then carries that kernel's report.  The verification run is
-//!   skipped only when the candidate *is* a program that passed verification
-//!   on this very probe: the same sub-matrix allocations and, by value,
-//!   everything else a run reads (a `Program` record), under bitwise the
-//!   same `x`, reference and tolerance.  A hash match alone never skips it.
+//!   and lowered.  A candidate that *is* a [`Program`] this evaluator
+//!   verified and timed — the same sub-matrix allocations and, by value,
+//!   everything else a run reads — under bitwise the same `x`, reference and
+//!   tolerance skips both runs and carries that program's report.  Any other
+//!   candidate is verified, timed and recorded.
 //! * Measured times are nondeterministic; cached entries freeze the first
-//!   measurement of each distinct kernel, which keeps a single search
+//!   measurement of each distinct program, which keeps a single search
 //!   self-consistent.
 //!   The harness parameters are part of the evaluation identity
 //!   ([`EvaluatorId::Native`]), so differently-configured measurements never
@@ -40,14 +38,13 @@
 
 pub use crate::harness::NATIVE_DEVICE_LABEL;
 use crate::harness::{MeasuredReport, TimingHarness};
-use crate::kernel::{KernelIdentity, NativeKernel, Program};
+use crate::kernel::{NativeKernel, Program};
 use alpha_codegen::generate_with;
 use alpha_graph::OperatorGraph;
 use alpha_matrix::Scalar;
 use alpha_parallel::Pool;
 use alpha_search::{EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId};
 use alpha_telemetry::{Counter, Histogram};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -60,32 +57,29 @@ use std::time::Instant;
 /// run and every timed rep of every candidate in a search reuses the same
 /// parked workers and the same allocation, so a measurement is pure kernel
 /// time — no thread spawns, no allocator traffic, no interference from other
-/// pools' jobs.  It also remembers every measurement it took, by what was
-/// measured: a candidate that lowers to a kernel already timed is answered
-/// from that measurement, and verified unless it is exactly the program
-/// that last passed verification for that kernel on the same probe.
+/// pools' jobs.  It also remembers every program it verified and timed: a
+/// candidate that is one of them on the same probe is answered from its
+/// measurement.
 pub struct NativeEvaluator {
     harness: TimingHarness,
     kernel_threads: usize,
     executions: AtomicUsize,
-    verifications: AtomicUsize,
+    measurements: AtomicUsize,
     pool: Pool,
     measuring: Mutex<Measuring>,
     /// `cpu_eval_total{outcome=...}`, resolved once.
     timed: Counter,
     reused: Counter,
     infeasible: Counter,
-    /// `cpu_eval_verify_total{path=...}`, resolved once.
-    verify_ran: Counter,
-    verify_same_program: Counter,
     /// `cpu_eval_stage_us{stage=...}`, in [`EVAL_STAGES`] order.
     stages: [Histogram; EVAL_STAGES.len()],
 }
 
 /// The stages of one candidate evaluation, in the order they run: the
 /// `stage` labels of `cpu_eval_stage_us`.  A candidate that turns out
-/// infeasible observes the stages it completed.
-pub const EVAL_STAGES: [&str; 5] = ["generate", "lower", "identity", "verify", "timing"];
+/// infeasible observes the stages it completed; one that is a recorded
+/// program observes its look-up as `verify` and nothing as `timing`.
+pub const EVAL_STAGES: [&str; 4] = ["generate", "lower", "verify", "timing"];
 
 /// Observes consecutive stages of one evaluation: each [`lap`](Self::lap)
 /// is one clock read, charged to the next stage in [`EVAL_STAGES`] order.
@@ -105,22 +99,15 @@ impl StageClock<'_> {
 }
 
 /// What one measurement at a time owns: whoever holds the lock has the
-/// cores, the output buffer and the say on whether a kernel still needs
-/// timing or verifying.
+/// cores, the output buffer and the say on whether a program still needs
+/// verifying and timing.
 #[derive(Default)]
 struct Measuring {
     y: Vec<Scalar>,
-    /// Every kernel timed so far, by what ran and on how many workers.
-    timed: HashMap<(KernelIdentity, usize), Timed>,
-    /// The probe every [`Timed::verified`] program passed under.
+    /// Every program verified under [`Measuring::probe`] and timed, with its
+    /// reading.
+    programs: Vec<(Program, MeasuredReport)>,
     probe: Probe,
-}
-
-struct Timed {
-    report: MeasuredReport,
-    /// The last program of this key that passed verification under
-    /// [`Measuring::probe`].
-    verified: Option<Program>,
 }
 
 /// What verification judges a kernel's `y` by: the input, the reference
@@ -157,19 +144,16 @@ impl NativeEvaluator {
     pub fn new(harness: TimingHarness, kernel_threads: usize) -> Self {
         let registry = alpha_telemetry::global();
         let outcome = |outcome| registry.counter("cpu_eval_total", &[("outcome", outcome)]);
-        let verify = |path| registry.counter("cpu_eval_verify_total", &[("path", path)]);
         NativeEvaluator {
             harness,
             kernel_threads,
             executions: AtomicUsize::new(0),
-            verifications: AtomicUsize::new(0),
+            measurements: AtomicUsize::new(0),
             pool: Pool::new(kernel_threads),
             measuring: Mutex::new(Measuring::default()),
             timed: outcome("timed"),
             reused: outcome("reused"),
             infeasible: outcome("infeasible"),
-            verify_ran: verify("ran"),
-            verify_same_program: verify("same_program"),
             stages: EVAL_STAGES
                 .map(|stage| registry.histogram("cpu_eval_stage_us", &[("stage", stage)])),
         }
@@ -189,34 +173,25 @@ impl NativeEvaluator {
         self.harness.evaluator_id()
     }
 
-    /// Number of candidates evaluated so far (generated, lowered, and
-    /// verified unless already verified as the same program) — the probe
-    /// cache tests use to assert that hits skip execution.
+    /// Number of candidates evaluated so far (generated, lowered, and run
+    /// unless they were a recorded program) — the probe cache tests use to
+    /// assert that hits skip execution.
     pub fn executions(&self) -> usize {
         self.executions.load(Ordering::Relaxed)
     }
 
-    /// Number of verification runs so far: at most
-    /// [`executions`](Self::executions), and below it by every candidate
-    /// that failed before verification and every candidate that was exactly
-    /// a program already verified on the same probe.
-    pub fn verifications(&self) -> usize {
-        self.verifications.load(Ordering::Relaxed)
-    }
-
-    /// Number of kernels actually timed so far: at most
+    /// Number of programs verified and timed so far: at most
     /// [`executions`](Self::executions), and below it by every infeasible
-    /// candidate and every candidate that lowered to a kernel timed before.
+    /// candidate and every candidate that was a program recorded before.
     pub fn measurements(&self) -> usize {
-        let measuring = self.measuring.lock().expect("evaluator scratch poisoned");
-        measuring.timed.len()
+        self.measurements.load(Ordering::Relaxed)
     }
 
-    /// Generates and lowers `graph`, verifies its kernel unless it is a
-    /// program verified before on this probe, and times it unless an
-    /// identical kernel was timed before.  `None` is an infeasible design.
+    /// Generates and lowers `graph`, then answers from the recorded program
+    /// it is, or verifies, times and records it.  `None` is an infeasible
+    /// design.
     fn measure(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
-        // Six clock reads per candidate: one to start, one after each stage.
+        // Five clock reads per candidate: one to start, one after each stage.
         let mut clock = StageClock {
             stages: self.stages.iter(),
             last: Instant::now(),
@@ -229,80 +204,56 @@ impl NativeEvaluator {
         let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format).ok()?;
         clock.lap();
         let workers = kernel.workers_for(self.kernel_threads);
-        let key = (kernel.identity(), workers);
-        clock.lap();
-        // Verify before timing: a design that computes the wrong y is
-        // infeasible, not merely slow.  The verification run also validates
-        // the dimensions and warms the kernel's data, so the timed loop
-        // below reuses the scratch buffer and runs nothing extra.  The lock
-        // also serialises concurrent measurements, which would otherwise
-        // steal each other's cores — and the look-ups for an earlier timing
-        // and an earlier verification happen under it, so of two identical
-        // kernels evaluated concurrently exactly one is timed.
+        // The lock serialises measurements, which would otherwise steal each
+        // other's cores — and the look-up for a recorded program happens
+        // under it, so of two identical kernels evaluated concurrently
+        // exactly one is verified and timed.
         let mut guard = self.measuring.lock().expect("evaluator scratch poisoned");
-        let Measuring { y, timed, probe } = &mut *guard;
+        let Measuring { y, programs, probe } = &mut *guard;
         if !probe.is(ctx) {
-            // A record verified under another probe proves nothing here.
+            // A program verified under another probe proves nothing here.
             *probe = Probe {
                 x: ctx.x.as_slice().to_vec(),
                 reference: ctx.reference.clone(),
                 tolerance: ctx.tolerance,
             };
-            timed.values_mut().for_each(|t| t.verified = None);
+            programs.clear();
         }
-        let same_program = timed
-            .get(&key)
-            .and_then(|t| t.verified.as_ref())
-            .is_some_and(|verified| verified.is(&kernel, workers));
-        if same_program {
-            self.verify_same_program.inc();
-        } else {
-            self.verifications.fetch_add(1, Ordering::Relaxed);
-            self.verify_ran.inc();
-            y.clear();
-            y.resize(kernel.rows(), 0.0);
-            kernel
-                .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
-                .ok()?;
-            if alpha_matrix::max_scaled_error(y, &ctx.reference) > ctx.tolerance {
-                return None;
-            }
-        }
-        clock.lap();
-        let measured = match timed.get(&key) {
-            Some(t) => {
+        let measured = match programs.iter().find(|(p, _)| p.is(&kernel, workers)) {
+            Some((_, report)) => {
                 self.reused.inc();
-                t.report.clone()
+                clock.lap();
+                report.clone()
             }
             None => {
+                // Verify before timing: a design that computes the wrong y
+                // is infeasible, not merely slow.  The verification run also
+                // validates the dimensions and warms the kernel's data, so
+                // the timed loop below reuses the scratch buffer and runs
+                // nothing extra.
+                y.clear();
+                y.resize(kernel.rows(), 0.0);
+                kernel
+                    .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
+                    .ok()?;
+                if alpha_matrix::max_scaled_error(y, &ctx.reference) > ctx.tolerance {
+                    return None;
+                }
+                clock.lap();
                 let measured = self.harness.measure(kernel.useful_flops(), workers, || {
                     kernel
                         .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
                         .expect("dimensions validated by the verification run");
                 });
+                self.measurements.fetch_add(1, Ordering::Relaxed);
                 self.timed.inc();
-                let report = measured.clone();
-                timed.insert(
-                    key,
-                    Timed {
-                        report,
-                        verified: None,
-                    },
-                );
+                // Records whose sub-matrices are gone can never match again;
+                // dropping them frees the index maps and allocations they pin.
+                programs.retain(|(p, _)| p.is_live());
+                programs.push((Program::of(&kernel, workers), measured.clone()));
                 measured
             }
         };
-        if !same_program {
-            // Records whose sub-matrices are gone can never match again;
-            // dropping them frees the index maps and allocations they pin.
-            for t in timed.values_mut() {
-                if t.verified.as_ref().is_some_and(|p| !p.is_live()) {
-                    t.verified = None;
-                }
-            }
-            timed.get_mut(&key).expect("timed above").verified =
-                Some(Program::of(&kernel, workers));
-        }
         clock.lap();
         Some(Evaluation {
             report: measured.to_perf_report(kernel.format_bytes()),
@@ -475,58 +426,47 @@ pub(crate) mod tests {
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
         let ctx = context_fixture(&matrix);
         let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
-        let path = |path| {
+        let reused = || {
             alpha_telemetry::global()
-                .counter("cpu_eval_verify_total", &[("path", path)])
+                .counter("cpu_eval_total", &[("outcome", "reused")])
                 .get()
         };
-        let (ran, same) = (path("ran"), path("same_program"));
+        let before = reused();
         let variants = gpu_only_variants();
         for graph in &variants {
             evaluator.evaluate(&ctx, graph).expect("feasible");
         }
+        // One program: verified and timed by the first variant, and every
+        // other variant is it.
         assert_eq!(evaluator.executions(), variants.len());
-        assert_eq!(evaluator.verifications(), 1);
+        assert_eq!(evaluator.measurements(), 1);
         // Other tests of this process count on the same registry.
-        assert!(path("ran") > ran);
-        assert!(path("same_program") >= same + variants.len() as u64 - 1);
+        assert!(reused() >= before + variants.len() as u64 - 1);
     }
 
     #[test]
-    fn a_hash_match_on_another_allocation_is_not_the_same_program() {
+    fn another_allocation_is_not_the_same_program() {
         // Equal matrices, two contexts: each Designer converts its own, so
-        // the kernels share an identity (and a timing) but not a program.
+        // the kernels read equal streams from two allocations — two
+        // programs, each verified and timed.
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
         let twin = matrix.clone();
         let (a, b) = (context_fixture(&matrix), context_fixture(&twin));
         let graph = presets::csr_scalar();
         let lowered = |ctx: &EvalContext<'_>| {
             let generated = generate_with(ctx.designer(), &graph, ctx.options).unwrap();
-            let identity =
-                NativeKernel::new(generated.kernel.metadata(), &generated.format).identity();
-            (
-                generated.kernel.metadata().partitions[0].matrix.clone(),
-                identity,
-            )
+            NativeKernel::new(generated.kernel.metadata(), &generated.format)
         };
-        let ((matrix_a, identity_a), (matrix_b, identity_b)) = (lowered(&a), lowered(&b));
-        assert_eq!(identity_a, identity_b);
-        assert!(!Arc::ptr_eq(&matrix_a, &matrix_b));
+        assert!(!Program::of(&lowered(&a), 1).is(&lowered(&b), 1));
 
         let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
-        let first = evaluator.evaluate(&a, &graph).expect("feasible");
-        let second = evaluator.evaluate(&b, &graph).expect("feasible");
-        assert_eq!(evaluator.verifications(), 2, "a hash match never skips");
-        assert_eq!(evaluator.measurements(), 1, "but it shares the timing");
-        assert_eq!(
-            first.report.time_us.to_bits(),
-            second.report.time_us.to_bits()
-        );
-        // The last program verified is the one recognised.
-        evaluator.evaluate(&b, &graph).expect("feasible");
-        assert_eq!(evaluator.verifications(), 2);
         evaluator.evaluate(&a, &graph).expect("feasible");
-        assert_eq!(evaluator.verifications(), 3);
+        evaluator.evaluate(&b, &graph).expect("feasible");
+        assert_eq!(evaluator.measurements(), 2, "verified and timed again");
+        // Both programs are remembered.
+        evaluator.evaluate(&b, &graph).expect("feasible");
+        evaluator.evaluate(&a, &graph).expect("feasible");
+        assert_eq!((evaluator.executions(), evaluator.measurements()), (4, 2));
     }
 
     #[test]
@@ -538,24 +478,24 @@ pub(crate) mod tests {
         for _ in 0..2 {
             evaluator.evaluate(&ctx, &graph).expect("feasible");
         }
-        assert_eq!(evaluator.verifications(), 1);
-        // A new, consistent probe: verified again, then recognised again.
+        assert_eq!(evaluator.measurements(), 1);
+        // A new, consistent probe: verified and timed again, then
+        // recognised again.
         ctx.x[0] = 2.5;
         ctx.reference = matrix.spmv(ctx.x.as_slice()).unwrap();
         for _ in 0..2 {
             evaluator.evaluate(&ctx, &graph).expect("feasible");
         }
-        assert_eq!(evaluator.verifications(), 2);
+        assert_eq!(evaluator.measurements(), 2);
         // A tolerance is part of the probe.
         ctx.tolerance *= 2.0;
         evaluator.evaluate(&ctx, &graph).expect("feasible");
-        assert_eq!(evaluator.verifications(), 3);
-        assert_eq!((evaluator.executions(), evaluator.measurements()), (5, 1));
+        assert_eq!((evaluator.executions(), evaluator.measurements()), (5, 3));
     }
 
     #[test]
     fn concurrent_duplicates_of_one_batch_are_timed_once() {
-        // The look-up for an earlier timing happens under the lock that
+        // The look-up for a recorded program happens under the lock that
         // serialises measurements: whichever duplicate gets there second
         // finds the first one's report.
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);

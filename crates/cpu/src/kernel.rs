@@ -48,8 +48,7 @@ use std::time::Instant;
 mod identity;
 mod select;
 
-pub use identity::KernelIdentity;
-pub(crate) use identity::Program;
+pub use identity::Program;
 pub use select::{plans_from_label, LoopChoice};
 
 /// Non-zeros one scalar worker should own, at minimum, before another pooled

@@ -21,9 +21,9 @@
 //!   instead of modelled cost, selectable through
 //!   [`SearchConfig::evaluator`](alpha_search::SearchConfig) and composable
 //!   with the existing `CachingEvaluator` / `BatchEvaluator` layers.  Every
-//!   candidate is lowered and verified; a measurement is filed under what
-//!   ran ([`NativeKernel::identity`]), so the many graphs that lower to one
-//!   kernel cost one timing per search;
+//!   candidate is lowered; a verification and a measurement are filed under
+//!   the [`Program`] that ran, so the many graphs that lower to one kernel
+//!   cost one verification and one timing per search;
 //! * [`simd`] — AVX2/NEON SpMV microkernels behind the runtime
 //!   [`cpu_features`] probe, with lane width, row-vs-nnz lane mapping and
 //!   prefetch distance taken from the design's
@@ -58,8 +58,8 @@ pub use cpu_features::{SimdSupport, NO_SIMD_ENV};
 pub use eval::{NativeEvaluator, NATIVE_DEVICE_LABEL};
 pub use harness::{MeasuredReport, TimingHarness};
 pub use kernel::{
-    effective_workers, plans_from_label, IndexFn, KernelBuildError, KernelIdentity, LoopChoice,
-    NativeKernel, MIN_NNZ_PER_WORKER,
+    effective_workers, plans_from_label, IndexFn, KernelBuildError, LoopChoice, NativeKernel,
+    Program, MIN_NNZ_PER_WORKER,
 };
 pub use simd::{ResolvedSimd, SimdMode};
 pub use specialized::{IndexKind, KernelShape, PartitionKind, PrefetchClass, SimdClass};

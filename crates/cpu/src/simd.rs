@@ -378,6 +378,10 @@ macro_rules! runtime_prefetch_twin {
             end: usize,
             prefetch: usize,
         ) -> Scalar {
+            // SAFETY: the caller holds `$dot`'s contract; the one test that
+            // calls this does so behind the `cpu_features` dispatch guard
+            // (`detect_hardware()` probed the extension) on streams whose
+            // column indices are all below `x.len()`.
             if prefetch > 0 {
                 $dot::<true>(values, col_indices, x, col_offset, start, end, prefetch)
             } else {
@@ -416,6 +420,12 @@ pub(crate) mod avx2 {
         end: usize,
         prefetch: usize,
     ) -> Scalar {
+        // SAFETY: AVX2 instructions run only behind the `cpu_features`
+        // dispatch guard (`ResolvedSimd::resolve` picks `Backend::Avx2` only
+        // when `detect_hardware()` found AVX2).  The loads stay in the row:
+        // `i + 8 <= body <= values.len() == col_indices.len()`, by the
+        // slice-length checks of `[start..end]`.  The gather stays in `x`:
+        // `ColumnsOutOfRange` (`NativePartition::new`).
         let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
         let body = values.len() - values.len() % 8;
         let mut acc = _mm256_setzero_ps();
@@ -427,8 +437,8 @@ pub(crate) mod avx2 {
             let v = _mm256_loadu_ps(values.as_ptr().add(i));
             let idx = _mm256_loadu_si256(col_indices.as_ptr().add(i) as *const __m256i);
             let idx = _mm256_add_epi32(idx, offset);
-            // Gather x[col + col_offset] for all 8 lanes; every index is a
-            // valid in-bounds column, the same loads the scalar loop issues.
+            // Gather x[col + col_offset] for all 8 lanes: the same loads the
+            // scalar loop issues, in bounds by `ColumnsOutOfRange`.
             let gathered = _mm256_i32gather_ps::<4>(x.as_ptr(), idx);
             // mul + add (not FMA) keeps bits identical to the portable path.
             acc = _mm256_add_ps(acc, _mm256_mul_ps(v, gathered));
@@ -461,6 +471,9 @@ pub(crate) mod avx2 {
         end: usize,
         prefetch: usize,
     ) -> Scalar {
+        // SAFETY: as in `row_dot8` — the `cpu_features` dispatch guard for
+        // AVX2, the slice-length checks for `i + 4 <= body` in both streams,
+        // `ColumnsOutOfRange` for the gather.
         let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
         let body = values.len() - values.len() % 4;
         let mut acc = _mm_setzero_ps();
@@ -505,6 +518,9 @@ pub(crate) mod neon {
         col_offset: usize,
         i: usize,
     ) -> float32x4_t {
+        // SAFETY: every read is a checked slice index (a bad column panics,
+        // it never reads outside `x`); `vld1q_f32` reads the 4-element local
+        // array, and NEON is present by the `cpu_features` dispatch guard.
         let g = [
             x[col_indices[i] as usize + col_offset],
             x[col_indices[i + 1] as usize + col_offset],
@@ -518,6 +534,8 @@ pub(crate) mod neon {
     /// `d = [a0+a2, a1+a3]; result = d0 + d1`.
     #[inline(always)]
     unsafe fn hsum4(acc: float32x4_t) -> Scalar {
+        // SAFETY: register-only NEON arithmetic, present by the
+        // `cpu_features` dispatch guard.
         let d = vadd_f32(vget_low_f32(acc), vget_high_f32(acc));
         vget_lane_f32::<0>(d) + vget_lane_f32::<1>(d)
     }
@@ -539,6 +557,10 @@ pub(crate) mod neon {
         end: usize,
         _prefetch: usize,
     ) -> Scalar {
+        // SAFETY: NEON by the `cpu_features` dispatch guard (`resolve` picks
+        // `Backend::Neon` only when `detect_hardware()` found it); the value
+        // loads stay in the row by the slice-length checks of `[start..end]`
+        // (`i + 4 <= body <= values.len()`); `gather4` checks every index.
         let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
         let body = values.len() - values.len() % 4;
         let mut acc = vdupq_n_f32(0.0);
@@ -566,6 +588,9 @@ pub(crate) mod neon {
         end: usize,
         _prefetch: usize,
     ) -> Scalar {
+        // SAFETY: as in `row_dot4` — the `cpu_features` dispatch guard for
+        // NEON, the slice-length checks for `i + 8 <= body` in the value
+        // stream, and `gather4`'s checked indices.
         let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
         let body = values.len() - values.len() % 8;
         let mut acc_lo = vdupq_n_f32(0.0);

@@ -23,19 +23,21 @@
 //!   ([`NativeKernel::select`]: the loop is measured, not designed) is held
 //!   to the same bound on every preset × family and on the degenerate fleet,
 //!   and is the kernel plain lowering builds from the selected plans;
-//! * kernels with equal [`NativeKernel::identity`] — the key one timing is
-//!   shared under — are one kernel: the same streams and shapes, and
-//!   **bitwise**-equal `y` at 1 and 4 threads;
+//! * kernels lowered through one `Designer` that are one [`Program`] — what
+//!   one verification and one timing are shared under — are one kernel: the
+//!   same streams and shapes, and **bitwise**-equal `y` at 1 and 4 threads;
+//!   and kernels with the same streams and shapes are one `Program`;
 //! * a kernel lowered through a warm `Designer` (the search's path) has the
-//!   identity and the bitwise `y` of the one lowered from a fresh design;
+//!   streams, shapes and bitwise `y` of the one lowered from a fresh design;
 //! * the executing pool never changes `y`: `t` shares run one at a time on a
 //!   `Pool::new(1)` are **bitwise** the same `t` shares run on a
 //!   `Pool::new(t)` (what lets a daemon pick the pool by load).
 
-use alpha_cpu::{NativeKernel, SimdMode};
+use alpha_cpu::{NativeKernel, Program, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph};
 use alpha_matrix::{gen::PatternFamily, CooMatrix, CsrMatrix, DenseVector};
 use alpha_parallel::Pool;
+use std::sync::{Arc, Weak};
 
 /// The constant `c` of the per-row bound
 ///
@@ -306,7 +308,7 @@ fn selected_kernels_are_within_the_stated_bound() {
 
 /// What a kernel reads, spelled out from the inputs it was lowered from: the
 /// per-partition shapes, then every partition's streams, offsets and maps.
-/// The slow, exact counterpart of [`NativeKernel::identity`].
+/// The slow, by-content counterpart of [`Program`].
 fn spelled_out(generated: &alpha_codegen::GeneratedSpmv, kernel: &NativeKernel) -> String {
     use std::fmt::Write;
     let mut out = kernel.partition_shapes();
@@ -335,86 +337,92 @@ fn spelled_out(generated: &alpha_codegen::GeneratedSpmv, kernel: &NativeKernel) 
     out
 }
 
+/// One program a family's kernels lowered to: what it reads, `y` at 1 and
+/// at 4 threads, who lowered to it first, and its sub-matrices.
+struct Seen {
+    program: Program,
+    reads: String,
+    y: [Vec<u32>; 2],
+    who: String,
+    matrices: Vec<Weak<CsrMatrix>>,
+}
+
+impl Seen {
+    /// True while the Designer still holds the program's conversions: only
+    /// then can a content-equal conversion be handed the same allocation.
+    fn held(&self) -> bool {
+        self.matrices.iter().all(|m| m.strong_count() > 0)
+    }
+}
+
 #[test]
-fn kernels_with_equal_identity_are_one_kernel() {
-    use std::collections::HashMap;
+fn kernels_that_are_one_program_are_one_kernel() {
+    let options = alpha_codegen::GeneratorOptions::default();
     let mut shared = 0usize;
     for (fi, family) in PatternFamily::ALL.iter().enumerate() {
         let matrix = family.generate(384, 6, 900 + fi as u64);
         let x = DenseVector::random(matrix.cols(), 7);
-        // identity -> (what the kernel reads, y at 1 thread, y at 4, whose).
-        let mut seen: HashMap<_, (String, Vec<u32>, Vec<u32>, String)> = HashMap::new();
-        let mut identity_of: HashMap<String, _> = HashMap::new();
+        // One Designer, as one search has: content-equal conversions it
+        // holds are one allocation, so while it holds them a by-content
+        // comparison and a `Program` comparison separate exactly the same
+        // kernels.  A conversion rebuilt after an eviction is a new
+        // allocation, hence a new program.
+        let designer = alpha_graph::Designer::new(&matrix);
+        let mut seen: Vec<Seen> = Vec::new();
         let mut check = |generated: &alpha_codegen::GeneratedSpmv, kernel: NativeKernel, who| {
             let reads = spelled_out(generated, &kernel);
-            let [y1, y4] = [1, 4].map(|threads| bits(&kernel.run(x.as_slice(), threads).unwrap()));
-            let identity = kernel.identity();
-            // One reading, one identity...
-            let first = *identity_of.entry(reads.clone()).or_insert(identity);
-            assert_eq!(
-                first, identity,
-                "{who}: same streams and shapes, two identities"
-            );
-            // ...and one identity, one reading and one result.
-            match seen.get(&identity) {
-                None => {
-                    seen.insert(identity, (reads, y1, y4, who));
-                }
-                Some((first_reads, first_y1, first_y4, first_who)) => {
+            let y = [1, 4].map(|threads| bits(&kernel.run(x.as_slice(), threads).unwrap()));
+            match seen.iter().find(|first| first.program.is(&kernel, 1)) {
+                // One program, one reading and one result...
+                Some(first) => {
                     shared += 1;
-                    let context = format!("{who} and {first_who} on {}", family.name());
+                    let context = format!("{who} and {} on {}", first.who, family.name());
                     assert!(
-                        *first_reads == reads,
-                        "{context}: different kernels, one identity"
+                        first.reads == reads,
+                        "{context}: different kernels, one program"
                     );
-                    assert_eq!(*first_y1, y1, "{context}: y differs at 1 thread");
-                    assert_eq!(*first_y4, y4, "{context}: y differs at 4 threads");
+                    assert_eq!(first.y[0], y[0], "{context}: y differs at 1 thread");
+                    assert_eq!(first.y[1], y[1], "{context}: y differs at 4 threads");
+                }
+                // ...and one reading, one program.
+                None => {
+                    let twin = seen
+                        .iter()
+                        .find(|first| first.reads == reads && first.held());
+                    if let Some(first) = twin {
+                        panic!(
+                            "{who} and {} on {}: same streams and shapes, two programs",
+                            first.who,
+                            family.name()
+                        );
+                    }
+                    seen.push(Seen {
+                        program: Program::of(&kernel, 1),
+                        reads,
+                        y,
+                        who,
+                        matrices: generated
+                            .kernel
+                            .metadata()
+                            .partitions
+                            .iter()
+                            .map(|plan| Arc::downgrade(&plan.matrix))
+                            .collect(),
+                    });
                 }
             }
         };
         for (preset_name, base) in presets::all_presets() {
             for (variant, graph) in with_simd_variants(&base) {
                 let who = format!("{preset_name}/{variant}");
-                let mut generated = alpha_codegen::generate(
-                    &graph,
-                    &matrix,
-                    alpha_codegen::GeneratorOptions::default(),
-                )
-                .unwrap_or_else(|e| panic!("{who}: generation failed: {e}"));
+                let mut generated = alpha_codegen::generate_with(&designer, &graph, options)
+                    .unwrap_or_else(|e| panic!("{who}: generation failed: {e}"));
                 let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
                 check(&generated, kernel, who.clone());
                 if variant == "base" {
                     let selected = lower_selected(&mut generated, &who);
                     check(&generated, selected, format!("{preset_name}/selected"));
                 }
-            }
-        }
-
-        // The three CSR-flavoured presets on an irregular family: the vector
-        // preset differs from the scalar one in what a *GPU* thread does,
-        // the length-sorted one in the order of its streams.
-        if family.name() == "powerlaw" {
-            let [scalar, vector, sorted] = [
-                presets::csr_scalar(),
-                presets::csr_vector(),
-                presets::sell_like(),
-            ]
-            .map(|graph| {
-                let generated = alpha_codegen::generate(
-                    &graph,
-                    &matrix,
-                    alpha_codegen::GeneratorOptions::default(),
-                )
-                .unwrap();
-                let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
-                (spelled_out(&generated, &kernel), kernel.identity())
-            });
-            assert!(
-                sorted.0 != scalar.0,
-                "sorting powerlaw rows must reorder the streams"
-            );
-            for (a, b) in [(&scalar, &vector), (&scalar, &sorted), (&vector, &sorted)] {
-                assert_eq!(a.0 == b.0, a.1 == b.1);
             }
         }
     }
@@ -428,7 +436,7 @@ fn kernels_with_equal_identity_are_one_kernel() {
 fn a_kernel_lowered_through_a_warm_designer_is_the_freshly_designed_kernel() {
     // A search designs all its candidates through one Designer; each kernel
     // must be the one a fresh design of the same graph lowers to — the same
-    // identity (so one timing serves both) and the same bits of `y`.
+    // streams, maps and shapes, and the same bits of `y`.
     let options = alpha_codegen::GeneratorOptions::default();
     for (fi, family) in PatternFamily::ALL.iter().enumerate() {
         let matrix = family.generate(384, 6, 900 + fi as u64);
@@ -445,15 +453,16 @@ fn a_kernel_lowered_through_a_warm_designer_is_the_freshly_designed_kernel() {
                 .map(|generated| {
                     let generated =
                         generated.unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
-                    NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
-                        .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"))
+                    let kernel =
+                        NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
+                            .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"));
+                    (spelled_out(&generated, &kernel), kernel)
                 });
-                assert_eq!(through.identity(), fresh.identity(), "{context}");
-                assert_eq!(through.shape_label(), fresh.shape_label(), "{context}");
+                assert!(through.0 == fresh.0, "{context}: different kernels");
                 for threads in [1, 4] {
                     assert_eq!(
-                        bits(&through.run(x.as_slice(), threads).unwrap()),
-                        bits(&fresh.run(x.as_slice(), threads).unwrap()),
+                        bits(&through.1.run(x.as_slice(), threads).unwrap()),
+                        bits(&fresh.1.run(x.as_slice(), threads).unwrap()),
                         "{context}: y differs at {threads} thread(s)"
                     );
                 }

@@ -260,13 +260,18 @@ impl Memo {
     }
 
     /// Keeps `pieces` unless they alone exceed `limit`, evicting the least
-    /// recently used entries until they fit.
-    fn insert(&mut self, key: ConversionKey, pieces: &Arc<[Piece]>, limit: usize) {
-        let bytes: usize = pieces.iter().map(Piece::bytes).sum();
+    /// recently used entries until they fit, and returns what `key` now
+    /// names.
+    fn insert(&mut self, key: ConversionKey, pieces: Arc<[Piece]>, limit: usize) -> Arc<[Piece]> {
         // Two threads that missed the same key both built it, bit for bit
-        // the same: the first one in stays.
-        if bytes > limit || self.entries.contains_key(&key) {
-            return;
+        // the same: the first one in stays, and the second takes it, so both
+        // hand out one allocation.
+        if let Some(held) = self.entries.get(&key) {
+            return held.pieces.clone();
+        }
+        let bytes: usize = pieces.iter().map(Piece::bytes).sum();
+        if bytes > limit {
+            return pieces;
         }
         while self.bytes + bytes > limit {
             let oldest = self
@@ -288,6 +293,7 @@ impl Memo {
                 used: self.clock,
             },
         );
+        pieces
     }
 }
 
@@ -412,7 +418,7 @@ impl<'m> Designer<'m> {
     /// The conversion `key` names: from the memo, or built by `build`,
     /// interned, and then kept within the bound.  The lock is never held
     /// while `build` runs or pieces are compared, so two threads that miss
-    /// the same key may both build it.
+    /// the same key may both build it; both return the one the memo keeps.
     fn converted(
         &self,
         key: &ConversionKey,
@@ -426,13 +432,11 @@ impl<'m> Designer<'m> {
         let mut pieces = build()?;
         self.built.fetch_add(1, Ordering::Relaxed);
         self.intern(&mut pieces);
-        let pieces: Arc<[Piece]> = pieces.into();
-        self.memo.lock().expect("designer memo poisoned").insert(
+        Ok(self.memo.lock().expect("designer memo poisoned").insert(
             key.clone(),
-            &pieces,
+            pieces.into(),
             self.memo_limit,
-        );
-        Ok(pieces)
+        ))
     }
 
     /// Gives every new piece equal to a held one the held piece's

@@ -5,8 +5,8 @@
 //! ([`CsrMatrix::digest`](crate::CsrMatrix::digest)).
 //!
 //! [`CsrMatrix::fingerprint`](crate::CsrMatrix::fingerprint) identifies a
-//! matrix with it — the root of every durable store key — and `alpha-cpu`
-//! names a lowered kernel with it.  Streams of 32-bit elements are striped
+//! matrix with it — the root of every durable store key.  Streams of 32-bit
+//! elements are striped
 //! over eight independent accumulators (the accumulate step of XXH3, whose
 //! 32×32→64-bit products exist as vector instructions down to SSE2), so a
 //! pass over the 2 MB of a 262 k-non-zero matrix takes about 0.15 ms where a
@@ -15,18 +15,17 @@
 //! every host and in every build.
 
 use crate::Scalar;
-use std::hash::Hasher;
 
 /// Independent accumulators a stream is striped over.  A stripe adds to each
 /// of them without reading any other, so the pass vectorizes.
 const LANES: usize = 8;
 
 /// Stream elements one stripe consumes: two 32-bit elements per lane word.
-pub const STRIPE: usize = 2 * LANES;
+const STRIPE: usize = 2 * LANES;
 
 /// Stripes between two scrambles of the accumulators (a block is 256
 /// elements, 1 KiB).
-pub const STRIPES_PER_BLOCK: usize = 16;
+const STRIPES_PER_BLOCK: usize = 16;
 
 /// One key per lane and stripe of a block (SplitMix64 outputs).  Keys make
 /// the products position-dependent inside a block; the scramble after each
@@ -60,8 +59,7 @@ fn fold(state: u64, word: u64) -> u64 {
 }
 
 /// The striped hash.  Single words are folded into lane 0
-/// ([`ContentHasher::word`]; the [`Hasher`] impl does the same with the bytes
-/// a `Hash` value writes), streams go through [`ContentHasher::stream`].
+/// ([`ContentHasher::word`]), streams go through [`ContentHasher::stream`].
 pub struct ContentHasher {
     lanes: [u64; LANES],
 }
@@ -78,8 +76,7 @@ impl ContentHasher {
         Self::default()
     }
 
-    /// Absorbs one word.  Unlike `Hasher::write_u64`/`write_usize`, which
-    /// hand over native-endian bytes, the value itself is what is hashed.
+    /// Absorbs one word: the value itself, never its native-endian bytes.
     #[inline]
     pub fn word(&mut self, word: u64) {
         self.lanes[0] = fold(self.lanes[0], word);
@@ -116,18 +113,9 @@ impl ContentHasher {
             }
         }
     }
-}
 
-impl Hasher for ContentHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.word(u64::from_le_bytes(word));
-        }
-    }
-
-    fn finish(&self) -> u64 {
+    /// The hash of everything absorbed so far.
+    pub fn finish(&self) -> u64 {
         self.lanes
             .iter()
             .fold(LANES as u64, |acc, &lane| fold(acc, lane))

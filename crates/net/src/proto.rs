@@ -26,7 +26,7 @@
 //! * **Versioning is explicit.**  A frame stamped with any version but
 //!   [`PROTOCOL_VERSION`] is rejected with [`ProtoError::VersionMismatch`] —
 //!   never misread.  Request payloads lead with an 8-byte `trace_id`
-//!   ([`encode_request_traced`]/[`decode_request_versioned`]); response
+//!   ([`encode_request_traced`]/[`decode_request_traced`]); response
 //!   payloads are the bare tagged message.
 //!
 //! Arrays (`x`, `y`, the three CSR arrays) cross the codec in bulk
@@ -1091,18 +1091,9 @@ pub fn spmv_frame(trace_id: u64, job_id: u64, x: &[Scalar]) -> Result<Vec<u8>, P
 }
 
 /// Decodes a request frame payload: the 8-byte trace id, then the message.
-/// `version` is the stamp of the frame that carried the payload; anything
-/// but [`PROTOCOL_VERSION`] is a [`ProtoError::VersionMismatch`].
-pub fn decode_request_versioned(
-    version: u32,
-    payload: &[u8],
-) -> Result<(u64, Request), ProtoError> {
-    if version != PROTOCOL_VERSION {
-        return Err(ProtoError::VersionMismatch {
-            found: version,
-            expected: PROTOCOL_VERSION,
-        });
-    }
+/// The frame readers ([`read_frame`], [`FrameAssembler`]) have already
+/// rejected any stamp but [`PROTOCOL_VERSION`].
+pub fn decode_request_traced(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
     if payload.len() < 8 {
         return Err(ProtoError::Truncated);
     }
@@ -1706,27 +1697,34 @@ mod tests {
 
     #[test]
     fn traced_envelope_round_trips_and_foreign_versions_are_rejected() {
+        let assemble = |wire: &[u8]| {
+            let mut assembler = FrameAssembler::with_deadline(std::time::Duration::from_secs(60));
+            let mut out = Vec::new();
+            assembler.push(wire, &mut out).map(|()| out)
+        };
         for request in sample_requests() {
             let traced = encode_request_traced(0x1122_3344_5566_7788, &request);
-            let (trace_id, decoded) = decode_request_versioned(PROTOCOL_VERSION, &traced).unwrap();
+            let payloads = assemble(&frame_stamped(PROTOCOL_VERSION, &traced)).unwrap();
+            let (trace_id, decoded) = decode_request_traced(&payloads[0]).unwrap();
             assert_eq!(trace_id, 0x1122_3344_5566_7788);
             assert_eq!(decoded, request);
             // The envelope is the trace id followed by the bare message.
             assert_eq!(&traced[..8], &0x1122_3344_5566_7788u64.to_le_bytes());
             assert_eq!(&traced[8..], &encode_request(&request)[..]);
-            // Neither the bare v4 layout nor a v5 stamp is guessed at.
+            // Neither the bare v4 layout nor a v5 stamp is guessed at: the
+            // frame is refused before its payload reaches the decoder.
             assert!(matches!(
-                decode_request_versioned(4, &encode_request(&request)),
+                assemble(&frame_stamped(4, &encode_request(&request))),
                 Err(ProtoError::VersionMismatch { found: 4, .. })
             ));
             assert!(matches!(
-                decode_request_versioned(5, &traced),
+                assemble(&frame_stamped(5, &traced)),
                 Err(ProtoError::VersionMismatch { found: 5, .. })
             ));
         }
         // A payload too short for its trace id is truncation, not a panic.
         assert!(matches!(
-            decode_request_versioned(PROTOCOL_VERSION, &[1, 2, 3]),
+            decode_request_traced(&[1, 2, 3]),
             Err(ProtoError::Truncated)
         ));
     }
@@ -1778,8 +1776,7 @@ mod tests {
         assert_eq!(written, submit);
         // (The matrix carries a NaN, so compare the decoded request by
         // re-encoding it rather than with `==`.)
-        let (trace_id, decoded) =
-            decode_request_versioned(PROTOCOL_VERSION, &submit[HEADER_LEN..]).unwrap();
+        let (trace_id, decoded) = decode_request_traced(&submit[HEADER_LEN..]).unwrap();
         assert_eq!(request_frame(trace_id, &decoded).unwrap(), submit);
 
         let x = [1.0, -0.0, f32::MIN_POSITIVE / 2.0];
@@ -2145,7 +2142,7 @@ mod tests {
                 // Every decoder must survive both kinds of payloads.
                 let _ = decode_request(&mutated);
                 let _ = decode_response(&mutated);
-                let _ = decode_request_versioned(PROTOCOL_VERSION, &mutated);
+                let _ = decode_request_traced(&mutated);
             }
         }
     }

@@ -58,8 +58,8 @@
 
 use crate::by_digest::DigestTable;
 use crate::proto::{
-    decode_request_versioned, response_frame, ErrorKind, FrameAssembler, JobState, JobSummary,
-    Request, Response, ServerStats, TenantStats, MAX_FRAME_SECS, PROTOCOL_VERSION,
+    decode_request_traced, response_frame, ErrorKind, FrameAssembler, JobState, JobSummary,
+    Request, Response, ServerStats, TenantStats, MAX_FRAME_SECS,
 };
 use crate::reactor::{Event, Interest, Reactor, Waker};
 use crate::{NetError, ProtoError};
@@ -722,20 +722,15 @@ fn worker_loop(shared: &Shared) {
         );
         shared.flightrec.record(
             FlightKind::QueuePop,
-            &tenant.to_string(),
+            tenant,
             trace_id,
             job_id,
             wait_us,
             "tune",
         );
-        shared.flightrec.record(
-            FlightKind::ExecStart,
-            &tenant.to_string(),
-            trace_id,
-            job_id,
-            0,
-            "tune",
-        );
+        shared
+            .flightrec
+            .record(FlightKind::ExecStart, tenant, trace_id, job_id, 0, "tune");
         let started = Instant::now();
         // A hostile or degenerate matrix must cost its own job, never the
         // worker: a panicking search is caught and reported as a failed
@@ -759,7 +754,7 @@ fn worker_loop(shared: &Shared) {
         shared.tune_exec.observe(exec_us);
         shared.flightrec.record(
             FlightKind::ExecEnd,
-            &tenant.to_string(),
+            tenant,
             trace_id,
             job_id,
             exec_us,
@@ -808,7 +803,7 @@ fn worker_loop(shared: &Shared) {
             Err(error) => {
                 shared.flightrec.record(
                     FlightKind::Error,
-                    &tenant.to_string(),
+                    tenant,
                     trace_id,
                     job_id,
                     0,
@@ -823,7 +818,7 @@ fn worker_loop(shared: &Shared) {
         let total_us = wait_us.saturating_add(exec_us);
         shared.flightrec.record(
             FlightKind::Reply,
-            &tenant.to_string(),
+            tenant,
             trace_id,
             job_id,
             total_us,
@@ -871,11 +866,10 @@ fn exec_loop(shared: &Shared) {
             shared.spmv_exec_inline.inc();
             &inline
         };
-        let tenant_label = task.tenant.to_string();
         let prev_trace = alpha_telemetry::set_current_trace_id(task.trace_id);
         shared.flightrec.record(
             FlightKind::ExecStart,
-            &tenant_label,
+            task.tenant,
             task.trace_id,
             task.job_id,
             0,
@@ -895,7 +889,7 @@ fn exec_loop(shared: &Shared) {
         let exec_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         shared.flightrec.record(
             FlightKind::ExecEnd,
-            &tenant_label,
+            task.tenant,
             task.trace_id,
             task.job_id,
             exec_us,
@@ -906,7 +900,7 @@ fn exec_loop(shared: &Shared) {
             Err(e) => {
                 shared.flightrec.record(
                     FlightKind::Error,
-                    &tenant_label,
+                    task.tenant,
                     task.trace_id,
                     task.job_id,
                     0,
@@ -923,7 +917,7 @@ fn exec_loop(shared: &Shared) {
         shared.spmv_latency.observe(total_us);
         shared.flightrec.record(
             FlightKind::Reply,
-            &tenant_label,
+            task.tenant,
             task.trace_id,
             task.job_id,
             total_us,
@@ -1481,7 +1475,7 @@ impl EventLoop {
             conn.metrics.requests.inc();
         }
         // The assembler only completes frames stamped `PROTOCOL_VERSION`.
-        let (trace_id, request) = match decode_request_versioned(PROTOCOL_VERSION, payload) {
+        let (trace_id, request) = match decode_request_traced(payload) {
             Ok(decoded) => decoded,
             Err(e) => {
                 // The frame boundary held, so the session survives a bad
@@ -1617,7 +1611,7 @@ impl EventLoop {
                             Ok(()) => {
                                 shared.flightrec.record(
                                     FlightKind::Admitted,
-                                    &tenant.to_string(),
+                                    tenant,
                                     trace_id,
                                     job_id,
                                     0,
@@ -1631,7 +1625,7 @@ impl EventLoop {
                                 shared.exec_inflight.fetch_sub(1, Ordering::Relaxed);
                                 shared.flightrec.record(
                                     FlightKind::Shed,
-                                    &tenant.to_string(),
+                                    tenant,
                                     trace_id,
                                     job_id,
                                     1,
@@ -1911,7 +1905,7 @@ fn submit_tune(
         };
         shared.flightrec.record(
             FlightKind::Shed,
-            &tenant.to_string(),
+            tenant,
             trace_id,
             0,
             retry_after_ms,
@@ -1937,14 +1931,9 @@ fn submit_tune(
     match shared.queue.try_push(tenant, job_id) {
         Ok(()) => {
             shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            shared.flightrec.record(
-                FlightKind::Admitted,
-                &tenant.to_string(),
-                trace_id,
-                job_id,
-                0,
-                "tune",
-            );
+            shared
+                .flightrec
+                .record(FlightKind::Admitted, tenant, trace_id, job_id, 0, "tune");
             Response::Submitted { job_id }
         }
         Err(push_error) => {
@@ -1962,7 +1951,7 @@ fn submit_tune(
                     let retry_after_ms = shared.retry_after_ms();
                     shared.flightrec.record(
                         FlightKind::Shed,
-                        &tenant.to_string(),
+                        tenant,
                         trace_id,
                         job_id,
                         retry_after_ms,
@@ -2043,10 +2032,9 @@ fn submit_tune_ref(
             job_id
         }
     };
-    let tenant_label = tenant.to_string();
     shared.flightrec.record(
         FlightKind::Admitted,
-        &tenant_label,
+        tenant,
         trace_id,
         job_id,
         0,
@@ -2054,7 +2042,7 @@ fn submit_tune_ref(
     );
     shared.flightrec.record(
         FlightKind::Reply,
-        &tenant_label,
+        tenant,
         trace_id,
         job_id,
         started.elapsed().as_micros() as u64,

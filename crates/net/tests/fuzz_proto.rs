@@ -9,7 +9,7 @@
 
 use alpha_matrix::gen;
 use alpha_net::proto::{
-    decode_request_versioned, decode_response, encode_request_traced, encode_response, read_frame,
+    decode_request_traced, decode_response, encode_request_traced, encode_response, read_frame,
     write_frame, Request, Response, MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
 use alpha_net::{Client, NetServer, ServerConfig};
@@ -161,10 +161,7 @@ fn mutated_frames_yield_typed_errors_or_clean_closes_and_leak_nothing() {
         }
         // A mutant that decodes as a *valid* Shutdown would legitimately
         // stop the daemon — skip it; every other mutant is fair game.
-        if matches!(
-            decode_request_versioned(PROTOCOL_VERSION, &mutated),
-            Ok((_, Request::Shutdown))
-        ) {
+        if matches!(decode_request_traced(&mutated), Ok((_, Request::Shutdown))) {
             continue;
         }
         if let Some(response) = probe(addr, &framed(mutated.as_slice()), false) {

@@ -4,8 +4,9 @@
 //! Metrics say *that* p99 moved; spans say *why*, but only while a tracing
 //! sink is installed.  The flight recorder fills the gap between them: every
 //! request admitted to (or shed from) the serving tier appends one cheap
-//! structured event — kind, tenant, trace id, job id, one microsecond value,
-//! an optional static class string — to a bounded ring under a short mutex.
+//! structured event — kind, tenant id, trace id, job id, one microsecond
+//! value, an optional static class string — to a bounded ring under a short
+//! mutex.
 //! When something goes wrong *yesterday*, `GET /debug/flightrec` (or the
 //! shutdown dump) replays the recent past as JSON with zero prior setup.
 //!
@@ -63,8 +64,8 @@ pub struct FlightEvent {
     pub ts_us: u64,
     /// Lifecycle stage.
     pub kind: FlightKind,
-    /// Tenant the request belongs to (empty when unknown).
-    pub tenant: String,
+    /// Tenant the request belongs to (`0` = anonymous).
+    pub tenant: u64,
     /// Request trace id (`0` = untraced v4 client).
     pub trace_id: u64,
     /// Server-assigned job id (`0` when not yet assigned / not a job).
@@ -86,7 +87,7 @@ struct Inner {
 
 /// Fixed-capacity, always-on ring of [`FlightEvent`]s with a bounded pin
 /// buffer for slow requests.  All methods take one short mutex; recording
-/// never allocates beyond the event's own strings.
+/// allocates nothing once the ring is full.
 pub struct FlightRecorder {
     capacity: usize,
     pin_capacity: usize,
@@ -134,7 +135,7 @@ impl FlightRecorder {
     pub fn record(
         &self,
         kind: FlightKind,
-        tenant: &str,
+        tenant: u64,
         trace_id: u64,
         job_id: u64,
         value_us: u64,
@@ -148,7 +149,7 @@ impl FlightRecorder {
             seq,
             ts_us,
             kind,
-            tenant: tenant.to_string(),
+            tenant,
             trace_id,
             job_id,
             value_us,
@@ -234,7 +235,7 @@ impl FlightRecorder {
                 e.seq,
                 e.ts_us,
                 e.kind.name(),
-                crate::metrics::json_escape(&e.tenant),
+                e.tenant,
                 e.trace_id,
                 e.job_id,
                 e.value_us,
@@ -261,14 +262,14 @@ impl FlightRecorder {
                 .entry(e.trace_id)
                 .or_insert_with(|| TraceAttribution {
                     trace_id: e.trace_id,
-                    tenant: String::new(),
+                    tenant: 0,
                     queue_wait_us: 0,
                     exec_us: 0,
                     total_us: 0,
                     error_class: "",
                 });
-            if entry.tenant.is_empty() && !e.tenant.is_empty() {
-                entry.tenant = e.tenant.clone();
+            if entry.tenant == 0 {
+                entry.tenant = e.tenant;
             }
             match e.kind {
                 FlightKind::QueuePop => entry.queue_wait_us += e.value_us,
@@ -291,8 +292,8 @@ impl FlightRecorder {
 pub struct TraceAttribution {
     /// The request's trace id.
     pub trace_id: u64,
-    /// Owning tenant (empty when unknown).
-    pub tenant: String,
+    /// Owning tenant (`0` = anonymous).
+    pub tenant: u64,
     /// Total microseconds spent waiting in the tune queue.
     pub queue_wait_us: u64,
     /// Total microseconds spent executing (tune + SpMV).
@@ -327,7 +328,7 @@ mod tests {
     fn ring_wraps_and_counts_drops() {
         let rec = FlightRecorder::new(4, 8);
         for i in 0..10u64 {
-            rec.record(FlightKind::Admitted, "t", i + 1, i, 0, "");
+            rec.record(FlightKind::Admitted, 1, i + 1, i, 0, "");
         }
         let events = rec.snapshot();
         assert_eq!(events.len(), 4);
@@ -340,11 +341,11 @@ mod tests {
     #[test]
     fn pinned_events_survive_ring_wrap() {
         let rec = FlightRecorder::new(4, 8);
-        rec.record(FlightKind::Admitted, "gold", 77, 1, 0, "");
-        rec.record(FlightKind::ExecEnd, "gold", 77, 1, 1234, "");
+        rec.record(FlightKind::Admitted, 7, 77, 1, 0, "");
+        rec.record(FlightKind::ExecEnd, 7, 77, 1, 1234, "");
         assert_eq!(rec.pin(77), 2);
         for i in 0..10u64 {
-            rec.record(FlightKind::Admitted, "noise", 1000 + i, 0, 0, "");
+            rec.record(FlightKind::Admitted, 8, 1000 + i, 0, 0, "");
         }
         let events = rec.snapshot();
         let gold: Vec<&FlightEvent> = events.iter().filter(|e| e.trace_id == 77).collect();
@@ -358,7 +359,7 @@ mod tests {
     #[test]
     fn snapshot_dedupes_pinned_against_live_ring() {
         let rec = FlightRecorder::new(8, 8);
-        rec.record(FlightKind::Admitted, "t", 5, 1, 0, "");
+        rec.record(FlightKind::Admitted, 1, 5, 1, 0, "");
         rec.pin(5);
         // The event is both pinned and still live: it must appear once.
         let events = rec.snapshot();
@@ -366,14 +367,21 @@ mod tests {
     }
 
     #[test]
-    fn render_json_is_wellformed_and_escapes_tenants() {
+    fn render_json_is_wellformed_and_prints_the_tenant_id() {
         let rec = FlightRecorder::new(8, 8);
-        rec.record(FlightKind::Shed, "evil\"tenant\nname", 9, 0, 2500, "");
-        rec.record(FlightKind::Error, "t", 9, 3, 0, "panic");
+        rec.record(FlightKind::Shed, u64::MAX, 9, 0, 2500, "");
+        rec.record(FlightKind::Error, 3, 9, 3, 0, "panic");
         let json = rec.render_json();
-        assert!(json.contains("\"kind\": \"shed\""));
-        assert!(json.contains("\"value_us\": 2500"));
-        assert!(json.contains("evil\\\"tenant\\nname"));
+        // The tenant id stays a quoted string in the dump.
+        let line = "    {\"seq\": 0, \"ts_us\": ";
+        let rest = "\"kind\": \"shed\", \"tenant\": \"18446744073709551615\", \
+                    \"trace_id\": 9, \"job_id\": 0, \"value_us\": 2500, \"class\": \"\"},";
+        let shed = json
+            .lines()
+            .find(|l| l.starts_with(line))
+            .expect("shed line");
+        assert!(shed.ends_with(rest), "{shed}");
+        assert!(json.contains("\"tenant\": \"3\""));
         assert!(json.contains("\"class\": \"panic\""));
         assert!(json.contains("\"capacity\": 8"));
         // Brace/bracket balance as a cheap well-formedness check.
@@ -385,17 +393,17 @@ mod tests {
     fn slowest_trace_attributes_stages() {
         let rec = FlightRecorder::default();
         // Trace 1: modest. Trace 2: the slow one, with queue wait dominant.
-        rec.record(FlightKind::Admitted, "a", 1, 1, 0, "");
-        rec.record(FlightKind::QueuePop, "a", 1, 1, 100, "");
-        rec.record(FlightKind::ExecEnd, "a", 1, 1, 200, "");
-        rec.record(FlightKind::Reply, "a", 1, 1, 350, "");
-        rec.record(FlightKind::Admitted, "b", 2, 2, 0, "");
-        rec.record(FlightKind::QueuePop, "b", 2, 2, 9_000, "");
-        rec.record(FlightKind::ExecEnd, "b", 2, 2, 500, "");
-        rec.record(FlightKind::Reply, "b", 2, 2, 10_000, "");
+        rec.record(FlightKind::Admitted, 1, 1, 1, 0, "");
+        rec.record(FlightKind::QueuePop, 1, 1, 1, 100, "");
+        rec.record(FlightKind::ExecEnd, 1, 1, 1, 200, "");
+        rec.record(FlightKind::Reply, 1, 1, 1, 350, "");
+        rec.record(FlightKind::Admitted, 2, 2, 2, 0, "");
+        rec.record(FlightKind::QueuePop, 2, 2, 2, 9_000, "");
+        rec.record(FlightKind::ExecEnd, 2, 2, 2, 500, "");
+        rec.record(FlightKind::Reply, 2, 2, 2, 10_000, "");
         let worst = rec.slowest_trace().expect("a trace completed");
         assert_eq!(worst.trace_id, 2);
-        assert_eq!(worst.tenant, "b");
+        assert_eq!(worst.tenant, 2);
         assert_eq!(worst.queue_wait_us, 9_000);
         assert_eq!(worst.exec_us, 500);
         assert_eq!(worst.total_us, 10_000);
@@ -406,7 +414,7 @@ mod tests {
     #[test]
     fn untraced_requests_never_win_attribution() {
         let rec = FlightRecorder::default();
-        rec.record(FlightKind::ExecEnd, "v4", 0, 1, 999_999, "");
+        rec.record(FlightKind::ExecEnd, 4, 0, 1, 999_999, "");
         assert!(rec.slowest_trace().is_none());
     }
 }
