@@ -26,6 +26,10 @@
 //! instantiation.  On targets without a stable prefetch intrinsic (aarch64)
 //! the distance is accepted and ignored.
 //!
+//! The NEON path is checked by inspection only: the toolchain this crate is
+//! built and tested with has no aarch64 target, so no build or test here
+//! compiles it.  The portable loops it must match bit for bit are tested.
+//!
 //! All multiply-accumulate steps use separate multiply and add (no FMA), so
 //! every backend computing the same lane schedule produces identical bits.
 //! Serial parts — the scalar loop, every lane kernel's tail — walk zipped

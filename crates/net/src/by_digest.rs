@@ -1,44 +1,44 @@
-//! The daemon's by-digest table: which resident program answers a tune that
-//! names its matrix by content digest ([`Request::SubmitTuneRef`]) instead
-//! of sending it.
+//! The daemon's tenant view of the tuning service's live programs: which
+//! tune that names its matrix by content digest ([`Request::SubmitTuneRef`])
+//! instead of sending it may be answered, and with which job.
 //!
-//! An entry is filed when a tuning worker finishes a job whose matrix was
-//! *uploaded*, under the uploading tenant, the matrix's BLAKE2b-256
-//! [`CsrMatrix::digest`] (computed from the uploaded bytes, never taken from
-//! the client) and the device.  It holds the program weakly: the jobs in the
-//! daemon's table own it, and an entry is useful exactly as long as one of
-//! them does.  Dead entries are swept whenever one is filed, so the table
-//! never outgrows the set of live programs.
+//! The programs themselves are the service's: its resident map
+//! ([`TuningService::resident`]) is the one record of live programs by
+//! content, keyed by the matrix's BLAKE2b-256 [`CsrMatrix::digest`] and the
+//! device, and it holds them weakly while the daemon's jobs own them.  This
+//! view adds only what the wire needs on top of it.
+//!
+//! * **The tenant.**  An entry is filed when a tuning worker finishes a job
+//!   whose matrix was *uploaded*, under the uploading tenant, the digest
+//!   (the service computed it from the uploaded bytes, never taken from the
+//!   client) and the device.  The view answers only what the asking tenant
+//!   uploaded itself — it does not tell one tenant whether another tuned a
+//!   given matrix.
+//! * **The hit job.**  A repeat hit on an entry gets back the job an earlier
+//!   hit filed, while the job table still has it: a burst of hits then costs
+//!   one terminal job slot, so it cannot push other tenants' finished jobs
+//!   out of the table.
 //!
 //! A hit is answered without any content to compare.  That is safe because
 //! the digest is cryptographic: answering a request with another matrix's
 //! program takes two matrices with one BLAKE2b-256, accidental or crafted
-//! (about 2¹²⁸ work).  (The 64-bit
-//! [`CsrMatrix::fingerprint`] could not carry this: a crafted pair collides
-//! on it cheaply.)  The key also carries the tenant, so the table answers
-//! only what the asking tenant uploaded itself — it does not tell one
-//! tenant whether another tuned a given matrix.
+//! (about 2¹²⁸ work).  (The 64-bit [`CsrMatrix::fingerprint`] could not
+//! carry this: a crafted pair collides on it cheaply.)
 //!
-//! The tuning service keeps a resident map of its own
-//! (`alpha_serve::TuningService`), and the two stay apart on purpose.  The
-//! service's map is keyed by store context, shared by every caller, and
-//! proves identity by comparing the full matrix; it serves in-process
-//! callers and the daemon's uploads.  This table is keyed by what the wire
-//! carries — tenant and digest — answers on the event loop without touching
-//! the service, and knows nothing the service could use: the service has
-//! no tenants and never sees a digest.
-//!
-//! A repeat hit on an entry gets back the job an earlier hit filed, while
-//! the job table still has it: a burst of hits then costs one terminal job
-//! slot, so it cannot push other tenants' finished jobs out of the table.
+//! Entries the service no longer holds a program for are swept whenever one
+//! is filed, so the view never outgrows the set of live programs.  Locks are
+//! taken view first, service second; the service never calls the daemon.
 //!
 //! [`Request::SubmitTuneRef`]: crate::proto::Request::SubmitTuneRef
+//! [`CsrMatrix::digest`]: alpha_matrix::CsrMatrix::digest
+//! [`CsrMatrix::fingerprint`]: alpha_matrix::CsrMatrix::fingerprint
 
-use crate::proto::JobSummary;
-use alpha_matrix::CsrMatrix;
+use crate::server::device_by_name;
+use alpha_gpu::DeviceProfile;
+use alpha_serve::TuningService;
 use alphasparse::TunedSpmv;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 /// What an entry is filed under.
 #[derive(PartialEq, Eq, Hash)]
@@ -49,112 +49,91 @@ struct Key {
     device: &'static str,
 }
 
-/// A program some job may still hold, with what a request must match to be
-/// answered with it and what its job summary reports.
-struct Entry {
-    program: Weak<TunedSpmv>,
-    rows: u64,
-    cols: u64,
-    nnz: u64,
-    /// The uploading job's summary; a hit reports its design fields.
-    summary: JobSummary,
-    /// The job the latest hit on this entry filed.
-    hit_job: Option<u64>,
-}
-
-/// A by-reference request the table can answer.
+/// A by-reference request the view can answer.
 pub(crate) struct Hit {
     /// The program the tenant's upload built.
     pub(crate) program: Arc<TunedSpmv>,
-    /// The summary of the job that built it.
-    pub(crate) summary: JobSummary,
+    /// Whether the request that built it was warm-started.
+    pub(crate) warm_started: bool,
     /// The job an earlier hit on the same entry filed, if any; the caller
     /// answers with it when the job table still has it.
     pub(crate) job: Option<u64>,
 }
 
-/// Resident programs by `(tenant, digest, device)`.
+/// `(tenant, digest, device)` → the job the latest hit filed.
 #[derive(Default)]
-pub(crate) struct DigestTable {
-    entries: Mutex<HashMap<Key, Entry>>,
+pub(crate) struct DigestView {
+    entries: Mutex<HashMap<Key, Option<u64>>>,
 }
 
-impl DigestTable {
-    /// Files `program`, just finished for `tenant`'s upload of `matrix` on
-    /// `device`, and sweeps the entries no job holds any more.  Hashes the
-    /// matrix (once per value: the digest is memoised in it) before taking
-    /// the lock.
+impl DigestView {
+    /// Files `tenant`'s upload of the matrix with `digest` on `device`, just
+    /// tuned by `service`, and sweeps the entries whose program the service
+    /// no longer holds.
     pub(crate) fn file(
         &self,
-        tenant: u64,
-        matrix: &CsrMatrix,
-        device: &'static str,
-        program: &Arc<TunedSpmv>,
-        summary: &JobSummary,
-    ) {
-        let key = Key {
-            tenant,
-            digest: matrix.digest(),
-            device,
-        };
-        let entry = Entry {
-            program: Arc::downgrade(program),
-            rows: matrix.rows() as u64,
-            cols: matrix.cols() as u64,
-            nnz: matrix.nnz() as u64,
-            summary: summary.clone(),
-            hit_job: None,
-        };
-        let mut entries = self.entries.lock().expect("digest table poisoned");
-        entries.retain(|_, entry| entry.program.strong_count() > 0);
-        entries.insert(key, entry);
-    }
-
-    /// The live program `tenant` uploaded on `device` with this digest and
-    /// these dimensions.  `None` — the caller asks for the matrix — when
-    /// there is no entry, its shape disagrees, or no job holds its program
-    /// any more.
-    pub(crate) fn lookup(
-        &self,
+        service: &TuningService,
         tenant: u64,
         digest: [u8; 32],
-        device: &'static str,
-        [rows, cols, nnz]: [u64; 3],
+        device: &DeviceProfile,
+    ) {
+        let mut entries = self.entries.lock().expect("digest view poisoned");
+        entries.retain(|key, _| {
+            device_by_name(key.device)
+                .is_some_and(|device| service.resident(key.digest, &device).is_some())
+        });
+        entries.insert(
+            Key {
+                tenant,
+                digest,
+                device: device.name,
+            },
+            None,
+        );
+    }
+
+    /// The live program `tenant` uploaded on `device` with this digest.
+    /// `None` — the caller asks for the matrix — when the tenant filed no
+    /// such upload, or the service no longer holds its program.
+    pub(crate) fn lookup(
+        &self,
+        service: &TuningService,
+        tenant: u64,
+        digest: [u8; 32],
+        device: &DeviceProfile,
     ) -> Option<Hit> {
         let key = Key {
             tenant,
             digest,
-            device,
+            device: device.name,
         };
-        let entries = self.entries.lock().expect("digest table poisoned");
-        let entry = entries.get(&key)?;
-        if [entry.rows, entry.cols, entry.nnz] != [rows, cols, nnz] {
-            return None;
-        }
+        let entries = self.entries.lock().expect("digest view poisoned");
+        let job = *entries.get(&key)?;
+        let (program, warm_started) = service.resident(digest, device)?;
         Some(Hit {
-            program: entry.program.upgrade()?,
-            summary: entry.summary.clone(),
-            job: entry.hit_job,
+            program,
+            warm_started,
+            job,
         })
     }
 
     /// Records `job_id` as the job that answers the next hits on the entry
-    /// [`DigestTable::lookup`] found under the same key.
+    /// [`DigestView::lookup`] found under the same key.
     pub(crate) fn answered_by(
         &self,
         tenant: u64,
         digest: [u8; 32],
-        device: &'static str,
+        device: &DeviceProfile,
         job_id: u64,
     ) {
         let key = Key {
             tenant,
             digest,
-            device,
+            device: device.name,
         };
-        let mut entries = self.entries.lock().expect("digest table poisoned");
-        if let Some(entry) = entries.get_mut(&key) {
-            entry.hit_job = Some(job_id);
+        let mut entries = self.entries.lock().expect("digest view poisoned");
+        if let Some(job) = entries.get_mut(&key) {
+            *job = Some(job_id);
         }
     }
 }

@@ -12,9 +12,10 @@
 //!                            │                         │    ▲
 //!            Spmv ──▶ exec queue ───── exec workers ───┼────┘
 //!                            │                    files│
-//!            SubmitTuneRef ──┼──▶ by-digest table ◀────┘
-//!                            │        │hit: a Done job, no queue
-//!            PollJob ◀── sharded job table (global-FIFO terminal GC)
+//!            SubmitTuneRef ──┼──▶ by-digest view ◀─────┘
+//!                            │        │hit: the service's resident
+//!                            │        │program, a Done job, no queue
+//!            PollJob ◀── job table (FIFO terminal GC)
 //! ```
 //!
 //! Three structural properties, each an answer to a production failure
@@ -27,11 +28,10 @@
 //!   blocking reader), and responses drain through per-connection outboxes
 //!   with partial-write tracking.  256 idle connections cost 256 small
 //!   structs, not 256 stacks.
-//! * **Sharded state.**  The job table is split across N shards with
-//!   per-shard locks (terminal GC keeps one global FIFO so the retention
-//!   window stays exact), and the admission queue is a
+//! * **Per-tenant admission order.**  The admission queue is a
 //!   [`ShardedTaskQueue`] hashed by tenant — one tenant's storm lands in
-//!   one shard while workers drain shards round-robin.
+//!   one shard while workers drain shards round-robin.  The job table is one
+//!   map under one lock, touched once per request.
 //! * **Weighted multi-tenant admission.**  Connections identify as a
 //!   tenant with [`Request::Hello`]; each tenant's queue credit is its
 //!   weight share of the capacity across *active* tenants, so a tuning
@@ -42,10 +42,11 @@
 //!
 //! A tune that names its matrix by digest ([`Request::SubmitTuneRef`]) is
 //! answered on the loop itself when the tenant's upload of that content
-//! left a program some job still holds: one map lookup answers with a job
-//! that is already `Done` — no queue, no worker, no hash, no compare (the
-//! digest is BLAKE2b-256; see the `by_digest` module).  Anything else is
-//! answered [`Response::NeedMatrix`] and the client uploads.
+//! left a program some job still holds: a lookup in the tenant's view and
+//! the service's resident map answers with a job that is already `Done` —
+//! no queue, no worker, no hash, no compare (the digest is BLAKE2b-256; see
+//! the `by_digest` module).  Anything else is answered
+//! [`Response::NeedMatrix`] and the client uploads.
 //!
 //! Long-running work never blocks the loop: tuning runs on worker threads
 //! that drain the sharded queue, and remote SpMV is offloaded to exec
@@ -56,7 +57,7 @@
 //! an SpMV in flight its subsequent requests are deferred (per-connection
 //! FIFO responses), not reordered.
 
-use crate::by_digest::DigestTable;
+use crate::by_digest::DigestView;
 use crate::proto::{
     decode_request_traced, response_frame, ErrorKind, FrameAssembler, JobState, JobSummary,
     Request, Response, ServerStats, TenantStats, MAX_FRAME_SECS,
@@ -104,10 +105,6 @@ pub struct ServerConfig {
     /// garbage-collected.  GC'd jobs poll as
     /// [`JobState::Unknown`](crate::proto::JobState::Unknown).
     pub max_terminal_jobs: usize,
-    /// Shards for the job table and admission queue (0 = auto: 8).  More
-    /// shards means less lock contention between unrelated requests; a
-    /// context key always maps to one shard, so correctness is unaffected.
-    pub shards: usize,
     /// Wall-clock budget for one frame to arrive completely, measured from
     /// its first byte — the slow-loris bound.  Defaults to
     /// [`MAX_FRAME_SECS`]; chaos tests shrink it to trip fast.
@@ -139,7 +136,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             workers: 0,
             max_terminal_jobs: 1024,
-            shards: 0,
             frame_deadline: Duration::from_secs(MAX_FRAME_SECS),
             tenant_weights: Vec::new(),
             metrics_addr: None,
@@ -149,7 +145,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// One job's lifecycle record in the sharded in-memory table.
+/// One job's lifecycle record in the in-memory job table.
 enum Job {
     Queued {
         request: Box<TuneRequest>,
@@ -220,12 +216,11 @@ struct ExecTask {
 struct Shared {
     service: Arc<TuningService>,
     config: ServerConfig,
-    /// Job records, sharded by `job_id % shards` with per-shard locks.
-    job_shards: Vec<Mutex<HashMap<u64, Job>>>,
+    /// Job records by id.
+    jobs: Mutex<HashMap<u64, Job>>,
     next_job_id: AtomicU64,
-    /// Terminal job ids, oldest first — the GC order.  Deliberately global
-    /// (one small lock touched once per job *completion*, not per request)
-    /// so the retention window is exact FIFO across shards.
+    /// Terminal job ids, oldest first — the GC order (one small lock touched
+    /// once per job *completion*, not per request).
     terminal_order: Mutex<VecDeque<u64>>,
     /// Admission queue, sharded by tenant hash: workers drain shards
     /// round-robin, so queued tenants share worker attention.
@@ -233,9 +228,9 @@ struct Shared {
     /// SpMV offload lane: the event loop pushes, exec workers pop.  One
     /// shard: a global FIFO.
     exec_queue: ShardedTaskQueue<ExecTask>,
-    /// Programs tenants' uploads built, by content digest: what answers a
-    /// [`Request::SubmitTuneRef`].
-    by_digest: DigestTable,
+    /// Which tenant uploaded which digest: with the service's resident map,
+    /// what answers a [`Request::SubmitTuneRef`].
+    by_digest: DigestView,
     /// Tunes by reference answered with a resident program / with
     /// [`Response::NeedMatrix`] (`net_tune_by_reference_total{outcome}`).
     by_reference_hit: Counter,
@@ -297,11 +292,7 @@ struct Shared {
 impl Shared {
     fn stats(&self) -> ServerStats {
         let store = self.service.store_stats();
-        let jobs_resident: usize = self
-            .job_shards
-            .iter()
-            .map(|s| s.lock().expect("job table poisoned").len())
-            .sum();
+        let jobs_resident = self.jobs.lock().expect("job table poisoned").len();
         ServerStats {
             store_memory_hits: store.memory_hits as u64,
             store_disk_loads: store.disk_loads as u64,
@@ -317,10 +308,6 @@ impl Shared {
             jobs_resident: jobs_resident as u64,
             open_connections: self.open_connections.load(Ordering::Relaxed),
         }
-    }
-
-    fn job_shard(&self, job_id: u64) -> &Mutex<HashMap<u64, Job>> {
-        &self.job_shards[(job_id % self.job_shards.len() as u64) as usize]
     }
 
     fn tenant_weight(&self, client_id: u64) -> u64 {
@@ -429,17 +416,16 @@ impl Shared {
                 }
             }
         }
-        self.job_shard(job_id)
+        self.jobs
             .lock()
             .expect("job table poisoned")
             .insert(job_id, outcome);
-        // Global FIFO GC: the oldest terminal record anywhere goes first,
-        // exactly as in the single-lock table.
+        // FIFO GC: the oldest terminal record goes first.
         let mut order = self.terminal_order.lock().expect("terminal order poisoned");
         order.push_back(job_id);
         while order.len() > self.config.max_terminal_jobs {
             let oldest = order.pop_front().expect("len checked");
-            self.job_shard(oldest)
+            self.jobs
                 .lock()
                 .expect("job table poisoned")
                 .remove(&oldest);
@@ -516,7 +502,6 @@ impl NetServer {
         let metrics_local = metrics_listener.as_ref().and_then(|l| l.local_addr().ok());
         let registry = service.registry().clone();
 
-        let shards = if config.shards == 0 { 8 } else { config.shards };
         let worker_count = if config.workers == 0 {
             alpha_parallel::default_threads().min(4)
         } else {
@@ -524,12 +509,12 @@ impl NetServer {
         };
         let shared = Arc::new(Shared {
             service: Arc::new(service),
-            job_shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            jobs: Mutex::new(HashMap::new()),
             next_job_id: AtomicU64::new(0),
             terminal_order: Mutex::new(VecDeque::new()),
-            queue: ShardedTaskQueue::bounded(config.queue_capacity, shards),
+            queue: ShardedTaskQueue::bounded(config.queue_capacity, ADMISSION_SHARDS),
             exec_queue: ShardedTaskQueue::bounded(1024, 1),
-            by_digest: DigestTable::default(),
+            by_digest: DigestView::default(),
             completions: Mutex::new(Vec::new()),
             exec_inflight: AtomicU64::new(0),
             tunes_executing: AtomicU64::new(0),
@@ -676,7 +661,7 @@ impl std::fmt::Debug for NetServer {
 fn worker_loop(shared: &Shared) {
     while let Some(job_id) = shared.queue.pop() {
         let (request, queue_wait_secs, tenant, trace_id) = {
-            let mut table = shared.job_shard(job_id).lock().expect("job table poisoned");
+            let mut table = shared.jobs.lock().expect("job table poisoned");
             match table.remove(&job_id) {
                 Some(Job::Queued {
                     request,
@@ -771,30 +756,26 @@ fn worker_loop(shared: &Shared) {
         shared.tune_ewma_us.store(next.max(1), Ordering::Relaxed);
         let outcome = match served.pop().expect("one request yields one result") {
             Ok(tune) => {
-                let summary = JobSummary {
-                    gflops: tune.tuned.gflops(),
-                    operator_graph: tune.tuned.operator_graph(),
-                    fresh_evaluations: tune.fresh_evaluations as u64,
-                    warm_started: tune.warm_started,
-                    wall_secs: tune.wall_secs,
-                    queue_wait_secs,
-                    // Lowers the native kernel eagerly: Spmv requests for
-                    // this job then hit a pre-resolved specialized loop.
-                    kernel_shape: tune.tuned.kernel_shape(),
-                };
-                // Filed before the job turns `Done`, so a client that saw
-                // it finish finds the program by digest.  The worker hashes
-                // the uploaded bytes itself: the cold path pays for the
-                // digest, a hit never does.
-                shared.by_digest.file(
-                    tenant,
-                    &request.matrix,
-                    request.device.name,
+                let summary = job_summary(
                     &tune.tuned,
-                    &summary,
+                    tune.fresh_evaluations as u64,
+                    tune.warm_started,
+                    tune.wall_secs,
+                    queue_wait_secs,
+                );
+                // Filed before the job turns `Done`, so a client that saw
+                // it finish finds the program by digest.  The service hashed
+                // the uploaded bytes (the digest is memoised in the
+                // request's matrix): the cold path pays for the digest, a
+                // hit never does.
+                shared.by_digest.file(
+                    &shared.service,
+                    tenant,
+                    request.matrix.digest(),
+                    &request.device,
                 );
                 // The service's own handle: while this job is in the table,
-                // repeat tunes of its context get this program back.
+                // repeat tunes of its matrix get this program back.
                 Job::Done {
                     tuned: tune.tuned,
                     summary,
@@ -826,6 +807,28 @@ fn worker_loop(shared: &Shared) {
         );
         shared.pin_if_slow(trace_id, total_us);
         alpha_telemetry::set_current_trace_id(prev_trace);
+    }
+}
+
+/// What a `Done` job reports about `tuned`: the design fields, read off the
+/// program, and what this job cost.
+fn job_summary(
+    tuned: &TunedSpmv,
+    fresh_evaluations: u64,
+    warm_started: bool,
+    wall_secs: f64,
+    queue_wait_secs: f64,
+) -> JobSummary {
+    JobSummary {
+        gflops: tuned.gflops(),
+        operator_graph: tuned.operator_graph(),
+        fresh_evaluations,
+        warm_started,
+        wall_secs,
+        queue_wait_secs,
+        // Lowers the native kernel eagerly: Spmv requests for the job then
+        // hit a pre-resolved specialized loop.
+        kernel_shape: tuned.kernel_shape(),
     }
 }
 
@@ -939,6 +942,11 @@ fn exec_loop(shared: &Shared) {
 fn frame_bytes(response: &Response) -> Vec<u8> {
     response_frame(response).expect("responses fit the frame cap")
 }
+
+/// Shards of the admission queue.  Its workers drain the shards round-robin,
+/// so tenants hashed to different shards take turns — the per-tenant
+/// fairness floor under a storm.
+const ADMISSION_SHARDS: usize = 8;
 
 /// Reactor token of the listening socket; connection tokens count up from
 /// [`FIRST_CONN_TOKEN`].
@@ -1554,7 +1562,7 @@ impl EventLoop {
                 self.push_response(token, &response);
             }
             Request::PollJob { job_id } => {
-                let table = shared.job_shard(job_id).lock().expect("job table poisoned");
+                let table = shared.jobs.lock().expect("job table poisoned");
                 let state = match table.get(&job_id) {
                     None => JobState::Unknown,
                     Some(Job::Queued { .. }) => JobState::Queued,
@@ -1570,7 +1578,7 @@ impl EventLoop {
             Request::Spmv { job_id, x } => {
                 let tenant = self.conns.get(&token).map(|c| c.tenant).unwrap_or(0);
                 let tuned = {
-                    let table = shared.job_shard(job_id).lock().expect("job table poisoned");
+                    let table = shared.jobs.lock().expect("job table poisoned");
                     match table.get(&job_id) {
                         None => Err(Response::Error {
                             kind: ErrorKind::UnknownJob,
@@ -1915,19 +1923,15 @@ fn submit_tune(
     }
     let request = TuneRequest::new(matrix, profile);
     let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-    shared
-        .job_shard(job_id)
-        .lock()
-        .expect("job table poisoned")
-        .insert(
-            job_id,
-            Job::Queued {
-                request: Box::new(request),
-                enqueued: Instant::now(),
-                tenant,
-                trace_id,
-            },
-        );
+    shared.jobs.lock().expect("job table poisoned").insert(
+        job_id,
+        Job::Queued {
+            request: Box::new(request),
+            enqueued: Instant::now(),
+            tenant,
+            trace_id,
+        },
+    );
     match shared.queue.try_push(tenant, job_id) {
         Ok(()) => {
             shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
@@ -1940,7 +1944,7 @@ fn submit_tune(
             // Admission failed at the global bound: nothing must remain of
             // the job.
             shared
-                .job_shard(job_id)
+                .jobs
                 .lock()
                 .expect("job table poisoned")
                 .remove(&job_id);
@@ -1975,11 +1979,12 @@ fn submit_tune(
 }
 
 /// Answers a tune that names its matrix by digest, on the event loop: a
-/// map lookup, then either [`Response::NeedMatrix`] or a job that is
-/// already `Done` with the program the tenant's upload built.  That job is
-/// the one an earlier hit on the same upload filed, while the job table
-/// still has it, else a new one: a burst of hits takes one terminal slot.
-/// Nothing is queued, so admission credit is not consulted.
+/// lookup in the tenant's view and the service's resident map, then either
+/// [`Response::NeedMatrix`] or a job that is already `Done` with the
+/// program the tenant's upload built, if its shape is the one named.  That
+/// job is the one an earlier hit on the same upload filed, while the job
+/// table still has it, else a new one: a burst of hits takes one terminal
+/// slot.  Nothing is queued, so admission credit is not consulted.
 fn submit_tune_ref(
     shared: &Shared,
     tenant: u64,
@@ -1993,14 +1998,21 @@ fn submit_tune_ref(
         Ok(profile) => profile,
         Err(refused) => return refused,
     };
-    let Some(hit) = shared.by_digest.lookup(tenant, digest, profile.name, shape) else {
+    let hit = shared
+        .by_digest
+        .lookup(&shared.service, tenant, digest, &profile)
+        .filter(|hit| {
+            let stats = hit.program.matrix_stats();
+            [stats.rows, stats.cols, stats.nnz].map(|n| n as u64) == shape
+        });
+    let Some(hit) = hit else {
         shared.by_reference_need_matrix.inc();
         return Response::NeedMatrix;
     };
     shared.by_reference_hit.inc();
     let live = hit.job.filter(|job_id| {
         shared
-            .job_shard(*job_id)
+            .jobs
             .lock()
             .expect("job table poisoned")
             .contains_key(job_id)
@@ -2018,17 +2030,13 @@ fn submit_tune_ref(
             {
                 t.submitted += 1;
             }
-            let summary = JobSummary {
-                fresh_evaluations: 0,
-                wall_secs: started.elapsed().as_secs_f64(),
-                queue_wait_secs: 0.0,
-                ..hit.summary
-            };
             let tuned = hit.program;
+            let wall_secs = started.elapsed().as_secs_f64();
+            let summary = job_summary(&tuned, 0, hit.warm_started, wall_secs, 0.0);
             shared.finish_job(job_id, tenant, Job::Done { tuned, summary });
             shared
                 .by_digest
-                .answered_by(tenant, digest, profile.name, job_id);
+                .answered_by(tenant, digest, &profile, job_id);
             job_id
         }
     };

@@ -83,7 +83,6 @@ fn chaos_soak_survives_converges_and_starves_no_tenant() {
             queue_capacity: 8,
             workers: 2,
             max_terminal_jobs: MAX_TERMINAL,
-            shards: 4,
             frame_deadline: FRAME_DEADLINE,
             tenant_weights: vec![(1, 3), (2, 1), (3, 1)],
             metrics_addr: None,

@@ -486,20 +486,26 @@ fn write_graph(w: &mut ByteWriter, graph: &OperatorGraph) {
     }
 }
 
-fn read_count(r: &mut ByteReader<'_>, what: &str) -> Result<usize, PersistError> {
-    r.count(what)
-}
+// The fewest bytes each counted record takes, so a count is bounded by what
+// the rest of the input could carry before anything is reserved for it.
+const OPERATOR_BYTES: usize = 9; // tag, parameter
+const BRANCH_BYTES: usize = 8; // operator count
+const GRAPH_BYTES: usize = 16; // converting and branch counts
+const EVALUATION_BYTES: usize = 17; // context key, signature length, outcome tag
+const WINNER_BYTES: usize = 8 + GRAPH_BYTES + 8 + 8 + 1 + 1; // …, evaluator and shape tags
+const FEATURE_BYTES: usize = 8;
+const PIN_BYTES: usize = 16; // context key, graph count
 
 fn read_graph(r: &mut ByteReader<'_>) -> Result<OperatorGraph, PersistError> {
-    let converting_len = read_count(r, "converting-operator")?;
+    let converting_len = r.count_of("converting-operator", OPERATOR_BYTES)?;
     let mut converting = Vec::with_capacity(converting_len);
     for _ in 0..converting_len {
         converting.push(read_operator(r)?);
     }
-    let branch_count = read_count(r, "branch")?;
+    let branch_count = r.count_of("branch", BRANCH_BYTES)?;
     let mut branches = Vec::with_capacity(branch_count);
     for _ in 0..branch_count {
-        let branch_len = read_count(r, "branch-operator")?;
+        let branch_len = r.count_of("branch-operator", OPERATOR_BYTES)?;
         let mut branch = Vec::with_capacity(branch_len);
         for _ in 0..branch_len {
             branch.push(read_operator(r)?);
@@ -657,7 +663,7 @@ impl DesignCache {
 
         let cache = DesignCache::new();
 
-        let entry_count = read_count(&mut r, "evaluation")?;
+        let entry_count = r.count_of("evaluation", EVALUATION_BYTES)?;
         let mut entries = HashMap::with_capacity(entry_count);
         for _ in 0..entry_count {
             let context_key = r.u64()?;
@@ -679,12 +685,12 @@ impl DesignCache {
         }
         cache.replace_entries(entries);
 
-        let winner_count = read_count(&mut r, "winner")?;
+        let winner_count = r.count_of("winner", WINNER_BYTES)?;
         for _ in 0..winner_count {
             let context_key = r.u64()?;
             let graph = read_graph(&mut r)?;
             let gflops = r.f64()?;
-            let feature_count = read_count(&mut r, "matrix-feature")?;
+            let feature_count = r.count_of("matrix-feature", FEATURE_BYTES)?;
             let mut matrix_features = Vec::with_capacity(feature_count);
             for _ in 0..feature_count {
                 matrix_features.push(r.f64()?);
@@ -703,10 +709,10 @@ impl DesignCache {
             );
         }
 
-        let pin_count = read_count(&mut r, "seed-pin")?;
+        let pin_count = r.count_of("seed-pin", PIN_BYTES)?;
         for _ in 0..pin_count {
             let context_key = r.u64()?;
-            let graph_count = read_count(&mut r, "pinned-graph")?;
+            let graph_count = r.count_of("pinned-graph", GRAPH_BYTES)?;
             let mut graphs = Vec::with_capacity(graph_count);
             for _ in 0..graph_count {
                 graphs.push(read_graph(&mut r)?);
@@ -1017,6 +1023,65 @@ mod tests {
                 other => panic!("truncated at {len}: expected an error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn seeded_hostile_bytes_never_panic_the_decoder() {
+        // A deterministic xorshift64* over a populated cache: bit flips, lies
+        // in count and length fields, and truncation at every offset.  Every
+        // decode must return a cache or a typed error, never panic.
+        let bytes = populated_cache().to_bytes();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            state
+        };
+        let word =
+            |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let decode = |bytes: &[u8]| match DesignCache::from_bytes(bytes) {
+            Err(PersistError::Io(e)) => panic!("a decode does no I/O: {e}"),
+            other => other.map(|_| ()),
+        };
+        for len in 0..bytes.len() {
+            assert!(decode(&bytes[..len]).is_err(), "truncated at {len}");
+        }
+        // Every count and length is a small word (so are some values, which
+        // are as good a place to lie).
+        let fields: Vec<usize> = (8..bytes.len() - 7)
+            .filter(|&at| word(&bytes, at) < 1 << 16)
+            .collect();
+        for _ in 0..200 {
+            let mut mutated = bytes.clone();
+            if next() % 2 == 0 {
+                for _ in 0..=next() % 4 {
+                    let at = next() as usize % mutated.len();
+                    mutated[at] ^= 1 << (next() % 8);
+                }
+            } else {
+                let at = fields[next() as usize % fields.len()];
+                let lie = match next() % 4 {
+                    0 => u64::MAX,
+                    1 => (bytes.len() - at) as u64,
+                    2 => word(&bytes, at) + 1,
+                    _ => word(&bytes, at).saturating_sub(1),
+                };
+                mutated[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+            }
+            let _ = decode(&mutated);
+            let _ = decode(&mutated[..next() as usize % mutated.len()]);
+        }
+        // A count whose records could not fit in the bytes left is refused
+        // before anything is reserved for it.
+        let fit = (bytes.len() - 16) / EVALUATION_BYTES;
+        let mut lie = bytes.clone();
+        lie[8..16].copy_from_slice(&(fit as u64 + 1).to_le_bytes());
+        assert!(matches!(
+            DesignCache::from_bytes(&lie),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -33,11 +33,11 @@ impl TuneRequest {
 /// The result of serving one tuning request.
 pub struct ServedTune {
     /// The ready-to-run machine-designed SpMV program — shared: while any
-    /// holder keeps it alive, repeat requests of its context are answered
-    /// with this very `Arc`.  Its `search_stats()` are those of the request
-    /// that built it (all zero when that one was answered from the context's
-    /// stored winner, where no search ran); what *this* request cost is
-    /// [`ServedTune::fresh_evaluations`].
+    /// holder keeps it alive, repeat requests of its matrix and device are
+    /// answered with this very `Arc`.  Its `search_stats()` are those of the
+    /// request that built it (all zero when that one was answered from the
+    /// context's stored winner, where no search ran); what *this* request
+    /// cost is [`ServedTune::fresh_evaluations`].
     pub tuned: Arc<TunedSpmv>,
     /// Fingerprint of the request's matrix (the deduplication identity,
     /// together with the device).
@@ -72,7 +72,6 @@ pub struct ServedTune {
 pub struct TuningService {
     store: DesignStore,
     config: SearchConfig,
-    warm_start_seeds: usize,
     batch_threads: usize,
     /// Persistent worker pool every batch of this service fans out on —
     /// built lazily on the first genuinely parallel batch (daemon traffic is
@@ -88,10 +87,11 @@ pub struct TuningService {
     /// `serve_tune_total{path=…}` on the store's registry: which path
     /// answered each request (see [`TunePath`]).
     tune_paths: [alpha_telemetry::Counter; 4],
-    /// The programs handed out and still held by someone, by store key.  No
+    /// The programs handed out and still held by someone — the one record
+    /// of live programs by content ([`TuningService::resident`]).  No
     /// capacity and no eviction: an entry is useful exactly as long as its
     /// program is alive, and dead ones are swept whenever one is added.
-    resident: Mutex<HashMap<u64, Arc<ResidentProgram>>>,
+    resident: Mutex<HashMap<ResidentKey, ResidentProgram>>,
     /// `serve_loop_select_total` on the store's registry: requests whose
     /// answer had its inner loops measured on this host
     /// ([`TunedSpmv::loop_selection`]) rather than designed or lowered from
@@ -99,13 +99,39 @@ pub struct TuningService {
     loop_selections: alpha_telemetry::Counter,
 }
 
-/// A program some holder may still have, with what a request must match to
-/// be answered with it.
+/// How many similar-matrix winners seed a cold search.
+const WARM_START_SEEDS: usize = 3;
+
+/// What a live program is filed under: the BLAKE2b-256
+/// [`CsrMatrix::digest`] of the matrix it computes `A·x` for, and the
+/// device fields [`context_key_for`] hashes.  The rest of the store key is
+/// the service's own configuration.  Two matrices that collide on the 64-bit
+/// store key have two digests, so they cost each other a rebuild, never a
+/// wrong `y`.
+#[derive(PartialEq, Eq, Hash)]
+struct ResidentKey {
+    digest: [u8; 32],
+    device: (&'static str, usize, [u64; 4]),
+}
+
+impl ResidentKey {
+    fn new(digest: [u8; 32], device: &DeviceProfile) -> Self {
+        let bits = [
+            device.dram_bandwidth_gbps,
+            device.l2_bandwidth_gbps,
+            device.peak_sp_gflops,
+            device.clock_ghz,
+        ]
+        .map(f64::to_bits);
+        ResidentKey {
+            digest,
+            device: (device.name, device.sm_count, bits),
+        }
+    }
+}
+
+/// A program some holder may still have.
 struct ResidentProgram {
-    /// The content `program` computes `A·x` for.  A hit requires `==` on it:
-    /// two matrices colliding on one store key cost each other a rebuild,
-    /// never a wrong `y`.
-    matrix: CsrMatrix,
     program: Weak<TunedSpmv>,
     /// [`ServedTune::warm_started`] of the request that built the program.
     warm_started: bool,
@@ -114,8 +140,9 @@ struct ResidentProgram {
 /// How one request was answered — the `path` label of `serve_tune_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TunePath {
-    /// With the program an earlier request of the context built and some
-    /// holder still has; nothing is designed, generated or lowered.
+    /// With the program an earlier request of the same matrix and device
+    /// built and some holder still has; nothing is designed, generated or
+    /// lowered.
     Resident,
     /// From the context's stored winner and its evaluation entry; no search.
     Stored,
@@ -184,7 +211,6 @@ impl TuningService {
         TuningService {
             store,
             config,
-            warm_start_seeds: 3,
             batch_threads: 0,
             pool: std::sync::OnceLock::new(),
             tune_latency,
@@ -217,13 +243,6 @@ impl TuningService {
         fold(&(self.config.mutations_per_seed as u64).to_le_bytes());
         fold(&(self.config.batch_size as u64).to_le_bytes());
         key
-    }
-
-    /// How many similar-matrix winners seed a cold search (0 disables
-    /// warm-starting).  Default 3.
-    pub fn with_warm_start_seeds(mut self, seeds: usize) -> Self {
-        self.warm_start_seeds = seeds;
-        self
     }
 
     /// Worker threads distinct requests of a batch are fanned out over
@@ -402,10 +421,10 @@ impl TuningService {
             .collect()
     }
 
-    /// Serves one request.  A context whose program some holder still has is
-    /// answered with that program; one that has been searched before, from
-    /// its stored winner (a lookup plus a format build); anything else — a
-    /// new context, or one whose stored answer is incomplete — resolves its
+    /// Serves one request.  A matrix whose program some holder still has is
+    /// answered with that program; a context that has been searched before,
+    /// from its stored winner (a lookup plus a format build); anything else —
+    /// a new context, or one whose stored answer is incomplete — resolves its
     /// warm-start seeds, runs the search and persists the result.  `spent` is
     /// what the request had cost when it got here.
     fn tune_one(
@@ -435,7 +454,10 @@ impl TuningService {
                 wall_secs: wall.as_secs_f64(),
             }
         };
-        if let Some((tuned, warm_started)) = self.resident_program(store_key, &request.matrix) {
+        // The digest names the live program: one hash per matrix value (it is
+        // memoised in the matrix, so a daemon files the upload under it free).
+        let digest = request.matrix.digest();
+        if let Some((tuned, warm_started)) = self.resident(digest, &request.device) {
             return Ok(served(tuned, TunePath::Resident, warm_started, 0));
         }
         let cache = self.store.cache_for(store_key).map_err(String::from)?;
@@ -493,47 +515,43 @@ impl TuningService {
         }
         let fresh_evaluations = tuned.search_stats().cache_misses;
         let tuned = Arc::new(tuned);
-        self.remember(store_key, &request.matrix, &tuned, warm_started);
+        self.remember(digest, &request.device, &tuned, warm_started);
         Ok(served(tuned, path, warm_started, fresh_evaluations))
     }
 
-    /// The live program filed under `store_key`, if it was built from exactly
-    /// `matrix` — with the `warm_started` flag of the request that built it.
-    fn resident_program(
+    /// The live program built for the matrix with this
+    /// [`CsrMatrix::digest`] on `device`, with the
+    /// [`ServedTune::warm_started`] flag of the request that built it —
+    /// `None` once no holder keeps it.  This is where a live program is found
+    /// by content: repeat requests of this service, and a daemon answering a
+    /// tune that names its matrix by digest.
+    pub fn resident(
         &self,
-        store_key: u64,
-        matrix: &CsrMatrix,
+        digest: [u8; 32],
+        device: &DeviceProfile,
     ) -> Option<(Arc<TunedSpmv>, bool)> {
-        let entry = self
-            .resident
-            .lock()
-            .expect("resident programs poisoned")
-            .get(&store_key)
-            .cloned()?;
-        // Compared outside the lock: a pass over both matrices.
-        let tuned = entry.program.upgrade()?;
-        (entry.matrix == *matrix).then_some((tuned, entry.warm_started))
+        let resident = self.resident.lock().expect("resident programs poisoned");
+        let entry = resident.get(&ResidentKey::new(digest, device))?;
+        Some((entry.program.upgrade()?, entry.warm_started))
     }
 
-    /// Files `tuned`, just built from `matrix`, under `store_key` for as long
-    /// as a holder keeps it alive, and sweeps the entries nobody holds any
-    /// more.  The entry owns its own copy of the matrix: the request's is
-    /// borrowed.
+    /// Files `tuned`, just built for the matrix with `digest` on `device`,
+    /// for as long as a holder keeps it alive, and sweeps the entries nobody
+    /// holds any more.
     fn remember(
         &self,
-        store_key: u64,
-        matrix: &CsrMatrix,
+        digest: [u8; 32],
+        device: &DeviceProfile,
         tuned: &Arc<TunedSpmv>,
         warm_started: bool,
     ) {
-        let entry = Arc::new(ResidentProgram {
-            matrix: matrix.clone(),
+        let entry = ResidentProgram {
             program: Arc::downgrade(tuned),
             warm_started,
-        });
+        };
         let mut resident = self.resident.lock().expect("resident programs poisoned");
         resident.retain(|_, entry| entry.program.strong_count() > 0);
-        resident.insert(store_key, entry);
+        resident.insert(ResidentKey::new(digest, device), entry);
     }
 
     /// The stored winners most structurally similar to `matrix`, closest
@@ -544,9 +562,6 @@ impl TuningService {
         own_key: u64,
         winners: &[(u64, StoredDesign)],
     ) -> Vec<OperatorGraph> {
-        if self.warm_start_seeds == 0 {
-            return Vec::new();
-        }
         let features = matrix_feature_vector(&MatrixStats::from_csr(matrix));
         let mut ranked: Vec<(f64, u64, &StoredDesign)> = winners
             .iter()
@@ -564,7 +579,7 @@ impl TuningService {
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut seeds: Vec<OperatorGraph> = Vec::new();
         for (_, _, design) in ranked {
-            if seeds.len() == self.warm_start_seeds {
+            if seeds.len() == WARM_START_SEEDS {
                 break;
             }
             if !seeds
@@ -582,7 +597,6 @@ impl std::fmt::Debug for TuningService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TuningService")
             .field("store", &self.store)
-            .field("warm_start_seeds", &self.warm_start_seeds)
             .field("batch_threads", &self.batch_threads)
             .finish()
     }
@@ -1251,10 +1265,87 @@ mod tests {
     }
 
     #[test]
+    fn a_resident_program_is_found_by_digest_while_held() {
+        let dir = temp_dir("resident_digest");
+        let service = quick_service(&dir, 8);
+        let request = TuneRequest::new(gen::powerlaw(192, 192, 5, 2.0, 86), DeviceProfile::a100());
+        let (digest, device) = (request.matrix.digest(), &request.device);
+        assert!(
+            service.resident(digest, device).is_none(),
+            "nothing built yet"
+        );
+        let mut served = service.tune_batch(std::slice::from_ref(&request));
+        let served = served.pop().unwrap().expect("tuning succeeds");
+        let (found, warm_started) = service.resident(digest, device).expect("`served` holds it");
+        assert!(Arc::ptr_eq(&found, &served.tuned));
+        assert_eq!(warm_started, served.warm_started);
+        // Another device is another program.
+        assert!(service
+            .resident(digest, &DeviceProfile::rtx2080())
+            .is_none());
+        // Any holder keeps it alive; the last one's drop ends it.
+        drop(served);
+        assert!(service.resident(digest, device).is_some());
+        drop(found);
+        assert!(service.resident(digest, device).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two different 64 × 64 matrices with one 64-bit fingerprint, and the
+    /// index of the entry that differs between them: the construction of
+    /// `fingerprint_colliding_pair` in alpha-net's `tests/daemon.rs`, which
+    /// explains it.  The fast hash's products vanish where a value equals
+    /// the low half of its key, so raising the neighbouring value in one
+    /// stripe and lowering it in another leaves every lane as it was.
+    fn fingerprint_colliding_pair() -> (CsrMatrix, CsrMatrix, usize) {
+        const LANES: usize = 8;
+        let mut state: u64 = 0x243F_6A88_85A3_08D3;
+        let keys: Vec<u64> = (0..16 * LANES)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+            .collect();
+        let moderate = |key: u64| {
+            let value = f32::from_bits(key as u32);
+            value.is_normal() && (1e-20..1e20).contains(&value.abs())
+        };
+        let (lane, [up, down]) = (0..LANES)
+            .find_map(|lane| {
+                let mut stripes = (0..16).filter(|&s| moderate(keys[s * LANES + lane]));
+                Some((lane, [stripes.next()?, stripes.next()?]))
+            })
+            .expect("some lane has two usable keys");
+        let (rows, per_row) = (64, 8);
+        let offsets: Vec<u32> = (0..=rows).map(|r| (r * per_row) as u32).collect();
+        let columns: Vec<u32> = (0..rows)
+            .flat_map(|r| (0..per_row).map(move |j| (j * 8 + r % 8) as u32))
+            .collect();
+        let mut values = vec![1.0f32; rows * per_row];
+        for stripe in [up, down] {
+            values[16 * stripe + 2 * lane] = f32::from_bits(keys[stripe * LANES + lane] as u32);
+        }
+        let mut shifted = values.clone();
+        let [raised, lowered] = [up, down].map(|stripe| 16 * stripe + 2 * lane + 1);
+        shifted[raised] = f32::from_bits(shifted[raised].to_bits() + 1);
+        shifted[lowered] = f32::from_bits(shifted[lowered].to_bits() - 1);
+        let build = |values| {
+            CsrMatrix::from_raw(rows, 64, offsets.clone(), columns.clone(), values)
+                .expect("valid CSR")
+        };
+        (build(values), build(shifted), raised)
+    }
+
+    #[test]
     fn a_program_filed_under_a_colliding_key_is_not_served() {
-        // Two matrices of one shape whose store keys collide — forged here:
-        // B's live program is filed under A's key.  A request for A must not
-        // be answered with it.
+        // Two matrices whose fingerprints — and so store keys — collide: the
+        // resident map tells them apart by digest, so each is answered with
+        // a program of its own, and each program computes its own `y`.
+        let (a, b, entry) = fingerprint_colliding_pair();
+        assert_ne!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
         let dir = temp_dir("resident_collision");
         let service = counted_service(
             &dir,
@@ -1265,28 +1356,28 @@ mod tests {
             },
             8,
         );
-        let a = TuneRequest::new(gen::powerlaw(192, 192, 5, 2.0, 84), DeviceProfile::a100());
-        let b = TuneRequest::new(gen::powerlaw(192, 192, 5, 2.0, 85), DeviceProfile::a100());
-        let tune = |request: &TuneRequest| {
-            let mut served = service.tune_batch(std::slice::from_ref(request));
+        let tune = |matrix: &CsrMatrix| {
+            let request = TuneRequest::new(matrix.clone(), DeviceProfile::a100());
+            let mut served = service.tune_batch(&[request]);
             served.pop().unwrap().expect("tuning succeeds")
         };
-        let key_a = tune(&a).context_key;
-        let held_b = tune(&b);
-        service.remember(key_a, &b.matrix, &held_b.tuned, held_b.warm_started);
-        // The forged entry is a hit only for the matrix it was built from.
-        assert!(service.resident_program(key_a, &b.matrix).is_some());
-        assert!(service.resident_program(key_a, &a.matrix).is_none());
-
-        let served_a = tune(&a);
-        assert!(!Arc::ptr_eq(&served_a.tuned, &held_b.tuned));
+        let held = [tune(&a), tune(&b)];
+        assert_eq!(held[0].context_key, held[1].context_key, "one store key");
+        assert!(!Arc::ptr_eq(&held[0].tuned, &held[1].tuned));
         assert_eq!(path_count(&service, "resident"), 0);
-        let x = alpha_matrix::DenseVector::random(192, 9);
-        let y = served_a.tuned.run(x.as_slice()).unwrap();
-        let expected = a.matrix.spmv(x.as_slice()).unwrap();
-        assert!(alpha_matrix::DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
-        let wrong = held_b.tuned.run(x.as_slice()).unwrap();
-        assert!(!alpha_matrix::DenseVector::from_vec(wrong).approx_eq(&expected, 1e-3));
+
+        // `x` picks the column of the entry that differs: every row of `y` is
+        // one stored value, exact in any summation order.
+        let mut x = vec![0.0f32; 64];
+        x[a.col_indices()[entry] as usize] = 1.0;
+        let ys = [&a, &b].map(|m| m.spmv(&x).unwrap());
+        assert_ne!(ys[0], ys[1]);
+        for ((matrix, held), expected) in [&a, &b].into_iter().zip(&held).zip(&ys) {
+            let again = tune(matrix);
+            assert!(Arc::ptr_eq(&again.tuned, &held.tuned));
+            assert_eq!(&again.tuned.run(&x).unwrap(), expected);
+        }
+        assert_eq!(path_count(&service, "resident"), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -122,34 +122,6 @@ struct Resident {
 /// stored in that cache file.
 type WinnerIndex = HashMap<u64, Vec<(u64, StoredDesign)>>;
 
-/// One shard of the store's in-memory state: a slice of the resident LRU
-/// tier plus the winner index for the cache files whose keys hash here.
-/// Each shard has its own locks, so requests for contexts in different
-/// shards never contend.
-struct StoreShard {
-    resident: Mutex<Resident>,
-    /// Lazily built index of the winners stored in this shard's *on-disk*
-    /// cache files (keyed by file/context key).  Avoids re-decoding every
-    /// cache file — evaluations and all — each time
-    /// [`DesignStore::winners`] runs; kept current by every code path that
-    /// writes or loads a cache file.  Never hold this lock and the shard's
-    /// `resident` lock at the same time.
-    winner_index: Mutex<Option<WinnerIndex>>,
-}
-
-impl StoreShard {
-    fn new(capacity: usize) -> Self {
-        StoreShard {
-            resident: Mutex::new(Resident {
-                caches: Vec::new(),
-                capacity,
-                stats: StoreStats::default(),
-            }),
-            winner_index: Mutex::new(None),
-        }
-    }
-}
-
 /// A durable store of tuned-design caches, one per evaluation context.
 ///
 /// On disk the store is a directory: a `store.layout` marker naming the
@@ -182,12 +154,14 @@ pub struct DesignStore {
     /// lifetime, released (and the lock file removed) when the last store
     /// instance of this process drops.
     _lock: StoreLock,
-    /// In-memory state split by context-key hash.  One shard by default —
-    /// exactly the single-lock store — with [`DesignStore::with_shards`]
-    /// widening it for contended daemons.  A context key always maps to
-    /// exactly one shard, so per-key behaviour (LRU order, eviction,
-    /// persistence) is unchanged by the split.
-    shards: Vec<StoreShard>,
+    /// The resident LRU tier.
+    resident: Mutex<Resident>,
+    /// Lazily built index of the winners stored in the *on-disk* cache files
+    /// (keyed by file/context key).  Avoids re-decoding every cache file —
+    /// evaluations and all — each time [`DesignStore::winners`] runs; kept
+    /// current by every code path that writes or loads a cache file.  Never
+    /// hold this lock and `resident` at the same time.
+    winner_index: Mutex<Option<WinnerIndex>>,
     /// The metrics registry this store publishes on, plus cached handles on
     /// its four counters.  The counters mirror [`StoreStats`] exactly — same
     /// increments at the same sites — so a `/metrics` scrape and a
@@ -279,7 +253,12 @@ impl DesignStore {
         Ok(DesignStore {
             root,
             _lock: lock,
-            shards: vec![StoreShard::new(DEFAULT_CAPACITY)],
+            resident: Mutex::new(Resident {
+                caches: Vec::new(),
+                capacity: DEFAULT_CAPACITY,
+                stats: StoreStats::default(),
+            }),
+            winner_index: Mutex::new(None),
             metrics: StoreMetrics::new(registry),
         })
     }
@@ -289,61 +268,11 @@ impl DesignStore {
         &self.metrics.registry
     }
 
-    /// Sets how many per-context caches stay resident in memory across the
-    /// whole store (minimum 1 per shard).  Evicted caches are written back
-    /// to disk first, so a small capacity trades memory for reload I/O,
-    /// never for lost work.  With multiple shards the capacity is divided
-    /// evenly between them.
+    /// Sets how many per-context caches stay resident in memory (minimum 1).
+    /// Evicted caches are written back to disk first, so a small capacity
+    /// trades memory for reload I/O, never for lost work.
     pub fn with_memory_capacity(self, capacity: usize) -> Self {
-        let per_shard = (capacity / self.shards.len()).max(1);
-        for shard in &self.shards {
-            shard.resident.lock().expect("store poisoned").capacity = per_shard;
-        }
-        self
-    }
-
-    /// Splits the store's in-memory state into `shards` shards (minimum 1)
-    /// with independent locks, keyed by context-key hash.  Call at build
-    /// time, before the store is shared: any already-resident caches are
-    /// re-routed to their new shard.  The total memory capacity is
-    /// preserved, divided evenly (minimum 1 per shard).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let (mut entries, total_capacity, stats) = {
-            let mut entries = Vec::new();
-            let mut total = 0usize;
-            let mut stats = StoreStats::default();
-            for shard in &self.shards {
-                let mut resident = shard.resident.lock().expect("store poisoned");
-                entries.append(&mut resident.caches);
-                total += resident.capacity;
-                let s = resident.stats;
-                stats.memory_hits += s.memory_hits;
-                stats.disk_loads += s.disk_loads;
-                stats.cold_starts += s.cold_starts;
-                stats.evictions += s.evictions;
-            }
-            (entries, total, stats)
-        };
-        self.shards = (0..shards)
-            .map(|_| StoreShard::new((total_capacity / shards).max(1)))
-            .collect();
-        // Re-route surviving residents; carried-over counters live in shard 0
-        // (stats are only ever read as a cross-shard sum).
-        self.shards[0]
-            .resident
-            .lock()
-            .expect("store poisoned")
-            .stats = stats;
-        for (key, cache) in entries.drain(..) {
-            let shard = self.shard_of(key);
-            self.shards[shard]
-                .resident
-                .lock()
-                .expect("store poisoned")
-                .caches
-                .push((key, cache));
-        }
+        self.resident.lock().expect("store poisoned").capacity = capacity.max(1);
         self
     }
 
@@ -352,36 +281,14 @@ impl DesignStore {
         &self.root
     }
 
-    /// Number of independent in-memory shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a context key routes to (Fibonacci multiplicative hash, so
-    /// the store's sequential-looking context keys spread evenly).
-    fn shard_of(&self, context_key: u64) -> usize {
-        (context_key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.shards.len()
-    }
-
-    /// Snapshot of the memory-tier counters, summed across shards.
+    /// Snapshot of the memory-tier counters.
     pub fn stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        for shard in &self.shards {
-            let s = shard.resident.lock().expect("store poisoned").stats;
-            total.memory_hits += s.memory_hits;
-            total.disk_loads += s.disk_loads;
-            total.cold_starts += s.cold_starts;
-            total.evictions += s.evictions;
-        }
-        total
+        self.resident.lock().expect("store poisoned").stats
     }
 
-    /// Number of caches currently resident in memory, summed across shards.
+    /// Number of caches currently resident in memory.
     pub fn resident_contexts(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.resident.lock().expect("store poisoned").caches.len())
-            .sum()
+        self.resident.lock().expect("store poisoned").caches.len()
     }
 
     fn context_file(&self, context_key: u64) -> PathBuf {
@@ -400,10 +307,9 @@ impl DesignStore {
     }
 
     /// Records the winners of `context_key`'s (just written or just loaded)
-    /// cache file in its shard's index, if that index has been built.
+    /// cache file in the index, if that index has been built.
     fn note_winners(&self, context_key: u64, cache: &DesignCache) {
-        let shard = &self.shards[self.shard_of(context_key)];
-        let mut index = shard.winner_index.lock().expect("store poisoned");
+        let mut index = self.winner_index.lock().expect("store poisoned");
         if let Some(map) = index.as_mut() {
             map.insert(context_key, cache.winners());
         }
@@ -414,10 +320,7 @@ impl DesignStore {
     /// even if the store later evicts the context; evicted caches are
     /// persisted before being dropped from the resident tier.
     pub fn cache_for(&self, context_key: u64) -> Result<Arc<DesignCache>, StoreError> {
-        let mut resident = self.shards[self.shard_of(context_key)]
-            .resident
-            .lock()
-            .expect("store poisoned");
+        let mut resident = self.resident.lock().expect("store poisoned");
         if let Some(pos) = resident.caches.iter().position(|(k, _)| *k == context_key) {
             let entry = resident.caches.remove(pos);
             resident.caches.push(entry);
@@ -472,10 +375,7 @@ impl DesignStore {
     /// a concurrently evicted context.
     pub fn persist(&self, context_key: u64) -> Result<bool, StoreError> {
         let cache = {
-            let resident = self.shards[self.shard_of(context_key)]
-                .resident
-                .lock()
-                .expect("store poisoned");
+            let resident = self.resident.lock().expect("store poisoned");
             resident
                 .caches
                 .iter()
@@ -509,18 +409,11 @@ impl DesignStore {
     /// Writes every resident context back to disk.  Returns the number of
     /// files written.
     pub fn flush(&self) -> Result<usize, StoreError> {
-        let mut written = 0usize;
-        for shard in &self.shards {
-            let caches: Vec<(u64, Arc<DesignCache>)> = {
-                let resident = shard.resident.lock().expect("store poisoned");
-                resident.caches.clone()
-            };
-            for (key, cache) in &caches {
-                self.save_cache_file(*key, cache)?;
-            }
-            written += caches.len();
+        let caches = self.resident.lock().expect("store poisoned").caches.clone();
+        for (key, cache) in &caches {
+            self.save_cache_file(*key, cache)?;
         }
-        Ok(written)
+        Ok(caches.len())
     }
 
     /// Every stored winning design — resident and on-disk — as
@@ -534,26 +427,23 @@ impl DesignStore {
     /// write, so calling this per batch stays cheap even over a large store.
     pub fn winners(&self) -> Result<Vec<(u64, StoredDesign)>, StoreError> {
         let mut winners: Vec<(u64, StoredDesign)> = Vec::new();
-        for (shard_idx, shard) in self.shards.iter().enumerate() {
-            let resident_keys: Vec<u64> = {
-                let resident = shard.resident.lock().expect("store poisoned");
-                for (_, cache) in &resident.caches {
-                    winners.extend(cache.winners());
-                }
-                resident.caches.iter().map(|(k, _)| *k).collect()
-            };
-            self.ensure_winner_index(shard_idx)?;
-            let index = shard.winner_index.lock().expect("store poisoned");
-            let map = index.as_ref().expect("just built");
-            for (file_key, file_winners) in map.iter() {
-                if !resident_keys.contains(file_key) {
-                    winners.extend(file_winners.iter().cloned());
-                }
+        let resident_keys: Vec<u64> = {
+            let resident = self.resident.lock().expect("store poisoned");
+            for (_, cache) in &resident.caches {
+                winners.extend(cache.winners());
+            }
+            resident.caches.iter().map(|(k, _)| *k).collect()
+        };
+        self.ensure_winner_index()?;
+        let index = self.winner_index.lock().expect("store poisoned");
+        let map = index.as_ref().expect("just built");
+        for (file_key, file_winners) in map.iter() {
+            if !resident_keys.contains(file_key) {
+                winners.extend(file_winners.iter().cloned());
             }
         }
-        // Deterministic order regardless of map/directory/shard enumeration:
-        // the seed selection downstream must not depend on iteration order,
-        // and an N-shard store must hand out exactly the 1-shard corpus.
+        // Deterministic order regardless of map/directory enumeration: the
+        // seed selection downstream must not depend on iteration order.
         winners.sort_by(|a, b| {
             a.0.cmp(&b.0)
                 .then_with(|| a.1.graph.signature().cmp(&b.1.graph.signature()))
@@ -561,15 +451,11 @@ impl DesignStore {
         Ok(winners)
     }
 
-    /// Builds one shard's on-disk winner index on first use by scanning
-    /// `designs/` and fully decoding (once) every cache file whose context
-    /// key hashes to that shard.  Each file belongs to exactly one shard, so
-    /// across all shards every file is still decoded at most once per store
-    /// instance.
-    fn ensure_winner_index(&self, shard_idx: usize) -> Result<(), StoreError> {
-        let shard = &self.shards[shard_idx];
+    /// Builds the on-disk winner index on first use by scanning `designs/`
+    /// and fully decoding (once per store instance) every cache file.
+    fn ensure_winner_index(&self) -> Result<(), StoreError> {
         {
-            let index = shard.winner_index.lock().expect("store poisoned");
+            let index = self.winner_index.lock().expect("store poisoned");
             if index.is_some() {
                 return Ok(());
             }
@@ -589,9 +475,6 @@ impl DesignStore {
             let Ok(key) = u64::from_str_radix(hex, 16) else {
                 continue;
             };
-            if self.shard_of(key) != shard_idx {
-                continue;
-            }
             disk_keys.push((key, entry.path()));
         }
         let mut map = HashMap::with_capacity(disk_keys.len());
@@ -599,7 +482,7 @@ impl DesignStore {
             let cache = DesignCache::load_from_file(&path)?;
             map.insert(key, cache.winners());
         }
-        let mut index = shard.winner_index.lock().expect("store poisoned");
+        let mut index = self.winner_index.lock().expect("store poisoned");
         // A concurrent builder may have won the race; either result is
         // equivalent, keep the first.
         index.get_or_insert(map);
@@ -611,7 +494,6 @@ impl std::fmt::Debug for DesignStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DesignStore")
             .field("root", &self.root)
-            .field("shards", &self.shards.len())
             .field("resident", &self.resident_contexts())
             .field("stats", &self.stats())
             .finish()
@@ -826,7 +708,7 @@ mod tests {
         store.cache_for(2).unwrap();
         store.cache_for(1).unwrap(); // touch 1: now 2 is the LRU
         store.cache_for(3).unwrap(); // evicts 2, not 1
-        let resident = store.shards[0].resident.lock().unwrap();
+        let resident = store.resident.lock().unwrap();
         let keys: Vec<u64> = resident.caches.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 3]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -899,138 +781,6 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("serve_store_cold_starts_total 3"));
         assert!(text.contains("serve_store_evictions_total 2"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// xorshift64* — deterministic workload driver for the shard-equivalence
-    /// property test.
-    fn xorshift(state: &mut u64) -> u64 {
-        let mut x = *state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Keys engineered to collide into one shard of an `n`-shard store: walk
-    /// candidates until `count` keys all hash to the shard of `anchor`.
-    fn colliding_keys(store: &DesignStore, anchor: u64, count: usize) -> Vec<u64> {
-        let target = store.shard_of(anchor);
-        let mut keys = Vec::with_capacity(count);
-        let mut candidate = anchor;
-        while keys.len() < count {
-            if store.shard_of(candidate) == target {
-                keys.push(candidate);
-            }
-            candidate = candidate.wrapping_add(1);
-        }
-        keys
-    }
-
-    #[test]
-    fn sharded_store_routes_every_key_and_aggregates_stats() {
-        let dir = temp_store_dir("shard_route");
-        let store = DesignStore::open(&dir)
-            .unwrap()
-            .with_shards(4)
-            .with_memory_capacity(64);
-        assert_eq!(store.shards(), 4);
-        for key in 0..32u64 {
-            store.cache_for(key).unwrap();
-        }
-        // Per-key routing is total: every touch lands somewhere and the
-        // summed counters see all of them.
-        assert_eq!(store.stats().cold_starts, 32);
-        assert_eq!(store.resident_contexts(), 32);
-        for key in 0..32u64 {
-            store.cache_for(key).unwrap();
-        }
-        assert_eq!(store.stats().memory_hits, 32);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Satellite: N-shard results must be byte-identical to the 1-shard
-    /// configuration across a seeded workload — same winners (order
-    /// included), same stats totals — including keys engineered to collide
-    /// into a single shard.
-    #[test]
-    fn shard_count_is_invisible_to_winners_and_stats() {
-        for shards in [2usize, 4, 7] {
-            let dir_one = temp_store_dir(&format!("eq1_{shards}"));
-            let dir_n = temp_store_dir(&format!("eqn_{shards}"));
-            let one = DesignStore::open(&dir_one)
-                .unwrap()
-                .with_memory_capacity(256);
-            let n = DesignStore::open(&dir_n)
-                .unwrap()
-                .with_shards(shards)
-                .with_memory_capacity(256 * shards); // same per-key headroom
-            let mut rng = 0x5EED_0000_0000_0007 ^ shards as u64;
-            let mut keys: Vec<u64> = (0..24).map(|_| xorshift(&mut rng) >> 16).collect();
-            keys.extend(colliding_keys(&n, 0xC0111DE, 6));
-            for (i, &key) in keys.iter().enumerate() {
-                for store in [&one, &n] {
-                    let cache = store.cache_for(key).unwrap();
-                    cache.record_winner(key, design(1.0 + i as f64));
-                    store.persist_cache(key, &cache).unwrap();
-                }
-            }
-            // Re-touch a seeded subset so hits/loads accrue identically.
-            for &key in keys.iter().step_by(3) {
-                one.cache_for(key).unwrap();
-                n.cache_for(key).unwrap();
-            }
-            assert_eq!(one.stats(), n.stats(), "{shards}-shard stats diverged");
-            let winners_one = one.winners().unwrap();
-            let winners_n = n.winners().unwrap();
-            assert_eq!(
-                winners_one.len(),
-                winners_n.len(),
-                "{shards}-shard winner count diverged"
-            );
-            for (a, b) in winners_one.iter().zip(winners_n.iter()) {
-                assert_eq!(a.0, b.0, "winner key order diverged at {shards} shards");
-                assert_eq!(a.1.gflops, b.1.gflops);
-                assert_eq!(a.1.graph.signature(), b.1.graph.signature());
-            }
-            // A cold reopen reads winners purely from the sharded disk index;
-            // it must still match the 1-shard corpus.
-            drop(one);
-            drop(n);
-            let one = DesignStore::open(&dir_one).unwrap();
-            let n = DesignStore::open(&dir_n).unwrap().with_shards(shards);
-            let winners_one = one.winners().unwrap();
-            let winners_n = n.winners().unwrap();
-            assert_eq!(winners_one.len(), winners_n.len());
-            for (a, b) in winners_one.iter().zip(winners_n.iter()) {
-                assert_eq!(a.0, b.0);
-                assert_eq!(a.1.gflops, b.1.gflops);
-            }
-            let _ = std::fs::remove_dir_all(&dir_one);
-            let _ = std::fs::remove_dir_all(&dir_n);
-        }
-    }
-
-    #[test]
-    fn colliding_keys_share_one_shard_and_evict_locally() {
-        let dir = temp_store_dir("collide");
-        let store = DesignStore::open(&dir)
-            .unwrap()
-            .with_shards(4)
-            .with_memory_capacity(8); // 2 per shard
-        let keys = colliding_keys(&store, 77, 3);
-        let target = store.shard_of(keys[0]);
-        assert!(keys.iter().all(|&k| store.shard_of(k) == target));
-        for &key in &keys {
-            let cache = store.cache_for(key).unwrap();
-            cache.record_winner(key, design(2.0));
-        }
-        // Three colliding contexts through a 2-deep shard: exactly one
-        // eviction, persisted not lost.
-        assert_eq!(store.stats().evictions, 1);
-        let cache = store.cache_for(keys[0]).unwrap();
-        assert_eq!(cache.winner(keys[0]).unwrap().gflops, 2.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
