@@ -246,6 +246,7 @@ impl GeneratedKernel {
         let last_row = (first_row + rows_per_block).min(rows);
         let use_block_red = plan.reduction.block.is_some();
         let mut staged: Vec<(usize, Scalar)> = Vec::new();
+        let mut partials: Vec<Scalar> = Vec::with_capacity(threads_per_row);
 
         for (local_row, row) in (first_row..last_row).enumerate() {
             let range = plan.matrix.row_range(row);
@@ -268,7 +269,7 @@ impl GeneratedKernel {
                 continue;
             }
             let per_thread = row_len.div_ceil(threads_per_row);
-            let mut partials: Vec<Scalar> = Vec::with_capacity(threads_per_row);
+            partials.clear();
             for v in 0..threads_per_row {
                 let seg_start = range.start + v * per_thread;
                 if seg_start >= range.end {
@@ -305,7 +306,7 @@ impl GeneratedKernel {
                 staged.push((orig, partials.iter().sum()));
             } else {
                 // Only global atomics can combine the partials.
-                for p in partials {
+                for &p in &partials {
                     ctx.atomic_add_y(orig, p);
                 }
             }

@@ -566,7 +566,7 @@ impl TunedSpmv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpha_matrix::{gen, DenseVector};
+    use alpha_matrix::{gen, max_scaled_error, DenseVector};
 
     #[test]
     fn auto_tune_produces_correct_spmv() {
@@ -581,6 +581,33 @@ mod tests {
         assert!(!tuned.source().is_empty());
         assert!(tuned.operator_graph().contains("COMPRESS"));
         assert!(tuned.search_stats().iterations > 0);
+    }
+
+    #[test]
+    fn a_matrix_with_an_infinite_or_nan_value_tunes_under_the_cost_model() {
+        let base = gen::uniform_random(512, 512, 8, 4);
+        for poison in [Scalar::INFINITY, Scalar::NAN] {
+            let mut values = base.values().to_vec();
+            values[100] = poison;
+            let matrix = CsrMatrix::from_raw(
+                512,
+                512,
+                base.row_offsets().to_vec(),
+                base.col_indices().to_vec(),
+                values,
+            )
+            .unwrap();
+            let tuned = AlphaSparse::new(DeviceProfile::a100())
+                .with_search_budget(8)
+                .auto_tune(&matrix)
+                .unwrap_or_else(|e| panic!("{poison}: {e}"));
+            let x = DenseVector::random(512, 3);
+            let expected = matrix.spmv(x.as_slice()).unwrap();
+            assert!(expected.iter().any(|v| !v.is_finite()));
+            for y in [tuned.spmv(x.as_slice()), tuned.run(x.as_slice())] {
+                assert!(max_scaled_error(&y.unwrap(), &expected) <= 1e-3, "{poison}");
+            }
+        }
     }
 
     #[test]

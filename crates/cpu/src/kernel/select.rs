@@ -443,6 +443,62 @@ mod tests {
     }
 
     #[test]
+    fn seeded_hostile_labels_give_none_or_host_plans_and_never_panic() {
+        let matrix = gen::uniform_random(256, 256, 8, 3);
+        let designs = [
+            generated(&presets::csr_scalar(), &matrix),
+            generated(&presets::row_split_hybrid(2), &matrix),
+        ];
+        let foreign = match cpu_features::detect_hardware() {
+            crate::SimdSupport::Avx2 => "neon-nnz-x8",
+            _ => "avx2-nnz-x8",
+        };
+        let host = candidates();
+        let mut accepted = 0;
+        let mut check = |metadata: &MatrixMetadataSet, label: &str| {
+            if let Some(plans) = plans_from_label(metadata, label) {
+                assert_eq!(plans.len(), metadata.partitions.len(), "{label:?}");
+                assert!(plans.iter().all(|p| host.contains(p)), "{label:?}");
+                accepted += 1;
+            }
+        };
+        let mut rng = alpha_matrix::gen::rng::SplitMix64::new(0x1abe1);
+        for round in 0..200 {
+            let design = &designs[round % 2];
+            let metadata = design.kernel.metadata();
+            // A label this host would record, on a loop it would choose.
+            let vector = loop_label(&metadata.partitions[0].mapping, &host[round % host.len()]);
+            let mut label = NativeKernel::new(metadata, &design.format)
+                .partition_shapes()
+                .replace(":scalar", &format!(":{vector}"))
+                .into_bytes();
+            for _ in 0..1 + rng.next_below(3) {
+                let at = rng.next_below(label.len() + 1);
+                match rng.next_below(5) {
+                    0 if at < label.len() => label[at] ^= 1 << rng.next_below(8),
+                    1 => label.insert(at, b'|'),
+                    2 => label.insert(at, b':'),
+                    3 => {
+                        if let Some(i) = label.iter().position(|&b| b == b"|:"[round % 2]) {
+                            label.remove(i);
+                        }
+                    }
+                    _ => {
+                        let text = String::from_utf8_lossy(&label).replace(&vector, foreign);
+                        label = text.into_bytes();
+                    }
+                }
+            }
+            let label = String::from_utf8_lossy(&label);
+            for (end, _) in label.char_indices().chain([(label.len(), ' ')]) {
+                check(metadata, &label[..end]);
+            }
+        }
+        // Mutations that only touch the format half leave a usable label.
+        assert!(accepted > 0);
+    }
+
+    #[test]
     fn a_candidate_that_disagrees_with_the_scalar_loop_cannot_win() {
         let scalar = [1.0, -2.0, 0.0, Scalar::NAN, Scalar::INFINITY];
         let bounds = [1e-6, 1e-6, 0.0, 0.0, 0.0];

@@ -179,14 +179,21 @@ impl<'a> BlockContext<'a> {
     }
 
     /// Finalises the block: computes the block latency (maximum lane time of
-    /// any warp plus block-wide overheads) and returns the counters.
-    pub fn finish(mut self) -> BlockCounters {
+    /// any warp plus block-wide overheads) and returns the counters.  The
+    /// context is left as [`BlockContext::new`] made it, so one context
+    /// serves every block a simulator worker executes without allocating
+    /// again; only `y` keeps what the block wrote.
+    pub fn finish(&mut self) -> BlockCounters {
         let max_lane = self.thread_cycles.iter().copied().fold(0.0, f64::max);
         // Warps execute concurrently but the block is not finished until its
         // slowest warp (slowest lane) is; block-wide overheads are serialised
         // on top.
         self.counters.block_latency_cycles = max_lane + self.block_overhead_cycles;
-        self.counters
+        self.thread_cycles.fill(0.0);
+        self.current_thread = 0;
+        self.block_overhead_cycles = 0.0;
+        self.atomic_targets.clear();
+        std::mem::take(&mut self.counters)
     }
 }
 
@@ -279,6 +286,32 @@ mod tests {
         assert_eq!(c.shuffles, 5);
         assert!(c.shared_bytes == 1024.0);
         assert!(c.block_latency_cycles > 0.0);
+    }
+
+    #[test]
+    fn a_finished_context_runs_the_next_block_as_a_fresh_one() {
+        let device = DeviceProfile::test_profile();
+        let (x, mut y) = make_xy(4096, 8);
+        let block = |ctx: &mut BlockContext<'_>| {
+            ctx.thread(3);
+            ctx.mul_add(7);
+            ctx.gather_x_cost(&[0, 9, 800]);
+            ctx.atomic_add_y(2, 1.0);
+            ctx.atomic_add_y(2, 1.0);
+            ctx.shared_traffic(64);
+            ctx.finish()
+        };
+        let fresh = block(&mut BlockContext::new(&device, &x, &mut y, 64));
+        let mut reused = BlockContext::new(&device, &x, &mut y, 64);
+        // A heavier block first: another lane, an atomic to the row the next
+        // block hits, a barrier.
+        reused.thread(9);
+        reused.mul_add(500);
+        reused.atomic_add_y(2, 1.0);
+        reused.syncthreads();
+        reused.finish();
+        assert_eq!(block(&mut reused), fresh);
+        assert_eq!(fresh.atomic_conflicts, 1);
     }
 
     #[test]

@@ -66,11 +66,33 @@ pub fn transactions_for(access: Access, elements: usize, elem_bytes: usize) -> (
 /// Number of distinct 32-byte sectors touched when gathering the given
 /// column indices of a `f32` x vector — the transaction count of a warp-wide
 /// gather (`x[col]` for every lane).
+///
+/// A row segment of a `CsrMatrix` has its columns sorted (the documented row
+/// invariant), so its sectors are counted in one pass that allocates
+/// nothing: the number of times the sector changes.  `CsrMatrix::from_raw`
+/// does not check that order, and a gather across rows (a warp reading the
+/// k-th entry of 32 rows) has none, so a slice found unsorted on the way
+/// falls back to sorting and deduplicating a copy of its sectors.
 pub fn gather_sectors(cols: &[u32], elem_bytes: usize) -> u64 {
-    if cols.is_empty() {
+    let Some((&first, rest)) = cols.split_first() else {
         return 0;
-    }
+    };
     let per_sector = (SECTOR_BYTES / elem_bytes).max(1) as u32;
+    let (mut previous, mut sectors) = (first, 1);
+    for &col in rest {
+        if col < previous {
+            return unsorted_gather_sectors(cols, per_sector);
+        }
+        if col / per_sector != previous / per_sector {
+            sectors += 1;
+        }
+        previous = col;
+    }
+    sectors
+}
+
+/// [`gather_sectors`] for a slice in no particular order.
+fn unsorted_gather_sectors(cols: &[u32], per_sector: u32) -> u64 {
     let mut sectors: Vec<u32> = cols.iter().map(|&c| c / per_sector).collect();
     sectors.sort_unstable();
     sectors.dedup();
@@ -160,6 +182,37 @@ mod tests {
         assert_eq!(gather_sectors(&[], 4), 0);
         // Duplicate columns count once.
         assert_eq!(gather_sectors(&[64, 64, 64], 4), 1);
+        // Unsorted input takes the fallback and still counts distinct sectors.
+        assert_eq!(gather_sectors(&[300, 0, 301, 7], 4), 2);
+    }
+
+    #[test]
+    fn gather_sectors_equals_sort_and_dedup_on_seeded_slices() {
+        let mut rng = alpha_matrix::gen::rng::SplitMix64::new(0x5ec7);
+        for round in 0..2_000 {
+            let len = if round < 4 { 0 } else { rng.next_below(80) };
+            // Narrow spans make duplicates and shared sectors common; the
+            // widest reaches the top of the index range.
+            let span = [4, 64, 4_096, u32::MAX as usize][round % 4];
+            let mut cols: Vec<u32> = (0..len).map(|_| rng.next_below(span) as u32).collect();
+            match round % 3 {
+                0 => cols.sort_unstable(),
+                1 => {
+                    cols.sort_unstable();
+                    cols.dedup();
+                }
+                _ => {}
+            }
+            for elem_bytes in [4, 8, 64] {
+                // The sort + dedup count, the only one before the single pass.
+                let per_sector = (SECTOR_BYTES / elem_bytes).max(1) as u32;
+                assert_eq!(
+                    gather_sectors(&cols, elem_bytes),
+                    unsorted_gather_sectors(&cols, per_sector),
+                    "{cols:?} at {elem_bytes} bytes"
+                );
+            }
+        }
     }
 
     #[test]

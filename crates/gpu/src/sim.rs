@@ -73,30 +73,34 @@ impl GpuSim {
         let workers = self.worker_threads.min(grid).max(1);
 
         // Each worker accumulates into a private y buffer and private
-        // counters; both are merged after the scope ends, which keeps the
-        // execution deterministic regardless of scheduling.
-        let mut partials: Vec<(Vec<Scalar>, KernelCounters)> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let device = &self.device;
-                handles.push(scope.spawn(move || {
-                    let mut y = vec![0.0; y_len];
-                    let mut counters = KernelCounters::default();
-                    let mut block = w;
-                    while block < grid {
-                        let mut ctx = BlockContext::new(device, x, &mut y, launch.block_dim);
-                        kernel.execute_block(block, &mut ctx);
-                        counters.absorb_block(&ctx.finish());
-                        block += workers;
-                    }
-                    (y, counters)
-                }));
+        // counters, executing blocks `w, w + workers, …` through one block
+        // context; both are merged in worker order afterwards, which keeps
+        // the execution deterministic regardless of scheduling.  A single
+        // worker runs on the caller's thread.
+        let run_worker = |w: usize| {
+            let mut y = vec![0.0; y_len];
+            let mut counters = KernelCounters::default();
+            let mut ctx = BlockContext::new(&self.device, x, &mut y, launch.block_dim);
+            for block in (w..grid).step_by(workers) {
+                kernel.execute_block(block, &mut ctx);
+                counters.absorb_block(&ctx.finish());
             }
-            for handle in handles {
-                partials.push(handle.join().expect("simulator worker panicked"));
-            }
-        });
+            drop(ctx);
+            (y, counters)
+        };
+        let partials: Vec<(Vec<Scalar>, KernelCounters)> = if workers == 1 {
+            vec![run_worker(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| scope.spawn(move || run_worker(w)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("simulator worker panicked"))
+                    .collect()
+            })
+        };
 
         let mut y = vec![0.0; y_len];
         let mut counters = KernelCounters::default();
@@ -130,8 +134,7 @@ impl GpuSim {
         tol: Scalar,
     ) -> Result<SimResult, String> {
         let result = self.run(kernel, x)?;
-        let ok = alpha_matrix::DenseVector::from_vec(result.y.clone()).approx_eq(reference_y, tol);
-        if !ok {
+        if !alpha_matrix::within_tolerance(&result.y, reference_y, tol) {
             return Err(format!(
                 "kernel '{}' produced incorrect results",
                 kernel.name()
@@ -184,6 +187,79 @@ mod tests {
         assert!(sim
             .run_checked(&kernel, x.as_slice(), &wrong, 1e-4)
             .is_err());
+    }
+
+    /// The reference kernel, optionally overwriting one output row with
+    /// `+∞` and asserting every block runs on one given thread.
+    struct Probe {
+        inner: ReferenceCsrKernel,
+        poison_row: Option<usize>,
+        thread: Option<std::thread::ThreadId>,
+    }
+
+    impl SpmvKernel for Probe {
+        fn name(&self) -> String {
+            "probe".to_string()
+        }
+        fn launch_config(&self, device: &DeviceProfile) -> crate::LaunchConfig {
+            self.inner.launch_config(device)
+        }
+        fn execute_block(&self, block_id: usize, ctx: &mut BlockContext<'_>) {
+            if let Some(thread) = self.thread {
+                assert_eq!(std::thread::current().id(), thread);
+            }
+            self.inner.execute_block(block_id, ctx);
+            if let (0, Some(row)) = (block_id, self.poison_row) {
+                ctx.store_y(row, Scalar::INFINITY);
+            }
+        }
+        fn format_bytes(&self) -> usize {
+            self.inner.format_bytes()
+        }
+        fn useful_flops(&self) -> u64 {
+            self.inner.useful_flops()
+        }
+        fn output_rows(&self) -> usize {
+            self.inner.output_rows()
+        }
+        fn input_cols(&self) -> usize {
+            self.inner.input_cols()
+        }
+    }
+
+    #[test]
+    fn run_checked_rejects_an_infinity_in_a_finite_row() {
+        let matrix = gen::uniform_random(100, 100, 4, 2);
+        let x = DenseVector::ones(100);
+        let correct = matrix.spmv(x.as_slice()).unwrap();
+        let kernel = Probe {
+            inner: ReferenceCsrKernel::new(matrix),
+            poison_row: Some(3),
+            thread: None,
+        };
+        for workers in [1, 3] {
+            let sim = GpuSim::with_workers(DeviceProfile::test_profile(), workers);
+            assert_eq!(
+                sim.run(&kernel, x.as_slice()).unwrap().y[3],
+                Scalar::INFINITY
+            );
+            assert!(sim
+                .run_checked(&kernel, x.as_slice(), &correct, 1e-4)
+                .is_err());
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_callers_thread() {
+        let kernel = Probe {
+            inner: ReferenceCsrKernel::new(gen::uniform_random(1_000, 1_000, 4, 6)),
+            poison_row: None,
+            thread: Some(std::thread::current().id()),
+        };
+        let x = DenseVector::ones(1_000);
+        let sim = GpuSim::with_workers(DeviceProfile::test_profile(), 1);
+        let report = sim.run(&kernel, x.as_slice()).unwrap().report;
+        assert!(report.counters.blocks > 1);
     }
 
     #[test]

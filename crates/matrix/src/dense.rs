@@ -90,15 +90,31 @@ impl DenseVector {
     }
 
     /// True if every element is within `tol` *relative-or-absolute* distance
-    /// of the reference.  Floating-point reductions in a different order than
-    /// the reference make exact equality too strict for large matrices.
+    /// of the reference: [`within_tolerance`] of the two slices.
     pub fn approx_eq(&self, other: &[Scalar], tol: Scalar) -> bool {
-        self.len() == other.len()
-            && self.data.iter().zip(other).all(|(a, b)| {
-                let scale = a.abs().max(b.abs()).max(1.0);
-                (a - b).abs() <= tol * scale
-            })
+        within_tolerance(&self.data, other, tol)
     }
+}
+
+/// True if `a` and `b` have one length and every pair is within `tol`
+/// *relative-or-absolute* distance: `|a[i] - b[i]| <= tol · max(1, |a[i]|,
+/// |b[i]|)`.  Floating-point reductions in a different order than the
+/// reference make exact equality too strict for large matrices.
+///
+/// Non-finite pairs follow [`max_scaled_error`]'s rule: the same value on
+/// both sides (both NaN, or equal infinities) agrees, a NaN or infinity on
+/// one side only never does, whatever `tol` is.  The scale alone would get
+/// both backwards — an infinite scale admits `∞` against a finite value,
+/// and `∞ − ∞` is NaN.
+pub fn within_tolerance(a: &[Scalar], b: &[Scalar], tol: Scalar) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(&x, &y)| {
+            if x.is_finite() && y.is_finite() {
+                (x - y).abs() <= tol * x.abs().max(y.abs()).max(1.0)
+            } else {
+                x == y || (x.is_nan() && y.is_nan())
+            }
+        })
 }
 
 /// The worst relative-or-absolute error between a result and its reference:
@@ -169,6 +185,27 @@ mod tests {
         assert!(a.approx_eq(&[1.0 + 1e-6, 1000.0 - 1e-3], 1e-5));
         assert!(!a.approx_eq(&[1.1, 1000.0], 1e-5));
         assert!(!a.approx_eq(&[1.0], 1e-5));
+    }
+
+    #[test]
+    fn within_tolerance_judges_non_finite_pairs_like_max_scaled_error() {
+        let (nan, inf) = (Scalar::NAN, Scalar::INFINITY);
+        for (a, b) in [
+            ([inf, 1.0], [5.0, 1.0]),
+            ([inf, 1.0], [-inf, 1.0]),
+            ([nan, 1.0], [1.0, 1.0]),
+            ([1.0, 2.0], [1.0, nan]),
+            ([nan, 1.0], [inf, 1.0]),
+        ] {
+            assert!(!within_tolerance(&a, &b, 1e-3), "{a:?} vs {b:?}");
+            assert_eq!(max_scaled_error(&a, &b), inf);
+        }
+        for (a, b) in [([inf, 1.0], [inf, 1.0]), ([nan, -inf], [nan, -inf])] {
+            assert!(within_tolerance(&a, &b, 1e-3), "{a:?} vs {b:?}");
+            assert_eq!(max_scaled_error(&a, &b), 0.0);
+        }
+        // A finite mismatch next to an agreeing non-finite pair still fails.
+        assert!(!within_tolerance(&[nan, 0.0], &[nan, 0.5], 1e-3));
     }
 
     #[test]

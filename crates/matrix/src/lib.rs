@@ -35,7 +35,7 @@ pub mod suite;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
-pub use dense::{max_scaled_error, DenseVector};
+pub use dense::{max_scaled_error, within_tolerance, DenseVector};
 pub use dia::DiaMatrix;
 pub use ell::EllMatrix;
 pub use hash::ContentHasher;

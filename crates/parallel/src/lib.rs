@@ -128,6 +128,10 @@ impl<R: Send> MapSlots<R> {
     ///
     /// SAFETY: `index` is in bounds and written at most once.
     unsafe fn write(&self, index: usize, value: R) {
+        // SAFETY: `index < len` keeps the write inside the capacity `new`
+        // reserved, and the caller's one-claim-per-index counter (the
+        // `next.fetch_add` in `parallel_map`) means no other write, and no
+        // reference, touches this slot.
         unsafe { self.base.add(index).write(value) };
         self.written[index].store(true, Ordering::Release);
     }
@@ -254,6 +258,10 @@ impl WorkPtr {
     /// returns" is decided under one lock.
     fn erase<'a>(work: &'a (dyn Fn() + Sync + 'a)) -> WorkPtr {
         let raw = work as *const (dyn Fn() + Sync + 'a);
+        // SAFETY: only the lifetime changes (same fat-pointer layout).  The
+        // pointer outlives `'a` only as a value: `execute` waits for
+        // `remaining == 0` under the state lock and retracts unclaimed slots
+        // there, so no dereference happens after the borrow ends.
         #[allow(clippy::missing_transmute_annotations)]
         WorkPtr(unsafe { std::mem::transmute(raw) })
     }
@@ -261,6 +269,10 @@ impl WorkPtr {
     /// SAFETY: see [`WorkPtr::erase`] — only valid during the owning
     /// submission.
     unsafe fn get(&self) -> &(dyn Fn() + Sync) {
+        // SAFETY: the caller claimed the job under the state lock, so it is
+        // counted in `remaining` and the submitting frame, which owns the
+        // closure, is still inside `execute` (the check is the claim in
+        // `worker_loop`; see `erase`).
         unsafe { &*self.0 }
     }
 }

@@ -12,7 +12,19 @@ use alpha_search::{
     search, BatchEvaluator, EvalContext, Evaluation, Evaluator, SearchConfig, SimEvaluator,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Every test here runs its batches on `Pool::shared()`, which admits one
+/// batch at a time: a test that held it while another measured would put
+/// its own batch into the other's wall clock.  Each test holds this lock.
+static SHARED_POOL: Mutex<()> = Mutex::new(());
+
+fn exclusive_pool() -> MutexGuard<'static, ()> {
+    SHARED_POOL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A >= 64-candidate batch assembled the same way level 2 of the search
 /// assembles its coarse grid.
@@ -50,6 +62,7 @@ impl Evaluator for FixedLatencyEvaluator {
 
 #[test]
 fn multi_threaded_batch_beats_serial_wall_clock() {
+    let _pool = exclusive_pool();
     let matrix = gen::powerlaw(512, 512, 8, 2.0, 17);
     let ctx = EvalContext::new(&matrix, &DeviceProfile::a100(), Default::default(), 7).unwrap();
     let batch = candidate_batch(&matrix);
@@ -96,6 +109,7 @@ fn multi_threaded_batch_beats_serial_wall_clock() {
 
 #[test]
 fn simulation_batch_is_no_slower_multi_threaded() {
+    let _pool = exclusive_pool();
     // With the real simulator the speedup is CPU-bound, so a strict factor is
     // only demanded when the machine actually has spare cores.
     let cores = std::thread::available_parallelism()
@@ -136,6 +150,7 @@ fn simulation_batch_is_no_slower_multi_threaded() {
 
 #[test]
 fn full_search_is_thread_count_invariant_end_to_end() {
+    let _pool = exclusive_pool();
     let matrix = gen::powerlaw(1_024, 1_024, 10, 1.9, 29);
     let outcomes: Vec<_> = [1usize, 4]
         .into_iter()
