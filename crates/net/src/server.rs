@@ -152,11 +152,10 @@ enum Job {
         /// When the job was admitted — a tuning worker turns this into the
         /// queue-wait component of the job's [`JobSummary`].
         enqueued: Instant,
-        /// Submitting tenant, for fairness accounting at completion.
-        tenant: u64,
-        /// The submitting request's trace id (0 = untraced); the worker
-        /// threads it into its spans and flight events.
-        trace_id: u64,
+        /// The submission: its tenant, for fairness accounting at
+        /// completion, and its trace id, which the worker threads into its
+        /// spans and flight events.
+        req: RequestTag,
     },
     Running,
     Done {
@@ -174,18 +173,17 @@ impl Job {
     }
 }
 
-/// Lifetime counters (see [`ServerStats`]); the queue fields are sampled
-/// live.
+/// The lifetime job counts the tenant table does not keep (see
+/// [`ServerStats`]); the queue fields are sampled live.
 #[derive(Default)]
 struct Counters {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
     failed: AtomicU64,
     gced: AtomicU64,
 }
 
-/// One tenant's fairness ledger.
+/// One tenant's fairness ledger, and its share of the daemon's job counts:
+/// [`ServerStats`]' submitted, rejected and completed jobs are the sums of
+/// these rows.
 struct TenantState {
     weight: u64,
     submitted: u64,
@@ -194,6 +192,28 @@ struct TenantState {
     /// Jobs currently sitting in the admission queue (decremented when a
     /// worker picks the job up) — the quantity the credit bound applies to.
     queued: u64,
+}
+
+/// Which lane a request runs in: it names the class of the request's
+/// flight events and picks the histograms its stages feed.
+#[derive(Clone, Copy)]
+enum Lane {
+    Tune,
+    TuneRef,
+    Spmv,
+}
+
+/// The request a record belongs to: every flight event and span of one
+/// request names the same tenant, trace and job.
+#[derive(Clone, Copy)]
+struct RequestTag {
+    lane: Lane,
+    /// `0` = anonymous.
+    tenant: u64,
+    /// `0` = untraced.
+    trace_id: u64,
+    /// `0` before the daemon assigned one.
+    job_id: u64,
 }
 
 /// A remote SpMV offloaded off the event loop.
@@ -205,12 +225,7 @@ struct ExecTask {
     /// `net_spmv_latency_us` window, so the histogram covers exec-queue
     /// wait plus kernel time, the latency the client actually eats.
     received: Instant,
-    /// The request's trace id (0 = untraced).
-    trace_id: u64,
-    /// The connection's tenant, for flight-recorder attribution.
-    tenant: u64,
-    /// The executed job, for flight-recorder attribution.
-    job_id: u64,
+    req: RequestTag,
 }
 
 struct Shared {
@@ -293,14 +308,20 @@ impl Shared {
     fn stats(&self) -> ServerStats {
         let store = self.service.store_stats();
         let jobs_resident = self.jobs.lock().expect("job table poisoned").len();
+        let [mut jobs_submitted, mut jobs_rejected, mut jobs_completed] = [0; 3];
+        for t in self.tenants.lock().expect("tenant table poisoned").values() {
+            jobs_submitted += t.submitted;
+            jobs_rejected += t.rejected;
+            jobs_completed += t.completed;
+        }
         ServerStats {
             store_memory_hits: store.memory_hits as u64,
             store_disk_loads: store.disk_loads as u64,
             store_cold_starts: store.cold_starts as u64,
             store_evictions: store.evictions as u64,
-            jobs_submitted: self.counters.submitted.load(Ordering::Relaxed),
-            jobs_rejected: self.counters.rejected.load(Ordering::Relaxed),
-            jobs_completed: self.counters.completed.load(Ordering::Relaxed),
+            jobs_submitted,
+            jobs_rejected,
+            jobs_completed,
             jobs_failed: self.counters.failed.load(Ordering::Relaxed),
             jobs_gced: self.counters.gced.load(Ordering::Relaxed),
             queue_depth: self.queue.len() as u64,
@@ -310,13 +331,25 @@ impl Shared {
         }
     }
 
-    fn tenant_weight(&self, client_id: u64) -> u64 {
-        self.config
-            .tenant_weights
-            .iter()
-            .find(|(id, _)| *id == client_id)
-            .map(|(_, w)| (*w).max(1))
-            .unwrap_or(1)
+    /// `tenant`'s row of the table, made with its configured weight the
+    /// first time the tenant is seen.
+    fn tenant_row<'t>(
+        &self,
+        tenants: &'t mut BTreeMap<u64, TenantState>,
+        tenant: u64,
+    ) -> &'t mut TenantState {
+        tenants.entry(tenant).or_insert_with(|| TenantState {
+            weight: self
+                .config
+                .tenant_weights
+                .iter()
+                .find(|(id, _)| *id == tenant)
+                .map_or(1, |(_, w)| (*w).max(1)),
+            submitted: 0,
+            rejected: 0,
+            completed: 0,
+            queued: 0,
+        })
     }
 
     /// The daemon's estimate of when a shed submission is worth retrying:
@@ -341,14 +374,7 @@ impl Shared {
     /// degrades proportionally, never to zero.
     fn try_admit(&self, tenant_id: u64) -> Result<(), Response> {
         let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-        let weight = self.tenant_weight(tenant_id);
-        tenants.entry(tenant_id).or_insert_with(|| TenantState {
-            weight,
-            submitted: 0,
-            rejected: 0,
-            completed: 0,
-            queued: 0,
-        });
+        self.tenant_row(&mut tenants, tenant_id);
         let mut w_active = 0u64;
         for (id, t) in tenants.iter() {
             if t.queued > 0 || *id == tenant_id {
@@ -360,7 +386,6 @@ impl Shared {
         let credit = ((capacity * me.weight) / w_active.max(1)).max(1);
         if me.queued >= credit {
             me.rejected += 1;
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(Response::Busy {
                 queue_capacity: capacity,
                 retry_after_ms: self.retry_after_ms(),
@@ -402,19 +427,15 @@ impl Shared {
     /// oldest terminal records beyond the configured bound.
     fn finish_job(&self, job_id: u64, tenant: u64, outcome: Job) {
         debug_assert!(outcome.is_terminal());
-        let done = matches!(outcome, Job::Done { .. });
-        if done {
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if !matches!(outcome, Job::Done { .. }) {
             self.counters.failed.fetch_add(1, Ordering::Relaxed);
-        }
+        } else if let Some(t) = self
+            .tenants
+            .lock()
+            .expect("tenant table poisoned")
+            .get_mut(&tenant)
         {
-            let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-            if let Some(t) = tenants.get_mut(&tenant) {
-                if done {
-                    t.completed += 1;
-                }
-            }
+            t.completed += 1;
         }
         self.jobs
             .lock()
@@ -433,14 +454,51 @@ impl Shared {
         }
     }
 
-    /// Slow-request policy: a traced request whose in-server time crossed
-    /// [`ServerConfig::slow_request_us`] gets its flight events pinned so
-    /// they survive ring wrap.
-    fn pin_if_slow(&self, trace_id: u64, total_us: u64) {
-        let threshold = self.config.slow_request_us;
-        if threshold > 0 && trace_id != 0 && total_us >= threshold {
-            self.flightrec.pin(trace_id);
+    /// Records one stage of a request: its flight event and, where the
+    /// stage has them, its histogram observation and span, all from the one
+    /// measured `value_us`.  `net.tune_exec` is the one stage span written
+    /// by a guard at its call site instead, because the search's spans nest
+    /// under it.  A reply applies the slow-request policy: a traced request
+    /// whose in-server time crossed [`ServerConfig::slow_request_us`] gets
+    /// its flight events pinned so they survive ring wrap.
+    fn record(&self, req: RequestTag, kind: FlightKind, value_us: u64) {
+        let span = |name| {
+            let start = alpha_telemetry::now_us().saturating_sub(value_us);
+            alpha_telemetry::record_span(name, start, value_us, Some(("job", req.job_id)));
+        };
+        match (req.lane, kind) {
+            (Lane::Tune, FlightKind::QueuePop) => {
+                self.tune_queue_wait.observe(value_us);
+                span("net.queue_wait");
+            }
+            (Lane::Tune, FlightKind::ExecEnd) => self.tune_exec.observe(value_us),
+            (Lane::Spmv, FlightKind::ExecEnd) => span("net.exec"),
+            (Lane::Spmv, FlightKind::Reply) => self.spmv_latency.observe(value_us),
+            _ => {}
         }
+        let class = match (req.lane, kind) {
+            (Lane::Tune, FlightKind::Error) => "tune_failed",
+            (Lane::Spmv, FlightKind::Error) => "spmv_failed",
+            (Lane::Tune, _) => "tune",
+            (Lane::TuneRef, _) => "tune_ref",
+            (Lane::Spmv, _) => "spmv",
+        };
+        self.flightrec
+            .record(kind, req.tenant, req.trace_id, req.job_id, value_us, class);
+        let threshold = self.config.slow_request_us;
+        if kind == FlightKind::Reply && threshold > 0 && req.trace_id != 0 && value_us >= threshold
+        {
+            self.flightrec.pin(req.trace_id);
+        }
+    }
+
+    /// Records a shed request, whose flight event carries the `Busy`
+    /// answer's retry-after in µs, and returns the answer.
+    fn shed(&self, req: RequestTag, busy: Response) -> Response {
+        if let Response::Busy { retry_after_ms, .. } = busy {
+            self.record(req, FlightKind::Shed, retry_after_ms.saturating_mul(1000));
+        }
+        busy
     }
 
     /// Flags the daemon as shutting down, closes the admission queue
@@ -660,17 +718,16 @@ impl std::fmt::Debug for NetServer {
 /// closed and empty, tuning each through the shared service.
 fn worker_loop(shared: &Shared) {
     while let Some(job_id) = shared.queue.pop() {
-        let (request, queue_wait_secs, tenant, trace_id) = {
+        let (request, queue_wait_secs, req) = {
             let mut table = shared.jobs.lock().expect("job table poisoned");
             match table.remove(&job_id) {
                 Some(Job::Queued {
                     request,
                     enqueued,
-                    tenant,
-                    trace_id,
+                    req,
                 }) => {
                     table.insert(job_id, Job::Running);
-                    (request, enqueued.elapsed().as_secs_f64(), tenant, trace_id)
+                    (request, enqueued.elapsed().as_secs_f64(), req)
                 }
                 // The entry must exist and be queued — submission inserted
                 // it before pushing the id.  Anything else is a logic bug;
@@ -686,36 +743,17 @@ fn worker_loop(shared: &Shared) {
         // The job has left the queue: its tenant's credit frees up now.
         {
             let mut tenants = shared.tenants.lock().expect("tenant table poisoned");
-            if let Some(t) = tenants.get_mut(&tenant) {
+            if let Some(t) = tenants.get_mut(&req.tenant) {
                 t.queued = t.queued.saturating_sub(1);
             }
         }
-        shared
-            .tune_queue_wait
-            .observe_duration(Duration::from_secs_f64(queue_wait_secs));
         // The request's trace id follows the job onto this thread: every
         // span below (including the search engine's own `search.l*` spans)
         // tags itself with it, and the queue wait becomes a retroactive
         // span bracketing [enqueue, pop].
-        let prev_trace = alpha_telemetry::set_current_trace_id(trace_id);
+        let prev_trace = alpha_telemetry::set_current_trace_id(req.trace_id);
         let wait_us = (queue_wait_secs * 1e6) as u64;
-        alpha_telemetry::record_span(
-            "net.queue_wait",
-            alpha_telemetry::now_us().saturating_sub(wait_us),
-            wait_us,
-            Some(("job", job_id)),
-        );
-        shared.flightrec.record(
-            FlightKind::QueuePop,
-            tenant,
-            trace_id,
-            job_id,
-            wait_us,
-            "tune",
-        );
-        shared
-            .flightrec
-            .record(FlightKind::ExecStart, tenant, trace_id, job_id, 0, "tune");
+        shared.record(req, FlightKind::QueuePop, wait_us);
         let started = Instant::now();
         // A hostile or degenerate matrix must cost its own job, never the
         // worker: a panicking search is caught and reported as a failed
@@ -735,16 +773,8 @@ fn worker_loop(shared: &Shared) {
             }
         };
         shared.tunes_executing.fetch_sub(1, Ordering::Relaxed);
-        let exec_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        shared.tune_exec.observe(exec_us);
-        shared.flightrec.record(
-            FlightKind::ExecEnd,
-            tenant,
-            trace_id,
-            job_id,
-            exec_us,
-            "tune",
-        );
+        let exec_us = elapsed_us(started);
+        shared.record(req, FlightKind::ExecEnd, exec_us);
         // EWMA (α = 1/4) of tuning time feeds the Busy retry-after hint;
         // racy read-modify-write is fine for an estimate.
         let prev = shared.tune_ewma_us.load(Ordering::Relaxed);
@@ -770,7 +800,7 @@ fn worker_loop(shared: &Shared) {
                 // hit never does.
                 shared.by_digest.file(
                     &shared.service,
-                    tenant,
+                    req.tenant,
                     request.matrix.digest(),
                     &request.device,
                 );
@@ -782,32 +812,20 @@ fn worker_loop(shared: &Shared) {
                 }
             }
             Err(error) => {
-                shared.flightrec.record(
-                    FlightKind::Error,
-                    tenant,
-                    trace_id,
-                    job_id,
-                    0,
-                    "tune_failed",
-                );
+                shared.record(req, FlightKind::Error, 0);
                 Job::Failed { error }
             }
         };
-        shared.finish_job(job_id, tenant, outcome);
-        // The job's total in-server latency (admission to terminal state);
-        // over-threshold traces get their black-box events pinned.
-        let total_us = wait_us.saturating_add(exec_us);
-        shared.flightrec.record(
-            FlightKind::Reply,
-            tenant,
-            trace_id,
-            job_id,
-            total_us,
-            "tune",
-        );
-        shared.pin_if_slow(trace_id, total_us);
+        shared.finish_job(job_id, req.tenant, outcome);
+        // The job's total in-server latency: admission to terminal state.
+        shared.record(req, FlightKind::Reply, wait_us.saturating_add(exec_us));
         alpha_telemetry::set_current_trace_id(prev_trace);
     }
+}
+
+/// Microseconds elapsed since `since`.
+fn elapsed_us(since: Instant) -> u64 {
+    since.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
 /// What a `Done` job reports about `tuned`: the design fields, read off the
@@ -869,46 +887,20 @@ fn exec_loop(shared: &Shared) {
             shared.spmv_exec_inline.inc();
             &inline
         };
-        let prev_trace = alpha_telemetry::set_current_trace_id(task.trace_id);
-        shared.flightrec.record(
-            FlightKind::ExecStart,
-            task.tenant,
-            task.trace_id,
-            task.job_id,
-            0,
-            "spmv",
-        );
+        let prev_trace = alpha_telemetry::set_current_trace_id(task.req.trace_id);
         let started = Instant::now();
         let run = std::panic::AssertUnwindSafe(|| task.tuned.run_with_pool(&task.x, pool));
-        let outcome = {
-            let _span = alpha_telemetry::span!("net.exec", job = task.job_id);
-            std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-                Err(format!(
-                    "SpMV panicked: {}",
-                    panic_message(payload.as_ref())
-                ))
-            })
-        };
-        let exec_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        shared.flightrec.record(
-            FlightKind::ExecEnd,
-            task.tenant,
-            task.trace_id,
-            task.job_id,
-            exec_us,
-            "spmv",
-        );
+        let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+            Err(format!(
+                "SpMV panicked: {}",
+                panic_message(payload.as_ref())
+            ))
+        });
+        shared.record(task.req, FlightKind::ExecEnd, elapsed_us(started));
         let response = match outcome {
             Ok(y) => Response::SpmvResult { y },
             Err(e) => {
-                shared.flightrec.record(
-                    FlightKind::Error,
-                    task.tenant,
-                    task.trace_id,
-                    task.job_id,
-                    0,
-                    "spmv_failed",
-                );
+                shared.record(task.req, FlightKind::Error, 0);
                 Response::Error {
                     kind: ErrorKind::InvalidInput,
                     message: e,
@@ -916,17 +908,7 @@ fn exec_loop(shared: &Shared) {
             }
         };
         // The latency the client eats: exec-queue wait plus kernel time.
-        let total_us = task.received.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        shared.spmv_latency.observe(total_us);
-        shared.flightrec.record(
-            FlightKind::Reply,
-            task.tenant,
-            task.trace_id,
-            task.job_id,
-            total_us,
-            "spmv",
-        );
-        shared.pin_if_slow(task.trace_id, total_us);
+        shared.record(task.req, FlightKind::Reply, elapsed_us(task.received));
         alpha_telemetry::set_current_trace_id(prev_trace);
         shared
             .completions
@@ -1510,19 +1492,9 @@ impl EventLoop {
         let shared = self.shared.clone();
         match request {
             Request::Hello { client_id } => {
-                let weight = shared.tenant_weight(client_id);
-                shared
-                    .tenants
-                    .lock()
-                    .expect("tenant table poisoned")
-                    .entry(client_id)
-                    .or_insert_with(|| TenantState {
-                        weight,
-                        submitted: 0,
-                        rejected: 0,
-                        completed: 0,
-                        queued: 0,
-                    });
+                let mut tenants = shared.tenants.lock().expect("tenant table poisoned");
+                let weight = shared.tenant_row(&mut tenants, client_id).weight;
+                drop(tenants);
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.tenant = client_id;
                     conn.metrics = ConnMetrics::for_tenant(&shared.registry, client_id);
@@ -1603,49 +1575,34 @@ impl EventLoop {
                         // Offload: the kernel must not run on the loop.  The
                         // connection defers its later requests until the
                         // response frame comes back through `completions`.
+                        let req = RequestTag {
+                            lane: Lane::Spmv,
+                            tenant,
+                            trace_id,
+                            job_id,
+                        };
                         shared.exec_inflight.fetch_add(1, Ordering::Relaxed);
-                        match shared.exec_queue.try_push(
-                            0,
-                            ExecTask {
-                                token,
-                                tuned,
-                                x,
-                                received: Instant::now(),
-                                trace_id,
-                                tenant,
-                                job_id,
-                            },
-                        ) {
+                        let task = ExecTask {
+                            token,
+                            tuned,
+                            x,
+                            received: Instant::now(),
+                            req,
+                        };
+                        match shared.exec_queue.try_push(0, task) {
                             Ok(()) => {
-                                shared.flightrec.record(
-                                    FlightKind::Admitted,
-                                    tenant,
-                                    trace_id,
-                                    job_id,
-                                    0,
-                                    "spmv",
-                                );
+                                shared.record(req, FlightKind::Admitted, 0);
                                 if let Some(conn) = self.conns.get_mut(&token) {
                                     conn.pending_exec = true;
                                 }
                             }
                             Err(_) => {
                                 shared.exec_inflight.fetch_sub(1, Ordering::Relaxed);
-                                shared.flightrec.record(
-                                    FlightKind::Shed,
-                                    tenant,
-                                    trace_id,
-                                    job_id,
-                                    1,
-                                    "spmv",
-                                );
-                                self.push_response(
-                                    token,
-                                    &Response::Busy {
-                                        queue_capacity: shared.exec_queue.capacity() as u64,
-                                        retry_after_ms: 1,
-                                    },
-                                );
+                                let busy = Response::Busy {
+                                    queue_capacity: shared.exec_queue.capacity() as u64,
+                                    retry_after_ms: 1,
+                                };
+                                self.push_response(token, &shared.shed(req, busy));
                             }
                         }
                     }
@@ -1906,38 +1863,29 @@ fn submit_tune(
         Ok(profile) => profile,
         Err(refused) => return refused,
     };
+    let req = RequestTag {
+        lane: Lane::Tune,
+        tenant,
+        trace_id,
+        job_id: 0,
+    };
     if let Err(busy) = shared.try_admit(tenant) {
-        let retry_after_ms = match &busy {
-            Response::Busy { retry_after_ms, .. } => *retry_after_ms,
-            _ => 0,
-        };
-        shared.flightrec.record(
-            FlightKind::Shed,
-            tenant,
-            trace_id,
-            0,
-            retry_after_ms,
-            "tune",
-        );
-        return busy;
+        return shared.shed(req, busy);
     }
     let request = TuneRequest::new(matrix, profile);
     let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
+    let req = RequestTag { job_id, ..req };
     shared.jobs.lock().expect("job table poisoned").insert(
         job_id,
         Job::Queued {
             request: Box::new(request),
             enqueued: Instant::now(),
-            tenant,
-            trace_id,
+            req,
         },
     );
     match shared.queue.try_push(tenant, job_id) {
         Ok(()) => {
-            shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            shared
-                .flightrec
-                .record(FlightKind::Admitted, tenant, trace_id, job_id, 0, "tune");
+            shared.record(req, FlightKind::Admitted, 0);
             Response::Submitted { job_id }
         }
         Err(push_error) => {
@@ -1951,20 +1899,11 @@ fn submit_tune(
             match push_error {
                 PushError::Full(_) => {
                     shared.unadmit(tenant, true);
-                    shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    let retry_after_ms = shared.retry_after_ms();
-                    shared.flightrec.record(
-                        FlightKind::Shed,
-                        tenant,
-                        trace_id,
-                        job_id,
-                        retry_after_ms,
-                        "tune",
-                    );
-                    Response::Busy {
+                    let busy = Response::Busy {
                         queue_capacity: shared.queue.capacity() as u64,
-                        retry_after_ms,
-                    }
+                        retry_after_ms: shared.retry_after_ms(),
+                    };
+                    shared.shed(req, busy)
                 }
                 PushError::Closed(_) => {
                     shared.unadmit(tenant, false);
@@ -2021,15 +1960,9 @@ fn submit_tune_ref(
         Some(job_id) => job_id,
         None => {
             let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-            shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = shared
-                .tenants
-                .lock()
-                .expect("tenant table poisoned")
-                .get_mut(&tenant)
-            {
-                t.submitted += 1;
-            }
+            let mut tenants = shared.tenants.lock().expect("tenant table poisoned");
+            shared.tenant_row(&mut tenants, tenant).submitted += 1;
+            drop(tenants);
             let tuned = hit.program;
             let wall_secs = started.elapsed().as_secs_f64();
             let summary = job_summary(&tuned, 0, hit.warm_started, wall_secs, 0.0);
@@ -2040,22 +1973,14 @@ fn submit_tune_ref(
             job_id
         }
     };
-    shared.flightrec.record(
-        FlightKind::Admitted,
+    let req = RequestTag {
+        lane: Lane::TuneRef,
         tenant,
         trace_id,
         job_id,
-        0,
-        "tune_ref",
-    );
-    shared.flightrec.record(
-        FlightKind::Reply,
-        tenant,
-        trace_id,
-        job_id,
-        started.elapsed().as_micros() as u64,
-        "tune_ref",
-    );
+    };
+    shared.record(req, FlightKind::Admitted, 0);
+    shared.record(req, FlightKind::Reply, elapsed_us(started));
     Response::Submitted { job_id }
 }
 

@@ -7,8 +7,11 @@ use alpha_net::proto::{
     decode_response, encode_request_traced, read_frame, request_frame, write_frame, Request,
     Response, MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
-use alpha_net::{Client, ErrorKind, JobState, NetError, NetServer, ProtoError, ServerConfig};
+use alpha_net::{
+    Client, ErrorKind, JobState, NetError, NetServer, ProtoError, ServerConfig, TenantStats,
+};
 use alpha_serve::{DesignStore, TuningService};
+use alpha_telemetry::FlightKind;
 use alphasparse::SearchConfig;
 use std::io::Write;
 use std::net::TcpStream;
@@ -313,23 +316,23 @@ fn full_queue_answers_busy_backpressure() {
     let mut admitted = vec![client
         .submit_tune(&heavy, "A100")
         .expect("heavy job admitted")];
-    let mut saw_busy = false;
+    let mut retry_hints_ms = Vec::new();
     for i in 0..12u64 {
         let matrix = gen::powerlaw(256, 256, 6, 2.0, 100 + i);
         match client.submit_tune(&matrix, "A100") {
             Ok(job) => admitted.push(job),
             Err(NetError::Busy {
                 queue_capacity,
-                retry_after_ms: _,
+                retry_after_ms,
             }) => {
                 assert_eq!(queue_capacity, 1);
-                saw_busy = true;
+                retry_hints_ms.push(retry_after_ms);
             }
             Err(e) => panic!("unexpected submit error: {e}"),
         }
     }
     assert!(
-        saw_busy,
+        !retry_hints_ms.is_empty(),
         "a 12-burst into a 1-slot queue behind a heavy job must hit Busy"
     );
     assert!(!admitted.is_empty(), "some submissions must be admitted");
@@ -347,6 +350,34 @@ fn full_queue_answers_busy_backpressure() {
     let stats = client.store_stats().unwrap();
     assert!(stats.jobs_rejected > 0);
     assert_eq!(stats.jobs_completed, admitted.len() as u64 + 1);
+
+    // Each Busy answer's hint is the value of one shed event, in µs.
+    let shed_us: Vec<u64> = server
+        .flight_recorder()
+        .snapshot()
+        .iter()
+        .filter(|e| e.kind == FlightKind::Shed)
+        .map(|e| e.value_us)
+        .collect();
+    let hints_us: Vec<u64> = retry_hints_ms.iter().map(|ms| ms * 1000).collect();
+    assert_eq!(shed_us, hints_us);
+
+    // The daemon's job counts are its tenants' rows summed, a job answered
+    // by reference included.
+    let hit = client
+        .submit_tune(&matrix, "A100")
+        .expect("a by-reference hit");
+    assert_ne!(
+        hit, job,
+        "the first hit on an upload files a job of its own"
+    );
+    let stats = client.store_stats().unwrap();
+    assert_eq!(stats.jobs_completed, admitted.len() as u64 + 2);
+    let tenants = client.tenant_stats().unwrap();
+    let sum = |row: fn(&TenantStats) -> u64| tenants.iter().map(row).sum::<u64>();
+    assert_eq!(stats.jobs_submitted, sum(|t| t.submitted));
+    assert_eq!(stats.jobs_rejected, sum(|t| t.rejected));
+    assert_eq!(stats.jobs_completed, sum(|t| t.completed));
     stop(server, &dir);
 }
 

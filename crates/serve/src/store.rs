@@ -190,19 +190,31 @@ impl StoreMetrics {
     }
 }
 
+/// Most bytes of a layout marker read: the marker is one short line, so a
+/// longer file names no layout and is reported by this much of its head.
+const LAYOUT_MARKER_MAX: usize = 128;
+
 /// Whether `marker` exists and names [`STORE_LAYOUT_VERSION`]; `Ok(false)`
 /// when there is no marker yet, [`StoreError::Layout`] when it names
 /// anything else.
 fn layout_is_current(marker: &Path) -> Result<bool, StoreError> {
-    match std::fs::read_to_string(marker) {
-        Ok(found) if found.trim() == STORE_LAYOUT_VERSION => Ok(true),
-        Ok(found) => Err(StoreError::Layout {
-            found: found.trim().to_string(),
-            expected: STORE_LAYOUT_VERSION.to_string(),
-        }),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(e.into()),
+    use std::io::Read;
+    let file = match std::fs::File::open(marker) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(e.into()),
+    };
+    let mut head = Vec::new();
+    file.take(LAYOUT_MARKER_MAX as u64 + 1)
+        .read_to_end(&mut head)?;
+    let found = String::from_utf8_lossy(&head[..head.len().min(LAYOUT_MARKER_MAX)]);
+    if head.len() <= LAYOUT_MARKER_MAX && found.trim() == STORE_LAYOUT_VERSION {
+        return Ok(true);
     }
+    Err(StoreError::Layout {
+        found: found.trim().to_string(),
+        expected: STORE_LAYOUT_VERSION.to_string(),
+    })
 }
 
 impl DesignStore {
@@ -583,6 +595,58 @@ mod tests {
         }
         assert_eq!(snapshot(&dir), before, "a refused directory is not touched");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_layout_markers_are_refused_and_left_untouched() {
+        // Seeded junk, so a failure names its input.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut junk = |len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect()
+        };
+        let current_then_junk = [STORE_LAYOUT_VERSION.as_bytes(), b"\n", &junk(64)].concat();
+        let cases: [(&str, Vec<u8>); 7] = [
+            ("non_utf8", vec![0xFF, 0xFE, 0xC3, 0x28, b'\n']),
+            ("nul", b"alphasparse-design-store\0v2\n".to_vec()),
+            ("empty", Vec::new()),
+            ("whitespace", b" \t\r\n \n".to_vec()),
+            ("junk_1mib", junk(1 << 20)),
+            ("current_then_junk", current_then_junk),
+            (
+                "current_then_long_whitespace",
+                [STORE_LAYOUT_VERSION.as_bytes(), &[b' '; 1024], b"v9"].concat(),
+            ),
+        ];
+        for (tag, marker) in cases {
+            let dir = temp_store_dir(&format!("hostile_layout_{tag}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("store.layout"), &marker).unwrap();
+            let before = snapshot(&dir);
+            match DesignStore::open(&dir) {
+                Err(StoreError::Layout { found, .. }) => {
+                    assert!(
+                        found.len() <= 4 * LAYOUT_MARKER_MAX,
+                        "{tag}: echoes {} bytes",
+                        found.len()
+                    );
+                }
+                Err(StoreError::Io(_)) => {}
+                other => panic!("{tag}: expected Layout or Io, got {other:?}"),
+            }
+            assert_eq!(
+                snapshot(&dir),
+                before,
+                "{tag}: a refused directory is not touched"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// A second open-file-description stands in for "another process":

@@ -20,6 +20,9 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use crate::ring::Ring;
+use crate::trace::now_us;
+
 /// What happened to a request at this point of its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
@@ -29,9 +32,8 @@ pub enum FlightKind {
     Shed,
     /// Popped from the tune queue by a worker; `value_us` = queue wait.
     QueuePop,
-    /// Execution started (tune or SpMV); `value_us` = 0.
-    ExecStart,
-    /// Execution finished; `value_us` = exec duration.
+    /// Execution finished (tune or SpMV); `value_us` = exec duration, so
+    /// execution started at `ts_us − value_us`.
     ExecEnd,
     /// Request failed; `class` names the error class.
     Error,
@@ -47,7 +49,6 @@ impl FlightKind {
             FlightKind::Admitted => "admitted",
             FlightKind::Shed => "shed",
             FlightKind::QueuePop => "queue_pop",
-            FlightKind::ExecStart => "exec_start",
             FlightKind::ExecEnd => "exec_end",
             FlightKind::Error => "error",
             FlightKind::Reply => "reply",
@@ -60,7 +61,8 @@ impl FlightKind {
 pub struct FlightEvent {
     /// Monotone sequence number (process-lifetime, never reused).
     pub seq: u64,
-    /// Microseconds since the recorder was created.
+    /// Microseconds since the process trace epoch ([`now_us`]) — the time
+    /// base of spans, so an event lines up with its request's spans.
     pub ts_us: u64,
     /// Lifecycle stage.
     pub kind: FlightKind,
@@ -77,9 +79,7 @@ pub struct FlightEvent {
 }
 
 struct Inner {
-    ring: Vec<FlightEvent>,
-    next: usize,
-    dropped: u64,
+    ring: Ring<FlightEvent>,
     next_seq: u64,
     pinned: Vec<FlightEvent>,
     pinned_traces: u64,
@@ -89,9 +89,7 @@ struct Inner {
 /// buffer for slow requests.  All methods take one short mutex; recording
 /// allocates nothing once the ring is full.
 pub struct FlightRecorder {
-    capacity: usize,
     pin_capacity: usize,
-    start: std::time::Instant,
     inner: Mutex<Inner>,
 }
 
@@ -111,23 +109,14 @@ impl FlightRecorder {
     /// `pin_capacity` pinned ones.
     pub fn new(capacity: usize, pin_capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            capacity: capacity.max(1),
             pin_capacity,
-            start: std::time::Instant::now(),
             inner: Mutex::new(Inner {
-                ring: Vec::new(),
-                next: 0,
-                dropped: 0,
+                ring: Ring::new(capacity),
                 next_seq: 0,
                 pinned: Vec::new(),
                 pinned_traces: 0,
             }),
         }
-    }
-
-    /// Microseconds since the recorder was created (the dump's time base).
-    pub fn now_us(&self) -> u64 {
-        self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
 
     /// Appends one event; the oldest ring entry is overwritten when the ring
@@ -141,11 +130,11 @@ impl FlightRecorder {
         value_us: u64,
         class: &'static str,
     ) {
-        let ts_us = self.now_us();
+        let ts_us = now_us();
         let mut inner = self.inner.lock().expect("flight recorder poisoned");
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let event = FlightEvent {
+        inner.ring.push(FlightEvent {
             seq,
             ts_us,
             kind,
@@ -154,15 +143,7 @@ impl FlightRecorder {
             job_id,
             value_us,
             class,
-        };
-        if inner.ring.len() < self.capacity {
-            inner.ring.push(event);
-        } else {
-            let next = inner.next;
-            inner.ring[next] = event;
-            inner.next = (next + 1) % self.capacity;
-            inner.dropped += 1;
-        }
+        });
     }
 
     /// Copies every buffered event of `trace_id` into the pin buffer so it
@@ -194,21 +175,23 @@ impl FlightRecorder {
 
     /// Events dropped to ring wrap since creation.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("flight recorder poisoned").dropped
+        self.inner
+            .lock()
+            .expect("flight recorder poisoned")
+            .ring
+            .dropped()
     }
 
     /// A snapshot of the buffered events — pinned first, then the live ring
     /// oldest-first, deduplicated by sequence number and sorted by `seq`.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
         let inner = self.inner.lock().expect("flight recorder poisoned");
-        let mut out: Vec<FlightEvent> = Vec::with_capacity(inner.pinned.len() + inner.ring.len());
-        out.extend(inner.pinned.iter().cloned());
-        if inner.ring.len() == self.capacity {
-            out.extend(inner.ring[inner.next..].iter().cloned());
-            out.extend(inner.ring[..inner.next].iter().cloned());
-        } else {
-            out.extend(inner.ring.iter().cloned());
-        }
+        let mut out: Vec<FlightEvent> = inner
+            .pinned
+            .iter()
+            .chain(inner.ring.iter())
+            .cloned()
+            .collect();
         out.sort_by_key(|e| e.seq);
         out.dedup_by_key(|e| e.seq);
         out
@@ -217,16 +200,20 @@ impl FlightRecorder {
     /// The whole recorder as a JSON object: metadata plus the deduplicated
     /// event list (see [`snapshot`](Self::snapshot)).
     pub fn render_json(&self) -> String {
-        let (dropped, pinned_traces) = {
+        let (capacity, dropped, pinned_traces) = {
             let inner = self.inner.lock().expect("flight recorder poisoned");
-            (inner.dropped, inner.pinned_traces)
+            (
+                inner.ring.capacity(),
+                inner.ring.dropped(),
+                inner.pinned_traces,
+            )
         };
         let events = self.snapshot();
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"capacity\": {},\n", self.capacity));
+        out.push_str(&format!("  \"capacity\": {capacity},\n"));
         out.push_str(&format!("  \"dropped\": {dropped},\n"));
         out.push_str(&format!("  \"pinned_traces\": {pinned_traces},\n"));
-        out.push_str(&format!("  \"now_us\": {},\n", self.now_us()));
+        out.push_str(&format!("  \"now_us\": {},\n", now_us()));
         out.push_str("  \"events\": [\n");
         for (i, e) in events.iter().enumerate() {
             out.push_str(&format!(

@@ -2,7 +2,7 @@
 //! a process-wide metrics registry, lightweight span tracing, cross-process
 //! trace stitching and an always-on flight recorder, std-only.
 //!
-//! The crate has four parts, deliberately independent:
+//! The crate keeps three records and renders them:
 //!
 //! * [`metrics`] — a lock-cheap [`Registry`] of counters, gauges and
 //!   fixed-bucket log-scale histograms.  Registration (name + small static
@@ -11,17 +11,19 @@
 //!   mergeable, and the registry renders both a Prometheus-compatible text
 //!   exposition (`name{label="v"} value`) and a JSON snapshot.
 //! * [`trace`] — `span!("search.l2", matrix = fp)` records start/stop pairs
-//!   on a thread-local stack and drains finished spans into a bounded ring
-//!   buffer, exportable as Chrome `trace_event` JSON for flamegraph-style
-//!   inspection in `chrome://tracing` / Perfetto.  Spans carry the
-//!   thread-local request `trace_id` set by [`set_current_trace_id`].
-//! * [`stitch`] — joins client- and server-side spans of one traced request
-//!   into a single Chrome trace, offsetting the two clock domains with the
-//!   NTP-style midpoint estimate from the trace-fetch round trip.
-//! * [`flightrec`] — the black-box [`FlightRecorder`]: a fixed-size ring of
+//!   on a thread-local stack and drains finished spans into a bounded ring.
+//!   Spans carry the thread-local request `trace_id` set by
+//!   [`set_current_trace_id`].
+//! * [`flightrec`] — the black-box [`FlightRecorder`]: a bounded ring of
 //!   structured request lifecycle events (admission, shed, queue wait, exec,
 //!   error, reply) that is always on, with slow requests pinned so they
-//!   survive ring wrap.
+//!   survive ring wrap.  Both rings are one type, and both stamp times from
+//!   [`now_us`], so a flight event lines up with its request's spans.
+//! * [`stitch`] — renders spans as Chrome `trace_event` JSON for
+//!   `chrome://tracing` / Perfetto: one process's ([`chrome_trace_json`]),
+//!   or a client's and a server's joined into one trace, offsetting the two
+//!   clock domains with the NTP-style midpoint estimate from the
+//!   trace-fetch round trip.
 //!
 //! Two invariants every consumer relies on:
 //!
@@ -55,6 +57,7 @@
 
 pub mod flightrec;
 pub mod metrics;
+mod ring;
 pub mod stitch;
 pub mod trace;
 
@@ -63,8 +66,8 @@ pub use metrics::{
     global, Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSnapshot, Registry,
     Snapshot, BUCKETS, BUCKET_BOUNDS,
 };
-pub use stitch::{clock_offset_us, stitch_chrome_trace, trace_ids, OwnedSpan};
+pub use stitch::{chrome_trace_json, clock_offset_us, stitch_chrome_trace, trace_ids, OwnedSpan};
 pub use trace::{
-    chrome_trace_json, current_trace_id, disable_tracing, drain_spans, enable_tracing, now_us,
-    record_span, set_current_trace_id, tracing_enabled, SpanEvent, SpanGuard,
+    current_trace_id, disable_tracing, drain_spans, enable_tracing, now_us, record_span,
+    set_current_trace_id, tracing_enabled, SpanEvent, SpanGuard,
 };

@@ -1,4 +1,5 @@
-//! Stitching client- and server-side spans into one Chrome trace.
+//! Chrome traces: one process's spans, or a client's and a server's
+//! stitched into one.
 //!
 //! The two halves of a traced request are recorded against different clock
 //! domains: the client's trace epoch and the server's.  Neither side knows
@@ -18,6 +19,7 @@
 //! `pid 1`, server spans under `pid 2` — so one `chrome://tracing` /
 //! Perfetto load shows a request crossing the wire, aligned on a shared
 //! timeline and joined by `trace_id` in each span's args.
+//! [`chrome_trace_json`] is the one-process case of the same renderer.
 
 use crate::trace::SpanEvent;
 
@@ -107,6 +109,15 @@ pub fn stitch_chrome_trace(client: &[OwnedSpan], server: &[OwnedSpan], offset_us
     }
     out.push_str("]\n");
     out
+}
+
+/// Renders one process's spans as a Chrome `trace_event` JSON array
+/// (complete events, `ph: "X"`, all under `pid 1`), loadable in
+/// `chrome://tracing` or Perfetto.  Span arguments and stack depth land in
+/// `args`.
+pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
+    let spans: Vec<OwnedSpan> = spans.iter().map(OwnedSpan::from).collect();
+    stitch_chrome_trace(&spans, &[], 0)
 }
 
 /// The distinct non-zero trace ids present in `spans`, ascending.

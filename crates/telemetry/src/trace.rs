@@ -23,11 +23,13 @@
 //! lock.  Enabled, a span costs two `Instant` reads and one short mutexed
 //! ring-buffer push at drop.  The ring buffer is bounded: when full, the
 //! oldest span is dropped (the recent past is the interesting part of a
-//! trace) and a drop counter increments so exports can say so.
+//! trace).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::ring::Ring;
 
 /// One finished span, as drained from the ring buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,16 +56,8 @@ pub struct SpanEvent {
     pub trace_id: u64,
 }
 
-struct Ring {
-    spans: Vec<SpanEvent>,
-    /// Insertion cursor once the buffer wrapped.
-    next: usize,
-    capacity: usize,
-    dropped: u64,
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static RING: Mutex<Option<Ring>> = Mutex::new(None);
+static RING: Mutex<Option<Ring<SpanEvent>>> = Mutex::new(None);
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -126,13 +120,7 @@ pub fn record_span(name: &'static str, ts_us: u64, dur_us: u64, arg: Option<(&'s
 fn push_event(event: SpanEvent) {
     let mut guard = RING.lock().expect("trace ring poisoned");
     if let Some(ring) = guard.as_mut() {
-        if ring.spans.len() < ring.capacity {
-            ring.spans.push(event);
-        } else {
-            ring.spans[ring.next] = event;
-            ring.next = (ring.next + 1) % ring.capacity;
-            ring.dropped += 1;
-        }
+        ring.push(event);
     }
 }
 
@@ -140,18 +128,9 @@ fn push_event(event: SpanEvent) {
 /// recent `capacity` spans, and turns span recording on.  Existing buffered
 /// spans are kept when only the flag was off.
 pub fn enable_tracing(capacity: usize) {
-    let capacity = capacity.max(1);
     let mut ring = RING.lock().expect("trace ring poisoned");
-    match ring.as_mut() {
-        Some(r) if r.capacity == capacity => {}
-        _ => {
-            *ring = Some(Ring {
-                spans: Vec::with_capacity(capacity.min(4096)),
-                next: 0,
-                capacity,
-                dropped: 0,
-            });
-        }
+    if ring.as_ref().map(Ring::capacity) != Some(capacity.max(1)) {
+        *ring = Some(Ring::new(capacity));
     }
     epoch(); // pin the trace epoch no later than the first enable
     ENABLED.store(true, Ordering::Release);
@@ -173,32 +152,7 @@ pub fn tracing_enabled() -> bool {
 /// buffer empty.  Returns an empty vec when no sink was ever installed.
 pub fn drain_spans() -> Vec<SpanEvent> {
     let mut guard = RING.lock().expect("trace ring poisoned");
-    match guard.as_mut() {
-        None => Vec::new(),
-        Some(ring) => {
-            let mut out = Vec::with_capacity(ring.spans.len());
-            if ring.spans.len() == ring.capacity {
-                // Buffer wrapped: oldest entries start at the cursor.
-                out.extend_from_slice(&ring.spans[ring.next..]);
-                out.extend_from_slice(&ring.spans[..ring.next]);
-            } else {
-                out.extend_from_slice(&ring.spans);
-            }
-            ring.spans.clear();
-            ring.next = 0;
-            out
-        }
-    }
-}
-
-/// Number of spans discarded because the ring buffer was full (cumulative
-/// since the sink was installed).
-pub fn dropped_spans() -> u64 {
-    RING.lock()
-        .expect("trace ring poisoned")
-        .as_ref()
-        .map(|r| r.dropped)
-        .unwrap_or(0)
+    guard.as_mut().map(Ring::drain).unwrap_or_default()
 }
 
 /// An open span.  Created by the [`span!`](crate::span!) macro; records
@@ -280,34 +234,6 @@ macro_rules! span {
     };
 }
 
-/// Renders spans as a Chrome `trace_event` JSON array (complete events,
-/// `ph: "X"`), loadable in `chrome://tracing` or Perfetto.  Span arguments
-/// and stack depth land in `args`.
-pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
-    let mut out = String::from("[\n");
-    for (i, s) in spans.iter().enumerate() {
-        let mut args = format!("\"depth\": {}", s.depth);
-        if s.trace_id != 0 {
-            args.push_str(&format!(", \"trace_id\": {}", s.trace_id));
-        }
-        if let Some((k, v)) = s.arg {
-            args.push_str(&format!(", \"{k}\": {v}"));
-        }
-        out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-             \"pid\": 1, \"tid\": {}, \"args\": {{{}}}}}{}\n",
-            s.name,
-            s.ts_us,
-            s.dur_us,
-            s.tid,
-            args,
-            if i + 1 < spans.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +243,11 @@ mod tests {
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Spans the sink has overwritten since it was installed.
+    fn dropped() -> u64 {
+        RING.lock().unwrap().as_ref().map_or(0, Ring::dropped)
     }
 
     #[test]
@@ -350,7 +281,7 @@ mod tests {
         assert_eq!(spans[1].name, "outer");
         assert_eq!(spans[1].depth, 0);
         assert!(spans[1].ts_us <= spans[0].ts_us);
-        let json = chrome_trace_json(&spans);
+        let json = crate::chrome_trace_json(&spans);
         assert!(json.contains("\"name\": \"inner\""));
         assert!(json.contains("\"matrix\": 3840"));
         assert!(json.contains("\"ph\": \"X\""));
@@ -367,7 +298,7 @@ mod tests {
         disable_tracing();
         let spans = drain_spans();
         assert_eq!(spans.len(), 4, "ring must cap at its capacity");
-        assert!(dropped_spans() >= 6);
+        assert!(dropped() >= 6);
         // Oldest-first drain order: timestamps are non-decreasing.
         for pair in spans.windows(2) {
             assert!(pair[0].ts_us <= pair[1].ts_us);
@@ -398,7 +329,7 @@ mod tests {
         assert_eq!(spans[2].name, "retro");
         assert_eq!(spans[2].ts_us, 1);
         assert_eq!(spans[2].dur_us, 2);
-        let json = chrome_trace_json(&spans);
+        let json = crate::chrome_trace_json(&spans);
         assert!(json.contains("\"trace_id\": 3735928559"));
     }
 
@@ -410,7 +341,7 @@ mod tests {
         const PER_THREAD: usize = 200;
         enable_tracing(CAPACITY);
         let _ = drain_spans();
-        let dropped_before = dropped_spans();
+        let dropped_before = dropped();
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 scope.spawn(move || {
@@ -425,7 +356,7 @@ mod tests {
         let spans = drain_spans();
         assert_eq!(spans.len(), CAPACITY, "ring holds exactly its capacity");
         assert_eq!(
-            dropped_spans() - dropped_before,
+            dropped() - dropped_before,
             (THREADS * PER_THREAD - CAPACITY) as u64,
             "every overwrite counts as one drop"
         );
