@@ -22,7 +22,12 @@
 //!   Compression replaced with an identity/affine model is *computed*, not
 //!   loaded; any other fitted model is materialised into a lookup table once,
 //!   at lowering ([`IndexFn::from_array`]), so the hot loops only ever see
-//!   "affine arithmetic" or "table".
+//!   "affine arithmetic" or "table";
+//! * **column runs**: a row partition whose every row's columns are one
+//!   contiguous run reads one start column per row
+//!   ([`CsrMatrix::column_runs`]) and loads `x` contiguously — decided from
+//!   the sub-matrix, like an affine map, never by a plan
+//!   ([`IndexKind::Run`]).
 //!
 //! Workers communicate only through their return values (per-range partial
 //! sums); the serial scatter applies the `origin_rows` permutation and merges
@@ -452,19 +457,31 @@ struct NativePartition {
 }
 
 /// One partition's coordinates in the shape lattice under a vectorization
-/// decision: everything but `simd` is fixed by the format.
+/// decision: everything but `simd` is fixed by the format and the sub-matrix
+/// (`matrix`: a row partition reads column runs when it has a non-zero —
+/// only then has `ColumnsOutOfRange` bounded the columns it reads — and
+/// every row's columns are one run, [`CsrMatrix::column_runs`]).
 fn shape_for(
     partition: PartitionKind,
     bounds: &IndexFn,
     origin: &IndexFn,
+    matrix: &CsrMatrix,
     simd: &ResolvedSimd,
 ) -> KernelShape {
     let (simd, prefetch) = specialized::executed_loop(simd, partition == PartitionKind::Rows);
+    let run = partition == PartitionKind::Rows
+        && matrix.nnz() > 0
+        && specialized::has_run_twin(simd, prefetch)
+        && matrix.column_runs().is_some();
     KernelShape {
         partition,
         bounds: IndexKind::of(bounds),
         origin: IndexKind::of(origin),
-        col_index: IndexKind::Table,
+        col_index: if run {
+            IndexKind::Run
+        } else {
+            IndexKind::Table
+        },
         simd,
         prefetch,
     }
@@ -512,7 +529,13 @@ impl NativePartition {
         let simd = ResolvedSimd::scalar();
         let (shape, exec) = match plan.mapping {
             Mapping::RowPerThread { .. } | Mapping::VectorPerRow { .. } => {
-                let shape = shape_for(PartitionKind::Rows, &row_offsets, &origin, &simd);
+                let shape = shape_for(
+                    PartitionKind::Rows,
+                    &row_offsets,
+                    &origin,
+                    &plan.matrix,
+                    &simd,
+                );
                 let exec = PartitionExec::Rows {
                     chunk: specialized::rows_loop(&shape)?,
                     row_offsets,
@@ -524,7 +547,13 @@ impl NativePartition {
                 let nnz_per_thread = nnz_per_thread.max(1);
                 let chunks = plan.matrix.nnz().div_ceil(nnz_per_thread).max(1);
                 let row_starts = lookup("bmt_row_starts", chunks)?;
-                let shape = shape_for(PartitionKind::Nnz, &row_starts, &origin, &simd);
+                let shape = shape_for(
+                    PartitionKind::Nnz,
+                    &row_starts,
+                    &origin,
+                    &plan.matrix,
+                    &simd,
+                );
                 let exec = PartitionExec::Nnz {
                     span: specialized::nnz_loop(&shape)?,
                     nnz_per_thread,
@@ -553,13 +582,25 @@ impl NativePartition {
             PartitionExec::Rows {
                 chunk, row_offsets, ..
             } => {
-                self.shape = shape_for(PartitionKind::Rows, row_offsets, &self.origin, &simd);
+                self.shape = shape_for(
+                    PartitionKind::Rows,
+                    row_offsets,
+                    &self.origin,
+                    &self.matrix,
+                    &simd,
+                );
                 *chunk = specialized::rows_loop(&self.shape)?;
             }
             PartitionExec::Nnz {
                 span, row_starts, ..
             } => {
-                self.shape = shape_for(PartitionKind::Nnz, row_starts, &self.origin, &simd);
+                self.shape = shape_for(
+                    PartitionKind::Nnz,
+                    row_starts,
+                    &self.origin,
+                    &self.matrix,
+                    &simd,
+                );
                 *span = specialized::nnz_loop(&self.shape)?;
             }
         }
@@ -573,6 +614,10 @@ impl NativePartition {
         PartitionArgs {
             values: self.matrix.values(),
             col_indices: self.matrix.col_indices(),
+            col_starts: match self.shape.col_index {
+                IndexKind::Run => self.matrix.column_runs().unwrap_or_default(),
+                _ => &[],
+            },
             x,
             col_offset: self.col_offset,
             bounds,
@@ -770,13 +815,22 @@ impl NativeKernel {
             "cpu_kernel_run_us",
             &[("simd", &simd_label), ("path", path_label)],
         ));
+        // A run partition reads 4 bytes of start column per row in place of
+        // its 4-byte column stream.
+        let (streams, starts) = partitions
+            .iter()
+            .zip(&format.partitions)
+            .filter(|(p, _)| p.shape.col_index == IndexKind::Run)
+            .fold((0, 0), |(streams, starts), (p, pf)| {
+                (streams + 4 * pf.padded_nnz, starts + 4 * p.matrix.rows())
+            });
         NativeKernel {
             closed_form_arrays: partitions.iter().map(|p| p.closed_form_arrays).sum(),
             partitions,
             rows: metadata.original_rows,
             cols: metadata.original_cols,
             nnz: metadata.original_nnz,
-            format_bytes: format.bytes(),
+            format_bytes: format.bytes() - streams + starts,
             name,
             max_lanes,
             simd_label,
@@ -838,8 +892,9 @@ impl NativeKernel {
         2 * self.nnz as u64
     }
 
-    /// Bytes of the machine-designed format (compressed arrays counted at
-    /// their model size).
+    /// Bytes of the machine-designed format as this kernel reads it:
+    /// compressed arrays counted at their model size, and a run partition's
+    /// column stream at 4 bytes per row of start columns.
     pub fn format_bytes(&self) -> usize {
         self.format_bytes
     }
@@ -1388,6 +1443,66 @@ mod tests {
                 "the label names the plan"
             );
         }
+    }
+
+    #[test]
+    fn kernels_lowered_on_one_conversion_read_one_start_table() {
+        // `csr_scalar` and `csr_vector` share their only conversion; one
+        // Designer hands both the same allocation, and the run starts are
+        // memoised on it: two lowerings, one scan, one table.
+        let matrix = gen::banded(512, 4, 3);
+        let designer = alpha_graph::Designer::new(&matrix);
+        let kernels: Vec<NativeKernel> = [presets::csr_scalar(), presets::csr_vector()]
+            .iter()
+            .map(|graph| {
+                let generated =
+                    alpha_codegen::generate_with(&designer, graph, GeneratorOptions::default())
+                        .expect("generation succeeds");
+                NativeKernel::new(generated.kernel.metadata(), &generated.format)
+            })
+            .collect();
+        let x = vec![1.0; matrix.cols()];
+        let starts: Vec<*const u32> = kernels
+            .iter()
+            .map(|kernel| {
+                let p = &kernel.partitions[0];
+                assert_eq!(
+                    p.shape.col_index,
+                    IndexKind::Run,
+                    "{}",
+                    kernel.shape_label()
+                );
+                let starts = p.args(&x, IndexArgs::IDENTITY).col_starts;
+                assert_eq!(starts.len(), matrix.rows());
+                starts.as_ptr()
+            })
+            .collect();
+        assert!(Arc::ptr_eq(
+            &kernels[0].partitions[0].matrix,
+            &kernels[1].partitions[0].matrix
+        ));
+        assert_eq!(starts[0], starts[1]);
+    }
+
+    #[test]
+    fn a_run_partition_prices_its_starts_in_place_of_its_column_stream() {
+        let matrix = gen::banded(512, 4, 3);
+        let generated = generate(&presets::csr_scalar(), &matrix, GeneratorOptions::default())
+            .expect("generation succeeds");
+        let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+        assert!(kernel.shape_label().contains("col:run"));
+        let padded = generated.format.partitions[0].padded_nnz;
+        assert_eq!(
+            kernel.format_bytes(),
+            generated.format.bytes() - 4 * padded + 4 * matrix.rows()
+        );
+        // A gathering partition is priced as the format is.
+        let gapped = gen::uniform_random(512, 512, 9, 3);
+        let generated = generate(&presets::csr_scalar(), &gapped, GeneratorOptions::default())
+            .expect("generation succeeds");
+        let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+        assert!(kernel.shape_label().contains("col:table"));
+        assert_eq!(kernel.format_bytes(), generated.format.bytes());
     }
 
     #[test]

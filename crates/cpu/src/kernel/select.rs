@@ -13,7 +13,9 @@
 //! is bound to the partition's own streams, checked against the scalar
 //! loop's `y` under twice the differential suite's per-row bound, and timed
 //! (warmup + min-of-[`ROUNDS`], candidates interleaved) the way `run(x, 0)`
-//! would split it.
+//! would split it.  On a partition whose rows are column runs each candidate
+//! binds its run twin (`col:run`): the column coding is the sub-matrix's, not
+//! a candidate.
 //!
 //! The winner is reported as a [`SimdPlan`], so the caller writes it into the
 //! design's metadata and every later lowering — `NativeKernel::new`,
@@ -114,7 +116,8 @@ fn loop_label(mapping: &Mapping, plan: &SimdPlan) -> String {
 /// caller then selects afresh — a stale label is never an error.
 pub fn plans_from_label(metadata: &MatrixMetadataSet, label: &str) -> Option<Vec<SimdPlan>> {
     // Only the loop half of each segment is trusted; the rest restates the
-    // format.
+    // format and the sub-matrix (a `col:table` recorded before column runs
+    // existed lowers to the run twin of its loop).
     let loops: Vec<&str> = label
         .split('|')
         .map(|segment| segment.rsplit_once(':').map(|(_, recorded)| recorded))
@@ -496,6 +499,29 @@ mod tests {
         }
         // Mutations that only touch the format half leave a usable label.
         assert!(accepted > 0);
+    }
+
+    #[test]
+    fn a_recorded_gathering_winner_replays_as_a_run_kernel_with_its_loop() {
+        // Stores written before column runs hold `col:table` labels for
+        // banded winners.  Only the loop half is read, so each replays onto
+        // the run twin of the loop it names.
+        let matrix = gen::banded(1_024, 8, 7);
+        let mut generated = generated(&presets::csr_scalar(), &matrix);
+        let mapping = generated.kernel.metadata().partitions[0].mapping;
+        for plan in candidates() {
+            generated.set_simd_plans(&[plan]);
+            let lowered = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+            let run = lowered.partition_shapes();
+            assert!(run.contains(",col:run]:"), "{run}");
+            let recorded = run.replace(",col:run]:", ",col:table]:");
+            assert_eq!(
+                plans_from_label(generated.kernel.metadata(), &recorded),
+                Some(vec![plan]),
+                "{recorded}"
+            );
+            assert_eq!(run.rsplit_once(':').unwrap().1, loop_label(&mapping, &plan));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! SIMD microkernels for the native backend.
 //!
-//! Two kernel families, matching the `SIMD_NNZ_LANES` / `SIMD_ROW_LANES`
-//! mapping operators:
+//! Three kernel families; the nnz-lane and row-lane ones match the
+//! `SIMD_NNZ_LANES` / `SIMD_ROW_LANES` mapping operators:
 //!
 //! * **nnz-lane dots** — `lanes` consecutive non-zeros of one row are
 //!   processed per step; column indices load as a vector, `x` entries are
@@ -11,13 +11,18 @@
 //!   with lane loads; everywhere else a portable multi-accumulator loop with
 //!   the **same accumulation tree** runs instead — so hardware and portable
 //!   paths are bit-compatible lane for lane.
+//! * **run dots** — the nnz-lane and serial dots of a row whose columns are
+//!   one contiguous run: `x` is the row's own slice, loaded with plain
+//!   vector loads instead of gathered.  Same lanes, same tree, same tail as
+//!   the gathering dot of the same width, so the same bits.
 //! * **row-lane dots** — `lanes` adjacent rows are accumulated together, one
 //!   independent accumulator chain per lane.  Each lane walks its row in the
 //!   same serial order as the scalar kernel (bitwise-identical results); the
 //!   win is instruction-level parallelism from `lanes` independent FP chains
 //!   instead of one serial dependency chain.
 //!
-//! Both families accept a software **prefetch distance** (in non-zeros): the
+//! The nnz-lane and row-lane families accept a software **prefetch
+//! distance** (in non-zeros; run dots never prefetch): the
 //! value/index streams — and, for nnz-lanes, the gathered `x` target — are
 //! prefetched that far ahead.  Whether a loop prefetches at all is a const
 //! parameter (`PF`) of the kernels the library instantiates, so a
@@ -235,6 +240,17 @@ pub(crate) fn row_dot_serial(
     acc
 }
 
+/// [`row_dot_serial`] on a run row: `x` is the row's run, one entry per
+/// value, so each term is the product the gathering loop forms, in the same
+/// order.
+#[inline(always)]
+pub(crate) fn run_dot_serial(mut acc: Scalar, values: &[Scalar], x: &[Scalar]) -> Scalar {
+    for (&v, &xv) in values.iter().zip(x) {
+        acc += v * xv;
+    }
+    acc
+}
+
 /// The fixed horizontal-add tree every backend uses for `L` lane partials:
 /// fold the upper half onto the lower until one value remains.  For L=8 this
 /// is `((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7))` — exactly the shape of the
@@ -303,6 +319,28 @@ pub(crate) fn row_dot_nnz_lanes<const L: usize, const PF: bool>(
         }
     }
     let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
+    hsum_tree(&acc) + tail
+}
+
+/// [`row_dot_nnz_lanes`] on a run row (`PF = false`): `x` is the row's run,
+/// as long as `values`.  Lane `l` of step `i` multiplies `values[i + l]` by
+/// `x[i + l]`, the entry the gathering loop fetches through column
+/// `start + i + l`, and the tail and tree are that loop's, so the result is
+/// bitwise the same.
+#[inline(always)]
+pub(crate) fn run_dot_nnz_lanes<const L: usize>(values: &[Scalar], x: &[Scalar]) -> Scalar {
+    let x = &x[..values.len()];
+    let body = values.len() - values.len() % L;
+    let mut acc = [0.0 as Scalar; L];
+    for (v, xs) in values[..body]
+        .chunks_exact(L)
+        .zip(x[..body].chunks_exact(L))
+    {
+        for l in 0..L {
+            acc[l] += v[l] * xs[l];
+        }
+    }
+    let tail = run_dot_serial(0.0, &values[body..], &x[body..]);
     hsum_tree(&acc) + tail
 }
 
@@ -397,8 +435,36 @@ macro_rules! runtime_prefetch_twin {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
-    use super::{prefetch_streams, row_dot_serial, Scalar};
+    use super::{prefetch_streams, row_dot_serial, run_dot_serial, Scalar};
     use std::arch::x86_64::*;
+
+    /// Folds 8 lanes with the shared tree shape:
+    /// q = lo + hi; d = [q0+q2, q1+q3]; result = d0 + d1.
+    ///
+    /// # Safety
+    /// AVX2 verified at resolve time.
+    #[inline(always)]
+    unsafe fn hsum8(acc: __m256) -> Scalar {
+        // SAFETY: register-only AVX arithmetic, present by the
+        // `cpu_features` dispatch guard.
+        hsum4(_mm_add_ps(
+            _mm256_castps256_ps128(acc),
+            _mm256_extractf128_ps::<1>(acc),
+        ))
+    }
+
+    /// Folds 4 lanes with the shared tree shape: d = [a0+a2, a1+a3];
+    /// result = d0 + d1.
+    ///
+    /// # Safety
+    /// AVX2 verified at resolve time.
+    #[inline(always)]
+    unsafe fn hsum4(acc: __m128) -> Scalar {
+        // SAFETY: register-only SSE arithmetic, present by the
+        // `cpu_features` dispatch guard.
+        let d = _mm_add_ps(acc, _mm_movehl_ps(acc, acc));
+        _mm_cvtss_f32(_mm_add_ss(d, _mm_shuffle_ps::<0b01>(d, d)))
+    }
 
     /// 8-lane nnz dot via `_mm256_i32gather_ps`.  No `#[target_feature]`
     /// here (module docs): the loop entry in [`crate::specialized`] carries
@@ -448,14 +514,7 @@ pub(crate) mod avx2 {
             acc = _mm256_add_ps(acc, _mm256_mul_ps(v, gathered));
         }
         let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
-        // Horizontal add with the shared tree shape:
-        // q = lo + hi; d = [q0+q2, q1+q3]; result = d0 + d1.
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps::<1>(acc);
-        let q = _mm_add_ps(lo, hi);
-        let d = _mm_add_ps(q, _mm_movehl_ps(q, q));
-        let r = _mm_add_ss(d, _mm_shuffle_ps::<0b01>(d, d));
-        _mm_cvtss_f32(r) + tail
+        hsum8(acc) + tail
     }
 
     /// 4-lane nnz dot via `_mm_i32gather_ps`.
@@ -493,9 +552,50 @@ pub(crate) mod avx2 {
             acc = _mm_add_ps(acc, _mm_mul_ps(v, gathered));
         }
         let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
-        let d = _mm_add_ps(acc, _mm_movehl_ps(acc, acc));
-        let r = _mm_add_ss(d, _mm_shuffle_ps::<0b01>(d, d));
-        _mm_cvtss_f32(r) + tail
+        hsum4(acc) + tail
+    }
+
+    /// [`row_dot8`] on a run row: `x` is the row's run, as long as `values`,
+    /// and loads with `_mm256_loadu_ps` where the gathering dot gathers.
+    /// Same lanes, tail and tree, so the same bits.
+    ///
+    /// # Safety
+    /// The caller must have verified AVX2 support at resolve time.
+    #[inline(always)]
+    pub unsafe fn run_dot8(values: &[Scalar], x: &[Scalar]) -> Scalar {
+        // SAFETY: AVX2 by the `cpu_features` dispatch guard.  Both loads of
+        // step `i` read 8 entries from `i`, and `i + 8 <= body <=
+        // values.len() == x.len()` (the re-slice of `x` is checked).
+        let x = &x[..values.len()];
+        let body = values.len() - values.len() % 8;
+        let mut acc = _mm256_setzero_ps();
+        for i in (0..body).step_by(8) {
+            let v = _mm256_loadu_ps(values.as_ptr().add(i));
+            let xs = _mm256_loadu_ps(x.as_ptr().add(i));
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(v, xs));
+        }
+        let tail = run_dot_serial(0.0, &values[body..], &x[body..]);
+        hsum8(acc) + tail
+    }
+
+    /// [`row_dot4`] on a run row (see [`run_dot8`]).
+    ///
+    /// # Safety
+    /// The caller must have verified AVX2 support at resolve time.
+    #[inline(always)]
+    pub unsafe fn run_dot4(values: &[Scalar], x: &[Scalar]) -> Scalar {
+        // SAFETY: as in `run_dot8`, with `i + 4 <= body <= values.len() ==
+        // x.len()`.
+        let x = &x[..values.len()];
+        let body = values.len() - values.len() % 4;
+        let mut acc = _mm_setzero_ps();
+        for i in (0..body).step_by(4) {
+            let v = _mm_loadu_ps(values.as_ptr().add(i));
+            let xs = _mm_loadu_ps(x.as_ptr().add(i));
+            acc = _mm_add_ps(acc, _mm_mul_ps(v, xs));
+        }
+        let tail = run_dot_serial(0.0, &values[body..], &x[body..]);
+        hsum4(acc) + tail
     }
 
     #[cfg(test)]
@@ -711,6 +811,61 @@ mod tests {
                     portable.to_bits(),
                     "lanes={lanes} end={end}: hardware {hw_dot} != portable {portable}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn run_dots_are_bitwise_the_gathering_dots_of_their_width() {
+        let (values, _, x) = streams(80, 97, 5);
+        // (first column, row length): empty, shorter than a lane group, on
+        // and around the 8-lane boundary, and a run ending at the last
+        // column of `x`.
+        for (first, len) in [(0, 0), (3, 1), (10, 7), (20, 8), (30, 9), (1, 80), (80, 17)] {
+            let cols: Vec<u32> = (first..first + len).map(|c| c as u32).collect();
+            let (v, cols) = (&values[..len], cols.as_slice());
+            for col_offset in [0, 97 - first - len] {
+                let run = &x[first + col_offset..first + col_offset + len];
+                let bits = |s: Scalar| s.to_bits();
+                assert_eq!(
+                    bits(run_dot_serial(0.0, v, run)),
+                    bits(row_dot_serial(0.0, v, cols, &x, col_offset)),
+                    "serial {first}+{len}"
+                );
+                let pairs = [
+                    (
+                        run_dot_nnz_lanes::<2>(v, run),
+                        row_dot_nnz_portable::<2>(v, cols, &x, col_offset, 0, len, 0),
+                    ),
+                    (
+                        run_dot_nnz_lanes::<4>(v, run),
+                        row_dot_nnz_portable::<4>(v, cols, &x, col_offset, 0, len, 0),
+                    ),
+                    (
+                        run_dot_nnz_lanes::<8>(v, run),
+                        row_dot_nnz_portable::<8>(v, cols, &x, col_offset, 0, len, 0),
+                    ),
+                ];
+                for (run_dot, gathered) in pairs {
+                    assert_eq!(bits(run_dot), bits(gathered), "portable {first}+{len}");
+                }
+                #[cfg(target_arch = "x86_64")]
+                if cpu_features::detect_hardware() == SimdSupport::Avx2 {
+                    // SAFETY: AVX2 support was just probed, and every column
+                    // plus `col_offset` is below `x.len()`.
+                    unsafe {
+                        assert_eq!(
+                            bits(avx2::run_dot4(v, run)),
+                            bits(avx2::row_dot_nnz4(v, cols, &x, col_offset, 0, len, 0)),
+                            "avx2 x4 {first}+{len}"
+                        );
+                        assert_eq!(
+                            bits(avx2::run_dot8(v, run)),
+                            bits(avx2::row_dot_nnz8(v, cols, &x, col_offset, 0, len, 0)),
+                            "avx2 x8 {first}+{len}"
+                        );
+                    }
+                }
             }
         }
     }

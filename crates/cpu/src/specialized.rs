@@ -8,6 +8,8 @@
 //!
 //! * partition strategy ([`PartitionKind::Rows`] / [`PartitionKind::Nnz`]),
 //! * row-bounds index-fn kind (stored table vs affine/identity arithmetic),
+//! * column coding (a column index per non-zero, or one start per row when
+//!   every row's columns are one run — [`IndexKind::Run`]),
 //! * SIMD variant ([`SimdClass`]: scalar, portable/AVX2/NEON nnz lanes,
 //!   row lanes) and
 //! * prefetch class
@@ -46,7 +48,9 @@
 //! Scalar and row-lane loops accumulate each row in stream order, so they are
 //! bitwise-equal to one another; nnz-lane loops reorder the reduction through
 //! the fixed `hsum_tree` and are held to the per-row bound the differential
-//! suite (`tests/kernel_differential.rs`) states.
+//! suite (`tests/kernel_differential.rs`) states.  A run loop is bitwise the
+//! gathering loop of its [`SimdClass`]: it loads the same `x` entries
+//! contiguously into the same lanes.
 
 use crate::kernel::KernelBuildError;
 use crate::simd::{self, Backend, ResolvedSimd};
@@ -67,6 +71,11 @@ pub enum IndexKind {
     /// materialised into its lookup table at lowering — runs the table
     /// instantiations.
     Model,
+    /// Column coding only: every row's columns are one contiguous run, so
+    /// the loop reads one start column per row
+    /// ([`CsrMatrix::column_runs`](alpha_matrix::CsrMatrix::column_runs))
+    /// and loads `x` contiguously instead of gathering it.
+    Run,
 }
 
 impl IndexKind {
@@ -86,6 +95,7 @@ impl IndexKind {
             IndexKind::Affine => "affine",
             IndexKind::Table => "table",
             IndexKind::Model => "model",
+            IndexKind::Run => "run",
         }
     }
 }
@@ -200,10 +210,10 @@ pub struct KernelShape {
     pub bounds: IndexKind,
     /// Kind of the `origin_rows` map (output placement).
     pub origin: IndexKind,
-    /// Kind of the column-index stream.  Always [`IndexKind::Table`] today —
-    /// column indices are raw streams on the partition's sub-matrix — but
-    /// part of the descriptor so a future compressed-column design widens
-    /// the lattice instead of silently colliding with existing shapes.
+    /// Column coding: [`IndexKind::Run`] when the partition's rows are all
+    /// column runs and the loop has a run twin ([`has_run_twin`]), decided
+    /// from the sub-matrix at lowering, never by a plan; otherwise
+    /// [`IndexKind::Table`], the raw column stream.
     pub col_index: IndexKind,
     /// Executed SIMD variant.
     pub simd: SimdClass,
@@ -245,6 +255,14 @@ pub(crate) fn loop_label(simd: SimdClass, prefetch: PrefetchClass) -> String {
         PrefetchClass::Stream => "+pf",
     };
     format!("{}{pf}", simd.label())
+}
+
+/// True when the row-partition loop of `simd` under `prefetch` has a run
+/// twin ([`run_loop`] resolves one): the scalar loop and the portable and
+/// AVX2 nnz lanes ×4 and ×8, without prefetch.  Row lanes, prefetching
+/// loops, NEON and nnz partitions keep the column stream.
+pub fn has_run_twin(simd: SimdClass, prefetch: PrefetchClass) -> bool {
+    run_loop(simd, prefetch, false).is_some()
 }
 
 /// The loop a resolved vectorization decision executes as: its SIMD variant
@@ -294,8 +312,10 @@ impl IndexArgs<'static> {
 pub(crate) struct PartitionArgs<'a> {
     /// Value stream of the partition's sub-matrix.
     pub values: &'a [Scalar],
-    /// Column-index stream.
+    /// Column-index stream (unread by run loops).
     pub col_indices: &'a [u32],
+    /// Each row's first column under [`IndexKind::Run`] (empty otherwise).
+    pub col_starts: &'a [u32],
     /// Input vector.
     pub x: &'a [Scalar],
     /// Column offset of a `COL_DIV` branch.
@@ -338,13 +358,25 @@ fn row_range<const TB: bool>(a: &PartitionArgs<'_>, row: usize) -> (usize, usize
 }
 
 /// The inner dot product of one row (or row segment), monomorphized on the
-/// SIMD variant and on whether the loop prefetches (`PF`).  Every impl is
-/// `#[inline(always)]` down to the intrinsics, so the dot becomes part of
-/// the row loop that names it; picking an impl in [`rows_loop`]/[`nnz_loop`]
-/// is the only SIMD selection there is.
+/// SIMD variant, the column coding and on whether the loop prefetches
+/// (`PF`).  Every impl is `#[inline(always)]` down to the intrinsics, so the
+/// dot becomes part of the row loop that names it; picking an impl in
+/// [`rows_loop`]/[`nnz_loop`] is the only SIMD selection there is.
 trait Dot {
-    /// Dot of stream positions `[start, end)` against `x`.
-    fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar;
+    /// Dot of stream positions `[start, end)` of row `row` against `x`.
+    fn dot<const PF: bool>(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar;
+}
+
+/// Row `row`'s run of `x`, as long as the row: `x[s + col_offset..]` with
+/// `s` its start column.  The slice is checked, and never fails on a
+/// partition `NativePartition::new` accepted: only a partition with a
+/// non-zero lowers to a run shape, so `ColumnsOutOfRange` bounded its
+/// `col_offset + cols` by `original_cols`, the length of `x`, and every
+/// row's run ends at or below `cols` (an empty row starts at 0).
+#[inline(always)]
+fn run_of<'a>(a: &PartitionArgs<'a>, row: usize, len: usize) -> &'a [Scalar] {
+    let first = a.col_starts[row] as usize + a.col_offset;
+    &a.x[first..first + len]
 }
 
 /// Scalar accumulation in stream order — the order the row-lane loops keep
@@ -353,7 +385,7 @@ struct DotScalar;
 
 impl Dot for DotScalar {
     #[inline(always)]
-    fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
+    fn dot<const PF: bool>(a: &PartitionArgs<'_>, _: usize, start: usize, end: usize) -> Scalar {
         let (values, col_indices) = (&a.values[start..end], &a.col_indices[start..end]);
         simd::row_dot_serial(0.0, values, col_indices, a.x, a.col_offset)
     }
@@ -364,7 +396,7 @@ struct DotNnzPortable<const L: usize>;
 
 impl<const L: usize> Dot for DotNnzPortable<L> {
     #[inline(always)]
-    fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
+    fn dot<const PF: bool>(a: &PartitionArgs<'_>, _: usize, start: usize, end: usize) -> Scalar {
         simd::row_dot_nnz_lanes::<L, PF>(
             a.values,
             a.col_indices,
@@ -377,11 +409,33 @@ impl<const L: usize> Dot for DotNnzPortable<L> {
     }
 }
 
+/// [`DotScalar`] on a run row: the same products in the same order.
+struct RunScalar;
+
+impl Dot for RunScalar {
+    #[inline(always)]
+    fn dot<const PF: bool>(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar {
+        simd::run_dot_serial(0.0, &a.values[start..end], run_of(a, row, end - start))
+    }
+}
+
+/// [`DotNnzPortable`] on a run row: the same lanes, tail and tree.
+struct RunNnzPortable<const L: usize>;
+
+impl<const L: usize> Dot for RunNnzPortable<L> {
+    #[inline(always)]
+    fn dot<const PF: bool>(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar {
+        simd::run_dot_nnz_lanes::<L>(&a.values[start..end], run_of(a, row, end - start))
+    }
+}
+
 /// The hardware dots and the loop entries that carry their
 /// `#[target_feature]` (see the module docs for why the attribute encloses
 /// the loop, not the dot).
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 mod hw {
+    #[cfg(target_arch = "x86_64")]
+    use super::run_of;
     use super::{Dot, PartitionArgs, Scalar};
     use crate::simd;
 
@@ -401,7 +455,12 @@ mod hw {
 
     impl Dot for Dot8 {
         #[inline(always)]
-        fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
+        fn dot<const PF: bool>(
+            a: &PartitionArgs<'_>,
+            _: usize,
+            start: usize,
+            end: usize,
+        ) -> Scalar {
             // SAFETY: shapes classify as NnzAvx2 / NnzNeon only when
             // ResolvedSimd carried that backend, which requires a positive
             // runtime probe (`cpu_features::detect_hardware`).  The column
@@ -428,7 +487,12 @@ mod hw {
 
     impl Dot for Dot4 {
         #[inline(always)]
-        fn dot<const PF: bool>(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar {
+        fn dot<const PF: bool>(
+            a: &PartitionArgs<'_>,
+            _: usize,
+            start: usize,
+            end: usize,
+        ) -> Scalar {
             // SAFETY: as for `Dot8`: the runtime probe, and
             // `NativePartition::new`'s `ColumnsOutOfRange` check keeping
             // every gathered column inside `x` and the `i32` range.
@@ -446,6 +510,54 @@ mod hw {
         }
     }
 
+    /// 8-lane AVX2 dot of a run row: plain loads of `x` where [`Dot8`]
+    /// gathers (same reachability argument as [`Dot8`]).
+    #[cfg(target_arch = "x86_64")]
+    pub(super) struct Run8;
+
+    /// 4-lane AVX2 dot of a run row (see [`Run8`]).
+    #[cfg(target_arch = "x86_64")]
+    pub(super) struct Run4;
+
+    #[cfg(target_arch = "x86_64")]
+    impl Dot for Run8 {
+        #[inline(always)]
+        fn dot<const PF: bool>(
+            a: &PartitionArgs<'_>,
+            row: usize,
+            start: usize,
+            end: usize,
+        ) -> Scalar {
+            let (values, x) = (&a.values[start..end], run_of(a, row, end - start));
+            // SAFETY: shapes classify as NnzAvx2 only when ResolvedSimd
+            // carried that backend, which requires a positive runtime probe
+            // (`cpu_features::detect_hardware`).  The loads read `values` and
+            // `x` up to the row's length, and both slices have it: `values`
+            // by the checked range, `x` by `run_of` (the run's last column is
+            // below the sub-matrix's `cols`, and a run partition has a
+            // non-zero, so `ColumnsOutOfRange` bounded `col_offset + cols` by
+            // `original_cols = x.len()`).
+            unsafe { simd::avx2::run_dot8(values, x) }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    impl Dot for Run4 {
+        #[inline(always)]
+        fn dot<const PF: bool>(
+            a: &PartitionArgs<'_>,
+            row: usize,
+            start: usize,
+            end: usize,
+        ) -> Scalar {
+            let (values, x) = (&a.values[start..end], run_of(a, row, end - start));
+            // SAFETY: as for `Run8`: the runtime probe, and two slices the
+            // row's length long (`run_of` stays inside `x` by
+            // `ColumnsOutOfRange`).
+            unsafe { simd::avx2::run_dot4(values, x) }
+        }
+    }
+
     /// [`super::chunk_nnz`] compiled with the vector extension enabled: the
     /// row loop, the dot and its intrinsics are one function.
     ///
@@ -458,7 +570,27 @@ mod hw {
         first: usize,
         out: &mut [Scalar],
     ) {
+        // SAFETY: the body is safe code; the contract is the attribute's,
+        // which `chunk_nnz` below upholds (the host has the extension), and
+        // on which the hardware dots inlined here rely.
         super::chunk_nnz::<TB, PF, D>(a, first, out)
+    }
+
+    /// [`super::chunk_nnz`] over a run dot, compiled with AVX2 enabled: a
+    /// run loop of its own name, so a disassembly can tell it from the
+    /// gathering loops.
+    ///
+    /// # Safety
+    /// The host must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_entry<const TB: bool, D: Dot>(
+        a: &PartitionArgs<'_>,
+        first: usize,
+        out: &mut [Scalar],
+    ) {
+        // SAFETY: as in `chunk_entry`, upheld by `chunk_run` below.
+        super::chunk_nnz::<TB, false, D>(a, first, out)
     }
 
     /// [`super::span_nnz`] compiled with the vector extension enabled.
@@ -474,6 +606,7 @@ mod hw {
         start: usize,
         end: usize,
     ) -> Vec<Scalar> {
+        // SAFETY: as in `chunk_entry`, upheld by `span_nnz` below.
         super::span_nnz::<PF, D>(a, offsets, row0, start, end)
     }
 
@@ -488,6 +621,19 @@ mod hw {
         // shapes only, and a shape classifies as one only after
         // `cpu_features::detect_hardware` probed the extension on this host.
         unsafe { chunk_entry::<TB, PF, D>(a, first, out) }
+    }
+
+    /// The [`super::ChunkFn`] of an AVX2 run shape: one jump into
+    /// [`run_entry`] per worker chunk.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) fn chunk_run<const TB: bool, D: Dot>(
+        a: &PartitionArgs<'_>,
+        first: usize,
+        out: &mut [Scalar],
+    ) {
+        // SAFETY: as for `chunk_nnz`: `rows_loop` hands this pointer out for
+        // NnzAvx2 run shapes only.
+        unsafe { run_entry::<TB, D>(a, first, out) }
     }
 
     /// The [`super::SpanFn`] of a hardware shape: one jump into
@@ -517,7 +663,7 @@ fn chunk_nnz<const TB: bool, const PF: bool, D: Dot>(
 ) {
     for (i, slot) in out.iter_mut().enumerate() {
         let (start, end) = row_range::<TB>(a, first + i);
-        *slot += D::dot::<PF>(a, start, end);
+        *slot += D::dot::<PF>(a, first + i, start, end);
     }
 }
 
@@ -571,7 +717,7 @@ fn span_nnz<const PF: bool, D: Dot>(
     let mut cursor = start;
     loop {
         let seg_end = (offsets[row + 1] as usize).min(end);
-        sums.push(D::dot::<PF>(a, cursor, seg_end));
+        sums.push(D::dot::<PF>(a, row, cursor, seg_end));
         cursor = seg_end;
         if cursor >= end {
             break;
@@ -641,6 +787,10 @@ fn reads_table(kind: IndexKind) -> bool {
 pub(crate) fn rows_loop(shape: &KernelShape) -> Result<ChunkFn, KernelBuildError> {
     debug_assert_eq!(shape.partition, PartitionKind::Rows);
     let tb = reads_table(shape.bounds);
+    if shape.col_index == IndexKind::Run {
+        return run_loop(shape.simd, shape.prefetch, tb)
+            .ok_or(KernelBuildError::UnsupportedShape(*shape));
+    }
     let pf = shape.prefetch == PrefetchClass::Stream;
     Ok(match shape.simd {
         // The scalar loop has no prefetching twin.
@@ -660,6 +810,29 @@ pub(crate) fn rows_loop(shape: &KernelShape) -> Result<ChunkFn, KernelBuildError
         SimdClass::RowLanes { lanes: 4 } => chunk_for!(tb, pf, chunk_row_lanes, 4),
         SimdClass::RowLanes { lanes: 8 } => chunk_for!(tb, pf, chunk_row_lanes, 8),
         _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
+    })
+}
+
+/// The run twin of the row-partition loop of `simd` under `prefetch`, for a
+/// bounds kind (`tb`): the gathering loop over a run dot, which never
+/// prefetches.  `None` outside the run lattice ([`has_run_twin`]).
+fn run_loop(simd: SimdClass, prefetch: PrefetchClass, tb: bool) -> Option<ChunkFn> {
+    if prefetch != PrefetchClass::None {
+        return None;
+    }
+    Some(match simd {
+        SimdClass::Scalar => chunk_for!(tb, false, chunk_nnz, RunScalar),
+        SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, false, chunk_nnz, RunNnzPortable<4>),
+        SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, false, chunk_nnz, RunNnzPortable<8>),
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::NnzAvx2 { lanes: 4 } if tb => hw::chunk_run::<true, hw::Run4>,
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::NnzAvx2 { lanes: 4 } => hw::chunk_run::<false, hw::Run4>,
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::NnzAvx2 { lanes: 8 } if tb => hw::chunk_run::<true, hw::Run8>,
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::NnzAvx2 { lanes: 8 } => hw::chunk_run::<false, hw::Run8>,
+        _ => return None,
     })
 }
 
@@ -783,6 +956,33 @@ mod tests {
     }
 
     #[test]
+    fn the_run_twins_are_scalar_and_the_nnz_lanes_x4_x8_without_prefetch() {
+        let mut twins = Vec::new();
+        for lanes in [2u8, 3, 4, 8] {
+            for simd in [
+                SimdClass::Scalar,
+                SimdClass::NnzPortable { lanes },
+                SimdClass::NnzAvx2 { lanes },
+                SimdClass::NnzNeon { lanes },
+                SimdClass::RowLanes { lanes },
+            ] {
+                for prefetch in [PrefetchClass::None, PrefetchClass::Stream] {
+                    if has_run_twin(simd, prefetch) {
+                        twins.push(loop_label(simd, prefetch));
+                    }
+                }
+            }
+        }
+        twins.sort();
+        twins.dedup();
+        let mut expected = vec!["scalar", "portable-nnz-x4", "portable-nnz-x8"];
+        #[cfg(target_arch = "x86_64")]
+        expected.extend(["avx2-nnz-x4", "avx2-nnz-x8"]);
+        expected.sort();
+        assert_eq!(twins, expected);
+    }
+
+    #[test]
     fn model_shapes_hit_the_library_via_materialised_tables() {
         // Model bounds and origins resolve to the table instantiations —
         // lowering materialises the fitted model into a lookup table, so no
@@ -845,6 +1045,13 @@ mod tests {
             prefetch: PrefetchClass::None,
         };
         assert_eq!(n.label(), "nnz[off:affine,org:table,col:table]:scalar");
+        let r = KernelShape {
+            col_index: IndexKind::Run,
+            prefetch: PrefetchClass::None,
+            ..s
+        };
+        assert_eq!(r.label(), "rows[off:table,org:id,col:run]:avx2-nnz-x8");
+        assert_eq!(r.loop_label(), s.loop_label().trim_end_matches("+pf"));
     }
 
     #[test]
@@ -853,6 +1060,7 @@ mod tests {
         let a = PartitionArgs {
             values: &[],
             col_indices: &[],
+            col_starts: &[],
             x: &[],
             col_offset: 0,
             bounds: IndexArgs {
@@ -881,6 +1089,8 @@ mod tests {
     struct Streams {
         values: Vec<Scalar>,
         col_indices: Vec<u32>,
+        /// Empty unless the streams are [`run_streams`].
+        col_starts: Vec<u32>,
         x: Vec<Scalar>,
     }
 
@@ -897,10 +1107,30 @@ mod tests {
                 .map(|_| (next() % 2000) as Scalar / 700.0 - 1.4)
                 .collect(),
             col_indices: (0..nnz).map(|_| (next() % COLS as u64) as u32).collect(),
+            col_starts: Vec::new(),
             x: (0..COLS + MAX_COL_OFFSET)
                 .map(|_| (next() % 2000) as Scalar / 300.0 - 3.3)
                 .collect(),
         }
+    }
+
+    /// [`streams`] whose rows of `lengths` are each one column run, with
+    /// the starts a run loop reads: row `r` starts at column `7r` (wrapped
+    /// to fit), and every third row ends at the last column.
+    fn run_streams(lengths: &[usize]) -> Streams {
+        let mut s = streams(lengths.iter().sum());
+        s.col_indices.clear();
+        for (row, &len) in lengths.iter().enumerate() {
+            let room = COLS - len;
+            let start = if row % 3 == 2 {
+                room
+            } else {
+                (7 * row) % (room + 1)
+            };
+            s.col_starts.push(start as u32);
+            s.col_indices.extend((start..start + len).map(|c| c as u32));
+        }
+        s
     }
 
     /// Prefix sums of `lengths`: a `row_offsets` table.
@@ -916,6 +1146,7 @@ mod tests {
         PartitionArgs {
             values: &s.values,
             col_indices: &s.col_indices,
+            col_starts: &s.col_starts,
             x: &s.x,
             col_offset,
             bounds,
@@ -1051,6 +1282,51 @@ mod tests {
                         check_chunk(&shape, &args(&s, col_offset, bounds), &s, 2, 11);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_run_loop_is_bitwise_the_gathering_loop_of_its_class() {
+        // Every length around the 4- and 8-lane boundaries, one row as wide
+        // as the partition; every third row ends at the last column.
+        let lengths = [4, 2, 0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, COLS, 0, 6];
+        let table = offsets_of(&lengths);
+        let s = run_streams(&lengths);
+        let bounds = IndexArgs {
+            table: &table,
+            base: 0,
+            slope: 0,
+        };
+        let mut classes = vec![SimdClass::Scalar];
+        classes.extend(runnable_nnz_classes());
+        classes.retain(|&simd| has_run_twin(simd, PrefetchClass::None));
+        assert!(classes.len() >= 3, "{classes:?}");
+        for simd in classes {
+            for col_offset in [0, MAX_COL_OFFSET] {
+                let a = args(&s, col_offset, bounds);
+                let table_shape = shape(PartitionKind::Rows, IndexKind::Table, simd);
+                let run_shape = KernelShape {
+                    col_index: IndexKind::Run,
+                    ..table_shape
+                };
+                for (first, rows) in [(0, lengths.len()), (2, 9), (5, 0), (14, 3)] {
+                    let prefill: Vec<Scalar> = (0..rows).map(|i| 0.5 - i as Scalar).collect();
+                    let [gathered, loaded] = [table_shape, run_shape].map(|shape| {
+                        let mut out = prefill.clone();
+                        rows_loop(&shape).unwrap()(&a, first, &mut out);
+                        bits(&out)
+                    });
+                    assert_eq!(
+                        loaded,
+                        gathered,
+                        "{} on rows {first}..{} (col_offset {col_offset})",
+                        run_shape.label(),
+                        first + rows
+                    );
+                }
+                // ...which is the per-row reference, bit for bit.
+                check_chunk(&run_shape, &a, &s, 0, lengths.len());
             }
         }
     }

@@ -31,7 +31,11 @@
 //!   streams, shapes and bitwise `y` of the one lowered from a fresh design;
 //! * the executing pool never changes `y`: `t` shares run one at a time on a
 //!   `Pool::new(1)` are **bitwise** the same `t` shares run on a
-//!   `Pool::new(t)` (what lets a daemon pick the pool by load).
+//!   `Pool::new(t)` (what lets a daemon pick the pool by load);
+//! * a row partition whose rows are all column runs lowers to `col:run`, and
+//!   its `y` is **bitwise** that of the `col:table` kernel of the same loop;
+//!   a gap, a duplicate or a stencil's several runs in any row keep
+//!   `col:table`.
 
 use alpha_cpu::{NativeKernel, Program, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph};
@@ -762,6 +766,283 @@ fn empty_matrices_are_a_typed_generator_error() {
                 error.starts_with("unsupported design: empty matrices"),
                 "{name}/{preset}: unexpected error {error:?}"
             );
+        }
+    }
+}
+
+/// `graph` with nnz lanes ×`lanes` appended to every branch (`None`: the
+/// design as it is, scalar).
+fn with_lanes(graph: &OperatorGraph, lanes: Option<usize>) -> OperatorGraph {
+    let mut graph = graph.clone();
+    if let Some(lanes) = lanes {
+        for branch in &mut graph.branches {
+            branch.push(Operator::SimdNnzLanes { lanes });
+            sort_branch_stages(branch);
+        }
+    }
+    graph
+}
+
+/// `matrix` with a row appended whose columns leave a gap in both column
+/// bands a two-way `COL_DIV` cuts (and, with `first`, the same row put
+/// before the others too, so both halves of a two-way `ROW_DIV` hold one):
+/// every other row is `matrix`'s.
+fn with_gapped_rows(matrix: &CsrMatrix, first: bool) -> CsrMatrix {
+    let band = matrix.cols().div_ceil(2);
+    let gapped = [0, 2, band, band + 2].map(|col| (col as u32, 0.75));
+    let mut offsets = vec![0];
+    let (mut cols, mut values) = (Vec::new(), Vec::new());
+    let mut push = |row: &[(u32, f32)]| {
+        cols.extend(row.iter().map(|&(c, _)| c));
+        values.extend(row.iter().map(|&(_, v)| v));
+        offsets.push(cols.len() as u32);
+    };
+    if first {
+        push(&gapped);
+    }
+    for row in 0..matrix.rows() {
+        let range = matrix.row_range(row);
+        let entries: Vec<(u32, f32)> = matrix.col_indices()[range.clone()]
+            .iter()
+            .copied()
+            .zip(matrix.values()[range].iter().copied())
+            .collect();
+        push(&entries);
+    }
+    push(&gapped);
+    CsrMatrix::from_raw(offsets.len() - 1, matrix.cols(), offsets, cols, values).unwrap()
+}
+
+/// A matrix of column runs of `lengths` (cycled over `rows`), `cols`
+/// columns wide: row `r` starts at column `11r` wrapped to fit below
+/// `width`, and every fourth row ends at column `width - 1`.
+fn run_matrix(rows: usize, cols: usize, lengths: &[usize], width: usize) -> CsrMatrix {
+    let mut coo = CooMatrix::new(rows, cols);
+    for row in 0..rows {
+        let len = lengths[row % lengths.len()];
+        let room = width - len;
+        let start = if row % 4 == 3 {
+            room
+        } else {
+            (11 * row) % (room + 1)
+        };
+        for col in start..start + len {
+            coo.push(row, col, 0.5 + ((row * 7 + col) % 17) as f32 * 0.25);
+        }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+/// Whether each of the `parts` column bands a `COL_DIV` cuts `matrix` into
+/// holds a non-zero: a band without one reads no column and keeps
+/// `col:table`.
+fn bands_with_nonzeros(matrix: &CsrMatrix, parts: usize) -> Vec<bool> {
+    let band = matrix.cols().div_ceil(parts);
+    let mut held = vec![false; parts];
+    for &col in matrix.col_indices() {
+        held[col as usize / band] = true;
+    }
+    held
+}
+
+/// The loop half of every partition's shape label, and whether each reads
+/// column runs (`None` for an nnz partition).
+fn run_partitions(kernel: &NativeKernel) -> Vec<(String, Option<bool>)> {
+    kernel
+        .partition_shapes()
+        .split('|')
+        .map(|segment| {
+            let (format, loop_half) = segment.rsplit_once(':').unwrap();
+            let run = segment
+                .starts_with("rows[")
+                .then(|| format.ends_with(",col:run]"));
+            (loop_half.to_string(), run)
+        })
+        .collect()
+}
+
+#[test]
+fn column_run_kernels_are_bitwise_their_gathering_twins() {
+    let matrices = [
+        ("banded", PatternFamily::Banded.generate(384, 6, 902)),
+        ("block", PatternFamily::BlockDiagonal.generate(384, 6, 903)),
+        // Rows of 0, 1, 7, 8, 9 and 17 non-zeros, some ending at the last
+        // column.
+        ("edge runs", run_matrix(96, 64, &[0, 1, 7, 8, 9, 17], 64)),
+        // Every column in the left band: the right `COL_DIV` band has no
+        // non-zero (so it keeps `col:table`), and the left one's runs end at
+        // its last column.
+        ("left band", run_matrix(96, 64, &[1, 8, 9, 32, 0, 7], 32)),
+    ];
+    // Each design keeps every row's columns one run: the matrix's own order,
+    // two length sorts, length bins, a row split, and a two-way COL_DIV
+    // (`col_offset > 0` on its right band).
+    let designs = [
+        ("csr_scalar", presets::csr_scalar()),
+        ("sell_like", presets::sell_like()),
+        ("row_grouped_csr_like", presets::row_grouped_csr_like()),
+        ("acsr_like", presets::acsr_like(4)),
+        ("row_split_hybrid", presets::row_split_hybrid(2)),
+        ("col_split_atomic", presets::col_split_atomic(2)),
+    ];
+    let lanes: &[Option<usize>] = if alpha_cpu::cpu_features::force_scalar() {
+        &[None]
+    } else {
+        &[None, Some(4), Some(8)]
+    };
+    let options = alpha_codegen::GeneratorOptions::default();
+    let mut compared = std::collections::BTreeSet::new();
+    for (name, matrix) in &matrices {
+        let gapped = with_gapped_rows(matrix, true);
+        let x = DenseVector::random(matrix.cols(), 17);
+        for (design, base) in &designs {
+            for &lanes in lanes {
+                let graph = with_lanes(base, lanes);
+                let context = format!("{name}/{design}/{lanes:?}");
+                let [run, gathering] = [matrix, &gapped].map(|m| {
+                    let generated = alpha_codegen::generate(&graph, m, options)
+                        .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+                    NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
+                        .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"))
+                });
+                let context = format!(
+                    "{context} [{} vs {}]",
+                    run.partition_shapes(),
+                    gathering.partition_shapes()
+                );
+                let (runs, gathers) = (run_partitions(&run), run_partitions(&gathering));
+                let expected: Vec<Option<bool>> = match *design {
+                    "col_split_atomic" => bands_with_nonzeros(matrix, 2)
+                        .into_iter()
+                        .map(Some)
+                        .collect(),
+                    _ => vec![Some(true); runs.len()],
+                };
+                let read: Vec<Option<bool>> = runs.iter().map(|(_, r)| *r).collect();
+                assert_eq!(read, expected, "{context}");
+                assert!(gathers.iter().all(|(_, r)| *r == Some(false)), "{context}");
+                let loops = |p: &[(String, Option<bool>)]| -> Vec<String> {
+                    let mut loops: Vec<String> = p.iter().map(|(l, _)| l.clone()).collect();
+                    loops.dedup();
+                    loops
+                };
+                assert_eq!(loops(&runs), loops(&gathers), "{context}: one loop");
+                for threads in [1, 2] {
+                    let y = run.run(x.as_slice(), threads).unwrap();
+                    let twin = gathering.run(x.as_slice(), threads).unwrap();
+                    assert_eq!(
+                        bits(&y),
+                        bits(&twin[1..=matrix.rows()]),
+                        "{context} at {threads} thread(s)"
+                    );
+                }
+                compared.extend(loops(&runs));
+            }
+        }
+    }
+    // Every run twin this host runs was compared: the scalar loop, and the
+    // nnz lanes ×4 and ×8 of its backend unless vectors are switched off.
+    let expected = if alpha_cpu::cpu_features::force_scalar() {
+        1
+    } else {
+        3
+    };
+    assert_eq!(compared.len(), expected, "{compared:?}");
+}
+
+#[test]
+fn a_column_band_past_the_end_of_x_reads_no_run() {
+    // Five columns in four `COL_DIV` bands of two: [0, 2), [2, 4), [4, 5)
+    // and an empty band whose `col_offset`, 6, lies past the end of `x`.
+    // The empty band keeps `col:table` and reads nothing; the three before
+    // it read their runs.
+    let matrix = run_matrix(40, 5, &[1, 2, 5, 0, 3], 5);
+    assert!(matrix.column_runs().is_some());
+    let x = DenseVector::random(matrix.cols(), 5);
+    let reference = reference_rows(&matrix, x.as_slice());
+    for lanes in [None, Some(4), Some(8)] {
+        let context = format!("col_split_atomic(4)/{lanes:?}");
+        let generated = alpha_codegen::generate(
+            &with_lanes(&presets::col_split_atomic(4), lanes),
+            &matrix,
+            alpha_codegen::GeneratorOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+        let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
+            .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"));
+        let shapes = kernel.partition_shapes();
+        for threads in [1, 2] {
+            let y = kernel.run(x.as_slice(), threads).unwrap();
+            assert_within_bound(
+                &y,
+                &reference,
+                &format!("{context} [{shapes}] at {threads}"),
+            );
+        }
+        let read: Vec<Option<bool>> = run_partitions(&kernel)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect();
+        assert_eq!(
+            read,
+            [Some(true), Some(true), Some(true), Some(false)],
+            "{context}: {shapes}"
+        );
+    }
+}
+
+#[test]
+fn rows_that_are_not_one_run_keep_the_column_stream() {
+    let banded = PatternFamily::Banded.generate(256, 6, 77);
+    // One row holds column 3 twice.
+    let duplicate = {
+        let mut offsets = banded.row_offsets().to_vec();
+        let mut cols = banded.col_indices().to_vec();
+        let mut values = banded.values().to_vec();
+        cols.extend([3, 3, 4]);
+        values.extend([1.0, 2.0, 3.0]);
+        offsets.push(cols.len() as u32);
+        CsrMatrix::from_raw(banded.rows() + 1, banded.cols(), offsets, cols, values).unwrap()
+    };
+    let cases = [
+        ("fem_stencil_2d", alpha_matrix::gen::fem_stencil_2d(20, 5)),
+        ("last row gapped", with_gapped_rows(&banded, false)),
+        ("duplicate column", duplicate),
+    ];
+    for (name, matrix) in &cases {
+        assert!(matrix.column_runs().is_none(), "{name}");
+        let x = DenseVector::random(matrix.cols(), 3);
+        let reference = reference_rows(matrix, x.as_slice());
+        for (design, base) in presets::all_presets() {
+            for lanes in [None, Some(8)] {
+                let context = format!("{name}/{design}/{lanes:?}");
+                let Ok(mut generated) = alpha_codegen::generate(
+                    &with_lanes(&base, lanes),
+                    matrix,
+                    alpha_codegen::GeneratorOptions::default(),
+                ) else {
+                    continue;
+                };
+                let designed =
+                    NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
+                        .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"));
+                let selected = lower_selected(&mut generated, &context);
+                for kernel in [&designed, &selected] {
+                    let shapes = kernel.partition_shapes();
+                    let held = match (*name, design) {
+                        // A `ROW_DIV` part without the offending last row
+                        // is rightly a run...
+                        (_, "row_split_hybrid") => shapes.rsplit('|').next().unwrap(),
+                        // ...and `COL_DIV` builds its bands through COO,
+                        // which sums the duplicate into one entry.
+                        ("duplicate column", "col_split_atomic") => "",
+                        _ => &shapes,
+                    };
+                    assert!(!held.contains("col:run"), "{context}: {shapes}");
+                    let y = kernel.run(x.as_slice(), 2).unwrap();
+                    assert_within_bound(&y, &reference, &format!("{context} [{shapes}]"));
+                }
+            }
         }
     }
 }

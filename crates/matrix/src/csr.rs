@@ -11,8 +11,8 @@ use std::sync::OnceLock;
 /// contiguously and sorted by column.
 ///
 /// Immutable after construction (there is no `&mut` accessor), which is what
-/// lets [`CsrMatrix::fingerprint`] and [`CsrMatrix::digest`] be computed once
-/// and remembered.
+/// lets [`CsrMatrix::fingerprint`], [`CsrMatrix::digest`] and
+/// [`CsrMatrix::column_runs`] be computed once and remembered.
 #[derive(Clone)]
 pub struct CsrMatrix {
     rows: usize,
@@ -25,6 +25,8 @@ pub struct CsrMatrix {
     fingerprint: OnceLock<u64>,
     /// Memo of [`CsrMatrix::digest`], on the same terms.
     digest: OnceLock<[u8; 32]>,
+    /// Memo of [`CsrMatrix::column_runs`], on the same terms.
+    column_runs: OnceLock<Option<Box<[u32]>>>,
 }
 
 impl std::fmt::Debug for CsrMatrix {
@@ -100,6 +102,7 @@ impl CsrMatrix {
             values,
             fingerprint: OnceLock::new(),
             digest: OnceLock::new(),
+            column_runs: OnceLock::new(),
         })
     }
 
@@ -123,6 +126,7 @@ impl CsrMatrix {
             values: normalised.values().to_vec(),
             fingerprint: OnceLock::new(),
             digest: OnceLock::new(),
+            column_runs: OnceLock::new(),
         }
     }
 
@@ -236,6 +240,7 @@ impl CsrMatrix {
             values,
             fingerprint: OnceLock::new(),
             digest: OnceLock::new(),
+            column_runs: OnceLock::new(),
         }
     }
 
@@ -288,6 +293,36 @@ impl CsrMatrix {
                 &self.values,
             )
         })
+    }
+
+    /// When every row's columns are one contiguous run `s, s + 1, …` (an
+    /// empty row is one), the start column `s` of each row, 0 for an empty
+    /// row; `None` otherwise.  A duplicate, an unsorted pair or a gap in any
+    /// row makes it `None`, and the scan stops at the first such row.  This
+    /// is Model-Driven Format Compression applied to the column stream: a
+    /// kernel that reads the starts needs no column index per non-zero.  One
+    /// pass over the column indices on the first call; the result is memoised
+    /// in the matrix (and carried by its clones), so every kernel lowered on
+    /// one allocation reads one table.
+    pub fn column_runs(&self) -> Option<&[u32]> {
+        self.column_runs
+            .get_or_init(|| {
+                let mut starts = Vec::with_capacity(self.rows);
+                for row in 0..self.rows {
+                    let cols = &self.col_indices[self.row_range(row)];
+                    let start = cols.first().copied().unwrap_or(0);
+                    let run = cols
+                        .iter()
+                        .enumerate()
+                        .all(|(k, &c)| c as usize == start as usize + k);
+                    if !run {
+                        return None;
+                    }
+                    starts.push(start);
+                }
+                Some(starts.into_boxed_slice())
+            })
+            .as_deref()
     }
 }
 
@@ -483,6 +518,49 @@ mod tests {
         assert!(csr.fingerprint.get().is_none());
         assert_eq!(csr.clone().digest.get(), Some(&golden));
         assert_eq!(csr, CsrMatrix::from_coo(&sample_coo()));
+    }
+
+    #[test]
+    fn column_runs_name_each_rows_start_only_when_every_row_is_one_run() {
+        let runs = |offsets: Vec<u32>, cols: Vec<u32>| {
+            let values = vec![1.0; cols.len()];
+            let m = CsrMatrix::from_raw(offsets.len() - 1, 8, offsets, cols, values).unwrap();
+            m.column_runs().map(<[u32]>::to_vec)
+        };
+        // Runs of lengths 3, 0, 1 and 4; the last ends at the last column.
+        assert_eq!(
+            runs(vec![0, 3, 3, 4, 8], vec![2, 3, 4, 0, 4, 5, 6, 7]),
+            Some(vec![2, 0, 0, 4])
+        );
+        assert_eq!(runs(vec![0], vec![]), Some(vec![]));
+        assert_eq!(runs(vec![0, 0, 0], vec![]), Some(vec![0, 0]));
+        // A gap in the last row, a duplicate, an unsorted pair.
+        assert_eq!(runs(vec![0, 2, 4], vec![0, 1, 3, 5]), None);
+        assert_eq!(runs(vec![0, 2], vec![3, 3]), None);
+        assert_eq!(runs(vec![0, 2], vec![4, 3]), None);
+        // `sample_coo` has gaps.
+        let gapped = CsrMatrix::from_coo(&sample_coo());
+        assert!(gapped.column_runs().is_none());
+    }
+
+    #[test]
+    fn column_runs_memo_is_shared_carried_by_clones_and_invisible_to_equality() {
+        let mut coo = CooMatrix::new(3, 6);
+        for (row, cols) in [(0, 1..4), (1, 2..6), (2, 0..1)] {
+            for col in cols {
+                coo.push(row, col, row as Scalar + 0.5);
+            }
+        }
+        let m = CsrMatrix::from_coo(&coo);
+        let fresh = m.clone();
+        let starts = m.column_runs().expect("every row is a run");
+        assert_eq!(starts, &[1, 2, 0]);
+        // One table per allocation, read twice.
+        assert_eq!(m.column_runs().unwrap().as_ptr(), starts.as_ptr());
+        assert!(fresh.column_runs.get().is_none());
+        assert_eq!(m, fresh);
+        assert_eq!(m.clone().column_runs.get(), m.column_runs.get());
+        assert!(m.fingerprint.get().is_none() && m.digest.get().is_none());
     }
 
     #[test]
