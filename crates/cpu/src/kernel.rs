@@ -27,7 +27,11 @@
 //!   contiguous run reads one start column per row
 //!   ([`CsrMatrix::column_runs`]) and loads `x` contiguously — decided from
 //!   the sub-matrix, like an affine map, never by a plan
-//!   ([`IndexKind::Run`]).
+//!   ([`IndexKind::Run`]);
+//! * **row-lane slabs**: a row partition bound to a row-lane loop runs on a
+//!   length-sorted, column-major copy of its streams (`kernel/slab.rs`),
+//!   built at the bind and owned by the partition, with worker cuts at the
+//!   slab's window boundaries.
 //!
 //! Workers communicate only through their return values (per-range partial
 //! sums); the serial scatter applies the `origin_rows` permutation and merges
@@ -39,7 +43,7 @@
 use crate::simd::{ResolvedSimd, SimdMode};
 use crate::specialized::{
     self, ChunkFn, IndexArgs, IndexKind, KernelShape, PartitionArgs, PartitionKind, ScatterFn,
-    SpanFn,
+    SlabArgs, SpanFn,
 };
 use alpha_codegen::compress::CompressedArray;
 use alpha_codegen::{CompressionModel, FormatArray, MachineFormat, PartitionFormat};
@@ -47,11 +51,14 @@ use alpha_graph::{Mapping, MatrixMetadataSet, PartitionPlan};
 use alpha_matrix::{CsrMatrix, Scalar};
 use alpha_parallel::Pool;
 use alpha_telemetry::Histogram;
+use slab::Slab;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
 mod identity;
 mod select;
+pub(crate) mod slab;
 
 pub use identity::Program;
 pub use select::{plans_from_label, LoopChoice};
@@ -372,8 +379,10 @@ fn balanced_row_cuts(offsets: &[u32], workers: usize) -> Vec<usize> {
 }
 
 /// Nnz-balanced row boundaries for every worker count up to the host's core
-/// count, computed **once** from the partition's prefix-sum row offsets at
-/// kernel build time.
+/// count, computed **once** at kernel build time from prefix sums of
+/// non-zeros per split unit: the partition's row offsets (a unit is a row),
+/// or a row-lane slab's window totals (a unit is a window, so every cut is a
+/// window boundary).
 ///
 /// Equal-*row* splitting serialises skewed matrices — a power-law partition
 /// puts most of its non-zeros in a few rows, so one worker owns almost all
@@ -383,28 +392,45 @@ fn balanced_row_cuts(offsets: &[u32], workers: usize) -> Vec<usize> {
 /// off the per-run hot path.
 #[derive(Debug, Clone)]
 struct BalancedRowCuts {
+    /// Rows per split unit.
+    unit: usize,
+    /// Rows of the partition.
+    rows: usize,
     /// `per_count[w - 1]` holds the boundaries for `w` workers.
     per_count: Vec<Vec<usize>>,
 }
 
 impl BalancedRowCuts {
-    fn build(offsets: &[u32]) -> Self {
+    /// The cuts over units of `unit` rows, `bounds[u]` the non-zeros before
+    /// unit `u` (the last unit may be short of `unit` rows).
+    fn build(bounds: &[u32], unit: usize, rows: usize) -> Self {
         let max_workers = alpha_parallel::default_threads().max(1);
-        BalancedRowCuts {
-            per_count: (1..=max_workers)
-                .map(|workers| balanced_row_cuts(offsets, workers))
-                .collect(),
-        }
+        let mut cuts = BalancedRowCuts {
+            unit,
+            rows,
+            per_count: Vec::new(),
+        };
+        cuts.per_count = (1..=max_workers)
+            .map(|workers| cuts.compute(bounds, workers))
+            .collect();
+        cuts
     }
 
-    /// The cached boundaries for `workers`, when within the precomputed
-    /// range (worker counts above the core count fall back to an on-demand
-    /// computation at the call site).
-    fn get(&self, workers: usize) -> Option<&[usize]> {
-        if workers == 0 || workers > self.per_count.len() {
-            return None;
+    fn compute(&self, bounds: &[u32], workers: usize) -> Vec<usize> {
+        let mut cuts = balanced_row_cuts(bounds, workers);
+        for cut in &mut cuts {
+            *cut = (*cut * self.unit).min(self.rows);
         }
-        Some(&self.per_count[workers - 1])
+        cuts
+    }
+
+    /// The boundaries for `workers`: cached within the host's core count,
+    /// computed from the same `bounds` above it.
+    fn get(&self, bounds: &[u32], workers: usize) -> Cow<'_, [usize]> {
+        match self.per_count.get(workers.wrapping_sub(1)) {
+            Some(cached) => Cow::Borrowed(cached),
+            None => Cow::Owned(self.compute(bounds, workers)),
+        }
     }
 }
 
@@ -420,7 +446,8 @@ enum PartitionExec {
         /// Row addressing (the `row_offsets` array, closed-form for regular
         /// matrices whose rows all have the same length).
         row_offsets: IndexFn,
-        /// Build-time nnz-balanced worker boundaries.
+        /// Build-time nnz-balanced worker boundaries (a row-lane loop cuts
+        /// at its slab's windows instead).
         cuts: BalancedRowCuts,
     },
     /// Nnz-partition loop (`BMT_NNZ_BLOCK` designs).
@@ -434,7 +461,7 @@ enum PartitionExec {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct NativePartition {
     /// The partition's permuted sub-matrix (value and column-index streams):
     /// the allocation the Designer built, shared with the plan it came from.
@@ -452,6 +479,10 @@ struct NativePartition {
     simd: ResolvedSimd,
     /// This partition's coordinates in the shape lattice.
     shape: KernelShape,
+    /// The slab a row-lane loop runs on, built when one is bound (and kept
+    /// while loop selection rebinds other candidates; a finished kernel
+    /// whose loop is not row lanes holds none).
+    slab: Option<Slab>,
     /// Index arrays of this partition the design replaced with fitted models.
     closed_form_arrays: usize,
 }
@@ -539,7 +570,7 @@ impl NativePartition {
                 let exec = PartitionExec::Rows {
                     chunk: specialized::rows_loop(&shape)?,
                     row_offsets,
-                    cuts: BalancedRowCuts::build(plan.matrix.row_offsets()),
+                    cuts: BalancedRowCuts::build(plan.matrix.row_offsets(), 1, rows),
                 };
                 (shape, exec)
             }
@@ -570,6 +601,7 @@ impl NativePartition {
             exec,
             simd,
             shape,
+            slab: None,
             closed_form_arrays,
         })
     }
@@ -590,6 +622,12 @@ impl NativePartition {
                     &simd,
                 );
                 *chunk = specialized::rows_loop(&self.shape)?;
+                let lanes = self.shape.simd.lanes();
+                if self.shape.simd.is_row_lanes()
+                    && self.slab.as_ref().map(Slab::lanes) != Some(lanes)
+                {
+                    self.slab = Some(Slab::new(lanes, &self.matrix));
+                }
             }
             PartitionExec::Nnz {
                 span, row_starts, ..
@@ -608,10 +646,19 @@ impl NativePartition {
         Ok(())
     }
 
+    /// The slab the bound loop runs on: `Some` exactly when it is a row-lane
+    /// loop.
+    fn slab(&self) -> Option<&Slab> {
+        self.slab
+            .as_ref()
+            .filter(|_| self.shape.simd.is_row_lanes())
+    }
+
     /// The runtime arguments of this partition's loops, borrowing the
     /// streams for one execution.
     fn args<'a>(&'a self, x: &'a [Scalar], bounds: IndexArgs<'a>) -> PartitionArgs<'a> {
         PartitionArgs {
+            slab: self.slab().map_or(SlabArgs::EMPTY, Slab::args),
             values: self.matrix.values(),
             col_indices: self.matrix.col_indices(),
             col_starts: match self.shape.col_index {
@@ -784,10 +831,15 @@ impl NativeKernel {
     /// run and report reads are derived here, once, from the loops that
     /// were actually bound.
     fn assemble(
-        partitions: Vec<NativePartition>,
+        mut partitions: Vec<NativePartition>,
         metadata: &MatrixMetadataSet,
         format: &MachineFormat,
     ) -> Self {
+        for p in &mut partitions {
+            if !p.shape.simd.is_row_lanes() {
+                p.slab = None;
+            }
+        }
         let max_lanes = partitions
             .iter()
             .map(|p| p.shape.simd.lanes())
@@ -816,21 +868,23 @@ impl NativeKernel {
             &[("simd", &simd_label), ("path", path_label)],
         ));
         // A run partition reads 4 bytes of start column per row in place of
-        // its 4-byte column stream.
-        let (streams, starts) = partitions
-            .iter()
-            .zip(&format.partitions)
-            .filter(|(p, _)| p.shape.col_index == IndexKind::Run)
-            .fold((0, 0), |(streams, starts), (p, pf)| {
-                (streams + 4 * pf.padded_nnz, starts + 4 * p.matrix.rows())
-            });
+        // its 4-byte column stream; a row-lane partition reads its slab in
+        // place of both streams.
+        let (streams, read) = partitions.iter().zip(&format.partitions).fold(
+            (0, 0),
+            |(streams, read), (p, pf)| match (&p.slab, p.shape.col_index) {
+                (Some(slab), _) => (streams + 8 * pf.padded_nnz, read + slab.bytes()),
+                (None, IndexKind::Run) => (streams + 4 * pf.padded_nnz, read + 4 * p.matrix.rows()),
+                (None, _) => (streams, read),
+            },
+        );
         NativeKernel {
             closed_form_arrays: partitions.iter().map(|p| p.closed_form_arrays).sum(),
             partitions,
             rows: metadata.original_rows,
             cols: metadata.original_cols,
             nnz: metadata.original_nnz,
-            format_bytes: format.bytes() - streams + starts,
+            format_bytes: format.bytes() - streams + read,
             name,
             max_lanes,
             simd_label,
@@ -893,8 +947,10 @@ impl NativeKernel {
     }
 
     /// Bytes of the machine-designed format as this kernel reads it:
-    /// compressed arrays counted at their model size, and a run partition's
-    /// column stream at 4 bytes per row of start columns.
+    /// compressed arrays counted at their model size, a run partition's
+    /// column stream at 4 bytes per row of start columns, and a row-lane
+    /// partition's value and column streams as its slab (the streams
+    /// reordered, plus 8 bytes per row and 4 per lane group).
     pub fn format_bytes(&self) -> usize {
         self.format_bytes
     }
@@ -1035,16 +1091,14 @@ fn run_rows(
     }
     let args = p.args(x, row_offsets.args());
     // Nnz-balanced worker boundaries: from the build-time cache when the
-    // count is within the host's core range, recomputed otherwise.
+    // count is within the host's core range, recomputed otherwise; a slab's
+    // at its window boundaries, so a share's permuted rows stay in it.
     let workers = workers.clamp(1, rows);
-    let computed;
-    let cuts: &[usize] = match cuts.get(workers) {
-        Some(cached) => cached,
-        None => {
-            computed = balanced_row_cuts(p.matrix.row_offsets(), workers);
-            &computed
-        }
+    let cuts = match p.slab() {
+        Some(slab) => slab.cuts(workers),
+        None => cuts.get(p.matrix.row_offsets(), workers),
     };
+    let cuts: &[usize] = &cuts;
 
     if let Some(base) = p.origin.contiguous_base() {
         let chunks = alpha_parallel::split_mut_at(&mut y[base..base + rows], cuts);
@@ -1437,10 +1491,11 @@ mod tests {
         assert!(!kernel.is_vectorized());
         assert_eq!(kernel.workers_for(0), effective_workers(0, matrix.nnz(), 1));
         if !crate::cpu_features::force_scalar() {
-            assert_eq!(
-                kernel.simd_label(),
-                "portable-row-x4",
-                "the label names the plan"
+            // `avx2-row-x4` on an AVX2 host, `portable-row-x4` elsewhere.
+            assert!(
+                kernel.simd_label().ends_with("-row-x4"),
+                "the label names the plan: {}",
+                kernel.simd_label()
             );
         }
     }

@@ -14,8 +14,9 @@
 //! loop's `y` under twice the differential suite's per-row bound, and timed
 //! (warmup + min-of-[`ROUNDS`], candidates interleaved) the way `run(x, 0)`
 //! would split it.  On a partition whose rows are column runs each candidate
-//! binds its run twin (`col:run`): the column coding is the sub-matrix's, not
-//! a candidate.
+//! with a run twin binds it (`col:run`): the column coding is the
+//! sub-matrix's, not a candidate.  The row-lane candidate runs on a slab the
+//! partition builds once and drops unless it wins.
 //!
 //! The winner is reported as a [`SimdPlan`], so the caller writes it into the
 //! design's metadata and every later lowering — `NativeKernel::new`,
@@ -24,7 +25,7 @@
 //! [`plans_from_label`] turns a recorded label back into plans without
 //! measuring, and refuses labels this host cannot run.
 
-use super::{effective_workers, KernelBuildError, NativeKernel, NativePartition};
+use super::{effective_workers, KernelBuildError, NativeKernel, NativePartition, PartitionExec};
 use crate::cpu_features;
 use crate::simd::{ResolvedSimd, SimdMode};
 use crate::specialized;
@@ -35,7 +36,7 @@ use alpha_parallel::Pool;
 use std::time::Instant;
 
 /// Timed executions of each candidate loop (its verification run is the
-/// warmup; the minimum counts): 24 executions per partition in all.
+/// warmup; the minimum counts): 32 executions per row partition in all.
 const ROUNDS: usize = 7;
 
 /// How one partition's inner loop was chosen.
@@ -70,25 +71,25 @@ impl std::fmt::Display for LoopChoice {
 
 /// The loops a partition may run on this host, scalar first: the host
 /// backend's nnz lanes ×4 and ×8 (AVX2 gathers, NEON, or the portable lane
-/// code).  The [`cpu_features::NO_SIMD_ENV`] override leaves only the scalar
-/// loop.
+/// code) and, on a row partition (`rows_path`), row lanes ×8 on a slab
+/// (`avx2-row-x8` on AVX2, `row-x8` elsewhere).  The
+/// [`cpu_features::NO_SIMD_ENV`] override leaves only the scalar loop.
 ///
-/// The two other shapes the native search seeds — `nnz-x8+pf16` and `row-x4`
-/// — are not candidates.  Re-measured with the dots inlined into their loops
-/// (five families × the repo benchmark's large, serving and small classes ×
-/// an unsorted and a length-sorted design × 1 and 2 threads, three
-/// round-interleaved passes, 180 readings): the prefetching twins beat the
-/// better plain nnz loop by more than 3 % in 5 readings, repeatable in one
-/// place only (the large length-sorted powerlaw partition at 2 threads, two
-/// passes of three, 7–11 %), and cost 13–47 % on the small class's regular
-/// rows; `row-x4` lost to the best of {scalar, ×4, ×8} in 173 — on the
-/// cache-resident classes it is 1.0–1.6× the *scalar* loop wherever rows are
-/// regular or sorted by length, which is where the benchmark's winners live
-/// — and its 7 wins are all *unsorted* R-MAT rows, mostly at 2 threads
-/// (10–13 % at 8 192×8 in all three passes): worth a candidate slot only if
-/// a ledger row shows such partitions being served (ROADMAP).  Both stay
-/// reachable as operators, under measured evaluation.
-fn candidates() -> Vec<SimdPlan> {
+/// Row lanes are offered at ×8 only, and the prefetching nnz twins not at
+/// all.  On the repo benchmark's large class (2 threads, its sim-chosen
+/// designs) the slab read 0.55–0.64 ns/nnz on unsorted `powerlaw`
+/// partitions, whose short rows (median 4 non-zeros) each pay a serial tail
+/// in an nnz loop, against 1.11–1.41 for the `avx2-nnz-x8` winner; at
+/// 16 384×16 and 8 192×8 unsorted `powerlaw` and R-MAT partitions ran
+/// 1.5–2.6× faster on it.  On regular rows (`uniform`, `banded`) it read
+/// within ±7 % of the nnz loops, and on designs that already sorted their
+/// rows by length 1.0–1.3×: a measured candidate, not a rule.  (Before the
+/// slab, row lanes walked 8 separate CSR rows and lost to the best of
+/// {scalar, ×4, ×8} in 173 of 180 readings.)  The prefetching twins beat the
+/// better plain nnz loop by more than 3 % in 5 of 180 readings, repeatable
+/// in one place only, and cost 13–47 % on the small class's regular rows.
+/// Both stay reachable as operators, under measured evaluation.
+fn candidates(rows_path: bool) -> Vec<SimdPlan> {
     let mut plans = vec![SimdPlan::scalar()];
     if !cpu_features::force_scalar() {
         plans.extend([4, 8].map(|lanes| SimdPlan {
@@ -96,15 +97,26 @@ fn candidates() -> Vec<SimdPlan> {
             lane_mapping: SimdLaneMapping::Nnz,
             prefetch_distance: 0,
         }));
+        if rows_path {
+            plans.push(SimdPlan {
+                lanes: 8,
+                lane_mapping: SimdLaneMapping::Rows,
+                prefetch_distance: 0,
+            });
+        }
     }
     plans
 }
 
+/// True when a partition mapped as `mapping` runs the row-partition loop.
+fn rows_path(mapping: &Mapping) -> bool {
+    !matches!(mapping, Mapping::NnzSplit { .. })
+}
+
 /// The loop label `plan` lowers to on a partition mapped as `mapping`.
 fn loop_label(mapping: &Mapping, plan: &SimdPlan) -> String {
-    let rows_path = !matches!(mapping, Mapping::NnzSplit { .. });
     let resolved = ResolvedSimd::resolve(plan, SimdMode::Auto);
-    let (simd, prefetch) = specialized::executed_loop(&resolved, rows_path);
+    let (simd, prefetch) = specialized::executed_loop(&resolved, rows_path(mapping));
     specialized::loop_label(simd, prefetch)
 }
 
@@ -129,13 +141,12 @@ pub fn plans_from_label(metadata: &MatrixMetadataSet, label: &str) -> Option<Vec
     if loops.len() != partitions.len() && loops.iter().any(|l| *l != loops[0]) {
         return None;
     }
-    let candidates = candidates();
     partitions
         .iter()
         .enumerate()
         .map(|(index, partition)| {
             let recorded = loops[index.min(loops.len() - 1)];
-            candidates
+            candidates(rows_path(&partition.mapping))
                 .iter()
                 .find(|plan| loop_label(&partition.mapping, plan) == recorded)
                 .copied()
@@ -199,7 +210,7 @@ fn choose(
     y: &mut [Scalar],
     scalar_y: &mut [Scalar],
 ) -> Result<LoopChoice, KernelBuildError> {
-    let plans = candidates();
+    let plans = candidates(matches!(partition.exec, PartitionExec::Rows { .. }));
     let mut measured = Vec::new();
     let mut winner = SimdPlan::scalar();
     // A lone candidate (the scalar loop `partition` is already bound to)
@@ -274,13 +285,16 @@ fn choose(
 impl NativeKernel {
     /// Lowers a design whose plans leave the inner loop open (no SIMD
     /// operator — the cost model cannot rank lane widths) and resolves each
-    /// partition's loop on this host by measurement: the scalar loop and the
-    /// host backend's nnz lanes ×4 and ×8 are bound in turn to the
-    /// partition's own streams, a vector loop is checked against the scalar
-    /// loop's `y` under twice the differential suite's per-row bound before
-    /// it may win, and each is timed (24 executions per partition in all)
+    /// partition's loop on this host by measurement: the scalar loop, the
+    /// host backend's nnz lanes ×4 and ×8 and, on a row partition, row lanes
+    /// ×8 on a slab are bound in turn to the partition's own streams, a
+    /// vector loop is checked against the scalar loop's `y` under twice the
+    /// differential suite's per-row bound before it may win, and each is
+    /// timed (32 executions per row partition in all, 24 per nnz partition)
     /// under the worker split `run(x, 0)` would use, a candidate costing
-    /// what its slowest worker share costs.  With
+    /// what its slowest worker share costs.  The slab is built once per
+    /// partition, and a kernel whose winner is not row lanes holds none.
+    /// With
     /// [`NO_SIMD_ENV`](crate::NO_SIMD_ENV) set the scalar loop is the only
     /// candidate and nothing is timed.
     ///
@@ -359,7 +373,7 @@ mod tests {
                     continue;
                 }
                 assert_eq!(choice.measured[0].0, "scalar", "scalar is timed first");
-                assert!(choice.measured.len() <= 3);
+                assert!(choice.measured.len() <= 4);
                 let fastest = choice
                     .measured
                     .iter()
@@ -428,7 +442,7 @@ mod tests {
             assert_eq!(plans_from_label(one, hostile), None, "{hostile:?}");
         }
         if !cpu_features::force_scalar() {
-            let vector = loop_label(&one.partitions[0].mapping, &candidates()[2]);
+            let vector = loop_label(&one.partitions[0].mapping, &candidates(true)[2]);
             let label = format!("rows[x]:{vector}");
             assert_eq!(plans_from_label(one, &label).unwrap()[0].lanes, 8);
             // Differing segments must map one to one.
@@ -456,7 +470,7 @@ mod tests {
             crate::SimdSupport::Avx2 => "neon-nnz-x8",
             _ => "avx2-nnz-x8",
         };
-        let host = candidates();
+        let host = candidates(true);
         let mut accepted = 0;
         let mut check = |metadata: &MatrixMetadataSet, label: &str| {
             if let Some(plans) = plans_from_label(metadata, label) {
@@ -505,11 +519,12 @@ mod tests {
     fn a_recorded_gathering_winner_replays_as_a_run_kernel_with_its_loop() {
         // Stores written before column runs hold `col:table` labels for
         // banded winners.  Only the loop half is read, so each replays onto
-        // the run twin of the loop it names.
+        // the run twin of the loop it names.  (The candidates with run twins
+        // are an nnz partition's: the row-lane candidate runs on its slab.)
         let matrix = gen::banded(1_024, 8, 7);
         let mut generated = generated(&presets::csr_scalar(), &matrix);
         let mapping = generated.kernel.metadata().partitions[0].mapping;
-        for plan in candidates() {
+        for plan in candidates(false) {
             generated.set_simd_plans(&[plan]);
             let lowered = NativeKernel::new(generated.kernel.metadata(), &generated.format);
             let run = lowered.partition_shapes();
@@ -521,6 +536,114 @@ mod tests {
                 "{recorded}"
             );
             assert_eq!(run.rsplit_once(':').unwrap().1, loop_label(&mapping, &plan));
+        }
+    }
+
+    /// The row-lane candidate's plan, and the loop label it records here.
+    fn row_candidate(generated: &GeneratedSpmv) -> Option<(SimdPlan, String)> {
+        let plan = *candidates(true).last()?;
+        let mapping = &generated.kernel.metadata().partitions[0].mapping;
+        (plan.lane_mapping == SimdLaneMapping::Rows).then(|| (plan, loop_label(mapping, &plan)))
+    }
+
+    #[test]
+    fn a_partition_whose_slab_loses_holds_no_slab() {
+        let matrix = gen::powerlaw(3_000, 3_000, 6, 1.8, 5);
+        let design = generated(&presets::csr_scalar(), &matrix);
+        let metadata = design.kernel.metadata();
+        let row_x8 = ResolvedSimd::resolve(
+            &SimdPlan {
+                lanes: 8,
+                lane_mapping: SimdLaneMapping::Rows,
+                prefetch_distance: 0,
+            },
+            SimdMode::Auto,
+        );
+        // The slab is built when the row loop binds and kept while other
+        // candidates bind; the finished kernel drops it with its loser.
+        let lost = NativeKernel::lower_with(metadata, &design.format, |_, partition| {
+            partition.bind(row_x8)?;
+            assert_eq!(
+                partition.slab.is_some(),
+                row_x8.is_vectorized(),
+                "{}",
+                partition.shape.label()
+            );
+            partition.bind(ResolvedSimd::scalar())
+        })
+        .unwrap();
+        assert!(lost.partitions.iter().all(|p| p.slab.is_none()));
+        assert_eq!(lost.format_bytes(), design.format.bytes());
+        // Whatever selection picks, a slab is held exactly by a row loop.
+        for family in gen::PatternFamily::ALL {
+            let matrix = family.generate(4_096, 6, 9);
+            for graph in [presets::csr_scalar(), presets::sell_like()] {
+                let design = generated(&graph, &matrix);
+                let (kernel, _) =
+                    NativeKernel::select(design.kernel.metadata(), &design.format).unwrap();
+                for p in &kernel.partitions {
+                    assert_eq!(
+                        p.slab.is_some(),
+                        p.shape.simd.is_row_lanes(),
+                        "{}",
+                        p.shape.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_recorded_nnz_label_replays_unchanged_and_a_row_label_replays_to_the_slab() {
+        let matrix = gen::powerlaw(3_000, 3_000, 6, 1.8, 5);
+        let x = DenseVector::random(matrix.cols(), 3);
+        let mut generated = generated(&presets::csr_scalar(), &matrix);
+        let scalar = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+        let mapping = generated.kernel.metadata().partitions[0].mapping;
+        // A stored nnz winner (`avx2-nnz-x8` on AVX2) keeps its loop: the
+        // label is parsed, nothing is measured.
+        let nnz_x8 = *candidates(false).last().unwrap();
+        let recorded = format!(
+            "rows[off:table,org:id,col:table]:{}",
+            loop_label(&mapping, &nnz_x8)
+        );
+        assert_eq!(
+            plans_from_label(generated.kernel.metadata(), &recorded),
+            Some(vec![nnz_x8]),
+            "{recorded}"
+        );
+        let Some((plan, label)) = row_candidate(&generated) else {
+            return; // vectors switched off: nothing but the scalar loop
+        };
+        // A recorded row-lane winner lowers onto its slab again.
+        let recorded = format!("rows[off:table,org:id,col:table]:{label}");
+        let plans = plans_from_label(generated.kernel.metadata(), &recorded);
+        assert_eq!(plans, Some(vec![plan]), "{recorded}");
+        generated.set_simd_plans(&plans.unwrap());
+        let replayed = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+        assert_eq!(replayed.partition_shapes(), recorded);
+        assert!(replayed.partitions[0].slab.is_some());
+        let bits = |y: Vec<Scalar>| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for threads in [1, 2, 3] {
+            assert_eq!(
+                bits(replayed.run(x.as_slice(), threads).unwrap()),
+                bits(scalar.run(x.as_slice(), threads).unwrap()),
+                "{recorded} at {threads} thread(s)"
+            );
+        }
+        // The label names the slab loop of this host, and no other.
+        let foreign = if label.starts_with("avx2-") {
+            "row-x8"
+        } else {
+            "avx2-row-x8"
+        };
+        for other in [foreign, "row-x4", "avx2-row-x4", "row-x8+pf"] {
+            let label = format!("rows[off:table,org:id,col:table]:{other}");
+            assert_eq!(
+                plans_from_label(generated.kernel.metadata(), &label),
+                None,
+                "{label}"
+            );
         }
     }
 

@@ -15,15 +15,17 @@
 //!   one contiguous run: `x` is the row's own slice, loaded with plain
 //!   vector loads instead of gathered.  Same lanes, same tree, same tail as
 //!   the gathering dot of the same width, so the same bits.
-//! * **row-lane dots** — `lanes` adjacent rows are accumulated together, one
-//!   independent accumulator chain per lane.  Each lane walks its row in the
-//!   same serial order as the scalar kernel (bitwise-identical results); the
-//!   win is instruction-level parallelism from `lanes` independent FP chains
-//!   instead of one serial dependency chain.
+//! * **slab dots** (row lanes) — `lanes` rows of a length-sorted slab group
+//!   advance together, one accumulator per lane, over the group's
+//!   column-major common part: values and column indices load as vectors,
+//!   only `x` is gathered (`_mm256_i32gather_ps` / `_mm_i32gather_ps` on
+//!   AVX2, lane code elsewhere), and there is no horizontal add.  Each lane
+//!   walks its row in the scalar kernel's order, and its tail continues
+//!   serially, so every row is bitwise the scalar loop's.
 //!
-//! The nnz-lane and row-lane families accept a software **prefetch
-//! distance** (in non-zeros; run dots never prefetch): the
-//! value/index streams — and, for nnz-lanes, the gathered `x` target — are
+//! The nnz-lane family accepts a software **prefetch distance** (in
+//! non-zeros; run and slab dots never prefetch, their streams are
+//! sequential): the value/index streams and the gathered `x` target are
 //! prefetched that far ahead.  Whether a loop prefetches at all is a const
 //! parameter (`PF`) of the kernels the library instantiates, so a
 //! non-prefetching loop carries neither the instructions nor a test; the
@@ -75,12 +77,12 @@ pub enum SimdMode {
 /// Which implementation backs the lane kernels of one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// AVX2 hardware gathers (x86_64, nnz-lanes with 4 or 8 lanes).
+    /// AVX2 hardware gathers (x86_64, nnz or row lanes, 4 or 8 of them).
     Avx2,
     /// NEON vectors with emulated gathers (aarch64, nnz-lanes 4 or 8).
     Neon,
-    /// Portable lane code (row-lanes always; nnz-lanes on plain hosts or
-    /// with 2 lanes, where a gather would not pay).
+    /// Portable lane code (plain hosts, NEON row lanes, and 2 lanes, where
+    /// a gather would not pay).
     Portable,
 }
 
@@ -127,11 +129,10 @@ impl ResolvedSimd {
     }
 
     /// Resolves a design's plan for this host.  Fallback rules:
-    /// `ForceScalar` or the env override pin everything scalar; row-lane
-    /// kernels are always portable (their win is independent accumulator
-    /// chains, not vector loads); nnz-lane kernels use hardware gathers for
-    /// 4/8 lanes when available and portable lane code otherwise; lane
-    /// widths outside {2, 4, 8} run scalar.
+    /// `ForceScalar` or the env override pin everything scalar; AVX2 hosts
+    /// gather for 4/8 nnz or row lanes, NEON hosts for 4/8 nnz lanes (a
+    /// row-lane slab there runs the portable lane code), and everything else
+    /// runs portable lane code; lane widths outside {2, 4, 8} run scalar.
     pub fn resolve(plan: &SimdPlan, mode: SimdMode) -> ResolvedSimd {
         if !plan.is_vectorized() {
             return ResolvedSimd::scalar();
@@ -149,8 +150,7 @@ impl ResolvedSimd {
             }
         };
         let backend = match (plan.lane_mapping, support, lanes) {
-            (SimdLaneMapping::Rows, _, _) => Backend::Portable,
-            (SimdLaneMapping::Nnz, SimdSupport::Avx2, 4 | 8) => Backend::Avx2,
+            (_, SimdSupport::Avx2, 4 | 8) => Backend::Avx2,
             (SimdLaneMapping::Nnz, SimdSupport::Neon, 4 | 8) => Backend::Neon,
             _ => Backend::Portable,
         };
@@ -163,7 +163,7 @@ impl ResolvedSimd {
     }
 
     /// Compact label for bench records, e.g. `avx2-nnz-x8+pf16`,
-    /// `portable-row-x4`, or `scalar`.
+    /// `avx2-row-x8`, `portable-row-x2`, or `scalar`.
     pub fn label(&self) -> String {
         if !self.is_vectorized() {
             return "scalar".to_string();
@@ -344,62 +344,26 @@ pub(crate) fn run_dot_nnz_lanes<const L: usize>(values: &[Scalar], x: &[Scalar])
     hsum_tree(&acc) + tail
 }
 
-/// Portable row-lane dot: each of the `L` lanes accumulates one row of
-/// `ranges` serially (the exact order of the scalar kernel, so results are
-/// bitwise identical to it); interleaving the lanes gives `L` independent FP
-/// dependency chains.  `prefetch` is a run-time distance here (0 = none); the
-/// kernel library calls the `rows_dot_lanes` instantiation directly.
-pub fn rows_dot_row_lanes<const L: usize>(
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    ranges: &[(usize, usize); L],
-    out: &mut [Scalar; L],
-    prefetch: usize,
-) {
-    *out = if prefetch > 0 {
-        rows_dot_lanes::<L, true>(values, col_indices, x, col_offset, ranges, prefetch)
-    } else {
-        rows_dot_lanes::<L, false>(values, col_indices, x, col_offset, ranges, prefetch)
-    };
-}
-
-/// [`rows_dot_row_lanes`] as the kernel library instantiates it (`PF` as in
-/// [`row_dot_nnz_lanes`]): the `L` row sums, always inlined into the chunk
-/// loop around it.
+/// The common part of one slab lane group: lane `l` of step `k`
+/// multiplies stream position `k·L + l` (the group is stored column-major)
+/// by its gathered `x`, for `common` steps.  Each lane is one row, summed in
+/// stream order from `0.0` — the scalar loop's order, so the group's tails
+/// continue the lanes with [`row_dot_serial`] and every row comes out
+/// bitwise the scalar loop's.  `values` / `col_indices` start at the group.
 #[inline(always)]
-pub(crate) fn rows_dot_lanes<const L: usize, const PF: bool>(
+pub(crate) fn slab_dot_lanes<const L: usize>(
     values: &[Scalar],
     col_indices: &[u32],
     x: &[Scalar],
     col_offset: usize,
-    ranges: &[(usize, usize); L],
-    prefetch: usize,
+    common: usize,
 ) -> [Scalar; L] {
-    let min_len = ranges.iter().map(|&(s, e)| e - s).min().unwrap_or(0);
+    let (values, col_indices) = (&values[..common * L], &col_indices[..common * L]);
     let mut acc = [0.0 as Scalar; L];
-    // One stream prefetch per step, on the lane furthest ahead.
-    let (s, e) = ranges[L - 1];
-    let (ahead_values, ahead_cols) = (&values[s..e], &col_indices[s..e]);
-    for k in 0..min_len {
-        if PF {
-            prefetch_streams(ahead_values, ahead_cols, x, col_offset, k, prefetch);
-        }
+    for (v, c) in values.chunks_exact(L).zip(col_indices.chunks_exact(L)) {
         for l in 0..L {
-            let i = ranges[l].0 + k;
-            acc[l] += values[i] * x[col_indices[i] as usize + col_offset];
+            acc[l] += v[l] * x[c[l] as usize + col_offset];
         }
-    }
-    for l in 0..L {
-        let rest = ranges[l].0 + min_len..ranges[l].1;
-        acc[l] = row_dot_serial(
-            acc[l],
-            &values[rest.clone()],
-            &col_indices[rest],
-            x,
-            col_offset,
-        );
     }
     acc
 }
@@ -596,6 +560,71 @@ pub(crate) mod avx2 {
         }
         let tail = run_dot_serial(0.0, &values[body..], &x[body..]);
         hsum4(acc) + tail
+    }
+
+    /// [`super::slab_dot_lanes`] for 8 lanes: each step loads the group's 8
+    /// values and column indices as vectors and gathers the 8 `x` entries
+    /// with `_mm256_i32gather_ps`; mul + add per lane, no tree.
+    ///
+    /// # Safety
+    /// The caller must have verified AVX2 support at resolve time, and every
+    /// column index of the group's `common · 8` positions plus `col_offset`
+    /// must be in bounds of `x` and below 2³¹ (the gather does not check).
+    #[inline(always)]
+    pub unsafe fn slab_dot8(
+        values: &[Scalar],
+        col_indices: &[u32],
+        x: &[Scalar],
+        col_offset: usize,
+        common: usize,
+    ) -> [Scalar; 8] {
+        // SAFETY: AVX2 by the `cpu_features` dispatch guard.  Both stream
+        // loads of step `i` read 8 entries from `i`, and `i + 8 <=
+        // values.len() == col_indices.len() == common · 8` by the checked
+        // re-slices.  The gather stays in `x` by the caller's contract; with
+        // `common == 0` the loop body never runs and nothing is gathered.
+        let (values, col_indices) = (&values[..common * 8], &col_indices[..common * 8]);
+        let mut acc = _mm256_setzero_ps();
+        let offset = _mm256_set1_epi32(col_offset as i32);
+        for i in (0..values.len()).step_by(8) {
+            let v = _mm256_loadu_ps(values.as_ptr().add(i));
+            let idx = _mm256_loadu_si256(col_indices.as_ptr().add(i) as *const __m256i);
+            let idx = _mm256_add_epi32(idx, offset);
+            let gathered = _mm256_i32gather_ps::<4>(x.as_ptr(), idx);
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(v, gathered));
+        }
+        let mut lanes = [0.0 as Scalar; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        lanes
+    }
+
+    /// [`slab_dot8`] for 4 lanes (`_mm_i32gather_ps`).
+    ///
+    /// # Safety
+    /// As [`slab_dot8`], over the group's `common · 4` positions.
+    #[inline(always)]
+    pub unsafe fn slab_dot4(
+        values: &[Scalar],
+        col_indices: &[u32],
+        x: &[Scalar],
+        col_offset: usize,
+        common: usize,
+    ) -> [Scalar; 4] {
+        // SAFETY: as in `slab_dot8`, with `i + 4 <= common · 4` in both
+        // streams; `common == 0` gathers nothing.
+        let (values, col_indices) = (&values[..common * 4], &col_indices[..common * 4]);
+        let mut acc = _mm_setzero_ps();
+        let offset = _mm_set1_epi32(col_offset as i32);
+        for i in (0..values.len()).step_by(4) {
+            let v = _mm_loadu_ps(values.as_ptr().add(i));
+            let idx = _mm_loadu_si128(col_indices.as_ptr().add(i) as *const __m128i);
+            let idx = _mm_add_epi32(idx, offset);
+            let gathered = _mm_i32gather_ps::<4>(x.as_ptr(), idx);
+            acc = _mm_add_ps(acc, _mm_mul_ps(v, gathered));
+        }
+        let mut lanes = [0.0 as Scalar; 4];
+        _mm_storeu_ps(lanes.as_mut_ptr(), acc);
+        lanes
     }
 
     #[cfg(test)]
@@ -873,18 +902,57 @@ mod tests {
     #[test]
     fn row_lane_dots_are_bitwise_scalar() {
         let (values, cols, x) = streams(256, 64, 9);
-        // Four rows of unequal lengths starting back-to-back.
-        let ranges = [(0usize, 13usize), (13, 13), (13, 40), (40, 96)];
-        let mut out = [0.0 as Scalar; 4];
-        rows_dot_row_lanes::<4>(&values, &cols, &x, 0, &ranges, &mut out, 8);
-        for (l, &(s, e)) in ranges.iter().enumerate() {
-            let reference = scalar_dot(&values, &cols, &x, s, e);
-            assert_eq!(
-                out[l].to_bits(),
-                reference.to_bits(),
-                "lane {l}: {} != scalar {reference}",
-                out[l]
-            );
+        // Four rows of unequal lengths starting back-to-back, laid out as
+        // one slab group: the shortest row's 9 terms of each row
+        // column-major, then every row's tail row-major.
+        let ranges = [(0usize, 40usize), (40, 67), (67, 80), (80, 89)];
+        let common = 9;
+        let (mut slab_values, mut slab_cols) = (Vec::new(), Vec::new());
+        for k in 0..common {
+            for &(s, _) in &ranges {
+                slab_values.push(values[s + k]);
+                slab_cols.push(cols[s + k]);
+            }
+        }
+        for &(s, e) in &ranges {
+            slab_values.extend_from_slice(&values[s + common..e]);
+            slab_cols.extend_from_slice(&cols[s + common..e]);
+        }
+        let finish = |mut lanes: [Scalar; 4]| {
+            let mut tail = 4 * common;
+            for (lane, &(s, e)) in lanes.iter_mut().zip(&ranges) {
+                let n = e - s - common;
+                let (v, c) = (&slab_values[tail..tail + n], &slab_cols[tail..tail + n]);
+                *lane = row_dot_serial(*lane, v, c, &x, 0);
+                tail += n;
+            }
+            lanes
+        };
+        let mut sums = vec![finish(slab_dot_lanes::<4>(
+            &slab_values,
+            &slab_cols,
+            &x,
+            0,
+            common,
+        ))];
+        #[cfg(target_arch = "x86_64")]
+        if cpu_features::detect_hardware() == SimdSupport::Avx2 {
+            // SAFETY: AVX2 support was just probed, and every column is
+            // below `x.len()`.
+            sums.push(finish(unsafe {
+                avx2::slab_dot4(&slab_values, &slab_cols, &x, 0, common)
+            }));
+        }
+        for out in sums {
+            for (l, &(s, e)) in ranges.iter().enumerate() {
+                let reference = scalar_dot(&values, &cols, &x, s, e);
+                assert_eq!(
+                    out[l].to_bits(),
+                    reference.to_bits(),
+                    "lane {l}: {} != scalar {reference}",
+                    out[l]
+                );
+            }
         }
     }
 
@@ -918,7 +986,7 @@ mod tests {
         let scalar_plan = SimdPlan::scalar();
         assert!(!ResolvedSimd::resolve(&scalar_plan, SimdMode::Auto).is_vectorized());
 
-        // Row lanes resolve to the portable backend everywhere.
+        // Row lanes gather on AVX2 and run portable lane code elsewhere.
         let row_plan = SimdPlan {
             lanes: 4,
             lane_mapping: SimdLaneMapping::Rows,
@@ -926,8 +994,12 @@ mod tests {
         };
         let row = ResolvedSimd::resolve(&row_plan, SimdMode::Auto);
         if !cpu_features::force_scalar() {
-            assert_eq!(row.backend, Backend::Portable);
-            assert_eq!(row.label(), "portable-row-x4");
+            let (backend, label) = match cpu_features::detect_hardware() {
+                SimdSupport::Avx2 => (Backend::Avx2, "avx2-row-x4"),
+                _ => (Backend::Portable, "portable-row-x4"),
+            };
+            assert_eq!(row.backend, backend);
+            assert_eq!(row.label(), label);
         }
     }
 

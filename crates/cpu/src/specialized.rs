@@ -11,11 +11,11 @@
 //! * column coding (a column index per non-zero, or one start per row when
 //!   every row's columns are one run — [`IndexKind::Run`]),
 //! * SIMD variant ([`SimdClass`]: scalar, portable/AVX2/NEON nnz lanes,
-//!   row lanes) and
+//!   portable/AVX2 row lanes) and
 //! * prefetch class
 //!
 //! is instantiated as one dedicated function (`chunk_nnz::<TB, PF, D>`,
-//! `chunk_row_lanes::<TB, PF, L>`, `span_nnz::<PF, D>`, `scatter_to::<TB>`) in
+//! `chunk_slab::<L, D>`, `span_nnz::<PF, D>`, `scatter_to::<TB>`) in
 //! which the index arithmetic is inlined as constants/affine expressions and
 //! every enum match is hoisted entirely out of the loop.  `rows_loop`,
 //! `nnz_loop` and `scatter_loop` are the shape-matchers: they map the
@@ -33,8 +33,9 @@
 //! costs its loads, its horizontal add and one store.  A `#[target_feature]`
 //! function never inlines into a caller compiled without the feature, so for
 //! the hardware shapes the attribute sits on a loop *entry*
-//! (`hw::chunk_entry` / `hw::span_entry`, which the generic loop inlines
-//! into) and on nothing inside it: a dot behind the attribute would be an
+//! (`hw::chunk_entry` / `hw::run_entry` / `hw::slab_entry` /
+//! `hw::span_entry`, which the generic loop inlines into) and on nothing
+//! inside it: a dot behind the attribute would be an
 //! opaque call per row.  The prefetch class is an instantiation too (`PF`):
 //! a [`PrefetchClass::None`] loop contains no prefetch instruction and no
 //! test for one.
@@ -44,6 +45,11 @@
 //! ([`IndexFn::from_array`](crate::IndexFn::from_array)) evaluates the fitted
 //! model over its whole domain into a lookup table once, trading build-time
 //! memory for a branch-free hot loop.
+//!
+//! Row-lane loops run on the partition's slab (`kernel/slab.rs`): rows
+//! length-sorted inside windows, `L`-row groups stored column-major up to
+//! their shortest row, one row per lane, only `x` gathered.  They never
+//! prefetch and ignore the bounds kind (the slab holds each row's length).
 //!
 //! Scalar and row-lane loops accumulate each row in stream order, so they are
 //! bitwise-equal to one another; nnz-lane loops reorder the reduction through
@@ -133,9 +139,16 @@ pub enum SimdClass {
         /// Lane count (4 or 8).
         lanes: u8,
     },
-    /// Row-lane groups: `lanes` adjacent rows advance together.
+    /// Portable row lanes: the `lanes` rows of a slab group advance
+    /// together (see `kernel/slab.rs`).
     RowLanes {
         /// Lane count (2, 4 or 8).
+        lanes: u8,
+    },
+    /// AVX2 row lanes: a slab group's `x` entries are gathered
+    /// (x86_64, 4 or 8 lanes).
+    RowAvx2 {
+        /// Lane count (4 or 8).
         lanes: u8,
     },
 }
@@ -150,7 +163,10 @@ impl SimdClass {
         }
         let lanes = rs.lanes as u8;
         match rs.mapping {
-            SimdLaneMapping::Rows if rows_path => SimdClass::RowLanes { lanes },
+            SimdLaneMapping::Rows if rows_path => match rs.backend {
+                Backend::Avx2 => SimdClass::RowAvx2 { lanes },
+                _ => SimdClass::RowLanes { lanes },
+            },
             // Nnz partitions execute row-lane plans scalar.
             SimdLaneMapping::Rows => SimdClass::Scalar,
             SimdLaneMapping::Nnz => match rs.backend {
@@ -169,8 +185,14 @@ impl SimdClass {
             SimdClass::NnzPortable { lanes }
             | SimdClass::NnzAvx2 { lanes }
             | SimdClass::NnzNeon { lanes }
-            | SimdClass::RowLanes { lanes } => lanes as usize,
+            | SimdClass::RowLanes { lanes }
+            | SimdClass::RowAvx2 { lanes } => lanes as usize,
         }
+    }
+
+    /// True for the row-lane classes, whose loops run on a slab.
+    pub fn is_row_lanes(self) -> bool {
+        matches!(self, SimdClass::RowLanes { .. } | SimdClass::RowAvx2 { .. })
     }
 
     fn label(self) -> String {
@@ -180,6 +202,7 @@ impl SimdClass {
             SimdClass::NnzAvx2 { lanes } => format!("avx2-nnz-x{lanes}"),
             SimdClass::NnzNeon { lanes } => format!("neon-nnz-x{lanes}"),
             SimdClass::RowLanes { lanes } => format!("row-x{lanes}"),
+            SimdClass::RowAvx2 { lanes } => format!("avx2-row-x{lanes}"),
         }
     }
 }
@@ -258,7 +281,7 @@ pub(crate) fn loop_label(simd: SimdClass, prefetch: PrefetchClass) -> String {
 }
 
 /// True when the row-partition loop of `simd` under `prefetch` has a run
-/// twin ([`run_loop`] resolves one): the scalar loop and the portable and
+/// twin (`run_loop` resolves one): the scalar loop and the portable and
 /// AVX2 nnz lanes ×4 and ×8, without prefetch.  Row lanes, prefetching
 /// loops, NEON and nnz partitions keep the column stream.
 pub fn has_run_twin(simd: SimdClass, prefetch: PrefetchClass) -> bool {
@@ -267,10 +290,10 @@ pub fn has_run_twin(simd: SimdClass, prefetch: PrefetchClass) -> bool {
 
 /// The loop a resolved vectorization decision executes as: its SIMD variant
 /// and whether the loop contains prefetch instructions at all (a scalar loop
-/// never does).
+/// never does, nor a row-lane loop: its slab streams are sequential).
 pub(crate) fn executed_loop(rs: &ResolvedSimd, rows_path: bool) -> (SimdClass, PrefetchClass) {
     let simd = SimdClass::classify(rs, rows_path);
-    let prefetch = if simd != SimdClass::Scalar && rs.prefetch > 0 {
+    let prefetch = if simd != SimdClass::Scalar && !simd.is_row_lanes() && rs.prefetch > 0 {
         PrefetchClass::Stream
     } else {
         PrefetchClass::None
@@ -325,6 +348,37 @@ pub(crate) struct PartitionArgs<'a> {
     pub bounds: IndexArgs<'a>,
     /// Prefetch distance in non-zeros (0 under [`PrefetchClass::None`]).
     pub prefetch: usize,
+    /// The slab a row-lane loop reads ([`SlabArgs::EMPTY`] otherwise).
+    pub slab: SlabArgs<'a>,
+}
+
+/// A partition's slab as the row-lane loops read it (the layout is
+/// `kernel/slab.rs`'s): slab position `p` holds local row `rows[p]`
+/// of `lens[p]` non-zeros, and lane group `g` (positions `g·L..g·L + L`)
+/// starts at `starts[g]` of the two streams.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlabArgs<'a> {
+    /// Value stream, group by group.
+    pub values: &'a [Scalar],
+    /// Column-index stream, parallel to `values`.
+    pub col_indices: &'a [u32],
+    /// Local row of each slab position.
+    pub rows: &'a [u32],
+    /// Non-zero count of each slab position's row.
+    pub lens: &'a [u32],
+    /// Stream offset of each lane group, then the streams' length.
+    pub starts: &'a [u32],
+}
+
+impl SlabArgs<'static> {
+    /// No slab: what every loop but a row-lane one is handed.
+    pub const EMPTY: Self = SlabArgs {
+        values: &[],
+        col_indices: &[],
+        rows: &[],
+        lens: &[],
+        starts: &[],
+    };
 }
 
 /// One worker chunk of a row partition: accumulate rows
@@ -429,13 +483,39 @@ impl<const L: usize> Dot for RunNnzPortable<L> {
     }
 }
 
+/// The common part of one slab lane group, monomorphized on the backend:
+/// lane `l` sums the first `common` terms of the group's row `l`, stored
+/// column-major from stream offset `start`.  `#[inline(always)]` down to the
+/// intrinsics, like [`Dot`].
+trait SlabDot<const L: usize> {
+    /// The `L` lane sums of the group starting at `start`.
+    fn common(a: &PartitionArgs<'_>, start: usize, common: usize) -> [Scalar; L];
+}
+
+/// Portable slab lanes.
+struct SlabPortable;
+
+impl<const L: usize> SlabDot<L> for SlabPortable {
+    #[inline(always)]
+    fn common(a: &PartitionArgs<'_>, start: usize, common: usize) -> [Scalar; L] {
+        let s = &a.slab;
+        simd::slab_dot_lanes::<L>(
+            &s.values[start..],
+            &s.col_indices[start..],
+            a.x,
+            a.col_offset,
+            common,
+        )
+    }
+}
+
 /// The hardware dots and the loop entries that carry their
 /// `#[target_feature]` (see the module docs for why the attribute encloses
 /// the loop, not the dot).
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 mod hw {
     #[cfg(target_arch = "x86_64")]
-    use super::run_of;
+    use super::{run_of, SlabDot};
     use super::{Dot, PartitionArgs, Scalar};
     use crate::simd;
 
@@ -558,6 +638,63 @@ mod hw {
         }
     }
 
+    /// 8-lane AVX2 slab group: the common part's `x` entries gathered
+    /// (same reachability argument as [`Dot8`], for `RowAvx2` shapes).
+    #[cfg(target_arch = "x86_64")]
+    pub(super) struct Slab8;
+
+    /// 4-lane AVX2 slab group (see [`Slab8`]).
+    #[cfg(target_arch = "x86_64")]
+    pub(super) struct Slab4;
+
+    #[cfg(target_arch = "x86_64")]
+    impl SlabDot<8> for Slab8 {
+        #[inline(always)]
+        fn common(a: &PartitionArgs<'_>, start: usize, common: usize) -> [Scalar; 8] {
+            let s = &a.slab;
+            // SAFETY: shapes classify as RowAvx2 only when ResolvedSimd
+            // carried the AVX2 backend, which requires a positive runtime
+            // probe (`cpu_features::detect_hardware`).  The slab's column
+            // indices are the partition's own, reordered (the partition
+            // builds its slab from its sub-matrix at the bind), each below
+            // the sub-matrix's `cols`; a partition with a non-zero passed
+            // `NativePartition::new`'s `ColumnsOutOfRange` check
+            // (`col_offset + cols` within `original_cols = x.len()` and
+            // 2^31), and one without any has `common == 0` in every group,
+            // so nothing is gathered — not even for an empty `COL_DIV` band
+            // whose `col_offset` lies past the end of `x`.
+            unsafe {
+                simd::avx2::slab_dot8(
+                    &s.values[start..],
+                    &s.col_indices[start..],
+                    a.x,
+                    a.col_offset,
+                    common,
+                )
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    impl SlabDot<4> for Slab4 {
+        #[inline(always)]
+        fn common(a: &PartitionArgs<'_>, start: usize, common: usize) -> [Scalar; 4] {
+            let s = &a.slab;
+            // SAFETY: as for `Slab8`: the runtime probe, the partition's own
+            // columns inside `x` by `ColumnsOutOfRange`, and no gather at
+            // all in a slab without non-zeros.
+            unsafe {
+                simd::avx2::slab_dot4(
+                    &s.values[start..],
+                    &s.col_indices[start..],
+                    a.x,
+                    a.col_offset,
+                    common,
+                )
+            }
+        }
+    }
+
     /// [`super::chunk_nnz`] compiled with the vector extension enabled: the
     /// row loop, the dot and its intrinsics are one function.
     ///
@@ -591,6 +728,23 @@ mod hw {
     ) {
         // SAFETY: as in `chunk_entry`, upheld by `chunk_run` below.
         super::chunk_nnz::<TB, false, D>(a, first, out)
+    }
+
+    /// [`super::chunk_slab`] over an AVX2 slab group, compiled with AVX2
+    /// enabled: the row-lane loop of its own name, whose gathers a
+    /// disassembly can find.
+    ///
+    /// # Safety
+    /// The host must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn slab_entry<const L: usize, D: SlabDot<L>>(
+        a: &PartitionArgs<'_>,
+        first: usize,
+        out: &mut [Scalar],
+    ) {
+        // SAFETY: as in `chunk_entry`, upheld by `chunk_slab` below.
+        super::chunk_slab::<L, D>(a, first, out)
     }
 
     /// [`super::span_nnz`] compiled with the vector extension enabled.
@@ -636,6 +790,20 @@ mod hw {
         unsafe { run_entry::<TB, D>(a, first, out) }
     }
 
+    /// The [`super::ChunkFn`] of an AVX2 row-lane shape: one jump into
+    /// [`slab_entry`] per worker chunk.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) fn chunk_slab<const L: usize, D: SlabDot<L>>(
+        a: &PartitionArgs<'_>,
+        first: usize,
+        out: &mut [Scalar],
+    ) {
+        // SAFETY: `rows_loop` hands this pointer out for RowAvx2 shapes
+        // only, and a shape classifies as one only after
+        // `cpu_features::detect_hardware` probed AVX2 on this host.
+        unsafe { slab_entry::<L, D>(a, first, out) }
+    }
+
     /// The [`super::SpanFn`] of a hardware shape: one jump into
     /// [`span_entry`] per worker span.
     pub(super) fn span_nnz<const PF: bool, D: Dot>(
@@ -667,35 +835,56 @@ fn chunk_nnz<const TB: bool, const PF: bool, D: Dot>(
     }
 }
 
-/// Row-lane chunk loop: `L` adjacent rows advance together, one accumulator
-/// chain per lane.  Each lane still sums its own row serially, so results
-/// are bitwise scalar; leftover rows (fewer than `L`) take the scalar loop.
-fn chunk_row_lanes<const TB: bool, const PF: bool, const L: usize>(
+/// Row-lane chunk loop over the partition's slab: rows `[first, first +
+/// out.len())` are whole sorting windows (worker cuts sit at window
+/// boundaries), so every lane group lies inside them and every row a group
+/// holds is a row of `out`.  Lane `l` of a group sums its row's common part
+/// with the other lanes ([`SlabDot`]), continues over its own tail serially
+/// and adds the sum to its row's slot: every row in stream order from `0.0`,
+/// bitwise the scalar loop.  A group of fewer than `L` rows is all tail.  The
+/// portable shapes' [`ChunkFn`] is an instantiation of this function, an
+/// AVX2 shape's its [`hw`] entry.
+#[inline(always)]
+fn chunk_slab<const L: usize, D: SlabDot<L>>(
     a: &PartitionArgs<'_>,
     first: usize,
     out: &mut [Scalar],
 ) {
-    let mut groups = out.chunks_exact_mut(L);
-    let mut row = first;
-    for group in &mut groups {
-        let mut ranges = [(0usize, 0usize); L];
-        for (l, range) in ranges.iter_mut().enumerate() {
-            *range = row_range::<TB>(a, row + l);
+    debug_assert_eq!(first % L, 0, "a share starts at a window boundary");
+    let s = &a.slab;
+    let end = first + out.len();
+    let (rows, lens) = (&s.rows[first..end], &s.lens[first..end]);
+    for (group, (rows, lens)) in rows.chunks(L).zip(lens.chunks(L)).enumerate() {
+        let start = s.starts[first / L + group] as usize;
+        // Sorted by length, the group's last row is its shortest.
+        let common = if lens.len() == L {
+            lens[L - 1] as usize
+        } else {
+            0
+        };
+        let mut sums = D::common(a, start, common);
+        if lens[0] as usize == common {
+            // Rows of one length, the common case in a sorted window: no
+            // tails.
+            for (&row, sum) in rows.iter().zip(sums) {
+                out[row as usize - first] += sum;
+            }
+            continue;
         }
-        let sums = simd::rows_dot_lanes::<L, PF>(
-            a.values,
-            a.col_indices,
-            a.x,
-            a.col_offset,
-            &ranges,
-            a.prefetch,
-        );
-        for (slot, sum) in group.iter_mut().zip(sums) {
-            *slot += sum;
+        let mut tail = start + common * L;
+        for ((&row, &len), sum) in rows.iter().zip(lens).zip(&mut sums) {
+            let own = tail..tail + (len as usize - common);
+            tail = own.end;
+            *sum = simd::row_dot_serial(
+                *sum,
+                &s.values[own.clone()],
+                &s.col_indices[own],
+                a.x,
+                a.col_offset,
+            );
+            out[row as usize - first] += *sum;
         }
-        row += L;
     }
-    chunk_nnz::<TB, false, DotScalar>(a, row, groups.into_remainder());
 }
 
 /// Nnz-partition span loop: walk `[start, end)` of the stream emitting one
@@ -806,9 +995,14 @@ pub(crate) fn rows_loop(shape: &KernelShape) -> Result<ChunkFn, KernelBuildError
         SimdClass::NnzNeon { lanes: 4 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot4),
         #[cfg(target_arch = "aarch64")]
         SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot8),
-        SimdClass::RowLanes { lanes: 2 } => chunk_for!(tb, pf, chunk_row_lanes, 2),
-        SimdClass::RowLanes { lanes: 4 } => chunk_for!(tb, pf, chunk_row_lanes, 4),
-        SimdClass::RowLanes { lanes: 8 } => chunk_for!(tb, pf, chunk_row_lanes, 8),
+        // Row lanes read the slab, not the bounds, and never prefetch.
+        SimdClass::RowLanes { lanes: 2 } if !pf => chunk_slab::<2, SlabPortable>,
+        SimdClass::RowLanes { lanes: 4 } if !pf => chunk_slab::<4, SlabPortable>,
+        SimdClass::RowLanes { lanes: 8 } if !pf => chunk_slab::<8, SlabPortable>,
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::RowAvx2 { lanes: 4 } if !pf => hw::chunk_slab::<4, hw::Slab4>,
+        #[cfg(target_arch = "x86_64")]
+        SimdClass::RowAvx2 { lanes: 8 } if !pf => hw::chunk_slab::<8, hw::Slab8>,
         _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
     })
 }
@@ -874,6 +1068,7 @@ pub(crate) fn scatter_loop(origin: IndexKind) -> ScatterFn {
 mod tests {
     use super::*;
     use crate::cpu_features;
+    use crate::kernel::slab::Slab;
 
     fn shape(partition: PartitionKind, bounds: IndexKind, simd: SimdClass) -> KernelShape {
         KernelShape {
@@ -942,14 +1137,10 @@ mod tests {
                     "nnz/{bounds:?}/{sc:?} must be in the library"
                 );
             }
-            for lanes in [2u8, 4, 8] {
+            for simd in runnable_row_classes() {
                 assert!(
-                    in_library(&shape(
-                        PartitionKind::Rows,
-                        bounds,
-                        SimdClass::RowLanes { lanes }
-                    )),
-                    "rows/{bounds:?}/row-x{lanes} must be in the library"
+                    in_library(&shape(PartitionKind::Rows, bounds, simd)),
+                    "rows/{bounds:?}/{simd:?} must be in the library"
                 );
             }
         }
@@ -965,6 +1156,7 @@ mod tests {
                 SimdClass::NnzAvx2 { lanes },
                 SimdClass::NnzNeon { lanes },
                 SimdClass::RowLanes { lanes },
+                SimdClass::RowAvx2 { lanes },
             ] {
                 for prefetch in [PrefetchClass::None, PrefetchClass::Stream] {
                     if has_run_twin(simd, prefetch) {
@@ -1016,13 +1208,20 @@ mod tests {
         let err = nnz_loop(&nnz).unwrap_err();
         assert_eq!(err, KernelBuildError::UnsupportedShape(nnz));
         assert!(err.to_string().contains("portable-nnz-x3"), "{err}");
-        // Row lanes only exist on row partitions.
+        // Row lanes only exist on row partitions, and never prefetch.
         let lanes_on_nnz = shape(
             PartitionKind::Nnz,
             IndexKind::Table,
             SimdClass::RowLanes { lanes: 4 },
         );
         assert!(nnz_loop(&lanes_on_nnz).is_err());
+        let prefetching_lanes = shape_with(
+            PartitionKind::Rows,
+            IndexKind::Table,
+            SimdClass::RowLanes { lanes: 4 },
+            PrefetchClass::Stream,
+        );
+        assert!(rows_loop(&prefetching_lanes).is_err());
     }
 
     #[test]
@@ -1069,6 +1268,7 @@ mod tests {
                 slope: 3,
             },
             prefetch: 0,
+            slab: SlabArgs::EMPTY,
         };
         for row in 0..64 {
             assert_eq!(row_range::<true>(&a, row), row_range::<false>(&a, row));
@@ -1152,7 +1352,20 @@ mod tests {
             bounds,
             // Read by the `Stream` instantiations only.
             prefetch: 16,
+            slab: SlabArgs::EMPTY,
         }
+    }
+
+    /// The row-lane variants this host can execute: the portable ones
+    /// anywhere, the AVX2 ones after a positive probe.
+    fn runnable_row_classes() -> Vec<SimdClass> {
+        let mut classes: Vec<SimdClass> =
+            [2, 4, 8].map(|lanes| SimdClass::RowLanes { lanes }).into();
+        #[cfg(target_arch = "x86_64")]
+        if cpu_features::detect_hardware() == cpu_features::SimdSupport::Avx2 {
+            classes.extend([4, 8].map(|lanes| SimdClass::RowAvx2 { lanes }));
+        }
+        classes
     }
 
     /// The nnz-lane variants whose loops this host can *execute*: the
@@ -1194,7 +1407,7 @@ mod tests {
             dot(&s.values, &s.col_indices, &s.x, col_offset, start, end, 0)
         };
         match simd {
-            SimdClass::Scalar | SimdClass::RowLanes { .. } => {
+            SimdClass::Scalar | SimdClass::RowLanes { .. } | SimdClass::RowAvx2 { .. } => {
                 let mut acc = 0.0;
                 for i in start..end {
                     acc += s.values[i] * s.x[s.col_indices[i] as usize + col_offset];
@@ -1249,9 +1462,9 @@ mod tests {
         // then every length around the 4- and 8-lane boundaries.
         let lengths = [4, 2, 0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100];
         let table = offsets_of(&lengths);
+        // Row lanes read a slab: `every_slab_loop_is_bitwise_the_scalar_loop`.
         let mut simd_classes = vec![SimdClass::Scalar];
         simd_classes.extend(runnable_nnz_classes());
-        simd_classes.extend([2, 4, 8].map(|lanes| SimdClass::RowLanes { lanes }));
         let s = streams(*table.last().unwrap() as usize);
         let bounds = IndexArgs {
             table: &table,
@@ -1332,6 +1545,69 @@ mod tests {
     }
 
     #[test]
+    fn every_slab_loop_is_bitwise_the_scalar_loop() {
+        // 37 rows in windows of 16 (neither a multiple of 8 nor of the
+        // window): empty rows, every length around the lane widths, and in
+        // the second window one row longer than the rest of it combined.
+        let mut lengths = vec![4, 2, 0, 1, 3, 7, 8, 9, 15, 16, 17, 0, 5, 5, 5, 1];
+        lengths.extend([2, 3, 200, 1, 0, 4, 6, 8, 3, 2, 1, 9, 0, 7, 5, 3]);
+        lengths.extend([3, 0, 11, 4, 2]);
+        let table = offsets_of(&lengths);
+        let s = streams(*table.last().unwrap() as usize);
+        let bounds = IndexArgs {
+            table: &table,
+            base: 0,
+            slope: 0,
+        };
+        for simd in runnable_row_classes() {
+            let slab = Slab::build(
+                simd.lanes(),
+                16,
+                lengths.len(),
+                |row| table[row] as usize..table[row + 1] as usize,
+                &s.values,
+                &s.col_indices,
+            );
+            for col_offset in [0, MAX_COL_OFFSET] {
+                let a = PartitionArgs {
+                    slab: slab.args(),
+                    ..args(&s, col_offset, bounds)
+                };
+                let shape = shape(PartitionKind::Rows, IndexKind::Table, simd);
+                for workers in [1, 2, 3, 5] {
+                    let cuts = slab.cuts(workers);
+                    assert!(cuts
+                        .iter()
+                        .all(|&cut| cut % 16 == 0 || cut == lengths.len()));
+                    for share in cuts.windows(2) {
+                        check_chunk(&shape, &a, &s, share[0], share[1] - share[0]);
+                    }
+                }
+            }
+        }
+        // A slab without non-zeros (an empty `COL_DIV` band past the end of
+        // `x`) reads nothing: every row gets exactly its prefill.
+        for simd in runnable_row_classes() {
+            let slab = Slab::build(simd.lanes(), 16, 21, |_| 0..0, &[], &[]);
+            let a = PartitionArgs {
+                values: &[],
+                col_indices: &[],
+                col_starts: &[],
+                x: &[],
+                col_offset: 6,
+                bounds: IndexArgs::IDENTITY,
+                prefetch: 0,
+                slab: slab.args(),
+            };
+            let mut out = vec![0.5; 21];
+            rows_loop(&shape(PartitionKind::Rows, IndexKind::Table, simd)).unwrap()(
+                &a, 0, &mut out,
+            );
+            assert_eq!(out, vec![0.5; 21], "{simd:?}");
+        }
+    }
+
+    #[test]
     fn every_span_loop_is_bitwise_its_per_segment_reference() {
         let lengths = [4, 2, 0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 0, 6];
         let offsets = offsets_of(&lengths);
@@ -1397,6 +1673,16 @@ mod tests {
             slope: 0,
         };
         let a = args(&s, 0, bounds);
+        let slabs = [2, 4, 8].map(|lanes| {
+            Slab::build(
+                lanes,
+                16,
+                lengths.len(),
+                |row| table[row] as usize..table[row + 1] as usize,
+                &s.values,
+                &s.col_indices,
+            )
+        });
         for lanes in [1, 2, 3, 4, 8, 16] {
             for lane_mapping in [SimdLaneMapping::Nnz, SimdLaneMapping::Rows] {
                 let resolve = |prefetch_distance| {
@@ -1410,6 +1696,11 @@ mod tests {
                 let run = |partition, rs: &ResolvedSimd| -> Vec<u32> {
                     let (simd, prefetch) = executed_loop(rs, partition == PartitionKind::Rows);
                     let shape = shape_with(partition, IndexKind::Table, simd, prefetch);
+                    let mut a = a;
+                    if simd.is_row_lanes() {
+                        let slab = slabs.iter().find(|slab| slab.lanes() == simd.lanes());
+                        a.slab = slab.unwrap().args();
+                    }
                     match partition {
                         PartitionKind::Rows => {
                             let mut out = vec![1.5; lengths.len()];

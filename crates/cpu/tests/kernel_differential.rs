@@ -35,7 +35,12 @@
 //! * a row partition whose rows are all column runs lowers to `col:run`, and
 //!   its `y` is **bitwise** that of the `col:table` kernel of the same loop;
 //!   a gap, a duplicate or a stencil's several runs in any row keep
-//!   `col:table`.
+//!   `col:table`;
+//! * row lanes run on a length-sorted slab, and every row-lane class this
+//!   host runs is **bitwise** the scalar loop at 1, 2 and 3 threads, on
+//!   unsorted and length-sorted designs over several sorting windows, with
+//!   empty rows, one row longer than the rest of its window, a NaN or an Inf
+//!   confined to its own row, and an empty column band that reads nothing.
 
 use alpha_cpu::{NativeKernel, Program, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph};
@@ -1043,6 +1048,152 @@ fn rows_that_are_not_one_run_keep_the_column_stream() {
                     assert_within_bound(&y, &reference, &format!("{context} [{shapes}]"));
                 }
             }
+        }
+    }
+}
+
+/// `graph` with row lanes ×`lanes` appended to every branch.
+fn with_row_lanes(graph: &OperatorGraph, lanes: usize) -> OperatorGraph {
+    let mut graph = graph.clone();
+    for branch in &mut graph.branches {
+        branch.push(Operator::SimdRowLanes { lanes });
+        sort_branch_stages(branch);
+    }
+    graph
+}
+
+/// `y` bit for bit, a NaN standing for any NaN (its payload is whichever
+/// operand an instruction happens to keep).
+fn bits_or_nan(y: &[f32]) -> Vec<Option<u32>> {
+    y.iter()
+        .map(|v| (!v.is_nan()).then(|| v.to_bits()))
+        .collect()
+}
+
+/// 2 061 rows (two full sorting windows and 13 rows, a multiple of neither
+/// 8 nor the window) of 0–6 non-zeros, every fifth row empty, and row 1 500
+/// holding 5 000: longer than the rest of its window combined.
+fn long_row_matrix() -> CsrMatrix {
+    let (rows, cols) = (2_061, 6_000);
+    let mut coo = CooMatrix::new(rows, cols);
+    for row in 0..rows {
+        let len = match row {
+            1_500 => 5_000,
+            _ if row % 5 == 0 => 0,
+            _ => row % 7,
+        };
+        for k in 0..len {
+            coo.push(row, (row * 13 + k * 7) % cols, 0.25 + (k % 9) as f32 * 0.5);
+        }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+#[test]
+fn row_lane_slabs_are_bitwise_the_scalar_loop() {
+    let mut matrices: Vec<(String, CsrMatrix)> = PatternFamily::ALL
+        .iter()
+        .enumerate()
+        .map(|(fi, family)| {
+            (
+                family.name().to_string(),
+                family.generate(2_061, 6, 40 + fi as u64),
+            )
+        })
+        .collect();
+    matrices.push(("long row".into(), long_row_matrix()));
+    matrices.push(("all rows empty but the last".into(), {
+        let mut coo = CooMatrix::new(1_100, 64);
+        for c in (0..64).step_by(5) {
+            coo.push(1_099, c, 0.5 + c as f32);
+        }
+        CsrMatrix::from_coo(&coo)
+    }));
+    // The matrix's own row order and a length sort.
+    let designs = [
+        ("csr_scalar", presets::csr_scalar()),
+        ("sell_like", presets::sell_like()),
+    ];
+    let options = alpha_codegen::GeneratorOptions::default();
+    let mut classes = std::collections::BTreeSet::new();
+    for (name, matrix) in &matrices {
+        let mut x = DenseVector::random(matrix.cols(), 29).as_slice().to_vec();
+        // One NaN and one Inf in `x`, each read by a few rows: they must
+        // poison or saturate those rows and no lane beside them.
+        x[3] = f32::NAN;
+        x[matrix.cols() / 2] = f32::INFINITY;
+        for (design, base) in &designs {
+            for lanes in [2, 4, 8] {
+                let context = format!("{name}/{design}/row-x{lanes}");
+                let generated =
+                    alpha_codegen::generate(&with_row_lanes(base, lanes), matrix, options)
+                        .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+                let [slab, scalar] = [SimdMode::Auto, SimdMode::ForceScalar].map(|mode| {
+                    NativeKernel::with_simd_mode(
+                        generated.kernel.metadata(),
+                        &generated.format,
+                        mode,
+                    )
+                });
+                let shape = slab.shape_label();
+                if !alpha_cpu::cpu_features::force_scalar() {
+                    assert!(
+                        shape.ends_with(&format!("row-x{lanes}")),
+                        "{context}: {shape}"
+                    );
+                    classes.insert(shape.rsplit_once(':').unwrap().1.to_string());
+                }
+                for threads in [1, 2, 3] {
+                    assert_eq!(
+                        bits_or_nan(&slab.run(&x, threads).unwrap()),
+                        bits_or_nan(&scalar.run(&x, 1).unwrap()),
+                        "{context} [{shape}] at {threads} thread(s)"
+                    );
+                }
+            }
+        }
+    }
+    // Every row-lane class of this host ran: ×2 portable, ×4 and ×8 on its
+    // backend (AVX2 gathers, or portable lane code).
+    let expected = if alpha_cpu::cpu_features::force_scalar() {
+        0
+    } else {
+        3
+    };
+    assert_eq!(classes.len(), expected, "{classes:?}");
+}
+
+#[test]
+fn an_empty_column_band_past_the_end_of_x_gathers_nothing_in_a_slab() {
+    // Five columns in four `COL_DIV` bands: the last is empty and starts at
+    // column 6, past the end of `x`.  Its slab has no non-zero to gather.
+    let matrix = run_matrix(40, 5, &[1, 2, 5, 0, 3], 5);
+    let x = DenseVector::random(matrix.cols(), 5);
+    let reference = reference_rows(&matrix, x.as_slice());
+    for lanes in [2, 4, 8] {
+        let context = format!("col_split_atomic(4)/row-x{lanes}");
+        let generated = alpha_codegen::generate(
+            &with_row_lanes(&presets::col_split_atomic(4), lanes),
+            &matrix,
+            alpha_codegen::GeneratorOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+        let [slab, scalar] = [SimdMode::Auto, SimdMode::ForceScalar].map(|mode| {
+            NativeKernel::with_simd_mode(generated.kernel.metadata(), &generated.format, mode)
+        });
+        let shapes = slab.partition_shapes();
+        for threads in [1, 2, 3] {
+            let y = slab.run(x.as_slice(), threads).unwrap();
+            assert_within_bound(
+                &y,
+                &reference,
+                &format!("{context} [{shapes}] at {threads}"),
+            );
+            assert_eq!(
+                bits(&y),
+                bits(&scalar.run(x.as_slice(), threads).unwrap()),
+                "{context} [{shapes}] at {threads}"
+            );
         }
     }
 }
