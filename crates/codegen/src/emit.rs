@@ -330,8 +330,8 @@ fn emit_rust_partition(index: usize, plan: &PartitionPlan, pf: &PartitionFormat)
             SimdLaneMapping::Nnz => "one row's non-zeros (runtime AVX2/NEON gather)",
         };
         out.push_str(&format!(
-            "    //   simd: {} lanes across {shape}, prefetch distance {}\n",
-            simd.lanes, simd.prefetch_distance
+            "    //   simd: {} lanes across {shape}\n",
+            simd.lanes
         ));
     }
     let origin = rust_index_expr(pf, "origin_rows", "row");
@@ -348,12 +348,6 @@ fn emit_rust_partition(index: usize, plan: &PartitionPlan, pf: &PartitionFormat)
             out.push_str(&format!(
                 "        let mut lane = [0.0f32; {lanes}]; // lane l owns row_group + l\n"
             ));
-            if simd.prefetch_distance > 0 {
-                out.push_str(&format!(
-                    "        // values/col_indices/x streams prefetched {} elements ahead\n",
-                    simd.prefetch_distance
-                ));
-            }
             out.push_str(&format!(
                 "        for l in 0..{lanes}.min({rows} - row_group) {{ // interleaved across lanes\n"
             ));
@@ -462,12 +456,6 @@ fn emit_rust_row_dot(
     ));
     out.push_str(&format!("{indent}let mut idx = {start};\n"));
     out.push_str(&format!("{indent}while idx + {lanes} <= {end} {{\n"));
-    if simd.prefetch_distance > 0 {
-        out.push_str(&format!(
-            "{indent}    // values/col_indices/x streams prefetched {} elements ahead\n",
-            simd.prefetch_distance
-        ));
-    }
     out.push_str(&format!("{indent}    for l in 0..{lanes} {{\n"));
     out.push_str(&format!(
         "{indent}        lane[l] += values_{index}[idx + l] * x[{}];\n",
@@ -573,14 +561,12 @@ mod tests {
             Operator::Compress,
             Operator::BmtRowBlock { rows: 1 },
             Operator::SimdNnzLanes { lanes: 8 },
-            Operator::SimdPrefetch { distance: 16 },
             Operator::ThreadTotalRed,
         ]);
         let rust = generate(&gathered, &matrix, GeneratorOptions::default())
             .unwrap()
             .rust_source();
         assert!(rust.contains("simd: 8 lanes across one row's non-zeros"));
-        assert!(rust.contains("prefetch distance 16"));
         assert!(rust.contains("_mm256_i32gather_ps"));
         assert!(rust.contains("hsum_tree(&lane)"));
         assert!(rust.contains("serial tail"));

@@ -489,7 +489,7 @@ impl TunedSpmv {
     /// One line saying which inner loop runs and why, e.g.
     /// `avx2-nnz-x8 (scalar 0.51, avx2-nnz-x4 0.40, avx2-nnz-x8 0.37 ns/nnz)`
     /// after a measurement, `avx2-nnz-x8 (recorded)` for a loop lowered from
-    /// its stored label, `avx2-nnz-x8+pf16 (designed)` when the operator graph
+    /// its stored label, `avx2-nnz-x8 (designed)` when the operator graph
     /// itself names the lanes.
     pub fn loop_summary(&self) -> String {
         if !self.loops.is_empty() {
@@ -764,7 +764,6 @@ mod tests {
             &alpha_graph::SimdPlan {
                 lanes: 8,
                 lane_mapping: alpha_graph::SimdLaneMapping::Nnz,
-                prefetch_distance: 0,
             },
             alpha_cpu::SimdMode::Auto,
         );

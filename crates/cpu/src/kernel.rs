@@ -43,7 +43,7 @@
 use crate::simd::{ResolvedSimd, SimdMode};
 use crate::specialized::{
     self, ChunkFn, IndexArgs, IndexKind, KernelShape, PartitionArgs, PartitionKind, ScatterFn,
-    SlabArgs, SpanFn,
+    SimdClass, SlabArgs, SpanFn,
 };
 use alpha_codegen::compress::CompressedArray;
 use alpha_codegen::{CompressionModel, FormatArray, MachineFormat, PartitionFormat};
@@ -499,10 +499,10 @@ fn shape_for(
     matrix: &CsrMatrix,
     simd: &ResolvedSimd,
 ) -> KernelShape {
-    let (simd, prefetch) = specialized::executed_loop(simd, partition == PartitionKind::Rows);
+    let simd = SimdClass::classify(simd, partition == PartitionKind::Rows);
     let run = partition == PartitionKind::Rows
         && matrix.nnz() > 0
-        && specialized::has_run_twin(simd, prefetch)
+        && specialized::has_run_twin(simd)
         && matrix.column_runs().is_some();
     KernelShape {
         partition,
@@ -514,7 +514,6 @@ fn shape_for(
             IndexKind::Table
         },
         simd,
-        prefetch,
     }
 }
 
@@ -668,7 +667,6 @@ impl NativePartition {
             x,
             col_offset: self.col_offset,
             bounds,
-            prefetch: self.simd.prefetch,
         }
     }
 
@@ -911,7 +909,7 @@ impl NativeKernel {
         self.max_lanes
     }
 
-    /// Label of the resolved vectorization, e.g. `avx2-nnz-x8+pf16` or
+    /// Label of the resolved vectorization, e.g. `avx2-nnz-x8` or
     /// `scalar`; branched designs with differing decisions join them with
     /// `|`.  Recorded in bench results next to the host's CPU feature
     /// summary.
@@ -920,7 +918,7 @@ impl NativeKernel {
     }
 
     /// Label of each partition's [`KernelShape`] (deduped, joined with `|`),
-    /// e.g. `rows[off:affine,org:id,col:table]:avx2-nnz-x8+pf`.  Persisted
+    /// e.g. `rows[off:affine,org:id,col:table]:avx2-nnz-x8`.  Persisted
     /// with design-store winners and recorded in bench results.
     pub fn shape_label(&self) -> String {
         joined_labels(self.partitions.iter().map(|p| p.shape.label()), "none")
@@ -1061,7 +1059,7 @@ impl std::fmt::Debug for NativeKernel {
 
 /// Row-partition loop: contiguous local-row ranges across workers, one dot
 /// product per row, the worker-chunk body a pre-resolved function pointer
-/// whose bounds arithmetic, SIMD backend and prefetch class were compiled
+/// whose bounds arithmetic, column coding and SIMD backend were compiled
 /// into straight-line code.  Worker boundaries are **nnz-balanced** (see
 /// [`BalancedRowCuts`]): each worker owns roughly the same number of
 /// non-zeros, not the same number of rows, so skewed matrices stop
@@ -1447,7 +1445,7 @@ mod tests {
             effective_workers(0, nnz, 1),
             cores.min(nnz.div_ceil(MIN_NNZ_PER_WORKER))
         );
-        for lanes in [2, 4, 8] {
+        for lanes in [4, 8] {
             assert_eq!(
                 effective_workers(0, nnz, lanes),
                 cores.min(nnz.div_ceil(2 * MIN_NNZ_PER_WORKER))
@@ -1478,7 +1476,6 @@ mod tests {
             partition.simd = alpha_graph::SimdPlan {
                 lanes: 4,
                 lane_mapping: alpha_graph::SimdLaneMapping::Rows,
-                prefetch_distance: 0,
             };
         }
         let kernel = NativeKernel::new(&metadata, &generated.format);

@@ -13,15 +13,15 @@
 //! one conversion the same allocation (content-equal conversions included),
 //! which is what makes that comparison hit.
 
-use super::{IndexFn, NativeKernel, NativePartition, PartitionExec};
-use crate::specialized::{KernelShape, PrefetchClass};
+use super::{IndexFn, NativeKernel, PartitionExec};
+use crate::specialized::KernelShape;
 use alpha_matrix::CsrMatrix;
 use std::sync::{Arc, Weak};
 
 /// What a run of a [`NativeKernel`] on some worker count reads, kept to
 /// recognise that very program again.  Per partition: the sub-matrix
-/// allocation, the column offset, the bound [`KernelShape`], the prefetch
-/// distance its loop reads, the `origin` map and the work-split state; for
+/// allocation, the column offset, the bound [`KernelShape`], the `origin`
+/// map and the work-split state; for
 /// the kernel its dimensions, non-zero count and worker count.  Labels,
 /// format accounting and the telemetry handle are not part of it.
 pub struct Program {
@@ -40,18 +40,8 @@ struct ProgramPartition {
     matrix: Weak<CsrMatrix>,
     col_offset: usize,
     shape: KernelShape,
-    prefetch: usize,
     origin: IndexFn,
     exec: PartitionExec,
-}
-
-/// The prefetch distance `p`'s loop reads: a loop without prefetch
-/// instructions never reads it.
-fn prefetch_read(p: &NativePartition) -> usize {
-    match p.shape.prefetch {
-        PrefetchClass::Stream => p.simd.prefetch,
-        PrefetchClass::None => 0,
-    }
 }
 
 /// True when two partitions' loops read the same work-split state: the loop
@@ -95,7 +85,6 @@ impl Program {
                     matrix: Arc::downgrade(&p.matrix),
                     col_offset: p.col_offset,
                     shape: p.shape,
-                    prefetch: prefetch_read(p),
                     origin: p.origin.clone(),
                     exec: p.exec.clone(),
                 })
@@ -124,7 +113,6 @@ impl Program {
                     std::ptr::eq(r.matrix.as_ptr(), Arc::as_ptr(&p.matrix))
                         && r.col_offset == p.col_offset
                         && r.shape == p.shape
-                        && r.prefetch == prefetch_read(p)
                         && r.origin == p.origin
                         && same_split(&r.exec, &p.exec)
                 })
@@ -149,11 +137,10 @@ mod tests {
 
     /// Portable nnz lanes: bound directly, so the env override that pins
     /// `resolve` scalar does not empty these tests.
-    fn nnz_lanes(lanes: usize, prefetch: usize) -> ResolvedSimd {
+    fn nnz_lanes(lanes: usize) -> ResolvedSimd {
         ResolvedSimd {
             lanes,
             mapping: SimdLaneMapping::Nnz,
-            prefetch,
             backend: Backend::Portable,
         }
     }
@@ -218,21 +205,17 @@ mod tests {
         differs("the column offset", &|k| k.partitions[0].col_offset += 1);
         differs("the output length", &|k| k.rows += 1);
         differs("the bound loop", &|k| {
-            k.partitions[0].bind(nnz_lanes(4, 0)).unwrap()
+            k.partitions[0].bind(nnz_lanes(4)).unwrap()
         });
         assert!(!record.is(&lowered(&sorted), 1), "the worker count");
 
-        // Lane count and prefetch distance of a vector loop.
+        // The lane count of a vector loop.
         let mut vector = lowered(&sorted);
-        vector.partitions[0].bind(nnz_lanes(8, 16)).unwrap();
+        vector.partitions[0].bind(nnz_lanes(8)).unwrap();
         let record = Program::of(&vector, 2);
-        for (lanes, prefetch) in [(4, 16), (8, 64), (8, 0)] {
-            vector.partitions[0]
-                .bind(nnz_lanes(lanes, prefetch))
-                .unwrap();
-            assert!(!record.is(&vector, 2), "x{lanes}+pf{prefetch}");
-        }
-        vector.partitions[0].bind(nnz_lanes(8, 16)).unwrap();
+        vector.partitions[0].bind(nnz_lanes(4)).unwrap();
+        assert!(!record.is(&vector, 2), "x4 is not x8");
+        vector.partitions[0].bind(nnz_lanes(8)).unwrap();
         assert!(record.is(&vector, 2));
 
         // The work split of an nnz partition.
@@ -265,9 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn a_scalar_loop_never_reads_the_prefetch_distance() {
-        // Row lanes on an nnz partition run scalar, and so does any plan
-        // under the env override: the distance rides along unread.
+    fn a_row_lane_plan_on_an_nnz_partition_is_the_scalar_program() {
+        // Row lanes on an nnz partition run scalar: the plan's lanes ride
+        // along unread.
         let matrix = gen::uniform_random(600, 600, 8, 3);
         let split = generated(&presets::csr5_like(64), &matrix);
         let mut kernel = lowered(&split);
@@ -275,7 +258,7 @@ mod tests {
         kernel.partitions[0]
             .bind(ResolvedSimd {
                 mapping: SimdLaneMapping::Rows,
-                ..nnz_lanes(4, 32)
+                ..nnz_lanes(4)
             })
             .unwrap();
         assert!(kernel.partitions[0].shape.label().ends_with(":scalar"));

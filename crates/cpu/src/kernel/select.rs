@@ -28,7 +28,7 @@
 use super::{effective_workers, KernelBuildError, NativeKernel, NativePartition, PartitionExec};
 use crate::cpu_features;
 use crate::simd::{ResolvedSimd, SimdMode};
-use crate::specialized;
+use crate::specialized::SimdClass;
 use alpha_codegen::MachineFormat;
 use alpha_graph::{Mapping, MatrixMetadataSet, SimdLaneMapping, SimdPlan};
 use alpha_matrix::{DenseVector, Scalar};
@@ -75,33 +75,29 @@ impl std::fmt::Display for LoopChoice {
 /// (`avx2-row-x8` on AVX2, `row-x8` elsewhere).  The
 /// [`cpu_features::NO_SIMD_ENV`] override leaves only the scalar loop.
 ///
-/// Row lanes are offered at ×8 only, and the prefetching nnz twins not at
-/// all.  On the repo benchmark's large class (2 threads, its sim-chosen
-/// designs) the slab read 0.55–0.64 ns/nnz on unsorted `powerlaw`
-/// partitions, whose short rows (median 4 non-zeros) each pay a serial tail
-/// in an nnz loop, against 1.11–1.41 for the `avx2-nnz-x8` winner; at
+/// Row lanes are offered at ×8 only.  On the repo benchmark's large class
+/// (2 threads, its sim-chosen designs) the slab read 0.55–0.64 ns/nnz on
+/// unsorted `powerlaw` partitions, whose short rows (median 4 non-zeros)
+/// each pay a serial tail in an nnz loop, against 1.11–1.41 for the
+/// `avx2-nnz-x8` winner; at
 /// 16 384×16 and 8 192×8 unsorted `powerlaw` and R-MAT partitions ran
 /// 1.5–2.6× faster on it.  On regular rows (`uniform`, `banded`) it read
 /// within ±7 % of the nnz loops, and on designs that already sorted their
 /// rows by length 1.0–1.3×: a measured candidate, not a rule.  (Before the
 /// slab, row lanes walked 8 separate CSR rows and lost to the best of
-/// {scalar, ×4, ×8} in 173 of 180 readings.)  The prefetching twins beat the
-/// better plain nnz loop by more than 3 % in 5 of 180 readings, repeatable
-/// in one place only, and cost 13–47 % on the small class's regular rows.
-/// Both stay reachable as operators, under measured evaluation.
+/// {scalar, ×4, ×8} in 173 of 180 readings.)  Row lanes ×4 stay reachable
+/// as an operator, under measured evaluation.
 fn candidates(rows_path: bool) -> Vec<SimdPlan> {
     let mut plans = vec![SimdPlan::scalar()];
     if !cpu_features::force_scalar() {
         plans.extend([4, 8].map(|lanes| SimdPlan {
             lanes,
             lane_mapping: SimdLaneMapping::Nnz,
-            prefetch_distance: 0,
         }));
         if rows_path {
             plans.push(SimdPlan {
                 lanes: 8,
                 lane_mapping: SimdLaneMapping::Rows,
-                prefetch_distance: 0,
             });
         }
     }
@@ -116,8 +112,7 @@ fn rows_path(mapping: &Mapping) -> bool {
 /// The loop label `plan` lowers to on a partition mapped as `mapping`.
 fn loop_label(mapping: &Mapping, plan: &SimdPlan) -> String {
     let resolved = ResolvedSimd::resolve(plan, SimdMode::Auto);
-    let (simd, prefetch) = specialized::executed_loop(&resolved, rows_path(mapping));
-    specialized::loop_label(simd, prefetch)
+    SimdClass::classify(&resolved, rows_path(mapping)).label()
 }
 
 /// The per-partition plans a recorded kernel-shape label names for this
@@ -433,7 +428,8 @@ mod tests {
             "rows[off:table,org:id,col:table]",
             "rows[off:table,org:id,col:table]:",
             "rows[off:table,org:id,col:table]:avx512-nnz-x16",
-            // In the library, but not a loop selection chooses between.
+            // Not a loop selection chooses between: row lanes ×4, and the
+            // retired 2-lane and `+pf` loops.
             "rows[off:table,org:id,col:table]:portable-nnz-x2",
             "rows[off:table,org:id,col:table]:row-x4",
             "rows[off:table,org:id,col:table]:avx2-nnz-x8+pf",
@@ -555,7 +551,6 @@ mod tests {
             &SimdPlan {
                 lanes: 8,
                 lane_mapping: SimdLaneMapping::Rows,
-                prefetch_distance: 0,
             },
             SimdMode::Auto,
         );

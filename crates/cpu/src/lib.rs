@@ -25,8 +25,8 @@
 //!   the [`Program`] that ran, so the many graphs that lower to one kernel
 //!   cost one verification and one timing per search;
 //! * [`simd`] — AVX2/NEON SpMV microkernels behind the runtime
-//!   [`cpu_features`] probe, with lane width, row-vs-nnz lane mapping and
-//!   prefetch distance taken from the design's
+//!   [`cpu_features`] probe, with lane width and row-vs-nnz lane mapping
+//!   taken from the design's
 //!   [`SimdPlan`](alpha_graph::SimdPlan).  Under *measured* evaluation that
 //!   makes vectorization a **search dimension**: [`NativeEvaluator`] lowers
 //!   every candidate exactly as designed.  A cost-model winner carries no
@@ -38,7 +38,7 @@
 //!   measuring;
 //! * [`specialized`] — the **monomorphized kernel library**, the only SpMV
 //!   executor: every designer-reachable [`KernelShape`] (partition strategy
-//!   × index-fn kinds × SIMD variant × prefetch class) compiles to a
+//!   × index-fn kinds × column coding × SIMD variant) compiles to a
 //!   branch-free straight-line loop at build time; `NativeKernel::new`
 //!   resolves each partition's shape against the library once, runs call the
 //!   resulting function pointers on a persistent
@@ -62,4 +62,4 @@ pub use kernel::{
     Program, MIN_NNZ_PER_WORKER,
 };
 pub use simd::{ResolvedSimd, SimdMode};
-pub use specialized::{IndexKind, KernelShape, PartitionKind, PrefetchClass, SimdClass};
+pub use specialized::{IndexKind, KernelShape, PartitionKind, SimdClass};

@@ -23,16 +23,6 @@
 //!   walks its row in the scalar kernel's order, and its tail continues
 //!   serially, so every row is bitwise the scalar loop's.
 //!
-//! The nnz-lane family accepts a software **prefetch distance** (in
-//! non-zeros; run and slab dots never prefetch, their streams are
-//! sequential): the value/index streams and the gathered `x` target are
-//! prefetched that far ahead.  Whether a loop prefetches at all is a const
-//! parameter (`PF`) of the kernels the library instantiates, so a
-//! non-prefetching loop carries neither the instructions nor a test; the
-//! public entry points take the distance at run time (0 = none) and pick the
-//! instantiation.  On targets without a stable prefetch intrinsic (aarch64)
-//! the distance is accepted and ignored.
-//!
 //! The NEON path is checked by inspection only: the toolchain this crate is
 //! built and tested with has no aarch64 target, so no build or test here
 //! compiles it.  The portable loops it must match bit for bit are tested.
@@ -81,8 +71,7 @@ pub enum Backend {
     Avx2,
     /// NEON vectors with emulated gathers (aarch64, nnz-lanes 4 or 8).
     Neon,
-    /// Portable lane code (plain hosts, NEON row lanes, and 2 lanes, where
-    /// a gather would not pay).
+    /// Portable lane code (plain hosts and NEON row lanes).
     Portable,
 }
 
@@ -95,8 +84,6 @@ pub struct ResolvedSimd {
     pub lanes: usize,
     /// Row-vs-nnz lane mapping from the design.
     pub mapping: SimdLaneMapping,
-    /// Prefetch distance in non-zeros (0 = no software prefetch).
-    pub prefetch: usize,
     /// Implementation selected for this host.
     pub backend: Backend,
 }
@@ -118,7 +105,6 @@ impl ResolvedSimd {
         ResolvedSimd {
             lanes: 1,
             mapping: SimdLaneMapping::Nnz,
-            prefetch: 0,
             backend: Backend::Portable,
         }
     }
@@ -132,7 +118,7 @@ impl ResolvedSimd {
     /// `ForceScalar` or the env override pin everything scalar; AVX2 hosts
     /// gather for 4/8 nnz or row lanes, NEON hosts for 4/8 nnz lanes (a
     /// row-lane slab there runs the portable lane code), and everything else
-    /// runs portable lane code; lane widths outside {2, 4, 8} run scalar.
+    /// runs portable lane code; lane widths outside {4, 8} run scalar.
     pub fn resolve(plan: &SimdPlan, mode: SimdMode) -> ResolvedSimd {
         if !plan.is_vectorized() {
             return ResolvedSimd::scalar();
@@ -143,27 +129,26 @@ impl ResolvedSimd {
         }
         let support = cpu_features::detect_hardware();
         let lanes = match plan.lanes {
-            2 | 4 | 8 => plan.lanes,
+            4 | 8 => plan.lanes,
             _ => {
                 count_simd_fallback("lanes");
                 return ResolvedSimd::scalar();
             }
         };
-        let backend = match (plan.lane_mapping, support, lanes) {
-            (_, SimdSupport::Avx2, 4 | 8) => Backend::Avx2,
-            (SimdLaneMapping::Nnz, SimdSupport::Neon, 4 | 8) => Backend::Neon,
+        let backend = match (plan.lane_mapping, support) {
+            (_, SimdSupport::Avx2) => Backend::Avx2,
+            (SimdLaneMapping::Nnz, SimdSupport::Neon) => Backend::Neon,
             _ => Backend::Portable,
         };
         ResolvedSimd {
             lanes,
             mapping: plan.lane_mapping,
-            prefetch: plan.prefetch_distance,
             backend,
         }
     }
 
-    /// Compact label for bench records, e.g. `avx2-nnz-x8+pf16`,
-    /// `avx2-row-x8`, `portable-row-x2`, or `scalar`.
+    /// Compact label for bench records, e.g. `avx2-nnz-x8`,
+    /// `avx2-row-x8`, `portable-row-x4`, or `scalar`.
     pub fn label(&self) -> String {
         if !self.is_vectorized() {
             return "scalar".to_string();
@@ -177,48 +162,8 @@ impl ResolvedSimd {
             SimdLaneMapping::Rows => "row",
             SimdLaneMapping::Nnz => "nnz",
         };
-        if self.prefetch > 0 {
-            format!("{backend}-{mapping}-x{}+pf{}", self.lanes, self.prefetch)
-        } else {
-            format!("{backend}-{mapping}-x{}", self.lanes)
-        }
+        format!("{backend}-{mapping}-x{}", self.lanes)
     }
-}
-
-/// Prefetches the cache line holding `ptr` into all cache levels.  No-op on
-/// targets without a stable prefetch intrinsic.
-#[inline(always)]
-fn prefetch_read<T>(ptr: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        // SAFETY: prefetch is a hint; it never faults, even on wild pointers.
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(ptr as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = ptr;
-    }
-}
-
-/// Prefetches one row's value/index streams — and the gathered `x` target —
-/// `distance` non-zeros past position `idx` of the row, clamped to its last
-/// non-zero.  `values` / `col_indices` are the row's own (non-empty)
-/// sub-slices.  Whether a loop prefetches at all is its `PF` instantiation;
-/// nothing is tested here.
-#[inline(always)]
-fn prefetch_streams(
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    idx: usize,
-    distance: usize,
-) {
-    let ahead = (idx + distance).min(values.len() - 1);
-    prefetch_read(&values[ahead]);
-    prefetch_read(&col_indices[ahead]);
-    // The x gather is the cache-miss magnet: prefetch its future target too.
-    prefetch_read(&x[col_indices[ahead] as usize + col_offset]);
 }
 
 /// Continues the serial accumulation `acc` over two equal-length stream
@@ -274,8 +219,8 @@ fn hsum_tree<const L: usize>(acc: &[Scalar; L]) -> Scalar {
 /// Portable nnz-lane dot over `[start, end)`: `L` independent accumulators
 /// stride the row, the tail accumulates serially, and `hsum_tree` folds the
 /// lanes.  Bit-compatible with the AVX2/NEON implementations of the same `L`.
-/// `prefetch` is a run-time distance here (0 = none); the kernel library
-/// calls the `row_dot_nnz_lanes` instantiation directly.
+/// The body always inlines into the row loop around it.
+#[inline(always)]
 pub fn row_dot_nnz_portable<const L: usize>(
     values: &[Scalar],
     col_indices: &[u32],
@@ -283,36 +228,11 @@ pub fn row_dot_nnz_portable<const L: usize>(
     col_offset: usize,
     start: usize,
     end: usize,
-    prefetch: usize,
-) -> Scalar {
-    if prefetch > 0 {
-        row_dot_nnz_lanes::<L, true>(values, col_indices, x, col_offset, start, end, prefetch)
-    } else {
-        row_dot_nnz_lanes::<L, false>(values, col_indices, x, col_offset, start, end, prefetch)
-    }
-}
-
-/// [`row_dot_nnz_portable`] as the kernel library instantiates it: `PF` says
-/// whether the loop contains prefetch instructions at all (`prefetch` is only
-/// read when it does), and the body always inlines into the row loop around
-/// it.
-#[inline(always)]
-pub(crate) fn row_dot_nnz_lanes<const L: usize, const PF: bool>(
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    start: usize,
-    end: usize,
-    prefetch: usize,
 ) -> Scalar {
     let (values, col_indices) = (&values[start..end], &col_indices[start..end]);
     let body = values.len() - values.len() % L;
     let mut acc = [0.0 as Scalar; L];
     for i in (0..body).step_by(L) {
-        if PF {
-            prefetch_streams(values, col_indices, x, col_offset, i, prefetch);
-        }
         let (v, c) = (&values[i..i + L], &col_indices[i..i + L]);
         for l in 0..L {
             acc[l] += v[l] * x[c[l] as usize + col_offset];
@@ -322,7 +242,7 @@ pub(crate) fn row_dot_nnz_lanes<const L: usize, const PF: bool>(
     hsum_tree(&acc) + tail
 }
 
-/// [`row_dot_nnz_lanes`] on a run row (`PF = false`): `x` is the row's run,
+/// [`row_dot_nnz_portable`] on a run row: `x` is the row's run,
 /// as long as `values`.  Lane `l` of step `i` multiplies `values[i + l]` by
 /// `x[i + l]`, the entry the gathering loop fetches through column
 /// `start + i + l`, and the tail and tree are that loop's, so the result is
@@ -368,38 +288,9 @@ pub(crate) fn slab_dot_lanes<const L: usize>(
     acc
 }
 
-/// Defines `$name`: the hardware dot `$dot` under the name and run-time
-/// `prefetch` signature (0 = none) the bit-identity test calls it by.
-#[cfg(all(test, any(target_arch = "x86_64", target_arch = "aarch64")))]
-macro_rules! runtime_prefetch_twin {
-    ($name:ident, $dot:ident) => {
-        /// # Safety
-        /// As the `PF` instantiations it forwards to.
-        pub unsafe fn $name(
-            values: &[Scalar],
-            col_indices: &[u32],
-            x: &[Scalar],
-            col_offset: usize,
-            start: usize,
-            end: usize,
-            prefetch: usize,
-        ) -> Scalar {
-            // SAFETY: the caller holds `$dot`'s contract; the one test that
-            // calls this does so behind the `cpu_features` dispatch guard
-            // (`detect_hardware()` probed the extension) on streams whose
-            // column indices are all below `x.len()`.
-            if prefetch > 0 {
-                $dot::<true>(values, col_indices, x, col_offset, start, end, prefetch)
-            } else {
-                $dot::<false>(values, col_indices, x, col_offset, start, end, prefetch)
-            }
-        }
-    };
-}
-
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
-    use super::{prefetch_streams, row_dot_serial, run_dot_serial, Scalar};
+    use super::{row_dot_serial, run_dot_serial, Scalar};
     use std::arch::x86_64::*;
 
     /// Folds 8 lanes with the shared tree shape:
@@ -445,14 +336,13 @@ pub(crate) mod avx2 {
     /// a partition runs on, and within 2³¹) over the sub-matrix's own
     /// column indices, each below its `cols`.
     #[inline(always)]
-    pub unsafe fn row_dot8<const PF: bool>(
+    pub unsafe fn row_dot8(
         values: &[Scalar],
         col_indices: &[u32],
         x: &[Scalar],
         col_offset: usize,
         start: usize,
         end: usize,
-        prefetch: usize,
     ) -> Scalar {
         // SAFETY: AVX2 instructions run only behind the `cpu_features`
         // dispatch guard (`ResolvedSimd::resolve` picks `Backend::Avx2` only
@@ -465,9 +355,6 @@ pub(crate) mod avx2 {
         let mut acc = _mm256_setzero_ps();
         let offset = _mm256_set1_epi32(col_offset as i32);
         for i in (0..body).step_by(8) {
-            if PF {
-                prefetch_streams(values, col_indices, x, col_offset, i, prefetch);
-            }
             let v = _mm256_loadu_ps(values.as_ptr().add(i));
             let idx = _mm256_loadu_si256(col_indices.as_ptr().add(i) as *const __m256i);
             let idx = _mm256_add_epi32(idx, offset);
@@ -489,14 +376,13 @@ pub(crate) mod avx2 {
     /// `NativeKernel` partition, `NativePartition::new`'s
     /// `ColumnsOutOfRange` check.
     #[inline(always)]
-    pub unsafe fn row_dot4<const PF: bool>(
+    pub unsafe fn row_dot4(
         values: &[Scalar],
         col_indices: &[u32],
         x: &[Scalar],
         col_offset: usize,
         start: usize,
         end: usize,
-        prefetch: usize,
     ) -> Scalar {
         // SAFETY: as in `row_dot8` — the `cpu_features` dispatch guard for
         // AVX2, the slice-length checks for `i + 4 <= body` in both streams,
@@ -506,9 +392,6 @@ pub(crate) mod avx2 {
         let mut acc = _mm_setzero_ps();
         let offset = _mm_set1_epi32(col_offset as i32);
         for i in (0..body).step_by(4) {
-            if PF {
-                prefetch_streams(values, col_indices, x, col_offset, i, prefetch);
-            }
             let v = _mm_loadu_ps(values.as_ptr().add(i));
             let idx = _mm_loadu_si128(col_indices.as_ptr().add(i) as *const __m128i);
             let idx = _mm_add_epi32(idx, offset);
@@ -626,11 +509,6 @@ pub(crate) mod avx2 {
         _mm_storeu_ps(lanes.as_mut_ptr(), acc);
         lanes
     }
-
-    #[cfg(test)]
-    runtime_prefetch_twin!(row_dot_nnz8, row_dot8);
-    #[cfg(test)]
-    runtime_prefetch_twin!(row_dot_nnz4, row_dot4);
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -675,20 +553,18 @@ pub(crate) mod neon {
 
     /// 4-lane nnz dot (NEON vectors, emulated gather).  Like its AVX2 twins it
     /// carries no `#[target_feature]` — the loop entry in
-    /// [`crate::specialized`] does — and inlines into the row loop.  `PF` is
-    /// accepted and ignored: aarch64 has no stable prefetch intrinsic.
+    /// [`crate::specialized`] does — and inlines into the row loop.
     ///
     /// # Safety
     /// The caller must have verified NEON support at resolve time.
     #[inline(always)]
-    pub unsafe fn row_dot4<const PF: bool>(
+    pub unsafe fn row_dot4(
         values: &[Scalar],
         col_indices: &[u32],
         x: &[Scalar],
         col_offset: usize,
         start: usize,
         end: usize,
-        _prefetch: usize,
     ) -> Scalar {
         // SAFETY: NEON by the `cpu_features` dispatch guard (`resolve` picks
         // `Backend::Neon` only when `detect_hardware()` found it); the value
@@ -712,14 +588,13 @@ pub(crate) mod neon {
     /// # Safety
     /// As [`row_dot4`].
     #[inline(always)]
-    pub unsafe fn row_dot8<const PF: bool>(
+    pub unsafe fn row_dot8(
         values: &[Scalar],
         col_indices: &[u32],
         x: &[Scalar],
         col_offset: usize,
         start: usize,
         end: usize,
-        _prefetch: usize,
     ) -> Scalar {
         // SAFETY: as in `row_dot4` — the `cpu_features` dispatch guard for
         // NEON, the slice-length checks for `i + 8 <= body` in the value
@@ -739,11 +614,6 @@ pub(crate) mod neon {
         let tail = row_dot_serial(0.0, &values[body..], &col_indices[body..], x, col_offset);
         hsum4(vaddq_f32(acc_lo, acc_hi)) + tail
     }
-
-    #[cfg(test)]
-    runtime_prefetch_twin!(row_dot_nnz4, row_dot4);
-    #[cfg(test)]
-    runtime_prefetch_twin!(row_dot_nnz8, row_dot8);
 }
 
 #[cfg(test)]
@@ -782,18 +652,8 @@ mod tests {
         for end in [0, 1, 5, 8, 13, 64, 513] {
             let reference = scalar_dot(&values, &cols, &x, 0, end);
             for (l, got) in [
-                (
-                    2,
-                    row_dot_nnz_portable::<2>(&values, &cols, &x, 0, 0, end, 0),
-                ),
-                (
-                    4,
-                    row_dot_nnz_portable::<4>(&values, &cols, &x, 0, 0, end, 4),
-                ),
-                (
-                    8,
-                    row_dot_nnz_portable::<8>(&values, &cols, &x, 0, 0, end, 16),
-                ),
+                (4, row_dot_nnz_portable::<4>(&values, &cols, &x, 0, 0, end)),
+                (8, row_dot_nnz_portable::<8>(&values, &cols, &x, 0, 0, end)),
             ] {
                 assert!(
                     (got - reference).abs() <= 1e-3 * reference.abs().max(1.0),
@@ -812,11 +672,12 @@ mod tests {
             let mut hardware: Vec<(usize, Scalar)> = Vec::new();
             #[cfg(target_arch = "x86_64")]
             if cpu_features::detect_hardware() == SimdSupport::Avx2 {
-                // SAFETY: AVX2 support was just probed.
+                // SAFETY: AVX2 support was just probed, and every column is
+                // below `x.len()` (`streams` draws them modulo its length).
                 hardware = unsafe {
                     vec![
-                        (4, avx2::row_dot_nnz4(&values, &cols, &x, 0, 0, end, 8)),
-                        (8, avx2::row_dot_nnz8(&values, &cols, &x, 0, 0, end, 8)),
+                        (4, avx2::row_dot4(&values, &cols, &x, 0, 0, end)),
+                        (8, avx2::row_dot8(&values, &cols, &x, 0, 0, end)),
                     ]
                 };
             }
@@ -825,15 +686,15 @@ mod tests {
                 // SAFETY: NEON support was just probed.
                 hardware = unsafe {
                     vec![
-                        (4, neon::row_dot_nnz4(&values, &cols, &x, 0, 0, end, 8)),
-                        (8, neon::row_dot_nnz8(&values, &cols, &x, 0, 0, end, 8)),
+                        (4, neon::row_dot4(&values, &cols, &x, 0, 0, end)),
+                        (8, neon::row_dot8(&values, &cols, &x, 0, 0, end)),
                     ]
                 };
             }
             for (lanes, hw_dot) in hardware {
                 let portable = match lanes {
-                    4 => row_dot_nnz_portable::<4>(&values, &cols, &x, 0, 0, end, 0),
-                    _ => row_dot_nnz_portable::<8>(&values, &cols, &x, 0, 0, end, 0),
+                    4 => row_dot_nnz_portable::<4>(&values, &cols, &x, 0, 0, end),
+                    _ => row_dot_nnz_portable::<8>(&values, &cols, &x, 0, 0, end),
                 };
                 assert_eq!(
                     hw_dot.to_bits(),
@@ -863,16 +724,12 @@ mod tests {
                 );
                 let pairs = [
                     (
-                        run_dot_nnz_lanes::<2>(v, run),
-                        row_dot_nnz_portable::<2>(v, cols, &x, col_offset, 0, len, 0),
-                    ),
-                    (
                         run_dot_nnz_lanes::<4>(v, run),
-                        row_dot_nnz_portable::<4>(v, cols, &x, col_offset, 0, len, 0),
+                        row_dot_nnz_portable::<4>(v, cols, &x, col_offset, 0, len),
                     ),
                     (
                         run_dot_nnz_lanes::<8>(v, run),
-                        row_dot_nnz_portable::<8>(v, cols, &x, col_offset, 0, len, 0),
+                        row_dot_nnz_portable::<8>(v, cols, &x, col_offset, 0, len),
                     ),
                 ];
                 for (run_dot, gathered) in pairs {
@@ -885,12 +742,12 @@ mod tests {
                     unsafe {
                         assert_eq!(
                             bits(avx2::run_dot4(v, run)),
-                            bits(avx2::row_dot_nnz4(v, cols, &x, col_offset, 0, len, 0)),
+                            bits(avx2::row_dot4(v, cols, &x, col_offset, 0, len)),
                             "avx2 x4 {first}+{len}"
                         );
                         assert_eq!(
                             bits(avx2::run_dot8(v, run)),
-                            bits(avx2::row_dot_nnz8(v, cols, &x, col_offset, 0, len, 0)),
+                            bits(avx2::row_dot8(v, cols, &x, col_offset, 0, len)),
                             "avx2 x8 {first}+{len}"
                         );
                     }
@@ -962,7 +819,6 @@ mod tests {
         // ((1+16)+(4+64)) + ((2+32)+(8+128)) = 255 for these powers of two.
         assert_eq!(hsum_tree::<8>(&acc), 255.0);
         assert_eq!(hsum_tree::<4>(&[1.0, 2.0, 4.0, 8.0]), 15.0);
-        assert_eq!(hsum_tree::<2>(&[1.5, 2.5]), 4.0);
     }
 
     #[test]
@@ -970,7 +826,6 @@ mod tests {
         let vec_plan = SimdPlan {
             lanes: 8,
             lane_mapping: SimdLaneMapping::Nnz,
-            prefetch_distance: 16,
         };
         let forced = ResolvedSimd::resolve(&vec_plan, SimdMode::ForceScalar);
         assert!(!forced.is_vectorized());
@@ -979,7 +834,6 @@ mod tests {
         let auto = ResolvedSimd::resolve(&vec_plan, SimdMode::Auto);
         if !cpu_features::force_scalar() {
             assert_eq!(auto.lanes, 8);
-            assert_eq!(auto.prefetch, 16);
             assert!(auto.label().contains("nnz-x8"));
         }
 
@@ -990,7 +844,6 @@ mod tests {
         let row_plan = SimdPlan {
             lanes: 4,
             lane_mapping: SimdLaneMapping::Rows,
-            prefetch_distance: 0,
         };
         let row = ResolvedSimd::resolve(&row_plan, SimdMode::Auto);
         if !cpu_features::force_scalar() {
@@ -1008,7 +861,7 @@ mod tests {
         let (values, mut cols, mut x) = streams(64, 32, 11);
         x[5] = Scalar::NAN;
         cols[17] = 5; // one lane in the middle hits the NaN
-        let got = row_dot_nnz_portable::<8>(&values, &cols, &x, 0, 0, 64, 0);
+        let got = row_dot_nnz_portable::<8>(&values, &cols, &x, 0, 0, 64);
         assert!(got.is_nan(), "NaN must survive the lane reduction tree");
     }
 }

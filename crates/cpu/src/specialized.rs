@@ -11,11 +11,10 @@
 //! * column coding (a column index per non-zero, or one start per row when
 //!   every row's columns are one run — [`IndexKind::Run`]),
 //! * SIMD variant ([`SimdClass`]: scalar, portable/AVX2/NEON nnz lanes,
-//!   portable/AVX2 row lanes) and
-//! * prefetch class
+//!   portable/AVX2 row lanes)
 //!
-//! is instantiated as one dedicated function (`chunk_nnz::<TB, PF, D>`,
-//! `chunk_slab::<L, D>`, `span_nnz::<PF, D>`, `scatter_to::<TB>`) in
+//! is instantiated as one dedicated function (`chunk_nnz::<TB, D>`,
+//! `chunk_slab::<L, D>`, `span_nnz::<D>`, `scatter_to::<TB>`) in
 //! which the index arithmetic is inlined as constants/affine expressions and
 //! every enum match is hoisted entirely out of the loop.  `rows_loop`,
 //! `nnz_loop` and `scatter_loop` are the shape-matchers: they map the
@@ -36,9 +35,7 @@
 //! (`hw::chunk_entry` / `hw::run_entry` / `hw::slab_entry` /
 //! `hw::span_entry`, which the generic loop inlines into) and on nothing
 //! inside it: a dot behind the attribute would be an
-//! opaque call per row.  The prefetch class is an instantiation too (`PF`):
-//! a [`PrefetchClass::None`] loop contains no prefetch instruction and no
-//! test for one.
+//! opaque call per row.
 //!
 //! Non-affine compressions ([`IndexKind::Model`] — step/periodic models or
 //! models with patched exceptions) take the table instantiations: lowering
@@ -48,8 +45,8 @@
 //!
 //! Row-lane loops run on the partition's slab (`kernel/slab.rs`): rows
 //! length-sorted inside windows, `L`-row groups stored column-major up to
-//! their shortest row, one row per lane, only `x` gathered.  They never
-//! prefetch and ignore the bounds kind (the slab holds each row's length).
+//! their shortest row, one row per lane, only `x` gathered.  They ignore the
+//! bounds kind (the slab holds each row's length).
 //!
 //! Scalar and row-lane loops accumulate each row in stream order, so they are
 //! bitwise-equal to one another; nnz-lane loops reorder the reduction through
@@ -126,7 +123,7 @@ pub enum SimdClass {
     Scalar,
     /// Portable nnz-lane dot with `lanes` accumulators.
     NnzPortable {
-        /// Lane count (2, 4 or 8).
+        /// Lane count (4 or 8).
         lanes: u8,
     },
     /// AVX2 hardware-gather nnz-lane dot (x86_64, 4 or 8 lanes).
@@ -142,7 +139,7 @@ pub enum SimdClass {
     /// Portable row lanes: the `lanes` rows of a slab group advance
     /// together (see `kernel/slab.rs`).
     RowLanes {
-        /// Lane count (2, 4 or 8).
+        /// Lane count (4 or 8).
         lanes: u8,
     },
     /// AVX2 row lanes: a slab group's `x` entries are gathered
@@ -154,9 +151,9 @@ pub enum SimdClass {
 }
 
 impl SimdClass {
-    /// Classifies a resolved vectorization decision for one partition.
-    /// `rows_path` says whether the partition executes the row-partition
-    /// loop (row-lane kernels only exist there).
+    /// The loop a resolved vectorization decision for one partition
+    /// executes as.  `rows_path` says whether the partition executes the
+    /// row-partition loop (row-lane kernels only exist there).
     pub fn classify(rs: &ResolvedSimd, rows_path: bool) -> SimdClass {
         if !rs.is_vectorized() {
             return SimdClass::Scalar;
@@ -195,7 +192,8 @@ impl SimdClass {
         matches!(self, SimdClass::RowLanes { .. } | SimdClass::RowAvx2 { .. })
     }
 
-    fn label(self) -> String {
+    /// `avx2-nnz-x8`, `row-x4`, `scalar`: see [`KernelShape::loop_label`].
+    pub(crate) fn label(self) -> String {
         match self {
             SimdClass::Scalar => "scalar".to_string(),
             SimdClass::NnzPortable { lanes } => format!("portable-nnz-x{lanes}"),
@@ -205,17 +203,6 @@ impl SimdClass {
             SimdClass::RowAvx2 { lanes } => format!("avx2-row-x{lanes}"),
         }
     }
-}
-
-/// Software-prefetch dimension of the shape lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PrefetchClass {
-    /// No software prefetch.
-    None,
-    /// Stream prefetch at the design's distance (the distance itself is a
-    /// runtime parameter; the *class* decides whether the loop contains
-    /// prefetch instructions at all).
-    Stream,
 }
 
 /// The shape descriptor of one lowered partition: the coordinates in the
@@ -240,13 +227,11 @@ pub struct KernelShape {
     pub col_index: IndexKind,
     /// Executed SIMD variant.
     pub simd: SimdClass,
-    /// Prefetch class.
-    pub prefetch: PrefetchClass,
 }
 
 impl KernelShape {
     /// Stable, compact label, e.g.
-    /// `rows[off:table,org:id,col:table]:avx2-nnz-x8+pf`.  This string is
+    /// `rows[off:table,org:id,col:table]:avx2-nnz-x8`.  This string is
     /// what travels through search results, the design store and bench
     /// records.
     pub fn label(&self) -> String {
@@ -264,41 +249,18 @@ impl KernelShape {
     }
 
     /// The inner-loop half of [`KernelShape::label`] (after the `:`), e.g.
-    /// `avx2-nnz-x8+pf` or `scalar`: the part a host chooses when the design
+    /// `avx2-nnz-x8` or `scalar`: the part a host chooses when the design
     /// leaves it open, and the only part a recorded label is trusted for.
     pub fn loop_label(&self) -> String {
-        loop_label(self.simd, self.prefetch)
+        self.simd.label()
     }
 }
 
-/// `avx2-nnz-x8+pf`, `row-x4`, `scalar`: see [`KernelShape::loop_label`].
-pub(crate) fn loop_label(simd: SimdClass, prefetch: PrefetchClass) -> String {
-    let pf = match prefetch {
-        PrefetchClass::None => "",
-        PrefetchClass::Stream => "+pf",
-    };
-    format!("{}{pf}", simd.label())
-}
-
-/// True when the row-partition loop of `simd` under `prefetch` has a run
-/// twin (`run_loop` resolves one): the scalar loop and the portable and
-/// AVX2 nnz lanes ×4 and ×8, without prefetch.  Row lanes, prefetching
-/// loops, NEON and nnz partitions keep the column stream.
-pub fn has_run_twin(simd: SimdClass, prefetch: PrefetchClass) -> bool {
-    run_loop(simd, prefetch, false).is_some()
-}
-
-/// The loop a resolved vectorization decision executes as: its SIMD variant
-/// and whether the loop contains prefetch instructions at all (a scalar loop
-/// never does, nor a row-lane loop: its slab streams are sequential).
-pub(crate) fn executed_loop(rs: &ResolvedSimd, rows_path: bool) -> (SimdClass, PrefetchClass) {
-    let simd = SimdClass::classify(rs, rows_path);
-    let prefetch = if simd != SimdClass::Scalar && !simd.is_row_lanes() && rs.prefetch > 0 {
-        PrefetchClass::Stream
-    } else {
-        PrefetchClass::None
-    };
-    (simd, prefetch)
+/// True when the row-partition loop of `simd` has a run twin (`run_loop`
+/// resolves one): the scalar loop and the portable and AVX2 nnz lanes ×4
+/// and ×8.  Row lanes, NEON and nnz partitions keep the column stream.
+pub fn has_run_twin(simd: SimdClass) -> bool {
+    run_loop(simd, false).is_some()
 }
 
 // ---------------------------------------------------------------------------
@@ -346,8 +308,6 @@ pub(crate) struct PartitionArgs<'a> {
     /// Row bounds of a row partition (`row_offsets`).  Unread by nnz spans,
     /// which walk the sub-matrix's real CSR offsets instead.
     pub bounds: IndexArgs<'a>,
-    /// Prefetch distance in non-zeros (0 under [`PrefetchClass::None`]).
-    pub prefetch: usize,
     /// The slab a row-lane loop reads ([`SlabArgs::EMPTY`] otherwise).
     pub slab: SlabArgs<'a>,
 }
@@ -412,13 +372,13 @@ fn row_range<const TB: bool>(a: &PartitionArgs<'_>, row: usize) -> (usize, usize
 }
 
 /// The inner dot product of one row (or row segment), monomorphized on the
-/// SIMD variant, the column coding and on whether the loop prefetches
-/// (`PF`).  Every impl is `#[inline(always)]` down to the intrinsics, so the
-/// dot becomes part of the row loop that names it; picking an impl in
+/// SIMD variant and the column coding.  Every impl is `#[inline(always)]`
+/// down to the intrinsics, so the dot becomes part of the row loop that
+/// names it; picking an impl in
 /// [`rows_loop`]/[`nnz_loop`] is the only SIMD selection there is.
 trait Dot {
     /// Dot of stream positions `[start, end)` of row `row` against `x`.
-    fn dot<const PF: bool>(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar;
+    fn dot(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar;
 }
 
 /// Row `row`'s run of `x`, as long as the row: `x[s + col_offset..]` with
@@ -439,7 +399,7 @@ struct DotScalar;
 
 impl Dot for DotScalar {
     #[inline(always)]
-    fn dot<const PF: bool>(a: &PartitionArgs<'_>, _: usize, start: usize, end: usize) -> Scalar {
+    fn dot(a: &PartitionArgs<'_>, _: usize, start: usize, end: usize) -> Scalar {
         let (values, col_indices) = (&a.values[start..end], &a.col_indices[start..end]);
         simd::row_dot_serial(0.0, values, col_indices, a.x, a.col_offset)
     }
@@ -450,16 +410,8 @@ struct DotNnzPortable<const L: usize>;
 
 impl<const L: usize> Dot for DotNnzPortable<L> {
     #[inline(always)]
-    fn dot<const PF: bool>(a: &PartitionArgs<'_>, _: usize, start: usize, end: usize) -> Scalar {
-        simd::row_dot_nnz_lanes::<L, PF>(
-            a.values,
-            a.col_indices,
-            a.x,
-            a.col_offset,
-            start,
-            end,
-            a.prefetch,
-        )
+    fn dot(a: &PartitionArgs<'_>, _: usize, start: usize, end: usize) -> Scalar {
+        simd::row_dot_nnz_portable::<L>(a.values, a.col_indices, a.x, a.col_offset, start, end)
     }
 }
 
@@ -468,7 +420,7 @@ struct RunScalar;
 
 impl Dot for RunScalar {
     #[inline(always)]
-    fn dot<const PF: bool>(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar {
+    fn dot(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar {
         simd::run_dot_serial(0.0, &a.values[start..end], run_of(a, row, end - start))
     }
 }
@@ -478,7 +430,7 @@ struct RunNnzPortable<const L: usize>;
 
 impl<const L: usize> Dot for RunNnzPortable<L> {
     #[inline(always)]
-    fn dot<const PF: bool>(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar {
+    fn dot(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar {
         simd::run_dot_nnz_lanes::<L>(&a.values[start..end], run_of(a, row, end - start))
     }
 }
@@ -535,12 +487,7 @@ mod hw {
 
     impl Dot for Dot8 {
         #[inline(always)]
-        fn dot<const PF: bool>(
-            a: &PartitionArgs<'_>,
-            _: usize,
-            start: usize,
-            end: usize,
-        ) -> Scalar {
+        fn dot(a: &PartitionArgs<'_>, _: usize, start: usize, end: usize) -> Scalar {
             // SAFETY: shapes classify as NnzAvx2 / NnzNeon only when
             // ResolvedSimd carried that backend, which requires a positive
             // runtime probe (`cpu_features::detect_hardware`).  The column
@@ -551,42 +498,17 @@ mod hw {
             // `x` a partition runs on is `original_cols` long (`run_into`
             // checks it; loop selection builds its own).  So each gathered
             // `x[col + col_offset]` is in bounds and fits the gather's `i32`.
-            unsafe {
-                backend::row_dot8::<PF>(
-                    a.values,
-                    a.col_indices,
-                    a.x,
-                    a.col_offset,
-                    start,
-                    end,
-                    a.prefetch,
-                )
-            }
+            unsafe { backend::row_dot8(a.values, a.col_indices, a.x, a.col_offset, start, end) }
         }
     }
 
     impl Dot for Dot4 {
         #[inline(always)]
-        fn dot<const PF: bool>(
-            a: &PartitionArgs<'_>,
-            _: usize,
-            start: usize,
-            end: usize,
-        ) -> Scalar {
+        fn dot(a: &PartitionArgs<'_>, _: usize, start: usize, end: usize) -> Scalar {
             // SAFETY: as for `Dot8`: the runtime probe, and
             // `NativePartition::new`'s `ColumnsOutOfRange` check keeping
             // every gathered column inside `x` and the `i32` range.
-            unsafe {
-                backend::row_dot4::<PF>(
-                    a.values,
-                    a.col_indices,
-                    a.x,
-                    a.col_offset,
-                    start,
-                    end,
-                    a.prefetch,
-                )
-            }
+            unsafe { backend::row_dot4(a.values, a.col_indices, a.x, a.col_offset, start, end) }
         }
     }
 
@@ -602,12 +524,7 @@ mod hw {
     #[cfg(target_arch = "x86_64")]
     impl Dot for Run8 {
         #[inline(always)]
-        fn dot<const PF: bool>(
-            a: &PartitionArgs<'_>,
-            row: usize,
-            start: usize,
-            end: usize,
-        ) -> Scalar {
+        fn dot(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar {
             let (values, x) = (&a.values[start..end], run_of(a, row, end - start));
             // SAFETY: shapes classify as NnzAvx2 only when ResolvedSimd
             // carried that backend, which requires a positive runtime probe
@@ -624,12 +541,7 @@ mod hw {
     #[cfg(target_arch = "x86_64")]
     impl Dot for Run4 {
         #[inline(always)]
-        fn dot<const PF: bool>(
-            a: &PartitionArgs<'_>,
-            row: usize,
-            start: usize,
-            end: usize,
-        ) -> Scalar {
+        fn dot(a: &PartitionArgs<'_>, row: usize, start: usize, end: usize) -> Scalar {
             let (values, x) = (&a.values[start..end], run_of(a, row, end - start));
             // SAFETY: as for `Run8`: the runtime probe, and two slices the
             // row's length long (`run_of` stays inside `x` by
@@ -702,7 +614,7 @@ mod hw {
     /// The host must support the extension.
     #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
     #[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
-    unsafe fn chunk_entry<const TB: bool, const PF: bool, D: Dot>(
+    unsafe fn chunk_entry<const TB: bool, D: Dot>(
         a: &PartitionArgs<'_>,
         first: usize,
         out: &mut [Scalar],
@@ -710,7 +622,7 @@ mod hw {
         // SAFETY: the body is safe code; the contract is the attribute's,
         // which `chunk_nnz` below upholds (the host has the extension), and
         // on which the hardware dots inlined here rely.
-        super::chunk_nnz::<TB, PF, D>(a, first, out)
+        super::chunk_nnz::<TB, D>(a, first, out)
     }
 
     /// [`super::chunk_nnz`] over a run dot, compiled with AVX2 enabled: a
@@ -727,7 +639,7 @@ mod hw {
         out: &mut [Scalar],
     ) {
         // SAFETY: as in `chunk_entry`, upheld by `chunk_run` below.
-        super::chunk_nnz::<TB, false, D>(a, first, out)
+        super::chunk_nnz::<TB, D>(a, first, out)
     }
 
     /// [`super::chunk_slab`] over an AVX2 slab group, compiled with AVX2
@@ -753,7 +665,7 @@ mod hw {
     /// The host must support the extension.
     #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
     #[cfg_attr(target_arch = "aarch64", target_feature(enable = "neon"))]
-    unsafe fn span_entry<const PF: bool, D: Dot>(
+    unsafe fn span_entry<D: Dot>(
         a: &PartitionArgs<'_>,
         offsets: &[u32],
         row0: usize,
@@ -761,12 +673,12 @@ mod hw {
         end: usize,
     ) -> Vec<Scalar> {
         // SAFETY: as in `chunk_entry`, upheld by `span_nnz` below.
-        super::span_nnz::<PF, D>(a, offsets, row0, start, end)
+        super::span_nnz::<D>(a, offsets, row0, start, end)
     }
 
     /// The [`super::ChunkFn`] of a hardware shape: one jump into
     /// [`chunk_entry`] per worker chunk.
-    pub(super) fn chunk_nnz<const TB: bool, const PF: bool, D: Dot>(
+    pub(super) fn chunk_nnz<const TB: bool, D: Dot>(
         a: &PartitionArgs<'_>,
         first: usize,
         out: &mut [Scalar],
@@ -774,7 +686,7 @@ mod hw {
         // SAFETY: `rows_loop` hands this pointer out for NnzAvx2 / NnzNeon
         // shapes only, and a shape classifies as one only after
         // `cpu_features::detect_hardware` probed the extension on this host.
-        unsafe { chunk_entry::<TB, PF, D>(a, first, out) }
+        unsafe { chunk_entry::<TB, D>(a, first, out) }
     }
 
     /// The [`super::ChunkFn`] of an AVX2 run shape: one jump into
@@ -806,7 +718,7 @@ mod hw {
 
     /// The [`super::SpanFn`] of a hardware shape: one jump into
     /// [`span_entry`] per worker span.
-    pub(super) fn span_nnz<const PF: bool, D: Dot>(
+    pub(super) fn span_nnz<D: Dot>(
         a: &PartitionArgs<'_>,
         offsets: &[u32],
         row0: usize,
@@ -814,24 +726,20 @@ mod hw {
         end: usize,
     ) -> Vec<Scalar> {
         // SAFETY: as for `chunk_nnz`, through `nnz_loop`.
-        unsafe { span_entry::<PF, D>(a, offsets, row0, start, end) }
+        unsafe { span_entry::<D>(a, offsets, row0, start, end) }
     }
 }
 
-/// Row-partition chunk loop, monomorphized over bounds storage, prefetch
-/// class and dot kernel: the whole inner loop is branch-free straight-line
+/// Row-partition chunk loop, monomorphized over bounds storage and dot
+/// kernel: the whole inner loop is branch-free straight-line
 /// code after inlining.  The scalar and portable shapes' [`ChunkFn`] is an
 /// instantiation of this function itself; a hardware shape's is its [`hw`]
 /// entry, which this loop inlines into.
 #[inline(always)]
-fn chunk_nnz<const TB: bool, const PF: bool, D: Dot>(
-    a: &PartitionArgs<'_>,
-    first: usize,
-    out: &mut [Scalar],
-) {
+fn chunk_nnz<const TB: bool, D: Dot>(a: &PartitionArgs<'_>, first: usize, out: &mut [Scalar]) {
     for (i, slot) in out.iter_mut().enumerate() {
         let (start, end) = row_range::<TB>(a, first + i);
-        *slot += D::dot::<PF>(a, first + i, start, end);
+        *slot += D::dot(a, first + i, start, end);
     }
 }
 
@@ -894,7 +802,7 @@ fn chunk_slab<const L: usize, D: SlabDot<L>>(
 /// instantiation of this function or, for a hardware shape, the [`hw`] entry
 /// it inlines into.
 #[inline(always)]
-fn span_nnz<const PF: bool, D: Dot>(
+fn span_nnz<D: Dot>(
     a: &PartitionArgs<'_>,
     offsets: &[u32],
     row0: usize,
@@ -906,7 +814,7 @@ fn span_nnz<const PF: bool, D: Dot>(
     let mut cursor = start;
     loop {
         let seg_end = (offsets[row + 1] as usize).min(end);
-        sums.push(D::dot::<PF>(a, row, cursor, seg_end));
+        sums.push(D::dot(a, row, cursor, seg_end));
         cursor = seg_end;
         if cursor >= end {
             break;
@@ -940,24 +848,11 @@ fn scatter_to<const TB: bool>(
 // The shape matcher
 // ---------------------------------------------------------------------------
 
-/// Picks the `$f::<TB, PF, ..>` instantiation for a bounds kind and a
-/// prefetch class.
+/// Picks the `$f::<TB, ..>` instantiation for a bounds kind.
 macro_rules! chunk_for {
-    ($tb:expr, $pf:expr, $($f:ident)::+, $($g:tt)+) => {
-        match ($tb, $pf) {
-            (true, true) => $($f)::+::<true, true, $($g)+> as ChunkFn,
-            (true, false) => $($f)::+::<true, false, $($g)+>,
-            (false, true) => $($f)::+::<false, true, $($g)+>,
-            (false, false) => $($f)::+::<false, false, $($g)+>,
-        }
-    };
-}
-
-/// Picks the `$f::<PF, ..>` instantiation for a prefetch class.
-macro_rules! span_for {
-    ($pf:expr, $($f:ident)::+, $($g:tt)+) => {
-        if $pf {
-            $($f)::+::<true, $($g)+> as SpanFn
+    ($tb:expr, $($f:ident)::+, $($g:tt)+) => {
+        if $tb {
+            $($f)::+::<true, $($g)+> as ChunkFn
         } else {
             $($f)::+::<false, $($g)+>
         }
@@ -977,55 +872,43 @@ pub(crate) fn rows_loop(shape: &KernelShape) -> Result<ChunkFn, KernelBuildError
     debug_assert_eq!(shape.partition, PartitionKind::Rows);
     let tb = reads_table(shape.bounds);
     if shape.col_index == IndexKind::Run {
-        return run_loop(shape.simd, shape.prefetch, tb)
-            .ok_or(KernelBuildError::UnsupportedShape(*shape));
+        return run_loop(shape.simd, tb).ok_or(KernelBuildError::UnsupportedShape(*shape));
     }
-    let pf = shape.prefetch == PrefetchClass::Stream;
     Ok(match shape.simd {
-        // The scalar loop has no prefetching twin.
-        SimdClass::Scalar => chunk_for!(tb, false, chunk_nnz, DotScalar),
-        SimdClass::NnzPortable { lanes: 2 } => chunk_for!(tb, pf, chunk_nnz, DotNnzPortable<2>),
-        SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, pf, chunk_nnz, DotNnzPortable<4>),
-        SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, pf, chunk_nnz, DotNnzPortable<8>),
+        SimdClass::Scalar => chunk_for!(tb, chunk_nnz, DotScalar),
+        SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, chunk_nnz, DotNnzPortable<4>),
+        SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, chunk_nnz, DotNnzPortable<8>),
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 4 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot4),
+        SimdClass::NnzAvx2 { lanes: 4 } => chunk_for!(tb, hw::chunk_nnz, hw::Dot4),
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 8 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot8),
+        SimdClass::NnzAvx2 { lanes: 8 } => chunk_for!(tb, hw::chunk_nnz, hw::Dot8),
         #[cfg(target_arch = "aarch64")]
-        SimdClass::NnzNeon { lanes: 4 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot4),
+        SimdClass::NnzNeon { lanes: 4 } => chunk_for!(tb, hw::chunk_nnz, hw::Dot4),
         #[cfg(target_arch = "aarch64")]
-        SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, pf, hw::chunk_nnz, hw::Dot8),
-        // Row lanes read the slab, not the bounds, and never prefetch.
-        SimdClass::RowLanes { lanes: 2 } if !pf => chunk_slab::<2, SlabPortable>,
-        SimdClass::RowLanes { lanes: 4 } if !pf => chunk_slab::<4, SlabPortable>,
-        SimdClass::RowLanes { lanes: 8 } if !pf => chunk_slab::<8, SlabPortable>,
+        SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, hw::chunk_nnz, hw::Dot8),
+        // Row lanes read the slab, not the bounds.
+        SimdClass::RowLanes { lanes: 4 } => chunk_slab::<4, SlabPortable>,
+        SimdClass::RowLanes { lanes: 8 } => chunk_slab::<8, SlabPortable>,
         #[cfg(target_arch = "x86_64")]
-        SimdClass::RowAvx2 { lanes: 4 } if !pf => hw::chunk_slab::<4, hw::Slab4>,
+        SimdClass::RowAvx2 { lanes: 4 } => hw::chunk_slab::<4, hw::Slab4>,
         #[cfg(target_arch = "x86_64")]
-        SimdClass::RowAvx2 { lanes: 8 } if !pf => hw::chunk_slab::<8, hw::Slab8>,
+        SimdClass::RowAvx2 { lanes: 8 } => hw::chunk_slab::<8, hw::Slab8>,
         _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
     })
 }
 
-/// The run twin of the row-partition loop of `simd` under `prefetch`, for a
-/// bounds kind (`tb`): the gathering loop over a run dot, which never
-/// prefetches.  `None` outside the run lattice ([`has_run_twin`]).
-fn run_loop(simd: SimdClass, prefetch: PrefetchClass, tb: bool) -> Option<ChunkFn> {
-    if prefetch != PrefetchClass::None {
-        return None;
-    }
+/// The run twin of the row-partition loop of `simd`, for a bounds kind
+/// (`tb`): the gathering loop over a run dot.  `None` outside the run
+/// lattice ([`has_run_twin`]).
+fn run_loop(simd: SimdClass, tb: bool) -> Option<ChunkFn> {
     Some(match simd {
-        SimdClass::Scalar => chunk_for!(tb, false, chunk_nnz, RunScalar),
-        SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, false, chunk_nnz, RunNnzPortable<4>),
-        SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, false, chunk_nnz, RunNnzPortable<8>),
+        SimdClass::Scalar => chunk_for!(tb, chunk_nnz, RunScalar),
+        SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, chunk_nnz, RunNnzPortable<4>),
+        SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, chunk_nnz, RunNnzPortable<8>),
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 4 } if tb => hw::chunk_run::<true, hw::Run4>,
+        SimdClass::NnzAvx2 { lanes: 4 } => chunk_for!(tb, hw::chunk_run, hw::Run4),
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 4 } => hw::chunk_run::<false, hw::Run4>,
-        #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 8 } if tb => hw::chunk_run::<true, hw::Run8>,
-        #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 8 } => hw::chunk_run::<false, hw::Run8>,
+        SimdClass::NnzAvx2 { lanes: 8 } => chunk_for!(tb, hw::chunk_run, hw::Run8),
         _ => return None,
     })
 }
@@ -1035,20 +918,18 @@ fn run_loop(simd: SimdClass, prefetch: PrefetchClass, tb: bool) -> Option<ChunkF
 /// its kind never disqualifies the shape.
 pub(crate) fn nnz_loop(shape: &KernelShape) -> Result<SpanFn, KernelBuildError> {
     debug_assert_eq!(shape.partition, PartitionKind::Nnz);
-    let pf = shape.prefetch == PrefetchClass::Stream;
     Ok(match shape.simd {
-        SimdClass::Scalar => span_for!(false, span_nnz, DotScalar),
-        SimdClass::NnzPortable { lanes: 2 } => span_for!(pf, span_nnz, DotNnzPortable<2>),
-        SimdClass::NnzPortable { lanes: 4 } => span_for!(pf, span_nnz, DotNnzPortable<4>),
-        SimdClass::NnzPortable { lanes: 8 } => span_for!(pf, span_nnz, DotNnzPortable<8>),
+        SimdClass::Scalar => span_nnz::<DotScalar> as SpanFn,
+        SimdClass::NnzPortable { lanes: 4 } => span_nnz::<DotNnzPortable<4>>,
+        SimdClass::NnzPortable { lanes: 8 } => span_nnz::<DotNnzPortable<8>>,
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 4 } => span_for!(pf, hw::span_nnz, hw::Dot4),
+        SimdClass::NnzAvx2 { lanes: 4 } => hw::span_nnz::<hw::Dot4>,
         #[cfg(target_arch = "x86_64")]
-        SimdClass::NnzAvx2 { lanes: 8 } => span_for!(pf, hw::span_nnz, hw::Dot8),
+        SimdClass::NnzAvx2 { lanes: 8 } => hw::span_nnz::<hw::Dot8>,
         #[cfg(target_arch = "aarch64")]
-        SimdClass::NnzNeon { lanes: 4 } => span_for!(pf, hw::span_nnz, hw::Dot4),
+        SimdClass::NnzNeon { lanes: 4 } => hw::span_nnz::<hw::Dot4>,
         #[cfg(target_arch = "aarch64")]
-        SimdClass::NnzNeon { lanes: 8 } => span_for!(pf, hw::span_nnz, hw::Dot8),
+        SimdClass::NnzNeon { lanes: 8 } => hw::span_nnz::<hw::Dot8>,
         _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
     })
 }
@@ -1077,19 +958,6 @@ mod tests {
             origin: IndexKind::Identity,
             col_index: IndexKind::Table,
             simd,
-            prefetch: PrefetchClass::None,
-        }
-    }
-
-    fn shape_with(
-        partition: PartitionKind,
-        bounds: IndexKind,
-        simd: SimdClass,
-        prefetch: PrefetchClass,
-    ) -> KernelShape {
-        KernelShape {
-            prefetch,
-            ..shape(partition, bounds, simd)
         }
     }
 
@@ -1107,7 +975,6 @@ mod tests {
         // the resolve step emits on this host.
         let mut simd_classes = vec![
             SimdClass::Scalar,
-            SimdClass::NnzPortable { lanes: 2 },
             SimdClass::NnzPortable { lanes: 4 },
             SimdClass::NnzPortable { lanes: 8 },
         ];
@@ -1147,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn the_run_twins_are_scalar_and_the_nnz_lanes_x4_x8_without_prefetch() {
+    fn the_run_twins_are_scalar_and_the_nnz_lanes_x4_x8() {
         let mut twins = Vec::new();
         for lanes in [2u8, 3, 4, 8] {
             for simd in [
@@ -1158,10 +1025,8 @@ mod tests {
                 SimdClass::RowLanes { lanes },
                 SimdClass::RowAvx2 { lanes },
             ] {
-                for prefetch in [PrefetchClass::None, PrefetchClass::Stream] {
-                    if has_run_twin(simd, prefetch) {
-                        twins.push(loop_label(simd, prefetch));
-                    }
+                if has_run_twin(simd) {
+                    twins.push(simd.label());
                 }
             }
         }
@@ -1196,32 +1061,36 @@ mod tests {
 
     #[test]
     fn out_of_library_shapes_are_a_typed_rejection() {
-        // Lane widths the resolve step cannot produce: no silent fallback,
-        // the error names the shape that missed.
-        let odd = SimdClass::NnzPortable { lanes: 3 };
-        let rows = shape(PartitionKind::Rows, IndexKind::Table, odd);
-        assert_eq!(
-            rows_loop(&rows).unwrap_err(),
-            KernelBuildError::UnsupportedShape(rows)
-        );
-        let nnz = shape(PartitionKind::Nnz, IndexKind::Table, odd);
-        let err = nnz_loop(&nnz).unwrap_err();
-        assert_eq!(err, KernelBuildError::UnsupportedShape(nnz));
-        assert!(err.to_string().contains("portable-nnz-x3"), "{err}");
-        // Row lanes only exist on row partitions, and never prefetch.
+        // Lane widths the resolve step cannot produce (2 and 3):
+        // no silent fallback, the error names the shape that missed.
+        for lanes in [2, 3] {
+            let odd = SimdClass::NnzPortable { lanes };
+            let rows = shape(PartitionKind::Rows, IndexKind::Table, odd);
+            assert_eq!(
+                rows_loop(&rows).unwrap_err(),
+                KernelBuildError::UnsupportedShape(rows)
+            );
+            let nnz = shape(PartitionKind::Nnz, IndexKind::Table, odd);
+            let err = nnz_loop(&nnz).unwrap_err();
+            assert_eq!(err, KernelBuildError::UnsupportedShape(nnz));
+            assert!(
+                err.to_string().contains(&format!("portable-nnz-x{lanes}")),
+                "{err}"
+            );
+            let row_lanes = shape(
+                PartitionKind::Rows,
+                IndexKind::Table,
+                SimdClass::RowLanes { lanes },
+            );
+            assert!(rows_loop(&row_lanes).is_err());
+        }
+        // Row lanes only exist on row partitions.
         let lanes_on_nnz = shape(
             PartitionKind::Nnz,
             IndexKind::Table,
             SimdClass::RowLanes { lanes: 4 },
         );
         assert!(nnz_loop(&lanes_on_nnz).is_err());
-        let prefetching_lanes = shape_with(
-            PartitionKind::Rows,
-            IndexKind::Table,
-            SimdClass::RowLanes { lanes: 4 },
-            PrefetchClass::Stream,
-        );
-        assert!(rows_loop(&prefetching_lanes).is_err());
     }
 
     #[test]
@@ -1232,25 +1101,22 @@ mod tests {
             origin: IndexKind::Identity,
             col_index: IndexKind::Table,
             simd: SimdClass::NnzAvx2 { lanes: 8 },
-            prefetch: PrefetchClass::Stream,
         };
-        assert_eq!(s.label(), "rows[off:table,org:id,col:table]:avx2-nnz-x8+pf");
+        assert_eq!(s.label(), "rows[off:table,org:id,col:table]:avx2-nnz-x8");
         let n = KernelShape {
             partition: PartitionKind::Nnz,
             bounds: IndexKind::Affine,
             origin: IndexKind::Table,
             col_index: IndexKind::Table,
             simd: SimdClass::Scalar,
-            prefetch: PrefetchClass::None,
         };
         assert_eq!(n.label(), "nnz[off:affine,org:table,col:table]:scalar");
         let r = KernelShape {
             col_index: IndexKind::Run,
-            prefetch: PrefetchClass::None,
             ..s
         };
         assert_eq!(r.label(), "rows[off:table,org:id,col:run]:avx2-nnz-x8");
-        assert_eq!(r.loop_label(), s.loop_label().trim_end_matches("+pf"));
+        assert_eq!(r.loop_label(), s.loop_label());
     }
 
     #[test]
@@ -1267,7 +1133,6 @@ mod tests {
                 base: 0,
                 slope: 3,
             },
-            prefetch: 0,
             slab: SlabArgs::EMPTY,
         };
         for row in 0..64 {
@@ -1350,8 +1215,6 @@ mod tests {
             x: &s.x,
             col_offset,
             bounds,
-            // Read by the `Stream` instantiations only.
-            prefetch: 16,
             slab: SlabArgs::EMPTY,
         }
     }
@@ -1359,8 +1222,7 @@ mod tests {
     /// The row-lane variants this host can execute: the portable ones
     /// anywhere, the AVX2 ones after a positive probe.
     fn runnable_row_classes() -> Vec<SimdClass> {
-        let mut classes: Vec<SimdClass> =
-            [2, 4, 8].map(|lanes| SimdClass::RowLanes { lanes }).into();
+        let mut classes: Vec<SimdClass> = [4, 8].map(|lanes| SimdClass::RowLanes { lanes }).into();
         #[cfg(target_arch = "x86_64")]
         if cpu_features::detect_hardware() == cpu_features::SimdSupport::Avx2 {
             classes.extend([4, 8].map(|lanes| SimdClass::RowAvx2 { lanes }));
@@ -1371,9 +1233,8 @@ mod tests {
     /// The nnz-lane variants whose loops this host can *execute*: the
     /// portable ones anywhere, the hardware ones after a positive probe.
     fn runnable_nnz_classes() -> Vec<SimdClass> {
-        let mut classes: Vec<SimdClass> = [2, 4, 8]
-            .map(|lanes| SimdClass::NnzPortable { lanes })
-            .into();
+        let mut classes: Vec<SimdClass> =
+            [4, 8].map(|lanes| SimdClass::NnzPortable { lanes }).into();
         match cpu_features::detect_hardware() {
             #[cfg(target_arch = "x86_64")]
             cpu_features::SimdSupport::Avx2 => {
@@ -1400,11 +1261,10 @@ mod tests {
     ) -> Scalar {
         let portable = |lanes| {
             let dot = match lanes {
-                2 => simd::row_dot_nnz_portable::<2>,
                 4 => simd::row_dot_nnz_portable::<4>,
                 _ => simd::row_dot_nnz_portable::<8>,
             };
-            dot(&s.values, &s.col_indices, &s.x, col_offset, start, end, 0)
+            dot(&s.values, &s.col_indices, &s.x, col_offset, start, end)
         };
         match simd {
             SimdClass::Scalar | SimdClass::RowLanes { .. } | SimdClass::RowAvx2 { .. } => {
@@ -1472,28 +1332,25 @@ mod tests {
             slope: 0,
         };
         for simd in simd_classes {
-            for prefetch in [PrefetchClass::None, PrefetchClass::Stream] {
-                for col_offset in [0, MAX_COL_OFFSET] {
-                    let shape = shape_with(PartitionKind::Rows, IndexKind::Table, simd, prefetch);
-                    let a = args(&s, col_offset, bounds);
-                    check_chunk(&shape, &a, &s, 2, lengths.len() - 2);
-                    check_chunk(&shape, &a, &s, 0, 2);
-                    check_chunk(&shape, &a, &s, 5, 0);
+            for col_offset in [0, MAX_COL_OFFSET] {
+                let table_shape = shape(PartitionKind::Rows, IndexKind::Table, simd);
+                let a = args(&s, col_offset, bounds);
+                check_chunk(&table_shape, &a, &s, 2, lengths.len() - 2);
+                check_chunk(&table_shape, &a, &s, 0, 2);
+                check_chunk(&table_shape, &a, &s, 5, 0);
 
-                    // Affine bounds: uniform rows behind 3 stream positions no
-                    // row owns; 11 rows from row 2 leave every row-lane width
-                    // a remainder.
-                    for len in [0, 1, 8, 16, 17] {
-                        let s = streams(3 + 13 * len);
-                        let bounds = IndexArgs {
-                            table: &[],
-                            base: 3,
-                            slope: len as i64,
-                        };
-                        let shape =
-                            shape_with(PartitionKind::Rows, IndexKind::Affine, simd, prefetch);
-                        check_chunk(&shape, &args(&s, col_offset, bounds), &s, 2, 11);
-                    }
+                // Affine bounds: uniform rows behind 3 stream positions no
+                // row owns; 11 rows from row 2 leave every lane width a
+                // remainder.
+                for len in [0, 1, 8, 16, 17] {
+                    let s = streams(3 + 13 * len);
+                    let bounds = IndexArgs {
+                        table: &[],
+                        base: 3,
+                        slope: len as i64,
+                    };
+                    let affine = shape(PartitionKind::Rows, IndexKind::Affine, simd);
+                    check_chunk(&affine, &args(&s, col_offset, bounds), &s, 2, 11);
                 }
             }
         }
@@ -1513,7 +1370,7 @@ mod tests {
         };
         let mut classes = vec![SimdClass::Scalar];
         classes.extend(runnable_nnz_classes());
-        classes.retain(|&simd| has_run_twin(simd, PrefetchClass::None));
+        classes.retain(|&simd| has_run_twin(simd));
         assert!(classes.len() >= 3, "{classes:?}");
         for simd in classes {
             for col_offset in [0, MAX_COL_OFFSET] {
@@ -1596,7 +1453,6 @@ mod tests {
                 x: &[],
                 col_offset: 6,
                 bounds: IndexArgs::IDENTITY,
-                prefetch: 0,
                 slab: slab.args(),
             };
             let mut out = vec![0.5; 21];
@@ -1628,42 +1484,40 @@ mod tests {
         let mut simd_classes = vec![SimdClass::Scalar];
         simd_classes.extend(runnable_nnz_classes());
         for simd in simd_classes {
-            for prefetch in [PrefetchClass::None, PrefetchClass::Stream] {
-                for col_offset in [0, MAX_COL_OFFSET] {
-                    let shape = shape_with(PartitionKind::Nnz, IndexKind::Table, simd, prefetch);
-                    let a = args(&s, col_offset, IndexArgs::IDENTITY);
-                    for (start, end) in spans {
-                        // The span's first row, as `run_nnz` resolves it.
-                        let row0 = offsets.partition_point(|&o| o as usize <= start) - 1;
-                        let mut expected = Vec::new();
-                        let (mut row, mut cursor) = (row0, start);
-                        loop {
-                            let seg_end = at(row + 1).min(end);
-                            expected.push(reference(simd, &s, col_offset, cursor, seg_end));
-                            cursor = seg_end;
-                            if cursor >= end {
-                                break;
-                            }
-                            row += 1;
+            for col_offset in [0, MAX_COL_OFFSET] {
+                let span_shape = shape(PartitionKind::Nnz, IndexKind::Table, simd);
+                let a = args(&s, col_offset, IndexArgs::IDENTITY);
+                for (start, end) in spans {
+                    // The span's first row, as `run_nnz` resolves it.
+                    let row0 = offsets.partition_point(|&o| o as usize <= start) - 1;
+                    let mut expected = Vec::new();
+                    let (mut row, mut cursor) = (row0, start);
+                    loop {
+                        let seg_end = at(row + 1).min(end);
+                        expected.push(reference(simd, &s, col_offset, cursor, seg_end));
+                        cursor = seg_end;
+                        if cursor >= end {
+                            break;
                         }
-                        let sums = nnz_loop(&shape).unwrap()(&a, &offsets, row0, start, end);
-                        assert_eq!(
-                            bits(&sums),
-                            bits(&expected),
-                            "{} on span {start}..{end} (col_offset {col_offset})",
-                            shape.label()
-                        );
+                        row += 1;
                     }
+                    let sums = nnz_loop(&span_shape).unwrap()(&a, &offsets, row0, start, end);
+                    assert_eq!(
+                        bits(&sums),
+                        bits(&expected),
+                        "{} on span {start}..{end} (col_offset {col_offset})",
+                        span_shape.label()
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn every_resolvable_loop_has_a_prefetching_twin_with_the_same_bits() {
-        // Every (simd, prefetch) pair the resolve step can produce on this
-        // host — all plans, both partition strategies — is in the library,
-        // and `PF` changes instructions, never results.
+    fn every_resolvable_loop_is_in_the_library() {
+        // Every loop the resolve step can produce on this host — all plans,
+        // both partition strategies — is in the library, and a row loop sums
+        // every row to its reference, bit for bit.
         let lengths = [5, 0, 1, 8, 9, 16, 23, 40, 64, 3, 3, 3];
         let table = offsets_of(&lengths);
         let s = streams(*table.last().unwrap() as usize);
@@ -1672,8 +1526,7 @@ mod tests {
             base: 0,
             slope: 0,
         };
-        let a = args(&s, 0, bounds);
-        let slabs = [2, 4, 8].map(|lanes| {
+        let slabs = [4, 8].map(|lanes| {
             Slab::build(
                 lanes,
                 16,
@@ -1685,44 +1538,25 @@ mod tests {
         });
         for lanes in [1, 2, 3, 4, 8, 16] {
             for lane_mapping in [SimdLaneMapping::Nnz, SimdLaneMapping::Rows] {
-                let resolve = |prefetch_distance| {
-                    let plan = alpha_graph::SimdPlan {
-                        lanes,
-                        lane_mapping,
-                        prefetch_distance,
-                    };
-                    ResolvedSimd::resolve(&plan, simd::SimdMode::Auto)
+                let plan = alpha_graph::SimdPlan {
+                    lanes,
+                    lane_mapping,
                 };
-                let run = |partition, rs: &ResolvedSimd| -> Vec<u32> {
-                    let (simd, prefetch) = executed_loop(rs, partition == PartitionKind::Rows);
-                    let shape = shape_with(partition, IndexKind::Table, simd, prefetch);
-                    let mut a = a;
-                    if simd.is_row_lanes() {
-                        let slab = slabs.iter().find(|slab| slab.lanes() == simd.lanes());
-                        a.slab = slab.unwrap().args();
-                    }
-                    match partition {
-                        PartitionKind::Rows => {
-                            let mut out = vec![1.5; lengths.len()];
-                            rows_loop(&shape).unwrap()(&a, 0, &mut out);
-                            bits(&out)
-                        }
-                        PartitionKind::Nnz => bits(&nnz_loop(&shape).unwrap()(
-                            &a,
-                            &table,
-                            0,
-                            2,
-                            s.values.len() - 1,
-                        )),
-                    }
-                };
-                for partition in [PartitionKind::Rows, PartitionKind::Nnz] {
-                    assert_eq!(
-                        run(partition, &resolve(0)),
-                        run(partition, &resolve(16)),
-                        "{partition:?} lanes {lanes} {lane_mapping:?}"
-                    );
+                let rs = ResolvedSimd::resolve(&plan, simd::SimdMode::Auto);
+                let simd = SimdClass::classify(&rs, true);
+                let mut a = args(&s, 0, bounds);
+                if simd.is_row_lanes() {
+                    let slab = slabs.iter().find(|slab| slab.lanes() == simd.lanes());
+                    a.slab = slab.unwrap().args();
                 }
+                let rows = shape(PartitionKind::Rows, IndexKind::Table, simd);
+                check_chunk(&rows, &a, &s, 0, lengths.len());
+                let nnz = shape(
+                    PartitionKind::Nnz,
+                    IndexKind::Table,
+                    SimdClass::classify(&rs, false),
+                );
+                assert!(nnz_loop(&nnz).is_ok(), "{}", nnz.label());
             }
         }
     }

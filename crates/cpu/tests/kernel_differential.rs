@@ -35,7 +35,8 @@
 //! * a row partition whose rows are all column runs lowers to `col:run`, and
 //!   its `y` is **bitwise** that of the `col:table` kernel of the same loop;
 //!   a gap, a duplicate or a stencil's several runs in any row keep
-//!   `col:table`;
+//!   `col:table`; the search's nnz-lane seeds on a banded matrix read the
+//!   column run;
 //! * row lanes run on a length-sorted slab, and every row-lane class this
 //!   host runs is **bitwise** the scalar loop at 1, 2 and 3 threads, on
 //!   unsorted and length-sorted designs over several sorting windows, with
@@ -84,36 +85,17 @@ fn sort_branch_stages(branch: &mut [Operator]) {
 /// row-lanes on a non-row mapping) are dropped — exactly what the search
 /// itself does.
 fn with_simd_variants(base: &OperatorGraph) -> Vec<(&'static str, OperatorGraph)> {
-    let sets: [(&'static str, &[Operator]); 5] = [
-        (
-            "nnz-x8+pf16",
-            &[
-                Operator::SimdNnzLanes { lanes: 8 },
-                Operator::SimdPrefetch { distance: 16 },
-            ],
-        ),
-        ("nnz-x4", &[Operator::SimdNnzLanes { lanes: 4 }]),
-        (
-            "nnz-x2+pf64",
-            &[
-                Operator::SimdNnzLanes { lanes: 2 },
-                Operator::SimdPrefetch { distance: 64 },
-            ],
-        ),
-        ("row-x4", &[Operator::SimdRowLanes { lanes: 4 }]),
-        (
-            "row-x8+pf8",
-            &[
-                Operator::SimdRowLanes { lanes: 8 },
-                Operator::SimdPrefetch { distance: 8 },
-            ],
-        ),
+    let sets = [
+        ("nnz-x8", Operator::SimdNnzLanes { lanes: 8 }),
+        ("nnz-x4", Operator::SimdNnzLanes { lanes: 4 }),
+        ("row-x4", Operator::SimdRowLanes { lanes: 4 }),
+        ("row-x8", Operator::SimdRowLanes { lanes: 8 }),
     ];
     let mut variants = vec![("base", base.clone())];
-    for (name, ops) in sets {
+    for (name, op) in sets {
         let mut twin = base.clone();
         for branch in &mut twin.branches {
-            branch.extend(ops.iter().cloned());
+            branch.push(op.clone());
             sort_branch_stages(branch);
         }
         if twin.validate().is_ok() {
@@ -499,7 +481,6 @@ fn portable_row_dots<const L: usize>(matrix: &CsrMatrix, x: &[f32]) -> Vec<f32> 
                 0,
                 range.start,
                 range.end,
-                0,
             )
         })
         .collect()
@@ -997,6 +978,48 @@ fn a_column_band_past_the_end_of_x_reads_no_run() {
 }
 
 #[test]
+fn the_searchs_nnz_lane_seeds_read_the_column_run() {
+    // A measured search seeds every structure with an nnz-lane twin.  On a
+    // banded matrix each row partition of those twins lowers to `col:run`
+    // with the plain nnz loop (the scalar loop under the env override): the
+    // search times the run twin, not a loop without one.
+    let matrix = alpha_matrix::gen::banded(2_048, 4, 7);
+    assert!(matrix.column_runs().is_some());
+    let rules = alpha_search::PruneRules::new(&matrix, true);
+    let expected = if alpha_cpu::cpu_features::force_scalar() {
+        "scalar"
+    } else {
+        "-nnz-x8"
+    };
+    let mut row_partitions = 0;
+    for graph in alpha_search::enumerate::seed_structures_with(&matrix, &rules, true) {
+        let nnz_lanes = graph
+            .branches
+            .iter()
+            .flatten()
+            .any(|o| matches!(o, Operator::SimdNnzLanes { .. }));
+        if !nnz_lanes {
+            continue;
+        }
+        let generated =
+            alpha_codegen::generate(&graph, &matrix, alpha_codegen::GeneratorOptions::default())
+                .unwrap_or_else(|e| panic!("{graph:?}: generation failed: {e}"));
+        let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+        let shapes = kernel.partition_shapes();
+        for (loop_half, run) in run_partitions(&kernel) {
+            // NEON loops have no run twin.
+            if run.is_none() || loop_half.starts_with("neon-") {
+                continue;
+            }
+            row_partitions += 1;
+            assert!(loop_half.ends_with(expected), "{shapes}");
+            assert_eq!(run, Some(true), "{shapes}");
+        }
+    }
+    assert!(row_partitions > 0, "no nnz-lane seed has a row partition");
+}
+
+#[test]
 fn rows_that_are_not_one_run_keep_the_column_stream() {
     let banded = PatternFamily::Banded.generate(256, 6, 77);
     // One row holds column 3 twice.
@@ -1123,7 +1146,7 @@ fn row_lane_slabs_are_bitwise_the_scalar_loop() {
         x[3] = f32::NAN;
         x[matrix.cols() / 2] = f32::INFINITY;
         for (design, base) in &designs {
-            for lanes in [2, 4, 8] {
+            for lanes in [4, 8] {
                 let context = format!("{name}/{design}/row-x{lanes}");
                 let generated =
                     alpha_codegen::generate(&with_row_lanes(base, lanes), matrix, options)
@@ -1153,12 +1176,12 @@ fn row_lane_slabs_are_bitwise_the_scalar_loop() {
             }
         }
     }
-    // Every row-lane class of this host ran: ×2 portable, ×4 and ×8 on its
-    // backend (AVX2 gathers, or portable lane code).
+    // Every row-lane class of this host ran: ×4 and ×8 on its backend (AVX2
+    // gathers, or portable lane code).
     let expected = if alpha_cpu::cpu_features::force_scalar() {
         0
     } else {
-        3
+        2
     };
     assert_eq!(classes.len(), expected, "{classes:?}");
 }
@@ -1170,7 +1193,7 @@ fn an_empty_column_band_past_the_end_of_x_gathers_nothing_in_a_slab() {
     let matrix = run_matrix(40, 5, &[1, 2, 5, 0, 3], 5);
     let x = DenseVector::random(matrix.cols(), 5);
     let reference = reference_rows(&matrix, x.as_slice());
-    for lanes in [2, 4, 8] {
+    for lanes in [4, 8] {
         let context = format!("col_split_atomic(4)/row-x{lanes}");
         let generated = alpha_codegen::generate(
             &with_row_lanes(&presets::col_split_atomic(4), lanes),

@@ -536,28 +536,20 @@ fn design_branch(piece: Piece, branch: &[Operator], shared: &[Operator]) -> Part
         .iter()
         .any(|op| matches!(op, Operator::InterleavedStorage));
     let sort_bmtb = branch.iter().any(|op| matches!(op, Operator::SortBmtb));
-    let mut simd = branch
+    let simd = branch
         .iter()
         .find_map(|op| match op {
             Operator::SimdRowLanes { lanes } => Some(SimdPlan {
                 lanes: *lanes,
                 lane_mapping: SimdLaneMapping::Rows,
-                prefetch_distance: 0,
             }),
             Operator::SimdNnzLanes { lanes } => Some(SimdPlan {
                 lanes: *lanes,
                 lane_mapping: SimdLaneMapping::Nnz,
-                prefetch_distance: 0,
             }),
             _ => None,
         })
         .unwrap_or_else(SimdPlan::scalar);
-    if let Some(distance) = branch.iter().find_map(|op| match op {
-        Operator::SimdPrefetch { distance } => Some(*distance),
-        _ => None,
-    }) {
-        simd.prefetch_distance = distance;
-    }
 
     let mut operators: Vec<Operator> = shared.to_vec();
     operators.extend(branch.iter().cloned());

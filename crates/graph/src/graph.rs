@@ -450,11 +450,6 @@ impl OperatorGraph {
                 "branch {index} has {lane_mappings} SIMD lane-mapping operators"
             )));
         }
-        if count(&|o| matches!(o, Operator::SimdPrefetch { .. })) > 1 {
-            return Err(ValidationError::Duplicate(format!(
-                "SIMD_PREFETCH in branch {index}"
-            )));
-        }
         if branch
             .iter()
             .any(|o| matches!(o, Operator::SimdRowLanes { .. }))
@@ -495,10 +490,10 @@ impl OperatorGraph {
                     ));
                 }
                 Operator::SimdRowLanes { lanes } | Operator::SimdNnzLanes { lanes }
-                    if !matches!(lanes, 1 | 2 | 4 | 8) =>
+                    if !matches!(lanes, 1 | 4 | 8) =>
                 {
                     return Err(ValidationError::BadParameter(format!(
-                        "{} lanes must be 1, 2, 4 or 8, got {lanes}",
+                        "{} lanes must be 1, 4 or 8, got {lanes}",
                         op.name()
                     )));
                 }
@@ -831,25 +826,26 @@ mod tests {
             branches: vec![vec![
                 Operator::BmtRowBlock { rows: 1 },
                 Operator::SimdNnzLanes { lanes: 8 },
-                Operator::SimdPrefetch { distance: 16 },
                 Operator::ThreadTotalRed,
             ]],
         };
         assert!(nnz_lanes.validate().is_ok());
 
-        // Lane widths outside {1, 2, 4, 8} are rejected.
-        let bad_lanes = OperatorGraph {
-            converting: vec![Operator::Compress],
-            branches: vec![vec![
-                Operator::BmtRowBlock { rows: 1 },
-                Operator::SimdNnzLanes { lanes: 3 },
-                Operator::ThreadTotalRed,
-            ]],
-        };
-        assert!(matches!(
-            bad_lanes.validate(),
-            Err(ValidationError::BadParameter(_))
-        ));
+        // Lane widths outside {1, 4, 8} are rejected.
+        for lanes in [2, 3] {
+            let bad_lanes = OperatorGraph {
+                converting: vec![Operator::Compress],
+                branches: vec![vec![
+                    Operator::BmtRowBlock { rows: 1 },
+                    Operator::SimdNnzLanes { lanes },
+                    Operator::ThreadTotalRed,
+                ]],
+            };
+            assert!(matches!(
+                bad_lanes.validate(),
+                Err(ValidationError::BadParameter(_))
+            ));
+        }
 
         // Two lane mappings cannot coexist in one branch.
         let duplicate = OperatorGraph {

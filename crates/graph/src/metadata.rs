@@ -67,28 +67,24 @@ pub enum SimdLaneMapping {
     Nnz,
 }
 
-/// The resolved vectorization directive of one partition: lane width, the
-/// row-vs-nnz lane mapping, and the software-prefetch distance.  `lanes == 1`
+/// The resolved vectorization directive of one partition: lane width and the
+/// row-vs-nnz lane mapping.  `lanes == 1`
 /// means explicit scalar execution (the default when no SIMD operator is in
 /// the graph).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimdPlan {
-    /// SIMD lanes (1, 2, 4 or 8).
+    /// SIMD lanes (1, 4 or 8).
     pub lanes: usize,
     /// Whether lanes span adjacent rows or consecutive non-zeros.
     pub lane_mapping: SimdLaneMapping,
-    /// Prefetch distance in non-zeros ahead of the current position
-    /// (0 disables software prefetch).
-    pub prefetch_distance: usize,
 }
 
 impl SimdPlan {
-    /// The scalar default: one lane, no prefetch.
+    /// The scalar default: one lane.
     pub fn scalar() -> Self {
         SimdPlan {
             lanes: 1,
             lane_mapping: SimdLaneMapping::Nnz,
-            prefetch_distance: 0,
         }
     }
 
@@ -335,7 +331,6 @@ mod tests {
         assert!(SimdPlan {
             lanes: 4,
             lane_mapping: SimdLaneMapping::Rows,
-            prefetch_distance: 0,
         }
         .is_vectorized());
     }

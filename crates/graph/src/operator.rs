@@ -105,22 +105,15 @@ pub enum Operator {
     /// (ELL/padded-row lineage: each lane owns one row, column indices load
     /// as vectors).
     SimdRowLanes {
-        /// SIMD lanes (1, 2, 4 or 8); 1 means explicit scalar execution.
+        /// SIMD lanes (1, 4 or 8); 1 means explicit scalar execution.
         lanes: usize,
     },
     /// Vectorize execution with `lanes` SIMD lanes mapped to consecutive
     /// non-zeros of one row (gather-based CSR lineage with a horizontal-add
     /// row reduction).
     SimdNnzLanes {
-        /// SIMD lanes (1, 2, 4 or 8); 1 means explicit scalar execution.
+        /// SIMD lanes (1, 4 or 8); 1 means explicit scalar execution.
         lanes: usize,
-    },
-    /// Software-prefetch the index/value streams `distance` non-zeros ahead
-    /// of the current position (no-op on targets without a prefetch
-    /// instruction).
-    SimdPrefetch {
-        /// Prefetch distance in non-zeros (0 disables prefetching).
-        distance: usize,
     },
 
     // ---- Implementing stage ------------------------------------------------
@@ -172,8 +165,7 @@ impl Operator {
             | SortBmtb
             | InterleavedStorage
             | SimdRowLanes { .. }
-            | SimdNnzLanes { .. }
-            | SimdPrefetch { .. } => Stage::Mapping,
+            | SimdNnzLanes { .. } => Stage::Mapping,
             SetResources { .. }
             | GmemAtomRed
             | ShmemOffsetRed
@@ -208,7 +200,6 @@ impl Operator {
             InterleavedStorage => "INTERLEAVED_STORAGE",
             SimdRowLanes { .. } => "SIMD_ROW_LANES",
             SimdNnzLanes { .. } => "SIMD_NNZ_LANES",
-            SimdPrefetch { .. } => "SIMD_PREFETCH",
             SetResources { .. } => "SET_RESOURCES",
             GmemAtomRed => "GMEM_ATOM_RED",
             ShmemOffsetRed => "SHMEM_OFFSET_RED",
@@ -241,7 +232,6 @@ impl Operator {
             InterleavedStorage => &["ELLPACK", "SELL"],
             SimdRowLanes { .. } => &["ELLPACK", "SELL-C-sigma", "CVR"],
             SimdNnzLanes { .. } => &["CSR5", "JITSPMM", "gather-SpMV"],
-            SimdPrefetch { .. } => &["CVR", "JITSPMM"],
             SetResources { .. } => &[],
             GmemAtomRed => &["row-grouped CSR", "SCOO"],
             ShmemOffsetRed => &["CSR-Adaptive", "CSR-Stream", "merge-based CSR"],
@@ -277,7 +267,6 @@ impl Operator {
             InterleavedStorage,
             SimdRowLanes { lanes: 4 },
             SimdNnzLanes { lanes: 8 },
-            SimdPrefetch { distance: 16 },
             SetResources {
                 threads_per_block: 128,
             },
@@ -312,9 +301,6 @@ impl std::fmt::Display for Operator {
             SimdRowLanes { lanes } | SimdNnzLanes { lanes } => {
                 write!(f, "{}(lanes={})", self.name(), lanes)
             }
-            SimdPrefetch { distance } => {
-                write!(f, "{}(distance={})", self.name(), distance)
-            }
             SetResources { threads_per_block } => {
                 write!(f, "{}(tpb={})", self.name(), threads_per_block)
             }
@@ -333,9 +319,9 @@ mod tests {
         // Table II lists 6 converting, 10 mapping (counting the three PADs and
         // three row/col blocks separately, plus NNZ block, SORT_BMTB and the
         // interleaved-storage layout used by Figure 14), and 9 implementing.
-        // The native-backend extension adds 3 mapping operators for the SIMD
-        // lane mapping and prefetch distance (13 mapping total).
-        assert_eq!(catalogue.len(), 28);
+        // The native-backend extension adds 2 mapping operators for the SIMD
+        // lane mapping (12 mapping total).
+        assert_eq!(catalogue.len(), 27);
         let converting = catalogue
             .iter()
             .filter(|o| o.stage() == Stage::Converting)
@@ -349,7 +335,7 @@ mod tests {
             .filter(|o| o.stage() == Stage::Implementing)
             .count();
         assert_eq!(converting, 6);
-        assert_eq!(mapping, 13);
+        assert_eq!(mapping, 12);
         assert_eq!(implementing, 9);
     }
 
@@ -383,10 +369,6 @@ mod tests {
         assert_eq!(
             Operator::SimdRowLanes { lanes: 4 }.to_string(),
             "SIMD_ROW_LANES(lanes=4)"
-        );
-        assert_eq!(
-            Operator::SimdPrefetch { distance: 16 }.to_string(),
-            "SIMD_PREFETCH(distance=16)"
         );
     }
 

@@ -35,8 +35,6 @@ pub enum ParamKind {
     ThreadsPerBlock,
     /// SIMD lanes of `SIMD_ROW_LANES` / `SIMD_NNZ_LANES`.
     SimdLanes,
-    /// Prefetch distance (in non-zeros) of `SIMD_PREFETCH`.
-    SimdPrefetchDist,
 }
 
 impl ParamKind {
@@ -54,8 +52,7 @@ impl ParamKind {
             ParamKind::NnzPerThread => &[4, 16, 64],
             ParamKind::PadMultiple => &[2, 8, 32],
             ParamKind::ThreadsPerBlock => &[64, 256, 1024],
-            ParamKind::SimdLanes => &[2, 4, 8],
-            ParamKind::SimdPrefetchDist => &[8, 32],
+            ParamKind::SimdLanes => &[4, 8],
         }
     }
 
@@ -72,8 +69,7 @@ impl ParamKind {
             ParamKind::NnzPerThread => vec![2, 4, 8, 16, 32, 64, 128],
             ParamKind::PadMultiple => vec![2, 4, 8, 16, 32, 64],
             ParamKind::ThreadsPerBlock => vec![32, 64, 128, 256, 512, 1024],
-            ParamKind::SimdLanes => vec![1, 2, 4, 8],
-            ParamKind::SimdPrefetchDist => vec![0, 4, 8, 16, 32, 64],
+            ParamKind::SimdLanes => vec![1, 4, 8],
         }
     }
 }
@@ -98,7 +94,6 @@ pub fn operator_params(op: &Operator) -> Vec<(ParamKind, usize)> {
             vec![(ParamKind::ThreadsPerBlock, *threads_per_block)]
         }
         SimdRowLanes { lanes } | SimdNnzLanes { lanes } => vec![(ParamKind::SimdLanes, *lanes)],
-        SimdPrefetch { distance } => vec![(ParamKind::SimdPrefetchDist, *distance)],
         _ => Vec::new(),
     }
 }
@@ -126,7 +121,6 @@ pub fn with_param(op: &Operator, value: usize) -> Operator {
         },
         SimdRowLanes { .. } => SimdRowLanes { lanes: value },
         SimdNnzLanes { .. } => SimdNnzLanes { lanes: value },
-        SimdPrefetch { .. } => SimdPrefetch { distance: value },
         other => other.clone(),
     }
 }
@@ -165,7 +159,6 @@ mod tests {
             ParamKind::PadMultiple,
             ParamKind::ThreadsPerBlock,
             ParamKind::SimdLanes,
-            ParamKind::SimdPrefetchDist,
         ] {
             let fine = kind.fine_grid();
             for v in kind.coarse_grid() {

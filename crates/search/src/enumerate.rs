@@ -77,16 +77,13 @@ pub fn seed_structures_with(
     }
     let mut vectorized = Vec::new();
     for seed in &seeds {
-        for ops in [
-            &[
-                Operator::SimdNnzLanes { lanes: 8 },
-                Operator::SimdPrefetch { distance: 16 },
-            ][..],
-            &[Operator::SimdRowLanes { lanes: 4 }][..],
+        for op in [
+            Operator::SimdNnzLanes { lanes: 8 },
+            Operator::SimdRowLanes { lanes: 4 },
         ] {
             let mut twin = seed.clone();
             for branch in &mut twin.branches {
-                branch.extend(ops.iter().cloned());
+                branch.push(op.clone());
                 sort_branch_stages(branch);
             }
             if twin.validate().is_ok() && !rules.bans_graph(&twin) {
@@ -201,7 +198,7 @@ pub fn mutate_structure(
             }
         }
         5 => {
-            // Cycle the vectorization shape: scalar → nnz lanes (+prefetch)
+            // Cycle the vectorization shape: scalar → nnz lanes
             // → row lanes → scalar.  Row lanes require a row-per-thread
             // mapping; on other mappings that state collapses to scalar.
             let branch = &mut mutated.branches[branch_index];
@@ -214,9 +211,7 @@ pub fn mutate_structure(
             branch.retain(|o| {
                 !matches!(
                     o,
-                    Operator::SimdRowLanes { .. }
-                        | Operator::SimdNnzLanes { .. }
-                        | Operator::SimdPrefetch { .. }
+                    Operator::SimdRowLanes { .. } | Operator::SimdNnzLanes { .. }
                 )
             });
             if had_nnz {
@@ -228,7 +223,6 @@ pub fn mutate_structure(
                 }
             } else if !had_row {
                 branch.push(Operator::SimdNnzLanes { lanes: 8 });
-                branch.push(Operator::SimdPrefetch { distance: 16 });
             }
         }
         _ => {
@@ -400,10 +394,6 @@ mod tests {
             has(&|o| matches!(o, Operator::SimdRowLanes { .. })),
             "seed pool must contain row-lane vectorized designs"
         );
-        assert!(
-            has(&|o| matches!(o, Operator::SimdPrefetch { .. })),
-            "seed pool must contain prefetching designs"
-        );
         assert!(seeds.iter().all(|g| g.validate().is_ok()));
     }
 
@@ -460,18 +450,6 @@ mod tests {
         assert!(
             lane_widths.len() > 1,
             "coarse sweep must vary the lane width, saw {lane_widths:?}"
-        );
-        let distances: std::collections::BTreeSet<usize> = coarse_variants(vectorized)
-            .iter()
-            .flat_map(|g| g.branches.iter().flatten())
-            .filter_map(|o| match o {
-                Operator::SimdPrefetch { distance } => Some(*distance),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            distances.len() > 1,
-            "coarse sweep must vary the prefetch distance, saw {distances:?}"
         );
     }
 

@@ -46,8 +46,9 @@ pub const CACHE_MAGIC: [u8; 4] = *b"ACDS";
 /// hold r3-era timings anyway (see `EvaluatorId::salt`), so they retire with
 /// the version.  Version 5 dropped the emitted source string each evaluation
 /// carried (about 70 % of a context's bytes): source is emitted on request,
-/// for the winner, from its graph.
-pub const CACHE_FORMAT_VERSION: u32 = 5;
+/// for the winner, from its graph.  Version 6 retired operator tag 27 and
+/// SIMD lane width 2: a v5 file may hold graphs that no longer validate.
+pub const CACHE_FORMAT_VERSION: u32 = 6;
 
 /// Why loading or saving a durable cache failed.
 #[derive(Debug)]
@@ -335,6 +336,7 @@ impl<'a> ByteReader<'a> {
 
 // Every operator is one tag byte plus one u64 parameter (0 when the operator
 // is parameterless).  Tags are append-only: renumbering is a schema change.
+// Tag 27 (the retired `SIMD_PREFETCH`) stays reserved and decodes as corrupt.
 fn operator_tag(op: &Operator) -> (u8, u64) {
     use Operator::*;
     match op {
@@ -365,7 +367,6 @@ fn operator_tag(op: &Operator) -> (u8, u64) {
         ThreadBitmapRed => (24, 0),
         SimdRowLanes { lanes } => (25, *lanes as u64),
         SimdNnzLanes { lanes } => (26, *lanes as u64),
-        SimdPrefetch { distance } => (27, *distance as u64),
     }
 }
 
@@ -404,7 +405,6 @@ fn operator_from_tag(tag: u8, param: u64) -> Result<Operator, PersistError> {
         24 => ThreadBitmapRed,
         25 => SimdRowLanes { lanes: p },
         26 => SimdNnzLanes { lanes: p },
-        27 => SimdPrefetch { distance: p },
         other => {
             return Err(PersistError::Corrupt(format!(
                 "unknown operator tag {other}"
@@ -894,7 +894,6 @@ mod tests {
             Operator::Compress,
             Operator::BmtRowBlock { rows: 1 },
             Operator::SimdRowLanes { lanes: 4 },
-            Operator::SimdPrefetch { distance: 32 },
             Operator::ThreadTotalRed,
         ]);
         assert!(vectorized.validate().is_ok());
@@ -997,7 +996,7 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         // Overwrite the version field (bytes 4..8) with a future version and
-        // with the previous one (whose evaluations still carried a source).
+        // with the previous one (whose graphs may hold the retired tag 27).
         for version in [CACHE_FORMAT_VERSION + 1, CACHE_FORMAT_VERSION - 1] {
             let mut bytes = populated_cache().to_bytes();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
@@ -1112,12 +1111,15 @@ mod tests {
         // (4+4), the empty entries section (8), the winner count (8) and the
         // winner's context key (8) and converting-length (8).
         let tag_pos = 4 + 4 + 8 + 8 + 8 + 8;
-        let mut corrupted = bytes.clone();
-        corrupted[tag_pos] = 250;
-        assert!(matches!(
-            DesignCache::from_bytes(&corrupted),
-            Err(PersistError::Corrupt(_))
-        ));
+        // 250 was never a tag; 27 is the retired one, reserved for good.
+        for tag in [250, 27] {
+            let mut corrupted = bytes.clone();
+            corrupted[tag_pos] = tag;
+            assert!(matches!(
+                DesignCache::from_bytes(&corrupted),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

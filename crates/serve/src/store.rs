@@ -870,23 +870,26 @@ mod tests {
         let store = DesignStore::open(&dir).unwrap();
         let cache = DesignCache::new();
         cache.record_winner(0xee, design(3.0));
-        // A v4 header: the layout whose evaluations carried their source.
-        let mut bytes = cache.to_bytes();
-        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
-        let file = store.root().join("designs/ctx_00000000000000ee.acds");
-        std::fs::write(&file, &bytes).unwrap();
-        // Refused every time: nothing is left resident in its place, and the
-        // file is not rewritten.
-        for _ in 0..2 {
-            let err = store.cache_for(0xee).unwrap_err();
-            assert!(
-                matches!(err, StoreError::Persist(PersistError::VersionMismatch { found: 4, expected })
-                    if expected == alpha_search::CACHE_FORMAT_VERSION),
-                "{err:?}"
-            );
+        // A v4 header (the layout whose evaluations carried their source) and
+        // a v5 one (whose graphs may hold the retired operator tag 27).
+        for version in [4u32, 5] {
+            let mut bytes = cache.to_bytes();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let file = store.root().join("designs/ctx_00000000000000ee.acds");
+            std::fs::write(&file, &bytes).unwrap();
+            // Refused every time: nothing is left resident in its place, and
+            // the file is not rewritten.
+            for _ in 0..2 {
+                let err = store.cache_for(0xee).unwrap_err();
+                assert!(
+                    matches!(err, StoreError::Persist(PersistError::VersionMismatch { found, expected })
+                        if found == version && expected == alpha_search::CACHE_FORMAT_VERSION),
+                    "{err:?}"
+                );
+            }
+            assert_eq!(store.resident_contexts(), 0);
+            assert_eq!(std::fs::read(&file).unwrap(), bytes);
         }
-        assert_eq!(store.resident_contexts(), 0);
-        assert_eq!(std::fs::read(&file).unwrap(), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,7 +12,9 @@
 #        that commit; the entry still goes to this repository's ledger.
 #
 # Each run's result file lands in TREE/benchmark/out/ledger-<sha>/ (git
-# ignored).  The entry holds `git describe --always`, host facts, per
+# ignored).  The entry holds `git describe --always` and the commit's tree
+# (`git rev-parse HEAD^{tree}`, which names the code even when the commit
+# is a throwaway one that never reaches history), host facts, per
 # (workload, metric) the median, quartiles (Python's
 # statistics.quantiles(n=4), as `benchmark -- compare` reads them) and N,
 # every run's hypervisor steal share (from /proc/stat around the run), the
@@ -35,6 +37,7 @@ fi
 # the workspace folded away); put the committed one back however we exit.
 trap 'git -C "$tree" checkout --quiet -- benchmark/Cargo.lock' EXIT
 describe=$(git -C "$tree" describe --always)
+tree_id=$(git -C "$tree" rev-parse 'HEAD^{tree}')
 out=$tree/benchmark/out/ledger-$(git -C "$tree" rev-parse --short HEAD)
 rm -rf "$out"
 mkdir -p "$out"
@@ -70,6 +73,7 @@ done
 results=("$out"/*-seed*-trace0.json)
 entry=$(jq -s \
     --arg commit "$describe" \
+    --arg tree "$tree_id" \
     --arg subject "$(git -C "$tree" log -1 --format=%s)" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     --argjson nproc "$(nproc)" \
@@ -88,6 +92,7 @@ entry=$(jq -s \
           end;
     {
       commit: $commit,
+      tree: $tree,
       subject: $subject,
       date: $date,
       host: {nproc: $nproc, cpu: $cpu},
