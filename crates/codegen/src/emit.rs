@@ -555,33 +555,27 @@ mod tests {
 
     #[test]
     fn vectorized_plans_emit_the_simd_loop_shape() {
-        use alpha_graph::{Operator, OperatorGraph};
+        use alpha_graph::{SimdLaneMapping, SimdPlan};
         let matrix = gen::uniform_random(256, 256, 8, 5);
-        let gathered = OperatorGraph::linear(vec![
-            Operator::Compress,
-            Operator::BmtRowBlock { rows: 1 },
-            Operator::SimdNnzLanes { lanes: 8 },
-            Operator::ThreadTotalRed,
-        ]);
-        let rust = generate(&gathered, &matrix, GeneratorOptions::default())
-            .unwrap()
-            .rust_source();
+        // The plans a host's loop selection writes into a generated design.
+        let with_plan = |lanes, lane_mapping| {
+            let mut generated =
+                generate(&presets::csr_scalar(), &matrix, GeneratorOptions::default()).unwrap();
+            generated.set_simd_plans(&[SimdPlan {
+                lanes,
+                lane_mapping,
+            }]);
+            generated.rust_source()
+        };
+        let rust = with_plan(8, SimdLaneMapping::Nnz);
         assert!(rust.contains("simd: 8 lanes across one row's non-zeros"));
         assert!(rust.contains("_mm256_i32gather_ps"));
         assert!(rust.contains("hsum_tree(&lane)"));
         assert!(rust.contains("serial tail"));
 
-        let row_lanes = OperatorGraph::linear(vec![
-            Operator::Compress,
-            Operator::BmtRowBlock { rows: 1 },
-            Operator::SimdRowLanes { lanes: 4 },
-            Operator::ThreadTotalRed,
-        ]);
-        let rust = generate(&row_lanes, &matrix, GeneratorOptions::default())
-            .unwrap()
-            .rust_source();
-        assert!(rust.contains("simd: 4 lanes across adjacent rows"));
-        assert!(rust.contains("4 adjacent rows per SIMD group"));
+        let rust = with_plan(8, SimdLaneMapping::Rows);
+        assert!(rust.contains("simd: 8 lanes across adjacent rows"));
+        assert!(rust.contains("8 adjacent rows per SIMD group"));
 
         // Scalar designs keep the scalar shape.
         let rust = generate(&presets::csr_scalar(), &matrix, GeneratorOptions::default())

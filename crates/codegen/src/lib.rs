@@ -69,10 +69,10 @@ impl GeneratedSpmv {
         emit::emit_rust(self.kernel.metadata(), &self.format)
     }
 
-    /// Resolves the implementing stage's inner loops after generation: a
-    /// design without a SIMD operator leaves every partition's
-    /// [`SimdPlan`] scalar, and the host that will run it may pick the loop
-    /// (`alpha-cpu`'s `NativeKernel::select`).  Writing the picks here —
+    /// Resolves the inner loops after generation: a design leaves every
+    /// partition's [`SimdPlan`] scalar, and the host that will run it picks
+    /// the loop (`alpha-cpu`'s `NativeKernel::select`, or a recorded loop
+    /// label).  Writing the picks here —
     /// one plan per partition — keeps the single rule that lowering and
     /// emission follow the plan: the kernel's metadata carries them, so
     /// [`GeneratedSpmv::rust_source`] prints them.  The format, the

@@ -287,11 +287,11 @@ impl AlphaSparse {
     /// format build instead of a replayed search.  `outcome` must have been
     /// produced for this matrix under this tuner's configuration.
     ///
-    /// A design that carries no SIMD operator leaves its inner loop to the
-    /// host (the cost model cannot rank lane widths).  When `outcome` names
-    /// the loop ([`SearchOutcome::best_kernel_shape`], recorded by an
-    /// earlier rebuild or a measured evaluation) and this host can run it,
-    /// the design is lowered with that loop; otherwise the admissible loops
+    /// A design never names its inner loop: the host picks it, under either
+    /// evaluator.  When `outcome` names the loop
+    /// ([`SearchOutcome::best_kernel_shape`], recorded by an earlier
+    /// rebuild) and this host can run it, the design is lowered with that
+    /// loop; otherwise the admissible loops
     /// are measured once ([`NativeKernel::select`]) and the winner is
     /// recorded on the design's entry in the tuner's cache — which is
     /// thereby dirty; `auto_tune` saves it, other callers persist it as they
@@ -309,31 +309,29 @@ impl AlphaSparse {
         let mut native = std::sync::OnceLock::new();
         let mut loops = Vec::new();
         let metadata = generated.kernel.metadata();
-        if metadata.partitions.iter().all(|p| !p.simd.is_vectorized()) {
-            let recorded = outcome
-                .best_kernel_shape
-                .as_deref()
-                .and_then(|label| alpha_cpu::plans_from_label(metadata, label));
-            let plans = match recorded {
-                Some(plans) => plans,
-                None => {
-                    let (kernel, choices) = NativeKernel::select(metadata, &generated.format)
-                        .map_err(|e| e.to_string())?;
-                    let shape = kernel.partition_shapes();
-                    self.cache.set_winner_kernel_shape(
-                        self.context_key(matrix),
-                        &outcome.best_graph,
-                        &shape,
-                    );
-                    outcome.best_kernel_shape = Some(shape);
-                    native = kernel.into();
-                    loops = choices;
-                    loops.iter().map(|choice| choice.plan).collect()
-                }
-            };
-            if plans.iter().any(|plan| plan.is_vectorized()) {
-                generated.set_simd_plans(&plans);
+        let recorded = outcome
+            .best_kernel_shape
+            .as_deref()
+            .and_then(|label| alpha_cpu::plans_from_label(metadata, label));
+        let plans = match recorded {
+            Some(plans) => plans,
+            None => {
+                let (kernel, choices) =
+                    NativeKernel::select(metadata, &generated.format).map_err(|e| e.to_string())?;
+                let shape = kernel.partition_shapes();
+                self.cache.set_winner_kernel_shape(
+                    self.context_key(matrix),
+                    &outcome.best_graph,
+                    &shape,
+                );
+                outcome.best_kernel_shape = Some(shape);
+                native = kernel.into();
+                loops = choices;
+                loops.iter().map(|choice| choice.plan).collect()
             }
+        };
+        if plans.iter().any(|plan| plan.is_vectorized()) {
+            generated.set_simd_plans(&plans);
         }
         Ok(TunedSpmv {
             device: self.config.device.clone(),
@@ -478,8 +476,8 @@ impl TunedSpmv {
 
     /// How this handle's inner loops were chosen, one [`LoopChoice`] per
     /// partition with every candidate's measured ns/nnz — or empty when
-    /// nothing was measured for it: the design carries a SIMD operator, or
-    /// the loop was lowered from the label a previous tune recorded.
+    /// nothing was measured for it: the loop was lowered from the label a
+    /// previous tune recorded.
     ///
     /// [`LoopChoice`]: alpha_cpu::LoopChoice
     pub fn loop_selection(&self) -> &[alpha_cpu::LoopChoice] {
@@ -488,23 +486,14 @@ impl TunedSpmv {
 
     /// One line saying which inner loop runs and why, e.g.
     /// `avx2-nnz-x8 (scalar 0.51, avx2-nnz-x4 0.40, avx2-nnz-x8 0.37 ns/nnz)`
-    /// after a measurement, `avx2-nnz-x8 (recorded)` for a loop lowered from
-    /// its stored label, `avx2-nnz-x8 (designed)` when the operator graph
-    /// itself names the lanes.
+    /// after a measurement, or `avx2-nnz-x8 (recorded)` for a loop lowered
+    /// from its stored label.
     pub fn loop_summary(&self) -> String {
         if !self.loops.is_empty() {
             let choices: Vec<String> = self.loops.iter().map(|c| c.to_string()).collect();
             return choices.join(" | ");
         }
-        let designed = self.outcome.best_graph.branches.iter().flatten().any(|op| {
-            matches!(
-                op,
-                alpha_graph::Operator::SimdNnzLanes { .. }
-                    | alpha_graph::Operator::SimdRowLanes { .. }
-            )
-        });
-        let why = if designed { "designed" } else { "recorded" };
-        format!("{} ({why})", self.native_kernel().simd_label())
+        format!("{} (recorded)", self.native_kernel().simd_label())
     }
 
     /// Always `true`: the monomorphized kernel library is the only native
@@ -927,13 +916,25 @@ mod tests {
         let measured = tuned.measure(TimingHarness::quick(), 1).unwrap();
         assert!(measured.gflops > 0.0);
 
-        // A measured search has already timed the loop it designed; nothing
-        // is selected after it.
-        assert!(tuned.loop_selection().is_empty());
+        // The search ranked designs by their scalar programs; the winner's
+        // loop is selected on the host after it, once, and recorded on the
+        // winner.
+        assert!(!tuned.loop_selection().is_empty());
+        if alpha_cpu::cpu_features::force_scalar() {
+            assert!(tuned.loop_selection().iter().all(|c| c.label == "scalar"));
+        }
         assert_eq!(
             tuner.cache().winners().pop().unwrap().1.kernel_shape,
             Some(tuned.kernel_shape())
         );
+        // A repeat tune lowers the recorded label: nothing is measured again.
+        let again = tuner.auto_tune(&matrix).unwrap();
+        assert!(
+            again.loop_selection().is_empty(),
+            "{}",
+            again.loop_summary()
+        );
+        assert_eq!(again.kernel_shape(), tuned.kernel_shape());
 
         // Every candidate's evaluation is cached and encoded, but only the
         // winner's code is ever emitted — by the handle, when asked.

@@ -258,9 +258,10 @@ impl NativeEvaluator {
         Some(Evaluation {
             report: measured.to_perf_report(kernel.format_bytes()),
             cached: false,
-            // Winners persist the shape so serving layers can pre-resolve the
-            // same monomorphized kernel the measurement ran through.
-            kernel_shape: Some(kernel.shape_label()),
+            // The design is ranked by its scalar program; the winner's loop
+            // is selected on the host after the search, like a cost-model
+            // winner's, and recorded then.
+            kernel_shape: None,
         })
     }
 }
@@ -314,43 +315,28 @@ pub(crate) mod tests {
         assert!(eval.report.gflops > 0.0);
         assert!(eval.report.time_us > 0.0);
         assert_eq!(eval.report.device, NATIVE_DEVICE_LABEL);
-        assert!(
-            eval.kernel_shape.is_some(),
-            "a measurement names its kernel"
-        );
         assert_eq!(evaluator.executions(), 1);
     }
 
     #[test]
-    fn a_scalar_seed_is_measured_and_recorded_scalar() {
-        // Lanes stay a search dimension under measured evaluation: a design
-        // without a SIMD operator is lowered exactly as designed (no host
-        // loop selection inside the search), so it competes as the scalar
-        // kernel it is against its vectorized twins.
+    fn a_design_is_measured_as_its_scalar_program_and_records_no_loop() {
+        // No operator of a design picks a loop, so a measurement ranks the
+        // scalar program and names no loop: the host selects the winner's
+        // after the search, under this evaluator as under the cost model.
         let matrix = gen::uniform_random(512, 512, 16, 3);
         let ctx = context_fixture(&matrix);
         let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
-        let scalar = evaluator
-            .evaluate(&ctx, &presets::csr_scalar())
-            .expect("feasible");
-        let shape = scalar
-            .kernel_shape
-            .expect("native evaluations carry a shape");
-        assert!(shape.ends_with(":scalar"), "{shape}");
-
-        let mut twin = presets::csr_scalar();
-        for branch in &mut twin.branches {
-            branch.push(alpha_graph::Operator::SimdNnzLanes { lanes: 8 });
-            // Stable stage sort, as the search's seeding does.
-            branch.sort_by_key(|op| op.stage() as u8);
+        for graph in [presets::csr_scalar(), presets::csr5_like(16)] {
+            let evaluation = evaluator.evaluate(&ctx, &graph).expect("feasible");
+            assert_eq!(evaluation.kernel_shape, None);
+            let generated = generate_with(ctx.designer(), &graph, ctx.options).unwrap();
+            let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
+            assert!(
+                kernel.shape_label().ends_with(":scalar"),
+                "{}",
+                kernel.shape_label()
+            );
         }
-        let vectorized = evaluator.evaluate(&ctx, &twin).expect("feasible");
-        let shape = vectorized.kernel_shape.expect("shape");
-        assert_eq!(
-            shape.ends_with(":scalar"),
-            crate::cpu_features::force_scalar(),
-            "{shape}"
-        );
     }
 
     /// `presets::csr_scalar()` with coordinates only a GPU reads changed:
@@ -403,22 +389,14 @@ pub(crate) mod tests {
         assert!(outcome("timed") > timed);
         assert!(outcome("reused") >= reused + variants.len() as u64 - 1);
 
-        // The vector twin runs another loop: a second timing.  (Under the
-        // env override it resolves scalar, and is the kernel above.)
-        let mut twin = presets::csr_scalar();
-        twin.branches[0].push(alpha_graph::Operator::SimdNnzLanes { lanes: 8 });
-        twin.branches[0].sort_by_key(|op| op.stage() as u8);
-        evaluator.evaluate(&ctx, &twin).expect("feasible");
-        let distinct = 2 - crate::cpu_features::force_scalar() as usize;
-        assert_eq!(evaluator.measurements(), distinct);
-        // So does another format, once.
+        // Another format is another program: timed once.
         for _ in 0..2 {
             evaluator
                 .evaluate(&ctx, &presets::csr5_like(16))
                 .expect("feasible");
         }
-        assert_eq!(evaluator.measurements(), distinct + 1);
-        assert_eq!(evaluator.executions(), variants.len() + 3);
+        assert_eq!(evaluator.measurements(), 2);
+        assert_eq!(evaluator.executions(), variants.len() + 2);
     }
 
     #[test]

@@ -71,42 +71,7 @@ impl TimingHarness {
             f();
             samples_us.push(start.elapsed().as_secs_f64() * 1e6);
         }
-        // Every statistic below is order-independent, so the samples are
-        // sorted in place (no second buffer).
-        samples_us.sort_by(f64::total_cmp);
-        let min_us = samples_us[0];
-        let max_us = *samples_us.last().expect("runs >= 1");
-        let mean_us = samples_us.iter().sum::<f64>() / runs as f64;
-        let median_us = if samples_us.len() % 2 == 1 {
-            samples_us[samples_us.len() / 2]
-        } else {
-            (samples_us[samples_us.len() / 2 - 1] + samples_us[samples_us.len() / 2]) / 2.0
-        };
-        // Population standard deviation of the trials: the harness reports
-        // the dispersion of *these* runs, not an estimate of a wider
-        // population (0 for a single run, by construction).
-        let stddev_us = (samples_us
-            .iter()
-            .map(|&us| (us - mean_us) * (us - mean_us))
-            .sum::<f64>()
-            / runs as f64)
-            .sqrt();
-        MeasuredReport {
-            min_us,
-            mean_us,
-            median_us,
-            max_us,
-            stddev_us,
-            warmup: self.warmup,
-            runs,
-            useful_flops,
-            threads,
-            gflops: if min_us > 0.0 {
-                useful_flops as f64 / min_us / 1e3
-            } else {
-                0.0
-            },
-        }
+        MeasuredReport::from_samples(samples_us, self.warmup, useful_flops, threads)
     }
 
     /// Times a lowered kernel end to end on the process-wide persistent
@@ -178,6 +143,56 @@ pub struct MeasuredReport {
 }
 
 impl MeasuredReport {
+    /// Summarises timed executions (`samples_us`, at least one, in
+    /// microseconds, any order) taken after `warmup` discarded ones.
+    /// `useful_flops` and `threads` are echoed into the report.  A pure
+    /// function of its arguments: [`TimingHarness::measure`] reads the clock,
+    /// this does the arithmetic.
+    pub fn from_samples(
+        mut samples_us: Vec<f64>,
+        warmup: u32,
+        useful_flops: u64,
+        threads: usize,
+    ) -> MeasuredReport {
+        // Every statistic below is order-independent, so the samples are
+        // sorted in place (no second buffer).
+        samples_us.sort_by(f64::total_cmp);
+        let runs = samples_us.len();
+        let min_us = samples_us[0];
+        let max_us = samples_us[runs - 1];
+        let mean_us = samples_us.iter().sum::<f64>() / runs as f64;
+        let median_us = if runs % 2 == 1 {
+            samples_us[runs / 2]
+        } else {
+            (samples_us[runs / 2 - 1] + samples_us[runs / 2]) / 2.0
+        };
+        // Population standard deviation of the trials: the harness reports
+        // the dispersion of *these* runs, not an estimate of a wider
+        // population (0 for a single run, by construction).
+        let stddev_us = (samples_us
+            .iter()
+            .map(|&us| (us - mean_us) * (us - mean_us))
+            .sum::<f64>()
+            / runs as f64)
+            .sqrt();
+        MeasuredReport {
+            min_us,
+            mean_us,
+            median_us,
+            max_us,
+            stddev_us,
+            warmup,
+            runs: runs as u32,
+            useful_flops,
+            threads,
+            gflops: if min_us > 0.0 {
+                useful_flops as f64 / min_us / 1e3
+            } else {
+                0.0
+            },
+        }
+    }
+
     /// Converts to the [`PerfReport`] shape the `Evaluator` trait returns, so
     /// measured results flow through the unchanged search/caching/serving
     /// stack.  `format_bytes` is the design's memory footprint.
@@ -251,21 +266,31 @@ mod tests {
 
     #[test]
     fn spread_statistics_describe_the_samples() {
-        // Deterministic, distinguishable "executions": sleep 0.1 + 2*i ms on
-        // the i-th run so min/median/max/stddev have known ordering.
-        let run = std::sync::atomic::AtomicU64::new(0);
-        let report = TimingHarness { warmup: 0, runs: 3 }.measure(10, 1, || {
-            let i = run.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(std::time::Duration::from_micros(100 + 2_000 * i));
-        });
-        // Samples ≈ {100, 2100, 4100} us plus scheduler noise, all upward:
-        // a busy 2-vCPU host overshoots a sleep by several hundred
-        // microseconds, so the gaps are wider than that.
-        assert!(report.min_us >= 100.0 && report.min_us < 2_000.0);
-        assert!(report.median_us > report.min_us);
-        assert!(report.max_us > report.median_us);
-        assert!(report.stddev_us > 0.0, "distinct samples must show spread");
+        // Fixed samples, out of order: every statistic is exact.  Odd count:
+        // the middle sample is the median; deviations of ±2000 µs.
+        let report = MeasuredReport::from_samples(vec![4_100.0, 100.0, 2_100.0], 2, 10, 1);
+        assert_eq!(report.min_us, 100.0);
+        assert_eq!(report.median_us, 2_100.0);
+        assert_eq!(report.max_us, 4_100.0);
+        assert_eq!(report.mean_us, 2_100.0);
+        assert_eq!(report.stddev_us, (8.0e6f64 / 3.0).sqrt());
+        assert_eq!((report.warmup, report.runs), (2, 3));
+        assert_eq!(report.gflops, 10.0 / 100.0 / 1e3);
         assert!(report.summary().contains('±'));
+        // Even count: the median is the mean of the middle two; deviations
+        // of ±1 and ±3 give a variance of 5.
+        let report = MeasuredReport::from_samples(vec![7.0, 1.0, 5.0, 3.0], 0, 10, 1);
+        assert_eq!((report.min_us, report.max_us), (1.0, 7.0));
+        assert_eq!((report.median_us, report.mean_us), (4.0, 4.0));
+        assert_eq!(report.stddev_us, 5.0f64.sqrt());
+        assert_eq!(report.noise(), 5.0f64.sqrt() / 4.0);
+        // A single sample has no spread.
+        let report = MeasuredReport::from_samples(vec![50.0], 0, 10, 1);
+        assert_eq!(
+            (report.min_us, report.median_us, report.max_us),
+            (50.0, 50.0, 50.0)
+        );
+        assert_eq!(report.stddev_us, 0.0);
     }
 
     #[test]
@@ -305,17 +330,12 @@ mod tests {
         // The report must echo the lane-aware count the run path resolves,
         // not the scalar threshold's.
         let matrix = gen::uniform_random(4_096, 4_096, 32, 9);
-        let mut graph = presets::csr_scalar();
-        for branch in &mut graph.branches {
-            // SIMD operators are mapping-stage: insert before the first
-            // implementing-stage operator to keep the branch stage-ordered.
-            let at = branch
-                .iter()
-                .position(|op| op.stage() == alpha_graph::Stage::Implementing)
-                .unwrap_or(branch.len());
-            branch.insert(at, alpha_graph::Operator::SimdNnzLanes { lanes: 8 });
-        }
-        let generated = generate(&graph, &matrix, GeneratorOptions::default()).unwrap();
+        let mut generated =
+            generate(&presets::csr_scalar(), &matrix, GeneratorOptions::default()).unwrap();
+        generated.set_simd_plans(&[alpha_graph::SimdPlan {
+            lanes: 8,
+            lane_mapping: alpha_graph::SimdLaneMapping::Nnz,
+        }]);
         let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
         if !crate::cpu_features::force_scalar() {
             assert_eq!(kernel.max_lanes(), 8);

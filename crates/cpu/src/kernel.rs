@@ -474,7 +474,7 @@ struct NativePartition {
     /// The output merge through `origin` (unused when the origin is a pure
     /// offset: that case accumulates in place and never scatters).
     scatter: ScatterFn,
-    /// Vectorization decision resolved from the design's `SimdPlan`, the
+    /// Vectorization decision resolved from the partition's `SimdPlan`, the
     /// build [`SimdMode`] and the host's feature probe.
     simd: ResolvedSimd,
     /// This partition's coordinates in the shape lattice.
@@ -753,7 +753,7 @@ pub struct NativeKernel {
 impl NativeKernel {
     /// Lowers the designed metadata plus extracted format into executable
     /// loops — the same two inputs the simulator kernel is built from.
-    /// Vectorization follows the design's `SimdPlan` and the host probe
+    /// Vectorization follows each partition's `SimdPlan` and the host probe
     /// ([`SimdMode::Auto`]); use [`NativeKernel::with_simd_mode`] to force
     /// scalar execution.  Panics on corrupt inputs — use
     /// [`NativeKernel::try_new`] where a typed rejection is wanted.
@@ -1474,7 +1474,7 @@ mod tests {
         let mut metadata = generated.kernel.metadata().clone();
         for partition in &mut metadata.partitions {
             partition.simd = alpha_graph::SimdPlan {
-                lanes: 4,
+                lanes: 8,
                 lane_mapping: alpha_graph::SimdLaneMapping::Rows,
             };
         }
@@ -1488,9 +1488,9 @@ mod tests {
         assert!(!kernel.is_vectorized());
         assert_eq!(kernel.workers_for(0), effective_workers(0, matrix.nnz(), 1));
         if !crate::cpu_features::force_scalar() {
-            // `avx2-row-x4` on an AVX2 host, `portable-row-x4` elsewhere.
+            // `avx2-row-x8` on an AVX2 host, `portable-row-x8` elsewhere.
             assert!(
-                kernel.simd_label().ends_with("-row-x4"),
+                kernel.simd_label().ends_with("-row-x8"),
                 "the label names the plan: {}",
                 kernel.simd_label()
             );

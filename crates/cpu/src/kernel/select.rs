@@ -1,8 +1,8 @@
 //! Choosing a partition's inner loop by running it.
 //!
-//! A design without a SIMD operator says nothing about its implementing
-//! stage's inner loop: the simulator that ranked it cannot tell lane widths
-//! apart, so the Designer leaves every `PartitionPlan.simd` scalar.  Which
+//! A design says nothing about its inner loop: no operator of the graph
+//! picks lanes, so the Designer leaves every `PartitionPlan.simd` scalar,
+//! under the cost model and under measured evaluation alike.  Which
 //! library loop is fastest is a fact about *this host and this partition's
 //! rows* (on the reference host the better vector loop is typically
 //! 1.3–1.7× the scalar one on regular 16-nnz rows — 1.0–2.1× over all
@@ -85,8 +85,8 @@ impl std::fmt::Display for LoopChoice {
 /// within ±7 % of the nnz loops, and on designs that already sorted their
 /// rows by length 1.0–1.3×: a measured candidate, not a rule.  (Before the
 /// slab, row lanes walked 8 separate CSR rows and lost to the best of
-/// {scalar, ×4, ×8} in 173 of 180 readings.)  Row lanes ×4 stay reachable
-/// as an operator, under measured evaluation.
+/// {scalar, ×4, ×8} in 173 of 180 readings.)  These are every vector loop
+/// the library has: there is no other way a design reaches one.
 fn candidates(rows_path: bool) -> Vec<SimdPlan> {
     let mut plans = vec![SimdPlan::scalar()];
     if !cpu_features::force_scalar() {
@@ -278,9 +278,9 @@ fn choose(
 }
 
 impl NativeKernel {
-    /// Lowers a design whose plans leave the inner loop open (no SIMD
-    /// operator — the cost model cannot rank lane widths) and resolves each
-    /// partition's loop on this host by measurement: the scalar loop, the
+    /// Lowers a design (whose plans leave the inner loop open: no design
+    /// names one) and resolves each partition's loop on this host by
+    /// measurement: the scalar loop, the
     /// host backend's nnz lanes ×4 and ×8 and, on a row partition, row lanes
     /// ×8 on a slab are bound in turn to the partition's own streams, a
     /// vector loop is checked against the scalar loop's `y` under twice the

@@ -26,16 +26,13 @@
 //!   cost one verification and one timing per search;
 //! * [`simd`] — AVX2/NEON SpMV microkernels behind the runtime
 //!   [`cpu_features`] probe, with lane width and row-vs-nnz lane mapping
-//!   taken from the design's
-//!   [`SimdPlan`](alpha_graph::SimdPlan).  Under *measured* evaluation that
-//!   makes vectorization a **search dimension**: [`NativeEvaluator`] lowers
-//!   every candidate exactly as designed.  A cost-model winner carries no
-//!   SIMD operator (the simulator cannot rank lane widths), so its plans are
-//!   scalar and its inner loop is a fact about the host instead:
-//!   [`NativeKernel::select`] measures the admissible library loops on the
-//!   partition's own streams once, the caller writes the winners into the
-//!   plans, and [`plans_from_label`] maps a recorded choice back without
-//!   measuring;
+//!   taken from each partition's [`SimdPlan`](alpha_graph::SimdPlan).  No
+//!   operator of a design fills that plan: the inner loop is a fact about
+//!   the host, under either evaluator.  [`NativeEvaluator`] ranks designs by
+//!   their scalar program; after the search [`NativeKernel::select`]
+//!   measures the admissible library loops on the winner's own streams once,
+//!   the caller writes the winners into the plans, and [`plans_from_label`]
+//!   maps a recorded choice back without measuring;
 //! * [`specialized`] — the **monomorphized kernel library**, the only SpMV
 //!   executor: every designer-reachable [`KernelShape`] (partition strategy
 //!   × index-fn kinds × column coding × SIMD variant) compiles to a

@@ -1,7 +1,7 @@
 //! SIMD microkernels for the native backend.
 //!
-//! Three kernel families; the nnz-lane and row-lane ones match the
-//! `SIMD_NNZ_LANES` / `SIMD_ROW_LANES` mapping operators:
+//! Three kernel families, the loops a host times when it selects one for a
+//! design (`NativeKernel::select`):
 //!
 //! * **nnz-lane dots** — `lanes` consecutive non-zeros of one row are
 //!   processed per step; column indices load as a vector, `x` entries are
@@ -15,11 +15,11 @@
 //!   one contiguous run: `x` is the row's own slice, loaded with plain
 //!   vector loads instead of gathered.  Same lanes, same tree, same tail as
 //!   the gathering dot of the same width, so the same bits.
-//! * **slab dots** (row lanes) — `lanes` rows of a length-sorted slab group
-//!   advance together, one accumulator per lane, over the group's
+//! * **slab dots** (row lanes, 8 of them) — the 8 rows of a length-sorted
+//!   slab group advance together, one accumulator per lane, over the group's
 //!   column-major common part: values and column indices load as vectors,
-//!   only `x` is gathered (`_mm256_i32gather_ps` / `_mm_i32gather_ps` on
-//!   AVX2, lane code elsewhere), and there is no horizontal add.  Each lane
+//!   only `x` is gathered (`_mm256_i32gather_ps` on AVX2, lane code
+//!   elsewhere), and there is no horizontal add.  Each lane
 //!   walks its row in the scalar kernel's order, and its tail continues
 //!   serially, so every row is bitwise the scalar loop's.
 //!
@@ -54,7 +54,7 @@ pub const MAX_LANES: usize = 8;
 /// How a kernel build decides between vectorized and scalar execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdMode {
-    /// Follow the design's [`SimdPlan`], the hardware probe, and the
+    /// Follow the partition's [`SimdPlan`], the hardware probe, and the
     /// [`cpu_features::NO_SIMD_ENV`] override.
     #[default]
     Auto,
@@ -67,7 +67,7 @@ pub enum SimdMode {
 /// Which implementation backs the lane kernels of one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// AVX2 hardware gathers (x86_64, nnz or row lanes, 4 or 8 of them).
+    /// AVX2 hardware gathers (x86_64, nnz lanes ×4 or ×8, row lanes ×8).
     Avx2,
     /// NEON vectors with emulated gathers (aarch64, nnz-lanes 4 or 8).
     Neon,
@@ -76,7 +76,7 @@ pub enum Backend {
 }
 
 /// The vectorization decision for one partition, resolved once at kernel
-/// build time from the design's [`SimdPlan`], the [`SimdMode`], and the
+/// build time from the partition's [`SimdPlan`], the [`SimdMode`], and the
 /// host's [`cpu_features`] probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedSimd {
@@ -114,11 +114,12 @@ impl ResolvedSimd {
         self.lanes > 1
     }
 
-    /// Resolves a design's plan for this host.  Fallback rules:
+    /// Resolves a partition's plan for this host.  Fallback rules:
     /// `ForceScalar` or the env override pin everything scalar; AVX2 hosts
-    /// gather for 4/8 nnz or row lanes, NEON hosts for 4/8 nnz lanes (a
-    /// row-lane slab there runs the portable lane code), and everything else
-    /// runs portable lane code; lane widths outside {4, 8} run scalar.
+    /// gather for 4/8 nnz lanes or 8 row lanes, NEON hosts for 4/8 nnz lanes
+    /// (a row-lane slab there runs the portable lane code), and everything
+    /// else runs portable lane code; nnz lanes outside {4, 8} and row lanes
+    /// other than 8 run scalar.
     pub fn resolve(plan: &SimdPlan, mode: SimdMode) -> ResolvedSimd {
         if !plan.is_vectorized() {
             return ResolvedSimd::scalar();
@@ -128,8 +129,8 @@ impl ResolvedSimd {
             return ResolvedSimd::scalar();
         }
         let support = cpu_features::detect_hardware();
-        let lanes = match plan.lanes {
-            4 | 8 => plan.lanes,
+        let lanes = match (plan.lane_mapping, plan.lanes) {
+            (SimdLaneMapping::Nnz, 4 | 8) | (SimdLaneMapping::Rows, 8) => plan.lanes,
             _ => {
                 count_simd_fallback("lanes");
                 return ResolvedSimd::scalar();
@@ -148,7 +149,7 @@ impl ResolvedSimd {
     }
 
     /// Compact label for bench records, e.g. `avx2-nnz-x8`,
-    /// `avx2-row-x8`, `portable-row-x4`, or `scalar`.
+    /// `avx2-row-x8`, `portable-row-x8`, or `scalar`.
     pub fn label(&self) -> String {
         if !self.is_vectorized() {
             return "scalar".to_string();
@@ -480,35 +481,6 @@ pub(crate) mod avx2 {
         _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
         lanes
     }
-
-    /// [`slab_dot8`] for 4 lanes (`_mm_i32gather_ps`).
-    ///
-    /// # Safety
-    /// As [`slab_dot8`], over the group's `common · 4` positions.
-    #[inline(always)]
-    pub unsafe fn slab_dot4(
-        values: &[Scalar],
-        col_indices: &[u32],
-        x: &[Scalar],
-        col_offset: usize,
-        common: usize,
-    ) -> [Scalar; 4] {
-        // SAFETY: as in `slab_dot8`, with `i + 4 <= common · 4` in both
-        // streams; `common == 0` gathers nothing.
-        let (values, col_indices) = (&values[..common * 4], &col_indices[..common * 4]);
-        let mut acc = _mm_setzero_ps();
-        let offset = _mm_set1_epi32(col_offset as i32);
-        for i in (0..values.len()).step_by(4) {
-            let v = _mm_loadu_ps(values.as_ptr().add(i));
-            let idx = _mm_loadu_si128(col_indices.as_ptr().add(i) as *const __m128i);
-            let idx = _mm_add_epi32(idx, offset);
-            let gathered = _mm_i32gather_ps::<4>(x.as_ptr(), idx);
-            acc = _mm_add_ps(acc, _mm_mul_ps(v, gathered));
-        }
-        let mut lanes = [0.0 as Scalar; 4];
-        _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-        lanes
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -759,10 +731,19 @@ mod tests {
     #[test]
     fn row_lane_dots_are_bitwise_scalar() {
         let (values, cols, x) = streams(256, 64, 9);
-        // Four rows of unequal lengths starting back-to-back, laid out as
+        // Eight rows of unequal lengths starting back-to-back, laid out as
         // one slab group: the shortest row's 9 terms of each row
         // column-major, then every row's tail row-major.
-        let ranges = [(0usize, 40usize), (40, 67), (67, 80), (80, 89)];
+        let ranges = [
+            (0usize, 40usize),
+            (40, 67),
+            (67, 80),
+            (80, 89),
+            (89, 120),
+            (120, 131),
+            (131, 170),
+            (170, 190),
+        ];
         let common = 9;
         let (mut slab_values, mut slab_cols) = (Vec::new(), Vec::new());
         for k in 0..common {
@@ -775,8 +756,8 @@ mod tests {
             slab_values.extend_from_slice(&values[s + common..e]);
             slab_cols.extend_from_slice(&cols[s + common..e]);
         }
-        let finish = |mut lanes: [Scalar; 4]| {
-            let mut tail = 4 * common;
+        let finish = |mut lanes: [Scalar; 8]| {
+            let mut tail = 8 * common;
             for (lane, &(s, e)) in lanes.iter_mut().zip(&ranges) {
                 let n = e - s - common;
                 let (v, c) = (&slab_values[tail..tail + n], &slab_cols[tail..tail + n]);
@@ -785,7 +766,7 @@ mod tests {
             }
             lanes
         };
-        let mut sums = vec![finish(slab_dot_lanes::<4>(
+        let mut sums = vec![finish(slab_dot_lanes::<8>(
             &slab_values,
             &slab_cols,
             &x,
@@ -797,7 +778,7 @@ mod tests {
             // SAFETY: AVX2 support was just probed, and every column is
             // below `x.len()`.
             sums.push(finish(unsafe {
-                avx2::slab_dot4(&slab_values, &slab_cols, &x, 0, common)
+                avx2::slab_dot8(&slab_values, &slab_cols, &x, 0, common)
             }));
         }
         for out in sums {
@@ -842,17 +823,36 @@ mod tests {
 
         // Row lanes gather on AVX2 and run portable lane code elsewhere.
         let row_plan = SimdPlan {
-            lanes: 4,
+            lanes: 8,
             lane_mapping: SimdLaneMapping::Rows,
         };
         let row = ResolvedSimd::resolve(&row_plan, SimdMode::Auto);
         if !cpu_features::force_scalar() {
             let (backend, label) = match cpu_features::detect_hardware() {
-                SimdSupport::Avx2 => (Backend::Avx2, "avx2-row-x4"),
-                _ => (Backend::Portable, "portable-row-x4"),
+                SimdSupport::Avx2 => (Backend::Avx2, "avx2-row-x8"),
+                _ => (Backend::Portable, "portable-row-x8"),
             };
             assert_eq!(row.backend, backend);
             assert_eq!(row.label(), label);
+        }
+    }
+
+    #[test]
+    fn a_row_lane_plan_at_x4_resolves_to_the_scalar_class() {
+        // The library's only row-lane loop is 8 wide: a recorded or injected
+        // `row-x4` plan runs the scalar loop, on a row partition as on an nnz
+        // one, whatever the host.
+        let plan = SimdPlan {
+            lanes: 4,
+            lane_mapping: SimdLaneMapping::Rows,
+        };
+        let resolved = ResolvedSimd::resolve(&plan, SimdMode::Auto);
+        assert_eq!(resolved, ResolvedSimd::scalar());
+        for rows_path in [true, false] {
+            assert_eq!(
+                crate::specialized::SimdClass::classify(&resolved, rows_path),
+                crate::specialized::SimdClass::Scalar
+            );
         }
     }
 

@@ -10,8 +10,8 @@
 //! * row-bounds index-fn kind (stored table vs affine/identity arithmetic),
 //! * column coding (a column index per non-zero, or one start per row when
 //!   every row's columns are one run — [`IndexKind::Run`]),
-//! * SIMD variant ([`SimdClass`]: scalar, portable/AVX2/NEON nnz lanes,
-//!   portable/AVX2 row lanes)
+//! * SIMD variant ([`SimdClass`]: scalar, portable/AVX2/NEON nnz lanes ×4 and
+//!   ×8, portable/AVX2 row lanes ×8)
 //!
 //! is instantiated as one dedicated function (`chunk_nnz::<TB, D>`,
 //! `chunk_slab::<L, D>`, `span_nnz::<D>`, `scatter_to::<TB>`) in
@@ -44,7 +44,7 @@
 //! memory for a branch-free hot loop.
 //!
 //! Row-lane loops run on the partition's slab (`kernel/slab.rs`): rows
-//! length-sorted inside windows, `L`-row groups stored column-major up to
+//! length-sorted inside windows, 8-row groups stored column-major up to
 //! their shortest row, one row per lane, only `x` gathered.  They ignore the
 //! bounds kind (the slab holds each row's length).
 //!
@@ -139,13 +139,13 @@ pub enum SimdClass {
     /// Portable row lanes: the `lanes` rows of a slab group advance
     /// together (see `kernel/slab.rs`).
     RowLanes {
-        /// Lane count (4 or 8).
+        /// Lane count (8; the resolve step runs any other width scalar).
         lanes: u8,
     },
     /// AVX2 row lanes: a slab group's `x` entries are gathered
-    /// (x86_64, 4 or 8 lanes).
+    /// (x86_64, 8 lanes).
     RowAvx2 {
-        /// Lane count (4 or 8).
+        /// Lane count (8).
         lanes: u8,
     },
 }
@@ -192,7 +192,7 @@ impl SimdClass {
         matches!(self, SimdClass::RowLanes { .. } | SimdClass::RowAvx2 { .. })
     }
 
-    /// `avx2-nnz-x8`, `row-x4`, `scalar`: see [`KernelShape::loop_label`].
+    /// `avx2-nnz-x8`, `row-x8`, `scalar`: see [`KernelShape::loop_label`].
     pub(crate) fn label(self) -> String {
         match self {
             SimdClass::Scalar => "scalar".to_string(),
@@ -249,8 +249,9 @@ impl KernelShape {
     }
 
     /// The inner-loop half of [`KernelShape::label`] (after the `:`), e.g.
-    /// `avx2-nnz-x8` or `scalar`: the part a host chooses when the design
-    /// leaves it open, and the only part a recorded label is trusted for.
+    /// `avx2-nnz-x8` or `scalar`: the part the host chooses by measurement
+    /// (a design never names it), and the only part a recorded label is
+    /// trusted for.
     pub fn loop_label(&self) -> String {
         self.simd.label()
     }
@@ -555,10 +556,6 @@ mod hw {
     #[cfg(target_arch = "x86_64")]
     pub(super) struct Slab8;
 
-    /// 4-lane AVX2 slab group (see [`Slab8`]).
-    #[cfg(target_arch = "x86_64")]
-    pub(super) struct Slab4;
-
     #[cfg(target_arch = "x86_64")]
     impl SlabDot<8> for Slab8 {
         #[inline(always)]
@@ -577,26 +574,6 @@ mod hw {
             // whose `col_offset` lies past the end of `x`.
             unsafe {
                 simd::avx2::slab_dot8(
-                    &s.values[start..],
-                    &s.col_indices[start..],
-                    a.x,
-                    a.col_offset,
-                    common,
-                )
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    impl SlabDot<4> for Slab4 {
-        #[inline(always)]
-        fn common(a: &PartitionArgs<'_>, start: usize, common: usize) -> [Scalar; 4] {
-            let s = &a.slab;
-            // SAFETY: as for `Slab8`: the runtime probe, the partition's own
-            // columns inside `x` by `ColumnsOutOfRange`, and no gather at
-            // all in a slab without non-zeros.
-            unsafe {
-                simd::avx2::slab_dot4(
                     &s.values[start..],
                     &s.col_indices[start..],
                     a.x,
@@ -887,10 +864,7 @@ pub(crate) fn rows_loop(shape: &KernelShape) -> Result<ChunkFn, KernelBuildError
         #[cfg(target_arch = "aarch64")]
         SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, hw::chunk_nnz, hw::Dot8),
         // Row lanes read the slab, not the bounds.
-        SimdClass::RowLanes { lanes: 4 } => chunk_slab::<4, SlabPortable>,
         SimdClass::RowLanes { lanes: 8 } => chunk_slab::<8, SlabPortable>,
-        #[cfg(target_arch = "x86_64")]
-        SimdClass::RowAvx2 { lanes: 4 } => hw::chunk_slab::<4, hw::Slab4>,
         #[cfg(target_arch = "x86_64")]
         SimdClass::RowAvx2 { lanes: 8 } => hw::chunk_slab::<8, hw::Slab8>,
         _ => return Err(KernelBuildError::UnsupportedShape(*shape)),
@@ -1077,18 +1051,19 @@ mod tests {
                 err.to_string().contains(&format!("portable-nnz-x{lanes}")),
                 "{err}"
             );
-            let row_lanes = shape(
-                PartitionKind::Rows,
-                IndexKind::Table,
-                SimdClass::RowLanes { lanes },
-            );
-            assert!(rows_loop(&row_lanes).is_err());
+        }
+        // The only row-lane loops are 8 wide.
+        for lanes in [2, 3, 4] {
+            for simd in [SimdClass::RowLanes { lanes }, SimdClass::RowAvx2 { lanes }] {
+                let row_lanes = shape(PartitionKind::Rows, IndexKind::Table, simd);
+                assert!(rows_loop(&row_lanes).is_err(), "{}", simd.label());
+            }
         }
         // Row lanes only exist on row partitions.
         let lanes_on_nnz = shape(
             PartitionKind::Nnz,
             IndexKind::Table,
-            SimdClass::RowLanes { lanes: 4 },
+            SimdClass::RowLanes { lanes: 8 },
         );
         assert!(nnz_loop(&lanes_on_nnz).is_err());
     }
@@ -1222,10 +1197,10 @@ mod tests {
     /// The row-lane variants this host can execute: the portable ones
     /// anywhere, the AVX2 ones after a positive probe.
     fn runnable_row_classes() -> Vec<SimdClass> {
-        let mut classes: Vec<SimdClass> = [4, 8].map(|lanes| SimdClass::RowLanes { lanes }).into();
+        let mut classes = vec![SimdClass::RowLanes { lanes: 8 }];
         #[cfg(target_arch = "x86_64")]
         if cpu_features::detect_hardware() == cpu_features::SimdSupport::Avx2 {
-            classes.extend([4, 8].map(|lanes| SimdClass::RowAvx2 { lanes }));
+            classes.push(SimdClass::RowAvx2 { lanes: 8 });
         }
         classes
     }
@@ -1526,16 +1501,14 @@ mod tests {
             base: 0,
             slope: 0,
         };
-        let slabs = [4, 8].map(|lanes| {
-            Slab::build(
-                lanes,
-                16,
-                lengths.len(),
-                |row| table[row] as usize..table[row + 1] as usize,
-                &s.values,
-                &s.col_indices,
-            )
-        });
+        let slab = Slab::build(
+            8,
+            16,
+            lengths.len(),
+            |row| table[row] as usize..table[row + 1] as usize,
+            &s.values,
+            &s.col_indices,
+        );
         for lanes in [1, 2, 3, 4, 8, 16] {
             for lane_mapping in [SimdLaneMapping::Nnz, SimdLaneMapping::Rows] {
                 let plan = alpha_graph::SimdPlan {
@@ -1546,8 +1519,8 @@ mod tests {
                 let simd = SimdClass::classify(&rs, true);
                 let mut a = args(&s, 0, bounds);
                 if simd.is_row_lanes() {
-                    let slab = slabs.iter().find(|slab| slab.lanes() == simd.lanes());
-                    a.slab = slab.unwrap().args();
+                    assert_eq!(simd.lanes(), slab.lanes(), "{}", simd.label());
+                    a.slab = slab.args();
                 }
                 let rows = shape(PartitionKind::Rows, IndexKind::Table, simd);
                 check_chunk(&rows, &a, &s, 0, lengths.len());

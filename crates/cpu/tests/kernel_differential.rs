@@ -1,5 +1,5 @@
 //! Differential acceptance suite of the native kernel: every preset design ×
-//! every synthetic matrix family × every SIMD variant the search can reach ×
+//! every synthetic matrix family × every inner loop a host can select ×
 //! {1, 4} threads, as lowered ([`SimdMode::Auto`]) and as its
 //! [`SimdMode::ForceScalar`] twin, against an **f64 row-by-row reference**
 //! with a *stated* per-row error bound (see [`BOUND_C`]).
@@ -13,16 +13,16 @@
 //!   reduction tree, no FMA);
 //! * NaNs poison exactly the rows that touch them and subnormals are not
 //!   flushed, on both sides of the SIMD differential;
-//! * every format lineage the designer reaches lowers — vectorized and
-//!   forced scalar — to a kernel-library shape (a miss is a typed build
-//!   error; there is no other executor);
+//! * every format lineage the designer reaches lowers — under every
+//!   selectable loop and forced scalar — to a kernel-library shape (a miss
+//!   is a typed build error; there is no other executor);
 //! * degenerate matrices (one row holding everything, `1×n`, `n×1`,
 //!   duplicate coordinates, all rows empty but one) are correct, and empty
 //!   ones are a typed generator error, never a panic;
-//! * the kernel a host **selects** for a design without a SIMD operator
-//!   ([`NativeKernel::select`]: the loop is measured, not designed) is held
-//!   to the same bound on every preset × family and on the degenerate fleet,
-//!   and is the kernel plain lowering builds from the selected plans;
+//! * the kernel a host **selects** for a design ([`NativeKernel::select`]:
+//!   the loop is measured, never designed) is held to the same bound on
+//!   every preset × family and on the degenerate fleet, and is the kernel
+//!   plain lowering builds from the selected plans;
 //! * kernels lowered through one `Designer` that are one [`Program`] — what
 //!   one verification and one timing are shared under — are one kernel: the
 //!   same streams and shapes, and **bitwise**-equal `y` at 1 and 4 threads;
@@ -35,16 +35,17 @@
 //! * a row partition whose rows are all column runs lowers to `col:run`, and
 //!   its `y` is **bitwise** that of the `col:table` kernel of the same loop;
 //!   a gap, a duplicate or a stencil's several runs in any row keep
-//!   `col:table`; the search's nnz-lane seeds on a banded matrix read the
-//!   column run;
+//!   `col:table`; every search seed on a banded matrix reads the column run
+//!   under the nnz lanes;
 //! * row lanes run on a length-sorted slab, and every row-lane class this
 //!   host runs is **bitwise** the scalar loop at 1, 2 and 3 threads, on
 //!   unsorted and length-sorted designs over several sorting windows, with
 //!   empty rows, one row longer than the rest of its window, a NaN or an Inf
 //!   confined to its own row, and an empty column band that reads nothing.
 
+use alpha_codegen::GeneratedSpmv;
 use alpha_cpu::{NativeKernel, Program, SimdMode};
-use alpha_graph::{presets, Operator, OperatorGraph};
+use alpha_graph::{presets, OperatorGraph, SimdLaneMapping, SimdPlan};
 use alpha_matrix::{gen::PatternFamily, CooMatrix, CsrMatrix, DenseVector};
 use alpha_parallel::Pool;
 use std::sync::{Arc, Weak};
@@ -70,47 +71,60 @@ use std::sync::{Arc, Weak};
 /// duplicated or mis-indexed a term — it is not "SIMD noise".
 const BOUND_C: f64 = 1.0;
 
-/// Stable stage sort (converting < mapping < implementing), as the search's
-/// seeding does, so appended SIMD operators land in a canonical position.
-fn sort_branch_stages(branch: &mut [Operator]) {
-    branch.sort_by_key(|op| match op.stage() {
-        alpha_graph::Stage::Converting => 0,
-        alpha_graph::Stage::Mapping => 1,
-        alpha_graph::Stage::Implementing => 2,
-    });
-}
-
-/// The base design plus every SIMD shape the search can reach, appended to
-/// each branch.  Variants whose combination the validator rejects (e.g.
-/// row-lanes on a non-row mapping) are dropped — exactly what the search
-/// itself does.
-fn with_simd_variants(base: &OperatorGraph) -> Vec<(&'static str, OperatorGraph)> {
-    let sets = [
-        ("nnz-x8", Operator::SimdNnzLanes { lanes: 8 }),
-        ("nnz-x4", Operator::SimdNnzLanes { lanes: 4 }),
-        ("row-x4", Operator::SimdRowLanes { lanes: 4 }),
-        ("row-x8", Operator::SimdRowLanes { lanes: 8 }),
-    ];
-    let mut variants = vec![("base", base.clone())];
-    for (name, op) in sets {
-        let mut twin = base.clone();
-        for branch in &mut twin.branches {
-            branch.push(op.clone());
-            sort_branch_stages(branch);
-        }
-        if twin.validate().is_ok() {
-            variants.push((name, twin));
-        }
+/// Nnz lanes ×`lanes`: a plan [`NativeKernel::select`] may pick.
+const fn nnz_lanes(lanes: usize) -> SimdPlan {
+    SimdPlan {
+        lanes,
+        lane_mapping: SimdLaneMapping::Nnz,
     }
-    variants
 }
 
-/// Lowers `graph` for `matrix` as designed and with vectorization forced
-/// off.
-fn lower_twins(graph: &OperatorGraph, matrix: &CsrMatrix, context: &str) -> [NativeKernel; 2] {
-    let generated =
-        alpha_codegen::generate(graph, matrix, alpha_codegen::GeneratorOptions::default())
-            .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+/// Row lanes ×8 on a slab: the row-partition plan [`NativeKernel::select`]
+/// may pick (on an nnz partition it runs scalar).
+const ROW_LANES: SimdPlan = SimdPlan {
+    lanes: 8,
+    lane_mapping: SimdLaneMapping::Rows,
+};
+
+/// Every inner loop a host may select, by name; `base` is the design as
+/// generated, scalar.
+const LOOPS: [(&str, Option<SimdPlan>); 4] = [
+    ("base", None),
+    ("nnz-x8", Some(nnz_lanes(8))),
+    ("nnz-x4", Some(nnz_lanes(4))),
+    ("row-x8", Some(ROW_LANES)),
+];
+
+/// `generated` with `plan` (when given) written into every partition, as a
+/// caller of [`NativeKernel::select`] writes the plans it picked.
+fn with_loop(mut generated: GeneratedSpmv, plan: Option<SimdPlan>) -> GeneratedSpmv {
+    if let Some(plan) = plan {
+        let partitions = generated.kernel.metadata().partitions.len();
+        generated.set_simd_plans(&vec![plan; partitions]);
+    }
+    generated
+}
+
+/// Generates `graph` for `matrix` with `plan` in every partition.
+fn generate_with_loop(
+    graph: &OperatorGraph,
+    matrix: &CsrMatrix,
+    plan: Option<SimdPlan>,
+) -> Result<GeneratedSpmv, alpha_graph::DesignError> {
+    alpha_codegen::generate(graph, matrix, alpha_codegen::GeneratorOptions::default())
+        .map(|generated| with_loop(generated, plan))
+}
+
+/// Lowers `graph` for `matrix` with `plan` in every partition, and with
+/// vectorization forced off.
+fn lower_twins(
+    graph: &OperatorGraph,
+    matrix: &CsrMatrix,
+    plan: Option<SimdPlan>,
+    context: &str,
+) -> [NativeKernel; 2] {
+    let generated = generate_with_loop(graph, matrix, plan)
+        .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
     let auto = NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
         .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"));
     let scalar = NativeKernel::with_simd_mode(
@@ -170,14 +184,13 @@ fn every_preset_family_and_simd_variant_is_within_the_stated_bound() {
     let fanned_out = [(2, Pool::new(2)), (4, Pool::new(4))];
     let mut work_splits = std::collections::BTreeSet::new();
     for (preset_name, base) in presets::all_presets() {
-        let graphs = with_simd_variants(&base);
         for (fi, family) in PatternFamily::ALL.iter().enumerate() {
             let matrix = family.generate(384, 6, 900 + fi as u64);
             let x = DenseVector::random(matrix.cols(), 7);
             let reference = reference_rows(&matrix, x.as_slice());
-            for (variant, graph) in &graphs {
+            for (variant, plan) in LOOPS {
                 let context = format!("{preset_name}/{variant}/{}", family.name());
-                let [auto, scalar] = lower_twins(graph, &matrix, &context);
+                let [auto, scalar] = lower_twins(&base, &matrix, plan, &context);
                 vectorized_runs += auto.is_vectorized() as usize;
                 // Both twins within the bound of the reference puts them
                 // within twice the bound of each other; no separate
@@ -253,7 +266,7 @@ fn every_preset_family_and_simd_variant_is_within_the_stated_bound() {
 /// Lowers `graph` for `matrix` with every partition's inner loop selected by
 /// measurement, checks that writing the picks into the plans makes plain
 /// lowering build the same kernel, and returns it.
-fn lower_selected(generated: &mut alpha_codegen::GeneratedSpmv, context: &str) -> NativeKernel {
+fn lower_selected(generated: &mut GeneratedSpmv, context: &str) -> NativeKernel {
     let (selected, choices) = NativeKernel::select(generated.kernel.metadata(), &generated.format)
         .unwrap_or_else(|e| panic!("{context}: selection rejected: {e}"));
     let plans: Vec<_> = choices.iter().map(|choice| choice.plan).collect();
@@ -300,7 +313,7 @@ fn selected_kernels_are_within_the_stated_bound() {
 /// What a kernel reads, spelled out from the inputs it was lowered from: the
 /// per-partition shapes, then every partition's streams, offsets and maps.
 /// The slow, by-content counterpart of [`Program`].
-fn spelled_out(generated: &alpha_codegen::GeneratedSpmv, kernel: &NativeKernel) -> String {
+fn spelled_out(generated: &GeneratedSpmv, kernel: &NativeKernel) -> String {
     use std::fmt::Write;
     let mut out = kernel.partition_shapes();
     let metadata = generated.kernel.metadata();
@@ -360,7 +373,7 @@ fn kernels_that_are_one_program_are_one_kernel() {
         // allocation, hence a new program.
         let designer = alpha_graph::Designer::new(&matrix);
         let mut seen: Vec<Seen> = Vec::new();
-        let mut check = |generated: &alpha_codegen::GeneratedSpmv, kernel: NativeKernel, who| {
+        let mut check = |generated: &GeneratedSpmv, kernel: NativeKernel, who| {
             let reads = spelled_out(generated, &kernel);
             let y = [1, 4].map(|threads| bits(&kernel.run(x.as_slice(), threads).unwrap()));
             match seen.iter().find(|first| first.program.is(&kernel, 1)) {
@@ -404,10 +417,11 @@ fn kernels_that_are_one_program_are_one_kernel() {
             }
         };
         for (preset_name, base) in presets::all_presets() {
-            for (variant, graph) in with_simd_variants(&base) {
+            for (variant, plan) in LOOPS {
                 let who = format!("{preset_name}/{variant}");
-                let mut generated = alpha_codegen::generate_with(&designer, &graph, options)
+                let generated = alpha_codegen::generate_with(&designer, &base, options)
                     .unwrap_or_else(|e| panic!("{who}: generation failed: {e}"));
+                let mut generated = with_loop(generated, plan);
                 let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
                 check(&generated, kernel, who.clone());
                 if variant == "base" {
@@ -496,13 +510,9 @@ fn hardware_nnz_lane_kernels_are_bitwise_the_portable_lanes() {
     let matrix = PatternFamily::ALL[1].generate(512, 11, 77);
     let x = DenseVector::random(matrix.cols(), 5);
     for lanes in [4, 8] {
-        let mut graph = presets::csr_scalar();
-        for branch in &mut graph.branches {
-            branch.push(Operator::SimdNnzLanes { lanes });
-            sort_branch_stages(branch);
-        }
         let context = format!("csr_scalar/nnz-x{lanes}");
-        let [auto, _] = lower_twins(&graph, &matrix, &context);
+        let plan = Some(nnz_lanes(lanes));
+        let [auto, _] = lower_twins(&presets::csr_scalar(), &matrix, plan, &context);
         if alpha_cpu::cpu_features::force_scalar() {
             continue; // nothing vectorized to compare
         }
@@ -571,14 +581,9 @@ fn corner_case_matrix() -> (CsrMatrix, Vec<f32>) {
 fn nan_propagation_and_subnormals_survive_the_horizontal_add() {
     let (matrix, x) = corner_case_matrix();
     let reference = reference_rows(&matrix, &x);
-    let graphs = with_simd_variants(&presets::csr_scalar());
-    assert!(
-        graphs.len() > 1,
-        "csr_scalar must admit at least one SIMD variant"
-    );
-    for (variant, graph) in &graphs {
+    for (variant, plan) in LOOPS {
         let context = format!("corner/{variant}");
-        let [auto, scalar] = lower_twins(graph, &matrix, &context);
+        let [auto, scalar] = lower_twins(&presets::csr_scalar(), &matrix, plan, &context);
         let y_auto = auto.run(&x, 1).unwrap();
         let y_scalar = scalar.run(&x, 1).unwrap();
         for (row, (a, s)) in y_auto.iter().zip(&y_scalar).enumerate() {
@@ -618,9 +623,9 @@ fn nan_propagation_and_subnormals_survive_the_horizontal_add() {
 fn designer_reachable_lineages_lower_to_library_shapes() {
     // One representative per format lineage the paper's designer reaches:
     // CSR, ELL/SELL blocking, HYB row-splitting and merge-path (nnz-even)
-    // partitioning.  `lower_twins` builds the as-designed kernel through
-    // `try_new` — a shape outside the monomorphized library would surface
-    // there as `UnsupportedShape` — and the forced-scalar twin.
+    // partitioning.  `lower_twins` builds the kernel of each selectable loop
+    // through `try_new` — a shape outside the monomorphized library would
+    // surface there as `UnsupportedShape` — and the forced-scalar twin.
     let lineages: [(&str, OperatorGraph); 4] = [
         ("csr", presets::csr_scalar()),
         ("ell", presets::sell_like()),
@@ -629,9 +634,9 @@ fn designer_reachable_lineages_lower_to_library_shapes() {
     ];
     let matrix = PatternFamily::ALL[0].generate(512, 8, 4242);
     for (lineage, base) in lineages {
-        for (variant, graph) in with_simd_variants(&base) {
+        for (variant, plan) in LOOPS {
             let context = format!("{lineage}/{variant}");
-            for kernel in lower_twins(&graph, &matrix, &context) {
+            for kernel in lower_twins(&base, &matrix, plan, &context) {
                 let shape = kernel.shape_label();
                 assert!(
                     shape.starts_with("rows[") || shape.starts_with("nnz["),
@@ -756,19 +761,6 @@ fn empty_matrices_are_a_typed_generator_error() {
     }
 }
 
-/// `graph` with nnz lanes ×`lanes` appended to every branch (`None`: the
-/// design as it is, scalar).
-fn with_lanes(graph: &OperatorGraph, lanes: Option<usize>) -> OperatorGraph {
-    let mut graph = graph.clone();
-    if let Some(lanes) = lanes {
-        for branch in &mut graph.branches {
-            branch.push(Operator::SimdNnzLanes { lanes });
-            sort_branch_stages(branch);
-        }
-    }
-    graph
-}
-
 /// `matrix` with a row appended whose columns leave a gap in both column
 /// bands a two-way `COL_DIV` cuts (and, with `first`, the same row put
 /// before the others too, so both halves of a two-way `ROW_DIV` hold one):
@@ -876,17 +868,16 @@ fn column_run_kernels_are_bitwise_their_gathering_twins() {
     } else {
         &[None, Some(4), Some(8)]
     };
-    let options = alpha_codegen::GeneratorOptions::default();
+    let plans = |lanes: Option<usize>| lanes.map(nnz_lanes);
     let mut compared = std::collections::BTreeSet::new();
     for (name, matrix) in &matrices {
         let gapped = with_gapped_rows(matrix, true);
         let x = DenseVector::random(matrix.cols(), 17);
         for (design, base) in &designs {
             for &lanes in lanes {
-                let graph = with_lanes(base, lanes);
                 let context = format!("{name}/{design}/{lanes:?}");
                 let [run, gathering] = [matrix, &gapped].map(|m| {
-                    let generated = alpha_codegen::generate(&graph, m, options)
+                    let generated = generate_with_loop(base, m, plans(lanes))
                         .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
                     NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
                         .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"))
@@ -948,12 +939,9 @@ fn a_column_band_past_the_end_of_x_reads_no_run() {
     let reference = reference_rows(&matrix, x.as_slice());
     for lanes in [None, Some(4), Some(8)] {
         let context = format!("col_split_atomic(4)/{lanes:?}");
-        let generated = alpha_codegen::generate(
-            &with_lanes(&presets::col_split_atomic(4), lanes),
-            &matrix,
-            alpha_codegen::GeneratorOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+        let generated =
+            generate_with_loop(&presets::col_split_atomic(4), &matrix, lanes.map(nnz_lanes))
+                .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
         let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
             .unwrap_or_else(|e| panic!("{context}: kernel build rejected: {e}"));
         let shapes = kernel.partition_shapes();
@@ -979,10 +967,10 @@ fn a_column_band_past_the_end_of_x_reads_no_run() {
 
 #[test]
 fn the_searchs_nnz_lane_seeds_read_the_column_run() {
-    // A measured search seeds every structure with an nnz-lane twin.  On a
-    // banded matrix each row partition of those twins lowers to `col:run`
-    // with the plain nnz loop (the scalar loop under the env override): the
-    // search times the run twin, not a loop without one.
+    // Every structure a search seeds on a banded matrix, given the nnz
+    // lanes ×8 loop selection may pick for it, lowers each row partition to
+    // `col:run` with that loop (the scalar loop under the env override):
+    // selection times the run twin, not a loop without one.
     let matrix = alpha_matrix::gen::banded(2_048, 4, 7);
     assert!(matrix.column_runs().is_some());
     let rules = alpha_search::PruneRules::new(&matrix, true);
@@ -992,18 +980,9 @@ fn the_searchs_nnz_lane_seeds_read_the_column_run() {
         "-nnz-x8"
     };
     let mut row_partitions = 0;
-    for graph in alpha_search::enumerate::seed_structures_with(&matrix, &rules, true) {
-        let nnz_lanes = graph
-            .branches
-            .iter()
-            .flatten()
-            .any(|o| matches!(o, Operator::SimdNnzLanes { .. }));
-        if !nnz_lanes {
-            continue;
-        }
-        let generated =
-            alpha_codegen::generate(&graph, &matrix, alpha_codegen::GeneratorOptions::default())
-                .unwrap_or_else(|e| panic!("{graph:?}: generation failed: {e}"));
+    for graph in alpha_search::enumerate::seed_structures(&matrix, &rules) {
+        let generated = generate_with_loop(&graph, &matrix, Some(nnz_lanes(8)))
+            .unwrap_or_else(|e| panic!("{graph:?}: generation failed: {e}"));
         let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
         let shapes = kernel.partition_shapes();
         for (loop_half, run) in run_partitions(&kernel) {
@@ -1016,7 +995,7 @@ fn the_searchs_nnz_lane_seeds_read_the_column_run() {
             assert_eq!(run, Some(true), "{shapes}");
         }
     }
-    assert!(row_partitions > 0, "no nnz-lane seed has a row partition");
+    assert!(row_partitions > 0, "no seed has a row partition");
 }
 
 #[test]
@@ -1044,11 +1023,8 @@ fn rows_that_are_not_one_run_keep_the_column_stream() {
         for (design, base) in presets::all_presets() {
             for lanes in [None, Some(8)] {
                 let context = format!("{name}/{design}/{lanes:?}");
-                let Ok(mut generated) = alpha_codegen::generate(
-                    &with_lanes(&base, lanes),
-                    matrix,
-                    alpha_codegen::GeneratorOptions::default(),
-                ) else {
+                let Ok(mut generated) = generate_with_loop(&base, matrix, lanes.map(nnz_lanes))
+                else {
                     continue;
                 };
                 let designed =
@@ -1073,16 +1049,6 @@ fn rows_that_are_not_one_run_keep_the_column_stream() {
             }
         }
     }
-}
-
-/// `graph` with row lanes ×`lanes` appended to every branch.
-fn with_row_lanes(graph: &OperatorGraph, lanes: usize) -> OperatorGraph {
-    let mut graph = graph.clone();
-    for branch in &mut graph.branches {
-        branch.push(Operator::SimdRowLanes { lanes });
-        sort_branch_stages(branch);
-    }
-    graph
 }
 
 /// `y` bit for bit, a NaN standing for any NaN (its payload is whichever
@@ -1137,7 +1103,6 @@ fn row_lane_slabs_are_bitwise_the_scalar_loop() {
         ("csr_scalar", presets::csr_scalar()),
         ("sell_like", presets::sell_like()),
     ];
-    let options = alpha_codegen::GeneratorOptions::default();
     let mut classes = std::collections::BTreeSet::new();
     for (name, matrix) in &matrices {
         let mut x = DenseVector::random(matrix.cols(), 29).as_slice().to_vec();
@@ -1146,42 +1111,32 @@ fn row_lane_slabs_are_bitwise_the_scalar_loop() {
         x[3] = f32::NAN;
         x[matrix.cols() / 2] = f32::INFINITY;
         for (design, base) in &designs {
-            for lanes in [4, 8] {
-                let context = format!("{name}/{design}/row-x{lanes}");
-                let generated =
-                    alpha_codegen::generate(&with_row_lanes(base, lanes), matrix, options)
-                        .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
-                let [slab, scalar] = [SimdMode::Auto, SimdMode::ForceScalar].map(|mode| {
-                    NativeKernel::with_simd_mode(
-                        generated.kernel.metadata(),
-                        &generated.format,
-                        mode,
-                    )
-                });
-                let shape = slab.shape_label();
-                if !alpha_cpu::cpu_features::force_scalar() {
-                    assert!(
-                        shape.ends_with(&format!("row-x{lanes}")),
-                        "{context}: {shape}"
-                    );
-                    classes.insert(shape.rsplit_once(':').unwrap().1.to_string());
-                }
-                for threads in [1, 2, 3] {
-                    assert_eq!(
-                        bits_or_nan(&slab.run(&x, threads).unwrap()),
-                        bits_or_nan(&scalar.run(&x, 1).unwrap()),
-                        "{context} [{shape}] at {threads} thread(s)"
-                    );
-                }
+            let context = format!("{name}/{design}/row-x8");
+            let generated = generate_with_loop(base, matrix, Some(ROW_LANES))
+                .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
+            let [slab, scalar] = [SimdMode::Auto, SimdMode::ForceScalar].map(|mode| {
+                NativeKernel::with_simd_mode(generated.kernel.metadata(), &generated.format, mode)
+            });
+            let shape = slab.shape_label();
+            if !alpha_cpu::cpu_features::force_scalar() {
+                assert!(shape.ends_with("row-x8"), "{context}: {shape}");
+                classes.insert(shape.rsplit_once(':').unwrap().1.to_string());
+            }
+            for threads in [1, 2, 3] {
+                assert_eq!(
+                    bits_or_nan(&slab.run(&x, threads).unwrap()),
+                    bits_or_nan(&scalar.run(&x, 1).unwrap()),
+                    "{context} [{shape}] at {threads} thread(s)"
+                );
             }
         }
     }
-    // Every row-lane class of this host ran: ×4 and ×8 on its backend (AVX2
-    // gathers, or portable lane code).
+    // The row-lane class of this host ran: ×8 on its backend (AVX2 gathers,
+    // or portable lane code).
     let expected = if alpha_cpu::cpu_features::force_scalar() {
         0
     } else {
-        2
+        1
     };
     assert_eq!(classes.len(), expected, "{classes:?}");
 }
@@ -1193,30 +1148,24 @@ fn an_empty_column_band_past_the_end_of_x_gathers_nothing_in_a_slab() {
     let matrix = run_matrix(40, 5, &[1, 2, 5, 0, 3], 5);
     let x = DenseVector::random(matrix.cols(), 5);
     let reference = reference_rows(&matrix, x.as_slice());
-    for lanes in [4, 8] {
-        let context = format!("col_split_atomic(4)/row-x{lanes}");
-        let generated = alpha_codegen::generate(
-            &with_row_lanes(&presets::col_split_atomic(4), lanes),
-            &matrix,
-            alpha_codegen::GeneratorOptions::default(),
-        )
+    let context = "col_split_atomic(4)/row-x8";
+    let generated = generate_with_loop(&presets::col_split_atomic(4), &matrix, Some(ROW_LANES))
         .unwrap_or_else(|e| panic!("{context}: generation failed: {e}"));
-        let [slab, scalar] = [SimdMode::Auto, SimdMode::ForceScalar].map(|mode| {
-            NativeKernel::with_simd_mode(generated.kernel.metadata(), &generated.format, mode)
-        });
-        let shapes = slab.partition_shapes();
-        for threads in [1, 2, 3] {
-            let y = slab.run(x.as_slice(), threads).unwrap();
-            assert_within_bound(
-                &y,
-                &reference,
-                &format!("{context} [{shapes}] at {threads}"),
-            );
-            assert_eq!(
-                bits(&y),
-                bits(&scalar.run(x.as_slice(), threads).unwrap()),
-                "{context} [{shapes}] at {threads}"
-            );
-        }
+    let [slab, scalar] = [SimdMode::Auto, SimdMode::ForceScalar].map(|mode| {
+        NativeKernel::with_simd_mode(generated.kernel.metadata(), &generated.format, mode)
+    });
+    let shapes = slab.partition_shapes();
+    for threads in [1, 2, 3] {
+        let y = slab.run(x.as_slice(), threads).unwrap();
+        assert_within_bound(
+            &y,
+            &reference,
+            &format!("{context} [{shapes}] at {threads}"),
+        );
+        assert_eq!(
+            bits(&y),
+            bits(&scalar.run(x.as_slice(), threads).unwrap()),
+            "{context} [{shapes}] at {threads}"
+        );
     }
 }

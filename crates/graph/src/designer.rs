@@ -19,7 +19,7 @@
 //! matrix, and [`Designer::design`] remembers the converting stage's output —
 //! the reordered / split sub-matrix, its `origin_rows`, its `BIN` boundaries —
 //! under exactly the operators that produced it (the conversion key, below).
-//! Mapping, padding, interleaving, reductions, resources and the SIMD plan
+//! Mapping, padding, interleaving, reductions and resources
 //! are resolved per call on top of it: they are cheap, and they are what a
 //! search varies.  The free [`design`] is the same code with a Designer that
 //! lives for one call.
@@ -43,9 +43,7 @@
 //! (`MEMO_MATRIX_MULTIPLE`), and is dropped with the Designer.
 
 use crate::graph::{OperatorGraph, ValidationError};
-use crate::metadata::{
-    MatrixMetadataSet, PadScope, Padding, PartitionPlan, SimdLaneMapping, SimdPlan,
-};
+use crate::metadata::{MatrixMetadataSet, PadScope, Padding, PartitionPlan, SimdPlan};
 use crate::operator::Operator;
 use alpha_matrix::{CooMatrix, CsrMatrix};
 use std::any::Any;
@@ -536,21 +534,6 @@ fn design_branch(piece: Piece, branch: &[Operator], shared: &[Operator]) -> Part
         .iter()
         .any(|op| matches!(op, Operator::InterleavedStorage));
     let sort_bmtb = branch.iter().any(|op| matches!(op, Operator::SortBmtb));
-    let simd = branch
-        .iter()
-        .find_map(|op| match op {
-            Operator::SimdRowLanes { lanes } => Some(SimdPlan {
-                lanes: *lanes,
-                lane_mapping: SimdLaneMapping::Rows,
-            }),
-            Operator::SimdNnzLanes { lanes } => Some(SimdPlan {
-                lanes: *lanes,
-                lane_mapping: SimdLaneMapping::Nnz,
-            }),
-            _ => None,
-        })
-        .unwrap_or_else(SimdPlan::scalar);
-
     let mut operators: Vec<Operator> = shared.to_vec();
     operators.extend(branch.iter().cloned());
 
@@ -567,7 +550,7 @@ fn design_branch(piece: Piece, branch: &[Operator], shared: &[Operator]) -> Part
         bin_boundaries: piece.bin_boundaries,
         reduction,
         threads_per_block,
-        simd,
+        simd: SimdPlan::scalar(),
         shares_rows_with_siblings: piece.shares_rows,
         operators,
     }

@@ -437,29 +437,6 @@ impl OperatorGraph {
             ));
         }
 
-        // SIMD lane mapping: at most one per branch, row lanes only make
-        // sense when each lane can own a whole row.
-        let lane_mappings = count(&|o| {
-            matches!(
-                o,
-                Operator::SimdRowLanes { .. } | Operator::SimdNnzLanes { .. }
-            )
-        });
-        if lane_mappings > 1 {
-            return Err(ValidationError::Duplicate(format!(
-                "branch {index} has {lane_mappings} SIMD lane-mapping operators"
-            )));
-        }
-        if branch
-            .iter()
-            .any(|o| matches!(o, Operator::SimdRowLanes { .. }))
-            && !matches!(mapping, Mapping::RowPerThread { .. })
-        {
-            return Err(ValidationError::MissingPrerequisite(
-                "SIMD_ROW_LANES requires a BMT_ROW_BLOCK mapping (lanes own adjacent rows)".into(),
-            ));
-        }
-
         // Parameter sanity.
         for op in branch {
             match op {
@@ -488,14 +465,6 @@ impl OperatorGraph {
                     return Err(ValidationError::BadParameter(
                         "BMT_COL_BLOCK cannot spread one row over more than a warp".into(),
                     ));
-                }
-                Operator::SimdRowLanes { lanes } | Operator::SimdNnzLanes { lanes }
-                    if !matches!(lanes, 1 | 4 | 8) =>
-                {
-                    return Err(ValidationError::BadParameter(format!(
-                        "{} lanes must be 1, 4 or 8, got {lanes}",
-                        op.name()
-                    )));
                 }
                 _ => {}
             }
@@ -801,88 +770,6 @@ mod tests {
             total_last.canonical_signature()
         );
         assert_eq!(seg_last.canonical_signature(), a.canonical_signature());
-    }
-
-    #[test]
-    fn simd_operator_rules() {
-        // Row lanes require a row-per-thread mapping.
-        let row_lanes_on_nnz = OperatorGraph {
-            converting: vec![Operator::Compress],
-            branches: vec![vec![
-                Operator::BmtNnzBlock { nnz: 16 },
-                Operator::SimdRowLanes { lanes: 4 },
-                Operator::ThreadBitmapRed,
-                Operator::GmemAtomRed,
-            ]],
-        };
-        assert!(matches!(
-            row_lanes_on_nnz.validate(),
-            Err(ValidationError::MissingPrerequisite(_))
-        ));
-
-        // Nnz lanes compose with any mapping.
-        let nnz_lanes = OperatorGraph {
-            converting: vec![Operator::Compress],
-            branches: vec![vec![
-                Operator::BmtRowBlock { rows: 1 },
-                Operator::SimdNnzLanes { lanes: 8 },
-                Operator::ThreadTotalRed,
-            ]],
-        };
-        assert!(nnz_lanes.validate().is_ok());
-
-        // Lane widths outside {1, 4, 8} are rejected.
-        for lanes in [2, 3] {
-            let bad_lanes = OperatorGraph {
-                converting: vec![Operator::Compress],
-                branches: vec![vec![
-                    Operator::BmtRowBlock { rows: 1 },
-                    Operator::SimdNnzLanes { lanes },
-                    Operator::ThreadTotalRed,
-                ]],
-            };
-            assert!(matches!(
-                bad_lanes.validate(),
-                Err(ValidationError::BadParameter(_))
-            ));
-        }
-
-        // Two lane mappings cannot coexist in one branch.
-        let duplicate = OperatorGraph {
-            converting: vec![Operator::Compress],
-            branches: vec![vec![
-                Operator::BmtRowBlock { rows: 1 },
-                Operator::SimdRowLanes { lanes: 4 },
-                Operator::SimdNnzLanes { lanes: 4 },
-                Operator::ThreadTotalRed,
-            ]],
-        };
-        assert!(matches!(
-            duplicate.validate(),
-            Err(ValidationError::Duplicate(_))
-        ));
-    }
-
-    #[test]
-    fn simd_operators_are_part_of_the_canonical_signature() {
-        let scalar = OperatorGraph::linear(vec![
-            Operator::Compress,
-            Operator::BmtRowBlock { rows: 1 },
-            Operator::ThreadTotalRed,
-        ]);
-        let vectorized = OperatorGraph::linear(vec![
-            Operator::Compress,
-            Operator::BmtRowBlock { rows: 1 },
-            Operator::SimdNnzLanes { lanes: 8 },
-            Operator::ThreadTotalRed,
-        ]);
-        assert!(vectorized.validate().is_ok());
-        assert_ne!(
-            scalar.canonical_signature(),
-            vectorized.canonical_signature(),
-            "SIMD mapping operators must keep scalar and vectorized designs \
-             in distinct cache contexts"
-        );
     }
 
     #[test]

@@ -54,8 +54,9 @@ impl Mapping {
     }
 }
 
-/// How SIMD lanes map onto a partition's work (the outcome of the
-/// `SIMD_ROW_LANES` / `SIMD_NNZ_LANES` mapping operators).
+/// How SIMD lanes map onto a partition's work.  No operator of the graph
+/// sets it: the host that runs the design picks the loop by measurement, or
+/// replays a recorded loop label (see [`PartitionPlan::simd`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLaneMapping {
     /// Each lane owns one of `lanes` adjacent rows (ELL/padded-row lineage);
@@ -68,9 +69,8 @@ pub enum SimdLaneMapping {
 }
 
 /// The resolved vectorization directive of one partition: lane width and the
-/// row-vs-nnz lane mapping.  `lanes == 1`
-/// means explicit scalar execution (the default when no SIMD operator is in
-/// the graph).
+/// row-vs-nnz lane mapping.  `lanes == 1` means scalar execution, which is
+/// what the Designer writes for every partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimdPlan {
     /// SIMD lanes (1, 4 or 8).
@@ -225,8 +225,9 @@ pub struct PartitionPlan {
     pub reduction: Reduction,
     /// Threads per block chosen by `SET_RESOURCES`.
     pub threads_per_block: usize,
-    /// Resolved vectorization directive (`SimdPlan::scalar()` when no SIMD
-    /// operator appears in the branch).
+    /// Resolved vectorization directive.  The Designer writes
+    /// `SimdPlan::scalar()`; only the host's loop selection, or a recorded
+    /// loop label replayed onto the plan, fills in anything else.
     pub simd: SimdPlan,
     /// True if this partition was produced by `COL_DIV` and therefore shares
     /// output rows with sibling partitions.

@@ -101,20 +101,6 @@ pub enum Operator {
     /// Store thread chunks interleaved (column-major within the block) so
     /// that warp lanes read consecutive memory.
     InterleavedStorage,
-    /// Vectorize execution with `lanes` SIMD lanes mapped to adjacent rows
-    /// (ELL/padded-row lineage: each lane owns one row, column indices load
-    /// as vectors).
-    SimdRowLanes {
-        /// SIMD lanes (1, 4 or 8); 1 means explicit scalar execution.
-        lanes: usize,
-    },
-    /// Vectorize execution with `lanes` SIMD lanes mapped to consecutive
-    /// non-zeros of one row (gather-based CSR lineage with a horizontal-add
-    /// row reduction).
-    SimdNnzLanes {
-        /// SIMD lanes (1, 4 or 8); 1 means explicit scalar execution.
-        lanes: usize,
-    },
 
     // ---- Implementing stage ------------------------------------------------
     /// Set runtime configuration: threads per block.
@@ -163,9 +149,7 @@ impl Operator {
             | BmwPad { .. }
             | BmtPad { .. }
             | SortBmtb
-            | InterleavedStorage
-            | SimdRowLanes { .. }
-            | SimdNnzLanes { .. } => Stage::Mapping,
+            | InterleavedStorage => Stage::Mapping,
             SetResources { .. }
             | GmemAtomRed
             | ShmemOffsetRed
@@ -198,8 +182,6 @@ impl Operator {
             BmtPad { .. } => "BMT_PAD",
             SortBmtb => "SORT_BMTB",
             InterleavedStorage => "INTERLEAVED_STORAGE",
-            SimdRowLanes { .. } => "SIMD_ROW_LANES",
-            SimdNnzLanes { .. } => "SIMD_NNZ_LANES",
             SetResources { .. } => "SET_RESOURCES",
             GmemAtomRed => "GMEM_ATOM_RED",
             ShmemOffsetRed => "SHMEM_OFFSET_RED",
@@ -230,8 +212,6 @@ impl Operator {
             BmtbPad { .. } | BmwPad { .. } | BmtPad { .. } => &["ELLPACK", "SELL-P"],
             SortBmtb => &["SELL-C-sigma"],
             InterleavedStorage => &["ELLPACK", "SELL"],
-            SimdRowLanes { .. } => &["ELLPACK", "SELL-C-sigma", "CVR"],
-            SimdNnzLanes { .. } => &["CSR5", "JITSPMM", "gather-SpMV"],
             SetResources { .. } => &[],
             GmemAtomRed => &["row-grouped CSR", "SCOO"],
             ShmemOffsetRed => &["CSR-Adaptive", "CSR-Stream", "merge-based CSR"],
@@ -265,8 +245,6 @@ impl Operator {
             BmtPad { multiple: 4 },
             SortBmtb,
             InterleavedStorage,
-            SimdRowLanes { lanes: 4 },
-            SimdNnzLanes { lanes: 8 },
             SetResources {
                 threads_per_block: 128,
             },
@@ -298,9 +276,6 @@ impl std::fmt::Display for Operator {
             BmtbPad { multiple } | BmwPad { multiple } | BmtPad { multiple } => {
                 write!(f, "{}(multiple={})", self.name(), multiple)
             }
-            SimdRowLanes { lanes } | SimdNnzLanes { lanes } => {
-                write!(f, "{}(lanes={})", self.name(), lanes)
-            }
             SetResources { threads_per_block } => {
                 write!(f, "{}(tpb={})", self.name(), threads_per_block)
             }
@@ -319,9 +294,7 @@ mod tests {
         // Table II lists 6 converting, 10 mapping (counting the three PADs and
         // three row/col blocks separately, plus NNZ block, SORT_BMTB and the
         // interleaved-storage layout used by Figure 14), and 9 implementing.
-        // The native-backend extension adds 2 mapping operators for the SIMD
-        // lane mapping (12 mapping total).
-        assert_eq!(catalogue.len(), 27);
+        assert_eq!(catalogue.len(), 25);
         let converting = catalogue
             .iter()
             .filter(|o| o.stage() == Stage::Converting)
@@ -335,8 +308,9 @@ mod tests {
             .filter(|o| o.stage() == Stage::Implementing)
             .count();
         assert_eq!(converting, 6);
-        assert_eq!(mapping, 12);
+        assert_eq!(mapping, 10);
         assert_eq!(implementing, 9);
+        assert_eq!(converting + mapping + implementing, catalogue.len());
     }
 
     #[test]
@@ -365,10 +339,6 @@ mod tests {
             }
             .to_string(),
             "SET_RESOURCES(tpb=256)"
-        );
-        assert_eq!(
-            Operator::SimdRowLanes { lanes: 4 }.to_string(),
-            "SIMD_ROW_LANES(lanes=4)"
         );
     }
 

@@ -33,8 +33,6 @@ pub enum ParamKind {
     PadMultiple,
     /// Threads per block of `SET_RESOURCES`.
     ThreadsPerBlock,
-    /// SIMD lanes of `SIMD_ROW_LANES` / `SIMD_NNZ_LANES`.
-    SimdLanes,
 }
 
 impl ParamKind {
@@ -52,7 +50,6 @@ impl ParamKind {
             ParamKind::NnzPerThread => &[4, 16, 64],
             ParamKind::PadMultiple => &[2, 8, 32],
             ParamKind::ThreadsPerBlock => &[64, 256, 1024],
-            ParamKind::SimdLanes => &[4, 8],
         }
     }
 
@@ -69,7 +66,6 @@ impl ParamKind {
             ParamKind::NnzPerThread => vec![2, 4, 8, 16, 32, 64, 128],
             ParamKind::PadMultiple => vec![2, 4, 8, 16, 32, 64],
             ParamKind::ThreadsPerBlock => vec![32, 64, 128, 256, 512, 1024],
-            ParamKind::SimdLanes => vec![1, 4, 8],
         }
     }
 }
@@ -93,7 +89,6 @@ pub fn operator_params(op: &Operator) -> Vec<(ParamKind, usize)> {
         SetResources { threads_per_block } => {
             vec![(ParamKind::ThreadsPerBlock, *threads_per_block)]
         }
-        SimdRowLanes { lanes } | SimdNnzLanes { lanes } => vec![(ParamKind::SimdLanes, *lanes)],
         _ => Vec::new(),
     }
 }
@@ -119,8 +114,6 @@ pub fn with_param(op: &Operator, value: usize) -> Operator {
         SetResources { .. } => SetResources {
             threads_per_block: value,
         },
-        SimdRowLanes { .. } => SimdRowLanes { lanes: value },
-        SimdNnzLanes { .. } => SimdNnzLanes { lanes: value },
         other => other.clone(),
     }
 }
@@ -158,7 +151,6 @@ mod tests {
             ParamKind::NnzPerThread,
             ParamKind::PadMultiple,
             ParamKind::ThreadsPerBlock,
-            ParamKind::SimdLanes,
         ] {
             let fine = kind.fine_grid();
             for v in kind.coarse_grid() {

@@ -22,7 +22,7 @@
 //! chain, not once per candidate.
 
 use crate::enumerate::{
-    coarse_variants, fine_variants, mutate_structure, seed_structures_with, MutationRng,
+    coarse_variants, fine_variants, mutate_structure, seed_structures, MutationRng,
 };
 use crate::eval::{
     BatchEvaluator, CachingEvaluator, DesignCache, EvalContext, Evaluator, EvaluatorChoice,
@@ -210,17 +210,13 @@ pub fn search_with_cache(
 
     // ---- Level 1: structure enumeration ------------------------------------
     let l1_span = alpha_telemetry::span!("search.l1", matrix = matrix_fp);
-    // SIMD twins enter the seed pool only when the evaluator measures real
-    // time: the simulated cost model scores a vectorized twin identically to
-    // its scalar base, so under it twins are dead weight in the schedule.
-    let vectorize = config.evaluator.id().is_native();
-    let mut structures = seed_structures_with(matrix, &rules, vectorize);
+    let mut structures = seed_structures(matrix, &rules);
     let mut pruned = 0usize;
     {
         // Count what pruning removed (for the statistics) by comparing with
         // the unpruned seed set.
         let unpruned_rules = PruneRules::new(matrix, false);
-        pruned += seed_structures_with(matrix, &unpruned_rules, vectorize)
+        pruned += seed_structures(matrix, &unpruned_rules)
             .len()
             .saturating_sub(structures.len());
     }

@@ -34,25 +34,13 @@ impl MutationRng {
 /// Seed structures: every preset design that is valid for the matrix and not
 /// banned by the pruning rules, plus `ROW_DIV` hybrids sized by the
 /// row-length-mutation discretisation for irregular matrices.
+///
+/// A seed describes a format and its mapping, never its inner loop: no
+/// operator of the graph picks SIMD lanes.  Under either evaluator the host
+/// that builds the winner times the loops its library offers, once, after the
+/// search (`AlphaSparse::rebuild`, `alpha_cpu::NativeKernel::select`), without
+/// touching the graph, the winner or any cache key.
 pub fn seed_structures(matrix: &CsrMatrix, rules: &PruneRules) -> Vec<OperatorGraph> {
-    seed_structures_with(matrix, rules, false)
-}
-
-/// [`seed_structures`], optionally extended with SIMD-vectorized twins of
-/// every seed.  Twins are only worth seeding under a **measured** evaluator
-/// (`alpha-cpu`'s native backend): the simulator's cost model has no notion
-/// of lane width, so under it a twin scores identically to its scalar base
-/// and merely pads the candidate list.  That does not condemn a cost-model
-/// winner to the scalar loop: a design without a SIMD operator leaves its
-/// inner loop unresolved, and the host that builds it picks one by
-/// measurement, once, after the search (`AlphaSparse::rebuild`,
-/// `alpha_cpu::NativeKernel::select`) — without touching the graph, the
-/// winner or any cache key.
-pub fn seed_structures_with(
-    matrix: &CsrMatrix,
-    rules: &PruneRules,
-    vectorize: bool,
-) -> Vec<OperatorGraph> {
     let mut seeds: Vec<OperatorGraph> = Vec::new();
     for (_, graph) in presets::all_presets() {
         if graph.validate().is_ok() && !rules.bans_graph(&graph) {
@@ -67,42 +55,7 @@ pub fn seed_structures_with(
             }
         }
     }
-    // Vectorized twins: every scalar seed also enters the search with an
-    // nnz-lane SIMD shape (gathers across one row's non-zeros) and, where
-    // the mapping allows it, a row-lane shape (adjacent rows advance
-    // together) — so level 1 explores vectorization immediately instead of
-    // waiting for a lucky mutation.
-    if !vectorize {
-        return seeds;
-    }
-    let mut vectorized = Vec::new();
-    for seed in &seeds {
-        for op in [
-            Operator::SimdNnzLanes { lanes: 8 },
-            Operator::SimdRowLanes { lanes: 4 },
-        ] {
-            let mut twin = seed.clone();
-            for branch in &mut twin.branches {
-                branch.push(op.clone());
-                sort_branch_stages(branch);
-            }
-            if twin.validate().is_ok() && !rules.bans_graph(&twin) {
-                vectorized.push(twin);
-            }
-        }
-    }
-    seeds.extend(vectorized);
     seeds
-}
-
-/// Stable stage sort: converting < mapping < implementing, preserving the
-/// relative order of operators within a stage.
-fn sort_branch_stages(branch: &mut [Operator]) {
-    branch.sort_by_key(|op| match op.stage() {
-        alpha_graph::Stage::Converting => 0,
-        alpha_graph::Stage::Mapping => 1,
-        alpha_graph::Stage::Implementing => 2,
-    });
 }
 
 /// Applies one random structural mutation to a graph (swap a reduction
@@ -115,7 +68,7 @@ pub fn mutate_structure(
 ) -> Option<OperatorGraph> {
     let mut mutated = graph.clone();
     let branch_index = rng.pick(mutated.branches.len());
-    let kind = rng.pick(7);
+    let kind = rng.pick(6);
     match kind {
         0 => {
             // Toggle the global SORT.
@@ -197,34 +150,6 @@ pub fn mutate_structure(
                 branch.insert(mapping_pos + 2, Operator::BmtbPad { multiple: 4 });
             }
         }
-        5 => {
-            // Cycle the vectorization shape: scalar → nnz lanes
-            // → row lanes → scalar.  Row lanes require a row-per-thread
-            // mapping; on other mappings that state collapses to scalar.
-            let branch = &mut mutated.branches[branch_index];
-            let had_nnz = branch
-                .iter()
-                .any(|o| matches!(o, Operator::SimdNnzLanes { .. }));
-            let had_row = branch
-                .iter()
-                .any(|o| matches!(o, Operator::SimdRowLanes { .. }));
-            branch.retain(|o| {
-                !matches!(
-                    o,
-                    Operator::SimdRowLanes { .. } | Operator::SimdNnzLanes { .. }
-                )
-            });
-            if had_nnz {
-                if branch
-                    .iter()
-                    .any(|o| matches!(o, Operator::BmtRowBlock { .. }))
-                {
-                    branch.push(Operator::SimdRowLanes { lanes: 4 });
-                }
-            } else if !had_row {
-                branch.push(Operator::SimdNnzLanes { lanes: 8 });
-            }
-        }
         _ => {
             // Swap the warp-level reduction strategy.
             let branch = &mut mutated.branches[branch_index];
@@ -242,13 +167,6 @@ pub fn mutate_structure(
             // Keep the implementing stage ordered: reductions come after
             // SET_RESOURCES, which `retain`/`push` preserve.
         }
-    }
-    // Re-sort each branch by stage (converting < mapping < implementing):
-    // mutations append mapping-stage SIMD operators and implementing-stage
-    // reductions out of order, and the stable sort restores stage order
-    // without disturbing within-stage order.
-    for branch in &mut mutated.branches {
-        sort_branch_stages(branch);
     }
     if mutated.validate().is_ok() && !rules.bans_graph(&mutated) && mutated != *graph {
         Some(mutated)
@@ -371,85 +289,6 @@ mod tests {
         assert!(
             produced > 5,
             "mutation should succeed reasonably often, got {produced}"
-        );
-    }
-
-    #[test]
-    fn seeds_include_vectorized_twins() {
-        let matrix = gen::uniform_random(1_000, 1_000, 16, 1);
-        let rules = PruneRules::new(&matrix, true);
-        let seeds = seed_structures_with(&matrix, &rules, true);
-        assert!(
-            seeds.len() > seed_structures(&matrix, &rules).len(),
-            "vectorize=false must not emit twins"
-        );
-        let has = |pred: &dyn Fn(&Operator) -> bool| {
-            seeds.iter().any(|g| g.branches.iter().flatten().any(pred))
-        };
-        assert!(
-            has(&|o| matches!(o, Operator::SimdNnzLanes { .. })),
-            "seed pool must contain nnz-lane vectorized designs"
-        );
-        assert!(
-            has(&|o| matches!(o, Operator::SimdRowLanes { .. })),
-            "seed pool must contain row-lane vectorized designs"
-        );
-        assert!(seeds.iter().all(|g| g.validate().is_ok()));
-    }
-
-    #[test]
-    fn mutation_reaches_simd_shapes() {
-        let matrix = gen::uniform_random(1_000, 1_000, 12, 9);
-        let rules = PruneRules::new(&matrix, true);
-        let base = presets::csr_scalar();
-        let mut rng = MutationRng::new(11);
-        let mut simd_seen = false;
-        let mut current = base.clone();
-        for _ in 0..200 {
-            if let Some(mutated) = mutate_structure(&current, &mut rng, &rules) {
-                assert!(mutated.validate().is_ok());
-                if mutated.branches.iter().flatten().any(|o| {
-                    matches!(
-                        o,
-                        Operator::SimdRowLanes { .. } | Operator::SimdNnzLanes { .. }
-                    )
-                }) {
-                    simd_seen = true;
-                }
-                current = mutated;
-            }
-        }
-        assert!(
-            simd_seen,
-            "the mutation walk should visit vectorized shapes"
-        );
-    }
-
-    #[test]
-    fn coarse_variants_sweep_simd_parameters() {
-        let matrix = gen::uniform_random(512, 512, 8, 3);
-        let rules = PruneRules::new(&matrix, true);
-        let seeds = seed_structures_with(&matrix, &rules, true);
-        let vectorized = seeds
-            .iter()
-            .find(|g| {
-                g.branches
-                    .iter()
-                    .flatten()
-                    .any(|o| matches!(o, Operator::SimdNnzLanes { .. }))
-            })
-            .expect("a vectorized seed exists");
-        let lane_widths: std::collections::BTreeSet<usize> = coarse_variants(vectorized)
-            .iter()
-            .flat_map(|g| g.branches.iter().flatten())
-            .filter_map(|o| match o {
-                Operator::SimdNnzLanes { lanes } => Some(*lanes),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            lane_widths.len() > 1,
-            "coarse sweep must vary the lane width, saw {lane_widths:?}"
         );
     }
 

@@ -48,7 +48,12 @@ pub const CACHE_MAGIC: [u8; 4] = *b"ACDS";
 /// carried (about 70 % of a context's bytes): source is emitted on request,
 /// for the winner, from its graph.  Version 6 retired operator tag 27 and
 /// SIMD lane width 2: a v5 file may hold graphs that no longer validate.
-pub const CACHE_FORMAT_VERSION: u32 = 6;
+/// Version 7 retired the lane operator tags 25 and 26, because the host's
+/// loop selection is now the only thing that picks a loop and a v6 file may
+/// hold graphs that name one.  Since v7 retires every v6 file, native timings
+/// recorded under the lane operators cannot be read back, so the evaluator
+/// salt (`EvaluatorId::salt`) did not need a bump.
+pub const CACHE_FORMAT_VERSION: u32 = 7;
 
 /// Why loading or saving a durable cache failed.
 #[derive(Debug)]
@@ -336,7 +341,8 @@ impl<'a> ByteReader<'a> {
 
 // Every operator is one tag byte plus one u64 parameter (0 when the operator
 // is parameterless).  Tags are append-only: renumbering is a schema change.
-// Tag 27 (the retired `SIMD_PREFETCH`) stays reserved and decodes as corrupt.
+// Tags 25–27 (the retired `SIMD_ROW_LANES`, `SIMD_NNZ_LANES` and
+// `SIMD_PREFETCH`) stay reserved and decode as corrupt.
 fn operator_tag(op: &Operator) -> (u8, u64) {
     use Operator::*;
     match op {
@@ -365,8 +371,6 @@ fn operator_tag(op: &Operator) -> (u8, u64) {
         WarpSegRed => (22, 0),
         ThreadTotalRed => (23, 0),
         ThreadBitmapRed => (24, 0),
-        SimdRowLanes { lanes } => (25, *lanes as u64),
-        SimdNnzLanes { lanes } => (26, *lanes as u64),
     }
 }
 
@@ -403,8 +407,6 @@ fn operator_from_tag(tag: u8, param: u64) -> Result<Operator, PersistError> {
         22 => WarpSegRed,
         23 => ThreadTotalRed,
         24 => ThreadBitmapRed,
-        25 => SimdRowLanes { lanes: p },
-        26 => SimdNnzLanes { lanes: p },
         other => {
             return Err(PersistError::Corrupt(format!(
                 "unknown operator tag {other}"
@@ -888,58 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn simd_operators_round_trip_through_the_codec() {
-        use alpha_graph::Operator;
-        let vectorized = OperatorGraph::linear(vec![
-            Operator::Compress,
-            Operator::BmtRowBlock { rows: 1 },
-            Operator::SimdRowLanes { lanes: 4 },
-            Operator::ThreadTotalRed,
-        ]);
-        assert!(vectorized.validate().is_ok());
-        let gathered = OperatorGraph::linear(vec![
-            Operator::Compress,
-            Operator::BmtNnzBlock { nnz: 32 },
-            Operator::SimdNnzLanes { lanes: 8 },
-            Operator::ThreadBitmapRed,
-            Operator::GmemAtomRed,
-        ]);
-        assert!(gathered.validate().is_ok());
-        let cache = DesignCache::new();
-        cache.record_winner(
-            41,
-            StoredDesign {
-                graph: vectorized.clone(),
-                gflops: 2.0,
-                matrix_features: vec![],
-                evaluator: EvaluatorId::Native { warmup: 2, runs: 5 },
-                kernel_shape: None,
-            },
-        );
-        cache.record_winner(
-            42,
-            StoredDesign {
-                graph: gathered.clone(),
-                gflops: 3.0,
-                matrix_features: vec![],
-                evaluator: EvaluatorId::Native { warmup: 2, runs: 5 },
-                kernel_shape: None,
-            },
-        );
-        let reloaded = DesignCache::from_bytes(&cache.to_bytes()).expect("decodes");
-        let winners = reloaded.winners();
-        let find = |key: u64| {
-            &winners
-                .iter()
-                .find(|(k, _)| *k == key)
-                .expect("winner survives the round trip")
-                .1
-        };
-        assert_eq!(find(41).graph, vectorized);
-        assert_eq!(find(42).graph, gathered);
-    }
-
-    #[test]
     fn empty_cache_round_trips() {
         let cache = DesignCache::new();
         let reloaded = DesignCache::from_bytes(&cache.to_bytes()).unwrap();
@@ -996,7 +946,7 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         // Overwrite the version field (bytes 4..8) with a future version and
-        // with the previous one (whose graphs may hold the retired tag 27).
+        // with the previous one (whose graphs may hold the retired tags 25–27).
         for version in [CACHE_FORMAT_VERSION + 1, CACHE_FORMAT_VERSION - 1] {
             let mut bytes = populated_cache().to_bytes();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
@@ -1111,8 +1061,9 @@ mod tests {
         // (4+4), the empty entries section (8), the winner count (8) and the
         // winner's context key (8) and converting-length (8).
         let tag_pos = 4 + 4 + 8 + 8 + 8 + 8;
-        // 250 was never a tag; 27 is the retired one, reserved for good.
-        for tag in [250, 27] {
+        // 250 was never a tag; 25–27 are the retired SIMD operators,
+        // reserved for good: a current-version body naming one is corrupt.
+        for tag in [250, 25, 26, 27] {
             let mut corrupted = bytes.clone();
             corrupted[tag_pos] = tag;
             assert!(matches!(
