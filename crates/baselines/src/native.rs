@@ -32,6 +32,14 @@ pub fn native_set() -> Vec<Baseline> {
 /// Non-zeros each merge chunk owns (mirrors merge-based CSR's tile size).
 const MERGE_NNZ_PER_CHUNK: usize = 256;
 
+/// Padded slots a padded layout may hold per non-zero (per row, where rows
+/// outnumber non-zeros) before its baseline is refused.  ELL pads every row
+/// to the longest: one dense row among many short ones asks for about rows ×
+/// columns slots (2^31, 16 GiB, about 2 000 per non-zero, on a 65 536-row
+/// power-law matrix of 16 non-zeros per row), far past any layout worth
+/// timing; a 512-row power-law matrix of 8 per row pads to at most 64.
+const MAX_PADDING: usize = 256;
+
 enum Imp {
     Csr,
     /// Row-major padded ELL: `width` slots per row, zero-padded.
@@ -60,14 +68,16 @@ pub struct NativeBaselineKernel {
 
 impl NativeBaselineKernel {
     /// Prepares `baseline` for native execution.  Returns an error for
-    /// baselines without a native implementation (see [`native_set`]).
+    /// baselines without a native implementation (see [`native_set`]), and
+    /// for an ELL or HYB layout of more than 256 padded slots per
+    /// non-zero, which is refused before anything is allocated.
     pub fn new(baseline: Baseline, matrix: &CsrMatrix) -> Result<Self, String> {
         let imp = match baseline {
             Baseline::CsrScalar => Imp::Csr,
             Baseline::Merge => Imp::Merge,
             Baseline::Ell => {
                 let width = matrix.max_row_len().max(1);
-                let (cols, values) = pad_rows(matrix, width, 0..matrix.rows());
+                let (cols, values) = pad_rows(matrix, width, 0..matrix.rows())?;
                 Imp::Ell {
                     width,
                     cols,
@@ -79,7 +89,7 @@ impl NativeBaselineKernel {
                 // average row length, long rows overflow into COO.
                 let rows = matrix.rows().max(1);
                 let width = (matrix.nnz() as f64 / rows as f64).ceil().max(1.0) as usize;
-                let (ell_cols, ell_values) = pad_rows(matrix, width, 0..matrix.rows());
+                let (ell_cols, ell_values) = pad_rows(matrix, width, 0..matrix.rows())?;
                 let mut coo = Vec::new();
                 for row in 0..matrix.rows() {
                     let range = matrix.row_range(row);
@@ -270,15 +280,26 @@ impl NativeBaselineKernel {
 }
 
 /// Pads each row of `rows` to `width` slots (column 0 / value 0 filler),
-/// row-major.
+/// row-major, or refuses a layout over [`MAX_PADDING`].
 fn pad_rows(
     matrix: &CsrMatrix,
     width: usize,
     rows: std::ops::Range<usize>,
-) -> (Vec<u32>, Vec<Scalar>) {
+) -> Result<(Vec<u32>, Vec<Scalar>), String> {
     let count = rows.len();
-    let mut cols = vec![0u32; count * width];
-    let mut values = vec![0.0; count * width];
+    let limit = MAX_PADDING.saturating_mul(matrix.nnz().max(count));
+    let slots = count
+        .checked_mul(width)
+        .filter(|&slots| slots <= limit)
+        .ok_or_else(|| {
+            format!(
+                "padding {count} rows to {width} slots exceeds {MAX_PADDING} slots per non-zero \
+                 ({} non-zeros)",
+                matrix.nnz()
+            )
+        })?;
+    let mut cols = vec![0u32; slots];
+    let mut values = vec![0.0; slots];
     for (i, row) in rows.enumerate() {
         let range = matrix.row_range(row);
         let take = range.len().min(width);
@@ -287,7 +308,7 @@ fn pad_rows(
         values[i * width..i * width + take]
             .copy_from_slice(&matrix.values()[range.start..range.start + take]);
     }
-    (cols, values)
+    Ok((cols, values))
 }
 
 /// Splits `[0, rows)` into contiguous chunks across workers; each worker
@@ -393,6 +414,31 @@ mod tests {
             assert!(report.gflops > 0.0);
             assert_eq!(report.useful_flops, 2 * matrix.nnz() as u64);
         }
+    }
+
+    #[test]
+    fn a_wide_row_refuses_ell_padding_without_allocating_it() {
+        // One dense row among 2^20 empty ones: ELL would pad every row to
+        // 2^20 slots, 2^40 in all (8 TiB).  HYB pads to the mean row length.
+        let n = 1 << 20;
+        let mut coo = alpha_matrix::CooMatrix::new(n, n);
+        for c in 0..n {
+            coo.push(n / 2, c, 1.0);
+        }
+        let matrix = alpha_matrix::CsrMatrix::from_coo(&coo);
+        let refused = NativeBaselineKernel::new(Baseline::Ell, &matrix).err();
+        assert!(
+            refused
+                .as_deref()
+                .is_some_and(|e| e.contains("slots per non-zero")),
+            "{refused:?}"
+        );
+        let hyb = NativeBaselineKernel::new(Baseline::Hyb, &matrix).unwrap();
+        let y = hyb.run(&vec![1.0; n], 2).unwrap();
+        assert_eq!(
+            (y[n / 2], y.iter().sum::<Scalar>()),
+            (n as Scalar, n as Scalar)
+        );
     }
 
     #[test]

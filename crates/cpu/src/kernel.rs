@@ -31,11 +31,16 @@
 //! * **row-lane slabs**: a row partition bound to a row-lane loop runs on a
 //!   length-sorted, column-major copy of its streams (`kernel/slab.rs`),
 //!   built at the bind and owned by the partition, with worker cuts at the
-//!   slab's window boundaries.
+//!   slab's window boundaries.  When `origin_rows` permutes a block of `y`
+//!   (a SORT, SORT_SUB or BIN design) the slab is built over output rows, so
+//!   the permutation is folded into the copy and the loop writes `y` in
+//!   place.
 //!
-//! Workers communicate only through their return values (per-range partial
-//! sums); the serial scatter applies the `origin_rows` permutation and merges
-//! rows shared between workers or `COL_DIV` sibling partitions by `+=`.
+//! A worker writes its own slice of `y` in place where the origin is a pure
+//! offset, or a slab absorbed the permutation; otherwise workers communicate
+//! only through their return values (per-range partial sums), and the serial
+//! scatter applies the `origin_rows` permutation and merges rows shared
+//! between workers or `COL_DIV` sibling partitions by `+=`.
 //! [`NativeKernel::run`] / [`NativeKernel::run_into`] use the process-wide
 //! shared pool, the `_with_pool` variants an explicit one; no run ever spawns
 //! a thread.
@@ -471,8 +476,8 @@ struct NativePartition {
     /// Local row → original row (the `origin_rows` array, often closed-form).
     origin: IndexFn,
     exec: PartitionExec,
-    /// The output merge through `origin` (unused when the origin is a pure
-    /// offset: that case accumulates in place and never scatters).
+    /// The output merge through `origin` (unused where a partition runs in
+    /// place, [`NativePartition::in_place_base`]).
     scatter: ScatterFn,
     /// Vectorization decision resolved from the partition's `SimdPlan`, the
     /// build [`SimdMode`] and the host's feature probe.
@@ -625,7 +630,7 @@ impl NativePartition {
                 if self.shape.simd.is_row_lanes()
                     && self.slab.as_ref().map(Slab::lanes) != Some(lanes)
                 {
-                    self.slab = Some(Slab::new(lanes, &self.matrix));
+                    self.slab = Some(Slab::new(lanes, &self.matrix, &self.origin));
                 }
             }
             PartitionExec::Nnz {
@@ -651,6 +656,16 @@ impl NativePartition {
         self.slab
             .as_ref()
             .filter(|_| self.shape.simd.is_row_lanes())
+    }
+
+    /// The first row of the slice of `y` this partition's row loop writes in
+    /// place: a pure offset's, or a block's whose permutation the bound slab
+    /// absorbed.  `None` means the loop stages partials and scatters them.
+    fn in_place_base(&self) -> Option<usize> {
+        match self.slab() {
+            Some(slab) => slab.output_base(),
+            None => self.origin.contiguous_base(),
+        }
     }
 
     /// The runtime arguments of this partition's loops, borrowing the
@@ -1066,11 +1081,13 @@ impl std::fmt::Debug for NativeKernel {
 /// serialising behind their heaviest worker.
 ///
 /// When the origin map is contiguous (no reordering — the common case for
-/// unsorted designs, whose `origin_rows` compressed to identity/affine),
-/// each worker owns a disjoint slice of `y` and accumulates **in place**:
-/// no staging buffers, no scatter pass, no per-run allocation.  Reordered
-/// designs (SORT/BIN) stage per-worker partials and pay a permuted scatter —
-/// a real cost of that format, not an artifact of the harness.
+/// unsorted designs, whose `origin_rows` compressed to identity/affine), or
+/// a row-lane slab was built over the output rows of a block the origin
+/// permutes (SORT, SORT_SUB, BIN), each worker owns a disjoint slice of `y`
+/// and accumulates **in place**: no staging buffers, no scatter pass, no
+/// per-run allocation.  Other loops on a permuted origin, and slabs whose
+/// rows are scattered over `y` (a global sort split into row bands), stage
+/// per-worker partials and pay a permuted scatter.
 #[allow(clippy::too_many_arguments)]
 fn run_rows(
     p: &NativePartition,
@@ -1098,7 +1115,7 @@ fn run_rows(
     };
     let cuts: &[usize] = &cuts;
 
-    if let Some(base) = p.origin.contiguous_base() {
+    if let Some(base) = p.in_place_base() {
         let chunks = alpha_parallel::split_mut_at(&mut y[base..base + rows], cuts);
         let shares = chunks.len();
         pool.run_over_chunks(narrow(chunks, only), |first, out| chunk(&args, first, out));
@@ -1555,6 +1572,69 @@ mod tests {
         let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);
         assert!(kernel.shape_label().contains("col:table"));
         assert_eq!(kernel.format_bytes(), generated.format.bytes());
+    }
+
+    /// A global length sort split into two nnz-balanced row bands: each
+    /// band's rows are scattered over `y`.
+    fn sorted_bands() -> alpha_graph::OperatorGraph {
+        use alpha_graph::Operator;
+        let mut graph = presets::csr_scalar();
+        graph.converting = vec![
+            Operator::Compress,
+            Operator::Sort,
+            Operator::RowDiv { parts: 2 },
+        ];
+        graph.branches = vec![graph.branches[0].clone(); 2];
+        graph
+    }
+
+    #[test]
+    fn a_block_origin_on_row_lanes_writes_y_in_place_and_scattered_rows_stage() {
+        let matrix = gen::powerlaw(3_000, 3_000, 6, 1.8, 5);
+        let x = DenseVector::random(matrix.cols(), 7);
+        let row_x8 = ResolvedSimd::resolve(
+            &alpha_graph::SimdPlan {
+                lanes: 8,
+                lane_mapping: alpha_graph::SimdLaneMapping::Rows,
+            },
+            SimdMode::Auto,
+        );
+        // SORT and BIN each permute the block of all rows; a sorted row
+        // split's bands are no block.
+        let designs = [
+            (presets::sell_like(), true),
+            (presets::acsr_like(4), true),
+            (sorted_bands(), false),
+        ];
+        for (graph, block) in designs {
+            let generated = generate(&graph, &matrix, GeneratorOptions::default())
+                .expect("generation succeeds");
+            let metadata = generated.kernel.metadata();
+            let kernel =
+                NativeKernel::lower_with(metadata, &generated.format, |_, p| p.bind(row_x8))
+                    .unwrap();
+            let scalar =
+                NativeKernel::with_simd_mode(metadata, &generated.format, SimdMode::ForceScalar);
+            let pairs = kernel.partitions.iter().zip(&scalar.partitions);
+            for (p, twin) in pairs.filter(|(p, _)| p.matrix.rows() > 0) {
+                let label = p.shape.label();
+                assert_eq!(p.origin.contiguous_base(), None, "{label}");
+                assert_eq!(p.slab.is_some(), row_x8.is_vectorized(), "{label}");
+                let in_place = block && row_x8.is_vectorized();
+                assert_eq!(p.in_place_base().is_some(), in_place, "{label}");
+                // A scalar loop on the same origin stages.
+                assert_eq!(twin.in_place_base(), None, "{label}");
+            }
+            let bits = |y: Vec<Scalar>| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            for threads in [1, 2, 3] {
+                assert_eq!(
+                    bits(kernel.run(x.as_slice(), threads).unwrap()),
+                    bits(scalar.run(x.as_slice(), 1).unwrap()),
+                    "{} at {threads} thread(s)",
+                    kernel.shape_label()
+                );
+            }
+        }
     }
 
     #[test]

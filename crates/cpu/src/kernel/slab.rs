@@ -12,13 +12,22 @@
 //! loop's.  A group of fewer than `C` rows (a partition whose row count is
 //! not a multiple of `C` ends in one) is all tail.
 //!
+//! The rows a slab sorts, windows and writes are *output* rows wherever the
+//! partition's `origin_rows` maps its rows one to one onto a block of `y`
+//! (a pure offset, or the permutation of a SORT, SORT_SUB or BIN design):
+//! slab row `o` holds the terms of the local row that lands on the block's
+//! row `o`, so the design's permutation is folded into the copy and the loop
+//! writes its slice of `y` in place ([`Slab::output_base`]).  Rows scattered
+//! over `y` (a global sort split into row bands) stay local rows, staged and
+//! scattered through the origin.
+//!
 //! A window's rows are permuted inside the window only, so worker shares cut
 //! at window boundaries ([`Slab::cuts`]) write inside their own share of
-//! `y`.  The slab is built when a partition binds a row-lane loop and is
-//! owned by that partition; a kernel whose loops are not row lanes holds
-//! none.
+//! `y` (or of the staged partials).  The slab is built when a partition
+//! binds a row-lane loop and is owned by that partition; a kernel whose
+//! loops are not row lanes holds none.
 
-use super::BalancedRowCuts;
+use super::{BalancedRowCuts, IndexFn};
 use crate::simd::MAX_LANES;
 use crate::specialized::SlabArgs;
 use alpha_matrix::{CsrMatrix, Scalar};
@@ -38,7 +47,8 @@ pub(crate) struct Slab {
     lanes: usize,
     values: Vec<Scalar>,
     col_indices: Vec<u32>,
-    /// The local row of each slab position.
+    /// The row of each slab position (an output row of the block, or a
+    /// local row: module docs).
     rows: Vec<u32>,
     /// The non-zero count of each slab position's row.
     lens: Vec<u32>,
@@ -48,19 +58,54 @@ pub(crate) struct Slab {
     window_nnz: Vec<u32>,
     /// Nnz-balanced worker cuts at window boundaries.
     cuts: BalancedRowCuts,
+    /// The first row of the block of `y` whose rows `rows` names, or `None`
+    /// when they are local rows (module docs).
+    output_base: Option<usize>,
+}
+
+/// The first row of the block `[base, base + rows)` of `y` that `origin`
+/// maps a partition's `rows` rows onto one to one, and the inverse map
+/// (output row − `base` → local row), or `None` for rows scattered over `y`.
+fn block_inverse(origin: &IndexFn, rows: usize) -> Option<(usize, Vec<u32>)> {
+    let base = (0..rows).map(|row| origin.get(row)).min()? as usize;
+    let mut inverse = vec![u32::MAX; rows];
+    for row in 0..rows {
+        let slot = inverse.get_mut(origin.get(row) as usize - base)?;
+        if *slot != u32::MAX {
+            return None;
+        }
+        *slot = row as u32;
+    }
+    Some((base, inverse))
 }
 
 impl Slab {
-    /// The slab of `matrix` for `lanes`-row groups.
-    pub(crate) fn new(lanes: usize, matrix: &CsrMatrix) -> Slab {
-        Slab::build(
-            lanes,
-            SLAB_WINDOW,
-            matrix.rows(),
-            |row| matrix.row_range(row),
-            matrix.values(),
-            matrix.col_indices(),
-        )
+    /// The slab of `matrix`, whose local row `r` is row `origin(r)` of `y`,
+    /// for `lanes`-row groups: over output rows where `origin` maps onto a
+    /// block of `y`, over local rows otherwise.  The inverse map lives only
+    /// while the slab is built.
+    pub(crate) fn new(lanes: usize, matrix: &CsrMatrix, origin: &IndexFn) -> Slab {
+        let rows = matrix.rows();
+        let (output_base, inverse) = match origin.contiguous_base() {
+            Some(base) => (Some(base), None),
+            None => block_inverse(origin, rows).unzip(),
+        };
+        let local = |row: usize| {
+            inverse
+                .as_ref()
+                .map_or(row, |inverse| inverse[row] as usize)
+        };
+        Slab {
+            output_base,
+            ..Slab::build(
+                lanes,
+                SLAB_WINDOW,
+                rows,
+                |row| matrix.row_range(local(row)),
+                matrix.values(),
+                matrix.col_indices(),
+            )
+        }
     }
 
     /// The slab of `rows` rows whose terms sit at `range(row)` of the two
@@ -129,7 +174,14 @@ impl Slab {
             starts,
             window_nnz,
             cuts,
+            output_base: None,
         }
+    }
+
+    /// The first row of the block of `y` the slab's rows are rows of, when
+    /// they are output rows: its loop then writes that block in place.
+    pub(crate) fn output_base(&self) -> Option<usize> {
+        self.output_base
     }
 
     /// Rows per lane group: the lane count of the loop it was built for.

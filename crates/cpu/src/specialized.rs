@@ -314,16 +314,16 @@ pub(crate) struct PartitionArgs<'a> {
 }
 
 /// A partition's slab as the row-lane loops read it (the layout is
-/// `kernel/slab.rs`'s): slab position `p` holds local row `rows[p]`
-/// of `lens[p]` non-zeros, and lane group `g` (positions `g·L..g·L + L`)
-/// starts at `starts[g]` of the two streams.
+/// `kernel/slab.rs`'s): slab position `p` holds row `rows[p]` (of the
+/// output block, or local) of `lens[p]` non-zeros, and lane group `g`
+/// (positions `g·L..g·L + L`) starts at `starts[g]` of the two streams.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SlabArgs<'a> {
     /// Value stream, group by group.
     pub values: &'a [Scalar],
     /// Column-index stream, parallel to `values`.
     pub col_indices: &'a [u32],
-    /// Local row of each slab position.
+    /// Row of each slab position: the one its sum is added to.
     pub rows: &'a [u32],
     /// Non-zero count of each slab position's row.
     pub lens: &'a [u32],

@@ -39,13 +39,15 @@
 //!   under the nnz lanes;
 //! * row lanes run on a length-sorted slab, and every row-lane class this
 //!   host runs is **bitwise** the scalar loop at 1, 2 and 3 threads, on
-//!   unsorted and length-sorted designs over several sorting windows, with
-//!   empty rows, one row longer than the rest of its window, a NaN or an Inf
-//!   confined to its own row, and an empty column band that reads nothing.
+//!   unsorted designs, on designs whose rows permute a block of `y` (SORT,
+//!   SORT_SUB, BIN: written in place) and on scattered row bands (staged),
+//!   over several sorting windows, with empty rows, one row longer than the
+//!   rest of its window, a row summing to `-0.0`, a NaN or an Inf confined
+//!   to its own row, and an empty column band that reads nothing.
 
 use alpha_codegen::GeneratedSpmv;
 use alpha_cpu::{NativeKernel, Program, SimdMode};
-use alpha_graph::{presets, OperatorGraph, SimdLaneMapping, SimdPlan};
+use alpha_graph::{presets, Operator, OperatorGraph, SimdLaneMapping, SimdPlan};
 use alpha_matrix::{gen::PatternFamily, CooMatrix, CsrMatrix, DenseVector};
 use alpha_parallel::Pool;
 use std::sync::{Arc, Weak};
@@ -1078,6 +1080,28 @@ fn long_row_matrix() -> CsrMatrix {
     CsrMatrix::from_coo(&coo)
 }
 
+/// 2 061 rows of 0–10 non-zeros over 64 columns, and one 12-term row whose
+/// every product is `-0.0` under the `x` the slab test draws (seed 29).
+fn signed_zero_row_matrix() -> CsrMatrix {
+    let (rows, cols) = (2_061, 64);
+    let x = DenseVector::random(cols, 29);
+    let mut coo = CooMatrix::new(rows, cols);
+    for row in 0..rows {
+        if row == 1_030 {
+            // Away from the NaN (column 3) and the Inf (column 32).
+            for c in (4..64).step_by(5).take(12) {
+                let zero = if x.as_slice()[c] < 0.0 { 0.0 } else { -0.0 };
+                coo.push(row, c, zero);
+            }
+            continue;
+        }
+        for k in 0..row % 11 {
+            coo.push(row, (row * 7 + k * 5) % cols, 1.0 + k as f32);
+        }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
 #[test]
 fn row_lane_slabs_are_bitwise_the_scalar_loop() {
     let mut matrices: Vec<(String, CsrMatrix)> = PatternFamily::ALL
@@ -1098,10 +1122,24 @@ fn row_lane_slabs_are_bitwise_the_scalar_loop() {
         }
         CsrMatrix::from_coo(&coo)
     }));
-    // The matrix's own row order and a length sort.
+    matrices.push(("a row summing to -0.0".into(), signed_zero_row_matrix()));
+    // The matrix's own row order, a length sort, a length sort per row band
+    // (SORT_SUB) and length bins: each permutes a block of `y`, so the slab
+    // is built over output rows and written in place.  A global sort split
+    // into bands scatters each band over `y`: its slab stages.
+    let mut sorted_bands = presets::csr_scalar();
+    sorted_bands.converting = vec![
+        Operator::Compress,
+        Operator::Sort,
+        Operator::RowDiv { parts: 2 },
+    ];
+    sorted_bands.branches = vec![sorted_bands.branches[0].clone(); 2];
     let designs = [
         ("csr_scalar", presets::csr_scalar()),
         ("sell_like", presets::sell_like()),
+        ("row_split_hybrid(2)", presets::row_split_hybrid(2)),
+        ("acsr_like(4)", presets::acsr_like(4)),
+        ("sorted bands", sorted_bands),
     ];
     let mut classes = std::collections::BTreeSet::new();
     for (name, matrix) in &matrices {
