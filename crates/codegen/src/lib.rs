@@ -14,9 +14,11 @@
 //!   (interpreted by the `alpha-gpu` simulator) assembled from the kernel
 //!   skeleton and the reduction fragments the implementing stage selected
 //!   ([`kernel`], [`layout`]),
-//! * emits CUDA-like and Rust **source code** for the kernel, the
-//!   user-facing artifact of AlphaSparse ([`emit`]), on request only
+//! * emits CUDA-like **source code** for the kernel, the user-facing
+//!   artifact of AlphaSparse ([`emit`]), on request only
 //!   ([`GeneratedSpmv::source`]): a search prints none of its candidates.
+//!   The code the host runs is `alpha-cpu`'s monomorphized loop library,
+//!   named by its kernel-shape label, not a second emitted text.
 
 pub mod compress;
 pub mod emit;
@@ -63,19 +65,13 @@ impl GeneratedSpmv {
         emit::emit_cuda(self.kernel.metadata(), &self.format)
     }
 
-    /// Emits the Rust source of the specialized loops the native CPU backend
-    /// (`alpha-cpu`) executes for this design.
-    pub fn rust_source(&self) -> String {
-        emit::emit_rust(self.kernel.metadata(), &self.format)
-    }
-
     /// Resolves the inner loops after generation: a design leaves every
     /// partition's [`SimdPlan`] scalar, and the host that will run it picks
     /// the loop (`alpha-cpu`'s `NativeKernel::select`, or a recorded loop
-    /// label).  Writing the picks here —
-    /// one plan per partition — keeps the single rule that lowering and
-    /// emission follow the plan: the kernel's metadata carries them, so
-    /// [`GeneratedSpmv::rust_source`] prints them.  The format, the
+    /// label).  Writing the picks here — one plan per partition — keeps the
+    /// single rule that lowering follows the plan: the kernel's metadata
+    /// carries them, so a `NativeKernel` lowered from that metadata and
+    /// [`GeneratedSpmv::format`] runs the chosen loop.  The format, the
     /// simulated kernel and the CUDA-like source do not depend on the plans.
     pub fn set_simd_plans(&mut self, plans: &[SimdPlan]) {
         self.kernel.set_simd_plans(plans);

@@ -1,10 +1,10 @@
-//! Snapshot tests for both source emitters.
+//! Snapshot tests for the CUDA-like source emitter.
 //!
-//! The emitted CUDA-like and Rust sources are user-facing artifacts: their
-//! exact shape is part of the contract ("output is code").  These tests pin
-//! the full text for a small deterministic matrix, so any change to either
-//! emitter is a conscious, reviewed diff of the checked-in snapshot instead
-//! of a silent drift.
+//! The emitted CUDA-like source is the user-facing artifact: its exact shape
+//! is part of the contract ("output is code").  These tests pin the full
+//! text for a small deterministic matrix, so any change to the emitter is a
+//! conscious, reviewed diff of the checked-in snapshot instead of a silent
+//! drift.
 //!
 //! To regenerate after an intentional emitter change:
 //! `UPDATE_SNAPSHOTS=1 cargo test -p alpha-codegen --test emit_snapshots`
@@ -15,7 +15,7 @@ use alpha_matrix::{CooMatrix, CsrMatrix};
 use std::path::PathBuf;
 
 /// A fixed 8x8 matrix with two entries per row — fully deterministic, and
-/// regular enough that Model-Driven Format Compression fires (both emitters
+/// regular enough that Model-Driven Format Compression fires (the source
 /// must show closed-form index functions).
 fn fixture() -> CsrMatrix {
     let mut coo = CooMatrix::new(8, 8);
@@ -53,33 +53,30 @@ fn assert_snapshot(name: &str, actual: &str) {
     );
 }
 
-fn sources_for(graph: &alpha_graph::OperatorGraph) -> (String, String) {
-    let generated = generate(graph, &fixture(), GeneratorOptions::default()).unwrap();
-    (generated.source(), generated.rust_source())
+fn source_for(graph: &alpha_graph::OperatorGraph) -> String {
+    generate(graph, &fixture(), GeneratorOptions::default())
+        .unwrap()
+        .source()
 }
 
 #[test]
-fn csr_scalar_cuda_and_rust_snapshots() {
-    let (cuda, rust) = sources_for(&presets::csr_scalar());
-    assert_snapshot("csr_scalar_cuda.txt", &cuda);
-    assert_snapshot("csr_scalar_rust.txt", &rust);
+fn csr_scalar_cuda_snapshot() {
+    assert_snapshot("csr_scalar_cuda.txt", &source_for(&presets::csr_scalar()));
 }
 
 #[test]
-fn nnz_split_cuda_and_rust_snapshots() {
-    let (cuda, rust) = sources_for(&presets::csr5_like(4));
-    assert_snapshot("csr5_like_cuda.txt", &cuda);
-    assert_snapshot("csr5_like_rust.txt", &rust);
+fn nnz_split_cuda_snapshot() {
+    assert_snapshot("csr5_like_cuda.txt", &source_for(&presets::csr5_like(4)));
 }
 
 #[test]
-fn emitters_agree_on_compression_decisions() {
-    // Both artifacts must document the same closed-form arrays: an array the
-    // native backend computes must not appear as a load in the CUDA text.
-    let (cuda, rust) = sources_for(&presets::csr_scalar());
-    assert!(cuda.contains("origin_rows") && cuda.contains("Model-Driven Format Compression"));
-    assert!(rust.contains("origin_rows") && rust.contains("closed form"));
+fn compressed_arrays_are_documented_not_loaded() {
     // The fixture has two entries in every row: row_offsets is linear, so the
-    // Rust loop computes the bounds instead of loading them.
-    assert!(rust.contains("let start = 2 * row;"));
+    // kernel computes the row bounds instead of loading them.
+    let cuda = source_for(&presets::csr_scalar());
+    assert!(cuda.contains("origin_rows") && cuda.contains("Model-Driven Format Compression"));
+    assert!(cuda.contains(
+        "row_offsets eliminated by Model-Driven Format Compression: value(i) = 0 + 2 * i"
+    ));
+    assert!(!cuda.contains("load row_offsets"));
 }

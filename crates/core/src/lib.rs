@@ -296,10 +296,9 @@ impl AlphaSparse {
     /// recorded on the design's entry in the tuner's cache — which is
     /// thereby dirty; `auto_tune` saves it, other callers persist it as they
     /// persist search results.  Either way the choice lands in the returned
-    /// program's own metadata, so [`TunedSpmv::rust_source`],
-    /// [`TunedSpmv::kernel_shape`] and a `NativeKernel::new` twin built from
-    /// [`TunedSpmv::kernel`] and [`TunedSpmv::format`] all describe the loop
-    /// that runs.
+    /// program's own metadata, so [`TunedSpmv::kernel_shape`] names the loop
+    /// that runs and a `NativeKernel::new` twin built from
+    /// [`TunedSpmv::kernel`] and [`TunedSpmv::format`] runs it.
     pub fn rebuild(
         &self,
         matrix: &CsrMatrix,
@@ -373,8 +372,9 @@ impl AlphaSparse {
 }
 
 /// The result of auto-tuning one matrix: the machine-designed format and
-/// kernel, plus the search outcome.  Source text is emitted from them on
-/// request ([`TunedSpmv::source`], [`TunedSpmv::rust_source`]).
+/// kernel, plus the search outcome.  The CUDA-like source is emitted from
+/// them on request ([`TunedSpmv::source`]); [`TunedSpmv::kernel_shape`]
+/// names the library loop the host runs.
 pub struct TunedSpmv {
     device: DeviceProfile,
     evaluator: EvaluatorId,
@@ -523,12 +523,6 @@ impl TunedSpmv {
     /// handle's metadata and format on every call.
     pub fn source(&self) -> String {
         self.generated.source()
-    }
-
-    /// The Rust source of the specialized loops the native backend runs for
-    /// this design (see [`TunedSpmv::run`]), emitted on every call.
-    pub fn rust_source(&self) -> String {
-        self.generated.rust_source()
     }
 
     /// The machine-designed format description.
@@ -699,7 +693,6 @@ mod tests {
         let simulated = tuned.spmv(x.as_slice()).unwrap();
         assert!(DenseVector::from_vec(native.clone()).approx_eq(&reference, 1e-3));
         assert!(DenseVector::from_vec(native).approx_eq(&simulated, 1e-3));
-        assert!(tuned.rust_source().contains("alphasparse_spmv"));
     }
 
     /// Long uniform rows: whichever format the cost model picks, a vector
@@ -773,9 +766,8 @@ mod tests {
         } else {
             assert!(shape.ends_with("nnz-x8"), "{shape}");
             assert!(vectorized.native_kernel().is_vectorized());
-            let source = vectorized.rust_source();
-            assert!(source.contains("8-lane gather kernel"), "{source}");
-            assert!(source.contains("hsum_tree"), "{source}");
+            let summary = vectorized.loop_summary();
+            assert_eq!(summary, format!("{} (recorded)", lanes.label()));
         }
         assert_eq!(vectorized.operator_graph(), tuned.operator_graph());
         assert_eq!(vectorized.source(), tuned.source());
@@ -807,10 +799,10 @@ mod tests {
             second.loop_summary()
         );
         assert_eq!(second.kernel_shape(), first.kernel_shape());
-        assert_eq!(second.rust_source(), first.rust_source());
+        assert_eq!(second.source(), first.source());
         assert!(!tuner.cache().is_dirty());
         // The stored path — the winner rebuilt from its record and its cache
-        // entry, no search — emits the same code on request.
+        // entry, no search — emits the same code and lowers the same loop.
         let entry = tuner.cache().entry(key, &winner.graph).unwrap().unwrap();
         let outcome = SearchOutcome {
             best_graph: winner.graph.clone(),
@@ -820,7 +812,7 @@ mod tests {
         };
         let stored = tuner.rebuild(&matrix, outcome).unwrap();
         assert_eq!(stored.source(), first.source());
-        assert_eq!(stored.rust_source(), first.rust_source());
+        assert_eq!(stored.kernel_shape(), first.kernel_shape());
 
         // A label this host would not have chosen is selected again and
         // overwritten — never an error, never a panic, never trusted.
@@ -942,7 +934,7 @@ mod tests {
         let bytes = tuner.cache().to_bytes();
         assert!(tuner.cache().len() > 1);
         assert!(!bytes.windows(marker.len()).any(|w| w == marker));
-        assert!(tuned.rust_source().as_bytes().starts_with(marker));
+        assert!(tuned.source().as_bytes().starts_with(marker));
     }
 
     /// One measured search, as its evaluator saw it.

@@ -19,11 +19,11 @@
 //! partition builds once and drops unless it wins.
 //!
 //! The winner is reported as a [`SimdPlan`], so the caller writes it into the
-//! design's metadata and every later lowering — `NativeKernel::new`,
-//! `emit_rust` — follows the plan as it always did.  The choice travels as
-//! the kernel-shape label ([`NativeKernel::partition_shapes`]);
-//! [`plans_from_label`] turns a recorded label back into plans without
-//! measuring, and refuses labels this host cannot run.
+//! design's metadata and every later `NativeKernel::new` lowers the same
+//! loop from it.  The choice travels as the kernel-shape label
+//! ([`NativeKernel::partition_shapes`]); [`plans_from_label`] turns a
+//! recorded label back into plans without measuring, and refuses labels
+//! this host cannot run.
 
 use super::{effective_workers, KernelBuildError, NativeKernel, NativePartition, PartitionExec};
 use crate::cpu_features;

@@ -1,10 +1,9 @@
 //! The monomorphized kernel library: branch-free specialized SpMV loops —
-//! the **only** code that executes a [`NativeKernel`](crate::NativeKernel).
-//!
-//! `emit_rust` prints the exact straight-line loop for a chosen design; this
-//! module is where an equivalent loop actually *runs*.  The library is
-//! generated at build time by the compiler's monomorphizer: every reachable
-//! combination of
+//! the **only** code that executes a [`NativeKernel`](crate::NativeKernel),
+//! and the one place the shape of an inner loop is spelled out.  A kernel's
+//! [`KernelShape`] label names the entry it runs; no other text describes
+//! it.  The library is generated at build time by the compiler's
+//! monomorphizer: every reachable combination of
 //!
 //! * partition strategy ([`PartitionKind::Rows`] / [`PartitionKind::Nnz`]),
 //! * row-bounds index-fn kind (stored table vs affine/identity arithmetic),

@@ -9,9 +9,11 @@
 //!    reduction strategies, adding sorting/binning/padding, branching the
 //!    matrix with `ROW_DIV`), filtered by the pruning rules.
 //! 2. **Coarse parameter search** ([`engine`]) — each structure's parameters
-//!    are swept on a coarse grid and every candidate is evaluated by actually
-//!    generating the kernel and running it on the `alpha-gpu` simulator
-//!    (results are checked against the reference SpMV).
+//!    are swept on a coarse grid and every candidate is evaluated by
+//!    generating its kernel and handing it to the search's [`Evaluator`]:
+//!    the `alpha-gpu` simulator's cost model by default, or wall-clock time
+//!    of the native CPU loop (`alpha-cpu`).  Either way the result is checked
+//!    against the reference SpMV.
 //! 3. **ML interpolation** — a gradient-boosted-tree cost model ([`ml`])
 //!    trained on the measured candidates predicts the fine parameter grid;
 //!    only the most promising predictions are evaluated for real.

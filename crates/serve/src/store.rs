@@ -683,6 +683,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Set on the re-executed test binary: the store directory the child
+    /// holds until it is killed.
+    const HOLDER_ENV: &str = "ALPHA_SERVE_TEST_LOCK_HOLDER";
+
+    #[test]
+    fn a_killed_holder_process_releases_the_store() {
+        if let Some(dir) = std::env::var_os(HOLDER_ENV) {
+            // Holder mode: open, announce, then block until the parent kills
+            // us (or exits, closing our stdin).
+            let _store = DesignStore::open(&dir).expect("holder opens the store");
+            println!("holder ready");
+            use std::io::Read;
+            let _ = std::io::stdin().read_to_end(&mut Vec::new());
+            return;
+        }
+        let dir = temp_store_dir("killed_holder");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "store::tests::a_killed_holder_process_releases_the_store",
+                "--nocapture",
+            ])
+            .env(HOLDER_ENV, &dir)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        use std::io::BufRead;
+        let ready = std::io::BufReader::new(child.stdout.take().unwrap())
+            .lines()
+            .any(|line| line.is_ok_and(|l| l == "holder ready"));
+        assert!(ready, "the holder exited before opening the store");
+        match DesignStore::open(&dir) {
+            Err(StoreError::Locked { pid, .. }) => assert_eq!(pid, child.id()),
+            other => panic!("expected StoreError::Locked, got {other:?}"),
+        }
+        // SIGKILL: no destructor runs, only the kernel releases the lock.
+        child.kill().unwrap();
+        child.wait().unwrap();
+        DesignStore::open(&dir).expect("a killed holder's store opens");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn same_process_opens_share_the_lock_and_release_it_last() {
         let dir = temp_store_dir("shared_lock");
