@@ -5,26 +5,33 @@
 //! [`alpha_search::Evaluator`] trait, so it slots under the existing
 //! `CachingEvaluator` / `BatchEvaluator` layers and behind
 //! `SearchConfig::evaluator` — the three-level search then optimises what a
-//! stopwatch actually reads on this machine.  Each candidate is generated
-//! (through the search's [`Designer`](alpha_graph::Designer), so candidates
-//! on one converting chain share one converted matrix), lowered to a
+//! stopwatch actually reads on this machine.  Each candidate is designed
+//! through the search's [`Designer`](alpha_graph::Designer), so candidates
+//! on one converting chain share one converted matrix.  A candidate that is
+//! not a program measured before is then generated, lowered to a
 //! [`NativeKernel`], *verified* against the reference SpMV (wrong results are
-//! infeasible, exactly like the simulator path) and then timed with the
+//! infeasible, exactly like the simulator path) and timed with the
 //! configured [`TimingHarness`].  What each of those stages cost is observed
 //! per candidate as `cpu_eval_stage_us{stage=...}` on the global registry.
 //!
-//! Three practical notes:
+//! Four practical notes:
 //!
 //! * A measurement belongs to the program, not to the graph.  The operator
 //!   graph varies thread-block size, rows per block and reduction style —
 //!   coordinates lowering never reads — so most candidates of a search lower
-//!   to a kernel an earlier candidate already ran (an 80-iteration tune
-//!   explores 4-20 distinct kernels).  Every candidate is still generated
-//!   and lowered.  A candidate that *is* a [`Program`] this evaluator
-//!   verified and timed — the same sub-matrix allocations and, by value,
-//!   everything else a run reads — under bitwise the same `x`, reference and
-//!   tolerance skips both runs and carries that program's report.  Any other
-//!   candidate is verified, timed and recorded.
+//!   to a kernel an earlier candidate already ran: on the benchmark's cold
+//!   fleet (16 384 × 16, 80 iterations) a tune of 85 candidates times 1
+//!   program on uniform and block matrices, 6-9 on banded and 13-19 on
+//!   powerlaw and rmat ones.  A candidate whose designed plans are a
+//!   [`PlannedProgram`] this evaluator verified and timed — the same stream
+//!   allocations and, by value, everything else lowering reads — under
+//!   bitwise the same `x`, reference and tolerance is neither generated nor
+//!   lowered nor run: it carries that program's report.  Any other candidate
+//!   is generated, lowered, verified, timed and recorded.
+//! * A recorded program's report is its first member's: the measured time
+//!   and that member's format bytes as `dram_bytes`.  A later member builds
+//!   no format, so its own (say, differently padded) byte count is never
+//!   known; nothing ranks on it.
 //! * Measured times are nondeterministic; cached entries freeze the first
 //!   measurement of each distinct program, which keeps a single search
 //!   self-consistent.
@@ -36,15 +43,16 @@
 //!   each other's cores and corrupt the timings.  The kernel itself still
 //!   uses all `kernel_threads` workers.
 
+use crate::harness::TimingHarness;
 pub use crate::harness::NATIVE_DEVICE_LABEL;
-use crate::harness::{MeasuredReport, TimingHarness};
-use crate::kernel::{NativeKernel, Program};
+use crate::kernel::{NativeKernel, PlannedProgram, Program};
 use alpha_codegen::generate_with;
+use alpha_gpu::PerfReport;
 use alpha_graph::OperatorGraph;
 use alpha_matrix::Scalar;
 use alpha_parallel::Pool;
 use alpha_search::{EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId};
-use alpha_telemetry::{Counter, Histogram};
+use alpha_telemetry::{Counter, Histogram, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -76,10 +84,11 @@ pub struct NativeEvaluator {
 }
 
 /// The stages of one candidate evaluation, in the order they run: the
-/// `stage` labels of `cpu_eval_stage_us`.  A candidate that turns out
-/// infeasible observes the stages it completed; one that is a recorded
-/// program observes its look-up as `verify` and nothing as `timing`.
-pub const EVAL_STAGES: [&str; 4] = ["generate", "lower", "verify", "timing"];
+/// `stage` labels of `cpu_eval_stage_us`.  Every candidate observes
+/// `design`; one that is a recorded program observes its look-up there and
+/// nothing else, and one that turns out infeasible observes the stages it
+/// completed.
+pub const EVAL_STAGES: [&str; 5] = ["design", "generate", "lower", "verify", "timing"];
 
 /// Observes consecutive stages of one evaluation: each [`lap`](Self::lap)
 /// is one clock read, charged to the next stage in [`EVAL_STAGES`] order.
@@ -104,10 +113,21 @@ impl StageClock<'_> {
 #[derive(Default)]
 struct Measuring {
     y: Vec<Scalar>,
-    /// Every program verified under [`Measuring::probe`] and timed, with its
-    /// reading.
-    programs: Vec<(Program, MeasuredReport)>,
+    /// Every program verified under [`Measuring::probe`] and timed.
+    programs: Vec<Measured>,
     probe: Probe,
+}
+
+/// One program verified and timed, with what its members are answered.
+struct Measured {
+    /// What the look-up compares a candidate's plans with.
+    planned: PlannedProgram,
+    /// The lowered record of the member that was timed: debug builds check
+    /// that every later member's kernel is it, and that no program timed
+    /// later is.
+    program: Program,
+    /// The measured time, with the timed member's format bytes.
+    report: PerfReport,
 }
 
 /// What verification judges a kernel's `y` by: the input, the reference
@@ -142,7 +162,11 @@ impl NativeEvaluator {
     /// An evaluator timing kernels with `harness` on `kernel_threads` workers
     /// (0 = one per available core).
     pub fn new(harness: TimingHarness, kernel_threads: usize) -> Self {
-        let registry = alpha_telemetry::global();
+        Self::observed_on(alpha_telemetry::global(), harness, kernel_threads)
+    }
+
+    /// [`NativeEvaluator::new`], counting and observing on `registry`.
+    fn observed_on(registry: &Registry, harness: TimingHarness, kernel_threads: usize) -> Self {
         let outcome = |outcome| registry.counter("cpu_eval_total", &[("outcome", outcome)]);
         NativeEvaluator {
             harness,
@@ -173,9 +197,9 @@ impl NativeEvaluator {
         self.harness.evaluator_id()
     }
 
-    /// Number of candidates evaluated so far (generated, lowered, and run
-    /// unless they were a recorded program) — the probe cache tests use to
-    /// assert that hits skip execution.
+    /// Number of candidates evaluated so far (designed; generated, lowered
+    /// and run unless they were a recorded program) — the probe cache tests
+    /// use to assert that hits skip execution.
     pub fn executions(&self) -> usize {
         self.executions.load(Ordering::Relaxed)
     }
@@ -187,27 +211,21 @@ impl NativeEvaluator {
         self.measurements.load(Ordering::Relaxed)
     }
 
-    /// Generates and lowers `graph`, then answers from the recorded program
-    /// it is, or verifies, times and records it.  `None` is an infeasible
-    /// design.
+    /// Designs `graph` and answers from the recorded program its plans are,
+    /// or generates, lowers, verifies, times and records it.  `None` is an
+    /// infeasible design.
     fn measure(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
-        // Five clock reads per candidate: one to start, one after each stage.
+        // One clock read to start, and one after each stage the candidate runs.
         let mut clock = StageClock {
             stages: self.stages.iter(),
             last: Instant::now(),
         };
-        let generated = generate_with(ctx.designer(), graph, ctx.options).ok()?;
-        clock.lap();
-        // A design that fails kernel-build validation (out-of-range affine
-        // index endpoints, a shape outside the kernel library) is
-        // infeasible, like a verification mismatch.
-        let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format).ok()?;
-        clock.lap();
-        let workers = kernel.workers_for(self.kernel_threads);
+        let metadata = ctx.designer().design(graph).ok()?;
         // The lock serialises measurements, which would otherwise steal each
-        // other's cores — and the look-up for a recorded program happens
-        // under it, so of two identical kernels evaluated concurrently
-        // exactly one is verified and timed.
+        // other's cores — and the look-up for a recorded program, and the
+        // build of a program not yet recorded, happen under it, so of two
+        // identical designs evaluated concurrently exactly one is generated,
+        // verified and timed.
         let mut guard = self.measuring.lock().expect("evaluator scratch poisoned");
         let Measuring { y, programs, probe } = &mut *guard;
         if !probe.is(ctx) {
@@ -219,50 +237,85 @@ impl NativeEvaluator {
             };
             programs.clear();
         }
-        let measured = match programs.iter().find(|(p, _)| p.is(&kernel, workers)) {
-            Some((_, report)) => {
-                self.reused.inc();
-                clock.lap();
-                report.clone()
+        if let Some(measured) = programs
+            .iter()
+            .find(|m| m.planned.is(&metadata, ctx.options))
+        {
+            self.reused.inc();
+            clock.lap();
+            if cfg!(debug_assertions) {
+                self.check_member(ctx, graph, &measured.program);
             }
-            None => {
-                // Verify before timing: a design that computes the wrong y
-                // is infeasible, not merely slow.  The verification run also
-                // validates the dimensions and warms the kernel's data, so
-                // the timed loop below reuses the scratch buffer and runs
-                // nothing extra.
-                y.clear();
-                y.resize(kernel.rows(), 0.0);
-                kernel
-                    .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
-                    .ok()?;
-                if alpha_matrix::max_scaled_error(y, &ctx.reference) > ctx.tolerance {
-                    return None;
-                }
-                clock.lap();
-                let measured = self.harness.measure(kernel.useful_flops(), workers, || {
-                    kernel
-                        .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
-                        .expect("dimensions validated by the verification run");
-                });
-                self.measurements.fetch_add(1, Ordering::Relaxed);
-                self.timed.inc();
-                // Records whose sub-matrices are gone can never match again;
-                // dropping them frees the index maps and allocations they pin.
-                programs.retain(|(p, _)| p.is_live());
-                programs.push((Program::of(&kernel, workers), measured.clone()));
-                measured
-            }
-        };
+            return Some(evaluation(measured.report.clone()));
+        }
         clock.lap();
-        Some(Evaluation {
-            report: measured.to_perf_report(kernel.format_bytes()),
-            cached: false,
-            // The design is ranked by its scalar program; the winner's loop
-            // is selected on the host after the search, like a cost-model
-            // winner's, and recorded then.
-            kernel_shape: None,
-        })
+        let generated = generate_with(ctx.designer(), graph, ctx.options).ok()?;
+        clock.lap();
+        // A design that fails kernel-build validation (out-of-range affine
+        // index endpoints, a shape outside the kernel library) is
+        // infeasible, like a verification mismatch.
+        let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format).ok()?;
+        clock.lap();
+        let workers = kernel.workers_for(self.kernel_threads);
+        debug_assert!(
+            !programs.iter().any(|m| m.program.is(&kernel, workers)),
+            "one program recorded under two plan records"
+        );
+        // Verify before timing: a design that computes the wrong y is
+        // infeasible, not merely slow.  The verification run also validates
+        // the dimensions and warms the kernel's data, so the timed loop
+        // below reuses the scratch buffer and runs nothing extra.
+        y.clear();
+        y.resize(kernel.rows(), 0.0);
+        kernel
+            .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
+            .ok()?;
+        if alpha_matrix::max_scaled_error(y, &ctx.reference) > ctx.tolerance {
+            return None;
+        }
+        clock.lap();
+        let measured = self.harness.measure(kernel.useful_flops(), workers, || {
+            kernel
+                .run_into_with_pool(ctx.x.as_slice(), y, self.kernel_threads, &self.pool)
+                .expect("dimensions validated by the verification run");
+        });
+        self.measurements.fetch_add(1, Ordering::Relaxed);
+        self.timed.inc();
+        // Records whose streams are gone can never match again; dropping
+        // them frees the index maps and allocations they pin.
+        programs.retain(|m| m.planned.is_live());
+        let report = measured.to_perf_report(kernel.format_bytes());
+        programs.push(Measured {
+            planned: PlannedProgram::of(generated.kernel.metadata(), ctx.options),
+            program: Program::of(&kernel, workers),
+            report: report.clone(),
+        });
+        clock.lap();
+        Some(evaluation(report))
+    }
+
+    /// The check behind a look-up that hit, in debug builds: the candidate
+    /// generated and lowered is the program its plans were recognised as.
+    fn check_member(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph, timed: &Program) {
+        let generated =
+            generate_with(ctx.designer(), graph, ctx.options).expect("a recorded design generates");
+        let kernel = NativeKernel::try_new(generated.kernel.metadata(), &generated.format)
+            .expect("a recorded design lowers");
+        debug_assert!(
+            timed.is(&kernel, kernel.workers_for(self.kernel_threads)),
+            "equal plan records lowered to two programs"
+        );
+    }
+}
+
+/// A measurement as the search reads it.  The design is ranked by its
+/// scalar program; the winner's loop is selected on the host after the
+/// search, like a cost-model winner's, and recorded then.
+fn evaluation(report: PerfReport) -> Evaluation {
+    Evaluation {
+        report,
+        cached: false,
+        kernel_shape: None,
     }
 }
 
@@ -401,25 +454,61 @@ pub(crate) mod tests {
 
     #[test]
     fn gpu_only_variants_verify_once_then_count_as_same_program() {
+        // A registry of its own: other tests of this process observe on the
+        // global one.
+        let registry = Registry::new();
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
         let ctx = context_fixture(&matrix);
-        let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
-        let reused = || {
-            alpha_telemetry::global()
-                .counter("cpu_eval_total", &[("outcome", "reused")])
-                .get()
-        };
-        let before = reused();
+        let evaluator = NativeEvaluator::observed_on(&registry, TimingHarness::quick(), 1);
         let variants = gpu_only_variants();
         for graph in &variants {
             evaluator.evaluate(&ctx, graph).expect("feasible");
         }
-        // One program: verified and timed by the first variant, and every
-        // other variant is it.
+        // One program: generated, lowered, verified and timed by the first
+        // variant, and every other variant is its plans.
         assert_eq!(evaluator.executions(), variants.len());
         assert_eq!(evaluator.measurements(), 1);
-        // Other tests of this process count on the same registry.
-        assert!(reused() >= before + variants.len() as u64 - 1);
+        let observed = |stage| {
+            registry
+                .histogram("cpu_eval_stage_us", &[("stage", stage)])
+                .count()
+        };
+        let all = variants.len() as u64;
+        assert_eq!(EVAL_STAGES.map(observed), [all, 1, 1, 1, 1]);
+        let counted = |outcome| {
+            registry
+                .counter("cpu_eval_total", &[("outcome", outcome)])
+                .get()
+        };
+        assert_eq!((counted("timed"), counted("reused")), (1, all - 1));
+    }
+
+    #[test]
+    fn a_recorded_program_answers_with_its_first_members_report() {
+        // Padding is a GPU coordinate: the padded design is the scalar CSR
+        // program over more format bytes.  A later member builds no format,
+        // so it carries the report of the member that was timed, its bytes
+        // included, whichever of the two came first.
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
+        let ctx = context_fixture(&matrix);
+        let plain = presets::csr_scalar();
+        let mut padded = presets::csr_scalar();
+        padded.branches[0].insert(1, alpha_graph::Operator::BmtPad { multiple: 4 });
+        padded.validate().expect("a valid design");
+        let bytes = |graph: &OperatorGraph| {
+            let generated = generate_with(ctx.designer(), graph, ctx.options).unwrap();
+            NativeKernel::new(generated.kernel.metadata(), &generated.format).format_bytes() as f64
+        };
+        assert!(bytes(&padded) > bytes(&plain));
+        for (first, later) in [(&plain, &padded), (&padded, &plain)] {
+            let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
+            let timed = evaluator.evaluate(&ctx, first).expect("feasible").report;
+            let hit = evaluator.evaluate(&ctx, later).expect("feasible").report;
+            assert_eq!(evaluator.measurements(), 1);
+            assert_eq!(timed.dram_bytes, bytes(first));
+            assert_eq!(hit.dram_bytes.to_bits(), timed.dram_bytes.to_bits());
+            assert_eq!(hit.time_us.to_bits(), timed.time_us.to_bits());
+        }
     }
 
     #[test]

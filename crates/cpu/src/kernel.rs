@@ -65,7 +65,7 @@ mod identity;
 mod select;
 pub(crate) mod slab;
 
-pub use identity::Program;
+pub use identity::{PlannedProgram, Program};
 pub use select::{plans_from_label, LoopChoice};
 
 /// Non-zeros one scalar worker should own, at minimum, before another pooled

@@ -1,25 +1,138 @@
-//! What a [`NativeKernel`] executes, as a record: [`Program`].
+//! What a [`NativeKernel`] executes, as a record, twice over:
+//! [`PlannedProgram`] read off the designed plans, and [`Program`] read off
+//! the lowered kernel.
 //!
 //! The operator graph describes a GPU program: thread-block size, rows per
 //! block, warp or shared-memory reduction style are all graph coordinates
 //! that lowering never reads.  Many graphs therefore lower to one and the
 //! same CPU kernel, and a verification or a wall-clock measurement belongs to
-//! that kernel, not to the graph.  A [`Program`] records everything a run
-//! reads, and nothing it does not — the sub-matrices by allocation,
-//! everything else by value — so a design and its GPU-only variants are one
-//! program, and one verification and one timing serve them all (see
+//! that kernel, not to the graph.  Both records hold everything a run reads,
+//! and nothing it does not — the streams by allocation, everything else by
+//! value — so a design and its GPU-only variants are one program, and one
+//! verification and one timing serve them all (see
 //! [`NativeEvaluator`](crate::NativeEvaluator)).  The
 //! [`Designer`](alpha_graph::Designer) of a search hands every candidate on
-//! one conversion the same allocation (content-equal conversions included),
+//! one conversion the same allocations (content-equal conversions included),
 //! which is what makes that comparison hit.
+//!
+//! A [`PlannedProgram`] is what the evaluator looks a candidate up by: the
+//! plans fix everything lowering reads — the format's index maps are fitted
+//! from the plan's `origin_rows` and sub-matrix under the compression
+//! option, the work split from its mapping — so a candidate that is a
+//! recorded program needs no format, no simulator kernel and no lowering.
+//! A [`Program`] is the check of that look-up: the same record taken from
+//! the lowered loops, index maps and work split themselves.
 
 use super::{IndexFn, NativeKernel, PartitionExec};
 use crate::specialized::KernelShape;
+use alpha_codegen::GeneratorOptions;
+use alpha_graph::{Mapping, MatrixMetadataSet, PartitionPlan, SimdPlan};
 use alpha_matrix::CsrMatrix;
 use std::sync::{Arc, Weak};
 
+/// What the designed plans of a candidate fix of the kernel they lower to,
+/// kept to recognise that very program again before anything is generated.
+/// Per partition: the sub-matrix and `origin_rows` allocations, the column
+/// offset, the work split and the [`SimdPlan`]; for the design the
+/// compression option and the matrix dimensions.  Mapping and reduction
+/// details a CPU loop does not read, padding and resources are not part of
+/// it.  Records compare on one evaluator, whose worker count is fixed.
+pub struct PlannedProgram {
+    rows: usize,
+    cols: usize,
+    nnz: usize,
+    compressed: bool,
+    partitions: Vec<PlannedPartition>,
+}
+
+struct PlannedPartition {
+    /// Weak, like `ProgramPartition::matrix`: no stream is held, and
+    /// neither address can be reused while the record lives.
+    matrix: Weak<CsrMatrix>,
+    origin_rows: Weak<[u32]>,
+    col_offset: usize,
+    /// `None` for a row partition; an nnz partition's chunk size.
+    nnz_per_thread: Option<usize>,
+    simd: SimdPlan,
+}
+
+impl PlannedPartition {
+    fn of(plan: &PartitionPlan) -> Self {
+        PlannedPartition {
+            matrix: Arc::downgrade(&plan.matrix),
+            origin_rows: Arc::downgrade(&plan.origin_rows),
+            col_offset: plan.col_offset,
+            nnz_per_thread: nnz_per_thread(plan),
+            simd: plan.simd,
+        }
+    }
+
+    fn is(&self, plan: &PartitionPlan) -> bool {
+        std::ptr::eq(self.matrix.as_ptr(), Arc::as_ptr(&plan.matrix))
+            && std::ptr::eq(self.origin_rows.as_ptr(), Arc::as_ptr(&plan.origin_rows))
+            && self.col_offset == plan.col_offset
+            && self.nnz_per_thread == nnz_per_thread(plan)
+            && self.simd == plan.simd
+    }
+}
+
+/// The work split lowering reads off a plan's mapping: row partitions split
+/// by the sub-matrix alone, nnz partitions by their chunk size too.
+fn nnz_per_thread(plan: &PartitionPlan) -> Option<usize> {
+    match plan.mapping {
+        Mapping::NnzSplit { nnz_per_thread } => Some(nnz_per_thread),
+        Mapping::RowPerThread { .. } | Mapping::VectorPerRow { .. } => None,
+    }
+}
+
+impl PlannedProgram {
+    /// The record of the program `metadata`, generated under `options`,
+    /// lowers to.
+    pub fn of(metadata: &MatrixMetadataSet, options: GeneratorOptions) -> Self {
+        PlannedProgram {
+            rows: metadata.original_rows,
+            cols: metadata.original_cols,
+            nnz: metadata.original_nnz,
+            compressed: options.model_compression,
+            partitions: metadata
+                .partitions
+                .iter()
+                .map(PlannedPartition::of)
+                .collect(),
+        }
+    }
+
+    /// False once a stream the program ran on is gone: no design can be
+    /// this program again, and the record only pins allocations.
+    pub(crate) fn is_live(&self) -> bool {
+        self.partitions
+            .iter()
+            .all(|p| p.matrix.strong_count() > 0 && p.origin_rows.strong_count() > 0)
+    }
+
+    /// True when `metadata` generated under `options` lowers to exactly
+    /// this program: the very stream allocations, and every other thing
+    /// lowering reads equal by value.
+    pub fn is(&self, metadata: &MatrixMetadataSet, options: GeneratorOptions) -> bool {
+        (self.rows, self.cols, self.nnz, self.compressed)
+            == (
+                metadata.original_rows,
+                metadata.original_cols,
+                metadata.original_nnz,
+                options.model_compression,
+            )
+            && self.partitions.len() == metadata.partitions.len()
+            && self
+                .partitions
+                .iter()
+                .zip(&metadata.partitions)
+                .all(|(p, plan)| p.is(plan))
+    }
+}
+
 /// What a run of a [`NativeKernel`] on some worker count reads, kept to
-/// recognise that very program again.  Per partition: the sub-matrix
+/// recognise that very program again — the check of a [`PlannedProgram`]
+/// look-up.  Per partition: the sub-matrix
 /// allocation, the column offset, the bound [`KernelShape`], the `origin`
 /// map and the work-split state; for
 /// the kernel its dimensions, non-zero count and worker count.  Labels,
@@ -92,12 +205,6 @@ impl Program {
         }
     }
 
-    /// False once a sub-matrix the program ran on is gone: no kernel can be
-    /// this program again, and the record only pins allocations.
-    pub(crate) fn is_live(&self) -> bool {
-        self.partitions.iter().all(|p| p.matrix.strong_count() > 0)
-    }
-
     /// True when `kernel` on `workers` workers runs exactly this program:
     /// the very sub-matrix allocations, and every other thing a run reads
     /// equal by value — so its `y` is bitwise this program's on any input.
@@ -123,7 +230,7 @@ impl Program {
 mod tests {
     use super::*;
     use crate::simd::{Backend, ResolvedSimd};
-    use alpha_codegen::{generate, generate_with, GeneratedSpmv, GeneratorOptions};
+    use alpha_codegen::{generate, generate_with, GeneratedSpmv};
     use alpha_graph::{presets, Designer, OperatorGraph, SimdLaneMapping};
     use alpha_matrix::gen;
 
@@ -239,12 +346,70 @@ mod tests {
         assert!(record.is(&lowered(&sorted), 2));
         let fresh = generated(&presets::sell_like(), &matrix);
         assert!(!record.is(&lowered(&fresh), 2));
+        // So it is for the record of the plans.
+        let options = GeneratorOptions::default();
+        let planned = PlannedProgram::of(sorted.kernel.metadata(), options);
+        assert!(planned.is(sorted.kernel.metadata(), options));
+        assert!(!planned.is(fresh.kernel.metadata(), options));
 
         // The record pins no stream: once the conversion is gone, so is the
         // program.
-        assert!(record.is_live());
+        assert!(planned.is_live());
         drop(sorted);
-        assert!(!record.is_live());
+        assert!(!planned.is_live());
+    }
+
+    #[test]
+    fn everything_lowering_reads_reaches_the_plan_record() {
+        let matrix = gen::powerlaw(700, 700, 9, 2.0, 5);
+        let options = GeneratorOptions::default();
+        let split = generated(&presets::csr5_like(64), &matrix);
+        let metadata = split.kernel.metadata();
+        let record = PlannedProgram::of(metadata, options);
+        let is_after = |edit: &dyn Fn(&mut MatrixMetadataSet)| {
+            let mut twin = metadata.clone();
+            edit(&mut twin);
+            record.is(&twin, options)
+        };
+        // What a CPU loop does not read is not part of it.
+        let same = |what: &str, edit: &dyn Fn(&mut MatrixMetadataSet)| {
+            assert!(is_after(edit), "{what} must not separate programs")
+        };
+        same("the resources", &|m| m.partitions[0].threads_per_block *= 2);
+        same("the rows per thread block", &|m| {
+            m.partitions[0].rows_per_bmtb = Some(32)
+        });
+        same("the reduction", &|m| {
+            m.partitions[0].reduction.global_atomic ^= true
+        });
+        let differs = |what: &str, edit: &dyn Fn(&mut MatrixMetadataSet)| {
+            assert!(!is_after(edit), "{what} must not be the same program")
+        };
+        differs("a copied sub-matrix", &|m| {
+            let p = &mut m.partitions[0];
+            p.matrix = Arc::new((*p.matrix).clone());
+        });
+        differs("a copied origin map", &|m| {
+            let p = &mut m.partitions[0];
+            p.origin_rows = p.origin_rows.iter().copied().collect();
+        });
+        differs("the column offset", &|m| m.partitions[0].col_offset += 1);
+        differs("the work split", &|m| {
+            m.partitions[0].mapping = Mapping::NnzSplit { nnz_per_thread: 32 }
+        });
+        differs("the loop plan", &|m| {
+            m.partitions[0].simd = SimdPlan {
+                lanes: 8,
+                lane_mapping: SimdLaneMapping::Nnz,
+            }
+        });
+        differs("the output length", &|m| m.original_rows += 1);
+        assert!(!record.is(
+            metadata,
+            GeneratorOptions {
+                model_compression: false
+            }
+        ));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   instead of modelled cost, selectable through
 //!   [`SearchConfig::evaluator`](alpha_search::SearchConfig) and composable
 //!   with the existing `CachingEvaluator` / `BatchEvaluator` layers.  Every
-//!   candidate is lowered; a verification and a measurement are filed under
-//!   the [`Program`] that ran, so the many graphs that lower to one kernel
-//!   cost one verification and one timing per search;
+//!   candidate is designed; a verification and a measurement are filed under
+//!   the [`PlannedProgram`] its plans lower to, so the many graphs that
+//!   lower to one kernel cost one generation, one lowering, one verification
+//!   and one timing per search;
 //! * [`simd`] — AVX2/NEON SpMV microkernels behind the runtime
 //!   [`cpu_features`] probe, with lane width and row-vs-nnz lane mapping
 //!   taken from each partition's [`SimdPlan`](alpha_graph::SimdPlan).  No
@@ -56,7 +57,7 @@ pub use eval::{NativeEvaluator, NATIVE_DEVICE_LABEL};
 pub use harness::{MeasuredReport, TimingHarness};
 pub use kernel::{
     effective_workers, plans_from_label, IndexFn, KernelBuildError, LoopChoice, NativeKernel,
-    Program, MIN_NNZ_PER_WORKER,
+    PlannedProgram, Program, MIN_NNZ_PER_WORKER,
 };
 pub use simd::{ResolvedSimd, SimdMode};
 pub use specialized::{IndexKind, KernelShape, PartitionKind, SimdClass};

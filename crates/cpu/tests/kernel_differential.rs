@@ -26,7 +26,10 @@
 //! * kernels lowered through one `Designer` that are one [`Program`] — what
 //!   one verification and one timing are shared under — are one kernel: the
 //!   same streams and shapes, and **bitwise**-equal `y` at 1 and 4 threads;
-//!   and kernels with the same streams and shapes are one `Program`;
+//!   and kernels with the same streams and shapes are one `Program`; equal
+//!   [`PlannedProgram`] records — what the evaluator recognises a candidate
+//!   by before it generates anything — are one `Program`, and unequal ones
+//!   on one Designer are not, over every preset and its GPU-style rewrites;
 //! * a kernel lowered through a warm `Designer` (the search's path) has the
 //!   streams, shapes and bitwise `y` of the one lowered from a fresh design;
 //! * the executing pool never changes `y`: `t` shares run one at a time on a
@@ -46,7 +49,7 @@
 //!   to its own row, and an empty column band that reads nothing.
 
 use alpha_codegen::GeneratedSpmv;
-use alpha_cpu::{NativeKernel, Program, SimdMode};
+use alpha_cpu::{NativeKernel, PlannedProgram, Program, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph, SimdLaneMapping, SimdPlan};
 use alpha_matrix::{gen::PatternFamily, CooMatrix, CsrMatrix, DenseVector};
 use alpha_parallel::Pool;
@@ -343,9 +346,11 @@ fn spelled_out(generated: &GeneratedSpmv, kernel: &NativeKernel) -> String {
     out
 }
 
-/// One program a family's kernels lowered to: what it reads, `y` at 1 and
-/// at 4 threads, who lowered to it first, and its sub-matrices.
+/// One program a family's kernels lowered to: its record from the plans
+/// and from the kernel, what it reads, `y` at 1 and at 4 threads, who
+/// lowered to it first, and its sub-matrices.
 struct Seen {
+    planned: PlannedProgram,
     program: Program,
     reads: String,
     y: [Vec<u32>; 2],
@@ -378,6 +383,21 @@ fn kernels_that_are_one_program_are_one_kernel() {
         let mut check = |generated: &GeneratedSpmv, kernel: NativeKernel, who| {
             let reads = spelled_out(generated, &kernel);
             let y = [1, 4].map(|threads| bits(&kernel.run(x.as_slice(), threads).unwrap()));
+            // Equal plan records are one program (a row-lane plan on an nnz
+            // partition runs scalar, so the converse holds only where every
+            // plan is scalar, as in a search).
+            let metadata = generated.kernel.metadata();
+            if let Some(first) = seen
+                .iter()
+                .find(|first| first.planned.is(metadata, options))
+            {
+                assert!(
+                    first.program.is(&kernel, 1),
+                    "{who} and {} on {}: equal plan records, two programs",
+                    first.who,
+                    family.name()
+                );
+            }
             match seen.iter().find(|first| first.program.is(&kernel, 1)) {
                 // One program, one reading and one result...
                 Some(first) => {
@@ -403,13 +423,12 @@ fn kernels_that_are_one_program_are_one_kernel() {
                         );
                     }
                     seen.push(Seen {
+                        planned: PlannedProgram::of(metadata, options),
                         program: Program::of(&kernel, 1),
                         reads,
                         y,
                         who,
-                        matrices: generated
-                            .kernel
-                            .metadata()
+                        matrices: metadata
                             .partitions
                             .iter()
                             .map(|plan| Arc::downgrade(&plan.matrix))
@@ -436,6 +455,137 @@ fn kernels_that_are_one_program_are_one_kernel() {
     assert!(
         shared > 0,
         "no two designs shared a kernel — the suite compared nothing"
+    );
+}
+
+/// Rewrites of each branch of `graph` in the manner of the evaluator's
+/// GPU-only variants — resources, rows per thread block, a global atomic,
+/// interleaving — plus two a CPU loop does read: a `SORT_BMTB` group
+/// follows the rows per thread block, and an nnz chunk size.  Rewrites
+/// that fail validation are dropped.
+fn rewrites(graph: &OperatorGraph) -> Vec<OperatorGraph> {
+    let mut out = Vec::new();
+    for branch in 0..graph.branches.len() {
+        let mut rewrite = |edit: &dyn Fn(&mut Vec<Operator>)| {
+            let mut variant = graph.clone();
+            edit(&mut variant.branches[branch]);
+            if variant != *graph && variant.validate().is_ok() {
+                out.push(variant);
+            }
+        };
+        for resources in [64, 512] {
+            rewrite(&|ops| {
+                for op in ops.iter_mut() {
+                    if let Operator::SetResources { threads_per_block } = op {
+                        *threads_per_block = resources;
+                    }
+                }
+            });
+        }
+        rewrite(&|ops| {
+            let block = ops
+                .iter()
+                .position(|op| matches!(op, Operator::BmtbRowBlock { .. }));
+            let thread = ops.iter().position(|op| {
+                matches!(
+                    op,
+                    Operator::BmtRowBlock { .. }
+                        | Operator::BmtColBlock { .. }
+                        | Operator::BmtNnzBlock { .. }
+                )
+            });
+            match (block, thread) {
+                (Some(block), _) => ops[block] = Operator::BmtbRowBlock { rows: 128 },
+                (None, Some(thread)) => ops.insert(thread, Operator::BmtbRowBlock { rows: 32 }),
+                (None, None) => {}
+            }
+        });
+        rewrite(&|ops| {
+            if !ops.contains(&Operator::GmemAtomRed) {
+                ops.push(Operator::GmemAtomRed);
+            }
+        });
+        rewrite(&|ops| ops.retain(|op| *op != Operator::InterleavedStorage));
+        rewrite(&|ops| {
+            for op in ops.iter_mut() {
+                if let Operator::BmtNnzBlock { nnz } = op {
+                    *nnz *= 2;
+                }
+            }
+        });
+    }
+    out
+}
+
+#[test]
+fn equal_plan_records_are_the_same_program_and_unequal_ones_are_not() {
+    // What the evaluator recognises a candidate by, before it generates
+    // anything, against what the candidate lowers to: every preset and its
+    // rewrites on every family, through one Designer as one search has.
+    let options = alpha_codegen::GeneratorOptions::default();
+    let (mut shared, mut programs) = (0usize, 0usize);
+    for (fi, family) in PatternFamily::ALL.iter().enumerate() {
+        let matrix = family.generate(256, 6, 900 + fi as u64);
+        let x = DenseVector::random(matrix.cols(), 7);
+        let designer = alpha_graph::Designer::new(&matrix);
+        let mut seen: Vec<Seen> = Vec::new();
+        for (preset, base) in presets::all_presets() {
+            let graphs = std::iter::once(base.clone()).chain(rewrites(&base));
+            for (variant, graph) in graphs.enumerate() {
+                let who = format!("{preset}/{variant}");
+                let Ok(generated) = alpha_codegen::generate_with(&designer, &graph, options) else {
+                    continue;
+                };
+                let metadata = generated.kernel.metadata();
+                let Ok(kernel) = NativeKernel::try_new(metadata, &generated.format) else {
+                    continue;
+                };
+                let reads = spelled_out(&generated, &kernel);
+                let y = [1, 4].map(|threads| bits(&kernel.run(x.as_slice(), threads).unwrap()));
+                let context =
+                    |first: &Seen| format!("{who} and {} on {}", first.who, family.name());
+                match seen
+                    .iter()
+                    .find(|first| first.planned.is(metadata, options))
+                {
+                    // Equal records: one program, one reading, one result.
+                    Some(first) => {
+                        shared += 1;
+                        assert!(
+                            first.program.is(&kernel, 1),
+                            "{}: equal plan records, two programs",
+                            context(first)
+                        );
+                        assert!(first.reads == reads, "{}: two readings", context(first));
+                        assert_eq!(first.y, y, "{}: y differs", context(first));
+                    }
+                    // Different records: different programs.
+                    None => {
+                        if let Some(first) = seen.iter().find(|first| first.program.is(&kernel, 1))
+                        {
+                            panic!("{}: different plan records, one program", context(first));
+                        }
+                        programs += 1;
+                        seen.push(Seen {
+                            planned: PlannedProgram::of(metadata, options),
+                            program: Program::of(&kernel, 1),
+                            reads,
+                            y,
+                            who,
+                            matrices: metadata
+                                .partitions
+                                .iter()
+                                .map(|plan| Arc::downgrade(&plan.matrix))
+                                .collect(),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        shared > 0 && programs > 2 * PatternFamily::ALL.len(),
+        "{programs} programs, {shared} shared: the suite compared too little"
     );
 }
 

@@ -1,6 +1,6 @@
 //! Daemon-level tests: protocol robustness against a live socket, admission
-//! control, job-table GC, cross-connection warm-store hits and clean
-//! shutdown.
+//! control, job-table GC, cross-connection warm-store hits, an event loop
+//! that answers while a tune is held, and clean shutdown.
 
 use alpha_matrix::gen;
 use alpha_net::proto::{
@@ -12,10 +12,15 @@ use alpha_net::{
 };
 use alpha_serve::{DesignStore, TuningService};
 use alpha_telemetry::FlightKind;
-use alphasparse::SearchConfig;
+use alphasparse::graph::OperatorGraph;
+use alphasparse::{
+    DeviceProfile, EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId, SearchConfig,
+    SimEvaluator,
+};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const POLL: Duration = Duration::from_millis(5);
@@ -1292,5 +1297,131 @@ fn a_burst_of_hits_does_not_evict_another_tenants_finished_job() {
     let expected = kept_matrix.spmv(&x).expect("reference SpMV");
     assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
     drop((first, second));
+    stop(server, &dir);
+}
+
+/// A gate a test closes to hold tunes inside their search: while it is
+/// closed, every evaluation waits at it.
+#[derive(Default)]
+struct Gate {
+    /// (closed, evaluations held).
+    state: Mutex<(bool, usize)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn set_closed(&self, closed: bool) {
+        self.state.lock().unwrap().0 = closed;
+        self.changed.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        if state.0 {
+            state.1 += 1;
+            self.changed.notify_all();
+            state = self.changed.wait_while(state, |s| s.0).unwrap();
+            state.1 -= 1;
+        }
+    }
+
+    /// True once an evaluation is held at the gate, false when none is by
+    /// `deadline`.
+    fn holds_one(&self, deadline: Duration) -> bool {
+        let state = self.state.lock().unwrap();
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(state, deadline, |s| s.1 == 0)
+            .unwrap();
+        state.1 > 0
+    }
+}
+
+/// The cost model behind a [`Gate`].
+struct GatedEvaluator {
+    gate: Arc<Gate>,
+    inner: SimEvaluator,
+}
+
+impl Evaluator for GatedEvaluator {
+    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
+        self.gate.pass();
+        self.inner.evaluate(ctx, graph)
+    }
+}
+
+#[test]
+fn the_event_loop_answers_while_a_tune_is_held() {
+    let dir = temp_dir("held_tune");
+    let gate = Arc::new(Gate::default());
+    let evaluator = {
+        let gate = gate.clone();
+        EvaluatorChoice::custom(EvaluatorId::Simulated, move || {
+            Box::new(GatedEvaluator {
+                gate: gate.clone(),
+                inner: SimEvaluator::new(DeviceProfile::a100(), 1),
+            })
+        })
+    };
+    let service = TuningService::new(
+        DesignStore::open(&dir).expect("store opens"),
+        SearchConfig {
+            max_iterations: 6,
+            mutations_per_seed: 2,
+            evaluator,
+            ..SearchConfig::default()
+        },
+    );
+    let server = NetServer::spawn(
+        "127.0.0.1:0",
+        service,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("daemon binds");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let done = gen::powerlaw(160, 144, 4, 2.0, 11);
+    let done_job = client.submit_tune(&done, "a100").expect("admitted");
+    client.wait_job(done_job, POLL, DEADLINE).expect("tunes");
+
+    gate.set_closed(true);
+    let held = gen::powerlaw(200, 200, 5, 2.0, 12);
+    let held_job = client.submit_tune(&held, "a100").expect("admitted");
+    assert!(
+        gate.holds_one(DEADLINE),
+        "the second tune never reached its search"
+    );
+
+    // A second connection, on a thread of its own: an event loop that
+    // waits for the held tune fails the test at the deadline instead of
+    // hanging it.  No latency is asserted.
+    let addr = server.local_addr();
+    let x: Vec<f32> = (0..144).map(|i| (i % 7) as f32 - 3.0).collect();
+    let expected = done.spmv(&x).expect("reference SpMV");
+    let (answers, answered) = mpsc::channel();
+    let other = std::thread::spawn(move || {
+        let asked = (|| {
+            let mut other = Client::connect(addr)?;
+            let stats = other.store_stats()?;
+            Ok::<_, NetError>((stats, other.spmv(done_job, &x)?))
+        })();
+        let _ = answers.send(asked);
+    });
+    let answer = answered.recv_timeout(DEADLINE);
+    let still_held = gate.holds_one(Duration::ZERO);
+    gate.set_closed(false);
+    let (stats, y) = answer
+        .expect("the event loop answered nothing while a tune was held")
+        .expect("both requests succeed");
+    other.join().expect("the second connection's thread");
+    assert!(still_held, "the tune was released before the answers came");
+    assert_eq!((stats.jobs_submitted, stats.jobs_completed), (2, 1));
+    assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
+
+    client
+        .wait_job(held_job, POLL, DEADLINE)
+        .expect("the released tune finishes");
     stop(server, &dir);
 }
