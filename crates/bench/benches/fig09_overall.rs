@@ -38,6 +38,7 @@ fn fig09(c: &mut Criterion) {
                         device: device.clone(),
                         max_iterations: ctx.search_budget,
                         mutations_per_seed: 1,
+                        evaluator: alpha_search::EvaluatorChoice::Simulated,
                         ..alpha_search::SearchConfig::default()
                     },
                 )

@@ -35,6 +35,7 @@ fn fig10_11(c: &mut Criterion) {
                         device: device.clone(),
                         max_iterations: 20,
                         mutations_per_seed: 1,
+                        evaluator: alpha_search::EvaluatorChoice::Simulated,
                         ..SearchConfig::default()
                     },
                 )

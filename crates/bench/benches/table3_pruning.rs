@@ -20,6 +20,7 @@ fn table3(c: &mut Criterion) {
                 enable_pruning: pruning,
                 enable_ml_refinement: false,
                 mutations_per_seed: 1,
+                evaluator: alpha_search::EvaluatorChoice::Simulated,
                 ..SearchConfig::default()
             };
             group.bench_function(format!("{name}/{label}"), |b| {

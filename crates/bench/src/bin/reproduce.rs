@@ -1,16 +1,22 @@
 //! `reproduce` — prints the rows/series of every table and figure of the
-//! paper's evaluation, regenerated on the simulator.
+//! paper's evaluation, regenerated on the simulator, and — asked for by
+//! name — how the default (measured) tune compares with the cost model's on
+//! this host.
 //!
 //! ```text
 //! cargo run --release -p alpha-bench --bin reproduce -- all
 //! cargo run --release -p alpha-bench --bin reproduce -- fig9a fig10 table3 ...
 //! cargo run --release -p alpha-bench --bin reproduce -- all --threads 4
+//! cargo run --release -p alpha-bench --bin reproduce -- host
 //! ```
 //!
-//! `--threads N` flows into `SearchConfig::threads` for every mode (it
-//! changes how fast a search runs, never which design wins).  An unknown
-//! mode or flag prints the known list and exits non-zero.  The binary writes
-//! no file; the repository's measured numbers come from `benchmark/`.
+//! Every figure pins the cost model (`EvaluatorChoice::Simulated`), so its
+//! output is the same on any machine.  `--threads N` flows into
+//! `SearchConfig::threads` for every mode (it changes how fast a search
+//! runs, never which design wins; a measured search evaluates one candidate
+//! at a time whatever it says).  An unknown mode or flag prints the known
+//! list and exits non-zero.  The binary writes no file; the repository's
+//! measured numbers come from `benchmark/`.
 
 use alpha_bench::*;
 use alpha_gpu::DeviceProfile;
@@ -194,6 +200,50 @@ fn main() {
                 avg(&|r| r.gflops_pruning)
             );
         }
+    }
+
+    if want(HOST_MODE) {
+        let rows = host_comparison(&ctx_a100);
+        println!(
+            "== The two evaluators on this host: {} named stand-ins ==",
+            rows.len()
+        );
+        println!(
+            "  {:<18} {:>9} {:>9} {:>10} {:>9}  {:<22} {:<40} winner (model)",
+            "matrix",
+            "tune ms",
+            "(model)",
+            "win ratio",
+            "vs preset",
+            "best preset",
+            "winner (measured)"
+        );
+        for row in &rows {
+            println!(
+                "  {:<18} {:>9.1} {:>9.1} {:>9.3}x {:>8.2}x  {:<22} {:<40} {}",
+                row.matrix,
+                1e3 * row.measured_tune_s,
+                1e3 * row.simulated_tune_s,
+                row.winner_ratio(),
+                row.gain_over_preset(),
+                row.preset,
+                row.measured_shape,
+                row.simulated_shape
+            );
+        }
+        let geomean =
+            |f: &dyn Fn(&HostRow) -> f64| geometric_mean(&rows.iter().map(f).collect::<Vec<_>>());
+        println!(
+            "  geomean: tune {:.1} ms vs {:.1} ms (model), winner ratio {:.3}x, {:.2}x the best preset",
+            1e3 * geomean(&|r| r.measured_tune_s),
+            1e3 * geomean(&|r| r.simulated_tune_s),
+            geomean(&|r| r.winner_ratio()),
+            geomean(&|r| r.gain_over_preset())
+        );
+        println!(
+            "  (win ratio: measured winner's time over the model winner's, below 1 is faster;\n   \
+             vs preset: the fastest preset's time over the measured winner's)\n"
+        );
     }
 
     if want("fig14") {

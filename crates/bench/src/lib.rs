@@ -13,7 +13,7 @@ use alpha_baselines::{run_pfs, Baseline, PfsOutcome, TacoKernel};
 use alpha_gpu::{DeviceProfile, GpuSim};
 use alpha_matrix::suite::{self, CorpusConfig, SuiteScale};
 use alpha_matrix::{CsrMatrix, DenseVector, MatrixStats};
-use alpha_search::{search_with_cache, DesignCache, SearchConfig, SearchOutcome};
+use alpha_search::{search_with_cache, DesignCache, EvaluatorChoice, SearchConfig, SearchOutcome};
 use std::sync::Arc;
 
 /// Scale of one experiment run: how large the corpus, named matrices and
@@ -81,12 +81,15 @@ impl ExperimentContext {
         self
     }
 
+    /// The paper's figures rank designs with the cost model of the device
+    /// they are drawn for, so they read the same on any machine.
     fn search_config(&self) -> SearchConfig {
         SearchConfig {
             device: self.device.clone(),
             max_iterations: self.search_budget,
             mutations_per_seed: 3,
             threads: self.threads,
+            evaluator: EvaluatorChoice::Simulated,
             ..SearchConfig::default()
         }
     }
@@ -428,14 +431,149 @@ pub fn fig13_iterations(results: &[CorpusResult]) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------------
+// The two evaluators on this host (`reproduce host`)
+// ---------------------------------------------------------------------------
+
+/// One named stand-in tuned twice — under the default evaluator (measured
+/// time on this host) and under the cost model — with both winners and the
+/// best preset timed in alternation on this host.
+#[derive(Debug, Clone)]
+pub struct HostRow {
+    /// SuiteSparse name of the stand-in.
+    pub matrix: String,
+    /// Seconds the measured tune took, search and loop selection included.
+    pub measured_tune_s: f64,
+    /// Seconds the cost-model tune took.
+    pub simulated_tune_s: f64,
+    /// Median microseconds per SpMV of the measured tune's winner.
+    pub measured_us: f64,
+    /// Median microseconds per SpMV of the cost-model tune's winner.
+    pub simulated_us: f64,
+    /// Median microseconds per SpMV of the fastest preset.
+    pub preset_us: f64,
+    /// Which preset that is.
+    pub preset: &'static str,
+    /// Kernel-shape label of the measured tune's winner.
+    pub measured_shape: String,
+    /// Kernel-shape label of the cost-model tune's winner.
+    pub simulated_shape: String,
+}
+
+impl HostRow {
+    /// Measured winner's time over the cost-model winner's (below 1: the
+    /// measured tune found the faster program).
+    pub fn winner_ratio(&self) -> f64 {
+        self.measured_us / self.simulated_us
+    }
+
+    /// Fastest preset's time over the measured winner's.
+    pub fn gain_over_preset(&self) -> f64 {
+        self.preset_us / self.measured_us
+    }
+}
+
+/// Rounds of the alternation; each times every kernel of a row once.
+const HOST_ROUNDS: usize = 7;
+
+/// Tunes every `suite::all_named` stand-in at `ctx`'s scale under
+/// `SearchConfig::default()` and under the cost model, lowers every preset
+/// through `NativeKernel::select`, and times both winners and the fastest
+/// preset in alternation on this host.  A stand-in either tune fails on is
+/// skipped.
+pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
+    use alphasparse::{AlphaSparse, NativeKernel, TimingHarness};
+    let measured = SearchConfig {
+        device: ctx.device.clone(),
+        threads: ctx.threads,
+        ..SearchConfig::default()
+    };
+    let simulated = SearchConfig {
+        evaluator: EvaluatorChoice::Simulated,
+        ..measured.clone()
+    };
+    let harness = TimingHarness { warmup: 2, runs: 9 };
+    let mut rows = Vec::new();
+    for named in suite::all_named(ctx.suite_scale) {
+        let matrix = &named.matrix;
+        let tune = |config: &SearchConfig| {
+            let started = std::time::Instant::now();
+            let tuned = AlphaSparse::with_config(config.clone()).auto_tune(matrix);
+            tuned.map(|tuned| (tuned, started.elapsed().as_secs_f64()))
+        };
+        let (Ok((by_time, measured_tune_s)), Ok((by_model, simulated_tune_s))) =
+            (tune(&measured), tune(&simulated))
+        else {
+            continue;
+        };
+        let x = DenseVector::random(matrix.cols(), 0x4057);
+        let time = |kernel: &NativeKernel| {
+            harness
+                .measure_kernel(kernel, x.as_slice(), 0)
+                .expect("x has the matrix's column count")
+                .median_us
+        };
+        let presets: Vec<(&'static str, NativeKernel)> = alpha_graph::presets::all_presets()
+            .into_iter()
+            .filter_map(|(name, graph)| {
+                let generated = alpha_codegen::generate(&graph, matrix, Default::default()).ok()?;
+                let (kernel, _) =
+                    NativeKernel::select(generated.kernel.metadata(), &generated.format).ok()?;
+                Some((name, kernel))
+            })
+            .collect();
+        let Some((preset, best_preset)) = presets
+            .iter()
+            .map(|(name, kernel)| (*name, kernel, time(kernel)))
+            .min_by(|a, b| a.2.total_cmp(&b.2))
+            .map(|(name, kernel, _)| (name, kernel))
+        else {
+            continue;
+        };
+        let kernels = [
+            by_time.native_kernel(),
+            by_model.native_kernel(),
+            best_preset,
+        ];
+        let mut samples = [(); 3].map(|_| Vec::with_capacity(HOST_ROUNDS));
+        for _ in 0..HOST_ROUNDS {
+            for (kernel, samples) in kernels.iter().zip(&mut samples) {
+                samples.push(time(kernel));
+            }
+        }
+        let [measured_us, simulated_us, preset_us] = samples.map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        });
+        rows.push(HostRow {
+            matrix: named.name.to_string(),
+            measured_tune_s,
+            simulated_tune_s,
+            measured_us,
+            simulated_us,
+            preset_us,
+            preset,
+            measured_shape: by_time.kernel_shape(),
+            simulated_shape: by_model.kernel_shape(),
+        });
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------------
 // Mode parsing for the `reproduce` binary
 // ---------------------------------------------------------------------------
 
-/// Every mode `reproduce` understands: `all`, or one figure / table of the
-/// paper.
+/// Every mode `reproduce` understands: `all`, one figure / table of the
+/// paper, or [`HOST_MODE`].
 pub const KNOWN_MODES: &[&str] = &[
     "all", "fig2", "fig9a", "fig9b", "fig10", "fig11", "fig12", "fig13", "table3", "fig14",
+    HOST_MODE,
 ];
+
+/// The mode that compares the two evaluators on this host
+/// ([`host_comparison`]).  It reads this machine's clock, not the paper's
+/// model, so `all` does not run it.
+pub const HOST_MODE: &str = "host";
 
 /// The parsed `reproduce` command line: the mode list plus the flag that
 /// applies across modes.
@@ -500,9 +638,11 @@ pub fn resolve_modes(args: &[String]) -> Result<Vec<String>, String> {
 }
 
 /// True when `key` should run for the resolved mode list: either named
-/// explicitly, or covered by `all`.
+/// explicitly, or a paper figure covered by `all`.
 pub fn mode_selected(wanted: &[String], key: &str) -> bool {
-    wanted.iter().any(|w| w == key || w == "all")
+    wanted
+        .iter()
+        .any(|w| w == key || (w == "all" && key != HOST_MODE))
 }
 
 #[cfg(test)]
@@ -589,7 +729,12 @@ mod tests {
         assert!(mode_selected(&all, "fig9a") && mode_selected(&all, "table3"));
         let fig2 = resolve_modes(&["fig2".into()]).unwrap();
         assert!(mode_selected(&fig2, "fig2") && !mode_selected(&fig2, "fig9a"));
-        // Only the paper's figures and tables are modes.
+        // The host comparison runs only when named.
+        assert!(!mode_selected(&all, HOST_MODE));
+        let host = resolve_modes(&["Host".into()]).unwrap();
+        assert!(mode_selected(&host, HOST_MODE) && !mode_selected(&host, "fig2"));
+        // Only the paper's figures and tables, and the host comparison, are
+        // modes.
         for other in ["native", "warm", "serve"] {
             let err = resolve_modes(&[other.into()]).unwrap_err();
             assert!(err.contains("known modes: all, fig2"), "{err}");

@@ -19,14 +19,20 @@
 //!   ([`GeneratedSpmv::source`]): a search prints none of its candidates.
 //!   The code the host runs is `alpha-cpu`'s monomorphized loop library,
 //!   named by its kernel-shape label, not a second emitted text.
+//!
+//! It also holds the evaluation contract every backend implements by
+//! generating a candidate first ([`eval`]): the search ranks designs through
+//! it without the backends depending on the search.
 
 pub mod compress;
 pub mod emit;
+pub mod eval;
 pub mod format;
 pub mod kernel;
 pub mod layout;
 
 pub use compress::{compress_array, CompressionModel};
+pub use eval::{context_key, context_key_for, EvalContext, Evaluation, Evaluator, EvaluatorId};
 pub use format::{FormatArray, MachineFormat, PartitionFormat};
 pub use kernel::GeneratedKernel;
 

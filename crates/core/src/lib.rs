@@ -21,10 +21,12 @@
 //! let y = tuned.run(&x).expect("native SpMV succeeds");
 //! assert_eq!(y.len(), 512);
 //!
-//! // ...or on the simulated device the design was modelled for.
+//! // ...or on the simulated device.
 //! let y_sim = tuned.spmv(&x).expect("simulated SpMV succeeds");
 //! assert_eq!(y_sim.len(), 512);
-//! println!("{:.1} modelled GFLOPS with {}", tuned.gflops(), tuned.operator_graph());
+//! // The search ranked designs by the time they took on this host.
+//! assert!(tuned.evaluator().is_native());
+//! println!("{:.1} measured GFLOPS with {}", tuned.gflops(), tuned.operator_graph());
 //! ```
 
 #![warn(missing_docs)]
@@ -55,7 +57,7 @@ use std::sync::Arc;
 /// (clones share it): candidate designs evaluated for one matrix are reused
 /// verbatim when the same matrix — or an identical copy of it — is tuned
 /// again, and re-tuning with a different budget resumes from the cached
-/// evaluations instead of re-simulating them.  With
+/// evaluations instead of re-measuring them.  With
 /// [`AlphaSparse::with_store`] the cache additionally survives process
 /// restarts.
 ///
@@ -86,10 +88,12 @@ use std::sync::Arc;
 /// let y = tuned.run(&x).expect("native SpMV succeeds");
 /// assert_eq!(y.len(), 512);
 ///
-/// // ...or on the simulated device the design was modelled for.
+/// // ...or on the simulated device.
 /// let y_sim = tuned.spmv(&x).expect("simulated SpMV succeeds");
 /// assert_eq!(y_sim.len(), 512);
-/// println!("{:.1} modelled GFLOPS with {}", tuned.gflops(), tuned.operator_graph());
+/// // The search ranked designs by the time they took on this host.
+/// assert!(tuned.evaluator().is_native());
+/// println!("{:.1} measured GFLOPS with {}", tuned.gflops(), tuned.operator_graph());
 /// ```
 #[derive(Debug, Clone)]
 pub struct AlphaSparse {
@@ -99,7 +103,15 @@ pub struct AlphaSparse {
 }
 
 impl AlphaSparse {
-    /// Creates a tuner for the given device with the default search budget.
+    /// Creates a tuner for the given device with the default search
+    /// configuration, which ranks candidates by the time they take on this
+    /// host ([`EvaluatorChoice::Native`], the default harness, the kernel on
+    /// every core): a tune optimises the machine it runs on, and its winner
+    /// is that machine's.  `device` is what the simulated side models —
+    /// [`TunedSpmv::spmv`], and every search opted into the cost model with
+    /// [`with_evaluator`](AlphaSparse::with_evaluator)`(EvaluatorChoice::Simulated)`,
+    /// the one backend under which a fixed seed picks the same design on any
+    /// machine.
     pub fn new(device: DeviceProfile) -> Self {
         Self::with_config(SearchConfig {
             device,
@@ -182,7 +194,8 @@ impl AlphaSparse {
 
     /// Sets the number of worker threads candidate batches are evaluated on
     /// (0 = one per available core).  Thread count never changes which
-    /// design wins — only how fast the search gets there.
+    /// design wins — only how fast the search gets there.  A measured search
+    /// (the default) evaluates one candidate at a time whatever this says.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -200,35 +213,35 @@ impl AlphaSparse {
         &self.cache
     }
 
-    /// Switches the search to **native measured-time evaluation**: every
-    /// candidate is executed as a real threaded CPU kernel (`alpha-cpu`) and
-    /// scored by a steady-state wall clock instead of the simulator's cost
-    /// model, so `auto_tune` optimises the time this machine actually takes.
+    /// Ranks candidates by **measured time** with explicit timing-harness
+    /// parameters and kernel worker count (0 = one per available core).
+    /// Measured time is the default ([`EvaluatorChoice::Native`] with
+    /// [`TimingHarness::default`] on every core); this sets its parameters.
+    /// Every candidate is executed as a real threaded CPU kernel
+    /// (`alpha-cpu`) and scored by a steady-state wall clock, so `auto_tune`
+    /// optimises the time this machine actually takes.
     ///
-    /// Candidates are evaluated one at a time (`threads = 1`) so concurrent
+    /// The search evaluates measured candidates one at a time, whatever
+    /// [`with_threads`](AlphaSparse::with_threads) says, so concurrent
     /// measurements do not steal each other's cores; the kernels themselves
-    /// still use every available core.  Measured winners are cached and
-    /// stored under a distinct identity — they never mix with cost-model
-    /// results.
-    pub fn with_native_execution(self) -> Self {
-        self.with_native_execution_harness(TimingHarness::default(), 0)
-    }
-
-    /// [`with_native_execution`](AlphaSparse::with_native_execution) with
-    /// explicit timing-harness parameters and kernel worker count
-    /// (0 = one per available core).
+    /// use `kernel_threads` workers.  Measured winners are cached and stored
+    /// under an identity that carries the harness parameters — they never
+    /// mix with cost-model results or with other harnesses' readings.
     pub fn with_native_execution_harness(
         mut self,
         harness: TimingHarness,
         kernel_threads: usize,
     ) -> Self {
-        self.config.evaluator = NativeEvaluator::choice(harness, kernel_threads);
-        self.config.threads = 1;
+        self.config.evaluator = EvaluatorChoice::Native {
+            harness,
+            kernel_threads,
+        };
         self
     }
 
-    /// Replaces the ground-truth evaluation backend wholesale (the generic
-    /// form of [`with_native_execution`](AlphaSparse::with_native_execution)).
+    /// Replaces the ground-truth evaluation backend wholesale —
+    /// `EvaluatorChoice::Simulated` opts into the cost model on the tuner's
+    /// device.
     pub fn with_evaluator(mut self, choice: EvaluatorChoice) -> Self {
         self.config.evaluator = choice;
         self
@@ -509,12 +522,14 @@ impl TunedSpmv {
         self.outcome.best_graph.to_string().trim_end().to_string()
     }
 
-    /// Modelled performance of the winning kernel.
+    /// Performance of the winning kernel as the search's evaluator read it:
+    /// measured on this host by default, modelled under the cost model.
     pub fn report(&self) -> &PerfReport {
         &self.outcome.best_report
     }
 
-    /// Modelled throughput in GFLOP/s.
+    /// Throughput of the winning kernel in GFLOP/s (see
+    /// [`TunedSpmv::report`]).
     pub fn gflops(&self) -> f64 {
         self.outcome.best_report.gflops
     }
@@ -535,7 +550,8 @@ impl TunedSpmv {
         &self.generated.kernel
     }
 
-    /// Search statistics (iterations, pruning, modelled search time).
+    /// Search statistics (iterations, pruning, the paper-equivalent search
+    /// hours).
     pub fn search_stats(&self) -> &SearchStats {
         &self.outcome.stats
     }
@@ -581,6 +597,7 @@ mod tests {
             )
             .unwrap();
             let tuned = AlphaSparse::new(DeviceProfile::a100())
+                .with_evaluator(EvaluatorChoice::Simulated)
                 .with_search_budget(8)
                 .auto_tune(&matrix)
                 .unwrap_or_else(|e| panic!("{poison}: {e}"));
@@ -684,7 +701,9 @@ mod tests {
     #[test]
     fn native_run_matches_the_simulated_kernel_and_reference() {
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 19);
-        let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(12);
+        let tuner = AlphaSparse::new(DeviceProfile::a100())
+            .with_evaluator(EvaluatorChoice::Simulated)
+            .with_search_budget(12);
         let tuned = tuner.auto_tune(&matrix).unwrap();
         assert_eq!(tuned.evaluator(), EvaluatorId::Simulated);
         let x = DenseVector::random(512, 4);
@@ -695,7 +714,7 @@ mod tests {
         assert!(DenseVector::from_vec(native).approx_eq(&simulated, 1e-3));
     }
 
-    /// Long uniform rows: whichever format the cost model picks, a vector
+    /// Long uniform rows: whichever format the search picks, a vector
     /// loop beats the scalar one on them by a wide margin.
     fn long_row_matrix() -> CsrMatrix {
         gen::uniform_random(2_048, 2_048, 64, 23)
@@ -721,7 +740,9 @@ mod tests {
     #[test]
     fn a_simulated_tune_prints_and_twins_the_loop_it_runs() {
         let matrix = long_row_matrix();
-        let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(12);
+        let tuner = AlphaSparse::new(DeviceProfile::a100())
+            .with_evaluator(EvaluatorChoice::Simulated)
+            .with_search_budget(12);
         let tuned = tuner.auto_tune(&matrix).unwrap();
         assert_eq!(tuned.evaluator(), EvaluatorId::Simulated);
         assert!(
@@ -855,7 +876,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("designs.acds");
         let matrix = long_row_matrix();
-        let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(12);
+        let tuner = AlphaSparse::new(DeviceProfile::a100())
+            .with_evaluator(EvaluatorChoice::Simulated)
+            .with_search_budget(12);
 
         // What the previous release wrote: the search's cache, every
         // simulated entry and the winner without a kernel shape.
@@ -883,6 +906,43 @@ mod tests {
         let again = reopened.auto_tune(&matrix).unwrap();
         assert!(again.loop_selection().is_empty(), "later uses read it");
         assert_eq!(again.kernel_shape(), tuned.kernel_shape());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_default_search_is_measured_and_its_store_replays_it() {
+        let dir = std::env::temp_dir().join(format!("alphasparse_default_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("designs.acds");
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 29);
+        let tuner = || {
+            AlphaSparse::with_config(SearchConfig {
+                max_iterations: 12,
+                ..SearchConfig::default()
+            })
+            .with_store(&path)
+            .unwrap()
+        };
+        let first = tuner().auto_tune(&matrix).unwrap();
+        assert!(first.evaluator().is_native(), "{:?}", first.evaluator());
+        assert_eq!(first.report().device, alpha_cpu::NATIVE_DEVICE_LABEL);
+        assert!(
+            first.search_stats().cache_misses > 0,
+            "a cold tune measures"
+        );
+
+        // A fresh tuner over the same store replays the measured search from
+        // it: no candidate is timed again, and the same program runs.
+        let again = tuner().auto_tune(&matrix).unwrap();
+        assert_eq!(again.search_stats().cache_misses, 0);
+        assert_eq!(again.operator_graph(), first.operator_graph());
+        assert_eq!(again.kernel_shape(), first.kernel_shape());
+        let x = DenseVector::random(matrix.cols(), 8);
+        let bits = |y: Vec<Scalar>| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(
+            bits(again.run(x.as_slice()).unwrap()),
+            bits(first.run(x.as_slice()).unwrap())
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -999,7 +1059,6 @@ mod tests {
                 enable_ml_refinement,
                 ..SearchConfig::default()
             })
-            .with_native_execution_harness(harness, 1)
             .with_evaluator(choice.clone());
             let tuned = tuner.auto_tune(&matrix).unwrap();
             let (_, winner) = tuner.cache().winners().pop().expect("a winner is stored");

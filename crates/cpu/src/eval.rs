@@ -1,11 +1,12 @@
 //! [`NativeEvaluator`]: scoring search candidates by measured wall-clock
 //! time instead of modelled cost.
 //!
-//! The evaluator implements the unchanged
-//! [`alpha_search::Evaluator`] trait, so it slots under the existing
-//! `CachingEvaluator` / `BatchEvaluator` layers and behind
-//! `SearchConfig::evaluator` — the three-level search then optimises what a
-//! stopwatch actually reads on this machine.  Each candidate is designed
+//! The evaluator implements the evaluation contract
+//! ([`alpha_codegen::Evaluator`]), so it slots under the search's
+//! `CachingEvaluator` / `BatchEvaluator` layers; it is the search's default
+//! backend (`EvaluatorChoice::Native`, which `alpha-search` builds), and the
+//! three-level search then optimises what a stopwatch actually reads on this
+//! machine.  Each candidate is designed
 //! through the search's [`Designer`](alpha_graph::Designer), so candidates
 //! on one converting chain share one converted matrix.  A candidate that is
 //! not a program measured before is then generated, lowered to a
@@ -38,20 +39,20 @@
 //!   The harness parameters are part of the evaluation identity
 //!   ([`EvaluatorId::Native`]), so differently-configured measurements never
 //!   share cache entries with each other or with simulated results.
-//! * When candidates are timed, run them one at a time
-//!   (`SearchConfig::threads = 1`): concurrent candidate measurements steal
-//!   each other's cores and corrupt the timings.  The kernel itself still
+//! * Candidates are timed one at a time: concurrent candidate measurements
+//!   steal each other's cores and corrupt the timings, so the search
+//!   evaluates one candidate at a time under any evaluator whose id is
+//!   native, whatever `SearchConfig::threads` says.  The kernel itself still
 //!   uses all `kernel_threads` workers.
 
 use crate::harness::TimingHarness;
 pub use crate::harness::NATIVE_DEVICE_LABEL;
 use crate::kernel::{NativeKernel, PlannedProgram, Program};
-use alpha_codegen::generate_with;
+use alpha_codegen::{generate_with, EvalContext, Evaluation, Evaluator, EvaluatorId};
 use alpha_gpu::PerfReport;
 use alpha_graph::OperatorGraph;
 use alpha_matrix::Scalar;
 use alpha_parallel::Pool;
-use alpha_search::{EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId};
 use alpha_telemetry::{Counter, Histogram, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -181,15 +182,6 @@ impl NativeEvaluator {
             stages: EVAL_STAGES
                 .map(|stage| registry.histogram("cpu_eval_stage_us", &[("stage", stage)])),
         }
-    }
-
-    /// The [`SearchConfig::evaluator`](alpha_search::SearchConfig) hook:
-    /// selects native measured-time evaluation for a search.  The returned
-    /// choice carries the harness parameters as its durable identity.
-    pub fn choice(harness: TimingHarness, kernel_threads: usize) -> EvaluatorChoice {
-        EvaluatorChoice::custom(harness.evaluator_id(), move || {
-            Box::new(NativeEvaluator::new(harness, kernel_threads))
-        })
     }
 
     /// The durable identity measurements from this evaluator carry.
@@ -343,8 +335,6 @@ pub(crate) mod tests {
     use alpha_gpu::DeviceProfile;
     use alpha_graph::presets;
     use alpha_matrix::gen;
-    use alpha_search::{CachingEvaluator, DesignCache};
-    use std::sync::Arc;
 
     fn context_fixture(matrix: &alpha_matrix::CsrMatrix) -> EvalContext<'_> {
         EvalContext::new(
@@ -567,12 +557,12 @@ pub(crate) mod tests {
         // finds the first one's report.
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
         let ctx = context_fixture(&matrix);
-        let evaluator =
-            alpha_search::BatchEvaluator::new(NativeEvaluator::new(TimingHarness::default(), 1), 4);
+        let evaluator = NativeEvaluator::new(TimingHarness::default(), 1);
         let batch = gpu_only_variants();
-        let results = evaluator.evaluate_batch(&ctx, &batch);
-        assert_eq!(evaluator.inner().executions(), batch.len());
-        assert_eq!(evaluator.inner().measurements(), 1);
+        let results =
+            Pool::shared().parallel_map_capped(&batch, 4, |graph| evaluator.evaluate(&ctx, graph));
+        assert_eq!(evaluator.executions(), batch.len());
+        assert_eq!(evaluator.measurements(), 1);
         let times: Vec<u64> = results
             .iter()
             .map(|r| r.as_ref().expect("feasible").report.time_us.to_bits())
@@ -624,28 +614,6 @@ pub(crate) mod tests {
         assert!(ctx.reference.iter().all(|v| v.is_finite()));
         assert!(evaluator.evaluate(&ctx, &presets::csr_scalar()).is_none());
         assert_eq!(evaluator.executions(), 2);
-    }
-
-    #[test]
-    fn caching_layer_composes_and_skips_re_measurement() {
-        let matrix = gen::powerlaw(256, 256, 8, 2.0, 3);
-        let ctx = context_fixture(&matrix);
-        let cache = Arc::new(DesignCache::new());
-        let evaluator = CachingEvaluator::new(
-            NativeEvaluator::new(TimingHarness::quick(), 1),
-            cache.clone(),
-        );
-        let graph = presets::sell_like();
-        let first = evaluator.evaluate(&ctx, &graph).expect("feasible");
-        let second = evaluator.evaluate(&ctx, &graph).expect("feasible");
-        assert_eq!(
-            evaluator.inner().executions(),
-            1,
-            "second lookup must not re-measure"
-        );
-        assert!(!first.cached);
-        assert!(second.cached);
-        assert_eq!(first.report.time_us, second.report.time_us);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! apples-to-apples.
 
 use crate::kernel::NativeKernel;
+use alpha_codegen::EvaluatorId;
 use alpha_gpu::PerfReport;
 use alpha_matrix::Scalar;
-use alpha_search::EvaluatorId;
 use std::time::Instant;
 
 /// Device label measured reports carry (there is exactly one "device": the
@@ -370,7 +370,7 @@ mod tests {
         .evaluator_id();
         assert_ne!(a, b);
         assert_ne!(a.salt(42), b.salt(42));
-        assert_ne!(a.salt(42), alpha_search::EvaluatorId::Simulated.salt(42));
+        assert_ne!(a.salt(42), EvaluatorId::Simulated.salt(42));
         assert!(a.is_native());
         assert_eq!(a.label(), "native");
     }

@@ -16,11 +16,11 @@
 //! * [`TimingHarness`] — a steady-state wall-clock harness (warmup +
 //!   min-of-N) producing a [`MeasuredReport`], shared with `alpha-baselines`
 //!   so generated-vs-baseline comparisons are apples-to-apples;
-//! * [`NativeEvaluator`] — an [`Evaluator`](alpha_search::Evaluator)
+//! * [`NativeEvaluator`] — an [`Evaluator`](alpha_codegen::Evaluator)
 //!   implementation that scores search candidates by **measured time**
-//!   instead of modelled cost, selectable through
-//!   [`SearchConfig::evaluator`](alpha_search::SearchConfig) and composable
-//!   with the existing `CachingEvaluator` / `BatchEvaluator` layers.  Every
+//!   instead of modelled cost: the search's default backend
+//!   (`alpha-search` builds it for `EvaluatorChoice::Native`), composable
+//!   with the search's `CachingEvaluator` / `BatchEvaluator` layers.  Every
 //!   candidate is designed; a verification and a measurement are filed under
 //!   the [`PlannedProgram`] its plans lower to, so the many graphs that
 //!   lower to one kernel cost one generation, one lowering, one verification

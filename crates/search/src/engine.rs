@@ -5,8 +5,10 @@
 //! in batches fanned out across worker threads, with results
 //! memoised in a [`DesignCache`].  Batches are *consumed in input order* and
 //! the budget / annealing stop conditions are applied during consumption, so
-//! a fixed [`SearchConfig::seed`] selects the same final design regardless of
-//! [`SearchConfig::threads`].
+//! under the cost model a fixed [`SearchConfig::seed`] selects the same final
+//! design regardless of [`SearchConfig::threads`].  Under a measured
+//! evaluator (the default) the schedule is just as fixed, but the readings
+//! are the host's, and the search evaluates one candidate at a time.
 //!
 //! The budget is checked *before* a batch is evaluated and the batch is cut
 //! to the iterations that remain, so the search never pays for a candidate
@@ -44,11 +46,18 @@ use std::sync::Arc;
 pub const SECONDS_PER_REAL_ITERATION: f64 = 60.0;
 
 /// Search configuration.
+///
+/// The default ranks candidates by the time they take on the host the search
+/// runs on ([`EvaluatorChoice::Native`] with the default timing harness and
+/// the kernel on every core).  The paper's figures, and every result that
+/// must be the same on any machine, set `evaluator:
+/// EvaluatorChoice::Simulated`.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Target device profile.
     pub device: DeviceProfile,
-    /// Maximum number of real (simulated-kernel) evaluations in levels 1+2.
+    /// Maximum number of real (measured or simulated) evaluations in
+    /// levels 1+2.
     pub max_iterations: usize,
     /// Hard cap on the modelled search time in hours (the paper uses 8 h).
     pub max_hours: f64,
@@ -65,6 +74,11 @@ pub struct SearchConfig {
     pub seed: u64,
     /// Worker threads candidate batches are fanned out over (0 = one per
     /// available CPU core, 1 = serial).  Does not affect which design wins.
+    /// A search whose evaluator measures time ([`EvaluatorId::is_native`])
+    /// ignores it and evaluates one candidate at a time, so concurrent
+    /// measurements never steal each other's cores.
+    ///
+    /// [`EvaluatorId::is_native`]: crate::eval::EvaluatorId::is_native
     pub threads: usize,
     /// Candidates per evaluation batch.  Fixed independently of `threads` so
     /// the evaluation schedule — and therefore every statistic — is
@@ -79,9 +93,11 @@ pub struct SearchConfig {
     /// need replay-identical searches must pass the same list every time
     /// (see `DesignCache::pin_seed_designs`).
     pub seed_designs: Vec<OperatorGraph>,
-    /// The ground-truth evaluation backend candidates are scored with:
-    /// the simulator's cost model (default) or an externally supplied
-    /// evaluator such as `alpha-cpu`'s measured-time `NativeEvaluator`.
+    /// The ground-truth evaluation backend candidates are scored with: by
+    /// default the time `alpha-cpu`'s `NativeEvaluator` measures on this
+    /// host ([`EvaluatorChoice::Native`]); [`EvaluatorChoice::Simulated`]
+    /// opts into the simulator's cost model on [`SearchConfig::device`],
+    /// the one backend whose winner a fixed seed pins on every machine.
     /// The choice's [`EvaluatorId`](crate::eval::EvaluatorId) is salted into
     /// every cache key and recorded in the stored winner, so modelled and
     /// measured results never mix.
@@ -102,7 +118,7 @@ impl Default for SearchConfig {
             threads: 0,
             batch_size: 16,
             seed_designs: Vec::new(),
-            evaluator: EvaluatorChoice::Simulated,
+            evaluator: EvaluatorChoice::default(),
         }
     }
 }
@@ -193,7 +209,12 @@ pub fn search_with_cache(
     // check.  One worker per simulation makes every report bit-identical
     // regardless of `config.threads` and of the machine's core count (which
     // also keeps shared DesignCache entries reproducible everywhere).
-    let threads = if config.threads == 0 {
+    // A measured evaluation is the exception one level up: its candidates
+    // run one at a time, because two concurrent timings steal each other's
+    // cores.
+    let threads = if config.evaluator.id().is_native() {
+        1
+    } else if config.threads == 0 {
         alpha_parallel::default_threads()
     } else {
         config.threads
@@ -442,11 +463,14 @@ mod tests {
     use super::*;
     use alpha_matrix::gen;
 
+    /// A short cost-model search: these tests pin what a fixed seed selects,
+    /// which only the simulator makes the same on every run and machine.
     fn quick_config(iterations: usize) -> SearchConfig {
         SearchConfig {
             device: DeviceProfile::a100(),
             max_iterations: iterations,
             mutations_per_seed: 2,
+            evaluator: EvaluatorChoice::Simulated,
             ..SearchConfig::default()
         }
     }
@@ -614,6 +638,58 @@ mod tests {
                 assert_eq!(outcomes[0], outcomes[1], "{name}, budget {budget}");
             }
         }
+    }
+
+    /// The cost model behind a gate that records the most evaluations it
+    /// ever held at once.
+    struct Gate {
+        inner: crate::eval::SimEvaluator,
+        inside: Arc<std::sync::atomic::AtomicUsize>,
+        widest: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Evaluator for Gate {
+        fn evaluate(
+            &self,
+            ctx: &EvalContext<'_>,
+            graph: &OperatorGraph,
+        ) -> Option<crate::eval::Evaluation> {
+            use std::sync::atomic::Ordering::SeqCst;
+            let now = self.inside.fetch_add(1, SeqCst) + 1;
+            self.widest.fetch_max(now, SeqCst);
+            // Hold the gate long enough for a concurrent call to show.
+            std::thread::sleep(std::time::Duration::from_micros(300));
+            let evaluation = self.inner.evaluate(ctx, graph);
+            self.inside.fetch_sub(1, SeqCst);
+            evaluation
+        }
+    }
+
+    #[test]
+    fn a_measured_search_never_evaluates_two_candidates_at_once() {
+        use std::sync::atomic::Ordering::SeqCst;
+        // Any evaluator whose id measures time gets the discipline, whatever
+        // `threads` asks for: the engine, not the caller, enforces it.
+        let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 13);
+        let widest: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
+        let calls = widest.clone();
+        let config = SearchConfig {
+            threads: 4,
+            evaluator: EvaluatorChoice::custom(
+                crate::eval::EvaluatorId::Native { warmup: 0, runs: 1 },
+                move || {
+                    Box::new(Gate {
+                        inner: crate::eval::SimEvaluator::new(DeviceProfile::a100(), 1),
+                        inside: Arc::default(),
+                        widest: calls.clone(),
+                    })
+                },
+            ),
+            ..quick_config(40)
+        };
+        let outcome = search(&matrix, &config).unwrap();
+        assert!(outcome.stats.cache_misses > config.batch_size);
+        assert_eq!(widest.load(SeqCst), 1, "two candidates were timed at once");
     }
 
     #[test]

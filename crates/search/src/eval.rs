@@ -3,16 +3,19 @@
 //! design twice.
 //!
 //! Candidate evaluation dominates the search budget (the paper's real system
-//! spends minutes of `nvcc` + kernel timing per candidate; our simulator
-//! spends milliseconds, but the search still runs thousands of candidates).
-//! This module factors that hot path out of the engine into three composable
-//! layers:
+//! spends minutes of `nvcc` + kernel timing per candidate; the host timings
+//! and the simulator spend milliseconds, but the search still runs thousands
+//! of candidates).  The contract every backend implements ([`Evaluator`],
+//! [`EvalContext`], [`Evaluation`], [`EvaluatorId`]) lives in
+//! `alpha-codegen`; this module selects a backend and composes it:
 //!
-//! * [`SimEvaluator`] — the ground truth: runs the Designer and Format &
-//!   Kernel Generator for the candidate and executes the generated kernel on
-//!   the [`GpuSim`], checking the result against the reference SpMV.  The
-//!   Designer is the search's own ([`EvalContext::designer`]): candidates on
-//!   one converting chain share one converted matrix.
+//! * the ground truth, one of two backends ([`EvaluatorChoice`]): by default
+//!   `alpha-cpu`'s [`NativeEvaluator`], which lowers the candidate's
+//!   generated kernel and times it on the host, or [`SimEvaluator`], which
+//!   executes it on the [`GpuSim`] cost model.  Both check the result
+//!   against the reference SpMV, and both design through the search's own
+//!   Designer ([`EvalContext::designer`]): candidates on one converting
+//!   chain share one converted matrix.
 //! * [`CachingEvaluator`] — memoises outcomes in a shared [`DesignCache`]
 //!   keyed by (matrix fingerprint + device + generator options, canonical
 //!   graph signature), so repeated structures across mutation rounds — or
@@ -29,93 +32,56 @@
 //! and per-candidate simulator state lives on the evaluating thread's stack.
 
 use crate::persist::StoredDesign;
-use alpha_codegen::{generate_with, GeneratorOptions};
+pub use alpha_codegen::eval::{
+    context_key, context_key_for, EvalContext, Evaluation, Evaluator, EvaluatorId,
+};
+use alpha_codegen::generate_with;
+use alpha_cpu::{NativeEvaluator, TimingHarness};
 use alpha_gpu::{DeviceProfile, GpuSim, PerfReport};
-use alpha_graph::{Designer, OperatorGraph};
-use alpha_matrix::{CsrMatrix, DenseVector, Scalar};
+use alpha_graph::OperatorGraph;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The durable identity of the evaluation backend a result came from.
-///
-/// Cost-model numbers and wall-clock measurements are *not comparable*: a
-/// simulated report must never be cached, stored or served as a measured one
-/// (or vice versa).  The id is therefore folded into every evaluation context
-/// key (see [`EvalContext::with_evaluator`]) and recorded in each persisted
-/// winner, so the two worlds keep disjoint cache entries and disjoint stored
-/// designs.  For native evaluation the timing-harness parameters are part of
-/// the identity too — min-of-3 and min-of-50 measurements are different
-/// experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EvaluatorId {
-    /// Modelled cost from the `alpha-gpu` simulator (the default).
-    Simulated,
-    /// Wall-clock time of the native CPU backend (`alpha-cpu`), measured
-    /// with a steady-state harness.
-    Native {
-        /// Warmup executions discarded before timing starts.
-        warmup: u32,
-        /// Timed executions; the report keeps the minimum.
-        runs: u32,
-    },
-}
-
-impl EvaluatorId {
-    /// True for measured (native-execution) results.
-    pub fn is_native(self) -> bool {
-        matches!(self, EvaluatorId::Native { .. })
-    }
-
-    /// Short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EvaluatorId::Simulated => "simulated",
-            EvaluatorId::Native { .. } => "native",
-        }
-    }
-
-    /// Folds this identity into a context key.  [`EvaluatorId::Simulated`] is
-    /// the identity transform so every pre-existing simulated cache key (and
-    /// durable cache file) stays valid.
-    ///
-    /// The native tag carries a backend **revision** (`-r4`): r2 marked the
-    /// pooled-dispatch/nnz-balanced substrate, r3 the SIMD microkernel
-    /// layer, and r4 marks the monomorphized kernel library — steady-state
-    /// SpMV now runs branch-free specialized loops instead of the
-    /// interpreted executor, so r3-era timings of the same design are
-    /// different measurements and their persisted evaluations and winners
-    /// land in disjoint contexts.  Bump the revision whenever the execution
-    /// substrate changes measurements again.
-    pub fn salt(self, key: u64) -> u64 {
-        match self {
-            EvaluatorId::Simulated => key,
-            EvaluatorId::Native { warmup, runs } => {
-                let key = fnv_extend(key, b"native-cpu-r4");
-                let key = fnv_extend(key, &warmup.to_le_bytes());
-                fnv_extend(key, &runs.to_le_bytes())
-            }
-        }
-    }
-}
-
 /// Which ground-truth evaluator a search builds under its caching and
-/// batching layers — the `SearchConfig` hook that makes the evaluation
-/// backend selectable without the engine depending on every backend crate.
-#[derive(Clone, Default)]
+/// batching layers.
+#[derive(Clone)]
 pub enum EvaluatorChoice {
-    /// The [`SimEvaluator`] cost model on the configured device (default).
-    #[default]
+    /// Wall-clock time of the native CPU kernel (`alpha-cpu`'s
+    /// [`NativeEvaluator`]) on the host the search runs on — the default,
+    /// with [`TimingHarness::default`] and the kernel on every core.  A
+    /// search under it evaluates one candidate at a time, whatever
+    /// `SearchConfig::threads` says: concurrent measurements steal each
+    /// other's cores.
+    Native {
+        /// Warmup and timed runs per measurement; part of the identity.
+        harness: TimingHarness,
+        /// Worker threads each measured kernel runs on (0 = one per core).
+        kernel_threads: usize,
+    },
+    /// The [`SimEvaluator`] cost model on the configured device — the
+    /// explicit opt-in of the paper's figures and of every result that must
+    /// be the same on any machine.
     Simulated,
-    /// An externally provided evaluator (e.g. `alpha-cpu`'s
-    /// `NativeEvaluator`).  The factory is invoked once per search; `id` is
-    /// the durable identity salted into cache keys and recorded in winners.
+    /// An externally provided evaluator (a test double, another backend).
+    /// The factory is invoked once per search; `id` is the durable identity
+    /// salted into cache keys and recorded in winners, and a native `id`
+    /// gets the measured search's one-candidate-at-a-time discipline.
     Custom {
         /// Durable identity of the backend.
         id: EvaluatorId,
         /// Builds a fresh ground-truth evaluator for one search.
         factory: Arc<dyn Fn() -> Box<dyn Evaluator> + Send + Sync>,
     },
+}
+
+impl Default for EvaluatorChoice {
+    fn default() -> Self {
+        EvaluatorChoice::Native {
+            harness: TimingHarness::default(),
+            kernel_threads: 0,
+        }
+    }
 }
 
 impl EvaluatorChoice {
@@ -133,6 +99,7 @@ impl EvaluatorChoice {
     /// The durable identity of this choice.
     pub fn id(&self) -> EvaluatorId {
         match self {
+            EvaluatorChoice::Native { harness, .. } => harness.evaluator_id(),
             EvaluatorChoice::Simulated => EvaluatorId::Simulated,
             EvaluatorChoice::Custom { id, .. } => *id,
         }
@@ -141,6 +108,10 @@ impl EvaluatorChoice {
     /// Builds the ground-truth evaluator for one search on `device`.
     pub fn build(&self, device: &DeviceProfile) -> Box<dyn Evaluator> {
         match self {
+            EvaluatorChoice::Native {
+                harness,
+                kernel_threads,
+            } => Box::new(NativeEvaluator::new(*harness, *kernel_threads)),
             EvaluatorChoice::Simulated => Box::new(SimEvaluator::new(device.clone(), 1)),
             EvaluatorChoice::Custom { factory, .. } => factory(),
         }
@@ -150,6 +121,13 @@ impl EvaluatorChoice {
 impl std::fmt::Debug for EvaluatorChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EvaluatorChoice::Native {
+                harness,
+                kernel_threads,
+            } => write!(
+                f,
+                "EvaluatorChoice::Native({harness:?}, kernel_threads: {kernel_threads})"
+            ),
             EvaluatorChoice::Simulated => write!(f, "EvaluatorChoice::Simulated"),
             EvaluatorChoice::Custom { id, .. } => {
                 write!(f, "EvaluatorChoice::Custom({id:?})")
@@ -158,179 +136,7 @@ impl std::fmt::Debug for EvaluatorChoice {
     }
 }
 
-/// Everything shared by all candidate evaluations of one search: the matrix
-/// and its [`Designer`], the probe input vector, the reference result, and
-/// the cache-identity of the (matrix, device, options) combination.
-pub struct EvalContext<'a> {
-    /// The matrix being tuned.
-    pub matrix: &'a CsrMatrix,
-    /// The search's Designer: every candidate is designed through it, so the
-    /// matrix is converted once per distinct converting chain and the
-    /// candidates share the result.  Dropped with the context.
-    designer: Designer<'a>,
-    /// Probe input vector the candidates are executed with.
-    pub x: DenseVector,
-    /// Reference `y = A·x` every candidate must reproduce.
-    pub reference: Vec<Scalar>,
-    /// Generator options (affect the produced kernel, hence part of the
-    /// cache identity).
-    pub options: GeneratorOptions,
-    /// Verification tolerance.
-    pub tolerance: Scalar,
-    /// Fingerprint of (matrix, device, options); see [`EvalContext::new`].
-    context_key: u64,
-}
-
-impl<'a> EvalContext<'a> {
-    /// Builds the shared evaluation state for one search.  `seed` drives the
-    /// probe-vector generation (part of search determinism).
-    pub fn new(
-        matrix: &'a CsrMatrix,
-        device: &DeviceProfile,
-        options: GeneratorOptions,
-        seed: u64,
-    ) -> Result<Self, String> {
-        let x = DenseVector::random(matrix.cols(), seed ^ 0xA1FA);
-        let reference = matrix.spmv(x.as_slice()).map_err(|e| e.to_string())?;
-        Ok(EvalContext {
-            matrix,
-            designer: Designer::new(matrix),
-            x,
-            reference,
-            options,
-            tolerance: 1e-3,
-            context_key: context_key(matrix, device, options, seed),
-        })
-    }
-
-    /// The (matrix, device, options, seed) part of the cache key.
-    pub fn context_key(&self) -> u64 {
-        self.context_key
-    }
-
-    /// The Designer evaluators generate this search's candidates through
-    /// (`alpha_codegen::generate_with`).
-    pub fn designer(&self) -> &Designer<'a> {
-        &self.designer
-    }
-
-    /// Salts the context key with the evaluation backend's identity, so
-    /// simulated and measured results never share cache entries (see
-    /// [`EvaluatorId`]).  [`EvaluatorId::Simulated`] is a no-op; call at most
-    /// once per context.
-    pub fn with_evaluator(mut self, id: EvaluatorId) -> Self {
-        self.context_key = id.salt(self.context_key);
-        self
-    }
-}
-
-fn fnv_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The 64-bit cache identity of one `(matrix, device, options, seed)`
-/// combination — the context half of every [`DesignCache`] key.
-///
-/// The key must separate everything that changes a candidate's outcome: the
-/// matrix content, the device model, the generator options, and the
-/// probe-vector seed (feasibility is judged against the probe vector, so a
-/// borderline kernel may verify under one probe vector and fail under
-/// another).  All of them are folded into one 64-bit FNV-1a hash.  The hash
-/// depends only on stable inputs (matrix bytes, device parameters, option
-/// flags), so it identifies the same work across processes and machines —
-/// the property the durable [`DesignCache`] files rely on.
-pub fn context_key(
-    matrix: &CsrMatrix,
-    device: &DeviceProfile,
-    options: GeneratorOptions,
-    seed: u64,
-) -> u64 {
-    let mut key = matrix.fingerprint();
-    key = fnv_extend(key, device.name.as_bytes());
-    key = fnv_extend(key, &(device.sm_count as u64).to_le_bytes());
-    key = fnv_extend(key, &device.dram_bandwidth_gbps.to_bits().to_le_bytes());
-    key = fnv_extend(key, &device.l2_bandwidth_gbps.to_bits().to_le_bytes());
-    key = fnv_extend(key, &device.peak_sp_gflops.to_bits().to_le_bytes());
-    key = fnv_extend(key, &device.clock_ghz.to_bits().to_le_bytes());
-    key = fnv_extend(key, &[options.model_compression as u8]);
-    key = fnv_extend(key, &seed.to_le_bytes());
-    key
-}
-
-/// [`context_key`] extended with the evaluation backend's identity — the key
-/// the engine actually caches under when a non-default evaluator is selected.
-/// Serving layers must use this variant so their store identities line up
-/// with the engine's cache entries.
-pub fn context_key_for(
-    matrix: &CsrMatrix,
-    device: &DeviceProfile,
-    options: GeneratorOptions,
-    seed: u64,
-    evaluator: EvaluatorId,
-) -> u64 {
-    evaluator.salt(context_key(matrix, device, options, seed))
-}
-
-/// The outcome of evaluating one feasible candidate.
-#[derive(Debug, Clone)]
-pub struct Evaluation {
-    /// Modelled performance of the candidate's generated kernel.
-    pub report: PerfReport,
-    /// True when the result came out of a [`DesignCache`] instead of a
-    /// simulation.
-    pub cached: bool,
-    /// Shape label of the native kernel the candidate lowered to (the
-    /// `alpha-cpu` monomorphized-library key).  A measured evaluation
-    /// records the kernel it timed; a simulated one builds no native kernel
-    /// and reports `None` — the winner's entry gets its label afterwards,
-    /// when the host that builds it selects its inner loop
-    /// ([`DesignCache::set_winner_kernel_shape`]).  Travels with the winning
-    /// design into the store so serving layers hand out the same kernel
-    /// without re-matching or re-measuring.
-    pub kernel_shape: Option<String>,
-}
-
-/// Evaluates one `(OperatorGraph, CsrMatrix)` candidate into a [`PerfReport`].
-///
-/// `None` means the candidate is infeasible for this matrix (generation
-/// failed or the kernel produced wrong results) — the search just moves on.
-pub trait Evaluator: Send + Sync {
-    /// Evaluates a single candidate.
-    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation>;
-
-    /// Evaluates a batch; index `i` of the result corresponds to `batch[i]`.
-    /// The default implementation is serial; [`BatchEvaluator`] parallelises.
-    fn evaluate_batch(
-        &self,
-        ctx: &EvalContext<'_>,
-        batch: &[OperatorGraph],
-    ) -> Vec<Option<Evaluation>> {
-        batch
-            .iter()
-            .map(|graph| self.evaluate(ctx, graph))
-            .collect()
-    }
-}
-
-impl Evaluator for Box<dyn Evaluator> {
-    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
-        (**self).evaluate(ctx, graph)
-    }
-
-    fn evaluate_batch(
-        &self,
-        ctx: &EvalContext<'_>,
-        batch: &[OperatorGraph],
-    ) -> Vec<Option<Evaluation>> {
-        (**self).evaluate_batch(ctx, batch)
-    }
-}
-
-/// The ground-truth evaluator: generate the format + kernel, run it on the
+/// The cost-model ground truth: generate the format + kernel, run it on the
 /// simulator, verify against the reference.
 pub struct SimEvaluator {
     sim: GpuSim,
@@ -473,7 +279,7 @@ impl DesignCache {
         ctx: &EvalContext<'_>,
         graph: &OperatorGraph,
     ) -> Option<Option<Evaluation>> {
-        let found = self.entry(ctx.context_key, graph);
+        let found = self.entry(ctx.context_key(), graph);
         let counter = if found.is_some() {
             &self.hits
         } else {
@@ -507,7 +313,7 @@ impl DesignCache {
         graph: &OperatorGraph,
         outcome: &Option<Evaluation>,
     ) {
-        let key = (ctx.context_key, graph.canonical_signature());
+        let key = (ctx.context_key(), graph.canonical_signature());
         let value = outcome
             .as_ref()
             .map(|e| (e.report.clone(), e.kernel_shape.clone()));
@@ -848,8 +654,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alpha_codegen::GeneratorOptions;
     use alpha_graph::presets;
-    use alpha_matrix::gen;
+    use alpha_matrix::{gen, CsrMatrix};
 
     fn context_fixture(matrix: &CsrMatrix) -> EvalContext<'_> {
         EvalContext::new(
@@ -1024,6 +831,28 @@ mod tests {
         .unwrap();
         assert_ne!(a100.context_key(), rtx.context_key());
         assert_ne!(a100.context_key(), no_compress.context_key());
+    }
+
+    #[test]
+    fn caching_layer_composes_and_skips_re_measurement() {
+        let matrix = gen::powerlaw(256, 256, 8, 2.0, 3);
+        let ctx = context_fixture(&matrix).with_evaluator(TimingHarness::quick().evaluator_id());
+        let cache = Arc::new(DesignCache::new());
+        let evaluator = CachingEvaluator::new(
+            NativeEvaluator::new(TimingHarness::quick(), 1),
+            cache.clone(),
+        );
+        let graph = presets::sell_like();
+        let first = evaluator.evaluate(&ctx, &graph).expect("feasible");
+        let second = evaluator.evaluate(&ctx, &graph).expect("feasible");
+        assert_eq!(
+            evaluator.inner().executions(),
+            1,
+            "second lookup must not re-measure"
+        );
+        assert!(!first.cached);
+        assert!(second.cached);
+        assert_eq!(first.report.time_us, second.report.time_us);
     }
 
     #[test]

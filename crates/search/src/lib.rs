@@ -11,9 +11,10 @@
 //! 2. **Coarse parameter search** ([`engine`]) — each structure's parameters
 //!    are swept on a coarse grid and every candidate is evaluated by
 //!    generating its kernel and handing it to the search's [`Evaluator`]:
-//!    the `alpha-gpu` simulator's cost model by default, or wall-clock time
-//!    of the native CPU loop (`alpha-cpu`).  Either way the result is checked
-//!    against the reference SpMV.
+//!    by default the wall-clock time of the native CPU loop (`alpha-cpu`) on
+//!    the host the search runs on, or, opted into, the `alpha-gpu`
+//!    simulator's cost model.  Either way the result is checked against the
+//!    reference SpMV.
 //! 3. **ML interpolation** — a gradient-boosted-tree cost model ([`ml`])
 //!    trained on the measured candidates predicts the fine parameter grid;
 //!    only the most promising predictions are evaluated for real.
@@ -61,6 +62,7 @@ mod tests {
         let config = SearchConfig {
             device: DeviceProfile::a100(),
             max_iterations: 60,
+            evaluator: EvaluatorChoice::Simulated,
             ..SearchConfig::default()
         };
         let outcome = search(&matrix, &config).expect("search succeeds");

@@ -9,7 +9,8 @@ use alpha_matrix::gen;
 use alpha_search::enumerate::{coarse_variants, seed_structures};
 use alpha_search::prune::PruneRules;
 use alpha_search::{
-    search, BatchEvaluator, EvalContext, Evaluation, Evaluator, SearchConfig, SimEvaluator,
+    search, BatchEvaluator, EvalContext, Evaluation, Evaluator, EvaluatorChoice, SearchConfig,
+    SimEvaluator,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -160,6 +161,7 @@ fn full_search_is_thread_count_invariant_end_to_end() {
                 max_iterations: 48,
                 mutations_per_seed: 2,
                 threads,
+                evaluator: EvaluatorChoice::Simulated,
                 ..SearchConfig::default()
             };
             search(&matrix, &config).unwrap()

@@ -22,7 +22,7 @@
 //! the warm-start seeds used for a context's *first* search are pinned in its
 //! cache file, so every later search of the same context enumerates exactly
 //! the same candidates and is answered entirely from the stored evaluations —
-//! zero fresh simulator runs.
+//! zero fresh evaluations.
 
 #![warn(missing_docs)]
 

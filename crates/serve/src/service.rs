@@ -67,7 +67,7 @@ pub struct ServedTune {
 /// structurally similar ones, fans the distinct searches out across worker
 /// threads, persists every result, and returns a ready-to-run
 /// [`TunedSpmv`] per request.  Re-tuning a fleet the store has already seen
-/// costs zero fresh simulator evaluations (see
+/// costs zero fresh evaluations (see
 /// [`ServedTune::fresh_evaluations`]).
 pub struct TuningService {
     store: DesignStore,
@@ -97,6 +97,10 @@ pub struct TuningService {
     /// ([`TunedSpmv::loop_selection`]) rather than lowered from
     /// the recorded label — once per context in steady state.
     loop_selections: alpha_telemetry::Counter,
+    /// Held by a search under a measured evaluator, so two requests served
+    /// at once — two daemon tune workers — never time their candidates
+    /// against each other.  Resident and stored answers do not take it.
+    measuring: Mutex<()>,
 }
 
 /// How many similar-matrix winners seed a cold search.
@@ -217,6 +221,7 @@ impl TuningService {
             tune_paths,
             resident: Mutex::new(HashMap::new()),
             loop_selections,
+            measuring: Mutex::new(()),
         }
     }
 
@@ -253,10 +258,11 @@ impl TuningService {
     /// requests do not fight over cores — the same layering the search
     /// engine itself uses between candidates and the simulator.
     ///
-    /// Ignored when the service's evaluator measures wall-clock time (a
-    /// native `EvaluatorChoice`): timed searches always run one request and
-    /// one candidate at a time, because concurrent measurements steal each
-    /// other's cores and corrupt the timings.
+    /// Ignored when the service's evaluator measures wall-clock time (the
+    /// default, `EvaluatorChoice::Native`): timed searches always run one
+    /// request and one candidate at a time — across concurrent `tune_batch`
+    /// calls too — because concurrent measurements steal each other's cores
+    /// and corrupt the timings.
     pub fn with_batch_threads(mut self, threads: usize) -> Self {
         self.batch_threads = threads;
         self
@@ -357,17 +363,14 @@ impl TuningService {
 
         // Distinct requests fan out; each search then runs single-threaded
         // (unless the batch itself is serial).  Measured-time evaluation is
-        // the exception on both levels: wall clocks are only meaningful when
-        // exactly one candidate runs at a time, so a native-evaluator
-        // service serves requests serially and keeps candidate-level
-        // parallelism at 1 regardless of `with_batch_threads`.
+        // the exception: wall clocks are only meaningful when exactly one
+        // candidate runs at a time, so a native-evaluator service serves a
+        // batch's requests serially (the engine keeps each search's
+        // candidates serial, and `tune_one` keeps concurrent batches'
+        // searches apart).
         let native = self.config.evaluator.id().is_native();
         let batch_threads = if native { 1 } else { self.batch_threads };
-        let search_threads = if native || self.batch_threads != 1 {
-            1
-        } else {
-            0
-        };
+        let search_threads = if self.batch_threads != 1 { 1 } else { 0 };
         // Fan out on the service's persistent pool (capped at the configured
         // batch parallelism and at the pool's size; 0 = one per core).  A
         // request tuned on a pool worker runs its search single-threaded, so
@@ -492,6 +495,13 @@ impl TuningService {
                 (tuner.rebuild(&request.matrix, outcome)?, TunePath::Stored)
             }
             None => {
+                let _measuring = self.config.evaluator.id().is_native().then(|| {
+                    // Guards no data: a search that panicked leaves nothing
+                    // half-written behind it.
+                    self.measuring
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                });
                 let tuned = tuner.auto_tune(&request.matrix)?;
                 let path = match tuned.search_stats().cache_misses {
                     0 => TunePath::Replayed,
@@ -606,6 +616,7 @@ impl std::fmt::Debug for TuningService {
 mod tests {
     use super::*;
     use alpha_matrix::gen;
+    use alpha_search::EvaluatorChoice;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -615,14 +626,26 @@ mod tests {
         dir
     }
 
-    fn quick_service(dir: &PathBuf, budget: usize) -> TuningService {
-        let store = DesignStore::open(dir).unwrap();
-        let config = SearchConfig {
+    fn quick_config(budget: usize) -> SearchConfig {
+        SearchConfig {
             max_iterations: budget,
             mutations_per_seed: 2,
             ..SearchConfig::default()
+        }
+    }
+
+    fn quick_service(dir: &PathBuf, budget: usize) -> TuningService {
+        TuningService::new(DesignStore::open(dir).unwrap(), quick_config(budget))
+    }
+
+    /// [`quick_service`] on the cost model: for the tests that compare two
+    /// stores' winners, which only the simulator makes the same.
+    fn simulated_service(dir: &PathBuf, budget: usize) -> TuningService {
+        let config = SearchConfig {
+            evaluator: EvaluatorChoice::Simulated,
+            ..quick_config(budget)
         };
-        TuningService::new(store, config)
+        TuningService::new(DesignStore::open(dir).unwrap(), config)
     }
 
     fn fleet(count: usize) -> Vec<TuneRequest> {
@@ -769,13 +792,13 @@ mod tests {
         let device = DeviceProfile::a100();
 
         let cold_dir = temp_dir("warmless");
-        let cold_service = quick_service(&cold_dir, 40);
+        let cold_service = simulated_service(&cold_dir, 40);
         let cold = cold_service.tune_batch(&[TuneRequest::new(b.clone(), device.clone())]);
         let cold_b = cold[0].as_ref().unwrap();
         assert!(!cold_b.warm_started, "empty store cannot warm-start");
 
         let warm_dir = temp_dir("warm");
-        let warm_service = quick_service(&warm_dir, 40);
+        let warm_service = simulated_service(&warm_dir, 40);
         warm_service.tune_batch(&[TuneRequest::new(a, device.clone())]);
         let warm = warm_service.tune_batch(&[TuneRequest::new(b, device)]);
         let warm_b = warm[0].as_ref().unwrap();
@@ -791,9 +814,9 @@ mod tests {
     fn batch_threads_do_not_change_outcomes() {
         let requests = fleet(3);
         let serial_dir = temp_dir("serial");
-        let serial = quick_service(&serial_dir, 10).with_batch_threads(1);
+        let serial = simulated_service(&serial_dir, 10).with_batch_threads(1);
         let parallel_dir = temp_dir("parallel");
-        let parallel = quick_service(&parallel_dir, 10).with_batch_threads(4);
+        let parallel = simulated_service(&parallel_dir, 10).with_batch_threads(4);
         for (a, b) in serial
             .tune_batch(&requests)
             .iter()
@@ -861,6 +884,7 @@ mod tests {
         let sim_config = SearchConfig {
             max_iterations: 6,
             mutations_per_seed: 2,
+            evaluator: EvaluatorChoice::Simulated,
             ..SearchConfig::default()
         };
         let sim = TuningService::new(DesignStore::open(&dir).unwrap(), sim_config.clone());
@@ -871,8 +895,7 @@ mod tests {
         // Same schedule, but candidates are scored by measured native time:
         // a different store context, never served from cost-model entries.
         let native_config = SearchConfig {
-            evaluator: alphasparse::NativeEvaluator::choice(alphasparse::TimingHarness::quick(), 1),
-            threads: 1,
+            evaluator: quick_native(),
             ..sim_config
         };
         let native = TuningService::new(DesignStore::open(&dir).unwrap(), native_config);
@@ -897,6 +920,85 @@ mod tests {
             let expected = request.matrix.spmv(&x).unwrap();
             assert!(alpha_matrix::DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Measured time with the cheapest harness, the kernel on one worker.
+    fn quick_native() -> EvaluatorChoice {
+        EvaluatorChoice::Native {
+            harness: alphasparse::TimingHarness::quick(),
+            kernel_threads: 1,
+        }
+    }
+
+    /// The cost model behind a gate that records the most evaluations it
+    /// ever held at once.
+    struct Gate {
+        inner: alpha_search::SimEvaluator,
+        inside: Arc<std::sync::atomic::AtomicUsize>,
+        widest: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl alpha_search::Evaluator for Gate {
+        fn evaluate(
+            &self,
+            ctx: &alpha_search::EvalContext<'_>,
+            graph: &OperatorGraph,
+        ) -> Option<alpha_search::Evaluation> {
+            use std::sync::atomic::Ordering::SeqCst;
+            let now = self.inside.fetch_add(1, SeqCst) + 1;
+            self.widest.fetch_max(now, SeqCst);
+            // Hold the gate long enough for a concurrent call to show.
+            std::thread::sleep(Duration::from_micros(300));
+            let evaluation = self.inner.evaluate(ctx, graph);
+            self.inside.fetch_sub(1, SeqCst);
+            evaluation
+        }
+    }
+
+    #[test]
+    fn concurrent_measured_batches_never_overlap_in_the_evaluator() {
+        use std::sync::atomic::Ordering::SeqCst;
+        // Two daemon tune workers are two `tune_batch` calls at once; under
+        // an evaluator whose id measures time their searches take turns.
+        let dir = temp_dir("measured_turns");
+        let inside: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
+        let widest: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
+        let calls = widest.clone();
+        let evaluator = EvaluatorChoice::custom(
+            alpha_search::EvaluatorId::Native { warmup: 0, runs: 1 },
+            move || {
+                Box::new(Gate {
+                    inner: alpha_search::SimEvaluator::new(DeviceProfile::a100(), 1),
+                    inside: inside.clone(),
+                    widest: calls.clone(),
+                })
+            },
+        );
+        let service = TuningService::new(
+            DesignStore::open(&dir).unwrap(),
+            SearchConfig {
+                evaluator,
+                ..quick_config(12)
+            },
+        );
+        let matrices = [
+            gen::powerlaw(256, 256, 6, 2.0, 91),
+            gen::uniform_random(256, 256, 5, 92),
+        ];
+        let barrier = std::sync::Barrier::new(matrices.len());
+        std::thread::scope(|scope| {
+            for matrix in &matrices {
+                let (service, barrier) = (&service, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let request = TuneRequest::new(matrix.clone(), DeviceProfile::a100());
+                    let served = service.tune_batch(&[request]).pop().unwrap();
+                    assert!(served.unwrap().fresh_evaluations > 0, "both searched");
+                });
+            }
+        });
+        assert_eq!(widest.load(SeqCst), 1, "two searches timed at once");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -995,11 +1097,11 @@ mod tests {
         let sim = SearchConfig {
             max_iterations: 10,
             mutations_per_seed: 2,
+            evaluator: EvaluatorChoice::Simulated,
             ..SearchConfig::default()
         };
         let native = SearchConfig {
-            evaluator: alphasparse::NativeEvaluator::choice(alphasparse::TimingHarness::quick(), 1),
-            threads: 1,
+            evaluator: quick_native(),
             ..sim.clone()
         };
         for (label, config) in [("simulated", sim), ("native", native)] {
@@ -1079,9 +1181,11 @@ mod tests {
 
     #[test]
     fn lookup_falls_back_to_search_when_the_winner_entry_is_missing() {
+        // Three stores must land on one design: the cost model's.
         let config = SearchConfig {
             max_iterations: 10,
             mutations_per_seed: 2,
+            evaluator: EvaluatorChoice::Simulated,
             ..SearchConfig::default()
         };
         let request = TuneRequest::new(gen::powerlaw(256, 256, 6, 2.0, 61), DeviceProfile::a100());

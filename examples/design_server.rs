@@ -80,7 +80,7 @@ fn main() {
         );
         println!("  requests warm-started from similar matrices: {warm_started}");
         println!(
-            "  mean modelled throughput of the fleet: {:.1} GFLOPS",
+            "  mean measured throughput of the fleet: {:.1} GFLOPS",
             total_gflops / served.len() as f64
         );
         let stats = service.store().stats();

@@ -34,7 +34,7 @@ fn main() {
 
     let stats = tuned.matrix_stats();
     println!(
-        "tuned {}: {} rows, {} nnz -> {:.1} modelled GFLOPS",
+        "tuned {}: {} rows, {} nnz -> {:.1} measured GFLOPS",
         mtx_path.display(),
         stats.rows,
         stats.nnz,

@@ -5,7 +5,7 @@
 //! ```
 
 use alpha_matrix::{gen, DenseVector, MatrixStats};
-use alphasparse::{AlphaSparse, DeviceProfile};
+use alphasparse::{AlphaSparse, DeviceProfile, TimingHarness};
 
 fn main() {
     // A mildly irregular matrix standing in for a SuiteSparse input.
@@ -25,21 +25,30 @@ fn main() {
         }
     );
 
-    // Tune for an A100-like device.  Larger budgets explore more designs.
+    // Tune on this host: the search ranks designs by the time their kernels
+    // take here.  Larger budgets explore more designs.
     let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(80);
+    let started = std::time::Instant::now();
     let tuned = tuner.auto_tune(&matrix).expect("tuning succeeds");
+    let secs = started.elapsed().as_secs_f64();
 
     println!("\nwinning operator graph:\n{}", tuned.operator_graph());
-    println!("\nmodelled performance: {}", tuned.report().summary());
+    println!("\nevaluator: {}", tuned.evaluator().label());
     println!(
-        "search: {} kernel evaluations, {:.2} modelled hours",
+        "search: {} kernel evaluations in {:.1e} hours ({:.0} ms) on this host",
         tuned.search_stats().iterations,
-        tuned.search_stats().search_hours
+        secs / 3600.0,
+        secs * 1e3
     );
 
-    // The cost model picked the format; the inner loop was picked on this
-    // host, by timing the library's loops on the format's own streams.
+    // The search ranked each design by its scalar program; the winner's
+    // inner loop was then picked on this host, by timing the library's loops
+    // on the format's own streams.
     println!("loop: {}", tuned.loop_summary());
+    let measured = tuned
+        .measure(TimingHarness::default(), 0)
+        .expect("the winner runs natively");
+    println!("measured performance: {}", measured.summary());
 
     // Run the generated SpMV — natively on this CPU and on the simulated
     // device — and sanity-check both against the reference.
