@@ -6,16 +6,15 @@
 //! ```text
 //! cargo run --release -p alpha-bench --bin reproduce -- all
 //! cargo run --release -p alpha-bench --bin reproduce -- fig9a fig10 table3 ...
-//! cargo run --release -p alpha-bench --bin reproduce -- all --threads 4
 //! cargo run --release -p alpha-bench --bin reproduce -- host
 //! ```
 //!
 //! Every figure pins the cost model (`EvaluatorChoice::Simulated`), so its
-//! output is the same on any machine.  `--threads N` flows into
-//! `SearchConfig::threads` for every mode (it changes how fast a search
-//! runs, never which design wins; a measured search evaluates one candidate
-//! at a time whatever it says).  An unknown mode or flag prints the known
-//! list and exits non-zero.  The binary writes no file; the repository's
+//! output is the same on any machine.  The corpus sweep and Table III spread
+//! their matrices over the process-wide pool; each search evaluates its
+//! candidates one at a time, and `host`, which times, runs serially.  The
+//! binary takes no flags: an unknown mode or any flag prints the error and
+//! exits non-zero.  The binary writes no file; the repository's
 //! measured numbers come from `benchmark/`.
 
 use alpha_bench::*;
@@ -23,17 +22,17 @@ use alpha_gpu::DeviceProfile;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_cli(&args) {
-        Ok(cli) => cli,
+    let modes = match parse_cli(&args) {
+        Ok(modes) => modes,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
     };
-    let want = |key: &str| mode_selected(&cli.modes, key);
+    let want = |key: &str| mode_selected(&modes, key);
 
-    let ctx_a100 = ExperimentContext::standard(DeviceProfile::a100()).with_threads(cli.threads);
-    let ctx_rtx = ExperimentContext::standard(DeviceProfile::rtx2080()).with_threads(cli.threads);
+    let ctx_a100 = ExperimentContext::standard(DeviceProfile::a100());
+    let ctx_rtx = ExperimentContext::standard(DeviceProfile::rtx2080());
 
     if want("fig2") {
         println!("== Figure 2: mixed designs on 2D_27628_bjtcai (A100) ==");

@@ -21,6 +21,11 @@ use std::sync::Arc;
 /// search of the run shares, so sweeps that revisit a matrix (e.g. the
 /// pruning ablation, which searches each Table III matrix twice) reuse
 /// evaluations instead of re-simulating them.
+///
+/// A sweep over many matrices maps them over the process-wide pool, in
+/// order, and each search inside evaluates its candidates one at a time:
+/// the cost model reads the same whichever search fills a shared entry, so
+/// the figures are the same on any machine.
 #[derive(Debug, Clone)]
 pub struct ExperimentContext {
     /// Target device profile.
@@ -31,10 +36,6 @@ pub struct ExperimentContext {
     pub suite_scale: SuiteScale,
     /// Kernel evaluations allowed per search.
     pub search_budget: usize,
-    /// Worker threads candidate batches are fanned out over
-    /// (0 = one per available core); the `--threads` CLI override lands
-    /// here.  Never changes which design wins, only how fast.
-    pub threads: usize,
     /// Design cache shared by every search in this experiment run.
     pub cache: Arc<DesignCache>,
 }
@@ -52,7 +53,6 @@ impl ExperimentContext {
             },
             suite_scale: SuiteScale(1.0 / 256.0),
             search_budget: 25,
-            threads: 0,
             cache: Arc::new(DesignCache::new()),
         }
     }
@@ -69,16 +69,8 @@ impl ExperimentContext {
             },
             suite_scale: SuiteScale(1.0 / 64.0),
             search_budget: 60,
-            threads: 0,
             cache: Arc::new(DesignCache::new()),
         }
-    }
-
-    /// Sets the candidate-evaluation worker-thread override (see
-    /// [`ExperimentContext::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// The paper's figures rank designs with the cost model of the device
@@ -88,7 +80,6 @@ impl ExperimentContext {
             device: self.device.clone(),
             max_iterations: self.search_budget,
             mutations_per_seed: 3,
-            threads: self.threads,
             evaluator: EvaluatorChoice::Simulated,
             ..SearchConfig::default()
         }
@@ -150,16 +141,18 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 }
 
 /// Evaluates the corpus once: baselines, TACO, PFS and the AlphaSparse search
-/// on every entry.  Figures 9, 10, 11, 12 and 13 all derive from this data.
+/// on every entry, the entries spread over the process-wide pool and
+/// returned in corpus order.  Figures 9, 10, 11, 12 and 13 all derive from
+/// this data.
 pub fn evaluate_corpus(ctx: &ExperimentContext) -> Vec<CorpusResult> {
     let sim = GpuSim::new(ctx.device.clone());
-    let mut results = Vec::new();
-    for entry in suite::corpus(&ctx.corpus) {
-        if let Some(result) = evaluate_matrix(ctx, &sim, &entry.name, &entry.matrix) {
-            results.push(result);
-        }
-    }
-    results
+    alpha_parallel::Pool::shared()
+        .parallel_map(&suite::corpus(&ctx.corpus), |entry| {
+            evaluate_matrix(ctx, &sim, &entry.name, &entry.matrix)
+        })
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Evaluates one matrix (used by the corpus sweep and the case studies).
@@ -265,10 +258,10 @@ pub struct Table3Row {
     pub gflops_pruning: f64,
 }
 
-/// Table III: search time and winner quality with and without pruning.
+/// Table III: search time and winner quality with and without pruning, the
+/// matrices spread over the process-wide pool and returned in table order.
 pub fn table3(ctx: &ExperimentContext) -> Vec<Table3Row> {
-    let mut rows = Vec::new();
-    for name in suite::table3_names() {
+    let row = |name: &&'static str| {
         let matrix = suite::named_matrix(name, ctx.suite_scale)
             .expect("catalogue entry")
             .matrix;
@@ -281,21 +274,21 @@ pub fn table3(ctx: &ExperimentContext) -> Vec<Table3Row> {
         unpruned_cfg.max_iterations = ctx.search_budget * 3;
         // Both searches share ctx.cache: candidates the pruned search already
         // simulated are served from the cache during the unpruned search.
-        let (Ok(pruned), Ok(unpruned)) = (
-            ctx.search(&matrix, &pruned_cfg),
-            ctx.search(&matrix, &unpruned_cfg),
-        ) else {
-            continue;
-        };
-        rows.push(Table3Row {
+        let pruned = ctx.search(&matrix, &pruned_cfg).ok()?;
+        let unpruned = ctx.search(&matrix, &unpruned_cfg).ok()?;
+        Some(Table3Row {
             matrix: name.to_string(),
             hours_no_pruning: unpruned.stats.search_hours,
             hours_pruning: pruned.stats.search_hours,
             gflops_no_pruning: unpruned.best_report.gflops,
             gflops_pruning: pruned.best_report.gflops,
-        });
-    }
-    rows
+        })
+    };
+    alpha_parallel::Pool::shared()
+        .parallel_map(&suite::table3_names(), row)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -479,12 +472,11 @@ const HOST_ROUNDS: usize = 7;
 /// `SearchConfig::default()` and under the cost model, lowers every preset
 /// through `NativeKernel::select`, and times both winners and the fastest
 /// preset in alternation on this host.  A stand-in either tune fails on is
-/// skipped.
+/// skipped.  The stand-ins are served one at a time: this comparison times.
 pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
     use alphasparse::{AlphaSparse, NativeKernel, TimingHarness};
     let measured = SearchConfig {
         device: ctx.device.clone(),
-        threads: ctx.threads,
         ..SearchConfig::default()
     };
     let simulated = SearchConfig {
@@ -575,47 +567,13 @@ pub const KNOWN_MODES: &[&str] = &[
 /// model, so `all` does not run it.
 pub const HOST_MODE: &str = "host";
 
-/// The parsed `reproduce` command line: the mode list plus the flag that
-/// applies across modes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchCli {
-    /// Validated, lower-cased modes (defaults to `["all"]`).
-    pub modes: Vec<String>,
-    /// Worker-thread override (`--threads N`); 0 = one per available core.
-    /// Flows into `SearchConfig::threads` for every mode.
-    pub threads: usize,
-}
-
-/// Parses the full `reproduce` command line: `--threads N` / `--threads=N`
-/// anywhere, every other argument a mode.
-pub fn parse_cli(args: &[String]) -> Result<BenchCli, String> {
-    let mut modes = Vec::new();
-    let mut threads = 0usize;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(value) = arg.strip_prefix("--threads=") {
-            threads = parse_threads(value)?;
-        } else if arg == "--threads" {
-            let value = iter
-                .next()
-                .ok_or_else(|| "--threads requires a value (0 = one per core)".to_string())?;
-            threads = parse_threads(value)?;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag '{arg}'\nknown flags: --threads N"));
-        } else {
-            modes.push(arg.clone());
-        }
+/// Parses the full `reproduce` command line: every argument is a mode, and
+/// `reproduce` takes no flags.
+pub fn parse_cli(args: &[String]) -> Result<Vec<String>, String> {
+    if let Some(flag) = args.iter().find(|arg| arg.starts_with("--")) {
+        return Err(format!("unknown flag '{flag}' (reproduce takes no flags)"));
     }
-    Ok(BenchCli {
-        modes: resolve_modes(&modes)?,
-        threads,
-    })
-}
-
-fn parse_threads(value: &str) -> Result<usize, String> {
-    value
-        .parse::<usize>()
-        .map_err(|_| format!("--threads expects a non-negative integer, got '{value}'"))
+    resolve_modes(args)
 }
 
 /// Normalises and validates the `reproduce` mode list.  No arguments means
@@ -648,7 +606,6 @@ pub fn mode_selected(wanted: &[String], key: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpha_matrix::gen;
 
     fn tiny_context() -> ExperimentContext {
         ExperimentContext {
@@ -656,7 +613,6 @@ mod tests {
             corpus: CorpusConfig::tiny(),
             suite_scale: SuiteScale(1.0 / 512.0),
             search_budget: 8,
-            threads: 0,
             cache: Arc::new(DesignCache::new()),
         }
     }
@@ -689,6 +645,34 @@ mod tests {
         );
         let (reg, irr) = fig13_iterations(&results);
         assert!(reg >= 0.0 && irr >= 0.0);
+    }
+
+    #[test]
+    fn the_corpus_sweep_is_the_serial_sweep_in_order() {
+        // The sweep spreads its matrices over the pool and shares one cache
+        // between their searches; entry by entry on a fresh cache must read
+        // the same, in the same order.
+        let swept = evaluate_corpus(&tiny_context());
+        let serial_ctx = tiny_context();
+        let sim = GpuSim::new(serial_ctx.device.clone());
+        let serial: Vec<CorpusResult> = suite::corpus(&serial_ctx.corpus)
+            .iter()
+            .filter_map(|entry| evaluate_matrix(&serial_ctx, &sim, &entry.name, &entry.matrix))
+            .collect();
+        let summary = |results: &[CorpusResult]| -> Vec<(String, String, u64)> {
+            results
+                .iter()
+                .map(|r| {
+                    (
+                        r.name.clone(),
+                        r.alphasparse.best_graph.signature(),
+                        r.alphasparse.best_report.gflops.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(swept.len(), CorpusConfig::tiny().len());
+        assert_eq!(summary(&swept), summary(&serial));
     }
 
     #[test]
@@ -743,37 +727,15 @@ mod tests {
 
     #[test]
     fn cli_parses_threads_flag_in_both_spellings() {
-        let cli = parse_cli(&["fig2".into(), "--threads".into(), "4".into()]).unwrap();
-        assert_eq!(cli.modes, vec!["fig2".to_string()]);
-        assert_eq!(cli.threads, 4);
-        let cli = parse_cli(&["--threads=2".into(), "fig10".into(), "fig14".into()]).unwrap();
-        assert_eq!(cli.modes, vec!["fig10".to_string(), "fig14".to_string()]);
-        assert_eq!(cli.threads, 2);
-        // Default: all modes, auto threads.
-        let cli = parse_cli(&[]).unwrap();
-        assert_eq!(cli.modes, vec!["all".to_string()]);
-        assert_eq!(cli.threads, 0);
-        // Errors: missing/garbled value, unknown flag, unknown mode.
-        assert!(parse_cli(&["--threads".into()]).is_err());
-        assert!(parse_cli(&["--threads".into(), "many".into()]).is_err());
-        assert!(parse_cli(&["--frobnicate".into()]).is_err());
-        let err = parse_cli(&["--trace".into()]).unwrap_err();
-        assert!(err.contains("known flags: --threads N"), "{err}");
+        let modes = parse_cli(&["fig10".into(), "fig14".into()]).unwrap();
+        assert_eq!(modes, vec!["fig10".to_string(), "fig14".to_string()]);
+        // Default: all modes.
+        assert_eq!(parse_cli(&[]).unwrap(), vec!["all".to_string()]);
+        // `--threads` is refused in both spellings, like any other flag.
+        for flag in ["--threads", "--threads=2", "--frobnicate"] {
+            let err = parse_cli(&["fig2".into(), flag.into(), "4".into()]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
         assert!(parse_cli(&["bogus".into()]).is_err());
-    }
-
-    #[test]
-    fn threads_override_flows_into_search_configs_without_changing_winners() {
-        let base = tiny_context();
-        let pinned = tiny_context().with_threads(1);
-        assert_eq!(pinned.search_config().threads, 1);
-        assert_eq!(base.search_config().threads, 0);
-        // The engine's determinism guarantee, spot-checked end to end: the
-        // same search at different thread counts finds the same design.
-        let matrix = gen::powerlaw(256, 256, 6, 2.0, 7);
-        let a = base.search(&matrix, &base.search_config()).unwrap();
-        let b = pinned.search(&matrix, &pinned.search_config()).unwrap();
-        assert_eq!(a.best_graph, b.best_graph);
-        assert_eq!(a.best_report.gflops, b.best_report.gflops);
     }
 }

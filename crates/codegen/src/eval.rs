@@ -4,9 +4,9 @@
 //! The contract lives beside the generator because every backend implements
 //! it by generating the candidate first: `alpha-gpu`'s cost model (the
 //! search's `SimEvaluator`) and `alpha-cpu`'s measured `NativeEvaluator`.
-//! The search engine (`alpha-search`) composes evaluators — caching,
-//! batching — and selects one per search; it names both backends, and
-//! neither backend depends on it.
+//! The search engine (`alpha-search`) wraps the one it selects per search
+//! in its design cache; it names both backends, and neither backend depends
+//! on it.
 
 use crate::GeneratorOptions;
 use alpha_gpu::{DeviceProfile, PerfReport};
@@ -219,32 +219,10 @@ pub struct Evaluation {
 pub trait Evaluator: Send + Sync {
     /// Evaluates a single candidate.
     fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation>;
-
-    /// Evaluates a batch; index `i` of the result corresponds to `batch[i]`.
-    /// The default implementation is serial; the search's `BatchEvaluator`
-    /// parallelises.
-    fn evaluate_batch(
-        &self,
-        ctx: &EvalContext<'_>,
-        batch: &[OperatorGraph],
-    ) -> Vec<Option<Evaluation>> {
-        batch
-            .iter()
-            .map(|graph| self.evaluate(ctx, graph))
-            .collect()
-    }
 }
 
 impl Evaluator for Box<dyn Evaluator> {
     fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
         (**self).evaluate(ctx, graph)
-    }
-
-    fn evaluate_batch(
-        &self,
-        ctx: &EvalContext<'_>,
-        batch: &[OperatorGraph],
-    ) -> Vec<Option<Evaluation>> {
-        (**self).evaluate_batch(ctx, batch)
     }
 }

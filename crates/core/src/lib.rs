@@ -43,8 +43,8 @@ pub use alpha_cpu::{MeasuredReport, NativeEvaluator, NativeKernel, TimingHarness
 pub use alpha_gpu::{DeviceProfile, GpuSim, PerfReport, SpmvKernel};
 pub use alpha_matrix::{CsrMatrix, MatrixStats, Scalar};
 pub use alpha_search::{
-    BatchEvaluator, CacheStats, CachingEvaluator, DesignCache, EvalContext, Evaluation, Evaluator,
-    EvaluatorChoice, EvaluatorId, SearchConfig, SearchOutcome, SearchStats, SimEvaluator,
+    CacheStats, CachingEvaluator, DesignCache, EvalContext, Evaluation, Evaluator, EvaluatorChoice,
+    EvaluatorId, SearchConfig, SearchOutcome, SearchStats, SimEvaluator,
 };
 
 use alpha_codegen::{generate, GeneratedSpmv, GeneratorOptions};
@@ -192,15 +192,6 @@ impl AlphaSparse {
         self
     }
 
-    /// Sets the number of worker threads candidate batches are evaluated on
-    /// (0 = one per available core).  Thread count never changes which
-    /// design wins — only how fast the search gets there.  A measured search
-    /// (the default) evaluates one candidate at a time whatever this says.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// Replaces the tuner's design cache with a shared one, so several
     /// tuners (e.g. per-device instances) can pool their evaluations.
     pub fn with_shared_cache(mut self, cache: Arc<DesignCache>) -> Self {
@@ -221,10 +212,9 @@ impl AlphaSparse {
     /// (`alpha-cpu`) and scored by a steady-state wall clock, so `auto_tune`
     /// optimises the time this machine actually takes.
     ///
-    /// The search evaluates measured candidates one at a time, whatever
-    /// [`with_threads`](AlphaSparse::with_threads) says, so concurrent
-    /// measurements do not steal each other's cores; the kernels themselves
-    /// use `kernel_threads` workers.  Measured winners are cached and stored
+    /// The search evaluates its candidates one at a time, so no two
+    /// measurements steal each other's cores; the kernels themselves use
+    /// `kernel_threads` workers.  Measured winners are cached and stored
     /// under an identity that carries the harness parameters — they never
     /// mix with cost-model results or with other harnesses' readings.
     pub fn with_native_execution_harness(
@@ -421,12 +411,12 @@ impl TunedSpmv {
     /// repeated calls reuse the process-wide persistent worker pool — no
     /// thread is ever spawned on this path.
     ///
-    /// The shared pool runs one job at a time, and candidate-batch fan-out
-    /// during a concurrent `auto_tune` uses the same pool (in bounded
-    /// `batch_size` jobs), so a multi-threaded `run` issued *while another
-    /// thread is tuning in the same process* can wait out a batch.  A
-    /// latency-sensitive server running SpMV next to tuning should choose
-    /// the executor per request with [`TunedSpmv::run_with_pool`].
+    /// The shared pool runs one job at a time, and a concurrent measured
+    /// `auto_tune` times its candidates' kernels on the same pool, so a
+    /// multi-threaded `run` issued *while another thread is tuning in the
+    /// same process* can wait out one timed run.  A latency-sensitive
+    /// server running SpMV next to tuning should choose the executor per
+    /// request with [`TunedSpmv::run_with_pool`].
     pub fn run(&self, x: &[Scalar]) -> Result<Vec<Scalar>, String> {
         self.native_kernel().run(x, 0)
     }

@@ -3,7 +3,7 @@
 //!
 //! The evaluator implements the evaluation contract
 //! ([`alpha_codegen::Evaluator`]), so it slots under the search's
-//! `CachingEvaluator` / `BatchEvaluator` layers; it is the search's default
+//! `CachingEvaluator` layer; it is the search's default
 //! backend (`EvaluatorChoice::Native`, which `alpha-search` builds), and the
 //! three-level search then optimises what a stopwatch actually reads on this
 //! machine.  Each candidate is designed
@@ -41,9 +41,8 @@
 //!   share cache entries with each other or with simulated results.
 //! * Candidates are timed one at a time: concurrent candidate measurements
 //!   steal each other's cores and corrupt the timings, so the search
-//!   evaluates one candidate at a time under any evaluator whose id is
-//!   native, whatever `SearchConfig::threads` says.  The kernel itself still
-//!   uses all `kernel_threads` workers.
+//!   evaluates one candidate at a time.  The kernel itself still uses all
+//!   `kernel_threads` workers.
 
 use crate::harness::TimingHarness;
 pub use crate::harness::NATIVE_DEVICE_LABEL;
@@ -322,7 +321,7 @@ impl Evaluator for NativeEvaluator {
     }
 }
 
-// Evaluators cross thread boundaries under BatchEvaluator; pin that.
+// Concurrent searches share an evaluator's state across threads; pin that.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<NativeEvaluator>();
@@ -559,8 +558,7 @@ pub(crate) mod tests {
         let ctx = context_fixture(&matrix);
         let evaluator = NativeEvaluator::new(TimingHarness::default(), 1);
         let batch = gpu_only_variants();
-        let results =
-            Pool::shared().parallel_map_capped(&batch, 4, |graph| evaluator.evaluate(&ctx, graph));
+        let results = Pool::shared().parallel_map(&batch, |graph| evaluator.evaluate(&ctx, graph));
         assert_eq!(evaluator.executions(), batch.len());
         assert_eq!(evaluator.measurements(), 1);
         let times: Vec<u64> = results

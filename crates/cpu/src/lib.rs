@@ -20,7 +20,7 @@
 //!   implementation that scores search candidates by **measured time**
 //!   instead of modelled cost: the search's default backend
 //!   (`alpha-search` builds it for `EvaluatorChoice::Native`), composable
-//!   with the search's `CachingEvaluator` / `BatchEvaluator` layers.  Every
+//!   with the search's `CachingEvaluator` layer.  Every
 //!   candidate is designed; a verification and a measurement are filed under
 //!   the [`PlannedProgram`] its plans lower to, so the many graphs that
 //!   lower to one kernel cost one generation, one lowering, one verification

@@ -1359,7 +1359,7 @@ fn the_event_loop_answers_while_a_tune_is_held() {
         EvaluatorChoice::custom(EvaluatorId::Simulated, move || {
             Box::new(GatedEvaluator {
                 gate: gate.clone(),
-                inner: SimEvaluator::new(DeviceProfile::a100(), 1),
+                inner: SimEvaluator::new(DeviceProfile::a100()),
             })
         })
     };

@@ -542,7 +542,7 @@ impl Pool {
     /// shared counter until none are left, so once one invocation has
     /// returned normally, another one has nothing to do.  That is what lets
     /// the submitter retract unclaimed worker slots instead of waiting for
-    /// them (both callers, `parallel_map_capped` and `run_over_chunks`, are
+    /// them (both callers, `parallel_map` and `run_over_chunks`, are
     /// drains; after a panic the leftovers are abandoned with the job).
     fn execute(&self, work: &(dyn Fn() + Sync), worker_hint: usize) -> Option<Box<dyn Any + Send>> {
         let shared = &*self.shared;
@@ -628,53 +628,35 @@ impl Pool {
     }
 
     /// Order-preserving parallel map on the pool: `result[i] == f(&items[i])`
-    /// with up to [`Pool::threads`] concurrent executors.  Panics in `f`
-    /// propagate to the caller; the pool survives them.
+    /// with up to [`Pool::threads`] concurrent executors (and no more than
+    /// there are items).  A one-thread pool, or a single item, runs inline
+    /// with no pool dispatch at all.  Panics in `f` propagate to the caller;
+    /// the pool survives them.
     pub fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.parallel_map_capped(items, usize::MAX, f)
-    }
-
-    /// [`Pool::parallel_map`] with at most `cap` concurrent executors — the
-    /// knob a configured thread count (`SearchConfig::threads`,
-    /// `with_batch_threads`) maps onto when the pool itself is larger.
-    /// `cap <= 1` runs inline with no pool dispatch at all.
-    pub fn parallel_map_capped<T, R, F>(&self, items: &[T], cap: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let cap = cap.clamp(1, self.threads()).min(items.len().max(1));
-        if cap == 1 || self.is_reentrant() {
+        let executors = self.threads().min(items.len().max(1));
+        if executors == 1 || self.is_reentrant() {
             return items.iter().map(&f).collect();
         }
         let slots = MapSlots::new(items.len());
         let next = AtomicUsize::new(0);
-        let participants = AtomicUsize::new(0);
-        let work = || {
-            // Late-waking executors beyond the cap bow out immediately.
-            if participants.fetch_add(1, Ordering::Relaxed) >= cap {
-                return;
+        let work = || loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= items.len() {
+                break;
             }
-            loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= items.len() {
-                    break;
-                }
-                let result = f(&items[index]);
-                // SAFETY: `index` came from the shared counter — claimed
-                // exactly once, in bounds.
-                unsafe { slots.write(index, result) };
-            }
+            let result = f(&items[index]);
+            // SAFETY: `index` came from the shared counter — claimed exactly
+            // once, in bounds.
+            unsafe { slots.write(index, result) };
         };
-        // The caller takes one executor slot; only `cap - 1` workers are
-        // engaged.
-        let panic = self.execute(&work, cap - 1);
+        // The caller takes one executor slot; only `executors - 1` workers
+        // are engaged.
+        let panic = self.execute(&work, executors - 1);
         slots.finish(panic)
     }
 
@@ -1064,25 +1046,26 @@ mod tests {
 
     #[test]
     fn preserves_order_and_covers_every_item() {
-        // Every cap — serial, below, at and above the pool's size (a thread
-        // count above the pool is capped at it) — gives the same answer.
-        let pool = Pool::new(4);
-        let items: Vec<usize> = (0..257).collect();
-        for cap in [0, 1, 2, 4, 7, usize::MAX] {
-            let doubled = pool.parallel_map_capped(&items, cap, |&x| 2 * x);
-            assert_eq!(doubled, items.iter().map(|x| 2 * x).collect::<Vec<_>>());
+        // Every pool size — serial, smaller and larger — and every input
+        // length around it gives the same answer.
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            for len in [1, 3, 257] {
+                let items: Vec<usize> = (0..len).collect();
+                let doubled = pool.parallel_map(&items, |&x| 2 * x);
+                assert_eq!(doubled, items.iter().map(|x| 2 * x).collect::<Vec<_>>());
+            }
         }
     }
 
     #[test]
     fn runs_on_multiple_threads_when_asked() {
-        // Asking for more executors than the pool has engages all of them
-        // and no more.
+        // A map engages every executor the pool has, and no more.
         let pool = Pool::new(3);
         let concurrent = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let items: Vec<usize> = (0..64).collect();
-        pool.parallel_map_capped(&items, 8, |_| {
+        pool.parallel_map(&items, |_| {
             let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -1320,27 +1303,6 @@ mod tests {
             concurrent.fetch_sub(1, Ordering::SeqCst);
         });
         assert!(peak.load(Ordering::SeqCst) > 1, "work never overlapped");
-    }
-
-    #[test]
-    fn pool_map_cap_bounds_concurrency() {
-        let pool = Pool::new(8);
-        let concurrent = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..64).collect();
-        let out = pool.parallel_map_capped(&items, 2, |&x| {
-            let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_micros(300));
-            concurrent.fetch_sub(1, Ordering::SeqCst);
-            x + 1
-        });
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "cap must bound concurrency, saw {}",
-            peak.load(Ordering::SeqCst)
-        );
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! The three-level search loop (paper Section VI-A).
 //!
 //! Candidate evaluation — the dominant cost — is delegated to the
-//! [`Evaluator`] subsystem: candidates are evaluated
-//! in batches fanned out across worker threads, with results
-//! memoised in a [`DesignCache`].  Batches are *consumed in input order* and
-//! the budget / annealing stop conditions are applied during consumption, so
-//! under the cost model a fixed [`SearchConfig::seed`] selects the same final
-//! design regardless of [`SearchConfig::threads`].  Under a measured
-//! evaluator (the default) the schedule is just as fixed, but the readings
-//! are the host's, and the search evaluates one candidate at a time.
+//! [`Evaluator`] subsystem, with results memoised in a [`DesignCache`].
+//! Candidates are evaluated one at a time, in schedule order, as the paper's
+//! search times each candidate on the target: two timings cannot share one
+//! machine.  Under the cost model a fixed [`SearchConfig::seed`] therefore
+//! selects the same final design on any machine; under a measured evaluator
+//! (the default) the schedule is just as fixed, but the readings are the
+//! host's.
 //!
-//! The budget is checked *before* a batch is evaluated and the batch is cut
-//! to the iterations that remain, so the search never pays for a candidate
-//! the budget would discard (an infeasible candidate does not count against
-//! the budget, so a short batch is simply followed by another).  Only the
-//! annealer can still stop inside a batch — it reacts to results, which do
-//! not exist before the batch ran — and then the rest of that one batch was
-//! evaluated for nothing (and cached for later).
+//! The budget, the hour cap and the annealer are checked *before* each
+//! evaluation, so the search never pays for a candidate a stop condition
+//! would discard (an infeasible candidate does not count against the
+//! budget).
 //!
 //! All candidates of one search are designed through one
 //! [`Designer`](alpha_graph::Designer), owned by the search's
@@ -26,9 +22,7 @@
 use crate::enumerate::{
     coarse_variants, fine_variants, mutate_structure, seed_structures, MutationRng,
 };
-use crate::eval::{
-    BatchEvaluator, CachingEvaluator, DesignCache, EvalContext, Evaluator, EvaluatorChoice,
-};
+use crate::eval::{CachingEvaluator, DesignCache, EvalContext, Evaluator, EvaluatorChoice};
 use crate::features::{featurise, matrix_feature_vector};
 use crate::ml::{Annealer, GbtConfig, GradientBoostedTrees, Sample};
 use crate::persist::StoredDesign;
@@ -72,18 +66,6 @@ pub struct SearchConfig {
     pub mutations_per_seed: usize,
     /// Random seed for mutation and input-vector generation.
     pub seed: u64,
-    /// Worker threads candidate batches are fanned out over (0 = one per
-    /// available CPU core, 1 = serial).  Does not affect which design wins.
-    /// A search whose evaluator measures time ([`EvaluatorId::is_native`])
-    /// ignores it and evaluates one candidate at a time, so concurrent
-    /// measurements never steal each other's cores.
-    ///
-    /// [`EvaluatorId::is_native`]: crate::eval::EvaluatorId::is_native
-    pub threads: usize,
-    /// Candidates per evaluation batch.  Fixed independently of `threads` so
-    /// the evaluation schedule — and therefore every statistic — is
-    /// reproducible on any machine.
-    pub batch_size: usize,
     /// Known-good designs injected ahead of the enumerated seed structures —
     /// the warm-start hook.  A serving layer passes the stored winners of
     /// structurally similar matrices here; they are evaluated first (so the
@@ -115,8 +97,6 @@ impl Default for SearchConfig {
             enable_model_compression: true,
             mutations_per_seed: 4,
             seed: 42,
-            threads: 0,
-            batch_size: 16,
             seed_designs: Vec::new(),
             evaluator: EvaluatorChoice::default(),
         }
@@ -200,30 +180,7 @@ pub fn search_with_cache(
     let ctx = EvalContext::new(matrix, &config.device, options, config.seed)?
         .with_evaluator(config.evaluator.id());
 
-    // Parallelism lives at the candidate level; each candidate's simulation
-    // runs on exactly ONE worker.  This is a determinism requirement, not
-    // just a scheduling choice: the simulator merges per-worker partial `y`
-    // vectors and f64 cost counters, and floating-point addition is not
-    // associative, so reports could differ in ULPs across worker counts —
-    // enough to flip a near-tie winner or a tolerance-boundary feasibility
-    // check.  One worker per simulation makes every report bit-identical
-    // regardless of `config.threads` and of the machine's core count (which
-    // also keeps shared DesignCache entries reproducible everywhere).
-    // A measured evaluation is the exception one level up: its candidates
-    // run one at a time, because two concurrent timings steal each other's
-    // cores.
-    let threads = if config.evaluator.id().is_native() {
-        1
-    } else if config.threads == 0 {
-        alpha_parallel::default_threads()
-    } else {
-        config.threads
-    };
-    let evaluator = BatchEvaluator::new(
-        CachingEvaluator::new(config.evaluator.build(&config.device), cache.clone()),
-        threads,
-    );
-    let batch_size = config.batch_size.max(1);
+    let evaluator = CachingEvaluator::new(config.evaluator.build(&config.device), cache.clone());
 
     // Matrix fingerprint tags every per-level span so traces of a fleet run
     // can be grouped by matrix in chrome://tracing.
@@ -298,52 +255,32 @@ pub fn search_with_cache(
             || stats.iterations as f64 * SECONDS_PER_REAL_ITERATION / 3600.0 >= config.max_hours
     };
 
-    // The full coarse-grid candidate list, deduplicated in first-seen order.
-    // Batches are cut from this list; results are consumed strictly in order
-    // with the stop conditions applied per candidate, which makes the
-    // consumed prefix — and hence the outcome — independent of `threads`.
-    let candidates: Vec<OperatorGraph> = {
-        let mut dedup: BTreeSet<String> = BTreeSet::new();
-        structures
-            .iter()
-            .flat_map(coarse_variants)
-            .filter(|candidate| dedup.insert(candidate.signature()))
-            .collect()
-    };
-
-    let mut next = 0usize;
-    'level2: while next < candidates.len() && !budget_reached(&stats) {
-        // At most as many candidates as iterations remain: the consumed
-        // prefix is what it would be with full batches, the evaluations past
-        // it are simply never made.
-        let room = batch_size.min(config.max_iterations - stats.iterations);
-        let batch = &candidates[next..(next + room).min(candidates.len())];
-        let results = evaluator.evaluate_batch(&ctx, batch);
-        for (candidate, result) in batch.iter().zip(results) {
-            // Only the hour cap can still trip inside a batch.
-            if budget_reached(&stats) {
-                break 'level2;
-            }
-            evaluated.insert(candidate.signature());
-            let Some(eval) = result else {
-                continue;
-            };
-            stats.iterations += 1;
-            let gflops = eval.report.gflops;
-            samples.push(Sample::new(featurise(candidate, &stats_of_matrix), gflops));
-            if best
-                .as_ref()
-                .map(|(_, r, _)| gflops > r.gflops)
-                .unwrap_or(true)
-            {
-                best = Some((candidate.clone(), eval.report, eval.kernel_shape));
-            }
-            annealer.observe(gflops);
-            if annealer.should_stop() {
-                break 'level2;
-            }
+    // The full coarse-grid candidate list, deduplicated in first-seen order
+    // and evaluated strictly in that order.
+    let mut dedup: BTreeSet<String> = BTreeSet::new();
+    let candidates = structures
+        .iter()
+        .flat_map(coarse_variants)
+        .filter(|candidate| dedup.insert(candidate.signature()));
+    for candidate in candidates {
+        if budget_reached(&stats) || annealer.should_stop() {
+            break;
         }
-        next += batch.len();
+        evaluated.insert(candidate.signature());
+        let Some(eval) = evaluator.evaluate(&ctx, &candidate) else {
+            continue;
+        };
+        stats.iterations += 1;
+        let gflops = eval.report.gflops;
+        samples.push(Sample::new(featurise(&candidate, &stats_of_matrix), gflops));
+        if best
+            .as_ref()
+            .map(|(_, r, _)| gflops > r.gflops)
+            .unwrap_or(true)
+        {
+            best = Some((candidate, eval.report, eval.kernel_shape));
+        }
+        annealer.observe(gflops);
     }
 
     drop(l2_span);
@@ -364,20 +301,16 @@ pub fn search_with_cache(
             }
         }
         predictions.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite predictions"));
-        let top: Vec<OperatorGraph> = predictions
-            .into_iter()
-            .take(5)
-            .map(|(_, candidate)| candidate)
-            .filter(|candidate| evaluated.insert(candidate.signature()))
-            .collect();
-        let results = evaluator.evaluate_batch(&ctx, &top);
-        for (candidate, result) in top.iter().zip(results) {
-            let Some(eval) = result else {
+        for (_, candidate) in predictions.into_iter().take(5) {
+            if !evaluated.insert(candidate.signature()) {
+                continue;
+            }
+            let Some(eval) = evaluator.evaluate(&ctx, &candidate) else {
                 continue;
             };
             stats.ml_evaluations += 1;
             samples.push(Sample::new(
-                featurise(candidate, &stats_of_matrix),
+                featurise(&candidate, &stats_of_matrix),
                 eval.report.gflops,
             ));
             if best
@@ -385,7 +318,7 @@ pub fn search_with_cache(
                 .map(|(_, r, _)| eval.report.gflops > r.gflops)
                 .unwrap_or(true)
             {
-                best = Some((candidate.clone(), eval.report, eval.kernel_shape));
+                best = Some((candidate, eval.report, eval.kernel_shape));
             }
         }
     }
@@ -397,7 +330,7 @@ pub fn search_with_cache(
             .min(config.max_hours);
     // Per-search counters from this search's own wrapper — correct even when
     // several concurrent searches share the cache.
-    let cache_stats = evaluator.inner().stats();
+    let cache_stats = evaluator.stats();
     stats.cache_hits = cache_stats.hits;
     stats.cache_misses = cache_stats.misses;
 
@@ -485,29 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_winner() {
-        // The acceptance property of the Evaluator refactor: a fixed seed
-        // selects the same design — with identical statistics — whether the
-        // batches run serially or on many workers.
-        let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 13);
-        let mut serial_cfg = quick_config(40);
-        serial_cfg.threads = 1;
-        let serial = search(&matrix, &serial_cfg).unwrap();
-        for threads in [2, 4, 8] {
-            let mut parallel_cfg = quick_config(40);
-            parallel_cfg.threads = threads;
-            let parallel = search(&matrix, &parallel_cfg).unwrap();
-            assert_eq!(
-                serial.best_graph.signature(),
-                parallel.best_graph.signature(),
-                "winner changed at {threads} threads"
-            );
-            assert_eq!(serial.stats.iterations, parallel.stats.iterations);
-            assert_eq!(serial.best_report.gflops, parallel.best_report.gflops);
-        }
-    }
-
-    #[test]
     fn repeated_search_is_served_from_the_cache() {
         let matrix = gen::powerlaw(1_024, 1_024, 8, 2.0, 5);
         let cache = Arc::new(DesignCache::new());
@@ -553,11 +463,11 @@ mod tests {
         assert!(outcome.stats.iterations <= 12);
     }
 
-    /// The simulator, counting its invocations and how many found the
-    /// candidate infeasible.
+    /// The simulator, recording the outcome of each invocation in order:
+    /// its GFLOP/s, or `None` where it found the candidate infeasible.
     struct Counting {
         inner: crate::eval::SimEvaluator,
-        calls: Arc<[std::sync::atomic::AtomicUsize; 2]>,
+        outcomes: Arc<std::sync::Mutex<Vec<Option<f64>>>>,
     }
 
     impl Evaluator for Counting {
@@ -566,17 +476,52 @@ mod tests {
             ctx: &EvalContext<'_>,
             graph: &OperatorGraph,
         ) -> Option<crate::eval::Evaluation> {
-            use std::sync::atomic::Ordering::Relaxed;
             let evaluation = self.inner.evaluate(ctx, graph);
-            self.calls[0].fetch_add(1, Relaxed);
-            self.calls[1].fetch_add(evaluation.is_none() as usize, Relaxed);
+            self.outcomes
+                .lock()
+                .unwrap()
+                .push(evaluation.as_ref().map(|e| e.report.gflops));
             evaluation
         }
     }
 
+    /// Searches `matrix` under [`Counting`] and returns the outcome with the
+    /// recorded invocations.
+    fn counted_search(
+        matrix: &CsrMatrix,
+        config: SearchConfig,
+    ) -> (SearchOutcome, Vec<Option<f64>>) {
+        let outcomes: Arc<std::sync::Mutex<Vec<Option<f64>>>> = Arc::default();
+        let recorded = outcomes.clone();
+        let config = SearchConfig {
+            evaluator: EvaluatorChoice::custom(crate::eval::EvaluatorId::Simulated, move || {
+                Box::new(Counting {
+                    inner: crate::eval::SimEvaluator::new(DeviceProfile::a100()),
+                    outcomes: recorded.clone(),
+                })
+            }),
+            ..config
+        };
+        let outcome = search(matrix, &config).unwrap();
+        let invocations = outcomes.lock().unwrap().clone();
+        (outcome, invocations)
+    }
+
+    /// Every invocation is accounted for: a consumed feasible candidate, an
+    /// infeasible one, or a level-3 pick.
+    fn assert_every_invocation_counts(outcome: &SearchOutcome, invocations: &[Option<f64>]) {
+        let infeasible = invocations.iter().filter(|g| g.is_none()).count();
+        assert_eq!(outcome.stats.cache_misses, invocations.len());
+        assert_eq!(
+            invocations.len(),
+            outcome.stats.iterations + infeasible + outcome.stats.ml_evaluations,
+            "{} invocations, {infeasible} infeasible",
+            invocations.len()
+        );
+    }
+
     #[test]
     fn a_search_pays_for_its_budget_and_not_a_batch_more() {
-        use std::sync::atomic::Ordering::Relaxed;
         // Three rows cannot be split four ways: on the second matrix the
         // 4-part variants of the ROW_DIV seeds are infeasible, and a warm
         // ROW_DIV seed puts one of them at the head of the schedule.
@@ -596,48 +541,50 @@ mod tests {
         ];
         for (name, matrix, expect_infeasible) in &matrices {
             for budget in [30, 80] {
-                let mut outcomes = Vec::new();
-                for threads in [1, 4] {
-                    let calls: Arc<[std::sync::atomic::AtomicUsize; 2]> = Arc::default();
-                    let counted = calls.clone();
-                    let config = SearchConfig {
-                        threads,
-                        batch_size: 16,
-                        seed_designs: vec![warm.clone()],
-                        evaluator: EvaluatorChoice::custom(
-                            crate::eval::EvaluatorId::Simulated,
-                            move || {
-                                Box::new(Counting {
-                                    inner: crate::eval::SimEvaluator::new(DeviceProfile::a100(), 1),
-                                    calls: counted.clone(),
-                                })
-                            },
-                        ),
-                        ..quick_config(budget)
-                    };
-                    let outcome = search(matrix, &config).unwrap();
-                    let (invoked, infeasible) = (calls[0].load(Relaxed), calls[1].load(Relaxed));
-                    let what = format!("{name}, budget {budget}, {threads} thread(s)");
-                    // The budget binds (the annealer is still hot), so every
-                    // invocation is accounted for: a consumed feasible
-                    // candidate, an infeasible one, or a level-3 pick.
-                    assert_eq!(outcome.stats.iterations, budget, "{what}");
-                    assert_eq!(outcome.stats.cache_misses, invoked, "{what}");
-                    assert!(
-                        invoked <= budget + infeasible + 5,
-                        "{what}: {invoked} invocations, {infeasible} infeasible"
-                    );
-                    assert_eq!(infeasible > 0, *expect_infeasible, "{what}");
-                    outcomes.push((
-                        outcome.best_graph.signature(),
-                        outcome.best_report.gflops,
-                        outcome.stats.ml_evaluations,
-                        invoked,
-                    ));
-                }
-                assert_eq!(outcomes[0], outcomes[1], "{name}, budget {budget}");
+                let config = SearchConfig {
+                    seed_designs: vec![warm.clone()],
+                    ..quick_config(budget)
+                };
+                let (outcome, invocations) = counted_search(matrix, config);
+                let what = format!("{name}, budget {budget}");
+                // The budget binds: the annealer is still hot.
+                assert_eq!(outcome.stats.iterations, budget, "{what}");
+                assert_every_invocation_counts(&outcome, &invocations);
+                assert_eq!(
+                    invocations.iter().any(Option::is_none),
+                    *expect_infeasible,
+                    "{what}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn an_annealer_stop_evaluates_nothing_past_it() {
+        let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 13);
+        let config = SearchConfig {
+            enable_pruning: false,
+            mutations_per_seed: 8,
+            ..quick_config(400)
+        };
+        let (outcome, invocations) = counted_search(&matrix, config);
+        assert!(outcome.stats.iterations < 400, "the budget bound");
+        assert_eq!(outcome.stats.cache_hits, 0);
+        assert_every_invocation_counts(&outcome, &invocations);
+        // Replaying the level-2 readings through a fresh annealer: it asks to
+        // stop after the last one, and not before.
+        let mut annealer = Annealer::new(25.0, 0.97, 20);
+        let level2: Vec<f64> = invocations
+            .iter()
+            .flatten()
+            .copied()
+            .take(outcome.stats.iterations)
+            .collect();
+        for (i, gflops) in level2.iter().enumerate() {
+            assert!(!annealer.should_stop(), "stopped before reading {i}");
+            annealer.observe(*gflops);
+        }
+        assert!(annealer.should_stop(), "the annealer did not stop");
     }
 
     /// The cost model behind a gate that records the most evaluations it
@@ -668,28 +615,29 @@ mod tests {
     #[test]
     fn a_measured_search_never_evaluates_two_candidates_at_once() {
         use std::sync::atomic::Ordering::SeqCst;
-        // Any evaluator whose id measures time gets the discipline, whatever
-        // `threads` asks for: the engine, not the caller, enforces it.
+        // Every search evaluates one candidate at a time, whatever its
+        // evaluator: the engine, not the caller, enforces it.
         let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 13);
-        let widest: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
-        let calls = widest.clone();
-        let config = SearchConfig {
-            threads: 4,
-            evaluator: EvaluatorChoice::custom(
-                crate::eval::EvaluatorId::Native { warmup: 0, runs: 1 },
-                move || {
+        for id in [
+            crate::eval::EvaluatorId::Native { warmup: 0, runs: 1 },
+            crate::eval::EvaluatorId::Simulated,
+        ] {
+            let widest: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
+            let calls = widest.clone();
+            let config = SearchConfig {
+                evaluator: EvaluatorChoice::custom(id, move || {
                     Box::new(Gate {
-                        inner: crate::eval::SimEvaluator::new(DeviceProfile::a100(), 1),
+                        inner: crate::eval::SimEvaluator::new(DeviceProfile::a100()),
                         inside: Arc::default(),
                         widest: calls.clone(),
                     })
-                },
-            ),
-            ..quick_config(40)
-        };
-        let outcome = search(&matrix, &config).unwrap();
-        assert!(outcome.stats.cache_misses > config.batch_size);
-        assert_eq!(widest.load(SeqCst), 1, "two candidates were timed at once");
+                }),
+                ..quick_config(40)
+            };
+            let outcome = search(&matrix, &config).unwrap();
+            assert!(outcome.stats.cache_misses > 16, "{id:?}");
+            assert_eq!(widest.load(SeqCst), 1, "{id:?}: two candidates at once");
+        }
     }
 
     #[test]

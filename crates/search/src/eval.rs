@@ -1,5 +1,5 @@
 //! The Evaluator subsystem: turning `(OperatorGraph, CsrMatrix)` candidates
-//! into [`PerfReport`]s — in parallel, and without ever simulating the same
+//! into [`PerfReport`]s, one at a time, and without ever evaluating the same
 //! design twice.
 //!
 //! Candidate evaluation dominates the search budget (the paper's real system
@@ -22,14 +22,13 @@
 //!   across whole searches on the same matrix — are never re-simulated.
 //!   Infeasible candidates are cached too (a graph that cannot be applied to
 //!   a matrix will never become applicable).
-//! * [`BatchEvaluator`] — fans a batch of candidates out across the
-//!   process-wide persistent worker pool with an order-preserving parallel
-//!   map, so `evaluate_batch` returns exactly what serial evaluation would,
-//!   just faster (and without spawning threads per batch).
 //!
-//! All evaluators are `Send + Sync`; the shared state ([`GpuSim`]'s device
-//! model, the matrix, the input vector, the cache) is read-only or locked,
-//! and per-candidate simulator state lives on the evaluating thread's stack.
+//! The search evaluates its candidates one at a time, in schedule order: the
+//! paper times every candidate on the target, and two timings cannot share
+//! one machine.  All evaluators are still `Send + Sync`, because concurrent
+//! searches (the paper figures' per-matrix fan-out, two serving workers)
+//! share one [`DesignCache`]; its state is locked, and per-candidate
+//! simulator state lives on the evaluating thread's stack.
 
 use crate::persist::StoredDesign;
 pub use alpha_codegen::eval::{
@@ -43,16 +42,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which ground-truth evaluator a search builds under its caching and
-/// batching layers.
+/// Which ground-truth evaluator a search builds under its caching layer.
 #[derive(Clone)]
 pub enum EvaluatorChoice {
     /// Wall-clock time of the native CPU kernel (`alpha-cpu`'s
     /// [`NativeEvaluator`]) on the host the search runs on — the default,
-    /// with [`TimingHarness::default`] and the kernel on every core.  A
-    /// search under it evaluates one candidate at a time, whatever
-    /// `SearchConfig::threads` says: concurrent measurements steal each
-    /// other's cores.
+    /// with [`TimingHarness::default`] and the kernel on every core.
     Native {
         /// Warmup and timed runs per measurement; part of the identity.
         harness: TimingHarness,
@@ -65,8 +60,8 @@ pub enum EvaluatorChoice {
     Simulated,
     /// An externally provided evaluator (a test double, another backend).
     /// The factory is invoked once per search; `id` is the durable identity
-    /// salted into cache keys and recorded in winners, and a native `id`
-    /// gets the measured search's one-candidate-at-a-time discipline.
+    /// salted into cache keys and recorded in winners, and a serving layer
+    /// never runs two searches under a native `id` at once.
     Custom {
         /// Durable identity of the backend.
         id: EvaluatorId,
@@ -112,7 +107,7 @@ impl EvaluatorChoice {
                 harness,
                 kernel_threads,
             } => Box::new(NativeEvaluator::new(*harness, *kernel_threads)),
-            EvaluatorChoice::Simulated => Box::new(SimEvaluator::new(device.clone(), 1)),
+            EvaluatorChoice::Simulated => Box::new(SimEvaluator::new(device.clone())),
             EvaluatorChoice::Custom { factory, .. } => factory(),
         }
     }
@@ -144,13 +139,18 @@ pub struct SimEvaluator {
 }
 
 impl SimEvaluator {
-    /// An evaluator that simulates on the given device.  `sim_workers`
-    /// bounds the simulator's *internal* host parallelism — pass 1 when the
-    /// evaluator itself runs under a [`BatchEvaluator`], so parallelism lives
-    /// at the candidate level instead of fighting it for cores.
-    pub fn new(device: DeviceProfile, sim_workers: usize) -> Self {
+    /// An evaluator that simulates on the given device.
+    ///
+    /// Each simulation runs on exactly ONE worker.  This is a determinism
+    /// requirement, not a scheduling choice: the simulator merges per-worker
+    /// partial `y` vectors and f64 cost counters, and floating-point addition
+    /// is not associative, so reports could differ in ULPs across worker
+    /// counts — enough to flip a near-tie winner or a tolerance-boundary
+    /// feasibility check.  One worker makes every report bit-identical on
+    /// every machine, which also keeps shared cache entries reproducible.
+    pub fn new(device: DeviceProfile) -> Self {
         SimEvaluator {
-            sim: GpuSim::with_workers(device, sim_workers.max(1)),
+            sim: GpuSim::with_workers(device, 1),
             simulations: AtomicUsize::new(0),
         }
     }
@@ -587,60 +587,8 @@ impl<E: Evaluator> Evaluator for CachingEvaluator<E> {
     }
 }
 
-/// Fans `evaluate_batch` out across worker threads of the process-wide
-/// persistent [`alpha_parallel::Pool`], capped at `threads` concurrent
-/// executors (and at the pool's size: one per core).  Results come back in
-/// input order, so batched evaluation is observationally identical to serial
-/// evaluation — the engine's selection stays deterministic regardless of
-/// thread count.  Batches reuse the pool's workers instead of spawning scoped
-/// threads per batch, so the search's fan-out cost is at most a condvar
-/// wake, not thread creation.
-pub struct BatchEvaluator<E> {
-    inner: E,
-    threads: usize,
-}
-
-impl<E: Evaluator> BatchEvaluator<E> {
-    /// `threads == 0` means one per available CPU core; `1` degrades to
-    /// serial evaluation with no spawning.
-    pub fn new(inner: E, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            alpha_parallel::default_threads()
-        } else {
-            threads
-        };
-        BatchEvaluator { inner, threads }
-    }
-
-    /// The worker-thread count batches are spread over.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The wrapped evaluator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: Evaluator> Evaluator for BatchEvaluator<E> {
-    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
-        self.inner.evaluate(ctx, graph)
-    }
-
-    fn evaluate_batch(
-        &self,
-        ctx: &EvalContext<'_>,
-        batch: &[OperatorGraph],
-    ) -> Vec<Option<Evaluation>> {
-        // A thread count above the pool's size is capped at it.
-        alpha_parallel::Pool::shared()
-            .parallel_map_capped(batch, self.threads, |graph| self.inner.evaluate(ctx, graph))
-    }
-}
-
-// The whole point of the subsystem: evaluators and their shared state cross
-// thread boundaries.  Pin that as a compile-time guarantee.
+// Concurrent searches share evaluators' state (the cache above all) across
+// threads.  Pin that as a compile-time guarantee.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<GpuSim>();
@@ -648,7 +596,6 @@ const _: () = {
     assert_send_sync::<SimEvaluator>();
     assert_send_sync::<DesignCache>();
     assert_send_sync::<CachingEvaluator<SimEvaluator>>();
-    assert_send_sync::<BatchEvaluator<CachingEvaluator<SimEvaluator>>>();
 };
 
 #[cfg(test)]
@@ -672,7 +619,7 @@ mod tests {
     fn sim_evaluator_produces_reports_for_feasible_designs() {
         let matrix = gen::powerlaw(256, 256, 8, 2.0, 3);
         let ctx = context_fixture(&matrix);
-        let evaluator = SimEvaluator::new(DeviceProfile::a100(), 1);
+        let evaluator = SimEvaluator::new(DeviceProfile::a100());
         let eval = evaluator
             .evaluate(&ctx, &presets::csr_scalar())
             .expect("feasible");
@@ -687,7 +634,7 @@ mod tests {
         let ctx = context_fixture(&matrix);
         let cache = Arc::new(DesignCache::new());
         let evaluator =
-            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100(), 1), cache.clone());
+            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100()), cache.clone());
         let graph = presets::sell_like();
         let first = evaluator.evaluate(&ctx, &graph).expect("feasible");
         let second = evaluator.evaluate(&ctx, &graph).expect("feasible");
@@ -710,7 +657,7 @@ mod tests {
         let ctx = context_fixture(&matrix);
         let cache = Arc::new(DesignCache::new());
         let evaluator =
-            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100(), 1), cache.clone());
+            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100()), cache.clone());
         let graph = presets::sell_like();
         assert!(cache.entry(ctx.context_key(), &graph).is_none());
         let fresh = evaluator.evaluate(&ctx, &graph).expect("feasible");
@@ -741,7 +688,7 @@ mod tests {
         let matrix = CsrMatrix::from_coo(&coo);
         let ctx = context_fixture(&matrix);
         let evaluator = CachingEvaluator::new(
-            SimEvaluator::new(DeviceProfile::a100(), 1),
+            SimEvaluator::new(DeviceProfile::a100()),
             Arc::new(DesignCache::new()),
         );
         let graph = presets::row_split_hybrid(2);
@@ -774,7 +721,7 @@ mod tests {
         assert_eq!(a.canonical_hash(), b.canonical_hash());
 
         let evaluator = CachingEvaluator::new(
-            SimEvaluator::new(DeviceProfile::a100(), 1),
+            SimEvaluator::new(DeviceProfile::a100()),
             Arc::new(DesignCache::new()),
         );
         let first = evaluator.evaluate(&ctx, &a).expect("feasible");
@@ -791,7 +738,7 @@ mod tests {
         assert_ne!(m1.fingerprint(), m2.fingerprint());
         let cache = Arc::new(DesignCache::new());
         let evaluator =
-            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100(), 1), cache.clone());
+            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100()), cache.clone());
         let graph = presets::csr_scalar();
         let c1 =
             EvalContext::new(&m1, &DeviceProfile::a100(), GeneratorOptions::default(), 7).unwrap();
@@ -853,27 +800,5 @@ mod tests {
         assert!(!first.cached);
         assert!(second.cached);
         assert_eq!(first.report.time_us, second.report.time_us);
-    }
-
-    #[test]
-    fn batch_evaluator_matches_serial_results_in_order() {
-        let matrix = gen::powerlaw(512, 512, 8, 2.0, 11);
-        let ctx = context_fixture(&matrix);
-        let batch: Vec<OperatorGraph> =
-            presets::all_presets().into_iter().map(|(_, g)| g).collect();
-        let serial = SimEvaluator::new(DeviceProfile::a100(), 1);
-        let parallel = BatchEvaluator::new(SimEvaluator::new(DeviceProfile::a100(), 1), 4);
-        let serial_results = serial.evaluate_batch(&ctx, &batch);
-        let parallel_results = parallel.evaluate_batch(&ctx, &batch);
-        assert_eq!(serial_results.len(), parallel_results.len());
-        for (i, (s, p)) in serial_results.iter().zip(&parallel_results).enumerate() {
-            match (s, p) {
-                (Some(s), Some(p)) => {
-                    assert_eq!(s.report.gflops, p.report.gflops, "candidate {i} diverged")
-                }
-                (None, None) => {}
-                _ => panic!("candidate {i}: feasibility diverged between serial and parallel"),
-            }
-        }
     }
 }

@@ -44,8 +44,8 @@ mod tree;
 
 pub use engine::{search, search_with_cache, SearchConfig, SearchOutcome, SearchStats};
 pub use eval::{
-    context_key, context_key_for, BatchEvaluator, CacheStats, CachingEvaluator, DesignCache,
-    EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId, SimEvaluator,
+    context_key, context_key_for, CacheStats, CachingEvaluator, DesignCache, EvalContext,
+    Evaluation, Evaluator, EvaluatorChoice, EvaluatorId, SimEvaluator,
 };
 pub use persist::{ByteReader, ByteWriter, PersistError, StoredDesign, CACHE_FORMAT_VERSION};
 pub use prune::PruneRules;

@@ -805,7 +805,7 @@ mod tests {
         .unwrap();
         let cache = Arc::new(DesignCache::new());
         let evaluator =
-            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100(), 1), cache.clone());
+            CachingEvaluator::new(SimEvaluator::new(DeviceProfile::a100()), cache.clone());
         for (_, graph) in presets::all_presets() {
             let _ = evaluator.evaluate(&ctx, &graph);
         }

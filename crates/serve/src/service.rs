@@ -10,7 +10,7 @@ use alpha_search::{
     context_key_for, DesignCache, SearchConfig, SearchOutcome, SearchStats, StoredDesign,
 };
 use alphasparse::{AlphaSparse, TunedSpmv};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -64,22 +64,14 @@ pub struct ServedTune {
 ///
 /// `tune_batch` is the one entry point: it deduplicates requests by cache
 /// identity, warm-starts never-seen matrices from the stored winners of
-/// structurally similar ones, fans the distinct searches out across worker
-/// threads, persists every result, and returns a ready-to-run
+/// structurally similar ones, serves the distinct requests one at a time in
+/// input order, persists every result, and returns a ready-to-run
 /// [`TunedSpmv`] per request.  Re-tuning a fleet the store has already seen
 /// costs zero fresh evaluations (see
 /// [`ServedTune::fresh_evaluations`]).
 pub struct TuningService {
     store: DesignStore,
     config: SearchConfig,
-    batch_threads: usize,
-    /// Persistent worker pool every batch of this service fans out on —
-    /// built lazily on the first genuinely parallel batch (daemon traffic is
-    /// single-request batches that run inline and never need it), then
-    /// reused by all later `tune_batch` calls and every connection of a
-    /// daemon holding the service behind an `Arc`, so request fan-out never
-    /// spawns threads.
-    pool: std::sync::OnceLock<alpha_parallel::Pool>,
     /// `serve_tune_latency_us` on the store's registry — wall-clock of each
     /// served request (lookups and searches alike), resolved once here so
     /// `tune_one` only touches atomics.
@@ -197,13 +189,11 @@ impl TuningService {
     /// (budget, seed, pruning, …) apply to every request.
     ///
     /// Every field that shapes the candidate schedule — budget, hour cap,
-    /// pruning/ML toggles, mutations per seed, batch size, plus everything in
-    /// the evaluation context key — is folded into the store identity (see
+    /// pruning/ML toggles, mutations per seed, plus everything in the
+    /// evaluation context key — is folded into the store identity (see
     /// [`TuningService::store_key`]), so services configured differently
     /// never reuse each other's pinned seeds or overwrite each other's
-    /// stored winners with differently-budgeted results.  Only
-    /// `config.threads` is excluded: by the engine's determinism guarantee
-    /// it cannot change any outcome.
+    /// stored winners with differently-budgeted results.
     pub fn new(store: DesignStore, config: SearchConfig) -> Self {
         let tune_latency = store.registry().histogram("serve_tune_latency_us", &[]);
         let tune_paths = TunePath::ALL.map(|path| {
@@ -215,8 +205,6 @@ impl TuningService {
         TuningService {
             store,
             config,
-            batch_threads: 0,
-            pool: std::sync::OnceLock::new(),
             tune_latency,
             tune_paths,
             resident: Mutex::new(HashMap::new()),
@@ -246,26 +234,7 @@ impl TuningService {
         fold(&[self.config.enable_pruning as u8]);
         fold(&[self.config.enable_ml_refinement as u8]);
         fold(&(self.config.mutations_per_seed as u64).to_le_bytes());
-        fold(&(self.config.batch_size as u64).to_le_bytes());
         key
-    }
-
-    /// Worker threads distinct requests of a batch are fanned out over
-    /// (0 = one per available core, the default; 1 = serve serially).
-    ///
-    /// Parallelism lives at the *request* level: when the batch fan-out is
-    /// parallel, each individual search runs single-threaded so concurrent
-    /// requests do not fight over cores — the same layering the search
-    /// engine itself uses between candidates and the simulator.
-    ///
-    /// Ignored when the service's evaluator measures wall-clock time (the
-    /// default, `EvaluatorChoice::Native`): timed searches always run one
-    /// request and one candidate at a time — across concurrent `tune_batch`
-    /// calls too — because concurrent measurements steal each other's cores
-    /// and corrupt the timings.
-    pub fn with_batch_threads(mut self, threads: usize) -> Self {
-        self.batch_threads = threads;
-        self
     }
 
     /// The store backing this service.
@@ -288,9 +257,11 @@ impl TuningService {
     /// Tunes a whole batch of requests, returning one result per request in
     /// input order.
     ///
+    /// Distinct requests are served one at a time, in input order: a search
+    /// times its candidates, and two timings cannot share one machine.
     /// Requests that share a store identity (same matrix content, device,
     /// options, seed and search schedule) are tuned once; the duplicates are
-    /// then served from the freshly stored evaluations.
+    /// then answered with the program the first one built.
     ///
     /// ```
     /// use alpha_serve::{DesignStore, TuneRequest, TuningService};
@@ -341,17 +312,10 @@ impl TuningService {
             })
             .unzip();
         let keys: Vec<u64> = eval_keys.iter().map(|&k| self.store_key(k)).collect();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut unique: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if seen.insert(*key) {
-                unique.push(i);
-            }
-        }
 
         // One winners snapshot serves the whole batch: requests tuned in
         // this batch warm-start from the fleet as it stood when the batch
-        // arrived, which keeps the outcome independent of scheduling order.
+        // arrived, which keeps the outcome independent of request order.
         let snapshot = Instant::now();
         let winners = match self.store.winners() {
             Ok(winners) => winners,
@@ -361,65 +325,23 @@ impl TuningService {
         let snapshot = snapshot.elapsed();
         spent.iter_mut().for_each(|spent| *spent += snapshot);
 
-        // Distinct requests fan out; each search then runs single-threaded
-        // (unless the batch itself is serial).  Measured-time evaluation is
-        // the exception: wall clocks are only meaningful when exactly one
-        // candidate runs at a time, so a native-evaluator service serves a
-        // batch's requests serially (the engine keeps each search's
-        // candidates serial, and `tune_one` keeps concurrent batches'
-        // searches apart).
-        let native = self.config.evaluator.id().is_native();
-        let batch_threads = if native { 1 } else { self.batch_threads };
-        let search_threads = if self.batch_threads != 1 { 1 } else { 0 };
-        // Fan out on the service's persistent pool (capped at the configured
-        // batch parallelism and at the pool's size; 0 = one per core).  A
-        // request tuned on a pool worker runs its search single-threaded, so
-        // the nested candidate fan-out never re-enters this pool.  Serial or
-        // single-request batches run inline without ever building the pool
-        // (the daemon shape — its workers submit one request at a time).
-        let cap = if batch_threads == 0 {
-            alpha_parallel::default_threads()
-        } else {
-            batch_threads
-        };
-        let tune = |i: usize, winners: &[(u64, StoredDesign)]| {
-            self.tune_one(
-                &requests[i],
-                eval_keys[i],
-                keys[i],
-                winners,
-                search_threads,
-                spent[i],
-            )
-        };
-        let serve_one = |&i: &usize| (keys[i], tune(i, &winners));
-        let mut unique_results: HashMap<u64, Result<(), String>> = HashMap::new();
-        let served: Vec<(u64, Result<ServedTune, String>)> = if cap <= 1 || unique.len() <= 1 {
-            unique.iter().map(serve_one).collect()
-        } else {
-            self.pool
-                .get_or_init(|| alpha_parallel::Pool::new(0))
-                .parallel_map_capped(&unique, cap, serve_one)
-        };
-        for (key, result) in &served {
-            unique_results.insert(*key, result.as_ref().map(|_| ()).map_err(|e| e.clone()));
-        }
-        let mut by_key: HashMap<u64, ServedTune> = served
-            .into_iter()
-            .filter_map(|(key, result)| result.ok().map(|tune| (key, tune)))
-            .collect();
-
-        // Assemble per-request results.  The first request of each identity
-        // takes the tuned handle; duplicates are served again — with that
-        // same program, which the first result now holds alive.
+        // The first request of each identity is tuned; a duplicate shares
+        // its error, or is served again — with the same program, which the
+        // first result holds alive.
+        let mut first: HashMap<u64, Result<(), String>> = HashMap::new();
         (0..requests.len())
-            .map(|i| match unique_results.get(&keys[i]) {
-                Some(Err(e)) => Err(e.clone()),
-                Some(Ok(())) => match by_key.remove(&keys[i]) {
-                    Some(tune) => Ok(tune),
-                    None => tune(i, &[]),
-                },
-                None => Err("request was not scheduled".to_string()),
+            .map(|i| {
+                let tune =
+                    |winners| self.tune_one(&requests[i], eval_keys[i], keys[i], winners, spent[i]);
+                match first.get(&keys[i]) {
+                    Some(Err(e)) => Err(e.clone()),
+                    Some(Ok(())) => tune(&[]),
+                    None => {
+                        let result = tune(&winners);
+                        first.insert(keys[i], result.as_ref().map(|_| ()).map_err(Clone::clone));
+                        result
+                    }
+                }
             })
             .collect()
     }
@@ -436,7 +358,6 @@ impl TuningService {
         eval_key: u64,
         store_key: u64,
         winners: &[(u64, StoredDesign)],
-        search_threads: usize,
         spent: Duration,
     ) -> Result<ServedTune, String> {
         let start = Instant::now();
@@ -486,7 +407,6 @@ impl TuningService {
 
         let mut config = self.config.clone();
         config.device = request.device.clone();
-        config.threads = search_threads;
         config.seed_designs = seeds;
         let tuner = AlphaSparse::with_config(config).with_shared_cache(cache.clone());
         let (tuned, path) = match stored {
@@ -607,7 +527,6 @@ impl std::fmt::Debug for TuningService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TuningService")
             .field("store", &self.store)
-            .field("batch_threads", &self.batch_threads)
             .finish()
     }
 }
@@ -811,26 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_threads_do_not_change_outcomes() {
-        let requests = fleet(3);
-        let serial_dir = temp_dir("serial");
-        let serial = simulated_service(&serial_dir, 10).with_batch_threads(1);
-        let parallel_dir = temp_dir("parallel");
-        let parallel = simulated_service(&parallel_dir, 10).with_batch_threads(4);
-        for (a, b) in serial
-            .tune_batch(&requests)
-            .iter()
-            .zip(&parallel.tune_batch(&requests))
-        {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.tuned.operator_graph(), b.tuned.operator_graph());
-            assert_eq!(a.tuned.gflops(), b.tuned.gflops());
-        }
-        let _ = std::fs::remove_dir_all(&serial_dir);
-        let _ = std::fs::remove_dir_all(&parallel_dir);
-    }
-
-    #[test]
     fn different_search_schedules_use_distinct_store_contexts() {
         // A service with a different budget must neither reuse another
         // schedule's pinned seeds nor overwrite its stored winners: each
@@ -969,7 +868,7 @@ mod tests {
             alpha_search::EvaluatorId::Native { warmup: 0, runs: 1 },
             move || {
                 Box::new(Gate {
-                    inner: alpha_search::SimEvaluator::new(DeviceProfile::a100(), 1),
+                    inner: alpha_search::SimEvaluator::new(DeviceProfile::a100()),
                     inside: inside.clone(),
                     widest: calls.clone(),
                 })
@@ -1049,7 +948,6 @@ mod tests {
         let cache = service.store().cache_for(store_key).unwrap();
         let mut config = service.config().clone();
         config.device = request.device.clone();
-        config.threads = 1;
         config.seed_designs = cache
             .pinned_seed_designs(store_key)
             .expect("a tuned context has pinned seeds");

@@ -12,11 +12,13 @@ use std::sync::{Arc, Mutex};
 /// Layout version string written to (and checked against) the store's
 /// `store.layout` marker file.  Bump when the directory layout — not the
 /// cache file format, which carries its own version — changes, or when the
-/// context keys the files are named by do: `v2` keys are rooted in the
-/// striped [`CsrMatrix::fingerprint`](alpha_matrix::CsrMatrix::fingerprint),
-/// `v1` keys in its FNV-1a predecessor, so a `v1` directory holds nothing a
-/// `v2` lookup could find and is refused instead of silently orphaned.
-pub const STORE_LAYOUT_VERSION: &str = "alphasparse-design-store v2";
+/// context keys the files are named by do: `v3` keys no longer fold the
+/// search's batch size (evaluation has no batches), `v2` keys did, and `v1`
+/// keys are rooted in the FNV-1a predecessor of the striped
+/// [`CsrMatrix::fingerprint`](alpha_matrix::CsrMatrix::fingerprint).  An
+/// older directory holds nothing a current lookup could find, so it is
+/// refused instead of silently orphaned.
+pub const STORE_LAYOUT_VERSION: &str = "alphasparse-design-store v3";
 
 /// Default number of per-context caches kept in memory.
 const DEFAULT_CAPACITY: usize = 64;
@@ -576,25 +578,36 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
 
-        // The layout this one replaced: its context keys are rooted in the
-        // FNV-1a fingerprint, so nothing in it can be found.  Refused by
-        // name, and left exactly as it was — lock file included.
-        let dir = temp_store_dir("layout_v1");
-        std::fs::create_dir_all(dir.join("designs")).unwrap();
-        std::fs::write(dir.join("store.layout"), "alphasparse-design-store v1\n").unwrap();
-        std::fs::write(dir.join(crate::LOCK_FILE_NAME), "4242\n").unwrap();
-        std::fs::write(dir.join("designs/ctx_00000000000000aa.acds"), b"old").unwrap();
-        let before = snapshot(&dir);
-        match DesignStore::open(&dir) {
-            Err(StoreError::Layout { found, expected }) => {
-                assert_eq!(found, "alphasparse-design-store v1");
-                assert_eq!(expected, "alphasparse-design-store v2");
-                assert_eq!(expected, STORE_LAYOUT_VERSION);
+        // The layouts this one replaced: `v2` keys fold a batch size, `v1`
+        // keys are rooted in the FNV-1a fingerprint, so nothing in either
+        // can be found.  Refused by name, and left exactly as they were —
+        // lock file included.
+        for old in ["v1", "v2"] {
+            let dir = temp_store_dir(&format!("layout_{old}"));
+            let found = format!("alphasparse-design-store {old}");
+            std::fs::create_dir_all(dir.join("designs")).unwrap();
+            std::fs::write(dir.join("store.layout"), format!("{found}\n")).unwrap();
+            std::fs::write(dir.join(crate::LOCK_FILE_NAME), "4242\n").unwrap();
+            std::fs::write(dir.join("designs/ctx_00000000000000aa.acds"), b"old").unwrap();
+            let before = snapshot(&dir);
+            match DesignStore::open(&dir) {
+                Err(StoreError::Layout {
+                    found: refused,
+                    expected,
+                }) => {
+                    assert_eq!(refused, found);
+                    assert_eq!(expected, "alphasparse-design-store v3");
+                    assert_eq!(expected, STORE_LAYOUT_VERSION);
+                }
+                other => panic!("{old}: expected StoreError::Layout, got {other:?}"),
             }
-            other => panic!("expected StoreError::Layout, got {other:?}"),
+            assert_eq!(
+                snapshot(&dir),
+                before,
+                "a refused {old} directory is not touched"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(snapshot(&dir), before, "a refused directory is not touched");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

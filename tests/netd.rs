@@ -130,9 +130,9 @@ fn remote_tuning_end_to_end() {
 #[test]
 fn a_v1_store_directory_stops_the_daemon_before_it_starts() {
     // `netd` opens its store with `DesignStore::open(..).expect("store
-    // opens")`: a directory of the previous layout (context keys rooted in
-    // the FNV-1a fingerprint) must end that process with both versions in
-    // its message, and must not be touched.
+    // opens")`: a directory of an older layout (context keys rooted in the
+    // FNV-1a fingerprint) must end that process with both versions in its
+    // message, and must not be touched.
     let dir = std::env::temp_dir().join(format!("alpha_suite_netd_v1_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(dir.join("designs")).unwrap();
@@ -152,7 +152,7 @@ fn a_v1_store_directory_stops_the_daemon_before_it_starts() {
     assert!(message.starts_with("store opens"), "{message}");
     assert!(
         message.contains("alphasparse-design-store v1")
-            && message.contains("alphasparse-design-store v2"),
+            && message.contains("alphasparse-design-store v3"),
         "{message}"
     );
     for (name, bytes) in files {
