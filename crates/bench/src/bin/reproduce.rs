@@ -208,23 +208,25 @@ fn main() {
             rows.len()
         );
         println!(
-            "  {:<18} {:>9} {:>9} {:>10} {:>9}  {:<22} {:<40} winner (model)",
+            "  {:<18} {:>9} {:>9} {:>10} {:>9} {:>8}  {:<22} {:<40} winner (model)",
             "matrix",
             "tune ms",
             "(model)",
             "win ratio",
             "vs preset",
+            "programs",
             "best preset",
             "winner (measured)"
         );
         for row in &rows {
             println!(
-                "  {:<18} {:>9.1} {:>9.1} {:>9.3}x {:>8.2}x  {:<22} {:<40} {}",
+                "  {:<18} {:>9.1} {:>9.1} {:>9.3}x {:>8.2}x {:>8}  {:<22} {:<40} {}",
                 row.matrix,
                 1e3 * row.measured_tune_s,
                 1e3 * row.simulated_tune_s,
                 row.winner_ratio(),
                 row.gain_over_preset(),
+                row.preset_programs,
                 row.preset,
                 row.measured_shape,
                 row.simulated_shape
@@ -232,16 +234,22 @@ fn main() {
         }
         let geomean =
             |f: &dyn Fn(&HostRow) -> f64| geometric_mean(&rows.iter().map(f).collect::<Vec<_>>());
+        let gains: Vec<f64> = rows.iter().map(HostRow::gain_over_preset).collect();
         println!(
-            "  geomean: tune {:.1} ms vs {:.1} ms (model), winner ratio {:.3}x, {:.2}x the best preset",
+            "  geomean: tune {:.1} ms vs {:.1} ms (model), winner ratio {:.3}x, {:.2}x the best preset \
+             (min {:.2}x, {} of {} below 1.0)",
             1e3 * geomean(&|r| r.measured_tune_s),
             1e3 * geomean(&|r| r.simulated_tune_s),
             geomean(&|r| r.winner_ratio()),
-            geomean(&|r| r.gain_over_preset())
+            geometric_mean(&gains),
+            gains.iter().copied().fold(f64::INFINITY, f64::min),
+            gains.iter().filter(|&&gain| gain < 1.0).count(),
+            gains.len()
         );
         println!(
             "  (win ratio: measured winner's time over the model winner's, below 1 is faster;\n   \
-             vs preset: the fastest preset's time over the measured winner's)\n"
+             vs preset: the fastest distinct preset program's time over the measured winner's;\n   \
+             programs: the distinct programs the presets lower to, each selected and raced once)\n"
         );
     }
 

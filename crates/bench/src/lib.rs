@@ -2,8 +2,7 @@
 //!
 //! Every table and figure of the paper's evaluation (Section VII) has a
 //! regenerating function here; the `reproduce` binary prints the same rows /
-//! series the paper reports, and the Criterion benches wrap the same
-//! functions at reduced scale.  Absolute numbers are *modelled* GFLOPS from
+//! series the paper reports.  Absolute numbers are *modelled* GFLOPS from
 //! the `alpha-gpu` cost model (see DESIGN.md), so the comparison of interest
 //! is the shape: who wins, by roughly what factor, and where the crossovers
 //! fall.  Measured numbers of this repository (cold tune, native SpMV,
@@ -41,22 +40,6 @@ pub struct ExperimentContext {
 }
 
 impl ExperimentContext {
-    /// Small scale: used by the Criterion benches and CI (seconds).
-    pub fn quick(device: DeviceProfile) -> Self {
-        ExperimentContext {
-            device,
-            corpus: CorpusConfig {
-                sizes: vec![1_024, 4_096],
-                avg_row_lens: vec![4, 16],
-                families: alpha_matrix::gen::PatternFamily::ALL.to_vec(),
-                seed: 11,
-            },
-            suite_scale: SuiteScale(1.0 / 256.0),
-            search_budget: 25,
-            cache: Arc::new(DesignCache::new()),
-        }
-    }
-
     /// Default scale of the `reproduce` binary (minutes).
     pub fn standard(device: DeviceProfile) -> Self {
         ExperimentContext {
@@ -428,8 +411,8 @@ pub fn fig13_iterations(results: &[CorpusResult]) -> (f64, f64) {
 // ---------------------------------------------------------------------------
 
 /// One named stand-in tuned twice — under the default evaluator (measured
-/// time on this host) and under the cost model — with both winners and the
-/// best preset timed in alternation on this host.
+/// time on this host) and under the cost model — with both winners and one
+/// kernel per distinct preset program raced on this host.
 #[derive(Debug, Clone)]
 pub struct HostRow {
     /// SuiteSparse name of the stand-in.
@@ -442,10 +425,13 @@ pub struct HostRow {
     pub measured_us: f64,
     /// Median microseconds per SpMV of the cost-model tune's winner.
     pub simulated_us: f64,
-    /// Median microseconds per SpMV of the fastest preset.
+    /// Median microseconds per SpMV of the fastest preset program.
     pub preset_us: f64,
-    /// Which preset that is.
+    /// The first preset (in `presets::all_presets` order) of that program.
     pub preset: &'static str,
+    /// Distinct programs the presets lower to on this matrix: each was
+    /// selected and raced once.
+    pub preset_programs: usize,
     /// Kernel-shape label of the measured tune's winner.
     pub measured_shape: String,
     /// Kernel-shape label of the cost-model tune's winner.
@@ -459,22 +445,21 @@ impl HostRow {
         self.measured_us / self.simulated_us
     }
 
-    /// Fastest preset's time over the measured winner's.
+    /// Fastest preset program's time over the measured winner's.
     pub fn gain_over_preset(&self) -> f64 {
         self.preset_us / self.measured_us
     }
 }
 
-/// Rounds of the alternation; each times every kernel of a row once.
-const HOST_ROUNDS: usize = 7;
-
 /// Tunes every `suite::all_named` stand-in at `ctx`'s scale under
-/// `SearchConfig::default()` and under the cost model, lowers every preset
-/// through `NativeKernel::select`, and times both winners and the fastest
-/// preset in alternation on this host.  A stand-in either tune fails on is
+/// `SearchConfig::default()` and under the cost model, groups the presets
+/// by the program they lower to (`PlannedProgram`, through one `Designer`
+/// per matrix), lowers one per group through `NativeKernel::select`, and
+/// races both winners and every group's kernel in one race on this host;
+/// the fastest group is the best preset.  A stand-in either tune fails on is
 /// skipped.  The stand-ins are served one at a time: this comparison times.
 pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
-    use alphasparse::{AlphaSparse, NativeKernel, TimingHarness};
+    use alphasparse::{cpu::PlannedProgram, AlphaSparse, NativeKernel, TimingHarness};
     let measured = SearchConfig {
         device: ctx.device.clone(),
         ..SearchConfig::default()
@@ -483,7 +468,11 @@ pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
         evaluator: EvaluatorChoice::Simulated,
         ..measured.clone()
     };
-    let harness = TimingHarness { warmup: 2, runs: 9 };
+    let harness = TimingHarness {
+        warmup: 2,
+        runs: 21,
+    };
+    let options = alpha_codegen::GeneratorOptions::default();
     let mut rows = Vec::new();
     for named in suite::all_named(ctx.suite_scale) {
         let matrix = &named.matrix;
@@ -497,53 +486,64 @@ pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
         else {
             continue;
         };
-        let x = DenseVector::random(matrix.cols(), 0x4057);
-        let time = |kernel: &NativeKernel| {
-            harness
-                .measure_kernel(kernel, x.as_slice(), 0)
-                .expect("x has the matrix's column count")
-                .median_us
-        };
-        let presets: Vec<(&'static str, NativeKernel)> = alpha_graph::presets::all_presets()
+        let designer = alpha_graph::Designer::new(matrix);
+        let mut groups: Vec<(PlannedProgram, &'static str, NativeKernel)> = Vec::new();
+        for (name, graph) in alpha_graph::presets::all_presets() {
+            let Ok(generated) = alpha_codegen::generate_with(&designer, &graph, options) else {
+                continue;
+            };
+            let metadata = generated.kernel.metadata();
+            if groups
+                .iter()
+                .any(|(program, ..)| program.is(metadata, options))
+            {
+                continue;
+            }
+            if let Ok((kernel, _)) = NativeKernel::select(metadata, &generated.format) {
+                groups.push((PlannedProgram::of(metadata, options), name, kernel));
+            }
+        }
+        let kernels: Vec<&NativeKernel> = [by_time.native_kernel(), by_model.native_kernel()]
             .into_iter()
-            .filter_map(|(name, graph)| {
-                let generated = alpha_codegen::generate(&graph, matrix, Default::default()).ok()?;
-                let (kernel, _) =
-                    NativeKernel::select(generated.kernel.metadata(), &generated.format).ok()?;
-                Some((name, kernel))
-            })
+            .chain(groups.iter().map(|(_, _, kernel)| kernel))
             .collect();
-        let Some((preset, best_preset)) = presets
+        let echo: Vec<(u64, usize)> = kernels
             .iter()
-            .map(|(name, kernel)| (*name, kernel, time(kernel)))
-            .min_by(|a, b| a.2.total_cmp(&b.2))
-            .map(|(name, kernel, _)| (name, kernel))
+            .map(|kernel| (kernel.useful_flops(), kernel.workers_for(0)))
+            .collect();
+        let x = DenseVector::random(matrix.cols(), 0x4057);
+        let mut y = vec![0.0; matrix.rows()];
+        let medians: Vec<f64> = harness
+            .race(
+                y.as_mut_slice(),
+                &echo,
+                |_, _| {},
+                |y, i| {
+                    kernels[i]
+                        .run_into(x.as_slice(), y, 0)
+                        .expect("x has the matrix's column count")
+                },
+            )
+            .iter()
+            .map(|report| report.median_us)
+            .collect();
+        let Some((best, preset_us)) = medians[2..]
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
         else {
             continue;
         };
-        let kernels = [
-            by_time.native_kernel(),
-            by_model.native_kernel(),
-            best_preset,
-        ];
-        let mut samples = [(); 3].map(|_| Vec::with_capacity(HOST_ROUNDS));
-        for _ in 0..HOST_ROUNDS {
-            for (kernel, samples) in kernels.iter().zip(&mut samples) {
-                samples.push(time(kernel));
-            }
-        }
-        let [measured_us, simulated_us, preset_us] = samples.map(|mut s| {
-            s.sort_by(f64::total_cmp);
-            s[s.len() / 2]
-        });
         rows.push(HostRow {
             matrix: named.name.to_string(),
             measured_tune_s,
             simulated_tune_s,
-            measured_us,
-            simulated_us,
+            measured_us: medians[0],
+            simulated_us: medians[1],
             preset_us,
-            preset,
+            preset: groups[best].1,
+            preset_programs: groups.len(),
             measured_shape: by_time.kernel_shape(),
             simulated_shape: by_model.kernel_shape(),
         });

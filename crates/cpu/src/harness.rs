@@ -1,12 +1,15 @@
-//! Steady-state wall-clock measurement: warmup + min-of-N.
+//! Steady-state wall-clock measurement: warmup + min-of-N, in one race.
 //!
 //! One execution of a small kernel is dominated by cold caches and scheduler
 //! noise.  The harness therefore discards `warmup` executions, times `runs`
 //! more, and reports the **minimum** — the standard steady-state estimator
-//! for short kernels (the mean and maximum ride along for dispersion).  The
-//! same harness times generated kernels and the `alpha-baselines` native
-//! kernels, so "generated vs CSR/ELL/HYB/merge" comparisons are
-//! apples-to-apples.
+//! for short kernels (the median, mean and maximum ride along for
+//! dispersion).  Every reading that ranks something on the host comes out
+//! of one loop, [`TimingHarness::race`]: a measurement is a race of one, loop
+//! selection races a partition's loops, and `reproduce host` races winners
+//! and presets.  The same harness times generated kernels and the
+//! `alpha-baselines` native kernels, so "generated vs CSR/ELL/HYB/merge"
+//! comparisons are apples-to-apples.
 
 use crate::kernel::NativeKernel;
 use alpha_codegen::EvaluatorId;
@@ -53,25 +56,53 @@ impl TimingHarness {
         }
     }
 
-    /// Times `f` (one call = one kernel execution) and summarises the runs.
+    /// Times `f` (one call = one kernel execution) and summarises the runs:
+    /// a [race](TimingHarness::race) of one, with nothing to set up.
     /// `useful_flops` and `threads` are echoed into the report.
-    pub fn measure<F: FnMut()>(
+    pub fn measure(self, useful_flops: u64, threads: usize, mut f: impl FnMut()) -> MeasuredReport {
+        let mut reports = self.race(&mut f, &[(useful_flops, threads)], |_, _| {}, |f, _| f());
+        reports.pop().expect("a race of one reports once")
+    }
+
+    /// The one timing loop: races the contestants `0..echo.len()` on a shared
+    /// `field` (a kernel's output buffer, a partition whose loop each
+    /// contestant binds).  `warmup` rounds, then `runs` (at least 1) timed
+    /// rounds; each round runs contestant 0, 1, …, n−1 in turn, so a
+    /// disturbance of the host (this is wall-clock time on a shared machine)
+    /// spoils one round of everyone rather than every run of one contestant.
+    /// `setup(field, i)` prepares contestant `i` right before each of its
+    /// runs and stays outside the clock; only `run(field, i)` is clocked.
+    ///
+    /// Returns one report per contestant, in order; `echo[i]` is contestant
+    /// `i`'s `(useful flops, threads)`, echoed into its report.
+    pub fn race<S: ?Sized>(
         self,
-        useful_flops: u64,
-        threads: usize,
-        mut f: F,
-    ) -> MeasuredReport {
-        for _ in 0..self.warmup {
-            f();
+        field: &mut S,
+        echo: &[(u64, usize)],
+        mut setup: impl FnMut(&mut S, usize),
+        mut run: impl FnMut(&mut S, usize),
+    ) -> Vec<MeasuredReport> {
+        let warmup = self.warmup as usize;
+        let runs = self.runs.max(1) as usize;
+        let mut samples_us = vec![Vec::with_capacity(runs); echo.len()];
+        for round in 0..warmup + runs {
+            for (contestant, samples) in samples_us.iter_mut().enumerate() {
+                setup(field, contestant);
+                let start = Instant::now();
+                run(field, contestant);
+                let us = start.elapsed().as_secs_f64() * 1e6;
+                if round >= warmup {
+                    samples.push(us);
+                }
+            }
         }
-        let runs = self.runs.max(1);
-        let mut samples_us = Vec::with_capacity(runs as usize);
-        for _ in 0..runs {
-            let start = Instant::now();
-            f();
-            samples_us.push(start.elapsed().as_secs_f64() * 1e6);
-        }
-        MeasuredReport::from_samples(samples_us, self.warmup, useful_flops, threads)
+        samples_us
+            .into_iter()
+            .zip(echo)
+            .map(|(samples, &(flops, threads))| {
+                MeasuredReport::from_samples(samples, self.warmup, flops, threads)
+            })
+            .collect()
     }
 
     /// Times a lowered kernel end to end on the process-wide persistent
@@ -88,28 +119,14 @@ impl TimingHarness {
         x: &[Scalar],
         threads: usize,
     ) -> Result<MeasuredReport, String> {
-        self.measure_kernel_with_pool(kernel, x, threads, alpha_parallel::Pool::shared())
-    }
-
-    /// [`TimingHarness::measure_kernel`] on an explicit persistent pool
-    /// (e.g. an evaluator's private pool, so measurements are not perturbed
-    /// by unrelated traffic on the shared one).
-    pub fn measure_kernel_with_pool(
-        self,
-        kernel: &NativeKernel,
-        x: &[Scalar],
-        threads: usize,
-        pool: &alpha_parallel::Pool,
-    ) -> Result<MeasuredReport, String> {
         let mut y = vec![0.0; kernel.rows()];
-        kernel.run_into_with_pool(x, &mut y, threads, pool)?;
-        Ok(
-            self.measure(kernel.useful_flops(), kernel.workers_for(threads), || {
-                kernel
-                    .run_into_with_pool(x, &mut y, threads, pool)
-                    .expect("dimensions validated above");
-            }),
-        )
+        kernel.run_into(x, &mut y, threads)?;
+        let workers = kernel.workers_for(threads);
+        Ok(self.measure(kernel.useful_flops(), workers, || {
+            kernel
+                .run_into(x, &mut y, threads)
+                .expect("validated above");
+        }))
     }
 }
 
@@ -122,8 +139,8 @@ pub struct MeasuredReport {
     /// Mean of the timed executions in microseconds.
     pub mean_us: f64,
     /// Median of the timed executions in microseconds — with
-    /// [`MeasuredReport::stddev_us`], the sample-spread view that lets
-    /// benches report their noise instead of only min-of-N.
+    /// [`MeasuredReport::stddev_us`], the sample-spread view beside the
+    /// min-of-N estimate.
     pub median_us: f64,
     /// Slowest timed execution in microseconds.
     pub max_us: f64,
@@ -146,7 +163,7 @@ impl MeasuredReport {
     /// Summarises timed executions (`samples_us`, at least one, in
     /// microseconds, any order) taken after `warmup` discarded ones.
     /// `useful_flops` and `threads` are echoed into the report.  A pure
-    /// function of its arguments: [`TimingHarness::measure`] reads the clock,
+    /// function of its arguments: [`TimingHarness::race`] reads the clock,
     /// this does the arithmetic.
     pub fn from_samples(
         mut samples_us: Vec<f64>,
@@ -205,18 +222,6 @@ impl MeasuredReport {
         )
     }
 
-    /// Relative sample spread: standard deviation over median (0 when the
-    /// median is 0).  A quick "how noisy was this measurement" number —
-    /// values above ~0.3 mean the min-of-N estimate should be read with
-    /// suspicion.
-    pub fn noise(&self) -> f64 {
-        if self.median_us > 0.0 {
-            self.stddev_us / self.median_us
-        } else {
-            0.0
-        }
-    }
-
     /// One-line human-readable summary for harness output.
     pub fn summary(&self) -> String {
         format!(
@@ -248,8 +253,59 @@ mod tests {
         assert!(report.mean_us <= report.max_us);
         assert!(report.min_us <= report.median_us && report.median_us <= report.max_us);
         assert!(report.stddev_us >= 0.0);
-        assert!(report.noise() >= 0.0);
         assert!(report.gflops >= 0.0);
+    }
+
+    #[test]
+    fn a_measurement_is_a_race_of_one() {
+        for (warmup, runs) in [(0, 0), (2, 0), (2, 5)] {
+            let mut calls = 0;
+            let report = TimingHarness { warmup, runs }.measure(8, 3, || calls += 1);
+            assert_eq!(calls, warmup + runs.max(1));
+            assert_eq!((report.warmup, report.runs), (warmup, runs.max(1)));
+        }
+    }
+
+    /// What a race of three, two warmup and three timed rounds, calls:
+    /// `(true, i)` for setup(i), `(false, i)` for run(i).
+    fn recorded_race() -> Vec<(bool, usize)> {
+        let mut log = Vec::new();
+        let reports = TimingHarness { warmup: 2, runs: 3 }.race(
+            &mut log,
+            &[(10, 1), (20, 2), (30, 4)],
+            |log, i| log.push((true, i)),
+            |log, i| log.push((false, i)),
+        );
+        let counted: Vec<_> = reports
+            .iter()
+            .map(|r| (r.useful_flops, r.threads, r.runs))
+            .collect();
+        assert_eq!(counted, [(10, 1, 3), (20, 2, 3), (30, 4, 3)]);
+        log
+    }
+
+    #[test]
+    fn a_race_interleaves_its_contestants_round_by_round() {
+        let log = recorded_race();
+        let runs: Vec<usize> = log.iter().filter(|c| !c.0).map(|c| c.1).collect();
+        assert_eq!(runs, [0, 1, 2].repeat(2 + 3));
+    }
+
+    #[test]
+    fn a_race_runs_each_setup_outside_the_clock_right_before_its_run() {
+        let round = [
+            (true, 0),
+            (false, 0),
+            (true, 1),
+            (false, 1),
+            (true, 2),
+            (false, 2),
+        ];
+        assert_eq!(recorded_race(), round.repeat(2 + 3));
+        // A setup that takes a millisecond is not in a no-op's reading.
+        let sleep = |_: &mut (), _| std::thread::sleep(std::time::Duration::from_millis(1));
+        let report = &TimingHarness::quick().race(&mut (), &[(0, 1)], sleep, |_, _| {})[0];
+        assert!(report.min_us < 1_000.0, "{}", report.summary());
     }
 
     #[test]
@@ -261,7 +317,6 @@ mod tests {
         assert_eq!(report.min_us, report.median_us);
         assert_eq!(report.median_us, report.max_us);
         assert_eq!(report.stddev_us, 0.0, "one sample has no spread");
-        assert_eq!(report.noise(), 0.0);
     }
 
     #[test]
@@ -283,7 +338,6 @@ mod tests {
         assert_eq!((report.min_us, report.max_us), (1.0, 7.0));
         assert_eq!((report.median_us, report.mean_us), (4.0, 4.0));
         assert_eq!(report.stddev_us, 5.0f64.sqrt());
-        assert_eq!(report.noise(), 5.0f64.sqrt() / 4.0);
         // A single sample has no spread.
         let report = MeasuredReport::from_samples(vec![50.0], 0, 10, 1);
         assert_eq!(

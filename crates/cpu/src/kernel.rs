@@ -123,6 +123,29 @@ pub fn effective_workers(threads: usize, nnz: usize, lanes: usize) -> usize {
     }
 }
 
+/// The stated per-row error bound of every library loop:
+///
+/// ```text
+/// |y_i − ref_i|  ≤  len_i · ε_f32 · Σ_j |a_ij · x_j|
+/// ```
+///
+/// for a row of `len` non-zeros whose terms sum to `magnitude` in absolute
+/// value, where `ref_i` is the row's exact dot product and
+/// `ε_f32 = f32::EPSILON = 2u` (`u` the unit roundoff).
+///
+/// This is not a tuned tolerance but the textbook bound: a length-`n` dot
+/// product evaluated in *any* order — serial, `L` strided lanes folded by a
+/// tree, partial sums merged across worker or `COL_DIV` boundaries — with
+/// one rounding per multiply and per add has error at most
+/// `γ_n · Σ|a_j x_j|` with `γ_n = n·u / (1 − n·u)` (Higham, *Accuracy and
+/// Stability of Numerical Algorithms*, §3.1), and `γ_n ≤ 2·n·u = n · ε_f32`
+/// whenever `n·u ≤ ½`, i.e. for every row shorter than 2²² entries.  Padding
+/// slots contribute exact zeros.  A kernel that exceeds this has dropped,
+/// duplicated or mis-indexed a term — it is not "SIMD noise".
+pub fn dot_error_bound(len: usize, magnitude: f64) -> f64 {
+    len as f64 * f32::EPSILON as f64 * magnitude
+}
+
 /// A format index array as the native kernel reads it: a closed-form
 /// function Model-Driven Format Compression fitted, or a lookup table.
 #[derive(Debug, Clone, PartialEq)]
@@ -686,23 +709,14 @@ impl NativePartition {
     }
 
     /// Accumulates this partition's share of `y += A·x`, split `workers`
-    /// ways.  `only` narrows the run to one worker's share of that split,
-    /// executed inline (loop selection times shares one by one); returns how
-    /// many shares the split has.
-    fn run(
-        &self,
-        x: &[Scalar],
-        y: &mut [Scalar],
-        workers: usize,
-        pool: &Pool,
-        only: Option<usize>,
-    ) -> usize {
+    /// ways on `pool`.
+    fn run(&self, x: &[Scalar], y: &mut [Scalar], workers: usize, pool: &Pool) {
         match &self.exec {
             PartitionExec::Rows {
                 chunk,
                 row_offsets,
                 cuts,
-            } => run_rows(self, *chunk, row_offsets, cuts, x, y, workers, pool, only),
+            } => run_rows(self, *chunk, row_offsets, cuts, x, y, workers, pool),
             PartitionExec::Nnz {
                 span,
                 nnz_per_thread,
@@ -716,18 +730,8 @@ impl NativePartition {
                 y,
                 workers,
                 pool,
-                only,
             ),
         }
-    }
-}
-
-/// All worker shares of a split, or just share `only` of it (which the pool
-/// then runs inline: a one-element job is never dispatched).
-fn narrow<T>(shares: Vec<T>, only: Option<usize>) -> Vec<T> {
-    match only {
-        None => shares,
-        Some(share) => shares.into_iter().skip(share).take(1).collect(),
     }
 }
 
@@ -1050,7 +1054,7 @@ impl NativeKernel {
         // Partitions run one after another (their outputs may overlap under
         // COL_DIV); the parallelism lives inside each partition.
         for p in &self.partitions {
-            p.run(x, y, workers, pool, None);
+            p.run(x, y, workers, pool);
         }
         if let (Some(hist), Some(started)) = (self.run_hist.as_ref(), started) {
             hist.observe_duration(started.elapsed());
@@ -1098,11 +1102,10 @@ fn run_rows(
     y: &mut [Scalar],
     workers: usize,
     pool: &Pool,
-    only: Option<usize>,
-) -> usize {
+) {
     let rows = p.matrix.rows();
     if rows == 0 {
-        return 0;
+        return;
     }
     let args = p.args(x, row_offsets.args());
     // Nnz-balanced worker boundaries: from the build-time cache when the
@@ -1117,9 +1120,8 @@ fn run_rows(
 
     if let Some(base) = p.in_place_base() {
         let chunks = alpha_parallel::split_mut_at(&mut y[base..base + rows], cuts);
-        let shares = chunks.len();
-        pool.run_over_chunks(narrow(chunks, only), |first, out| chunk(&args, first, out));
-        return shares;
+        pool.run_over_chunks(chunks, |first, out| chunk(&args, first, out));
+        return;
     }
 
     let ranges: Vec<(usize, usize)> = cuts
@@ -1127,8 +1129,6 @@ fn run_rows(
         .map(|w| (w[0], w[1]))
         .filter(|&(first, last)| first < last)
         .collect();
-    let shares = ranges.len();
-    let ranges = narrow(ranges, only);
     let sums: Vec<Vec<Scalar>> = pool.parallel_map(&ranges, |&(first, last)| {
         let mut out = vec![0.0; last - first];
         chunk(&args, first, &mut out);
@@ -1138,7 +1138,6 @@ fn run_rows(
     for (&(first, _), partial) in ranges.iter().zip(&sums) {
         (p.scatter)(&origin, first, partial, y);
     }
-    shares
 }
 
 /// Nnz-partition loop: workers own groups of whole design chunks and walk
@@ -1154,11 +1153,10 @@ fn run_nnz(
     y: &mut [Scalar],
     workers: usize,
     pool: &Pool,
-    only: Option<usize>,
-) -> usize {
+) {
     let nnz = p.matrix.nnz();
     if nnz == 0 {
-        return 0;
+        return;
     }
     let total_chunks = nnz.div_ceil(nnz_per_thread).max(1);
     let workers = workers.min(total_chunks).max(1);
@@ -1173,8 +1171,6 @@ fn run_nnz(
         })
         .filter(|&(_, start, end)| start < end)
         .collect();
-    let shares = spans.len();
-    let spans = narrow(spans, only);
 
     // Spans walk the sub-matrix's real CSR offsets, not a bounds map.
     let args = p.args(x, IndexArgs::IDENTITY);
@@ -1194,7 +1190,6 @@ fn run_nnz(
     for (base_row, sums) in &partials {
         (p.scatter)(&origin, *base_row, sums, y);
     }
-    shares
 }
 
 #[cfg(test)]

@@ -11,11 +11,11 @@
 //! it is settled the way the paper's search settles
 //! everything else — by measurement: every admissible loop ([`candidates`])
 //! is bound to the partition's own streams, checked against the scalar
-//! loop's `y` under twice the differential suite's per-row bound, and timed
-//! (warmup + min-of-[`ROUNDS`], candidates interleaved) the way `run(x, 0)`
-//! would split it.  On a partition whose rows are column runs each candidate
-//! with a run twin binds it (`col:run`): the column coding is the
-//! sub-matrix's, not a candidate.  The row-lane candidate runs on a slab the
+//! loop's `y` under twice the per-row bound [`dot_error_bound`], and raced
+//! ([`RACE`]) as the whole partition, split on the pool the way `run(x, 0)`
+//! splits it.  On a partition whose rows are column runs each candidate with
+//! a run twin binds it (`col:run`): the column coding is the sub-matrix's,
+//! not a candidate.  The row-lane candidate runs on a slab the
 //! partition builds once and drops unless it wins.
 //!
 //! The winner is reported as a [`SimdPlan`], so the caller writes it into the
@@ -25,8 +25,12 @@
 //! recorded label back into plans without measuring, and refuses labels
 //! this host cannot run.
 
-use super::{effective_workers, KernelBuildError, NativeKernel, NativePartition, PartitionExec};
+use super::{
+    dot_error_bound, effective_workers, KernelBuildError, NativeKernel, NativePartition,
+    PartitionExec,
+};
 use crate::cpu_features;
+use crate::harness::TimingHarness;
 use crate::simd::{ResolvedSimd, SimdMode};
 use crate::specialized::SimdClass;
 use alpha_codegen::MachineFormat;
@@ -35,9 +39,10 @@ use alpha_matrix::{DenseVector, Scalar};
 use alpha_parallel::Pool;
 use std::time::Instant;
 
-/// Timed executions of each candidate loop (its verification run is the
-/// warmup; the minimum counts): 32 executions per row partition in all.
-const ROUNDS: usize = 7;
+/// How the candidate loops are raced: 7 interleaved rounds, the fastest
+/// counting, after the verification run that is each one's warmup — 32
+/// executions per row partition in all.
+const RACE: TimingHarness = TimingHarness { warmup: 0, runs: 7 };
 
 /// How one partition's inner loop was chosen.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +54,9 @@ pub struct LoopChoice {
     /// [`KernelShape::label`](crate::KernelShape::label) after the `:`).
     pub label: String,
     /// `(loop label, ns per non-zero)` of every candidate that was timed, in
-    /// candidate order.  A candidate that failed verification is absent.
+    /// candidate order: the fastest of its rounds running the whole
+    /// partition on the pool, over the partition's non-zeros.  A candidate
+    /// that failed verification is absent.
     pub measured: Vec<(String, f64)>,
 }
 
@@ -149,9 +156,9 @@ pub fn plans_from_label(metadata: &MatrixMetadataSet, label: &str) -> Option<Vec
         .collect()
 }
 
-/// `2 · len · ε · Σ|a·x|` per output row of `partition`: a candidate and the
-/// scalar loop are each within the differential suite's per-row bound of the
-/// exact dot product, hence within twice it of each other.
+/// Twice [`dot_error_bound`] per output row of `partition`: a candidate and
+/// the scalar loop are each within it of the exact dot product, hence within
+/// twice it of each other.
 fn agreement_bounds(partition: &NativePartition, x: &[Scalar], rows: usize) -> Vec<f64> {
     let matrix = &partition.matrix;
     let mut bounds = vec![0.0f64; rows];
@@ -164,8 +171,7 @@ fn agreement_bounds(partition: &NativePartition, x: &[Scalar], rows: usize) -> V
                 (matrix.values()[i] as f64 * x[column] as f64).abs()
             })
             .sum();
-        bounds[partition.origin.get(row) as usize] +=
-            2.0 * range.len() as f64 * f32::EPSILON as f64 * magnitude;
+        bounds[partition.origin.get(row) as usize] += 2.0 * dot_error_bound(range.len(), magnitude);
     }
     bounds
 }
@@ -184,15 +190,13 @@ fn agrees(candidate: &[Scalar], scalar: &[Scalar], bounds: &[f64]) -> bool {
         })
 }
 
-/// One candidate loop that passed verification, and what it has cost so far.
+/// One candidate loop that passed verification.
 struct Timed {
     plan: SimdPlan,
     resolved: ResolvedSimd,
     label: String,
     /// Worker count `run(x, 0)` gives a kernel with this loop.
     workers: usize,
-    /// Fastest time of each worker share, in seconds.
-    share_secs: Vec<f64>,
 }
 
 /// Measures `partition`'s candidate loops and leaves the fastest verified
@@ -211,7 +215,6 @@ fn choose(
     // A lone candidate (the scalar loop `partition` is already bound to)
     // wins unmeasured.
     if plans.len() > 1 {
-        // Shares run inline, one at a time; the pool is never dispatched to.
         let pool = Pool::shared();
         let bounds = agreement_bounds(partition, x, y.len());
         // The verification run of each candidate doubles as its warmup.
@@ -221,7 +224,7 @@ fn choose(
             partition.bind(resolved)?;
             let workers = effective_workers(0, kernel_nnz, partition.shape.simd.lanes());
             y.fill(0.0);
-            let shares = partition.run(x, y, workers, pool, None);
+            partition.run(x, y, workers, pool);
             if !plan.is_vectorized() {
                 scalar_y.copy_from_slice(y);
             } else if !agrees(y, scalar_y, &bounds) {
@@ -232,37 +235,31 @@ fn choose(
                 resolved,
                 label: partition.shape.loop_label(),
                 workers,
-                share_secs: vec![f64::INFINITY; shares],
             });
         }
-        // Rounds interleave the candidates, so a disturbance of the host
-        // (this is wall-clock time on a shared machine) spoils one round of
-        // everyone rather than every run of one candidate.
-        for _ in 0..ROUNDS {
-            for candidate in &mut timed {
-                partition.bind(candidate.resolved)?;
-                for (share, fastest) in candidate.share_secs.iter_mut().enumerate() {
-                    let started = Instant::now();
-                    partition.run(x, y, candidate.workers, pool, Some(share));
-                    *fastest = fastest.min(started.elapsed().as_secs_f64());
-                }
-            }
+        // A candidate costs what the whole partition costs under the split
+        // `run(x, 0)` would use, on the pool that split runs on: a length-
+        // sorted partition's straggler, and the fork-join, are in the time.
+        let nnz = partition.matrix.nnz().max(1);
+        let echo: Vec<(u64, usize)> = timed.iter().map(|c| (2 * nnz as u64, c.workers)).collect();
+        let reports = RACE.race(
+            &mut *partition,
+            &echo,
+            |partition, i| {
+                partition
+                    .bind(timed[i].resolved)
+                    .expect("every raced loop was bound once already")
+            },
+            |partition, i| partition.run(x, y, timed[i].workers, pool),
+        );
+        for (candidate, report) in timed.iter().zip(&reports) {
+            measured.push((candidate.label.clone(), report.min_us * 1e3 / nnz as f64));
         }
-        // A candidate costs what its slowest worker share costs under the
-        // split `run(x, 0)` would use — not the sum of its shares: on a
-        // length-sorted partition one worker owns the short rows, a vector
-        // loop slows exactly that worker down, and it is the straggler.
-        let nnz = partition.matrix.nnz().max(1) as f64;
-        let mut fastest = &timed[0];
-        let mut fastest_ns = f64::INFINITY;
-        for candidate in &timed {
-            let slowest_share = candidate.share_secs.iter().copied().fold(0.0, f64::max);
-            let ns_per_nnz = slowest_share * 1e9 / nnz;
-            measured.push((candidate.label.clone(), ns_per_nnz));
-            if ns_per_nnz < fastest_ns {
-                (fastest_ns, fastest) = (ns_per_nnz, candidate);
-            }
-        }
+        let (fastest, _) = timed
+            .iter()
+            .zip(&reports)
+            .min_by(|a, b| a.1.min_us.total_cmp(&b.1.min_us))
+            .expect("the scalar loop always verifies");
         partition.bind(fastest.resolved)?;
         winner = fastest.plan;
     }
@@ -283,11 +280,11 @@ impl NativeKernel {
     /// measurement: the scalar loop, the
     /// host backend's nnz lanes ×4 and ×8 and, on a row partition, row lanes
     /// ×8 on a slab are bound in turn to the partition's own streams, a
-    /// vector loop is checked against the scalar loop's `y` under twice the
-    /// differential suite's per-row bound before it may win, and each is
-    /// timed (32 executions per row partition in all, 24 per nnz partition)
-    /// under the worker split `run(x, 0)` would use, a candidate costing
-    /// what its slowest worker share costs.  The slab is built once per
+    /// vector loop is checked against the scalar loop's `y` under twice
+    /// [`dot_error_bound`] before it may win, and each is raced as the whole
+    /// partition (32 executions per row partition in all, 24 per nnz
+    /// partition) under the worker split `run(x, 0)` would use, on the pool
+    /// it runs on; the fastest round ranks it.  The slab is built once per
     /// partition, and a kernel whose winner is not row lanes holds none.
     /// With
     /// [`NO_SIMD_ENV`](crate::NO_SIMD_ENV) set the scalar loop is the only

@@ -56,8 +56,8 @@ pub use cpu_features::{SimdSupport, NO_SIMD_ENV};
 pub use eval::{NativeEvaluator, NATIVE_DEVICE_LABEL};
 pub use harness::{MeasuredReport, TimingHarness};
 pub use kernel::{
-    effective_workers, plans_from_label, IndexFn, KernelBuildError, LoopChoice, NativeKernel,
-    PlannedProgram, Program, MIN_NNZ_PER_WORKER,
+    dot_error_bound, effective_workers, plans_from_label, IndexFn, KernelBuildError, LoopChoice,
+    NativeKernel, PlannedProgram, Program, MIN_NNZ_PER_WORKER,
 };
 pub use simd::{ResolvedSimd, SimdMode};
 pub use specialized::{IndexKind, KernelShape, PartitionKind, SimdClass};

@@ -2,7 +2,8 @@
 //! every synthetic matrix family × every inner loop a host can select ×
 //! {1, 4} threads, as lowered ([`SimdMode::Auto`]) and as its
 //! [`SimdMode::ForceScalar`] twin, against an **f64 row-by-row reference**
-//! with a *stated* per-row error bound (see [`BOUND_C`]).
+//! with a *stated* per-row error bound ([`dot_error_bound`]; the f64
+//! reference's own error is ~2⁻²⁹ of it and is ignored).
 //!
 //! Beside the bound, the suite pins what must hold exactly:
 //!
@@ -49,32 +50,11 @@
 //!   to its own row, and an empty column band that reads nothing.
 
 use alpha_codegen::GeneratedSpmv;
-use alpha_cpu::{NativeKernel, PlannedProgram, Program, SimdMode};
+use alpha_cpu::{dot_error_bound, NativeKernel, PlannedProgram, Program, SimdMode};
 use alpha_graph::{presets, Operator, OperatorGraph, SimdLaneMapping, SimdPlan};
 use alpha_matrix::{gen::PatternFamily, CooMatrix, CsrMatrix, DenseVector};
 use alpha_parallel::Pool;
 use std::sync::{Arc, Weak};
-
-/// The constant `c` of the per-row bound
-///
-/// ```text
-/// |y_i − ref_i|  ≤  c · len_i · ε_f32 · Σ_j |a_ij · x_j|
-/// ```
-///
-/// where `ref_i` is the row's dot product accumulated in f64, `len_i` its
-/// non-zero count and `ε_f32 = f32::EPSILON = 2u` (`u` the unit roundoff).
-///
-/// `c = 1` is not a tuned tolerance but the textbook bound: a length-`n` dot
-/// product evaluated in *any* order — serial, `L` strided lanes folded by a
-/// tree, partial sums merged across worker or `COL_DIV` boundaries — with
-/// one rounding per multiply and per add has error at most
-/// `γ_n · Σ|a_j x_j|` with `γ_n = n·u / (1 − n·u)` (Higham, *Accuracy and
-/// Stability of Numerical Algorithms*, §3.1), and `γ_n ≤ 2·n·u = n · ε_f32`
-/// whenever `n·u ≤ ½`, i.e. for every row shorter than 2²² entries.  Padding
-/// slots contribute exact zeros.  The f64 reference's own error is ~2⁻²⁹
-/// of that and is ignored.  A kernel that exceeds this has dropped,
-/// duplicated or mis-indexed a term — it is not "SIMD noise".
-const BOUND_C: f64 = 1.0;
 
 /// Nnz lanes ×`lanes`: a plan [`NativeKernel::select`] may pick.
 const fn nnz_lanes(lanes: usize) -> SimdPlan {
@@ -163,11 +143,11 @@ fn reference_rows(matrix: &CsrMatrix, x: &[f32]) -> Vec<(f64, f64, usize)> {
         .collect()
 }
 
-/// Holds every row of `y` to the [`BOUND_C`] bound.
+/// Holds every row of `y` to its [`dot_error_bound`].
 fn assert_within_bound(y: &[f32], reference: &[(f64, f64, usize)], context: &str) {
     assert_eq!(y.len(), reference.len(), "{context}: output length");
     for (row, (&got, &(sum, magnitude, len))) in y.iter().zip(reference).enumerate() {
-        let bound = BOUND_C * len as f64 * f32::EPSILON as f64 * magnitude;
+        let bound = dot_error_bound(len, magnitude);
         let error = (got as f64 - sum).abs();
         assert!(
             error <= bound,
