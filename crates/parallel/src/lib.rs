@@ -1,20 +1,19 @@
 //! `alpha-parallel` — std-only data-parallel primitives: a persistent worker
-//! [`Pool`] and the bounded task queues a service puts in front of one.
+//! [`Pool`] and the bounded admission queue a service puts in front of one.
 //!
-//! The evaluation layer of the search engine fans candidate batches out
-//! across threads (ISSUE: "via rayon"); this container has no network access
-//! to crates.io, so the workspace carries this std-only stand-in instead.  It
-//! provides an order-preserving parallel map over a slice — with the same
-//! determinism guarantee rayon's `par_iter().map().collect()` gives: the
-//! output index `i` always holds `f(&items[i])`, regardless of how work
-//! interleaves — and a disjoint-chunk in-place runner
-//! ([`Pool::run_over_chunks`]).
+//! The workspace builds without a package registry, so it carries this
+//! std-only stand-in for rayon.  It provides an order-preserving parallel
+//! map over a slice — with the same determinism guarantee rayon's
+//! `par_iter().map().collect()` gives: the output index `i` always holds
+//! `f(&items[i])`, regardless of how work interleaves — and a disjoint-chunk
+//! in-place runner ([`Pool::run_over_chunks`]).
 //!
 //! There is one way to run either: **the persistent [`Pool`]**.  Workers are
-//! spawned once; a job is published to them, they drain an atomic work
-//! counter, and the submitting thread (which participates in its own job)
-//! collects the results.  Every native kernel, baseline, candidate batch and
-//! request batch runs here; nothing spawns a thread per call.
+//! spawned once; a job is published to them, they take its chunks one at a
+//! time from a shared list, and the submitting thread (which participates in
+//! its own job) returns when every chunk has run.  Every native kernel,
+//! baseline, timed candidate and paper-figure fan-out runs here; nothing
+//! spawns a thread per call.
 //!
 //! What a fork-join costs is owned by the repo benchmark's
 //! `parallel.dispatch_us` (the median no-op `T`-chunk job on the shared pool;
@@ -25,17 +24,19 @@
 //! one `futex` wake and never waits for the sleeper to get on a core.  See
 //! "Fork-join protocol" on [`Pool`].
 //!
-//! Work distribution is a simple atomic work-stealing counter: each executor
-//! repeatedly claims the next unprocessed index.  That keeps long-running
-//! items (e.g. a slow kernel simulation) from serialising behind a static
-//! chunking.
+//! Work distribution is dynamic: each executor takes the next chunk nobody
+//! has taken yet and runs it outside the list's lock.  That keeps
+//! long-running items (e.g. a slow candidate) from serialising behind a
+//! static assignment.  Chunks and results cross threads as ordinary `&mut`
+//! borrows; the only `unsafe` is the pool's lifetime erasure of the job
+//! closure (`WorkPtr`).
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,14 +55,6 @@ pub fn default_threads() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    }
-}
-
 /// Cached handle on the process-wide `parallel_thread_spawns_total` counter —
 /// the observability hook the "no spawn on the steady-state path" tests rely
 /// on: snapshot the counter via `alpha_telemetry::global()`, run the hot
@@ -74,86 +67,12 @@ fn spawn_counter() -> &'static Counter {
 }
 
 /// Cached handle on the process-wide `parallel_queue_depth` gauge — additive
-/// across every live [`TaskQueue`] / [`ShardedTaskQueue`].
+/// across every live [`ShardedTaskQueue`].
 fn queue_depth_gauge() -> Gauge {
     static GAUGE: OnceLock<Gauge> = OnceLock::new();
     GAUGE
         .get_or_init(|| alpha_telemetry::global().gauge("parallel_queue_depth", &[]))
         .clone()
-}
-
-fn count_spawn() {
-    spawn_counter().inc();
-}
-
-// ---------------------------------------------------------------------------
-// Order-preserving result slots
-// ---------------------------------------------------------------------------
-
-/// Preallocated, index-addressed result storage for an order-preserving
-/// parallel map.
-///
-/// Each index is claimed by exactly one worker (through an atomic counter),
-/// so writes land in disjoint slots of the output vector's spare capacity and
-/// need **no lock** — this replaces the old per-item `Mutex<Option<R>>`
-/// slots, which paid a lock acquisition and an `Option` rewrap per element.
-/// A plain atomic flag per slot records which results exist, so a panicking
-/// job can drop the results it did produce instead of leaking them.
-struct MapSlots<R> {
-    /// Owns the allocation; `len` stays 0 until `finish`.
-    vec: Vec<R>,
-    /// Start of the allocation, captured while `vec` was exclusively held.
-    base: *mut R,
-    /// `written[i]` is set after slot `i` holds a live `R`.
-    written: Vec<AtomicBool>,
-}
-
-// SAFETY: slot writes are disjoint by construction (each index is claimed by
-// exactly one worker) and land in memory no reference covers (beyond the
-// vector's length); the flags are atomics.
-unsafe impl<R: Send> Sync for MapSlots<R> {}
-
-impl<R: Send> MapSlots<R> {
-    fn new(len: usize) -> Self {
-        let mut vec = Vec::with_capacity(len);
-        let base = vec.as_mut_ptr();
-        MapSlots {
-            vec,
-            base,
-            written: (0..len).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// Stores the result for `index`.
-    ///
-    /// SAFETY: `index` is in bounds and written at most once.
-    unsafe fn write(&self, index: usize, value: R) {
-        // SAFETY: `index < len` keeps the write inside the capacity `new`
-        // reserved, and the caller's one-claim-per-index counter (the
-        // `next.fetch_add` in `parallel_map`) means no other write, and no
-        // reference, touches this slot.
-        unsafe { self.base.add(index).write(value) };
-        self.written[index].store(true, Ordering::Release);
-    }
-
-    /// Consumes the slots: re-raises `panic` (dropping whatever results were
-    /// produced before it) or returns the completed vector.
-    fn finish(mut self, panic: Option<Box<dyn Any + Send>>) -> Vec<R> {
-        if let Some(payload) = panic {
-            for (index, flag) in self.written.iter().enumerate() {
-                if flag.load(Ordering::Acquire) {
-                    // SAFETY: the flag says this slot holds a live R that the
-                    // vector (len 0) will not drop itself.
-                    unsafe { std::ptr::drop_in_place(self.base.add(index)) };
-                }
-            }
-            resume_unwind(payload);
-        }
-        debug_assert!(self.written.iter().all(|flag| flag.load(Ordering::Acquire)));
-        // SAFETY: every index was claimed and written exactly once.
-        unsafe { self.vec.set_len(self.written.len()) };
-        self.vec
-    }
 }
 
 /// Splits `slice` into up to `parts` contiguous chunks of near-equal length,
@@ -429,7 +348,7 @@ static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(1);
 ///    worker in the same bounded way, and workers notify it only if it
 ///    actually parked.  Back-to-back jobs therefore make no syscall.
 /// 3. **The submitter never waits on a thread that has not started.**  Every
-///    job drains one shared index counter, so when the submitter returns
+///    job drains one shared list of chunks, so when the submitter returns
 ///    from its own share nothing is left for a worker that has not claimed
 ///    yet: its slot is retracted under the lock instead of waited for.  A
 ///    cold call costs the serial time plus one uncontended lock.
@@ -462,7 +381,10 @@ impl Pool {
     /// the submitting thread is the final executor.  `Pool::new(1)` spawns
     /// nothing — every job runs inline.
     pub fn new(threads: usize) -> Pool {
-        let threads = resolve_threads(threads).max(1);
+        let threads = match threads {
+            0 => default_threads(),
+            threads => threads,
+        };
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -488,7 +410,7 @@ impl Pool {
         let handles = (0..threads - 1)
             .map(|worker| {
                 let shared = shared.clone();
-                count_spawn();
+                spawn_counter().inc();
                 std::thread::Builder::new()
                     .name(format!("alpha-pool-{id}-{worker}"))
                     .spawn(move || worker_loop(&shared, id))
@@ -538,12 +460,12 @@ impl Pool {
     /// many workers are engaged, so small jobs pay dispatch proportional to
     /// their own size, not to the pool's.
     ///
-    /// `work` must be a *drain*: every invocation claims items from one
-    /// shared counter until none are left, so once one invocation has
-    /// returned normally, another one has nothing to do.  That is what lets
-    /// the submitter retract unclaimed worker slots instead of waiting for
-    /// them (both callers, `parallel_map` and `run_over_chunks`, are
-    /// drains; after a panic the leftovers are abandoned with the job).
+    /// `work` must be a *drain*: every invocation takes chunks from one
+    /// shared list until none are left, so once one invocation has returned
+    /// normally, another one has nothing to do.  That is what lets the
+    /// submitter retract unclaimed worker slots instead of waiting for them
+    /// (`run_over_chunks`, which `parallel_map` runs on, is the only caller;
+    /// after a panic the leftovers are abandoned with the job).
     fn execute(&self, work: &(dyn Fn() + Sync), worker_hint: usize) -> Option<Box<dyn Any + Send>> {
         let shared = &*self.shared;
         let target = worker_hint.min(self.handles.len());
@@ -631,33 +553,27 @@ impl Pool {
     /// with up to [`Pool::threads`] concurrent executors (and no more than
     /// there are items).  A one-thread pool, or a single item, runs inline
     /// with no pool dispatch at all.  Panics in `f` propagate to the caller;
-    /// the pool survives them.
+    /// the pool survives them, and the results produced before the panic are
+    /// dropped with their slots.
     pub fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let executors = self.threads().min(items.len().max(1));
-        if executors == 1 || self.is_reentrant() {
+        if self.threads() == 1 || items.len() <= 1 || self.is_reentrant() {
             return items.iter().map(&f).collect();
         }
-        let slots = MapSlots::new(items.len());
-        let next = AtomicUsize::new(0);
-        let work = || loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= items.len() {
-                break;
-            }
-            let result = f(&items[index]);
-            // SAFETY: `index` came from the shared counter — claimed exactly
-            // once, in bounds.
-            unsafe { slots.write(index, result) };
-        };
-        // The caller takes one executor slot; only `executors - 1` workers
-        // are engaged.
-        let panic = self.execute(&work, executors - 1);
-        slots.finish(panic)
+        // One slot per item, each a chunk of its own: the executor that
+        // takes chunk `i` is the only one to write `slots[i]`.
+        let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        self.run_over_chunks(split_mut(&mut slots, items.len()), |index, slot| {
+            slot[0] = Some(f(&items[index]));
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every item was mapped"))
+            .collect()
     }
 
     /// Runs `f(offset, chunk)` over disjoint mutable chunks on the pool —
@@ -676,44 +592,24 @@ impl Pool {
             }
             return;
         }
-        // Erase the chunk borrows into raw parts so workers can claim them
-        // by index; each index is claimed once, so access stays exclusive.
-        let raw = RawChunks(
-            chunks
-                .into_iter()
-                .map(|(offset, chunk)| (offset, chunk.as_mut_ptr(), chunk.len()))
-                .collect::<Vec<_>>(),
-        );
-        let next = AtomicUsize::new(0);
-        let work = || {
-            // Capture the `Sync` wrapper itself, not its raw-pointer field.
-            let raw = &raw;
-            loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= raw.0.len() {
-                    break;
-                }
-                let (offset, ptr, len) = raw.0[index];
-                // SAFETY: the chunks were disjoint `&mut` borrows and each
-                // index is claimed by exactly one executor.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-                f(offset, chunk);
-            }
-        };
         // One chunk runs on the caller; at most one worker per remaining
         // chunk is engaged.
-        let worker_hint = raw.0.len() - 1;
+        let worker_hint = chunks.len() - 1;
+        // Each executor takes the next chunk under the lock and runs it
+        // outside it, so every chunk runs once and the job is a drain.
+        let chunks = Mutex::new(chunks.into_iter());
+        let work = || loop {
+            let next = chunks.lock().expect("pool chunk list poisoned").next();
+            let Some((offset, chunk)) = next else {
+                break;
+            };
+            f(offset, chunk);
+        };
         if let Some(payload) = self.execute(&work, worker_hint) {
             resume_unwind(payload);
         }
     }
 }
-
-struct RawChunks<T>(Vec<(usize, *mut T, usize)>);
-
-// SAFETY: see `run_over_chunks` — the raw parts come from disjoint `&mut`
-// slices and are claimed exclusively by index.
-unsafe impl<T: Send> Sync for RawChunks<T> {}
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -863,10 +759,9 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-/// A bounded multi-producer / multi-consumer FIFO split into N shards with
-/// per-shard locks, behind one global admission bound — the admission
-/// primitive a long-lived service puts between its event loop and a worker
-/// lane.
+/// A bounded multi-producer / multi-consumer queue of N FIFO shards behind
+/// one lock and one global admission bound — the admission primitive a
+/// long-lived service puts between its event loop and a worker lane.
 ///
 /// Producers use [`ShardedTaskQueue::try_push`], which **never blocks**: a
 /// full queue returns [`PushError::Full`] immediately so the caller can shed
@@ -876,68 +771,70 @@ pub enum PushError<T> {
 /// clean-shutdown signal for a worker pool.  With one shard it is a plain
 /// global FIFO (the daemon's SpMV exec lane).
 ///
-/// The motivation is contention *shape*, not raw throughput: with one lock,
-/// every producer and every worker serialise on the same mutex, so a burst
-/// from one hot tenant stalls admission for everyone.  Here items are pushed
-/// to the shard chosen by the caller's hash key (the daemon hashes the
-/// submitting tenant, so one tenant's storm lands in one shard), and
-/// consumers drain shards in rotating order, which approximates round-robin
-/// service across shards — a cheap fairness floor on top of the explicit
-/// per-tenant admission credits.
+/// Shards are about fairness, not lock contention: every push and pop takes
+/// the one lock.  Items go to the shard chosen by the caller's hash key (the
+/// daemon hashes the submitting tenant, so one tenant's storm lands in one
+/// shard), and consumers serve the non-empty shards round-robin — a cheap
+/// fairness floor on top of the explicit per-tenant admission credits.
 ///
-/// Capacity is **global**: the admission bound spans all shards, so the
-/// `Busy` semantics of the single-lock queue are preserved exactly (a
-/// `queue_capacity = 1` daemon still rejects the second concurrent job no
-/// matter which shard it hashes to).
+/// Capacity is **global**: the admission bound spans all shards (a
+/// `queue_capacity = 1` daemon rejects the second concurrent job no matter
+/// which shard it hashes to).
 pub struct ShardedTaskQueue<T> {
-    /// Per-shard FIFOs, each behind its own short-held lock.
-    shards: Vec<Mutex<VecDeque<T>>>,
-    /// Global admission state: queued count + closed flag.  Pushes publish
-    /// to a shard *before* raising `len`, so any count a popper reserves is
-    /// already visible in some shard.
-    sync: Mutex<SharedQueueSync>,
+    state: Mutex<QueueState<T>>,
     not_empty: Condvar,
     capacity: usize,
-    /// Rotating start shard for consumers — spreads drain order so shard 0
-    /// is not structurally favoured.
-    next_scan: AtomicUsize,
-    /// Shared `parallel_queue_depth` gauge (additive across queues).
+    /// Number of shards, fixed at construction.
+    shard_count: usize,
+    /// Shared `parallel_queue_depth` gauge (additive across queues), moved
+    /// under the state lock so it never reads below zero.
     depth: Gauge,
 }
 
-struct SharedQueueSync {
+struct QueueState<T> {
+    /// One FIFO per shard.
+    shards: Vec<VecDeque<T>>,
+    /// Items queued across all shards.
     len: usize,
     closed: bool,
+    /// The shard the next pop looks at first: one past the shard the last
+    /// pop served, so consumers take the non-empty shards in turn.
+    next_scan: usize,
 }
 
 impl<T> ShardedTaskQueue<T> {
     /// A queue of `shards` shards (minimum 1) admitting at most `capacity`
     /// items at a time across all of them (minimum 1).
     pub fn bounded(capacity: usize, shards: usize) -> Self {
+        let shard_count = shards.max(1);
         ShardedTaskQueue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            sync: Mutex::new(SharedQueueSync {
+            state: Mutex::new(QueueState {
+                shards: (0..shard_count).map(|_| VecDeque::new()).collect(),
                 len: 0,
                 closed: false,
+                next_scan: 0,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
-            next_scan: AtomicUsize::new(0),
+            shard_count,
             depth: queue_depth_gauge(),
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
+        self.state.lock().expect("sharded queue poisoned")
+    }
+
     /// Number of shards the queue was built with.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+    #[cfg(test)]
+    fn shards(&self) -> usize {
+        self.shard_count
     }
 
     /// The shard a hash key routes to (Fibonacci multiplicative hash, so
     /// sequential keys spread instead of clustering).
-    pub fn shard_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.shards.len()
+    fn shard_of(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.shard_count
     }
 
     /// Enqueues `item` on the shard `key` hashes to unless the queue is full
@@ -945,77 +842,54 @@ impl<T> ShardedTaskQueue<T> {
     pub fn try_push(&self, key: u64, item: T) -> Result<(), PushError<T>> {
         let shard = self.shard_of(key);
         {
-            let sync = self.sync.lock().expect("sharded queue poisoned");
-            if sync.closed {
+            let mut state = self.lock();
+            if state.closed {
                 return Err(PushError::Closed(item));
             }
-            if sync.len >= self.capacity {
+            if state.len >= self.capacity {
                 return Err(PushError::Full(item));
             }
-            // Admission is decided; publish the item under the shard lock,
-            // then raise the global count.  Order matters: a popper that
-            // decrements `len` must always find a published item.
-            self.shards[shard]
-                .lock()
-                .expect("sharded queue shard poisoned")
-                .push_back(item);
-            let mut sync = sync;
-            sync.len += 1;
+            state.shards[shard].push_back(item);
+            state.len += 1;
+            self.depth.add(1);
         }
-        self.depth.add(1);
         self.not_empty.notify_one();
         Ok(())
     }
 
-    /// Dequeues one item, blocking while all shards are empty.  Shards are
-    /// scanned in rotating order from a moving start, so consumers drain the
-    /// shards round-robin instead of always favouring the lowest index.
-    /// Returns `None` once the queue is closed **and** drained.
+    /// Dequeues one item, blocking while all shards are empty.  The scan
+    /// starts one past the shard the previous pop served, so consumers drain
+    /// the non-empty shards round-robin instead of favouring the lowest
+    /// index.  Returns `None` once the queue is closed **and** drained.
     pub fn pop(&self) -> Option<T> {
-        {
-            let mut sync = self.sync.lock().expect("sharded queue poisoned");
-            loop {
-                if sync.len > 0 {
-                    sync.len -= 1;
-                    self.depth.sub(1);
-                    break;
-                }
-                if sync.closed {
-                    return None;
-                }
-                sync = self.not_empty.wait(sync).expect("sharded queue poisoned");
+        let mut state = self.lock();
+        while state.len == 0 {
+            if state.closed {
+                return None;
             }
+            state = self.not_empty.wait(state).expect("sharded queue poisoned");
         }
-        // One item is reserved and guaranteed published; scan until found.
-        // Concurrent poppers may race for the same shard, but the reserved
-        // counts never exceed the published items, so the scan terminates.
-        let start = self.next_scan.fetch_add(1, Ordering::Relaxed);
-        loop {
-            for offset in 0..self.shards.len() {
-                let shard = (start + offset) % self.shards.len();
-                let item = self.shards[shard]
-                    .lock()
-                    .expect("sharded queue shard poisoned")
-                    .pop_front();
-                if let Some(item) = item {
-                    return Some(item);
-                }
-            }
-            std::hint::spin_loop();
-        }
+        let shard = (0..self.shard_count)
+            .map(|offset| (state.next_scan + offset) % self.shard_count)
+            .find(|&shard| !state.shards[shard].is_empty())
+            .expect("a queued item sits in some shard");
+        state.next_scan = shard + 1;
+        state.len -= 1;
+        self.depth.sub(1);
+        state.shards[shard].pop_front()
     }
 
     /// Closes the queue: further pushes fail with [`PushError::Closed`], and
     /// every blocked or future [`ShardedTaskQueue::pop`] returns `None` once
     /// the remaining items are drained.
     pub fn close(&self) {
-        self.sync.lock().expect("sharded queue poisoned").closed = true;
+        self.lock().closed = true;
         self.not_empty.notify_all();
     }
 
     /// Items currently queued across all shards (racy by nature; for stats).
     pub fn len(&self) -> usize {
-        self.sync.lock().expect("sharded queue poisoned").len
+        self.lock().len
     }
 
     /// True when nothing is queued right now.
@@ -1032,7 +906,11 @@ impl<T> ShardedTaskQueue<T> {
 impl<T> Drop for ShardedTaskQueue<T> {
     fn drop(&mut self) {
         // Undrained items leave with the queue; keep the shared gauge honest.
-        let remaining = self.sync.lock().expect("sharded queue poisoned").len;
+        let remaining = self
+            .state
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len;
         if remaining > 0 {
             self.depth.sub(remaining as i64);
         }
@@ -1167,6 +1045,38 @@ mod tests {
         for i in 0..8 {
             assert_eq!(queue.pop(), Some(i), "per-shard order must be FIFO");
         }
+    }
+
+    #[test]
+    fn pops_rotate_across_shards() {
+        // One consumer, one storming key and one quiet key in two of eight
+        // shards: pops alternate between the shards while both hold items,
+        // however unevenly they were filled — the per-tenant fairness floor
+        // of the daemon's admission queue.
+        let queue = ShardedTaskQueue::bounded(16, 8);
+        let (storm, quiet) = (1u64, 0u64);
+        assert_ne!(queue.shard_of(storm), queue.shard_of(quiet));
+        for i in 0..6 {
+            queue.try_push(storm, 100 + i).unwrap();
+        }
+        for i in 0..2 {
+            queue.try_push(quiet, i).unwrap();
+        }
+        let popped: Vec<u32> = (0..8).map(|_| queue.pop().unwrap()).collect();
+        let from_storm: Vec<bool> = popped.iter().map(|&item| item >= 100).collect();
+        assert!(
+            from_storm[..4].windows(2).all(|pair| pair[0] != pair[1]),
+            "pops must alternate between shards while both hold items: {popped:?}"
+        );
+        let (storm_items, quiet_items): (Vec<u32>, Vec<u32>) =
+            popped.iter().partition(|&&item| item >= 100);
+        assert_eq!(
+            storm_items,
+            (100..106).collect::<Vec<_>>(),
+            "FIFO per shard"
+        );
+        assert_eq!(quiet_items, [0, 1], "FIFO per shard");
+        assert!(queue.is_empty());
     }
 
     #[test]
@@ -1431,6 +1341,7 @@ mod tests {
     /// and parked; slots retracted; the submitter polling or parked.
     mod pool_states {
         use super::*;
+        use std::sync::atomic::AtomicBool;
         use std::time::{Duration, Instant};
 
         /// Blocks until every worker of `pool` is parked in `work_ready`.
