@@ -208,25 +208,29 @@ fn main() {
             rows.len()
         );
         println!(
-            "  {:<18} {:>9} {:>9} {:>10} {:>9} {:>8}  {:<22} {:<40} winner (model)",
+            "  {:<18} {:>9} {:>9} {:>10} {:>9} {:>8} {:>6} {:>6}  {:<22} {:<40} winner (model)",
             "matrix",
             "tune ms",
             "(model)",
             "win ratio",
             "vs preset",
             "programs",
+            "evals",
+            "timed",
             "best preset",
             "winner (measured)"
         );
         for row in &rows {
             println!(
-                "  {:<18} {:>9.1} {:>9.1} {:>9.3}x {:>8.2}x {:>8}  {:<22} {:<40} {}",
+                "  {:<18} {:>9.1} {:>9.1} {:>9.3}x {:>8.2}x {:>8} {:>6} {:>6}  {:<22} {:<40} {}",
                 row.matrix,
                 1e3 * row.measured_tune_s,
                 1e3 * row.simulated_tune_s,
                 row.winner_ratio(),
                 row.gain_over_preset(),
                 row.preset_programs,
+                row.evaluations,
+                row.programs_timed,
                 row.preset,
                 row.measured_shape,
                 row.simulated_shape
@@ -246,10 +250,17 @@ fn main() {
             gains.iter().filter(|&&gain| gain < 1.0).count(),
             gains.len()
         );
+        let total = |f: &dyn Fn(&HostRow) -> u64| rows.iter().map(f).sum::<u64>();
+        println!(
+            "  fleet: the measured tunes evaluated {} candidates and timed {} distinct programs",
+            total(&|r| r.evaluations),
+            total(&|r| r.programs_timed)
+        );
         println!(
             "  (win ratio: measured winner's time over the model winner's, below 1 is faster;\n   \
              vs preset: the fastest distinct preset program's time over the measured winner's;\n   \
-             programs: the distinct programs the presets lower to, each selected and raced once)\n"
+             programs: the distinct programs the presets lower to, each selected and raced once;\n   \
+             evals / timed: the candidates the measured tune evaluated / the programs it timed)\n"
         );
     }
 

@@ -432,6 +432,10 @@ pub struct HostRow {
     /// Distinct programs the presets lower to on this matrix: each was
     /// selected and raced once.
     pub preset_programs: usize,
+    /// Candidates the measured tune evaluated.
+    pub evaluations: u64,
+    /// Distinct programs the measured tune verified and timed.
+    pub programs_timed: u64,
     /// Kernel-shape label of the measured tune's winner.
     pub measured_shape: String,
     /// Kernel-shape label of the cost-model tune's winner.
@@ -457,7 +461,9 @@ impl HostRow {
 /// per matrix), lowers one per group through `NativeKernel::select`, and
 /// races both winners and every group's kernel in one race on this host;
 /// the fastest group is the best preset.  A stand-in either tune fails on is
-/// skipped.  The stand-ins are served one at a time: this comparison times.
+/// skipped.  The stand-ins are served one at a time: this comparison times,
+/// and it reads what each measured tune evaluated off the global
+/// `cpu_eval_total{outcome}` counters, which nothing else moves meanwhile.
 pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
     use alphasparse::{cpu::PlannedProgram, AlphaSparse, NativeKernel, TimingHarness};
     let measured = SearchConfig {
@@ -481,8 +487,18 @@ pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
             let tuned = AlphaSparse::with_config(config.clone()).auto_tune(matrix);
             tuned.map(|tuned| (tuned, started.elapsed().as_secs_f64()))
         };
+        let outcomes = || {
+            ["timed", "reused", "infeasible"].map(|outcome| {
+                alpha_telemetry::global()
+                    .counter("cpu_eval_total", &[("outcome", outcome)])
+                    .get()
+            })
+        };
+        let before = outcomes();
+        let by_time = tune(&measured);
+        let [timed, reused, infeasible] = outcomes();
         let (Ok((by_time, measured_tune_s)), Ok((by_model, simulated_tune_s))) =
-            (tune(&measured), tune(&simulated))
+            (by_time, tune(&simulated))
         else {
             continue;
         };
@@ -544,6 +560,8 @@ pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
             preset_us,
             preset: groups[best].1,
             preset_programs: groups.len(),
+            evaluations: timed + reused + infeasible - before.iter().sum::<u64>(),
+            programs_timed: timed - before[0],
             measured_shape: by_time.kernel_shape(),
             simulated_shape: by_model.kernel_shape(),
         });

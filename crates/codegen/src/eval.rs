@@ -82,8 +82,8 @@ pub struct EvalContext<'a> {
     /// The matrix being tuned.
     pub matrix: &'a CsrMatrix,
     /// The search's Designer: every candidate is designed through it, so the
-    /// matrix is converted once per distinct converting chain and the
-    /// candidates share the result.  Dropped with the context.
+    /// matrix is copied once per distinct piece and the candidates share
+    /// the result.  Dropped with the context.
     designer: Designer<'a>,
     /// Probe input vector the candidates are executed with.
     pub x: DenseVector,

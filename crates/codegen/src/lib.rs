@@ -95,9 +95,9 @@ pub fn generate(
 }
 
 /// [`generate`] through a Designer the caller keeps: a search generates all
-/// its candidates through one, so the matrix is converted — and the
-/// conversion's `origin_rows` / `row_offsets` arrays fitted — once per
-/// distinct converting chain instead of once per candidate.
+/// its candidates through one, so the matrix is copied — and a piece's
+/// `origin_rows` / `row_offsets` arrays fitted — once per distinct piece
+/// the Designer holds instead of once per candidate.
 pub fn generate_with(
     designer: &Designer<'_>,
     graph: &OperatorGraph,

@@ -1002,8 +1002,8 @@ mod tests {
     impl Evaluator for Recording {
         fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
             let evaluation = self.0.evaluator.evaluate(ctx, graph)?;
-            // Through the search's Designer: the allocations the evaluator's
-            // kernel read.
+            // Through the search's Designer, the one the evaluator's records
+            // are scoped to.
             let generated = alpha_codegen::generate_with(ctx.designer(), graph, ctx.options)
                 .expect("it was feasible");
             let kernel = NativeKernel::new(generated.kernel.metadata(), &generated.format);

@@ -8,7 +8,7 @@
 //! three-level search then optimises what a stopwatch actually reads on this
 //! machine.  Each candidate is designed
 //! through the search's [`Designer`](alpha_graph::Designer), so candidates
-//! on one converting chain share one converted matrix.  A candidate that is
+//! whose conversions order rows alike share one copy.  A candidate that is
 //! not a program measured before is then generated, lowered to a
 //! [`NativeKernel`], *verified* against the reference SpMV (wrong results are
 //! infeasible, exactly like the simulator path) and timed with the
@@ -22,13 +22,16 @@
 //!   coordinates lowering never reads — so most candidates of a search lower
 //!   to a kernel an earlier candidate already ran: on the benchmark's cold
 //!   fleet (16 384 × 16, 80 iterations) a tune of 85 candidates times 1
-//!   program on uniform and block matrices, 6-9 on banded and 13-19 on
+//!   program on uniform and block matrices, 5-8 on banded and 12-16 on
 //!   powerlaw and rmat ones.  A candidate whose designed plans are a
-//!   [`PlannedProgram`] this evaluator verified and timed — the same stream
-//!   allocations and, by value, everything else lowering reads — under
-//!   bitwise the same `x`, reference and tolerance is neither generated nor
-//!   lowered nor run: it carries that program's report.  Any other candidate
-//!   is generated, lowered, verified, timed and recorded.
+//!   [`PlannedProgram`] this evaluator verified and timed — by value: the
+//!   same row orders and column bands, and everything else lowering reads —
+//!   through the same Designer and under bitwise the same `x`, reference and
+//!   tolerance is neither generated nor lowered nor run: it carries that
+//!   program's report, even when the Designer rebuilt its conversion after
+//!   evicting it.  Any other candidate is generated, lowered, verified,
+//!   timed and recorded.  A candidate of another Designer or probe clears
+//!   the records.
 //! * A recorded program's report is its first member's: the measured time
 //!   and that member's format bytes as `dram_bytes`.  A later member builds
 //!   no format, so its own (say, differently padded) byte count is never
@@ -66,8 +69,8 @@ use std::time::Instant;
 /// parked workers and the same allocation, so a measurement is pure kernel
 /// time — no thread spawns, no allocator traffic, no interference from other
 /// pools' jobs.  It also remembers every program it verified and timed: a
-/// candidate that is one of them on the same probe is answered from its
-/// measurement.
+/// candidate that is one of them, through the same Designer and on the same
+/// probe, is answered from its measurement.
 pub struct NativeEvaluator {
     harness: TimingHarness,
     kernel_threads: usize,
@@ -113,9 +116,9 @@ impl StageClock<'_> {
 #[derive(Default)]
 struct Measuring {
     y: Vec<Scalar>,
-    /// Every program verified under [`Measuring::probe`] and timed.
+    /// Every program verified and timed under [`Measuring::scope`].
     programs: Vec<Measured>,
-    probe: Probe,
+    scope: Scope,
 }
 
 /// One program verified and timed, with what its members are answered.
@@ -130,18 +133,21 @@ struct Measured {
     report: PerfReport,
 }
 
-/// What verification judges a kernel's `y` by: the input, the reference
-/// and the tolerance, compared bit for bit.
+/// What the records hold under: the Designer whose plans they compare by
+/// value, and what verification judges a kernel's `y` by — the input, the
+/// reference and the tolerance, compared bit for bit.
 #[derive(Default)]
-struct Probe {
+struct Scope {
+    designer: Option<u64>,
     x: Vec<Scalar>,
     reference: Vec<Scalar>,
     tolerance: Scalar,
 }
 
-impl Probe {
+impl Scope {
     fn is(&self, ctx: &EvalContext<'_>) -> bool {
-        same_bits(&self.x, ctx.x.as_slice())
+        self.designer == Some(ctx.designer().id())
+            && same_bits(&self.x, ctx.x.as_slice())
             && same_bits(&self.reference, &ctx.reference)
             && self.tolerance.to_bits() == ctx.tolerance.to_bits()
     }
@@ -212,26 +218,26 @@ impl NativeEvaluator {
             last: Instant::now(),
         };
         let metadata = ctx.designer().design(graph).ok()?;
+        let planned = PlannedProgram::of(&metadata, ctx.options);
         // The lock serialises measurements, which would otherwise steal each
         // other's cores — and the look-up for a recorded program, and the
         // build of a program not yet recorded, happen under it, so of two
         // identical designs evaluated concurrently exactly one is generated,
         // verified and timed.
         let mut guard = self.measuring.lock().expect("evaluator scratch poisoned");
-        let Measuring { y, programs, probe } = &mut *guard;
-        if !probe.is(ctx) {
-            // A program verified under another probe proves nothing here.
-            *probe = Probe {
+        let Measuring { y, programs, scope } = &mut *guard;
+        if !scope.is(ctx) {
+            // Another Designer's plans are other rows, and a program
+            // verified under another probe proves nothing here.
+            *scope = Scope {
+                designer: Some(ctx.designer().id()),
                 x: ctx.x.as_slice().to_vec(),
                 reference: ctx.reference.clone(),
                 tolerance: ctx.tolerance,
             };
             programs.clear();
         }
-        if let Some(measured) = programs
-            .iter()
-            .find(|m| m.planned.is(&metadata, ctx.options))
-        {
+        if let Some(measured) = programs.iter().find(|m| m.planned == planned) {
             self.reused.inc();
             clock.lap();
             if cfg!(debug_assertions) {
@@ -272,12 +278,9 @@ impl NativeEvaluator {
         });
         self.measurements.fetch_add(1, Ordering::Relaxed);
         self.timed.inc();
-        // Records whose streams are gone can never match again; dropping
-        // them frees the index maps and allocations they pin.
-        programs.retain(|m| m.planned.is_live());
         let report = measured.to_perf_report(kernel.format_bytes());
         programs.push(Measured {
-            planned: PlannedProgram::of(generated.kernel.metadata(), ctx.options),
+            planned,
             program: Program::of(&kernel, workers),
             report: report.clone(),
         });
@@ -332,7 +335,7 @@ pub(crate) mod tests {
     use super::*;
     use alpha_codegen::GeneratorOptions;
     use alpha_gpu::DeviceProfile;
-    use alpha_graph::presets;
+    use alpha_graph::{presets, Operator};
     use alpha_matrix::gen;
 
     fn context_fixture(matrix: &alpha_matrix::CsrMatrix) -> EvalContext<'_> {
@@ -384,7 +387,6 @@ pub(crate) mod tests {
     /// `presets::csr_scalar()` with coordinates only a GPU reads changed:
     /// thread-block size, rows per thread block, reduction style.
     pub(crate) fn gpu_only_variants() -> Vec<OperatorGraph> {
-        use alpha_graph::Operator;
         let mut variants = vec![presets::csr_scalar()];
         for threads_per_block in [64, 256, 512] {
             let mut graph = presets::csr_scalar();
@@ -502,27 +504,43 @@ pub(crate) mod tests {
 
     #[test]
     fn another_allocation_is_not_the_same_program() {
-        // Equal matrices, two contexts: each Designer converts its own, so
-        // the kernels read equal streams from two allocations — two
-        // programs, each verified and timed.
+        // Equal matrices, two contexts: each has its own Designer, and two
+        // Designers never share records — each program is verified and
+        // timed under the Designer it was designed by.
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
         let twin = matrix.clone();
         let (a, b) = (context_fixture(&matrix), context_fixture(&twin));
         let graph = presets::csr_scalar();
-        let lowered = |ctx: &EvalContext<'_>| {
-            let generated = generate_with(ctx.designer(), &graph, ctx.options).unwrap();
-            NativeKernel::new(generated.kernel.metadata(), &generated.format)
-        };
-        assert!(!Program::of(&lowered(&a), 1).is(&lowered(&b), 1));
-
         let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
         evaluator.evaluate(&a, &graph).expect("feasible");
         evaluator.evaluate(&b, &graph).expect("feasible");
-        assert_eq!(evaluator.measurements(), 2, "verified and timed again");
-        // Both programs are remembered.
         evaluator.evaluate(&b, &graph).expect("feasible");
+        assert_eq!(evaluator.measurements(), 2, "verified and timed again");
+        // Only the current Designer's programs are remembered.
         evaluator.evaluate(&a, &graph).expect("feasible");
-        assert_eq!((evaluator.executions(), evaluator.measurements()), (4, 2));
+        assert_eq!((evaluator.executions(), evaluator.measurements()), (4, 3));
+    }
+
+    #[test]
+    fn a_conversion_rebuilt_after_an_eviction_is_the_program_timed_before() {
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
+        let ctx = context_fixture(&matrix);
+        let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
+        let designer = ctx.designer();
+        evaluator.evaluate(&ctx, &presets::csr_scalar()).unwrap();
+        // Six other row orders: more than the memo holds beside the first.
+        for op in (2..7)
+            .map(|bins| Operator::Bin { bins })
+            .chain([Operator::Sort])
+        {
+            let mut graph = presets::csr_scalar();
+            graph.converting.push(op);
+            designer.design(&graph).expect("a valid design");
+        }
+        let built = designer.stats().built;
+        evaluator.evaluate(&ctx, &presets::csr_scalar()).unwrap();
+        assert_eq!(designer.stats().built, built + 1, "the first was evicted");
+        assert_eq!(evaluator.measurements(), 1, "and not timed again");
     }
 
     #[test]

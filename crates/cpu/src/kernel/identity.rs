@@ -7,13 +7,17 @@
 //! that lowering never reads.  Many graphs therefore lower to one and the
 //! same CPU kernel, and a verification or a wall-clock measurement belongs to
 //! that kernel, not to the graph.  Both records hold everything a run reads,
-//! and nothing it does not — the streams by allocation, everything else by
-//! value — so a design and its GPU-only variants are one program, and one
-//! verification and one timing serve them all (see
-//! [`NativeEvaluator`](crate::NativeEvaluator)).  The
-//! [`Designer`](alpha_graph::Designer) of a search hands every candidate on
-//! one conversion the same allocations (content-equal conversions included),
-//! which is what makes that comparison hit.
+//! and nothing it does not, so a design and its GPU-only variants are one
+//! program, and one verification and one timing serve them all (see
+//! [`NativeEvaluator`](crate::NativeEvaluator)).
+//!
+//! Both compare by value.  Within one [`Designer`](alpha_graph::Designer) a
+//! converted piece is a function of its `origin_rows` and its column band
+//! (first column and width), so those values name the sub-matrix; no record
+//! holds or compares a stream allocation, and a conversion the Designer
+//! rebuilt after evicting it is the program it was.  Records compare only
+//! plans and kernels of one Designer ([`Designer::id`](alpha_graph::Designer::id)):
+//! another matrix's equal `origin_rows` are other rows.
 //!
 //! A [`PlannedProgram`] is what the evaluator looks a candidate up by: the
 //! plans fix everything lowering reads — the format's index maps are fitted
@@ -26,17 +30,18 @@
 use super::{IndexFn, NativeKernel, PartitionExec};
 use crate::specialized::KernelShape;
 use alpha_codegen::GeneratorOptions;
-use alpha_graph::{Mapping, MatrixMetadataSet, PartitionPlan, SimdPlan};
-use alpha_matrix::CsrMatrix;
-use std::sync::{Arc, Weak};
+use alpha_graph::{Mapping, MatrixMetadataSet, SimdPlan};
+use std::sync::Arc;
 
 /// What the designed plans of a candidate fix of the kernel they lower to,
 /// kept to recognise that very program again before anything is generated.
-/// Per partition: the sub-matrix and `origin_rows` allocations, the column
-/// offset, the work split and the [`SimdPlan`]; for the design the
-/// compression option and the matrix dimensions.  Mapping and reduction
-/// details a CPU loop does not read, padding and resources are not part of
-/// it.  Records compare on one evaluator, whose worker count is fixed.
+/// Per partition: the `origin_rows` and column band (which name the
+/// sub-matrix within one Designer), the work split and the [`SimdPlan`];
+/// for the design the compression option and the matrix dimensions.
+/// Mapping and reduction details a CPU loop does not read, padding and
+/// resources are not part of it.  Records compare on one evaluator, whose
+/// worker count is fixed, and within one Designer.
+#[derive(PartialEq)]
 pub struct PlannedProgram {
     rows: usize,
     cols: usize,
@@ -45,44 +50,14 @@ pub struct PlannedProgram {
     partitions: Vec<PlannedPartition>,
 }
 
+#[derive(PartialEq)]
 struct PlannedPartition {
-    /// Weak, like `ProgramPartition::matrix`: no stream is held, and
-    /// neither address can be reused while the record lives.
-    matrix: Weak<CsrMatrix>,
-    origin_rows: Weak<[u32]>,
-    col_offset: usize,
+    origin_rows: Arc<[u32]>,
+    /// First column and width of the sub-matrix.
+    band: (usize, usize),
     /// `None` for a row partition; an nnz partition's chunk size.
     nnz_per_thread: Option<usize>,
     simd: SimdPlan,
-}
-
-impl PlannedPartition {
-    fn of(plan: &PartitionPlan) -> Self {
-        PlannedPartition {
-            matrix: Arc::downgrade(&plan.matrix),
-            origin_rows: Arc::downgrade(&plan.origin_rows),
-            col_offset: plan.col_offset,
-            nnz_per_thread: nnz_per_thread(plan),
-            simd: plan.simd,
-        }
-    }
-
-    fn is(&self, plan: &PartitionPlan) -> bool {
-        std::ptr::eq(self.matrix.as_ptr(), Arc::as_ptr(&plan.matrix))
-            && std::ptr::eq(self.origin_rows.as_ptr(), Arc::as_ptr(&plan.origin_rows))
-            && self.col_offset == plan.col_offset
-            && self.nnz_per_thread == nnz_per_thread(plan)
-            && self.simd == plan.simd
-    }
-}
-
-/// The work split lowering reads off a plan's mapping: row partitions split
-/// by the sub-matrix alone, nnz partitions by their chunk size too.
-fn nnz_per_thread(plan: &PartitionPlan) -> Option<usize> {
-    match plan.mapping {
-        Mapping::NnzSplit { nnz_per_thread } => Some(nnz_per_thread),
-        Mapping::RowPerThread { .. } | Mapping::VectorPerRow { .. } => None,
-    }
 }
 
 impl PlannedProgram {
@@ -97,46 +72,39 @@ impl PlannedProgram {
             partitions: metadata
                 .partitions
                 .iter()
-                .map(PlannedPartition::of)
+                .map(|plan| PlannedPartition {
+                    origin_rows: plan.origin_rows.clone(),
+                    band: (plan.col_offset, plan.matrix.cols()),
+                    // Row partitions split by the sub-matrix alone.
+                    nnz_per_thread: match plan.mapping {
+                        Mapping::NnzSplit { nnz_per_thread } => Some(nnz_per_thread),
+                        Mapping::RowPerThread { .. } | Mapping::VectorPerRow { .. } => None,
+                    },
+                    simd: plan.simd,
+                })
                 .collect(),
         }
     }
 
-    /// False once a stream the program ran on is gone: no design can be
-    /// this program again, and the record only pins allocations.
-    pub(crate) fn is_live(&self) -> bool {
-        self.partitions
-            .iter()
-            .all(|p| p.matrix.strong_count() > 0 && p.origin_rows.strong_count() > 0)
-    }
-
-    /// True when `metadata` generated under `options` lowers to exactly
-    /// this program: the very stream allocations, and every other thing
-    /// lowering reads equal by value.
+    /// True when `metadata`, designed by the Designer this record's plans
+    /// came from and generated under `options`, lowers to exactly this
+    /// program: everything lowering reads equal by value (`Arc`'s equality
+    /// tries the pointer before the values).
     pub fn is(&self, metadata: &MatrixMetadataSet, options: GeneratorOptions) -> bool {
-        (self.rows, self.cols, self.nnz, self.compressed)
-            == (
-                metadata.original_rows,
-                metadata.original_cols,
-                metadata.original_nnz,
-                options.model_compression,
-            )
-            && self.partitions.len() == metadata.partitions.len()
-            && self
-                .partitions
-                .iter()
-                .zip(&metadata.partitions)
-                .all(|(p, plan)| p.is(plan))
+        *self == PlannedProgram::of(metadata, options)
     }
 }
 
 /// What a run of a [`NativeKernel`] on some worker count reads, kept to
 /// recognise that very program again — the check of a [`PlannedProgram`]
-/// look-up.  Per partition: the sub-matrix
-/// allocation, the column offset, the bound [`KernelShape`], the `origin`
-/// map and the work-split state; for
-/// the kernel its dimensions, non-zero count and worker count.  Labels,
-/// format accounting and the telemetry handle are not part of it.
+/// look-up.  Per partition: the sub-matrix's dimensions and column offset,
+/// the bound [`KernelShape`], the `origin` map and the work-split state;
+/// for the kernel its dimensions, non-zero count and worker count.  Within
+/// one Designer the `origin` map and the band name the sub-matrix.  Labels,
+/// format accounting, the loop pointers (which follow from the shape), the
+/// worker cuts (which follow from the sub-matrix) and the telemetry handle
+/// are not part of it.
+#[derive(PartialEq)]
 pub struct Program {
     rows: usize,
     cols: usize,
@@ -145,42 +113,16 @@ pub struct Program {
     partitions: Vec<ProgramPartition>,
 }
 
+#[derive(PartialEq)]
 struct ProgramPartition {
-    /// The sub-matrix by its allocation.  Weak, so the record holds no
-    /// stream; yet while it lives the address cannot be reused, and the
-    /// value behind it cannot change (an `Arc` with a weak reference is
-    /// never handed out mutably).
-    matrix: Weak<CsrMatrix>,
+    /// The sub-matrix's rows, columns and non-zeros.
+    dims: (usize, usize, usize),
     col_offset: usize,
     shape: KernelShape,
     origin: IndexFn,
-    exec: PartitionExec,
-}
-
-/// True when two partitions' loops read the same work-split state: the loop
-/// pointers follow from the shape, the worker cuts from the sub-matrix.
-fn same_split(a: &PartitionExec, b: &PartitionExec) -> bool {
-    match (a, b) {
-        (
-            PartitionExec::Rows { row_offsets, .. },
-            PartitionExec::Rows {
-                row_offsets: other, ..
-            },
-        ) => row_offsets == other,
-        (
-            PartitionExec::Nnz {
-                nnz_per_thread,
-                row_starts,
-                ..
-            },
-            PartitionExec::Nnz {
-                nnz_per_thread: other_nnz,
-                row_starts: other,
-                ..
-            },
-        ) => nnz_per_thread == other_nnz && row_starts == other,
-        _ => false,
-    }
+    /// An nnz partition's chunk size and `row_starts`, or a row
+    /// partition's `row_offsets`.
+    split: (Option<usize>, IndexFn),
 }
 
 impl Program {
@@ -195,34 +137,29 @@ impl Program {
                 .partitions
                 .iter()
                 .map(|p| ProgramPartition {
-                    matrix: Arc::downgrade(&p.matrix),
+                    dims: (p.matrix.rows(), p.matrix.cols(), p.matrix.nnz()),
                     col_offset: p.col_offset,
                     shape: p.shape,
                     origin: p.origin.clone(),
-                    exec: p.exec.clone(),
+                    split: match &p.exec {
+                        PartitionExec::Rows { row_offsets, .. } => (None, row_offsets.clone()),
+                        PartitionExec::Nnz {
+                            nnz_per_thread,
+                            row_starts,
+                            ..
+                        } => (Some(*nnz_per_thread), row_starts.clone()),
+                    },
                 })
                 .collect(),
         }
     }
 
-    /// True when `kernel` on `workers` workers runs exactly this program:
-    /// the very sub-matrix allocations, and every other thing a run reads
-    /// equal by value — so its `y` is bitwise this program's on any input.
+    /// True when `kernel`, lowered through the Designer this record's kernel
+    /// came from, runs exactly this program on `workers` workers: every
+    /// thing a run reads equal by value — so its `y` is bitwise this
+    /// program's on any input.
     pub fn is(&self, kernel: &NativeKernel, workers: usize) -> bool {
-        (self.rows, self.cols, self.nnz, self.workers)
-            == (kernel.rows, kernel.cols, kernel.nnz, workers)
-            && self.partitions.len() == kernel.partitions.len()
-            && self
-                .partitions
-                .iter()
-                .zip(&kernel.partitions)
-                .all(|(r, p)| {
-                    std::ptr::eq(r.matrix.as_ptr(), Arc::as_ptr(&p.matrix))
-                        && r.col_offset == p.col_offset
-                        && r.shape == p.shape
-                        && r.origin == p.origin
-                        && same_split(&r.exec, &p.exec)
-                })
+        *self == Program::of(kernel, workers)
     }
 }
 
@@ -232,7 +169,7 @@ mod tests {
     use crate::simd::{Backend, ResolvedSimd};
     use alpha_codegen::{generate, generate_with, GeneratedSpmv};
     use alpha_graph::{presets, Designer, OperatorGraph, SimdLaneMapping};
-    use alpha_matrix::gen;
+    use alpha_matrix::{gen, CsrMatrix};
 
     fn generated(graph: &OperatorGraph, matrix: &CsrMatrix) -> GeneratedSpmv {
         generate(graph, matrix, GeneratorOptions::default()).expect("generation succeeds")
@@ -291,18 +228,18 @@ mod tests {
         // A sorted design: its origin map is a stored table.
         let sorted = generated(&presets::sell_like(), &matrix);
         let record = Program::of(&lowered(&sorted), 2);
+        // Within one Designer the origin map and the band name the
+        // sub-matrix: a copy of it is the same program.
+        let mut copy = lowered(&sorted);
+        copy.partitions[0].matrix =
+            Arc::new((*sorted.kernel.metadata().partitions[0].matrix).clone());
+        assert!(record.is(&copy, 2));
         let differs = |what: &str, edit: &dyn Fn(&mut NativeKernel)| {
             let mut twin = lowered(&sorted);
             assert!(record.is(&twin, 2));
             edit(&mut twin);
             assert!(!record.is(&twin, 2), "{what} must not be the same program");
         };
-        // Equal streams on another allocation: a value edit, a column edit
-        // or a reordered stream is always one, so this covers them all.
-        differs("a copied sub-matrix", &|k| {
-            let p = &mut k.partitions[0];
-            p.matrix = Arc::new((*p.matrix).clone());
-        });
         differs("an origin entry", &|k| {
             let IndexFn::Table(origin) = &mut k.partitions[0].origin else {
                 panic!("a sorted design stores its origin map");
@@ -337,29 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn a_program_record_is_the_same_program_only_on_the_same_allocations() {
-        let matrix = gen::powerlaw(700, 700, 9, 2.0, 5);
-        let sorted = generated(&presets::sell_like(), &matrix);
-        let record = Program::of(&lowered(&sorted), 2);
-        // Another lowering of the same plans reads the same allocations;
-        // a fresh design of the same graph converts into its own.
-        assert!(record.is(&lowered(&sorted), 2));
-        let fresh = generated(&presets::sell_like(), &matrix);
-        assert!(!record.is(&lowered(&fresh), 2));
-        // So it is for the record of the plans.
-        let options = GeneratorOptions::default();
-        let planned = PlannedProgram::of(sorted.kernel.metadata(), options);
-        assert!(planned.is(sorted.kernel.metadata(), options));
-        assert!(!planned.is(fresh.kernel.metadata(), options));
-
-        // The record pins no stream: once the conversion is gone, so is the
-        // program.
-        assert!(planned.is_live());
-        drop(sorted);
-        assert!(!planned.is_live());
-    }
-
-    #[test]
     fn everything_lowering_reads_reaches_the_plan_record() {
         let matrix = gen::powerlaw(700, 700, 9, 2.0, 5);
         let options = GeneratorOptions::default();
@@ -371,7 +285,8 @@ mod tests {
             edit(&mut twin);
             record.is(&twin, options)
         };
-        // What a CPU loop does not read is not part of it.
+        // What a CPU loop does not read is not part of it, and neither is
+        // where the streams live.
         let same = |what: &str, edit: &dyn Fn(&mut MatrixMetadataSet)| {
             assert!(is_after(edit), "{what} must not separate programs")
         };
@@ -382,18 +297,36 @@ mod tests {
         same("the reduction", &|m| {
             m.partitions[0].reduction.global_atomic ^= true
         });
-        let differs = |what: &str, edit: &dyn Fn(&mut MatrixMetadataSet)| {
-            assert!(!is_after(edit), "{what} must not be the same program")
-        };
-        differs("a copied sub-matrix", &|m| {
+        same("a copied sub-matrix", &|m| {
             let p = &mut m.partitions[0];
             p.matrix = Arc::new((*p.matrix).clone());
         });
-        differs("a copied origin map", &|m| {
+        same("a copied origin map", &|m| {
             let p = &mut m.partitions[0];
             p.origin_rows = p.origin_rows.iter().copied().collect();
         });
+        let differs = |what: &str, edit: &dyn Fn(&mut MatrixMetadataSet)| {
+            assert!(!is_after(edit), "{what} must not be the same program")
+        };
+        differs("an origin entry", &|m| {
+            let p = &mut m.partitions[0];
+            let mut origin = p.origin_rows.to_vec();
+            origin.swap(0, 1);
+            p.origin_rows = origin.into();
+        });
         differs("the column offset", &|m| m.partitions[0].col_offset += 1);
+        differs("the band width", &|m| {
+            let p = &m.partitions[0].matrix;
+            let (offsets, cols, values) = (p.row_offsets(), p.col_indices(), p.values());
+            let wider = CsrMatrix::from_raw(
+                p.rows(),
+                p.cols() + 1,
+                offsets.to_vec(),
+                cols.to_vec(),
+                values.to_vec(),
+            );
+            m.partitions[0].matrix = Arc::new(wider.unwrap());
+        });
         differs("the work split", &|m| {
             m.partitions[0].mapping = Mapping::NnzSplit { nnz_per_thread: 32 }
         });

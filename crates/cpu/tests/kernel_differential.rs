@@ -54,7 +54,6 @@ use alpha_cpu::{dot_error_bound, NativeKernel, PlannedProgram, Program, SimdMode
 use alpha_graph::{presets, Operator, OperatorGraph, SimdLaneMapping, SimdPlan};
 use alpha_matrix::{gen::PatternFamily, CooMatrix, CsrMatrix, DenseVector};
 use alpha_parallel::Pool;
-use std::sync::{Arc, Weak};
 
 /// Nnz lanes ×`lanes`: a plan [`NativeKernel::select`] may pick.
 const fn nnz_lanes(lanes: usize) -> SimdPlan {
@@ -335,15 +334,6 @@ struct Seen {
     reads: String,
     y: [Vec<u32>; 2],
     who: String,
-    matrices: Vec<Weak<CsrMatrix>>,
-}
-
-impl Seen {
-    /// True while the Designer still holds the program's conversions: only
-    /// then can a content-equal conversion be handed the same allocation.
-    fn held(&self) -> bool {
-        self.matrices.iter().all(|m| m.strong_count() > 0)
-    }
 }
 
 #[test]
@@ -353,11 +343,9 @@ fn kernels_that_are_one_program_are_one_kernel() {
     for (fi, family) in PatternFamily::ALL.iter().enumerate() {
         let matrix = family.generate(384, 6, 900 + fi as u64);
         let x = DenseVector::random(matrix.cols(), 7);
-        // One Designer, as one search has: content-equal conversions it
-        // holds are one allocation, so while it holds them a by-content
-        // comparison and a `Program` comparison separate exactly the same
-        // kernels.  A conversion rebuilt after an eviction is a new
-        // allocation, hence a new program.
+        // One Designer, as one search has: within it a piece is its row
+        // order and band, so a by-content comparison and a `Program`
+        // comparison separate exactly the same kernels.
         let designer = alpha_graph::Designer::new(&matrix);
         let mut seen: Vec<Seen> = Vec::new();
         let mut check = |generated: &GeneratedSpmv, kernel: NativeKernel, who| {
@@ -392,10 +380,7 @@ fn kernels_that_are_one_program_are_one_kernel() {
                 }
                 // ...and one reading, one program.
                 None => {
-                    let twin = seen
-                        .iter()
-                        .find(|first| first.reads == reads && first.held());
-                    if let Some(first) = twin {
+                    if let Some(first) = seen.iter().find(|first| first.reads == reads) {
                         panic!(
                             "{who} and {} on {}: same streams and shapes, two programs",
                             first.who,
@@ -408,11 +393,6 @@ fn kernels_that_are_one_program_are_one_kernel() {
                         reads,
                         y,
                         who,
-                        matrices: metadata
-                            .partitions
-                            .iter()
-                            .map(|plan| Arc::downgrade(&plan.matrix))
-                            .collect(),
                     });
                 }
             }
@@ -552,11 +532,6 @@ fn equal_plan_records_are_the_same_program_and_unequal_ones_are_not() {
                             reads,
                             y,
                             who,
-                            matrices: metadata
-                                .partitions
-                                .iter()
-                                .map(|plan| Arc::downgrade(&plan.matrix))
-                                .collect(),
                         });
                     }
                 }

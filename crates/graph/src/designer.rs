@@ -9,34 +9,31 @@
 //!
 //! The two halves cost very differently.  The **converting stage** — `SORT`,
 //! `BIN`, `ROW_DIV`, `COL_DIV` in the shared chain, `SORT_SUB`, `BIN` and
-//! `SORT_BMTB` in a branch — sorts row orders and copies every non-zero of
-//! the matrix.  Everything after it is a handful of scalars read off the
-//! branch.  A search designs ~85 graphs over one matrix and they differ
-//! almost only in the cheap half: one search asks for 5-17 distinct
-//! conversions.
+//! `SORT_BMTB` in a branch — orders rows and copies every non-zero of the
+//! matrix.  Everything after it is a handful of scalars read off the branch.
+//! A search designs ~85 graphs over one matrix and they differ almost only in
+//! the cheap half.
 //!
 //! So a [`Designer`] lives as long as the search does.  It borrows the
-//! matrix, and [`Designer::design`] remembers the converting stage's output —
-//! the reordered / split sub-matrix, its `origin_rows`, its `BIN` boundaries —
-//! under exactly the operators that produced it (the conversion key, below).
-//! Mapping, padding, interleaving, reductions and resources
-//! are resolved per call on top of it: they are cheap, and they are what a
-//! search varies.  The free [`design`] is the same code with a Designer that
-//! lives for one call.
+//! matrix, and [`Designer::design`] remembers each conversion — its pieces,
+//! their `origin_rows`, their `BIN` boundaries — under exactly the operators
+//! that produced it (the conversion key, below).  Mapping, padding,
+//! interleaving, reductions and resources are resolved per call on top of
+//! it: they are cheap, and they are what a search varies.  The free
+//! [`design`] is the same code with a Designer that lives for one call.
 //!
-//! **Who owns the streams.**  A conversion is built once, into an
-//! `Arc<CsrMatrix>` and an `Arc<[u32]>`.  Every [`PartitionPlan`] designed on
-//! top of it, the simulated kernel generated from that plan and the native
-//! partition lowered from it hold a reference to that one allocation; nothing
-//! downstream of the Designer copies a non-zero.  Content-equal conversions
-//! are one allocation too: two converting chains can reorder alike (`SORT`
-//! of a matrix whose rows are all one length leaves it as it was), and a
-//! newly built piece whose `origin_rows` and sub-matrix equal a held piece's
-//! takes the held `Arc`s (counted as `interned`), so a later stage that
-//! recognises a program by its allocation sees one program, not two.
-//! Beside each piece it holds, the Designer keeps one value a generator
-//! derived from it ([`Designer::derived`]: `alpha-codegen`'s fitted index
-//! arrays), dropped with the last memo entry holding the piece.
+//! **A piece is its row order.**  Within one Designer a converted piece is a
+//! pure function of its `origin_rows` and its column band (first column and
+//! width): the matrix's rows in that order, restricted to that band.  So a
+//! conversion first computes its row orders from row lengths alone — a
+//! branch's `SORT_SUB`, `BIN` and `SORT_BMTB` compose into one order, and
+//! `BIN`'s boundaries fall out on the way — and before copying anything
+//! looks for a held piece of equal order and band.  A held twin hands out
+//! its `Arc`s and its [`Designer::derived`] value; otherwise the non-zeros
+//! are copied, once.  Two keys that convert alike (`SORT` of a matrix whose
+//! rows are all one length) are one copy and one allocation, and a record of
+//! a program may compare pieces by value within one Designer
+//! ([`Designer::id`]).
 //!
 //! The memo is keyed by operators only (never by matrix content: a Designer
 //! has one matrix), holds a bounded multiple of that matrix
@@ -47,7 +44,7 @@ use crate::metadata::{MatrixMetadataSet, PadScope, Padding, PartitionPlan, SimdP
 use crate::operator::Operator;
 use alpha_matrix::{CooMatrix, CsrMatrix};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -55,7 +52,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub const WARP_SIZE: usize = 32;
 
 /// How many times the input matrix's `format_bytes()` a [`Designer`]'s memo
-/// may hold.
+/// may hold, each allocation counted once however many keys share it.
 ///
 /// Measured per 80-iteration search on the benchmark's cold fleet (262 k
 /// non-zeros): the distinct conversions of one search are 16-17 ≈ 13.5× the
@@ -65,13 +62,9 @@ pub const WARP_SIZE: usize = 32;
 /// graph structure come back to back — and one structure needs its shared
 /// chain's output plus one reordering per branch: two whole-matrix
 /// conversions.  The bound is room for two structures (the one being swept
-/// and its neighbour in the schedule, which overlap when a batch runs on
-/// several threads), i.e. four whole-matrix conversions; a conversion is the
-/// matrix's streams plus an `origin_rows` array, ≈ 1.03× `format_bytes()` at
-/// 16 non-zeros per row, so four of them need 5×, not 4×.  With
-/// least-recently-used eviction at 5× those searches build 6 (regular) and
-/// 17-22 (rmat, powerlaw) conversions: 1-5 rebuilds of ≈ 0.4 ms in a ≈ 100 ms
-/// tune.
+/// and its neighbour in the schedule), i.e. four whole-matrix conversions; a
+/// conversion is the matrix's streams plus an `origin_rows` array, ≈ 1.03×
+/// `format_bytes()` at 16 non-zeros per row, so four of them need 5×, not 4×.
 const MEMO_MATRIX_MULTIPLE: usize = 5;
 
 /// Errors produced while executing an operator graph.
@@ -112,28 +105,26 @@ pub fn design(graph: &OperatorGraph, matrix: &CsrMatrix) -> Result<MatrixMetadat
 pub struct DesignerStats {
     /// Calls of [`Designer::design`].
     pub designs: u64,
-    /// Conversions (a shared chain, or one branch's reordering) executed
-    /// over the matrix.
+    /// Conversions (a shared chain, or one branch's reordering) that copied
+    /// the matrix's non-zeros.
     pub built: u64,
-    /// Conversions answered from one built before.
+    /// Conversions answered without a copy: by their key, or by pieces
+    /// equal to ones the Designer held.
     pub reused: u64,
-    /// Pieces of built conversions that turned out equal to a held piece
-    /// and took its allocation instead of keeping their own.
-    pub interned: u64,
 }
 
-/// The Designer of one matrix: executes operator graphs over it, converting
-/// the matrix once per distinct converting chain (see the module docs).
+/// The Designer of one matrix: executes operator graphs over it, copying
+/// the matrix once per distinct piece it holds (see the module docs).
 /// Shareable across threads; a search owns one for as long as it runs.
 pub struct Designer<'m> {
     matrix: &'m CsrMatrix,
+    id: u64,
     memo: Mutex<Memo>,
     /// Bytes the memo may hold.
     memo_limit: usize,
     designs: AtomicU64,
     built: AtomicU64,
     reused: AtomicU64,
-    interned: AtomicU64,
 }
 
 /// What identifies a conversion: the operators that reorder or split, and
@@ -171,65 +162,49 @@ struct Piece {
     origin_rows: Arc<[u32]>,
     matrix: Arc<CsrMatrix>,
     col_offset: usize,
-    shares_rows: bool,
     bin_boundaries: Option<Vec<usize>>,
-    /// Goes with `origin_rows` and `matrix`: a new allocation gets a new
-    /// cell, an interned piece its twin's.
+    /// Goes with `origin_rows` and `matrix`: a copy gets a new cell, a piece
+    /// handed a held twin's allocations the twin's.
     derived: DerivedCell,
 }
 
 impl Piece {
-    /// A piece of freshly built allocations, not shared with any other.
-    fn new(
-        origin_rows: Arc<[u32]>,
-        matrix: CsrMatrix,
-        col_offset: usize,
-        shares_rows: bool,
-    ) -> Piece {
-        Piece {
-            origin_rows,
-            matrix: Arc::new(matrix),
-            col_offset,
-            shares_rows,
-            bin_boundaries: None,
-            derived: DerivedCell::default(),
-        }
-    }
-
-    /// The rows `origin_rows` of `matrix`, in that order.
-    fn of_rows(matrix: &CsrMatrix, origin_rows: Vec<u32>) -> Piece {
-        let rows: Vec<usize> = origin_rows.iter().map(|&r| r as usize).collect();
-        Piece::new(origin_rows.into(), matrix.select_rows(&rows), 0, false)
-    }
-
-    /// Permutes the piece by a local row order (local indices).
-    fn reorder(&mut self, order: &[u32]) {
-        let rows: Vec<usize> = order.iter().map(|&r| r as usize).collect();
-        self.matrix = Arc::new(self.matrix.select_rows(&rows));
-        self.origin_rows = order
-            .iter()
-            .map(|&r| self.origin_rows[r as usize])
-            .collect();
-        self.derived = DerivedCell::default();
-    }
-
-    fn bytes(&self) -> usize {
-        self.matrix.format_bytes() + self.origin_rows.len() * 4
-    }
-
     /// True when `plan` was designed on this piece's allocations.
     fn is_under(&self, plan: &PartitionPlan) -> bool {
         Arc::ptr_eq(&self.matrix, &plan.matrix) && Arc::ptr_eq(&self.origin_rows, &plan.origin_rows)
     }
+}
 
-    /// True when `other` holds the same arrays, wherever they live: the
-    /// cheap checks first, the memoised fingerprints before the streams.
-    fn equals(&self, other: &Piece) -> bool {
-        let (a, b) = (&self.matrix, &other.matrix);
-        (a.rows(), a.cols(), a.nnz()) == (b.rows(), b.cols(), b.nnz())
-            && self.origin_rows == other.origin_rows
-            && a.fingerprint() == b.fingerprint()
-            && a == b
+/// A piece before any non-zero is copied: its rows in order and its column
+/// band, which within one Designer determine it, and the copy they save.
+struct Cut<'s> {
+    origin_rows: Arc<[u32]>,
+    col_offset: usize,
+    /// Width of the band: the sub-matrix's column count.
+    cols: usize,
+    bin_boundaries: Option<Vec<usize>>,
+    copy: Box<dyn FnOnce() -> CsrMatrix + 's>,
+}
+
+impl<'s> Cut<'s> {
+    /// The rows `order` of `source`, in that order: the rows `origin_rows`
+    /// of the Designer's matrix, over `source`'s band at `col_offset`.
+    fn rows(
+        source: &'s CsrMatrix,
+        order: Vec<u32>,
+        origin_rows: Arc<[u32]>,
+        col_offset: usize,
+    ) -> Self {
+        Cut {
+            origin_rows,
+            col_offset,
+            cols: source.cols(),
+            bin_boundaries: None,
+            copy: Box::new(move || {
+                let rows: Vec<usize> = order.iter().map(|&r| r as usize).collect();
+                source.select_rows(&rows)
+            }),
+        }
     }
 }
 
@@ -237,15 +212,12 @@ impl Piece {
 #[derive(Default)]
 struct Memo {
     entries: HashMap<ConversionKey, MemoEntry>,
-    /// Sum of the entries' `bytes`.
-    bytes: usize,
     /// Ticks on every access; the entry with the lowest stamp goes first.
     clock: u64,
 }
 
 struct MemoEntry {
     pieces: Arc<[Piece]>,
-    bytes: usize,
     used: u64,
 }
 
@@ -257,43 +229,61 @@ impl Memo {
         Some(entry.pieces.clone())
     }
 
-    /// Keeps `pieces` unless they alone exceed `limit`, evicting the least
-    /// recently used entries until they fit, and returns what `key` now
-    /// names.
+    fn pieces(&self) -> impl Iterator<Item = &Piece> {
+        self.entries.values().flat_map(|entry| entry.pieces.iter())
+    }
+
+    /// Bytes of the held allocations, each counted once however many
+    /// entries share it.
+    fn bytes(&self) -> usize {
+        let mut seen = HashSet::new();
+        self.pieces()
+            .flat_map(|p| {
+                [
+                    (Arc::as_ptr(&p.matrix).cast::<u8>(), p.matrix.format_bytes()),
+                    (Arc::as_ptr(&p.origin_rows).cast(), 4 * p.origin_rows.len()),
+                ]
+            })
+            .filter_map(|(allocation, bytes)| seen.insert(allocation).then_some(bytes))
+            .sum()
+    }
+
+    /// Keeps `pieces` under `key` unless they alone exceed `limit`, evicting
+    /// the least recently used entries until the memo fits, and returns what
+    /// `key` now names.
     fn insert(&mut self, key: ConversionKey, pieces: Arc<[Piece]>, limit: usize) -> Arc<[Piece]> {
-        // Two threads that missed the same key both built it, bit for bit
-        // the same: the first one in stays, and the second takes it, so both
-        // hand out one allocation.
+        // Two threads that missed the same key both converted it, bit for
+        // bit the same: the first one in stays, and the second takes it, so
+        // both hand out one allocation.
         if let Some(held) = self.entries.get(&key) {
             return held.pieces.clone();
         }
-        let bytes: usize = pieces.iter().map(Piece::bytes).sum();
-        if bytes > limit {
-            return pieces;
-        }
-        while self.bytes + bytes > limit {
+        self.clock += 1;
+        let used = self.clock;
+        self.entries.insert(
+            key.clone(),
+            MemoEntry {
+                pieces: pieces.clone(),
+                used,
+            },
+        );
+        while self.bytes() > limit {
+            // The entry just kept is the most recent, so it goes last: when
+            // it is all that is left, it alone exceeds the bound.
             let oldest = self
                 .entries
                 .iter()
                 .min_by_key(|(_, entry)| entry.used)
                 .map(|(key, _)| key.clone())
                 .expect("a memo over its limit holds an entry");
-            let evicted = self.entries.remove(&oldest).expect("key just found");
-            self.bytes -= evicted.bytes;
+            self.entries.remove(&oldest);
         }
-        self.clock += 1;
-        self.bytes += bytes;
-        self.entries.insert(
-            key,
-            MemoEntry {
-                pieces: pieces.clone(),
-                bytes,
-                used: self.clock,
-            },
-        );
         pieces
     }
 }
+
+/// Hands out a distinct serial number per Designer.
+static DESIGNERS: AtomicU64 = AtomicU64::new(0);
 
 impl<'m> Designer<'m> {
     /// A Designer for `matrix`, with nothing converted yet.
@@ -304,22 +294,29 @@ impl<'m> Designer<'m> {
     fn with_memo_limit(matrix: &'m CsrMatrix, memo_limit: usize) -> Self {
         Designer {
             matrix,
+            id: DESIGNERS.fetch_add(1, Ordering::Relaxed),
             memo: Mutex::new(Memo::default()),
             memo_limit,
             designs: AtomicU64::new(0),
             built: AtomicU64::new(0),
             reused: AtomicU64::new(0),
-            interned: AtomicU64::new(0),
         }
     }
 
-    /// Designs, conversions built, reused and pieces interned so far.
+    /// This Designer's serial number, unlike any other Designer's in the
+    /// process.  Two plans it designed whose `origin_rows`, `col_offset` and
+    /// sub-matrix column count are equal hold equal sub-matrices; records
+    /// that compare plans by those values are valid under one `id`.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Designs, conversions built and reused so far.
     pub fn stats(&self) -> DesignerStats {
         DesignerStats {
             designs: self.designs.load(Ordering::Relaxed),
             built: self.built.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
-            interned: self.interned.load(Ordering::Relaxed),
         }
     }
 
@@ -338,14 +335,13 @@ impl<'m> Designer<'m> {
         plan: &PartitionPlan,
         derive: impl FnOnce() -> T,
     ) -> Arc<T> {
-        let cell = {
-            let memo = self.memo.lock().expect("designer memo poisoned");
-            memo.entries
-                .values()
-                .flat_map(|entry| entry.pieces.iter())
-                .find(|piece| piece.is_under(plan))
-                .map(|piece| piece.derived.clone())
-        };
+        let cell = self
+            .memo
+            .lock()
+            .expect("designer memo poisoned")
+            .pieces()
+            .find(|piece| piece.is_under(plan))
+            .map(|piece| piece.derived.clone());
         let Some(cell) = cell else {
             return Arc::new(derive());
         };
@@ -396,13 +392,13 @@ impl<'m> Designer<'m> {
             chain,
             branch: None,
         };
-        let pieces = self.converted(&shared, || convert_shared(matrix, &shared.chain))?;
+        let pieces = self.converted(&shared, || cut_shared(matrix, &shared.chain))?;
 
         // ---- Per-branch execution ------------------------------------------
         let mut partitions = Vec::with_capacity(pieces.len());
         for (index, (piece, branch)) in pieces.iter().zip(&graph.branches).enumerate() {
             let piece = self.branch_piece(&shared.chain, index, piece, branch)?;
-            partitions.push(design_branch(piece, branch, &graph.converting));
+            partitions.push(design_branch(piece, branch, graph));
         }
 
         Ok(MatrixMetadataSet {
@@ -413,49 +409,62 @@ impl<'m> Designer<'m> {
         })
     }
 
-    /// The conversion `key` names: from the memo, or built by `build`,
-    /// interned, and then kept within the bound.  The lock is never held
-    /// while `build` runs or pieces are compared, so two threads that miss
-    /// the same key may both build it; both return the one the memo keeps.
-    fn converted(
+    /// The conversion `key` names: from the memo, or cut by `cut` into
+    /// pieces that take a held twin's allocations or copy their own, and
+    /// then kept within the bound.  The lock is never held while a piece is
+    /// copied, so two threads that miss the same key may both convert it;
+    /// both return the one the memo keeps.
+    fn converted<'s>(
         &self,
         key: &ConversionKey,
-        build: impl FnOnce() -> Result<Vec<Piece>, DesignError>,
+        cut: impl FnOnce() -> Result<Vec<Cut<'s>>, DesignError>,
     ) -> Result<Arc<[Piece]>, DesignError> {
         let held = self.memo.lock().expect("designer memo poisoned").get(key);
         if let Some(pieces) = held {
             self.reused.fetch_add(1, Ordering::Relaxed);
             return Ok(pieces);
         }
-        let mut pieces = build()?;
-        self.built.fetch_add(1, Ordering::Relaxed);
-        self.intern(&mut pieces);
-        Ok(self.memo.lock().expect("designer memo poisoned").insert(
-            key.clone(),
-            pieces.into(),
-            self.memo_limit,
-        ))
-    }
-
-    /// Gives every new piece equal to a held one the held piece's
-    /// allocations (and its derived value), dropping its own.
-    fn intern(&self, pieces: &mut [Piece]) {
-        let held: Vec<Piece> = {
+        let cuts = cut()?;
+        // A held piece of a cut's order and band is the same piece, wherever
+        // it was converted.
+        let twins: Vec<Option<Piece>> = {
             let memo = self.memo.lock().expect("designer memo poisoned");
-            memo.entries
-                .values()
-                .flat_map(|entry| entry.pieces.iter())
-                .cloned()
+            let band = |p: &Piece| (p.col_offset, p.matrix.cols());
+            cuts.iter()
+                .map(|cut| {
+                    memo.pieces()
+                        .find(|p| {
+                            band(p) == (cut.col_offset, cut.cols)
+                                && p.origin_rows == cut.origin_rows
+                        })
+                        .cloned()
+                })
                 .collect()
         };
-        for piece in pieces {
-            if let Some(twin) = held.iter().find(|held| held.equals(piece)) {
-                piece.origin_rows = twin.origin_rows.clone();
-                piece.matrix = twin.matrix.clone();
-                piece.derived = twin.derived.clone();
-                self.interned.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let counter = if twins.iter().all(Option::is_some) {
+            &self.reused
+        } else {
+            &self.built
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let pieces = cuts.into_iter().zip(twins).map(|(cut, twin)| match twin {
+            Some(twin) => Piece {
+                bin_boundaries: cut.bin_boundaries,
+                ..twin
+            },
+            None => Piece {
+                matrix: Arc::new((cut.copy)()),
+                origin_rows: cut.origin_rows,
+                col_offset: cut.col_offset,
+                bin_boundaries: cut.bin_boundaries,
+                derived: DerivedCell::default(),
+            },
+        });
+        Ok(self.memo.lock().expect("designer memo poisoned").insert(
+            key.clone(),
+            pieces.collect(),
+            self.memo_limit,
+        ))
     }
 
     /// A branch's piece of the shared chain's output after the branch's own
@@ -488,7 +497,7 @@ impl<'m> Designer<'m> {
             branch: Some(reordering),
         };
         let reordering = key.branch.as_ref().expect("set above");
-        let converted = self.converted(&key, || Ok(vec![convert_branch(piece, reordering)]))?;
+        let converted = self.converted(&key, || Ok(vec![cut_branch(piece, reordering)]))?;
         Ok(converted[0].clone())
     }
 }
@@ -504,7 +513,7 @@ fn rows_per_bmtb(branch: &[Operator]) -> Option<usize> {
 /// Resolves everything the mapping and implementing stages of one branch
 /// decide, on top of its converted piece.  Cheap, and what a search varies:
 /// done per call, never memoised.
-fn design_branch(piece: Piece, branch: &[Operator], shared: &[Operator]) -> PartitionPlan {
+fn design_branch(piece: Piece, branch: &[Operator], graph: &OperatorGraph) -> PartitionPlan {
     let mapping =
         OperatorGraph::branch_mapping(branch).expect("validation guarantees a thread mapping");
     let reduction = OperatorGraph::branch_reduction(branch);
@@ -534,7 +543,7 @@ fn design_branch(piece: Piece, branch: &[Operator], shared: &[Operator]) -> Part
         .iter()
         .any(|op| matches!(op, Operator::InterleavedStorage));
     let sort_bmtb = branch.iter().any(|op| matches!(op, Operator::SortBmtb));
-    let mut operators: Vec<Operator> = shared.to_vec();
+    let mut operators: Vec<Operator> = graph.converting.clone();
     operators.extend(branch.iter().cloned());
 
     PartitionPlan {
@@ -551,14 +560,14 @@ fn design_branch(piece: Piece, branch: &[Operator], shared: &[Operator]) -> Part
         reduction,
         threads_per_block,
         simd: SimdPlan::scalar(),
-        shares_rows_with_siblings: piece.shares_rows,
+        shares_rows_with_siblings: graph.is_column_split(),
         operators,
     }
 }
 
-/// Executes the shared chain's reordering and splitting operators over the
-/// matrix: one piece per partition.
-fn convert_shared(matrix: &CsrMatrix, chain: &[Operator]) -> Result<Vec<Piece>, DesignError> {
+/// Orders the matrix's rows by the shared chain's `SORT` / `BIN` and splits
+/// them by its `ROW_DIV` / `COL_DIV`: one cut per partition.
+fn cut_shared<'s>(matrix: &'s CsrMatrix, chain: &[Operator]) -> Result<Vec<Cut<'s>>, DesignError> {
     // Row order over the original matrix (original row ids).
     let mut row_order: Vec<u32> = (0..matrix.rows() as u32).collect();
     for op in chain {
@@ -574,34 +583,45 @@ fn convert_shared(matrix: &CsrMatrix, chain: &[Operator]) -> Result<Vec<Piece>, 
         .iter()
         .find(|op| matches!(op, Operator::RowDiv { .. } | Operator::ColDiv { .. }))
     {
-        Some(Operator::RowDiv { parts }) => split_rows(matrix, &row_order, *parts),
-        Some(Operator::ColDiv { parts }) => split_cols(matrix, &row_order, *parts),
-        _ => Ok(vec![Piece::of_rows(matrix, row_order)]),
+        Some(Operator::RowDiv { parts }) => Ok(split_rows(matrix, &row_order, *parts)?
+            .into_iter()
+            .map(|rows| Cut::rows(matrix, rows.clone(), rows.into(), 0))
+            .collect()),
+        Some(Operator::ColDiv { parts }) => split_cols(matrix, row_order, *parts),
+        _ => Ok(vec![Cut::rows(
+            matrix,
+            row_order.clone(),
+            row_order.into(),
+            0,
+        )]),
     }
 }
 
-/// Applies one branch's reordering to its piece of the shared chain's output.
-fn convert_branch(piece: &Piece, reordering: &BranchKey) -> Piece {
-    let mut piece = piece.clone();
-    let local_order = |piece: &Piece| -> Vec<u32> { (0..piece.matrix.rows() as u32).collect() };
+/// One branch's reordering of its piece of the shared chain's output:
+/// `SORT_SUB` / `BIN` in order, then `SORT_BMTB`, composed into one order
+/// over the piece's rows before anything is copied.
+fn cut_branch<'s>(piece: &'s Piece, reordering: &BranchKey) -> Cut<'s> {
+    let matrix = &*piece.matrix;
+    let mut order: Vec<u32> = (0..matrix.rows() as u32).collect();
+    let mut bin_boundaries = piece.bin_boundaries.clone();
     for op in &reordering.reorders {
-        let mut order = local_order(&piece);
         if let Operator::Bin { bins } = op {
-            piece.bin_boundaries = Some(bin_rows_by_length(&piece.matrix, &mut order, *bins));
+            bin_boundaries = Some(bin_rows_by_length(matrix, &mut order, *bins));
         } else {
-            sort_rows_by_length(&piece.matrix, &mut order);
+            sort_rows_by_length(matrix, &mut order);
         }
-        piece.reorder(&order);
     }
     if let Some(group) = reordering.sort_bmtb_rows {
-        let mut order = local_order(&piece);
-        let lengths = piece.matrix.row_lengths();
         for chunk in order.chunks_mut(group.max(1)) {
-            chunk.sort_by_key(|&r| std::cmp::Reverse(lengths[r as usize]));
+            sort_rows_by_length(matrix, chunk);
         }
-        piece.reorder(&order);
     }
-    piece
+    let origin_rows = order.iter().map(|&r| piece.origin_rows[r as usize]);
+    let origin_rows = origin_rows.collect();
+    Cut {
+        bin_boundaries,
+        ..Cut::rows(matrix, order, origin_rows, piece.col_offset)
+    }
 }
 
 /// Sorts a row order by decreasing row length (stable, so ties keep their
@@ -655,7 +675,7 @@ fn split_rows(
     matrix: &CsrMatrix,
     row_order: &[u32],
     parts: usize,
-) -> Result<Vec<Piece>, DesignError> {
+) -> Result<Vec<Vec<u32>>, DesignError> {
     if parts > row_order.len() {
         return Err(DesignError::Unsupported(format!(
             "cannot split {} rows into {parts} partitions",
@@ -707,19 +727,16 @@ fn split_rows(
         let moved = pieces[donor].split_off(split_at);
         pieces.push(moved);
     }
-    Ok(pieces
-        .into_iter()
-        .map(|origin_rows| Piece::of_rows(matrix, origin_rows))
-        .collect())
+    Ok(pieces)
 }
 
 /// Splits the matrix into `parts` column bands; each band keeps every row but
 /// only the columns in its range (re-indexed to start at zero).
 fn split_cols(
     matrix: &CsrMatrix,
-    row_order: &[u32],
+    row_order: Vec<u32>,
     parts: usize,
-) -> Result<Vec<Piece>, DesignError> {
+) -> Result<Vec<Cut<'_>>, DesignError> {
     if parts > matrix.cols() {
         return Err(DesignError::Unsupported(format!(
             "cannot split {} columns into {parts} partitions",
@@ -729,28 +746,30 @@ fn split_cols(
     let band = matrix.cols().div_ceil(parts);
     // Every band keeps every row: one `origin_rows` allocation for all.
     let origin_rows: Arc<[u32]> = row_order.into();
-    let mut pieces = Vec::with_capacity(parts);
-    for p in 0..parts {
-        let col_start = p * band;
-        let col_end = ((p + 1) * band).min(matrix.cols());
-        let width = col_end.saturating_sub(col_start).max(1);
-        let mut coo = CooMatrix::new(row_order.len(), width);
-        for (local_row, &orig_row) in row_order.iter().enumerate() {
-            for idx in matrix.row_range(orig_row as usize) {
-                let col = matrix.col_indices()[idx] as usize;
-                if col >= col_start && col < col_end {
-                    coo.push(local_row, col - col_start, matrix.values()[idx]);
-                }
+    Ok((0..parts)
+        .map(|p| {
+            let columns = p * band..((p + 1) * band).min(matrix.cols());
+            let rows = origin_rows.clone();
+            Cut {
+                origin_rows: origin_rows.clone(),
+                col_offset: columns.start,
+                cols: columns.len().max(1),
+                bin_boundaries: None,
+                copy: Box::new(move || {
+                    let mut coo = CooMatrix::new(rows.len(), columns.len().max(1));
+                    for (local_row, &orig_row) in rows.iter().enumerate() {
+                        for idx in matrix.row_range(orig_row as usize) {
+                            let col = matrix.col_indices()[idx] as usize;
+                            if columns.contains(&col) {
+                                coo.push(local_row, col - columns.start, matrix.values()[idx]);
+                            }
+                        }
+                    }
+                    CsrMatrix::from_coo(&coo)
+                }),
             }
-        }
-        pieces.push(Piece::new(
-            origin_rows.clone(),
-            CsrMatrix::from_coo(&coo),
-            col_start,
-            true,
-        ));
-    }
-    Ok(pieces)
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -952,29 +971,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn designs_on_one_conversion_share_its_streams() {
-        let m = matrix();
-        let designer = Designer::new(&m);
-        let scalar = designer.design(&presets::csr_scalar()).unwrap();
-        let vector = designer.design(&presets::csr_vector()).unwrap();
-        let (a, b) = (&scalar.partitions[0], &vector.partitions[0]);
-        assert!(Arc::ptr_eq(&a.matrix, &b.matrix));
-        assert!(Arc::ptr_eq(&a.origin_rows, &b.origin_rows));
-        assert_ne!(a.mapping, b.mapping);
-        assert_eq!(
-            designer.stats(),
-            DesignerStats {
-                designs: 2,
-                built: 1,
-                reused: 1,
-                interned: 0,
-            }
-        );
-        // A clone of the metadata is a reference, not a copy.
-        assert!(Arc::ptr_eq(&scalar.clone().partitions[0].matrix, &a.matrix));
-    }
-
     /// `csr_scalar` behind a global `SORT`: another conversion key.
     fn sorted_csr_scalar() -> OperatorGraph {
         let mut graph = presets::csr_scalar();
@@ -987,25 +983,30 @@ mod tests {
 
     #[test]
     fn two_converting_chains_with_equal_output_share_one_allocation() {
-        // Every row has the same length, so the stable SORT leaves the order
-        // as it was: two keys, one conversion.
+        // `csr_vector` converts under `csr_scalar`'s key.  Every row has the
+        // same length, so the stable SORT, a BIN{2} (one bin holds every row)
+        // and a branch's SORT_SUB + SORT_BMTB all leave the order as it was:
+        // four more keys, one piece, copied once.
         let m = gen::uniform_random(300, 300, 6, 4);
         let designer = Designer::new(&m);
         let plain = designer.design(&presets::csr_scalar()).unwrap();
-        let sorted = designer.design(&sorted_csr_scalar()).unwrap();
-        let (a, b) = (&plain.partitions[0], &sorted.partitions[0]);
-        assert!(Arc::ptr_eq(&a.matrix, &b.matrix));
-        assert!(Arc::ptr_eq(&a.origin_rows, &b.origin_rows));
-        assert!(sorted == design(&sorted_csr_scalar(), &m).unwrap());
-        assert_eq!(
-            designer.stats(),
-            DesignerStats {
-                designs: 2,
-                built: 2,
-                reused: 0,
-                interned: 1,
-            }
-        );
+        let mut sort_sub = presets::sell_sigma_like(32);
+        sort_sub.branches[0].insert(0, Operator::SortSub);
+        let alike = [
+            presets::csr_vector(),
+            sorted_csr_scalar(),
+            presets::acsr_like(2),
+        ];
+        for graph in alike.into_iter().chain([sort_sub]) {
+            let meta = designer.design(&graph).unwrap();
+            let (a, b) = (&plain.partitions[0], &meta.partitions[0]);
+            assert!(Arc::ptr_eq(&a.matrix, &b.matrix), "{graph:?}");
+            assert!(Arc::ptr_eq(&a.origin_rows, &b.origin_rows), "{graph:?}");
+            assert!(meta == design(&graph, &m).unwrap(), "{graph:?}");
+        }
+        // The two branch designs also reuse the plain shared chain by key.
+        let stats = designer.stats();
+        assert_eq!((stats.designs, stats.built, stats.reused), (5, 1, 6));
 
         // Where the SORT does move rows, the conversions stay apart.
         let skewed = matrix();
@@ -1016,7 +1017,25 @@ mod tests {
             &plain.partitions[0].matrix,
             &sorted.partitions[0].matrix
         ));
-        assert_eq!(designer.stats().interned, 0);
+        assert_eq!(designer.stats().built, 2);
+    }
+
+    #[test]
+    fn keys_that_convert_alike_count_once_against_the_bound() {
+        // Room for one whole-matrix conversion: two keys that convert alike
+        // are one allocation, so both stay held, and revisiting the first
+        // copies nothing.
+        let m = gen::uniform_random(300, 300, 6, 4);
+        let designer = Designer::with_memo_limit(&m, m.format_bytes() + m.rows() * 4);
+        for graph in [
+            presets::csr_scalar(),
+            sorted_csr_scalar(),
+            presets::csr_scalar(),
+        ] {
+            designer.design(&graph).unwrap();
+        }
+        assert_eq!(designer.memo.lock().unwrap().entries.len(), 2);
+        assert_eq!((designer.stats().built, designer.stats().reused), (1, 2));
     }
 
     #[test]
@@ -1069,7 +1088,7 @@ mod tests {
         }
         let distinct = unbounded.stats().built;
         let whole = m.format_bytes() + m.rows() * 4;
-        assert!(unbounded.memo.lock().unwrap().bytes > 2 * whole);
+        assert!(unbounded.memo.lock().unwrap().bytes() > 2 * whole);
 
         // Nothing fits; exactly one whole-matrix conversion fits; two do.
         for limit in [0, whole, 2 * whole] {
@@ -1079,12 +1098,8 @@ mod tests {
                     designer.design(&graph) == design(&graph, &m),
                     "{preset} at {limit}"
                 );
-                let memo = designer.memo.lock().unwrap();
-                assert!(memo.bytes <= limit, "{preset}: {} > {limit}", memo.bytes);
-                assert_eq!(
-                    memo.bytes,
-                    memo.entries.values().map(|e| e.bytes).sum::<usize>()
-                );
+                let bytes = designer.memo.lock().unwrap().bytes();
+                assert!(bytes <= limit, "{preset}: {bytes} > {limit}");
             }
             let stats = designer.stats();
             assert!(stats.built > distinct, "{limit}: {stats:?} rebuilt nothing");

@@ -12,8 +12,9 @@
 //! produces a [`metadata::MatrixMetadataSet`]: the fully-resolved description
 //! of the machine-designed format from which the Format & Kernel Generator
 //! (`alpha-codegen`) extracts arrays and builds the kernel.  A
-//! [`Designer`] kept alive across the graphs of one search converts the
-//! matrix once per distinct converting chain and shares the result.
+//! [`Designer`] kept alive across the graphs of one search copies the
+//! matrix once per distinct piece — row order and column band — and shares
+//! the result.
 
 pub mod designer;
 pub mod graph;

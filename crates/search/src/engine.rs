@@ -350,17 +350,12 @@ pub fn search_with_cache(
         .counter("search_structures_pruned_total", &[])
         .add(stats.structures_pruned as u64);
     // What the search's Designer did for those evaluations: how many graphs
-    // it designed, how many matrix conversions that took, and how many
-    // built pieces turned out equal to one it held.
+    // it designed, and how many of their conversions copied the matrix.
     let designer = ctx.designer().stats();
     registry
         .counter("search_designs_total", &[])
         .add(designer.designs);
-    for (outcome, conversions) in [
-        ("built", designer.built),
-        ("reused", designer.reused),
-        ("interned", designer.interned),
-    ] {
+    for (outcome, conversions) in [("built", designer.built), ("reused", designer.reused)] {
         registry
             .counter("search_design_conversions_total", &[("outcome", outcome)])
             .add(conversions);
