@@ -233,11 +233,11 @@ impl Memo {
         self.entries.values().flat_map(|entry| entry.pieces.iter())
     }
 
-    /// Bytes of the held allocations, each counted once however many
-    /// entries share it.
-    fn bytes(&self) -> usize {
+    /// Bytes of the allocations `pieces` hold, each counted once however
+    /// many pieces (or memo entries) share it.
+    fn bytes<'p>(pieces: impl Iterator<Item = &'p Piece>) -> usize {
         let mut seen = HashSet::new();
-        self.pieces()
+        pieces
             .flat_map(|p| {
                 [
                     (Arc::as_ptr(&p.matrix).cast::<u8>(), p.matrix.format_bytes()),
@@ -258,6 +258,9 @@ impl Memo {
         if let Some(held) = self.entries.get(&key) {
             return held.pieces.clone();
         }
+        if Memo::bytes(pieces.iter()) > limit {
+            return pieces;
+        }
         self.clock += 1;
         let used = self.clock;
         self.entries.insert(
@@ -267,9 +270,8 @@ impl Memo {
                 used,
             },
         );
-        while self.bytes() > limit {
-            // The entry just kept is the most recent, so it goes last: when
-            // it is all that is left, it alone exceeds the bound.
+        // The entry just kept is the most recent and fits alone: it stays.
+        while Memo::bytes(self.pieces()) > limit {
             let oldest = self
                 .entries
                 .iter()
@@ -1088,7 +1090,7 @@ mod tests {
         }
         let distinct = unbounded.stats().built;
         let whole = m.format_bytes() + m.rows() * 4;
-        assert!(unbounded.memo.lock().unwrap().bytes() > 2 * whole);
+        assert!(Memo::bytes(unbounded.memo.lock().unwrap().pieces()) > 2 * whole);
 
         // Nothing fits; exactly one whole-matrix conversion fits; two do.
         for limit in [0, whole, 2 * whole] {
@@ -1098,7 +1100,7 @@ mod tests {
                     designer.design(&graph) == design(&graph, &m),
                     "{preset} at {limit}"
                 );
-                let bytes = designer.memo.lock().unwrap().bytes();
+                let bytes = Memo::bytes(designer.memo.lock().unwrap().pieces());
                 assert!(bytes <= limit, "{preset}: {bytes} > {limit}");
             }
             let stats = designer.stats();
