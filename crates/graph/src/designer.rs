@@ -973,6 +973,28 @@ mod tests {
         }
     }
 
+    #[test]
+    fn designs_on_one_conversion_share_its_streams() {
+        let m = matrix();
+        let designer = Designer::new(&m);
+        let scalar = designer.design(&presets::csr_scalar()).unwrap();
+        let vector = designer.design(&presets::csr_vector()).unwrap();
+        let (a, b) = (&scalar.partitions[0], &vector.partitions[0]);
+        assert!(Arc::ptr_eq(&a.matrix, &b.matrix));
+        assert!(Arc::ptr_eq(&a.origin_rows, &b.origin_rows));
+        assert_ne!(a.mapping, b.mapping);
+        assert_eq!(
+            designer.stats(),
+            DesignerStats {
+                designs: 2,
+                built: 1,
+                reused: 1,
+            }
+        );
+        // A clone of the metadata is a reference, not a copy.
+        assert!(Arc::ptr_eq(&scalar.clone().partitions[0].matrix, &a.matrix));
+    }
+
     /// `csr_scalar` behind a global `SORT`: another conversion key.
     fn sorted_csr_scalar() -> OperatorGraph {
         let mut graph = presets::csr_scalar();
