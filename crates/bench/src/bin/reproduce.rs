@@ -222,7 +222,7 @@ fn main() {
         );
         for row in &rows {
             println!(
-                "  {:<18} {:>9.1} {:>9.1} {:>9.3}x {:>8.2}x {:>8} {:>6} {:>6}  {:<22} {:<40} {}",
+                "  {:<18} {:>9.1} {:>9.1} {:>9.3}x {:>8.3}x {:>8} {:>6} {:>6}  {:<22} {:<40} {}",
                 row.matrix,
                 1e3 * row.measured_tune_s,
                 1e3 * row.simulated_tune_s,
@@ -240,8 +240,8 @@ fn main() {
             |f: &dyn Fn(&HostRow) -> f64| geometric_mean(&rows.iter().map(f).collect::<Vec<_>>());
         let gains: Vec<f64> = rows.iter().map(HostRow::gain_over_preset).collect();
         println!(
-            "  geomean: tune {:.1} ms vs {:.1} ms (model), winner ratio {:.3}x, {:.2}x the best preset \
-             (min {:.2}x, {} of {} below 1.0)",
+            "  geomean: tune {:.1} ms vs {:.1} ms (model), winner ratio {:.3}x, {:.3}x the best preset \
+             (min {:.3}x, {} of {} below 1.0)",
             1e3 * geomean(&|r| r.measured_tune_s),
             1e3 * geomean(&|r| r.simulated_tune_s),
             geomean(&|r| r.winner_ratio()),

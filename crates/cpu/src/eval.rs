@@ -5,7 +5,7 @@
 //! ([`alpha_codegen::Evaluator`]), so it slots under the search's
 //! `CachingEvaluator` layer; it is the search's default
 //! backend (`EvaluatorChoice::Native`, which `alpha-search` builds), and the
-//! three-level search then optimises what a stopwatch actually reads on this
+//! search then optimises what a stopwatch actually reads on this
 //! machine.  Each candidate is designed
 //! through the search's [`Designer`](alpha_graph::Designer), so candidates
 //! whose conversions order rows alike share one copy.  A candidate that is

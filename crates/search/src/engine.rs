@@ -1,4 +1,5 @@
-//! The three-level search loop (paper Section VI-A).
+//! The search loop (paper Section VI-A): three levels under the cost
+//! model, the first two under a measured evaluator.
 //!
 //! Candidate evaluation — the dominant cost — is delegated to the
 //! [`Evaluator`] subsystem, with results memoised in a [`DesignCache`].
@@ -9,10 +10,15 @@
 //! (the default) the schedule is just as fixed, but the readings are the
 //! host's.
 //!
-//! The budget, the hour cap and the annealer are checked *before* each
-//! evaluation, so the search never pays for a candidate a stop condition
-//! would discard (an infeasible candidate does not count against the
-//! budget).
+//! Level 2 stops when [`SearchConfig::max_iterations`] feasible candidates
+//! have been evaluated or the candidates run out.  The budget is checked
+//! *before* each evaluation, so the search never pays for a candidate past
+//! it (an infeasible candidate does not count against the budget).
+//!
+//! Level 3 — a model fitted to the level-2 readings picks a few fine-grid
+//! candidates — runs only under the cost model.  A measured search stops at
+//! level 2: there level 3 cost a fit, about a thousand predictions and up
+//! to five more timings, and almost never found a faster program.
 //!
 //! All candidates of one search are designed through one
 //! [`Designer`](alpha_graph::Designer), owned by the search's
@@ -24,7 +30,7 @@ use crate::enumerate::{
 };
 use crate::eval::{CachingEvaluator, DesignCache, EvalContext, Evaluator, EvaluatorChoice};
 use crate::features::{featurise, matrix_feature_vector};
-use crate::ml::{Annealer, GbtConfig, GradientBoostedTrees, Sample};
+use crate::ml::{GbtConfig, GradientBoostedTrees, Sample};
 use crate::persist::StoredDesign;
 use crate::prune::PruneRules;
 use alpha_codegen::GeneratorOptions;
@@ -33,11 +39,6 @@ use alpha_graph::OperatorGraph;
 use alpha_matrix::CsrMatrix;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Wall-clock cost, in seconds, of evaluating one candidate on the paper's
-/// real system (nvcc compilation plus repeated kernel timing).  Used to
-/// convert simulator iterations into the search-time figures of Table III.
-pub const SECONDS_PER_REAL_ITERATION: f64 = 60.0;
 
 /// Search configuration.
 ///
@@ -50,15 +51,10 @@ pub const SECONDS_PER_REAL_ITERATION: f64 = 60.0;
 pub struct SearchConfig {
     /// Target device profile.
     pub device: DeviceProfile,
-    /// Maximum number of real (measured or simulated) evaluations in
-    /// levels 1+2.
+    /// Number of feasible candidates level 2 evaluates: the search's stop.
     pub max_iterations: usize,
-    /// Hard cap on the modelled search time in hours (the paper uses 8 h).
-    pub max_hours: f64,
     /// Enable the pruning rules (Table III ablation).
     pub enable_pruning: bool,
-    /// Enable the ML fine-grid refinement (level 3).
-    pub enable_ml_refinement: bool,
     /// Enable Model-Driven Format Compression in the generator
     /// (Figure 14c ablation).
     pub enable_model_compression: bool,
@@ -68,8 +64,8 @@ pub struct SearchConfig {
     pub seed: u64,
     /// Known-good designs injected ahead of the enumerated seed structures —
     /// the warm-start hook.  A serving layer passes the stored winners of
-    /// structurally similar matrices here; they are evaluated first (so the
-    /// annealer sees a strong incumbent immediately) and also mutated like
+    /// structurally similar matrices here; they are evaluated first (a
+    /// strong incumbent before the budget runs out) and also mutated like
     /// any enumerated seed.  Invalid or duplicate designs are skipped.
     /// Changing this list changes the candidate schedule, so callers that
     /// need replay-identical searches must pass the same list every time
@@ -79,7 +75,8 @@ pub struct SearchConfig {
     /// default the time `alpha-cpu`'s `NativeEvaluator` measures on this
     /// host ([`EvaluatorChoice::Native`]); [`EvaluatorChoice::Simulated`]
     /// opts into the simulator's cost model on [`SearchConfig::device`],
-    /// the one backend whose winner a fixed seed pins on every machine.
+    /// the one backend whose winner a fixed seed pins on every machine, and
+    /// the one under which level 3 runs.
     /// The choice's [`EvaluatorId`](crate::eval::EvaluatorId) is salted into
     /// every cache key and recorded in the stored winner, so modelled and
     /// measured results never mix.
@@ -91,9 +88,7 @@ impl Default for SearchConfig {
         SearchConfig {
             device: DeviceProfile::a100(),
             max_iterations: 150,
-            max_hours: 8.0,
             enable_pruning: true,
-            enable_ml_refinement: true,
             enable_model_compression: true,
             mutations_per_seed: 4,
             seed: 42,
@@ -113,12 +108,11 @@ pub struct SearchStats {
     pub structures_enumerated: usize,
     /// Candidate structures rejected by the pruning ban list.
     pub structures_pruned: usize,
-    /// Fine-grid predictions made by the ML cost model.
+    /// Fine-grid predictions made by the ML cost model (0 on a measured
+    /// search, which has no level 3).
     pub ml_predictions: usize,
     /// Extra kernel evaluations spent validating the top ML predictions.
     pub ml_evaluations: usize,
-    /// Modelled search time in hours (iterations x compile-and-run cost).
-    pub search_hours: f64,
     /// Design-cache lookups answered without re-simulation during this
     /// search.
     pub cache_hits: usize,
@@ -154,12 +148,12 @@ pub struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-/// Runs the three-level search for one matrix with a private design cache.
+/// Runs the search for one matrix with a private design cache.
 pub fn search(matrix: &CsrMatrix, config: &SearchConfig) -> Result<SearchOutcome, String> {
     search_with_cache(matrix, config, &Arc::new(DesignCache::new()))
 }
 
-/// Runs the three-level search for one matrix, memoising candidate
+/// Runs the search for one matrix, memoising candidate
 /// evaluations in (and reusing them from) the given cache.  Entries are keyed
 /// by matrix content, device and generator options, so one cache can safely
 /// serve many matrices and configurations — repeated searches over the same
@@ -199,10 +193,10 @@ pub fn search_with_cache(
             .saturating_sub(structures.len());
     }
     // Warm-start designs go FIRST: their coarse variants are evaluated before
-    // anything enumerated, so a good stored incumbent raises the annealer's
-    // bar immediately and lets it stop earlier.  They bypass the pruning ban
-    // list on purpose (they are measured winners, not speculative
-    // structures) but must still validate for this matrix.
+    // anything enumerated, so a good stored incumbent is in hand however
+    // soon the budget binds.  They bypass the pruning ban list on purpose
+    // (they are measured winners, not speculative structures) but must
+    // still validate for this matrix.
     {
         let mut warm: Vec<OperatorGraph> = Vec::new();
         let mut warm_seen: BTreeSet<String> = BTreeSet::new();
@@ -246,14 +240,11 @@ pub fn search_with_cache(
         structures_pruned: pruned,
         ..SearchStats::default()
     };
-    let mut annealer = Annealer::new(25.0, 0.97, 20);
+    // Level 3 trains on the level-2 readings; a measured search has none.
+    let refine = !config.evaluator.id().is_native();
     let mut samples: Vec<Sample> = Vec::new();
     let mut best: Option<(OperatorGraph, PerfReport, Option<String>)> = None;
     let mut evaluated: BTreeSet<String> = BTreeSet::new();
-    let budget_reached = |stats: &SearchStats| {
-        stats.iterations >= config.max_iterations
-            || stats.iterations as f64 * SECONDS_PER_REAL_ITERATION / 3600.0 >= config.max_hours
-    };
 
     // The full coarse-grid candidate list, deduplicated in first-seen order
     // and evaluated strictly in that order.
@@ -263,7 +254,7 @@ pub fn search_with_cache(
         .flat_map(coarse_variants)
         .filter(|candidate| dedup.insert(candidate.signature()));
     for candidate in candidates {
-        if budget_reached(&stats) || annealer.should_stop() {
+        if stats.iterations >= config.max_iterations {
             break;
         }
         evaluated.insert(candidate.signature());
@@ -272,7 +263,9 @@ pub fn search_with_cache(
         };
         stats.iterations += 1;
         let gflops = eval.report.gflops;
-        samples.push(Sample::new(featurise(&candidate, &stats_of_matrix), gflops));
+        if refine {
+            samples.push(Sample::new(featurise(&candidate, &stats_of_matrix), gflops));
+        }
         if best
             .as_ref()
             .map(|(_, r, _)| gflops > r.gflops)
@@ -280,14 +273,13 @@ pub fn search_with_cache(
         {
             best = Some((candidate, eval.report, eval.kernel_shape));
         }
-        annealer.observe(gflops);
     }
 
     drop(l2_span);
 
-    // ---- Level 3: ML interpolation onto the fine grid ----------------------
+    // ---- Level 3: ML interpolation onto the fine grid (cost model only) -----
     let l3_span = alpha_telemetry::span!("search.l3", matrix = matrix_fp);
-    if config.enable_ml_refinement && samples.len() >= 8 {
+    if refine && samples.len() >= 8 {
         let model = GradientBoostedTrees::fit(&samples, GbtConfig::default());
         let mut predictions: Vec<(f64, OperatorGraph)> = Vec::new();
         for structure in &structures {
@@ -309,10 +301,6 @@ pub fn search_with_cache(
                 continue;
             };
             stats.ml_evaluations += 1;
-            samples.push(Sample::new(
-                featurise(&candidate, &stats_of_matrix),
-                eval.report.gflops,
-            ));
             if best
                 .as_ref()
                 .map(|(_, r, _)| eval.report.gflops > r.gflops)
@@ -325,9 +313,6 @@ pub fn search_with_cache(
 
     drop(l3_span);
 
-    stats.search_hours =
-        ((stats.iterations + stats.ml_evaluations) as f64 * SECONDS_PER_REAL_ITERATION / 3600.0)
-            .min(config.max_hours);
     // Per-search counters from this search's own wrapper — correct even when
     // several concurrent searches share the cache.
     let cache_stats = evaluator.stats();
@@ -436,8 +421,7 @@ mod tests {
     #[test]
     fn pruning_reduces_iterations_on_regular_matrices() {
         let matrix = gen::uniform_random(2_048, 2_048, 16, 3);
-        let mut with = quick_config(400);
-        with.enable_ml_refinement = false;
+        let with = quick_config(400);
         let mut without = with.clone();
         without.enable_pruning = false;
         let pruned = search(&matrix, &with).unwrap();
@@ -448,7 +432,6 @@ mod tests {
             pruned.stats.iterations,
             unpruned.stats.iterations
         );
-        assert!(pruned.stats.search_hours <= unpruned.stats.search_hours);
     }
 
     #[test]
@@ -542,7 +525,7 @@ mod tests {
                 };
                 let (outcome, invocations) = counted_search(matrix, config);
                 let what = format!("{name}, budget {budget}");
-                // The budget binds: the annealer is still hot.
+                // The budget is the stop, and nothing is evaluated past it.
                 assert_eq!(outcome.stats.iterations, budget, "{what}");
                 assert_every_invocation_counts(&outcome, &invocations);
                 assert_eq!(
@@ -552,34 +535,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn an_annealer_stop_evaluates_nothing_past_it() {
-        let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 13);
-        let config = SearchConfig {
-            enable_pruning: false,
-            mutations_per_seed: 8,
-            ..quick_config(400)
-        };
-        let (outcome, invocations) = counted_search(&matrix, config);
-        assert!(outcome.stats.iterations < 400, "the budget bound");
-        assert_eq!(outcome.stats.cache_hits, 0);
-        assert_every_invocation_counts(&outcome, &invocations);
-        // Replaying the level-2 readings through a fresh annealer: it asks to
-        // stop after the last one, and not before.
-        let mut annealer = Annealer::new(25.0, 0.97, 20);
-        let level2: Vec<f64> = invocations
-            .iter()
-            .flatten()
-            .copied()
-            .take(outcome.stats.iterations)
-            .collect();
-        for (i, gflops) in level2.iter().enumerate() {
-            assert!(!annealer.should_stop(), "stopped before reading {i}");
-            annealer.observe(*gflops);
-        }
-        assert!(annealer.should_stop(), "the annealer did not stop");
     }
 
     /// The cost model behind a gate that records the most evaluations it
@@ -636,12 +591,26 @@ mod tests {
     }
 
     #[test]
-    fn ml_refinement_adds_predictions() {
+    fn a_measured_search_stops_at_level_two() {
+        // Level 3 is the cost model's.  The same simulator under a native id
+        // (timing nothing) makes no prediction and no level-3 pick.
+        use crate::eval::EvaluatorId;
         let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 9);
-        let mut config = quick_config(40);
-        config.enable_ml_refinement = true;
-        let outcome = search(&matrix, &config).unwrap();
-        assert!(outcome.stats.ml_predictions > 0);
+        for (id, refined) in [
+            (EvaluatorId::Native { warmup: 0, runs: 1 }, false),
+            (EvaluatorId::Simulated, true),
+        ] {
+            let config = SearchConfig {
+                evaluator: EvaluatorChoice::custom(id, || {
+                    Box::new(crate::eval::SimEvaluator::new(DeviceProfile::a100()))
+                }),
+                ..quick_config(40)
+            };
+            let stats = search(&matrix, &config).unwrap().stats;
+            assert_eq!(stats.iterations, 40, "{id:?}");
+            assert_eq!(stats.ml_predictions > 0, refined, "{id:?}");
+            assert_eq!(stats.ml_evaluations > 0, refined, "{id:?}");
+        }
     }
 
     #[test]
@@ -655,7 +624,7 @@ mod tests {
         let matrix = gen::powerlaw(1_024, 1_024, 12, 1.9, 5);
         let outcome = search(&matrix, &quick_config(50)).unwrap();
         assert!(outcome.best_report.gflops > 0.0);
-        assert!(outcome.stats.search_hours > 0.0);
+        assert!(outcome.stats.iterations > 0);
         assert!(outcome.best_graph.validate().is_ok());
     }
 }

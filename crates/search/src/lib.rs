@@ -1,8 +1,8 @@
 //! `alpha-search` — the Search Engine of the AlphaSparse reproduction (paper
 //! Section VI).
 //!
-//! The engine drives a three-level search over the Operator Graph design
-//! space:
+//! The engine drives a search over the Operator Graph design space in up
+//! to three levels:
 //!
 //! 1. **Graph structure enumeration** ([`enumerate`]) — candidate structures
 //!    are seeded from the preset graphs and extended by mutation (swapping
@@ -15,13 +15,15 @@
 //!    the host the search runs on, or, opted into, the `alpha-gpu`
 //!    simulator's cost model.  Either way the result is checked against the
 //!    reference SpMV.
-//! 3. **ML interpolation** — a gradient-boosted-tree cost model ([`ml`])
-//!    trained on the measured candidates predicts the fine parameter grid;
-//!    only the most promising predictions are evaluated for real.
+//! 3. **ML interpolation**, under the cost model only — a
+//!    gradient-boosted-tree model ([`ml`]) trained on the level-2 readings
+//!    predicts the fine parameter grid; only the most promising predictions
+//!    are evaluated for real.  A measured search stops at level 2.
 //!
-//! Simulated annealing terminates the first two levels early, and the
-//! pruning rules ([`prune`]) encode the "ban list" of operators that make no
-//! sense for the input sparsity pattern.
+//! The iteration budget is the search's stop (the paper's simulated
+//! annealing and 8-hour cap never bind at the budgets a search here runs
+//! with), and the pruning rules ([`prune`]) encode the "ban list" of
+//! operators that make no sense for the input sparsity pattern.
 //!
 //! Evaluations are memoised in a [`DesignCache`] that can be made durable:
 //! [`persist`] serialises the cache — including per-context winning designs
@@ -31,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-mod anneal;
 pub mod engine;
 pub mod enumerate;
 pub mod eval;

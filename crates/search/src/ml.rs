@@ -1,10 +1,9 @@
 //! The lightweight machine-learning components of the Search Engine:
 //! gradient-boosted regression trees (standing in for XGBoost, paper Section
-//! VI-A) used to interpolate coarse-grid measurements onto the fine parameter
-//! grid, and the simulated-annealing schedule used as the search termination
-//! condition.  The engine ([`crate::engine`]) is their only user.
+//! VI-A) used to interpolate the cost model's coarse-grid readings onto the
+//! fine parameter grid (level 3, which a measured search does not run).  The
+//! engine ([`crate::engine`]) is their only user.
 
-pub use crate::anneal::Annealer;
 pub use crate::gbt::{GbtConfig, GradientBoostedTrees};
 pub use crate::tree::RegressionTree;
 

@@ -1,7 +1,7 @@
 //! Durable serialization of the [`DesignCache`]: a std-only, dependency-free
 //! binary codec that lets tuned designs survive process restarts.
 //!
-//! Every process that tunes a matrix pays the three-level search once; this
+//! Every process that tunes a matrix pays the search once; this
 //! module makes that cost an *investment* instead of a recurring tax.  A
 //! cache file stores three sections keyed by the same identities the
 //! in-memory cache uses:

@@ -1,6 +1,6 @@
 //! `alpha-serve` — the serving layer of the AlphaSparse reproduction.
 //!
-//! AlphaSparse's economics only work at scale if the three-level search is an
+//! AlphaSparse's economics only work at scale if the search is an
 //! *investment*: tune a matrix once, serve the machine-designed SpMV forever
 //! after.  This crate supplies the two pieces the ROADMAP's "heavy traffic"
 //! north star needs on top of the `alpha-search` Evaluator subsystem:

@@ -188,9 +188,10 @@ impl TuningService {
     /// per-request [`TuneRequest::device`] overrides; all other fields
     /// (budget, seed, pruning, …) apply to every request.
     ///
-    /// Every field that shapes the candidate schedule — budget, hour cap,
-    /// pruning/ML toggles, mutations per seed, plus everything in the
-    /// evaluation context key — is folded into the store identity (see
+    /// Every field that shapes the candidate schedule — budget, pruning
+    /// toggle, mutations per seed, plus everything in the evaluation context
+    /// key (the evaluator among it, which also decides whether level 3
+    /// runs) — is folded into the store identity (see
     /// [`TuningService::store_key`]), so services configured differently
     /// never reuse each other's pinned seeds or overwrite each other's
     /// stored winners with differently-budgeted results.
@@ -230,9 +231,7 @@ impl TuningService {
             }
         };
         fold(&(self.config.max_iterations as u64).to_le_bytes());
-        fold(&self.config.max_hours.to_bits().to_le_bytes());
         fold(&[self.config.enable_pruning as u8]);
-        fold(&[self.config.enable_ml_refinement as u8]);
         fold(&(self.config.mutations_per_seed as u64).to_le_bytes());
         key
     }
@@ -1391,6 +1390,37 @@ mod tests {
         let served = service.tune_batch(&requests);
         assert!(served[0].is_err());
         assert!(served[1].is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_unreadable_design_file_costs_only_its_own_context() {
+        let dir = temp_dir("unreadable");
+        let requests = fleet(3);
+        let (damaged, kept) = {
+            let service = simulated_service(&dir, 10);
+            let served = service.tune_batch(&requests[..2]);
+            service.store().flush().unwrap();
+            let key = |i: usize| served[i].as_ref().unwrap().context_key;
+            (key(0), key(1))
+        };
+        let file = dir.join("designs").join(format!("ctx_{damaged:016x}.acds"));
+        std::fs::write(&file, b"not a design cache").unwrap();
+
+        // Every batch reads the winners of the whole store first: the damaged
+        // file must not fail it.
+        let service = simulated_service(&dir, 10);
+        let served = service.tune_batch(&requests[1..]);
+        let kept_tune = served[0].as_ref().expect("the intact context is served");
+        assert_eq!(kept_tune.context_key, kept);
+        assert_eq!(kept_tune.fresh_evaluations, 0);
+        let third = served[1].as_ref().expect("a new matrix tunes");
+        assert!(third.fresh_evaluations > 0);
+        assert!(matches!(
+            service.store().cache_for(damaged),
+            Err(crate::StoreError::Persist(_))
+        ));
+        assert!(service.tune_batch(&requests[..1])[0].is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

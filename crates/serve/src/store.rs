@@ -12,13 +12,14 @@ use std::sync::{Arc, Mutex};
 /// Layout version string written to (and checked against) the store's
 /// `store.layout` marker file.  Bump when the directory layout — not the
 /// cache file format, which carries its own version — changes, or when the
-/// context keys the files are named by do: `v3` keys no longer fold the
-/// search's batch size (evaluation has no batches), `v2` keys did, and `v1`
+/// context keys the files are named by do: `v4` keys no longer fold an hour
+/// cap or a level-3 switch (a search has neither), `v3` keys no longer fold
+/// the search's batch size (evaluation has no batches), `v2` keys did, and `v1`
 /// keys are rooted in the FNV-1a predecessor of the striped
 /// [`CsrMatrix::fingerprint`](alpha_matrix::CsrMatrix::fingerprint).  An
 /// older directory holds nothing a current lookup could find, so it is
 /// refused instead of silently orphaned.
-pub const STORE_LAYOUT_VERSION: &str = "alphasparse-design-store v3";
+pub const STORE_LAYOUT_VERSION: &str = "alphasparse-design-store v4";
 
 /// Default number of per-context caches kept in memory.
 const DEFAULT_CAPACITY: usize = 64;
@@ -466,7 +467,9 @@ impl DesignStore {
     }
 
     /// Builds the on-disk winner index on first use by scanning `designs/`
-    /// and fully decoding (once per store instance) every cache file.
+    /// and fully decoding (once per store instance) every cache file.  A
+    /// file that does not decode is left out: it costs only its own context,
+    /// whose [`DesignStore::cache_for`] keeps returning the typed error.
     fn ensure_winner_index(&self) -> Result<(), StoreError> {
         {
             let index = self.winner_index.lock().expect("store poisoned");
@@ -493,8 +496,9 @@ impl DesignStore {
         }
         let mut map = HashMap::with_capacity(disk_keys.len());
         for (key, path) in disk_keys {
-            let cache = DesignCache::load_from_file(&path)?;
-            map.insert(key, cache.winners());
+            if let Ok(cache) = DesignCache::load_from_file(&path) {
+                map.insert(key, cache.winners());
+            }
         }
         let mut index = self.winner_index.lock().expect("store poisoned");
         // A concurrent builder may have won the race; either result is
@@ -578,11 +582,12 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
 
-        // The layouts this one replaced: `v2` keys fold a batch size, `v1`
-        // keys are rooted in the FNV-1a fingerprint, so nothing in either
-        // can be found.  Refused by name, and left exactly as they were —
-        // lock file included.
-        for old in ["v1", "v2"] {
+        // The layouts this one replaced: `v3` keys fold an hour cap and a
+        // level-3 switch, `v2` keys a batch size, `v1` keys are rooted in the
+        // FNV-1a fingerprint, so nothing in any of them can be found.
+        // Refused by name, and left exactly as they were — lock file
+        // included.
+        for old in ["v1", "v2", "v3"] {
             let dir = temp_store_dir(&format!("layout_{old}"));
             let found = format!("alphasparse-design-store {old}");
             std::fs::create_dir_all(dir.join("designs")).unwrap();
@@ -596,7 +601,7 @@ mod tests {
                     expected,
                 }) => {
                     assert_eq!(refused, found);
-                    assert_eq!(expected, "alphasparse-design-store v3");
+                    assert_eq!(expected, "alphasparse-design-store v4");
                     assert_eq!(expected, STORE_LAYOUT_VERSION);
                 }
                 other => panic!("{old}: expected StoreError::Layout, got {other:?}"),

@@ -76,7 +76,7 @@ fn named_suite_matrices_tune_successfully() {
 #[test]
 fn search_statistics_reflect_pruning_and_irregularity() {
     // Figure 13's trend at small scale: irregular matrices need more search
-    // iterations than regular ones under the same budget and annealing.
+    // iterations than regular ones under the same budget.
     let regular = gen::uniform_random(2_048, 2_048, 16, 3);
     let irregular = gen::powerlaw(2_048, 2_048, 16, 1.8, 3);
     let regular_outcome = tuner(500).auto_tune(&regular).expect("regular tuning");

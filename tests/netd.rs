@@ -152,7 +152,7 @@ fn a_v1_store_directory_stops_the_daemon_before_it_starts() {
     assert!(message.starts_with("store opens"), "{message}");
     assert!(
         message.contains("alphasparse-design-store v1")
-            && message.contains("alphasparse-design-store v3"),
+            && message.contains("alphasparse-design-store v4"),
         "{message}"
     );
     for (name, bytes) in files {
