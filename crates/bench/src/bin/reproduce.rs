@@ -9,7 +9,7 @@
 //! cargo run --release -p alpha-bench --bin reproduce -- host
 //! ```
 //!
-//! Every figure pins the cost model (`EvaluatorChoice::Simulated`), so its
+//! Every figure pins the cost model (`alpha-gpu`'s `SimEvaluator`), so its
 //! output is the same on any machine.  The corpus sweep and Table III spread
 //! their matrices over the process-wide pool; each search evaluates its
 //! candidates one at a time, and `host`, which times, runs serially.  The

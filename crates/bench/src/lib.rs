@@ -9,11 +9,12 @@
 //! the serving tier) come from the `benchmark/` package, not from here.
 
 use alpha_baselines::{run_pfs, Baseline, PfsOutcome, TacoKernel};
-use alpha_gpu::{DeviceProfile, GpuSim};
+use alpha_gpu::{DeviceProfile, GpuSim, SimEvaluator, SimKernel};
 use alpha_matrix::suite::{self, CorpusConfig, SuiteScale};
 use alpha_matrix::{CsrMatrix, DenseVector, MatrixStats};
 use alpha_search::{
-    search_with_cache, DesignCache, EvaluatorChoice, SearchConfig, SearchOutcome, SearchStats,
+    search_with_cache, DesignCache, EvaluatorChoice, EvaluatorId, SearchConfig, SearchOutcome,
+    SearchStats,
 };
 use std::sync::Arc;
 
@@ -65,7 +66,7 @@ impl ExperimentContext {
             device: self.device.clone(),
             max_iterations: self.search_budget,
             mutations_per_seed: 3,
-            evaluator: EvaluatorChoice::Simulated,
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
             ..SearchConfig::default()
         }
     }
@@ -212,8 +213,9 @@ pub fn figure2(ctx: &ExperimentContext) -> Vec<Fig2Row> {
         let generated =
             alpha_codegen::generate(&graph, &matrix, alpha_codegen::GeneratorOptions::default())
                 .expect("mixed design generates");
+        let kernel = SimKernel::new(&generated.kernel, &generated.format);
         let report = sim
-            .run(&generated.kernel, x.as_slice())
+            .run(&kernel, x.as_slice())
             .expect("mixed design runs")
             .report;
         rows.push(Fig2Row {
@@ -483,7 +485,7 @@ pub fn host_comparison(ctx: &ExperimentContext) -> Vec<HostRow> {
         ..SearchConfig::default()
     };
     let simulated = SearchConfig {
-        evaluator: EvaluatorChoice::Simulated,
+        evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
         ..measured.clone()
     };
     let harness = TimingHarness {

@@ -1,7 +1,10 @@
 //! Device profiles: the architectural parameters of the simulated GPUs.
 //!
 //! Two built-in profiles mirror the paper's experimental platforms
-//! (Section VII-A): an NVIDIA A100 (Ampere) and an RTX 2080 (Turing).
+//! (Section VII-A): an NVIDIA A100 (Ampere) and an RTX 2080 (Turing).  The
+//! profile is plain data here because every evaluation context is keyed by
+//! it ([`context_key`](crate::context_key)); the cost model that reads it is
+//! `alpha-gpu`'s.
 
 /// Architectural parameters of a simulated GPU.
 ///
@@ -123,21 +126,6 @@ impl DeviceProfile {
             transaction_issue_cycles: 4.0,
         }
     }
-
-    /// Converts a cycle count on one SM into microseconds.
-    pub fn cycles_to_us(&self, cycles: f64) -> f64 {
-        cycles / (self.clock_ghz * 1e3)
-    }
-
-    /// Time in microseconds to move `bytes` at DRAM bandwidth.
-    pub fn dram_time_us(&self, bytes: f64) -> f64 {
-        bytes / (self.dram_bandwidth_gbps * 1e3)
-    }
-
-    /// Time in microseconds to move `bytes` at L2 bandwidth.
-    pub fn l2_time_us(&self, bytes: f64) -> f64 {
-        bytes / (self.l2_bandwidth_gbps * 1e3)
-    }
 }
 
 #[cfg(test)]
@@ -154,15 +142,5 @@ mod tests {
         let rtx = DeviceProfile::rtx2080();
         assert!(rtx.dram_bandwidth_gbps < a100.dram_bandwidth_gbps);
         assert!(rtx.sm_count < a100.sm_count);
-    }
-
-    #[test]
-    fn time_conversions() {
-        let d = DeviceProfile::test_profile();
-        // 1000 cycles at 1 GHz = 1 us.
-        assert!((d.cycles_to_us(1_000.0) - 1.0).abs() < 1e-12);
-        // 100 KB at 100 GB/s = 1 us.
-        assert!((d.dram_time_us(100_000.0) - 1.0).abs() < 1e-12);
-        assert!(d.l2_time_us(100_000.0) < d.dram_time_us(100_000.0));
     }
 }

@@ -2,14 +2,13 @@
 //! CsrMatrix)` candidate into a [`PerfReport`].
 //!
 //! The contract lives beside the generator because every backend implements
-//! it by generating the candidate first: `alpha-gpu`'s cost model (the
-//! search's `SimEvaluator`) and `alpha-cpu`'s measured `NativeEvaluator`.
-//! The search engine (`alpha-search`) wraps the one it selects per search
-//! in its design cache; it names both backends, and neither backend depends
-//! on it.
+//! it by generating the candidate first: `alpha-gpu`'s cost model
+//! (`SimEvaluator`) and `alpha-cpu`'s measured `NativeEvaluator`.  The
+//! search engine (`alpha-search`) wraps the one it builds per search in its
+//! design cache; it names the native backend, takes any other as a plug-in,
+//! and no backend depends on it.
 
-use crate::GeneratorOptions;
-use alpha_gpu::{DeviceProfile, PerfReport};
+use crate::{DeviceProfile, GeneratorOptions, PerfReport};
 use alpha_graph::{Designer, OperatorGraph};
 use alpha_matrix::{CsrMatrix, DenseVector, Scalar};
 

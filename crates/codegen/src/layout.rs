@@ -1,12 +1,12 @@
 //! Work-distribution layout computations shared by the format extractor, the
-//! kernel builder and the source emitter.
+//! simulated kernel and the source emitter.
 //!
 //! A [`PartitionLayout`] resolves the mapping stage of one partition into
 //! concrete numbers: how many thread blocks are launched, which rows (or
 //! non-zeros) each block and each thread own, and the padded chunk lengths
 //! produced by the `*_PAD` operators.
 
-use alpha_gpu::WARP_SIZE;
+use crate::WARP_SIZE;
 use alpha_graph::{Mapping, PadScope, PartitionPlan};
 
 /// Resolved layout of one partition.
@@ -109,15 +109,6 @@ impl PartitionLayout {
             padded_nnz: nnz,
         }
     }
-
-    /// Padding overhead ratio: padded slots divided by real non-zeros.
-    pub fn padding_ratio(&self, nnz: usize) -> f64 {
-        if nnz == 0 {
-            1.0
-        } else {
-            self.padded_nnz as f64 / nnz as f64
-        }
-    }
 }
 
 /// Applies the partition's padding directive to raw per-thread chunk lengths.
@@ -145,54 +136,6 @@ fn apply_padding(plan: &PartitionPlan, raw: &[u32], threads_per_block: usize) ->
     }
 }
 
-/// Splits a global thread-block id range over partitions: returns, for a
-/// composite kernel, the partition index and local block id of a global
-/// block.
-#[derive(Debug, Clone)]
-pub struct BlockDirectory {
-    /// Exclusive prefix sums of per-partition block counts.
-    offsets: Vec<usize>,
-}
-
-impl BlockDirectory {
-    /// Builds the directory from per-partition block counts.
-    pub fn new(blocks_per_partition: &[usize]) -> Self {
-        let mut offsets = Vec::with_capacity(blocks_per_partition.len() + 1);
-        let mut total = 0;
-        offsets.push(0);
-        for &b in blocks_per_partition {
-            total += b;
-            offsets.push(total);
-        }
-        BlockDirectory { offsets }
-    }
-
-    /// Total number of blocks across partitions.
-    pub fn total_blocks(&self) -> usize {
-        *self.offsets.last().unwrap_or(&0)
-    }
-
-    /// Maps a global block id to `(partition, local block id)`.
-    pub fn locate(&self, global_block: usize) -> Option<(usize, usize)> {
-        if global_block >= self.total_blocks() {
-            return None;
-        }
-        let partition = match self.offsets.binary_search(&global_block) {
-            Ok(exact) => {
-                // `exact` may point at an empty partition boundary; advance to
-                // the partition that actually starts here.
-                let mut p = exact;
-                while self.offsets[p + 1] == self.offsets[p] {
-                    p += 1;
-                }
-                p
-            }
-            Err(insert) => insert - 1,
-        };
-        Some((partition, global_block - self.offsets[partition]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,7 +154,6 @@ mod tests {
         assert_eq!(layout.padded_chunk_lens.len(), 300);
         assert!(layout.blocks * layout.rows_per_block >= 300);
         assert_eq!(layout.padded_nnz, plan.matrix.nnz());
-        assert!((layout.padding_ratio(plan.matrix.nnz()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -259,16 +201,5 @@ mod tests {
         let plan = plan_for(&presets::csr5_like(16));
         let layout = PartitionLayout::new(&plan);
         assert!(layout.blocks * layout.threads_per_block * 16 >= plan.matrix.nnz());
-    }
-
-    #[test]
-    fn block_directory_locates_partitions() {
-        let dir = BlockDirectory::new(&[3, 0, 2]);
-        assert_eq!(dir.total_blocks(), 5);
-        assert_eq!(dir.locate(0), Some((0, 0)));
-        assert_eq!(dir.locate(2), Some((0, 2)));
-        assert_eq!(dir.locate(3), Some((2, 0)));
-        assert_eq!(dir.locate(4), Some((2, 1)));
-        assert_eq!(dir.locate(5), None);
     }
 }

@@ -9,11 +9,9 @@
 //! * applies **Model-Driven Format Compression** — index arrays whose values
 //!   follow a linear, step or periodic-linear law are replaced by the fitted
 //!   function, eliminating their memory traffic ([`compress`](mod@compress)),
-//! * builds the **generated kernel** — an executable
-//!   [`SpmvKernel`](alpha_gpu::SpmvKernel)
-//!   (interpreted by the `alpha-gpu` simulator) assembled from the kernel
-//!   skeleton and the reduction fragments the implementing stage selected
-//!   ([`kernel`], [`layout`]),
+//! * builds the **generated kernel** — plain data: the designed metadata,
+//!   from which each backend builds its executor (`alpha-cpu`'s native
+//!   loop, `alpha-gpu`'s simulated kernel) ([`kernel`], [`layout`]),
 //! * emits CUDA-like **source code** for the kernel, the user-facing
 //!   artifact of AlphaSparse ([`emit`]), on request only
 //!   ([`GeneratedSpmv::source`]): a search prints none of its candidates.
@@ -21,20 +19,30 @@
 //!   named by its kernel-shape label, not a second emitted text.
 //!
 //! It also holds the evaluation contract every backend implements by
-//! generating a candidate first ([`eval`]): the search ranks designs through
-//! it without the backends depending on the search.
+//! generating a candidate first ([`eval`]), with the data that contract
+//! names — the [`DeviceProfile`] a context is keyed by and the
+//! [`PerfReport`] an evaluation returns: the search ranks designs through
+//! it without the backends depending on the search, and without the search
+//! depending on the simulator.
 
 pub mod compress;
+pub mod device;
 pub mod emit;
 pub mod eval;
 pub mod format;
 pub mod kernel;
 pub mod layout;
+pub mod report;
 
 pub use compress::{compress_array, CompressionModel};
+pub use device::DeviceProfile;
 pub use eval::{context_key, context_key_for, EvalContext, Evaluation, Evaluator, EvaluatorId};
 pub use format::{FormatArray, MachineFormat, PartitionFormat};
 pub use kernel::GeneratedKernel;
+pub use report::{KernelCounters, PerfReport};
+
+/// Number of threads in a warp on every simulated device (CUDA fixes this at 32).
+pub const WARP_SIZE: usize = 32;
 
 use alpha_graph::{design, DesignError, Designer, MatrixMetadataSet, OperatorGraph, SimdPlan};
 use alpha_matrix::CsrMatrix;
@@ -56,10 +64,10 @@ impl Default for GeneratorOptions {
 }
 
 /// The complete output of the Format & Kernel Generator for one operator
-/// graph and matrix: the executable kernel and the extracted format.  The
+/// graph and matrix: the generated kernel and the extracted format.  The
 /// source text is emitted from them on request.
 pub struct GeneratedSpmv {
-    /// Kernel runnable on the `alpha-gpu` simulator.
+    /// The designed kernel.
     pub kernel: GeneratedKernel,
     /// The machine-designed format description.
     pub format: MachineFormat,
@@ -124,30 +132,6 @@ pub fn generate_from_metadata(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpha_gpu::{DeviceProfile, GpuSim, SpmvKernel};
-    use alpha_graph::presets;
-    use alpha_matrix::{gen, DenseVector};
-
-    #[test]
-    fn end_to_end_generation_produces_correct_spmv() {
-        let matrix = gen::powerlaw(400, 400, 10, 2.0, 9);
-        let x = DenseVector::random(400, 3);
-        let expected = matrix.spmv(x.as_slice()).unwrap();
-        for (name, graph) in presets::all_presets() {
-            let generated = generate(&graph, &matrix, GeneratorOptions::default())
-                .unwrap_or_else(|e| panic!("{name}: generation failed: {e}"));
-            let sim = GpuSim::new(DeviceProfile::test_profile());
-            let result = sim
-                .run(&generated.kernel, x.as_slice())
-                .unwrap_or_else(|e| panic!("{name}: simulation failed: {e}"));
-            assert!(
-                DenseVector::from_vec(result.y.clone()).approx_eq(&expected, 1e-3),
-                "{name}: wrong SpMV result"
-            );
-            assert!(!generated.source().is_empty());
-            assert!(generated.kernel.format_bytes() > 0);
-        }
-    }
 
     #[test]
     fn options_default_enables_compression() {

@@ -1,6 +1,6 @@
-//! Performance reports produced by the simulator.
-
-use crate::counters::KernelCounters;
+//! Performance reports: what an evaluator says about one candidate, modelled
+//! by `alpha-gpu`'s simulator or measured on the host, and the cost model's
+//! event counters they carry.
 
 /// The modelled performance of one kernel execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,6 +97,85 @@ impl PerfReport {
             self.occupancy,
             self.x_l2_hit_rate,
         )
+    }
+}
+
+/// Counters aggregated over the whole kernel launch.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KernelCounters {
+    /// Sum of matrix/format DRAM bytes over all blocks.
+    pub matrix_dram_bytes: f64,
+    /// Sum of x-gather bytes over all blocks.
+    pub x_gather_bytes: f64,
+    /// Sum of y-write bytes over all blocks.
+    pub y_write_bytes: f64,
+    /// Total global transactions.
+    pub transactions: u64,
+    /// Total fused multiply-adds.
+    pub fma_ops: u64,
+    /// Total atomics.
+    pub atomic_ops: u64,
+    /// Total intra-block atomic conflicts.
+    pub atomic_conflicts: u64,
+    /// Total shared-memory bytes.
+    pub shared_bytes: f64,
+    /// Total barriers.
+    pub syncs: u64,
+    /// Total warp shuffles.
+    pub shuffles: u64,
+    /// Sum of block latencies (cycles); the compute-side roofline input.
+    pub total_block_latency_cycles: f64,
+    /// Largest single block latency (cycles); bounds the critical path when
+    /// there are fewer blocks than SMs.
+    pub max_block_latency_cycles: f64,
+    /// Number of blocks executed.
+    pub blocks: u64,
+}
+
+impl KernelCounters {
+    /// Merges the totals of another aggregate (used when worker threads each
+    /// accumulate a private aggregate).
+    pub fn merge(&mut self, other: &KernelCounters) {
+        self.matrix_dram_bytes += other.matrix_dram_bytes;
+        self.x_gather_bytes += other.x_gather_bytes;
+        self.y_write_bytes += other.y_write_bytes;
+        self.transactions += other.transactions;
+        self.fma_ops += other.fma_ops;
+        self.atomic_ops += other.atomic_ops;
+        self.atomic_conflicts += other.atomic_conflicts;
+        self.shared_bytes += other.shared_bytes;
+        self.syncs += other.syncs;
+        self.shuffles += other.shuffles;
+        self.total_block_latency_cycles += other.total_block_latency_cycles;
+        self.max_block_latency_cycles = self
+            .max_block_latency_cycles
+            .max(other.max_block_latency_cycles);
+        self.blocks += other.blocks;
+    }
+
+    /// Total bytes requested from the memory system (before L2 splitting).
+    pub fn total_requested_bytes(&self) -> f64 {
+        self.matrix_dram_bytes + self.x_gather_bytes + self.y_write_bytes
+    }
+
+    /// Mean block latency in cycles (0 when no blocks ran).
+    pub fn mean_block_latency_cycles(&self) -> f64 {
+        if self.blocks == 0 {
+            0.0
+        } else {
+            self.total_block_latency_cycles / self.blocks as f64
+        }
+    }
+
+    /// Ratio of the largest block latency to the mean: a direct measure of
+    /// inter-block load imbalance (1.0 = perfectly balanced).
+    pub fn block_imbalance(&self) -> f64 {
+        let mean = self.mean_block_latency_cycles();
+        if mean == 0.0 {
+            1.0
+        } else {
+            self.max_block_latency_cycles / mean
+        }
     }
 }
 

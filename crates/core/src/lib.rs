@@ -2,49 +2,36 @@
 //!
 //! AlphaSparse takes an arbitrary sparse matrix and a target device and
 //! returns a **machine-designed SpMV program**: a format tailored to the
-//! matrix's sparsity pattern, an executable kernel, and — on request — its
-//! emitted CUDA-like source code (paper Section III).
+//! matrix's sparsity pattern, a kernel that runs it natively on this host,
+//! and — on request — its emitted CUDA-like source code (paper Section III).
+//! The GPU simulator is not linked here: the cost model is `alpha-gpu`'s
+//! `SimEvaluator`, plugged in through [`EvaluatorChoice::custom`], and a
+//! tuned design runs on the simulator as a `SimKernel` built from
+//! [`TunedSpmv::kernel`] and [`TunedSpmv::format`].  The README quickstart
+//! is [`AlphaSparse`]'s example.
 //!
 //! ```
-//! use alphasparse::{AlphaSparse, DeviceProfile};
-//! use alpha_matrix::gen;
-//!
-//! // A small irregular matrix.
-//! let matrix = gen::powerlaw(512, 512, 8, 2.0, 7);
-//!
-//! // Tune with a tiny budget (larger budgets find better designs).
+//! # use alphasparse::{AlphaSparse, DeviceProfile};
+//! let matrix = alpha_matrix::gen::powerlaw(512, 512, 8, 2.0, 7);
 //! let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(20);
 //! let tuned = tuner.auto_tune(&matrix).expect("tuning succeeds");
-//!
-//! // Run the machine-designed SpMV natively on this CPU (y = A·x for real)...
-//! let x = vec![1.0; 512];
-//! let y = tuned.run(&x).expect("native SpMV succeeds");
-//! assert_eq!(y.len(), 512);
-//!
-//! // ...or on the simulated device.
-//! let y_sim = tuned.spmv(&x).expect("simulated SpMV succeeds");
-//! assert_eq!(y_sim.len(), 512);
-//! // The search ranked designs by the time they took on this host.
-//! assert!(tuned.evaluator().is_native());
-//! println!("{:.1} measured GFLOPS with {}", tuned.gflops(), tuned.operator_graph());
+//! assert_eq!(tuned.run(&vec![1.0; 512]).expect("native SpMV").len(), 512);
 //! ```
 
 #![warn(missing_docs)]
 
-pub use alpha_baselines as baselines;
 pub use alpha_codegen as codegen;
 pub use alpha_cpu as cpu;
-pub use alpha_gpu as gpu;
 pub use alpha_graph as graph;
 pub use alpha_matrix as matrix;
 pub use alpha_search as search;
 
+pub use alpha_codegen::{DeviceProfile, PerfReport};
 pub use alpha_cpu::{MeasuredReport, NativeEvaluator, NativeKernel, TimingHarness};
-pub use alpha_gpu::{DeviceProfile, GpuSim, PerfReport, SpmvKernel};
 pub use alpha_matrix::{CsrMatrix, MatrixStats, Scalar};
 pub use alpha_search::{
     CacheStats, CachingEvaluator, DesignCache, EvalContext, Evaluation, Evaluator, EvaluatorChoice,
-    EvaluatorId, SearchConfig, SearchOutcome, SearchStats, SimEvaluator,
+    EvaluatorId, SearchConfig, SearchOutcome, SearchStats,
 };
 
 use alpha_codegen::{generate, GeneratedSpmv, GeneratorOptions};
@@ -83,14 +70,10 @@ use std::sync::Arc;
 /// let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(20);
 /// let tuned = tuner.auto_tune(&matrix).expect("tuning succeeds");
 ///
-/// // Run the machine-designed SpMV natively on this CPU (y = A·x for real)...
+/// // Run the machine-designed SpMV natively on this CPU (y = A·x for real).
 /// let x = vec![1.0; 512];
 /// let y = tuned.run(&x).expect("native SpMV succeeds");
 /// assert_eq!(y.len(), 512);
-///
-/// // ...or on the simulated device.
-/// let y_sim = tuned.spmv(&x).expect("simulated SpMV succeeds");
-/// assert_eq!(y_sim.len(), 512);
 /// // The search ranked designs by the time they took on this host.
 /// assert!(tuned.evaluator().is_native());
 /// println!("{:.1} measured GFLOPS with {}", tuned.gflops(), tuned.operator_graph());
@@ -107,9 +90,9 @@ impl AlphaSparse {
     /// configuration, which ranks candidates by the time they take on this
     /// host ([`EvaluatorChoice::Native`], the default harness, the kernel on
     /// every core): a tune optimises the machine it runs on, and its winner
-    /// is that machine's.  `device` is what the simulated side models —
-    /// [`TunedSpmv::spmv`], and every search opted into the cost model with
-    /// [`with_evaluator`](AlphaSparse::with_evaluator)`(EvaluatorChoice::Simulated)`,
+    /// is that machine's.  `device` keys every context the tuner searches,
+    /// and is the device a plugged-in cost model is built for (`alpha-gpu`'s
+    /// `SimEvaluator`, through [`with_evaluator`](AlphaSparse::with_evaluator)),
     /// the one backend under which a fixed seed picks the same design on any
     /// machine.
     pub fn new(device: DeviceProfile) -> Self {
@@ -230,8 +213,8 @@ impl AlphaSparse {
     }
 
     /// Replaces the ground-truth evaluation backend wholesale —
-    /// `EvaluatorChoice::Simulated` opts into the cost model on the tuner's
-    /// device.
+    /// `EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed)`
+    /// plugs in `alpha-gpu`'s cost model, built on the tuner's device.
     pub fn with_evaluator(mut self, choice: EvaluatorChoice) -> Self {
         self.config.evaluator = choice;
         self
@@ -336,7 +319,6 @@ impl AlphaSparse {
             generated.set_simd_plans(&plans);
         }
         Ok(TunedSpmv {
-            device: self.config.device.clone(),
             evaluator: self.config.evaluator.id(),
             matrix_stats: MatrixStats::from_csr(matrix),
             generated,
@@ -379,7 +361,6 @@ impl AlphaSparse {
 /// them on request ([`TunedSpmv::source`]); [`TunedSpmv::kernel_shape`]
 /// names the library loop the host runs.
 pub struct TunedSpmv {
-    device: DeviceProfile,
     evaluator: EvaluatorId,
     /// Statistics of the tuned matrix — all a finished design still needs of
     /// it (the generated format holds the data), so the handle does not keep
@@ -398,15 +379,8 @@ pub struct TunedSpmv {
 }
 
 impl TunedSpmv {
-    /// Runs `y = A·x` with the machine-designed kernel on the simulated
-    /// device.
-    pub fn spmv(&self, x: &[Scalar]) -> Result<Vec<Scalar>, String> {
-        let sim = GpuSim::new(self.device.clone());
-        Ok(sim.run(&self.generated.kernel, x)?.y)
-    }
-
     /// Runs `y = A·x` **natively**: the stored winner executes as a real
-    /// threaded CPU kernel (`alpha-cpu`), no simulator involved.  `y` is the
+    /// threaded CPU kernel (`alpha-cpu`), the handle's one executor.  `y` is the
     /// actual product, computed at memory speed.  Steady-state friendly:
     /// repeated calls reuse the process-wide persistent worker pool — no
     /// thread is ever spawned on this path.
@@ -535,7 +509,9 @@ impl TunedSpmv {
         &self.generated.format
     }
 
-    /// The executable kernel (for running on a custom simulator instance).
+    /// The generated kernel: with [`TunedSpmv::format`], what any other
+    /// executor of the design is built from (`alpha-gpu`'s `SimKernel`, a
+    /// `NativeKernel` twin).
     pub fn kernel(&self) -> &alpha_codegen::GeneratedKernel {
         &self.generated.kernel
     }
@@ -555,7 +531,22 @@ impl TunedSpmv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alpha_gpu::{GpuSim, SimEvaluator, SimKernel};
     use alpha_matrix::{gen, max_scaled_error, DenseVector};
+
+    /// The cost model, plugged in.
+    fn cost_model() -> EvaluatorChoice {
+        EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed)
+    }
+
+    /// `y = A·x` of a tuned design on the simulated A100.
+    fn simulate(tuned: &TunedSpmv, x: &[Scalar]) -> Vec<Scalar> {
+        let kernel = SimKernel::new(tuned.kernel(), tuned.format());
+        GpuSim::new(DeviceProfile::a100())
+            .run(&kernel, x)
+            .unwrap()
+            .y
+    }
 
     #[test]
     fn auto_tune_produces_correct_spmv() {
@@ -563,7 +554,7 @@ mod tests {
         let tuner = AlphaSparse::new(DeviceProfile::a100()).with_search_budget(25);
         let tuned = tuner.auto_tune(&matrix).unwrap();
         let x = DenseVector::random(768, 3);
-        let y = tuned.spmv(x.as_slice()).unwrap();
+        let y = tuned.run(x.as_slice()).unwrap();
         let expected = matrix.spmv(x.as_slice()).unwrap();
         assert!(DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
         assert!(tuned.gflops() > 0.0);
@@ -587,15 +578,18 @@ mod tests {
             )
             .unwrap();
             let tuned = AlphaSparse::new(DeviceProfile::a100())
-                .with_evaluator(EvaluatorChoice::Simulated)
+                .with_evaluator(cost_model())
                 .with_search_budget(8)
                 .auto_tune(&matrix)
                 .unwrap_or_else(|e| panic!("{poison}: {e}"));
             let x = DenseVector::random(512, 3);
             let expected = matrix.spmv(x.as_slice()).unwrap();
             assert!(expected.iter().any(|v| !v.is_finite()));
-            for y in [tuned.spmv(x.as_slice()), tuned.run(x.as_slice())] {
-                assert!(max_scaled_error(&y.unwrap(), &expected) <= 1e-3, "{poison}");
+            for y in [
+                simulate(&tuned, x.as_slice()),
+                tuned.run(x.as_slice()).unwrap(),
+            ] {
+                assert!(max_scaled_error(&y, &expected) <= 1e-3, "{poison}");
             }
         }
     }
@@ -690,18 +684,28 @@ mod tests {
 
     #[test]
     fn native_run_matches_the_simulated_kernel_and_reference() {
+        // The plug-in's factory is handed the tuner's device: each winner is
+        // modelled on the configured profile, under a context key that
+        // hashes that profile.
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 19);
-        let tuner = AlphaSparse::new(DeviceProfile::a100())
-            .with_evaluator(EvaluatorChoice::Simulated)
-            .with_search_budget(12);
-        let tuned = tuner.auto_tune(&matrix).unwrap();
-        assert_eq!(tuned.evaluator(), EvaluatorId::Simulated);
-        let x = DenseVector::random(512, 4);
-        let reference = matrix.spmv(x.as_slice()).unwrap();
-        let native = tuned.run(x.as_slice()).unwrap();
-        let simulated = tuned.spmv(x.as_slice()).unwrap();
-        assert!(DenseVector::from_vec(native.clone()).approx_eq(&reference, 1e-3));
-        assert!(DenseVector::from_vec(native).approx_eq(&simulated, 1e-3));
+        let keys = [DeviceProfile::a100(), DeviceProfile::rtx2080()].map(|device| {
+            let tuner = AlphaSparse::new(device.clone())
+                .with_evaluator(cost_model())
+                .with_search_budget(12);
+            let tuned = tuner.auto_tune(&matrix).unwrap();
+            assert_eq!(tuned.evaluator(), EvaluatorId::Simulated);
+            assert_eq!(tuned.report().device, device.name);
+            let key = tuner.context_key(&matrix);
+            assert!(tuner.cache().winner(key).is_some(), "{}", device.name);
+            let x = DenseVector::random(512, 4);
+            let reference = matrix.spmv(x.as_slice()).unwrap();
+            let native = tuned.run(x.as_slice()).unwrap();
+            let simulated = simulate(&tuned, x.as_slice());
+            assert!(DenseVector::from_vec(native.clone()).approx_eq(&reference, 1e-3));
+            assert!(DenseVector::from_vec(native).approx_eq(&simulated, 1e-3));
+            key
+        });
+        assert_ne!(keys[0], keys[1]);
     }
 
     /// Long uniform rows: whichever format the search picks, a vector
@@ -731,7 +735,7 @@ mod tests {
     fn a_simulated_tune_prints_and_twins_the_loop_it_runs() {
         let matrix = long_row_matrix();
         let tuner = AlphaSparse::new(DeviceProfile::a100())
-            .with_evaluator(EvaluatorChoice::Simulated)
+            .with_evaluator(cost_model())
             .with_search_budget(12);
         let tuned = tuner.auto_tune(&matrix).unwrap();
         assert_eq!(tuned.evaluator(), EvaluatorId::Simulated);
@@ -867,7 +871,7 @@ mod tests {
         let path = dir.join("designs.acds");
         let matrix = long_row_matrix();
         let tuner = AlphaSparse::new(DeviceProfile::a100())
-            .with_evaluator(EvaluatorChoice::Simulated)
+            .with_evaluator(cost_model())
             .with_search_budget(12);
 
         // What the previous release wrote: the search's cache, every
@@ -1032,7 +1036,7 @@ mod tests {
         let searches: Arc<std::sync::Mutex<Vec<Arc<RecordedSearch>>>> = Arc::default();
         let choice = {
             let searches = searches.clone();
-            EvaluatorChoice::custom(harness.evaluator_id(), move || {
+            EvaluatorChoice::custom(harness.evaluator_id(), move |_| {
                 let search = Arc::new(RecordedSearch {
                     evaluator: NativeEvaluator::new(harness, 1),
                     feasible: Default::default(),

@@ -50,8 +50,7 @@
 use crate::harness::TimingHarness;
 pub use crate::harness::NATIVE_DEVICE_LABEL;
 use crate::kernel::{NativeKernel, PlannedProgram, Program};
-use alpha_codegen::{generate_with, EvalContext, Evaluation, Evaluator, EvaluatorId};
-use alpha_gpu::PerfReport;
+use alpha_codegen::{generate_with, EvalContext, Evaluation, Evaluator, EvaluatorId, PerfReport};
 use alpha_graph::OperatorGraph;
 use alpha_matrix::Scalar;
 use alpha_parallel::Pool;
@@ -333,8 +332,8 @@ const _: () = {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use alpha_codegen::DeviceProfile;
     use alpha_codegen::GeneratorOptions;
-    use alpha_gpu::DeviceProfile;
     use alpha_graph::{presets, Operator};
     use alpha_matrix::gen;
 

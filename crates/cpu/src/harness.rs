@@ -12,8 +12,7 @@
 //! comparisons are apples-to-apples.
 
 use crate::kernel::NativeKernel;
-use alpha_codegen::EvaluatorId;
-use alpha_gpu::PerfReport;
+use alpha_codegen::{EvaluatorId, PerfReport};
 use alpha_matrix::Scalar;
 use std::time::Instant;
 

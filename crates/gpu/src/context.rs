@@ -8,9 +8,9 @@
 //! block fall out of the per-lane maxima.
 
 use crate::counters::BlockCounters;
-use crate::device::DeviceProfile;
 use crate::memory::{self, Access};
 use crate::WARP_SIZE;
+use alpha_codegen::DeviceProfile;
 use alpha_matrix::Scalar;
 use std::collections::HashMap;
 
@@ -47,16 +47,6 @@ impl<'a> BlockContext<'a> {
             counters: BlockCounters::default(),
             atomic_targets: HashMap::new(),
         }
-    }
-
-    /// Number of threads in the block.
-    pub fn block_dim(&self) -> usize {
-        self.block_dim
-    }
-
-    /// Length of the x vector.
-    pub fn x_len(&self) -> usize {
-        self.x.len()
     }
 
     /// Selects the thread (0-based within the block) that subsequent

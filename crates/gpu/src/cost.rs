@@ -15,11 +15,24 @@
 //!
 //! Kernel time is the maximum of the two sides plus the launch overhead.
 
-use crate::counters::KernelCounters;
-use crate::device::DeviceProfile;
 use crate::launch::LaunchConfig;
 use crate::memory;
-use crate::report::PerfReport;
+use alpha_codegen::{DeviceProfile, KernelCounters, PerfReport};
+
+/// Converts a cycle count on one SM into microseconds.
+pub fn cycles_to_us(device: &DeviceProfile, cycles: f64) -> f64 {
+    cycles / (device.clock_ghz * 1e3)
+}
+
+/// Time in microseconds to move `bytes` at DRAM bandwidth.
+pub fn dram_time_us(device: &DeviceProfile, bytes: f64) -> f64 {
+    bytes / (device.dram_bandwidth_gbps * 1e3)
+}
+
+/// Time in microseconds to move `bytes` at L2 bandwidth.
+pub fn l2_time_us(device: &DeviceProfile, bytes: f64) -> f64 {
+    bytes / (device.l2_bandwidth_gbps * 1e3)
+}
 
 /// Inputs to the cost model besides the raw counters.
 #[derive(Debug, Clone)]
@@ -57,7 +70,7 @@ pub fn evaluate(
     let x_dram_bytes = counters.x_gather_bytes * (1.0 - hit_rate);
     let x_l2_bytes = counters.x_gather_bytes * hit_rate;
     let dram_bytes = counters.matrix_dram_bytes + counters.y_write_bytes + x_dram_bytes;
-    let memory_time_us = device.dram_time_us(dram_bytes) + device.l2_time_us(x_l2_bytes);
+    let memory_time_us = dram_time_us(device, dram_bytes) + l2_time_us(device, x_l2_bytes);
 
     // ---- Compute / latency side -------------------------------------------
     let occupancy = inputs.launch.occupancy(device);
@@ -71,7 +84,7 @@ pub fn evaluate(
     // Latency hiding: with full occupancy the SM overlaps warps almost
     // perfectly; with low occupancy stalls are exposed.
     let hiding = occupancy.clamp(0.05, 1.0).sqrt();
-    let compute_time_us = device.cycles_to_us(critical_cycles) / hiding;
+    let compute_time_us = cycles_to_us(device, critical_cycles) / hiding;
 
     let busy_time_us = memory_time_us.max(compute_time_us);
     let total_time_us = busy_time_us + device.launch_overhead_us;
@@ -105,7 +118,7 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::BlockCounters;
+    use crate::counters::{absorb_block, BlockCounters};
 
     fn inputs(launch: LaunchConfig, x_len: usize, flops: u64) -> CostInputs {
         CostInputs {
@@ -120,14 +133,27 @@ mod tests {
     fn counters_with(blocks: usize, latency: f64, dram: f64, xbytes: f64) -> KernelCounters {
         let mut k = KernelCounters::default();
         for _ in 0..blocks {
-            k.absorb_block(&BlockCounters {
-                matrix_dram_bytes: dram / blocks as f64,
-                x_gather_bytes: xbytes / blocks as f64,
-                block_latency_cycles: latency,
-                ..Default::default()
-            });
+            absorb_block(
+                &mut k,
+                &BlockCounters {
+                    matrix_dram_bytes: dram / blocks as f64,
+                    x_gather_bytes: xbytes / blocks as f64,
+                    block_latency_cycles: latency,
+                    ..Default::default()
+                },
+            );
         }
         k
+    }
+
+    #[test]
+    fn time_conversions() {
+        let d = DeviceProfile::test_profile();
+        // 1000 cycles at 1 GHz = 1 us.
+        assert!((cycles_to_us(&d, 1_000.0) - 1.0).abs() < 1e-12);
+        // 100 KB at 100 GB/s = 1 us.
+        assert!((dram_time_us(&d, 100_000.0) - 1.0).abs() < 1e-12);
+        assert!(l2_time_us(&d, 100_000.0) < dram_time_us(&d, 100_000.0));
     }
 
     #[test]
@@ -159,11 +185,14 @@ mod tests {
         );
         // Same total latency concentrated in one giant block.
         let mut skewed = KernelCounters::default();
-        skewed.absorb_block(&BlockCounters {
-            matrix_dram_bytes: 1.0e5,
-            block_latency_cycles: 64_000.0,
-            ..Default::default()
-        });
+        absorb_block(
+            &mut skewed,
+            &BlockCounters {
+                matrix_dram_bytes: 1.0e5,
+                block_latency_cycles: 64_000.0,
+                ..Default::default()
+            },
+        );
         let imbalanced = evaluate(&device, &skewed, &inputs(launch, 1024, 2_000_000));
         assert!(imbalanced.time_us > balanced.time_us);
     }

@@ -1,8 +1,10 @@
 //! Event counters gathered while a kernel executes on the simulator.
 //!
 //! [`BlockCounters`] accumulates events for one thread block;
-//! [`KernelCounters`] merges the per-block counters of the whole grid and is
-//! what the cost model consumes.
+//! [`absorb_block`] merges them into the [`KernelCounters`] of the whole
+//! grid, which is what the cost model consumes.
+
+use alpha_codegen::KernelCounters;
 
 /// Counters for a single thread block.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -36,102 +38,23 @@ pub struct BlockCounters {
     pub block_latency_cycles: f64,
 }
 
-/// Counters aggregated over the whole kernel launch.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct KernelCounters {
-    /// Sum of matrix/format DRAM bytes over all blocks.
-    pub matrix_dram_bytes: f64,
-    /// Sum of x-gather bytes over all blocks.
-    pub x_gather_bytes: f64,
-    /// Sum of y-write bytes over all blocks.
-    pub y_write_bytes: f64,
-    /// Total global transactions.
-    pub transactions: u64,
-    /// Total fused multiply-adds.
-    pub fma_ops: u64,
-    /// Total atomics.
-    pub atomic_ops: u64,
-    /// Total intra-block atomic conflicts.
-    pub atomic_conflicts: u64,
-    /// Total shared-memory bytes.
-    pub shared_bytes: f64,
-    /// Total barriers.
-    pub syncs: u64,
-    /// Total warp shuffles.
-    pub shuffles: u64,
-    /// Sum of block latencies (cycles); the compute-side roofline input.
-    pub total_block_latency_cycles: f64,
-    /// Largest single block latency (cycles); bounds the critical path when
-    /// there are fewer blocks than SMs.
-    pub max_block_latency_cycles: f64,
-    /// Number of blocks executed.
-    pub blocks: u64,
-}
-
-impl KernelCounters {
-    /// Merges one block's counters into the kernel-wide totals.
-    pub fn absorb_block(&mut self, block: &BlockCounters) {
-        self.matrix_dram_bytes += block.matrix_dram_bytes;
-        self.x_gather_bytes += block.x_gather_bytes;
-        self.y_write_bytes += block.y_write_bytes;
-        self.transactions += block.transactions;
-        self.fma_ops += block.fma_ops;
-        self.atomic_ops += block.atomic_ops;
-        self.atomic_conflicts += block.atomic_conflicts;
-        self.shared_bytes += block.shared_bytes;
-        self.syncs += block.syncs;
-        self.shuffles += block.shuffles;
-        self.total_block_latency_cycles += block.block_latency_cycles;
-        self.max_block_latency_cycles = self
-            .max_block_latency_cycles
-            .max(block.block_latency_cycles);
-        self.blocks += 1;
-    }
-
-    /// Merges the totals of another aggregate (used when worker threads each
-    /// accumulate a private aggregate).
-    pub fn merge(&mut self, other: &KernelCounters) {
-        self.matrix_dram_bytes += other.matrix_dram_bytes;
-        self.x_gather_bytes += other.x_gather_bytes;
-        self.y_write_bytes += other.y_write_bytes;
-        self.transactions += other.transactions;
-        self.fma_ops += other.fma_ops;
-        self.atomic_ops += other.atomic_ops;
-        self.atomic_conflicts += other.atomic_conflicts;
-        self.shared_bytes += other.shared_bytes;
-        self.syncs += other.syncs;
-        self.shuffles += other.shuffles;
-        self.total_block_latency_cycles += other.total_block_latency_cycles;
-        self.max_block_latency_cycles = self
-            .max_block_latency_cycles
-            .max(other.max_block_latency_cycles);
-        self.blocks += other.blocks;
-    }
-
-    /// Total bytes requested from the memory system (before L2 splitting).
-    pub fn total_requested_bytes(&self) -> f64 {
-        self.matrix_dram_bytes + self.x_gather_bytes + self.y_write_bytes
-    }
-
-    /// Mean block latency in cycles (0 when no blocks ran).
-    pub fn mean_block_latency_cycles(&self) -> f64 {
-        if self.blocks == 0 {
-            0.0
-        } else {
-            self.total_block_latency_cycles / self.blocks as f64
-        }
-    }
-
-    /// Ratio of the largest block latency to the mean: a direct measure of
-    /// inter-block load imbalance (1.0 = perfectly balanced).
-    pub fn block_imbalance(&self) -> f64 {
-        let mean = self.mean_block_latency_cycles();
-        if mean == 0.0 {
-            1.0
-        } else {
-            self.max_block_latency_cycles / mean
-        }
-    }
+/// Merges one block's counters into the kernel-wide totals.
+pub fn absorb_block(kernel: &mut KernelCounters, block: &BlockCounters) {
+    kernel.matrix_dram_bytes += block.matrix_dram_bytes;
+    kernel.x_gather_bytes += block.x_gather_bytes;
+    kernel.y_write_bytes += block.y_write_bytes;
+    kernel.transactions += block.transactions;
+    kernel.fma_ops += block.fma_ops;
+    kernel.atomic_ops += block.atomic_ops;
+    kernel.atomic_conflicts += block.atomic_conflicts;
+    kernel.shared_bytes += block.shared_bytes;
+    kernel.syncs += block.syncs;
+    kernel.shuffles += block.shuffles;
+    kernel.total_block_latency_cycles += block.block_latency_cycles;
+    kernel.max_block_latency_cycles = kernel
+        .max_block_latency_cycles
+        .max(block.block_latency_cycles);
+    kernel.blocks += 1;
 }
 
 #[cfg(test)]
@@ -150,8 +73,8 @@ mod tests {
     #[test]
     fn absorb_accumulates_and_tracks_max() {
         let mut k = KernelCounters::default();
-        k.absorb_block(&block(100.0, 64.0));
-        k.absorb_block(&block(300.0, 64.0));
+        absorb_block(&mut k, &block(100.0, 64.0));
+        absorb_block(&mut k, &block(300.0, 64.0));
         assert_eq!(k.blocks, 2);
         assert_eq!(k.fma_ops, 20);
         assert_eq!(k.matrix_dram_bytes, 128.0);
@@ -163,9 +86,9 @@ mod tests {
     #[test]
     fn merge_combines_aggregates() {
         let mut a = KernelCounters::default();
-        a.absorb_block(&block(100.0, 10.0));
+        absorb_block(&mut a, &block(100.0, 10.0));
         let mut b = KernelCounters::default();
-        b.absorb_block(&block(500.0, 20.0));
+        absorb_block(&mut b, &block(500.0, 20.0));
         a.merge(&b);
         assert_eq!(a.blocks, 2);
         assert_eq!(a.max_block_latency_cycles, 500.0);

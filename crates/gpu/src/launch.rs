@@ -5,8 +5,8 @@
 //! for that choice and the occupancy calculation the cost model uses to
 //! decide how many blocks run concurrently per SM.
 
-use crate::device::DeviceProfile;
 use crate::WARP_SIZE;
+use alpha_codegen::DeviceProfile;
 
 /// A CUDA-style kernel launch configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

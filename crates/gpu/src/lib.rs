@@ -19,36 +19,58 @@
 //! hinges on — load balance, padding waste, access regularity, reduction
 //! strategy cost — first-class, while absolute numbers stay modelled rather
 //! than measured.
+//!
+//! [`DeviceProfile`], [`PerfReport`] and [`KernelCounters`] are
+//! `alpha-codegen`'s, re-exported.  A generated kernel runs as a
+//! [`SimKernel`]; the cost model ranks candidates as the plugged-in
+//! [`SimEvaluator`].  No serving crate links this crate.
 
 pub mod context;
 pub mod cost;
 pub mod counters;
-pub mod device;
+pub mod eval;
 pub mod kernel;
 pub mod launch;
 pub mod memory;
-pub mod report;
 pub mod sim;
 
+pub use alpha_codegen::{DeviceProfile, KernelCounters, PerfReport, WARP_SIZE};
 pub use context::BlockContext;
-pub use counters::KernelCounters;
-pub use device::DeviceProfile;
-pub use kernel::{ReferenceCsrKernel, SpmvKernel};
+pub use eval::SimEvaluator;
+pub use kernel::{ReferenceCsrKernel, SimKernel, SpmvKernel};
 pub use launch::LaunchConfig;
-pub use report::PerfReport;
 pub use sim::{GpuSim, SimResult};
-
-/// Number of threads in a warp on every simulated device (CUDA fixes this at 32).
-pub const WARP_SIZE: usize = 32;
 
 /// Size in bytes of a global-memory transaction sector (CUDA L2 sector size).
 pub const SECTOR_BYTES: usize = 32;
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use alpha_codegen::{generate, GeneratorOptions};
+    use alpha_graph::presets;
+    use alpha_matrix::{gen, DenseVector};
+
     #[test]
     fn warp_and_sector_constants() {
-        assert_eq!(super::WARP_SIZE, 32);
-        assert_eq!(super::SECTOR_BYTES, 32);
+        assert_eq!(WARP_SIZE, 32);
+        assert_eq!(SECTOR_BYTES, 32);
+    }
+
+    #[test]
+    fn end_to_end_generation_produces_correct_spmv() {
+        let matrix = gen::powerlaw(400, 400, 10, 2.0, 9);
+        let x = DenseVector::random(400, 3);
+        let expected = matrix.spmv(x.as_slice()).unwrap();
+        let sim = GpuSim::new(DeviceProfile::test_profile());
+        for (name, graph) in presets::all_presets() {
+            let generated = generate(&graph, &matrix, GeneratorOptions::default()).unwrap();
+            let kernel = SimKernel::new(&generated.kernel, &generated.format);
+            let y = sim.run(&kernel, x.as_slice()).unwrap().y;
+            let right = DenseVector::from_vec(y).approx_eq(&expected, 1e-3);
+            assert!(right, "{name}: wrong SpMV result");
+            assert!(!generated.source().is_empty());
+            assert!(generated.kernel.format_bytes() > 0);
+        }
     }
 }

@@ -4,10 +4,10 @@
 
 use crate::context::BlockContext;
 use crate::cost::{self, CostInputs};
-use crate::counters::KernelCounters;
-use crate::device::DeviceProfile;
+use crate::counters::absorb_block;
 use crate::kernel::SpmvKernel;
-use crate::report::PerfReport;
+use alpha_codegen::DeviceProfile;
+use alpha_codegen::{KernelCounters, PerfReport};
 use alpha_matrix::Scalar;
 
 /// The result of simulating one kernel launch.
@@ -48,11 +48,6 @@ impl GpuSim {
         }
     }
 
-    /// The device profile this simulator models.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.device
-    }
-
     /// Launches the kernel on the simulated device.
     ///
     /// Returns an error when the input vector length does not match the
@@ -83,7 +78,7 @@ impl GpuSim {
             let mut ctx = BlockContext::new(&self.device, x, &mut y, launch.block_dim);
             for block in (w..grid).step_by(workers) {
                 kernel.execute_block(block, &mut ctx);
-                counters.absorb_block(&ctx.finish());
+                absorb_block(&mut counters, &ctx.finish());
             }
             drop(ctx);
             (y, counters)

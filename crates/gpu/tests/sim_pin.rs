@@ -13,7 +13,7 @@
 //! values are pinned by `alpha-matrix`'s fingerprint goldens.
 
 use alpha_codegen::{generate, GeneratorOptions};
-use alpha_gpu::{DeviceProfile, GpuSim};
+use alpha_gpu::{DeviceProfile, GpuSim, SimKernel};
 use alpha_graph::presets;
 use alpha_matrix::gen::PatternFamily;
 use alpha_matrix::{ContentHasher, DenseVector};
@@ -41,8 +41,9 @@ fn simulated_reports_are_bitwise_pinned() {
                         continue;
                     }
                 };
+                let kernel = SimKernel::new(&generated.kernel, &generated.format);
                 for sim in &sims {
-                    let result = sim.run(&generated.kernel, x.as_slice()).unwrap();
+                    let result = sim.run(&kernel, x.as_slice()).unwrap();
                     hash.stream(format!("{:?}", result.report).as_bytes(), u32::from);
                     hash.stream(&result.y, f32::to_bits);
                 }

@@ -34,9 +34,8 @@
 //! [`CsrMatrix::fingerprint`]: alpha_matrix::CsrMatrix::fingerprint
 
 use crate::server::device_by_name;
-use alpha_gpu::DeviceProfile;
 use alpha_serve::TuningService;
-use alphasparse::TunedSpmv;
+use alphasparse::{DeviceProfile, TunedSpmv};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 

@@ -64,12 +64,11 @@ use crate::proto::{
 };
 use crate::reactor::{Event, Interest, Reactor, Waker};
 use crate::{NetError, ProtoError};
-use alpha_gpu::DeviceProfile;
 use alpha_matrix::Scalar;
 use alpha_parallel::{PushError, ShardedTaskQueue};
 use alpha_serve::{TuneRequest, TuningService};
 use alpha_telemetry::{Counter, FlightKind, FlightRecorder, Gauge, Histogram, Registry};
-use alphasparse::TunedSpmv;
+use alphasparse::{DeviceProfile, TunedSpmv};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -2,6 +2,7 @@
 //! control, job-table GC, cross-connection warm-store hits, an event loop
 //! that answers while a tune is held, and clean shutdown.
 
+use alpha_gpu::SimEvaluator;
 use alpha_matrix::gen;
 use alpha_net::proto::{
     decode_response, encode_request_traced, read_frame, request_frame, write_frame, Request,
@@ -13,10 +14,7 @@ use alpha_net::{
 use alpha_serve::{DesignStore, TuningService};
 use alpha_telemetry::FlightKind;
 use alphasparse::graph::OperatorGraph;
-use alphasparse::{
-    DeviceProfile, EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId, SearchConfig,
-    SimEvaluator,
-};
+use alphasparse::{EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId, SearchConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -1356,10 +1354,10 @@ fn the_event_loop_answers_while_a_tune_is_held() {
     let gate = Arc::new(Gate::default());
     let evaluator = {
         let gate = gate.clone();
-        EvaluatorChoice::custom(EvaluatorId::Simulated, move || {
+        EvaluatorChoice::custom(EvaluatorId::Simulated, move |device| {
             Box::new(GatedEvaluator {
                 gate: gate.clone(),
-                inner: SimEvaluator::new(DeviceProfile::a100()),
+                inner: SimEvaluator::new(device.clone()),
             })
         })
     };

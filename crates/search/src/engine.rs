@@ -33,8 +33,7 @@ use crate::features::{featurise, matrix_feature_vector};
 use crate::ml::{GbtConfig, GradientBoostedTrees, Sample};
 use crate::persist::StoredDesign;
 use crate::prune::PruneRules;
-use alpha_codegen::GeneratorOptions;
-use alpha_gpu::{DeviceProfile, PerfReport};
+use alpha_codegen::{DeviceProfile, GeneratorOptions, PerfReport};
 use alpha_graph::OperatorGraph;
 use alpha_matrix::CsrMatrix;
 use std::collections::BTreeSet;
@@ -45,8 +44,8 @@ use std::sync::Arc;
 /// The default ranks candidates by the time they take on the host the search
 /// runs on ([`EvaluatorChoice::Native`] with the default timing harness and
 /// the kernel on every core).  The paper's figures, and every result that
-/// must be the same on any machine, set `evaluator:
-/// EvaluatorChoice::Simulated`.
+/// must be the same on any machine, plug in `alpha-gpu`'s cost model
+/// (`EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed)`).
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Target device profile.
@@ -73,10 +72,10 @@ pub struct SearchConfig {
     pub seed_designs: Vec<OperatorGraph>,
     /// The ground-truth evaluation backend candidates are scored with: by
     /// default the time `alpha-cpu`'s `NativeEvaluator` measures on this
-    /// host ([`EvaluatorChoice::Native`]); [`EvaluatorChoice::Simulated`]
-    /// opts into the simulator's cost model on [`SearchConfig::device`],
-    /// the one backend whose winner a fixed seed pins on every machine, and
-    /// the one under which level 3 runs.
+    /// host ([`EvaluatorChoice::Native`]); a custom choice under
+    /// `EvaluatorId::Simulated` opts into `alpha-gpu`'s cost model, built
+    /// on [`SearchConfig::device`]: the one backend whose winner a fixed
+    /// seed pins on every machine, and the one under which level 3 runs.
     /// The choice's [`EvaluatorId`](crate::eval::EvaluatorId) is salted into
     /// every cache key and recorded in the stored winner, so modelled and
     /// measured results never mix.
@@ -374,6 +373,8 @@ pub fn search_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvaluatorId;
+    use alpha_gpu::SimEvaluator;
     use alpha_matrix::gen;
 
     /// A short cost-model search: these tests pin what a fixed seed selects,
@@ -383,7 +384,7 @@ mod tests {
             device: DeviceProfile::a100(),
             max_iterations: iterations,
             mutations_per_seed: 2,
-            evaluator: EvaluatorChoice::Simulated,
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
             ..SearchConfig::default()
         }
     }
@@ -444,7 +445,7 @@ mod tests {
     /// The simulator, recording the outcome of each invocation in order:
     /// its GFLOP/s, or `None` where it found the candidate infeasible.
     struct Counting {
-        inner: crate::eval::SimEvaluator,
+        inner: SimEvaluator,
         outcomes: Arc<std::sync::Mutex<Vec<Option<f64>>>>,
     }
 
@@ -472,9 +473,9 @@ mod tests {
         let outcomes: Arc<std::sync::Mutex<Vec<Option<f64>>>> = Arc::default();
         let recorded = outcomes.clone();
         let config = SearchConfig {
-            evaluator: EvaluatorChoice::custom(crate::eval::EvaluatorId::Simulated, move || {
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, move |device| {
                 Box::new(Counting {
-                    inner: crate::eval::SimEvaluator::new(DeviceProfile::a100()),
+                    inner: SimEvaluator::new(device.clone()),
                     outcomes: recorded.clone(),
                 })
             }),
@@ -540,7 +541,7 @@ mod tests {
     /// The cost model behind a gate that records the most evaluations it
     /// ever held at once.
     struct Gate {
-        inner: crate::eval::SimEvaluator,
+        inner: SimEvaluator,
         inside: Arc<std::sync::atomic::AtomicUsize>,
         widest: Arc<std::sync::atomic::AtomicUsize>,
     }
@@ -569,15 +570,15 @@ mod tests {
         // evaluator: the engine, not the caller, enforces it.
         let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 13);
         for id in [
-            crate::eval::EvaluatorId::Native { warmup: 0, runs: 1 },
-            crate::eval::EvaluatorId::Simulated,
+            EvaluatorId::Native { warmup: 0, runs: 1 },
+            EvaluatorId::Simulated,
         ] {
             let widest: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
             let calls = widest.clone();
             let config = SearchConfig {
-                evaluator: EvaluatorChoice::custom(id, move || {
+                evaluator: EvaluatorChoice::custom(id, move |device| {
                     Box::new(Gate {
-                        inner: crate::eval::SimEvaluator::new(DeviceProfile::a100()),
+                        inner: SimEvaluator::new(device.clone()),
                         inside: Arc::default(),
                         widest: calls.clone(),
                     })
@@ -594,16 +595,13 @@ mod tests {
     fn a_measured_search_stops_at_level_two() {
         // Level 3 is the cost model's.  The same simulator under a native id
         // (timing nothing) makes no prediction and no level-3 pick.
-        use crate::eval::EvaluatorId;
         let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 9);
         for (id, refined) in [
             (EvaluatorId::Native { warmup: 0, runs: 1 }, false),
             (EvaluatorId::Simulated, true),
         ] {
             let config = SearchConfig {
-                evaluator: EvaluatorChoice::custom(id, || {
-                    Box::new(crate::eval::SimEvaluator::new(DeviceProfile::a100()))
-                }),
+                evaluator: EvaluatorChoice::custom(id, SimEvaluator::boxed),
                 ..quick_config(40)
             };
             let stats = search(&matrix, &config).unwrap().stats;

@@ -9,13 +9,14 @@
 //! [`EvalContext`], [`Evaluation`], [`EvaluatorId`]) lives in
 //! `alpha-codegen`; this module selects a backend and composes it:
 //!
-//! * the ground truth, one of two backends ([`EvaluatorChoice`]): by default
-//!   `alpha-cpu`'s [`NativeEvaluator`], which lowers the candidate's
-//!   generated kernel and times it on the host, or [`SimEvaluator`], which
-//!   executes it on the [`GpuSim`] cost model.  Both check the result
-//!   against the reference SpMV, and both design through the search's own
-//!   Designer ([`EvalContext::designer`]): candidates on one converting
-//!   chain share one converted matrix.
+//! * the ground truth ([`EvaluatorChoice`]): by default `alpha-cpu`'s
+//!   [`NativeEvaluator`], which lowers the candidate's generated kernel and
+//!   times it on the host, or a plug-in built per search on the search's
+//!   device — `alpha-gpu`'s `SimEvaluator`, which executes it on the
+//!   simulator's cost model, is one.  Each checks the result against the
+//!   reference SpMV and designs through the search's own Designer
+//!   ([`EvalContext::designer`]): candidates on one converting chain share
+//!   one converted matrix.
 //! * [`CachingEvaluator`] — memoises outcomes in a shared [`DesignCache`]
 //!   keyed by (matrix fingerprint + device + generator options, canonical
 //!   graph signature), so repeated structures across mutation rounds — or
@@ -34,9 +35,8 @@ use crate::persist::StoredDesign;
 pub use alpha_codegen::eval::{
     context_key, context_key_for, EvalContext, Evaluation, Evaluator, EvaluatorId,
 };
-use alpha_codegen::generate_with;
+use alpha_codegen::{DeviceProfile, PerfReport};
 use alpha_cpu::{NativeEvaluator, TimingHarness};
-use alpha_gpu::{DeviceProfile, GpuSim, PerfReport};
 use alpha_graph::OperatorGraph;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,21 +54,23 @@ pub enum EvaluatorChoice {
         /// Worker threads each measured kernel runs on (0 = one per core).
         kernel_threads: usize,
     },
-    /// The [`SimEvaluator`] cost model on the configured device — the
-    /// explicit opt-in of the paper's figures and of every result that must
-    /// be the same on any machine.
-    Simulated,
-    /// An externally provided evaluator (a test double, another backend).
-    /// The factory is invoked once per search; `id` is the durable identity
-    /// salted into cache keys and recorded in winners, and a serving layer
-    /// never runs two searches under a native `id` at once.
+    /// An evaluator plugged in from outside: `alpha-gpu`'s cost model
+    /// (`EvaluatorChoice::custom(EvaluatorId::Simulated,
+    /// SimEvaluator::boxed)`, the opt-in of the paper's figures and of every
+    /// result that must be the same on any machine), a test double.  `id` is
+    /// the durable identity salted into cache keys and recorded in winners;
+    /// a serving layer never runs two searches under a native `id` at once.
     Custom {
         /// Durable identity of the backend.
         id: EvaluatorId,
-        /// Builds a fresh ground-truth evaluator for one search.
-        factory: Arc<dyn Fn() -> Box<dyn Evaluator> + Send + Sync>,
+        /// Called once per search with the search's device, the one its
+        /// context key hashes.
+        factory: Arc<EvaluatorFactory>,
     },
 }
+
+/// Builds a search's ground-truth evaluator for the search's device.
+pub type EvaluatorFactory = dyn Fn(&DeviceProfile) -> Box<dyn Evaluator> + Send + Sync;
 
 impl Default for EvaluatorChoice {
     fn default() -> Self {
@@ -83,7 +85,7 @@ impl EvaluatorChoice {
     /// Wraps a backend factory with its durable identity.
     pub fn custom<F>(id: EvaluatorId, factory: F) -> Self
     where
-        F: Fn() -> Box<dyn Evaluator> + Send + Sync + 'static,
+        F: Fn(&DeviceProfile) -> Box<dyn Evaluator> + Send + Sync + 'static,
     {
         EvaluatorChoice::Custom {
             id,
@@ -95,7 +97,6 @@ impl EvaluatorChoice {
     pub fn id(&self) -> EvaluatorId {
         match self {
             EvaluatorChoice::Native { harness, .. } => harness.evaluator_id(),
-            EvaluatorChoice::Simulated => EvaluatorId::Simulated,
             EvaluatorChoice::Custom { id, .. } => *id,
         }
     }
@@ -107,8 +108,7 @@ impl EvaluatorChoice {
                 harness,
                 kernel_threads,
             } => Box::new(NativeEvaluator::new(*harness, *kernel_threads)),
-            EvaluatorChoice::Simulated => Box::new(SimEvaluator::new(device.clone())),
-            EvaluatorChoice::Custom { factory, .. } => factory(),
+            EvaluatorChoice::Custom { factory, .. } => factory(device),
         }
     }
 }
@@ -123,63 +123,10 @@ impl std::fmt::Debug for EvaluatorChoice {
                 f,
                 "EvaluatorChoice::Native({harness:?}, kernel_threads: {kernel_threads})"
             ),
-            EvaluatorChoice::Simulated => write!(f, "EvaluatorChoice::Simulated"),
             EvaluatorChoice::Custom { id, .. } => {
                 write!(f, "EvaluatorChoice::Custom({id:?})")
             }
         }
-    }
-}
-
-/// The cost-model ground truth: generate the format + kernel, run it on the
-/// simulator, verify against the reference.
-pub struct SimEvaluator {
-    sim: GpuSim,
-    simulations: AtomicUsize,
-}
-
-impl SimEvaluator {
-    /// An evaluator that simulates on the given device.
-    ///
-    /// Each simulation runs on exactly ONE worker.  This is a determinism
-    /// requirement, not a scheduling choice: the simulator merges per-worker
-    /// partial `y` vectors and f64 cost counters, and floating-point addition
-    /// is not associative, so reports could differ in ULPs across worker
-    /// counts — enough to flip a near-tie winner or a tolerance-boundary
-    /// feasibility check.  One worker makes every report bit-identical on
-    /// every machine, which also keeps shared cache entries reproducible.
-    pub fn new(device: DeviceProfile) -> Self {
-        SimEvaluator {
-            sim: GpuSim::with_workers(device, 1),
-            simulations: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of kernel simulations performed so far — the probe the cache
-    /// tests use to assert that hits skip simulation.
-    pub fn simulations(&self) -> usize {
-        self.simulations.load(Ordering::Relaxed)
-    }
-}
-
-impl Evaluator for SimEvaluator {
-    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
-        self.simulations.fetch_add(1, Ordering::Relaxed);
-        let generated = generate_with(ctx.designer(), graph, ctx.options).ok()?;
-        let result = self
-            .sim
-            .run_checked(
-                &generated.kernel,
-                ctx.x.as_slice(),
-                &ctx.reference,
-                ctx.tolerance,
-            )
-            .ok()?;
-        Some(Evaluation {
-            report: result.report,
-            cached: false,
-            kernel_shape: None,
-        })
     }
 }
 
@@ -591,17 +538,16 @@ impl<E: Evaluator> Evaluator for CachingEvaluator<E> {
 // threads.  Pin that as a compile-time guarantee.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<GpuSim>();
     assert_send_sync::<DeviceProfile>();
-    assert_send_sync::<SimEvaluator>();
     assert_send_sync::<DesignCache>();
-    assert_send_sync::<CachingEvaluator<SimEvaluator>>();
+    assert_send_sync::<CachingEvaluator<NativeEvaluator>>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use alpha_codegen::GeneratorOptions;
+    use alpha_gpu::SimEvaluator;
     use alpha_graph::presets;
     use alpha_matrix::{gen, CsrMatrix};
 
@@ -613,19 +559,6 @@ mod tests {
             7,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn sim_evaluator_produces_reports_for_feasible_designs() {
-        let matrix = gen::powerlaw(256, 256, 8, 2.0, 3);
-        let ctx = context_fixture(&matrix);
-        let evaluator = SimEvaluator::new(DeviceProfile::a100());
-        let eval = evaluator
-            .evaluate(&ctx, &presets::csr_scalar())
-            .expect("feasible");
-        assert!(eval.report.gflops > 0.0);
-        assert!(!eval.cached);
-        assert_eq!(evaluator.simulations(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    are swept on a coarse grid and every candidate is evaluated by
 //!    generating its kernel and handing it to the search's [`Evaluator`]:
 //!    by default the wall-clock time of the native CPU loop (`alpha-cpu`) on
-//!    the host the search runs on, or, opted into, the `alpha-gpu`
+//!    the host the search runs on, or, plugged in, the `alpha-gpu`
 //!    simulator's cost model.  Either way the result is checked against the
 //!    reference SpMV.
 //! 3. **ML interpolation**, under the cost model only — a
@@ -46,7 +46,7 @@ mod tree;
 pub use engine::{search, search_with_cache, SearchConfig, SearchOutcome, SearchStats};
 pub use eval::{
     context_key, context_key_for, CacheStats, CachingEvaluator, DesignCache, EvalContext,
-    Evaluation, Evaluator, EvaluatorChoice, EvaluatorId, SimEvaluator,
+    Evaluation, Evaluator, EvaluatorChoice, EvaluatorId,
 };
 pub use persist::{ByteReader, ByteWriter, PersistError, StoredDesign, CACHE_FORMAT_VERSION};
 pub use prune::PruneRules;
@@ -54,7 +54,7 @@ pub use prune::PruneRules;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpha_gpu::DeviceProfile;
+    use alpha_gpu::{DeviceProfile, GpuSim, SimEvaluator, SimKernel};
     use alpha_matrix::gen;
 
     #[test]
@@ -63,7 +63,7 @@ mod tests {
         let config = SearchConfig {
             device: DeviceProfile::a100(),
             max_iterations: 60,
-            evaluator: EvaluatorChoice::Simulated,
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
             ..SearchConfig::default()
         };
         let outcome = search(&matrix, &config).expect("search succeeds");
@@ -78,9 +78,10 @@ mod tests {
             alpha_codegen::GeneratorOptions::default(),
         )
         .unwrap();
-        let sim = alpha_gpu::GpuSim::new(DeviceProfile::a100());
+        let sim = GpuSim::new(DeviceProfile::a100());
         let x = alpha_matrix::DenseVector::ones(matrix.cols());
-        let scalar_gflops = sim.run(&scalar.kernel, x.as_slice()).unwrap().report.gflops;
+        let scalar = SimKernel::new(&scalar.kernel, &scalar.format);
+        let scalar_gflops = sim.run(&scalar, x.as_slice()).unwrap().report.gflops;
         assert!(outcome.best_report.gflops >= scalar_gflops);
     }
 

@@ -25,11 +25,12 @@
 //! enough that a hand-rolled codec is both smaller and easier to audit.
 
 use crate::eval::{DesignCache, EvaluatorId};
-use alpha_gpu::{KernelCounters, PerfReport};
+use alpha_codegen::{KernelCounters, PerfReport};
 use alpha_graph::{Operator, OperatorGraph};
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic of a serialized design cache ("AlphaSparse Cache of Designed
 /// Spmv").
@@ -733,34 +734,23 @@ impl DesignCache {
         Ok(cache)
     }
 
-    /// Writes the cache to `path` (creating missing parent directories).  The
-    /// write goes through a uniquely named sibling temp file and an atomic
-    /// rename: a crash mid-save never leaves a truncated cache behind, and
-    /// concurrent saves of the same path cannot truncate each other's temp
-    /// file — the last rename wins with a complete file either way.
+    /// Writes the cache to `path` (creating missing parent directories)
+    /// through [`write_durably`]: a crash mid-save never leaves a truncated
+    /// cache behind, and concurrent saves of the same path cannot truncate
+    /// each other's temp file — the last rename wins with a complete file
+    /// either way.
     ///
     /// Does not clear the dirty flag — callers that use
     /// [`DesignCache::is_dirty`] to elide redundant saves should call
     /// [`DesignCache::mark_clean`] after this returns `Ok`.
     pub fn save_to_file<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        static SAVE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            SAVE_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, self.to_bytes())?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        Ok(())
+        Ok(write_durably(path, &self.to_bytes())?)
     }
 
     /// Loads a cache previously written by [`DesignCache::save_to_file`].
@@ -782,12 +772,38 @@ impl DesignCache {
     }
 }
 
+/// Replaces `path` with `bytes` so that a crash leaves either the old file
+/// or the whole new one: the bytes go to a uniquely named sibling temp file,
+/// which is synced to disk and renamed over `path`, and the parent directory
+/// is synced so the rename itself is durable.  A failed write removes its
+/// temp file.
+pub fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let replaced = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = replaced {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    let parent = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{CachingEvaluator, EvalContext, Evaluator, SimEvaluator};
-    use alpha_codegen::GeneratorOptions;
-    use alpha_gpu::DeviceProfile;
+    use crate::eval::{CachingEvaluator, EvalContext, Evaluator};
+    use alpha_codegen::{DeviceProfile, GeneratorOptions};
+    use alpha_gpu::SimEvaluator;
     use alpha_graph::presets;
     use alpha_matrix::gen;
     use std::sync::Arc;
@@ -909,6 +925,21 @@ mod tests {
         cache.save_to_file(&path).expect("parents are created");
         let reloaded = DesignCache::load_from_file(&path).unwrap();
         assert_eq!(cache.entries_snapshot(), reloaded.entries_snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_save_whose_rename_fails_leaves_no_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("alpha_persist_blocked_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory where the cache file should go: the rename over it fails.
+        let path = dir.join("cache.acds");
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(populated_cache().save_to_file(&path).is_err());
+        let entries = std::fs::read_dir(&dir).unwrap();
+        let left: Vec<_> = entries.map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["cache.acds"], "only the blocking directory is left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,8 +1,7 @@
 //! The [`TuningService`]: a batch tuning front end over a [`DesignStore`].
 
 use crate::store::DesignStore;
-use alpha_codegen::GeneratorOptions;
-use alpha_gpu::DeviceProfile;
+use alpha_codegen::{DeviceProfile, GeneratorOptions};
 use alpha_graph::OperatorGraph;
 use alpha_matrix::{CsrMatrix, MatrixStats};
 use alpha_search::features::{matrix_distance, matrix_feature_vector};
@@ -533,8 +532,9 @@ impl std::fmt::Debug for TuningService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alpha_gpu::SimEvaluator;
     use alpha_matrix::gen;
-    use alpha_search::EvaluatorChoice;
+    use alpha_search::{EvaluatorChoice, EvaluatorId};
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -560,7 +560,7 @@ mod tests {
     /// stores' winners, which only the simulator makes the same.
     fn simulated_service(dir: &PathBuf, budget: usize) -> TuningService {
         let config = SearchConfig {
-            evaluator: EvaluatorChoice::Simulated,
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
             ..quick_config(budget)
         };
         TuningService::new(DesignStore::open(dir).unwrap(), config)
@@ -782,7 +782,7 @@ mod tests {
         let sim_config = SearchConfig {
             max_iterations: 6,
             mutations_per_seed: 2,
-            evaluator: EvaluatorChoice::Simulated,
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
             ..SearchConfig::default()
         };
         let sim = TuningService::new(DesignStore::open(&dir).unwrap(), sim_config.clone());
@@ -832,7 +832,7 @@ mod tests {
     /// The cost model behind a gate that records the most evaluations it
     /// ever held at once.
     struct Gate {
-        inner: alpha_search::SimEvaluator,
+        inner: SimEvaluator,
         inside: Arc<std::sync::atomic::AtomicUsize>,
         widest: Arc<std::sync::atomic::AtomicUsize>,
     }
@@ -863,16 +863,14 @@ mod tests {
         let inside: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
         let widest: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
         let calls = widest.clone();
-        let evaluator = EvaluatorChoice::custom(
-            alpha_search::EvaluatorId::Native { warmup: 0, runs: 1 },
-            move || {
+        let evaluator =
+            EvaluatorChoice::custom(EvaluatorId::Native { warmup: 0, runs: 1 }, move |device| {
                 Box::new(Gate {
-                    inner: alpha_search::SimEvaluator::new(DeviceProfile::a100()),
+                    inner: SimEvaluator::new(device.clone()),
                     inside: inside.clone(),
                     widest: calls.clone(),
                 })
-            },
-        );
+            });
         let service = TuningService::new(
             DesignStore::open(&dir).unwrap(),
             SearchConfig {
@@ -994,7 +992,7 @@ mod tests {
         let sim = SearchConfig {
             max_iterations: 10,
             mutations_per_seed: 2,
-            evaluator: EvaluatorChoice::Simulated,
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
             ..SearchConfig::default()
         };
         let native = SearchConfig {
@@ -1082,7 +1080,7 @@ mod tests {
         let config = SearchConfig {
             max_iterations: 10,
             mutations_per_seed: 2,
-            evaluator: EvaluatorChoice::Simulated,
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
             ..SearchConfig::default()
         };
         let request = TuneRequest::new(gen::powerlaw(256, 256, 6, 2.0, 61), DeviceProfile::a100());

@@ -2,7 +2,7 @@
 //! layout and an LRU in-memory tier.
 
 use crate::lock::StoreLock;
-use alpha_search::persist::PersistError;
+use alpha_search::persist::{write_durably, PersistError};
 use alpha_search::{DesignCache, StoredDesign};
 use alpha_telemetry::{Counter, Registry};
 use std::collections::HashMap;
@@ -263,7 +263,7 @@ impl DesignStore {
         // Under the lock nobody else initialises the directory: look again,
         // then do it.
         if !initialised && !layout_is_current(&marker)? {
-            std::fs::write(&marker, format!("{STORE_LAYOUT_VERSION}\n"))?;
+            write_durably(&marker, format!("{STORE_LAYOUT_VERSION}\n").as_bytes())?;
         }
         Ok(DesignStore {
             root,

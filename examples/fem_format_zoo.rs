@@ -9,7 +9,7 @@
 
 use alpha_baselines::Baseline;
 use alpha_codegen::{generate, GeneratorOptions};
-use alpha_gpu::GpuSim;
+use alpha_gpu::{GpuSim, SimKernel};
 use alpha_graph::presets;
 use alpha_matrix::{gen, DenseVector};
 use alphasparse::DeviceProfile;
@@ -28,14 +28,15 @@ fn main() {
         let Ok(generated) = generate(&graph, &matrix, GeneratorOptions::default()) else {
             continue;
         };
+        let kernel = SimKernel::new(&generated.kernel, &generated.format);
         let result = sim
-            .run_checked(&generated.kernel, x.as_slice(), &reference, 1e-3)
+            .run_checked(&kernel, x.as_slice(), &reference, 1e-3)
             .expect("preset kernel is correct");
         println!(
             "{:<42} {:>10.1} {:>10.2}",
             format!("graph:{name}"),
             result.report.gflops,
-            generated.kernel.padding_ratio()
+            generated.format.padded_nnz() as f64 / matrix.nnz() as f64
         );
     }
 

@@ -93,7 +93,7 @@ fn served_designs_compute_correct_spmv() {
         for (request, result) in requests.iter().zip(&served) {
             let tune = result.as_ref().expect("tuning succeeds");
             let x = vec![1.0; request.matrix.cols()];
-            let y = tune.tuned.spmv(&x).expect("SpMV runs");
+            let y = tune.tuned.run(&x).expect("SpMV runs");
             let reference = request.matrix.spmv(&x).expect("reference runs");
             let max_err = y
                 .iter()

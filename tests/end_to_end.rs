@@ -4,9 +4,9 @@
 //! scale.
 
 use alpha_baselines::{run_pfs, Baseline};
-use alpha_gpu::GpuSim;
+use alpha_gpu::{GpuSim, SimEvaluator};
 use alpha_matrix::{gen, suite, DenseVector, MatrixStats};
-use alphasparse::{AlphaSparse, DeviceProfile, EvaluatorChoice, SearchConfig};
+use alphasparse::{AlphaSparse, DeviceProfile, EvaluatorChoice, EvaluatorId, SearchConfig};
 
 /// The paper's claims are about the modelled device, so these tunes rank
 /// designs with its cost model.
@@ -15,7 +15,7 @@ fn tuner(budget: usize) -> AlphaSparse {
         device: DeviceProfile::a100(),
         max_iterations: budget,
         mutations_per_seed: 2,
-        evaluator: EvaluatorChoice::Simulated,
+        evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
         ..SearchConfig::default()
     })
 }
@@ -48,7 +48,7 @@ fn tuned_kernels_are_correct_on_both_devices() {
             .with_search_budget(20)
             .auto_tune(&matrix)
             .expect("tuning succeeds");
-        let y = tuned.spmv(x.as_slice()).expect("SpMV runs");
+        let y = tuned.run(x.as_slice()).expect("SpMV runs");
         assert!(
             DenseVector::from_vec(y).approx_eq(&expected, 1e-3),
             "wrong result on {}",

@@ -10,7 +10,7 @@
 
 use alpha_codegen::{generate, GeneratorOptions};
 use alpha_cpu::NativeKernel;
-use alpha_gpu::{DeviceProfile, GpuSim};
+use alpha_gpu::{DeviceProfile, GpuSim, SimKernel};
 use alpha_matrix::{gen, max_scaled_error, DenseVector};
 use alphasparse::{AlphaSparse, TimingHarness};
 
@@ -30,10 +30,8 @@ fn every_preset_runs_natively_and_agrees_with_reference_and_simulator() {
                     .unwrap_or_else(|e| panic!("{name} on {}: {e}", family.name()));
                 let native = NativeKernel::new(generated.kernel.metadata(), &generated.format);
                 let y_native = native.run(x.as_slice(), 4).expect("native run succeeds");
-                let y_sim = sim
-                    .run(&generated.kernel, x.as_slice())
-                    .expect("simulation succeeds")
-                    .y;
+                let kernel = SimKernel::new(&generated.kernel, &generated.format);
+                let y_sim = sim.run(&kernel, x.as_slice()).expect("simulation").y;
                 assert!(
                     max_scaled_error(&y_native, &reference) <= TOL,
                     "{name} on {}_{size}_{seed}: native diverged from reference CSR",
@@ -55,6 +53,7 @@ fn native_auto_tune_is_correct_on_twenty_suite_matrices() {
     // search, caching, codegen and native execution end to end — returns a
     // design whose native output matches reference CSR within tolerance, on
     // at least 20 matrices spanning every generator family.
+    let sim = GpuSim::new(DeviceProfile::a100());
     let mut checked = 0usize;
     for family in gen::PatternFamily::ALL {
         for seed in [11u64, 22, 33, 44] {
@@ -78,7 +77,8 @@ fn native_auto_tune_is_correct_on_twenty_suite_matrices() {
                 family.name()
             );
             // The same winner interpreted by the simulator agrees too.
-            let y_sim = tuned.spmv(x.as_slice()).expect("simulated run succeeds");
+            let kernel = SimKernel::new(tuned.kernel(), tuned.format());
+            let y_sim = sim.run(&kernel, x.as_slice()).expect("simulation").y;
             assert!(
                 max_scaled_error(&y_native, &y_sim) <= TOL,
                 "{}_{seed}: native and simulated outputs diverged",

@@ -9,7 +9,7 @@
 
 use alpha_baselines::Baseline;
 use alpha_codegen::{generate, GeneratorOptions};
-use alpha_gpu::{DeviceProfile, GpuSim, SpmvKernel};
+use alpha_gpu::{DeviceProfile, GpuSim, SimKernel};
 use alpha_graph::presets;
 use alpha_matrix::{CooMatrix, CsrMatrix, DenseVector};
 
@@ -53,7 +53,8 @@ fn generated_kernels_match_reference_spmv() {
             presets::csr5_like(8),
         ] {
             if let Ok(generated) = generate(&graph, &matrix, GeneratorOptions::default()) {
-                let result = sim.run(&generated.kernel, x.as_slice()).unwrap();
+                let kernel = SimKernel::new(&generated.kernel, &generated.format);
+                let result = sim.run(&kernel, x.as_slice()).unwrap();
                 assert!(
                     DenseVector::from_vec(result.y.clone()).approx_eq(&expected, 1e-3),
                     "case {case}: graph produced incorrect results"
@@ -85,8 +86,10 @@ fn compression_never_changes_results() {
             },
         );
         if let (Ok(on), Ok(off)) = (on, off) {
-            let y_on = sim.run(&on.kernel, x.as_slice()).unwrap().y;
-            let y_off = sim.run(&off.kernel, x.as_slice()).unwrap().y;
+            let [y_on, y_off] = [&on, &off].map(|generated| {
+                let kernel = SimKernel::new(&generated.kernel, &generated.format);
+                sim.run(&kernel, x.as_slice()).unwrap().y
+            });
             assert!(
                 DenseVector::from_vec(y_on).approx_eq(&y_off, 1e-4),
                 "case {case}: compression changed results"
@@ -137,7 +140,8 @@ fn corpus_entries_are_all_tunable_by_presets() {
             GeneratorOptions::default(),
         )
         .unwrap();
-        let result = sim.run(&generated.kernel, x.as_slice()).unwrap();
+        let kernel = SimKernel::new(&generated.kernel, &generated.format);
+        let result = sim.run(&kernel, x.as_slice()).unwrap();
         assert!(
             DenseVector::from_vec(result.y.clone()).approx_eq(&expected, 1e-3),
             "wrong result on corpus entry {}",
