@@ -74,7 +74,7 @@ fn main() {
                         g(alpha_baselines::Baseline::Csr5),
                         g(alpha_baselines::Baseline::Merge),
                         g(alpha_baselines::Baseline::Hyb),
-                        r.alphasparse.best_report.gflops
+                        r.alphasparse.best_gflops
                     );
                 }
                 let mean = geometric_mean(
@@ -92,9 +92,8 @@ fn main() {
                 let mut sorted: Vec<&CorpusResult> = results.iter().collect();
                 sorted.sort_by(|a, b| {
                     a.alphasparse
-                        .best_report
-                        .gflops
-                        .partial_cmp(&b.alphasparse.best_report.gflops)
+                        .best_gflops
+                        .partial_cmp(&b.alphasparse.best_gflops)
                         .unwrap()
                 });
                 let half = sorted.len() / 2;

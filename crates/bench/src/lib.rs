@@ -99,12 +99,12 @@ pub struct CorpusResult {
 impl CorpusResult {
     /// AlphaSparse speedup over the Perfect Format Selector.
     pub fn speedup_over_pfs(&self) -> f64 {
-        self.alphasparse.best_report.gflops / self.pfs.best_gflops().max(1e-9)
+        self.alphasparse.best_gflops / self.pfs.best_gflops().max(1e-9)
     }
 
     /// AlphaSparse speedup over the TACO-like baseline.
     pub fn speedup_over_taco(&self) -> f64 {
-        self.alphasparse.best_report.gflops / self.taco_gflops.max(1e-9)
+        self.alphasparse.best_gflops / self.taco_gflops.max(1e-9)
     }
 
     /// Geometric-mean speedup over the five artificial formats of Figure 9.
@@ -112,7 +112,7 @@ impl CorpusResult {
         let speedups: Vec<f64> = Baseline::figure9_set()
             .into_iter()
             .filter_map(|b| self.pfs.report_for(b))
-            .map(|r| self.alphasparse.best_report.gflops / r.gflops.max(1e-9))
+            .map(|r| self.alphasparse.best_gflops / r.gflops.max(1e-9))
             .collect();
         geometric_mean(&speedups)
     }
@@ -277,8 +277,8 @@ pub fn table3(ctx: &ExperimentContext) -> Vec<Table3Row> {
             matrix: name.to_string(),
             hours_no_pruning: search_hours(&unpruned.stats),
             hours_pruning: search_hours(&pruned.stats),
-            gflops_no_pruning: unpruned.best_report.gflops,
-            gflops_pruning: pruned.best_report.gflops,
+            gflops_no_pruning: unpruned.best_gflops,
+            gflops_pruning: pruned.best_gflops,
         })
     };
     alpha_parallel::Pool::shared()
@@ -338,7 +338,7 @@ pub fn figure14(ctx: &ExperimentContext) -> Fig14Result {
         .expect("search succeeds");
     comparison.push(Fig2Row {
         design: "AlphaSparse".to_string(),
-        gflops: full.best_report.gflops,
+        gflops: full.best_gflops,
     });
 
     // Ablations: no compression + no pruning ("origin"), compression only.
@@ -353,9 +353,9 @@ pub fn figure14(ctx: &ExperimentContext) -> Fig14Result {
     Fig14Result {
         operator_graph: full.best_graph.to_string().trim_end().to_string(),
         comparison,
-        gflops_origin: origin.best_report.gflops,
-        gflops_compression: compression.best_report.gflops,
-        gflops_full: full.best_report.gflops,
+        gflops_origin: origin.best_gflops,
+        gflops_compression: compression.best_gflops,
+        gflops_full: full.best_gflops,
     }
 }
 
@@ -698,7 +698,7 @@ mod tests {
                     (
                         r.name.clone(),
                         r.alphasparse.best_graph.signature(),
-                        r.alphasparse.best_report.gflops.to_bits(),
+                        r.alphasparse.best_gflops.to_bits(),
                     )
                 })
                 .collect()

@@ -1,5 +1,6 @@
 //! The evaluation contract: how a backend turns an `(OperatorGraph,
-//! CsrMatrix)` candidate into a [`PerfReport`].
+//! CsrMatrix)` candidate into the one number the search ranks it by, its
+//! GFLOP/s.
 //!
 //! The contract lives beside the generator because every backend implements
 //! it by generating the candidate first: `alpha-gpu`'s cost model
@@ -8,14 +9,14 @@
 //! design cache; it names the native backend, takes any other as a plug-in,
 //! and no backend depends on it.
 
-use crate::{DeviceProfile, GeneratorOptions, PerfReport};
+use crate::{DeviceProfile, GeneratorOptions};
 use alpha_graph::{Designer, OperatorGraph};
 use alpha_matrix::{CsrMatrix, DenseVector, Scalar};
 
 /// The durable identity of the evaluation backend a result came from.
 ///
 /// Cost-model numbers and wall-clock measurements are *not comparable*: a
-/// simulated report must never be cached, stored or served as a measured one
+/// simulated reading must never be cached, stored or served as a measured one
 /// (or vice versa).  The id is therefore folded into every evaluation context
 /// key (see [`EvalContext::with_evaluator`]) and recorded in each persisted
 /// winner, so the two worlds keep disjoint cache entries and disjoint stored
@@ -31,7 +32,7 @@ pub enum EvaluatorId {
     Native {
         /// Warmup executions discarded before timing starts.
         warmup: u32,
-        /// Timed executions; the report keeps the minimum.
+        /// Timed executions; the reading is the fastest.
         runs: u32,
     },
 }
@@ -193,9 +194,9 @@ pub fn context_key_for(
 /// The outcome of evaluating one feasible candidate.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
-    /// Performance of the candidate's generated kernel: modelled by the
-    /// simulator or measured on the host.
-    pub report: PerfReport,
+    /// Throughput of the candidate's generated kernel in GFLOP/s: modelled
+    /// by the simulator or measured on the host.
+    pub gflops: f64,
     /// True when the result came out of a design cache instead of a fresh
     /// evaluation.
     pub cached: bool,
@@ -211,7 +212,7 @@ pub struct Evaluation {
     pub kernel_shape: Option<String>,
 }
 
-/// Evaluates one `(OperatorGraph, CsrMatrix)` candidate into a [`PerfReport`].
+/// Evaluates one `(OperatorGraph, CsrMatrix)` candidate into its GFLOP/s.
 ///
 /// `None` means the candidate is infeasible for this matrix (generation
 /// failed or the kernel produced wrong results) — the search just moves on.

@@ -19,11 +19,10 @@
 //!   named by its kernel-shape label, not a second emitted text.
 //!
 //! It also holds the evaluation contract every backend implements by
-//! generating a candidate first ([`eval`]), with the data that contract
-//! names — the [`DeviceProfile`] a context is keyed by and the
-//! [`PerfReport`] an evaluation returns: the search ranks designs through
-//! it without the backends depending on the search, and without the search
-//! depending on the simulator.
+//! generating a candidate first ([`eval`]), with the [`DeviceProfile`] a
+//! context is keyed by: an evaluation is the candidate's GFLOP/s, so the
+//! search ranks designs through it without the backends depending on the
+//! search, and without the search depending on the simulator.
 
 pub mod compress;
 pub mod device;
@@ -32,14 +31,12 @@ pub mod eval;
 pub mod format;
 pub mod kernel;
 pub mod layout;
-pub mod report;
 
 pub use compress::{compress_array, CompressionModel};
 pub use device::DeviceProfile;
 pub use eval::{context_key, context_key_for, EvalContext, Evaluation, Evaluator, EvaluatorId};
 pub use format::{FormatArray, MachineFormat, PartitionFormat};
 pub use kernel::GeneratedKernel;
-pub use report::{KernelCounters, PerfReport};
 
 /// Number of threads in a warp on every simulated device (CUDA fixes this at 32).
 pub const WARP_SIZE: usize = 32;

@@ -28,14 +28,13 @@
 //!   same row orders and column bands, and everything else lowering reads —
 //!   through the same Designer and under bitwise the same `x`, reference and
 //!   tolerance is neither generated nor lowered nor run: it carries that
-//!   program's report, even when the Designer rebuilt its conversion after
+//!   program's GFLOP/s, even when the Designer rebuilt its conversion after
 //!   evicting it.  Any other candidate is generated, lowered, verified,
 //!   timed and recorded.  A candidate of another Designer or probe clears
 //!   the records.
-//! * A recorded program's report is its first member's: the measured time
-//!   and that member's format bytes as `dram_bytes`.  A later member builds
-//!   no format, so its own (say, differently padded) byte count is never
-//!   known; nothing ranks on it.
+//! * A recorded program's reading is its first member's, bit for bit: a
+//!   later member (say, differently padded) builds no format and is never
+//!   timed.
 //! * Measured times are nondeterministic; cached entries freeze the first
 //!   measurement of each distinct program, which keeps a single search
 //!   self-consistent.
@@ -48,9 +47,8 @@
 //!   `kernel_threads` workers.
 
 use crate::harness::TimingHarness;
-pub use crate::harness::NATIVE_DEVICE_LABEL;
 use crate::kernel::{NativeKernel, PlannedProgram, Program};
-use alpha_codegen::{generate_with, EvalContext, Evaluation, Evaluator, EvaluatorId, PerfReport};
+use alpha_codegen::{generate_with, EvalContext, Evaluation, Evaluator, EvaluatorId};
 use alpha_graph::OperatorGraph;
 use alpha_matrix::Scalar;
 use alpha_parallel::Pool;
@@ -128,8 +126,8 @@ struct Measured {
     /// that every later member's kernel is it, and that no program timed
     /// later is.
     program: Program,
-    /// The measured time, with the timed member's format bytes.
-    report: PerfReport,
+    /// The timed member's reading: its harness report's `gflops`.
+    gflops: f64,
 }
 
 /// What the records hold under: the Designer whose plans they compare by
@@ -242,7 +240,7 @@ impl NativeEvaluator {
             if cfg!(debug_assertions) {
                 self.check_member(ctx, graph, &measured.program);
             }
-            return Some(evaluation(measured.report.clone()));
+            return Some(evaluation(measured.gflops));
         }
         clock.lap();
         let generated = generate_with(ctx.designer(), graph, ctx.options).ok()?;
@@ -277,14 +275,13 @@ impl NativeEvaluator {
         });
         self.measurements.fetch_add(1, Ordering::Relaxed);
         self.timed.inc();
-        let report = measured.to_perf_report(kernel.format_bytes());
         programs.push(Measured {
             planned,
             program: Program::of(&kernel, workers),
-            report: report.clone(),
+            gflops: measured.gflops,
         });
         clock.lap();
-        Some(evaluation(report))
+        Some(evaluation(measured.gflops))
     }
 
     /// The check behind a look-up that hit, in debug builds: the candidate
@@ -304,9 +301,9 @@ impl NativeEvaluator {
 /// A measurement as the search reads it.  The design is ranked by its
 /// scalar program; the winner's loop is selected on the host after the
 /// search, like a cost-model winner's, and recorded then.
-fn evaluation(report: PerfReport) -> Evaluation {
+fn evaluation(gflops: f64) -> Evaluation {
     Evaluation {
-        report,
+        gflops,
         cached: false,
         kernel_shape: None,
     }
@@ -356,9 +353,7 @@ pub(crate) mod tests {
         let eval = evaluator
             .evaluate(&ctx, &presets::csr_scalar())
             .expect("feasible");
-        assert!(eval.report.gflops > 0.0);
-        assert!(eval.report.time_us > 0.0);
-        assert_eq!(eval.report.device, NATIVE_DEVICE_LABEL);
+        assert!(eval.gflops > 0.0);
         assert_eq!(evaluator.executions(), 1);
     }
 
@@ -418,16 +413,13 @@ pub(crate) mod tests {
         };
         let (timed, reused) = (outcome("timed"), outcome("reused"));
         let variants = gpu_only_variants();
-        let reports: Vec<_> = variants
+        let readings: Vec<u64> = variants
             .iter()
-            .map(|graph| evaluator.evaluate(&ctx, graph).expect("feasible").report)
+            .map(|graph| evaluator.evaluate(&ctx, graph).unwrap().gflops.to_bits())
             .collect();
         assert_eq!(evaluator.executions(), variants.len());
         assert_eq!(evaluator.measurements(), 1);
-        for report in &reports[1..] {
-            assert_eq!(report.time_us.to_bits(), reports[0].time_us.to_bits());
-            assert_eq!(report.gflops.to_bits(), reports[0].gflops.to_bits());
-        }
+        assert!(readings.iter().all(|&r| r == readings[0]), "{readings:?}");
         // Other tests of this process count on the same registry.
         assert!(outcome("timed") > timed);
         assert!(outcome("reused") >= reused + variants.len() as u64 - 1);
@@ -477,8 +469,8 @@ pub(crate) mod tests {
     fn a_recorded_program_answers_with_its_first_members_report() {
         // Padding is a GPU coordinate: the padded design is the scalar CSR
         // program over more format bytes.  A later member builds no format,
-        // so it carries the report of the member that was timed, its bytes
-        // included, whichever of the two came first.
+        // so it carries the reading of the member that was timed, bit for
+        // bit, whichever of the two came first.
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
         let ctx = context_fixture(&matrix);
         let plain = presets::csr_scalar();
@@ -492,12 +484,10 @@ pub(crate) mod tests {
         assert!(bytes(&padded) > bytes(&plain));
         for (first, later) in [(&plain, &padded), (&padded, &plain)] {
             let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
-            let timed = evaluator.evaluate(&ctx, first).expect("feasible").report;
-            let hit = evaluator.evaluate(&ctx, later).expect("feasible").report;
+            let timed = evaluator.evaluate(&ctx, first).expect("feasible").gflops;
+            let hit = evaluator.evaluate(&ctx, later).expect("feasible").gflops;
             assert_eq!(evaluator.measurements(), 1);
-            assert_eq!(timed.dram_bytes, bytes(first));
-            assert_eq!(hit.dram_bytes.to_bits(), timed.dram_bytes.to_bits());
-            assert_eq!(hit.time_us.to_bits(), timed.time_us.to_bits());
+            assert_eq!(hit.to_bits(), timed.to_bits());
         }
     }
 
@@ -570,7 +560,7 @@ pub(crate) mod tests {
     fn concurrent_duplicates_of_one_batch_are_timed_once() {
         // The look-up for a recorded program happens under the lock that
         // serialises measurements: whichever duplicate gets there second
-        // finds the first one's report.
+        // finds the first one's reading.
         let matrix = gen::powerlaw(512, 512, 8, 2.0, 3);
         let ctx = context_fixture(&matrix);
         let evaluator = NativeEvaluator::new(TimingHarness::default(), 1);
@@ -580,7 +570,7 @@ pub(crate) mod tests {
         assert_eq!(evaluator.measurements(), 1);
         let times: Vec<u64> = results
             .iter()
-            .map(|r| r.as_ref().expect("feasible").report.time_us.to_bits())
+            .map(|r| r.as_ref().expect("feasible").gflops.to_bits())
             .collect();
         assert!(times.iter().all(|&t| t == times[0]), "{times:?}");
     }
@@ -588,7 +578,7 @@ pub(crate) mod tests {
     #[test]
     fn an_infeasible_design_is_never_remembered() {
         // Poisoned probe first: the kernel fails verification and must not
-        // leave a report behind for its feasible self to pick up.
+        // leave a reading behind for its feasible self to pick up.
         let matrix = gen::banded(256, 2, 3);
         let mut ctx = context_fixture(&matrix);
         let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);

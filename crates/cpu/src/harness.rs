@@ -12,13 +12,9 @@
 //! comparisons are apples-to-apples.
 
 use crate::kernel::NativeKernel;
-use alpha_codegen::{EvaluatorId, PerfReport};
+use alpha_codegen::EvaluatorId;
 use alpha_matrix::Scalar;
 use std::time::Instant;
-
-/// Device label measured reports carry (there is exactly one "device": the
-/// host CPU the process runs on).
-pub const NATIVE_DEVICE_LABEL: &str = "host-cpu";
 
 /// Warmup + min-of-N wall-clock timing parameters.
 ///
@@ -209,18 +205,6 @@ impl MeasuredReport {
         }
     }
 
-    /// Converts to the [`PerfReport`] shape the `Evaluator` trait returns, so
-    /// measured results flow through the unchanged search/caching/serving
-    /// stack.  `format_bytes` is the design's memory footprint.
-    pub fn to_perf_report(&self, format_bytes: usize) -> PerfReport {
-        PerfReport::from_measured_time(
-            NATIVE_DEVICE_LABEL,
-            self.min_us,
-            self.useful_flops,
-            format_bytes,
-        )
-    }
-
     /// One-line human-readable summary for harness output.
     pub fn summary(&self) -> String {
         format!(
@@ -370,11 +354,6 @@ mod tests {
         assert_eq!(report.useful_flops, 2 * matrix.nnz() as u64);
         assert_eq!(report.threads, 2);
         assert!(report.summary().contains("GFLOPS"));
-
-        let perf = report.to_perf_report(kernel.format_bytes());
-        assert_eq!(perf.device, NATIVE_DEVICE_LABEL);
-        assert_eq!(perf.time_us, report.min_us);
-        assert!((perf.gflops - report.gflops).abs() < 1e-9);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod simd;
 pub mod specialized;
 
 pub use cpu_features::{SimdSupport, NO_SIMD_ENV};
-pub use eval::{NativeEvaluator, NATIVE_DEVICE_LABEL};
+pub use eval::NativeEvaluator;
 pub use harness::{MeasuredReport, TimingHarness};
 pub use kernel::{
     dot_error_bound, effective_workers, plans_from_label, IndexFn, KernelBuildError, LoopChoice,

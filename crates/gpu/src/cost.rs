@@ -1,4 +1,5 @@
-//! The analytical cost model: turns kernel counters into a time estimate.
+//! The analytical cost model: turns kernel counters into a time estimate,
+//! the [`PerfReport`] of one simulated execution.
 //!
 //! The model is a *roofline with load balance*:
 //!
@@ -15,9 +16,39 @@
 //!
 //! Kernel time is the maximum of the two sides plus the launch overhead.
 
+use crate::counters::KernelCounters;
 use crate::launch::LaunchConfig;
 use crate::memory;
-use alpha_codegen::{DeviceProfile, KernelCounters, PerfReport};
+use alpha_codegen::DeviceProfile;
+
+/// The modelled performance of one kernel execution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfReport {
+    /// Device the kernel was evaluated on.
+    pub device: String,
+    /// Total modelled execution time in microseconds (including launch).
+    pub time_us: f64,
+    /// Memory-side time (DRAM + L2 traffic) in microseconds.
+    pub memory_time_us: f64,
+    /// Compute/latency-side time in microseconds.
+    pub compute_time_us: f64,
+    /// Kernel launch overhead in microseconds.
+    pub launch_overhead_us: f64,
+    /// Modelled throughput in GFLOP/s based on the useful flops (2 * nnz).
+    pub gflops: f64,
+    /// Bytes served from DRAM.
+    pub dram_bytes: f64,
+    /// Bytes served from L2 (x-gather hits).
+    pub l2_bytes: f64,
+    /// Fraction of x-gather traffic that hit the L2.
+    pub x_l2_hit_rate: f64,
+    /// Achieved occupancy of the launch.
+    pub occupancy: f64,
+    /// Raw event counters.
+    pub counters: KernelCounters,
+    /// Total memory bytes per useful flop (roofline position indicator).
+    pub bytes_per_flop: f64,
+}
 
 /// Converts a cycle count on one SM into microseconds.
 pub fn cycles_to_us(device: &DeviceProfile, cycles: f64) -> f64 {

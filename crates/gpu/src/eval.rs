@@ -53,7 +53,7 @@ impl Evaluator for SimEvaluator {
         let (x, reference) = (ctx.x.as_slice(), &ctx.reference);
         let result = self.sim.run_checked(&kernel, x, reference, ctx.tolerance);
         Some(Evaluation {
-            report: result.ok()?.report,
+            gflops: result.ok()?.report.gflops,
             cached: false,
             kernel_shape: None,
         })
@@ -76,7 +76,7 @@ mod tests {
         let eval = evaluator
             .evaluate(&ctx, &presets::csr_scalar())
             .expect("feasible");
-        assert!(eval.report.gflops > 0.0);
+        assert!(eval.gflops > 0.0);
         assert!(!eval.cached);
         assert_eq!(evaluator.simulations(), 1);
     }

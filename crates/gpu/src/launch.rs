@@ -39,16 +39,6 @@ impl LaunchConfig {
         }
     }
 
-    /// Number of warps per block (rounded up).
-    pub fn warps_per_block(&self) -> usize {
-        self.block_dim.div_ceil(WARP_SIZE)
-    }
-
-    /// Total number of threads in the grid.
-    pub fn total_threads(&self) -> usize {
-        self.grid_dim * self.block_dim
-    }
-
     /// Checks the configuration against a device's hard limits.
     pub fn validate(&self, device: &DeviceProfile) -> Result<(), String> {
         if self.grid_dim == 0 {
@@ -117,8 +107,11 @@ mod tests {
     #[test]
     fn warp_and_thread_counts() {
         let lc = LaunchConfig::new(10, 128);
-        assert_eq!(lc.warps_per_block(), 4);
-        assert_eq!(lc.total_threads(), 1280);
+        assert_eq!(
+            (lc.grid_dim, lc.block_dim, lc.shared_mem_bytes),
+            (10, 128, 0)
+        );
+        assert!(lc.block_dim.is_multiple_of(WARP_SIZE));
     }
 
     #[test]

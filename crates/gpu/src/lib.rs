@@ -20,10 +20,12 @@
 //! strategy cost — first-class, while absolute numbers stay modelled rather
 //! than measured.
 //!
-//! [`DeviceProfile`], [`PerfReport`] and [`KernelCounters`] are
-//! `alpha-codegen`'s, re-exported.  A generated kernel runs as a
+//! The cost model's [`PerfReport`] and its [`KernelCounters`] live here,
+//! the only crate that computes them; [`DeviceProfile`] and [`WARP_SIZE`]
+//! are `alpha-codegen`'s, re-exported.  A generated kernel runs as a
 //! [`SimKernel`]; the cost model ranks candidates as the plugged-in
-//! [`SimEvaluator`].  No serving crate links this crate.
+//! [`SimEvaluator`], which hands the search its report's GFLOP/s.  No
+//! serving crate links this crate.
 
 pub mod context;
 pub mod cost;
@@ -34,8 +36,10 @@ pub mod launch;
 pub mod memory;
 pub mod sim;
 
-pub use alpha_codegen::{DeviceProfile, KernelCounters, PerfReport, WARP_SIZE};
+pub use alpha_codegen::{DeviceProfile, WARP_SIZE};
 pub use context::BlockContext;
+pub use cost::PerfReport;
+pub use counters::KernelCounters;
 pub use eval::SimEvaluator;
 pub use kernel::{ReferenceCsrKernel, SimKernel, SpmvKernel};
 pub use launch::LaunchConfig;

@@ -6,8 +6,8 @@ use crate::context::BlockContext;
 use crate::cost::{self, CostInputs};
 use crate::counters::absorb_block;
 use crate::kernel::SpmvKernel;
+use crate::{KernelCounters, PerfReport};
 use alpha_codegen::DeviceProfile;
-use alpha_codegen::{KernelCounters, PerfReport};
 use alpha_matrix::Scalar;
 
 /// The result of simulating one kernel launch.

@@ -33,7 +33,7 @@ use crate::features::{featurise, matrix_feature_vector};
 use crate::ml::{GbtConfig, GradientBoostedTrees, Sample};
 use crate::persist::StoredDesign;
 use crate::prune::PruneRules;
-use alpha_codegen::{DeviceProfile, GeneratorOptions, PerfReport};
+use alpha_codegen::{DeviceProfile, GeneratorOptions};
 use alpha_graph::OperatorGraph;
 use alpha_matrix::CsrMatrix;
 use std::collections::BTreeSet;
@@ -100,8 +100,8 @@ impl Default for SearchConfig {
 /// Statistics of one search run.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
-    /// Candidate evaluations consumed in the first two levels (simulated or
-    /// served from the design cache).
+    /// Candidate evaluations consumed in the first two levels (measured,
+    /// simulated or served from the design cache).
     pub iterations: usize,
     /// Graph structures enumerated (seeds plus accepted mutations).
     pub structures_enumerated: usize,
@@ -112,10 +112,11 @@ pub struct SearchStats {
     pub ml_predictions: usize,
     /// Extra kernel evaluations spent validating the top ML predictions.
     pub ml_evaluations: usize,
-    /// Design-cache lookups answered without re-simulation during this
+    /// Design-cache lookups answered without a fresh evaluation during this
     /// search.
     pub cache_hits: usize,
-    /// Design-cache lookups that required a fresh simulation.
+    /// Design-cache lookups that required a fresh evaluation (a measurement
+    /// or a simulation).
     pub cache_misses: usize,
 }
 
@@ -136,8 +137,9 @@ impl SearchStats {
 pub struct SearchOutcome {
     /// The winning operator graph.
     pub best_graph: OperatorGraph,
-    /// Its modelled performance.
-    pub best_report: PerfReport,
+    /// Its GFLOP/s as the search's evaluator read it: measured on the host
+    /// by default, modelled under the cost model.
+    pub best_gflops: f64,
     /// Shape label of the native kernel the winner lowered to — the
     /// `alpha-cpu` monomorphized-library key, recorded with the stored
     /// winner.  `None` out of a simulated search whose winner has never
@@ -156,7 +158,7 @@ pub fn search(matrix: &CsrMatrix, config: &SearchConfig) -> Result<SearchOutcome
 /// evaluations in (and reusing them from) the given cache.  Entries are keyed
 /// by matrix content, device and generator options, so one cache can safely
 /// serve many matrices and configurations — repeated searches over the same
-/// matrix skip straight to the cached reports.
+/// matrix skip straight to the cached readings.
 pub fn search_with_cache(
     matrix: &CsrMatrix,
     config: &SearchConfig,
@@ -242,7 +244,7 @@ pub fn search_with_cache(
     // Level 3 trains on the level-2 readings; a measured search has none.
     let refine = !config.evaluator.id().is_native();
     let mut samples: Vec<Sample> = Vec::new();
-    let mut best: Option<(OperatorGraph, PerfReport, Option<String>)> = None;
+    let mut best: Option<(OperatorGraph, f64, Option<String>)> = None;
     let mut evaluated: BTreeSet<String> = BTreeSet::new();
 
     // The full coarse-grid candidate list, deduplicated in first-seen order
@@ -261,16 +263,18 @@ pub fn search_with_cache(
             continue;
         };
         stats.iterations += 1;
-        let gflops = eval.report.gflops;
         if refine {
-            samples.push(Sample::new(featurise(&candidate, &stats_of_matrix), gflops));
+            samples.push(Sample::new(
+                featurise(&candidate, &stats_of_matrix),
+                eval.gflops,
+            ));
         }
         if best
             .as_ref()
-            .map(|(_, r, _)| gflops > r.gflops)
+            .map(|&(_, gflops, _)| eval.gflops > gflops)
             .unwrap_or(true)
         {
-            best = Some((candidate, eval.report, eval.kernel_shape));
+            best = Some((candidate, eval.gflops, eval.kernel_shape));
         }
     }
 
@@ -302,10 +306,10 @@ pub fn search_with_cache(
             stats.ml_evaluations += 1;
             if best
                 .as_ref()
-                .map(|(_, r, _)| eval.report.gflops > r.gflops)
+                .map(|&(_, gflops, _)| eval.gflops > gflops)
                 .unwrap_or(true)
             {
-                best = Some((candidate, eval.report, eval.kernel_shape));
+                best = Some((candidate, eval.gflops, eval.kernel_shape));
             }
         }
     }
@@ -345,7 +349,7 @@ pub fn search_with_cache(
             .add(conversions);
     }
 
-    let (best_graph, best_report, best_kernel_shape) =
+    let (best_graph, best_gflops, best_kernel_shape) =
         best.ok_or_else(|| "no valid candidate could be evaluated".to_string())?;
     // Record the winner durably: serving layers read it back to answer
     // repeat requests without searching and to warm-start structurally
@@ -356,7 +360,7 @@ pub fn search_with_cache(
         ctx.context_key(),
         StoredDesign {
             graph: best_graph.clone(),
-            gflops: best_report.gflops,
+            gflops: best_gflops,
             matrix_features: matrix_feature_vector(&stats_of_matrix),
             evaluator: config.evaluator.id(),
             kernel_shape: best_kernel_shape.clone(),
@@ -364,7 +368,7 @@ pub fn search_with_cache(
     );
     Ok(SearchOutcome {
         best_graph,
-        best_report,
+        best_gflops,
         best_kernel_shape,
         stats,
     })
@@ -406,7 +410,7 @@ mod tests {
         let first = search_with_cache(&matrix, &config, &cache).unwrap();
         let second = search_with_cache(&matrix, &config, &cache).unwrap();
         assert_eq!(first.best_graph.signature(), second.best_graph.signature());
-        assert_eq!(first.best_report.gflops, second.best_report.gflops);
+        assert_eq!(first.best_gflops, second.best_gflops);
         // The first search fills the cache (hits are possible only between
         // canonically-equal variants); the rerun must be answered entirely
         // from it.
@@ -459,7 +463,7 @@ mod tests {
             self.outcomes
                 .lock()
                 .unwrap()
-                .push(evaluation.as_ref().map(|e| e.report.gflops));
+                .push(evaluation.as_ref().map(|e| e.gflops));
             evaluation
         }
     }
@@ -621,7 +625,7 @@ mod tests {
     fn winner_beats_every_sampled_candidate() {
         let matrix = gen::powerlaw(1_024, 1_024, 12, 1.9, 5);
         let outcome = search(&matrix, &quick_config(50)).unwrap();
-        assert!(outcome.best_report.gflops > 0.0);
+        assert!(outcome.best_gflops > 0.0);
         assert!(outcome.stats.iterations > 0);
         assert!(outcome.best_graph.validate().is_ok());
     }

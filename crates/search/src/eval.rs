@@ -1,5 +1,5 @@
 //! The Evaluator subsystem: turning `(OperatorGraph, CsrMatrix)` candidates
-//! into [`PerfReport`]s, one at a time, and without ever evaluating the same
+//! into their GFLOP/s, one at a time, and without ever evaluating the same
 //! design twice.
 //!
 //! Candidate evaluation dominates the search budget (the paper's real system
@@ -20,7 +20,7 @@
 //! * [`CachingEvaluator`] — memoises outcomes in a shared [`DesignCache`]
 //!   keyed by (matrix fingerprint + device + generator options, canonical
 //!   graph signature), so repeated structures across mutation rounds — or
-//!   across whole searches on the same matrix — are never re-simulated.
+//!   across whole searches on the same matrix — are never evaluated again.
 //!   Infeasible candidates are cached too (a graph that cannot be applied to
 //!   a matrix will never become applicable).
 //!
@@ -29,13 +29,14 @@
 //! one machine.  All evaluators are still `Send + Sync`, because concurrent
 //! searches (the paper figures' per-matrix fan-out, two serving workers)
 //! share one [`DesignCache`]; its state is locked, and per-candidate
-//! simulator state lives on the evaluating thread's stack.
+//! evaluator state lives on the evaluating thread's stack or under the
+//! evaluator's own lock.
 
 use crate::persist::StoredDesign;
 pub use alpha_codegen::eval::{
     context_key, context_key_for, EvalContext, Evaluation, Evaluator, EvaluatorId,
 };
-use alpha_codegen::{DeviceProfile, PerfReport};
+use alpha_codegen::DeviceProfile;
 use alpha_cpu::{NativeEvaluator, TimingHarness};
 use alpha_graph::OperatorGraph;
 use std::collections::HashMap;
@@ -184,11 +185,11 @@ pub struct DesignCache {
 /// (context key, canonical graph signature).
 type CacheKey = (u64, String);
 
-/// `None` = known-infeasible design; `Some` = (report, native kernel-shape
+/// `None` = known-infeasible design; `Some` = (GFLOP/s, native kernel-shape
 /// label).  The shape rides along so a fully cache-served replay still
 /// reports the same shape the original evaluation resolved.  No source text:
 /// a design's code is emitted from its graph when a caller asks for it.
-pub type CacheEntry = Option<(PerfReport, Option<String>)>;
+pub type CacheEntry = Option<(f64, Option<String>)>;
 
 impl DesignCache {
     /// An empty cache.
@@ -245,8 +246,8 @@ impl DesignCache {
         let key = (context_key, graph.canonical_signature());
         let entries = self.entries.lock().expect("design cache poisoned");
         entries.get(&key).map(|entry| {
-            entry.as_ref().map(|(report, shape)| Evaluation {
-                report: report.clone(),
+            entry.as_ref().map(|(gflops, shape)| Evaluation {
+                gflops: *gflops,
                 cached: true,
                 kernel_shape: shape.clone(),
             })
@@ -261,9 +262,7 @@ impl DesignCache {
         outcome: &Option<Evaluation>,
     ) {
         let key = (ctx.context_key(), graph.canonical_signature());
-        let value = outcome
-            .as_ref()
-            .map(|e| (e.report.clone(), e.kernel_shape.clone()));
+        let value = outcome.as_ref().map(|e| (e.gflops, e.kernel_shape.clone()));
         self.entries
             .lock()
             .expect("design cache poisoned")
@@ -292,7 +291,7 @@ impl DesignCache {
     /// Records the winning design of a completed search for `context_key`.
     ///
     /// Keeps the best: an existing winner is only replaced when the new
-    /// design's modelled GFLOPS are at least as high, so re-searching a
+    /// design's GFLOP/s are at least as high, so re-searching a
     /// context with a smaller budget can never degrade the stored design
     /// other searches warm-start from.
     pub fn record_winner(&self, context_key: u64, design: StoredDesign) {
@@ -390,11 +389,11 @@ impl DesignCache {
     }
 
     /// Copies every evaluation, winner and seed pin of `other` that this
-    /// cache does not already have.  Existing evaluations and pins win (the
-    /// evaluations are equivalent by construction — both sides computed them
-    /// from the same deterministic simulation; the pins must stay whatever
-    /// this cache's first search used); winners keep the better design per
-    /// context.  Returns the number of *evaluation* entries added.
+    /// cache does not already have.  Existing evaluations and pins win (a
+    /// replay must read the numbers this cache's searches ranked by, and the
+    /// pins must stay whatever its first search used); winners keep the
+    /// better design per context.  Returns the number of *evaluation*
+    /// entries added.
     pub fn merge_from(&self, other: &DesignCache) -> usize {
         let mut changed = false;
         let mut added = 0;
@@ -578,7 +577,7 @@ mod tests {
         );
         assert!(!first.cached);
         assert!(second.cached);
-        assert_eq!(first.report.gflops, second.report.gflops);
+        assert_eq!(first.gflops, second.gflops);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
@@ -601,7 +600,7 @@ mod tests {
             .expect("memoised")
             .expect("feasible");
         assert!(stored.cached);
-        assert_eq!(stored.report, fresh.report);
+        assert_eq!(stored.gflops.to_bits(), fresh.gflops.to_bits());
         assert_eq!(stored.kernel_shape, fresh.kernel_shape);
         // Another context key, or another design, is simply absent.
         assert!(cache.entry(ctx.context_key() ^ 1, &graph).is_none());
@@ -661,7 +660,7 @@ mod tests {
         let second = evaluator.evaluate(&ctx, &b).expect("feasible");
         assert_eq!(evaluator.inner().simulations(), 1);
         assert!(second.cached);
-        assert_eq!(first.report.gflops, second.report.gflops);
+        assert_eq!(first.gflops, second.gflops);
     }
 
     #[test]
@@ -732,6 +731,6 @@ mod tests {
         );
         assert!(!first.cached);
         assert!(second.cached);
-        assert_eq!(first.report.time_us, second.report.time_us);
+        assert_eq!(first.gflops.to_bits(), second.gflops.to_bits());
     }
 }

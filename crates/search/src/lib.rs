@@ -67,7 +67,7 @@ mod tests {
             ..SearchConfig::default()
         };
         let outcome = search(&matrix, &config).expect("search succeeds");
-        assert!(outcome.best_report.gflops > 0.0);
+        assert!(outcome.best_gflops > 0.0);
         assert!(outcome.stats.iterations > 0);
         assert!(outcome.stats.iterations <= 60);
         // The winner must be at least as good as the plain CSR-scalar design
@@ -82,7 +82,7 @@ mod tests {
         let x = alpha_matrix::DenseVector::ones(matrix.cols());
         let scalar = SimKernel::new(&scalar.kernel, &scalar.format);
         let scalar_gflops = sim.run(&scalar, x.as_slice()).unwrap().report.gflops;
-        assert!(outcome.best_report.gflops >= scalar_gflops);
+        assert!(outcome.best_gflops >= scalar_gflops);
     }
 
     #[test]

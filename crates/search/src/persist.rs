@@ -10,7 +10,7 @@
 //!    outcome pair, including known-infeasible designs, so a reloaded cache
 //!    answers exactly the lookups the original did.
 //! 2. **Winners** — the best [`OperatorGraph`] found per context, with its
-//!    modelled GFLOPS and the matrix feature vector used for structural
+//!    GFLOP/s and the matrix feature vector used for structural
 //!    similarity (see [`crate::features::matrix_feature_vector`]).
 //! 3. **Seed pins** — the warm-start designs a serving layer injected into a
 //!    context's first search, so replays of that search enumerate the exact
@@ -25,7 +25,6 @@
 //! enough that a hand-rolled codec is both smaller and easier to audit.
 
 use crate::eval::{DesignCache, EvaluatorId};
-use alpha_codegen::{KernelCounters, PerfReport};
 use alpha_graph::{Operator, OperatorGraph};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
@@ -53,8 +52,10 @@ pub const CACHE_MAGIC: [u8; 4] = *b"ACDS";
 /// loop selection is now the only thing that picks a loop and a v6 file may
 /// hold graphs that name one.  Since v7 retires every v6 file, native timings
 /// recorded under the lane operators cannot be read back, so the evaluator
-/// salt (`EvaluatorId::salt`) did not need a bump.
-pub const CACHE_FORMAT_VERSION: u32 = 7;
+/// salt (`EvaluatorId::salt`) did not need a bump.  Version 8 keeps one
+/// number per feasible evaluation, the GFLOP/s the search ranks by, where
+/// v7 kept the cost model's whole report (23 numbers and a device string).
+pub const CACHE_FORMAT_VERSION: u32 = 8;
 
 /// Why loading or saving a durable cache failed.
 #[derive(Debug)]
@@ -109,14 +110,15 @@ impl From<std::io::Error> for PersistError {
 }
 
 /// The best design found for one evaluation context, as stored durably: the
-/// winning graph, its modelled throughput, and the matrix feature vector a
+/// winning graph, its throughput, and the matrix feature vector a
 /// serving layer uses to warm-start searches of structurally similar
 /// matrices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredDesign {
     /// The winning operator graph.
     pub graph: OperatorGraph,
-    /// Modelled GFLOP/s of the winning kernel.
+    /// GFLOP/s of the winning kernel as the search's evaluator read it:
+    /// measured on the host by default, modelled under the cost model.
     pub gflops: f64,
     /// Matrix feature vector (see
     /// [`matrix_feature_vector`](crate::features::matrix_feature_vector)).
@@ -522,69 +524,6 @@ fn read_graph(r: &mut ByteReader<'_>) -> Result<OperatorGraph, PersistError> {
 }
 
 // ---------------------------------------------------------------------------
-// PerfReport codec
-// ---------------------------------------------------------------------------
-
-fn write_report(w: &mut ByteWriter, report: &PerfReport) {
-    w.str(&report.device);
-    w.f64(report.time_us);
-    w.f64(report.memory_time_us);
-    w.f64(report.compute_time_us);
-    w.f64(report.launch_overhead_us);
-    w.f64(report.gflops);
-    w.f64(report.dram_bytes);
-    w.f64(report.l2_bytes);
-    w.f64(report.x_l2_hit_rate);
-    w.f64(report.occupancy);
-    w.f64(report.bytes_per_flop);
-    let c = &report.counters;
-    w.f64(c.matrix_dram_bytes);
-    w.f64(c.x_gather_bytes);
-    w.f64(c.y_write_bytes);
-    w.u64(c.transactions);
-    w.u64(c.fma_ops);
-    w.u64(c.atomic_ops);
-    w.u64(c.atomic_conflicts);
-    w.f64(c.shared_bytes);
-    w.u64(c.syncs);
-    w.u64(c.shuffles);
-    w.f64(c.total_block_latency_cycles);
-    w.f64(c.max_block_latency_cycles);
-    w.u64(c.blocks);
-}
-
-fn read_report(r: &mut ByteReader<'_>) -> Result<PerfReport, PersistError> {
-    Ok(PerfReport {
-        device: r.str()?,
-        time_us: r.f64()?,
-        memory_time_us: r.f64()?,
-        compute_time_us: r.f64()?,
-        launch_overhead_us: r.f64()?,
-        gflops: r.f64()?,
-        dram_bytes: r.f64()?,
-        l2_bytes: r.f64()?,
-        x_l2_hit_rate: r.f64()?,
-        occupancy: r.f64()?,
-        bytes_per_flop: r.f64()?,
-        counters: KernelCounters {
-            matrix_dram_bytes: r.f64()?,
-            x_gather_bytes: r.f64()?,
-            y_write_bytes: r.f64()?,
-            transactions: r.u64()?,
-            fma_ops: r.u64()?,
-            atomic_ops: r.u64()?,
-            atomic_conflicts: r.u64()?,
-            shared_bytes: r.f64()?,
-            syncs: r.u64()?,
-            shuffles: r.u64()?,
-            total_block_latency_cycles: r.f64()?,
-            max_block_latency_cycles: r.f64()?,
-            blocks: r.u64()?,
-        },
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Whole-cache codec
 // ---------------------------------------------------------------------------
 
@@ -608,9 +547,9 @@ impl DesignCache {
             w.str(signature);
             match &entries[key] {
                 None => w.u8(0),
-                Some((report, kernel_shape)) => {
+                Some((gflops, kernel_shape)) => {
                     w.u8(1);
-                    write_report(&mut w, report);
+                    w.f64(*gflops);
                     write_opt_str(&mut w, kernel_shape);
                 }
             }
@@ -674,9 +613,9 @@ impl DesignCache {
             let entry = match r.u8()? {
                 0 => None,
                 1 => {
-                    let report = read_report(&mut r)?;
+                    let gflops = r.f64()?;
                     let kernel_shape = read_opt_str(&mut r)?;
-                    Some((report, kernel_shape))
+                    Some((gflops, kernel_shape))
                 }
                 other => {
                     return Err(PersistError::Corrupt(format!(
@@ -906,6 +845,30 @@ mod tests {
     }
 
     #[test]
+    fn a_feasible_evaluation_is_its_key_signature_gflops_and_shape() {
+        let (key, signature, gflops) = (0x0102_0304_0506_0708u64, "csr", 12.375f64);
+        let shape = "rows[off:table,org:id,col:table]:scalar";
+        let cache = DesignCache::new();
+        let entry = Some((gflops, Some(shape.to_string())));
+        cache.replace_entries(HashMap::from([((key, signature.to_string()), entry)]));
+        let mut expected = ByteWriter::default();
+        expected.raw(&CACHE_MAGIC);
+        expected.u32(CACHE_FORMAT_VERSION);
+        expected.u64(1);
+        expected.u64(key);
+        expected.str(signature);
+        expected.u8(1); // feasible
+        expected.f64(gflops);
+        write_opt_str(&mut expected, &Some(shape.to_string()));
+        expected.u64(0); // winners
+        expected.u64(0); // seed pins
+        let bytes = cache.to_bytes();
+        assert_eq!(bytes, expected.into_bytes());
+        let reloaded = DesignCache::from_bytes(&bytes).unwrap();
+        assert_eq!(reloaded.entries_snapshot(), cache.entries_snapshot());
+    }
+
+    #[test]
     fn empty_cache_round_trips() {
         let cache = DesignCache::new();
         let reloaded = DesignCache::from_bytes(&cache.to_bytes()).unwrap();
@@ -977,7 +940,8 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         // Overwrite the version field (bytes 4..8) with a future version and
-        // with the previous one (whose graphs may hold the retired tags 25–27).
+        // with the previous one (whose evaluations hold a whole cost-model
+        // report).
         for version in [CACHE_FORMAT_VERSION + 1, CACHE_FORMAT_VERSION - 1] {
             let mut bytes = populated_cache().to_bytes();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());

@@ -176,7 +176,7 @@ fn stored_outcome(cache: &DesignCache, eval_key: u64) -> Option<SearchOutcome> {
     let evaluation = cache.entry(eval_key, &winner.graph)??;
     Some(SearchOutcome {
         best_graph: winner.graph,
-        best_report: evaluation.report,
+        best_gflops: evaluation.gflops,
         best_kernel_shape: evaluation.kernel_shape,
         stats: SearchStats::default(),
     })
@@ -960,7 +960,6 @@ mod tests {
     fn assert_same_graph(a: &TunedSpmv, b: &TunedSpmv, matrix: &CsrMatrix, what: &str) {
         assert_eq!(a.operator_graph(), b.operator_graph(), "{what}: graph");
         assert_eq!(a.gflops().to_bits(), b.gflops().to_bits(), "{what}: gflops");
-        assert_eq!(a.report(), b.report(), "{what}: report");
         assert_eq!(a.source(), b.source(), "{what}: source");
         assert_eq!(a.evaluator(), b.evaluator(), "{what}: evaluator");
         let x = alpha_matrix::DenseVector::random(matrix.cols(), 77);

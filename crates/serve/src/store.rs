@@ -933,10 +933,11 @@ mod tests {
         let cache = DesignCache::new();
         cache.record_winner(0xee, design(3.0));
         // A v4 header (the layout whose evaluations carried their source), a
-        // v5 one (whose graphs may hold the retired operator tag 27) and a v6
+        // v5 one (whose graphs may hold the retired operator tag 27), a v6
         // one (whose graphs may hold the retired lane operators, tags 25 and
-        // 26).
-        for version in [4u32, 5, 6] {
+        // 26) and a v7 one (whose evaluations carry a whole cost-model
+        // report).
+        for version in [4u32, 5, 6, 7] {
             let mut bytes = cache.to_bytes();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             let file = store.root().join("designs/ctx_00000000000000ee.acds");

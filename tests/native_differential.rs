@@ -66,7 +66,7 @@ fn native_auto_tune_is_correct_on_twenty_suite_matrices() {
                 .auto_tune(&matrix)
                 .unwrap_or_else(|e| panic!("{}_{seed}: tuning failed: {e}", family.name()));
             assert!(tuned.evaluator().is_native());
-            assert!(tuned.report().time_us > 0.0, "winner carries measured time");
+            assert!(tuned.gflops() > 0.0, "winner carries a measured reading");
 
             let x = DenseVector::random(matrix.cols(), seed ^ 0xA11A);
             let reference = matrix.spmv(x.as_slice()).unwrap();
