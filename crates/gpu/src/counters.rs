@@ -89,11 +89,6 @@ impl KernelCounters {
         self.blocks += other.blocks;
     }
 
-    /// Total bytes requested from the memory system (before L2 splitting).
-    pub fn total_requested_bytes(&self) -> f64 {
-        self.matrix_dram_bytes + self.x_gather_bytes + self.y_write_bytes
-    }
-
     /// Mean block latency in cycles (0 when no blocks ran).
     pub fn mean_block_latency_cycles(&self) -> f64 {
         if self.blocks == 0 {
@@ -165,11 +160,18 @@ mod tests {
         let mut a = KernelCounters::default();
         absorb_block(&mut a, &block(100.0, 10.0));
         let mut b = KernelCounters::default();
-        absorb_block(&mut b, &block(500.0, 20.0));
+        let gathering = BlockCounters {
+            x_gather_bytes: 4.0,
+            y_write_bytes: 2.0,
+            ..block(500.0, 20.0)
+        };
+        absorb_block(&mut b, &gathering);
         a.merge(&b);
         assert_eq!(a.blocks, 2);
         assert_eq!(a.max_block_latency_cycles, 500.0);
-        assert_eq!(a.total_requested_bytes(), 30.0);
+        assert_eq!(a.matrix_dram_bytes, 30.0);
+        assert_eq!(a.x_gather_bytes, 4.0);
+        assert_eq!(a.y_write_bytes, 2.0);
     }
 
     #[test]

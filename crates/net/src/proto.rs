@@ -58,8 +58,10 @@ pub const NET_MAGIC: [u8; 4] = *b"ANET";
 /// the daemon's buffered spans for cross-process stitching.  v6: a tune may
 /// name its matrix by content digest ([`Request::SubmitTuneRef`], answered
 /// [`Response::NeedMatrix`] when the daemon holds no program for it), and
-/// [`JobSummary`] lost its always-`true` `specialized` flag.)
-pub const PROTOCOL_VERSION: u32 = 6;
+/// [`JobSummary`] lost its always-`true` `specialized` flag.  v7: a
+/// [`Request::SubmitTuneRef`] hit is answered with its job's `Done`
+/// [`Response::Status`], not [`Response::Submitted`].)
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Upper bound on one frame's payload length.  Large enough for a
 /// multi-million-nonzero matrix submission, small enough that a corrupt or
@@ -551,10 +553,13 @@ pub enum Request {
     /// Submit a tune of a matrix this connection's tenant uploaded before,
     /// named by its [`CsrMatrix::digest`] instead of sent (v6+).  A daemon
     /// that still holds the program an upload of that content built for the
-    /// same tenant and device answers [`Response::Submitted`] with a job
-    /// that is already `Done`; anything else — another tenant's upload, a
-    /// program no job holds any more, dimensions or `nnz` that disagree —
-    /// is [`Response::NeedMatrix`]: send [`Request::SubmitTune`] instead.
+    /// same tenant and device answers with the [`Response::Status`] of a job
+    /// that holds it, in state [`JobState::Done`] — the reply a
+    /// [`Request::PollJob`] of that job gives, so no poll follows (v7+);
+    /// anything else — another tenant's upload, a program no job holds any
+    /// more, dimensions or `nnz` that disagree — is [`Response::NeedMatrix`]:
+    /// send [`Request::SubmitTune`] instead.  An unknown device or a daemon
+    /// shutting down is the [`Response::Error`] an upload would get.
     SubmitTuneRef {
         /// [`CsrMatrix::digest`] of the matrix: its BLAKE2b-256.
         digest: [u8; 32],
@@ -746,9 +751,10 @@ pub enum Response {
         /// soon as a sibling job drains).
         retry_after_ms: u64,
     },
-    /// Answer to [`Request::PollJob`].
+    /// Answer to [`Request::PollJob`], and to a [`Request::SubmitTuneRef`]
+    /// hit, whose job is already [`JobState::Done`].
     Status {
-        /// The polled job id.
+        /// The polled (or hit) job id.
         job_id: u64,
         /// Its current state.
         state: JobState,
@@ -1667,11 +1673,11 @@ mod tests {
 
     #[test]
     fn v4_frames_get_a_typed_version_mismatch() {
-        // One wire version: the retired v4 and v5 stamps (and anything older
-        // or newer) are rejected by both readers before a payload byte is
-        // trusted — never decoded under the wrong layout.
+        // One wire version: the retired v4, v5 and v6 stamps (and anything
+        // older or newer) are rejected by both readers before a payload byte
+        // is trusted — never decoded under the wrong layout.
         let payload = encode_request(&Request::StoreStats);
-        for foreign in [0, 3, 4, 5, PROTOCOL_VERSION + 1] {
+        for foreign in [0, 3, 4, 5, 6, PROTOCOL_VERSION + 1] {
             let wire = frame_stamped(foreign, &payload);
             match read_frame(&mut &wire[..]) {
                 Err(ProtoError::VersionMismatch { found, expected }) => {
@@ -1688,11 +1694,11 @@ mod tests {
             assert!(out.is_empty());
         }
         let message = ProtoError::VersionMismatch {
-            found: 5,
+            found: 6,
             expected: PROTOCOL_VERSION,
         }
         .to_string();
-        assert!(message.contains("version 5") && message.contains("speaks 6"));
+        assert!(message.contains("version 6") && message.contains("speaks 7"));
     }
 
     #[test]
@@ -1739,8 +1745,8 @@ mod tests {
     #[test]
     fn golden_frames_match_the_element_wise_encoding() {
         // Frames dumped from the pre-bulk, element-at-a-time encoder (header
-        // and payload written separately; the version stamp moved to 6 with
-        // the v6 bump): the one-buffer builders and the slice codec must put
+        // and payload written separately; the version stamp moved to 7 with
+        // the v7 bump): the one-buffer builders and the slice codec must put
         // the same bytes on the wire, or this is a protocol bump.
         let matrix = CsrMatrix::from_raw(
             2,
@@ -1751,7 +1757,7 @@ mod tests {
         )
         .unwrap();
         let submit = unhex(
-            "414e455406000000610000000000000008070605040302010002000000000000000300000000000000\
+            "414e455407000000610000000000000008070605040302010002000000000000000300000000000000\
              0300000000000000000000000200000003000000030000000000000000000000020000000100000003\
              000000000000000000803f000020c03412c07f040000000000000041313030",
         );
@@ -1781,7 +1787,7 @@ mod tests {
 
         let x = [1.0, -0.0, f32::MIN_POSITIVE / 2.0];
         let spmv = unhex(
-            "414e45540600000025000000000000001100ffeeddccbbaa020700000000000000030000000000\
+            "414e45540700000025000000000000001100ffeeddccbbaa020700000000000000030000000000\
              00000000803f0000008000004000",
         );
         assert_eq!(spmv_frame(0xAABB_CCDD_EEFF_0011, 7, &x).unwrap(), spmv);
@@ -1797,7 +1803,7 @@ mod tests {
             spmv
         );
 
-        let result = unhex("414e45540600000011000000000000000302000000000000000000003f000080ff");
+        let result = unhex("414e45540700000011000000000000000302000000000000000000003f000080ff");
         assert_eq!(
             response_frame(&Response::SpmvResult {
                 y: vec![0.5, f32::NEG_INFINITY]
@@ -1809,7 +1815,7 @@ mod tests {
         // The by-reference submit: the digest's 32 bytes as they are, then
         // rows, cols, nnz and the device.
         let by_reference = unhex(
-            "414e4554060000004d00000000000000080706050403020109000102030405060708090a0b0c0d0e\
+            "414e4554070000004d00000000000000080706050403020109000102030405060708090a0b0c0d0e\
              0f101112131415161718191a1b1c1d1e1f02000000000000000300000000000000030000000000\
              0000040000000000000041313030",
         );
@@ -1826,7 +1832,7 @@ mod tests {
         );
         assert_eq!(
             response_frame(&Response::NeedMatrix).unwrap(),
-            unhex("414e45540600000001000000000000000b")
+            unhex("414e45540700000001000000000000000b")
         );
     }
 

@@ -43,10 +43,10 @@
 //! A tune that names its matrix by digest ([`Request::SubmitTuneRef`]) is
 //! answered on the loop itself when the tenant's upload of that content
 //! left a program some job still holds: a lookup in the tenant's view and
-//! the service's resident map answers with a job that is already `Done` —
-//! no queue, no worker, no hash, no compare (the digest is BLAKE2b-256; see
-//! the `by_digest` module).  Anything else is answered
-//! [`Response::NeedMatrix`] and the client uploads.
+//! the service's resident map answers with the `Done` status of a job that
+//! holds it — no queue, no worker, no hash, no compare, and no poll after
+//! (the digest is BLAKE2b-256; see the `by_digest` module).  Anything else
+//! is answered [`Response::NeedMatrix`] and the client uploads.
 //!
 //! Long-running work never blocks the loop: tuning runs on worker threads
 //! that drain the sharded queue, and remote SpMV is offloaded to exec
@@ -1918,10 +1918,12 @@ fn submit_tune(
 
 /// Answers a tune that names its matrix by digest, on the event loop: a
 /// lookup in the tenant's view and the service's resident map, then either
-/// [`Response::NeedMatrix`] or a job that is already `Done` with the
-/// program the tenant's upload built, if its shape is the one named.  That
-/// job is the one an earlier hit on the same upload filed, while the job
-/// table still has it, else a new one: a burst of hits takes one terminal
+/// [`Response::NeedMatrix`] or the `Done` status of a job that holds the
+/// program the tenant's upload built, if its shape is the one named — the
+/// reply a [`Request::PollJob`] of that job gives, so a warm tune is one
+/// round trip.  That job is the one an earlier hit on the same upload
+/// filed, while the job table still has it (its summary is read under the
+/// lock that finds it), else a new one: a burst of hits takes one terminal
 /// slot.  Nothing is queued, so admission credit is not consulted.
 fn submit_tune_ref(
     shared: &Shared,
@@ -1948,15 +1950,14 @@ fn submit_tune_ref(
         return Response::NeedMatrix;
     };
     shared.by_reference_hit.inc();
-    let live = hit.job.filter(|job_id| {
-        shared
-            .jobs
-            .lock()
-            .expect("job table poisoned")
-            .contains_key(job_id)
+    let live = hit.job.and_then(|job_id| {
+        match shared.jobs.lock().expect("job table poisoned").get(&job_id) {
+            Some(Job::Done { summary, .. }) => Some((job_id, summary.clone())),
+            _ => None,
+        }
     });
-    let job_id = match live {
-        Some(job_id) => job_id,
+    let (job_id, summary) = match live {
+        Some(live) => live,
         None => {
             let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
             let mut tenants = shared.tenants.lock().expect("tenant table poisoned");
@@ -1965,11 +1966,18 @@ fn submit_tune_ref(
             let tuned = hit.program;
             let wall_secs = started.elapsed().as_secs_f64();
             let summary = job_summary(&tuned, 0, hit.warm_started, wall_secs, 0.0);
-            shared.finish_job(job_id, tenant, Job::Done { tuned, summary });
+            shared.finish_job(
+                job_id,
+                tenant,
+                Job::Done {
+                    tuned,
+                    summary: summary.clone(),
+                },
+            );
             shared
                 .by_digest
                 .answered_by(tenant, digest, &profile, job_id);
-            job_id
+            (job_id, summary)
         }
     };
     let req = RequestTag {
@@ -1980,7 +1988,10 @@ fn submit_tune_ref(
     };
     shared.record(req, FlightKind::Admitted, 0);
     shared.record(req, FlightKind::Reply, elapsed_us(started));
-    Response::Submitted { job_id }
+    Response::Status {
+        job_id,
+        state: JobState::Done(summary),
+    }
 }
 
 #[cfg(test)]

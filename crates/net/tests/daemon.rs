@@ -976,12 +976,13 @@ fn v4_clients_get_a_typed_version_mismatch() {
     let server = quick_daemon(&dir, ServerConfig::default());
 
     // There is one wire version.  A v4 peer (bare payload, version stamp 4)
-    // or a v5 one (trace id first, stamp 5) is not misread as v6: it gets
-    // one typed error naming both versions — in a frame a current reader
+    // or a v5 or v6 one (trace id first) is not misread as v7: it gets one
+    // typed error naming both versions — in a frame a current reader
     // decodes — and the connection closes.
     for (version, payload) in [
         (4u32, alpha_net::proto::encode_request(&Request::StoreStats)),
         (5, encode_request_traced(0, &Request::StoreStats)),
+        (6, encode_request_traced(0, &Request::StoreStats)),
     ] {
         let mut raw = TcpStream::connect(server.local_addr()).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -1014,7 +1015,9 @@ fn v4_clients_get_a_typed_version_mismatch() {
     }
     // Current-version clients are unaffected.
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client.store_stats().expect("v6 client still served");
+    client
+        .store_stats()
+        .expect("a current client is still served");
     drop(client);
     stop(server, &dir);
 }
@@ -1050,7 +1053,10 @@ fn a_digest_reaches_only_its_own_tenants_uploads() {
     hello(&mut again, 1);
     assert!(matches!(
         exchange(&mut again, &named),
-        Response::Submitted { .. }
+        Response::Status {
+            state: JobState::Done(_),
+            ..
+        }
     ));
 
     // Tenant 2's own upload gets it a job of its own — the tuning service
@@ -1063,7 +1069,10 @@ fn a_digest_reaches_only_its_own_tenants_uploads() {
     assert_eq!(summary.fresh_evaluations, 0);
     assert!(matches!(
         exchange(&mut second, &named),
-        Response::Submitted { .. }
+        Response::Status {
+            state: JobState::Done(_),
+            ..
+        }
     ));
     // Hits: tenant 1 once, tenant 2 once.  Misses: both uploads' first
     // attempts, tenant 2's and tenant 0's digest-only requests.
@@ -1123,18 +1132,20 @@ fn a_hit_needs_the_uploaded_shape_and_serves_the_uploaded_bits() {
         other => panic!("expected UnknownDevice, got {other:?}"),
     }
 
-    // The exact shape (device names are case-insensitive) is a hit: a job
-    // that is `Done` at its first poll, reporting the upload's design and
-    // serving bitwise the upload's `y`.
-    let Response::Submitted { job_id } =
-        exchange(&mut raw, &named(digest, rows, cols, nnz, "a100"))
+    // The exact shape (device names are case-insensitive) is a hit: it is
+    // answered with the `Status` a poll of its job gives, `Done`, reporting
+    // the upload's design, and the job serves bitwise the upload's `y`.
+    let Response::Status {
+        job_id,
+        state: JobState::Done(hit),
+    } = exchange(&mut raw, &named(digest, rows, cols, nnz, "a100"))
     else {
-        panic!("the exact shape must be a hit")
+        panic!("the exact shape must be a hit, answered Done")
     };
-    let hit = match client.poll_job(job_id).unwrap() {
-        JobState::Done(summary) => summary,
-        other => panic!("a hit is Done when it is submitted, got {other:?}"),
-    };
+    assert_eq!(
+        client.poll_job(job_id).unwrap(),
+        JobState::Done(hit.clone())
+    );
     assert_eq!(hit.fresh_evaluations, 0);
     assert_eq!(hit.queue_wait_secs, 0.0);
     assert_eq!(
@@ -1146,6 +1157,38 @@ fn a_hit_needs_the_uploaded_shape_and_serves_the_uploaded_bits() {
     let stats = client.store_stats().unwrap();
     assert_eq!((stats.jobs_submitted, stats.jobs_completed), (2, 2));
     drop((client, raw));
+    stop(server, &dir);
+}
+
+#[test]
+fn a_warm_tune_by_reference_is_one_request() {
+    let dir = temp_dir("digest_one_request");
+    let server = isolated_daemon(&dir, ServerConfig::default());
+    let addr = server.local_addr();
+    let (mut tenant, _) = Client::connect_as(addr, 3).unwrap();
+    let matrix = gen::powerlaw(192, 160, 5, 2.0, 53);
+    let uploaded = tenant.submit_tune(&matrix, "A100").unwrap();
+    let first = tenant.wait_job(uploaded, POLL, DEADLINE).unwrap();
+
+    // Scraped as another tenant, so the scrapes are not counted.
+    let (mut observer, _) = Client::connect_as(addr, 4).unwrap();
+    let requests = |observer: &mut Client| scraped(observer, "net_requests_total{tenant=\"3\"}");
+    let before = requests(&mut observer);
+    let job = tenant.submit_tune(&matrix, "A100").unwrap();
+    let summary = tenant.wait_job(job, POLL, DEADLINE).unwrap();
+    assert_eq!(
+        requests(&mut observer) - before,
+        1,
+        "a warm tune by reference is its submission alone, with no poll"
+    );
+    assert_ne!(job, uploaded);
+    assert_eq!(summary.fresh_evaluations, 0);
+    assert_eq!(summary.operator_graph, first.operator_graph);
+    // The summary is the one the job table holds; asking again does poll.
+    assert_eq!(tenant.poll_job(job).unwrap(), JobState::Done(summary));
+    assert_eq!(requests(&mut observer) - before, 2);
+    assert_eq!(by_reference_outcomes(&mut observer), (1, 1));
+    drop((tenant, observer));
     stop(server, &dir);
 }
 
@@ -1241,7 +1284,10 @@ fn a_fingerprint_collision_is_never_answered_by_reference() {
 
     // From then on each is answered by reference, with its own program.
     for (matrix, expected) in [(&genuine, &genuine_y), (&forged, &forged_y)] {
-        let Response::Submitted { job_id } = exchange(&mut raw, &by_reference(matrix, "A100"))
+        let Response::Status {
+            job_id,
+            state: JobState::Done(_),
+        } = exchange(&mut raw, &by_reference(matrix, "A100"))
         else {
             panic!("an uploaded matrix is a hit")
         };

@@ -8,9 +8,9 @@
 //! * [`DesignStore`] — a durable, directory-backed store of
 //!   [`DesignCache`](alpha_search::DesignCache)s with an LRU in-memory tier.
 //!   Each evaluation context (matrix fingerprint x device x generator
-//!   options x probe seed) maps to one versioned cache file; stale-schema,
-//!   truncated and corrupted files are rejected cleanly instead of being
-//!   half-loaded.
+//!   options x probe seed) maps to one versioned cache file; foreign and
+//!   stale-schema files are refused with a typed error, a torn one (cut
+//!   short or damaged) starts its context cold, and none is half-loaded.
 //! * [`TuningService`] — a batch front end that accepts many
 //!   (matrix, device) requests at once, deduplicates them by cache identity,
 //!   warm-starts cold searches from the stored winners of structurally

@@ -2,8 +2,8 @@
 //! layout and an LRU in-memory tier.
 
 use crate::lock::StoreLock;
-use alpha_search::persist::{write_durably, PersistError};
-use alpha_search::{DesignCache, StoredDesign};
+use alpha_search::persist::{write_durably, PersistError, CACHE_MAGIC};
+use alpha_search::{DesignCache, StoredDesign, CACHE_FORMAT_VERSION};
 use alpha_telemetry::{Counter, Registry};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -29,8 +29,9 @@ const DEFAULT_CAPACITY: usize = 64;
 pub enum StoreError {
     /// An underlying filesystem error.
     Io(std::io::Error),
-    /// A cache file could not be decoded (corruption, truncation, or a
-    /// schema version this build does not read).
+    /// A cache file could not be read or written, or does not decode and
+    /// is not torn (a foreign magic, or a schema version this build does
+    /// not read).
     Persist(PersistError),
     /// The directory exists but was written by an incompatible store layout.
     Layout {
@@ -331,9 +332,10 @@ impl DesignStore {
     }
 
     /// The cache for one evaluation context, loading it from disk — or
-    /// creating it empty — on first touch.  The returned `Arc` stays valid
-    /// even if the store later evicts the context; evicted caches are
-    /// persisted before being dropped from the resident tier.
+    /// creating it empty (a cold start) when it has no file or a torn one —
+    /// on first touch.  The returned `Arc` stays valid even if the store
+    /// later evicts the context; evicted caches are persisted before being
+    /// dropped from the resident tier.
     pub fn cache_for(&self, context_key: u64) -> Result<Arc<DesignCache>, StoreError> {
         let mut resident = self.resident.lock().expect("store poisoned");
         if let Some(pos) = resident.caches.iter().position(|(k, _)| *k == context_key) {
@@ -344,19 +346,17 @@ impl DesignStore {
             return Ok(resident.caches.last().expect("just pushed").1.clone());
         }
 
-        let path = self.context_file(context_key);
-        let (cache, loaded_from_disk) = match DesignCache::load_from_file(&path) {
-            Ok(cache) => {
+        let (cache, loaded_from_disk) = match load_context(&self.context_file(context_key))? {
+            Some(cache) => {
                 resident.stats.disk_loads += 1;
                 self.metrics.disk_loads.inc();
                 (cache, true)
             }
-            Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+            None => {
                 resident.stats.cold_starts += 1;
                 self.metrics.cold_starts.inc();
                 (DesignCache::new(), false)
             }
-            Err(e) => return Err(e.into()),
         };
         let cache = Arc::new(cache);
         resident.caches.push((context_key, cache.clone()));
@@ -469,7 +469,8 @@ impl DesignStore {
     /// Builds the on-disk winner index on first use by scanning `designs/`
     /// and fully decoding (once per store instance) every cache file.  A
     /// file that does not decode is left out: it costs only its own context,
-    /// whose [`DesignStore::cache_for`] keeps returning the typed error.
+    /// which [`DesignStore::cache_for`] starts cold if the file is torn and
+    /// refuses with the typed error otherwise.
     fn ensure_winner_index(&self) -> Result<(), StoreError> {
         {
             let index = self.winner_index.lock().expect("store poisoned");
@@ -505,6 +506,37 @@ impl DesignStore {
         // equivalent, keep the first.
         index.get_or_insert(map);
         Ok(())
+    }
+}
+
+/// Reads one context file: `None` when there is nothing to load — no file,
+/// or a torn one (see [`is_torn`]) — else the decoded cache, or the typed
+/// error of a file this build did not write.
+fn load_context(path: &Path) -> Result<Option<DesignCache>, PersistError> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    match DesignCache::from_bytes(&bytes) {
+        Ok(cache) => Ok(Some(cache)),
+        Err(e) if is_torn(&bytes, &e) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Whether a context file that failed to decode with `error` is torn: cut
+/// short or damaged after this build's header, or cut inside that header
+/// (an empty file included) — what a disk that lost a file's tail leaves.
+/// A torn context starts cold, and its next save replaces the file.  A file
+/// with a foreign magic or version is refused and left untouched.
+fn is_torn(bytes: &[u8], error: &PersistError) -> bool {
+    match error {
+        PersistError::Truncated | PersistError::Corrupt(_) => true,
+        PersistError::BadMagic => [CACHE_MAGIC, CACHE_FORMAT_VERSION.to_le_bytes()]
+            .concat()
+            .starts_with(bytes),
+        PersistError::Io(_) | PersistError::VersionMismatch { .. } => false,
     }
 }
 
@@ -923,6 +955,67 @@ mod tests {
             store.cache_for(0xff),
             Err(StoreError::Persist(PersistError::BadMagic))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_context_file_cut_at_any_offset_starts_cold_and_costs_no_other() {
+        let dir = temp_store_dir("truncation_sweep");
+        // Held throughout, so every open below shares this process's store
+        // lock instead of taking the kernel lock again: a test of this
+        // binary that spawns a process holds the lock's file description
+        // between its fork and exec, and an open in that window is refused
+        // as `Locked`.
+        std::fs::create_dir_all(&dir).unwrap();
+        let _lock = StoreLock::acquire(&dir).unwrap();
+        let (cut, kept) = (0xc1u64, 0xc2u64);
+        let store = DesignStore::open(&dir).unwrap();
+        for key in [cut, kept] {
+            let cache = store.cache_for(key).unwrap();
+            cache.record_winner(key, design(key as f64));
+            cache.pin_seed_designs(key, vec![presets::csr_scalar(), presets::csr_vector()]);
+        }
+        store.flush().unwrap();
+        let kept_bytes = store.cache_for(kept).unwrap().to_bytes();
+        let kept_winners = store.cache_for(kept).unwrap().winners();
+        drop(store);
+        let file = dir.join(format!("designs/ctx_{cut:016x}.acds"));
+        let whole = std::fs::read(&file).unwrap();
+
+        for len in 0..whole.len() {
+            std::fs::write(&file, &whole[..len]).unwrap();
+            let store = DesignStore::open(&dir).unwrap();
+            // The index is built from disk first, then the contexts load.
+            assert_eq!(store.winners().unwrap(), kept_winners, "cut at {len}");
+            let cold = store.cache_for(cut).unwrap();
+            assert!(cold.is_empty() && cold.winners().is_empty(), "cut at {len}");
+            assert!(cold.pinned_seed_designs(cut).is_none(), "cut at {len}");
+            assert_eq!(store.cache_for(kept).unwrap().to_bytes(), kept_bytes);
+            let stats = store.stats();
+            assert_eq!(
+                (stats.cold_starts, stats.disk_loads),
+                (1, 1),
+                "cut at {len}"
+            );
+            // A cold start writes nothing: the file is as the cut left it.
+            drop(store);
+            assert_eq!(std::fs::read(&file).unwrap(), &whole[..len]);
+        }
+
+        // The next save of the cold context replaces the torn file whole.
+        let store = DesignStore::open(&dir).unwrap();
+        store
+            .cache_for(cut)
+            .unwrap()
+            .record_winner(cut, design(1.0));
+        assert!(store.persist(cut).unwrap());
+        drop(store);
+        let store = DesignStore::open(&dir).unwrap();
+        assert_eq!(
+            store.cache_for(cut).unwrap().winner(cut).unwrap().gflops,
+            1.0
+        );
+        assert_eq!(store.stats().disk_loads, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

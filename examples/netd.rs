@@ -6,8 +6,9 @@
 //! second wave re-submits the same fleet across *fresh connections* — every
 //! one named by its content digest and answered on the daemon's event loop
 //! with the program its first-wave job still holds, without the matrix
-//! crossing the wire again (checked against the daemon's
-//! `net_tune_by_reference_total` counters; had those jobs been collected,
+//! crossing the wire again and without a poll: one request per tune
+//! (checked against the daemon's `net_tune_by_reference_total` and
+//! `net_requests_total` counters; had those jobs been collected,
 //! the client would upload and the stored winners in the daemon's warm
 //! `DesignStore` would answer, with zero fresh kernel evaluations and no
 //! search either way, per `serve_tune_total`).  It then reports which
@@ -27,13 +28,16 @@
 
 use alpha_suite::matrix::gen::PatternFamily;
 use alpha_suite::matrix::CsrMatrix;
-use alpha_suite::net::{Client, NetServer, ServerConfig};
+use alpha_suite::net::{Client, JobSummary, NetServer, ServerConfig};
 use alpha_suite::search::SearchConfig;
 use alpha_suite::serve::{DesignStore, TuningService};
 use std::time::{Duration, Instant};
 
 const POLL: Duration = Duration::from_millis(5);
 const DEADLINE: Duration = Duration::from_secs(600);
+/// The tenant the observer client scrapes as: the waves' anonymous clients
+/// are tenant 0, so the scrapes are not counted among their requests.
+const OBSERVER: u64 = 1;
 
 fn fleet(size: usize) -> Vec<CsrMatrix> {
     (0..size)
@@ -45,31 +49,34 @@ fn fleet(size: usize) -> Vec<CsrMatrix> {
         .collect()
 }
 
-/// One client's share of a wave: submit (with backoff), wait, verify a
-/// remote SpMV, and report (jobs, fresh evaluations, warm starts).
-fn drive_client(addr: std::net::SocketAddr, matrices: &[CsrMatrix]) -> (usize, u64, usize) {
-    let mut client = Client::connect(addr).expect("client connects");
-    let mut jobs = Vec::new();
-    for matrix in matrices {
-        let job = client
-            .submit_tune_with_backoff(matrix, "A100", Duration::from_millis(10), DEADLINE)
-            .expect("submission admitted");
-        jobs.push(job);
-    }
-    let mut fresh = 0u64;
-    let mut warm = 0usize;
-    for (matrix, job) in matrices.iter().zip(&jobs) {
-        let summary = client.wait_job(*job, POLL, DEADLINE).expect("job finishes");
-        fresh += summary.fresh_evaluations;
-        warm += summary.warm_started as usize;
-        // Prove the wire kernel computes the real product.
+/// One client's tune phase of a wave: submit each matrix (with backoff) and
+/// wait for its job.  A job answered by reference is `Done` in the reply to
+/// its submission, so its wait sends nothing.
+fn tune_all(client: &mut Client, matrices: &[CsrMatrix]) -> Vec<(u64, JobSummary)> {
+    matrices
+        .iter()
+        .map(|matrix| {
+            let job = client
+                .submit_tune_with_backoff(matrix, "A100", Duration::from_millis(10), DEADLINE)
+                .expect("submission admitted");
+            (
+                job,
+                client.wait_job(job, POLL, DEADLINE).expect("job finishes"),
+            )
+        })
+        .collect()
+}
+
+/// One client's SpMV phase: prove each job's wire kernel computes the real
+/// product.
+fn verify_all(client: &mut Client, matrices: &[CsrMatrix], tuned: &[(u64, JobSummary)]) {
+    for (matrix, (job, _)) in matrices.iter().zip(tuned) {
         let x = vec![1.0; matrix.cols()];
         let y = client.spmv(*job, &x).expect("remote SpMV runs");
         let reference = matrix.spmv(&x).expect("reference SpMV");
         let error = alpha_suite::matrix::max_scaled_error(&y, reference.as_slice());
         assert!(error <= 1e-4, "remote SpMV drifted: {error}");
     }
-    (jobs.len(), fresh, warm)
 }
 
 /// `--metrics-addr ADDR` and `--fleet N` from the command line; anything
@@ -170,23 +177,46 @@ fn main() {
         PatternFamily::ALL.len()
     );
 
-    let mut client = Client::connect(addr).expect("observer client connects");
+    let (mut client, _) = Client::connect_as(addr, OBSERVER).expect("observer client connects");
+    let requests = |client: &mut Client| {
+        series(
+            &client.metrics().expect("metrics frame"),
+            "net_requests_total{tenant=\"0\"}",
+        )
+    };
     for wave in 1..=2 {
+        let mut clients = [left, right].map(|_| Client::connect(addr).expect("client connects"));
         let before = by_reference(&mut client);
+        let requests_before = if wave == 1 { 0 } else { requests(&mut client) };
         let start = Instant::now();
-        let ((jobs_a, fresh_a, warm_a), (jobs_b, fresh_b, warm_b)) = std::thread::scope(|scope| {
-            let a = scope.spawn(|| drive_client(addr, left));
-            let b = scope.spawn(|| drive_client(addr, right));
-            (a.join().expect("client A"), b.join().expect("client B"))
+        // Tune and wait on both clients at once, then count what that cost
+        // on the wire before any SpMV is sent.
+        let tuned: Vec<Vec<(u64, JobSummary)>> = std::thread::scope(|scope| {
+            let shares = clients.iter_mut().zip([left, right]);
+            let handles: Vec<_> = shares
+                .map(|(c, share)| scope.spawn(move || tune_all(c, share)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client"))
+                .collect()
+        });
+        let tune_requests = requests(&mut client) - requests_before;
+        std::thread::scope(|scope| {
+            for ((c, share), jobs) in clients.iter_mut().zip([left, right]).zip(&tuned) {
+                scope.spawn(move || verify_all(c, share, jobs));
+            }
         });
         let wall = start.elapsed().as_secs_f64();
-        let fresh = fresh_a + fresh_b;
+        let summaries = tuned.iter().flatten().map(|(_, summary)| summary);
+        let fresh: u64 = summaries.clone().map(|s| s.fresh_evaluations).sum();
+        let warm = summaries.filter(|s| s.warm_started).count();
         println!(
             "wave {wave}: {:>2} jobs in {wall:.2} s wall-clock",
-            jobs_a + jobs_b
+            tuned.iter().map(Vec::len).sum::<usize>()
         );
         println!("  fresh kernel evaluations: {fresh}");
-        println!("  warm-started searches:    {}", warm_a + warm_b);
+        println!("  warm-started searches:    {warm}");
         let after = by_reference(&mut client);
         let (hits, uploads) = (after.0 - before.0, after.1 - before.1);
         if wave == 1 {
@@ -199,13 +229,21 @@ fn main() {
             );
             println!("  -> 100% of the wave served from the warm store, across fresh connections");
             // Every first-wave job still holds its program: each
-            // resubmission is a digest, answered without an upload.
+            // resubmission is a digest, answered `Done` without an upload
+            // and without a poll.
             assert_eq!(
                 (hits, uploads),
                 (matrices.len() as u64, 0),
                 "every second-wave resubmission must be a hit by reference"
             );
-            println!("second wave: {hits} tunes answered by reference, {uploads} uploads");
+            assert_eq!(
+                tune_requests, hits,
+                "a tune answered by reference is one request"
+            );
+            println!(
+                "second wave: {hits} tunes answered by reference in {tune_requests} requests, \
+                 {uploads} uploads"
+            );
         }
     }
 
