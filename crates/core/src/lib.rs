@@ -44,9 +44,9 @@ use std::sync::Arc;
 /// (clones share it): candidate designs evaluated for one matrix are reused
 /// verbatim when the same matrix — or an identical copy of it — is tuned
 /// again, and re-tuning with a different budget resumes from the cached
-/// evaluations instead of re-measuring them.  With
-/// [`AlphaSparse::with_store`] the cache additionally survives process
-/// restarts.
+/// evaluations instead of re-measuring them.  The cache lives in memory;
+/// to make it survive process restarts, tune through `alpha-serve`'s
+/// `TuningService`, whose `DesignStore` owns the design files.
 ///
 /// This type is the *in-process* entry point.  To reach the same pipeline
 /// over a socket — submit a matrix from another process or machine, poll
@@ -82,7 +82,6 @@ use std::sync::Arc;
 pub struct AlphaSparse {
     config: SearchConfig,
     cache: Arc<DesignCache>,
-    store_path: Option<std::path::PathBuf>,
 }
 
 impl AlphaSparse {
@@ -107,65 +106,7 @@ impl AlphaSparse {
         AlphaSparse {
             config,
             cache: Arc::new(DesignCache::new()),
-            store_path: None,
         }
-    }
-
-    /// Makes the tuner's design cache durable at `path` (a single cache
-    /// file, created on the first save; missing parent directories are
-    /// created too).
-    ///
-    /// An existing file is loaded immediately — evaluations, winners and
-    /// warm-start pins from earlier processes replace the tuner's (empty)
-    /// cache — and every successful [`AlphaSparse::auto_tune`] writes the
-    /// grown cache back, so re-tuning a matrix in a fresh process is served
-    /// entirely from disk.  Corrupted, truncated or schema-incompatible
-    /// files are rejected with an error rather than silently ignored; delete
-    /// the file to start over.
-    ///
-    /// For serving whole fleets of matrices with an LRU memory tier and
-    /// similarity-based warm starts, use `alpha-serve`'s `DesignStore` and
-    /// `TuningService` instead — this entry point is the single-process
-    /// convenience.
-    ///
-    /// ```
-    /// use alphasparse::{AlphaSparse, DeviceProfile};
-    /// use alpha_matrix::gen;
-    ///
-    /// let path = std::env::temp_dir()
-    ///     .join(format!("alphasparse_doc_{}", std::process::id()))
-    ///     .join("designs.acds");
-    /// let matrix = gen::powerlaw(256, 256, 6, 2.0, 3);
-    ///
-    /// // First process: tunes for real and saves the cache.
-    /// let tuner = AlphaSparse::new(DeviceProfile::a100())
-    ///     .with_search_budget(8)
-    ///     .with_store(&path)
-    ///     .expect("store opens");
-    /// tuner.auto_tune(&matrix).expect("tuning succeeds");
-    ///
-    /// // "Second process": a fresh tuner answers from the stored designs.
-    /// let revived = AlphaSparse::new(DeviceProfile::a100())
-    ///     .with_search_budget(8)
-    ///     .with_store(&path)
-    ///     .expect("store opens");
-    /// let tuned = revived.auto_tune(&matrix).expect("tuning succeeds");
-    /// assert_eq!(tuned.search_stats().cache_misses, 0);
-    /// # std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    /// ```
-    pub fn with_store<P: AsRef<std::path::Path>>(mut self, path: P) -> Result<Self, String> {
-        let path = path.as_ref().to_path_buf();
-        let cache = DesignCache::load_or_empty(&path)
-            .map_err(|e| format!("cannot open design store {}: {e}", path.display()))?;
-        self.cache = Arc::new(cache);
-        self.store_path = Some(path);
-        Ok(self)
-    }
-
-    /// The durable cache file this tuner saves to, when one was configured
-    /// with [`AlphaSparse::with_store`].
-    pub fn store_path(&self) -> Option<&std::path::Path> {
-        self.store_path.as_deref()
     }
 
     /// Sets the maximum number of candidate kernels evaluated during the
@@ -220,19 +161,6 @@ impl AlphaSparse {
         self
     }
 
-    /// Enables or disables the pruning rules (Table III ablation).
-    pub fn with_pruning(mut self, enabled: bool) -> Self {
-        self.config.enable_pruning = enabled;
-        self
-    }
-
-    /// Enables or disables Model-Driven Format Compression (Figure 14c
-    /// ablation).
-    pub fn with_model_compression(mut self, enabled: bool) -> Self {
-        self.config.enable_model_compression = enabled;
-        self
-    }
-
     /// The search configuration this tuner will use.
     pub fn config(&self) -> &SearchConfig {
         &self.config
@@ -247,23 +175,13 @@ impl AlphaSparse {
 
     /// Searches the operator-graph design space for the matrix and returns
     /// the winning machine-designed SpMV program.  Candidate evaluations are
-    /// memoised in the tuner's [`DesignCache`], so repeated tuning of the
-    /// same matrix is answered from the cache.
+    /// memoised in the tuner's in-memory [`DesignCache`], so repeated tuning
+    /// of the same matrix is answered from the cache; persisting that cache
+    /// is `alpha-serve`'s job (`TuningService`, or
+    /// `DesignStore::persist_cache`).
     pub fn auto_tune(&self, matrix: &CsrMatrix) -> Result<TunedSpmv, String> {
         let outcome = alpha_search::search_with_cache(matrix, &self.config, &self.cache)?;
-        let tuned = self.rebuild(matrix, outcome)?;
-        // Save only when the tune actually learned something: a fully
-        // cache-served replay of a context whose loop is already recorded
-        // leaves the cache clean and costs no write.
-        if let Some(path) = &self.store_path {
-            if self.cache.is_dirty() {
-                self.cache
-                    .save_to_file(path)
-                    .map_err(|e| format!("cannot save design store {}: {e}", path.display()))?;
-                self.cache.mark_clean();
-            }
-        }
-        Ok(tuned)
+        self.rebuild(matrix, outcome)
     }
 
     /// Builds the ready-to-run program for a search outcome that is already
@@ -280,11 +198,12 @@ impl AlphaSparse {
     /// loop; otherwise the admissible loops
     /// are measured once ([`NativeKernel::select`]) and the winner is
     /// recorded on the design's entry in the tuner's cache — which is
-    /// thereby dirty; `auto_tune` saves it, other callers persist it as they
-    /// persist search results.  Either way the choice lands in the returned
-    /// program's own metadata, so [`TunedSpmv::kernel_shape`] names the loop
-    /// that runs and a `NativeKernel::new` twin built from
-    /// [`TunedSpmv::kernel`] and [`TunedSpmv::format`] runs it.
+    /// thereby dirty: a caller that persists the cache (`alpha-serve`'s
+    /// `DesignStore`) writes it with the search's results.  Either way the
+    /// choice lands in the returned program's own metadata, so
+    /// [`TunedSpmv::kernel_shape`] names the loop that runs and a
+    /// `NativeKernel::new` twin built from [`TunedSpmv::kernel`] and
+    /// [`TunedSpmv::format`] runs it.
     pub fn rebuild(
         &self,
         matrix: &CsrMatrix,
@@ -393,12 +312,6 @@ impl TunedSpmv {
     /// request with [`TunedSpmv::run_with_pool`].
     pub fn run(&self, x: &[Scalar]) -> Result<Vec<Scalar>, String> {
         self.native_kernel().run(x, 0)
-    }
-
-    /// [`run`](TunedSpmv::run) with an explicit worker-thread count
-    /// (0 = one per available core, 1 = serial).
-    pub fn run_with_threads(&self, x: &[Scalar], threads: usize) -> Result<Vec<Scalar>, String> {
-        self.native_kernel().run(x, threads)
     }
 
     /// [`run`](TunedSpmv::run) on an explicit persistent pool — what a
@@ -552,6 +465,7 @@ mod tests {
         let y = tuned.run(x.as_slice()).unwrap();
         let expected = matrix.spmv(x.as_slice()).unwrap();
         assert!(DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
+        assert!(tuned.evaluator().is_native(), "the default is measured");
         assert!(tuned.gflops() > 0.0);
         assert!(!tuned.source().is_empty());
         assert!(tuned.operator_graph().contains("COMPRESS"));
@@ -591,13 +505,8 @@ mod tests {
 
     #[test]
     fn builder_methods_configure_the_search() {
-        let tuner = AlphaSparse::new(DeviceProfile::rtx2080())
-            .with_search_budget(5)
-            .with_pruning(false)
-            .with_model_compression(false);
+        let tuner = AlphaSparse::new(DeviceProfile::rtx2080()).with_search_budget(5);
         assert_eq!(tuner.config().max_iterations, 5);
-        assert!(!tuner.config().enable_pruning);
-        assert!(!tuner.config().enable_model_compression);
         assert_eq!(tuner.config().device.name, "RTX2080");
     }
 
@@ -632,49 +541,6 @@ mod tests {
         let clone = tuner.clone();
         let third = clone.auto_tune(&matrix).unwrap();
         assert_eq!(third.search_stats().cache_misses, 0);
-    }
-
-    #[test]
-    fn with_store_makes_tuning_durable_across_tuner_instances() {
-        let dir = std::env::temp_dir().join(format!("alphasparse_store_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("nested/designs.acds");
-        let matrix = gen::powerlaw(384, 384, 8, 2.0, 17);
-
-        let first = AlphaSparse::new(DeviceProfile::a100())
-            .with_search_budget(12)
-            .with_store(&path)
-            .unwrap()
-            .auto_tune(&matrix)
-            .unwrap();
-        assert!(
-            first.search_stats().cache_misses > 0,
-            "cold run must search"
-        );
-        assert!(path.is_file(), "auto_tune must save the store");
-
-        // A brand-new tuner (standing in for a fresh process) loads the
-        // stored designs: the warm run is strictly cheaper — in fact free.
-        let revived = AlphaSparse::new(DeviceProfile::a100())
-            .with_search_budget(12)
-            .with_store(&path)
-            .unwrap();
-        assert_eq!(revived.store_path(), Some(path.as_path()));
-        let second = revived.auto_tune(&matrix).unwrap();
-        assert!(
-            second.search_stats().cache_misses < first.search_stats().cache_misses,
-            "warm run must cost strictly fewer fresh evaluations"
-        );
-        assert_eq!(second.search_stats().cache_misses, 0, "warm run is free");
-        assert_eq!(first.operator_graph(), second.operator_graph());
-        assert_eq!(first.gflops(), second.gflops());
-
-        // A corrupted store file is reported, not silently discarded.
-        std::fs::write(&path, b"junk").unwrap();
-        assert!(AlphaSparse::new(DeviceProfile::a100())
-            .with_store(&path)
-            .is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -731,7 +597,7 @@ mod tests {
         let bits = |y: Vec<Scalar>| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         assert_eq!(
             bits(twin.run(x.as_slice(), 1).unwrap()),
-            bits(tuned.run_with_threads(x.as_slice(), 1).unwrap())
+            bits(tuned.native_kernel().run(x.as_slice(), 1).unwrap())
         );
         let expected = matrix.spmv(x.as_slice()).unwrap();
         let y = tuned.run(x.as_slice()).unwrap();
@@ -868,82 +734,6 @@ mod tests {
             let y = again.run(x.as_slice()).unwrap();
             assert!(DenseVector::from_vec(y).approx_eq(&expected, 1e-3));
         }
-    }
-
-    #[test]
-    fn a_store_written_before_loops_were_recorded_is_upgraded_in_place() {
-        let dir = std::env::temp_dir().join(format!("alphasparse_upgrade_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("designs.acds");
-        let matrix = long_row_matrix();
-        let tuner = AlphaSparse::new(DeviceProfile::a100())
-            .with_evaluator(cost_model())
-            .with_search_budget(12);
-
-        // What the previous release wrote: the search's cache, every
-        // simulated entry and the winner without a kernel shape.
-        let old = Arc::new(DesignCache::new());
-        alpha_search::search_with_cache(&matrix, tuner.config(), &old).unwrap();
-        assert!(old.winners().iter().all(|(_, w)| w.kernel_shape.is_none()));
-        old.save_to_file(&path).unwrap();
-
-        let upgraded = tuner.clone().with_store(&path).unwrap();
-        let tuned = upgraded.auto_tune(&matrix).unwrap();
-        assert_eq!(
-            tuned.search_stats().cache_misses,
-            0,
-            "the old entries answer"
-        );
-        assert!(
-            !tuned.loop_selection().is_empty(),
-            "first use selects the loop"
-        );
-        let reloaded = DesignCache::load_from_file(&path).unwrap();
-        let (_, winner) = reloaded.winners().pop().unwrap();
-        assert!(winner.kernel_shape.is_some(), "and writes it back");
-
-        let reopened = tuner.with_store(&path).unwrap();
-        let again = reopened.auto_tune(&matrix).unwrap();
-        assert!(again.loop_selection().is_empty(), "later uses read it");
-        assert_eq!(again.kernel_shape(), tuned.kernel_shape());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn the_default_search_is_measured_and_its_store_replays_it() {
-        let dir = std::env::temp_dir().join(format!("alphasparse_default_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("designs.acds");
-        let matrix = gen::powerlaw(512, 512, 8, 2.0, 29);
-        let tuner = || {
-            AlphaSparse::with_config(SearchConfig {
-                max_iterations: 12,
-                ..SearchConfig::default()
-            })
-            .with_store(&path)
-            .unwrap()
-        };
-        let first = tuner().auto_tune(&matrix).unwrap();
-        assert!(first.evaluator().is_native(), "{:?}", first.evaluator());
-        assert!(
-            first.search_stats().cache_misses > 0,
-            "a cold tune measures"
-        );
-
-        // A fresh tuner over the same store replays the measured search from
-        // it: no candidate is timed again, and the same program runs.
-        let again = tuner().auto_tune(&matrix).unwrap();
-        assert_eq!(again.search_stats().cache_misses, 0);
-        assert_eq!(again.operator_graph(), first.operator_graph());
-        assert_eq!(again.kernel_shape(), first.kernel_shape());
-        let x = DenseVector::random(matrix.cols(), 8);
-        let bits = |y: Vec<Scalar>| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(
-            bits(again.run(x.as_slice()).unwrap()),
-            bits(first.run(x.as_slice()).unwrap())
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

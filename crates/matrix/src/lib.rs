@@ -2,9 +2,8 @@
 //!
 //! The crate provides:
 //!
-//! * the four *root formats* the paper builds on — [`CooMatrix`], [`CsrMatrix`],
-//!   [`EllMatrix`] and [`DiaMatrix`] — plus [`CscMatrix`] for column-oriented
-//!   access,
+//! * three of the paper's four *root formats* — [`CooMatrix`], [`CsrMatrix`]
+//!   and [`EllMatrix`]; the fourth, DIA, has no user here and is not built,
 //! * a Matrix Market (`.mtx`) reader/writer ([`mm`]),
 //! * matrix statistics used throughout the paper's evaluation — average row
 //!   length, row-length variance, the regular/irregular classification
@@ -20,10 +19,8 @@
 //! experimental setup of the paper.
 
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
-pub mod dia;
 mod digest;
 pub mod ell;
 pub mod gen;
@@ -33,10 +30,8 @@ pub mod stats;
 pub mod suite;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::{max_scaled_error, within_tolerance, DenseVector};
-pub use dia::DiaMatrix;
 pub use ell::EllMatrix;
 pub use hash::ContentHasher;
 pub use stats::MatrixStats;

@@ -6,6 +6,7 @@ use crate::proto::{
     JobSummary, ProtoError, Request, Response, ServerStats, TenantStats,
 };
 use alpha_matrix::{CsrMatrix, Scalar};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -125,10 +126,10 @@ pub struct Client {
     /// hasher entropy at connect, kept odd so the sequence never hits 0
     /// (0 means "untraced" on the wire).
     trace_state: u64,
-    /// The job the last [`Client::submit_tune`] was answered with already
-    /// `Done`, and its summary: what [`Client::wait_job`] of that job
-    /// returns without asking.
-    answered: Option<(u64, JobSummary)>,
+    /// Every job a [`Client::submit_tune`] was answered with already `Done`,
+    /// with its summary, until [`Client::wait_job`] of that job takes it
+    /// without asking.
+    answered: HashMap<u64, JobSummary>,
 }
 
 impl Client {
@@ -146,7 +147,7 @@ impl Client {
         Ok(Client {
             stream,
             trace_state: seed,
-            answered: None,
+            answered: HashMap::new(),
         })
     }
 
@@ -222,13 +223,12 @@ impl Client {
     /// submit of the same value costs no hashing).  A
     /// daemon still holding the program this tenant's upload of the same
     /// content built answers with a job that is already `Done`, and its
-    /// summary: the client keeps it, and [`Client::wait_job`] of that job
+    /// summary: the client keeps it until [`Client::wait_job`] of that job
     /// returns it without a round trip, so a warm tune is one request.
     /// Otherwise the daemon answers [`Response::NeedMatrix`] and the matrix
     /// is sent in full ([`Request::SubmitTune`]), to be polled.  Either way
     /// the caller gets a job id.
     pub fn submit_tune(&mut self, matrix: &CsrMatrix, device: &str) -> Result<u64, NetError> {
-        self.answered = None;
         let by_reference = Request::SubmitTuneRef {
             digest: matrix.digest(),
             rows: matrix.rows() as u64,
@@ -248,7 +248,7 @@ impl Client {
                 job_id,
                 state: JobState::Done(summary),
             } => {
-                self.answered = Some((job_id, summary));
+                self.answered.insert(job_id, summary);
                 Ok(job_id)
             }
             Response::Busy {
@@ -333,9 +333,9 @@ impl Client {
     }
 
     /// Polls `job_id` every `poll_interval` until it is terminal, then
-    /// returns its summary.  A job the last [`Client::submit_tune`] was
-    /// answered with by reference came back `Done` with its summary, which
-    /// is returned without sending a frame (once); any other job is polled,
+    /// returns its summary.  A job a [`Client::submit_tune`] was answered
+    /// with by reference came back `Done` with its summary, which is
+    /// returned without sending a frame (once); any other job is polled,
     /// the first poll at once.  A failed job is [`NetError::JobFailed`]; a
     /// job the daemon no longer knows is an [`ErrorKind::UnknownJob`] server
     /// error; exceeding `deadline` is [`NetError::Timeout`].
@@ -345,7 +345,7 @@ impl Client {
         poll_interval: Duration,
         deadline: Duration,
     ) -> Result<JobSummary, NetError> {
-        if let Some((_, summary)) = self.answered.take_if(|(answered, _)| *answered == job_id) {
+        if let Some(summary) = self.answered.remove(&job_id) {
             return Ok(summary);
         }
         let start = Instant::now();

@@ -152,7 +152,6 @@ impl From<std::io::Error> for ProtoError {
 impl From<PersistError> for ProtoError {
     fn from(e: PersistError) -> Self {
         match e {
-            PersistError::Io(e) => ProtoError::Io(e),
             PersistError::Truncated => ProtoError::Truncated,
             PersistError::Corrupt(msg) => ProtoError::Corrupt(msg),
             // The payload codec itself never produces these two; map them

@@ -1192,6 +1192,43 @@ fn a_warm_tune_by_reference_is_one_request() {
     stop(server, &dir);
 }
 
+#[test]
+fn a_batch_of_warm_tunes_by_reference_polls_none_of_them() {
+    let dir = temp_dir("digest_batch");
+    let server = isolated_daemon(&dir, ServerConfig::default());
+    let addr = server.local_addr();
+    let (mut tenant, _) = Client::connect_as(addr, 3).unwrap();
+    let matrices = [
+        gen::powerlaw(192, 160, 5, 2.0, 57),
+        gen::uniform_random(160, 192, 4, 58),
+    ];
+    for matrix in &matrices {
+        let uploaded = tenant.submit_tune(matrix, "A100").unwrap();
+        tenant.wait_job(uploaded, POLL, DEADLINE).unwrap();
+    }
+
+    let (mut observer, _) = Client::connect_as(addr, 4).unwrap();
+    let requests = |observer: &mut Client| scraped(observer, "net_requests_total{tenant=\"3\"}");
+    let before = requests(&mut observer);
+    // Both submitted before either is waited for: each hit keeps its summary.
+    let jobs: Vec<u64> = matrices
+        .iter()
+        .map(|matrix| tenant.submit_tune(matrix, "A100").unwrap())
+        .collect();
+    for job in jobs {
+        let summary = tenant.wait_job(job, POLL, DEADLINE).unwrap();
+        assert_eq!(summary.fresh_evaluations, 0);
+    }
+    assert_eq!(
+        requests(&mut observer) - before,
+        2,
+        "two warm tunes by reference are their two submissions"
+    );
+    assert_eq!(by_reference_outcomes(&mut observer), (2, 2));
+    drop((tenant, observer));
+    stop(server, &dir);
+}
+
 /// Two different matrices of one shape with one 64-bit fingerprint, and the
 /// index of an entry that differs between them.  The fingerprint's striped
 /// hash adds `lo(d ^ key) · hi(d ^ key)` per lane word `d` of a stripe, and

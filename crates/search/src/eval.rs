@@ -166,9 +166,9 @@ impl CacheStats {
 /// by serving layers to warm-start structurally similar matrices) and the
 /// **seed pins** a serving layer injected into a context's first search
 /// (replayed verbatim so repeat searches stay byte-for-byte identical and
-/// fully cache-served).  All three sections survive process restarts through
-/// [`DesignCache::save_to_file`] / [`DesignCache::load_from_file`] in
-/// [`crate::persist`].
+/// fully cache-served).  All three sections encode to bytes and back with
+/// [`DesignCache::to_bytes`] / [`DesignCache::from_bytes`] ([`crate::persist`]);
+/// `alpha-serve`'s `DesignStore` is what writes those bytes to disk.
 pub struct DesignCache {
     entries: Mutex<HashMap<CacheKey, CacheEntry>>,
     winners: Mutex<HashMap<u64, StoredDesign>>,
@@ -386,55 +386,6 @@ impl DesignCache {
             .expect("design cache poisoned")
             .get(&context_key)
             .cloned()
-    }
-
-    /// Copies every evaluation, winner and seed pin of `other` that this
-    /// cache does not already have.  Existing evaluations and pins win (a
-    /// replay must read the numbers this cache's searches ranked by, and the
-    /// pins must stay whatever its first search used); winners keep the
-    /// better design per context.  Returns the number of *evaluation*
-    /// entries added.
-    pub fn merge_from(&self, other: &DesignCache) -> usize {
-        let mut changed = false;
-        let mut added = 0;
-        {
-            let theirs = other.entries.lock().expect("design cache poisoned");
-            let mut ours = self.entries.lock().expect("design cache poisoned");
-            for (key, entry) in theirs.iter() {
-                if !ours.contains_key(key) {
-                    ours.insert(key.clone(), entry.clone());
-                    added += 1;
-                }
-            }
-            changed |= added > 0;
-        }
-        {
-            let theirs = other.winners.lock().expect("design cache poisoned");
-            let mut ours = self.winners.lock().expect("design cache poisoned");
-            for (key, design) in theirs.iter() {
-                match ours.get(key) {
-                    Some(existing) if existing.gflops >= design.gflops => {}
-                    _ => {
-                        ours.insert(*key, design.clone());
-                        changed = true;
-                    }
-                }
-            }
-        }
-        {
-            let theirs = other.seed_pins.lock().expect("design cache poisoned");
-            let mut ours = self.seed_pins.lock().expect("design cache poisoned");
-            for (key, pins) in theirs.iter() {
-                if !ours.contains_key(key) {
-                    ours.insert(*key, pins.clone());
-                    changed = true;
-                }
-            }
-        }
-        if changed {
-            self.mark_dirty();
-        }
-        added
     }
 
     /// A deep copy of the evaluation entries (used by the persistence codec

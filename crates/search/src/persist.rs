@@ -1,10 +1,13 @@
-//! Durable serialization of the [`DesignCache`]: a std-only, dependency-free
-//! binary codec that lets tuned designs survive process restarts.
+//! Serialization of the [`DesignCache`]: a std-only, dependency-free binary
+//! codec ([`DesignCache::to_bytes`] / [`DesignCache::from_bytes`]) that lets
+//! tuned designs survive process restarts.  This crate does no file I/O:
+//! `alpha-serve`'s `DesignStore` is the one writer and reader of design
+//! files, one `ctx_*.acds` per context, under its directory lock.
 //!
 //! Every process that tunes a matrix pays the search once; this
-//! module makes that cost an *investment* instead of a recurring tax.  A
-//! cache file stores three sections keyed by the same identities the
-//! in-memory cache uses:
+//! module makes that cost an *investment* instead of a recurring tax.  The
+//! bytes hold three sections keyed by the same identities the in-memory
+//! cache uses:
 //!
 //! 1. **Evaluations** — every `(context key, canonical graph signature)` →
 //!    outcome pair, including known-infeasible designs, so a reloaded cache
@@ -27,9 +30,6 @@
 use crate::eval::{DesignCache, EvaluatorId};
 use alpha_graph::{Operator, OperatorGraph};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Write};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic of a serialized design cache ("AlphaSparse Cache of Designed
 /// Spmv").
@@ -57,11 +57,9 @@ pub const CACHE_MAGIC: [u8; 4] = *b"ACDS";
 /// v7 kept the cost model's whole report (23 numbers and a device string).
 pub const CACHE_FORMAT_VERSION: u32 = 8;
 
-/// Why loading or saving a durable cache failed.
+/// Why a design cache's bytes did not decode.
 #[derive(Debug)]
 pub enum PersistError {
-    /// An underlying filesystem error.
-    Io(std::io::Error),
     /// The file does not start with the [`CACHE_MAGIC`] bytes — it is not a
     /// design cache at all.
     BadMagic,
@@ -82,7 +80,6 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "I/O error: {e}"),
             PersistError::BadMagic => write!(f, "not a design cache file (bad magic)"),
             PersistError::VersionMismatch { found, expected } => write!(
                 f,
@@ -94,20 +91,7 @@ impl std::fmt::Display for PersistError {
     }
 }
 
-impl std::error::Error for PersistError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PersistError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
+impl std::error::Error for PersistError {}
 
 /// The best design found for one evaluation context, as stored durably: the
 /// winning graph, its throughput, and the matrix feature vector a
@@ -672,69 +656,6 @@ impl DesignCache {
         cache.mark_clean();
         Ok(cache)
     }
-
-    /// Writes the cache to `path` (creating missing parent directories)
-    /// through [`write_durably`]: a crash mid-save never leaves a truncated
-    /// cache behind, and concurrent saves of the same path cannot truncate
-    /// each other's temp file — the last rename wins with a complete file
-    /// either way.
-    ///
-    /// Does not clear the dirty flag — callers that use
-    /// [`DesignCache::is_dirty`] to elide redundant saves should call
-    /// [`DesignCache::mark_clean`] after this returns `Ok`.
-    pub fn save_to_file<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        Ok(write_durably(path, &self.to_bytes())?)
-    }
-
-    /// Loads a cache previously written by [`DesignCache::save_to_file`].
-    pub fn load_from_file<P: AsRef<Path>>(path: P) -> Result<DesignCache, PersistError> {
-        let bytes = std::fs::read(path)?;
-        DesignCache::from_bytes(&bytes)
-    }
-
-    /// Like [`DesignCache::load_from_file`], but a missing file yields an
-    /// empty cache (first run against a store path that does not exist yet).
-    /// Every other failure — including corruption and version mismatch — is
-    /// still an error.
-    pub fn load_or_empty<P: AsRef<Path>>(path: P) -> Result<DesignCache, PersistError> {
-        match DesignCache::load_from_file(path) {
-            Ok(cache) => Ok(cache),
-            Err(PersistError::Io(e)) if e.kind() == ErrorKind::NotFound => Ok(DesignCache::new()),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Replaces `path` with `bytes` so that a crash leaves either the old file
-/// or the whole new one: the bytes go to a uniquely named sibling temp file,
-/// which is synced to disk and renamed over `path`, and the parent directory
-/// is synced so the rename itself is durable.  A failed write removes its
-/// temp file.
-pub fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let replaced = std::fs::File::create(&tmp)
-        .and_then(|mut file| {
-            file.write_all(bytes)?;
-            file.sync_all()
-        })
-        .and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = replaced {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    let parent = path.parent().filter(|dir| !dir.as_os_str().is_empty());
-    std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 #[cfg(test)]
@@ -877,53 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_through_a_file_with_missing_parents() {
-        let dir = std::env::temp_dir()
-            .join("alpha_persist_test")
-            .join(format!("pid_{}", std::process::id()))
-            .join("deep/nested");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("cache.acds");
-        let cache = populated_cache();
-        cache.save_to_file(&path).expect("parents are created");
-        let reloaded = DesignCache::load_from_file(&path).unwrap();
-        assert_eq!(cache.entries_snapshot(), reloaded.entries_snapshot());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_save_whose_rename_fails_leaves_no_temp_file() {
-        let dir =
-            std::env::temp_dir().join(format!("alpha_persist_blocked_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // A directory where the cache file should go: the rename over it fails.
-        let path = dir.join("cache.acds");
-        std::fs::create_dir_all(&path).unwrap();
-        assert!(populated_cache().save_to_file(&path).is_err());
-        let entries = std::fs::read_dir(&dir).unwrap();
-        let left: Vec<_> = entries.map(|e| e.unwrap().file_name()).collect();
-        assert_eq!(left, ["cache.acds"], "only the blocking directory is left");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_or_empty_tolerates_only_missing_files() {
-        let missing = std::env::temp_dir().join("alpha_persist_missing/nope.acds");
-        let cache = DesignCache::load_or_empty(&missing).unwrap();
-        assert!(cache.is_empty());
-
-        let dir = std::env::temp_dir().join(format!("alpha_persist_junk_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let junk = dir.join("junk.acds");
-        std::fs::write(&junk, b"not a cache").unwrap();
-        assert!(matches!(
-            DesignCache::load_or_empty(&junk),
-            Err(PersistError::BadMagic)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn wrong_magic_is_rejected() {
         let mut bytes = populated_cache().to_bytes();
         bytes[0] = b'X';
@@ -985,10 +859,7 @@ mod tests {
         };
         let word =
             |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let decode = |bytes: &[u8]| match DesignCache::from_bytes(bytes) {
-            Err(PersistError::Io(e)) => panic!("a decode does no I/O: {e}"),
-            other => other.map(|_| ()),
-        };
+        let decode = |bytes: &[u8]| DesignCache::from_bytes(bytes).map(|_| ());
         for len in 0..bytes.len() {
             assert!(decode(&bytes[..len]).is_err(), "truncated at {len}");
         }
@@ -1069,30 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_evaluations_winners_and_pins() {
-        let a = populated_cache();
-        let b = DesignCache::new();
-        b.record_winner(
-            99,
-            StoredDesign {
-                graph: presets::sell_like(),
-                gflops: 55.0,
-                matrix_features: vec![0.5],
-                evaluator: EvaluatorId::Simulated,
-                kernel_shape: None,
-            },
-        );
-        b.pin_seed_designs(99, vec![presets::sell_like()]);
-        let merged_new = b.merge_from(&a);
-        assert_eq!(merged_new, a.len());
-        assert_eq!(b.len(), a.len());
-        assert_eq!(b.winners().len(), a.winners().len() + 1);
-        // Existing entries are kept: merging again adds nothing.
-        assert_eq!(b.merge_from(&a), 0);
-        assert!(b.winner(99).is_some());
-    }
-
-    #[test]
     fn dirty_tracking_elides_redundant_saves() {
         let cache = DesignCache::new();
         assert!(!cache.is_dirty(), "fresh cache is clean");
@@ -1108,18 +955,9 @@ mod tests {
         cache.mark_clean();
         cache.record_winner(1, winner.clone());
         assert!(!cache.is_dirty(), "identical replay writes nothing new");
-        // Loading is clean; merging nothing is clean; merging something is not.
+        // Loading is clean.
         let loaded = DesignCache::from_bytes(&cache.to_bytes()).unwrap();
         assert!(!loaded.is_dirty(), "loaded cache matches its file");
-        assert_eq!(loaded.merge_from(&cache), 0);
-        assert!(!loaded.is_dirty(), "no-op merge stays clean");
-        let other = DesignCache::new();
-        other.record_winner(2, winner);
-        loaded.merge_from(&other);
-        assert!(
-            loaded.is_dirty(),
-            "absorbing a new winner dirties the cache"
-        );
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! synchronised — this is what tests and multi-service processes do),
 //! tracked by a reference count over one shared lock handle.  A lock held
 //! by a different process surfaces as the typed
-//! [`StoreError::Locked`](crate::StoreError) error.
+//! [`StoreError::Locked`](crate::StoreError) error.  A lock that names this
+//! process although none of its stores holds it is a child's that another
+//! thread spawned and that has not exec'd yet (it inherited the handle's
+//! file description): a re-open waits that out, up to one second.
 //!
 //! The lock file's *content* (the holder's PID) is informational only — it
 //! makes the `Locked` error actionable.  The file itself is left in place
@@ -28,9 +31,14 @@ use std::fs::{File, TryLockError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// File name of the lock marker inside a store directory.
 pub const LOCK_FILE_NAME: &str = "store.lock";
+
+/// How long a re-acquisition waits out a lock that names this process: a
+/// child another thread spawned holds it only until it execs.
+const INHERITED_LOCK_WAIT: Duration = Duration::from_secs(1);
 
 struct HeldEntry {
     /// Open stores of this process sharing the lock.
@@ -85,7 +93,25 @@ impl StoreLock {
             .create(true)
             .truncate(false)
             .open(&lock_path)?;
-        match file.try_lock() {
+        let recorded_pid = || {
+            std::fs::read_to_string(&lock_path)
+                .ok()
+                .and_then(|s| s.trim().parse::<u32>().ok())
+                .unwrap_or(0)
+        };
+        // A lock that names this process while none of its stores holds it
+        // is held by a child spawned between fork and exec, which inherited
+        // our lock's file description: it lets go when it execs, so wait.
+        let deadline = Instant::now() + INHERITED_LOCK_WAIT;
+        let mut attempt = file.try_lock();
+        while matches!(attempt, Err(TryLockError::WouldBlock))
+            && Instant::now() < deadline
+            && recorded_pid() == std::process::id()
+        {
+            std::thread::sleep(Duration::from_millis(2));
+            attempt = file.try_lock();
+        }
+        match attempt {
             Ok(()) => {
                 // Lock won: record our PID for the *other* side's error
                 // message (best-effort — the lock itself is the kernel's).
@@ -101,13 +127,7 @@ impl StoreLock {
                 );
                 Ok(StoreLock { key })
             }
-            Err(TryLockError::WouldBlock) => {
-                let pid = std::fs::read_to_string(&lock_path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok())
-                    .unwrap_or(0);
-                Err(std::io::Error::other(LockOwner(pid)))
-            }
+            Err(TryLockError::WouldBlock) => Err(std::io::Error::other(LockOwner(recorded_pid()))),
             Err(TryLockError::Error(e)) => Err(e),
         }
     }
@@ -226,6 +246,27 @@ mod tests {
         // The moment the "other process" lets go, acquisition succeeds.
         drop(foreign);
         let _lock = StoreLock::acquire(&root).expect("released lock is acquirable");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_lock_our_own_child_still_inherits_is_waited_out() {
+        // A child spawned between fork and exec shares the lock's file
+        // description; a clone of the held handle stands in for it.
+        let root = temp_root("inherited");
+        let lock = StoreLock::acquire(&root).unwrap();
+        let inherited = {
+            let held = held_locks().lock().unwrap();
+            held[&lock.key]._file.try_clone().unwrap()
+        };
+        drop(lock);
+        assert!(is_kernel_locked(&root), "the child still holds it");
+        let child = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            drop(inherited);
+        });
+        let _lock = StoreLock::acquire(&root).expect("our own lock is waited out");
+        child.join().unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
 

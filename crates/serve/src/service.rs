@@ -1164,6 +1164,78 @@ mod tests {
     }
 
     #[test]
+    fn a_store_written_before_loops_were_recorded_is_upgraded_in_place() {
+        let dir = temp_dir("loop_upgrade");
+        let config = SearchConfig {
+            evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, SimEvaluator::boxed),
+            ..quick_config(12)
+        };
+        let request = TuneRequest::new(gen::powerlaw(256, 256, 6, 2.0, 67), DeviceProfile::a100());
+        let batch = std::slice::from_ref(&request);
+        let eval_key = context_key_for(
+            &request.matrix,
+            &request.device,
+            GeneratorOptions {
+                model_compression: config.enable_model_compression,
+            },
+            config.seed,
+            config.evaluator.id(),
+        );
+
+        // What a release before loops were recorded wrote through the store:
+        // the context's pins, its search's entries and a winner with no loop.
+        let store_key = {
+            let service = counted_service(&dir, config.clone(), 8);
+            let store_key = service.store_key(eval_key);
+            let cache = service.store().cache_for(store_key).unwrap();
+            cache.pin_seed_designs(store_key, Vec::new());
+            let mut direct = config.clone();
+            direct.device = request.device.clone();
+            alpha_search::search_with_cache(&request.matrix, &direct, &cache).unwrap();
+            assert!(cache.winner(eval_key).unwrap().kernel_shape.is_none());
+            assert!(service.store().persist_cache(store_key, &cache).unwrap());
+            store_key
+        };
+
+        // The first tune answers from the old entries and selects the loop.
+        let service = counted_service(&dir, config.clone(), 8);
+        let tuned = service.tune_batch(batch).pop().unwrap().unwrap();
+        assert_eq!(tuned.fresh_evaluations, 0, "the old entries answer");
+        assert_eq!(path_counts(&service), (1, 0, 0));
+        assert!(
+            !tuned.tuned.loop_selection().is_empty(),
+            "first use selects the loop"
+        );
+        assert_eq!(loop_selections(&service), 1);
+        drop(service);
+
+        // The label was written back to the context's file...
+        let store =
+            DesignStore::open_with_registry(&dir, alpha_telemetry::Registry::new()).unwrap();
+        let cache = store.cache_for(store_key).unwrap();
+        assert_eq!(store.stats().disk_loads, 1);
+        let label = cache.winner(eval_key).unwrap().kernel_shape;
+        assert_eq!(
+            label,
+            Some(tuned.tuned.kernel_shape()),
+            "and writes it back"
+        );
+
+        // ...and a reopened store reads it: nothing is measured again.
+        let service = TuningService::new(store, config);
+        let again = service.tune_batch(batch).pop().unwrap().unwrap();
+        assert!(
+            again.tuned.loop_selection().is_empty(),
+            "later uses read it"
+        );
+        assert_eq!(again.tuned.kernel_shape(), tuned.tuned.kernel_shape());
+        assert_eq!(path_counts(&service), (1, 0, 0));
+        assert_eq!(loop_selections(&service), 0);
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_repeat_request_gets_the_program_a_holder_still_has() {
         let dir = temp_dir("resident");
         let config = SearchConfig {

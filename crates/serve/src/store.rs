@@ -2,11 +2,13 @@
 //! layout and an LRU in-memory tier.
 
 use crate::lock::StoreLock;
-use alpha_search::persist::{write_durably, PersistError, CACHE_MAGIC};
+use alpha_search::persist::{PersistError, CACHE_MAGIC};
 use alpha_search::{DesignCache, StoredDesign, CACHE_FORMAT_VERSION};
 use alpha_telemetry::{Counter, Registry};
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Layout version string written to (and checked against) the store's
@@ -29,9 +31,8 @@ const DEFAULT_CAPACITY: usize = 64;
 pub enum StoreError {
     /// An underlying filesystem error.
     Io(std::io::Error),
-    /// A cache file could not be read or written, or does not decode and
-    /// is not torn (a foreign magic, or a schema version this build does
-    /// not read).
+    /// A cache file does not decode and is not torn (a foreign magic, or a
+    /// schema version this build does not read).
     Persist(PersistError),
     /// The directory exists but was written by an incompatible store layout.
     Layout {
@@ -316,7 +317,7 @@ impl DesignStore {
     /// Writes `cache` to `context_key`'s file, marks it clean, and keeps the
     /// winner index current.  Must not be called while holding either lock.
     fn save_cache_file(&self, context_key: u64, cache: &DesignCache) -> Result<(), StoreError> {
-        cache.save_to_file(self.context_file(context_key))?;
+        save_to_file(cache, &self.context_file(context_key))?;
         cache.mark_clean();
         self.note_winners(context_key, cache);
         Ok(())
@@ -497,7 +498,7 @@ impl DesignStore {
         }
         let mut map = HashMap::with_capacity(disk_keys.len());
         for (key, path) in disk_keys {
-            if let Ok(cache) = DesignCache::load_from_file(&path) {
+            if let Ok(cache) = load_from_file(&path) {
                 map.insert(key, cache.winners());
             }
         }
@@ -512,7 +513,7 @@ impl DesignStore {
 /// Reads one context file: `None` when there is nothing to load — no file,
 /// or a torn one (see [`is_torn`]) — else the decoded cache, or the typed
 /// error of a file this build did not write.
-fn load_context(path: &Path) -> Result<Option<DesignCache>, PersistError> {
+fn load_context(path: &Path) -> Result<Option<DesignCache>, StoreError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -521,7 +522,7 @@ fn load_context(path: &Path) -> Result<Option<DesignCache>, PersistError> {
     match DesignCache::from_bytes(&bytes) {
         Ok(cache) => Ok(Some(cache)),
         Err(e) if is_torn(&bytes, &e) => Ok(None),
-        Err(e) => Err(e),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -536,8 +537,52 @@ fn is_torn(bytes: &[u8], error: &PersistError) -> bool {
         PersistError::BadMagic => [CACHE_MAGIC, CACHE_FORMAT_VERSION.to_le_bytes()]
             .concat()
             .starts_with(bytes),
-        PersistError::Io(_) | PersistError::VersionMismatch { .. } => false,
+        PersistError::VersionMismatch { .. } => false,
     }
+}
+
+/// Writes `cache` to `path` (creating missing parent directories) through
+/// [`write_durably`]: a crash mid-save never leaves a truncated cache
+/// behind.  Does not clear the cache's dirty flag.
+fn save_to_file(cache: &DesignCache, path: &Path) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    write_durably(path, &cache.to_bytes())
+}
+
+/// Loads a cache written by [`save_to_file`].
+fn load_from_file(path: &Path) -> Result<DesignCache, StoreError> {
+    Ok(DesignCache::from_bytes(&std::fs::read(path)?)?)
+}
+
+/// Replaces `path` with `bytes` so that a crash leaves either the old file
+/// or the whole new one: the bytes go to a uniquely named sibling temp file,
+/// which is synced to disk and renamed over `path`, and the parent directory
+/// is synced so the rename itself is durable.  Concurrent saves of one path
+/// cannot truncate each other's temp file, and a failed write removes its
+/// own.
+fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let replaced = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = replaced {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    let parent = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 impl std::fmt::Debug for DesignStore {
@@ -1048,6 +1093,38 @@ mod tests {
             assert_eq!(store.resident_contexts(), 0);
             assert_eq!(std::fs::read(&file).unwrap(), bytes);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cache with a winner and a seed pin, to write through a file.
+    fn populated_cache() -> DesignCache {
+        let cache = DesignCache::new();
+        cache.record_winner(7, design(123.5));
+        cache.pin_seed_designs(7, vec![presets::csr_scalar(), presets::sell_like()]);
+        cache
+    }
+
+    #[test]
+    fn save_and_load_through_a_file_with_missing_parents() {
+        let dir = temp_store_dir("missing_parents");
+        let path = dir.join("deep/nested/cache.acds");
+        let cache = populated_cache();
+        save_to_file(&cache, &path).expect("parents are created");
+        let reloaded = load_from_file(&path).unwrap();
+        assert_eq!(reloaded.to_bytes(), cache.to_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_save_whose_rename_fails_leaves_no_temp_file() {
+        let dir = temp_store_dir("blocked");
+        // A directory where the cache file should go: the rename over it fails.
+        let path = dir.join("cache.acds");
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(save_to_file(&populated_cache(), &path).is_err());
+        let entries = std::fs::read_dir(&dir).unwrap();
+        let left: Vec<_> = entries.map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["cache.acds"], "only the blocking directory is left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

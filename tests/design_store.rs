@@ -105,32 +105,3 @@ fn served_designs_compute_correct_spmv() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn core_store_file_and_serve_store_interoperate_via_merge() {
-    // AlphaSparse::with_store writes a single cache file; a DesignStore
-    // keeps one file per context.  Both speak the same ACDS codec, so a
-    // store-wide cache can absorb a with_store file through merge_from.
-    use alpha_suite::alphasparse::AlphaSparse;
-    use alpha_suite::search::DesignCache;
-
-    let dir = temp_dir("interop");
-    let file = dir.join("solo.acds");
-    let matrix = gen::powerlaw(512, 512, 6, 2.0, 77);
-    AlphaSparse::new(DeviceProfile::a100())
-        .with_search_budget(10)
-        .with_store(&file)
-        .unwrap()
-        .auto_tune(&matrix)
-        .unwrap();
-
-    let solo = DesignCache::load_from_file(&file).unwrap();
-    assert!(!solo.is_empty());
-    assert_eq!(solo.winners().len(), 1);
-
-    let shared = DesignCache::new();
-    let added = shared.merge_from(&solo);
-    assert_eq!(added, solo.len());
-    assert_eq!(shared.winners().len(), 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
