@@ -252,7 +252,7 @@ const SECONDS_PER_REAL_ITERATION: f64 = 60.0;
 /// The paper-equivalent hours of one search: its evaluations at
 /// [`SECONDS_PER_REAL_ITERATION`] each.
 fn search_hours(stats: &SearchStats) -> f64 {
-    (stats.iterations + stats.ml_evaluations) as f64 * SECONDS_PER_REAL_ITERATION / 3600.0
+    (stats.iterations + stats.refinements) as f64 * SECONDS_PER_REAL_ITERATION / 3600.0
 }
 
 /// Table III: search time and winner quality with and without pruning, the

@@ -219,10 +219,34 @@ pub struct Evaluation {
 pub trait Evaluator: Send + Sync {
     /// Evaluates a single candidate.
     fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation>;
+
+    /// The search's third level: given the level-1 `structures` and every
+    /// level-2 candidate with its reading (`None` where it was infeasible),
+    /// proposes a few more candidates, none of them a level-2 one, for the
+    /// search to evaluate.  The default proposes nothing, so a search under
+    /// it stops at level 2; `alpha-gpu`'s cost model interpolates its
+    /// readings onto the fine parameter grid (paper Section VI-A).
+    fn refine(
+        &self,
+        _ctx: &EvalContext<'_>,
+        _structures: &[OperatorGraph],
+        _level2: &[(OperatorGraph, Option<f64>)],
+    ) -> Vec<OperatorGraph> {
+        Vec::new()
+    }
 }
 
 impl Evaluator for Box<dyn Evaluator> {
     fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
         (**self).evaluate(ctx, graph)
+    }
+
+    fn refine(
+        &self,
+        ctx: &EvalContext<'_>,
+        structures: &[OperatorGraph],
+        level2: &[(OperatorGraph, Option<f64>)],
+    ) -> Vec<OperatorGraph> {
+        (**self).refine(ctx, structures, level2)
     }
 }

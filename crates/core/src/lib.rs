@@ -424,8 +424,8 @@ impl TunedSpmv {
         &self.generated.kernel
     }
 
-    /// Search statistics (iterations, pruning, cache hits, the cost model's
-    /// level-3 predictions and picks).
+    /// Search statistics (iterations, pruning, cache hits, and the level-3
+    /// picks of the evaluator's hook, which only the cost model makes).
     pub fn search_stats(&self) -> &SearchStats {
         &self.outcome.stats
     }

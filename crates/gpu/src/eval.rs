@@ -3,10 +3,12 @@
 //! SimEvaluator::boxed)`: the search links no simulator unless its caller
 //! does.
 
-use crate::{GpuSim, SimKernel};
+use crate::{refine, GpuSim, SimKernel};
 use alpha_codegen::{generate_with, DeviceProfile, EvalContext, Evaluation, Evaluator};
 use alpha_graph::OperatorGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// The cost-model ground truth: generate the format + kernel, run it on the
 /// simulator, verify against the reference.
@@ -57,6 +59,85 @@ impl Evaluator for SimEvaluator {
             cached: false,
             kernel_shape: None,
         })
+    }
+
+    fn refine(
+        &self,
+        ctx: &EvalContext<'_>,
+        structures: &[OperatorGraph],
+        level2: &[(OperatorGraph, Option<f64>)],
+    ) -> Vec<OperatorGraph> {
+        refine::fine_grid_picks(ctx.matrix, structures, level2)
+    }
+}
+
+/// A test double: the cost model behind a gate that records the most
+/// evaluations it ever held at once and, while closed, holds each one.
+#[derive(Default)]
+pub struct GatedSim {
+    /// (closed, evaluations inside, the most there ever were).
+    state: Mutex<(bool, usize, usize)>,
+    changed: Condvar,
+}
+
+/// The gate's lock is held only to update its counters, never across a call.
+const POISONED: &str = "no panic while the gate's counters are locked";
+
+impl GatedSim {
+    /// The cost model on `device` behind this gate, its level-3 hook too.
+    pub fn evaluator(self: &Arc<Self>, device: &DeviceProfile) -> Box<dyn Evaluator> {
+        Box::new(Gated(self.clone(), SimEvaluator::new(device.clone())))
+    }
+
+    /// Closes the gate, or opens it and lets the held evaluations go.
+    pub fn set_closed(&self, closed: bool) {
+        self.state().0 = closed;
+        self.changed.notify_all();
+    }
+
+    /// True once an evaluation is inside the gate, false when none is by
+    /// `deadline`.
+    pub fn holds_one(&self, deadline: Duration) -> bool {
+        let held = self
+            .changed
+            .wait_timeout_while(self.state(), deadline, |s| s.1 == 0);
+        held.expect(POISONED).0 .1 > 0
+    }
+
+    /// The most evaluations that were ever inside the gate at once.
+    pub fn widest(&self) -> usize {
+        self.state().2
+    }
+
+    fn state(&self) -> MutexGuard<'_, (bool, usize, usize)> {
+        self.state.lock().expect(POISONED)
+    }
+}
+
+struct Gated(Arc<GatedSim>, SimEvaluator);
+
+impl Evaluator for Gated {
+    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
+        let gate = &self.0;
+        let mut state = gate.state();
+        state.1 += 1;
+        state.2 = state.2.max(state.1);
+        gate.changed.notify_all();
+        drop(gate.changed.wait_while(state, |s| s.0).expect(POISONED));
+        // Stay inside long enough for a concurrent call to show.
+        std::thread::sleep(Duration::from_micros(300));
+        let evaluation = self.1.evaluate(ctx, graph);
+        gate.state().1 -= 1;
+        evaluation
+    }
+
+    fn refine(
+        &self,
+        ctx: &EvalContext<'_>,
+        structures: &[OperatorGraph],
+        level2: &[(OperatorGraph, Option<f64>)],
+    ) -> Vec<OperatorGraph> {
+        self.1.refine(ctx, structures, level2)
     }
 }
 

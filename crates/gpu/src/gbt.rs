@@ -1,68 +1,44 @@
-//! Gradient-boosted regression trees: the cost model used by the Search
-//! Engine's third level to interpolate measured performance onto the fine
-//! parameter grid (the paper's XGBoost substitute).
+//! Gradient-boosted regression trees: the model that interpolates the cost
+//! model's coarse-grid readings onto the fine parameter grid (the paper's
+//! XGBoost substitute).
 
-use crate::ml::Sample;
+use crate::features::Sample;
 use crate::tree::RegressionTree;
 
-/// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GbtConfig {
-    /// Number of boosting rounds.
-    pub rounds: usize,
-    /// Shrinkage applied to every tree's contribution.
-    pub learning_rate: f64,
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Minimum samples needed to split a node.
-    pub min_samples_split: usize,
-}
-
-impl Default for GbtConfig {
-    fn default() -> Self {
-        GbtConfig {
-            rounds: 40,
-            learning_rate: 0.2,
-            max_depth: 4,
-            min_samples_split: 4,
-        }
-    }
-}
+/// Shrinkage applied to every tree's contribution.
+const LEARNING_RATE: f64 = 0.2;
+/// Deepest tree of the ensemble.
+const MAX_DEPTH: usize = 4;
+/// Fewest samples a node needs to split.
+const MIN_SAMPLES_SPLIT: usize = 4;
 
 /// A gradient-boosting ensemble for least-squares regression.
 #[derive(Debug, Clone)]
 pub struct GradientBoostedTrees {
     base: f64,
     trees: Vec<RegressionTree>,
-    learning_rate: f64,
 }
 
 impl GradientBoostedTrees {
-    /// Fits the ensemble.
-    pub fn fit(samples: &[Sample], config: GbtConfig) -> Self {
-        let base = if samples.is_empty() {
-            0.0
-        } else {
-            samples.iter().map(|s| s.target).sum::<f64>() / samples.len() as f64
-        };
+    /// Fits an ensemble of `rounds` trees.
+    pub fn fit(samples: &[Sample], rounds: usize) -> Self {
         let mut model = GradientBoostedTrees {
-            base,
-            trees: Vec::with_capacity(config.rounds),
-            learning_rate: config.learning_rate,
+            base: 0.0,
+            trees: Vec::with_capacity(rounds),
         };
         if samples.is_empty() {
             return model;
         }
-        let mut residuals: Vec<f64> = samples.iter().map(|s| s.target - base).collect();
-        for _ in 0..config.rounds {
-            let stage: Vec<Sample> = samples
-                .iter()
-                .zip(&residuals)
-                .map(|(s, &r)| Sample::new(s.features.clone(), r))
-                .collect();
-            let tree = RegressionTree::fit(&stage, config.max_depth, config.min_samples_split);
-            for (sample, residual) in samples.iter().zip(residuals.iter_mut()) {
-                *residual -= config.learning_rate * tree.predict(&sample.features);
+        model.base = samples.iter().map(|s| s.target).sum::<f64>() / samples.len() as f64;
+        // Each round fits a tree to the residuals the ensemble leaves so far.
+        let mut stage = samples.to_vec();
+        for sample in &mut stage {
+            sample.target -= model.base;
+        }
+        for _ in 0..rounds {
+            let tree = RegressionTree::fit(&stage, MAX_DEPTH, MIN_SAMPLES_SPLIT);
+            for sample in &mut stage {
+                sample.target -= LEARNING_RATE * tree.predict(&sample.features);
             }
             model.trees.push(tree);
         }
@@ -75,7 +51,7 @@ impl GradientBoostedTrees {
             + self
                 .trees
                 .iter()
-                .map(|t| self.learning_rate * t.predict(features))
+                .map(|t| LEARNING_RATE * t.predict(features))
                 .sum::<f64>()
     }
 
@@ -88,7 +64,18 @@ impl GradientBoostedTrees {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ml::relative_mean_absolute_deviation;
+    use crate::refine::ROUNDS;
+
+    /// Mean absolute deviation relative to the mean target — the metric the
+    /// paper quotes (about 5 % for its XGBoost interpolation).
+    fn relative_mean_absolute_deviation(predictions: &[f64], targets: &[f64]) -> f64 {
+        let deviation: f64 = predictions
+            .iter()
+            .zip(targets)
+            .map(|(p, t)| (p - t).abs())
+            .sum();
+        deviation / targets.iter().map(|t| t.abs()).sum::<f64>()
+    }
 
     fn cost_surface(a: f64, b: f64) -> f64 {
         // A memory-bound-like cost surface: piecewise trends with an
@@ -113,14 +100,8 @@ mod tests {
     #[test]
     fn boosting_reduces_error_over_single_tree() {
         let samples = training_grid();
-        let single = GradientBoostedTrees::fit(
-            &samples,
-            GbtConfig {
-                rounds: 1,
-                ..Default::default()
-            },
-        );
-        let full = GradientBoostedTrees::fit(&samples, GbtConfig::default());
+        let single = GradientBoostedTrees::fit(&samples, 1);
+        let full = GradientBoostedTrees::fit(&samples, ROUNDS);
         let err = |m: &GradientBoostedTrees| {
             let preds: Vec<f64> = samples.iter().map(|s| m.predict(&s.features)).collect();
             let targets: Vec<f64> = samples.iter().map(|s| s.target).collect();
@@ -147,7 +128,7 @@ mod tests {
             .filter(|s| s.features[0] as usize % 2 == 1 || s.features[1] as usize % 2 == 1)
             .cloned()
             .collect();
-        let model = GradientBoostedTrees::fit(&train, GbtConfig::default());
+        let model = GradientBoostedTrees::fit(&train, ROUNDS);
         let preds: Vec<f64> = test.iter().map(|s| model.predict(&s.features)).collect();
         let targets: Vec<f64> = test.iter().map(|s| s.target).collect();
         let rmad = relative_mean_absolute_deviation(&preds, &targets);
@@ -156,20 +137,14 @@ mod tests {
 
     #[test]
     fn empty_training_set_predicts_zero() {
-        let model = GradientBoostedTrees::fit(&[], GbtConfig::default());
+        let model = GradientBoostedTrees::fit(&[], ROUNDS);
         assert_eq!(model.predict(&[1.0, 2.0]), 0.0);
         assert_eq!(model.rounds(), 0);
     }
 
     #[test]
     fn rounds_match_config() {
-        let model = GradientBoostedTrees::fit(
-            &training_grid(),
-            GbtConfig {
-                rounds: 7,
-                ..Default::default()
-            },
-        );
+        let model = GradientBoostedTrees::fit(&training_grid(), 7);
         assert_eq!(model.rounds(), 7);
     }
 }

@@ -24,23 +24,28 @@
 //! the only crate that computes them; [`DeviceProfile`] and [`WARP_SIZE`]
 //! are `alpha-codegen`'s, re-exported.  A generated kernel runs as a
 //! [`SimKernel`]; the cost model ranks candidates as the plugged-in
-//! [`SimEvaluator`], which hands the search its report's GFLOP/s.  No
-//! serving crate links this crate.
+//! [`SimEvaluator`], which hands the search its report's GFLOP/s and picks
+//! the search's level-3 candidates ([`refine`]).  No serving crate links
+//! this crate.
 
 pub mod context;
 pub mod cost;
 pub mod counters;
 pub mod eval;
+mod features;
+mod gbt;
 pub mod kernel;
 pub mod launch;
 pub mod memory;
+pub mod refine;
 pub mod sim;
+mod tree;
 
 pub use alpha_codegen::{DeviceProfile, WARP_SIZE};
 pub use context::BlockContext;
 pub use cost::PerfReport;
 pub use counters::KernelCounters;
-pub use eval::SimEvaluator;
+pub use eval::{GatedSim, SimEvaluator};
 pub use kernel::{ReferenceCsrKernel, SimKernel, SpmvKernel};
 pub use launch::LaunchConfig;
 pub use sim::{GpuSim, SimResult};

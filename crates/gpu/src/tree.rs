@@ -1,7 +1,7 @@
 //! A regression tree with exact greedy splits on squared error — the weak
 //! learner of the gradient-boosting ensemble.
 
-use crate::ml::Sample;
+use crate::features::Sample;
 
 /// A node of the regression tree (stored in a flat arena).
 #[derive(Debug, Clone)]
@@ -77,13 +77,10 @@ impl RegressionTree {
             self.nodes.push(Node::Leaf { value: mean });
             return node_index;
         };
+        // Both sides are non-empty: `best_split` returns no other split.
         let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
             .iter()
             .partition(|&&i| samples[i].features.get(feature).copied().unwrap_or(0.0) < threshold);
-        if left_idx.is_empty() || right_idx.is_empty() {
-            self.nodes.push(Node::Leaf { value: mean });
-            return node_index;
-        }
         // Reserve the slot, then build children.
         self.nodes.push(Node::Leaf { value: mean });
         let left = self.build(samples, &left_idx, depth + 1);

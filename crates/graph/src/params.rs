@@ -6,8 +6,9 @@
 //! generated kernels, then interpolates onto the *fine* grid with the ML cost
 //! model (paper Section VI-A).  This module names the parameters, exposes the
 //! two grids, and can rebuild an operator with substituted parameter values —
-//! which is how parameter mutation is implemented generically.
+//! which is how a graph's parameter variants are built generically.
 
+use crate::graph::OperatorGraph;
 use crate::operator::Operator;
 
 /// The kinds of tunable operator parameters.
@@ -118,6 +119,55 @@ pub fn with_param(op: &Operator, value: usize) -> Operator {
     }
 }
 
+/// The parameter variants of `graph` on the coarse grid, or with `fine` on
+/// the fine one: every parameterised operator swept over its grid one at a
+/// time, the base graph first.  A branch parameter changes in every branch
+/// at once, which keeps branched designs symmetric.
+pub fn parameter_variants(graph: &OperatorGraph, fine: bool) -> Vec<OperatorGraph> {
+    let grid = |kind: ParamKind| -> Vec<usize> {
+        if fine {
+            kind.fine_grid()
+        } else {
+            kind.coarse_grid().to_vec()
+        }
+    };
+    let mut variants = vec![graph.clone()];
+    for (i, op) in graph.converting.iter().enumerate() {
+        for &(kind, current) in &operator_params(op) {
+            for value in grid(kind).into_iter().filter(|&v| v != current) {
+                let mut variant = graph.clone();
+                variant.converting[i] = with_param(op, value);
+                // Partition-count changes require matching branch counts.
+                let expected = variant.expected_branches();
+                if variant.branches.len() != expected {
+                    let template = variant.branches[0].clone();
+                    variant.branches = vec![template; expected];
+                }
+                if variant.validate().is_ok() {
+                    variants.push(variant);
+                }
+            }
+        }
+    }
+    let branch_len = graph.branches.first().map(|b| b.len()).unwrap_or(0);
+    for pos in 0..branch_len {
+        for &(kind, current) in &operator_params(&graph.branches[0][pos]) {
+            for value in grid(kind).into_iter().filter(|&v| v != current) {
+                let mut variant = graph.clone();
+                for branch in &mut variant.branches {
+                    if pos < branch.len() {
+                        branch[pos] = with_param(&branch[pos], value);
+                    }
+                }
+                if variant.validate().is_ok() {
+                    variants.push(variant);
+                }
+            }
+        }
+    }
+    variants
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +211,14 @@ mod tests {
             }
             assert!(fine.len() > kind.coarse_grid().len());
         }
+    }
+
+    #[test]
+    fn fine_variants_are_a_superset_of_coarse() {
+        let graph = crate::presets::sell_like();
+        let coarse = parameter_variants(&graph, false);
+        let fine = parameter_variants(&graph, true);
+        assert!(fine.len() > coarse.len());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! control, job-table GC, cross-connection warm-store hits, an event loop
 //! that answers while a tune is held, and clean shutdown.
 
-use alpha_gpu::SimEvaluator;
+use alpha_gpu::GatedSim;
 use alpha_matrix::gen;
 use alpha_net::proto::{
     decode_response, encode_request_traced, read_frame, request_frame, write_frame, Request,
@@ -13,12 +13,11 @@ use alpha_net::{
 };
 use alpha_serve::{DesignStore, TuningService};
 use alpha_telemetry::FlightKind;
-use alphasparse::graph::OperatorGraph;
-use alphasparse::{EvalContext, Evaluation, Evaluator, EvaluatorChoice, EvaluatorId, SearchConfig};
+use alphasparse::{EvaluatorChoice, EvaluatorId, SearchConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const POLL: Duration = Duration::from_millis(5);
@@ -1381,69 +1380,14 @@ fn a_burst_of_hits_does_not_evict_another_tenants_finished_job() {
     stop(server, &dir);
 }
 
-/// A gate a test closes to hold tunes inside their search: while it is
-/// closed, every evaluation waits at it.
-#[derive(Default)]
-struct Gate {
-    /// (closed, evaluations held).
-    state: Mutex<(bool, usize)>,
-    changed: Condvar,
-}
-
-impl Gate {
-    fn set_closed(&self, closed: bool) {
-        self.state.lock().unwrap().0 = closed;
-        self.changed.notify_all();
-    }
-
-    fn pass(&self) {
-        let mut state = self.state.lock().unwrap();
-        if state.0 {
-            state.1 += 1;
-            self.changed.notify_all();
-            state = self.changed.wait_while(state, |s| s.0).unwrap();
-            state.1 -= 1;
-        }
-    }
-
-    /// True once an evaluation is held at the gate, false when none is by
-    /// `deadline`.
-    fn holds_one(&self, deadline: Duration) -> bool {
-        let state = self.state.lock().unwrap();
-        let (state, _) = self
-            .changed
-            .wait_timeout_while(state, deadline, |s| s.1 == 0)
-            .unwrap();
-        state.1 > 0
-    }
-}
-
-/// The cost model behind a [`Gate`].
-struct GatedEvaluator {
-    gate: Arc<Gate>,
-    inner: SimEvaluator,
-}
-
-impl Evaluator for GatedEvaluator {
-    fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
-        self.gate.pass();
-        self.inner.evaluate(ctx, graph)
-    }
-}
-
 #[test]
 fn the_event_loop_answers_while_a_tune_is_held() {
     let dir = temp_dir("held_tune");
-    let gate = Arc::new(Gate::default());
-    let evaluator = {
+    let gate = Arc::new(GatedSim::default());
+    let evaluator = EvaluatorChoice::custom(EvaluatorId::Simulated, {
         let gate = gate.clone();
-        EvaluatorChoice::custom(EvaluatorId::Simulated, move |device| {
-            Box::new(GatedEvaluator {
-                gate: gate.clone(),
-                inner: SimEvaluator::new(device.clone()),
-            })
-        })
-    };
+        move |device| gate.evaluator(device)
+    });
     let service = TuningService::new(
         DesignStore::open(&dir).expect("store opens"),
         SearchConfig {

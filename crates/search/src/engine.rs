@@ -1,5 +1,5 @@
-//! The search loop (paper Section VI-A): three levels under the cost
-//! model, the first two under a measured evaluator.
+//! The search loop (paper Section VI-A): structures, their coarse-grid
+//! candidates, then the picks of the evaluator's own level-3 hook.
 //!
 //! Candidate evaluation — the dominant cost — is delegated to the
 //! [`Evaluator`] subsystem, with results memoised in a [`DesignCache`].
@@ -15,22 +15,23 @@
 //! *before* each evaluation, so the search never pays for a candidate past
 //! it (an infeasible candidate does not count against the budget).
 //!
-//! Level 3 — a model fitted to the level-2 readings picks a few fine-grid
-//! candidates — runs only under the cost model.  A measured search stops at
-//! level 2: there level 3 cost a fit, about a thousand predictions and up
-//! to five more timings, and almost never found a faster program.
+//! Level 3 is [`Evaluator::refine`]: the engine hands it every level-2
+//! candidate with its reading and evaluates whatever it proposes that was
+//! not evaluated yet.  The cost model fits a model to its readings and picks
+//! a few fine-grid candidates; the measured default proposes nothing, since
+//! there a fit, about a thousand predictions and up to five more timings
+//! almost never found a faster program.
 //!
 //! All candidates of one search are designed through one
 //! [`Designer`](alpha_graph::Designer), owned by the search's
 //! [`EvalContext`]: the matrix is converted once per distinct converting
 //! chain, not once per candidate.
 
-use crate::enumerate::{
-    coarse_variants, fine_variants, mutate_structure, seed_structures, MutationRng,
+use crate::enumerate::{coarse_variants, mutate_structure, seed_structures, MutationRng};
+use crate::eval::{
+    CachingEvaluator, DesignCache, EvalContext, Evaluation, Evaluator, EvaluatorChoice,
 };
-use crate::eval::{CachingEvaluator, DesignCache, EvalContext, Evaluator, EvaluatorChoice};
-use crate::features::{featurise, matrix_feature_vector};
-use crate::ml::{GbtConfig, GradientBoostedTrees, Sample};
+use crate::features::matrix_feature_vector;
 use crate::persist::StoredDesign;
 use crate::prune::PruneRules;
 use alpha_codegen::{DeviceProfile, GeneratorOptions};
@@ -75,7 +76,7 @@ pub struct SearchConfig {
     /// host ([`EvaluatorChoice::Native`]); a custom choice under
     /// `EvaluatorId::Simulated` opts into `alpha-gpu`'s cost model, built
     /// on [`SearchConfig::device`]: the one backend whose winner a fixed
-    /// seed pins on every machine, and the one under which level 3 runs.
+    /// seed pins on every machine, and the one whose level-3 hook picks.
     /// The choice's [`EvaluatorId`](crate::eval::EvaluatorId) is salted into
     /// every cache key and recorded in the stored winner, so modelled and
     /// measured results never mix.
@@ -107,11 +108,9 @@ pub struct SearchStats {
     pub structures_enumerated: usize,
     /// Candidate structures rejected by the pruning ban list.
     pub structures_pruned: usize,
-    /// Fine-grid predictions made by the ML cost model (0 on a measured
-    /// search, which has no level 3).
-    pub ml_predictions: usize,
-    /// Extra kernel evaluations spent validating the top ML predictions.
-    pub ml_evaluations: usize,
+    /// Feasible evaluations of the level-3 picks ([`Evaluator::refine`]); 0
+    /// on a measured search, whose evaluator picks nothing.
+    pub refinements: usize,
     /// Design-cache lookups answered without a fresh evaluation during this
     /// search.
     pub cache_hits: usize,
@@ -184,49 +183,29 @@ pub fn search_with_cache(
     // ---- Level 1: structure enumeration ------------------------------------
     let l1_span = alpha_telemetry::span!("search.l1", matrix = matrix_fp);
     let mut structures = seed_structures(matrix, &rules);
-    let mut pruned = 0usize;
-    {
-        // Count what pruning removed (for the statistics) by comparing with
-        // the unpruned seed set.
-        let unpruned_rules = PruneRules::new(matrix, false);
-        pruned += seed_structures(matrix, &unpruned_rules)
-            .len()
-            .saturating_sub(structures.len());
-    }
+    // Count what pruning removed (for the statistics) by comparing with the
+    // unpruned seed set.
+    let unpruned = seed_structures(matrix, &PruneRules::new(matrix, false));
+    let mut pruned = unpruned.len().saturating_sub(structures.len());
     // Warm-start designs go FIRST: their coarse variants are evaluated before
     // anything enumerated, so a good stored incumbent is in hand however
     // soon the budget binds.  They bypass the pruning ban list on purpose
     // (they are measured winners, not speculative structures) but must
     // still validate for this matrix.
-    {
-        let mut warm: Vec<OperatorGraph> = Vec::new();
-        let mut warm_seen: BTreeSet<String> = BTreeSet::new();
-        for design in &config.seed_designs {
-            if design.validate().is_ok()
-                && warm_seen.insert(design.signature())
-                && !structures
-                    .iter()
-                    .any(|g| g.signature() == design.signature())
-            {
-                warm.push(design.clone());
-            }
-        }
-        if !warm.is_empty() {
-            warm.extend(structures);
-            structures = warm;
-        }
-    }
-    let mut rng = MutationRng::new(config.seed);
     let mut seen: BTreeSet<String> = structures.iter().map(|g| g.signature()).collect();
-    let base_seeds = structures.clone();
-    for seed_graph in &base_seeds {
+    let warm: Vec<OperatorGraph> = config
+        .seed_designs
+        .iter()
+        .filter(|design| design.validate().is_ok() && seen.insert(design.signature()))
+        .cloned()
+        .collect();
+    structures.splice(0..0, warm);
+    let mut rng = MutationRng::new(config.seed);
+    for seed in 0..structures.len() {
         for _ in 0..config.mutations_per_seed {
-            match mutate_structure(seed_graph, &mut rng, &rules) {
-                Some(mutated) => {
-                    if seen.insert(mutated.signature()) {
-                        structures.push(mutated);
-                    }
-                }
+            match mutate_structure(&structures[seed], &mut rng, &rules) {
+                Some(mutated) if seen.insert(mutated.signature()) => structures.push(mutated),
+                Some(_) => {}
                 None => pruned += 1,
             }
         }
@@ -241,11 +220,10 @@ pub fn search_with_cache(
         structures_pruned: pruned,
         ..SearchStats::default()
     };
-    // Level 3 trains on the level-2 readings; a measured search has none.
-    let refine = !config.evaluator.id().is_native();
-    let mut samples: Vec<Sample> = Vec::new();
-    let mut best: Option<(OperatorGraph, f64, Option<String>)> = None;
-    let mut evaluated: BTreeSet<String> = BTreeSet::new();
+    // Every candidate evaluated, with its reading (`None`: infeasible), in
+    // evaluation order; `best` indexes the fastest.
+    let mut readings: Vec<(OperatorGraph, Option<f64>)> = Vec::new();
+    let mut best: Option<(usize, f64, Option<String>)> = None;
 
     // The full coarse-grid candidate list, deduplicated in first-seen order
     // and evaluated strictly in that order.
@@ -258,59 +236,31 @@ pub fn search_with_cache(
         if stats.iterations >= config.max_iterations {
             break;
         }
-        evaluated.insert(candidate.signature());
-        let Some(eval) = evaluator.evaluate(&ctx, &candidate) else {
-            continue;
-        };
-        stats.iterations += 1;
-        if refine {
-            samples.push(Sample::new(
-                featurise(&candidate, &stats_of_matrix),
-                eval.gflops,
-            ));
-        }
-        if best
-            .as_ref()
-            .map(|&(_, gflops, _)| eval.gflops > gflops)
-            .unwrap_or(true)
-        {
-            best = Some((candidate, eval.gflops, eval.kernel_shape));
+        let evaluation = evaluator.evaluate(&ctx, &candidate);
+        readings.push((candidate, evaluation.as_ref().map(|e| e.gflops)));
+        if let Some(evaluation) = evaluation {
+            stats.iterations += 1;
+            keep_best(&mut best, readings.len() - 1, evaluation);
         }
     }
 
     drop(l2_span);
 
-    // ---- Level 3: ML interpolation onto the fine grid (cost model only) -----
+    // ---- Level 3: the evaluator's picks -------------------------------------
     let l3_span = alpha_telemetry::span!("search.l3", matrix = matrix_fp);
-    if refine && samples.len() >= 8 {
-        let model = GradientBoostedTrees::fit(&samples, GbtConfig::default());
-        let mut predictions: Vec<(f64, OperatorGraph)> = Vec::new();
-        for structure in &structures {
-            for candidate in fine_variants(structure) {
-                if evaluated.contains(&candidate.signature()) {
-                    continue;
-                }
-                let predicted = model.predict(&featurise(&candidate, &stats_of_matrix));
-                stats.ml_predictions += 1;
-                predictions.push((predicted, candidate));
-            }
+    for candidate in evaluator.refine(&ctx, &structures, &readings) {
+        let signature = candidate.signature();
+        if readings
+            .iter()
+            .any(|(seen, _)| seen.signature() == signature)
+        {
+            continue;
         }
-        predictions.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite predictions"));
-        for (_, candidate) in predictions.into_iter().take(5) {
-            if !evaluated.insert(candidate.signature()) {
-                continue;
-            }
-            let Some(eval) = evaluator.evaluate(&ctx, &candidate) else {
-                continue;
-            };
-            stats.ml_evaluations += 1;
-            if best
-                .as_ref()
-                .map(|&(_, gflops, _)| eval.gflops > gflops)
-                .unwrap_or(true)
-            {
-                best = Some((candidate, eval.gflops, eval.kernel_shape));
-            }
+        let evaluation = evaluator.evaluate(&ctx, &candidate);
+        readings.push((candidate, evaluation.as_ref().map(|e| e.gflops)));
+        if let Some(evaluation) = evaluation {
+            stats.refinements += 1;
+            keep_best(&mut best, readings.len() - 1, evaluation);
         }
     }
 
@@ -327,7 +277,7 @@ pub fn search_with_cache(
     let registry = alpha_telemetry::global();
     registry
         .counter("search_evaluations_total", &[])
-        .add((stats.iterations + stats.ml_evaluations) as u64);
+        .add((stats.iterations + stats.refinements) as u64);
     registry
         .counter("search_cache_hits_total", &[])
         .add(stats.cache_hits as u64);
@@ -349,8 +299,9 @@ pub fn search_with_cache(
             .add(conversions);
     }
 
-    let (best_graph, best_gflops, best_kernel_shape) =
+    let (best, best_gflops, best_kernel_shape) =
         best.ok_or_else(|| "no valid candidate could be evaluated".to_string())?;
+    let best_graph = readings.swap_remove(best).0;
     // Record the winner durably: serving layers read it back to answer
     // repeat requests without searching and to warm-start structurally
     // similar matrices (the matrix features give them the similarity
@@ -374,11 +325,26 @@ pub fn search_with_cache(
     })
 }
 
+/// Makes reading `index`, whose evaluation is `evaluation`, the best when it
+/// is faster than the incumbent.
+fn keep_best(
+    best: &mut Option<(usize, f64, Option<String>)>,
+    index: usize,
+    evaluation: Evaluation,
+) {
+    if best
+        .as_ref()
+        .is_none_or(|&(_, gflops, _)| evaluation.gflops > gflops)
+    {
+        *best = Some((index, evaluation.gflops, evaluation.kernel_shape));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::EvaluatorId;
-    use alpha_gpu::SimEvaluator;
+    use alpha_gpu::{GatedSim, SimEvaluator};
     use alpha_matrix::gen;
 
     /// A short cost-model search: these tests pin what a fixed seed selects,
@@ -446,19 +412,15 @@ mod tests {
         assert!(outcome.stats.iterations <= 12);
     }
 
-    /// The simulator, recording the outcome of each invocation in order:
-    /// its GFLOP/s, or `None` where it found the candidate infeasible.
+    /// An evaluator, recording the outcome of each invocation in order: its
+    /// GFLOP/s, or `None` where it found the candidate infeasible.
     struct Counting {
-        inner: SimEvaluator,
+        inner: Box<dyn Evaluator>,
         outcomes: Arc<std::sync::Mutex<Vec<Option<f64>>>>,
     }
 
     impl Evaluator for Counting {
-        fn evaluate(
-            &self,
-            ctx: &EvalContext<'_>,
-            graph: &OperatorGraph,
-        ) -> Option<crate::eval::Evaluation> {
+        fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
             let evaluation = self.inner.evaluate(ctx, graph);
             self.outcomes
                 .lock()
@@ -466,20 +428,30 @@ mod tests {
                 .push(evaluation.as_ref().map(|e| e.gflops));
             evaluation
         }
+
+        fn refine(
+            &self,
+            ctx: &EvalContext<'_>,
+            structures: &[OperatorGraph],
+            level2: &[(OperatorGraph, Option<f64>)],
+        ) -> Vec<OperatorGraph> {
+            self.inner.refine(ctx, structures, level2)
+        }
     }
 
-    /// Searches `matrix` under [`Counting`] and returns the outcome with the
-    /// recorded invocations.
+    /// Searches `matrix` under [`Counting`] around the evaluator `inner`
+    /// builds and returns the outcome with the recorded invocations.
     fn counted_search(
         matrix: &CsrMatrix,
         config: SearchConfig,
+        inner: fn(&DeviceProfile) -> Box<dyn Evaluator>,
     ) -> (SearchOutcome, Vec<Option<f64>>) {
         let outcomes: Arc<std::sync::Mutex<Vec<Option<f64>>>> = Arc::default();
         let recorded = outcomes.clone();
         let config = SearchConfig {
             evaluator: EvaluatorChoice::custom(EvaluatorId::Simulated, move |device| {
                 Box::new(Counting {
-                    inner: SimEvaluator::new(device.clone()),
+                    inner: inner(device),
                     outcomes: recorded.clone(),
                 })
             }),
@@ -491,13 +463,13 @@ mod tests {
     }
 
     /// Every invocation is accounted for: a consumed feasible candidate, an
-    /// infeasible one, or a level-3 pick.
+    /// infeasible one, or a feasible level-3 pick.
     fn assert_every_invocation_counts(outcome: &SearchOutcome, invocations: &[Option<f64>]) {
         let infeasible = invocations.iter().filter(|g| g.is_none()).count();
         assert_eq!(outcome.stats.cache_misses, invocations.len());
         assert_eq!(
             invocations.len(),
-            outcome.stats.iterations + infeasible + outcome.stats.ml_evaluations,
+            outcome.stats.iterations + infeasible + outcome.stats.refinements,
             "{} invocations, {infeasible} infeasible",
             invocations.len()
         );
@@ -528,7 +500,7 @@ mod tests {
                     seed_designs: vec![warm.clone()],
                     ..quick_config(budget)
                 };
-                let (outcome, invocations) = counted_search(matrix, config);
+                let (outcome, invocations) = counted_search(matrix, config, SimEvaluator::boxed);
                 let what = format!("{name}, budget {budget}");
                 // The budget is the stop, and nothing is evaluated past it.
                 assert_eq!(outcome.stats.iterations, budget, "{what}");
@@ -542,34 +514,8 @@ mod tests {
         }
     }
 
-    /// The cost model behind a gate that records the most evaluations it
-    /// ever held at once.
-    struct Gate {
-        inner: SimEvaluator,
-        inside: Arc<std::sync::atomic::AtomicUsize>,
-        widest: Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl Evaluator for Gate {
-        fn evaluate(
-            &self,
-            ctx: &EvalContext<'_>,
-            graph: &OperatorGraph,
-        ) -> Option<crate::eval::Evaluation> {
-            use std::sync::atomic::Ordering::SeqCst;
-            let now = self.inside.fetch_add(1, SeqCst) + 1;
-            self.widest.fetch_max(now, SeqCst);
-            // Hold the gate long enough for a concurrent call to show.
-            std::thread::sleep(std::time::Duration::from_micros(300));
-            let evaluation = self.inner.evaluate(ctx, graph);
-            self.inside.fetch_sub(1, SeqCst);
-            evaluation
-        }
-    }
-
     #[test]
     fn a_measured_search_never_evaluates_two_candidates_at_once() {
-        use std::sync::atomic::Ordering::SeqCst;
         // Every search evaluates one candidate at a time, whatever its
         // evaluator: the engine, not the caller, enforces it.
         let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 13);
@@ -577,42 +523,45 @@ mod tests {
             EvaluatorId::Native { warmup: 0, runs: 1 },
             EvaluatorId::Simulated,
         ] {
-            let widest: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
-            let calls = widest.clone();
+            let gate = Arc::new(GatedSim::default());
             let config = SearchConfig {
-                evaluator: EvaluatorChoice::custom(id, move |device| {
-                    Box::new(Gate {
-                        inner: SimEvaluator::new(device.clone()),
-                        inside: Arc::default(),
-                        widest: calls.clone(),
-                    })
+                evaluator: EvaluatorChoice::custom(id, {
+                    let gate = gate.clone();
+                    move |device| gate.evaluator(device)
                 }),
                 ..quick_config(40)
             };
             let outcome = search(&matrix, &config).unwrap();
             assert!(outcome.stats.cache_misses > 16, "{id:?}");
-            assert_eq!(widest.load(SeqCst), 1, "{id:?}: two candidates at once");
+            assert_eq!(gate.widest(), 1, "{id:?}: two candidates at once");
+        }
+    }
+
+    /// The cost model's evaluations without its level-3 hook.
+    struct Unrefined(SimEvaluator);
+
+    impl Evaluator for Unrefined {
+        fn evaluate(&self, ctx: &EvalContext<'_>, graph: &OperatorGraph) -> Option<Evaluation> {
+            self.0.evaluate(ctx, graph)
         }
     }
 
     #[test]
     fn a_measured_search_stops_at_level_two() {
-        // Level 3 is the cost model's.  The same simulator under a native id
-        // (timing nothing) makes no prediction and no level-3 pick.
+        // Level 3 is the evaluator's, whatever its id: the default hook gets
+        // its budget and its infeasible candidates, and not one call more.
         let matrix = gen::powerlaw(1_024, 1_024, 10, 2.0, 9);
-        for (id, refined) in [
-            (EvaluatorId::Native { warmup: 0, runs: 1 }, false),
-            (EvaluatorId::Simulated, true),
-        ] {
-            let config = SearchConfig {
-                evaluator: EvaluatorChoice::custom(id, SimEvaluator::boxed),
-                ..quick_config(40)
-            };
-            let stats = search(&matrix, &config).unwrap().stats;
-            assert_eq!(stats.iterations, 40, "{id:?}");
-            assert_eq!(stats.ml_predictions > 0, refined, "{id:?}");
-            assert_eq!(stats.ml_evaluations > 0, refined, "{id:?}");
-        }
+        let (outcome, invocations) = counted_search(&matrix, quick_config(40), |device| {
+            Box::new(Unrefined(SimEvaluator::new(device.clone())))
+        });
+        let infeasible = invocations.iter().filter(|g| g.is_none()).count();
+        assert_eq!(outcome.stats.iterations, 40);
+        assert_eq!(outcome.stats.refinements, 0);
+        assert_eq!(invocations.len(), 40 + infeasible);
+        // The cost model's hook picks, and the engine evaluates its picks.
+        let (outcome, invocations) = counted_search(&matrix, quick_config(40), SimEvaluator::boxed);
+        assert!(outcome.stats.refinements > 0);
+        assert_every_invocation_counts(&outcome, &invocations);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Graph-structure enumeration and mutation (search level 1) plus the
-//! coarse/fine parameter sweeps (levels 2 and 3).
+//! coarse parameter sweep (level 2).
 
 use crate::prune::PruneRules;
-use alpha_graph::params::{operator_params, with_param};
+use alpha_graph::params::parameter_variants;
 use alpha_graph::{presets, Operator, OperatorGraph};
 use alpha_matrix::CsrMatrix;
 
@@ -182,69 +182,6 @@ pub fn coarse_variants(graph: &OperatorGraph) -> Vec<OperatorGraph> {
     parameter_variants(graph, false)
 }
 
-/// Fine parameter variants used by the ML interpolation level.
-pub fn fine_variants(graph: &OperatorGraph) -> Vec<OperatorGraph> {
-    parameter_variants(graph, true)
-}
-
-fn parameter_variants(graph: &OperatorGraph, fine: bool) -> Vec<OperatorGraph> {
-    let mut variants = vec![graph.clone()];
-    // Sweep converting-chain parameters.
-    for (i, op) in graph.converting.iter().enumerate() {
-        for &(kind, current) in &operator_params(op) {
-            let grid: Vec<usize> = if fine {
-                kind.fine_grid()
-            } else {
-                kind.coarse_grid().to_vec()
-            };
-            for value in grid {
-                if value == current {
-                    continue;
-                }
-                let mut variant = graph.clone();
-                variant.converting[i] = with_param(op, value);
-                // Partition-count changes require matching branch counts.
-                let expected = variant.expected_branches();
-                if variant.branches.len() != expected {
-                    let template = variant.branches[0].clone();
-                    variant.branches = vec![template; expected];
-                }
-                if variant.validate().is_ok() {
-                    variants.push(variant);
-                }
-            }
-        }
-    }
-    // Sweep branch parameters (applied to every branch simultaneously, which
-    // keeps branched designs symmetric).
-    let branch_len = graph.branches.first().map(|b| b.len()).unwrap_or(0);
-    for pos in 0..branch_len {
-        let op = &graph.branches[0][pos];
-        for &(kind, current) in &operator_params(op) {
-            let grid: Vec<usize> = if fine {
-                kind.fine_grid()
-            } else {
-                kind.coarse_grid().to_vec()
-            };
-            for value in grid {
-                if value == current {
-                    continue;
-                }
-                let mut variant = graph.clone();
-                for branch in &mut variant.branches {
-                    if pos < branch.len() {
-                        branch[pos] = with_param(&branch[pos], value);
-                    }
-                }
-                if variant.validate().is_ok() {
-                    variants.push(variant);
-                }
-            }
-        }
-    }
-    variants
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,13 +243,6 @@ mod tests {
             variants.len(),
             "variants must be distinct"
         );
-    }
-
-    #[test]
-    fn fine_variants_are_a_superset_of_coarse() {
-        let coarse = coarse_variants(&presets::sell_like());
-        let fine = fine_variants(&presets::sell_like());
-        assert!(fine.len() > coarse.len());
     }
 
     #[test]

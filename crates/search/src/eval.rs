@@ -482,6 +482,15 @@ impl<E: Evaluator> Evaluator for CachingEvaluator<E> {
         self.cache.insert(ctx, graph, &outcome);
         outcome
     }
+
+    fn refine(
+        &self,
+        ctx: &EvalContext<'_>,
+        structures: &[OperatorGraph],
+        level2: &[(OperatorGraph, Option<f64>)],
+    ) -> Vec<OperatorGraph> {
+        self.inner.refine(ctx, structures, level2)
+    }
 }
 
 // Concurrent searches share evaluators' state (the cache above all) across

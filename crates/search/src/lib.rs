@@ -15,10 +15,11 @@
 //!    the host the search runs on, or, plugged in, the `alpha-gpu`
 //!    simulator's cost model.  Either way the result is checked against the
 //!    reference SpMV.
-//! 3. **ML interpolation**, under the cost model only — a
-//!    gradient-boosted-tree model ([`ml`]) trained on the level-2 readings
-//!    predicts the fine parameter grid; only the most promising predictions
-//!    are evaluated for real.  A measured search stops at level 2.
+//! 3. **The evaluator's picks** — [`Evaluator::refine`] proposes a few more
+//!    candidates from the level-2 readings, and the engine evaluates them.
+//!    The cost model interpolates its readings onto the fine parameter grid
+//!    (the paper's ML step, in `alpha-gpu`); the measured default proposes
+//!    nothing, so a measured search stops at level 2.
 //!
 //! The iteration budget is the search's stop (the paper's simulated
 //! annealing and 8-hour cap never bind at the budgets a search here runs
@@ -37,11 +38,8 @@ pub mod engine;
 pub mod enumerate;
 pub mod eval;
 pub mod features;
-mod gbt;
-pub mod ml;
 pub mod persist;
 pub mod prune;
-mod tree;
 
 pub use engine::{search, search_with_cache, SearchConfig, SearchOutcome, SearchStats};
 pub use eval::{
@@ -83,27 +81,5 @@ mod tests {
         let scalar = SimKernel::new(&scalar.kernel, &scalar.format);
         let scalar_gflops = sim.run(&scalar, x.as_slice()).unwrap().report.gflops;
         assert!(outcome.best_gflops >= scalar_gflops);
-    }
-
-    #[test]
-    fn rmad_is_zero_for_perfect_predictions() {
-        let targets = [10.0, 20.0, 30.0];
-        assert_eq!(
-            ml::relative_mean_absolute_deviation(&targets, &targets),
-            0.0
-        );
-    }
-
-    #[test]
-    fn rmad_scales_with_error() {
-        let targets = [10.0, 10.0];
-        let preds = [11.0, 9.0];
-        assert!((ml::relative_mean_absolute_deviation(&preds, &targets) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn rmad_rejects_mismatched_lengths() {
-        ml::relative_mean_absolute_deviation(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -532,7 +532,7 @@ impl std::fmt::Debug for TuningService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpha_gpu::SimEvaluator;
+    use alpha_gpu::{GatedSim, SimEvaluator};
     use alpha_matrix::gen;
     use alpha_search::{EvaluatorChoice, EvaluatorId};
     use std::path::PathBuf;
@@ -829,48 +829,16 @@ mod tests {
         }
     }
 
-    /// The cost model behind a gate that records the most evaluations it
-    /// ever held at once.
-    struct Gate {
-        inner: SimEvaluator,
-        inside: Arc<std::sync::atomic::AtomicUsize>,
-        widest: Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl alpha_search::Evaluator for Gate {
-        fn evaluate(
-            &self,
-            ctx: &alpha_search::EvalContext<'_>,
-            graph: &OperatorGraph,
-        ) -> Option<alpha_search::Evaluation> {
-            use std::sync::atomic::Ordering::SeqCst;
-            let now = self.inside.fetch_add(1, SeqCst) + 1;
-            self.widest.fetch_max(now, SeqCst);
-            // Hold the gate long enough for a concurrent call to show.
-            std::thread::sleep(Duration::from_micros(300));
-            let evaluation = self.inner.evaluate(ctx, graph);
-            self.inside.fetch_sub(1, SeqCst);
-            evaluation
-        }
-    }
-
     #[test]
     fn concurrent_measured_batches_never_overlap_in_the_evaluator() {
-        use std::sync::atomic::Ordering::SeqCst;
         // Two daemon tune workers are two `tune_batch` calls at once; under
         // an evaluator whose id measures time their searches take turns.
         let dir = temp_dir("measured_turns");
-        let inside: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
-        let widest: Arc<std::sync::atomic::AtomicUsize> = Arc::default();
-        let calls = widest.clone();
-        let evaluator =
-            EvaluatorChoice::custom(EvaluatorId::Native { warmup: 0, runs: 1 }, move |device| {
-                Box::new(Gate {
-                    inner: SimEvaluator::new(device.clone()),
-                    inside: inside.clone(),
-                    widest: calls.clone(),
-                })
-            });
+        let gate = Arc::new(GatedSim::default());
+        let evaluator = EvaluatorChoice::custom(EvaluatorId::Native { warmup: 0, runs: 1 }, {
+            let gate = gate.clone();
+            move |device| gate.evaluator(device)
+        });
         let service = TuningService::new(
             DesignStore::open(&dir).unwrap(),
             SearchConfig {
@@ -894,7 +862,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(widest.load(SeqCst), 1, "two searches timed at once");
+        assert_eq!(gate.widest(), 1, "two searches timed at once");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
