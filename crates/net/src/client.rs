@@ -188,7 +188,8 @@ impl Client {
 
     /// One request/response exchange.  `frame` builds the complete request
     /// frame for the trace id it is handed; the frame goes out in a single
-    /// write.
+    /// write.  A typed error comes back as [`NetError::Server`], a shed
+    /// request as [`NetError::Busy`].
     fn exchange(
         &mut self,
         span: &'static str,
@@ -210,6 +211,13 @@ impl Client {
         alpha_telemetry::set_current_trace_id(prev_trace);
         match result? {
             Response::Error { kind, message } => Err(NetError::Server { kind, message }),
+            Response::Busy {
+                queue_capacity,
+                retry_after_ms,
+            } => Err(NetError::Busy {
+                queue_capacity,
+                retry_after_ms,
+            }),
             other => Ok(other),
         }
     }
@@ -251,13 +259,6 @@ impl Client {
                 self.answered.insert(job_id, summary);
                 Ok(job_id)
             }
-            Response::Busy {
-                queue_capacity,
-                retry_after_ms,
-            } => Err(NetError::Busy {
-                queue_capacity,
-                retry_after_ms,
-            }),
             other => Err(NetError::UnexpectedResponse(format!("{other:?}"))),
         }
     }
@@ -376,13 +377,6 @@ impl Client {
     pub fn spmv(&mut self, job_id: u64, x: &[Scalar]) -> Result<Vec<Scalar>, NetError> {
         match self.exchange("client.spmv", |trace_id| spmv_frame(trace_id, job_id, x))? {
             Response::SpmvResult { y } => Ok(y),
-            Response::Busy {
-                queue_capacity,
-                retry_after_ms,
-            } => Err(NetError::Busy {
-                queue_capacity,
-                retry_after_ms,
-            }),
             other => Err(NetError::UnexpectedResponse(format!("{other:?}"))),
         }
     }

@@ -14,11 +14,14 @@
 //! * [`proto`] — the wire protocol: `ANET`-magic, versioned,
 //!   length-prefixed frames whose payloads use the exact codec discipline
 //!   of the durable `ACDS` cache files.  Adversarial bytes produce typed
-//!   errors, never panics.
-//! * [`NetServer`] — the daemon: accept loop, bounded job queue with
-//!   reject-with-backpressure admission control, a tuning worker pool over
-//!   a shared [`TuningService`](alpha_serve::TuningService), and an
-//!   in-memory job table with terminal-state GC.
+//!   errors, never panics.  Its framing (one frame reader) and its codec
+//!   are submodules.
+//! * [`NetServer`] — the daemon: an event loop over a private epoll/kqueue
+//!   reactor, and its lanes — weighted admission into a sharded tune
+//!   queue with reject-with-backpressure, tuning workers over a shared
+//!   [`TuningService`](alpha_serve::TuningService), SpMV exec workers, an
+//!   HTTP metrics endpoint — around an in-memory job table with
+//!   terminal-state GC.
 //! * [`Client`] — the typed blocking client: submit, poll/wait, remote
 //!   SpMV, stats, shutdown.
 //!
@@ -58,7 +61,7 @@
 mod by_digest;
 mod client;
 pub mod proto;
-pub mod reactor;
+mod reactor;
 mod server;
 
 pub use client::{Client, NetError, TraceFetch};

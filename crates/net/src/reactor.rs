@@ -55,11 +55,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness report from [`Reactor::poll`].
@@ -655,7 +650,14 @@ mod tests {
         let (server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
         reactor
-            .register(server_side.as_raw_fd(), 8, Interest::BOTH)
+            .register(
+                server_side.as_raw_fd(),
+                8,
+                Interest {
+                    readable: true,
+                    writable: true,
+                },
+            )
             .unwrap();
         client.write_all(b"ping").unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -1,0 +1,403 @@
+//! The tune lane: weighted admission into the sharded queue, the tuning
+//! workers that drain it, and tunes answered by reference on the loop.
+
+use super::queue::PushError;
+use super::*;
+
+/// Shards of the admission queue.  Its workers drain the shards round-robin,
+/// so tenants hashed to different shards take turns — the per-tenant
+/// fairness floor under a storm.
+pub(super) const ADMISSION_SHARDS: usize = 8;
+
+impl Shared {
+    /// `tenant`'s row of the table, made with its configured weight the
+    /// first time the tenant is seen.
+    fn tenant_row<'t>(
+        &self,
+        tenants: &'t mut BTreeMap<u64, TenantStats>,
+        tenant: u64,
+    ) -> &'t mut TenantStats {
+        tenants.entry(tenant).or_insert_with(|| TenantStats {
+            client_id: tenant,
+            weight: self
+                .config
+                .tenant_weights
+                .iter()
+                .find(|(id, _)| *id == tenant)
+                .map_or(1, |(_, w)| (*w).max(1)),
+            ..TenantStats::default()
+        })
+    }
+
+    /// `tenant`'s admission weight, registering the tenant if it is new.
+    pub(super) fn tenant_weight(&self, tenant: u64) -> u64 {
+        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
+        self.tenant_row(&mut tenants, tenant).weight
+    }
+
+    /// The daemon's estimate of when a shed submission is worth retrying:
+    /// measured tuning EWMA scaled by the queue backlog per worker, clamped
+    /// to [1 ms, 10 s].  Before any job has finished the estimate is a flat
+    /// 50 ms.
+    fn retry_after_ms(&self) -> u64 {
+        let ewma_us = self.tune_ewma_us.load(Ordering::Relaxed);
+        if ewma_us == 0 {
+            return 50;
+        }
+        let backlog = (self.queue.len() as u64).max(1);
+        let per_worker = backlog.div_ceil(self.worker_count.max(1) as u64);
+        (ewma_us / 1000).saturating_mul(per_worker).clamp(1, 10_000)
+    }
+
+    /// Weighted admission: the tenant may hold at most
+    /// `max(1, queue_capacity · w / W_active)` queued jobs, where
+    /// `W_active` sums the weights of tenants with queued work (the
+    /// requester included).  With a single active tenant the credit is the
+    /// whole capacity — exactly the unweighted daemon — and with rivals it
+    /// degrades proportionally, never to zero.
+    fn try_admit(&self, tenant_id: u64) -> Result<(), Response> {
+        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
+        self.tenant_row(&mut tenants, tenant_id);
+        let w_active: u64 = tenants
+            .values()
+            .filter(|t| t.queued > 0 || t.client_id == tenant_id)
+            .map(|t| t.weight)
+            .sum();
+        let capacity = self.queue.capacity() as u64;
+        let me = tenants.get_mut(&tenant_id).expect("just inserted");
+        let credit = ((capacity * me.weight) / w_active.max(1)).max(1);
+        if me.queued >= credit {
+            me.rejected += 1;
+            return Err(Response::Busy {
+                queue_capacity: capacity,
+                retry_after_ms: self.retry_after_ms(),
+            });
+        }
+        me.queued += 1;
+        me.submitted += 1;
+        Ok(())
+    }
+
+    /// Rolls back a [`Shared::try_admit`] whose queue push failed.
+    fn unadmit(&self, tenant_id: u64, shed: bool) {
+        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
+        if let Some(t) = tenants.get_mut(&tenant_id) {
+            t.queued = t.queued.saturating_sub(1);
+            t.submitted = t.submitted.saturating_sub(1);
+            if shed {
+                t.rejected += 1;
+            }
+        }
+    }
+
+    /// Every tenant's row, sorted by `client_id`.
+    pub(super) fn tenant_snapshot(&self) -> Vec<TenantStats> {
+        let tenants = self.tenants.lock().expect("tenant table poisoned");
+        tenants.values().copied().collect()
+    }
+
+    /// What a [`Request::PollJob`] of `job_id` answers.
+    pub(super) fn job_state(&self, job_id: u64) -> JobState {
+        match self.jobs.lock().expect("job table poisoned").get(&job_id) {
+            None => JobState::Unknown,
+            Some(Job::Queued { .. }) => JobState::Queued,
+            Some(Job::Running) => JobState::Running,
+            Some(Job::Done { summary, .. }) => JobState::Done(summary.clone()),
+            Some(Job::Failed { error }) => JobState::Failed {
+                error: error.clone(),
+            },
+        }
+    }
+}
+
+/// One tuning worker: drains job ids from the sharded queue until it is
+/// closed and empty, tuning each through the shared service.
+pub(super) fn worker_loop(shared: &Shared) {
+    while let Some(job_id) = shared.queue.pop() {
+        let (request, queue_wait_secs, req) = {
+            let mut table = shared.jobs.lock().expect("job table poisoned");
+            match table.remove(&job_id) {
+                Some(Job::Queued {
+                    request,
+                    enqueued,
+                    req,
+                }) => {
+                    table.insert(job_id, Job::Running);
+                    (request, enqueued.elapsed().as_secs_f64(), req)
+                }
+                // The entry must exist and be queued — submission inserted
+                // it before pushing the id.  Anything else is a logic bug;
+                // recover by dropping the phantom id.
+                other => {
+                    if let Some(job) = other {
+                        table.insert(job_id, job);
+                    }
+                    continue;
+                }
+            }
+        };
+        // The job has left the queue: its tenant's credit frees up now.
+        {
+            let mut tenants = shared.tenants.lock().expect("tenant table poisoned");
+            if let Some(t) = tenants.get_mut(&req.tenant) {
+                t.queued = t.queued.saturating_sub(1);
+            }
+        }
+        // The request's trace id follows the job onto this thread: every
+        // span below (including the search engine's own `search.l*` spans)
+        // tags itself with it, and the queue wait becomes a retroactive
+        // span bracketing [enqueue, pop].
+        let prev_trace = alpha_telemetry::set_current_trace_id(req.trace_id);
+        let wait_us = (queue_wait_secs * 1e6) as u64;
+        shared.record(req, FlightKind::QueuePop, wait_us);
+        let started = Instant::now();
+        // A hostile or degenerate matrix must cost its own job, never the
+        // worker: a panicking search is caught and reported as a failed
+        // job, keeping the worker pool at full strength.
+        let work = std::panic::AssertUnwindSafe(|| {
+            shared.service.tune_batch(std::slice::from_ref(&*request))
+        });
+        shared.tunes_executing.fetch_add(1, Ordering::Relaxed);
+        let mut served = {
+            let _span = alpha_telemetry::span!("net.tune_exec", job = job_id);
+            match std::panic::catch_unwind(work) {
+                Ok(served) => served,
+                Err(payload) => {
+                    let what = panic_message(payload.as_ref());
+                    vec![Err(format!("tuning panicked: {what}"))]
+                }
+            }
+        };
+        shared.tunes_executing.fetch_sub(1, Ordering::Relaxed);
+        let exec_us = elapsed_us(started);
+        shared.record(req, FlightKind::ExecEnd, exec_us);
+        // EWMA (α = 1/4) of tuning time feeds the Busy retry-after hint;
+        // racy read-modify-write is fine for an estimate.
+        let prev = shared.tune_ewma_us.load(Ordering::Relaxed);
+        let next = if prev == 0 {
+            exec_us
+        } else {
+            prev - prev / 4 + exec_us / 4
+        };
+        shared.tune_ewma_us.store(next.max(1), Ordering::Relaxed);
+        let outcome = match served.pop().expect("one request yields one result") {
+            Ok(tune) => {
+                let summary = job_summary(
+                    &tune.tuned,
+                    tune.fresh_evaluations as u64,
+                    tune.warm_started,
+                    tune.wall_secs,
+                    queue_wait_secs,
+                );
+                // Filed before the job turns `Done`, so a client that saw
+                // it finish finds the program by digest.  The service hashed
+                // the uploaded bytes (the digest is memoised in the
+                // request's matrix): the cold path pays for the digest, a
+                // hit never does.
+                shared.by_digest.file(
+                    &shared.service,
+                    req.tenant,
+                    request.matrix.digest(),
+                    &request.device,
+                );
+                // The service's own handle: while this job is in the table,
+                // repeat tunes of its matrix get this program back.
+                Job::Done {
+                    tuned: tune.tuned,
+                    summary,
+                }
+            }
+            Err(error) => {
+                shared.record(req, FlightKind::Error, 0);
+                Job::Failed { error }
+            }
+        };
+        shared.finish_job(job_id, req.tenant, outcome);
+        // The job's total in-server latency: admission to terminal state.
+        shared.record(req, FlightKind::Reply, wait_us.saturating_add(exec_us));
+        alpha_telemetry::set_current_trace_id(prev_trace);
+    }
+}
+
+/// What a `Done` job reports about `tuned`: the design fields, read off the
+/// program, and what this job cost.
+fn job_summary(
+    tuned: &TunedSpmv,
+    fresh_evaluations: u64,
+    warm_started: bool,
+    wall_secs: f64,
+    queue_wait_secs: f64,
+) -> JobSummary {
+    JobSummary {
+        gflops: tuned.gflops(),
+        operator_graph: tuned.operator_graph(),
+        fresh_evaluations,
+        warm_started,
+        wall_secs,
+        queue_wait_secs,
+        // Lowers the native kernel eagerly: Spmv requests for the job then
+        // hit a pre-resolved specialized loop.
+        kernel_shape: tuned.kernel_shape(),
+    }
+}
+
+/// What a daemon that is shutting down answers a tune submission.
+fn shutting_down() -> Response {
+    Response::Error {
+        kind: ErrorKind::ShuttingDown,
+        message: "daemon is shutting down; no new work accepted".to_string(),
+    }
+}
+
+/// The profile a tune submission's device names, or the typed error a
+/// daemon that is shutting down, or does not know the device, answers.
+fn submission_device(shared: &Shared, device: &str) -> Result<DeviceProfile, Response> {
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err(shutting_down());
+    }
+    device_by_name(device).ok_or_else(|| Response::Error {
+        kind: ErrorKind::UnknownDevice,
+        message: format!("unknown device {device:?} (try A100, RTX2080 or TestGPU)"),
+    })
+}
+
+/// Admission + job-table insert for one tune submission.
+pub(super) fn submit_tune(
+    shared: &Shared,
+    tenant: u64,
+    trace_id: u64,
+    matrix: alpha_matrix::CsrMatrix,
+    device: String,
+) -> Response {
+    let profile = match submission_device(shared, &device) {
+        Ok(profile) => profile,
+        Err(refused) => return refused,
+    };
+    let req = RequestTag {
+        lane: Lane::Tune,
+        tenant,
+        trace_id,
+        job_id: 0,
+    };
+    if let Err(busy) = shared.try_admit(tenant) {
+        return shared.shed(req, busy);
+    }
+    let request = TuneRequest::new(matrix, profile);
+    let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
+    let req = RequestTag { job_id, ..req };
+    shared.jobs.lock().expect("job table poisoned").insert(
+        job_id,
+        Job::Queued {
+            request: Box::new(request),
+            enqueued: Instant::now(),
+            req,
+        },
+    );
+    match shared.queue.try_push(tenant, job_id) {
+        Ok(()) => {
+            shared.record(req, FlightKind::Admitted, 0);
+            Response::Submitted { job_id }
+        }
+        Err(push_error) => {
+            // Admission failed at the global bound: nothing must remain of
+            // the job.
+            shared
+                .jobs
+                .lock()
+                .expect("job table poisoned")
+                .remove(&job_id);
+            match push_error {
+                PushError::Full(_) => {
+                    shared.unadmit(tenant, true);
+                    let busy = Response::Busy {
+                        queue_capacity: shared.queue.capacity() as u64,
+                        retry_after_ms: shared.retry_after_ms(),
+                    };
+                    shared.shed(req, busy)
+                }
+                PushError::Closed(_) => {
+                    shared.unadmit(tenant, false);
+                    shutting_down()
+                }
+            }
+        }
+    }
+}
+
+/// Answers a tune that names its matrix by digest, on the event loop: a
+/// lookup in the tenant's view and the service's resident map, then either
+/// [`Response::NeedMatrix`] or the `Done` status of a job that holds the
+/// program the tenant's upload built, if its shape is the one named — the
+/// reply a [`Request::PollJob`] of that job gives, so a warm tune is one
+/// round trip.  That job is the one an earlier hit on the same upload
+/// filed, while the job table still has it (its summary is read under the
+/// lock that finds it), else a new one: a burst of hits takes one terminal
+/// slot.  Nothing is queued, so admission credit is not consulted.
+pub(super) fn submit_tune_ref(
+    shared: &Shared,
+    tenant: u64,
+    trace_id: u64,
+    digest: [u8; 32],
+    shape: [u64; 3],
+    device: &str,
+) -> Response {
+    let started = Instant::now();
+    let profile = match submission_device(shared, device) {
+        Ok(profile) => profile,
+        Err(refused) => return refused,
+    };
+    let hit = shared
+        .by_digest
+        .lookup(&shared.service, tenant, digest, &profile)
+        .filter(|hit| {
+            let stats = hit.program.matrix_stats();
+            [stats.rows, stats.cols, stats.nnz].map(|n| n as u64) == shape
+        });
+    let Some(hit) = hit else {
+        shared.by_reference_need_matrix.inc();
+        return Response::NeedMatrix;
+    };
+    shared.by_reference_hit.inc();
+    let live = hit.job.and_then(|job_id| {
+        match shared.jobs.lock().expect("job table poisoned").get(&job_id) {
+            Some(Job::Done { summary, .. }) => Some((job_id, summary.clone())),
+            _ => None,
+        }
+    });
+    let (job_id, summary) = match live {
+        Some(live) => live,
+        None => {
+            let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
+            let mut tenants = shared.tenants.lock().expect("tenant table poisoned");
+            shared.tenant_row(&mut tenants, tenant).submitted += 1;
+            drop(tenants);
+            let tuned = hit.program;
+            let wall_secs = started.elapsed().as_secs_f64();
+            let summary = job_summary(&tuned, 0, hit.warm_started, wall_secs, 0.0);
+            shared.finish_job(
+                job_id,
+                tenant,
+                Job::Done {
+                    tuned,
+                    summary: summary.clone(),
+                },
+            );
+            shared
+                .by_digest
+                .answered_by(tenant, digest, &profile, job_id);
+            (job_id, summary)
+        }
+    };
+    let req = RequestTag {
+        lane: Lane::TuneRef,
+        tenant,
+        trace_id,
+        job_id,
+    };
+    shared.record(req, FlightKind::Admitted, 0);
+    shared.record(req, FlightKind::Reply, elapsed_us(started));
+    Response::Status {
+        job_id,
+        state: JobState::Done(summary),
+    }
+}
