@@ -20,7 +20,7 @@ pub struct TraceFetch {
     /// The server's µs-since-its-epoch clock when it answered.
     pub server_now_us: u64,
     /// Every span the server had recorded (its ring is drained).
-    pub spans: Vec<alpha_telemetry::OwnedSpan>,
+    pub spans: Vec<alpha_telemetry::SpanEvent>,
     /// Client clock when the fetch request was written, µs.
     pub sent_us: u64,
     /// Client clock when the response arrived, µs.

@@ -489,7 +489,7 @@ pub enum Response {
         /// answering — the anchor for NTP-style clock-domain stitching.
         server_now_us: u64,
         /// The drained spans, oldest first, in the server's clock domain.
-        spans: Vec<alpha_telemetry::OwnedSpan>,
+        spans: Vec<alpha_telemetry::SpanEvent>,
     },
     /// A typed error.
     Error {

@@ -5,6 +5,7 @@
 use super::framing::build_frame;
 use super::*;
 use alpha_search::{ByteReader, ByteWriter};
+use alpha_telemetry::SpanEvent;
 
 /// Bytes of a length-prefixed array of `len` 4-byte elements on the wire.
 pub(super) fn array_len(len: usize) -> usize {
@@ -140,7 +141,7 @@ fn read_tenant(r: &mut ByteReader<'_>) -> Result<TenantStats, ProtoError> {
     })
 }
 
-fn write_span(w: &mut ByteWriter, span: &alpha_telemetry::OwnedSpan) {
+fn write_span(w: &mut ByteWriter, span: &SpanEvent) {
     w.str(&span.name);
     w.u64(span.ts_us);
     w.u64(span.dur_us);
@@ -157,16 +158,16 @@ fn write_span(w: &mut ByteWriter, span: &alpha_telemetry::OwnedSpan) {
     w.u64(span.trace_id);
 }
 
-fn read_span(r: &mut ByteReader<'_>) -> Result<alpha_telemetry::OwnedSpan, ProtoError> {
-    Ok(alpha_telemetry::OwnedSpan {
-        name: r.str()?,
+fn read_span(r: &mut ByteReader<'_>) -> Result<SpanEvent, ProtoError> {
+    Ok(SpanEvent {
+        name: r.str()?.into(),
         ts_us: r.u64()?,
         dur_us: r.u64()?,
         tid: r.u64()?,
         depth: r.u32()?,
         arg: match r.u8()? {
             0 => None,
-            1 => Some((r.str()?, r.u64()?)),
+            1 => Some((r.str()?.into(), r.u64()?)),
             other => {
                 return Err(ProtoError::Corrupt(format!(
                     "span arg flag must be 0/1, found {other}"
@@ -174,6 +175,9 @@ fn read_span(r: &mut ByteReader<'_>) -> Result<alpha_telemetry::OwnedSpan, Proto
             }
         },
         trace_id: r.u64()?,
+        // The wire carries a span's own fields; a stage's tenant and lane
+        // stay in the daemon's flight recorder.
+        ..SpanEvent::default()
     })
 }
 

@@ -132,23 +132,18 @@ fn sample_responses() -> Vec<Response> {
         Response::TraceSpans {
             server_now_us: 1_234_567,
             spans: vec![
-                alpha_telemetry::OwnedSpan {
-                    name: "net.tune_exec".to_string(),
+                alpha_telemetry::SpanEvent {
+                    name: "net.tune_exec".into(),
                     ts_us: 100,
                     dur_us: 2_500,
                     tid: 3,
-                    depth: 0,
-                    arg: Some(("job".to_string(), 7)),
+                    arg: Some(("job".into(), 7)),
                     trace_id: 0xABCD,
+                    ..Default::default()
                 },
-                alpha_telemetry::OwnedSpan {
-                    name: String::new(),
-                    ts_us: 0,
-                    dur_us: 0,
-                    tid: 0,
+                alpha_telemetry::SpanEvent {
                     depth: 2,
-                    arg: None,
-                    trace_id: 0,
+                    ..Default::default()
                 },
             ],
         },
@@ -519,6 +514,39 @@ fn golden_frames_match_the_element_wise_encoding() {
     assert_eq!(
         response_frame(&Response::NeedMatrix).unwrap(),
         unhex("414e45540700000001000000000000000b")
+    );
+
+    // A span crosses the wire as its own fields only: a stage's tenant and
+    // lane stay home, and the bytes are those of the owned-string span
+    // type that came before.
+    let spans = Response::TraceSpans {
+        server_now_us: 1_234_567,
+        spans: vec![
+            alpha_telemetry::SpanEvent {
+                name: "net.exec".into(),
+                ts_us: 100,
+                dur_us: 2_500,
+                tid: 3,
+                depth: 1,
+                arg: Some(("job".into(), 7)),
+                trace_id: 0xABCD,
+                tenant: 9,
+                class: "spmv",
+            },
+            alpha_telemetry::SpanEvent {
+                depth: 2,
+                ..Default::default()
+            },
+        ],
+    };
+    assert_eq!(
+        encode_response(&spans),
+        unhex(
+            "0a87d6120000000000020000000000000008000000000000006e65742e6578656364000000000000\
+             00c4090000000000000300000000000000010000000103000000000000006a6f62070000000000\
+             0000cdab000000000000000000000000000000000000000000000000000000000000000000000000\
+             000002000000000000000000000000"
+        )
     );
 }
 

@@ -72,7 +72,7 @@ use crate::reactor::{Event, Interest, Reactor, Waker};
 use crate::{NetError, ProtoError};
 use alpha_matrix::Scalar;
 use alpha_serve::{TuneRequest, TuningService};
-use alpha_telemetry::{Counter, FlightKind, FlightRecorder, Gauge, Histogram, Registry};
+use alpha_telemetry::{Counter, FlightRecorder, Gauge, Histogram, Registry, SpanEvent};
 use alphasparse::{DeviceProfile, TunedSpmv};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -189,7 +189,7 @@ impl Job {
 }
 
 /// Which lane a request runs in: it names the class of the request's
-/// flight events and picks the histograms its stages feed.
+/// stage events and picks the histograms its stages feed.
 #[derive(Clone, Copy)]
 enum Lane {
     Tune,
@@ -197,8 +197,18 @@ enum Lane {
     Spmv,
 }
 
-/// The request a record belongs to: every flight event and span of one
-/// request names the same tenant, trace and job.
+impl Lane {
+    fn class(self) -> &'static str {
+        match self {
+            Lane::Tune => "tune",
+            Lane::TuneRef => "tune_ref",
+            Lane::Spmv => "spmv",
+        }
+    }
+}
+
+/// The request a record belongs to: every stage event of one request names
+/// the same tenant, trace and job.
 #[derive(Clone, Copy)]
 struct RequestTag {
     lane: Lane,
@@ -348,49 +358,50 @@ impl Shared {
         }
     }
 
-    /// Records one stage of a request: its flight event and, where the
-    /// stage has them, its histogram observation and span, all from the one
-    /// measured `value_us`.  `net.tune_exec` is the one stage span written
-    /// by a guard at its call site instead, because the search's spans nest
-    /// under it.  A reply applies the slow-request policy: a traced request
-    /// whose in-server time crossed [`ServerConfig::slow_request_us`] gets
-    /// its flight events pinned so they survive ring wrap.
-    fn record(&self, req: RequestTag, kind: FlightKind, value_us: u64) {
-        let span = |name| {
-            let start = alpha_telemetry::now_us().saturating_sub(value_us);
-            alpha_telemetry::record_span(name, start, value_us, Some(("job", req.job_id)));
-        };
-        match (req.lane, kind) {
-            (Lane::Tune, FlightKind::QueuePop) => {
-                self.tune_queue_wait.observe(value_us);
-                span("net.queue_wait");
-            }
-            (Lane::Tune, FlightKind::ExecEnd) => self.tune_exec.observe(value_us),
-            (Lane::Spmv, FlightKind::ExecEnd) => span("net.exec"),
-            (Lane::Spmv, FlightKind::Reply) => self.spmv_latency.observe(value_us),
+    /// Records one stage of a request as one [`SpanEvent`] named `stage`,
+    /// lasting the stage's measured `value_us` and ending now, tagged with
+    /// the request's tenant, trace id, lane and `job` arg (a shed's arg is
+    /// its retry-after in µs instead).  The event goes to the flight ring and,
+    /// while tracing is on, to the trace ring — except `net.tune_exec`,
+    /// which a guard at its call site already traces, because the search's
+    /// spans nest under it.  The stage's histogram, if it has one, observes
+    /// the same value.  `net.request` (the in-server total) applies the
+    /// slow-request policy: a traced request whose total crossed
+    /// [`ServerConfig::slow_request_us`] gets its events pinned so they
+    /// survive ring wrap.
+    fn record(&self, req: RequestTag, stage: &'static str, value_us: u64) {
+        match (req.lane, stage) {
+            (Lane::Tune, "net.queue_wait") => self.tune_queue_wait.observe(value_us),
+            (Lane::Tune, "net.tune_exec") => self.tune_exec.observe(value_us),
+            (Lane::Spmv, "net.request") => self.spmv_latency.observe(value_us),
             _ => {}
         }
-        let class = match (req.lane, kind) {
-            (Lane::Tune, FlightKind::Error) => "tune_failed",
-            (Lane::Spmv, FlightKind::Error) => "spmv_failed",
-            (Lane::Tune, _) => "tune",
-            (Lane::TuneRef, _) => "tune_ref",
-            (Lane::Spmv, _) => "spmv",
+        let (dur_us, arg) = match stage {
+            "net.shed" => (0, ("retry_after_us".into(), value_us)),
+            _ => (value_us, ("job".into(), req.job_id)),
         };
-        self.flightrec
-            .record(kind, req.tenant, req.trace_id, req.job_id, value_us, class);
+        let event = SpanEvent {
+            arg: Some(arg),
+            trace_id: req.trace_id,
+            tenant: req.tenant,
+            class: req.lane.class(),
+            ..SpanEvent::ending_now(stage, dur_us)
+        };
+        if alpha_telemetry::tracing_enabled() && stage != "net.tune_exec" {
+            alpha_telemetry::record_span(event.clone());
+        }
+        self.flightrec.record(event);
         let threshold = self.config.slow_request_us;
-        if kind == FlightKind::Reply && threshold > 0 && req.trace_id != 0 && value_us >= threshold
-        {
+        if stage == "net.request" && threshold > 0 && req.trace_id != 0 && value_us >= threshold {
             self.flightrec.pin(req.trace_id);
         }
     }
 
-    /// Records a shed request, whose flight event carries the `Busy`
-    /// answer's retry-after in µs, and returns the answer.
+    /// Records a shed request, whose event carries the `Busy` answer's
+    /// retry-after in µs, and returns the answer.
     fn shed(&self, req: RequestTag, busy: Response) -> Response {
         if let Response::Busy { retry_after_ms, .. } = busy {
-            self.record(req, FlightKind::Shed, retry_after_ms.saturating_mul(1000));
+            self.record(req, "net.shed", retry_after_ms.saturating_mul(1000));
         }
         busy
     }
@@ -453,8 +464,16 @@ impl NetServer {
             jobs: Mutex::new(HashMap::new()),
             next_job_id: AtomicU64::new(0),
             terminal_order: Mutex::new(VecDeque::new()),
-            queue: ShardedTaskQueue::bounded(config.queue_capacity, ADMISSION_SHARDS),
-            exec_queue: ShardedTaskQueue::bounded(1024, 1),
+            queue: ShardedTaskQueue::bounded(
+                config.queue_capacity,
+                ADMISSION_SHARDS,
+                registry.gauge("net_queue_depth", &[("lane", "tune")]),
+            ),
+            exec_queue: ShardedTaskQueue::bounded(
+                1024,
+                1,
+                registry.gauge("net_queue_depth", &[("lane", "exec")]),
+            ),
             by_digest: DigestView::default(),
             completions: Mutex::new(Vec::new()),
             exec_inflight: AtomicU64::new(0),

@@ -494,15 +494,11 @@ impl EventLoop {
                 // Hand the server-side half of every recorded span to the
                 // client, plus the server clock "now" so the fetch round
                 // trip can estimate the clock offset between the domains.
-                let spans: Vec<alpha_telemetry::OwnedSpan> = alpha_telemetry::drain_spans()
-                    .iter()
-                    .map(alpha_telemetry::OwnedSpan::from)
-                    .collect();
                 self.push_response(
                     token,
                     &Response::TraceSpans {
                         server_now_us: alpha_telemetry::now_us(),
-                        spans,
+                        spans: alpha_telemetry::drain_spans(),
                     },
                 );
             }

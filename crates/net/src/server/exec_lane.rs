@@ -50,11 +50,11 @@ pub(super) fn exec_loop(shared: &Shared) {
                 panic_message(payload.as_ref())
             ))
         });
-        shared.record(task.req, FlightKind::ExecEnd, elapsed_us(started));
+        shared.record(task.req, "net.exec", elapsed_us(started));
         let response = match outcome {
             Ok(y) => Response::SpmvResult { y },
             Err(e) => {
-                shared.record(task.req, FlightKind::Error, 0);
+                shared.record(task.req, "net.spmv_failed", 0);
                 Response::Error {
                     kind: ErrorKind::InvalidInput,
                     message: e,
@@ -62,7 +62,7 @@ pub(super) fn exec_loop(shared: &Shared) {
             }
         };
         // The latency the client eats: exec-queue wait plus kernel time.
-        shared.record(task.req, FlightKind::Reply, elapsed_us(task.received));
+        shared.record(task.req, "net.request", elapsed_us(task.received));
         alpha_telemetry::set_current_trace_id(prev_trace);
         shared
             .completions
@@ -115,7 +115,7 @@ pub(super) fn offload_spmv(
     };
     match shared.exec_queue.try_push(0, task) {
         Ok(()) => {
-            shared.record(req, FlightKind::Admitted, 0);
+            shared.record(req, "net.admitted", 0);
             Ok(())
         }
         Err(_) => {

@@ -3,17 +3,7 @@
 
 use alpha_telemetry::Gauge;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
-
-/// Cached handle on the process-wide `parallel_queue_depth` gauge — additive
-/// across every live [`ShardedTaskQueue`].  The name is older than the
-/// queue's home in this crate; it stays, so a scrape reads the same family.
-fn queue_depth_gauge() -> Gauge {
-    static GAUGE: OnceLock<Gauge> = OnceLock::new();
-    GAUGE
-        .get_or_init(|| alpha_telemetry::global().gauge("parallel_queue_depth", &[]))
-        .clone()
-}
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Why [`ShardedTaskQueue::try_push`] refused an item.  The item is handed back so
 /// the caller can reply with backpressure (or retry) without cloning it.
@@ -52,8 +42,8 @@ pub(super) struct ShardedTaskQueue<T> {
     capacity: usize,
     /// Number of shards, fixed at construction.
     shard_count: usize,
-    /// Shared `parallel_queue_depth` gauge (additive across queues), moved
-    /// under the state lock so it never reads below zero.
+    /// This queue's depth gauge (the daemon's `net_queue_depth{lane}`),
+    /// moved under the state lock so it never reads below zero.
     depth: Gauge,
 }
 
@@ -70,8 +60,9 @@ struct QueueState<T> {
 
 impl<T> ShardedTaskQueue<T> {
     /// A queue of `shards` shards (minimum 1) admitting at most `capacity`
-    /// items at a time across all of them (minimum 1).
-    pub(super) fn bounded(capacity: usize, shards: usize) -> Self {
+    /// items at a time across all of them (minimum 1), whose depth `depth`
+    /// tracks.
+    pub(super) fn bounded(capacity: usize, shards: usize, depth: Gauge) -> Self {
         let shard_count = shards.max(1);
         ShardedTaskQueue {
             state: Mutex::new(QueueState {
@@ -83,7 +74,7 @@ impl<T> ShardedTaskQueue<T> {
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
             shard_count,
-            depth: queue_depth_gauge(),
+            depth,
         }
     }
 
@@ -160,7 +151,7 @@ impl<T> ShardedTaskQueue<T> {
 
 impl<T> Drop for ShardedTaskQueue<T> {
     fn drop(&mut self) {
-        // Undrained items leave with the queue; keep the shared gauge honest.
+        // Undrained items leave with the queue; keep the gauge honest.
         let remaining = self
             .state
             .get_mut()
@@ -177,9 +168,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A depth gauge of a registry of its own.
+    fn depth() -> Gauge {
+        alpha_telemetry::Registry::new().gauge("net_queue_depth", &[])
+    }
+
     #[test]
     fn pop_blocks_until_an_item_or_close_arrives() {
-        let queue = ShardedTaskQueue::bounded(1, 1);
+        let queue = ShardedTaskQueue::bounded(1, 1, depth());
         let consumed = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..3 {
@@ -210,7 +206,8 @@ mod tests {
 
     #[test]
     fn sharded_queue_enforces_global_capacity_across_shards() {
-        let queue = ShardedTaskQueue::bounded(2, 8);
+        let gauge = depth();
+        let queue = ShardedTaskQueue::bounded(2, 8, gauge.clone());
         assert_eq!(queue.capacity(), 2);
         assert_eq!(queue.shard_count, 8);
         // Keys chosen to land in different shards; the *global* bound still
@@ -223,16 +220,16 @@ mod tests {
             Err(PushError::Full(30)) => {}
             other => panic!("expected Full(30), got {other:?}"),
         }
-        assert_eq!(queue.len(), 2);
+        assert_eq!((queue.len(), gauge.get()), (2, 2));
         let mut drained = vec![queue.pop().unwrap(), queue.pop().unwrap()];
         drained.sort_unstable();
         assert_eq!(drained, vec![10, 20]);
-        assert_eq!(queue.len(), 0);
+        assert_eq!((queue.len(), gauge.get()), (0, 0));
     }
 
     #[test]
     fn sharded_queue_is_fifo_within_a_shard() {
-        let queue = ShardedTaskQueue::bounded(16, 4);
+        let queue = ShardedTaskQueue::bounded(16, 4, depth());
         for i in 0..8 {
             queue.try_push(7, i).unwrap(); // same key → same shard
         }
@@ -247,7 +244,7 @@ mod tests {
         // shards: pops alternate between the shards while both hold items,
         // however unevenly they were filled — the per-tenant fairness floor
         // of the daemon's admission queue.
-        let queue = ShardedTaskQueue::bounded(16, 8);
+        let queue = ShardedTaskQueue::bounded(16, 8, depth());
         let (storm, quiet) = (1u64, 0u64);
         assert_ne!(queue.shard_of(storm), queue.shard_of(quiet));
         for i in 0..6 {
@@ -275,7 +272,7 @@ mod tests {
 
     #[test]
     fn sharded_queue_close_drains_then_signals_exit() {
-        let queue = ShardedTaskQueue::bounded(4, 2);
+        let queue = ShardedTaskQueue::bounded(4, 2, depth());
         queue.try_push(0, 10).unwrap();
         queue.try_push(1, 11).unwrap();
         queue.close();
@@ -292,7 +289,7 @@ mod tests {
 
     #[test]
     fn sharded_queue_single_shard_degenerates_to_task_queue() {
-        let queue = ShardedTaskQueue::bounded(3, 1);
+        let queue = ShardedTaskQueue::bounded(3, 1, depth());
         for (key, item) in [(3u64, 1), (99, 2), (12345, 3)] {
             assert_eq!(queue.shard_of(key), 0);
             queue.try_push(key, item).unwrap();
@@ -313,7 +310,7 @@ mod tests {
 
     #[test]
     fn sharded_queue_survives_concurrent_producers_and_consumers() {
-        let queue = ShardedTaskQueue::bounded(4, 8);
+        let queue = ShardedTaskQueue::bounded(4, 8, depth());
         let consumed = AtomicUsize::new(0);
         let sum = AtomicUsize::new(0);
         let queue = &queue;
@@ -359,7 +356,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let queue = ShardedTaskQueue::bounded(0, 0);
+        let queue = ShardedTaskQueue::bounded(0, 0, depth());
         assert_eq!((queue.capacity(), queue.shard_count), (1, 1));
         queue.try_push(0, 1).unwrap();
         assert!(matches!(queue.try_push(0, 2), Err(PushError::Full(2))));

@@ -149,7 +149,7 @@ pub(super) fn worker_loop(shared: &Shared) {
         // span bracketing [enqueue, pop].
         let prev_trace = alpha_telemetry::set_current_trace_id(req.trace_id);
         let wait_us = (queue_wait_secs * 1e6) as u64;
-        shared.record(req, FlightKind::QueuePop, wait_us);
+        shared.record(req, "net.queue_wait", wait_us);
         let started = Instant::now();
         // A hostile or degenerate matrix must cost its own job, never the
         // worker: a panicking search is caught and reported as a failed
@@ -170,7 +170,7 @@ pub(super) fn worker_loop(shared: &Shared) {
         };
         shared.tunes_executing.fetch_sub(1, Ordering::Relaxed);
         let exec_us = elapsed_us(started);
-        shared.record(req, FlightKind::ExecEnd, exec_us);
+        shared.record(req, "net.tune_exec", exec_us);
         // EWMA (α = 1/4) of tuning time feeds the Busy retry-after hint;
         // racy read-modify-write is fine for an estimate.
         let prev = shared.tune_ewma_us.load(Ordering::Relaxed);
@@ -208,13 +208,13 @@ pub(super) fn worker_loop(shared: &Shared) {
                 }
             }
             Err(error) => {
-                shared.record(req, FlightKind::Error, 0);
+                shared.record(req, "net.tune_failed", 0);
                 Job::Failed { error }
             }
         };
         shared.finish_job(job_id, req.tenant, outcome);
         // The job's total in-server latency: admission to terminal state.
-        shared.record(req, FlightKind::Reply, wait_us.saturating_add(exec_us));
+        shared.record(req, "net.request", wait_us.saturating_add(exec_us));
         alpha_telemetry::set_current_trace_id(prev_trace);
     }
 }
@@ -295,7 +295,7 @@ pub(super) fn submit_tune(
     );
     match shared.queue.try_push(tenant, job_id) {
         Ok(()) => {
-            shared.record(req, FlightKind::Admitted, 0);
+            shared.record(req, "net.admitted", 0);
             Response::Submitted { job_id }
         }
         Err(push_error) => {
@@ -394,8 +394,8 @@ pub(super) fn submit_tune_ref(
         trace_id,
         job_id,
     };
-    shared.record(req, FlightKind::Admitted, 0);
-    shared.record(req, FlightKind::Reply, elapsed_us(started));
+    shared.record(req, "net.admitted", 0);
+    shared.record(req, "net.request", elapsed_us(started));
     Response::Status {
         job_id,
         state: JobState::Done(summary),

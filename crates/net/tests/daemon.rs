@@ -12,7 +12,6 @@ use alpha_net::{
     Client, ErrorKind, JobState, NetError, NetServer, ProtoError, ServerConfig, TenantStats,
 };
 use alpha_serve::{DesignStore, TuningService};
-use alpha_telemetry::FlightKind;
 use alphasparse::{EvaluatorChoice, EvaluatorId, SearchConfig};
 use std::io::Write;
 use std::net::TcpStream;
@@ -353,13 +352,16 @@ fn full_queue_answers_busy_backpressure() {
     assert!(stats.jobs_rejected > 0);
     assert_eq!(stats.jobs_completed, admitted.len() as u64 + 1);
 
-    // Each Busy answer's hint is the value of one shed event, in µs.
+    // Each Busy answer's hint is the arg of one shed event, in µs.
     let shed_us: Vec<u64> = server
         .flight_recorder()
         .snapshot()
-        .iter()
-        .filter(|e| e.kind == FlightKind::Shed)
-        .map(|e| e.value_us)
+        .into_iter()
+        .filter(|e| e.name == "net.shed")
+        .map(|e| match e.arg {
+            Some((key, us)) if key == "retry_after_us" => us,
+            other => panic!("a shed carries its retry-after, not {other:?}"),
+        })
         .collect();
     let hints_us: Vec<u64> = retry_hints_ms.iter().map(|ms| ms * 1000).collect();
     assert_eq!(shed_us, hints_us);
@@ -936,16 +938,26 @@ fn metrics_surface_covers_the_whole_pipeline() {
     let again = scrape("/metrics");
     assert!(again.contains("net_http_scrapes_total 2"), "{again}");
 
-    // The flight recorder dumps over the same endpoint, as JSON, and it
-    // has seen this test's tune and SpMV lifecycles.
+    // The flight recorder dumps over the same endpoint, as a Chrome trace,
+    // and it has seen this test's tune and SpMV stages.
     let flightrec = scrape("/debug/flightrec");
     assert!(flightrec.starts_with("HTTP/1.0 200 OK\r\n"), "{flightrec}");
     assert!(
         flightrec.contains("Content-Type: application/json\r\n"),
         "{flightrec}"
     );
-    for marker in ["\"admitted\"", "\"queue_pop\"", "\"exec_end\"", "\"reply\""] {
-        assert!(flightrec.contains(marker), "missing {marker}:\n{flightrec}");
+    assert!(flightrec.contains("\"traceEvents\": ["), "{flightrec}");
+    for stage in [
+        "net.admitted",
+        "net.queue_wait",
+        "net.tune_exec",
+        "net.request",
+    ] {
+        let marker = format!("\"name\": \"{stage}\"");
+        assert!(
+            flightrec.contains(&marker),
+            "missing {marker}:\n{flightrec}"
+        );
     }
 
     // Only GET is served: anything else on a known path is a 405 that

@@ -10,12 +10,12 @@
 use alpha_matrix::gen;
 use alpha_net::proto::{
     decode_request_traced, decode_response, encode_request_traced, encode_response, read_frame,
-    write_frame, Request, Response, MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
+    write_frame, ProtoError, Request, Response, MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
 use alpha_net::{Client, NetServer, ServerConfig};
 use alpha_serve::{DesignStore, TuningService};
 use alphasparse::SearchConfig;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -131,16 +131,29 @@ fn probe(addr: SocketAddr, bytes: &[u8], expect_activity: bool) -> Option<Respon
                 .expect("whatever the daemon answers must decode as a valid response"),
         ),
         Err(e) => {
-            if expect_activity {
-                let msg = e.to_string();
-                assert!(
-                    !msg.contains("timed out") && !msg.contains("WouldBlock"),
-                    "daemon neither answered nor closed: {msg}"
-                );
-            }
+            assert!(
+                !(expect_activity && wedged(&e)),
+                "daemon neither answered nor closed: {e}"
+            );
             None
         }
     }
+}
+
+/// Whether a read that failed with `e` hit its timeout: the daemon neither
+/// answered nor closed.  The OS reports a socket read timeout as either
+/// kind.
+fn wedged(e: &ProtoError) -> bool {
+    matches!(e, ProtoError::Io(io) if matches!(io.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut))
+}
+
+#[test]
+fn a_read_timeout_is_wedged_and_a_close_is_not() {
+    for kind in [ErrorKind::WouldBlock, ErrorKind::TimedOut] {
+        assert!(wedged(&ProtoError::Io(kind.into())), "{kind:?}");
+    }
+    assert!(!wedged(&ProtoError::Closed));
+    assert!(!wedged(&ProtoError::Io(ErrorKind::ConnectionReset.into())));
 }
 
 #[test]

@@ -7,6 +7,7 @@
 use alpha_matrix::gen::PatternFamily;
 use alpha_net::{Client, NetServer, ServerConfig};
 use alpha_serve::{DesignStore, TuningService};
+use alpha_telemetry::SpanEvent;
 use alphasparse::SearchConfig;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -27,6 +28,14 @@ const HIT_TRACE_STAGES: [&str; 3] = ["client.submit_ref", "net.admission", "net.
 
 const POLL: Duration = Duration::from_millis(2);
 const DEADLINE: Duration = Duration::from_secs(120);
+
+/// The `name` stage event of job `job` among `events`.
+fn stage_of<'e>(events: &'e [SpanEvent], name: &str, job: u64) -> &'e SpanEvent {
+    events
+        .iter()
+        .find(|s| s.name == name && s.arg == Some(("job".into(), job)))
+        .unwrap_or_else(|| panic!("job {job} has no {name} event"))
+}
 
 #[test]
 fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
@@ -111,14 +120,7 @@ fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
     // queue, then everything the tuning worker did for it — identifying the
     // matrix included.
     for (job, summary) in &summaries {
-        let span_us = |name: &str| -> f64 {
-            let of_job = |s: &&alpha_telemetry::OwnedSpan| {
-                s.name == name && s.arg == Some(("job".to_string(), *job))
-            };
-            let span = server_spans.iter().find(of_job);
-            span.unwrap_or_else(|| panic!("job {job} has no {name} span"))
-                .dur_us as f64
-        };
+        let span_us = |name: &str| stage_of(&server_spans, name, *job).dur_us as f64;
         let reported_us = (summary.queue_wait_secs + summary.wall_secs) * 1e6;
         let spans_us = span_us("net.queue_wait") + span_us("net.tune_exec");
         assert!(
@@ -127,13 +129,26 @@ fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
         );
     }
 
+    // One record feeds both views: each queue-wait and exec stage the fetch
+    // returned is the flight recorder's event of its job, field for field.
+    let flight = flightrec.snapshot();
+    for (job, _) in &summaries {
+        for stage in ["net.queue_wait", "net.exec"] {
+            let fetched = stage_of(&server_spans, stage, *job);
+            let recorded = stage_of(&flight, stage, *job);
+            let fields =
+                |e: &SpanEvent| (e.name.clone(), e.ts_us, e.dur_us, e.trace_id, e.arg.clone());
+            assert_eq!(fields(fetched), fields(recorded), "job {job}'s {stage}");
+        }
+    }
+
     // ...and at least one trace id names every stage of a tune request.
     let mut stages_by_trace: HashMap<u64, HashSet<&str>> = HashMap::new();
     for span in fetch.spans.iter().filter(|s| s.trace_id != 0) {
         stages_by_trace
             .entry(span.trace_id)
             .or_default()
-            .insert(span.name.as_str());
+            .insert(&*span.name);
     }
     let complete = stages_by_trace
         .values()
@@ -143,14 +158,9 @@ fn a_tune_request_is_traced_from_client_submit_to_server_reply() {
         complete >= 1,
         "no trace id covers {TUNE_TRACE_STAGES:?}: {stages_by_trace:?}"
     );
-    // The hit's trace id, from the flight event that admitted its job,
-    // covers admission and reply on the event loop and nothing else.
-    let hit_trace = flightrec
-        .snapshot()
-        .into_iter()
-        .find(|e| e.job_id == repeat && e.class == "tune_ref")
-        .expect("the hit's admission was recorded")
-        .trace_id;
+    // The hit's trace id, from the event that admitted its job, covers
+    // admission and reply on the event loop and nothing else.
+    let hit_trace = stage_of(&flight, "net.admitted", repeat).trace_id;
     let hit_stages = &stages_by_trace[&hit_trace];
     assert!(
         HIT_TRACE_STAGES

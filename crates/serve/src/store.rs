@@ -267,6 +267,7 @@ impl DesignStore {
         if !initialised && !layout_is_current(&marker)? {
             write_durably(&marker, format!("{STORE_LAYOUT_VERSION}\n").as_bytes())?;
         }
+        remove_foreign_temp_files(&root.join("designs"))?;
         Ok(DesignStore {
             root,
             _lock: lock,
@@ -585,6 +586,21 @@ fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()
 }
 
+/// Removes the temp files that other processes' saves left in `dir` (see
+/// [`write_durably`]): under the store lock no other process saves, so each
+/// is a save that a crash cut short.
+fn remove_foreign_temp_files(dir: &Path) -> std::io::Result<()> {
+    let own = format!(".tmp.{}.", std::process::id());
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if name.contains(".tmp.") && !name.contains(&own) {
+            std::fs::remove_file(&path)?;
+        }
+    }
+    Ok(())
+}
+
 impl std::fmt::Debug for DesignStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DesignStore")
@@ -819,6 +835,97 @@ mod tests {
         child.kill().unwrap();
         child.wait().unwrap();
         DesignStore::open(&dir).expect("a killed holder's store opens");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Set on the re-executed test binary: the store directory the child
+    /// saves into until it is killed.
+    const SAVER_ENV: &str = "ALPHA_SERVE_TEST_SAVER";
+    /// The contexts the saver saves in turn.
+    const SAVED_CONTEXTS: [u64; 3] = [0xd1, 0xd2, 0xd3];
+
+    #[test]
+    fn a_save_killed_at_any_point_costs_at_most_its_own_context() {
+        // Each save raises the context's winner by 1 GFLOP/s and changes its
+        // seed pins, so every save rewrites the whole file.
+        let save = |store: &DesignStore, key: u64, pins: usize| {
+            let cache = store.cache_for(key).unwrap();
+            let next = cache.winner(key).map_or(1.0, |w| w.gflops + 1.0);
+            cache.record_winner(key, design(next));
+            cache.pin_seed_designs(key, vec![presets::csr_scalar(); pins]);
+            assert!(store.persist(key).unwrap());
+            next
+        };
+        if let Some(dir) = std::env::var_os(SAVER_ENV) {
+            // Saver mode: save the contexts in turn, announcing every
+            // finished save, until killed (or until the parent is gone and
+            // the announcement fails).
+            let store = DesignStore::open(&dir).expect("saver opens the store");
+            for round in 1usize.. {
+                for key in SAVED_CONTEXTS {
+                    save(&store, key, 1 + round % 4);
+                    println!("saved {key}");
+                }
+            }
+            return;
+        }
+        let dir = temp_store_dir("killed_saver");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut saved = std::collections::HashSet::new();
+        for kill_after in [1usize, 2, 5, 11] {
+            let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    "--exact",
+                    "store::tests::a_save_killed_at_any_point_costs_at_most_its_own_context",
+                    "--nocapture",
+                ])
+                .env(SAVER_ENV, &dir)
+                .stdout(std::process::Stdio::piped())
+                .spawn()
+                .unwrap();
+            use std::io::BufRead;
+            let mut lines = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
+            for _ in 0..kill_after {
+                let line = lines
+                    .by_ref()
+                    .map_while(Result::ok)
+                    .find(|line| line.starts_with("saved "))
+                    .expect("the saver exited early");
+                saved.insert(line["saved ".len()..].parse::<u64>().unwrap());
+            }
+            // SIGKILL while the saver is still writing: most likely inside a
+            // later save.  The pipe stays open until then.
+            child.kill().unwrap();
+            child.wait().unwrap();
+            drop(lines);
+
+            let store = DesignStore::open(&dir).expect("a killed saver's store opens");
+            // The temp file of a save the kill cut short is gone.
+            for entry in std::fs::read_dir(dir.join("designs")).unwrap() {
+                let name = entry.unwrap().file_name();
+                assert!(
+                    !name.to_string_lossy().contains(".tmp."),
+                    "{name:?} is left"
+                );
+            }
+            store.winners().expect("its winner index builds");
+            for key in SAVED_CONTEXTS {
+                // Each context decodes or starts cold on its own, and one
+                // whose save finished decodes.
+                let cache = store.cache_for(key).expect("no context is refused");
+                if saved.contains(&key) {
+                    assert!(cache.winner(key).is_some(), "context {key:x} lost its save");
+                }
+                // Nothing the kill left behind blocks the next save.
+                let gflops = save(&store, key, 1);
+                saved.insert(key);
+                let reopened = DesignStore::open(&dir).unwrap();
+                assert_eq!(
+                    reopened.cache_for(key).unwrap().winner(key).unwrap().gflops,
+                    gflops
+                );
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

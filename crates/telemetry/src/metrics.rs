@@ -15,7 +15,7 @@
 //! * **Histograms are fixed log-scale buckets.**  31 power-of-two upper
 //!   bounds (1, 2, 4, … 2³⁰) plus a +Inf bucket, all atomic `u64`s — wide
 //!   enough for microsecond latencies from sub-µs to ~18 minutes with ~2x
-//!   relative resolution, and mergeable bucket-by-bucket across snapshots.
+//!   relative resolution.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -293,12 +293,6 @@ impl Registry {
     pub fn render_prometheus(&self) -> String {
         self.snapshot().render_prometheus()
     }
-
-    /// JSON rendering of the whole registry (stable key order, no external
-    /// JSON crate).
-    pub fn render_json(&self) -> String {
-        self.snapshot().render_json()
-    }
 }
 
 /// One counter's value in a [`Snapshot`].
@@ -341,48 +335,7 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
-impl HistogramSnapshot {
-    /// Nearest-rank quantile estimate from the log-scale buckets: the
-    /// geometric midpoint of the bucket containing the rank (the bound
-    /// itself for the first bucket; twice the last finite bound for the
-    /// +Inf bucket).  `q` in `[0, 1]`.  Returns 0 for an empty histogram.
-    /// Accuracy is bounded by the ~2x bucket width — good enough for
-    /// p50/p95/p99 divergence checks, not for sub-bucket comparisons.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(n);
-            if seen >= rank {
-                return if i == 0 {
-                    BUCKET_BOUNDS[0] as f64
-                } else if i < BUCKET_BOUNDS.len() {
-                    // Geometric midpoint of (2^(i-1), 2^i].
-                    (BUCKET_BOUNDS[i - 1] as f64 * BUCKET_BOUNDS[i] as f64).sqrt()
-                } else {
-                    BUCKET_BOUNDS[BUCKET_BOUNDS.len() - 1] as f64 * 2.0
-                };
-            }
-        }
-        BUCKET_BOUNDS[BUCKET_BOUNDS.len() - 1] as f64 * 2.0
-    }
-
-    /// Bucket-wise merge of another snapshot of the *same* histogram shape
-    /// (counts add, sums saturate).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.sum = self.sum.saturating_add(other.sum);
-        self.count = self.count.saturating_add(other.count);
-    }
-}
-
-/// A point-in-time copy of a [`Registry`], mergeable with other snapshots
-/// (e.g. per-shard registries summed into one exposition).
+/// A point-in-time copy of a [`Registry`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// All counters, in stable (name, labels) order.
@@ -415,42 +368,6 @@ impl Snapshot {
         self.histograms
             .iter()
             .find(|h| h.name == name && labels_match(&h.labels, labels))
-    }
-
-    /// Merges `other` into `self`: counters and histogram buckets add
-    /// (saturating), gauges add (they are shard-additive quantities like
-    /// queue depths).  Metrics present only in `other` are appended.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for theirs in &other.counters {
-            match self
-                .counters
-                .iter_mut()
-                .find(|c| c.name == theirs.name && c.labels == theirs.labels)
-            {
-                Some(mine) => mine.value = mine.value.saturating_add(theirs.value),
-                None => self.counters.push(theirs.clone()),
-            }
-        }
-        for theirs in &other.gauges {
-            match self
-                .gauges
-                .iter_mut()
-                .find(|g| g.name == theirs.name && g.labels == theirs.labels)
-            {
-                Some(mine) => mine.value = mine.value.saturating_add(theirs.value),
-                None => self.gauges.push(theirs.clone()),
-            }
-        }
-        for theirs in &other.histograms {
-            match self
-                .histograms
-                .iter_mut()
-                .find(|h| h.name == theirs.name && h.labels == theirs.labels)
-            {
-                Some(mine) => mine.merge(theirs),
-                None => self.histograms.push(theirs.clone()),
-            }
-        }
     }
 
     /// Prometheus-compatible text exposition; see
@@ -504,65 +421,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// JSON rendering; see [`Registry::render_json`].
-    pub fn render_json(&self) -> String {
-        let labels_json = |labels: &[(&'static str, String)]| {
-            let fields: Vec<String> = labels
-                .iter()
-                .map(|(k, v)| format!("\"{}\": \"{}\"", k, json_escape(v)))
-                .collect();
-            format!("{{{}}}", fields.join(", "))
-        };
-        let mut parts: Vec<String> = Vec::new();
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"name\": \"{}\", \"labels\": {}, \"value\": {}}}",
-                    c.name,
-                    labels_json(&c.labels),
-                    c.value
-                )
-            })
-            .collect();
-        parts.push(format!("  \"counters\": [\n{}\n  ]", counters.join(",\n")));
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|g| {
-                format!(
-                    "    {{\"name\": \"{}\", \"labels\": {}, \"value\": {}}}",
-                    g.name,
-                    labels_json(&g.labels),
-                    g.value
-                )
-            })
-            .collect();
-        parts.push(format!("  \"gauges\": [\n{}\n  ]", gauges.join(",\n")));
-        let histograms: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|h| {
-                let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-                format!(
-                    "    {{\"name\": \"{}\", \"labels\": {}, \"buckets\": [{}], \
-                     \"sum\": {}, \"count\": {}}}",
-                    h.name,
-                    labels_json(&h.labels),
-                    buckets.join(", "),
-                    h.sum,
-                    h.count
-                )
-            })
-            .collect();
-        parts.push(format!(
-            "  \"histograms\": [\n{}\n  ]",
-            histograms.join(",\n")
-        ));
-        format!("{{\n{}\n}}\n", parts.join(",\n"))
-    }
 }
 
 fn labels_match(mine: &[(&'static str, String)], wanted: &[(&str, &str)]) -> bool {
@@ -592,20 +450,6 @@ fn prom_escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -743,77 +587,6 @@ mod tests {
         let escaped = &line[start..end];
         assert_eq!(escaped, "back\\\\slash\\\"quote\\nnewline} end");
         assert_eq!(prom_unescape(escaped), hostile);
-    }
-
-    #[test]
-    fn json_rendering_is_wellformed() {
-        let registry = Registry::new();
-        registry.counter("reqs_total", &[("q", "a\"b")]).inc();
-        registry.histogram("lat_us", &[]).observe(3);
-        let json = registry.render_json();
-        assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"q\": \"a\\\"b\""));
-        assert!(json.contains("\"histograms\""));
-        assert!(json.contains("\"count\": 1"));
-    }
-
-    #[test]
-    fn snapshots_merge_additively() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("total", &[]).add(2);
-        b.counter("total", &[]).add(3);
-        b.counter("only_b", &[]).add(1);
-        a.gauge("depth", &[]).set(4);
-        b.gauge("depth", &[]).set(6);
-        a.histogram("lat", &[]).observe(1);
-        b.histogram("lat", &[]).observe(1000);
-
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.counter("total", &[]), Some(5));
-        assert_eq!(merged.counter("only_b", &[]), Some(1));
-        assert_eq!(merged.gauge("depth", &[]), Some(10));
-        let h = merged.histogram("lat", &[]).unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 1001);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[10], 1);
-    }
-
-    #[test]
-    fn quantiles_track_bucket_resolution() {
-        let registry = Registry::new();
-        let h = registry.histogram("q_us", &[]);
-        for _ in 0..90 {
-            h.observe(100); // bucket le=128
-        }
-        for _ in 0..10 {
-            h.observe(100_000); // bucket le=131072
-        }
-        let snap = registry.snapshot();
-        let hist = snap.histogram("q_us", &[]).unwrap();
-        let p50 = hist.quantile(0.5);
-        assert!(
-            (64.0..=128.0).contains(&p50),
-            "p50 must land in the 100-us bucket, got {p50}"
-        );
-        let p99 = hist.quantile(0.99);
-        assert!(
-            (65_536.0..=131_072.0).contains(&p99),
-            "p99 must land in the 100k-us bucket, got {p99}"
-        );
-        assert_eq!(
-            HistogramSnapshot {
-                name: "empty",
-                labels: vec![],
-                buckets: vec![0; BUCKETS],
-                sum: 0,
-                count: 0,
-            }
-            .quantile(0.5),
-            0.0
-        );
     }
 
     #[test]

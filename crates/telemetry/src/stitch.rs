@@ -19,44 +19,10 @@
 //! `pid 1`, server spans under `pid 2` — so one `chrome://tracing` /
 //! Perfetto load shows a request crossing the wire, aligned on a shared
 //! timeline and joined by `trace_id` in each span's args.
-//! [`chrome_trace_json`] is the one-process case of the same renderer.
+//! [`chrome_trace_json`] is the one-process case of the same renderer,
+//! which the flight recorder's dump uses too.
 
 use crate::trace::SpanEvent;
-
-/// A span that owns its strings — the wire form of a [`SpanEvent`], usable
-/// after it crosses a process boundary where `&'static str` names cannot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedSpan {
-    /// Span name (e.g. `"net.tune_exec"`).
-    pub name: String,
-    /// Start time in microseconds since the *recording* process's trace
-    /// epoch.
-    pub ts_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-    /// Recording thread id (sequential, per recording process).
-    pub tid: u64,
-    /// Nesting depth on the recording thread (0 = outermost).
-    pub depth: u32,
-    /// Optional argument key/value from the span site.
-    pub arg: Option<(String, u64)>,
-    /// Request trace id (`0` = untraced).
-    pub trace_id: u64,
-}
-
-impl From<&SpanEvent> for OwnedSpan {
-    fn from(s: &SpanEvent) -> OwnedSpan {
-        OwnedSpan {
-            name: s.name.to_string(),
-            ts_us: s.ts_us,
-            dur_us: s.dur_us,
-            tid: s.tid,
-            depth: s.depth,
-            arg: s.arg.map(|(k, v)| (k.to_string(), v)),
-            trace_id: s.trace_id,
-        }
-    }
-}
 
 /// The NTP-style offset mapping server trace timestamps into the client
 /// clock domain: `server_ts + offset ≈ client_ts`.  `sent_us` and
@@ -71,22 +37,39 @@ fn shift(ts_us: u64, offset_us: i64) -> u64 {
     (ts_us as i64).saturating_add(offset_us).max(0) as u64
 }
 
-fn escape(s: &str) -> String {
-    crate::metrics::json_escape(s)
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
-fn render_one(out: &mut String, s: &OwnedSpan, pid: u32, offset_us: i64) {
+fn render_one(out: &mut String, s: &SpanEvent, pid: u32, offset_us: i64) {
     let mut args = format!("\"depth\": {}", s.depth);
     if s.trace_id != 0 {
         args.push_str(&format!(", \"trace_id\": {}", s.trace_id));
     }
     if let Some((k, v)) = &s.arg {
-        args.push_str(&format!(", \"{}\": {v}", escape(k)));
+        args.push_str(&format!(", \"{}\": {v}", json_escape(k)));
+    }
+    // A tenant id is any u64: quoted, so no JSON reader rounds it.
+    if s.tenant != 0 {
+        args.push_str(&format!(", \"tenant\": \"{}\"", s.tenant));
+    }
+    if !s.class.is_empty() {
+        args.push_str(&format!(", \"class\": \"{}\"", json_escape(s.class)));
     }
     out.push_str(&format!(
         "  {{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
          \"pid\": {pid}, \"tid\": {}, \"args\": {{{args}}}}}",
-        escape(&s.name),
+        json_escape(&s.name),
         shift(s.ts_us, offset_us),
         s.dur_us,
         s.tid,
@@ -96,7 +79,7 @@ fn render_one(out: &mut String, s: &OwnedSpan, pid: u32, offset_us: i64) {
 /// Renders client spans (`pid 1`, client clock) and server spans (`pid 2`,
 /// shifted by `offset_us` from [`clock_offset_us`]) as one Chrome
 /// `trace_event` JSON array.
-pub fn stitch_chrome_trace(client: &[OwnedSpan], server: &[OwnedSpan], offset_us: i64) -> String {
+pub fn stitch_chrome_trace(client: &[SpanEvent], server: &[SpanEvent], offset_us: i64) -> String {
     let total = client.len() + server.len();
     let mut out = String::from("[\n");
     let mut emitted = 0usize;
@@ -116,35 +99,21 @@ pub fn stitch_chrome_trace(client: &[OwnedSpan], server: &[OwnedSpan], offset_us
 /// `chrome://tracing` or Perfetto.  Span arguments and stack depth land in
 /// `args`.
 pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
-    let spans: Vec<OwnedSpan> = spans.iter().map(OwnedSpan::from).collect();
-    stitch_chrome_trace(&spans, &[], 0)
-}
-
-/// The distinct non-zero trace ids present in `spans`, ascending.
-pub fn trace_ids(spans: &[OwnedSpan]) -> Vec<u64> {
-    let mut ids: Vec<u64> = spans
-        .iter()
-        .map(|s| s.trace_id)
-        .filter(|&t| t != 0)
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
+    stitch_chrome_trace(spans, &[], 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(name: &str, ts_us: u64, dur_us: u64, trace_id: u64) -> OwnedSpan {
-        OwnedSpan {
-            name: name.to_string(),
+    fn span(name: &str, ts_us: u64, dur_us: u64, trace_id: u64) -> SpanEvent {
+        SpanEvent {
+            name: name.to_string().into(),
             ts_us,
             dur_us,
             tid: 1,
-            depth: 0,
-            arg: None,
             trace_id,
+            ..SpanEvent::default()
         }
     }
 
@@ -181,33 +150,25 @@ mod tests {
 
     #[test]
     fn owned_span_round_trips_from_span_event_and_escapes_names() {
-        let event = SpanEvent {
-            name: "net.exec",
-            ts_us: 5,
-            dur_us: 7,
-            tid: 3,
-            depth: 1,
-            arg: Some(("job", 9)),
-            trace_id: 11,
+        // A span decoded off the wire owns its strings; it is the same event
+        // as the one recorded with static ones.
+        let recorded = SpanEvent {
+            arg: Some(("job".into(), 9)),
+            tenant: 4,
+            class: "spmv",
+            ..SpanEvent::ending_now("net.exec", 7)
         };
-        let owned = OwnedSpan::from(&event);
-        assert_eq!(owned.name, "net.exec");
-        assert_eq!(owned.arg, Some(("job".to_string(), 9)));
-        assert_eq!(owned.trace_id, 11);
+        let decoded = SpanEvent {
+            name: recorded.name.to_string().into(),
+            arg: Some(("job".to_string().into(), 9)),
+            ..recorded.clone()
+        };
+        assert_eq!(decoded, recorded);
+        let json = chrome_trace_json(&[recorded]);
+        assert!(json.contains("\"job\": 9, \"tenant\": \"4\", \"class\": \"spmv\"}"));
 
         let hostile = span("bad\"name\\with\nnewline", 0, 1, 0);
         let json = stitch_chrome_trace(&[hostile], &[], 0);
         assert!(json.contains("bad\\\"name\\\\with\\nnewline"));
-    }
-
-    #[test]
-    fn trace_ids_are_distinct_sorted_nonzero() {
-        let spans = vec![
-            span("a", 0, 1, 9),
-            span("b", 1, 1, 2),
-            span("c", 2, 1, 9),
-            span("d", 3, 1, 0),
-        ];
-        assert_eq!(trace_ids(&spans), vec![2, 9]);
     }
 }

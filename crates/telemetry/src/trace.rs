@@ -25,19 +25,21 @@
 //! oldest span is dropped (the recent past is the interesting part of a
 //! trace).
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::ring::Ring;
 
-/// One finished span, as drained from the ring buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One finished span: a `span!` scope, a request stage recorded by the
+/// serving tier, or a span decoded off the wire (whose strings are owned).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Static span name (e.g. `"search.l2"`).
-    pub name: &'static str,
-    /// Start time in microseconds since the process trace epoch (the first
-    /// time tracing was enabled).
+    /// Span name (e.g. `"search.l2"`, `"net.queue_wait"`).
+    pub name: Cow<'static, str>,
+    /// Start time in microseconds since the recording process's trace epoch
+    /// ([`now_us`]).
     pub ts_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
@@ -46,14 +48,35 @@ pub struct SpanEvent {
     pub tid: u64,
     /// Nesting depth on the recording thread's span stack (0 = outermost).
     pub depth: u32,
-    /// Optional static-key argument attached at the span site
+    /// Optional argument attached at the span site
     /// (`span!("name", matrix = fp)`).
-    pub arg: Option<(&'static str, u64)>,
+    pub arg: Option<(Cow<'static, str>, u64)>,
     /// Request trace id in effect on the recording thread when the span was
     /// entered (`0` = untraced).  Set with [`set_current_trace_id`]; carried
     /// across the wire by `alpha-net` so client- and server-side spans of
     /// one request share an id.
     pub trace_id: u64,
+    /// Tenant of the request a stage belongs to (`0` = anonymous, or not a
+    /// request stage).
+    pub tenant: u64,
+    /// Lane of the request a stage belongs to (`tune`, `tune_ref`, `spmv`);
+    /// empty for other spans.
+    pub class: &'static str,
+}
+
+impl SpanEvent {
+    /// A span of `dur_us` ending now: on this thread, at depth 0, under the
+    /// thread's current trace id.
+    pub fn ending_now(name: &'static str, dur_us: u64) -> SpanEvent {
+        SpanEvent {
+            name: Cow::Borrowed(name),
+            ts_us: now_us().saturating_sub(dur_us),
+            dur_us,
+            tid: thread_id(),
+            trace_id: current_trace_id(),
+            ..SpanEvent::default()
+        }
+    }
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -98,23 +121,13 @@ pub fn now_us() -> u64 {
     epoch().elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// Records an already-finished span with explicit timestamps, tagged with
-/// this thread's tid and current trace id at depth 0.  No-op while tracing
-/// is disabled.  Use for cross-thread intervals that no single [`SpanGuard`]
-/// scope can bracket.
-pub fn record_span(name: &'static str, ts_us: u64, dur_us: u64, arg: Option<(&'static str, u64)>) {
-    if !tracing_enabled() {
-        return;
+/// Records an already-finished span, such as one built by
+/// [`SpanEvent::ending_now`].  No-op while tracing is disabled.  Use for
+/// cross-thread intervals that no single [`SpanGuard`] scope can bracket.
+pub fn record_span(event: SpanEvent) {
+    if tracing_enabled() {
+        push_event(event);
     }
-    push_event(SpanEvent {
-        name,
-        ts_us,
-        dur_us,
-        tid: thread_id(),
-        depth: 0,
-        arg,
-        trace_id: current_trace_id(),
-    });
 }
 
 fn push_event(event: SpanEvent) {
@@ -209,13 +222,14 @@ impl Drop for SpanGuard {
             .min(u64::MAX as u128) as u64;
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         push_event(SpanEvent {
-            name: open.name,
+            name: Cow::Borrowed(open.name),
             ts_us,
             dur_us,
             tid: thread_id(),
             depth: open.depth,
-            arg: open.arg,
+            arg: open.arg.map(|(key, value)| (Cow::Borrowed(key), value)),
             trace_id: open.trace_id,
+            ..SpanEvent::default()
         });
     }
 }
@@ -277,7 +291,7 @@ mod tests {
         // Inner drops first.
         assert_eq!(spans[0].name, "inner");
         assert_eq!(spans[0].depth, 1);
-        assert_eq!(spans[0].arg, Some(("matrix", 0xF00)));
+        assert_eq!(spans[0].arg, Some(("matrix".into(), 0xF00)));
         assert_eq!(spans[1].name, "outer");
         assert_eq!(spans[1].depth, 0);
         assert!(spans[1].ts_us <= spans[0].ts_us);
@@ -320,7 +334,11 @@ mod tests {
         {
             let _untagged = crate::span!("untagged");
         }
-        record_span("retro", 1, 2, Some(("queue", 3)));
+        record_span(SpanEvent {
+            ts_us: 1,
+            arg: Some(("queue".into(), 3)),
+            ..SpanEvent::ending_now("retro", 2)
+        });
         disable_tracing();
         let spans = drain_spans();
         assert_eq!(spans.len(), 3);

@@ -309,15 +309,21 @@ fn main() {
             "scrape must carry the wire-level families"
         );
         // The flight recorder rides the same lane: its dump must already
-        // hold the lifecycle of the traffic the waves produced.
+        // hold the stages of the traffic the waves produced.
         let dump = http_get(metrics, "/debug/flightrec");
-        for kind in ["\"admitted\"", "\"queue_pop\"", "\"exec_end\"", "\"reply\""] {
+        for stage in [
+            "net.admitted",
+            "net.queue_wait",
+            "net.tune_exec",
+            "net.exec",
+            "net.request",
+        ] {
             assert!(
-                dump.contains(kind),
-                "flight recorder saw no {kind} event after two waves"
+                dump.contains(&format!("\"name\": \"{stage}\"")),
+                "flight recorder saw no {stage} event after two waves"
             );
         }
-        let events = dump.matches("\"seq\":").count();
+        let events = dump.matches("\"ph\": \"X\"").count();
         println!("flight recorder: {events} buffered events at http://{metrics}/debug/flightrec");
     }
 
