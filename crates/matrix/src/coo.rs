@@ -6,9 +6,9 @@ use crate::{MatrixError, Result, Scalar};
 
 /// A sparse matrix stored as coordinate triplets.
 ///
-/// Entries are not required to be sorted or deduplicated on construction;
-/// [`CooMatrix::sort_row_major`] and [`CooMatrix::sum_duplicates`] normalise
-/// them.  Conversions to CSR sort and deduplicate implicitly.
+/// Entries are not required to be sorted or deduplicated;
+/// [`CsrMatrix::from_coo`](crate::CsrMatrix::from_coo) sorts them and sums
+/// duplicates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix {
     rows: usize,
@@ -115,43 +115,6 @@ impl CooMatrix {
             .map(|((&r, &c), &v)| (r as usize, c as usize, v))
     }
 
-    /// Sorts the triplets into row-major (row, then column) order.
-    pub fn sort_row_major(&mut self) {
-        let mut perm: Vec<usize> = (0..self.nnz()).collect();
-        perm.sort_by_key(|&i| (self.row_indices[i], self.col_indices[i]));
-        self.apply_permutation(&perm);
-    }
-
-    fn apply_permutation(&mut self, perm: &[usize]) {
-        self.row_indices = perm.iter().map(|&i| self.row_indices[i]).collect();
-        self.col_indices = perm.iter().map(|&i| self.col_indices[i]).collect();
-        self.values = perm.iter().map(|&i| self.values[i]).collect();
-    }
-
-    /// Sums duplicate entries at the same `(row, col)` position.  The matrix
-    /// is left sorted in row-major order.
-    pub fn sum_duplicates(&mut self) {
-        self.sort_row_major();
-        let mut out_r = Vec::with_capacity(self.nnz());
-        let mut out_c = Vec::with_capacity(self.nnz());
-        let mut out_v: Vec<Scalar> = Vec::with_capacity(self.nnz());
-        for i in 0..self.nnz() {
-            let (r, c, v) = (self.row_indices[i], self.col_indices[i], self.values[i]);
-            if let (Some(&lr), Some(&lc)) = (out_r.last(), out_c.last()) {
-                if lr == r && lc == c {
-                    *out_v.last_mut().expect("values track indices") += v;
-                    continue;
-                }
-            }
-            out_r.push(r);
-            out_c.push(c);
-            out_v.push(v);
-        }
-        self.row_indices = out_r;
-        self.col_indices = out_c;
-        self.values = out_v;
-    }
-
     /// Reference sequential SpMV: `y = A * x`.  Used as the ground truth in
     /// tests of every generated kernel.
     pub fn spmv(&self, x: &[Scalar]) -> Result<Vec<Scalar>> {
@@ -244,29 +207,6 @@ mod tests {
     fn spmv_rejects_wrong_x() {
         let m = sample();
         assert!(m.spmv(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn sort_row_major_orders_triplets() {
-        let mut m = sample();
-        m.sort_row_major();
-        let rows: Vec<_> = m.row_indices().to_vec();
-        assert!(rows.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(
-            m.spmv(&[1.0; 4]).unwrap(),
-            sample().spmv(&[1.0; 4]).unwrap()
-        );
-    }
-
-    #[test]
-    fn sum_duplicates_accumulates() {
-        let mut m = CooMatrix::new(2, 2);
-        m.push(0, 0, 1.0);
-        m.push(0, 0, 2.5);
-        m.push(1, 1, 1.0);
-        m.sum_duplicates();
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.to_dense()[0][0], 3.5);
     }
 
     #[test]

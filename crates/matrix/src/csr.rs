@@ -106,24 +106,84 @@ impl CsrMatrix {
         })
     }
 
-    /// Converts from COO, summing duplicates and sorting each row by column.
+    /// Converts from COO, sorting each row by column and summing duplicate
+    /// entries.  O(nnz + rows), with no copy of the COO: one stable counting
+    /// sort by row writes straight into the output arrays, a row is sorted by
+    /// column (stably) only when it is not already strictly increasing, and
+    /// duplicates are summed in place.  Duplicates add up in push order,
+    /// first value first; f32 addition is order-sensitive, so that order is
+    /// part of the result's bits.
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let mut normalised = coo.clone();
-        normalised.sum_duplicates();
-        let rows = normalised.rows();
+        let rows = coo.rows();
+        let nnz = coo.nnz();
         let mut row_offsets = vec![0u32; rows + 1];
-        for &r in normalised.row_indices() {
+        for &r in coo.row_indices() {
             row_offsets[r as usize + 1] += 1;
         }
         for i in 0..rows {
             row_offsets[i + 1] += row_offsets[i];
         }
+        let mut col_indices = vec![0u32; nnz];
+        let mut values: Vec<Scalar> = vec![0.0; nnz];
+        let mut next = row_offsets[..rows].to_vec();
+        for ((&r, &c), &v) in coo
+            .row_indices()
+            .iter()
+            .zip(coo.col_indices())
+            .zip(coo.values())
+        {
+            let slot = &mut next[r as usize];
+            col_indices[*slot as usize] = c;
+            values[*slot as usize] = v;
+            *slot += 1;
+        }
+
+        // Row by row, left to right: `start..end` is the row as scattered,
+        // `write` the end of what is already compacted (never past `start`).
+        let mut scratch: Vec<(u32, Scalar)> = Vec::new();
+        let mut start = 0;
+        let mut write = 0;
+        for row in 0..rows {
+            let end = row_offsets[row + 1] as usize;
+            if col_indices[start..end].windows(2).all(|w| w[0] < w[1]) {
+                if write < start {
+                    col_indices.copy_within(start..end, write);
+                    values.copy_within(start..end, write);
+                }
+                write += end - start;
+            } else {
+                scratch.clear();
+                scratch.extend(
+                    col_indices[start..end]
+                        .iter()
+                        .copied()
+                        .zip(values[start..end].iter().copied()),
+                );
+                scratch.sort_by_key(|&(c, _)| c);
+                let row_start = write;
+                for &(c, v) in &scratch {
+                    if write > row_start && col_indices[write - 1] == c {
+                        values[write - 1] += v;
+                    } else {
+                        col_indices[write] = c;
+                        values[write] = v;
+                        write += 1;
+                    }
+                }
+            }
+            row_offsets[row + 1] = write as u32;
+            start = end;
+        }
+        col_indices.truncate(write);
+        col_indices.shrink_to_fit();
+        values.truncate(write);
+        values.shrink_to_fit();
         CsrMatrix {
             rows,
-            cols: normalised.cols(),
+            cols: coo.cols(),
             row_offsets,
-            col_indices: normalised.col_indices().to_vec(),
-            values: normalised.values().to_vec(),
+            col_indices,
+            values,
             fingerprint: OnceLock::new(),
             digest: OnceLock::new(),
             column_runs: OnceLock::new(),
@@ -419,6 +479,135 @@ mod tests {
         let csr = CsrMatrix::from_coo(&coo);
         assert_eq!(csr.nnz(), 1);
         assert_eq!(csr.values(), &[5.0]);
+    }
+
+    #[test]
+    fn from_coo_sorts_each_row_by_column() {
+        // Pushed out of order across and within rows.
+        let mut coo = CooMatrix::new(3, 4);
+        for (r, c, v) in [
+            (0, 0, 1.0),
+            (2, 3, 6.0),
+            (0, 2, 2.0),
+            (1, 1, 3.0),
+            (2, 0, 4.0),
+            (2, 2, 5.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let csr = CsrMatrix::from_coo(&coo);
+        assert_eq!(csr.row_offsets(), &[0, 2, 3, 6]);
+        assert_eq!(csr.col_indices(), &[0, 2, 1, 0, 2, 3]);
+        assert_eq!(csr.values(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(csr.spmv(&[1.0; 4]).unwrap(), coo.spmv(&[1.0; 4]).unwrap());
+    }
+
+    #[test]
+    fn from_coo_sums_duplicates_in_push_order() {
+        // (1e8 + 1) - 1e8 is 0 in f32 and (1e8 - 1e8) + 1 is 1: only the
+        // push order gives 0.  Row 1's entries are interleaved with row 0's.
+        let mut coo = CooMatrix::new(2, 3);
+        for (r, c, v) in [
+            (0, 2, 1e8),
+            (1, 1, 1.0),
+            (0, 2, 1.0),
+            (0, 0, 7.0),
+            (1, 1, 2.5),
+            (0, 2, -1e8),
+        ] {
+            coo.push(r, c, v);
+        }
+        let csr = CsrMatrix::from_coo(&coo);
+        assert_eq!(csr.row_offsets(), &[0, 2, 3]);
+        assert_eq!(csr.col_indices(), &[0, 2, 1]);
+        assert_eq!(csr.values(), &[7.0, 0.0, 3.5]);
+    }
+
+    /// What `from_coo` must equal, bit for bit: a stable sort by
+    /// `(row, col)`, then each run of one position summed in push order.
+    fn reference_from_coo(coo: &CooMatrix) -> Vec<(usize, usize, u32)> {
+        let mut entries: Vec<_> = coo.iter().collect();
+        entries.sort_by_key(|&(r, c, _)| (r, c));
+        let mut summed: Vec<(usize, usize, Scalar)> = Vec::new();
+        for (r, c, v) in entries {
+            match summed.last_mut() {
+                Some(last) if (last.0, last.1) == (r, c) => last.2 += v,
+                _ => summed.push((r, c, v)),
+            }
+        }
+        summed
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect()
+    }
+
+    fn assert_matches_reference(coo: &CooMatrix, what: &str) {
+        let csr = CsrMatrix::from_coo(coo);
+        assert_eq!((csr.rows(), csr.cols()), (coo.rows(), coo.cols()), "{what}");
+        let triplets: Vec<_> = csr
+            .to_coo()
+            .iter()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect();
+        assert_eq!(triplets, reference_from_coo(coo), "{what}");
+    }
+
+    #[test]
+    fn from_coo_is_bitwise_a_stable_sort_then_a_push_order_sum() {
+        use crate::gen::rng::SplitMix64;
+        let specials = [
+            -0.0,
+            0.0,
+            Scalar::NAN,
+            -Scalar::NAN,
+            Scalar::INFINITY,
+            -Scalar::INFINITY,
+        ];
+        let mut rng = SplitMix64::new(59);
+        let random = |rows: usize, cols: usize, nnz: usize, rng: &mut SplitMix64| {
+            let mut coo = CooMatrix::new(rows, cols);
+            for _ in 0..nnz {
+                let value = match rng.next_below(8) {
+                    0 => specials[rng.next_below(specials.len())],
+                    _ => rng.next_value(),
+                };
+                coo.push(rng.next_below(rows), rng.next_below(cols), value);
+            }
+            coo
+        };
+        // Small shapes collide often: unsorted rows, duplicates, empty rows.
+        for (rows, cols, nnz) in [
+            (1, 1, 9),
+            (5, 3, 40),
+            (40, 40, 60),
+            (300, 7, 2_000),
+            (64, 1_000, 500),
+        ] {
+            for trial in 0..4 {
+                let coo = random(rows, cols, nnz, &mut rng);
+                assert_matches_reference(&coo, &format!("{rows}x{cols} nnz {nnz} #{trial}"));
+            }
+        }
+        // Degenerate shapes.
+        for (rows, cols) in [(0, 5), (5, 0), (0, 0), (6, 6)] {
+            assert_matches_reference(&CooMatrix::new(rows, cols), &format!("empty {rows}x{cols}"));
+        }
+        // One row of 12,000 entries amid short ones, unsorted with duplicates.
+        let mut coo = random(50, 4_000, 400, &mut rng);
+        for _ in 0..12_000 {
+            let col = rng.next_below(4_000);
+            coo.push(17, col, rng.next_value());
+        }
+        assert_matches_reference(&coo, "long row");
+        // A symmetric Matrix Market file whose entry (2, 1) is listed twice:
+        // the mirrored entries collide too.
+        let file = "%%MatrixMarket matrix coordinate real symmetric\n\
+                    3 3 5\n1 1 1.5\n2 1 2.0\n3 3 -0.0\n2 1 0.25\n3 2 -4.0\n";
+        let coo = crate::mm::read_matrix_market(file.as_bytes()).unwrap();
+        assert_matches_reference(&coo, "symmetric mtx");
+        let csr = CsrMatrix::from_coo(&coo);
+        assert_eq!(csr.col_indices(), &[0, 1, 0, 2, 1, 2]);
+        assert_eq!(csr.values(), &[1.5, 2.25, 2.25, -4.0, -4.0, -0.0]);
     }
 
     #[test]

@@ -33,18 +33,16 @@ pub fn rmat(n: usize, target_nnz: usize, seed: u64) -> CsrMatrix {
         let mut r = 0usize;
         let mut c = 0usize;
         for level in 0..levels {
-            let bit = 1usize << (levels - 1 - level);
+            // Quadrant a adds nothing, b the column bit, c the row bit and d
+            // both.  Non-short-circuit `&` and `|` keep the pick free of
+            // branches: one per level was a coin flip the predictor lost.
             let p = rng.next_f64();
-            if p < RMAT_A {
-                // top-left: nothing to add
-            } else if p < RMAT_A + RMAT_B {
-                c += bit;
-            } else if p < RMAT_A + RMAT_B + RMAT_C {
-                r += bit;
-            } else {
-                r += bit;
-                c += bit;
-            }
+            let down = p >= RMAT_A + RMAT_B;
+            #[allow(clippy::manual_range_contains)] // `contains` short-circuits
+            let right = (p >= RMAT_A) & (p < RMAT_A + RMAT_B) | (p >= RMAT_A + RMAT_B + RMAT_C);
+            let shift = levels - 1 - level;
+            r |= (down as usize) << shift;
+            c |= (right as usize) << shift;
         }
         if r < n && c < n {
             coo.push(r, c, rng.next_value());

@@ -44,37 +44,57 @@ impl SplitMix64 {
         (self.next_f64() * 2.0 - 1.0) as f32
     }
 
-    /// Samples `count` distinct values from `[0, bound)`.  Uses rejection for
-    /// sparse draws and a partial Fisher–Yates shuffle when `count` is a large
-    /// fraction of `bound`.
+    /// Samples `count` distinct values from `[0, bound)`, sorted.  Uses
+    /// rejection for sparse draws and a partial Fisher–Yates shuffle when
+    /// `count` is a large fraction of `bound`.  A rejection draw tests
+    /// membership by scanning what it has drawn when it is short, and with a
+    /// bitmap of `bound` bits when it is long, then sorts once: O(count) per
+    /// value drawn at worst, and never a bitmap of more than `SHORT_DRAW`
+    /// words per value.
     pub fn sample_distinct(&mut self, bound: usize, count: usize) -> Vec<usize> {
         let count = count.min(bound);
         if count == 0 {
             return Vec::new();
         }
-        if count * 3 >= bound {
+        let mut chosen = if count * 3 >= bound {
             // Dense draw: shuffle a full index range and truncate.
             let mut all: Vec<usize> = (0..bound).collect();
             for i in 0..count {
                 let j = i + self.next_below(bound - i);
                 all.swap(i, j);
             }
-            let mut head: Vec<usize> = all[..count].to_vec();
-            head.sort_unstable();
-            head
-        } else {
-            // Sparse draw: rejection sampling into a sorted vec.
+            all.truncate(count);
+            all
+        } else if count <= SHORT_DRAW || bound.div_ceil(64) > count * SHORT_DRAW {
             let mut chosen = Vec::with_capacity(count);
             while chosen.len() < count {
                 let candidate = self.next_below(bound);
-                if let Err(pos) = chosen.binary_search(&candidate) {
-                    chosen.insert(pos, candidate);
+                if !chosen.contains(&candidate) {
+                    chosen.push(candidate);
                 }
             }
             chosen
-        }
+        } else {
+            let mut seen = vec![0u64; bound.div_ceil(64)];
+            let mut chosen = Vec::with_capacity(count);
+            while chosen.len() < count {
+                let candidate = self.next_below(bound);
+                let (word, bit) = (candidate / 64, 1u64 << (candidate % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    chosen.push(candidate);
+                }
+            }
+            chosen
+        };
+        chosen.sort_unstable();
+        chosen
     }
 }
+
+/// The longest rejection draw that tests membership by scanning; also the
+/// most bitmap words a longer draw may spend per value drawn.
+const SHORT_DRAW: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -116,7 +136,16 @@ mod tests {
     #[test]
     fn sample_distinct_has_no_duplicates_and_is_sorted() {
         let mut rng = SplitMix64::new(5);
-        for &(bound, count) in &[(100usize, 10usize), (100, 90), (8, 8), (50, 0)] {
+        // Short, dense, full, empty, bitmap and long-scan draws.
+        let draws = [
+            (100usize, 10usize),
+            (100, 90),
+            (8, 8),
+            (50, 0),
+            (1_000, 100),
+            (1 << 20, 100),
+        ];
+        for &(bound, count) in &draws {
             let sample = rng.sample_distinct(bound, count);
             assert_eq!(sample.len(), count.min(bound));
             assert!(sample.windows(2).all(|w| w[0] < w[1]));

@@ -220,6 +220,26 @@ struct RequestTag {
     job_id: u64,
 }
 
+/// The one event of request stage `stage` that took `value_us` µs: it ends
+/// now and carries arg `job`.  A shed lasts 0 µs; it carries the job the
+/// request named (an SpMV's), and only a shed with no job yet (a tune's)
+/// carries the `Busy` answer's retry-after in µs instead, as
+/// `retry_after_us`.
+fn stage_event(req: RequestTag, stage: &'static str, value_us: u64) -> SpanEvent {
+    let (dur_us, arg) = match stage {
+        "net.shed" if req.job_id == 0 => (0, ("retry_after_us".into(), value_us)),
+        "net.shed" => (0, ("job".into(), req.job_id)),
+        _ => (value_us, ("job".into(), req.job_id)),
+    };
+    SpanEvent {
+        arg: Some(arg),
+        trace_id: req.trace_id,
+        tenant: req.tenant,
+        class: req.lane.class(),
+        ..SpanEvent::ending_now(stage, dur_us)
+    }
+}
+
 struct Shared {
     service: Arc<TuningService>,
     config: ServerConfig,
@@ -376,17 +396,7 @@ impl Shared {
             (Lane::Spmv, "net.request") => self.spmv_latency.observe(value_us),
             _ => {}
         }
-        let (dur_us, arg) = match stage {
-            "net.shed" => (0, ("retry_after_us".into(), value_us)),
-            _ => (value_us, ("job".into(), req.job_id)),
-        };
-        let event = SpanEvent {
-            arg: Some(arg),
-            trace_id: req.trace_id,
-            tenant: req.tenant,
-            class: req.lane.class(),
-            ..SpanEvent::ending_now(stage, dur_us)
-        };
+        let event = stage_event(req, stage, value_us);
         if alpha_telemetry::tracing_enabled() && stage != "net.tune_exec" {
             alpha_telemetry::record_span(event.clone());
         }
@@ -397,8 +407,8 @@ impl Shared {
         }
     }
 
-    /// Records a shed request, whose event carries the `Busy` answer's
-    /// retry-after in µs, and returns the answer.
+    /// Records a shed request and returns the answer; see [`stage_event`]
+    /// for what the event carries.
     fn shed(&self, req: RequestTag, busy: Response) -> Response {
         if let Response::Busy { retry_after_ms, .. } = busy {
             self.record(req, "net.shed", retry_after_ms.saturating_mul(1000));
@@ -651,6 +661,36 @@ mod tests {
         assert_eq!(device_by_name("RTX2080").unwrap().name, "RTX2080");
         assert_eq!(device_by_name("testgpu").unwrap().name, "TestGPU");
         assert!(device_by_name("H100").is_none());
+    }
+
+    #[test]
+    fn a_shed_spmv_names_its_job() {
+        let req = RequestTag {
+            lane: Lane::Spmv,
+            tenant: 3,
+            trace_id: 11,
+            job_id: 42,
+        };
+        let event = stage_event(req, "net.shed", 1_000);
+        assert_eq!(event.arg, Some(("job".into(), 42)));
+        assert_eq!((event.dur_us, event.tenant, event.trace_id), (0, 3, 11));
+        assert_eq!(event.class, "spmv");
+    }
+
+    #[test]
+    fn a_shed_tune_carries_its_retry_hint() {
+        let req = RequestTag {
+            lane: Lane::Tune,
+            tenant: 3,
+            trace_id: 0,
+            job_id: 0,
+        };
+        let event = stage_event(req, "net.shed", 25_000);
+        assert_eq!(event.arg, Some(("retry_after_us".into(), 25_000)));
+        assert_eq!((event.dur_us, event.class), (0, "tune"));
+        // Any other stage lasts its value and names the job.
+        let exec = stage_event(RequestTag { job_id: 7, ..req }, "net.queue_wait", 250);
+        assert_eq!((exec.dur_us, exec.arg), (250, Some(("job".into(), 7))));
     }
 
     #[test]

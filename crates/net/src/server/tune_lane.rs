@@ -313,7 +313,8 @@ pub(super) fn submit_tune(
                         queue_capacity: shared.queue.capacity() as u64,
                         retry_after_ms: shared.retry_after_ms(),
                     };
-                    shared.shed(req, busy)
+                    // The job is gone: the shed names none.
+                    shared.shed(RequestTag { job_id: 0, ..req }, busy)
                 }
                 PushError::Closed(_) => {
                     shared.unadmit(tenant, false);
