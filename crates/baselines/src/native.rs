@@ -380,6 +380,18 @@ mod tests {
     }
 
     #[test]
+    fn no_native_baseline_holds_a_second_copy_of_the_csr() {
+        let matrix = gen::powerlaw(512, 512, 8, 2.0, 17);
+        for baseline in native_set() {
+            let kernel = NativeBaselineKernel::new(baseline, &matrix).unwrap();
+            let held = &kernel.matrix;
+            assert_eq!(held.values().as_ptr(), matrix.values().as_ptr());
+            assert_eq!(held.col_indices().as_ptr(), matrix.col_indices().as_ptr());
+            assert_eq!(held.row_offsets().as_ptr(), matrix.row_offsets().as_ptr());
+        }
+    }
+
+    #[test]
     fn hyb_splits_overflow_into_coo() {
         // One long row forces a COO part.
         let mut coo = alpha_matrix::CooMatrix::new(16, 64);

@@ -516,18 +516,24 @@ pub(crate) mod tests {
         let ctx = context_fixture(&matrix);
         let evaluator = NativeEvaluator::new(TimingHarness::quick(), 1);
         let designer = ctx.designer();
-        evaluator.evaluate(&ctx, &presets::csr_scalar()).unwrap();
+        let reordered = |op| {
+            let mut graph = presets::csr_scalar();
+            graph.converting.push(op);
+            graph
+        };
+        // The first design must copy: one that reorders nothing holds no
+        // conversion of its own.
+        let first = reordered(Operator::Bin { bins: 8 });
+        evaluator.evaluate(&ctx, &first).unwrap();
         // Six other row orders: more than the memo holds beside the first.
         for op in (2..7)
             .map(|bins| Operator::Bin { bins })
             .chain([Operator::Sort])
         {
-            let mut graph = presets::csr_scalar();
-            graph.converting.push(op);
-            designer.design(&graph).expect("a valid design");
+            designer.design(&reordered(op)).expect("a valid design");
         }
         let built = designer.stats().built;
-        evaluator.evaluate(&ctx, &presets::csr_scalar()).unwrap();
+        evaluator.evaluate(&ctx, &first).unwrap();
         assert_eq!(designer.stats().built, built + 1, "the first was evicted");
         assert_eq!(evaluator.measurements(), 1, "and not timed again");
     }

@@ -5,6 +5,13 @@
 //! with a *stated* per-row error bound ([`dot_error_bound`]; the f64
 //! reference's own error is ~2⁻²⁹ of it and is ignored).
 //!
+//! Each loop is also held to its own, tighter bound `γ_k·Σ|a_ij·x_j|`
+//! (Higham), `k` its pairing depth read off its summation order: the row
+//! length for the scalar loop and row lanes, `max(⌊len/L⌋ + log₂ L,
+//! len mod L) + 1` for nnz lanes ×`L` and their run twins — over the
+//! families, NaN, Inf and subnormal rows, and the `0×n`, `n×0` and
+//! `nnz = 0` shapes.
+//!
 //! Beside the bound, the suite pins what must hold exactly:
 //!
 //! * row-lane kernels are **bitwise** equal to their forced-scalar twin (each
@@ -1311,4 +1318,208 @@ fn an_empty_column_band_past_the_end_of_x_gathers_nothing_in_a_slab() {
             "{context} [{shapes}] at {threads}"
         );
     }
+}
+
+/// The unit roundoff of `f32` and of `f64`.
+const U32: f64 = f32::EPSILON as f64 / 2.0;
+const U64: f64 = f64::EPSILON / 2.0;
+
+/// Higham's `γ_k = k·u / (1 − k·u)`.
+fn gamma(k: usize, u: f64) -> f64 {
+    let ku = k as f64 * u;
+    ku / (1.0 - ku)
+}
+
+/// The pairing depth `k` of a row of `len` terms: the most roundings any
+/// term passes through on its way into `y`, one multiply and every add
+/// after it, read off the summation order in `simd.rs`.  The scalar loop and
+/// a row lane sum serially from `0.0` (the first add is exact): `len`.  Nnz
+/// lanes ×`L` (and their run twins, which sum in the same order) give each
+/// lane `⌊len/L⌋` terms, fold the lanes by a tree of depth `log₂ L`, and add
+/// the serial tail of `len mod L` terms last, so the deeper of the two
+/// paths is `max(⌊len/L⌋ + log₂ L, len mod L) + 1`.
+fn pairing_depth(lanes: Option<usize>, len: usize) -> usize {
+    match lanes {
+        None => len,
+        Some(l) => (len / l + l.trailing_zeros() as usize).max(len % l) + 1,
+    }
+}
+
+/// The nnz lane width of a kernel's one loop (`None` for a serial loop:
+/// scalar, or row lanes).
+fn nnz_lane_width(kernel: &NativeKernel) -> Option<usize> {
+    let label = kernel.simd_label();
+    assert!(!label.contains('|'), "one loop per kernel: {label}");
+    label
+        .split_once("-nnz-x")
+        .map(|(_, lanes)| lanes.parse().expect("a lane count"))
+}
+
+/// Holds every row of `y` from a loop of nnz lanes `lanes` to
+/// `γ_k·Σ|a_ij·x_j|`, `k` its [`pairing_depth`], plus the f64 reference's
+/// own `γ_len` in double precision and, for products that underflow (where
+/// rounding is absolute, not relative), `2⁻¹⁵⁰` per term, doubled for the
+/// adds it passes through.  A row the reference makes NaN or ±Inf must read
+/// the same.  Returns the largest share of its bound a finite row used.
+fn assert_within_pairing_bound(
+    y: &[f32],
+    reference: &[(f64, f64, usize)],
+    lanes: Option<usize>,
+    context: &str,
+) -> f64 {
+    assert_eq!(y.len(), reference.len(), "{context}: output length");
+    let mut used = 0.0f64;
+    for (row, (&got, &(sum, magnitude, len))) in y.iter().zip(reference).enumerate() {
+        if !sum.is_finite() {
+            assert!(
+                (sum.is_nan() && got.is_nan()) || got as f64 == sum,
+                "{context}: row {row} is {got:e}, reference {sum:e}"
+            );
+            continue;
+        }
+        let k = pairing_depth(lanes, len);
+        let underflow = len as f64 * f32::from_bits(1) as f64;
+        let bound = (gamma(k, U32) + gamma(len, U64)) * magnitude + underflow;
+        let error = (got as f64 - sum).abs();
+        assert!(
+            error <= bound,
+            "{context}: row {row} (len {len}, k {k}) is {got:e}, reference {sum:e}: \
+             error {error:.3e} exceeds γ_k·Σ|a·x| = {bound:.3e}"
+        );
+        if bound > 0.0 {
+            used = used.max(error / bound);
+        }
+    }
+    used
+}
+
+/// The portable lane code at both widths: what a host without a vector
+/// extension runs, and the order the hardware lanes match bit for bit.
+fn portable_lanes(matrix: &CsrMatrix, x: &[f32]) -> [(usize, Vec<f32>); 2] {
+    [
+        (4, portable_row_dots::<4>(matrix, x)),
+        (8, portable_row_dots::<8>(matrix, x)),
+    ]
+}
+
+/// Rows that isolate what a lane schedule does with non-finite and tiny
+/// terms: a NaN in a lane group and in a tail, a +Inf and a −Inf `x` entry
+/// (alone, and meeting each other), subnormal products, products that
+/// underflow from normal operands, and a row whose 15 terms put the 8-lane
+/// tail deeper than the lanes.
+fn non_finite_and_tiny_rows() -> (CsrMatrix, Vec<f32>) {
+    let cols = 64usize;
+    let mut x: Vec<f32> = (0..cols).map(|c| 0.75 + (c % 5) as f32 * 0.5).collect();
+    x[40] = f32::INFINITY;
+    x[41] = f32::NEG_INFINITY;
+    x[42] = 1.0e-39;
+    x[43] = f32::MIN_POSITIVE;
+    let mut coo = CooMatrix::new(10, cols);
+    let mut push_row = |row: usize, entries: &[(usize, f32)]| {
+        for &(c, v) in entries {
+            coo.push(row, c, v);
+        }
+    };
+    let ordinary = |start: usize, len: usize| -> Vec<(usize, f32)> {
+        (start..start + len)
+            .map(|c| (c, 1.0 + (c % 7) as f32 / 3.0))
+            .collect()
+    };
+    let mut body_nan = ordinary(0, 12);
+    body_nan[3].1 = f32::NAN;
+    push_row(0, &body_nan);
+    let mut tail_nan = ordinary(0, 13);
+    tail_nan[12].1 = f32::NAN;
+    push_row(1, &tail_nan);
+    push_row(2, &[ordinary(0, 9), vec![(40, 2.0)]].concat());
+    push_row(3, &[ordinary(20, 5), vec![(41, 0.5)]].concat());
+    push_row(4, &[(40, 1.0), (41, 1.0), (3, 1.0)]);
+    push_row(
+        5,
+        &[(42, 1.0e-40), (43, 2.0e-41), (0, 1.0e-44), (1, 3.0e-45)],
+    );
+    push_row(6, &[(43, 0.3), (42, 1.0e-39), (5, 1.0e-38), (9, -1.0e-38)]);
+    push_row(7, &ordinary(30, 15));
+    // Row 8 stays empty; row 9 cancels to a tiny sum.
+    push_row(9, &[(0, 1.0e8), (1, 1.0), (2, -1.0e8), (3, 1.0e-3)]);
+    (CsrMatrix::from_coo(&coo), x)
+}
+
+#[test]
+fn every_loop_is_within_gamma_k_of_its_pairing_depth() {
+    let mut fleet: Vec<(String, CsrMatrix, Vec<f32>)> = PatternFamily::ALL
+        .iter()
+        .enumerate()
+        .map(|(fi, family)| {
+            let matrix = family.generate(384, 6, 900 + fi as u64);
+            let x = DenseVector::random(matrix.cols(), 7).as_slice().to_vec();
+            (family.name().to_string(), matrix, x)
+        })
+        .collect();
+    let (corner, x) = corner_case_matrix();
+    fleet.push(("corner".into(), corner, x));
+    let (tiny, x) = non_finite_and_tiny_rows();
+    fleet.push(("non-finite and tiny".into(), tiny, x));
+    let runs = run_matrix(96, 200, &[1, 3, 8, 15, 16, 17, 40], 120);
+    let x = DenseVector::random(runs.cols(), 3).as_slice().to_vec();
+    fleet.push(("column runs".into(), runs, x));
+
+    let mut loops = std::collections::BTreeSet::new();
+    let mut tightest = 0.0f64;
+    for (name, matrix, x) in &fleet {
+        let reference = reference_rows(matrix, x);
+        // `csr_scalar` keeps every row whole and in place: kernel row `i`
+        // is one loop's dot over CSR row `i`.
+        for (variant, plan) in LOOPS {
+            let context = format!("{name}/{variant}");
+            let [auto, scalar] = lower_twins(&presets::csr_scalar(), matrix, plan, &context);
+            for kernel in [&auto, &scalar] {
+                let lanes = nnz_lane_width(kernel);
+                let shape = kernel.shape_label();
+                let run = if shape.contains("col:run") {
+                    "run "
+                } else {
+                    ""
+                };
+                loops.insert(format!("{run}{}", kernel.simd_label()));
+                for threads in [1, 4] {
+                    let y = kernel.run(x, threads).unwrap();
+                    let context = format!("{context} [{shape}] at {threads} thread(s)");
+                    let used = assert_within_pairing_bound(&y, &reference, lanes, &context);
+                    tightest = tightest.max(used);
+                }
+            }
+        }
+        for (lanes, y) in portable_lanes(matrix, x) {
+            let context = format!("{name}/portable-nnz-x{lanes}");
+            assert_within_pairing_bound(&y, &reference, Some(lanes), &context);
+        }
+    }
+    // The shapes no design accepts (`empty_matrices_are_a_typed_generator_error`)
+    // still meet the bound through the loops that take any CSR: the
+    // reference loop's serial order and the portable lanes.
+    for (name, rows, cols) in [("0×n", 0, 16), ("n×0", 16, 0), ("nnz = 0", 16, 16)] {
+        let matrix = CsrMatrix::from_coo(&CooMatrix::new(rows, cols));
+        let x = vec![1.0; cols];
+        let reference = reference_rows(&matrix, &x);
+        let serial = matrix.spmv(&x).unwrap();
+        assert_within_pairing_bound(&serial, &reference, None, name);
+        for (lanes, y) in portable_lanes(&matrix, &x) {
+            assert_within_pairing_bound(&y, &reference, Some(lanes), name);
+        }
+    }
+    // Every loop this host selects was held to its own depth: the scalar
+    // loop, and on a vector host the nnz lanes ×4 and ×8, their run twins
+    // and the row lanes.
+    let vector_loops = loops.iter().filter(|l| l.contains("-x")).count();
+    if alpha_cpu::cpu_features::force_scalar() {
+        assert_eq!(vector_loops, 0, "{loops:?}");
+    } else {
+        assert!(
+            vector_loops >= 5 && loops.iter().any(|l| l.starts_with("run ")),
+            "{loops:?}"
+        );
+    }
+    // The bound is a bound, not a tuned tolerance, and the rows use it.
+    assert!(tightest > 0.0 && tightest <= 1.0, "{tightest}");
 }

@@ -29,15 +29,19 @@
 //! branch's `SORT_SUB`, `BIN` and `SORT_BMTB` compose into one order, and
 //! `BIN`'s boundaries fall out on the way — and before copying anything
 //! looks for a held piece of equal order and band.  A held twin hands out
-//! its `Arc`s and its [`Designer::derived`] value; otherwise the non-zeros
-//! are copied, once.  Two keys that convert alike (`SORT` of a matrix whose
-//! rows are all one length) are one copy and one allocation, and a record of
-//! a program may compare pieces by value within one Designer
+//! its `Arc`s and its [`Designer::derived`] value; a piece that keeps every
+//! row of its source in place is that source (a [`CsrMatrix`] clone shares
+//! its streams), so a design that reorders nothing holds no copy of the
+//! matrix; otherwise the non-zeros are copied, once.  Two keys that convert
+//! alike (a second stable `SORT`) are one copy and one allocation, and a
+//! record of a program may compare pieces by value within one Designer
 //! ([`Designer::id`]).
 //!
 //! The memo is keyed by operators only (never by matrix content: a Designer
 //! has one matrix), holds a bounded multiple of that matrix
-//! (`MEMO_MATRIX_MULTIPLE`), and is dropped with the Designer.
+//! (`MEMO_MATRIX_MULTIPLE`) counted in the bytes it alone keeps alive (the
+//! streams of the Designer's own matrix count nothing), and is dropped with
+//! the Designer.
 
 use crate::graph::{OperatorGraph, ValidationError};
 use crate::metadata::{MatrixMetadataSet, PadScope, Padding, PartitionPlan, SimdPlan};
@@ -52,7 +56,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub const WARP_SIZE: usize = 32;
 
 /// How many times the input matrix's `format_bytes()` a [`Designer`]'s memo
-/// may hold, each allocation counted once however many keys share it.
+/// may hold, each allocation counted once however many keys share it, and
+/// the input's own streams not at all.
 ///
 /// Measured per 80-iteration search on the benchmark's cold fleet (262 k
 /// non-zeros): the distinct conversions of one search are 16-17 ≈ 13.5× the
@@ -109,12 +114,15 @@ pub struct DesignerStats {
     /// the matrix's non-zeros.
     pub built: u64,
     /// Conversions answered without a copy: by their key, or by pieces
-    /// equal to ones the Designer held.
+    /// equal to ones the Designer held.  (A conversion that keeps every row
+    /// of its source in place is neither built nor reused: it is its
+    /// source.)
     pub reused: u64,
 }
 
 /// The Designer of one matrix: executes operator graphs over it, copying
-/// the matrix once per distinct piece it holds (see the module docs).
+/// the matrix once per distinct reordered piece it holds (see the module
+/// docs).
 /// Shareable across threads; a search owns one for as long as it runs.
 pub struct Designer<'m> {
     matrix: &'m CsrMatrix,
@@ -183,6 +191,9 @@ struct Cut<'s> {
     /// Width of the band: the sub-matrix's column count.
     cols: usize,
     bin_boundaries: Option<Vec<usize>>,
+    /// The matrix `copy` reads: what it returns copied nothing when it
+    /// shares this matrix's streams.
+    source: &'s CsrMatrix,
     copy: Box<dyn FnOnce() -> CsrMatrix + 's>,
 }
 
@@ -200,6 +211,7 @@ impl<'s> Cut<'s> {
             col_offset,
             cols: source.cols(),
             bin_boundaries: None,
+            source,
             copy: Box::new(move || {
                 let rows: Vec<usize> = order.iter().map(|&r| r as usize).collect();
                 source.select_rows(&rows)
@@ -233,16 +245,16 @@ impl Memo {
         self.entries.values().flat_map(|entry| entry.pieces.iter())
     }
 
-    /// Bytes of the allocations `pieces` hold, each counted once however
-    /// many pieces (or memo entries) share it.
-    fn bytes<'p>(pieces: impl Iterator<Item = &'p Piece>) -> usize {
-        let mut seen = HashSet::new();
+    /// Bytes of the allocations `pieces` hold, each stream counted once by
+    /// its address however many pieces (or memo entries) share it, and none
+    /// that `input`, the Designer's matrix, owns: what the memo alone keeps
+    /// alive.
+    fn bytes<'p>(input: &CsrMatrix, pieces: impl Iterator<Item = &'p Piece>) -> usize {
+        let mut seen: HashSet<*const u8> = streams(input).map(|(address, _)| address).collect();
         pieces
             .flat_map(|p| {
-                [
-                    (Arc::as_ptr(&p.matrix).cast::<u8>(), p.matrix.format_bytes()),
-                    (Arc::as_ptr(&p.origin_rows).cast(), 4 * p.origin_rows.len()),
-                ]
+                let origin_rows = (Arc::as_ptr(&p.origin_rows).cast(), 4 * p.origin_rows.len());
+                streams(&p.matrix).chain([origin_rows])
             })
             .filter_map(|(allocation, bytes)| seen.insert(allocation).then_some(bytes))
             .sum()
@@ -251,14 +263,20 @@ impl Memo {
     /// Keeps `pieces` under `key` unless they alone exceed `limit`, evicting
     /// the least recently used entries until the memo fits, and returns what
     /// `key` now names.
-    fn insert(&mut self, key: ConversionKey, pieces: Arc<[Piece]>, limit: usize) -> Arc<[Piece]> {
+    fn insert(
+        &mut self,
+        key: ConversionKey,
+        pieces: Arc<[Piece]>,
+        input: &CsrMatrix,
+        limit: usize,
+    ) -> Arc<[Piece]> {
         // Two threads that missed the same key both converted it, bit for
         // bit the same: the first one in stays, and the second takes it, so
         // both hand out one allocation.
         if let Some(held) = self.entries.get(&key) {
             return held.pieces.clone();
         }
-        if Memo::bytes(pieces.iter()) > limit {
+        if Memo::bytes(input, pieces.iter()) > limit {
             return pieces;
         }
         self.clock += 1;
@@ -271,7 +289,7 @@ impl Memo {
             },
         );
         // The entry just kept is the most recent and fits alone: it stays.
-        while Memo::bytes(self.pieces()) > limit {
+        while Memo::bytes(input, self.pieces()) > limit {
             let oldest = self
                 .entries
                 .iter()
@@ -282,6 +300,17 @@ impl Memo {
         }
         pieces
     }
+}
+
+/// The address and byte size of each of `matrix`'s three streams.
+fn streams(matrix: &CsrMatrix) -> impl Iterator<Item = (*const u8, usize)> {
+    let words = |stream: &[u32]| (stream.as_ptr().cast(), 4 * stream.len());
+    [
+        words(matrix.row_offsets()),
+        words(matrix.col_indices()),
+        (matrix.values().as_ptr().cast(), 4 * matrix.values().len()),
+    ]
+    .into_iter()
 }
 
 /// Hands out a distinct serial number per Designer.
@@ -443,28 +472,36 @@ impl<'m> Designer<'m> {
                 })
                 .collect()
         };
-        let counter = if twins.iter().all(Option::is_some) {
-            &self.reused
-        } else {
-            &self.built
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let all_held = twins.iter().all(Option::is_some);
+        let mut copied = false;
         let pieces = cuts.into_iter().zip(twins).map(|(cut, twin)| match twin {
             Some(twin) => Piece {
                 bin_boundaries: cut.bin_boundaries,
                 ..twin
             },
-            None => Piece {
-                matrix: Arc::new((cut.copy)()),
-                origin_rows: cut.origin_rows,
-                col_offset: cut.col_offset,
-                bin_boundaries: cut.bin_boundaries,
-                derived: DerivedCell::default(),
-            },
+            None => {
+                let matrix = (cut.copy)();
+                // `row_offsets` is never empty, so never a dangling address.
+                copied |= matrix.row_offsets().as_ptr() != cut.source.row_offsets().as_ptr();
+                Piece {
+                    matrix: Arc::new(matrix),
+                    origin_rows: cut.origin_rows,
+                    col_offset: cut.col_offset,
+                    bin_boundaries: cut.bin_boundaries,
+                    derived: DerivedCell::default(),
+                }
+            }
         });
+        let pieces: Arc<[Piece]> = pieces.collect();
+        if copied {
+            self.built.fetch_add(1, Ordering::Relaxed);
+        } else if all_held {
+            self.reused.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(self.memo.lock().expect("designer memo poisoned").insert(
             key.clone(),
-            pieces.collect(),
+            pieces,
+            self.matrix,
             self.memo_limit,
         ))
     }
@@ -757,6 +794,7 @@ fn split_cols(
                 col_offset: columns.start,
                 cols: columns.len().max(1),
                 bin_boundaries: None,
+                source: matrix,
                 copy: Box::new(move || {
                     let mut coo = CooMatrix::new(rows.len(), columns.len().max(1));
                     for (local_row, &orig_row) in rows.iter().enumerate() {
@@ -987,12 +1025,37 @@ mod tests {
             designer.stats(),
             DesignerStats {
                 designs: 2,
-                built: 1,
+                built: 0,
                 reused: 1,
             }
         );
         // A clone of the metadata is a reference, not a copy.
         assert!(Arc::ptr_eq(&scalar.clone().partitions[0].matrix, &a.matrix));
+    }
+
+    #[test]
+    fn a_design_that_reorders_nothing_holds_no_copy() {
+        let m = matrix();
+        let designer = Designer::new(&m);
+        let scalar = designer.design(&presets::csr_scalar()).unwrap();
+        let plan = &scalar.partitions[0].matrix;
+        assert_eq!(plan.values().as_ptr(), m.values().as_ptr());
+        assert_eq!(plan.col_indices().as_ptr(), m.col_indices().as_ptr());
+        assert_eq!(plan.row_offsets().as_ptr(), m.row_offsets().as_ptr());
+        assert_eq!(designer.stats().built, 0);
+        // The memo counts only the `origin_rows` it owns.
+        let held = |designer: &Designer| Memo::bytes(&m, designer.memo.lock().unwrap().pieces());
+        assert_eq!(held(&designer), 4 * m.rows());
+        // A SORT that moves rows still copies, once.
+        let sorted = designer.design(&presets::sell_like()).unwrap();
+        assert_ne!(
+            sorted.partitions[0].matrix.values().as_ptr(),
+            m.values().as_ptr()
+        );
+        assert_eq!(designer.stats().built, 1);
+        assert_eq!(held(&designer), m.format_bytes() + 2 * 4 * m.rows());
+        designer.design(&presets::sell_like()).unwrap();
+        assert_eq!(designer.stats().built, 1);
     }
 
     /// `csr_scalar` behind a global `SORT`: another conversion key.
@@ -1010,7 +1073,7 @@ mod tests {
         // `csr_vector` converts under `csr_scalar`'s key.  Every row has the
         // same length, so the stable SORT, a BIN{2} (one bin holds every row)
         // and a branch's SORT_SUB + SORT_BMTB all leave the order as it was:
-        // four more keys, one piece, copied once.
+        // four more keys, one piece, and that piece is the matrix itself.
         let m = gen::uniform_random(300, 300, 6, 4);
         let designer = Designer::new(&m);
         let plain = designer.design(&presets::csr_scalar()).unwrap();
@@ -1028,9 +1091,13 @@ mod tests {
             assert!(Arc::ptr_eq(&a.origin_rows, &b.origin_rows), "{graph:?}");
             assert!(meta == design(&graph, &m).unwrap(), "{graph:?}");
         }
+        assert_eq!(
+            plain.partitions[0].matrix.values().as_ptr(),
+            m.values().as_ptr()
+        );
         // The two branch designs also reuse the plain shared chain by key.
         let stats = designer.stats();
-        assert_eq!((stats.designs, stats.built, stats.reused), (5, 1, 6));
+        assert_eq!((stats.designs, stats.built, stats.reused), (5, 0, 6));
 
         // Where the SORT does move rows, the conversions stay apart.
         let skewed = matrix();
@@ -1041,21 +1108,19 @@ mod tests {
             &plain.partitions[0].matrix,
             &sorted.partitions[0].matrix
         ));
-        assert_eq!(designer.stats().built, 2);
+        assert_eq!(designer.stats().built, 1, "only the sorted one copies");
     }
 
     #[test]
     fn keys_that_convert_alike_count_once_against_the_bound() {
         // Room for one whole-matrix conversion: two keys that convert alike
-        // are one allocation, so both stay held, and revisiting the first
-        // copies nothing.
-        let m = gen::uniform_random(300, 300, 6, 4);
+        // (a second stable SORT moves nothing) are one allocation, so both
+        // stay held, and revisiting the first copies nothing.
+        let m = matrix();
         let designer = Designer::with_memo_limit(&m, m.format_bytes() + m.rows() * 4);
-        for graph in [
-            presets::csr_scalar(),
-            sorted_csr_scalar(),
-            presets::csr_scalar(),
-        ] {
+        let mut sorted_twice = sorted_csr_scalar();
+        sorted_twice.converting.push(Operator::Sort);
+        for graph in [sorted_csr_scalar(), sorted_twice, sorted_csr_scalar()] {
             designer.design(&graph).unwrap();
         }
         assert_eq!(designer.memo.lock().unwrap().entries.len(), 2);
@@ -1112,7 +1177,7 @@ mod tests {
         }
         let distinct = unbounded.stats().built;
         let whole = m.format_bytes() + m.rows() * 4;
-        assert!(Memo::bytes(unbounded.memo.lock().unwrap().pieces()) > 2 * whole);
+        assert!(Memo::bytes(&m, unbounded.memo.lock().unwrap().pieces()) > 2 * whole);
 
         // Nothing fits; exactly one whole-matrix conversion fits; two do.
         for limit in [0, whole, 2 * whole] {
@@ -1122,7 +1187,7 @@ mod tests {
                     designer.design(&graph) == design(&graph, &m),
                     "{preset} at {limit}"
                 );
-                let bytes = Memo::bytes(designer.memo.lock().unwrap().pieces());
+                let bytes = Memo::bytes(&m, designer.memo.lock().unwrap().pieces());
                 assert!(bytes <= limit, "{preset}: {bytes} > {limit}");
             }
             let stats = designer.stats();

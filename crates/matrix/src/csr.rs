@@ -4,7 +4,7 @@
 
 use crate::coo::CooMatrix;
 use crate::{MatrixError, Result, Scalar};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A sparse matrix in CSR form: `row_offsets` (length `rows + 1`),
 /// `col_indices` and `values` (length `nnz`), with entries of each row stored
@@ -12,16 +12,24 @@ use std::sync::OnceLock;
 ///
 /// Immutable after construction (there is no `&mut` accessor), which is what
 /// lets [`CsrMatrix::fingerprint`], [`CsrMatrix::digest`] and
-/// [`CsrMatrix::column_runs`] be computed once and remembered.
+/// [`CsrMatrix::column_runs`] be computed once and remembered, and what lets
+/// clones share one allocation: the streams move into an `Arc` when the
+/// matrix is built and are never copied, so `clone` is O(1) and every clone
+/// reads the same streams and the same memos.
 #[derive(Clone)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
+    streams: Arc<Streams>,
+}
+
+/// What every clone of one matrix shares.
+struct Streams {
     row_offsets: Vec<u32>,
     col_indices: Vec<u32>,
     values: Vec<Scalar>,
     /// Memo of [`CsrMatrix::fingerprint`]: a cache of the answer, never part
-    /// of the matrix's identity (`==` ignores it, `clone` carries it).
+    /// of the matrix's identity (`==` ignores it, clones share it).
     fingerprint: OnceLock<u64>,
     /// Memo of [`CsrMatrix::digest`], on the same terms.
     digest: OnceLock<[u8; 32]>,
@@ -34,24 +42,52 @@ impl std::fmt::Debug for CsrMatrix {
         f.debug_struct("CsrMatrix")
             .field("rows", &self.rows)
             .field("cols", &self.cols)
-            .field("row_offsets", &self.row_offsets)
-            .field("col_indices", &self.col_indices)
-            .field("values", &self.values)
+            .field("row_offsets", &self.streams.row_offsets)
+            .field("col_indices", &self.streams.col_indices)
+            .field("values", &self.streams.values)
             .finish()
     }
 }
 
 impl PartialEq for CsrMatrix {
     fn eq(&self, other: &Self) -> bool {
+        // Clones of one matrix share its streams: equal without a compare,
+        // even where a NaN value would compare unequal element by element.
+        if Arc::ptr_eq(&self.streams, &other.streams) {
+            return true;
+        }
+        let (a, b) = (&*self.streams, &*other.streams);
         self.rows == other.rows
             && self.cols == other.cols
-            && self.row_offsets == other.row_offsets
-            && self.col_indices == other.col_indices
-            && self.values == other.values
+            && a.row_offsets == b.row_offsets
+            && a.col_indices == b.col_indices
+            && a.values == b.values
     }
 }
 
 impl CsrMatrix {
+    /// Moves validated streams into a matrix's shared allocation.
+    fn from_streams(
+        rows: usize,
+        cols: usize,
+        row_offsets: Vec<u32>,
+        col_indices: Vec<u32>,
+        values: Vec<Scalar>,
+    ) -> Self {
+        CsrMatrix {
+            rows,
+            cols,
+            streams: Arc::new(Streams {
+                row_offsets,
+                col_indices,
+                values,
+                fingerprint: OnceLock::new(),
+                digest: OnceLock::new(),
+                column_runs: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Builds a CSR matrix from raw arrays, validating their invariants.
     pub fn from_raw(
         rows: usize,
@@ -94,16 +130,13 @@ impl CsrMatrix {
                 cols,
             });
         }
-        Ok(CsrMatrix {
+        Ok(Self::from_streams(
             rows,
             cols,
             row_offsets,
             col_indices,
             values,
-            fingerprint: OnceLock::new(),
-            digest: OnceLock::new(),
-            column_runs: OnceLock::new(),
-        })
+        ))
     }
 
     /// Converts from COO, sorting each row by column and summing duplicate
@@ -178,16 +211,7 @@ impl CsrMatrix {
         col_indices.shrink_to_fit();
         values.truncate(write);
         values.shrink_to_fit();
-        CsrMatrix {
-            rows,
-            cols: coo.cols(),
-            row_offsets,
-            col_indices,
-            values,
-            fingerprint: OnceLock::new(),
-            digest: OnceLock::new(),
-            column_runs: OnceLock::new(),
-        }
+        Self::from_streams(rows, coo.cols(), row_offsets, col_indices, values)
     }
 
     /// Converts back to COO triplets (row-major order).
@@ -195,7 +219,7 @@ impl CsrMatrix {
         let mut coo = CooMatrix::new(self.rows, self.cols);
         for row in 0..self.rows {
             for idx in self.row_range(row) {
-                coo.push(row, self.col_indices[idx] as usize, self.values[idx]);
+                coo.push(row, self.col_indices()[idx] as usize, self.values()[idx]);
             }
         }
         coo
@@ -213,32 +237,34 @@ impl CsrMatrix {
 
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        *self.row_offsets.last().expect("offsets non-empty") as usize
+        *self.row_offsets().last().expect("offsets non-empty") as usize
     }
 
     /// Row offset array (`rows + 1` entries).
     pub fn row_offsets(&self) -> &[u32] {
-        &self.row_offsets
+        &self.streams.row_offsets
     }
 
     /// Column index array.
     pub fn col_indices(&self) -> &[u32] {
-        &self.col_indices
+        &self.streams.col_indices
     }
 
     /// Value array.
     pub fn values(&self) -> &[Scalar] {
-        &self.values
+        &self.streams.values
     }
 
     /// Index range of row `row` into `col_indices` / `values`.
     pub fn row_range(&self, row: usize) -> std::ops::Range<usize> {
-        self.row_offsets[row] as usize..self.row_offsets[row + 1] as usize
+        let offsets = self.row_offsets();
+        offsets[row] as usize..offsets[row + 1] as usize
     }
 
     /// Number of stored entries in row `row`.
     pub fn row_len(&self, row: usize) -> usize {
-        (self.row_offsets[row + 1] - self.row_offsets[row]) as usize
+        let offsets = self.row_offsets();
+        (offsets[row + 1] - offsets[row]) as usize
     }
 
     /// Length of each row.
@@ -265,11 +291,12 @@ impl CsrMatrix {
                 self.cols
             )));
         }
+        let (col_indices, values) = (self.col_indices(), self.values());
         let mut y = vec![0.0; self.rows];
         for (row, out) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
             for idx in self.row_range(row) {
-                acc += self.values[idx] * x[self.col_indices[idx] as usize];
+                acc += values[idx] * x[col_indices[idx] as usize];
             }
             *out = acc;
         }
@@ -277,8 +304,13 @@ impl CsrMatrix {
     }
 
     /// Extracts the sub-matrix consisting of the given rows, in the given
-    /// order.  Used by the `ROW_DIV`, `SORT` and `BIN` operators.
+    /// order.  Used by the `ROW_DIV`, `SORT` and `BIN` operators.  Every
+    /// row in its own place is the matrix itself: a clone, sharing the
+    /// streams.
     pub fn select_rows(&self, rows: &[usize]) -> CsrMatrix {
+        if rows.len() == self.rows && rows.iter().enumerate().all(|(i, &r)| i == r) {
+            return self.clone();
+        }
         // One exact reservation, then one slice copy per row: the Designer
         // calls this on megabyte-sized matrices for every conversion.
         let nnz: usize = rows.iter().map(|&r| self.row_len(r)).sum();
@@ -288,26 +320,17 @@ impl CsrMatrix {
         let mut values = Vec::with_capacity(nnz);
         for &r in rows {
             let range = self.row_range(r);
-            col_indices.extend_from_slice(&self.col_indices[range.clone()]);
-            values.extend_from_slice(&self.values[range]);
+            col_indices.extend_from_slice(&self.col_indices()[range.clone()]);
+            values.extend_from_slice(&self.values()[range]);
             row_offsets.push(col_indices.len() as u32);
         }
-        CsrMatrix {
-            rows: rows.len(),
-            cols: self.cols,
-            row_offsets,
-            col_indices,
-            values,
-            fingerprint: OnceLock::new(),
-            digest: OnceLock::new(),
-            column_runs: OnceLock::new(),
-        }
+        Self::from_streams(rows.len(), self.cols, row_offsets, col_indices, values)
     }
 
     /// Memory footprint of the format arrays in bytes (used by the cost model
     /// when estimating memory traffic of format metadata).
     pub fn format_bytes(&self) -> usize {
-        self.row_offsets.len() * 4 + self.col_indices.len() * 4 + self.values.len() * 4
+        4 * (self.row_offsets().len() + self.col_indices().len() + self.values().len())
     }
 
     /// A 64-bit fingerprint of the full matrix content — dimensions, row
@@ -319,18 +342,21 @@ impl CsrMatrix {
     /// stores, so its value changes only together with the store layout
     /// version (`alpha_serve::STORE_LAYOUT_VERSION`).  The same on every
     /// host and in every build.  One memory-speed pass on the first call;
-    /// the result is memoised in the matrix (and travels with its clones).
+    /// the result is memoised in the matrix (and shared by its clones).
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+        *self
+            .streams
+            .fingerprint
+            .get_or_init(|| self.compute_fingerprint())
     }
 
     fn compute_fingerprint(&self) -> u64 {
         crate::hash::csr_fingerprint(
             self.rows,
             self.cols,
-            &self.row_offsets,
-            &self.col_indices,
-            &self.values,
+            self.row_offsets(),
+            self.col_indices(),
+            self.values(),
         )
     }
 
@@ -342,15 +368,15 @@ impl CsrMatrix {
     /// BLAKE2b-256 collision.  A client names a matrix to a daemon by it
     /// instead of sending it.  The same on every host and in every build;
     /// about 2 ms per megabyte on the first call, then memoised in the
-    /// matrix (and carried by its clones).
+    /// matrix (and shared by its clones).
     pub fn digest(&self) -> [u8; 32] {
-        *self.digest.get_or_init(|| {
+        *self.streams.digest.get_or_init(|| {
             crate::digest::csr_digest(
                 self.rows,
                 self.cols,
-                &self.row_offsets,
-                &self.col_indices,
-                &self.values,
+                self.row_offsets(),
+                self.col_indices(),
+                self.values(),
             )
         })
     }
@@ -362,14 +388,15 @@ impl CsrMatrix {
     /// is Model-Driven Format Compression applied to the column stream: a
     /// kernel that reads the starts needs no column index per non-zero.  One
     /// pass over the column indices on the first call; the result is memoised
-    /// in the matrix (and carried by its clones), so every kernel lowered on
+    /// in the matrix (and shared by its clones), so every kernel lowered on
     /// one allocation reads one table.
     pub fn column_runs(&self) -> Option<&[u32]> {
-        self.column_runs
+        self.streams
+            .column_runs
             .get_or_init(|| {
                 let mut starts = Vec::with_capacity(self.rows);
                 for row in 0..self.rows {
-                    let cols = &self.col_indices[self.row_range(row)];
+                    let cols = &self.col_indices()[self.row_range(row)];
                     let start = cols.first().copied().unwrap_or(0);
                     let run = cols
                         .iter()
@@ -457,9 +484,54 @@ mod tests {
             let selected = csr.select_rows(rows);
             assert_eq!(selected, CsrMatrix::from_coo(&reference), "{rows:?}");
             // The reservation was exact.
-            assert_eq!(selected.col_indices.capacity(), selected.nnz(), "{rows:?}");
-            assert_eq!(selected.values.capacity(), selected.nnz(), "{rows:?}");
+            assert_eq!(
+                selected.streams.col_indices.capacity(),
+                selected.nnz(),
+                "{rows:?}"
+            );
+            assert_eq!(
+                selected.streams.values.capacity(),
+                selected.nnz(),
+                "{rows:?}"
+            );
         }
+    }
+
+    #[test]
+    fn select_rows_of_every_row_in_place_shares_and_any_other_order_copies() {
+        let csr = CsrMatrix::from_coo(&sample_coo());
+        let same = csr.select_rows(&[0, 1, 2, 3]);
+        assert!(Arc::ptr_eq(&same.streams, &csr.streams));
+        let selections: [&[usize]; 4] = [&[0, 1, 3, 2], &[0, 1, 2], &[0, 1, 2, 3, 3], &[]];
+        for rows in selections {
+            let selected = csr.select_rows(rows);
+            assert!(!Arc::ptr_eq(&selected.streams, &csr.streams), "{rows:?}");
+            assert_ne!(selected.row_offsets().as_ptr(), csr.row_offsets().as_ptr());
+        }
+        // A matrix with no rows is its own identity selection.
+        let empty = CsrMatrix::from_coo(&CooMatrix::new(0, 3));
+        assert!(Arc::ptr_eq(&empty.select_rows(&[]).streams, &empty.streams));
+    }
+
+    #[test]
+    fn a_clone_shares_its_streams_and_its_memos() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<CsrMatrix>();
+        let csr = CsrMatrix::from_coo(&sample_coo());
+        let clone = csr.clone();
+        assert_eq!(clone.values().as_ptr(), csr.values().as_ptr());
+        assert_eq!(clone.col_indices().as_ptr(), csr.col_indices().as_ptr());
+        assert_eq!(clone.row_offsets().as_ptr(), csr.row_offsets().as_ptr());
+        // A memo computed through one clone is the other's too.
+        assert!(csr.streams.digest.get().is_none());
+        let digest = clone.digest();
+        assert_eq!(csr.streams.digest.get(), Some(&digest));
+        clone.column_runs();
+        assert!(csr.streams.column_runs.get().is_some());
+        assert_eq!(
+            csr.fingerprint(),
+            clone.streams.fingerprint.get().copied().unwrap()
+        );
     }
 
     #[test]
@@ -655,14 +727,14 @@ mod tests {
     fn fingerprint_memo_survives_clone_and_is_invisible_to_equality() {
         let hashed = CsrMatrix::from_coo(&sample_coo());
         let fresh = hashed.clone();
-        assert!(fresh.fingerprint.get().is_none());
+        assert!(fresh.streams.fingerprint.get().is_none());
         let fp = hashed.fingerprint();
-        assert_eq!(hashed.fingerprint.get(), Some(&fp));
+        assert_eq!(hashed.streams.fingerprint.get(), Some(&fp));
         // A memoised matrix equals an unmemoised one with the same content.
         assert_eq!(hashed, fresh);
         // Clones carry the memo and agree with a from-scratch hash.
         let carried = hashed.clone();
-        assert_eq!(carried.fingerprint.get(), Some(&fp));
+        assert_eq!(carried.streams.fingerprint.get(), Some(&fp));
         assert_eq!(fresh.fingerprint(), fp);
         // Different content still hashes (and compares) differently.
         let other = hashed.select_rows(&[0, 1]);
@@ -703,9 +775,9 @@ mod tests {
         let csr = CsrMatrix::from_coo(&sample_coo());
         assert_eq!(csr.digest(), golden);
         // Its own memo, carried by clones; equality ignores it.
-        assert_eq!(csr.digest.get(), Some(&golden));
-        assert!(csr.fingerprint.get().is_none());
-        assert_eq!(csr.clone().digest.get(), Some(&golden));
+        assert_eq!(csr.streams.digest.get(), Some(&golden));
+        assert!(csr.streams.fingerprint.get().is_none());
+        assert_eq!(csr.clone().streams.digest.get(), Some(&golden));
         assert_eq!(csr, CsrMatrix::from_coo(&sample_coo()));
     }
 
@@ -741,15 +813,15 @@ mod tests {
             }
         }
         let m = CsrMatrix::from_coo(&coo);
-        let fresh = m.clone();
+        let fresh = CsrMatrix::from_coo(&coo);
         let starts = m.column_runs().expect("every row is a run");
         assert_eq!(starts, &[1, 2, 0]);
         // One table per allocation, read twice.
         assert_eq!(m.column_runs().unwrap().as_ptr(), starts.as_ptr());
-        assert!(fresh.column_runs.get().is_none());
+        assert!(fresh.streams.column_runs.get().is_none());
         assert_eq!(m, fresh);
-        assert_eq!(m.clone().column_runs.get(), m.column_runs.get());
-        assert!(m.fingerprint.get().is_none() && m.digest.get().is_none());
+        assert_eq!(m.clone().column_runs().unwrap().as_ptr(), starts.as_ptr());
+        assert!(m.streams.fingerprint.get().is_none() && m.streams.digest.get().is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! variance far above the paper's threshold of 100) and model the web/graph
 //! matrices (Webbase, FullChip, …) the paper's irregularity discussion cites.
 
-use super::rng::SplitMix64;
+use super::rng::{distinct_sorted, SplitMix64};
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 
@@ -59,16 +59,11 @@ pub fn scale_free(rows: usize, cols: usize, avg_row_len: usize, seed: u64) -> Cs
         let u = rng.next_f64().max(1e-12);
         let len = ((1.0 - u).powf(-1.0) * avg_row_len as f64 / 2.0).round() as usize;
         let len = len.clamp(1, max_len);
-        let mut chosen = Vec::with_capacity(len);
-        while chosen.len() < len {
-            // Quadratically skewed column choice concentrates mass on low ids.
+        // Quadratically skewed column choice concentrates mass on low ids.
+        let chosen = distinct_sorted(cols, len, || {
             let t = rng.next_f64();
-            let c = ((t * t) * cols as f64) as usize;
-            let c = c.min(cols - 1);
-            if let Err(pos) = chosen.binary_search(&c) {
-                chosen.insert(pos, c);
-            }
-        }
+            (((t * t) * cols as f64) as usize).min(cols - 1)
+        });
         for c in chosen {
             coo.push(r, c, rng.next_value());
         }

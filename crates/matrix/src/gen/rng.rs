@@ -45,51 +45,60 @@ impl SplitMix64 {
     }
 
     /// Samples `count` distinct values from `[0, bound)`, sorted.  Uses
-    /// rejection for sparse draws and a partial Fisher–Yates shuffle when
-    /// `count` is a large fraction of `bound`.  A rejection draw tests
-    /// membership by scanning what it has drawn when it is short, and with a
-    /// bitmap of `bound` bits when it is long, then sorts once: O(count) per
-    /// value drawn at worst, and never a bitmap of more than `SHORT_DRAW`
-    /// words per value.
+    /// rejection for sparse draws ([`distinct_sorted`]) and a partial
+    /// Fisher–Yates shuffle when `count` is a large fraction of `bound`.
     pub fn sample_distinct(&mut self, bound: usize, count: usize) -> Vec<usize> {
         let count = count.min(bound);
         if count == 0 {
             return Vec::new();
         }
-        let mut chosen = if count * 3 >= bound {
-            // Dense draw: shuffle a full index range and truncate.
-            let mut all: Vec<usize> = (0..bound).collect();
-            for i in 0..count {
-                let j = i + self.next_below(bound - i);
-                all.swap(i, j);
-            }
-            all.truncate(count);
-            all
-        } else if count <= SHORT_DRAW || bound.div_ceil(64) > count * SHORT_DRAW {
-            let mut chosen = Vec::with_capacity(count);
-            while chosen.len() < count {
-                let candidate = self.next_below(bound);
-                if !chosen.contains(&candidate) {
-                    chosen.push(candidate);
-                }
-            }
-            chosen
-        } else {
-            let mut seen = vec![0u64; bound.div_ceil(64)];
-            let mut chosen = Vec::with_capacity(count);
-            while chosen.len() < count {
-                let candidate = self.next_below(bound);
-                let (word, bit) = (candidate / 64, 1u64 << (candidate % 64));
-                if seen[word] & bit == 0 {
-                    seen[word] |= bit;
-                    chosen.push(candidate);
-                }
-            }
-            chosen
-        };
-        chosen.sort_unstable();
-        chosen
+        if count * 3 < bound {
+            return distinct_sorted(bound, count, || self.next_below(bound));
+        }
+        // Dense draw: shuffle a full index range and truncate.
+        let mut all: Vec<usize> = (0..bound).collect();
+        for i in 0..count {
+            let j = i + self.next_below(bound - i);
+            all.swap(i, j);
+        }
+        all.truncate(count);
+        all.sort_unstable();
+        all
     }
+}
+
+/// The first `count` distinct values `draw` returns, each below `bound`,
+/// sorted: a rejection draw that tests membership by scanning what it has
+/// drawn when it is short, and with a bitmap of `bound` bits when it is
+/// long, then sorts once.  O(count) per value drawn at worst, and never a
+/// bitmap of more than `SHORT_DRAW` words per value.  `count` must not
+/// exceed the values `draw` can return, or it never ends.
+pub(crate) fn distinct_sorted(
+    bound: usize,
+    count: usize,
+    mut draw: impl FnMut() -> usize,
+) -> Vec<usize> {
+    let mut chosen = Vec::with_capacity(count);
+    if count <= SHORT_DRAW || bound.div_ceil(64) > count * SHORT_DRAW {
+        while chosen.len() < count {
+            let candidate = draw();
+            if !chosen.contains(&candidate) {
+                chosen.push(candidate);
+            }
+        }
+    } else {
+        let mut seen = vec![0u64; bound.div_ceil(64)];
+        while chosen.len() < count {
+            let candidate = draw();
+            let (word, bit) = (candidate / 64, 1u64 << (candidate % 64));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
+                chosen.push(candidate);
+            }
+        }
+    }
+    chosen.sort_unstable();
+    chosen
 }
 
 /// The longest rejection draw that tests membership by scanning; also the
