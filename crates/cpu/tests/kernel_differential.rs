@@ -10,7 +10,10 @@
 //! length for the scalar loop and row lanes, `max(⌊len/L⌋ + log₂ L,
 //! len mod L) + 1` for nnz lanes ×`L` and their run twins — over the
 //! families, NaN, Inf and subnormal rows, and the `0×n`, `n×0` and
-//! `nnz = 0` shapes.
+//! `nnz = 0` shapes.  A row a design sums in parts — the column bands of a
+//! `COL_DIV`, or the segments a worker span cuts from a `BMT_NNZ_BLOCK`
+//! row — is held to `k` = the deepest part's depth plus the number of parts
+//! added into its `y`.
 //!
 //! Beside the bound, the suite pins what must hold exactly:
 //!
@@ -1345,6 +1348,55 @@ fn pairing_depth(lanes: Option<usize>, len: usize) -> usize {
     }
 }
 
+/// How a design cuts a row's terms into parts that are summed apart and
+/// then added into `y` one part at a time.
+#[derive(Clone, Copy)]
+enum Split {
+    /// One part: the row is summed whole (`csr_scalar`).
+    Whole,
+    /// `COL_DIV`: one part per column band of `cols.div_ceil(parts)` that
+    /// holds a term of the row.
+    ColumnBands(usize),
+    /// `BMT_NNZ_BLOCK` chunks of this many non-zeros: a worker span is whole
+    /// chunks, so whatever the worker count a row is cut only at chunk
+    /// boundaries — into at most the chunks it touches, each part at most
+    /// the row long.
+    NnzChunks(usize),
+}
+
+/// The pairing depth `k` of every row of `matrix` summed by a loop of nnz
+/// lanes `lanes` under `split`.  A whole row is [`pairing_depth`].  A split
+/// row is the deepest part's depth plus the number of parts merged into
+/// it: each merge is one add into `y`.
+fn row_depths(matrix: &CsrMatrix, lanes: Option<usize>, split: Split) -> Vec<usize> {
+    let offsets = matrix.row_offsets();
+    (0..matrix.rows())
+        .map(|row| {
+            let (start, end) = (offsets[row] as usize, offsets[row + 1] as usize);
+            let len = end - start;
+            match split {
+                Split::Whole => pairing_depth(lanes, len),
+                Split::ColumnBands(parts) => {
+                    let band = matrix.cols().div_ceil(parts);
+                    let mut lens = vec![0; parts];
+                    for &col in &matrix.col_indices()[start..end] {
+                        lens[col as usize / band] += 1;
+                    }
+                    let held = lens.iter().filter(|&&l| l > 0).count();
+                    let deepest = lens.iter().map(|&l| pairing_depth(lanes, l)).max();
+                    deepest.unwrap_or(0) + held
+                }
+                Split::NnzChunks(chunk) if len > 0 => {
+                    let touched = (end - 1) / chunk - start / chunk + 1;
+                    let deepest = (1..=len).map(|l| pairing_depth(lanes, l)).max();
+                    deepest.unwrap_or(0) + touched
+                }
+                Split::NnzChunks(_) => 0,
+            }
+        })
+        .collect()
+}
+
 /// The nnz lane width of a kernel's one loop (`None` for a serial loop:
 /// scalar, or row lanes).
 fn nnz_lane_width(kernel: &NativeKernel) -> Option<usize> {
@@ -1355,16 +1407,16 @@ fn nnz_lane_width(kernel: &NativeKernel) -> Option<usize> {
         .map(|(_, lanes)| lanes.parse().expect("a lane count"))
 }
 
-/// Holds every row of `y` from a loop of nnz lanes `lanes` to
-/// `γ_k·Σ|a_ij·x_j|`, `k` its [`pairing_depth`], plus the f64 reference's
-/// own `γ_len` in double precision and, for products that underflow (where
-/// rounding is absolute, not relative), `2⁻¹⁵⁰` per term, doubled for the
-/// adds it passes through.  A row the reference makes NaN or ±Inf must read
-/// the same.  Returns the largest share of its bound a finite row used.
+/// Holds every row of `y` to `γ_k·Σ|a_ij·x_j|`, `k` its entry of `depths`
+/// ([`row_depths`]), plus the f64 reference's own `γ_len` in double
+/// precision and, for products that underflow (where rounding is absolute,
+/// not relative), `2⁻¹⁵⁰` per term, doubled for the adds it passes through.
+/// A row the reference makes NaN or ±Inf must read the same.  Returns the
+/// largest share of its bound a finite row used.
 fn assert_within_pairing_bound(
     y: &[f32],
     reference: &[(f64, f64, usize)],
-    lanes: Option<usize>,
+    depths: &[usize],
     context: &str,
 ) -> f64 {
     assert_eq!(y.len(), reference.len(), "{context}: output length");
@@ -1377,7 +1429,7 @@ fn assert_within_pairing_bound(
             );
             continue;
         }
-        let k = pairing_depth(lanes, len);
+        let k = depths[row];
         let underflow = len as f64 * f32::from_bits(1) as f64;
         let bound = (gamma(k, U32) + gamma(len, U64)) * magnitude + underflow;
         let error = (got as f64 - sum).abs();
@@ -1464,35 +1516,58 @@ fn every_loop_is_within_gamma_k_of_its_pairing_depth() {
     let x = DenseVector::random(runs.cols(), 3).as_slice().to_vec();
     fleet.push(("column runs".into(), runs, x));
 
+    // `csr_scalar` keeps every row whole and in place: kernel row `i` is one
+    // loop's dot over CSR row `i`.  `col_split_atomic` sums a row's column
+    // bands apart and adds each into `y`; `csr5_like` cuts a row that
+    // crosses a worker span into segments merged the same way.
+    let designs = [
+        ("csr_scalar", presets::csr_scalar(), Split::Whole),
+        (
+            "col_split_atomic(2)",
+            presets::col_split_atomic(2),
+            Split::ColumnBands(2),
+        ),
+        (
+            "col_split_atomic(4)",
+            presets::col_split_atomic(4),
+            Split::ColumnBands(4),
+        ),
+        (
+            "csr5_like(16)",
+            presets::csr5_like(16),
+            Split::NnzChunks(16),
+        ),
+    ];
     let mut loops = std::collections::BTreeSet::new();
     let mut tightest = 0.0f64;
     for (name, matrix, x) in &fleet {
         let reference = reference_rows(matrix, x);
-        // `csr_scalar` keeps every row whole and in place: kernel row `i`
-        // is one loop's dot over CSR row `i`.
-        for (variant, plan) in LOOPS {
-            let context = format!("{name}/{variant}");
-            let [auto, scalar] = lower_twins(&presets::csr_scalar(), matrix, plan, &context);
-            for kernel in [&auto, &scalar] {
-                let lanes = nnz_lane_width(kernel);
-                let shape = kernel.shape_label();
-                let run = if shape.contains("col:run") {
-                    "run "
-                } else {
-                    ""
-                };
-                loops.insert(format!("{run}{}", kernel.simd_label()));
-                for threads in [1, 4] {
-                    let y = kernel.run(x, threads).unwrap();
-                    let context = format!("{context} [{shape}] at {threads} thread(s)");
-                    let used = assert_within_pairing_bound(&y, &reference, lanes, &context);
-                    tightest = tightest.max(used);
+        for (design, graph, split) in &designs {
+            for (variant, plan) in LOOPS {
+                let context = format!("{name}/{design}/{variant}");
+                let [auto, scalar] = lower_twins(graph, matrix, plan, &context);
+                for kernel in [&auto, &scalar] {
+                    let depths = row_depths(matrix, nnz_lane_width(kernel), *split);
+                    let shape = kernel.shape_label();
+                    let run = if shape.contains("col:run") {
+                        "run "
+                    } else {
+                        ""
+                    };
+                    loops.insert(format!("{run}{}", kernel.simd_label()));
+                    for threads in [1, 4] {
+                        let y = kernel.run(x, threads).unwrap();
+                        let context = format!("{context} [{shape}] at {threads} thread(s)");
+                        let used = assert_within_pairing_bound(&y, &reference, &depths, &context);
+                        tightest = tightest.max(used);
+                    }
                 }
             }
         }
         for (lanes, y) in portable_lanes(matrix, x) {
             let context = format!("{name}/portable-nnz-x{lanes}");
-            assert_within_pairing_bound(&y, &reference, Some(lanes), &context);
+            let depths = row_depths(matrix, Some(lanes), Split::Whole);
+            assert_within_pairing_bound(&y, &reference, &depths, &context);
         }
     }
     // The shapes no design accepts (`empty_matrices_are_a_typed_generator_error`)
@@ -1503,9 +1578,11 @@ fn every_loop_is_within_gamma_k_of_its_pairing_depth() {
         let x = vec![1.0; cols];
         let reference = reference_rows(&matrix, &x);
         let serial = matrix.spmv(&x).unwrap();
-        assert_within_pairing_bound(&serial, &reference, None, name);
+        let depths = row_depths(&matrix, None, Split::Whole);
+        assert_within_pairing_bound(&serial, &reference, &depths, name);
         for (lanes, y) in portable_lanes(&matrix, &x) {
-            assert_within_pairing_bound(&y, &reference, Some(lanes), name);
+            let depths = row_depths(&matrix, Some(lanes), Split::Whole);
+            assert_within_pairing_bound(&y, &reference, &depths, name);
         }
     }
     // Every loop this host selects was held to its own depth: the scalar

@@ -45,7 +45,7 @@ impl SplitMix64 {
     }
 
     /// Samples `count` distinct values from `[0, bound)`, sorted.  Uses
-    /// rejection for sparse draws ([`distinct_sorted`]) and a partial
+    /// rejection for sparse draws (`distinct_sorted`) and a partial
     /// Fisher–Yates shuffle when `count` is a large fraction of `bound`.
     pub fn sample_distinct(&mut self, bound: usize, count: usize) -> Vec<usize> {
         let count = count.min(bound);

@@ -1,6 +1,6 @@
-//! The daemon's tenant view of the tuning service's live programs: which
-//! tune that names its matrix by content digest ([`Request::SubmitTuneRef`])
-//! instead of sending it may be answered, and with which job.
+//! The daemon's view of the tuning service's live programs: which tune that
+//! names its matrix by content digest ([`Request::SubmitTuneRef`]) instead
+//! of sending it may be answered, and with which job.
 //!
 //! The programs themselves are the service's: its resident map
 //! ([`TuningService::resident`]) is the one record of live programs by
@@ -8,15 +8,14 @@
 //! device, and it holds them weakly while the daemon's jobs own them.  This
 //! view adds only what the wire needs on top of it.
 //!
-//! * **The tenant.**  An entry is filed when a tuning worker finishes a job
-//!   whose matrix was *uploaded*, under the uploading tenant, the digest
-//!   (the service computed it from the uploaded bytes, never taken from the
-//!   client) and the device.  The view answers only what the asking tenant
-//!   uploaded itself — it does not tell one tenant whether another tuned a
-//!   given matrix.
+//! * **The upload.**  An entry is filed when a tuning worker finishes a job
+//!   whose matrix was *uploaded*, under the digest (the service computed it
+//!   from the uploaded bytes, never taken from the client) and the device.
+//!   The daemon serves one trust domain: any client that names a digest an
+//!   upload filed is answered, whichever connection uploaded it.
 //! * **The hit job.**  A repeat hit on an entry gets back the job an earlier
 //!   hit filed, while the job table still has it: a burst of hits then costs
-//!   one terminal job slot, so it cannot push other tenants' finished jobs
+//!   one terminal job slot, so it cannot push other clients' finished jobs
 //!   out of the table.
 //!
 //! A hit is answered without any content to compare.  That is safe because
@@ -42,7 +41,6 @@ use std::sync::{Arc, Mutex};
 /// What an entry is filed under.
 #[derive(PartialEq, Eq, Hash)]
 struct Key {
-    tenant: u64,
     digest: [u8; 32],
     /// The device profile's name.
     device: &'static str,
@@ -50,7 +48,7 @@ struct Key {
 
 /// A by-reference request the view can answer.
 pub(crate) struct Hit {
-    /// The program the tenant's upload built.
+    /// The program the upload built.
     pub(crate) program: Arc<TunedSpmv>,
     /// Whether the request that built it was warm-started.
     pub(crate) warm_started: bool,
@@ -59,23 +57,17 @@ pub(crate) struct Hit {
     pub(crate) job: Option<u64>,
 }
 
-/// `(tenant, digest, device)` → the job the latest hit filed.
+/// `(digest, device)` → the job the latest hit filed.
 #[derive(Default)]
 pub(crate) struct DigestView {
     entries: Mutex<HashMap<Key, Option<u64>>>,
 }
 
 impl DigestView {
-    /// Files `tenant`'s upload of the matrix with `digest` on `device`, just
-    /// tuned by `service`, and sweeps the entries whose program the service
-    /// no longer holds.
-    pub(crate) fn file(
-        &self,
-        service: &TuningService,
-        tenant: u64,
-        digest: [u8; 32],
-        device: &DeviceProfile,
-    ) {
+    /// Files an upload of the matrix with `digest` on `device`, just tuned
+    /// by `service`, and sweeps the entries whose program the service no
+    /// longer holds.
+    pub(crate) fn file(&self, service: &TuningService, digest: [u8; 32], device: &DeviceProfile) {
         let mut entries = self.entries.lock().expect("digest view poisoned");
         entries.retain(|key, _| {
             device_by_name(key.device)
@@ -83,7 +75,6 @@ impl DigestView {
         });
         entries.insert(
             Key {
-                tenant,
                 digest,
                 device: device.name,
             },
@@ -91,18 +82,16 @@ impl DigestView {
         );
     }
 
-    /// The live program `tenant` uploaded on `device` with this digest.
-    /// `None` — the caller asks for the matrix — when the tenant filed no
-    /// such upload, or the service no longer holds its program.
+    /// The live program an upload with this digest built on `device`.
+    /// `None` — the caller asks for the matrix — when no such upload was
+    /// filed, or the service no longer holds its program.
     pub(crate) fn lookup(
         &self,
         service: &TuningService,
-        tenant: u64,
         digest: [u8; 32],
         device: &DeviceProfile,
     ) -> Option<Hit> {
         let key = Key {
-            tenant,
             digest,
             device: device.name,
         };
@@ -118,15 +107,8 @@ impl DigestView {
 
     /// Records `job_id` as the job that answers the next hits on the entry
     /// [`DigestView::lookup`] found under the same key.
-    pub(crate) fn answered_by(
-        &self,
-        tenant: u64,
-        digest: [u8; 32],
-        device: &DeviceProfile,
-        job_id: u64,
-    ) {
+    pub(crate) fn answered_by(&self, digest: [u8; 32], device: &DeviceProfile, job_id: u64) {
         let key = Key {
-            tenant,
             digest,
             device: device.name,
         };

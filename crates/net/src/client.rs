@@ -3,7 +3,7 @@
 
 use crate::proto::{
     decode_response, read_frame, request_frame, spmv_frame, submit_frame, ErrorKind, JobState,
-    JobSummary, ProtoError, Request, Response, ServerStats, TenantStats,
+    JobSummary, ProtoError, Request, Response, ServerStats,
 };
 use alpha_matrix::{CsrMatrix, Scalar};
 use std::collections::HashMap;
@@ -47,9 +47,8 @@ pub enum NetError {
         /// Human-readable detail.
         message: String,
     },
-    /// Admission control rejected the submission — the job queue is full,
-    /// or this tenant's fair-share credit is exhausted.  Nothing was
-    /// enqueued; back off and retry.
+    /// Admission control rejected the submission — the job queue is full.
+    /// Nothing was enqueued; back off and retry.
     Busy {
         /// The daemon's queue bound, for sizing the backoff.
         queue_capacity: u64,
@@ -133,7 +132,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon anonymously (tenant 0).
+    /// Connects to a daemon.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, NetError> {
         let stream = TcpStream::connect(addr).map_err(ProtoError::from)?;
         stream.set_nodelay(true).map_err(ProtoError::from)?;
@@ -160,24 +159,6 @@ impl Client {
         x ^= x << 17;
         self.trace_state = x;
         x
-    }
-
-    /// Connects and identifies as tenant `client_id` (see
-    /// [`Request::Hello`]): the daemon's weighted admission and fairness
-    /// accounting key on this identity.  Returns the client and the
-    /// admission weight the daemon assigned.
-    pub fn connect_as<A: ToSocketAddrs>(
-        addr: A,
-        client_id: u64,
-    ) -> Result<(Client, u64), NetError> {
-        let mut client = Client::connect(addr)?;
-        match client.roundtrip(&Request::Hello { client_id })? {
-            Response::Welcome {
-                client_id: echoed,
-                weight,
-            } if echoed == client_id => Ok((client, weight)),
-            other => Err(NetError::UnexpectedResponse(format!("{other:?}"))),
-        }
     }
 
     fn roundtrip(&mut self, request: &Request) -> Result<Response, NetError> {
@@ -228,11 +209,11 @@ impl Client {
     /// The matrix is first named by its BLAKE2b-256 [`CsrMatrix::digest`] (one
     /// small frame, [`Request::SubmitTuneRef`]; the digest is computed on
     /// the first submit of a matrix value and memoised in it, so a repeat
-    /// submit of the same value costs no hashing).  A
-    /// daemon still holding the program this tenant's upload of the same
-    /// content built answers with a job that is already `Done`, and its
-    /// summary: the client keeps it until [`Client::wait_job`] of that job
-    /// returns it without a round trip, so a warm tune is one request.
+    /// submit of the same value costs no hashing).  A daemon still holding
+    /// the program an upload of the same content built answers with a job
+    /// that is already `Done`, and its summary: the client keeps it until
+    /// [`Client::wait_job`] of that job returns it without a round trip, so
+    /// a warm tune is one request.
     /// Otherwise the daemon answers [`Response::NeedMatrix`] and the matrix
     /// is sent in full ([`Request::SubmitTune`]), to be polled.  Either way
     /// the caller gets a job id.
@@ -389,15 +370,6 @@ impl Client {
         }
     }
 
-    /// Fetches the daemon's per-tenant fairness accounting, sorted by
-    /// tenant id.
-    pub fn tenant_stats(&mut self) -> Result<Vec<TenantStats>, NetError> {
-        match self.roundtrip(&Request::TenantStats)? {
-            Response::Tenants(tenants) => Ok(tenants),
-            other => Err(NetError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
     /// Fetches the daemon's full telemetry registry as a Prometheus text
     /// exposition — every counter, gauge and histogram the process has
     /// recorded, not just the curated [`ServerStats`] subset.  The same
@@ -448,13 +420,11 @@ impl Client {
 /// so a stitcher can partition a shared in-process ring by origin.
 fn client_span_name(request: &Request) -> &'static str {
     match request {
-        Request::Hello { .. } => "client.hello",
         Request::SubmitTune { .. } => "client.submit",
         Request::SubmitTuneRef { .. } => "client.submit_ref",
         Request::PollJob { .. } => "client.poll",
         Request::Spmv { .. } => "client.spmv",
         Request::StoreStats => "client.stats",
-        Request::TenantStats => "client.tenant_stats",
         Request::Metrics => "client.metrics",
         Request::Trace => "client.trace",
         Request::Shutdown => "client.shutdown",

@@ -17,8 +17,8 @@
 //!   errors, never panics.  Its framing (one frame reader) and its codec
 //!   are submodules.
 //! * [`NetServer`] — the daemon: an event loop over a private epoll/kqueue
-//!   reactor, and its lanes — weighted admission into a sharded tune
-//!   queue with reject-with-backpressure, tuning workers over a shared
+//!   reactor, and its lanes — admission into one bounded tune queue with
+//!   reject-with-backpressure, tuning workers over a shared
 //!   [`TuningService`](alpha_serve::TuningService), SpMV exec workers, an
 //!   HTTP metrics endpoint — around an in-memory job table with
 //!   terminal-state GC.
@@ -66,7 +66,7 @@ mod server;
 
 pub use client::{Client, NetError, TraceFetch};
 pub use proto::{
-    ErrorKind, JobState, JobSummary, ProtoError, Request, Response, ServerStats, TenantStats,
-    MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
+    ErrorKind, JobState, JobSummary, ProtoError, Request, Response, ServerStats, MAX_FRAME_LEN,
+    NET_MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{device_by_name, NetServer, ServerConfig};

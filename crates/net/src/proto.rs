@@ -65,10 +65,8 @@ pub const NET_MAGIC: [u8; 4] = *b"ANET";
 /// Wire-protocol version this build speaks — the only one it accepts.  Bump
 /// on any frame- or payload-layout change; a peer stamping anything else is
 /// rejected with [`ProtoError::VersionMismatch`] instead of being misread.
-/// (v2: [`JobSummary`] gained `queue_wait_secs`.  v3: multi-tenant QoS —
-/// [`Request::Hello`]/[`Response::Welcome`] carry a `ClientId`,
-/// [`Response::Busy`] reports `retry_after_ms`, [`Request::TenantStats`]
-/// returns per-tenant fairness accounting, and [`ServerStats`] gained the
+/// (v2: [`JobSummary`] gained `queue_wait_secs`.  v3: [`Response::Busy`]
+/// reports `retry_after_ms`, and [`ServerStats`] gained the
 /// `jobs_resident` and `open_connections` gauges.  v4: observability —
 /// [`Request::Metrics`] asks for the daemon's full telemetry registry and
 /// is answered with [`Response::MetricsText`] carrying the Prometheus text
@@ -79,8 +77,10 @@ pub const NET_MAGIC: [u8; 4] = *b"ANET";
 /// [`Response::NeedMatrix`] when the daemon holds no program for it), and
 /// [`JobSummary`] lost its always-`true` `specialized` flag.  v7: a
 /// [`Request::SubmitTuneRef`] hit is answered with its job's `Done`
-/// [`Response::Status`], not [`Response::Submitted`].)
-pub const PROTOCOL_VERSION: u32 = 7;
+/// [`Response::Status`], not [`Response::Submitted`].  v8: the connection
+/// identity messages and their per-identity accounting are gone — request
+/// tags 5 and 6 and response tags 7 and 8 are unassigned.)
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Upper bound on one frame's payload length.  Large enough for a
 /// multi-million-nonzero matrix submission, small enough that a corrupt or
@@ -223,17 +223,6 @@ pub enum Request {
     StoreStats,
     /// Ask the daemon to stop accepting work and exit cleanly.
     Shutdown,
-    /// Identify this connection as belonging to a tenant.  Optional — an
-    /// anonymous connection is tenant 0 — but weighted admission and
-    /// fairness accounting key on it, so multi-tenant clients should send
-    /// it first.  Answered with [`Response::Welcome`].
-    Hello {
-        /// Caller-chosen stable tenant identity.
-        client_id: u64,
-    },
-    /// Ask for the per-tenant fairness accounting.  Answered with
-    /// [`Response::Tenants`].
-    TenantStats,
     /// Ask for the daemon's full telemetry registry — every counter, gauge
     /// and histogram the process has recorded, not just the curated
     /// [`ServerStats`] subset.  Answered with [`Response::MetricsText`]
@@ -246,14 +235,14 @@ pub enum Request {
     /// stamp to align the two clock domains.  A daemon with tracing
     /// disabled answers with an empty span list.
     Trace,
-    /// Submit a tune of a matrix this connection's tenant uploaded before,
-    /// named by its [`CsrMatrix::digest`] instead of sent (v6+).  A daemon
-    /// that still holds the program an upload of that content built for the
-    /// same tenant and device answers with the [`Response::Status`] of a job
-    /// that holds it, in state [`JobState::Done`] — the reply a
-    /// [`Request::PollJob`] of that job gives, so no poll follows (v7+);
-    /// anything else — another tenant's upload, a program no job holds any
-    /// more, dimensions or `nnz` that disagree — is [`Response::NeedMatrix`]:
+    /// Submit a tune of a matrix uploaded before, named by its
+    /// [`CsrMatrix::digest`] instead of sent (v6+).  A daemon that still
+    /// holds the program an upload of that content built for the same
+    /// device answers with the [`Response::Status`] of a job that holds it,
+    /// in state [`JobState::Done`] — the reply a [`Request::PollJob`] of
+    /// that job gives, so no poll follows (v7+); anything else — a program
+    /// no job holds any more, dimensions or `nnz` that disagree — is
+    /// [`Response::NeedMatrix`]:
     /// send [`Request::SubmitTune`] instead.  An unknown device or a daemon
     /// shutting down is the [`Response::Error`] an upload would get.
     SubmitTuneRef {
@@ -350,25 +339,6 @@ pub struct ServerStats {
     pub open_connections: u64,
 }
 
-/// One tenant's admission/fairness accounting, as reported by
-/// [`Response::Tenants`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// The tenant's [`Request::Hello`] identity (0 = anonymous).
-    pub client_id: u64,
-    /// Admission weight; a tenant's queue credit scales with its weight
-    /// relative to the other *active* tenants.
-    pub weight: u64,
-    /// Tune jobs this tenant submitted and the daemon admitted.
-    pub submitted: u64,
-    /// Tune jobs shed back to this tenant with [`Response::Busy`].
-    pub rejected: u64,
-    /// This tenant's jobs that reached `Done`.
-    pub completed: u64,
-    /// This tenant's jobs waiting in the queue right now.
-    pub queued: u64,
-}
-
 /// Machine-readable classification of a [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -435,16 +405,15 @@ pub enum Response {
         /// Poll this id with [`Request::PollJob`].
         job_id: u64,
     },
-    /// Admission control rejected the request: the job queue is full, or
-    /// the tenant exhausted its fair-share credit.  Back off and retry —
-    /// nothing was enqueued.
+    /// Admission control rejected the request: the job queue (or, for an
+    /// SpMV, the exec queue) is full.  Back off and retry — nothing was
+    /// enqueued.
     Busy {
         /// The queue bound that was hit, so clients can size their backoff.
         queue_capacity: u64,
         /// The daemon's estimate of when retrying is worthwhile, from its
         /// current queue depth and measured per-job service time.  Zero
-        /// means "immediately" (e.g. a credit rejection that frees up as
-        /// soon as a sibling job drains).
+        /// means "immediately".
         retry_after_ms: u64,
     },
     /// Answer to [`Request::PollJob`], and to a [`Request::SubmitTuneRef`]
@@ -464,16 +433,6 @@ pub enum Response {
     Stats(ServerStats),
     /// Answer to [`Request::Shutdown`]: the daemon is stopping.
     ShuttingDown,
-    /// Answer to [`Request::Hello`]: the tenant identity is registered.
-    Welcome {
-        /// Echo of the registered tenant id.
-        client_id: u64,
-        /// The admission weight the daemon assigned this tenant.
-        weight: u64,
-    },
-    /// Answer to [`Request::TenantStats`]: every tenant the daemon has
-    /// seen, sorted by `client_id`.
-    Tenants(Vec<TenantStats>),
     /// Answer to [`Request::SubmitTuneRef`] when the daemon holds no program
     /// for the named matrix: nothing was admitted, send the matrix itself.
     NeedMatrix,

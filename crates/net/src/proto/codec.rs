@@ -117,30 +117,6 @@ fn read_stats(r: &mut ByteReader<'_>) -> Result<ServerStats, ProtoError> {
     })
 }
 
-fn write_tenant(w: &mut ByteWriter, tenant: &TenantStats) {
-    for v in [
-        tenant.client_id,
-        tenant.weight,
-        tenant.submitted,
-        tenant.rejected,
-        tenant.completed,
-        tenant.queued,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn read_tenant(r: &mut ByteReader<'_>) -> Result<TenantStats, ProtoError> {
-    Ok(TenantStats {
-        client_id: r.u64()?,
-        weight: r.u64()?,
-        submitted: r.u64()?,
-        rejected: r.u64()?,
-        completed: r.u64()?,
-        queued: r.u64()?,
-    })
-}
-
 fn write_span(w: &mut ByteWriter, span: &SpanEvent) {
     w.str(&span.name);
     w.u64(span.ts_us);
@@ -175,8 +151,8 @@ fn read_span(r: &mut ByteReader<'_>) -> Result<SpanEvent, ProtoError> {
             }
         },
         trace_id: r.u64()?,
-        // The wire carries a span's own fields; a stage's tenant and lane
-        // stay in the daemon's flight recorder.
+        // The wire carries a span's own fields; a stage's lane stays in the
+        // daemon's flight recorder.
         ..SpanEvent::default()
     })
 }
@@ -206,11 +182,6 @@ fn write_request(w: &mut ByteWriter, request: &Request) {
         Request::Spmv { job_id, x } => write_spmv(w, *job_id, x),
         Request::StoreStats => w.u8(3),
         Request::Shutdown => w.u8(4),
-        Request::Hello { client_id } => {
-            w.u8(5);
-            w.u64(*client_id);
-        }
-        Request::TenantStats => w.u8(6),
         Request::Metrics => w.u8(7),
         Request::Trace => w.u8(8),
         Request::SubmitTuneRef {
@@ -325,10 +296,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         },
         3 => Request::StoreStats,
         4 => Request::Shutdown,
-        5 => Request::Hello {
-            client_id: r.u64()?,
-        },
-        6 => Request::TenantStats,
         7 => Request::Metrics,
         8 => Request::Trace,
         9 => Request::SubmitTuneRef {
@@ -419,18 +386,6 @@ fn write_response(w: &mut ByteWriter, response: &Response) {
             w.u8(*kind as u8);
             w.str(message);
         }
-        Response::Welcome { client_id, weight } => {
-            w.u8(7);
-            w.u64(*client_id);
-            w.u64(*weight);
-        }
-        Response::Tenants(tenants) => {
-            w.u8(8);
-            w.u64(tenants.len() as u64);
-            for tenant in tenants {
-                write_tenant(w, tenant);
-            }
-        }
         Response::MetricsText { text } => {
             w.u8(9);
             w.str(text);
@@ -485,18 +440,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
             kind: ErrorKind::from_tag(r.u8()?)?,
             message: r.str()?,
         },
-        7 => Response::Welcome {
-            client_id: r.u64()?,
-            weight: r.u64()?,
-        },
-        8 => {
-            let count = r.count_of("tenant record", 48)?;
-            let mut tenants = Vec::with_capacity(count);
-            for _ in 0..count {
-                tenants.push(read_tenant(&mut r)?);
-            }
-            Response::Tenants(tenants)
-        }
         9 => Response::MetricsText { text: r.str()? },
         10 => {
             let server_now_us = r.u64()?;

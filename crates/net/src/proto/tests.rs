@@ -22,10 +22,6 @@ fn sample_requests() -> Vec<Request> {
         },
         Request::StoreStats,
         Request::Shutdown,
-        Request::Hello {
-            client_id: 0xFEED_BEEF,
-        },
-        Request::TenantStats,
         Request::Metrics,
         Request::Trace,
         Request::SubmitTuneRef {
@@ -98,33 +94,9 @@ fn sample_responses() -> Vec<Response> {
             kind: ErrorKind::UnknownJob,
             message: "job 99 was never issued".to_string(),
         },
-        Response::Welcome {
-            client_id: 0xFEED_BEEF,
-            weight: 4,
-        },
-        Response::Tenants(vec![
-            TenantStats {
-                client_id: 0,
-                weight: 1,
-                submitted: 2,
-                rejected: 3,
-                completed: 4,
-                queued: 5,
-            },
-            TenantStats {
-                client_id: 0xFEED_BEEF,
-                weight: 4,
-                submitted: 40,
-                rejected: 1,
-                completed: 39,
-                queued: 0,
-            },
-        ]),
-        Response::Tenants(Vec::new()),
         Response::NeedMatrix,
         Response::MetricsText {
-            text: "# TYPE net_requests_total counter\nnet_requests_total{tenant=\"0\"} 7\n"
-                .to_string(),
+            text: "# TYPE net_requests_total counter\nnet_requests_total 7\n".to_string(),
         },
         Response::MetricsText {
             text: String::new(),
@@ -301,14 +273,20 @@ fn element_counts_are_bounded_by_element_size_not_record_count() {
 
 #[test]
 fn unknown_tags_are_rejected() {
-    assert!(matches!(
-        decode_request(&[250]),
-        Err(ProtoError::Corrupt(_))
-    ));
-    assert!(matches!(
-        decode_response(&[250]),
-        Err(ProtoError::Corrupt(_))
-    ));
+    // The tags v8 retired (requests 5 and 6, responses 7 and 8) are unknown
+    // like any other: the remaining messages kept their numbers.
+    for tag in [5, 6, 250] {
+        assert!(matches!(
+            decode_request(&[tag]),
+            Err(ProtoError::Corrupt(_))
+        ));
+    }
+    for tag in [7, 8, 250] {
+        assert!(matches!(
+            decode_response(&[tag]),
+            Err(ProtoError::Corrupt(_))
+        ));
+    }
 }
 
 #[test]
@@ -362,11 +340,11 @@ fn frame_stamped(version: u32, payload: &[u8]) -> Vec<u8> {
 
 #[test]
 fn v4_frames_get_a_typed_version_mismatch() {
-    // One wire version: the retired v4, v5 and v6 stamps (and anything
-    // older or newer) are rejected by both readers before a payload byte
-    // is trusted — never decoded under the wrong layout.
+    // One wire version: the retired v4 to v7 stamps (and anything older or
+    // newer) are rejected by both readers before a payload byte is trusted
+    // — never decoded under the wrong layout.
     let payload = encode_request(&Request::StoreStats);
-    for foreign in [0, 3, 4, 5, 6, PROTOCOL_VERSION + 1] {
+    for foreign in [0, 3, 4, 5, 6, 7, PROTOCOL_VERSION + 1] {
         let wire = frame_stamped(foreign, &payload);
         match read_frame(&mut &wire[..]) {
             Err(ProtoError::VersionMismatch { found, expected }) => {
@@ -383,11 +361,11 @@ fn v4_frames_get_a_typed_version_mismatch() {
         assert!(out.is_empty());
     }
     let message = ProtoError::VersionMismatch {
-        found: 6,
+        found: 7,
         expected: PROTOCOL_VERSION,
     }
     .to_string();
-    assert!(message.contains("version 6") && message.contains("speaks 7"));
+    assert!(message.contains("version 7") && message.contains("speaks 8"));
 }
 
 #[test]
@@ -426,8 +404,8 @@ fn unhex(text: &str) -> Vec<u8> {
 #[test]
 fn golden_frames_match_the_element_wise_encoding() {
     // Frames dumped from the pre-bulk, element-at-a-time encoder (header
-    // and payload written separately; the version stamp moved to 7 with
-    // the v7 bump): the one-buffer builders and the slice codec must put
+    // and payload written separately; the version stamp moved to 8 with
+    // the v8 bump): the one-buffer builders and the slice codec must put
     // the same bytes on the wire, or this is a protocol bump.
     let matrix = CsrMatrix::from_raw(
         2,
@@ -438,7 +416,7 @@ fn golden_frames_match_the_element_wise_encoding() {
     )
     .unwrap();
     let submit = unhex(
-        "414e455407000000610000000000000008070605040302010002000000000000000300000000000000\
+        "414e455408000000610000000000000008070605040302010002000000000000000300000000000000\
          0300000000000000000000000200000003000000030000000000000000000000020000000100000003\
          000000000000000000803f000020c03412c07f040000000000000041313030",
     );
@@ -468,7 +446,7 @@ fn golden_frames_match_the_element_wise_encoding() {
 
     let x = [1.0, -0.0, f32::MIN_POSITIVE / 2.0];
     let spmv = unhex(
-        "414e45540700000025000000000000001100ffeeddccbbaa020700000000000000030000000000\
+        "414e45540800000025000000000000001100ffeeddccbbaa020700000000000000030000000000\
          00000000803f0000008000004000",
     );
     assert_eq!(spmv_frame(0xAABB_CCDD_EEFF_0011, 7, &x).unwrap(), spmv);
@@ -484,7 +462,7 @@ fn golden_frames_match_the_element_wise_encoding() {
         spmv
     );
 
-    let result = unhex("414e45540700000011000000000000000302000000000000000000003f000080ff");
+    let result = unhex("414e45540800000011000000000000000302000000000000000000003f000080ff");
     assert_eq!(
         response_frame(&Response::SpmvResult {
             y: vec![0.5, f32::NEG_INFINITY]
@@ -496,7 +474,7 @@ fn golden_frames_match_the_element_wise_encoding() {
     // The by-reference submit: the digest's 32 bytes as they are, then
     // rows, cols, nnz and the device.
     let by_reference = unhex(
-        "414e4554070000004d00000000000000080706050403020109000102030405060708090a0b0c0d0e\
+        "414e4554080000004d00000000000000080706050403020109000102030405060708090a0b0c0d0e\
          0f101112131415161718191a1b1c1d1e1f02000000000000000300000000000000030000000000\
          0000040000000000000041313030",
     );
@@ -513,12 +491,12 @@ fn golden_frames_match_the_element_wise_encoding() {
     );
     assert_eq!(
         response_frame(&Response::NeedMatrix).unwrap(),
-        unhex("414e45540700000001000000000000000b")
+        unhex("414e45540800000001000000000000000b")
     );
 
-    // A span crosses the wire as its own fields only: a stage's tenant and
-    // lane stay home, and the bytes are those of the owned-string span
-    // type that came before.
+    // A span crosses the wire as its own fields only: a stage's lane stays
+    // home, and the bytes are those of the owned-string span type that came
+    // before.
     let spans = Response::TraceSpans {
         server_now_us: 1_234_567,
         spans: vec![
@@ -530,7 +508,6 @@ fn golden_frames_match_the_element_wise_encoding() {
                 depth: 1,
                 arg: Some(("job".into(), 7)),
                 trace_id: 0xABCD,
-                tenant: 9,
                 class: "spmv",
             },
             alpha_telemetry::SpanEvent {

@@ -8,7 +8,7 @@
 //!                     └──────┬──────────────▲──────────────▲─────────────┘
 //!            SubmitTune      │try_push      │Busy(retry)   │completions + waker
 //!                            ▼              │              │
-//!            sharded job queue (hashed by tenant) ── tune workers
+//!            job queue (one bounded FIFO) ────────── tune workers
 //!                            │                         │    ▲
 //!            Spmv ──▶ exec queue ───── exec workers ───┼────┘
 //!                            │                    files│
@@ -18,8 +18,7 @@
 //!            PollJob ◀── job table (FIFO terminal GC)
 //! ```
 //!
-//! Three structural properties, each an answer to a production failure
-//! mode:
+//! Two structural properties, each an answer to a production failure mode:
 //!
 //! * **No thread per socket.**  One event-loop thread multiplexes every
 //!   connection through a [`Reactor`]: readiness-driven nonblocking reads
@@ -28,28 +27,25 @@
 //!   invariants), and responses drain through per-connection outboxes
 //!   with partial-write tracking.  256 idle connections cost 256 small
 //!   structs, not 256 stacks.
-//! * **Per-tenant admission order.**  The admission queue is a
-//!   [`ShardedTaskQueue`] hashed by tenant — one tenant's storm lands in
-//!   one shard while workers drain shards round-robin.  The job table is one
-//!   map under one lock, touched once per request.
-//! * **Weighted multi-tenant admission.**  Connections identify as a
-//!   tenant with [`Request::Hello`]; each tenant's queue credit is its
-//!   weight share of the capacity across *active* tenants, so a tuning
-//!   storm from one tenant cannot starve another's submissions — and SpMV
-//!   traffic is never shed at admission at all.  Rejections carry a
-//!   `retry_after_ms` estimate derived from the measured tuning EWMA and
-//!   current queue depth.
+//! * **Bounded admission with backpressure.**  Admission is one bound over
+//!   one FIFO ([`TaskQueue`]): a submission that finds the queue full is
+//!   answered [`Response::Busy`] at once, with a `retry_after_ms` estimate
+//!   derived from the measured tuning EWMA and the current queue depth —
+//!   and SpMV traffic is never shed at tune admission at all.  The job
+//!   table is one map under one lock, touched once per request.
 //!
-//! A tune that names its matrix by digest ([`Request::SubmitTuneRef`]) is
-//! answered on the loop itself when the tenant's upload of that content
-//! left a program some job still holds: a lookup in the tenant's view and
-//! the service's resident map answers with the `Done` status of a job that
-//! holds it — no queue, no worker, no hash, no compare, and no poll after
-//! (the digest is BLAKE2b-256; see the `by_digest` module).  Anything else
-//! is answered [`Response::NeedMatrix`] and the client uploads.
+//! A daemon serves one trust domain: every connection is the same client
+//! to it.  A tune that names its matrix by digest
+//! ([`Request::SubmitTuneRef`]) is answered on the loop itself when an
+//! upload of that content left a program some job still holds: a lookup in
+//! the daemon's view and the service's resident map answers with the
+//! `Done` status of a job that holds it — no queue, no worker, no hash, no
+//! compare, and no poll after (the digest is BLAKE2b-256; see the
+//! `by_digest` module).  Anything else is answered [`Response::NeedMatrix`]
+//! and the client uploads.
 //!
 //! Long-running work never blocks the loop: tuning runs on worker threads
-//! that drain the sharded queue, and remote SpMV is offloaded to exec
+//! that drain the admission queue, and remote SpMV is offloaded to exec
 //! workers that post completed response frames back through a completion
 //! list plus reactor wake.  An SpMV that is the daemon's only work fans out
 //! over the exec pool; one with company runs on its exec worker's thread
@@ -60,13 +56,13 @@
 //! The code is split by lane: `event_loop` (accept, reassembly, dispatch,
 //! outboxes, sweeps), `tune_lane` (admission, tunes by reference, tuning
 //! workers), `exec_lane` (SpMV offload, exec workers), `http` (the metrics
-//! endpoint) and `queue` (the sharded queue both lanes drain).  This module
+//! endpoint) and `queue` (the bounded FIFO both lanes drain).  This module
 //! holds the configuration, the daemon handle and the state they share.
 
 use crate::by_digest::DigestView;
 use crate::proto::{
     response_frame, ErrorKind, FrameAssembler, JobState, JobSummary, Request, Response,
-    ServerStats, TenantStats, MAX_FRAME_SECS,
+    ServerStats, MAX_FRAME_SECS,
 };
 use crate::reactor::{Event, Interest, Reactor, Waker};
 use crate::{NetError, ProtoError};
@@ -74,7 +70,7 @@ use alpha_matrix::Scalar;
 use alpha_serve::{TuneRequest, TuningService};
 use alpha_telemetry::{Counter, FlightRecorder, Gauge, Histogram, Registry, SpanEvent};
 use alphasparse::{DeviceProfile, TunedSpmv};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -91,8 +87,8 @@ mod tune_lane;
 
 use event_loop::EventLoop;
 use exec_lane::{exec_loop, ExecTask};
-use queue::ShardedTaskQueue;
-use tune_lane::{worker_loop, ADMISSION_SHARDS};
+use queue::TaskQueue;
+use tune_lane::worker_loop;
 
 /// Resolves a wire device name to a device profile.  Matching is
 /// case-insensitive over the built-in profiles (`A100`, `RTX2080`,
@@ -124,11 +120,6 @@ pub struct ServerConfig {
     /// its first byte — the slow-loris bound.  Defaults to
     /// [`MAX_FRAME_SECS`]; chaos tests shrink it to trip fast.
     pub frame_deadline: Duration,
-    /// Per-tenant admission weights as `(client_id, weight)` pairs; tenants
-    /// not listed (including the anonymous tenant 0) get weight 1.  A
-    /// tenant's queue credit is its weight share of `queue_capacity` over
-    /// the currently *active* tenants.
-    pub tenant_weights: Vec<(u64, u64)>,
     /// Address of the plaintext HTTP debug endpoint (`GET /metrics` answers
     /// the Prometheus text exposition, `GET /debug/flightrec` the flight
     /// recorder's JSON dump).  Served by the same event loop — no extra
@@ -152,7 +143,6 @@ impl Default for ServerConfig {
             workers: 0,
             max_terminal_jobs: 1024,
             frame_deadline: Duration::from_secs(MAX_FRAME_SECS),
-            tenant_weights: Vec::new(),
             metrics_addr: None,
             slow_request_us: 500_000,
             flightrec_dump: None,
@@ -167,9 +157,8 @@ enum Job {
         /// When the job was admitted — a tuning worker turns this into the
         /// queue-wait component of the job's [`JobSummary`].
         enqueued: Instant,
-        /// The submission: its tenant, for fairness accounting at
-        /// completion, and its trace id, which the worker threads into its
-        /// spans and flight events.
+        /// The submission: its trace id, which the worker threads into its
+        /// spans and flight events, and its job id.
         req: RequestTag,
     },
     Running,
@@ -208,12 +197,10 @@ impl Lane {
 }
 
 /// The request a record belongs to: every stage event of one request names
-/// the same tenant, trace and job.
+/// the same trace and job.
 #[derive(Clone, Copy)]
 struct RequestTag {
     lane: Lane,
-    /// `0` = anonymous.
-    tenant: u64,
     /// `0` = untraced.
     trace_id: u64,
     /// `0` before the daemon assigned one.
@@ -234,7 +221,6 @@ fn stage_event(req: RequestTag, stage: &'static str, value_us: u64) -> SpanEvent
     SpanEvent {
         arg: Some(arg),
         trace_id: req.trace_id,
-        tenant: req.tenant,
         class: req.lane.class(),
         ..SpanEvent::ending_now(stage, dur_us)
     }
@@ -249,14 +235,12 @@ struct Shared {
     /// Terminal job ids, oldest first — the GC order (one small lock touched
     /// once per job *completion*, not per request).
     terminal_order: Mutex<VecDeque<u64>>,
-    /// Admission queue, sharded by tenant hash: workers drain shards
-    /// round-robin, so queued tenants share worker attention.
-    queue: ShardedTaskQueue<u64>,
-    /// SpMV offload lane: the event loop pushes, exec workers pop.  One
-    /// shard: a global FIFO.
-    exec_queue: ShardedTaskQueue<ExecTask>,
-    /// Which tenant uploaded which digest: with the service's resident map,
-    /// what answers a [`Request::SubmitTuneRef`].
+    /// Admission queue of job ids: one bound over one FIFO.
+    queue: TaskQueue<u64>,
+    /// SpMV offload lane: the event loop pushes, exec workers pop.
+    exec_queue: TaskQueue<ExecTask>,
+    /// Which digests were uploaded: with the service's resident map, what
+    /// answers a [`Request::SubmitTuneRef`].
     by_digest: DigestView,
     /// Tunes by reference answered with a resident program / with
     /// [`Response::NeedMatrix`] (`net_tune_by_reference_total{outcome}`).
@@ -274,10 +258,10 @@ struct Shared {
     /// data, and a stale read only picks the other path, whose `y` is the
     /// same.
     tunes_executing: AtomicU64,
-    /// One fairness row per tenant, by `client_id`: [`ServerStats`]'
-    /// submitted, rejected and completed jobs are the sums of these rows.
-    tenants: Mutex<BTreeMap<u64, TenantStats>>,
-    /// Lifetime counts the tenant rows do not keep.
+    /// Lifetime job counts, as [`ServerStats`] reports them.
+    jobs_submitted: AtomicU64,
+    jobs_rejected: AtomicU64,
+    jobs_completed: AtomicU64,
     jobs_failed: AtomicU64,
     jobs_gced: AtomicU64,
     shutdown: AtomicBool,
@@ -315,6 +299,11 @@ struct Shared {
     deferred_depth: Gauge,
     /// Scrapes answered on the HTTP metrics endpoint.
     http_scrapes: Counter,
+    /// Request frames received (`net_requests_total`), and responses that
+    /// were `Busy` (`net_busy_total`) or a typed error (`net_errors_total`).
+    requests: Counter,
+    busy: Counter,
+    errors: Counter,
     /// The always-on black box: request lifecycle events for after-the-fact
     /// diagnosis, dumpable via `GET /debug/flightrec` and at shutdown.
     flightrec: Arc<FlightRecorder>,
@@ -324,20 +313,14 @@ impl Shared {
     fn stats(&self) -> ServerStats {
         let store = self.service.store_stats();
         let jobs_resident = self.jobs.lock().expect("job table poisoned").len();
-        let [mut jobs_submitted, mut jobs_rejected, mut jobs_completed] = [0; 3];
-        for t in self.tenants.lock().expect("tenant table poisoned").values() {
-            jobs_submitted += t.submitted;
-            jobs_rejected += t.rejected;
-            jobs_completed += t.completed;
-        }
         ServerStats {
             store_memory_hits: store.memory_hits as u64,
             store_disk_loads: store.disk_loads as u64,
             store_cold_starts: store.cold_starts as u64,
             store_evictions: store.evictions as u64,
-            jobs_submitted,
-            jobs_rejected,
-            jobs_completed,
+            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
+            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
+            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
             jobs_gced: self.jobs_gced.load(Ordering::Relaxed),
             queue_depth: self.queue.len() as u64,
@@ -347,20 +330,15 @@ impl Shared {
         }
     }
 
-    /// Marks a job terminal, credits its tenant, and garbage-collects the
-    /// oldest terminal records beyond the configured bound.
-    fn finish_job(&self, job_id: u64, tenant: u64, outcome: Job) {
+    /// Marks a job terminal, counts it, and garbage-collects the oldest
+    /// terminal records beyond the configured bound.
+    fn finish_job(&self, job_id: u64, outcome: Job) {
         debug_assert!(outcome.is_terminal());
-        if !matches!(outcome, Job::Done { .. }) {
-            self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        } else if let Some(t) = self
-            .tenants
-            .lock()
-            .expect("tenant table poisoned")
-            .get_mut(&tenant)
-        {
-            t.completed += 1;
-        }
+        let count = match outcome {
+            Job::Done { .. } => &self.jobs_completed,
+            _ => &self.jobs_failed,
+        };
+        count.fetch_add(1, Ordering::Relaxed);
         self.jobs
             .lock()
             .expect("job table poisoned")
@@ -380,7 +358,7 @@ impl Shared {
 
     /// Records one stage of a request as one [`SpanEvent`] named `stage`,
     /// lasting the stage's measured `value_us` and ending now, tagged with
-    /// the request's tenant, trace id, lane and `job` arg (a shed's arg is
+    /// the request's trace id, lane and `job` arg (a shed's arg is
     /// its retry-after in µs instead).  The event goes to the flight ring and,
     /// while tracing is on, to the trace ring — except `net.tune_exec`,
     /// which a guard at its call site already traces, because the search's
@@ -474,21 +452,21 @@ impl NetServer {
             jobs: Mutex::new(HashMap::new()),
             next_job_id: AtomicU64::new(0),
             terminal_order: Mutex::new(VecDeque::new()),
-            queue: ShardedTaskQueue::bounded(
+            queue: TaskQueue::bounded(
                 config.queue_capacity,
-                ADMISSION_SHARDS,
                 registry.gauge("net_queue_depth", &[("lane", "tune")]),
             ),
-            exec_queue: ShardedTaskQueue::bounded(
+            exec_queue: TaskQueue::bounded(
                 1024,
-                1,
                 registry.gauge("net_queue_depth", &[("lane", "exec")]),
             ),
             by_digest: DigestView::default(),
             completions: Mutex::new(Vec::new()),
             exec_inflight: AtomicU64::new(0),
             tunes_executing: AtomicU64::new(0),
-            tenants: Mutex::new(BTreeMap::new()),
+            jobs_submitted: AtomicU64::new(0),
+            jobs_rejected: AtomicU64::new(0),
+            jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_gced: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -510,6 +488,9 @@ impl NetServer {
             tick_hist: registry.histogram("net_loop_tick_us", &[]),
             deferred_depth: registry.gauge("net_deferred_depth", &[]),
             http_scrapes: registry.counter("net_http_scrapes_total", &[]),
+            requests: registry.counter("net_requests_total", &[]),
+            busy: registry.counter("net_busy_total", &[]),
+            errors: registry.counter("net_errors_total", &[]),
             flightrec: Arc::new(FlightRecorder::default()),
             registry,
         });
@@ -575,12 +556,6 @@ impl NetServer {
     /// without a tracing sink installed.
     pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
         &self.shared.flightrec
-    }
-
-    /// Live per-tenant fairness accounting (the same snapshot a
-    /// [`Request::TenantStats`] frame returns).
-    pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.shared.tenant_snapshot()
     }
 
     /// Initiates shutdown from the hosting process, exactly as a
@@ -667,13 +642,12 @@ mod tests {
     fn a_shed_spmv_names_its_job() {
         let req = RequestTag {
             lane: Lane::Spmv,
-            tenant: 3,
             trace_id: 11,
             job_id: 42,
         };
         let event = stage_event(req, "net.shed", 1_000);
         assert_eq!(event.arg, Some(("job".into(), 42)));
-        assert_eq!((event.dur_us, event.tenant, event.trace_id), (0, 3, 11));
+        assert_eq!((event.dur_us, event.trace_id), (0, 11));
         assert_eq!(event.class, "spmv");
     }
 
@@ -681,7 +655,6 @@ mod tests {
     fn a_shed_tune_carries_its_retry_hint() {
         let req = RequestTag {
             lane: Lane::Tune,
-            tenant: 3,
             trace_id: 0,
             job_id: 0,
         };
@@ -699,7 +672,6 @@ mod tests {
         assert!(config.queue_capacity > 0);
         assert!(config.max_terminal_jobs > 0);
         assert!(config.frame_deadline >= Duration::from_secs(1));
-        assert!(config.tenant_weights.is_empty());
         assert!(config.metrics_addr.is_none());
         assert!(config.slow_request_us > 0);
         assert!(config.flightrec_dump.is_none());

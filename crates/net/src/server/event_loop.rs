@@ -33,25 +33,6 @@ const READ_SCRATCH: usize = 64 * 1024;
 /// Grace period for flushing outboxes after a shutdown is requested.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
-/// Per-tenant wire counters, cached per connection so the hot request path
-/// never formats a label or re-resolves a registry handle.
-struct ConnMetrics {
-    requests: Counter,
-    busy: Counter,
-    errors: Counter,
-}
-
-impl ConnMetrics {
-    fn for_tenant(registry: &Registry, tenant: u64) -> ConnMetrics {
-        let id = tenant.to_string();
-        ConnMetrics {
-            requests: registry.counter("net_requests_total", &[("tenant", &id)]),
-            busy: registry.counter("net_busy_total", &[("tenant", &id)]),
-            errors: registry.counter("net_errors_total", &[("tenant", &id)]),
-        }
-    }
-}
-
 /// Per-connection state machine: reassembly in, ordered responses out.
 struct Conn {
     stream: TcpStream,
@@ -65,8 +46,6 @@ struct Conn {
     out_pos: usize,
     /// An offloaded SpMV is in flight; requests behind it are deferred.
     pending_exec: bool,
-    /// Tenant identity from `Hello` (0 = anonymous).
-    tenant: u64,
     /// Flush the outbox, then close (framing lost, slow-loris deadline, or
     /// shutdown ack sent) — no further requests are processed.
     close_after_flush: bool,
@@ -77,9 +56,6 @@ struct Conn {
     dead: bool,
     /// Interest currently registered with the reactor.
     registered: Interest,
-    /// Cached per-tenant counters, re-resolved when `Hello` rebinds the
-    /// tenant.
-    metrics: ConnMetrics,
 }
 
 impl Conn {
@@ -91,12 +67,10 @@ impl Conn {
             outbox: VecDeque::new(),
             out_pos: 0,
             pending_exec: false,
-            tenant: 0,
             close_after_flush: false,
             eof: false,
             dead: false,
             registered: Interest::READABLE,
-            metrics: ConnMetrics::for_tenant(&shared.registry, 0),
         }
     }
 
@@ -384,11 +358,9 @@ impl EventLoop {
 
     /// Decodes and dispatches one request payload for `token`.
     fn handle_payload(&mut self, token: usize, payload: &[u8]) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            // Every arriving frame counts against its tenant, decodable or
-            // not — the scrape-side view of per-tenant demand.
-            conn.metrics.requests.inc();
-        }
+        // Every arriving frame counts, decodable or not — the scrape-side
+        // view of demand.
+        self.shared.requests.inc();
         // The assembler only completes frames stamped `PROTOCOL_VERSION`.
         let (trace_id, request) = match decode_request_traced(payload) {
             Ok(decoded) => decoded,
@@ -415,23 +387,11 @@ impl EventLoop {
     /// Dispatches one decoded request.
     fn dispatch(&mut self, token: usize, trace_id: u64, request: Request) {
         let shared = self.shared.clone();
-        let tenant = self.conns.get(&token).map_or(0, |c| c.tenant);
         match request {
-            Request::Hello { client_id } => {
-                let weight = shared.tenant_weight(client_id);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.tenant = client_id;
-                    conn.metrics = ConnMetrics::for_tenant(&shared.registry, client_id);
-                }
-                self.push_response(token, &Response::Welcome { client_id, weight });
-            }
-            Request::TenantStats => {
-                self.push_response(token, &Response::Tenants(shared.tenant_snapshot()));
-            }
             Request::SubmitTune { matrix, device } => {
                 let response = {
-                    let _span = alpha_telemetry::span!("net.admission", tenant = tenant);
-                    submit_tune(&shared, tenant, trace_id, matrix, device)
+                    let _span = alpha_telemetry::span!("net.admission");
+                    submit_tune(&shared, trace_id, matrix, device)
                 };
                 self.push_response(token, &response);
             }
@@ -443,15 +403,8 @@ impl EventLoop {
                 device,
             } => {
                 let response = {
-                    let _span = alpha_telemetry::span!("net.admission", tenant = tenant);
-                    submit_tune_ref(
-                        &shared,
-                        tenant,
-                        trace_id,
-                        digest,
-                        [rows, cols, nnz],
-                        &device,
-                    )
+                    let _span = alpha_telemetry::span!("net.admission");
+                    submit_tune_ref(&shared, trace_id, digest, [rows, cols, nnz], &device)
                 };
                 self.push_response(token, &response);
             }
@@ -462,7 +415,6 @@ impl EventLoop {
             Request::Spmv { job_id, x } => {
                 let req = RequestTag {
                     lane: Lane::Spmv,
-                    tenant,
                     trace_id,
                     job_id,
                 };
@@ -518,13 +470,13 @@ impl EventLoop {
             // Shed and failed requests are tallied here, at the single
             // choke point every response passes through.
             match response {
-                Response::Busy { .. } => conn.metrics.busy.inc(),
-                Response::Error { .. } => conn.metrics.errors.inc(),
+                Response::Busy { .. } => self.shared.busy.inc(),
+                Response::Error { .. } => self.shared.errors.inc(),
                 _ => {}
             }
             // The reply-flush span inherits the dispatching request's trace
             // id from the thread-local set in `handle_payload`.
-            let _span = alpha_telemetry::span!("net.reply", tenant = conn.tenant);
+            let _span = alpha_telemetry::span!("net.reply");
             conn.outbox.push_back(frame_bytes(response));
         }
     }

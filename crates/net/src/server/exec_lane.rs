@@ -113,7 +113,7 @@ pub(super) fn offload_spmv(
         received: Instant::now(),
         req,
     };
-    match shared.exec_queue.try_push(0, task) {
+    match shared.exec_queue.try_push(task) {
         Ok(()) => {
             shared.record(req, "net.admitted", 0);
             Ok(())

@@ -1,40 +1,10 @@
-//! The tune lane: weighted admission into the sharded queue, the tuning
-//! workers that drain it, and tunes answered by reference on the loop.
+//! The tune lane: admission into the bounded queue, the tuning workers that
+//! drain it, and tunes answered by reference on the loop.
 
 use super::queue::PushError;
 use super::*;
 
-/// Shards of the admission queue.  Its workers drain the shards round-robin,
-/// so tenants hashed to different shards take turns — the per-tenant
-/// fairness floor under a storm.
-pub(super) const ADMISSION_SHARDS: usize = 8;
-
 impl Shared {
-    /// `tenant`'s row of the table, made with its configured weight the
-    /// first time the tenant is seen.
-    fn tenant_row<'t>(
-        &self,
-        tenants: &'t mut BTreeMap<u64, TenantStats>,
-        tenant: u64,
-    ) -> &'t mut TenantStats {
-        tenants.entry(tenant).or_insert_with(|| TenantStats {
-            client_id: tenant,
-            weight: self
-                .config
-                .tenant_weights
-                .iter()
-                .find(|(id, _)| *id == tenant)
-                .map_or(1, |(_, w)| (*w).max(1)),
-            ..TenantStats::default()
-        })
-    }
-
-    /// `tenant`'s admission weight, registering the tenant if it is new.
-    pub(super) fn tenant_weight(&self, tenant: u64) -> u64 {
-        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-        self.tenant_row(&mut tenants, tenant).weight
-    }
-
     /// The daemon's estimate of when a shed submission is worth retrying:
     /// measured tuning EWMA scaled by the queue backlog per worker, clamped
     /// to [1 ms, 10 s].  Before any job has finished the estimate is a flat
@@ -47,53 +17,6 @@ impl Shared {
         let backlog = (self.queue.len() as u64).max(1);
         let per_worker = backlog.div_ceil(self.worker_count.max(1) as u64);
         (ewma_us / 1000).saturating_mul(per_worker).clamp(1, 10_000)
-    }
-
-    /// Weighted admission: the tenant may hold at most
-    /// `max(1, queue_capacity · w / W_active)` queued jobs, where
-    /// `W_active` sums the weights of tenants with queued work (the
-    /// requester included).  With a single active tenant the credit is the
-    /// whole capacity — exactly the unweighted daemon — and with rivals it
-    /// degrades proportionally, never to zero.
-    fn try_admit(&self, tenant_id: u64) -> Result<(), Response> {
-        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-        self.tenant_row(&mut tenants, tenant_id);
-        let w_active: u64 = tenants
-            .values()
-            .filter(|t| t.queued > 0 || t.client_id == tenant_id)
-            .map(|t| t.weight)
-            .sum();
-        let capacity = self.queue.capacity() as u64;
-        let me = tenants.get_mut(&tenant_id).expect("just inserted");
-        let credit = ((capacity * me.weight) / w_active.max(1)).max(1);
-        if me.queued >= credit {
-            me.rejected += 1;
-            return Err(Response::Busy {
-                queue_capacity: capacity,
-                retry_after_ms: self.retry_after_ms(),
-            });
-        }
-        me.queued += 1;
-        me.submitted += 1;
-        Ok(())
-    }
-
-    /// Rolls back a [`Shared::try_admit`] whose queue push failed.
-    fn unadmit(&self, tenant_id: u64, shed: bool) {
-        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-        if let Some(t) = tenants.get_mut(&tenant_id) {
-            t.queued = t.queued.saturating_sub(1);
-            t.submitted = t.submitted.saturating_sub(1);
-            if shed {
-                t.rejected += 1;
-            }
-        }
-    }
-
-    /// Every tenant's row, sorted by `client_id`.
-    pub(super) fn tenant_snapshot(&self) -> Vec<TenantStats> {
-        let tenants = self.tenants.lock().expect("tenant table poisoned");
-        tenants.values().copied().collect()
     }
 
     /// What a [`Request::PollJob`] of `job_id` answers.
@@ -110,7 +33,7 @@ impl Shared {
     }
 }
 
-/// One tuning worker: drains job ids from the sharded queue until it is
+/// One tuning worker: drains job ids from the admission queue until it is
 /// closed and empty, tuning each through the shared service.
 pub(super) fn worker_loop(shared: &Shared) {
     while let Some(job_id) = shared.queue.pop() {
@@ -136,13 +59,6 @@ pub(super) fn worker_loop(shared: &Shared) {
                 }
             }
         };
-        // The job has left the queue: its tenant's credit frees up now.
-        {
-            let mut tenants = shared.tenants.lock().expect("tenant table poisoned");
-            if let Some(t) = tenants.get_mut(&req.tenant) {
-                t.queued = t.queued.saturating_sub(1);
-            }
-        }
         // The request's trace id follows the job onto this thread: every
         // span below (including the search engine's own `search.l*` spans)
         // tags itself with it, and the queue wait becomes a retroactive
@@ -194,12 +110,9 @@ pub(super) fn worker_loop(shared: &Shared) {
                 // the uploaded bytes (the digest is memoised in the
                 // request's matrix): the cold path pays for the digest, a
                 // hit never does.
-                shared.by_digest.file(
-                    &shared.service,
-                    req.tenant,
-                    request.matrix.digest(),
-                    &request.device,
-                );
+                shared
+                    .by_digest
+                    .file(&shared.service, request.matrix.digest(), &request.device);
                 // The service's own handle: while this job is in the table,
                 // repeat tunes of its matrix get this program back.
                 Job::Done {
@@ -212,7 +125,7 @@ pub(super) fn worker_loop(shared: &Shared) {
                 Job::Failed { error }
             }
         };
-        shared.finish_job(job_id, req.tenant, outcome);
+        shared.finish_job(job_id, outcome);
         // The job's total in-server latency: admission to terminal state.
         shared.record(req, "net.request", wait_us.saturating_add(exec_us));
         alpha_telemetry::set_current_trace_id(prev_trace);
@@ -261,10 +174,10 @@ fn submission_device(shared: &Shared, device: &str) -> Result<DeviceProfile, Res
     })
 }
 
-/// Admission + job-table insert for one tune submission.
+/// Admission + job-table insert for one tune submission: the job is filed,
+/// then pushed onto the queue, whose bound is the whole admission policy.
 pub(super) fn submit_tune(
     shared: &Shared,
-    tenant: u64,
     trace_id: u64,
     matrix: alpha_matrix::CsrMatrix,
     device: String,
@@ -273,18 +186,16 @@ pub(super) fn submit_tune(
         Ok(profile) => profile,
         Err(refused) => return refused,
     };
-    let req = RequestTag {
-        lane: Lane::Tune,
-        tenant,
-        trace_id,
-        job_id: 0,
-    };
-    if let Err(busy) = shared.try_admit(tenant) {
-        return shared.shed(req, busy);
-    }
     let request = TuneRequest::new(matrix, profile);
     let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-    let req = RequestTag { job_id, ..req };
+    let req = RequestTag {
+        lane: Lane::Tune,
+        trace_id,
+        job_id,
+    };
+    // Counted before the push, so no reader sees a job completed that was
+    // never submitted.
+    shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
     shared.jobs.lock().expect("job table poisoned").insert(
         job_id,
         Job::Queued {
@@ -293,22 +204,22 @@ pub(super) fn submit_tune(
             req,
         },
     );
-    match shared.queue.try_push(tenant, job_id) {
+    match shared.queue.try_push(job_id) {
         Ok(()) => {
             shared.record(req, "net.admitted", 0);
             Response::Submitted { job_id }
         }
         Err(push_error) => {
-            // Admission failed at the global bound: nothing must remain of
-            // the job.
+            // Admission failed: nothing must remain of the job.
             shared
                 .jobs
                 .lock()
                 .expect("job table poisoned")
                 .remove(&job_id);
+            shared.jobs_submitted.fetch_sub(1, Ordering::Relaxed);
             match push_error {
                 PushError::Full(_) => {
-                    shared.unadmit(tenant, true);
+                    shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
                     let busy = Response::Busy {
                         queue_capacity: shared.queue.capacity() as u64,
                         retry_after_ms: shared.retry_after_ms(),
@@ -316,27 +227,23 @@ pub(super) fn submit_tune(
                     // The job is gone: the shed names none.
                     shared.shed(RequestTag { job_id: 0, ..req }, busy)
                 }
-                PushError::Closed(_) => {
-                    shared.unadmit(tenant, false);
-                    shutting_down()
-                }
+                PushError::Closed(_) => shutting_down(),
             }
         }
     }
 }
 
 /// Answers a tune that names its matrix by digest, on the event loop: a
-/// lookup in the tenant's view and the service's resident map, then either
+/// lookup in the daemon's view and the service's resident map, then either
 /// [`Response::NeedMatrix`] or the `Done` status of a job that holds the
-/// program the tenant's upload built, if its shape is the one named — the
+/// program an upload built, if its shape is the one named — the
 /// reply a [`Request::PollJob`] of that job gives, so a warm tune is one
 /// round trip.  That job is the one an earlier hit on the same upload
 /// filed, while the job table still has it (its summary is read under the
 /// lock that finds it), else a new one: a burst of hits takes one terminal
-/// slot.  Nothing is queued, so admission credit is not consulted.
+/// slot.  Nothing is queued, so admission is not consulted.
 pub(super) fn submit_tune_ref(
     shared: &Shared,
-    tenant: u64,
     trace_id: u64,
     digest: [u8; 32],
     shape: [u64; 3],
@@ -349,7 +256,7 @@ pub(super) fn submit_tune_ref(
     };
     let hit = shared
         .by_digest
-        .lookup(&shared.service, tenant, digest, &profile)
+        .lookup(&shared.service, digest, &profile)
         .filter(|hit| {
             let stats = hit.program.matrix_stats();
             [stats.rows, stats.cols, stats.nnz].map(|n| n as u64) == shape
@@ -369,29 +276,23 @@ pub(super) fn submit_tune_ref(
         Some(live) => live,
         None => {
             let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-            let mut tenants = shared.tenants.lock().expect("tenant table poisoned");
-            shared.tenant_row(&mut tenants, tenant).submitted += 1;
-            drop(tenants);
+            shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
             let tuned = hit.program;
             let wall_secs = started.elapsed().as_secs_f64();
             let summary = job_summary(&tuned, 0, hit.warm_started, wall_secs, 0.0);
             shared.finish_job(
                 job_id,
-                tenant,
                 Job::Done {
                     tuned,
                     summary: summary.clone(),
                 },
             );
-            shared
-                .by_digest
-                .answered_by(tenant, digest, &profile, job_id);
+            shared.by_digest.answered_by(digest, &profile, job_id);
             (job_id, summary)
         }
     };
     let req = RequestTag {
         lane: Lane::TuneRef,
-        tenant,
         trace_id,
         job_id,
     };

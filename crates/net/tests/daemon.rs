@@ -8,9 +8,7 @@ use alpha_net::proto::{
     decode_response, encode_request_traced, read_frame, request_frame, write_frame, Request,
     Response, MAX_FRAME_LEN, NET_MAGIC, PROTOCOL_VERSION,
 };
-use alpha_net::{
-    Client, ErrorKind, JobState, NetError, NetServer, ProtoError, ServerConfig, TenantStats,
-};
+use alpha_net::{Client, ErrorKind, JobState, NetError, NetServer, ProtoError, ServerConfig};
 use alpha_serve::{DesignStore, TuningService};
 use alphasparse::{EvaluatorChoice, EvaluatorId, SearchConfig};
 use std::io::Write;
@@ -84,6 +82,13 @@ fn by_reference_outcomes(client: &mut Client) -> (u64, u64) {
         )
     };
     (outcome(client, "hit"), outcome(client, "need_matrix"))
+}
+
+/// `net_requests_total` less the `scrapes` the observer sent to read it,
+/// this one included: a scrape is a request, counted before it is answered.
+fn requests_besides(observer: &mut Client, scrapes: &mut u64) -> u64 {
+    *scrapes += 1;
+    scraped(observer, "net_requests_total") - *scrapes
 }
 
 /// The value of one series — its name with its label set, as the exposition
@@ -366,8 +371,7 @@ fn full_queue_answers_busy_backpressure() {
     let hints_us: Vec<u64> = retry_hints_ms.iter().map(|ms| ms * 1000).collect();
     assert_eq!(shed_us, hints_us);
 
-    // The daemon's job counts are its tenants' rows summed, a job answered
-    // by reference included.
+    // A job answered by reference is submitted and completed like any.
     let hit = client
         .submit_tune(&matrix, "A100")
         .expect("a by-reference hit");
@@ -377,11 +381,8 @@ fn full_queue_answers_busy_backpressure() {
     );
     let stats = client.store_stats().unwrap();
     assert_eq!(stats.jobs_completed, admitted.len() as u64 + 2);
-    let tenants = client.tenant_stats().unwrap();
-    let sum = |row: fn(&TenantStats) -> u64| tenants.iter().map(row).sum::<u64>();
-    assert_eq!(stats.jobs_submitted, sum(|t| t.submitted));
-    assert_eq!(stats.jobs_rejected, sum(|t| t.rejected));
-    assert_eq!(stats.jobs_completed, sum(|t| t.completed));
+    assert_eq!(stats.jobs_submitted, stats.jobs_completed);
+    assert_eq!(stats.jobs_rejected, retry_hints_ms.len() as u64);
     stop(server, &dir);
 }
 
@@ -464,7 +465,7 @@ fn warm_store_serves_a_second_connection_for_free() {
     assert!(first.fresh_evaluations > 0);
     assert!(first.warm_started, "the sibling's winner seeds the search");
 
-    // A brand-new connection (the same anonymous tenant) re-submitting the
+    // A brand-new connection re-submitting the
     // same matrix names it by digest and is answered with the program the
     // first job still holds: zero fresh evaluations, the identical design,
     // and a new job whose kernel computes y = A·x.
@@ -885,7 +886,7 @@ fn metrics_surface_covers_the_whole_pipeline() {
         },
     );
     let metrics_addr = server.metrics_addr().expect("metrics endpoint bound");
-    let (mut client, _) = Client::connect_as(server.local_addr(), 7).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
     let matrix = gen::powerlaw(128, 128, 4, 2.0, 21);
     let job = client.submit_tune(&matrix, "A100").expect("admitted");
@@ -893,11 +894,11 @@ fn metrics_surface_covers_the_whole_pipeline() {
     let x = vec![1.0f32; 128];
     client.spmv(job, &x).expect("remote SpMV runs");
 
-    // The wire request returns the full registry: daemon-level families,
-    // tenant labels, and the serving/search/kernel layers underneath.
+    // The wire request returns the full registry: daemon-level families
+    // and the serving/search/kernel layers underneath.
     let text = client.metrics().expect("metrics frame");
     for family in [
-        "net_requests_total{tenant=\"7\"}",
+        "\nnet_requests_total ",
         "net_tune_exec_us_count",
         "net_tune_queue_wait_us_count",
         "net_spmv_latency_us_count",
@@ -929,7 +930,7 @@ fn metrics_surface_covers_the_whole_pipeline() {
         response.contains("Content-Type: text/plain; version=0.0.4\r\n"),
         "{response}"
     );
-    assert!(response.contains("net_requests_total{tenant=\"7\"}"));
+    assert!(response.contains("\nnet_requests_total "));
     assert!(response.contains("net_http_scrapes_total 1"));
 
     // Counters are monotone across scrapes, and wrong paths 404 without
@@ -987,13 +988,14 @@ fn v4_clients_get_a_typed_version_mismatch() {
     let server = quick_daemon(&dir, ServerConfig::default());
 
     // There is one wire version.  A v4 peer (bare payload, version stamp 4)
-    // or a v5 or v6 one (trace id first) is not misread as v7: it gets one
-    // typed error naming both versions — in a frame a current reader
+    // or a v5, v6 or v7 one (trace id first) is not misread as v8: it gets
+    // one typed error naming both versions — in a frame a current reader
     // decodes — and the connection closes.
     for (version, payload) in [
         (4u32, alpha_net::proto::encode_request(&Request::StoreStats)),
         (5, encode_request_traced(0, &Request::StoreStats)),
         (6, encode_request_traced(0, &Request::StoreStats)),
+        (7, encode_request_traced(0, &Request::StoreStats)),
     ] {
         let mut raw = TcpStream::connect(server.local_addr()).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -1030,65 +1032,6 @@ fn v4_clients_get_a_typed_version_mismatch() {
         .store_stats()
         .expect("a current client is still served");
     drop(client);
-    stop(server, &dir);
-}
-
-#[test]
-fn a_digest_reaches_only_its_own_tenants_uploads() {
-    let dir = temp_dir("digest_tenants");
-    let server = isolated_daemon(&dir, ServerConfig::default());
-    let addr = server.local_addr();
-    let matrix = gen::powerlaw(160, 128, 4, 2.0, 41);
-    let named = by_reference(&matrix, "A100");
-    let hello = |stream: &mut TcpStream, client_id: u64| {
-        let welcome = exchange(stream, &Request::Hello { client_id });
-        assert!(matches!(welcome, Response::Welcome { .. }), "{welcome:?}");
-    };
-
-    // Tenant 1 uploads: its first submit names the digest, is asked for the
-    // matrix, and sends it.
-    let (mut first, _) = Client::connect_as(addr, 1).unwrap();
-    let uploaded = first.submit_tune(&matrix, "A100").unwrap();
-    first.wait_job(uploaded, POLL, DEADLINE).unwrap();
-
-    // Tenant 2 names the same digest and is asked for the matrix: another
-    // tenant's upload is not its own.  So is an anonymous connection, which
-    // is tenant 0.
-    let mut second = TcpStream::connect(addr).unwrap();
-    hello(&mut second, 2);
-    assert_eq!(exchange(&mut second, &named), Response::NeedMatrix);
-    let mut anonymous = TcpStream::connect(addr).unwrap();
-    assert_eq!(exchange(&mut anonymous, &named), Response::NeedMatrix);
-    // Tenant 1 itself is answered by reference, on any of its connections.
-    let mut again = TcpStream::connect(addr).unwrap();
-    hello(&mut again, 1);
-    assert!(matches!(
-        exchange(&mut again, &named),
-        Response::Status {
-            state: JobState::Done(_),
-            ..
-        }
-    ));
-
-    // Tenant 2's own upload gets it a job of its own — the tuning service
-    // shares the program, since it compared the content — and from then on
-    // tenant 2 is answered by reference too.
-    let (mut client, _) = Client::connect_as(addr, 2).unwrap();
-    let own = client.submit_tune(&matrix, "A100").unwrap();
-    assert_ne!(own, uploaded);
-    let summary = client.wait_job(own, POLL, DEADLINE).unwrap();
-    assert_eq!(summary.fresh_evaluations, 0);
-    assert!(matches!(
-        exchange(&mut second, &named),
-        Response::Status {
-            state: JobState::Done(_),
-            ..
-        }
-    ));
-    // Hits: tenant 1 once, tenant 2 once.  Misses: both uploads' first
-    // attempts, tenant 2's and tenant 0's digest-only requests.
-    assert_eq!(by_reference_outcomes(&mut client), (2, 4));
-    drop((first, second, anonymous, again, client));
     stop(server, &dir);
 }
 
@@ -1176,19 +1119,19 @@ fn a_warm_tune_by_reference_is_one_request() {
     let dir = temp_dir("digest_one_request");
     let server = isolated_daemon(&dir, ServerConfig::default());
     let addr = server.local_addr();
-    let (mut tenant, _) = Client::connect_as(addr, 3).unwrap();
+    let mut client = Client::connect(addr).unwrap();
     let matrix = gen::powerlaw(192, 160, 5, 2.0, 53);
-    let uploaded = tenant.submit_tune(&matrix, "A100").unwrap();
-    let first = tenant.wait_job(uploaded, POLL, DEADLINE).unwrap();
+    let uploaded = client.submit_tune(&matrix, "A100").unwrap();
+    let first = client.wait_job(uploaded, POLL, DEADLINE).unwrap();
 
-    // Scraped as another tenant, so the scrapes are not counted.
-    let (mut observer, _) = Client::connect_as(addr, 4).unwrap();
-    let requests = |observer: &mut Client| scraped(observer, "net_requests_total{tenant=\"3\"}");
-    let before = requests(&mut observer);
-    let job = tenant.submit_tune(&matrix, "A100").unwrap();
-    let summary = tenant.wait_job(job, POLL, DEADLINE).unwrap();
+    // The observer's own scrapes are not counted.
+    let mut observer = Client::connect(addr).unwrap();
+    let mut scrapes = 0;
+    let before = requests_besides(&mut observer, &mut scrapes);
+    let job = client.submit_tune(&matrix, "A100").unwrap();
+    let summary = client.wait_job(job, POLL, DEADLINE).unwrap();
     assert_eq!(
-        requests(&mut observer) - before,
+        requests_besides(&mut observer, &mut scrapes) - before,
         1,
         "a warm tune by reference is its submission alone, with no poll"
     );
@@ -1196,10 +1139,10 @@ fn a_warm_tune_by_reference_is_one_request() {
     assert_eq!(summary.fresh_evaluations, 0);
     assert_eq!(summary.operator_graph, first.operator_graph);
     // The summary is the one the job table holds; asking again does poll.
-    assert_eq!(tenant.poll_job(job).unwrap(), JobState::Done(summary));
-    assert_eq!(requests(&mut observer) - before, 2);
+    assert_eq!(client.poll_job(job).unwrap(), JobState::Done(summary));
+    assert_eq!(requests_besides(&mut observer, &mut scrapes) - before, 2);
     assert_eq!(by_reference_outcomes(&mut observer), (1, 1));
-    drop((tenant, observer));
+    drop((client, observer));
     stop(server, &dir);
 }
 
@@ -1208,35 +1151,35 @@ fn a_batch_of_warm_tunes_by_reference_polls_none_of_them() {
     let dir = temp_dir("digest_batch");
     let server = isolated_daemon(&dir, ServerConfig::default());
     let addr = server.local_addr();
-    let (mut tenant, _) = Client::connect_as(addr, 3).unwrap();
+    let mut client = Client::connect(addr).unwrap();
     let matrices = [
         gen::powerlaw(192, 160, 5, 2.0, 57),
         gen::uniform_random(160, 192, 4, 58),
     ];
     for matrix in &matrices {
-        let uploaded = tenant.submit_tune(matrix, "A100").unwrap();
-        tenant.wait_job(uploaded, POLL, DEADLINE).unwrap();
+        let uploaded = client.submit_tune(matrix, "A100").unwrap();
+        client.wait_job(uploaded, POLL, DEADLINE).unwrap();
     }
 
-    let (mut observer, _) = Client::connect_as(addr, 4).unwrap();
-    let requests = |observer: &mut Client| scraped(observer, "net_requests_total{tenant=\"3\"}");
-    let before = requests(&mut observer);
+    let mut observer = Client::connect(addr).unwrap();
+    let mut scrapes = 0;
+    let before = requests_besides(&mut observer, &mut scrapes);
     // Both submitted before either is waited for: each hit keeps its summary.
     let jobs: Vec<u64> = matrices
         .iter()
-        .map(|matrix| tenant.submit_tune(matrix, "A100").unwrap())
+        .map(|matrix| client.submit_tune(matrix, "A100").unwrap())
         .collect();
     for job in jobs {
-        let summary = tenant.wait_job(job, POLL, DEADLINE).unwrap();
+        let summary = client.wait_job(job, POLL, DEADLINE).unwrap();
         assert_eq!(summary.fresh_evaluations, 0);
     }
     assert_eq!(
-        requests(&mut observer) - before,
+        requests_besides(&mut observer, &mut scrapes) - before,
         2,
         "two warm tunes by reference are their two submissions"
     );
     assert_eq!(by_reference_outcomes(&mut observer), (2, 2));
-    drop((tenant, observer));
+    drop((client, observer));
     stop(server, &dir);
 }
 
@@ -1314,9 +1257,8 @@ fn a_fingerprint_collision_is_never_answered_by_reference() {
     let dir = temp_dir("digest_collision");
     let server = isolated_daemon(&dir, ServerConfig::default());
     let addr = server.local_addr();
-    // One anonymous client uploads the forged matrix.  A later anonymous
-    // client — the same tenant 0 — naming the genuine one is asked for it,
-    // and its job computes the genuine `y`.
+    // One client uploads the forged matrix.  A later client naming the
+    // genuine one is asked for it, and its job computes the genuine `y`.
     let mut forger = Client::connect(addr).unwrap();
     let forged_job = forger.submit_tune(&forged, "A100").unwrap();
     forger.wait_job(forged_job, POLL, DEADLINE).unwrap();
@@ -1354,7 +1296,7 @@ fn a_fingerprint_collision_is_never_answered_by_reference() {
 fn a_burst_of_hits_does_not_evict_another_tenants_finished_job() {
     let dir = temp_dir("digest_burst");
     // Two terminal jobs are kept: without reuse, the second hit of a burst
-    // would push tenant 2's finished job out of the table.
+    // would push the second client's finished job out of the table.
     let server = isolated_daemon(
         &dir,
         ServerConfig {
@@ -1363,8 +1305,8 @@ fn a_burst_of_hits_does_not_evict_another_tenants_finished_job() {
         },
     );
     let addr = server.local_addr();
-    let (mut first, _) = Client::connect_as(addr, 1).unwrap();
-    let (mut second, _) = Client::connect_as(addr, 2).unwrap();
+    let mut first = Client::connect(addr).unwrap();
+    let mut second = Client::connect(addr).unwrap();
     let burst_matrix = gen::powerlaw(128, 128, 4, 2.0, 51);
     let kept_matrix = gen::uniform_random(128, 96, 4, 52);
     let uploaded = first.submit_tune(&burst_matrix, "A100").unwrap();
@@ -1372,20 +1314,24 @@ fn a_burst_of_hits_does_not_evict_another_tenants_finished_job() {
     let kept = second.submit_tune(&kept_matrix, "A100").unwrap();
     let finished = second.wait_job(kept, POLL, DEADLINE).unwrap();
 
-    // Tenant 1 resubmits at event-loop speed: one job answers every hit.
+    // The first client resubmits at event-loop speed: one job answers every
+    // hit.
     let hits: std::collections::BTreeSet<u64> = (0..200)
         .map(|_| first.submit_tune(&burst_matrix, "A100").unwrap())
         .collect();
     assert_eq!(hits.len(), 1, "{hits:?}");
     assert_eq!(by_reference_outcomes(&mut first), (200, 2));
-    // The hit job took the upload's slot; tenant 2's job is still there.
+    // The hit job took the upload's slot; the second client's job is still
+    // there.
     assert_eq!(first.store_stats().unwrap().jobs_gced, 1);
     match second.poll_job(kept).unwrap() {
         JobState::Done(summary) => assert_eq!(summary, finished),
-        other => panic!("tenant 2's finished job was evicted: {other:?}"),
+        other => panic!("the second client's finished job was evicted: {other:?}"),
     }
     let x = vec![1.0f32; 96];
-    let y = second.spmv(kept, &x).expect("tenant 2's job still serves");
+    let y = second
+        .spmv(kept, &x)
+        .expect("the second client's job still serves");
     let expected = kept_matrix.spmv(&x).expect("reference SpMV");
     assert!(alpha_matrix::max_scaled_error(&y, expected.as_slice()) <= 1e-5);
     drop((first, second));

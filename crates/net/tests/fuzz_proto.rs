@@ -90,8 +90,7 @@ fn by_reference_payload() -> Vec<u8> {
 fn corpus() -> Vec<Vec<u8>> {
     vec![
         encode_request_traced(0, &Request::StoreStats),
-        encode_request_traced(0, &Request::TenantStats),
-        encode_request_traced(0, &Request::Hello { client_id: 42 }),
+        encode_request_traced(0, &Request::Metrics),
         encode_request_traced(0, &Request::PollJob { job_id: 7 }),
         encode_request_traced(
             0,
@@ -182,8 +181,6 @@ fn mutated_frames_yield_typed_errors_or_clean_closes_and_leak_nothing() {
                 Response::Error { .. }
                 | Response::Status { .. }
                 | Response::Stats(_)
-                | Response::Welcome { .. }
-                | Response::Tenants(_)
                 | Response::Busy { .. }
                 | Response::MetricsText { .. }
                 | Response::NeedMatrix

@@ -5,7 +5,7 @@
 //! sink is installed.  The flight recorder fills the gap between them: every
 //! stage of a request admitted to (or shed from) the serving tier appends
 //! one [`SpanEvent`] — the same record the trace ring gets while tracing is
-//! on, carrying the stage's name, tenant, trace id, lane and duration — to a
+//! on, carrying the stage's name, trace id, lane and duration — to a
 //! bounded ring under a short mutex.
 //! When something goes wrong *yesterday*, `GET /debug/flightrec` (or the
 //! shutdown dump) replays the recent past as a Chrome trace with zero prior
@@ -160,14 +160,10 @@ impl FlightRecorder {
                 .entry(e.trace_id)
                 .or_insert_with(|| TraceAttribution {
                     trace_id: e.trace_id,
-                    tenant: 0,
                     queue_wait_us: 0,
                     exec_us: 0,
                     total_us: 0,
                 });
-            if entry.tenant == 0 {
-                entry.tenant = e.tenant;
-            }
             match &*e.name {
                 "net.queue_wait" => entry.queue_wait_us += e.dur_us,
                 "net.tune_exec" | "net.exec" => entry.exec_us += e.dur_us,
@@ -188,8 +184,6 @@ impl FlightRecorder {
 pub struct TraceAttribution {
     /// The request's trace id.
     pub trace_id: u64,
-    /// Owning tenant (`0` = anonymous).
-    pub tenant: u64,
     /// Total microseconds spent waiting in the tune queue.
     pub queue_wait_us: u64,
     /// Total microseconds spent executing (tune + SpMV).
@@ -219,9 +213,8 @@ mod tests {
     use super::*;
 
     /// A stage event of request `trace_id`, as the serving tier records it.
-    fn stage(name: &'static str, tenant: u64, trace_id: u64, dur_us: u64) -> SpanEvent {
+    fn stage(name: &'static str, trace_id: u64, dur_us: u64) -> SpanEvent {
         SpanEvent {
-            tenant,
             trace_id,
             class: "tune",
             ..SpanEvent::ending_now(name, dur_us)
@@ -232,7 +225,7 @@ mod tests {
     fn ring_wraps_and_counts_drops() {
         let rec = FlightRecorder::new(4, 8);
         for i in 0..10u64 {
-            rec.record(stage("net.admitted", 1, i + 1, 0));
+            rec.record(stage("net.admitted", i + 1, 0));
         }
         let events = rec.snapshot();
         assert_eq!(events.len(), 4);
@@ -245,11 +238,11 @@ mod tests {
     #[test]
     fn pinned_events_survive_ring_wrap() {
         let rec = FlightRecorder::new(4, 8);
-        rec.record(stage("net.admitted", 7, 77, 0));
-        rec.record(stage("net.tune_exec", 7, 77, 1234));
+        rec.record(stage("net.admitted", 77, 0));
+        rec.record(stage("net.tune_exec", 77, 1234));
         assert_eq!(rec.pin(77), 2);
         for i in 0..10u64 {
-            rec.record(stage("net.admitted", 8, 1000 + i, 0));
+            rec.record(stage("net.admitted", 1000 + i, 0));
         }
         let events = rec.snapshot();
         let gold: Vec<&SpanEvent> = events.iter().filter(|e| e.trace_id == 77).collect();
@@ -263,7 +256,7 @@ mod tests {
     #[test]
     fn snapshot_dedupes_pinned_against_live_ring() {
         let rec = FlightRecorder::new(8, 8);
-        rec.record(stage("net.admitted", 1, 5, 0));
+        rec.record(stage("net.admitted", 5, 0));
         rec.pin(5);
         // The event is both pinned and still live: it must appear once.
         let events = rec.snapshot();
@@ -271,23 +264,21 @@ mod tests {
     }
 
     #[test]
-    fn render_json_is_wellformed_and_prints_the_tenant_id() {
+    fn render_json_is_wellformed_and_prints_the_class() {
         let rec = FlightRecorder::new(8, 8);
         rec.record(SpanEvent {
             arg: Some(("retry_after_us".into(), 2500)),
-            ..stage("net.shed", u64::MAX, 9, 0)
+            ..stage("net.shed", 9, 0)
         });
-        rec.record(stage("net.tune_failed", 3, 9, 0));
+        rec.record(stage("net.tune_failed", 9, 0));
         let json = rec.render_json();
-        // The tenant id stays a quoted string in the dump.
         let shed = json
             .lines()
             .find(|l| l.contains("\"name\": \"net.shed\""))
             .expect("shed line");
         let args = "\"args\": {\"depth\": 0, \"trace_id\": 9, \"retry_after_us\": 2500, \
-                    \"tenant\": \"18446744073709551615\", \"class\": \"tune\"}},";
+                    \"class\": \"tune\"}},";
         assert!(shed.ends_with(args), "{shed}");
-        assert!(json.contains("\"tenant\": \"3\""));
         assert!(json.contains("\"name\": \"net.tune_failed\""));
         assert!(json.starts_with("{\"capacity\": 8, \"dropped\": 0, \"pinned_traces\": 0,"));
         assert!(json.contains("\n\"traceEvents\": [\n"));
@@ -301,14 +292,13 @@ mod tests {
         let rec = FlightRecorder::default();
         // Trace 1: modest. Trace 2: the slow one, with queue wait dominant.
         for (trace, wait, exec, total) in [(1, 100, 200, 350), (2, 9_000, 500, 10_000)] {
-            rec.record(stage("net.admitted", trace, trace, 0));
-            rec.record(stage("net.queue_wait", trace, trace, wait));
-            rec.record(stage("net.tune_exec", trace, trace, exec));
-            rec.record(stage("net.request", trace, trace, total));
+            rec.record(stage("net.admitted", trace, 0));
+            rec.record(stage("net.queue_wait", trace, wait));
+            rec.record(stage("net.tune_exec", trace, exec));
+            rec.record(stage("net.request", trace, total));
         }
         let worst = rec.slowest_trace().expect("a trace completed");
         assert_eq!(worst.trace_id, 2);
-        assert_eq!(worst.tenant, 2);
         assert_eq!(worst.queue_wait_us, 9_000);
         assert_eq!(worst.exec_us, 500);
         assert_eq!(worst.total_us, 10_000);
@@ -319,7 +309,7 @@ mod tests {
     #[test]
     fn untraced_requests_never_win_attribution() {
         let rec = FlightRecorder::default();
-        rec.record(stage("net.exec", 4, 0, 999_999));
+        rec.record(stage("net.exec", 0, 999_999));
         assert!(rec.slowest_trace().is_none());
     }
 }

@@ -46,7 +46,7 @@
 //! let requests = registry.counter("demo_requests_total", &[("class", "spmv")]);
 //! let latency = registry.histogram("demo_latency_us", &[]);
 //!
-//! let _span = span!("demo.request", tenant = 7u64);
+//! let _span = span!("demo.request", job = 7u64);
 //! requests.inc();
 //! latency.observe(420);
 //!

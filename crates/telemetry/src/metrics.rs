@@ -10,7 +10,7 @@
 //!   pure relaxed atomics.
 //! * **Labels are small static key sets.**  Label *keys* are `&'static str`
 //!   (they name dimensions the code knows at compile time: `class`,
-//!   `tenant`, `simd`); label *values* are short strings.  Each distinct
+//!   `lane`, `simd`); label *values* are short strings.  Each distinct
 //!   label-value combination is its own child metric.
 //! * **Histograms are fixed log-scale buckets.**  31 power-of-two upper
 //!   bounds (1, 2, 4, … 2³⁰) plus a +Inf bucket, all atomic `u64`s — wide
@@ -524,13 +524,13 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_wellformed() {
         let registry = Registry::new();
-        registry.counter("reqs_total", &[("tenant", "7")]).add(3);
+        registry.counter("reqs_total", &[("lane", "tune")]).add(3);
         registry.gauge("depth", &[]).set(-2);
         let h = registry.histogram("lat_us", &[]);
         h.observe(1);
         h.observe(5);
         let text = registry.render_prometheus();
-        assert!(text.contains("reqs_total{tenant=\"7\"} 3\n"));
+        assert!(text.contains("reqs_total{lane=\"tune\"} 3\n"));
         assert!(text.contains("depth -2\n"));
         assert!(text.contains("lat_us_bucket{le=\"1\"} 1\n"));
         // Cumulative: the le="8" bucket includes both observations.
@@ -569,7 +569,7 @@ mod tests {
         let hostile = "back\\slash\"quote\nnewline} end";
         let registry = Registry::new();
         registry
-            .counter("hostile_total", &[("tenant", hostile)])
+            .counter("hostile_total", &[("lane", hostile)])
             .inc();
         let text = registry.render_prometheus();
 
@@ -582,7 +582,7 @@ mod tests {
         assert!(line.ends_with("} 1"));
 
         // ...and the escaped value must round-trip to the original bytes.
-        let start = line.find("tenant=\"").expect("label present") + "tenant=\"".len();
+        let start = line.find("lane=\"").expect("label present") + "lane=\"".len();
         let end = line.rfind("\"}").expect("label closes");
         let escaped = &line[start..end];
         assert_eq!(escaped, "back\\\\slash\\\"quote\\nnewline} end");

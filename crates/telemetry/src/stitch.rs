@@ -59,10 +59,6 @@ fn render_one(out: &mut String, s: &SpanEvent, pid: u32, offset_us: i64) {
     if let Some((k, v)) = &s.arg {
         args.push_str(&format!(", \"{}\": {v}", json_escape(k)));
     }
-    // A tenant id is any u64: quoted, so no JSON reader rounds it.
-    if s.tenant != 0 {
-        args.push_str(&format!(", \"tenant\": \"{}\"", s.tenant));
-    }
     if !s.class.is_empty() {
         args.push_str(&format!(", \"class\": \"{}\"", json_escape(s.class)));
     }
@@ -154,7 +150,6 @@ mod tests {
         // as the one recorded with static ones.
         let recorded = SpanEvent {
             arg: Some(("job".into(), 9)),
-            tenant: 4,
             class: "spmv",
             ..SpanEvent::ending_now("net.exec", 7)
         };
@@ -165,7 +160,7 @@ mod tests {
         };
         assert_eq!(decoded, recorded);
         let json = chrome_trace_json(&[recorded]);
-        assert!(json.contains("\"job\": 9, \"tenant\": \"4\", \"class\": \"spmv\"}"));
+        assert!(json.contains("\"job\": 9, \"class\": \"spmv\"}"));
 
         let hostile = span("bad\"name\\with\nnewline", 0, 1, 0);
         let json = stitch_chrome_trace(&[hostile], &[], 0);

@@ -56,9 +56,6 @@ pub struct SpanEvent {
     /// across the wire by `alpha-net` so client- and server-side spans of
     /// one request share an id.
     pub trace_id: u64,
-    /// Tenant of the request a stage belongs to (`0` = anonymous, or not a
-    /// request stage).
-    pub tenant: u64,
     /// Lane of the request a stage belongs to (`tune`, `tune_ref`, `spmv`);
     /// empty for other spans.
     pub class: &'static str,

@@ -35,9 +35,6 @@ use std::time::{Duration, Instant};
 
 const POLL: Duration = Duration::from_millis(5);
 const DEADLINE: Duration = Duration::from_secs(600);
-/// The tenant the observer client scrapes as: the waves' anonymous clients
-/// are tenant 0, so the scrapes are not counted among their requests.
-const OBSERVER: u64 = 1;
 
 fn fleet(size: usize) -> Vec<CsrMatrix> {
     (0..size)
@@ -177,17 +174,23 @@ fn main() {
         PatternFamily::ALL.len()
     );
 
-    let (mut client, _) = Client::connect_as(addr, OBSERVER).expect("observer client connects");
-    let requests = |client: &mut Client| {
-        series(
+    let mut client = Client::connect(addr).expect("observer client connects");
+    // `net_requests_total` less this closure's own scrapes (each a request,
+    // counted before it is answered): two readings with nothing else from
+    // the observer between them differ by what the waves sent.
+    let mut scrapes = 0;
+    let mut requests = |client: &mut Client| {
+        scrapes += 1;
+        let total = series(
             &client.metrics().expect("metrics frame"),
-            "net_requests_total{tenant=\"0\"}",
-        )
+            "net_requests_total",
+        );
+        total - scrapes
     };
     for wave in 1..=2 {
         let mut clients = [left, right].map(|_| Client::connect(addr).expect("client connects"));
         let before = by_reference(&mut client);
-        let requests_before = if wave == 1 { 0 } else { requests(&mut client) };
+        let requests_before = requests(&mut client);
         let start = Instant::now();
         // Tune and wait on both clients at once, then count what that cost
         // on the wire before any SpMV is sent.
